@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from ..aggregation.aggregator import AggregatedFlexOffer, disaggregate
+from ..aggregation.aggregator import disaggregate
 from ..aggregation.pipeline import make_pipeline
 from ..aggregation.thresholds import AggregationParameters
 from ..api.registry import (
@@ -592,9 +592,10 @@ class TsoRuntimeService:
     """The streaming level-3 node: re-aggregate BRP macros, schedule, reply.
 
     BRPs publish ``MACRO_FLEX_OFFER`` messages whose payload is the BRP's
-    full committed macro snapshot (a tuple of
-    :class:`~repro.aggregation.aggregator.AggregatedFlexOffer`); each
-    snapshot *replaces* that BRP's previous one, so the TSO's macro pool
+    full committed macro snapshot (a tuple of macro flex-offers, of which
+    only the :class:`~repro.core.flexoffer.FlexOffer` surface is read —
+    members stay with the BRP that disaggregates them); each snapshot
+    *replaces* that BRP's previous one, so the TSO's macro pool
     always mirrors the fleet's latest committed plans (a pool change always
     materialises new aggregate ids, so retaining stale snapshots would
     double-count).  After ``trigger_refreshes`` snapshot refreshes (and a
@@ -628,7 +629,7 @@ class TsoRuntimeService:
             KIND_SCHEDULER, self.config.scheduler, "runtime"
         )
         self._rng = np.random.default_rng(self.config.seed)
-        self._macros_by_brp: dict[str, dict[int, AggregatedFlexOffer]] = {}
+        self._macros_by_brp: dict[str, dict[int, FlexOffer]] = {}
         self._macro_home: dict[int, str] = {}
         self._pending_refreshes = 0
         self._last_run_time = -math.inf
@@ -677,9 +678,7 @@ class TsoRuntimeService:
             self._snapshot_ctx[message.sender] = message.trace
         self.receive_snapshot(message.sender, message.payload)
 
-    def receive_snapshot(
-        self, brp: str, macros: Iterable[AggregatedFlexOffer]
-    ) -> None:
+    def receive_snapshot(self, brp: str, macros: Iterable[FlexOffer]) -> None:
         """Replace ``brp``'s macro set with its latest committed snapshot."""
         fresh = {macro.offer_id: macro for macro in macros}
         for offer_id in self._macros_by_brp.get(brp, ()):
@@ -767,7 +766,7 @@ class TsoRuntimeService:
         end = start + self.config.horizon_slices
         trace = self.tracer.enabled
 
-        eligible: list[AggregatedFlexOffer] = []
+        eligible: list[FlexOffer] = []
         # Deterministic pool order regardless of snapshot arrival
         # interleaving.  Eligibility is the same rule as the BRP pool walk;
         # the clip is not applied here — macros enter re-aggregation with

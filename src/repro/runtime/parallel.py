@@ -16,7 +16,9 @@ behind the seams built for exactly that:
   single-thread cluster;
 * committed macro snapshots crossing the process boundary as raw
   struct-of-arrays numpy buffers in ``multiprocessing.shared_memory``
-  segments (:mod:`repro.runtime.shm`) — the pipe carries segment names,
+  segments (:mod:`repro.runtime.shm`) — macro columns only: as in the
+  paper, micro members never leave the worker that aggregated them (it
+  is the one that disaggregates), and the pipe carries segment names,
   never pickled offer graphs;
 * the **TSO in the parent**, unchanged: relayed snapshots enter the real
   :class:`~repro.runtime.cluster.BusAdapter` via :meth:`~repro.runtime.
@@ -40,8 +42,11 @@ the single-thread cluster.  With TSO feedback deferred to the final drain
 same accepted offers and the same micro start commitments — the parity
 oracle the tests pin.
 
-Worker lifecycle: SIGTERM drains and exits cleanly via the normal
-``finally`` path; every snapshot segment is unlinked by the parent as it
+Worker lifecycle: each worker announces ``ready`` once its SIGTERM
+handler is installed (:attr:`ParallelClusterRuntime.ready` is set when
+all have), so a signal sent after that always takes the graceful path;
+SIGTERM drains and exits cleanly via the normal ``finally`` path; every
+snapshot segment is unlinked by the parent as it
 is decoded, workers unlink anything unconsumed at exit, and the parent
 sweeps the run's ``/dev/shm`` prefix on shutdown (also via ``atexit``), so
 even a SIGKILL'd worker leaks nothing.
@@ -54,6 +59,7 @@ import itertools
 import multiprocessing
 import os
 import signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -111,11 +117,12 @@ class ProcessBusTransport:
     publish hook and :meth:`register` for the schedule handler — so a BRP
     stack wires to it exactly as to the in-process adapter.  ``send``
     encodes the macro snapshot into a shared-memory segment and ships only
-    ``(segment name, message id, trace context)`` up the pipe;
+    ``(segment name, message id, trace context)`` up the pipe; the real
+    aggregates (members and offsets) stay here in ``_published``.
     :meth:`deliver_scheduled` is the downlink, rebuilding
-    :class:`~repro.core.schedule.ScheduledFlexOffer` payloads against the
-    worker's retained macro objects and dispatching them to the registered
-    handler as bus messages.
+    :class:`~repro.core.schedule.ScheduledFlexOffer` payloads against those
+    retained macro objects and dispatching them to the registered handler
+    as bus messages.
     """
 
     def __init__(
@@ -269,6 +276,8 @@ def _worker_main(
     for peer in peer_conns:
         if peer is not conn:
             peer.close()
+    # The handler is live: from here on a SIGTERM takes the graceful path.
+    conn.send(("ready", worker_index))
 
     # Disjoint id bands per worker: aggregate offer ids minted here meet
     # other workers' at the TSO, message ids pair publishes with deliveries
@@ -455,7 +464,8 @@ class ParallelClusterReport(ClusterReport):
     shm_segments: int = 0
     """Macro snapshots relayed over shared memory."""
     shm_bytes: int = 0
-    """Raw snapshot bytes that crossed the process boundary."""
+    """Raw snapshot bytes that crossed the process boundary (macro columns
+    only — independent of how many micro offers the macros fold)."""
 
     def as_text(self) -> str:
         lines = [
@@ -557,6 +567,8 @@ class ParallelClusterRuntime:
         self._procs: list[Any] = []
         self._conns: list[Any] = []
         self._ran = False
+        self.ready = threading.Event()
+        """Set once every worker has its SIGTERM handler installed."""
         self.shm_segments = 0
         self.shm_bytes = 0
         self.epochs = 0
@@ -662,6 +674,7 @@ class ParallelClusterRuntime:
                 self._procs.append(proc)
             for child_conn in all_conns:
                 child_conn.close()
+            self._await_ready()
 
             for epoch, boundary in enumerate(boundaries):
                 self.driver.run_until(boundary)
@@ -699,6 +712,16 @@ class ParallelClusterRuntime:
                     f"{self.barrier_timeout:g}s"
                 )
 
+    def _await_ready(self) -> None:
+        """Collect each worker's ``ready`` handshake, then set :attr:`ready`."""
+        for w in range(self.workers):
+            item = self._recv(w)
+            if item != ("ready", w):
+                raise WorkerCrashError(
+                    f"worker {w}: unexpected {item[0]!r} awaiting ready"
+                )
+        self.ready.set()
+
     def _ingest_traces(self, records: list[dict]) -> None:
         for record in records:
             if self._reseq is not None:
@@ -709,8 +732,11 @@ class ParallelClusterRuntime:
     def _relay_snapshot(self, item: tuple) -> None:
         _, brp, message_id, ctx, seg, nbytes, issued_at, macro_ids = item
         t0 = time.perf_counter()
-        macros = read_snapshot(seg)
-        unlink_segment(seg)
+        try:
+            macros = read_snapshot(seg)
+        finally:
+            # A rejected buffer is reclaimed now, not at the end-of-run sweep.
+            unlink_segment(seg)
         self.adapter.metrics.histogram("transport.decode_seconds").observe(
             time.perf_counter() - t0
         )

@@ -1,14 +1,19 @@
 """Shared-memory codec for macro flex-offer snapshots (struct-of-arrays).
 
-The parallel cluster runtime ships each BRP's committed macro snapshot —
-a tuple of :class:`~repro.aggregation.aggregator.AggregatedFlexOffer` —
-from a worker process to the parent's TSO.  Pickling those object graphs
-through a pipe would serialize every member profile slice as Python
-objects; instead the snapshot is flattened into the same struct-of-arrays
-shape the packed aggregation engine uses (``PackedPool``/``GroupArena``
-columns: int64 scalar columns, concatenated float64 profile bounds) and
-written as raw numpy buffers into one ``multiprocessing.shared_memory``
-segment.  The pipe then carries only the segment name.
+The parallel cluster runtime ships each BRP's committed macro snapshot
+from a worker process to the parent's TSO.  As in the paper's hierarchy,
+only the *macro* flex-offers travel up: the TSO treats them as ordinary
+flex-offers, and the micro members stay in the worker that aggregated
+them, because that worker is the one that disaggregates.  So the wire
+carries the macro columns and nothing else — one int64 matrix (offer id,
+start window, creation time, deadline, interned owner, profile length),
+one float64 ``unit_price`` column and the concatenated ``(min, max)``
+profile bounds — written as raw numpy buffers into one
+``multiprocessing.shared_memory`` segment, and the receiver rebuilds each
+macro as a validated plain :class:`~repro.core.flexoffer.FlexOffer`
+under the macro's ``offer_id``.  A snapshot's size is independent of how
+many micro offers its macros fold.  The pipe carries only the segment
+name.
 
 Lifecycle contract: the *worker* creates and writes a segment (and
 immediately deregisters it from the resource tracker, so a worker exit
@@ -20,13 +25,13 @@ swept by :func:`cleanup_run_segments` — no leaked ``/dev/shm`` blocks.
 from __future__ import annotations
 
 import json
+import math
 import os
 from multiprocessing import resource_tracker, shared_memory
 from typing import Sequence
 
 import numpy as np
 
-from ..aggregation.aggregator import AggregatedFlexOffer
 from ..core.errors import ServiceError
 from ..core.flexoffer import FlexOffer, Profile
 
@@ -44,209 +49,106 @@ __all__ = [
 #: Prefix of every segment this codec creates (the crash-sweep glob key).
 SHM_PREFIX = "repro-shm"
 
-_CODEC_VERSION = 1
+_CODEC_VERSION = 2
 #: Sentinel for a ``None`` ``assignment_before`` (real deadlines are >= 0).
 _NO_DEADLINE = -1
 
-# int64 scalar columns, in order: offer_id, earliest_start, latest_start,
-# creation_time, assignment_before (sentinel), owner index.
-_N_INT_COLS = 6
+# int64 columns, in order: offer_id, earliest_start, latest_start,
+# creation_time, assignment_before (sentinel), owner index, profile length.
+_N_INT_COLS = 7
 
 
-def _scalar_rows(
-    offers: Sequence[FlexOffer], owner_index: dict[str, int]
-) -> np.ndarray:
-    rows = np.empty((len(offers), _N_INT_COLS), dtype=np.int64)
-    for i, offer in enumerate(offers):
-        owner = owner_index.setdefault(offer.owner, len(owner_index))
-        deadline = (
-            _NO_DEADLINE
-            if offer.assignment_before is None
-            else offer.assignment_before
-        )
-        rows[i] = (
-            offer.offer_id,
-            offer.earliest_start,
-            offer.latest_start,
-            offer.creation_time,
-            deadline,
-            owner,
-        )
-    return rows
+def encode_macros(macros: Sequence[FlexOffer]) -> bytes:
+    """Flatten a macro snapshot's own columns into one raw buffer.
 
-
-def _profile_columns(
-    offers: Sequence[FlexOffer],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-offer profile lengths + concatenated ``(min, max)`` bounds."""
-    lengths = np.fromiter(
-        (len(o.profile) for o in offers), dtype=np.int64, count=len(offers)
-    )
-    total = int(lengths.sum())
-    bounds = np.empty((total, 2), dtype=np.float64)
-    at = 0
-    for offer in offers:
-        n = len(offer.profile)
-        bounds[at : at + n, 0] = offer.profile.min_array
-        bounds[at : at + n, 1] = offer.profile.max_array
-        at += n
-    return lengths, bounds
-
-
-def encode_macros(macros: Sequence[AggregatedFlexOffer]) -> bytes:
-    """Flatten a macro snapshot into one raw struct-of-arrays buffer.
-
-    Members must be plain (non-aggregated) flex-offers — what a BRP's
-    level-2 aggregation produces; deeper nesting would need a recursive
-    layout and never occurs on the snapshot path.
+    Only the :class:`~repro.core.flexoffer.FlexOffer` surface is read, so
+    an aggregate's members never enter the buffer.
     """
-    members: list[FlexOffer] = []
-    member_counts = np.empty(len(macros), dtype=np.int64)
-    member_offsets: list[int] = []
-    for i, macro in enumerate(macros):
-        if not isinstance(macro, AggregatedFlexOffer):
-            raise ServiceError(
-                f"snapshot offer {macro.offer_id} is not an aggregate"
-            )
-        member_counts[i] = len(macro.members)
-        member_offsets.extend(macro.offsets)
-        for member in macro.members:
-            if isinstance(member, AggregatedFlexOffer):
-                raise ServiceError(
-                    f"macro {macro.offer_id} has an aggregated member "
-                    f"{member.offer_id}; snapshots encode one level deep"
-                )
-            members.append(member)
-
     owner_index: dict[str, int] = {}
-    macro_ints = _scalar_rows(macros, owner_index)
-    member_ints = _scalar_rows(members, owner_index)
-    macro_prices = np.fromiter(
-        (m.unit_price for m in macros), dtype=np.float64, count=len(macros)
-    )
-    member_prices = np.fromiter(
-        (m.unit_price for m in members), dtype=np.float64, count=len(members)
-    )
-    macro_lengths, macro_bounds = _profile_columns(macros)
-    member_lengths, member_bounds = _profile_columns(members)
-    offsets_column = np.asarray(member_offsets, dtype=np.int64)
-
-    sections = [
-        macro_ints,
-        macro_prices,
-        macro_lengths,
-        macro_bounds,
-        member_counts,
-        offsets_column,
-        member_ints,
-        member_prices,
-        member_lengths,
-        member_bounds,
+    ints = [
+        (
+            macro.offer_id,
+            macro.earliest_start,
+            macro.latest_start,
+            macro.creation_time,
+            _NO_DEADLINE
+            if macro.assignment_before is None
+            else macro.assignment_before,
+            owner_index.setdefault(macro.owner, len(owner_index)),
+            len(macro.profile),
+        )
+        for macro in macros
+    ]
+    prices = [macro.unit_price for macro in macros]
+    bounds = [
+        (s.min_energy, s.max_energy) for macro in macros for s in macro.profile
     ]
     header = json.dumps(
         {
             "version": _CODEC_VERSION,
             "macros": len(macros),
-            "members": len(members),
-            "macro_slices": int(macro_lengths.sum()),
-            "member_slices": int(member_lengths.sum()),
-            "owners": sorted(owner_index, key=owner_index.__getitem__),
+            "owners": list(owner_index),
         },
         separators=(",", ":"),
     ).encode("utf-8")
-    parts = [len(header).to_bytes(8, "little"), header]
-    parts.extend(section.tobytes() for section in sections)
-    return b"".join(parts)
-
-
-def decode_macros(buffer: bytes | memoryview) -> tuple[AggregatedFlexOffer, ...]:
-    """Rebuild the macro snapshot :func:`encode_macros` flattened."""
-    view = memoryview(buffer)
-    header_len = int.from_bytes(bytes(view[:8]), "little")
-    header = json.loads(bytes(view[8 : 8 + header_len]).decode("utf-8"))
-    if header.get("version") != _CODEC_VERSION:
-        raise ServiceError(
-            f"unsupported snapshot codec version {header.get('version')!r}"
+    return b"".join(
+        (
+            len(header).to_bytes(8, "little"),
+            header,
+            np.array(ints, dtype=np.int64).tobytes(),
+            np.array(prices, dtype=np.float64).tobytes(),
+            np.array(bounds, dtype=np.float64).tobytes(),
         )
-    n_macros = header["macros"]
-    n_members = header["members"]
-    owners = header["owners"]
+    )
 
-    at = 8 + header_len
 
-    def take(dtype, shape) -> np.ndarray:
-        nonlocal at
-        count = int(np.prod(shape)) if shape else 0
-        array = np.frombuffer(view, dtype=dtype, count=count, offset=at)
-        at += array.nbytes
-        return array.reshape(shape)
+def decode_macros(buffer: bytes | memoryview) -> tuple[FlexOffer, ...]:
+    """Rebuild what :func:`encode_macros` flattened, as plain flex-offers.
 
-    macro_ints = take(np.int64, (n_macros, _N_INT_COLS))
-    macro_prices = take(np.float64, (n_macros,))
-    macro_lengths = take(np.int64, (n_macros,))
-    macro_bounds = take(np.float64, (header["macro_slices"], 2))
-    member_counts = take(np.int64, (n_macros,))
-    offsets_column = take(np.int64, (n_members,))
-    member_ints = take(np.int64, (n_members, _N_INT_COLS))
-    member_prices = take(np.float64, (n_members,))
-    member_lengths = take(np.int64, (n_members,))
-    member_bounds = take(np.float64, (header["member_slices"], 2))
-
-    def build(
-        ints: np.ndarray, price: float, bounds: np.ndarray, **extra
-    ) -> dict:
-        oid, est, lst, created, deadline, owner = (int(v) for v in ints)
-        profile = Profile.from_bounds(
-            zip(bounds[:, 0].tolist(), bounds[:, 1].tolist())
-        )
-        return dict(
-            profile=profile,
-            earliest_start=est,
-            latest_start=lst,
-            offer_id=oid,
-            owner=owners[owner],
-            creation_time=created,
-            assignment_before=None if deadline == _NO_DEADLINE else deadline,
-            unit_price=float(price),
-            **extra,
-        )
-
-    members: list[FlexOffer] = []
-    slice_at = 0
-    for i in range(n_members):
-        n = int(member_lengths[i])
-        members.append(
-            FlexOffer(
-                **build(
-                    member_ints[i],
-                    member_prices[i],
-                    member_bounds[slice_at : slice_at + n],
-                )
+    Every value is copied out into Python objects (one ``tolist()`` per
+    column), so nothing returned references ``buffer``.
+    """
+    try:
+        header_len = int.from_bytes(buffer[:8], "little")
+        at = 8 + header_len
+        header = json.loads(bytes(buffer[8:at]))
+        version = header.get("version")
+        if version != _CODEC_VERSION:
+            raise ServiceError(
+                f"unsupported snapshot codec version {version!r}"
             )
-        )
-        slice_at += n
+        owners = header["owners"]
 
-    macros: list[AggregatedFlexOffer] = []
+        def take(dtype, *shape: int) -> list:
+            nonlocal at
+            column = np.frombuffer(
+                buffer, dtype=dtype, count=math.prod(shape), offset=at
+            )
+            at += column.nbytes
+            return column.reshape(shape).tolist()
+
+        ints = take(np.int64, header["macros"], _N_INT_COLS)
+        prices = take(np.float64, len(ints))
+        bounds = take(np.float64, sum(row[-1] for row in ints), 2)
+    except (ValueError, KeyError) as exc:
+        raise ServiceError(f"malformed snapshot buffer: {exc}") from exc
+
+    macros: list[FlexOffer] = []
     slice_at = 0
-    member_at = 0
-    for i in range(n_macros):
-        n = int(macro_lengths[i])
-        k = int(member_counts[i])
+    for (oid, est, lst, created, deadline, owner, n), price in zip(ints, prices):
         macros.append(
-            AggregatedFlexOffer(
-                **build(
-                    macro_ints[i],
-                    macro_prices[i],
-                    macro_bounds[slice_at : slice_at + n],
-                    members=tuple(members[member_at : member_at + k]),
-                    offsets=tuple(
-                        int(v) for v in offsets_column[member_at : member_at + k]
-                    ),
-                )
+            FlexOffer(
+                profile=Profile.from_bounds(bounds[slice_at : slice_at + n]),
+                earliest_start=est,
+                latest_start=lst,
+                offer_id=oid,
+                owner=owners[owner],
+                creation_time=created,
+                assignment_before=None if deadline == _NO_DEADLINE else deadline,
+                unit_price=price,
             )
         )
         slice_at += n
-        member_at += k
     return tuple(macros)
 
 
@@ -256,9 +158,7 @@ def segment_name(run_id: str, worker_index: int, sequence: int) -> str:
     return f"{SHM_PREFIX}-{run_id}-w{worker_index}-{sequence}"
 
 
-def write_snapshot(
-    macros: Sequence[AggregatedFlexOffer], name: str
-) -> tuple[str, int]:
+def write_snapshot(macros: Sequence[FlexOffer], name: str) -> tuple[str, int]:
     """Encode ``macros`` into a fresh shared-memory segment ``name``.
 
     Returns ``(name, nbytes)``.  The segment is deregistered from this
@@ -278,15 +178,18 @@ def write_snapshot(
     return name, len(payload)
 
 
-def read_snapshot(name: str) -> tuple[AggregatedFlexOffer, ...]:
+def read_snapshot(name: str) -> tuple[FlexOffer, ...]:
     """Decode a snapshot segment (attach, copy out, close — no unlink)."""
     segment = shared_memory.SharedMemory(name=name)
     try:
         # Attaching (create=False) never registers with the resource
-        # tracker on 3.11, so no untrack is needed here.
-        return decode_macros(segment.buf)
+        # tracker on 3.11, so no untrack is needed here.  The bytes are
+        # copied out before the close, so a decode error cannot leave an
+        # exported buffer pinning the mapping.
+        payload = bytes(segment.buf)
     finally:
         segment.close()
+    return decode_macros(payload)
 
 
 def unlink_segment(name: str) -> bool:

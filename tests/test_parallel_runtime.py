@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -25,17 +26,26 @@ from repro.aggregation.thresholds import AggregationParameters
 from repro.api import LedmsClient
 from repro.api.ledger import JsonlEventLog, OfferLedger
 from repro.core.errors import CommunicationError, ServiceError
-from repro.core.flexoffer import flex_offer, rebase_offer_ids
+from repro.core.flexoffer import (
+    FlexOffer,
+    Profile,
+    flex_offer,
+    rebase_offer_ids,
+)
 from repro.datamgmt.mirabel import OFFER_STATES
+from repro.node.bus import MessageBus
 from repro.obs import JsonlWriter, Tracer
 from repro.runtime import (
+    BusAdapter,
     ClusterConfig,
     ClusterRuntime,
     IngestConfig,
     LoadGenerator,
     SchedulingConfig,
     ServiceConfig,
+    SimulatedDriver,
     TsoConfig,
+    TsoRuntimeService,
 )
 from repro.runtime.parallel import (
     ParallelClusterRuntime,
@@ -113,46 +123,118 @@ def _shm_residue(run_id: str) -> list[str]:
         return []
 
 
+def _v1_payload() -> bytes:
+    """The header an old (member-carrying) writer would have produced."""
+    header = json.dumps(
+        {"version": 1, "macros": 0, "members": 0, "macro_slices": 0,
+         "member_slices": 0, "owners": []}
+    ).encode("utf-8")
+    return len(header).to_bytes(8, "little") + header
+
+
 # ----------------------------------------------------------------------
+def _columns(offer):
+    """Every flex-offer field, floats as exact bit patterns."""
+    return (
+        offer.offer_id,
+        offer.earliest_start,
+        offer.latest_start,
+        offer.creation_time,
+        offer.assignment_before,
+        offer.owner,
+        offer.unit_price.hex(),
+        tuple((s.min_energy.hex(), s.max_energy.hex()) for s in offer.profile),
+    )
+
+
+def _macro_of(member_count: int) -> AggregatedFlexOffer:
+    """One fixed set of macro columns over ``member_count`` members."""
+    member = flex_offer([(0.5, 1.0)], earliest_start=4, latest_start=9)
+    return AggregatedFlexOffer(
+        profile=Profile.from_bounds([(2.0, 4.0), (1.5, 3.5)]),
+        earliest_start=4,
+        latest_start=9,
+        offer_id=77,
+        owner="aggregate",
+        unit_price=0.125,
+        members=(member,) * member_count,
+        offsets=(0,) * member_count,
+    )
+
+
+def _tso_returns(macros):
+    """Feed one snapshot to a fresh TSO; what it plans and sends back."""
+    driver = SimulatedDriver()
+    adapter = BusAdapter(MessageBus(), driver)
+    tso = TsoRuntimeService(TsoConfig(scheduler_passes=1), adapter=adapter)
+    returned = []
+
+    def capture(message):
+        scheduled = message.payload
+        returned.append(
+            (scheduled.offer.offer_id, scheduled.start, scheduled.energies)
+        )
+
+    adapter.register("brp-0", capture)
+    tso.receive_snapshot("brp-0", macros)
+    tso.maybe_schedule(force=True)
+    driver.run_until(driver.now)
+    return returned, tso.last_plan_cost
+
+
 class TestShmCodec:
     def test_round_trip_is_exact(self):
-        macros = _macros()
+        macros = _macros() + [
+            # Columns the aggregated fixture does not vary: no deadline,
+            # other owners, floats whose bit patterns are easy to lose.
+            flex_offer(
+                [(-0.0, 0.1 + 0.2), (5e-324, 1e308)],
+                earliest_start=3,
+                latest_start=3,
+                owner="hôtel-7",
+                creation_time=1,
+                unit_price=1 / 3,
+            ),
+            flex_offer(
+                [(-2.5, -1.0)], earliest_start=0, latest_start=8, owner=""
+            ),
+        ]
         rebuilt = decode_macros(encode_macros(macros))
-        assert len(rebuilt) == len(macros)
-        for original, copy in zip(macros, rebuilt):
-            assert copy == original
-            assert copy.offsets == original.offsets
-            assert copy.members == original.members
-            assert [m.owner for m in copy.members] == [
-                m.owner for m in original.members
-            ]
-            assert [m.assignment_before for m in copy.members] == [
-                m.assignment_before for m in original.members
-            ]
+        assert [type(copy) for copy in rebuilt] == [FlexOffer] * len(macros)
+        assert [_columns(c) for c in rebuilt] == [_columns(m) for m in macros]
 
-    def test_rejects_non_aggregate_and_nested_members(self):
-        plain = flex_offer([(1.0, 2.0)], earliest_start=0, latest_start=4)
-        with pytest.raises(ServiceError, match="not an aggregate"):
-            encode_macros([plain])
-        inner = _macros(4)[0]
-        nested = AggregatedFlexOffer(
-            profile=inner.profile,
-            earliest_start=inner.earliest_start,
-            latest_start=inner.latest_start,
-            offer_id=inner.offer_id + 1,
-            owner="nested",
-            members=(inner,),
-            offsets=(0,),
-        )
-        with pytest.raises(ServiceError, match="one level deep"):
-            encode_macros([nested])
+    def test_empty_snapshot_round_trips(self):
+        assert decode_macros(encode_macros([])) == ()
+
+    def test_rejects_other_versions_and_truncated_buffers(self):
+        payload = encode_macros(_macros())
+        with pytest.raises(ServiceError, match="malformed snapshot"):
+            decode_macros(payload[:-8])
+        with pytest.raises(ServiceError, match="malformed snapshot"):
+            decode_macros(payload[:12])
+        with pytest.raises(ServiceError, match="codec version 1"):
+            decode_macros(_v1_payload())
+
+    def test_size_is_independent_of_member_count(self):
+        small, large = _macro_of(1), _macro_of(50)
+        assert _columns(small) == _columns(large)
+        assert encode_macros([small]) == encode_macros([large])
+
+    def test_tso_plans_identically_from_decoded_macros(self):
+        macros = _macros(40)
+        original = _tso_returns(macros)
+        decoded = _tso_returns(decode_macros(encode_macros(macros)))
+        assert original[0], "the TSO returned no scheduled macro"
+        assert decoded == original
 
     def test_segment_lifecycle_and_sweep(self):
         macros = _macros()
         name = segment_name("testrun", 0, 1)
         _, nbytes = write_snapshot(macros, name)
-        assert nbytes > 0
-        assert read_snapshot(name) == tuple(macros)
+        assert nbytes == len(encode_macros(macros))
+        assert [_columns(m) for m in read_snapshot(name)] == [
+            _columns(m) for m in macros
+        ]
         assert unlink_segment(name) is True
         assert unlink_segment(name) is False  # already gone
         # Crash sweep reclaims whatever the decode path never touched.
@@ -249,13 +331,10 @@ class TestLifecycle:
         return thread, box
 
     def _wait_for_workers(self, cluster, timeout=10.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            procs = [p for p in cluster._procs if p.is_alive()]
-            if len(procs) == cluster.workers:
-                return procs
-            time.sleep(0.01)
-        raise AssertionError("workers never came up")
+        # Set only after every worker installed its SIGTERM handler, so a
+        # signal sent from here on cannot hit a half-started process.
+        assert cluster.ready.wait(timeout), "workers never came up"
+        return list(cluster._procs)
 
     def test_sigkill_mid_run_raises_and_leaks_nothing(self):
         cluster = ParallelClusterRuntime(_cluster_config(), workers=2)
@@ -281,6 +360,34 @@ class TestLifecycle:
         # perspective, but its SIGTERM path unlinks its own segments, so
         # nothing is left even before the parent's sweep.
         assert isinstance(box.get("error"), WorkerCrashError)
+        assert _shm_residue(cluster.run_id) == []
+
+    def test_worker_dying_before_ready_is_a_crash(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.runtime.parallel._worker_main",
+            lambda *args: os._exit(3),
+        )
+        cluster = ParallelClusterRuntime(_cluster_config(brps=2), workers=2)
+        with pytest.raises(WorkerCrashError, match="worker 0"):
+            cluster.run(_streams(cluster.config.brps, 8.0), 8.0)
+        assert not cluster.ready.is_set()
+        assert _shm_residue(cluster.run_id) == []
+
+    def test_rejected_snapshot_is_unlinked_at_once(self):
+        cluster = ParallelClusterRuntime(_cluster_config(brps=2), workers=2)
+        name = segment_name(cluster.run_id, 0, 1)
+        payload = _v1_payload()
+        segment = shared_memory.SharedMemory(
+            name=name, create=True, size=len(payload)
+        )
+        segment.buf[: len(payload)] = payload
+        segment.close()
+        assert _shm_residue(cluster.run_id) == [name]
+        with pytest.raises(ServiceError, match="codec version 1"):
+            cluster._relay_snapshot(
+                ("snapshot", "brp-0", 1, None, name, len(payload), 0, [])
+            )
+        # Reclaimed by the relay itself, not by the end-of-run sweep.
         assert _shm_residue(cluster.run_id) == []
 
     def test_run_is_single_use_and_validates_workers(self):
