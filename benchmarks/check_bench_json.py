@@ -15,6 +15,9 @@ named ``cluster.parallel_k<N>`` — and requires each to declare a numeric
 drop the worker count it was measured at.  ``runtime.delta`` selects the
 dirty-set re-planning rows (``delta.*``) and requires numeric
 ``live_groups`` / ``dirty_fraction`` workload fields for the same reason.
+``runtime.store`` selects the LEDMS store rows (``store.*``) and requires a
+numeric ``batch`` (rows per store call) and ``cpu_count``: an events/sec
+figure means nothing without the batch size it was taken at.
 
 Checks structure only — never timing thresholds — so the CI smoke job can
 assert the harness works without becoming a flaky performance gate.  Exits
@@ -46,6 +49,11 @@ SPECIAL_FAMILIES: dict[tuple[str, str], dict] = {
     ("runtime", "delta"): {
         "name_prefix": "delta.",
         "required_workload": ("live_groups", "dirty_fraction"),
+    },
+    # Store rows must say how many facts each store call carried.
+    ("runtime", "store"): {
+        "name_prefix": "store.",
+        "required_workload": ("batch", "cpu_count"),
     },
 }
 

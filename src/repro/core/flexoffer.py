@@ -106,9 +106,10 @@ class Profile(tuple):
     cycle on a 15-min axis is a profile of 8 slices).
 
     Bound views (:meth:`min_energies` / :meth:`max_energies` and the NumPy
-    :attr:`min_array` / :attr:`max_array`) are cached on first access: they
-    are hit on every aggregate build and every cost-engine pack, and the
-    profile is immutable, so re-materialising them per call was pure waste.
+    :attr:`min_array` / :attr:`max_array`) and the energy totals are cached
+    on first access: they are hit on every aggregate build, every cost-engine
+    pack and every lifecycle fact, and the profile is immutable, so
+    re-materialising them per call was pure waste.
     (No ``__slots__``: tuple subclasses cannot carry non-empty slots, and the
     cache lives in the instance dict.)
     """
@@ -153,18 +154,30 @@ class Profile(tuple):
 
     @property
     def total_min_energy(self) -> float:
-        """Sum of lower bounds (kWh)."""
-        return sum(s.min_energy for s in self)
+        """Sum of lower bounds (kWh; cached)."""
+        cached = self.__dict__.get("_total_min_energy")
+        if cached is None:
+            cached = sum(s.min_energy for s in self)
+            self.__dict__["_total_min_energy"] = cached
+        return cached
 
     @property
     def total_max_energy(self) -> float:
-        """Sum of upper bounds (kWh)."""
-        return sum(s.max_energy for s in self)
+        """Sum of upper bounds (kWh; cached)."""
+        cached = self.__dict__.get("_total_max_energy")
+        if cached is None:
+            cached = sum(s.max_energy for s in self)
+            self.__dict__["_total_max_energy"] = cached
+        return cached
 
     @property
     def total_energy_flexibility(self) -> float:
-        """Sum of per-slice energy flexibilities (kWh)."""
-        return sum(s.energy_flexibility for s in self)
+        """Sum of per-slice energy flexibilities (kWh; cached)."""
+        cached = self.__dict__.get("_total_energy_flexibility")
+        if cached is None:
+            cached = sum(s.energy_flexibility for s in self)
+            self.__dict__["_total_energy_flexibility"] = cached
+        return cached
 
     def min_energies(self) -> tuple[float, ...]:
         """Lower bounds as a tuple (cached)."""

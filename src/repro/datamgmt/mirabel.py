@@ -10,11 +10,24 @@ lifecycle events and prices.
 components actually use — recording measurements and reading them back as
 :class:`~repro.core.timeseries.TimeSeries`, tracking flex-offer state, and
 persisting forecast-model parameters.
+
+Every write ends in the fact tables' column buffers.  A series (measurements,
+a forecast, a market's prices) already *is* a column and goes in through one
+``extend_facts`` call.  Lifecycle transitions have two entry points because
+the traffic has two shapes: admission records ``submitted`` and
+``accepted``/``rejected`` one offer at a time
+(:meth:`LedmsStore.record_offer_event`, one ``append_fact``), while a flush,
+a sweep or a plan commitment moves many offers at once
+(:meth:`LedmsStore.record_offer_events`, one ``extend_facts``).  Column-wise
+validation costs a fixed set-up per call that only pays off from a handful
+of rows on (``benchmarks/bench_store_events.py`` records the crossover), so
+neither form is implemented over the other; both run the same checks and
+apply the same per-event state transition.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +61,10 @@ OFFER_STATES = (
 #: not merely submitted): the set :meth:`LedmsStore.live_offers` rebuilds
 #: a restarted service from.
 LIVE_OFFER_STATES = frozenset({"accepted", "aggregated", "scheduled"})
+
+#: States in which the store keeps the offer *object* (see
+#: :meth:`LedmsStore.offer`); in every other state only the audit trail stays.
+_RETAINED_OFFER_STATES = LIVE_OFFER_STATES | {"submitted"}
 
 
 def build_mirabel_schema() -> StarSchema:
@@ -204,23 +221,25 @@ class LedmsStore:
     # ------------------------------------------------------------------
     # measurements & forecasts
     # ------------------------------------------------------------------
+    def _time_ids(self, start: int, count: int) -> list[int]:
+        return [self._time_id(start + offset) for offset in range(count)]
+
     def record_measurements(
         self, actor: str, energy_type: str, series: TimeSeries
     ) -> int:
         """Persist a measurement series; returns the row count."""
         actor_id = self._actor_id(actor)
         type_id = self._energy_type_id(energy_type)
-        for offset, value in enumerate(series.values):
-            self.schema.insert_fact(
-                "measurement",
-                {
-                    "time_id": self._time_id(series.start + offset),
-                    "actor_id": actor_id,
-                    "energy_type_id": type_id,
-                    "energy_kwh": float(value),
-                },
-            )
-        return len(series)
+        count = len(series)
+        return self.schema.extend_facts(
+            "measurement",
+            (
+                self._time_ids(series.start, count),
+                [actor_id] * count,
+                [type_id] * count,
+                series.values.tolist(),
+            ),
+        )
 
     def measurements(
         self, actor: str, energy_type: str, start: int, end: int
@@ -228,14 +247,18 @@ class LedmsStore:
         """Read measurements back as a dense series (missing slices = 0)."""
         if end <= start:
             raise DataManagementError("empty measurement window")
-        rows = self.schema.facts["measurement"].select(
-            actor_id=self._actor_id(actor),
-            energy_type_id=self._energy_type_id(energy_type),
-        )
+        actor_id = self._actor_id(actor)
+        type_id = self._energy_type_id(energy_type)
+        column = self.schema.facts["measurement"].column
         values = np.zeros(end - start)
-        for row in rows:
-            if start <= row["time_id"] < end:
-                values[row["time_id"] - start] += row["energy_kwh"]
+        for time_id, owner, kind, energy in zip(
+            column("time_id"),
+            column("actor_id"),
+            column("energy_type_id"),
+            column("energy_kwh"),
+        ):
+            if owner == actor_id and kind == type_id and start <= time_id < end:
+                values[time_id - start] += energy
         return TimeSeries(start, values)
 
     def record_forecast(
@@ -244,18 +267,17 @@ class LedmsStore:
         """Persist a forecast series issued with the given horizon."""
         actor_id = self._actor_id(actor)
         type_id = self._energy_type_id(energy_type)
-        for offset, value in enumerate(series.values):
-            self.schema.insert_fact(
-                "forecast",
-                {
-                    "time_id": self._time_id(series.start + offset),
-                    "actor_id": actor_id,
-                    "energy_type_id": type_id,
-                    "horizon": horizon,
-                    "energy_kwh": float(value),
-                },
-            )
-        return len(series)
+        count = len(series)
+        return self.schema.extend_facts(
+            "forecast",
+            (
+                self._time_ids(series.start, count),
+                [actor_id] * count,
+                [type_id] * count,
+                [horizon] * count,
+                series.values.tolist(),
+            ),
+        )
 
     def record_prices(self, actor: str, market: "object") -> int:
         """Persist a market's per-slice buy/sell prices (EUR/kWh).
@@ -269,60 +291,104 @@ class LedmsStore:
         if buy is None or sell is None:
             raise DataManagementError("market must expose buy_price/sell_price")
         actor_id = self._actor_id(actor)
-        for slice_index, (b, s) in enumerate(zip(buy, sell)):
-            self.schema.insert_fact(
-                "price",
-                {
-                    "time_id": self._time_id(slice_index),
-                    "actor_id": actor_id,
-                    "buy_eur_kwh": float(b),
-                    "sell_eur_kwh": float(s),
-                },
-            )
+        pairs = [(float(b), float(s)) for b, s in zip(buy, sell)]
+        self.schema.extend_facts(
+            "price",
+            (
+                self._time_ids(0, len(pairs)),
+                [actor_id] * len(pairs),
+                [b for b, _ in pairs],
+                [s for _, s in pairs],
+            ),
+        )
         return len(buy)
 
     def prices(self, actor: str, start: int, end: int) -> list[tuple[int, float, float]]:
         """Stored ``(slice, buy, sell)`` prices for a window, sorted by slice."""
-        rows = self.schema.facts["price"].select(actor_id=self._actor_id(actor))
-        out = [
-            (r["time_id"], r["buy_eur_kwh"], r["sell_eur_kwh"])
-            for r in rows
-            if start <= r["time_id"] < end
-        ]
-        return sorted(out)
+        actor_id = self._actor_id(actor)
+        column = self.schema.facts["price"].column
+        return sorted(
+            (time_id, buy, sell)
+            for time_id, owner, buy, sell in zip(
+                column("time_id"),
+                column("actor_id"),
+                column("buy_eur_kwh"),
+                column("sell_eur_kwh"),
+            )
+            if owner == actor_id and start <= time_id < end
+        )
 
     # ------------------------------------------------------------------
     # flex-offer lifecycle
     # ------------------------------------------------------------------
     def record_offer_event(self, actor: str, offer: FlexOffer, state: str, now: int) -> None:
         """Append one lifecycle transition for a flex-offer."""
-        if state not in self._state_ids:
+        state_id = self._state_ids.get(state)
+        if state_id is None:
             raise DataManagementError(f"unknown offer state {state!r}")
-        self.schema.insert_fact(
+        self.schema.append_fact(
             "flexoffer_event",
-            {
-                "time_id": self._time_id(now),
-                "actor_id": self._actor_id(actor),
-                "offer_state_id": self._state_ids[state],
-                "offer_key": offer.offer_id,
-                "energy_min_kwh": offer.total_min_energy,
-                "energy_max_kwh": offer.total_max_energy,
-                "time_flexibility": offer.time_flexibility,
-            },
+            self._time_id(now),
+            self._actor_id(actor),
+            state_id,
+            offer.offer_id,
+            offer.total_min_energy,
+            offer.total_max_energy,
+            offer.time_flexibility,
         )
-        self._offer_states[offer.offer_id] = state
-        if state in LIVE_OFFER_STATES or state == "submitted":
-            self._offers[offer.offer_id] = offer
+        self._transition(actor, offer, state, now)
+
+    def record_offer_events(
+        self, events: Sequence[tuple[str, FlexOffer, str]], now: int
+    ) -> None:
+        """Append many ``(actor, offer, state)`` transitions recorded at ``now``.
+
+        The facts are validated and stored as one batch (all or nothing);
+        the per-offer state then advances, and subscribers fire, event by
+        event in the order given — exactly what the same events recorded
+        one by one through :meth:`record_offer_event` leave behind.
+        """
+        if not events:
+            return
+        actors, offers, states = zip(*events)
+        try:
+            state_ids = [self._state_ids[state] for state in states]
+        except KeyError as unknown:
+            raise DataManagementError(
+                f"unknown offer state {unknown.args[0]!r}"
+            ) from None
+        self.schema.extend_facts(
+            "flexoffer_event",
+            (
+                [self._time_id(now)] * len(events),
+                [self._actor_id(actor) for actor in actors],
+                state_ids,
+                [offer.offer_id for offer in offers],
+                [offer.total_min_energy for offer in offers],
+                [offer.total_max_energy for offer in offers],
+                [offer.time_flexibility for offer in offers],
+            ),
+        )
+        for actor, offer, state in events:
+            self._transition(actor, offer, state, now)
+
+    def _transition(self, actor: str, offer: FlexOffer, state: str, now: int) -> None:
+        """Advance the per-offer state for one recorded fact; notify."""
+        offer_id = offer.offer_id
+        self._offer_states[offer_id] = state
+        if state in _RETAINED_OFFER_STATES:
+            self._offers[offer_id] = offer
         else:
             # Terminal (or rejected) offers keep their audit trail in the
             # fact table and the state map, but the object — with its
             # profile arrays — is dropped so a long stream cannot grow the
             # store without bound.
-            self._offers.pop(offer.offer_id, None)
-        self._offer_owners[offer.offer_id] = actor
-        self._last_event_time = max(self._last_event_time, now)
+            self._offers.pop(offer_id, None)
+        self._offer_owners[offer_id] = actor
+        if now > self._last_event_time:
+            self._last_event_time = now
         for callback in self._subscribers:
-            callback(offer.offer_id, state, now)
+            callback(offer_id, state, now)
 
     def replay_offer_event(
         self,

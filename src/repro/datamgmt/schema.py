@@ -9,11 +9,18 @@ which only use subparts of the schema."
 keys; a dimension may itself reference a parent dimension (the snowflake
 part, e.g. actor → market area).  :class:`StarSchema` owns all tables and
 enforces referential integrity on insert.
+
+Facts enter through :meth:`StarSchema.append_fact` (one row, positional) or
+:meth:`StarSchema.extend_facts` (many rows, column-wise); a foreign key is
+checked by asking the referenced dimension's primary-key index whether the
+key exists — no parent row is built — and, for a batch, as one set
+difference per dimension.  :meth:`StarSchema.insert_fact` is the by-name
+adapter over the one-row form.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, KeysView, Sequence
 
 from ..core.errors import DataManagementError
 from .table import Column, Table
@@ -53,6 +60,8 @@ class FactTable(Table):
         dimension_keys: Sequence[str],
         measures: Sequence[Column],
     ) -> None:
+        # The foreign keys are the leading columns, in ``dimension_keys``
+        # order: the positional write paths rely on it.
         key_columns = [Column(f"{d}_id", "int") for d in dimension_keys]
         super().__init__(name, [*key_columns, *measures])
         self.dimension_keys = tuple(dimension_keys)
@@ -70,6 +79,10 @@ class StarSchema:
         self.name = name
         self.dimensions: dict[str, DimensionTable] = {}
         self.facts: dict[str, FactTable] = {}
+        # fact name -> (dimension name, live view of its primary keys) per
+        # foreign-key column, resolved once so a fact write is a membership
+        # test per reference.
+        self._references: dict[str, tuple[tuple[str, KeysView[Any]], ...]] = {}
 
     # ------------------------------------------------------------------
     # DDL
@@ -93,6 +106,10 @@ class StarSchema:
             if dimension not in self.dimensions:
                 raise DataManagementError(f"unknown dimension {dimension}")
         self.facts[fact.name] = fact
+        self._references[fact.name] = tuple(
+            (dimension, self.dimensions[dimension].keys())
+            for dimension in fact.dimension_keys
+        )
         return fact
 
     # ------------------------------------------------------------------
@@ -103,18 +120,44 @@ class StarSchema:
         dimension = self._dimension(name)
         if dimension.parent is not None:
             parent_key = row.get(f"{dimension.parent}_id")
-            if self.dimensions[dimension.parent].get(parent_key) is None:
+            if parent_key not in self.dimensions[dimension.parent].keys():
                 raise DataManagementError(
                     f"{name}: unknown {dimension.parent} id {parent_key!r}"
                 )
         return dimension.insert(row)
 
-    def insert_fact(self, name: str, row: dict[str, Any]) -> dict[str, Any]:
-        """Insert a fact row, checking every dimension reference."""
+    def append_fact(self, name: str, *values: Any) -> None:
+        """Store one fact row given positionally (foreign keys first)."""
         fact = self._fact(name)
-        for dimension in fact.dimension_keys:
+        for (dimension, known), key in zip(self._references[name], values):
+            if key not in known:
+                raise DataManagementError(
+                    f"{name}: unknown {dimension} id {key!r}"
+                )
+        fact.append(*values)
+
+    def extend_facts(self, name: str, columns: Sequence[Sequence[Any]]) -> int:
+        """Store many fact rows given column-wise; returns the count.
+
+        All-or-nothing, like :meth:`Table.extend`: one dangling reference
+        anywhere in the batch rejects the whole batch.
+        """
+        fact = self._fact(name)
+        for (dimension, known), keys in zip(self._references[name], columns):
+            dangling = set(keys) - known
+            if dangling:
+                key = next(key for key in keys if key in dangling)
+                raise DataManagementError(
+                    f"{name}: unknown {dimension} id {key!r}"
+                )
+        return fact.extend(columns)
+
+    def insert_fact(self, name: str, row: dict[str, Any]) -> dict[str, Any]:
+        """Insert a fact row given by name, checking every dimension reference."""
+        fact = self._fact(name)
+        for dimension, known in self._references[name]:
             key = row.get(f"{dimension}_id")
-            if self.dimensions[dimension].get(key) is None:
+            if key not in known:
                 raise DataManagementError(
                     f"{name}: unknown {dimension} id {key!r}"
                 )

@@ -11,6 +11,11 @@ incremental path, never a from-scratch rebuild.
 Batching: the group-builder already accumulates updates until ``run()``;
 the ingest stage decides *when* to run, namely once ``batch_size`` updates
 are pending (or when the service forces a flush before scheduling).
+
+Store writes follow the same shape: the two admission facts of an offer are
+recorded one row at a time as it arrives, while a flush records its whole
+batch's ``aggregated`` facts, and a retirement its ``executed``/``expired``/
+``withdrawn`` facts, in one column-wise store call each.
 """
 
 from __future__ import annotations
@@ -94,6 +99,17 @@ class FlexOfferIngest:
         self.store.register_actor(offer.owner, self.actor_role)
         self.store.record_offer_event(offer.owner, offer, state, now)
 
+    def _record_all(self, offers: list[FlexOffer], state: str, now: int) -> None:
+        """One store call for many offers entering ``state`` at ``now``."""
+        if self.store is None or not offers:
+            return
+        # dict, not set: first-seen order keeps actor ids deterministic.
+        for owner in dict.fromkeys(offer.owner for offer in offers):
+            self.store.register_actor(owner, self.actor_role)
+        self.store.record_offer_events(
+            [(offer.owner, offer, state) for offer in offers], now
+        )
+
     def reject_reason(self, offer: FlexOffer, now: int) -> str | None:
         """Why ``offer`` cannot be admitted at ``now`` (None = admissible)."""
         if offer.latest_start < now:
@@ -141,15 +157,13 @@ class FlexOfferIngest:
         (``expired`` for never-scheduled offers, ``executed`` for offers
         whose scheduled window has passed).
         """
-        count = 0
-        retired_ids = set()
-        for offer in offers:
-            self.pipeline.submit_deletes([offer])
-            self._pending += 1
-            self._record(offer, state, now)
-            retired_ids.add(offer.offer_id)
-            count += 1
+        retired = list(offers)
+        count = len(retired)
         if count:
+            self.pipeline.submit_deletes(retired)
+            self._pending += count
+            self._record_all(retired, state, now)
+            retired_ids = {offer.offer_id for offer in retired}
             # A retired offer may still sit in the unflushed insert batch;
             # drop it so the next flush cannot regress its terminal state
             # back to "aggregated".
@@ -169,8 +183,7 @@ class FlexOfferIngest:
         self._pending = 0
         updates = self.pipeline.run()
         self.last_dirty = self.pipeline.last_dirty
-        for offer in batch:
-            self._record(offer, "aggregated", now)
+        self._record_all(batch, "aggregated", now)
         self.metrics.counter("ingest.flushes").inc()
         self.metrics.counter("ingest.aggregate_updates").inc(len(updates))
         self.metrics.gauge("ingest.pool_offers").set(self.pipeline.input_count)

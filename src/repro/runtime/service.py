@@ -262,6 +262,9 @@ class BrpRuntimeService:
         if self.tracer.enabled:
             self.store.subscribe(self._trace_store_event)
         self._stage_hists: dict[str, Histogram] = {}
+        # Instruments touched once per arriving offer, looked up once.
+        self._submitted_counter = self.metrics.counter("runtime.offers_submitted")
+        self._live_gauge = self.metrics.gauge("runtime.live_offers")
         #: The simulated event queue when the driver has one (kept for
         #: backward compatibility: ``service.queue.clock.advance_to(...)``);
         #: ``None`` under wall-clock drivers.
@@ -458,7 +461,7 @@ class BrpRuntimeService:
                 )
         else:
             sid = source_event_id
-        self.metrics.counter("runtime.offers_submitted").inc()
+        self._submitted_counter.inc()
         accepted = self.ingest.submit(offer, self._now_slice)
         reason: str | None = None
         if accepted is not None:
@@ -469,7 +472,7 @@ class BrpRuntimeService:
             self._offers_since_run += 1
             self._unscheduled_energy += self._offer_energy(accepted)
             heapq.heappush(self._pending_heap, (self.now, oid))
-            self.metrics.gauge("runtime.live_offers").set(len(self._live))
+            self._live_gauge.set(len(self._live))
         elif recording:
             reason = self.ingest.reject_reason(offer, self._now_slice) or "rejected"
         if recording:
@@ -524,7 +527,7 @@ class BrpRuntimeService:
         self._arrival_wall.pop(offer_id, None)
         self._committed_start.pop(offer_id, None)
         self.metrics.counter("runtime.offers_withdrawn").inc()
-        self.metrics.gauge("runtime.live_offers").set(len(self._live))
+        self._live_gauge.set(len(self._live))
         return offer
 
     # ------------------------------------------------------------------
@@ -746,6 +749,8 @@ class BrpRuntimeService:
         skipped = 0
         cache = self._plan_cache
         fresh_cache: dict[int, tuple[int, tuple]] = {}
+        newly_scheduled: list[FlexOffer] = []
+        recommitted: list[AggregatedFlexOffer] = []
         t0 = time.perf_counter()
         with self._stage("disaggregate"):
             for assignment, original in zip(schedule, originals):
@@ -759,15 +764,23 @@ class BrpRuntimeService:
                     continue
                 delta = assignment.start - original.earliest_start
                 for member in original.members:
-                    members_out += 1
                     self._commit_member(
                         member,
                         member.earliest_start + delta,
-                        now,
                         latency_sim,
                         latency_wall,
+                        newly_scheduled,
                     )
-                    if trace:
+                members_out += len(original.members)
+                if trace:
+                    recommitted.append(original)
+            # One store call per pass, ahead of the pass's trace events:
+            # each member's "scheduled" still precedes its
+            # "aggregated_into" in the event log.
+            self._record_scheduled(newly_scheduled, now)
+            if trace:
+                for original in recommitted:
+                    for member in original.members:
                         self.tracer.offer_event(
                             member.offer_id,
                             "aggregated_into",
@@ -781,12 +794,20 @@ class BrpRuntimeService:
         self.metrics.gauge("schedule.unique_scheduled").set(self._scheduled_total)
 
     def _commit_member(
-        self, member: FlexOffer, start: int, now: int, latency_sim, latency_wall
+        self,
+        member: FlexOffer,
+        start: int,
+        latency_sim,
+        latency_wall,
+        newly_scheduled: list[FlexOffer],
     ) -> bool:
         """Record one member's committed start; returns True when still live.
 
         The latency histograms are passed in (hoisted by the caller): this
-        runs for every member of every assignment on every re-plan.
+        runs for every member of every assignment on every re-plan.  A
+        member scheduled for the first time is appended to
+        ``newly_scheduled``; the caller records those lifecycle facts in one
+        batch (:meth:`_record_scheduled`).
         """
         oid = member.offer_id
         if oid not in self._live:
@@ -811,8 +832,15 @@ class BrpRuntimeService:
             self._unscheduled_energy -= self._offer_energy(self._live[oid])
             latency_sim.observe(self.now - self._arrival_sim[oid])
             latency_wall.observe(time.perf_counter() - self._arrival_wall[oid])
-            self.store.record_offer_event(member.owner, member, "scheduled", now)
+            newly_scheduled.append(member)
         return True
+
+    def _record_scheduled(self, members: list[FlexOffer], now: int) -> None:
+        """Persist the ``scheduled`` transition of ``members`` in one call."""
+        if members:
+            self.store.record_offer_events(
+                [(member.owner, member, "scheduled") for member in members], now
+            )
 
     def apply_remote_schedule(self, scheduled) -> int:
         """Commit a TSO-scheduled macro back onto this node's members.
@@ -841,24 +869,29 @@ class BrpRuntimeService:
         latency_wall = self.metrics.histogram("latency.e2e_wall_seconds")
         trace = self.tracer.enabled
         delta = scheduled.start - aggregate.earliest_start
-        committed = 0
+        newly_scheduled: list[FlexOffer] = []
         with self._stage("remote_commit"):
-            for member in aggregate.members:
+            live = [
+                member
+                for member in aggregate.members
                 if self._commit_member(
                     member,
                     member.earliest_start + delta,
-                    now,
                     latency_sim,
                     latency_wall,
-                ):
-                    committed += 1
-                    if trace:
-                        self.tracer.offer_event(
-                            member.offer_id,
-                            "remote_commit",
-                            node=self.name,
-                            detail={"macro": aggregate.offer_id},
-                        )
+                    newly_scheduled,
+                )
+            ]
+            committed = len(live)
+            self._record_scheduled(newly_scheduled, now)
+            if trace:
+                for member in live:
+                    self.tracer.offer_event(
+                        member.offer_id,
+                        "remote_commit",
+                        node=self.name,
+                        detail={"macro": aggregate.offer_id},
+                    )
         if trace:
             self.tracer.offer_event(
                 aggregate.offer_id,
@@ -897,30 +930,22 @@ class BrpRuntimeService:
         """The retirement body of :meth:`sweep_expired` (inside its span)."""
         now = self.now
         now_slice = self._now_slice
-
-        def deadline_passed(offer: FlexOffer) -> bool:
-            return (
+        scheduled = self._scheduled
+        committed_start = self._committed_start
+        # One pass, each list in live-pool order: the ledger journals
+        # executed before expired, and replay fingerprints depend on it.
+        executed: list[FlexOffer] = []
+        expired: list[FlexOffer] = []
+        for oid, offer in self._live.items():
+            window_closed = offer.latest_start < now
+            if oid in scheduled:
+                if window_closed or committed_start.get(oid, math.inf) < now:
+                    executed.append(offer)
+            elif window_closed or (
                 offer.assignment_before is not None
                 and offer.assignment_before <= now
-            )
-
-        def execution_began(oid: int, offer: FlexOffer) -> bool:
-            return (
-                offer.latest_start < now
-                or self._committed_start.get(oid, math.inf) < now
-            )
-
-        executed = [
-            o
-            for oid, o in self._live.items()
-            if oid in self._scheduled and execution_began(oid, o)
-        ]
-        expired = [
-            o
-            for oid, o in self._live.items()
-            if oid not in self._scheduled
-            and (o.latest_start < now or deadline_passed(o))
-        ]
+            ):
+                expired.append(offer)
         led = self.ledger
         if led is not None and led.recording and (executed or expired):
             for offer in executed:
@@ -942,7 +967,7 @@ class BrpRuntimeService:
             self._scheduled.discard(oid)
         self.metrics.counter("runtime.offers_executed").inc(len(executed))
         self.metrics.counter("runtime.offers_expired").inc(len(expired))
-        self.metrics.gauge("runtime.live_offers").set(len(self._live))
+        self._live_gauge.set(len(self._live))
         retired = len(executed) + len(expired)
         if retired:
             self.run_aggregation()

@@ -1,6 +1,11 @@
 """Tests for the typed tables, the star/snowflake schema and the LEDMS store."""
 
+import sys
+from array import array
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TimeSeries, flex_offer
 from repro.core.errors import DataManagementError
@@ -261,3 +266,358 @@ class TestPriceFacts:
         store.register_actor("brp", "brp")
         with pytest.raises(DataManagementError):
             store.record_prices("brp", object())
+
+
+class TestColumnBuffers:
+    def _table(self):
+        return Table(
+            "t",
+            [
+                Column("id", "int"),
+                Column("v", "float"),
+                Column("name", "str"),
+                Column("n", "int", nullable=True),
+                Column("last", "int"),
+            ],
+            primary_key="id",
+        )
+
+    def _lengths(self, table):
+        return [len(table.column(name)) for name in table.columns]
+
+    def test_buffer_per_column(self):
+        table = self._table()
+        assert [type(table.column(name)) for name in table.columns] == [
+            array, array, list, list, array,
+        ]
+        assert table.column("id").typecode == "q"
+        assert table.column("v").typecode == "d"
+        with pytest.raises(DataManagementError):
+            table.column("zzz")
+
+    def test_append_fast_and_validated_paths_store_the_same(self):
+        table = self._table()
+        table.append(1, 2.0, "a", 3, 4)  # exact stored types
+        table.append(2, 2, "a", None, 4)  # int for float, None for nullable
+        assert table.get(1) == {"id": 1, "v": 2.0, "name": "a", "n": 3, "last": 4}
+        assert table.get(2) == {"id": 2, "v": 2.0, "name": "a", "n": None, "last": 4}
+        assert type(table.get(2)["v"]) is float
+        for bad in (
+            (True, 2.0, "a", 3, 4),  # bool is not an int
+            (3, False, "a", 3, 4),  # bool is not a float
+            (3, 2.0, None, 3, 4),  # not nullable
+            (3, 2.0, "a", 3),  # too few values
+            (3, 2.0, "a", 3, 4, 5),  # too many
+            (1, 2.0, "a", 3, 4),  # duplicate key
+            (None, 2.0, "a", 3, 4),
+        ):
+            with pytest.raises(DataManagementError):
+                table.append(*bad)
+        assert len(table) == 2
+
+    def test_select_returns_fresh_rows(self):
+        table = self._table()
+        table.append(1, 2.0, "a", 3, 4)
+        table.select()[0]["name"] = "edited"
+        assert table.get(1)["name"] == "a"
+
+    def test_overflow_is_a_validation_error_and_leaves_no_partial_row(self):
+        table = self._table()
+        table.append(1, 1.0, "a", 1, 1)
+        with pytest.raises(DataManagementError, match="last"):
+            table.append(2, 2.0, "b", 2, 2**63)
+        assert len(table) == 1 and self._lengths(table) == [1] * 5
+        with pytest.raises(DataManagementError, match="last"):
+            table.extend([[2, 3], [2.0, 3.0], ["b", "c"], [2, 3], [5, -(2**63) - 1]])
+        assert len(table) == 1 and self._lengths(table) == [1] * 5
+        # The key of the rejected rows was never indexed.
+        table.append(2, 2.0, "b", 2, 2**63 - 1)
+        assert table.get(2)["last"] == 2**63 - 1 and table.get(3) is None
+
+    def test_extend_is_all_or_nothing(self):
+        table = self._table()
+        table.append(1, 1.0, "a", 1, 1)
+        for bad in (
+            [[2, 3], [2.0, 3.0], ["b", "c"], [2, 3]],  # a column missing
+            [[2, 3], [2.0], ["b", "c"], [2, 3], [2, 3]],  # ragged
+            [[2, 3], [2.0, 3.0], ["b", 7], [2, 3], [2, 3]],  # wrong type
+            [[2, 1], [2.0, 3.0], ["b", "c"], [2, 3], [2, 3]],  # stored key
+            [[2, 2], [2.0, 3.0], ["b", "c"], [2, 3], [2, 3]],  # key twice
+        ):
+            with pytest.raises(DataManagementError):
+                table.extend(bad)
+            assert len(table) == 1 and self._lengths(table) == [1] * 5
+        assert table.extend([[2, 3], [2, 3.0], ["b", "c"], [None, 3], [2, 3]]) == 2
+        assert table.get(2) == {"id": 2, "v": 2.0, "name": "b", "n": None, "last": 2}
+        assert table.extend([[], [], [], [], []]) == 0
+
+    def test_event_fact_row_fits_64_bytes(self):
+        store = LedmsStore(TimeAxis(15))
+        store.register_actor("p", "prosumer")
+        offer = flex_offer([(1.0, 2.0)], earliest_start=5, latest_start=9)
+        rows = 10_000
+        store.record_offer_events([("p", offer, "accepted")] * rows, now=0)
+        facts = store.schema.facts["flexoffer_event"]
+        held = sum(sys.getsizeof(facts.column(name)) for name in facts.columns)
+        assert len(facts) == rows
+        assert held / rows <= 64
+
+
+# ----------------------------------------------------------------------
+# equivalence against the row-dict design the column store replaced
+# ----------------------------------------------------------------------
+class RowDictTable:
+    """Oracle: the previous storage — one validated dict per row, checked
+    cell by cell, foreign keys resolved by fetching the parent row."""
+
+    def __init__(self, columns, primary_key=None, parents=()):
+        self.columns, self.primary_key, self.parents = columns, primary_key, parents
+        self.rows = []
+
+    def _checked(self, row, staged=()):
+        if set(row) - {c.name for c in self.columns}:
+            raise DataManagementError("unknown columns")
+        for column, parent in self.parents:
+            if parent.get(row.get(column)) is None:
+                raise DataManagementError("dangling reference")
+        stored = {c.name: c.validate(row.get(c.name)) for c in self.columns}
+        if self.primary_key is not None:
+            key = stored[self.primary_key]
+            taken = [r[self.primary_key] for r in (*self.rows, *staged)]
+            if key is None or key in taken:
+                raise DataManagementError("bad primary key")
+        return stored
+
+    def insert(self, row):
+        self.rows.append(self._checked(row))
+
+    def append(self, *values):
+        if len(values) != len(self.columns):
+            raise DataManagementError("arity")
+        self.insert(dict(zip((c.name for c in self.columns), values)))
+
+    def extend(self, columns):
+        if len(columns) != len(self.columns) or len({len(c) for c in columns}) > 1:
+            raise DataManagementError("shape")
+        staged = []
+        for values in zip(*columns):
+            row = dict(zip((c.name for c in self.columns), values))
+            staged.append(self._checked(row, staged))
+        self.rows.extend(staged)
+
+    def get(self, key):
+        return next((r for r in self.rows if r[self.primary_key] == key), None)
+
+    def select(self, **equals):
+        return [r for r in self.rows if all(r[c] == v for c, v in equals.items())]
+
+
+_SITE_COLUMNS = [Column("site_id", "int"), Column("name", "str"),
+                 Column("area", "float", nullable=True)]
+_READING_MEASURES = [Column("n", "int"), Column("value", "float"),
+                     Column("tag", "str", nullable=True), Column("ok", "bool")]
+
+_any_cell = st.one_of(
+    st.integers(0, 4), st.floats(-2, 2, width=16), st.booleans(), st.none(),
+    st.sampled_from(["a", "b"]),
+)
+_site_cells = [st.integers(0, 4), st.sampled_from(["a", "b"]),
+               st.one_of(st.floats(-2, 2, width=16), st.integers(0, 2), st.none())]
+_reading_cells = [st.integers(0, 4), st.integers(0, 4),
+                  st.one_of(st.floats(-2, 2, width=16), st.integers(0, 2)),
+                  st.one_of(st.sampled_from(["a", "b"]), st.none()),
+                  st.booleans()]
+
+
+@st.composite
+def _rows(draw, cells):
+    """One row of admissible cells; one in four has a cell of any type and
+    one in eight the wrong arity."""
+    values = [draw(cell) for cell in cells]
+    flaw = draw(st.integers(0, 7))
+    if flaw < 2:
+        values[draw(st.integers(0, len(values) - 1))] = draw(_any_cell)
+    elif flaw == 2:
+        values.pop()
+    return tuple(values)
+
+
+@st.composite
+def _columns(draw, cells):
+    """A column-wise batch of 0-4 rows; one in four has a cell of any type
+    and one in eight is ragged or lacks a column."""
+    count = draw(st.integers(0, 4))
+    columns = [draw(st.lists(cell, min_size=count, max_size=count)) for cell in cells]
+    flaw = draw(st.integers(0, 7))
+    if flaw < 2 and count:
+        column = columns[draw(st.integers(0, len(columns) - 1))]
+        column[draw(st.integers(0, count - 1))] = draw(_any_cell)
+    elif flaw == 2:
+        longer = draw(st.integers(0, len(columns) - 1))
+        columns[longer].append(draw(cells[longer]))
+    elif flaw == 3:
+        columns.pop()
+    return columns
+
+
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert_site"), _rows(_site_cells)),
+        st.tuples(st.just("append_site"), _rows(_site_cells)),
+        st.tuples(st.just("extend_site"), _columns(_site_cells)),
+        st.tuples(st.just("insert_reading"), _rows(_reading_cells)),
+        st.tuples(st.just("append_reading"), _rows(_reading_cells)),
+        st.tuples(st.just("extend_reading"), _columns(_reading_cells)),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations=_operations, extra=st.booleans())
+def test_column_store_matches_row_dict_oracle(operations, extra):
+    """Any sequence of by-name, positional and column-wise writes — valid
+    rows, ``None``, ``bool``, int-for-float, wrong types, duplicate keys,
+    dangling references, ragged batches — is accepted or rejected step by
+    step exactly as the row-dict store did, and reads back the same."""
+    schema = StarSchema("s")
+    site = schema.add_dimension(
+        DimensionTable("site", _SITE_COLUMNS, primary_key="site_id")
+    )
+    reading = schema.add_fact(FactTable("reading", ["site"], _READING_MEASURES))
+    site_oracle = RowDictTable(_SITE_COLUMNS, primary_key="site_id")
+    reading_oracle = RowDictTable(
+        [Column("site_id", "int"), *_READING_MEASURES],
+        parents=[("site_id", site_oracle)],
+    )
+    site_names = [c.name for c in site_oracle.columns]
+    reading_names = [c.name for c in reading_oracle.columns]
+
+    def by_name(names, values):
+        row = dict(zip(names, values))
+        if extra:
+            row["zzz"] = 1
+        return row
+
+    writes = {
+        "insert_site": (
+            lambda v: schema.insert_dimension_row("site", by_name(site_names, v)),
+            lambda v: site_oracle.insert(by_name(site_names, v)),
+        ),
+        "append_site": (lambda v: site.append(*v), lambda v: site_oracle.append(*v)),
+        "extend_site": (site.extend, site_oracle.extend),
+        "insert_reading": (
+            lambda v: schema.insert_fact("reading", by_name(reading_names, v)),
+            lambda v: reading_oracle.insert(by_name(reading_names, v)),
+        ),
+        "append_reading": (
+            lambda v: schema.append_fact("reading", *v),
+            lambda v: reading_oracle.append(*v),
+        ),
+        "extend_reading": (
+            lambda v: schema.extend_facts("reading", v),
+            reading_oracle.extend,
+        ),
+    }
+    for step, (kind, payload) in enumerate(operations):
+        outcomes = []
+        for write in writes[kind]:
+            try:
+                write(payload)
+                outcomes.append(None)
+            except DataManagementError as error:
+                outcomes.append(type(error))
+        assert outcomes[0] == outcomes[1], (step, kind, payload)
+        assert len(site) == len(site_oracle.rows)
+        assert len(reading) == len(reading_oracle.rows)
+
+    assert list(site) == site_oracle.rows
+    assert list(reading) == reading_oracle.rows
+    for key in range(5):
+        assert site.get(key) == site_oracle.get(key)
+        matching = reading_oracle.select(site_id=key)
+        assert reading.select(site_id=key) == matching
+        assert reading.select(lambda r: r["ok"], site_id=key, n=1) == [
+            r for r in matching if r["ok"] and r["n"] == 1
+        ]
+        assert reading.project(reading.select(site_id=key), ["n", "tag"]) == [
+            (r["n"], r["tag"]) for r in matching
+        ]
+        assert schema.join_facts("reading", site_id=key) == [
+            {**r, **{f"site.{c}": v for c, v in site_oracle.get(key).items()}}
+            for r in matching
+        ]
+    groups = {}
+    for row in reading_oracle.rows:
+        groups.setdefault((row["site_id"], row["ok"]), []).append(row["value"])
+    assert reading.aggregate(
+        ["site_id", "ok"], {"total": ("value", "sum"), "rows": ("n", "count")}
+    ) == {
+        key: {"total": sum(values), "rows": len(values)}
+        for key, values in groups.items()
+    }
+
+
+class TestBatchedLifecycleFacts:
+    STATES = ("submitted", "accepted", "aggregated", "scheduled", "executed",
+              "rejected", "withdrawn", "expired")
+
+    def _recorded(self, batched):
+        store = LedmsStore(TimeAxis(15))
+        for actor in ("p", "q"):
+            store.register_actor(actor, "prosumer")
+        calls = []
+        store.subscribe(lambda *args: calls.append(("first", *args)))
+        store.subscribe(lambda *args: calls.append(("second", *args)))
+        offers = [
+            flex_offer([(1.0, 2.0 + i)], earliest_start=5, latest_start=9 + i,
+                       offer_id=900 + i)
+            for i in range(6)
+        ]
+        for now, width in ((0, 6), (3, 4), (2, 5)):
+            events = [
+                ("pq"[(i + now) % 2], offer, self.STATES[(2 * i + now) % 8])
+                for i, offer in enumerate(offers[:width])
+            ]
+            # The same offer twice in one batch: the later event wins.
+            events.append(("q", offers[0], "scheduled"))
+            if batched:
+                store.record_offer_events(events, now)
+            else:
+                for actor, offer, state in events:
+                    store.record_offer_event(actor, offer, state, now)
+        return store, offers, calls
+
+    def test_batch_equals_one_by_one(self):
+        single, offers, single_calls = self._recorded(batched=False)
+        batch, _, batch_calls = self._recorded(batched=True)
+        single_facts = single.schema.facts["flexoffer_event"]
+        batch_facts = batch.schema.facts["flexoffer_event"]
+        assert len(batch_facts) == 18
+        for name in batch_facts.columns:
+            assert batch_facts.column(name) == single_facts.column(name)
+        for offer in offers:
+            oid = offer.offer_id
+            assert batch.offer_state(oid) == single.offer_state(oid)
+            assert batch.offer(oid) == single.offer(oid)
+            assert batch.offer_owner(oid) == single.offer_owner(oid)
+        assert batch.state_counts() == single.state_counts()
+        assert batch.live_offers() == single.live_offers()
+        assert batch.last_event_time == single.last_event_time == 3
+        assert batch_calls == single_calls and len(batch_calls) == 36
+
+    def test_rejected_batch_records_nothing(self):
+        store = LedmsStore(TimeAxis(15))
+        store.register_actor("p", "prosumer")
+        offer = flex_offer([(1, 2)], earliest_start=5, latest_start=9)
+        calls = []
+        store.subscribe(lambda *args: calls.append(args))
+        for events in (
+            [("p", offer, "accepted"), ("p", offer, "vanished")],
+            [("p", offer, "accepted"), ("ghost", offer, "accepted")],
+        ):
+            with pytest.raises(DataManagementError):
+                store.record_offer_events(events, now=0)
+        store.record_offer_events([], now=0)
+        assert len(store.schema.facts["flexoffer_event"]) == 0
+        assert store.offer_state(offer.offer_id) is None and not calls

@@ -14,7 +14,10 @@ Covers the obs package end to end:
   registry kind, and the ``inspect`` CLI subcommand.
 """
 
+import importlib.util
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -419,6 +422,72 @@ def test_cli_trace_and_inspect(tmp_path, capsys):
     assert main(["inspect", str(trace), "--offer", str(offer_id)]) == 0
     out = capsys.readouterr().out
     assert f"offer {offer_id}" in out
+
+
+#: One micro offer's own events, in log order, runs of one kind collapsed:
+#: admission, then (ledger on) the journaled submit, the flush that
+#: aggregated it, its first plan commitment — journaled *before* the store's
+#: ``scheduled`` transition, which in turn precedes every
+#: ``aggregated_into``/``remote_commit`` — any number of re-plans, and at
+#: most one way out.
+_MICRO_OFFER_ORDER = re.compile(
+    r"submitted (rejected( L:submit)?|accepted( L:submit)?"
+    r"( aggregated( (L:scheduled )?scheduled"
+    r"( (L:scheduled|aggregated_into|remote_commit))*)?)?"
+    r"( (executed|expired|withdrawn|live_at_shutdown))?)"
+)
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        ["--brps", "2", "--rate", "20", "--duration", "24", "--seed", "1"],
+        ["--rate", "40", "--duration", "120", "--seed", "3", "--fsync", "never",
+         "--ledger"],
+    ],
+    ids=["cluster", "ledger"],
+)
+def test_traced_loadtest_keeps_per_offer_event_order(mode, tmp_path, capsys):
+    """Lifecycle facts reach the store in batches (one per flush, sweep and
+    plan commitment pass); no offer's own event order may change because of
+    it."""
+    trace = tmp_path / "run.jsonl"
+    if mode[-1] == "--ledger":
+        mode = [*mode, str(tmp_path / "ledger")]
+    assert main(
+        ["loadtest", *mode, "--batch", "8", "--passes", "1", "--trace", str(trace)]
+    ) == 0
+    checker_path = (
+        pathlib.Path(__file__).parent.parent / "benchmarks" / "check_trace_jsonl.py"
+    )
+    spec = importlib.util.spec_from_file_location("check_trace_jsonl", checker_path)
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    assert checker.check(str(trace)) == 0
+    assert main(["inspect", str(trace)]) == 0
+    capsys.readouterr()
+
+    sequences: dict[tuple[str, int], list[str]] = {}
+    for event in load_trace(str(trace)):
+        if event["event"] == "offer":
+            kind = event["state"]
+        elif event["event"] == "ledger_append":
+            kind = f"L:{event['fact']}"
+        else:
+            continue
+        own = sequences.setdefault((event["node"], event["offer_id"]), [])
+        if not own or own[-1] != kind:
+            own.append(kind)
+    micro = [" ".join(own) for own in sequences.values() if own[0] == "submitted"]
+    assert len(micro) > 200
+    for own in micro:
+        assert _MICRO_OFFER_ORDER.fullmatch(own), own
+    assert any(" scheduled aggregated_into" in own for own in micro)
+    if "--brps" in mode:
+        assert any(" remote_commit" in own for own in micro)
+    else:
+        assert any("L:scheduled scheduled" in own for own in micro)
+        assert any(own.endswith(" executed") for own in micro)
 
 
 def test_cli_inspect_missing_file(capsys):
