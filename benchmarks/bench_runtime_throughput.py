@@ -30,7 +30,7 @@ from repro.runtime import (
     CountTrigger,
     ImbalanceTrigger,
     LoadGenerator,
-    RuntimeConfig,
+    ServiceConfig,
 )
 from repro.scheduling import (
     DeltaRequest,
@@ -52,8 +52,8 @@ def _duration_slices() -> float:
     return 24.0 if smoke_mode() else DURATION_SLICES
 
 
-def _config() -> RuntimeConfig:
-    return RuntimeConfig(
+def _config() -> ServiceConfig:
+    return ServiceConfig.from_flat(
         batch_size=64,
         horizon_slices=192,
         scheduler_passes=1,
@@ -156,7 +156,7 @@ def test_sharded_packed_runtime_vs_single_scalar(once, bench_record):
     duration = _duration_slices()
 
     def run_config(engine: str, shards: int, warm_rate: float | None = None):
-        config = RuntimeConfig(
+        config = ServiceConfig.from_flat(
             batch_size=64,
             horizon_slices=192,
             scheduler_passes=1,
@@ -459,7 +459,7 @@ def test_adaptive_trigger_holds_latency_target(once, bench_record):
     duration = 24.0 if smoke_mode() else 384.0
 
     def run_service(trigger):
-        config = RuntimeConfig(
+        config = ServiceConfig.from_flat(
             batch_size=64,
             horizon_slices=192,
             scheduler_passes=1,

@@ -300,8 +300,9 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
     )
     if command == "serve":
         parser.add_argument(
-            "--report-every", type=float, default=96.0,
-            help="simulated slices between progress lines",
+            "--report-every", type=float, default=None,
+            help="simulated slices between progress lines (default 96; "
+            "not available with --workers)",
         )
     return parser
 
@@ -503,6 +504,15 @@ def _run_runtime(command: str, argv: list[str]) -> int:
                 file=sys.stderr,
             )
             return EXIT_UNKNOWN_EXPERIMENT
+        if getattr(args, "report_every", None) is not None:
+            print(
+                "error: --report-every is not supported with --workers (the "
+                "BRPs it reports on live in the worker processes)",
+                file=sys.stderr,
+            )
+            return EXIT_UNKNOWN_EXPERIMENT
+    elif command == "serve" and args.report_every is None:
+        args.report_every = 96.0
     outages = []
     if args.outage:
         if args.cluster is None and args.brps == 1:
@@ -678,15 +688,24 @@ def _run_cluster(
     section, layered over the flag-derived base config; ``--brps K``
     replicates the flag-derived config as-is.  Every BRP replays its own
     Poisson stream (seeded ``--seed + index``, so per-BRP traffic differs
-    but the whole cluster run is deterministic) on the one shared driver.
-    With ``--ledger DIR`` each BRP journals into ``DIR/<name>``; ``--outage``
-    specs schedule bus-reachability toggles on the shared driver.
+    but the whole cluster run is deterministic).  With ``--ledger DIR``
+    each BRP journals into ``DIR/<name>``; ``--outage`` specs schedule
+    bus-reachability toggles on the shared driver.  ``--workers N`` only
+    chooses the runtime class: the same cluster with its BRPs in N forked
+    worker processes instead of on the one shared driver.
     """
+    import dataclasses
     import json
 
-    from .api import ClusterConfig, ClusterRuntime
+    from .api import (
+        ClusterConfig,
+        ClusterRuntime,
+        ParallelClusterRuntime,
+        WorkerCrashError,
+        default_registry,
+    )
     from .core.errors import ServiceError
-    from .runtime import LoadGenerator, apply_outages
+    from .runtime import BusConfig, LoadGenerator, apply_outages
 
     if args.cluster is not None:
         try:
@@ -718,8 +737,6 @@ def _run_cluster(
     ):
         # The latency target reaches both tiers: a --cluster file's tso
         # section wins where it speaks, the flag fills the gap.
-        import dataclasses
-
         cluster_config = dataclasses.replace(
             cluster_config,
             tso=dataclasses.replace(
@@ -727,97 +744,29 @@ def _run_cluster(
             ),
         )
     if args.bus_retries > 0:
-        import dataclasses
-
-        from .runtime import BusConfig
-
         cluster_config = dataclasses.replace(
             cluster_config, bus=BusConfig(max_retries=args.bus_retries)
         )
-    if args.workers > 0:
-        return _run_parallel_cluster(command, args, cluster_config, tracer, writers)
     ledger_factory = (
         (lambda name: _make_ledger(args, name)) if args.ledger else None
     )
-    cluster = ClusterRuntime(
-        cluster_config,
-        driver=driver,
-        tracer=tracer,
-        ledger_factory=ledger_factory,
-    )
     try:
-        apply_outages(cluster, outages)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_EXPERIMENT
-    streams = {
-        name: _fault_stream(
-            LoadGenerator(
-                rate_per_hour=args.rate, seed=args.seed + index
-            ).stream(0.0, args.duration),
-            args,
-            args.seed + index,
-        )
-        for index, name in enumerate(cluster.clients)
-    }
-    out = sys.stderr if args.log_json else sys.stdout
-    print(
-        f"### {command}: cluster of {len(cluster.clients)} BRPs + TSO, "
-        f"rate={args.rate}/h per BRP, duration={args.duration} slices "
-        f"seed={args.seed} driver={args.driver}",
-        file=out,
-    )
-    report = cluster.run(
-        streams,
-        args.duration,
-        report_every=getattr(args, "report_every", None),
-        report_sink=lambda line: print(line, file=out),
-    )
-    if tracer is not None:
-        cluster.trace_shutdown()
-    for writer in writers:
-        writer.close()
-    print(report.as_text(), file=out)
-    from .api import default_registry
-
-    _emit_metrics(args, default_registry(), cluster.metrics(), out)
-    return EXIT_OK
-
-
-def _run_parallel_cluster(command: str, args, cluster_config, tracer, writers) -> int:
-    """``--workers N``: the cluster's BRPs in worker processes.
-
-    Same cluster semantics as :func:`_run_cluster`'s single-process path
-    (per-BRP seeded streams, TSO tier, tracing, metrics), but each BRP
-    stack runs in one of N forked workers behind the process bus, with
-    macro snapshots crossing over shared memory.  With ``--ledger DIR``
-    each worker journals its BRPs under ``DIR/worker-<index>/<name>`` so
-    the per-process logs never interleave.
-    """
-    import os
-
-    from .core.errors import ServiceError
-    from .runtime import LoadGenerator
-    from .runtime.parallel import ParallelClusterRuntime, WorkerCrashError
-
-    ledger_factory = (
-        (
-            lambda index, name: _make_ledger(
-                args, os.path.join(f"worker-{index}", name)
+        if args.workers > 0:
+            cluster = ParallelClusterRuntime(
+                cluster_config,
+                workers=args.workers,
+                epoch_slices=args.epoch_slices,
+                tracer=tracer,
+                ledger_factory=ledger_factory,
             )
-        )
-        if args.ledger
-        else None
-    )
-    out = sys.stderr if args.log_json else sys.stdout
-    try:
-        cluster = ParallelClusterRuntime(
-            cluster_config,
-            workers=args.workers,
-            epoch_slices=args.epoch_slices,
-            tracer=tracer,
-            ledger_factory=ledger_factory,
-        )
+        else:
+            cluster = ClusterRuntime(
+                cluster_config,
+                driver=driver,
+                tracer=tracer,
+                ledger_factory=ledger_factory,
+            )
+        apply_outages(cluster, outages)
     except ServiceError as exc:
         print(f"error: invalid {command} configuration: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_EXPERIMENT
@@ -829,24 +778,33 @@ def _run_parallel_cluster(command: str, args, cluster_config, tracer, writers) -
             args,
             args.seed + index,
         )
-        for index, name in enumerate(cluster.config.brps)
+        for index, name in enumerate(cluster_config.brps)
     }
+    out = sys.stderr if args.log_json else sys.stdout
+    placement = (
+        f" across {args.workers} worker processes" if args.workers > 0 else ""
+    )
     print(
-        f"### {command}: cluster of {len(cluster.config.brps)} BRPs + TSO "
-        f"across {args.workers} worker processes, rate={args.rate}/h per "
-        f"BRP, duration={args.duration} slices seed={args.seed}",
+        f"### {command}: cluster of {len(cluster_config.brps)} BRPs + TSO"
+        f"{placement}, rate={args.rate}/h per BRP, duration={args.duration} "
+        f"slices seed={args.seed} driver={args.driver}",
         file=out,
     )
     try:
-        report = cluster.run(streams, args.duration)
+        report = cluster.run(
+            streams,
+            args.duration,
+            report_every=getattr(args, "report_every", None),
+            report_sink=lambda line: print(line, file=out),
+        )
     except WorkerCrashError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT_FAILED
+    if tracer is not None:
+        cluster.trace_shutdown()
     for writer in writers:
         writer.close()
     print(report.as_text(), file=out)
-    from .api import default_registry
-
     _emit_metrics(args, default_registry(), cluster.metrics(), out)
     return EXIT_OK
 

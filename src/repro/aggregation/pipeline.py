@@ -24,12 +24,6 @@ from .updates import AggregateUpdate, DirtySet, FlexOfferUpdate
 
 __all__ = ["AggregationPipeline", "aggregate_from_scratch", "make_pipeline"]
 
-#: Built-in engine names, kept for backward compatibility; the source of
-#: truth is the ``aggregation`` kind of :func:`repro.api.default_registry`
-#: (which :func:`make_pipeline` consults, so additional registered engines
-#: are constructible here too).
-PIPELINE_ENGINES = ("packed", "scalar", "reference")
-
 
 def make_pipeline(
     parameters: AggregationParameters,

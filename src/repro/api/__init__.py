@@ -14,8 +14,7 @@ Everything a caller needs to run a node lives here, typed and composable:
   consults);
 * :class:`ServiceConfig` — the composed runtime configuration
   (:class:`MarketConfig` / :class:`AggregationConfig` /
-  :class:`SchedulingConfig` / :class:`IngestConfig`), replacing the flat
-  ``RuntimeConfig`` (which keeps working as a deprecated shim);
+  :class:`SchedulingConfig` / :class:`IngestConfig`);
 * :class:`ClusterRuntime` / :class:`ClusterConfig` — the multi-node
   runtime: one client per BRP over a ``node.bus``-backed adapter on a
   shared time driver, with a :class:`TsoRuntimeService` scheduling tier
@@ -44,6 +43,7 @@ from .registry import (
 
 __all__ = [
     "AggregationConfig",
+    "BrpHost",
     "BusAdapter",
     "BusConfig",
     "ClusterConfig",
@@ -67,7 +67,6 @@ __all__ = [
     "ObsConfig",
     "OfferLedger",
     "OfferView",
-    "ParallelClusterReport",
     "ParallelClusterRuntime",
     "PlanAssignment",
     "PlanView",
@@ -115,12 +114,12 @@ _LAZY_EXPORTS = {
     "SimulatedDriver": "drivers",
     "TimeDriver": "drivers",
     "WallClockDriver": "drivers",
+    "BrpHost": "cluster",
     "BusAdapter": "cluster",
     "BusConfig": "cluster",
     "ClusterConfig": "cluster",
     "ClusterReport": "cluster",
     "ClusterRuntime": "cluster",
-    "ParallelClusterReport": "cluster",
     "ParallelClusterRuntime": "cluster",
     "ProcessBusTransport": "cluster",
     "WorkerCrashError": "cluster",

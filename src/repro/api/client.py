@@ -124,8 +124,8 @@ class LedmsClient:
     """Unified facade over one streaming LEDMS/BRP node.
 
     Parameters mirror :class:`~repro.runtime.service.BrpRuntimeService`:
-    a composed :class:`~repro.api.ServiceConfig` (or the deprecated flat
-    ``RuntimeConfig``), an optional :class:`~repro.runtime.drivers.TimeDriver`
+    a composed :class:`~repro.api.ServiceConfig`, an optional
+    :class:`~repro.runtime.drivers.TimeDriver`
     (simulated by default; pass a
     :class:`~repro.runtime.drivers.WallClockDriver` for real-time
     operation), plus optional store/metrics/forecast injections.

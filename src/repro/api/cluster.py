@@ -8,6 +8,7 @@ their canonical public import path::
 """
 
 from ..runtime.cluster import (
+    BrpHost,
     BusAdapter,
     BusConfig,
     ClusterConfig,
@@ -17,19 +18,18 @@ from ..runtime.cluster import (
     TsoRuntimeService,
 )
 from ..runtime.parallel import (
-    ParallelClusterReport,
     ParallelClusterRuntime,
     ProcessBusTransport,
     WorkerCrashError,
 )
 
 __all__ = [
+    "BrpHost",
     "BusAdapter",
     "BusConfig",
     "ClusterConfig",
     "ClusterReport",
     "ClusterRuntime",
-    "ParallelClusterReport",
     "ParallelClusterRuntime",
     "ProcessBusTransport",
     "TsoConfig",

@@ -12,7 +12,6 @@ from ..runtime.config import (
     IngestConfig,
     MarketConfig,
     ObsConfig,
-    RuntimeConfig,
     SchedulingConfig,
     ServiceConfig,
     build_trigger,
@@ -24,7 +23,6 @@ __all__ = [
     "IngestConfig",
     "MarketConfig",
     "ObsConfig",
-    "RuntimeConfig",
     "SchedulingConfig",
     "ServiceConfig",
     "build_trigger",

@@ -1,9 +1,9 @@
 """The engine registry: every pluggable component, one named catalogue.
 
 Aggregation engines, schedulers, trigger policies and time drivers used to
-be validated by ad-hoc string checks scattered across ``RuntimeConfig``,
+be validated by ad-hoc string checks scattered across the runtime config,
 :func:`~repro.aggregation.pipeline.make_pipeline` and the CLI — three
-copies of the same set, free to diverge (and they did: ``RuntimeConfig``
+copies of the same set, free to diverge (and they did: the config
 rejected ``"reference"`` while ``make_pipeline`` supported it).  This
 module is the single source of truth: components register by ``(kind,
 name)`` with a factory, a one-line description and declared capabilities;

@@ -209,13 +209,13 @@ class OfferLedger:
         return event
 
     def record_run_window(self, start: float, end: float, *, at: float) -> dict:
-        """One ``run_stream`` window: lets replay re-arm sweep cadence."""
+        """One ``open_window`` call: lets replay re-arm sweep cadence."""
         return self._append("run_window", at=at, start=float(start), end=float(end))
 
     def record_run_drain(self, end: float, *, at: float) -> dict:
         """The window's closing drain (sweep + flush + forced schedule).
 
-        Journaled when ``run_stream`` reaches its window end, so replay can
+        Journaled by ``drain`` when a window reaches its end, so replay can
         tell a completed window from one cut short by a crash — and re-run
         the same drain at the same instant.
         """

@@ -123,15 +123,14 @@ def _execute(client, event: dict, stats: ReplayStats) -> None:
     kind = event["kind"]
     service = client.service
     if kind == "run_window":
-        # run_stream journals its window up front; re-arm the same expiry
-        # sweep cadence so trigger evaluation fires at the original times.
+        # open_window journals the window up front; re-arm the same expiry
+        # sweep cadence so trigger evaluation fires at the original times
+        # (the arrivals themselves replay from their ``submit`` facts).
         service.arm_sweep_ticks(float(event["end"]))
         stats.windows.append((float(event["start"]), float(event["end"])))
     elif kind == "run_drain":
         # The original window completed: re-run its closing drain.
-        service.sweep_expired()
-        service.run_aggregation()
-        service.maybe_schedule(force=True)
+        service.drain(float(event["end"]))
     elif kind == "submit":
         service.submit(offer_from_dict(event["offer"]))
     elif kind == "replace":

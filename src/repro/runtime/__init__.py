@@ -13,19 +13,20 @@ Most callers should go through the typed facade in :mod:`repro.api`
 (:class:`~repro.api.LedmsClient`); this package remains the engine room::
 
     from repro.runtime import (
-        BrpRuntimeService, ServiceConfig, RuntimeConfig, RuntimeReport,
+        BrpRuntimeService, ServiceConfig, RuntimeReport,
         TimeDriver, SimulatedDriver, WallClockDriver,
         EventQueue, SimulatedClock,
         FlexOfferIngest, ShardedFlexOfferIngest, LoadGenerator, MetricsRegistry,
         TriggerContext, CountTrigger, AgeTrigger, ImbalanceTrigger, AnyTrigger,
-        ClusterRuntime, ClusterConfig, ClusterReport,
+        ClusterRuntime, ClusterConfig, ClusterReport, BrpHost,
         TsoRuntimeService, TsoConfig, BusAdapter,
-        ParallelClusterRuntime, ParallelClusterReport, ProcessBusTransport,
+        ParallelClusterRuntime, ProcessBusTransport,
     )
 """
 
 from .clock import ClockError, EventQueue, SimulatedClock
 from .cluster import (
+    BrpHost,
     BusAdapter,
     BusConfig,
     ClusterConfig,
@@ -39,7 +40,6 @@ from .config import (
     IngestConfig,
     MarketConfig,
     ObsConfig,
-    RuntimeConfig,
     SchedulingConfig,
     ServiceConfig,
 )
@@ -59,7 +59,6 @@ from .faults import (
 from .ingest import FlexOfferIngest
 from .loadgen import LoadGenerator
 from .parallel import (
-    ParallelClusterReport,
     ParallelClusterRuntime,
     ProcessBusTransport,
     WorkerCrashError,
@@ -90,6 +89,7 @@ __all__ = [
     "AgeTrigger",
     "AggregationConfig",
     "AnyTrigger",
+    "BrpHost",
     "BrpRuntimeService",
     "BusAdapter",
     "BusConfig",
@@ -111,10 +111,8 @@ __all__ = [
     "MetricsRegistry",
     "ObsConfig",
     "OutageSpec",
-    "ParallelClusterReport",
     "ParallelClusterRuntime",
     "ProcessBusTransport",
-    "RuntimeConfig",
     "RuntimeReport",
     "SchedulingConfig",
     "ServiceConfig",

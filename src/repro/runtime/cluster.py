@@ -2,34 +2,33 @@
 
 The paper's EDMS is a *hierarchy* of LEDMS nodes — prosumers feed BRPs, and
 BRPs forward macro flex-offers to a TSO that "essentially repeats the
-process at a higher level".  PRs 1–4 built the streaming BRP node; this
-module runs a whole cluster of them the way the batch ``node/`` simulation
-runs its phase-driven hierarchy, but online:
+process at a higher level".  This module runs that hierarchy online, in
+three layers with one loop each:
 
-* one :class:`~repro.runtime.service.BrpRuntimeService` (behind its
-  :class:`~repro.api.LedmsClient` facade) per BRP, all sharing one
-  :class:`~repro.runtime.drivers.TimeDriver`, so cluster time is a single
-  axis — deterministic under :class:`~repro.runtime.drivers.
-  SimulatedDriver`, real under a wall clock;
-* a :class:`BusAdapter` bridging the :class:`~repro.node.bus.MessageBus`
-  onto the driver: ``send`` queues best-effort (an unreachable BRP counts
-  as dropped instead of raising — the paper's graceful degradation) and
-  arms one *pump* event via ``driver.post``, so every delivery runs on the
-  loop, in driver order — this is also the "real feed" seam, since a
-  wall-clock driver's ``post`` is thread-safe;
-* a :class:`TsoRuntimeService`: each BRP's ``on_plan_committed`` hook
-  publishes its committed macro aggregates
-  (:attr:`~repro.runtime.service.BrpRuntimeService.last_plan_originals`)
-  to the bus; the TSO re-aggregates the fleet's macros with the packed
-  engine, schedules system-wide through the registry-resolved scheduler,
-  and sends the scheduled macros back for per-BRP disaggregation
-  (:meth:`~repro.runtime.service.BrpRuntimeService.apply_remote_schedule`)
-  — the streaming equivalent of :meth:`repro.node.node.TsoNode.schedule`.
+* **service window** — :meth:`~repro.runtime.service.BrpRuntimeService.
+  open_window` / :meth:`~repro.runtime.service.BrpRuntimeService.drain`
+  say what a run window means for one BRP;
+* :class:`BrpHost` — N BRPs (each behind its :class:`~repro.api.
+  LedmsClient`) on one :class:`~repro.runtime.drivers.TimeDriver`, wired
+  once to an *uplink*: a committed local plan publishes the BRP's macro
+  snapshot, a returned scheduled macro is disaggregated locally;
+* :class:`ClusterRuntime` — the TSO head (:class:`BusAdapter` bridging the
+  :class:`~repro.node.bus.MessageBus` onto the driver, plus the
+  :class:`TsoRuntimeService`, the streaming equivalent of
+  :meth:`repro.node.node.TsoNode.schedule`) and the cluster loop: start
+  the hosts, advance epoch by epoch with a barrier after each, drain the
+  hosts, drain the TSO, collect results into a :class:`ClusterReport`.
 
-:class:`ClusterRuntime` wires it all up from a :class:`ClusterConfig` (one
-:class:`~repro.api.ServiceConfig` section per BRP plus a :class:`TsoConfig`)
-and drives per-BRP arrival streams to a :class:`ClusterReport` of
-cluster-level metrics.
+Here the one host shares the TSO's driver, so cluster time is a single
+axis — deterministic under :class:`~repro.runtime.drivers.SimulatedDriver`,
+real under a wall clock.  :mod:`repro.runtime.parallel` overrides only
+where hosts live (worker processes) and when the barrier falls.
+
+Ledger note: a hosted BRP journals the same ``run_window``/``run_drain``
+markers as a stand-alone one, so ``resume_from_ledger`` re-executes its
+windows, sweeps and drains.  Schedules *returned by the TSO* are not
+journaled inputs, though: re-execution reproduces the BRP's local plans
+only, not the remote commitments that overrode them.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -54,6 +53,7 @@ from ..core.errors import CommunicationError, ServiceError
 from ..core.flexoffer import FlexOffer
 from ..core.schedule import ScheduledFlexOffer
 from ..core.timeseries import TimeSeries
+from ..datamgmt.mirabel import OFFER_STATES
 from ..node.bus import MessageBus
 from ..node.messages import Message, MessageType
 from ..obs.tracing import NullTracer, Tracer
@@ -71,6 +71,7 @@ from .service import (
 )
 
 __all__ = [
+    "BrpHost",
     "BusAdapter",
     "BusConfig",
     "ClusterConfig",
@@ -920,6 +921,15 @@ class ClusterReport:
     """Parked messages replayed to nodes that recovered from an outage."""
     bus_parked: int = 0
     """Exhausted messages still parked (recipient down at run end)."""
+    workers: int = 0
+    """Worker processes hosting the BRPs (0: all in the calling process)."""
+    epochs: int = 0
+    """Barrier-separated epochs the window was cut into."""
+    shm_segments: int = 0
+    """Macro snapshots relayed over shared memory."""
+    shm_bytes: int = 0
+    """Raw snapshot bytes that crossed the process boundary (macro columns
+    only — independent of how many micro offers the macros fold)."""
 
     def _sum(self, attribute: str) -> int:
         return sum(getattr(r, attribute) for r in self.brp_reports.values())
@@ -996,12 +1006,162 @@ class ClusterReport:
                 f"sched_runs={report.scheduling_runs} "
                 f"p95={report.latency_slices_p95:.2f}sl"
             )
+        if self.workers > 0:
+            lines.append(
+                f"workers               {self.workers} processes "
+                f"({self.epochs} epochs)"
+            )
+            lines.append(
+                f"shm snapshots         {self.shm_segments} segments / "
+                f"{self.shm_bytes} bytes"
+            )
         return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
+class BrpResult(NamedTuple):
+    """What a :class:`BrpHost` knows of one BRP at the end of a run.
+
+    Plain picklable data: a worker ships a dict of these up its pipe.
+    """
+
+    report: RuntimeReport
+    metrics: MetricsRegistry
+    committed_starts: dict[int, int]
+    """Micro start commitments still held at run end."""
+    accepted_offers: list[int]
+    """Ids of every offer accepted at ingest, sorted."""
+
+
+class BrpHost:
+    """N BRP stacks on one driver, wired to an uplink towards the TSO.
+
+    ``uplink`` is anything with the ``send``/``register`` surface of
+    :class:`BusAdapter`: the adapter itself when the BRPs share the TSO's
+    process and driver (:class:`ClusterRuntime`), a
+    :class:`~repro.runtime.parallel.ProcessBusTransport` when they live in
+    a forked worker on a driver of their own.  This is the one place a
+    BRP's ``on_plan_committed`` hook meets a bus.
+    """
+
+    def __init__(
+        self,
+        brps: Mapping[str, ServiceConfig],
+        *,
+        driver: TimeDriver,
+        uplink: Any,
+        tso_name: str,
+        tracer: Tracer | NullTracer,
+        ledger_factory: Callable[[str], Any] | None = None,
+    ):
+        # Imported lazily: the api facade sits above the runtime package.
+        from ..api.client import LedmsClient
+
+        self.uplink = uplink
+        self.tso_name = tso_name
+        self.tracer = tracer
+        self.clients: dict[str, LedmsClient] = {}
+        for name, service_config in brps.items():
+            # ledger_factory(name) gives each BRP its own durable event
+            # ledger (e.g. one JSONL directory per node).
+            client = LedmsClient(
+                service_config,
+                driver=driver,
+                name=name,
+                tracer=tracer,
+                ledger=ledger_factory(name) if ledger_factory else None,
+            )
+            self.clients[name] = client
+            self._wire(name, client)
+
+    def _wire(self, name: str, client) -> None:
+        service = client.service
+
+        @client.on_plan_committed
+        def publish(plan_view) -> None:
+            # The hook fires after every committed local plan; the payload
+            # is the node's full macro snapshot (unclipped originals), which
+            # replaces the TSO's previous view of this BRP.
+            macros = service.last_plan_originals
+            if macros:
+                detail = None
+                if self.tracer.enabled:
+                    detail = {"macro_ids": [m.offer_id for m in macros]}
+                self.uplink.send(
+                    name,
+                    self.tso_name,
+                    MessageType.MACRO_FLEX_OFFER,
+                    macros,
+                    service.now,
+                    detail=detail,
+                )
+
+        def handle(message: Message) -> None:
+            if message.type is not MessageType.SCHEDULED_MACRO_FLEX_OFFER:
+                raise CommunicationError(f"{name}: unexpected {message.type}")
+            service.apply_remote_schedule(message.payload)
+
+        self.uplink.register(name, handle)
+
+    def open(
+        self,
+        streams: Mapping[str, Iterable[tuple[float, FlexOffer]]],
+        end: float,
+    ) -> None:
+        """Open the window on every BRP (one without a stream still sweeps)."""
+        for name, client in self.clients.items():
+            client.service.open_window(streams.get(name, ()), end)
+
+    def drain(self, end: float) -> None:
+        """Close the window on every BRP; final plans publish to the uplink."""
+        for client in self.clients.values():
+            client.service.drain(end)
+
+    def trace_shutdown(self) -> None:
+        """Emit terminal ``live_at_shutdown`` events for still-open offers."""
+        for client in self.clients.values():
+            client.service.trace_shutdown()
+
+    def results(
+        self, duration_slices: float, wall_seconds: float
+    ) -> dict[str, BrpResult]:
+        """Snapshot every BRP: report, registry, commitments, accepted ids."""
+        admitted = [s for s in OFFER_STATES if s not in ("submitted", "rejected")]
+        return {
+            name: BrpResult(
+                client.service.report(
+                    duration_slices=duration_slices, wall_seconds=wall_seconds
+                ),
+                client.service.metrics,
+                dict(client.service._committed_start),
+                sorted(
+                    set().union(
+                        *(client.store.offers_in_state(s) for s in admitted)
+                    )
+                ),
+            )
+            for name, client in self.clients.items()
+        }
+
+
+# ----------------------------------------------------------------------
 class ClusterRuntime:
-    """K BRP streaming services + one TSO over a shared driver and bus."""
+    """K BRP streaming services + one TSO over a shared driver and bus.
+
+    Owns the TSO head (driver, bus, :class:`BusAdapter`,
+    :class:`TsoRuntimeService`) and the one cluster run loop.  Here every
+    BRP sits in a local :class:`BrpHost` on the shared driver, the window
+    is a single epoch and the barrier is empty;
+    :class:`~repro.runtime.parallel.ParallelClusterRuntime` overrides only
+    the placement hooks (``_start`` … ``_cleanup``) to put the hosts in
+    worker processes.
+    """
+
+    #: Epoch length between barriers; in-process the window is one epoch.
+    epoch_slices: float = math.inf
+    workers = 0
+    shm_segments = 0
+    shm_bytes = 0
 
     def __init__(
         self,
@@ -1013,9 +1173,6 @@ class ClusterRuntime:
         tracer: Tracer | NullTracer | None = None,
         ledger_factory: Callable[[str], Any] | None = None,
     ):
-        # Imported lazily: the api facade sits above the runtime package.
-        from ..api.client import LedmsClient
-
         self.config = config if config is not None else ClusterConfig.uniform(2)
         self.driver: TimeDriver = (
             driver if driver is not None else SimulatedDriver()
@@ -1039,58 +1196,47 @@ class ClusterRuntime:
             net_forecast=tso_net_forecast,
             tracer=self.tracer,
         )
-        self.clients: dict[str, LedmsClient] = {}
-        for name, service_config in self.config.brps.items():
-            # ledger_factory(name) gives each BRP its own durable event
-            # ledger (e.g. one JSONL directory per node).
-            client = LedmsClient(
-                service_config,
-                driver=self.driver,
-                name=name,
-                tracer=self.tracer,
-                ledger=ledger_factory(name) if ledger_factory else None,
-            )
-            self.clients[name] = client
-            self._wire_brp(name, client)
+        self.host = BrpHost(
+            self._local_brps(),
+            driver=self.driver,
+            uplink=self.adapter,
+            tso_name=self.config.tso_name,
+            tracer=self.tracer,
+            ledger_factory=ledger_factory,
+        )
+        self.clients = self.host.clients
+        self.epochs = 0
+        #: End-of-run results by BRP name, from whichever host ran it.
+        self._results: dict[str, BrpResult] = {}
+
+    def _local_brps(self) -> Mapping[str, ServiceConfig]:
+        """The BRPs hosted in this process: all of them."""
+        return self.config.brps
 
     # ------------------------------------------------------------------
-    def _wire_brp(self, name: str, client) -> None:
-        service = client.service
+    @property
+    def accepted_offers(self) -> dict[str, list[int]]:
+        """Per-BRP ids of every offer accepted at ingest, as of the last run."""
+        return {n: r.accepted_offers for n, r in self._results.items()}
 
-        @client.on_plan_committed
-        def publish(plan_view, _name=name, _service=service):
-            # The hook fires after every committed local plan; the payload
-            # is the node's full macro snapshot (unclipped originals), which
-            # replaces the TSO's previous view of this BRP.
-            macros = _service.last_plan_originals
-            if macros:
-                detail = None
-                if self.tracer.enabled:
-                    detail = {"macro_ids": [m.offer_id for m in macros]}
-                self.adapter.send(
-                    _name,
-                    self.config.tso_name,
-                    MessageType.MACRO_FLEX_OFFER,
-                    macros,
-                    _service.now,
-                    detail=detail,
-                )
+    @property
+    def committed_starts(self) -> dict[str, dict[int, int]]:
+        """Per-BRP micro start commitments, as of the last run's end."""
+        return {n: r.committed_starts for n, r in self._results.items()}
 
-        def handle(message: Message, _service=service) -> None:
-            if message.type is not MessageType.SCHEDULED_MACRO_FLEX_OFFER:
-                raise CommunicationError(f"{name}: unexpected {message.type}")
-            _service.apply_remote_schedule(message.payload)
+    def _brp_registries(self) -> list[MetricsRegistry]:
+        """Live for local BRPs; a remote host's arrive with its results."""
+        registries = {n: c.service.metrics for n, c in self.clients.items()}
+        registries.update((n, r.metrics) for n, r in self._results.items())
+        return list(registries.values())
 
-        self.adapter.register(name, handle)
-
-    # ------------------------------------------------------------------
     @property
     def remote_commits(self) -> int:
         """Micro offers committed from TSO plans, summed across BRPs."""
         return int(
             sum(
-                client.service.metrics.counter("cluster.remote_commits").value
-                for client in self.clients.values()
+                registry.counter("cluster.remote_commits").value
+                for registry in self._brp_registries()
             )
         )
 
@@ -1105,12 +1251,11 @@ class ClusterRuntime:
         or ``"max"`` follow their policy); latency histograms pool their
         observations, so cluster-wide p50/p95 come from the merged
         distribution rather than a max-of-maxima.  The TSO's ``tso.*``
-        instruments and the bus adapter's ``bus.*`` instruments ride along
-        (their names are disjoint from the BRPs').
+        instruments and the bus adapter's ``bus.*``/``transport.*``
+        instruments ride along (their names are disjoint from the BRPs').
         """
         return aggregate_registries(
-            [client.service.metrics for client in self.clients.values()]
-            + [self.tso.metrics, self.adapter.metrics]
+            [*self._brp_registries(), self.tso.metrics, self.adapter.metrics]
         )
 
     def trace_shutdown(self) -> None:
@@ -1118,10 +1263,9 @@ class ClusterRuntime:
 
         Call once after the final drain (the CLI does) so the trace
         validator can require a terminal lifecycle state for every
-        submitted offer.
+        submitted offer.  Remote hosts emit theirs before they exit.
         """
-        for client in self.clients.values():
-            client.service.trace_shutdown()
+        self.host.trace_shutdown()
 
     # ------------------------------------------------------------------
     def run(
@@ -1137,14 +1281,15 @@ class ClusterRuntime:
         ``streams`` maps BRP name to an iterable of ``(time, offer)`` pairs
         in non-decreasing time order (e.g. one
         :meth:`~repro.runtime.loadgen.LoadGenerator.stream` per BRP, with
-        per-BRP seeds).  All arrivals, expiry sweeps, bus deliveries and
-        TSO runs execute on the one shared driver, so a simulated cluster
-        run is exactly reproducible.  After the window closes, every BRP
-        drains (sweep, flush, forced plan), the resulting macro snapshots
-        are delivered, and the TSO runs once more so the final system plan
-        reaches every reachable BRP.
+        per-BRP seeds).  The window runs epoch by epoch — the TSO's driver
+        advances to each boundary, then :meth:`_barrier` waits for every
+        host to get there.  After the last one every BRP drains (sweep,
+        flush, forced plan), the resulting macro snapshots are delivered,
+        and the TSO runs once more so the final system plan reaches every
+        reachable BRP.  In-process, all of it executes on the one shared
+        driver, so a simulated cluster run is exactly reproducible.
         """
-        unknown = sorted(set(streams) - set(self.clients))
+        unknown = sorted(set(streams) - set(self.config.brps))
         if unknown:
             raise ServiceError(
                 f"streams for unknown BRPs {', '.join(map(repr, unknown))}"
@@ -1156,36 +1301,56 @@ class ClusterRuntime:
         t_wall = time.perf_counter()
         start = self.driver.now
         end = start + duration_slices
+        boundaries = [min(start + self.epoch_slices, end)]
+        while boundaries[-1] < end:
+            boundaries.append(min(boundaries[-1] + self.epoch_slices, end))
+        self.epochs = len(boundaries)
+        try:
+            self._start(streams, boundaries)
+            if report_every is not None:
+                self._arm_report(report_every, end, report_sink)
+            for epoch, boundary in enumerate(boundaries):
+                self.driver.run_until(boundary)
+                self._barrier(epoch)
+            self._final_drain(end)
+            self._collect_results(duration_slices, time.perf_counter() - t_wall)
+        finally:
+            self._cleanup()
+        return self.report(
+            duration_slices=duration_slices,
+            wall_seconds=time.perf_counter() - t_wall,
+        )
 
-        # Each service arms its own arrival chain (with the hold-and-replay
-        # lookahead contract) and sweep ticks on the shared driver.
-        for name, arrivals in streams.items():
-            self.clients[name].service.arm_arrivals(arrivals, end)
-        for client in self.clients.values():
-            client.service.arm_sweep_ticks(end)
-        if report_every is not None:
-            self._arm_report(report_every, end, report_sink)
+    # -- placement hooks: where hosts live, when the barrier falls ------
+    def _start(self, streams, boundaries: list[float]) -> None:
+        """Open the window on every host."""
+        self.host.open(streams, boundaries[-1])
 
-        self.driver.run_until(end)
+    def _barrier(self, epoch: int) -> None:
+        """Wait for every host to reach the epoch boundary.
 
-        # Drain: every BRP retires closed windows and commits a final local
-        # plan (publishing macro snapshots), deliveries cascade, then the
-        # TSO plans once over the fleet's final state and its scheduled
-        # macros flow back down.
-        for client in self.clients.values():
-            service = client.service
-            service.sweep_expired()
-            service.run_aggregation()
-            service.maybe_schedule(force=True)
+        Nothing to wait for here: the local host runs on the TSO's driver,
+        so snapshots and returned schedules interleave with arrivals.
+        """
+
+    def _final_drain(self, end: float) -> None:
+        """Drain every host, then the TSO tier."""
+        self.host.drain(end)
+        self._drain_tso()
+
+    def _drain_tso(self) -> None:
+        """Deliver the final snapshots, plan system-wide, deliver the replies."""
         self.driver.run_until(self.driver.now)
         if self.tso._pending_refreshes:
             self.tso.run_scheduling()
             self.driver.run_until(self.driver.now)
 
-        return self.report(
-            duration_slices=duration_slices,
-            wall_seconds=time.perf_counter() - t_wall,
-        )
+    def _collect_results(self, duration_slices: float, wall_seconds: float) -> None:
+        """Gather every host's end-of-run results."""
+        self._results.update(self.host.results(duration_slices, wall_seconds))
+
+    def _cleanup(self) -> None:
+        """Release whatever :meth:`_start` acquired (nothing, in-process)."""
 
     # ------------------------------------------------------------------
     def _arm_report(
@@ -1212,19 +1377,12 @@ class ClusterRuntime:
     def report(
         self, *, duration_slices: float, wall_seconds: float
     ) -> ClusterReport:
-        """Snapshot the cluster into a :class:`ClusterReport`."""
-        brp_reports = {
-            name: client.service.report(
-                duration_slices=duration_slices, wall_seconds=wall_seconds
-            )
-            for name, client in self.clients.items()
-        }
-        merged = self.metrics()
-        latency = merged.histogram("latency.e2e_slices")
+        """The cluster's :class:`ClusterReport` as of the last collected run."""
+        latency = self.metrics().histogram("latency.e2e_slices")
         return ClusterReport(
             duration_slices=duration_slices,
             wall_seconds=wall_seconds,
-            brp_reports=brp_reports,
+            brp_reports={n: r.report for n, r in self._results.items()},
             tso_scheduling_runs=self.tso.scheduling_runs,
             tso_macro_snapshots=int(
                 self.tso.metrics.counter("tso.macro_snapshots").value
@@ -1239,4 +1397,8 @@ class ClusterRuntime:
             bus_retries=self.adapter.retries,
             bus_replayed=self.adapter.replayed,
             bus_parked=self.adapter.parked,
+            workers=self.workers,
+            epochs=self.epochs,
+            shm_segments=self.shm_segments,
+            shm_bytes=self.shm_bytes,
         )

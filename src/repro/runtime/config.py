@@ -1,9 +1,7 @@
 """Composable runtime configuration: market, aggregation, scheduling, ingest.
 
-The original ``RuntimeConfig`` was one flat bag of fifteen knobs; the knobs
-actually belong to four different layers of the stack, and every layer grew
-its own validation.  This module splits the configuration along those
-seams:
+The runtime's knobs belong to four different layers of the stack; this
+module splits the configuration along those seams:
 
 * :class:`MarketConfig` — prices and imbalance penalties the scheduler
   prices residuals against;
@@ -14,11 +12,10 @@ seams:
 * :class:`IngestConfig` — admission batching and expiry sweeping.
 
 :class:`ServiceConfig` composes the four (plus the time axis) and exposes
-*flat read-only properties* under the historical names, so the service loop
-and existing call sites read ``config.batch_size`` regardless of which
-style constructed it.  The old flat constructor survives as the
-:class:`RuntimeConfig` shim, which emits a :class:`DeprecationWarning` and
-builds the composed form.
+*flat read-only properties*, so the service loop reads
+``config.batch_size`` however the config was constructed;
+:meth:`ServiceConfig.from_flat` builds the composed form from the same flat
+names.
 
 Engine, scheduler and trigger names are resolved through
 :func:`repro.api.default_registry`, so the set of valid names is defined in
@@ -27,7 +24,6 @@ exactly one place.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -47,7 +43,6 @@ __all__ = [
     "IngestConfig",
     "MarketConfig",
     "ObsConfig",
-    "RuntimeConfig",
     "SchedulingConfig",
     "ServiceConfig",
 ]
@@ -309,26 +304,8 @@ class ServiceConfig:
 
     @classmethod
     def from_flat(cls, *, axis: TimeAxis = DEFAULT_AXIS, **flat) -> "ServiceConfig":
-        """Build a composed config from historical flat keyword names."""
-        grouped: dict[str, dict[str, Any]] = {
-            "market": {}, "aggregation": {}, "scheduling": {}, "ingest": {}
-        }
-        for key, value in flat.items():
-            target = cls._FLAT_FIELDS.get(key)
-            if target is None:
-                raise ServiceError(
-                    f"unknown runtime configuration field {key!r}; known "
-                    f"fields: {', '.join(sorted(cls._FLAT_FIELDS))}"
-                )
-            section, name = target
-            grouped[section][name] = value
-        return cls(
-            axis=axis,
-            market=MarketConfig(**grouped["market"]),
-            aggregation=AggregationConfig(**grouped["aggregation"]),
-            scheduling=SchedulingConfig(**grouped["scheduling"]),
-            ingest=IngestConfig(**grouped["ingest"]),
-        )
+        """Build a composed config from flat keyword names (see ``merged``)."""
+        return cls(axis=axis).merged(**flat)
 
     def merged(self, **flat) -> "ServiceConfig":
         """A copy with flat-named overrides applied (explicit values win)."""
@@ -445,70 +422,3 @@ def build_trigger(spec: Any) -> TriggerPolicy:
     if len(policies) == 1:
         return policies[0]
     return registry.create(KIND_TRIGGER, "any", policies)
-
-
-# ----------------------------------------------------------------------
-class RuntimeConfig(ServiceConfig):
-    """Deprecated flat constructor kept for backward compatibility.
-
-    ``RuntimeConfig(batch_size=8, horizon_slices=96, ...)`` still works —
-    it builds the composed :class:`ServiceConfig` form and emits a
-    :class:`DeprecationWarning`.  New code should construct
-    :class:`ServiceConfig` (or its sections) directly, or use
-    :meth:`ServiceConfig.from_flat`.
-    """
-
-    def __init__(
-        self,
-        axis: TimeAxis = DEFAULT_AXIS,
-        aggregation_parameters: AggregationParameters | None = None,
-        batch_size: int = 64,
-        horizon_slices: int = 192,
-        scheduler_passes: int = 2,
-        buy_price: float = 0.20,
-        sell_price: float = 0.05,
-        shortage_penalty: float = 0.5,
-        surplus_penalty: float = 0.2,
-        trigger: TriggerPolicy | None = None,
-        min_run_interval_slices: float = 1.0,
-        expiry_sweep_interval: float = 4.0,
-        seed: int = 0,
-        engine: str = "packed",
-        shards: int = 1,
-    ):
-        warnings.warn(
-            "RuntimeConfig(...) is deprecated; use repro.api.ServiceConfig "
-            "(composable MarketConfig / AggregationConfig / SchedulingConfig "
-            "/ IngestConfig) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            axis=axis,
-            market=MarketConfig(
-                buy_price=buy_price,
-                sell_price=sell_price,
-                shortage_penalty=shortage_penalty,
-                surplus_penalty=surplus_penalty,
-            ),
-            aggregation=AggregationConfig(
-                parameters=(
-                    aggregation_parameters
-                    if aggregation_parameters is not None
-                    else _runtime_parameters()
-                ),
-                engine=engine,
-                shards=shards,
-            ),
-            scheduling=SchedulingConfig(
-                horizon_slices=horizon_slices,
-                scheduler_passes=scheduler_passes,
-                trigger=trigger if trigger is not None else default_trigger(),
-                min_run_interval_slices=min_run_interval_slices,
-                seed=seed,
-            ),
-            ingest=IngestConfig(
-                batch_size=batch_size,
-                expiry_sweep_interval=expiry_sweep_interval,
-            ),
-        )

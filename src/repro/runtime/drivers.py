@@ -86,8 +86,8 @@ class TimeDriver(Protocol):
 class SimulatedDriver:
     """The deterministic driver: a thin veneer over :class:`EventQueue`.
 
-    Exposes the wrapped queue as :attr:`queue` so existing code (and tests)
-    that reach for ``service.queue.clock`` keep working unchanged.
+    Exposes the wrapped queue as :attr:`queue`, so simulated-time callers
+    can move the clock directly (``driver.queue.clock.advance_to(...)``).
     """
 
     def __init__(self, start: float = 0.0, *, queue: EventQueue | None = None):

@@ -176,21 +176,17 @@ def remaining_arrivals(
 def continue_stream(client, arrivals, end: float):
     """Finish an interrupted ``run_stream`` window after a ledger replay.
 
-    Re-execution replay leaves the window's sweep chain armed; this arms
-    the arrivals the ledger never saw, drives to the window end, journals
-    the closing drain and runs it — the tail of ``run_stream`` without
-    re-journaling a new window.
+    Re-execution replay leaves the window's sweep chain armed and its
+    ``run_window`` marker journaled; this arms only the arrivals the ledger
+    never saw, drives to the window end and closes it through
+    :meth:`~repro.runtime.service.BrpRuntimeService.drain` — the tail of
+    ``run_stream`` without opening (and journaling) a new window.
     """
     service = client.service
     resumed_at = service.now
     service.arm_arrivals(iter(arrivals), end)
     service.driver.run_until(end)
-    led = service.ledger
-    if led is not None and led.recording_inputs:
-        led.record_run_drain(end, at=service.now)
-    service.sweep_expired()
-    service.run_aggregation()
-    service.maybe_schedule(force=True)
+    service.drain(end)
     return service.report(
         duration_slices=end - resumed_at, wall_seconds=0.0
     )

@@ -1,26 +1,26 @@
-"""Process-parallel cluster runtime: BRP workers behind the BusAdapter seam.
+"""Process-parallel placement for the cluster runtime: BRP hosts in workers.
 
-:class:`~repro.runtime.cluster.ClusterRuntime` runs every BRP, the TSO and
-the bus cooperatively on one thread — correct and deterministic, but the
-per-BRP pipelines (ingest → packed aggregation → scheduling →
-disaggregation) serialize on one core.  This module puts real processes
-behind the seams built for exactly that:
+:class:`~repro.runtime.cluster.ClusterRuntime` defines the cluster — TSO
+head, run loop, drain, metrics, report — with its one
+:class:`~repro.runtime.cluster.BrpHost` on the TSO's thread, so the per-BRP
+pipelines (ingest → packed aggregation → scheduling → disaggregation)
+serialize on one core.  :class:`ParallelClusterRuntime` changes only *where
+a host lives and when the barrier falls*; this module holds what processes
+need and nothing else:
 
 * K **worker processes** (forked, so pre-materialised arrival streams and
-  configs cross for free), each running its share of the cluster's BRPs as
-  full :class:`~repro.api.LedmsClient` stacks on a worker-local
-  :class:`~repro.runtime.drivers.SimulatedDriver`;
-* a :class:`ProcessBusTransport` in each worker implementing the
-  ``BusAdapter`` send/register surface over a ``multiprocessing`` pipe —
-  the BRP publish hook and schedule handler wire up exactly as in the
-  single-thread cluster;
+  configs cross for free), each running the same ``BrpHost`` over its share
+  of the BRPs on a worker-local
+  :class:`~repro.runtime.drivers.SimulatedDriver`; the parent hosts none;
+* a :class:`ProcessBusTransport` as each worker's uplink — the
+  ``BusAdapter`` send/register surface over a ``multiprocessing`` pipe;
 * committed macro snapshots crossing the process boundary as raw
   struct-of-arrays numpy buffers in ``multiprocessing.shared_memory``
   segments (:mod:`repro.runtime.shm`) — macro columns only: as in the
   paper, micro members never leave the worker that aggregated them (it
   is the one that disaggregates), and the pipe carries segment names,
   never pickled offer graphs;
-* the **TSO in the parent**, unchanged: relayed snapshots enter the real
+* relayed snapshots entering the parent's real
   :class:`~repro.runtime.cluster.BusAdapter` via :meth:`~repro.runtime.
   cluster.BusAdapter.forward` with their original message ids and
   :class:`~repro.obs.tracing.TraceContext`, so bus metrics, publish/deliver
@@ -33,21 +33,21 @@ normal trigger rules, and returns scheduled macros down the pipes before
 releasing the next epoch.  Snapshots are always applied in worker order,
 so a parallel run is reproducible run-to-run for a fixed seed.
 
-Determinism vs the single-thread oracle: per-BRP local behaviour is
-identical (same streams, same seeds, per-worker offer-id bands keep the
-TSO's sorted pool walk in the same order), but TSO feedback lands at
-barriers instead of mid-epoch, so *mid-run* downlink timing differs from
-the single-thread cluster.  With TSO feedback deferred to the final drain
-(``trigger_refreshes`` above the snapshot count) the two modes commit the
-same accepted offers and the same micro start commitments — the parity
-oracle the tests pin.
+Determinism vs the in-process cluster: per-BRP local behaviour is
+identical by construction (same host code, same streams, same seeds;
+per-worker offer-id bands keep the TSO's sorted pool walk in the same
+order), but TSO feedback lands at barriers instead of mid-epoch, so
+*mid-run* downlink timing differs.  With TSO feedback deferred to the
+final drain (``trigger_refreshes`` above the snapshot count) both
+placements commit the same accepted offers and the same micro start
+commitments.
 
 Worker lifecycle: each worker announces ``ready`` once its SIGTERM
 handler is installed (:attr:`ParallelClusterRuntime.ready` is set when
 all have), so a signal sent after that always takes the graceful path;
-SIGTERM drains and exits cleanly via the normal ``finally`` path; every
-snapshot segment is unlinked by the parent as it
-is decoded, workers unlink anything unconsumed at exit, and the parent
+SIGTERM unlinks the worker's unconsumed segments and exits from inside the
+handler (an exception raised there can be dropped as unraisable); every
+snapshot segment is unlinked by the parent as it is decoded, workers unlink anything unconsumed at exit, and the parent
 sweeps the run's ``/dev/shm`` prefix on shutdown (also via ``atexit``), so
 even a SIGKILL'd worker leaks nothing.
 """
@@ -62,19 +62,18 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from ..core.errors import CommunicationError, ServiceError
 from ..core.flexoffer import FlexOffer, rebase_offer_ids
 from ..core.schedule import ScheduledFlexOffer
 from ..core.timeseries import TimeSeries
-from ..node.bus import MessageBus
 from ..node.messages import Message, MessageType, next_message_id, rebase_message_ids
 from ..obs.tracing import NullTracer, TraceContext, Tracer, TraceResequencer
-from .cluster import BusAdapter, ClusterConfig, ClusterReport, TsoRuntimeService
+from .cluster import BrpHost, ClusterConfig, ClusterRuntime
+from .config import ServiceConfig
 from .drivers import SimulatedDriver, sim_clock
-from .metrics import MetricsRegistry, aggregate_registries
+from .metrics import MetricsRegistry
 from .shm import (
     cleanup_run_segments,
     read_snapshot,
@@ -84,7 +83,6 @@ from .shm import (
 )
 
 __all__ = [
-    "ParallelClusterReport",
     "ParallelClusterRuntime",
     "ProcessBusTransport",
     "WorkerCrashError",
@@ -133,14 +131,13 @@ class ProcessBusTransport:
         worker_index: int,
         tso_name: str,
         tracer: Tracer | NullTracer,
-        metrics: MetricsRegistry | None = None,
     ):
         self.conn = conn
         self.run_id = run_id
         self.worker_index = worker_index
         self.tso_name = tso_name
         self.tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._segment_seq = itertools.count(1)
         #: Segments written but not yet confirmed consumed by the parent
         #: (cleared at each ``proceed``); unlinked at exit as a backstop.
@@ -188,7 +185,6 @@ class ProcessBusTransport:
         self.metrics.counter("transport.snapshots").inc()
         self.metrics.counter("transport.shm_bytes").inc(nbytes)
         context = self.tracer.current_context(sender)
-        macro_ids = [m.offer_id for m in macros] if self.tracer.enabled else []
         self.conn.send(
             (
                 "snapshot",
@@ -198,7 +194,7 @@ class ProcessBusTransport:
                 name,
                 nbytes,
                 int(now),
-                macro_ids,
+                detail,
             )
         )
         return True
@@ -248,36 +244,23 @@ def _worker_main(
     conn,
     peer_conns,
     run_id: str,
-    brps: list[tuple[str, Any]],
+    brps: dict[str, ServiceConfig],
     streams: dict[str, list[tuple[float, FlexOffer]]],
     boundaries: list[float],
-    end: float,
     tso_name: str,
     trace_spec: tuple[int, int] | None,
-    ledger_factory: Callable[[int, str], Any] | None,
+    ledger_factory: Callable[[str], Any] | None,
 ) -> None:
-    """Worker process body: its BRP share, one epoch at a time.
+    """Worker process body: a :class:`BrpHost` for its BRP share, by epoch.
 
     Runs forked, so ``brps``/``streams``/``ledger_factory`` arrive by
     memory inheritance, not pickling.  The worker owns a private simulated
     driver; barriers keep it within one epoch of the parent's clock.
     """
-    # Imported here (not at module top) only to make the layering explicit:
-    # workers host full client stacks, like the single-thread cluster.
-    from ..api.client import LedmsClient
-
-    def _sigterm(signum, frame):
-        # Graceful worker shutdown: unwinding through the normal exit path
-        # runs the ``finally`` below, which unlinks unconsumed segments.
-        raise SystemExit(143)
-
-    signal.signal(signal.SIGTERM, _sigterm)
 
     for peer in peer_conns:
         if peer is not conn:
             peer.close()
-    # The handler is live: from here on a SIGTERM takes the graceful path.
-    conn.send(("ready", worker_index))
 
     # Disjoint id bands per worker: aggregate offer ids minted here meet
     # other workers' at the TSO, message ids pair publishes with deliveries
@@ -306,28 +289,34 @@ def _worker_main(
         tso_name=tso_name,
         tracer=tracer,
     )
-    t_wall = time.perf_counter()
-    try:
-        clients: dict[str, LedmsClient] = {}
-        for name, service_config in brps:
-            client = LedmsClient(
-                service_config,
-                driver=driver,
-                name=name,
-                tracer=tracer,
-                ledger=(
-                    ledger_factory(worker_index, name)
-                    if ledger_factory is not None
-                    else None
-                ),
-            )
-            clients[name] = client
-            _wire_worker_brp(transport, name, client)
 
-        for name, client in clients.items():
-            client.service.arm_arrivals(streams[name], end)
-        for client in clients.values():
-            client.service.arm_sweep_ticks(end)
+    def _sigterm(signum, frame):
+        # Graceful worker shutdown, finished inside the handler.  Raising
+        # SystemExit and letting it unwind is not reliable: the handler runs
+        # wherever the eval loop next checks for signals, and an exception
+        # raised inside a gc callback or a ``__del__`` is dropped as
+        # unraisable — the worker would carry on as if never signalled.
+        try:
+            transport.cleanup()
+        finally:
+            os._exit(143)
+
+    signal.signal(signal.SIGTERM, _sigterm)
+    # The handler is live: from here on a SIGTERM takes the graceful path.
+    conn.send(("ready", worker_index))
+
+    t_wall = time.perf_counter()
+    end = boundaries[-1]
+    try:
+        host = BrpHost(
+            brps,
+            driver=driver,
+            uplink=transport,
+            tso_name=tso_name,
+            tracer=tracer,
+            ledger_factory=ledger_factory,
+        )
+        host.open(streams, end)
 
         def flush_traces() -> list[dict]:
             records, batch[:] = list(batch), []
@@ -356,52 +345,14 @@ def _worker_main(
             conn.send(("barrier", epoch, flush_traces()))
             await_release(epoch)
 
-        # Final drain, mirroring ClusterRuntime.run: retire closed windows,
-        # flush ingest, force one last local plan (publishing snapshots).
-        for client in clients.values():
-            service = client.service
-            service.sweep_expired()
-            service.run_aggregation()
-            service.maybe_schedule(force=True)
-        conn.send(("drained", flush_traces()))
+        host.drain(end)
+        conn.send(("drained", -1, flush_traces()))
         await_release(-1)
 
-        for client in clients.values():
-            client.service.trace_shutdown()
-
-        wall = time.perf_counter() - t_wall
-        accepted_states = tuple(
-            s for s in _offer_states() if s not in ("submitted", "rejected")
-        )
+        host.trace_shutdown()
         result = {
-            "worker": worker_index,
-            "wall_seconds": wall,
-            "reports": {
-                name: client.service.report(
-                    duration_slices=end, wall_seconds=wall
-                )
-                for name, client in clients.items()
-            },
-            "metrics": {
-                name: client.service.metrics
-                for name, client in clients.items()
-            },
+            "host": host.results(end, time.perf_counter() - t_wall),
             "transport_metrics": transport.metrics,
-            "committed": {
-                name: dict(client.service._committed_start)
-                for name, client in clients.items()
-            },
-            "accepted": {
-                name: sorted(
-                    set().union(
-                        *(
-                            client.service.store.offers_in_state(s)
-                            for s in accepted_states
-                        )
-                    )
-                )
-                for name, client in clients.items()
-            },
             "trace": flush_traces(),
         }
         conn.send(("result", result))
@@ -422,76 +373,21 @@ def _worker_main(
         conn.close()
 
 
-def _offer_states() -> tuple[str, ...]:
-    from ..datamgmt.mirabel import OFFER_STATES
-
-    return OFFER_STATES
-
-
-def _wire_worker_brp(
-    transport: ProcessBusTransport, name: str, client
-) -> None:
-    """The worker-side twin of ``ClusterRuntime._wire_brp``."""
-    service = client.service
-
-    @client.on_plan_committed
-    def publish(plan_view, _name=name, _service=service):
-        macros = _service.last_plan_originals
-        if macros:
-            transport.send(
-                _name,
-                transport.tso_name,
-                MessageType.MACRO_FLEX_OFFER,
-                macros,
-                _service.now,
-            )
-
-    def handle(message: Message, _service=service) -> None:
-        if message.type is not MessageType.SCHEDULED_MACRO_FLEX_OFFER:
-            raise CommunicationError(f"{name}: unexpected {message.type}")
-        _service.apply_remote_schedule(message.payload)
-
-    transport.register(name, handle)
-
-
 # ----------------------------------------------------------------------
-@dataclass
-class ParallelClusterReport(ClusterReport):
-    """A :class:`ClusterReport` plus the parallel runtime's own counters."""
+class ParallelClusterRuntime(ClusterRuntime):
+    """The cluster with its BRP hosts in K forked worker processes.
 
-    workers: int = 0
-    epochs: int = 0
-    shm_segments: int = 0
-    """Macro snapshots relayed over shared memory."""
-    shm_bytes: int = 0
-    """Raw snapshot bytes that crossed the process boundary (macro columns
-    only — independent of how many micro offers the macros fold)."""
+    Same :class:`~repro.runtime.cluster.ClusterConfig`, same
+    ``run(streams, duration_slices)`` loop, same
+    :class:`~repro.runtime.cluster.ClusterReport` as the base class — only
+    the placement hooks differ.  BRPs are assigned to ``workers`` processes
+    round-robin (the parent hosts none); each worker simulates epochs of
+    ``epoch_slices`` between barriers.  A runtime runs once.
 
-    def as_text(self) -> str:
-        lines = [
-            super().as_text(),
-            f"workers               {self.workers} processes "
-            f"({self.epochs} epochs)",
-            f"shm snapshots         {self.shm_segments} segments / "
-            f"{self.shm_bytes} bytes",
-        ]
-        return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-class ParallelClusterRuntime:
-    """K BRP worker processes + the TSO tier in the parent, over pipes.
-
-    Drop-in alternative to :class:`~repro.runtime.cluster.ClusterRuntime`
-    for simulated-driver runs: same :class:`~repro.runtime.cluster.
-    ClusterConfig`, same ``run(streams, duration_slices)`` surface, a
-    :class:`ParallelClusterReport` out.  BRPs are assigned to ``workers``
-    processes round-robin; each worker simulates epochs of
-    ``epoch_slices`` between barriers.
-
-    Not supported here: wall-clock drivers (workers own simulated clocks)
-    and mid-run ``set_unreachable`` outage injection (the fault harness
-    stays on the single-thread oracle).
+    Not supported here: wall-clock drivers (workers own simulated clocks),
+    progress ticks (``report_every`` sees no BRP in the parent) and mid-run
+    ``set_unreachable`` outage injection (the fault harness stays
+    in-process).
     """
 
     def __init__(
@@ -502,15 +398,15 @@ class ParallelClusterRuntime:
         epoch_slices: float = 4.0,
         tracer: Tracer | NullTracer | None = None,
         tso_net_forecast: TimeSeries | None = None,
-        ledger_factory: Callable[[int, str], Any] | None = None,
+        ledger_factory: Callable[[str], Any] | None = None,
         barrier_timeout: float = 120.0,
     ):
-        self.config = config if config is not None else ClusterConfig.uniform(2)
+        config = config if config is not None else ClusterConfig.uniform(2)
         if workers < 1:
             raise ServiceError(f"workers must be positive, got {workers}")
-        if workers > len(self.config.brps):
+        if workers > len(config.brps):
             raise ServiceError(
-                f"{workers} workers for {len(self.config.brps)} BRPs; "
+                f"{workers} workers for {len(config.brps)} BRPs; "
                 "a worker needs at least one BRP"
             )
         if epoch_slices <= 0:
@@ -523,35 +419,18 @@ class ParallelClusterRuntime:
             raise ServiceError(
                 "the parallel cluster runtime requires the fork start method"
             ) from exc
+        super().__init__(config, tracer=tracer, tso_net_forecast=tso_net_forecast)
         self.workers = workers
         self.epoch_slices = float(epoch_slices)
         self.barrier_timeout = float(barrier_timeout)
         self.run_id = f"{os.getpid()}-{os.urandom(4).hex()}"
-        self.tracer = tracer if tracer is not None else NullTracer()
         self._ledger_factory = ledger_factory
-
-        self.driver = SimulatedDriver()
-        self.tracer.bind_clock(sim_clock(self.driver))
         # Route the parent tracer's sink through a resequencer so parent
         # events and relayed worker batches form one monotone JSONL stream.
         self._reseq: TraceResequencer | None = None
         if self.tracer.enabled and self.tracer._sink is not None:
             self._reseq = TraceResequencer(self.tracer._sink)
             self.tracer._sink = self._reseq
-        self.bus = MessageBus()
-        self.adapter = BusAdapter(
-            self.bus,
-            self.driver,
-            tracer=self.tracer,
-            bus_config=self.config.bus,
-        )
-        self.tso = TsoRuntimeService(
-            self.config.tso,
-            adapter=self.adapter,
-            name=self.config.tso_name,
-            net_forecast=tso_net_forecast,
-            tracer=self.tracer,
-        )
         # Round-robin BRP ownership, in config order.
         names = list(self.config.brps)
         self.assignment: dict[int, list[str]] = {
@@ -562,7 +441,7 @@ class ParallelClusterRuntime:
         }
         self._outbox: dict[int, list[tuple]] = {}
         for name in names:
-            self.adapter.register(name, self._make_downlink_handler(name))
+            self.adapter.register(name, self._queue_downlink)
 
         self._procs: list[Any] = []
         self._conns: list[Any] = []
@@ -571,68 +450,42 @@ class ParallelClusterRuntime:
         """Set once every worker has its SIGTERM handler installed."""
         self.shm_segments = 0
         self.shm_bytes = 0
-        self.epochs = 0
-        self._brp_registries: dict[str, MetricsRegistry] = {}
-        self._transport_registries: list[MetricsRegistry] = []
-        self._brp_reports: dict[str, Any] = {}
-        self.committed_starts: dict[str, dict[int, int]] = {}
-        """Per-BRP micro start commitments, shipped back at run end."""
-        self.accepted_offers: dict[str, list[int]] = {}
-        """Per-BRP ids of every offer accepted at ingest, for parity checks."""
         atexit.register(self._cleanup)
 
-    # ------------------------------------------------------------------
-    def _make_downlink_handler(self, name: str) -> Callable[[Message], None]:
-        worker = self._worker_of[name]
+    def _local_brps(self) -> Mapping[str, ServiceConfig]:
+        """None: every BRP lives in a worker."""
+        return {}
 
-        def handle(message: Message) -> None:
-            if message.type is not MessageType.SCHEDULED_MACRO_FLEX_OFFER:
-                raise CommunicationError(f"{name}: unexpected {message.type}")
-            scheduled = message.payload
-            self._outbox.setdefault(worker, []).append(
-                (
-                    name,
-                    scheduled.offer.offer_id,
-                    int(scheduled.start),
-                    scheduled.energies,
-                    _ctx_tuple(message.trace),
-                    message.message_id,
-                )
+    # ------------------------------------------------------------------
+    def _queue_downlink(self, message: Message) -> None:
+        """Bus handler for every BRP name: hold the schedule for its worker."""
+        name = message.recipient
+        if message.type is not MessageType.SCHEDULED_MACRO_FLEX_OFFER:
+            raise CommunicationError(f"{name}: unexpected {message.type}")
+        scheduled = message.payload
+        self._outbox.setdefault(self._worker_of[name], []).append(
+            (
+                name,
+                scheduled.offer.offer_id,
+                int(scheduled.start),
+                scheduled.energies,
+                _ctx_tuple(message.trace),
+                message.message_id,
             )
+        )
 
-        return handle
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        streams: Mapping[str, Iterable[tuple[float, FlexOffer]]],
-        duration_slices: float,
-    ) -> ParallelClusterReport:
-        """Drive the cluster through the window across worker processes.
+    # -- placement hooks -------------------------------------------------
+    def _start(self, streams, boundaries: list[float]) -> None:
+        """Fork the workers and wait for their ``ready`` handshakes.
 
         ``streams`` are materialised up front (forked workers inherit the
-        offer objects, and the parity oracle needs both modes to see the
-        identical offers), so arbitrarily long lazy streams should stay on
-        the single-thread runtime.
+        offer objects, and parity with the in-process placement needs both
+        to see the identical offers), so arbitrarily long lazy streams
+        should stay in-process.
         """
         if self._ran:
             raise ServiceError("a parallel cluster runtime runs once")
         self._ran = True
-        unknown = sorted(set(streams) - set(self.config.brps))
-        if unknown:
-            raise ServiceError(
-                f"streams for unknown BRPs {', '.join(map(repr, unknown))}"
-            )
-        t_wall = time.perf_counter()
-        start = self.driver.now
-        end = start + duration_slices
-        boundaries: list[float] = []
-        t = start
-        while t < end:
-            t = min(t + self.epoch_slices, end)
-            boundaries.append(t)
-        self.epochs = len(boundaries)
-
         materialised = {
             name: list(streams.get(name, ())) for name in self.config.brps
         }
@@ -641,52 +494,39 @@ class ParallelClusterRuntime:
             if self.tracer.enabled
             else None
         )
-
         all_conns = []
-        try:
-            for w in range(self.workers):
-                parent_conn, child_conn = self._mp.Pipe()
-                self._conns.append(parent_conn)
-                all_conns.append(child_conn)
-            for w in range(self.workers):
-                brps = [
-                    (name, self.config.brps[name])
-                    for name in self.assignment[w]
-                ]
-                proc = self._mp.Process(
-                    target=_worker_main,
-                    args=(
-                        w,
-                        all_conns[w],
-                        all_conns,
-                        self.run_id,
-                        brps,
-                        {name: materialised[name] for name in self.assignment[w]},
-                        boundaries,
-                        end,
-                        self.config.tso_name,
-                        trace_spec,
-                        self._ledger_factory,
-                    ),
-                    daemon=True,
+        for w in range(self.workers):
+            parent_conn, child_conn = self._mp.Pipe()
+            self._conns.append(parent_conn)
+            all_conns.append(child_conn)
+        for w, owned in self.assignment.items():
+            proc = self._mp.Process(
+                target=_worker_main,
+                args=(
+                    w,
+                    all_conns[w],
+                    all_conns,
+                    self.run_id,
+                    {name: self.config.brps[name] for name in owned},
+                    {name: materialised[name] for name in owned},
+                    boundaries,
+                    self.config.tso_name,
+                    trace_spec,
+                    self._ledger_factory,
+                ),
+                daemon=True,
+            )
+            proc.start()
+            self._procs.append(proc)
+        for child_conn in all_conns:
+            child_conn.close()
+        for w in range(self.workers):
+            item = self._recv(w)
+            if item != ("ready", w):
+                raise WorkerCrashError(
+                    f"worker {w}: unexpected {item[0]!r} awaiting ready"
                 )
-                proc.start()
-                self._procs.append(proc)
-            for child_conn in all_conns:
-                child_conn.close()
-            self._await_ready()
-
-            for epoch, boundary in enumerate(boundaries):
-                self.driver.run_until(boundary)
-                self._barrier(epoch)
-            self._final_drain()
-            results = self._collect_results()
-            self._stop_workers()
-        finally:
-            self._cleanup()
-
-        wall = time.perf_counter() - t_wall
-        return self._report(results, duration_slices, wall)
+        self.ready.set()
 
     # ------------------------------------------------------------------
     def _recv(self, worker: int):
@@ -712,16 +552,6 @@ class ParallelClusterRuntime:
                     f"{self.barrier_timeout:g}s"
                 )
 
-    def _await_ready(self) -> None:
-        """Collect each worker's ``ready`` handshake, then set :attr:`ready`."""
-        for w in range(self.workers):
-            item = self._recv(w)
-            if item != ("ready", w):
-                raise WorkerCrashError(
-                    f"worker {w}: unexpected {item[0]!r} awaiting ready"
-                )
-        self.ready.set()
-
     def _ingest_traces(self, records: list[dict]) -> None:
         for record in records:
             if self._reseq is not None:
@@ -730,7 +560,7 @@ class ParallelClusterRuntime:
                 self.tracer._ring.append(record)
 
     def _relay_snapshot(self, item: tuple) -> None:
-        _, brp, message_id, ctx, seg, nbytes, issued_at, macro_ids = item
+        _, brp, message_id, ctx, seg, nbytes, issued_at, detail = item
         t0 = time.perf_counter()
         try:
             macros = read_snapshot(seg)
@@ -742,7 +572,6 @@ class ParallelClusterRuntime:
         )
         self.shm_segments += 1
         self.shm_bytes += nbytes
-        detail = {"macro_ids": macro_ids} if self.tracer.enabled else None
         self.adapter.forward(
             Message(
                 brp,
@@ -756,7 +585,7 @@ class ParallelClusterRuntime:
             detail=detail,
         )
 
-    def _collect_until(self, worker: int, marker: str, epoch: int | None):
+    def _collect_until(self, worker: int, marker: str, epoch: int):
         """Read one worker's pipe up to its barrier, relaying snapshots."""
         while True:
             item = self._recv(worker)
@@ -768,15 +597,12 @@ class ParallelClusterRuntime:
                     f"worker {worker} failed:\n{item[1]}"
                 )
             elif kind == marker:
-                if marker == "barrier":
-                    if item[1] != epoch:
-                        raise WorkerCrashError(
-                            f"worker {worker} at epoch {item[1]}, "
-                            f"expected {epoch}"
-                        )
-                    self._ingest_traces(item[2])
-                else:  # drained
-                    self._ingest_traces(item[1])
+                if item[1] != epoch:
+                    raise WorkerCrashError(
+                        f"worker {worker} at epoch {item[1]}, "
+                        f"expected {epoch}"
+                    )
+                self._ingest_traces(item[2])
                 return
             else:
                 raise WorkerCrashError(
@@ -786,8 +612,13 @@ class ParallelClusterRuntime:
     def _release(self, epoch: int) -> None:
         for w in range(self.workers):
             conn = self._conns[w]
-            conn.send(("schedule", self._outbox.pop(w, [])))
-            conn.send(("proceed", epoch))
+            try:
+                conn.send(("schedule", self._outbox.pop(w, [])))
+                conn.send(("proceed", epoch))
+            except OSError as exc:  # died after its barrier message
+                raise WorkerCrashError(
+                    f"worker {w} (pid {self._procs[w].pid}) closed its pipe"
+                ) from exc
 
     def _barrier(self, epoch: int) -> None:
         for w in range(self.workers):
@@ -797,36 +628,25 @@ class ParallelClusterRuntime:
         self.driver.run_until(self.driver.now)
         self._release(epoch)
 
-    def _final_drain(self) -> None:
-        """The parallel twin of ``ClusterRuntime.run``'s drain block."""
+    def _final_drain(self, end: float) -> None:
+        """Workers drain themselves after the last release; then the TSO."""
         for w in range(self.workers):
-            self._collect_until(w, "drained", None)
-        self.driver.run_until(self.driver.now)
-        if self.tso._pending_refreshes:
-            self.tso.run_scheduling()
-            self.driver.run_until(self.driver.now)
+            self._collect_until(w, "drained", -1)
+        self._drain_tso()
         self._release(-1)
 
-    def _collect_results(self) -> list[dict]:
-        results: list[dict] = []
+    def _collect_results(self, duration_slices: float, wall_seconds: float) -> None:
+        """Absorb each worker's results (measured on its own clocks)."""
         for w in range(self.workers):
-            while True:
-                item = self._recv(w)
-                if item[0] == "result":
-                    results.append(item[1])
-                    break
-                if item[0] == "error":
-                    raise WorkerCrashError(
-                        f"worker {w} failed:\n{item[1]}"
-                    )
-        for result in sorted(results, key=lambda r: r["worker"]):
-            self._ingest_traces(result.pop("trace", []))
-            self._brp_reports.update(result["reports"])
-            self._brp_registries.update(result["metrics"])
-            self._transport_registries.append(result["transport_metrics"])
-            self.committed_starts.update(result["committed"])
-            self.accepted_offers.update(result["accepted"])
-        return results
+            kind, payload = self._recv(w)[:2]
+            while kind != "result":
+                if kind == "error":
+                    raise WorkerCrashError(f"worker {w} failed:\n{payload}")
+                kind, payload = self._recv(w)[:2]
+            self._ingest_traces(payload["trace"])
+            self._results.update(payload["host"])
+            self.adapter.metrics.merge_from(payload["transport_metrics"])
+        self._stop_workers()
 
     def _stop_workers(self) -> None:
         for conn in self._conns:
@@ -858,50 +678,3 @@ class ParallelClusterRuntime:
             except OSError:
                 pass
         cleanup_run_segments(self.run_id)
-
-    # ------------------------------------------------------------------
-    def metrics(self) -> MetricsRegistry:
-        """Cluster-wide aggregation: worker registries + TSO + parent bus."""
-        return aggregate_registries(
-            list(self._brp_registries.values())
-            + self._transport_registries
-            + [self.tso.metrics, self.adapter.metrics]
-        )
-
-    @property
-    def remote_commits(self) -> int:
-        return int(
-            sum(
-                registry.counter("cluster.remote_commits").value
-                for registry in self._brp_registries.values()
-            )
-        )
-
-    def _report(
-        self, results: list[dict], duration_slices: float, wall_seconds: float
-    ) -> ParallelClusterReport:
-        merged = self.metrics()
-        latency = merged.histogram("latency.e2e_slices")
-        return ParallelClusterReport(
-            duration_slices=duration_slices,
-            wall_seconds=wall_seconds,
-            brp_reports=dict(self._brp_reports),
-            tso_scheduling_runs=self.tso.scheduling_runs,
-            tso_macro_snapshots=int(
-                self.tso.metrics.counter("tso.macro_snapshots").value
-            ),
-            tso_macros_returned=self.tso.macros_returned,
-            tso_plan_cost=self.tso.last_plan_cost,
-            remote_commits=self.remote_commits,
-            bus_delivered=self.adapter.delivered,
-            bus_dropped=self.adapter.dropped,
-            latency_slices_p50=latency.p50,
-            latency_slices_p95=latency.p95,
-            bus_retries=self.adapter.retries,
-            bus_replayed=self.adapter.replayed,
-            bus_parked=self.adapter.parked,
-            workers=self.workers,
-            epochs=self.epochs,
-            shm_segments=self.shm_segments,
-            shm_bytes=self.shm_bytes,
-        )

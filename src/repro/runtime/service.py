@@ -52,7 +52,7 @@ from ..scheduling import (
     SchedulingProblem,
     SchedulingResult,
 )
-from .config import RuntimeConfig, ServiceConfig
+from .config import ServiceConfig
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .ingest import FlexOfferIngest
 from .metrics import Histogram, MetricsRegistry
@@ -61,7 +61,6 @@ from .sharding import ShardedFlexOfferIngest
 from .triggers import AdaptiveTrigger, AnyTrigger, TriggerContext
 
 __all__ = [
-    "RuntimeConfig",
     "RuntimeReport",
     "BrpRuntimeService",
     "SubmitOutcome",
@@ -265,10 +264,6 @@ class BrpRuntimeService:
         # Instruments touched once per arriving offer, looked up once.
         self._submitted_counter = self.metrics.counter("runtime.offers_submitted")
         self._live_gauge = self.metrics.gauge("runtime.live_offers")
-        #: The simulated event queue when the driver has one (kept for
-        #: backward compatibility: ``service.queue.clock.advance_to(...)``);
-        #: ``None`` under wall-clock drivers.
-        self.queue = getattr(self.driver, "queue", None)
         if self.config.shards > 1:
             # Sharded ingest: K pipelines keyed by group-cell hash; pools are
             # merged at scheduling time through the shared update stream.
@@ -389,9 +384,6 @@ class BrpRuntimeService:
         """First whole slice at which anything can still be started."""
         return int(math.ceil(self.now))
 
-    # Historical internal alias, still used throughout the loop body.
-    _now_slice = now_slice
-
     @property
     def live_offers(self) -> int:
         """Accepted offers not yet retired."""
@@ -462,7 +454,7 @@ class BrpRuntimeService:
         else:
             sid = source_event_id
         self._submitted_counter.inc()
-        accepted = self.ingest.submit(offer, self._now_slice)
+        accepted = self.ingest.submit(offer, self.now_slice)
         reason: str | None = None
         if accepted is not None:
             oid = accepted.offer_id
@@ -474,7 +466,7 @@ class BrpRuntimeService:
             heapq.heappush(self._pending_heap, (self.now, oid))
             self._live_gauge.set(len(self._live))
         elif recording:
-            reason = self.ingest.reject_reason(offer, self._now_slice) or "rejected"
+            reason = self.ingest.reject_reason(offer, self.now_slice) or "rejected"
         if recording:
             # Journal before the aggregation/trigger cascade below, so the
             # submit fact precedes any derived facts it causes.
@@ -521,7 +513,7 @@ class BrpRuntimeService:
                 self.tracer.ledger_event("withdraw", offer_id, node=self.name)
         if offer_id not in self._scheduled:
             self._unscheduled_energy -= self._offer_energy(offer)
-        self.ingest.retire([offer], self._now_slice, "withdrawn")
+        self.ingest.retire([offer], self.now_slice, "withdrawn")
         self._scheduled.discard(offer_id)
         self._arrival_sim.pop(offer_id, None)
         self._arrival_wall.pop(offer_id, None)
@@ -539,7 +531,7 @@ class BrpRuntimeService:
             return []
         t0 = time.perf_counter()
         with self._stage("aggregate"):
-            updates = self.ingest.flush(self._now_slice)
+            updates = self.ingest.flush(self.now_slice)
             for update in updates:
                 if update.kind is UpdateKind.DELETED:
                     self.pool.pop(update.group_id, None)
@@ -669,7 +661,7 @@ class BrpRuntimeService:
 
     def _schedule_pool(self) -> SchedulingResult | None:
         """The planning body of :meth:`run_scheduling` (inside its span)."""
-        start = self._now_slice
+        start = self.now_slice
         end = start + self.config.horizon_slices
         eligible: list[tuple[str, AggregatedFlexOffer]] = []
         originals: list[AggregatedFlexOffer] = []
@@ -741,7 +733,7 @@ class BrpRuntimeService:
         hottest path.  Re-plans whose aggregate object *and* plan are
         unchanged are skipped outright.
         """
-        now = self._now_slice
+        now = self.now_slice
         latency_sim = self.metrics.histogram("latency.e2e_slices")
         latency_wall = self.metrics.histogram("latency.e2e_wall_seconds")
         trace = self.tracer.enabled
@@ -864,7 +856,7 @@ class BrpRuntimeService:
                 f"remote schedule for offer {aggregate.offer_id} is not an "
                 "aggregated flex-offer"
             )
-        now = self._now_slice
+        now = self.now_slice
         latency_sim = self.metrics.histogram("latency.e2e_slices")
         latency_wall = self.metrics.histogram("latency.e2e_wall_seconds")
         trace = self.tracer.enabled
@@ -929,7 +921,7 @@ class BrpRuntimeService:
     def _sweep_pool(self) -> int:
         """The retirement body of :meth:`sweep_expired` (inside its span)."""
         now = self.now
-        now_slice = self._now_slice
+        now_slice = self.now_slice
         scheduled = self._scheduled
         committed_start = self._committed_start
         # One pass, each list in live-pool order: the ledger journals
@@ -1029,6 +1021,38 @@ class BrpRuntimeService:
             min(self.now + self.config.expiry_sweep_interval, end), sweep_tick
         )
 
+    def open_window(
+        self, arrivals: Iterable[tuple[float, FlexOffer]], end: float
+    ) -> None:
+        """Open one run window: journal it, arm arrivals and sweep ticks.
+
+        What "a window" means for one BRP, for every loop that hosts one
+        (:meth:`run_stream`, the cluster's :class:`~repro.runtime.cluster.
+        BrpHost`).  The ``run_window`` marker lets re-execution replay
+        re-arm the same expiry-sweep cadence at the same phase.
+        """
+        led = self.ledger
+        if led is not None and led.recording_inputs:
+            led.record_run_window(self.now, end, at=self.now)
+        self.arm_arrivals(arrivals, end)
+        self.arm_sweep_ticks(end)
+
+    def drain(self, end: float) -> None:
+        """Close the window that ended at ``end``: sweep, flush, forced plan.
+
+        The ``run_drain`` marker is journaled before the drain runs, so a
+        crash *during* it replays it; its absence marks a window cut short
+        mid-run.  Replay and :func:`~repro.runtime.faults.continue_stream`
+        call this too (the ledger's ``replaying`` flag suppresses the
+        marker there).
+        """
+        led = self.ledger
+        if led is not None and led.recording_inputs:
+            led.record_run_drain(end, at=self.now)
+        self.sweep_expired()
+        self.run_aggregation()
+        self.maybe_schedule(force=True)
+
     def run_stream(
         self,
         arrivals: Iterable[tuple[float, FlexOffer]],
@@ -1043,8 +1067,8 @@ class BrpRuntimeService:
         order (e.g. from :class:`~repro.runtime.loadgen.LoadGenerator.stream`);
         events beyond the window are ignored.  The iterator is consumed
         lazily — one pending arrival at a time — so arbitrarily long streams
-        run in constant memory.  After the window closes, a final sweep,
-        flush and forced scheduling run drain the remaining work.
+        run in constant memory.  After the window closes, :meth:`drain`
+        retires, flushes and plans the remaining work.
 
         Under the default :class:`~repro.runtime.drivers.SimulatedDriver`
         the stream replays deterministically; under a wall-clock driver the
@@ -1058,15 +1082,7 @@ class BrpRuntimeService:
         t_wall = time.perf_counter()
         start = self.now
         end = start + duration_slices
-
-        led = self.ledger
-        if led is not None and led.recording_inputs:
-            # The window marker lets re-execution replay re-arm the same
-            # expiry-sweep cadence at the same phase.
-            led.record_run_window(start, end, at=start)
-
-        self.arm_arrivals(arrivals, end)
-        self.arm_sweep_ticks(end)
+        self.open_window(arrivals, end)
 
         if report_every is not None:
 
@@ -1084,16 +1100,7 @@ class BrpRuntimeService:
             self.driver.schedule_at(min(start + report_every, end), report_tick)
 
         self.driver.run_until(end)
-
-        # Drain: retire closed windows, aggregate the tail, schedule once more.
-        if led is not None and led.recording_inputs:
-            # Journaled before it runs, so a crash *during* the drain
-            # replays it; its absence marks a window cut short mid-run.
-            led.record_run_drain(end, at=self.now)
-        self.sweep_expired()
-        self.run_aggregation()
-        self.maybe_schedule(force=True)
-
+        self.drain(end)
         return self.report(
             duration_slices=duration_slices,
             wall_seconds=time.perf_counter() - t_wall,

@@ -13,7 +13,7 @@ pool dict applies them exactly as in the single-pipeline runtime).
 :class:`ShardedFlexOfferIngest` exposes the same interface as a single
 ingest (``submit`` / ``retire`` / ``flush`` / ``pending_updates`` /
 ``batch_full`` / ``input_count``), so :class:`~repro.runtime.service.
-BrpRuntimeService` swaps it in via ``RuntimeConfig(shards=K)`` without any
+BrpRuntimeService` swaps it in via ``AggregationConfig(shards=K)`` without any
 other change.  Shards keep independent (smaller) pools and group tables;
 each also remains a clean seam for process-level parallelism later.
 """

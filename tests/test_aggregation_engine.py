@@ -424,12 +424,12 @@ class TestShardedIngest:
         # The full service loop must behave identically (simulated-time
         # semantics) whether aggregation runs scalar, packed, or packed over
         # four hash-routed shards.
-        from repro.runtime import BrpRuntimeService, LoadGenerator, RuntimeConfig
+        from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
 
         reports = []
         for engine, shards in (("scalar", 1), ("packed", 1), ("packed", 4)):
             service = BrpRuntimeService(
-                RuntimeConfig(batch_size=16, seed=5, engine=engine, shards=shards)
+                ServiceConfig.from_flat(batch_size=16, seed=5, engine=engine, shards=shards)
             )
             generator = LoadGenerator(rate_per_hour=40.0, seed=5)
             reports.append(service.run_stream(generator.stream(0.0, 96.0), 96.0))

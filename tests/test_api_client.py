@@ -272,7 +272,7 @@ class TestResume:
 
         client = LedmsClient(_config())
         client.submit(_offer(20, tf=8))
-        client.service.queue.clock.advance_to(10)
+        client.driver.queue.clock.advance_to(10)
         client.submit(_offer(30, tf=8))  # records events at t=10
         with pytest.raises(ServiceError):
             LedmsClient.resume(client.store, _config(), driver=SimulatedDriver(0.0))

@@ -6,11 +6,9 @@ accepted names can never diverge again (``reference`` used to be accepted
 by one and rejected by the other).
 """
 
-import warnings
-
 import pytest
 
-from repro.aggregation.pipeline import PIPELINE_ENGINES, make_pipeline
+from repro.aggregation.pipeline import make_pipeline
 from repro.aggregation.thresholds import AggregationParameters
 from repro.api import (
     KIND_AGGREGATION,
@@ -25,7 +23,6 @@ from repro.api.config import (
     AggregationConfig,
     IngestConfig,
     MarketConfig,
-    RuntimeConfig,
     SchedulingConfig,
     ServiceConfig,
     build_trigger,
@@ -92,7 +89,7 @@ class TestRegistry:
 
 class TestUnifiedEngineValidation:
     def test_runtime_config_accepts_every_pipeline_engine(self):
-        # The historical bug: RuntimeConfig rejected "reference" although
+        # The historical bug: the config rejected "reference" although
         # make_pipeline supported it.  Both now consult the registry.
         for engine in default_registry().names(KIND_AGGREGATION):
             config = ServiceConfig(aggregation=AggregationConfig(engine=engine))
@@ -100,9 +97,9 @@ class TestUnifiedEngineValidation:
             assert make_pipeline(PARAMS, engine=engine) is not None
 
     def test_pipeline_engines_constant_matches_registry(self):
-        assert set(PIPELINE_ENGINES) == set(
-            default_registry().names(KIND_AGGREGATION)
-        )
+        assert set(default_registry().names(KIND_AGGREGATION)) == {
+            "packed", "scalar", "reference",
+        }
 
     def test_both_sites_reject_with_the_same_known_set(self):
         with pytest.raises(ServiceError) as config_err:
@@ -155,6 +152,9 @@ class TestServiceConfig:
     def test_from_flat_and_merged(self):
         config = ServiceConfig.from_flat(batch_size=8, engine="scalar", seed=3)
         assert (config.batch_size, config.engine, config.seed) == (8, "scalar", 3)
+        assert config.scheduling.scheduler == "greedy"  # defaults elsewhere
+        with pytest.raises(ServiceError):
+            ServiceConfig.from_flat(nonsense=1)
         merged = config.merged(seed=9, shards=2)
         assert merged.seed == 9 and merged.shards == 2
         assert merged.batch_size == 8  # untouched sections carried over
@@ -193,28 +193,3 @@ class TestServiceConfig:
         with pytest.raises(ServiceError):
             build_trigger([{"threshold": 5}])  # missing kind
 
-
-class TestRuntimeConfigShim:
-    def test_flat_constructor_warns_and_builds_composed_form(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = RuntimeConfig(batch_size=8, engine="reference", seed=4)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert isinstance(config, ServiceConfig)
-        assert config.batch_size == 8
-        assert config.engine == "reference"
-        assert config.seed == 4
-        assert config.scheduling.scheduler == "greedy"
-
-    def test_shim_still_validates(self):
-        with pytest.raises(ServiceError):
-            RuntimeConfig(batch_size=0)
-        with pytest.raises(ServiceError):
-            RuntimeConfig(engine="bogus")  # replint: ignore[REP003]
-
-    def test_shim_importable_from_runtime(self):
-        from repro.runtime import RuntimeConfig as FromRuntime
-
-        assert FromRuntime is RuntimeConfig

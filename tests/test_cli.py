@@ -106,6 +106,14 @@ def test_serve_accepts_config_with_report_every(tmp_path, capsys):
     assert "[t=" in capsys.readouterr().out  # progress lines appeared
 
 
+def test_report_every_with_workers_exits_2(capsys):
+    code = main(
+        ["serve", "--brps", "2", "--workers", "2", "--report-every", "4"]
+    )
+    assert code == EXIT_UNKNOWN_EXPERIMENT
+    assert "--report-every is not supported with --workers" in capsys.readouterr().err
+
+
 def test_unknown_experiment_still_exits_2(capsys):
     assert main(["no-such-experiment"]) == EXIT_UNKNOWN_EXPERIMENT
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    BrpHost,
     ClusterConfig,
     ClusterRuntime,
     IngestConfig,
@@ -20,7 +21,9 @@ from repro.api import (
 )
 from repro.core import flex_offer
 from repro.core.errors import CommunicationError, ServiceError
+from repro.core.schedule import ScheduledFlexOffer
 from repro.node import Message, MessageBus, MessageType
+from repro.obs import NullTracer
 from repro.runtime import (
     BusAdapter,
     LoadGenerator,
@@ -170,6 +173,101 @@ class TestClusterConfig:
             ClusterConfig.from_dict({"brps": True})
         with pytest.raises(ServiceError):
             ClusterConfig.from_dict({"tso": {"scheduler": "bogus"}})
+
+
+# ----------------------------------------------------------------------
+class RecordingUplink:
+    """The ``send``/``register`` surface a :class:`BrpHost` wires to."""
+
+    def __init__(self):
+        self.sent = []
+        self.handlers = {}
+
+    def send(self, sender, recipient, type_, payload, now, *, detail=None):
+        self.sent.append((sender, recipient, type_, payload))
+        return True
+
+    def register(self, name, handler):
+        self.handlers[name] = handler
+
+
+class TestBrpHost:
+    def _hosted(self, duration=24.0):
+        driver = SimulatedDriver()
+        uplink = RecordingUplink()
+        host = BrpHost(
+            {"north": TINY, "south": TINY},
+            driver=driver,
+            uplink=uplink,
+            tso_name="tso",
+            tracer=NullTracer(),
+        )
+        plans = []
+        host.clients["north"].on_plan_committed(plans.append)
+        # "south" has no stream: its window still opens (sweeps, drain).
+        stream = LoadGenerator(rate_per_hour=30.0, seed=11).stream(0.0, duration)
+        host.open({"north": stream}, duration)
+        driver.run_until(duration)
+        host.drain(duration)
+        return host, uplink, plans
+
+    def test_publishes_a_snapshot_after_each_committed_plan(self):
+        host, uplink, plans = self._hosted()
+        assert plans and len(uplink.sent) == len(plans)
+        assert {(s, r, t) for s, r, t, _ in uplink.sent} == {
+            ("north", "tso", MessageType.MACRO_FLEX_OFFER)
+        }
+        service = host.clients["north"].service
+        assert uplink.sent[-1][3] == service.last_plan_originals
+        assert set(uplink.handlers) == {"north", "south"}
+
+    def test_applies_a_returned_schedule_and_rejects_other_messages(self):
+        host, uplink, _ = self._hosted()
+        service = host.clients["north"].service
+        macro = max(uplink.sent[-1][3], key=lambda m: m.latest_start)
+        live = [m.offer_id for m in macro.members if service.is_live(m.offer_id)]
+        assert live, "the final snapshot holds no live member"
+        scheduled = ScheduledFlexOffer(
+            macro, macro.latest_start, macro.profile.min_energies()
+        )
+        uplink.handlers["north"](
+            Message(
+                "tso", "north", MessageType.SCHEDULED_MACRO_FLEX_OFFER,
+                scheduled, 24,
+            )
+        )
+        shift = macro.latest_start - macro.earliest_start
+        by_id = {m.offer_id: m for m in macro.members}
+        for offer_id in live:
+            assert service.committed_start(offer_id) == (
+                by_id[offer_id].earliest_start + shift
+            )
+        assert service.metrics.counter("cluster.remote_commits").value == len(live)
+        with pytest.raises(CommunicationError, match="north: unexpected"):
+            uplink.handlers["north"](
+                Message("tso", "north", MessageType.MACRO_FLEX_OFFER, (), 24)
+            )
+
+    def test_results_match_what_the_clients_report(self):
+        host, _, _ = self._hosted()
+        results = host.results(24.0, 1.5)
+        assert set(results) == {"north", "south"}
+        for name, client in host.clients.items():
+            report, metrics, committed, accepted = results[name]
+            assert (report.duration_slices, report.wall_seconds) == (24.0, 1.5)
+            assert report.state_counts == client.store.state_counts()
+            assert metrics is client.service.metrics
+            assert committed == {
+                oid: client.query_offer(oid).committed_start for oid in committed
+            }
+            assert len(accepted) == report.offers_accepted
+            assert all(
+                client.query_offer(oid).state not in (None, "submitted", "rejected")
+                for oid in accepted
+            )
+        assert results["north"].report.offers_accepted > 0
+        assert results["north"].committed_starts
+        assert results["south"].report.offers_submitted == 0
 
 
 # ----------------------------------------------------------------------

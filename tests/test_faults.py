@@ -18,6 +18,7 @@ from repro.core import flex_offer
 from repro.core.errors import ServiceError
 from repro.node import MessageBus, MessageType
 from repro.runtime import (
+    BrpRuntimeService,
     BusAdapter,
     BusConfig,
     ClusterConfig,
@@ -224,6 +225,33 @@ class TestCrashReplay:
         tail = remaining_arrivals(arrivals, resumed.service.now)
         continue_stream(resumed, tail, DURATION)
         assert state_fingerprint(resumed) == baseline
+
+    def test_every_loop_closes_its_window_through_service_drain(self, monkeypatch):
+        """run_stream, replay's run_drain and continue_stream share one drain."""
+        arrivals, _ = _hostile_fixture()
+        ends = []
+        drain = BrpRuntimeService.drain
+
+        def counted(service, end):
+            ends.append(end)
+            return drain(service, end)
+
+        monkeypatch.setattr(BrpRuntimeService, "drain", counted)
+        log = MemoryEventLog()
+        client = LedmsClient(_config(), ledger=OfferLedger(log))
+        client.run_stream(iter(arrivals), DURATION)
+        assert ends == [DURATION]
+        LedmsClient.resume_from_ledger(log, _config())  # replays run_drain
+        assert ends == [DURATION] * 2
+
+        cut_short = MemoryEventLog()
+        victim = LedmsClient(_config(), ledger=OfferLedger(cut_short))
+        run_stream_with_crash(victim, iter(arrivals), DURATION, 20.0)
+        resumed = LedmsClient.resume_from_ledger(cut_short, _config())
+        assert ends == [DURATION] * 2  # no journaled drain to replay
+        tail = remaining_arrivals(arrivals, resumed.service.now)
+        continue_stream(resumed, tail, DURATION)
+        assert ends == [DURATION] * 3
 
     def test_crash_outside_window_returns_report(self):
         arrivals, _ = _hostile_fixture()

@@ -1,13 +1,14 @@
 """Process-parallel cluster runtime: shm codec, parity, lifecycle, traces.
 
-The deterministic single-thread :class:`~repro.runtime.cluster.
-ClusterRuntime` is the parity oracle: with TSO feedback pinned to the
-final drain, a parallel run must admit the same offers and commit the
-same micro start times, whatever the worker layout.  Lifecycle tests kill
+Both placements run the same ``BrpHost`` under the same cluster loop, so
+parity is checked once, through one helper that drives either runtime:
+with TSO feedback pinned to the final drain, every placement must admit
+the same offers and commit the same micro start times.  Lifecycle tests kill
 workers mid-run and require zero leaked ``/dev/shm`` blocks, and the
 2-worker trace must satisfy the same JSONL validator CI runs.
 """
 
+import gc
 import json
 import os
 import pathlib
@@ -32,7 +33,6 @@ from repro.core.flexoffer import (
     flex_offer,
     rebase_offer_ids,
 )
-from repro.datamgmt.mirabel import OFFER_STATES
 from repro.node.bus import MessageBus
 from repro.obs import JsonlWriter, Tracer
 from repro.runtime import (
@@ -245,73 +245,55 @@ class TestShmCodec:
 
 
 # ----------------------------------------------------------------------
+#: Every placement of the one cluster loop, by how its BRP hosts are built.
+PLACEMENTS = {
+    "in-process": ClusterRuntime,
+    "workers=1": lambda config, **kw: ParallelClusterRuntime(config, workers=1, **kw),
+    "workers=2": lambda config, **kw: ParallelClusterRuntime(config, workers=2, **kw),
+}
+
+
+def _run(placement: str, duration: float = 24.0, brps: int = 4, **tso_kwargs):
+    """Run one placement on the fixed-seed streams; the runtime and its report."""
+    cluster = PLACEMENTS[placement](_cluster_config(brps, **tso_kwargs))
+    report = cluster.run(_streams(cluster.config.brps, duration), duration)
+    if cluster.workers:
+        assert _shm_residue(cluster.run_id) == []
+    return cluster, report
+
+
 class TestParity:
     def test_parallel_matches_single_thread_oracle(self):
         """Fixed seed, drain-only TSO: same accepted set, same commitments.
 
-        ``trigger_refreshes`` is pinned above the snapshot count in BOTH
-        modes so TSO feedback lands only in the final drain — mid-run
-        downlink timing is the one place the epoch barrier differs from
-        the single-thread interleaving (see the runtime's docstring).
+        ``trigger_refreshes`` is pinned above the snapshot count so TSO
+        feedback lands only in the final drain — mid-run downlink timing is
+        the one place the epoch barrier differs from the in-process
+        interleaving (see the runtime's docstring).
         """
-        duration = 24.0
-        accepted_states = [
-            s for s in OFFER_STATES if s not in ("submitted", "rejected")
-        ]
-
-        single = ClusterRuntime(
-            _cluster_config(trigger_refreshes=10**9)
-        )
-        report_single = single.run(
-            _streams(single.clients, duration), duration
-        )
-        accepted_single = {
-            name: sorted(
-                set().union(
-                    *(
-                        client.service.store.offers_in_state(s)
-                        for s in accepted_states
-                    )
-                )
-            )
-            for name, client in single.clients.items()
-        }
-        committed_single = {
-            name: dict(client.service._committed_start)
-            for name, client in single.clients.items()
-        }
-
-        parallel = ParallelClusterRuntime(
-            _cluster_config(trigger_refreshes=10**9), workers=2
-        )
-        report_parallel = parallel.run(
-            _streams(parallel.config.brps, duration), duration
-        )
-
-        assert parallel.accepted_offers == accepted_single
-        assert parallel.committed_starts == committed_single
-        assert report_parallel.offers_accepted == report_single.offers_accepted
-        assert report_parallel.tso_plan_cost == report_single.tso_plan_cost
-        assert report_parallel.bus_dropped == 0
-        assert _shm_residue(parallel.run_id) == []
+        oracle, oracle_report = _run("in-process", trigger_refreshes=10**9)
+        assert oracle_report.offers_accepted > 0 and oracle.committed_starts
+        for placement in ("workers=1", "workers=2"):
+            cluster, report = _run(placement, trigger_refreshes=10**9)
+            assert cluster.accepted_offers == oracle.accepted_offers
+            assert cluster.committed_starts == oracle.committed_starts
+            assert report.offers_accepted == oracle_report.offers_accepted
+            assert report.tso_plan_cost == oracle_report.tso_plan_cost
+            assert report.bus_dropped == 0
 
     def test_default_config_admits_identically(self):
         """Under live TSO feedback the admitted offer set still matches."""
-        duration = 24.0
-        single = ClusterRuntime(_cluster_config())
-        report_single = single.run(
-            _streams(single.clients, duration), duration
-        )
-        parallel = ParallelClusterRuntime(_cluster_config(), workers=2)
-        report_parallel = parallel.run(
-            _streams(parallel.config.brps, duration), duration
-        )
-        assert report_parallel.offers_accepted == report_single.offers_accepted
-        assert report_parallel.offers_submitted == report_single.offers_submitted
-        assert report_parallel.remote_commits > 0
-        assert report_parallel.workers == 2
-        assert report_parallel.shm_segments > 0
-        assert "workers" in report_parallel.as_text()
+        oracle, oracle_report = _run("in-process")
+        assert oracle_report.workers == 0
+        assert "workers" not in oracle_report.as_text()
+        for placement, workers in (("workers=1", 1), ("workers=2", 2)):
+            cluster, report = _run(placement)
+            assert cluster.accepted_offers == oracle.accepted_offers
+            assert report.offers_submitted == oracle_report.offers_submitted
+            assert report.remote_commits > 0
+            assert report.workers == workers
+            assert report.epochs == 6 and report.shm_segments > 0
+            assert "workers" in report.as_text()
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +342,46 @@ class TestLifecycle:
         # perspective, but its SIGTERM path unlinks its own segments, so
         # nothing is left even before the parent's sweep.
         assert isinstance(box.get("error"), WorkerCrashError)
+        assert _shm_residue(cluster.run_id) == []
+
+    def test_sigterm_landing_in_a_gc_callback_still_terminates(self):
+        """An exception raised from a handler inside a gc callback is dropped
+        as unraisable; the worker must exit all the same.  (hypothesis
+        installs such a callback, which forked workers inherit: this is how
+        the plain SIGTERM test used to fail in full-suite runs only.)"""
+        parent = os.getpid()
+        fired = []
+
+        def signal_self(phase, info):
+            handler_live = callable(signal.getsignal(signal.SIGTERM))
+            if os.getpid() != parent and handler_live and not fired:
+                fired.append(phase)
+                os.kill(os.getpid(), signal.SIGTERM)
+                for _ in range(1000):  # the handler runs in this frame
+                    pass
+
+        gc.callbacks.append(signal_self)
+        try:
+            cluster = ParallelClusterRuntime(_cluster_config(), workers=2)
+            with pytest.raises(WorkerCrashError):
+                cluster.run(_streams(cluster.config.brps, 24.0), 24.0)
+        finally:
+            gc.callbacks.remove(signal_self)
+        assert _shm_residue(cluster.run_id) == []
+
+    def test_worker_dying_between_barrier_and_release_is_a_crash(self):
+        cluster = ParallelClusterRuntime(_cluster_config(brps=2), workers=2)
+        release = cluster._release
+
+        def kill_then_release(epoch):
+            victim = cluster._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            release(epoch)
+
+        cluster._release = kill_then_release
+        with pytest.raises(WorkerCrashError, match="worker 0"):
+            cluster.run(_streams(cluster.config.brps, 8.0), 8.0)
         assert _shm_residue(cluster.run_id) == []
 
     def test_worker_dying_before_ready_is_a_crash(self, monkeypatch):
@@ -418,12 +440,42 @@ class TestLifecycle:
 
 # ----------------------------------------------------------------------
 class TestLedgerRecovery:
-    def test_worker_kill_then_resume_from_ledger(self, tmp_path):
-        """Per-worker journals survive a SIGKILL and rebuild their nodes."""
+    @pytest.mark.parametrize("placement", ["in-process", "workers=2"])
+    def test_hosted_brp_journals_its_window_and_replays_it(
+        self, tmp_path, placement
+    ):
+        """A hosted BRP's journal re-executes: window, sweeps, closing drain.
 
-        def ledger_factory(index: int, name: str):
-            log = JsonlEventLog(tmp_path / f"worker-{index}" / name)
-            return OfferLedger(log, node=name)
+        What re-execution cannot reproduce is stated, not hidden: schedules
+        returned by the TSO are not journaled inputs, so the resumed node
+        holds its *local* plans only (fewer offers reach ``executed``).
+        """
+
+        def ledger_factory(name: str):
+            return OfferLedger(JsonlEventLog(tmp_path / name), node=name)
+
+        cluster = PLACEMENTS[placement](
+            _cluster_config(brps=2), ledger_factory=ledger_factory
+        )
+        cluster.run(_streams(cluster.config.brps, 48.0), 48.0)
+        for name in cluster.config.brps:
+            resumed = LedmsClient.resume_from_ledger(
+                str(tmp_path / name), _service_config(), name=name
+            )
+            kinds = [event["kind"] for event in resumed.ledger.events()]
+            assert kinds.count("run_window") == kinds.count("run_drain") == 1
+            assert kinds[0] == "run_window"
+            assert resumed.last_replay.windows == [(0.0, 48.0)]
+            counts = resumed.service.store.state_counts()
+            stuck = {s: counts.get(s, 0) for s in ("submitted", "accepted", "aggregated")}
+            assert stuck == {"submitted": 0, "accepted": 0, "aggregated": 0}
+            assert counts["executed"] > 0
+
+    def test_worker_kill_then_resume_from_ledger(self, tmp_path):
+        """Per-BRP journals survive a SIGKILL and rebuild their nodes."""
+
+        def ledger_factory(name: str):
+            return OfferLedger(JsonlEventLog(tmp_path / name), node=name)
 
         cluster = ParallelClusterRuntime(
             _cluster_config(), workers=2, ledger_factory=ledger_factory
@@ -431,11 +483,12 @@ class TestLedgerRecovery:
         lifecycle = TestLifecycle()
         thread, box = lifecycle._run_in_thread(cluster)
         victims = lifecycle._wait_for_workers(cluster)
-        # Let the run journal some facts before the kill.
+        # Let the run journal some offers (not just its window marker)
+        # before the kill.
         deadline = time.monotonic() + 20.0
         while time.monotonic() < deadline:
             if any(
-                p.stat().st_size > 0 for p in tmp_path.rglob("*.jsonl")
+                b'"submit"' in p.read_bytes() for p in tmp_path.rglob("*.jsonl")
             ):
                 break
             time.sleep(0.02)
@@ -457,6 +510,7 @@ class TestLedgerRecovery:
         assert resumed_offers > 0
 
     def test_cli_parallel_ledger_layout(self, tmp_path):
+        """``--workers`` does not move a BRP's journal: ``DIR/<name>``."""
         from repro.__main__ import EXIT_OK, main
 
         ledger = tmp_path / "led"
@@ -470,8 +524,7 @@ class TestLedgerRecovery:
             )
             == EXIT_OK
         )
-        assert (ledger / "worker-0" / "brp-0").is_dir()
-        assert (ledger / "worker-1" / "brp-1").is_dir()
+        assert sorted(p.name for p in ledger.iterdir()) == ["brp-0", "brp-1"]
 
 
 # ----------------------------------------------------------------------

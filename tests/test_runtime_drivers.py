@@ -210,5 +210,6 @@ class TestServiceEquivalence:
 
     def test_service_without_queue_attr_under_wallclock(self):
         service = BrpRuntimeService(_config(), driver=fake_driver(FakeClock()))
-        assert service.queue is None  # the simulated queue is a driver detail
+        # The simulated queue is a driver detail, not a service attribute.
+        assert not hasattr(service.driver, "queue")
         assert service.now == 0.0

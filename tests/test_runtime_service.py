@@ -21,10 +21,9 @@ from repro.runtime import (
     CountTrigger,
     ImbalanceTrigger,
     LoadGenerator,
-    RuntimeConfig,
 )
 
-TINY = RuntimeConfig(
+TINY = ServiceConfig.from_flat(
     batch_size=8,
     horizon_slices=96,
     scheduler_passes=1,
@@ -94,7 +93,7 @@ class TestServiceLoop:
         # With a horizon wide enough that every arriving offer's window fits
         # immediately, the age trigger (8 slices) plus the cooldown bounds
         # end-to-end latency; a narrow horizon instead defers far-out offers.
-        config = RuntimeConfig(
+        config = ServiceConfig.from_flat(
             batch_size=8,
             horizon_slices=240,
             scheduler_passes=1,
@@ -144,7 +143,7 @@ class TestSchedulingIntegration:
         service = BrpRuntimeService(TINY)
         service.submit(_offer(2, tf=20))
         service.run_aggregation()
-        service.queue.clock.advance_to(10)  # earliest_start=2 is now past
+        service.driver.queue.clock.advance_to(10)  # earliest_start=2 is now past
         result = service.maybe_schedule(force=True)
         assert result is not None
         assert len(service._scheduled) == 1
@@ -160,7 +159,7 @@ class TestSchedulingIntegration:
 
 class TestExpiry:
     def test_unscheduled_offers_expire(self):
-        config = RuntimeConfig(
+        config = ServiceConfig.from_flat(
             batch_size=8,
             horizon_slices=96,
             scheduler_passes=1,
@@ -170,7 +169,7 @@ class TestExpiry:
         )
         service = BrpRuntimeService(config)
         service.submit(_offer(2, tf=2))
-        service.queue.clock.advance_to(10)
+        service.driver.queue.clock.advance_to(10)
         retired = service.sweep_expired()
         assert retired == 1
         report = service.report(duration_slices=10, wall_seconds=0.1)
@@ -182,7 +181,7 @@ class TestExpiry:
         service.submit(_offer(4, tf=2))
         service.run_aggregation()
         service.maybe_schedule(force=True)
-        service.queue.clock.advance_to(20)
+        service.driver.queue.clock.advance_to(20)
         service.sweep_expired()
         counts = service.store.state_counts()
         assert counts["executed"] == 1
@@ -197,7 +196,7 @@ class TestExpiry:
         service.maybe_schedule(force=True)
         (oid,) = list(service._scheduled)
         committed = service._committed_start[oid]
-        service.queue.clock.advance_to(committed + 1)
+        service.driver.queue.clock.advance_to(committed + 1)
         result = service.maybe_schedule(force=True)
         assert result is None  # pool emptied by the pre-run sweep
         assert service.store.offer_state(oid) == "executed"
@@ -209,7 +208,7 @@ class TestExpiry:
         service.run_aggregation()
         service.maybe_schedule(force=True)
         assert len(service._scheduled) == 1
-        service.queue.clock.advance_to(20)
+        service.driver.queue.clock.advance_to(20)
         service.sweep_expired()
         # The live tracking set is bounded; the report total is cumulative.
         assert len(service._scheduled) == 0
@@ -221,7 +220,7 @@ class TestExpiry:
         # batch must stay "expired" — the flush may not regress it to
         # "aggregated" (and the pipeline must not crash on the
         # insert+delete pair cancelling within one run).
-        config = RuntimeConfig(
+        config = ServiceConfig.from_flat(
             batch_size=1000,  # never auto-flush
             horizon_slices=96,
             scheduler_passes=1,
@@ -230,7 +229,7 @@ class TestExpiry:
         service = BrpRuntimeService(config)
         service.submit(_offer(2, tf=2))
         (offer_id,) = list(service._live)
-        service.queue.clock.advance_to(10)
+        service.driver.queue.clock.advance_to(10)
         service.sweep_expired()
         service.run_aggregation()
         assert service.store.offer_state(offer_id) == "expired"
@@ -242,7 +241,7 @@ class TestAssignmentDeadline:
         service = BrpRuntimeService(TINY)
         service.submit(_offer(10, tf=20, assignment_before=12))
         service.run_aggregation()
-        service.queue.clock.advance_to(14)  # deadline passed, window open
+        service.driver.queue.clock.advance_to(14)  # deadline passed, window open
         result = service.maybe_schedule(force=True)
         assert result is None  # only ineligible work → empty run
         assert len(service._scheduled) == 0
@@ -251,7 +250,7 @@ class TestAssignmentDeadline:
         service = BrpRuntimeService(TINY)
         service.submit(_offer(10, tf=20, assignment_before=12))
         service.run_aggregation()
-        service.queue.clock.advance_to(14)
+        service.driver.queue.clock.advance_to(14)
         service.sweep_expired()
         counts = service.store.state_counts()
         assert counts["expired"] == 1
@@ -294,7 +293,7 @@ class TestRunStreamValidation:
 
         service = BrpRuntimeService(TINY)
         iterator = arrivals()
-        service.queue.schedule_at(0.5, lambda: pulled.append("mid"))
+        service.driver.queue.schedule_at(0.5, lambda: pulled.append("mid"))
 
         # Prime the stream but stop the clock after the first arrival: only
         # the consumed prefix may have been pulled.
@@ -309,13 +308,13 @@ class TestRunStreamValidation:
 class TestConfigValidation:
     def test_invalid_config_rejected(self):
         with pytest.raises(ServiceError):
-            RuntimeConfig(batch_size=0)
+            ServiceConfig.from_flat(batch_size=0)
         with pytest.raises(ServiceError):
-            RuntimeConfig(horizon_slices=-1)
+            ServiceConfig.from_flat(horizon_slices=-1)
         with pytest.raises(ServiceError):
-            RuntimeConfig(scheduler_passes=0)
+            ServiceConfig.from_flat(scheduler_passes=0)
         with pytest.raises(ServiceError):
-            RuntimeConfig(expiry_sweep_interval=0)
+            ServiceConfig.from_flat(expiry_sweep_interval=0)
 
 
 class TestNetForecastWindow:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import TimeSeries, flex_offer
-from repro.runtime import BrpRuntimeService, LoadGenerator, RuntimeConfig
+from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
 from repro.scheduling import (
     CandidateSolution,
     DeltaRequest,
@@ -229,7 +229,7 @@ class TestWarmStartedReplanning:
         """Two identical warm-started service runs commit identical plans."""
 
         def run():
-            config = RuntimeConfig(batch_size=16, scheduler_passes=2, seed=9)
+            config = ServiceConfig.from_flat(batch_size=16, scheduler_passes=2, seed=9)
             service = BrpRuntimeService(config)
             generator = LoadGenerator(rate_per_hour=60.0, seed=9)
             service.run_stream(generator.stream(0.0, 48.0), 48.0)
