@@ -5,9 +5,7 @@ Claims to measure:
 * the instrumented service with its default :class:`~repro.obs.NullTracer`
   is the *untraced baseline* — every call site guards on
   ``tracer.enabled``, so the remaining cost is a handful of branch checks
-  and no-op context managers per stage (budget: within ~2% of the
-  pre-instrumentation throughput trajectory recorded under
-  ``throughput_vs_rate``);
+  and no-op context managers per stage;
 * a recording :class:`~repro.obs.Tracer` with a sampling stride (1 in 100
   offers) stays within ~10% of the NullTracer baseline — sampling bounds
   the per-offer event volume while macro-level events keep every causal

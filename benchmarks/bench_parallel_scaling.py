@@ -5,8 +5,7 @@ Claims to measure:
 * wall-clock scaling of the K-BRP cluster when its BRP stacks run in
   worker processes (``ParallelClusterRuntime``) against the in-file
   single-thread ``ClusterRuntime`` baseline on the identical workload —
-  same seeded streams, same service/TSO configs as
-  ``bench_cluster_throughput``;
+  same seeded streams, same service/TSO configs;
 * equal behaviour at every worker count: admission is process-layout
   independent, so accepted totals must match the single-thread baseline
   exactly, with zero dropped bus messages and a live level-3 path
@@ -82,8 +81,8 @@ def _cluster_config() -> ClusterConfig:
 
 
 def _streams(names, duration: float):
-    # Every BRP replays the identical seeded stream (as in
-    # bench_cluster_throughput), so behaviour comparisons are exact.
+    # Every BRP replays the identical seeded stream, so behaviour
+    # comparisons are exact.
     return {
         name: LoadGenerator(rate_per_hour=_rate(), seed=SEED).stream(
             0.0, duration

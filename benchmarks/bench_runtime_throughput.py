@@ -1,14 +1,16 @@
-"""Streaming runtime throughput: offers/sec and latency vs arrival rate.
+"""Streaming runtime micro-benches: engines, re-planning, trigger control.
 
-Claims to measure:
+End-to-end offers/sec and latency of the BRP loop are ``BENCHMARK.json``'s
+job (``brp_steady`` and friends, timed from outside); this file keeps the
+per-layer comparisons that contract does not make:
 
-* sustained ingest throughput (offers/sec, wall clock) and end-to-end
-  latency (p50/p95, simulated slices and wall ms) of the event-driven BRP
-  service loop at several Poisson arrival rates;
+* sharded + packed ingest vs the single scalar pipeline on one stream;
 * incremental aggregate maintenance beats rebuilding every aggregate from
   scratch on a sustained stream — the optimisation the paper highlights
   ("aggregated flex-offers can be incrementally updated to avoid a
-  from-scratch re-computation").
+  from-scratch re-computation");
+* delta re-planning vs a full re-plan, and the adaptive trigger holding a
+  latency target.
 
 Scale with ``REPRO_SCALE`` (multiplies the arrival rates and stream length).
 """
@@ -39,108 +41,12 @@ from repro.scheduling import (
     SchedulingProblem,
 )
 
-# The throughput-vs-rate sweep intentionally runs the runtime's *default*
-# configuration (now: packed engine, single pipeline), so the
-# BENCH_runtime.json trajectory tracks what a default deployment gets.
-
-RATES_PER_HOUR = (20.0, 50.0, 100.0)
-DURATION_SLICES = 192.0  # two simulated days per rate
+DURATION_SLICES = 192.0  # two simulated days
 SEED = 42
 
 
 def _duration_slices() -> float:
     return 24.0 if smoke_mode() else DURATION_SLICES
-
-
-def _config() -> ServiceConfig:
-    return ServiceConfig.from_flat(
-        batch_size=64,
-        horizon_slices=192,
-        scheduler_passes=1,
-        trigger=AnyTrigger(
-            [CountTrigger(200), AgeTrigger(16), ImbalanceTrigger(2_000.0)]
-        ),
-        min_run_interval_slices=2.0,
-        seed=SEED,
-    )
-
-
-def _run_rate(rate: float):
-    service = BrpRuntimeService(_config())
-    generator = LoadGenerator(rate_per_hour=rate, seed=SEED)
-    duration = _duration_slices()
-    report = service.run_stream(generator.stream(0.0, duration), duration)
-    return report
-
-
-def test_runtime_throughput_vs_rate(once, bench_record):
-    scale = scale_factor()
-    rates = (
-        [RATES_PER_HOUR[0]]
-        if smoke_mode()
-        else [r * scale for r in RATES_PER_HOUR]
-    )
-
-    def run_all():
-        return [(rate, _run_rate(rate)) for rate in rates]
-
-    results = once(run_all)
-
-    rows = [
-        [
-            f"{rate:g}/h",
-            report.offers_accepted,
-            f"{report.offers_per_second:.0f}",
-            f"{report.latency_slices_p50:.2f}",
-            f"{report.latency_slices_p95:.2f}",
-            f"{report.latency_wall_p95 * 1e3:.1f}",
-            report.scheduling_runs,
-            report.aggregation_runs,
-        ]
-        for rate, report in results
-    ]
-    print_table(
-        "runtime throughput vs arrival rate (192 simulated slices)",
-        [
-            "rate",
-            "offers",
-            "offers/s",
-            "p50 sim",
-            "p95 sim",
-            "p95 ms",
-            "sched",
-            "agg",
-        ],
-        rows,
-    )
-
-    for rate, report in results:
-        bench_record(
-            "runtime",
-            name="throughput_vs_rate",
-            workload={
-                "rate_per_hour": rate,
-                "duration_slices": _duration_slices(),
-            },
-            metrics={
-                "offers_accepted": report.offers_accepted,
-                "offers_per_sec": report.offers_per_second,
-                "latency_slices_p50": report.latency_slices_p50,
-                "latency_slices_p95": report.latency_slices_p95,
-                "latency_wall_p50_ms": report.latency_wall_p50 * 1e3,
-                "latency_wall_p95_ms": report.latency_wall_p95 * 1e3,
-                "scheduling_runs": report.scheduling_runs,
-                "aggregation_runs": report.aggregation_runs,
-            },
-        )
-        assert report.offers_accepted > 0
-        assert report.offers_scheduled > 0
-        # The age trigger bounds how long the p95 offer waits relative to
-        # the stream length.
-        assert report.latency_slices_p95 < _duration_slices() / 2
-    # More traffic must not be silently dropped: accepted counts scale.
-    accepted = [report.offers_accepted for _, report in results]
-    assert accepted == sorted(accepted)
 
 
 def test_sharded_packed_runtime_vs_single_scalar(once, bench_record):

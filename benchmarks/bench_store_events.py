@@ -21,11 +21,18 @@ batch sizes below ~6 rows where the column-wise form loses to the one-row
 form are why the store keeps both entry points; ``batch_1`` is recorded to
 show it.
 
+The recorded figures are best-of-rounds.  The assertions are not: they
+compare the entry points' *medians over the interleaved rounds* with each
+other, so a slow host scales both sides of every ratio — a floor against
+the row-dict constant, read on another day, tripped whenever the box was
+30 % slower than on that day.
+
 Records land in ``BENCH_runtime.json``.  ``REPRO_BENCH_SMOKE=1`` shrinks the
 workload and disables the ratio assertions.
 """
 
 import os
+import statistics
 import sys
 import time
 
@@ -41,8 +48,9 @@ from repro.runtime import LoadGenerator
 #: same commit read 8.2-9.6 us, so ratios against this constant are the
 #: conservative ones).
 ROW_DICT_EVENTS_PER_SEC = 1e6 / 6.83
-ONE_ROW_FLOOR = 1.4
-BATCH_256_FLOOR = 4.0
+#: Median per-event cost of the one-row form over that of a 256-row batch
+#: (recorded 2.4x best-of-rounds, 2.8x on medians).
+BATCH_256_VS_ONE_ROW_FLOOR = 2.0
 BYTES_PER_ROW_CEILING = 64.0
 
 STATES = ("submitted", "accepted", "aggregated", "scheduled", "executed")
@@ -86,21 +94,20 @@ def _batched(offers, size: int) -> tuple[float, LedmsStore]:
     return time.perf_counter() - t0, store
 
 
-def _measure(offers) -> dict[str, tuple[float, LedmsStore]]:
-    """Best wall time per entry point over interleaved rounds.
+def _measure(offers) -> dict[str, tuple[list[float], LedmsStore]]:
+    """Every round's wall time per entry point, and one filled store each.
 
     Every round times each entry point once, so a slow spell on the host
     costs all of them one sample instead of costing one of them all.
     """
-    best: dict[str, tuple[float, LedmsStore]] = {}
+    rounds: dict[str, tuple[list[float], LedmsStore]] = {}
     for _ in range(1 if smoke_mode() else 7):
         for label, rows in ROWS_PER_CALL.items():
-            timed = (
+            elapsed, store = (
                 _one_row(offers) if label == "one_row" else _batched(offers, rows)
             )
-            if label not in best or timed[0] < best[label][0]:
-                best[label] = timed
-    return best
+            rounds.setdefault(label, ([], store))[0].append(elapsed)
+    return rounds
 
 
 def _bytes_per_row(store: LedmsStore) -> float:
@@ -117,8 +124,10 @@ def test_store_offer_events(once, bench_record):
 
     reference = results["one_row"][1].schema.facts["flexoffer_event"]
     rows = []
-    speedups = {}
-    for label, (elapsed, store) in results.items():
+    medians = {}
+    for label, (timings, store) in results.items():
+        elapsed = min(timings)
+        medians[label] = statistics.median(timings)
         facts = store.schema.facts["flexoffer_event"]
         # Whatever the entry point, the same facts end up in the buffers.
         assert len(facts) == events
@@ -126,14 +135,14 @@ def test_store_offer_events(once, bench_record):
             assert facts.column(name) == reference.column(name)
         assert store.state_counts()["executed"] == len(offers)
         rate = events / elapsed
-        speedups[label] = rate / ROW_DICT_EVENTS_PER_SEC
+        speedup = rate / ROW_DICT_EVENTS_PER_SEC
         bytes_per_row = _bytes_per_row(store)
         rows.append(
             [
                 label,
                 f"{rate:,.0f}",
                 f"{elapsed / events * 1e6:.2f}",
-                f"{speedups[label]:.2f}x",
+                f"{speedup:.2f}x",
                 f"{bytes_per_row:.1f}",
             ]
         )
@@ -150,17 +159,20 @@ def test_store_offer_events(once, bench_record):
                 "us_per_event": elapsed / events * 1e6,
                 "bytes_per_row": bytes_per_row,
                 "row_dict_events_per_sec": ROW_DICT_EVENTS_PER_SEC,
-                "speedup_vs_row_dict": speedups[label],
+                "speedup_vs_row_dict": speedup,
             },
         )
         assert bytes_per_row <= BYTES_PER_ROW_CEILING
     print_table(
-        f"flexoffer_event facts ({events:,} events, every check on)",
+        f"flexoffer_event facts ({events:,} events, every check on, "
+        "best of rounds)",
         ["entry point", "events/s", "us/event", "vs row-dict", "B/row"],
         rows,
     )
     if not smoke_mode():
-        assert speedups["one_row"] >= ONE_ROW_FLOOR
-        assert speedups["batch_256"] >= BATCH_256_FLOOR
+        assert (
+            medians["one_row"] / medians["batch_256"]
+            >= BATCH_256_VS_ONE_ROW_FLOOR
+        )
         # The crossover that justifies two entry points.
-        assert speedups["batch_1"] < speedups["one_row"] < speedups["batch_64"]
+        assert medians["batch_1"] > medians["one_row"] > medians["batch_64"]

@@ -385,6 +385,12 @@ def _parse_trigger_spec(spec: str):
     return mapping
 
 
+def _usage_error(message: str) -> int:
+    """Report a rejected invocation on stderr; returns its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_UNKNOWN_EXPERIMENT
+
+
 def _run_runtime(command: str, argv: list[str]) -> int:
     from .api import (
         KIND_AGGREGATION,
@@ -409,8 +415,7 @@ def _run_runtime(command: str, argv: list[str]) -> int:
     parser = _runtime_parser(command)
     error = _load_config_file(parser, command, argv)
     if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_UNKNOWN_EXPERIMENT
+        return _usage_error(error)
     args = parser.parse_args(argv)
 
     # Engine/scheduler/driver names are validated against the registry so
@@ -424,109 +429,77 @@ def _run_runtime(command: str, argv: list[str]) -> int:
     ):
         if not registry.has(kind, name):
             known = ", ".join(registry.names(kind)) or "<none>"
-            print(
-                f"error: unknown {kind} {name!r}; known {kind} names: {known}",
-                file=sys.stderr,
+            return _usage_error(
+                f"unknown {kind} {name!r}; known {kind} names: {known}"
             )
-            return EXIT_UNKNOWN_EXPERIMENT
 
     if args.cluster is not None and args.brps != 1:
-        print(
-            "error: --cluster and --brps are mutually exclusive",
-            file=sys.stderr,
-        )
-        return EXIT_UNKNOWN_EXPERIMENT
+        return _usage_error("--cluster and --brps are mutually exclusive")
     if args.brps <= 0:
-        print(f"error: --brps must be positive, got {args.brps}", file=sys.stderr)
-        return EXIT_UNKNOWN_EXPERIMENT
+        return _usage_error(f"--brps must be positive, got {args.brps}")
 
     # Fault-injection and durability knobs are validated up front so a bad
     # spec never starts a (potentially long) run.
     if not 0.0 <= args.duplicate_rate <= 1.0:
-        print(
-            f"error: --duplicate-rate must be in [0, 1], got "
-            f"{args.duplicate_rate}",
-            file=sys.stderr,
+        return _usage_error(
+            f"--duplicate-rate must be in [0, 1], got "
+            f"{args.duplicate_rate}"
         )
-        return EXIT_UNKNOWN_EXPERIMENT
     if args.reorder_window < 0.0:
-        print(
-            f"error: --reorder-window must be >= 0, got {args.reorder_window}",
-            file=sys.stderr,
+        return _usage_error(
+            f"--reorder-window must be >= 0, got {args.reorder_window}"
         )
-        return EXIT_UNKNOWN_EXPERIMENT
     if args.fsync not in FSYNC_MODES:
-        print(
-            f"error: unknown --fsync mode {args.fsync!r}; known modes: "
-            f"{', '.join(FSYNC_MODES)}",
-            file=sys.stderr,
+        return _usage_error(
+            f"unknown --fsync mode {args.fsync!r}; known modes: "
+            f"{', '.join(FSYNC_MODES)}"
         )
-        return EXIT_UNKNOWN_EXPERIMENT
     if args.bus_retries < 0:
-        print(
-            f"error: --bus-retries must be >= 0, got {args.bus_retries}",
-            file=sys.stderr,
+        return _usage_error(
+            f"--bus-retries must be >= 0, got {args.bus_retries}"
         )
-        return EXIT_UNKNOWN_EXPERIMENT
     if args.parallel and args.workers == 0:
         args.workers = 2
     if args.workers < 0:
-        print(
-            f"error: --workers must be >= 0, got {args.workers}",
-            file=sys.stderr,
-        )
-        return EXIT_UNKNOWN_EXPERIMENT
+        return _usage_error(f"--workers must be >= 0, got {args.workers}")
     if args.workers > 0:
         if args.cluster is None and args.brps == 1:
-            print(
-                "error: --workers needs cluster mode (--brps K or --cluster)",
-                file=sys.stderr,
+            return _usage_error(
+                "--workers needs cluster mode (--brps K or --cluster)"
             )
-            return EXIT_UNKNOWN_EXPERIMENT
         if args.driver != "simulated":
-            print(
-                "error: --workers requires --driver simulated (worker "
-                "processes own simulated clocks)",
-                file=sys.stderr,
+            return _usage_error(
+                "--workers requires --driver simulated (worker "
+                "processes own simulated clocks)"
             )
-            return EXIT_UNKNOWN_EXPERIMENT
         if args.outage:
-            print(
-                "error: --outage is not supported with --workers (the fault "
-                "harness runs on the single-process cluster)",
-                file=sys.stderr,
+            return _usage_error(
+                "--outage is not supported with --workers (the fault "
+                "harness runs on the single-process cluster)"
             )
-            return EXIT_UNKNOWN_EXPERIMENT
         if args.epoch_slices <= 0:
-            print(
-                f"error: --epoch-slices must be positive, got "
-                f"{args.epoch_slices}",
-                file=sys.stderr,
+            return _usage_error(
+                f"--epoch-slices must be positive, got "
+                f"{args.epoch_slices}"
             )
-            return EXIT_UNKNOWN_EXPERIMENT
         if getattr(args, "report_every", None) is not None:
-            print(
-                "error: --report-every is not supported with --workers (the "
-                "BRPs it reports on live in the worker processes)",
-                file=sys.stderr,
+            return _usage_error(
+                "--report-every is not supported with --workers (the "
+                "BRPs it reports on live in the worker processes)"
             )
-            return EXIT_UNKNOWN_EXPERIMENT
     elif command == "serve" and args.report_every is None:
         args.report_every = 96.0
     outages = []
     if args.outage:
         if args.cluster is None and args.brps == 1:
-            print(
-                "error: --outage needs cluster mode (--brps K or --cluster)",
-                file=sys.stderr,
+            return _usage_error(
+                "--outage needs cluster mode (--brps K or --cluster)"
             )
-            return EXIT_UNKNOWN_EXPERIMENT
         for spec in args.outage:
             try:
                 outages.append(registry.create(KIND_FAULT, "outage", spec))
             except ServiceError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_UNKNOWN_EXPERIMENT
+                return _usage_error(str(exc))
 
     try:
         trigger_spec = (
@@ -571,8 +544,7 @@ def _run_runtime(command: str, argv: list[str]) -> int:
         client = LedmsClient(config, driver=driver, tracer=tracer, ledger=ledger)
         generator = LoadGenerator(rate_per_hour=args.rate, seed=args.seed)
     except ServiceError as exc:
-        print(f"error: invalid {command} configuration: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_EXPERIMENT
+        return _usage_error(f"invalid {command} configuration: {exc}")
     # With --log-json the event stream owns stdout; everything human-facing
     # moves to stderr.
     out = sys.stderr if args.log_json else sys.stdout
@@ -589,8 +561,7 @@ def _run_runtime(command: str, argv: list[str]) -> int:
             report_sink=lambda line: print(line, file=out),
         )
     except ServiceError as exc:
-        print(f"error: invalid {command} configuration: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_EXPERIMENT
+        return _usage_error(f"invalid {command} configuration: {exc}")
     if tracer is not None:
         client.service.trace_shutdown()
     for writer in writers:
@@ -712,20 +683,11 @@ def _run_cluster(
             with open(args.cluster) as handle:
                 spec = json.load(handle)
         except OSError as exc:
-            print(f"error: cannot read --cluster file: {exc}", file=sys.stderr)
-            return EXIT_UNKNOWN_EXPERIMENT
+            return _usage_error(f"cannot read --cluster file: {exc}")
         except json.JSONDecodeError as exc:
-            print(
-                f"error: --cluster file is not valid JSON: {exc}",
-                file=sys.stderr,
-            )
-            return EXIT_UNKNOWN_EXPERIMENT
+            return _usage_error(f"--cluster file is not valid JSON: {exc}")
         if not isinstance(spec, dict):
-            print(
-                "error: --cluster file must hold a JSON object",
-                file=sys.stderr,
-            )
-            return EXIT_UNKNOWN_EXPERIMENT
+            return _usage_error("--cluster file must hold a JSON object")
         # Flag-derived service settings underlie every BRP; the file's
         # defaults/per-BRP sections override where they speak.
         cluster_config = ClusterConfig.from_dict(spec, base=config)
@@ -768,8 +730,7 @@ def _run_cluster(
             )
         apply_outages(cluster, outages)
     except ServiceError as exc:
-        print(f"error: invalid {command} configuration: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_EXPERIMENT
+        return _usage_error(f"invalid {command} configuration: {exc}")
     streams = {
         name: _fault_stream(
             LoadGenerator(
@@ -836,11 +797,9 @@ def _run_inspect(argv: list[str]) -> int:
     try:
         events = load_trace(args.trace)
     except OSError as exc:
-        print(f"error: cannot read trace file: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_EXPERIMENT
+        return _usage_error(f"cannot read trace file: {exc}")
     except ValueError as exc:
-        print(f"error: malformed trace file: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_EXPERIMENT
+        return _usage_error(f"malformed trace file: {exc}")
     if args.offer is not None:
         print(render_offer_tree(events, args.offer))
     else:
@@ -877,20 +836,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     if args.experiment is None:
         parser.print_usage(sys.stderr)
-        print("error: no experiment given (try --list)", file=sys.stderr)
-        return EXIT_UNKNOWN_EXPERIMENT
+        return _usage_error("no experiment given (try --list)")
 
     if args.experiment == "all":
         selected = list(EXPERIMENTS)
     elif args.experiment in EXPERIMENTS:
         selected = [args.experiment]
     else:
-        print(
-            f"error: unknown experiment {args.experiment!r} "
-            "(run 'python -m repro --list' for the registry)",
-            file=sys.stderr,
+        return _usage_error(
+            f"unknown experiment {args.experiment!r} "
+            "(run 'python -m repro --list' for the registry)"
         )
-        return EXIT_UNKNOWN_EXPERIMENT
 
     for name in selected:
         runner, description = EXPERIMENTS[name]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..aggregation import AggregationPipeline, AggregationParameters, disaggregate
+from ..aggregation import AggregationParameters, aggregate_from_scratch, disaggregate
 from ..aggregation.aggregator import AggregatedFlexOffer
 from ..core.errors import CommunicationError
 from ..core.flexoffer import FlexOffer
@@ -284,10 +284,9 @@ class BrpNode(LedmsNode):
     # ------------------------------------------------------------------
     def aggregate(self) -> list[AggregatedFlexOffer]:
         """Run the aggregation pipeline over the accepted offer pool."""
-        pipeline = AggregationPipeline(self.aggregation_parameters)
-        pipeline.submit_inserts(self.offers.values())
-        pipeline.run()
-        aggregates = pipeline.aggregates
+        aggregates = aggregate_from_scratch(
+            list(self.offers.values()), self.aggregation_parameters
+        )
         self.result.aggregates = len(aggregates)
         if aggregates:
             self.result.compression_ratio = len(self.offers) / len(aggregates)
@@ -426,10 +425,9 @@ class TsoNode(LedmsNode):
         if not self.macros:
             return
         horizon = len(net_forecast)
-        pipeline = AggregationPipeline(self.aggregation_parameters)
-        pipeline.submit_inserts(self.macros.values())
-        pipeline.run()
-        super_aggregates = pipeline.aggregates
+        super_aggregates = aggregate_from_scratch(
+            list(self.macros.values()), self.aggregation_parameters
+        )
 
         market = market or Market(
             np.full(horizon, 0.20),

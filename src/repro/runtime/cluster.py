@@ -19,6 +19,11 @@ three layers with one loop each:
   the hosts, advance epoch by epoch with a barrier after each, drain the
   hosts, drain the TSO, collect results into a :class:`ClusterReport`.
 
+The TSO plans through the same pass as every BRP
+(:meth:`repro.runtime.planning.PlanSession.plan_window`); what is specific
+to it lives here — which macros are in, their re-aggregation into supers,
+and sending the scheduled macros home.
+
 Here the one host shares the TSO's driver, so cluster time is a single
 axis — deterministic under :class:`~repro.runtime.drivers.SimulatedDriver`,
 real under a wall clock.  :mod:`repro.runtime.parallel` overrides only
@@ -39,8 +44,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-import numpy as np
-
 from ..aggregation.aggregator import disaggregate
 from ..aggregation.pipeline import make_pipeline
 from ..aggregation.thresholds import AggregationParameters
@@ -57,18 +60,13 @@ from ..datamgmt.mirabel import OFFER_STATES
 from ..node.bus import MessageBus
 from ..node.messages import Message, MessageType
 from ..obs.tracing import NullTracer, Tracer
-from ..scheduling import SchedulingProblem, SchedulingResult
+from ..scheduling import SchedulingResult
 from .config import MarketConfig, ServiceConfig, _runtime_parameters
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .metrics import MetricsRegistry, aggregate_registries
-from .planning import PlanSession
+from .planning import PlanSession, eligible_for_window, report_adaptive
+from .service import RuntimeReport
 from .triggers import AdaptiveCooldown
-from .service import (
-    RuntimeReport,
-    _flat_market,
-    eligible_for_window,
-    net_forecast_window,
-)
 
 __all__ = [
     "BrpHost",
@@ -589,6 +587,18 @@ class ClusterConfig:
 
 
 # ----------------------------------------------------------------------
+def _member_key(aggregate) -> str:
+    """A super-aggregate's identity across TSO runs: its member-macro ids.
+
+    An unchanged fleet re-aggregates into the same supers, so the keys
+    recur and clean placements can be retained; any pool change
+    materialises new keys, which are re-placed as new.
+    """
+    return "|".join(
+        str(mid) for mid in sorted(m.offer_id for m in aggregate.members)
+    )
+
+
 class TsoRuntimeService:
     """The streaming level-3 node: re-aggregate BRP macros, schedule, reply.
 
@@ -601,10 +611,11 @@ class TsoRuntimeService:
     materialises new aggregate ids, so retaining stale snapshots would
     double-count).  After ``trigger_refreshes`` snapshot refreshes (and a
     cooldown), the TSO re-aggregates the pool once more — "the process is
-    essentially repeated at a higher level" — schedules the
-    super-aggregates system-wide, disaggregates its plan back into
-    scheduled macros, and returns each to its home BRP over the bus in
-    best-effort mode, so an unreachable BRP degrades to dropped messages.
+    essentially repeated at a higher level" — plans the super-aggregates
+    system-wide through its :class:`~repro.runtime.planning.PlanSession`,
+    disaggregates the plan back into scheduled macros, and returns each to
+    its home BRP over the bus in best-effort mode, so an unreachable BRP
+    degrades to dropped messages.
     """
 
     def __init__(
@@ -621,23 +632,25 @@ class TsoRuntimeService:
         self.adapter = adapter
         self.name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.net_forecast = net_forecast
         self.tracer = tracer if tracer is not None else adapter.tracer
         # Last macro-snapshot trace context per BRP: the causal edge from
         # the BRP plan that published the macros into the next TSO run.
         self._snapshot_ctx: dict[str, Any] = {}
-        self.scheduler = default_registry().create_with_capability(
-            KIND_SCHEDULER, self.config.scheduler, "runtime"
-        )
-        self._rng = np.random.default_rng(self.config.seed)
         self._macros_by_brp: dict[str, dict[int, FlexOffer]] = {}
         self._macro_home: dict[int, str] = {}
         self._pending_refreshes = 0
         self._last_run_time = -math.inf
         self.last_plan_cost = float("nan")
-        # Same planning seam as the BRP tier: warm-start cache + dirty set,
-        # keyed by the super-aggregate's member-macro-id join.
-        self.session = PlanSession()
+        # The same planner as the BRP tier, keyed by the super-aggregate's
+        # member-macro-id join.
+        self.session = PlanSession(
+            self.config.scheduler,
+            passes=self.config.scheduler_passes,
+            market=self.config.market,
+            seed=self.config.seed,
+            metrics=self.metrics,
+            net_forecast=net_forecast,
+        )
         #: key -> keys of the last plan containing each BRP's macros.
         self._keys_by_brp: dict[str, set[str]] = {}
         #: Sim arrival time of each snapshot refresh still awaiting a run.
@@ -651,6 +664,7 @@ class TsoRuntimeService:
             if self.config.target_p95_slices is not None
             else None
         )
+        self._adaptive = () if self._cooldown is None else (self._cooldown,)
         adapter.register(name, self.handle_message)
 
     # ------------------------------------------------------------------
@@ -742,24 +756,8 @@ class TsoRuntimeService:
         self.metrics.histogram(
             "stage.wall_seconds", labels={"brp": self.name, "stage": "schedule"}
         ).observe(time.perf_counter() - t0)
-        self._observe_cooldown()
+        report_adaptive(self._adaptive, self.metrics, self.tracer, self.name)
         return result
-
-    def _observe_cooldown(self) -> None:
-        """One control step of the adaptive cooldown (no-op when static)."""
-        if self._cooldown is None:
-            return
-        record = self._cooldown.observe(self.metrics)
-        if record is None:
-            return
-        self.metrics.counter("trigger.adaptive_adjustments").inc()
-        if self.tracer.enabled:
-            self.tracer.trigger_event(
-                node=self.name,
-                fired=[type(self._cooldown).__name__],
-                decision=False,
-                detail={"adjustment": record},
-            )
 
     def _schedule_macros(self, span) -> SchedulingResult | None:
         """The planning body of :meth:`run_scheduling` (inside its span)."""
@@ -797,67 +795,25 @@ class TsoRuntimeService:
 
         # Aggregation shrinks the window to the least-flexible member, so a
         # super-aggregate can be unschedulable even when every macro in it
-        # was eligible; re-apply the same eligibility rule at this level
-        # (ineligible supers simply wait for the next run).  Clipped supers
-        # are scheduled on the clipped window but disaggregated against the
-        # original, whose member offsets anchor at the unclipped start.
-        supers = []
-        offers = []
-        keys = []
-        for original in sorted(pipeline.aggregates, key=lambda a: a.offer_id):
-            aggregate = eligible_for_window(original, start, end)
-            if aggregate is None:
-                continue
-            supers.append(original)
-            offers.append(aggregate)
-            # Stable identity across runs: the sorted member-macro-id join.
-            # An unchanged fleet re-aggregates into the same supers, so the
-            # keys recur and clean placements can be retained; any pool
-            # change materialises new keys, which are re-placed as new.
-            keys.append(
-                "|".join(
-                    str(mid)
-                    for mid in sorted(m.offer_id for m in original.members)
-                )
-            )
-        if not offers:
+        # was eligible; the planning pass re-applies the eligibility rule at
+        # this level (ineligible supers simply wait for the next run).
+        supers = sorted(pipeline.aggregates, key=lambda a: a.offer_id)
+        t0 = time.perf_counter()
+        plan = self.session.plan_window(
+            [(_member_key(original), original) for original in supers],
+            start,
+            end,
+        )
+        if plan is None:
             self.metrics.counter("tso.empty_runs").inc()
             return None
-        problem = SchedulingProblem(
-            net_forecast=net_forecast_window(self.net_forecast, start, end),
-            offers=tuple(offers),
-            market=_flat_market(
-                end - start,
-                self.config.market.buy_price,
-                self.config.market.sell_price,
-            ),
-            shortage_penalty=np.array(self.config.market.shortage_penalty),
-            surplus_penalty=np.array(self.config.market.surplus_penalty),
-        )
-        t0 = time.perf_counter()
-        result = self.session.plan(
-            problem,
-            list(zip(keys, offers)),
-            self.scheduler,
-            passes=self.config.scheduler_passes,
-            rng=self._rng,
-        )
         self.metrics.histogram("tso.run_seconds").observe(
             time.perf_counter() - t0
         )
-        if self.session.last_mode == "delta":
-            self.metrics.counter("delta.runs").inc()
-            self.metrics.counter("delta.reused_placements").inc(
-                self.session.last_reused
-            )
-            self.metrics.counter("delta.replaced_placements").inc(
-                self.session.last_replaced
-            )
-        elif "delta" in getattr(self.scheduler, "capabilities", frozenset()):
-            self.metrics.counter("delta.full_fallbacks").inc()
+        result = plan.result
         # Refresh the reverse index driving per-sender dirty marking.
         self._keys_by_brp = {}
-        for key, original in zip(keys, supers):
+        for key, original in zip(plan.keys, plan.originals):
             for member in original.members:
                 home = self._macro_home.get(member.offer_id)
                 if home is not None:
@@ -865,9 +821,11 @@ class TsoRuntimeService:
         self.last_plan_cost = float(result.cost)
         self.metrics.gauge("tso.last_cost", merge="last").set(result.cost)
 
+        # Clipped supers were scheduled on the clipped window but are
+        # disaggregated against the original, whose member offsets anchor
+        # at the unclipped start.
         returned = 0
-        schedule = problem.to_schedule(result.solution)
-        for scheduled_super, original in zip(schedule, supers):
+        for scheduled_super, original in zip(plan.schedule, plan.originals):
             anchored = ScheduledFlexOffer(
                 original, scheduled_super.start, scheduled_super.energies
             )

@@ -10,13 +10,14 @@ columnar :class:`~repro.aggregation.engine.PackedAggregationPipeline`
 (every engine registered in :mod:`repro.api.registry` is selectable via
 ``AggregationConfig(engine=...)``), optionally
 partitioned over ``AggregationConfig(shards=K)`` hash-routed ingest pipelines
-whose pools merge at scheduling time — and re-runs
-scheduling when a :mod:`~repro.runtime.triggers` policy fires — warm-starting
-the greedy scheduler from the previous plan so sustained streams pay only for
-what changed.  Each re-planning run prices placements through the batched
-:class:`~repro.scheduling.engine.CostEngine` kernel (and greedy passes report
-their own cost), so trigger latency is dominated by the stream, not by
-re-deriving schedule costs.
+whose pools merge at scheduling time — and re-plans when a
+:mod:`~repro.runtime.triggers` policy fires.  Planning is not written here:
+the service hands its pool, sorted by group id, to the one planning pass in
+:mod:`repro.runtime.planning` (the TSO tier is that pass's other caller) and
+commits the returned schedule to the members.  The pass warm-starts the
+scheduler from the previous plan and prices placements through the batched
+:class:`~repro.scheduling.engine.CostEngine` kernel, so sustained streams
+pay only for what changed.
 
 Lifecycle states flow through the :class:`~repro.datamgmt.mirabel.LedmsStore`
 (``submitted → accepted → aggregated → scheduled → executed/expired``), and a
@@ -31,10 +32,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
-
-import numpy as np
 
 from ..aggregation.aggregator import AggregatedFlexOffer
 from ..aggregation.pipeline import make_pipeline
@@ -46,17 +44,12 @@ from ..datamgmt.mirabel import LedmsStore
 from ..ledger.codec import default_source_event_id
 from ..ledger.ledger import OfferLedger
 from ..obs.tracing import NullTracer, Tracer
-from ..api.registry import KIND_SCHEDULER, default_registry
-from ..scheduling import (
-    Market,
-    SchedulingProblem,
-    SchedulingResult,
-)
+from ..scheduling import SchedulingResult
 from .config import ServiceConfig
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .ingest import FlexOfferIngest
 from .metrics import Histogram, MetricsRegistry
-from .planning import PlanSession
+from .planning import PlanSession, report_adaptive
 from .sharding import ShardedFlexOfferIngest
 from .triggers import AdaptiveTrigger, AnyTrigger, TriggerContext
 
@@ -90,64 +83,6 @@ def _adaptive_policies(trigger) -> tuple:
     """
     policies = getattr(trigger, "policies", (trigger,))
     return tuple(p for p in policies if hasattr(p, "observe"))
-
-
-@lru_cache(maxsize=8)
-def _flat_market(length: int, buy_price: float, sell_price: float) -> Market:
-    """Shared flat market per horizon length.
-
-    Every re-planning run prices the same rolling horizon; `Market` is
-    frozen and nothing mutates its arrays, so the instance (and the price
-    arrays the scheduling engine reads) can be reused across runs instead
-    of being rebuilt on each trigger fire.
-    """
-    return Market.flat(length, buy_price=buy_price, sell_price=sell_price)
-
-
-def eligible_for_window(
-    aggregate: AggregatedFlexOffer, start: int, end: int
-) -> AggregatedFlexOffer | None:
-    """The schedulable form of ``aggregate`` for ``[start, end)``, or None.
-
-    One definition of plan eligibility for both scheduling tiers (the BRP
-    pool walk and the TSO's super-aggregates): an aggregate is out when its
-    start window closed, its profile cannot finish inside the horizon, or
-    the tightest member assignment deadline passed.  An aggregate whose
-    earliest start passed while the window is still open is *clipped* to
-    start no earlier than ``start`` — the caller must disaggregate against
-    the unclipped original, whose member offsets are anchored at the
-    original earliest start.
-    """
-    if (
-        aggregate.latest_start < start
-        or aggregate.latest_start + aggregate.duration > end
-    ):
-        return None
-    if (
-        aggregate.assignment_before is not None
-        and aggregate.assignment_before <= start
-    ):
-        return None
-    if aggregate.earliest_start < start:
-        return aggregate.with_times(start, aggregate.latest_start)
-    return aggregate
-
-
-def net_forecast_window(
-    series: TimeSeries | None, start: int, end: int
-) -> TimeSeries:
-    """The forecast restricted to ``[start, end)``, zero-padded outside.
-
-    Shared by the BRP loop and the TSO tier: both price residuals against
-    a rolling window of the (optional) non-flexible net forecast.
-    """
-    values = np.zeros(end - start)
-    if series is not None:
-        lo = max(start, series.start)
-        hi = min(end, series.end)
-        if hi > lo:
-            values[lo - start : hi - start] = series.window(lo, hi).values
-    return TimeSeries(start, values)
 
 
 @dataclass
@@ -238,7 +173,6 @@ class BrpRuntimeService:
             store if store is not None else LedmsStore(self.config.axis)
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.net_forecast = net_forecast
         self.driver: TimeDriver = (
             driver if driver is not None else SimulatedDriver()
         )
@@ -288,9 +222,6 @@ class BrpRuntimeService:
                 batch_size=self.config.batch_size,
                 max_duration_slices=self.config.max_duration_slices,
             )
-        self.scheduler = default_registry().create(
-            KIND_SCHEDULER, self.config.scheduling.scheduler
-        )
         self.pool: dict[str, AggregateUpdate] = {}
         self.last_schedule = None
         #: The *unclipped* pool aggregates behind :attr:`last_schedule`, in
@@ -315,12 +246,18 @@ class BrpRuntimeService:
         self._stream_overflow: tuple[Iterable, float, FlexOffer] | None = None
         self._arrival_sim: dict[int, float] = {}
         self._arrival_wall: dict[int, float] = {}
-        #: The planning seam shared by full and delta schedulers: warm-start
-        #: cache, dirty key set, and the problem window live here.
-        self.session = PlanSession()
+        #: This tier's planner (:mod:`repro.runtime.planning`): scheduler,
+        #: market, rng, warm-start cache and dirty key set live here.
+        self.session = PlanSession(
+            self.config.scheduling.scheduler,
+            passes=self.config.scheduler_passes,
+            market=self.config.market,
+            seed=self.config.seed,
+            metrics=self.metrics,
+            net_forecast=net_forecast,
+        )
         self._offers_since_run = 0
         self._last_run_time = -math.inf
-        self._rng = np.random.default_rng(self.config.seed)
         #: The effective trigger policy.  With
         #: ``SchedulingConfig.target_p95_slices`` set and no adaptive policy
         #: configured explicitly, the closed-loop default replaces the
@@ -636,83 +573,33 @@ class BrpRuntimeService:
         # both, and the value covers the whole stage (problem build +
         # solver + disaggregation), not just the solver call.
         self.metrics.histogram("schedule.run_seconds").observe(elapsed)
-        self._observe_adaptive()
+        report_adaptive(self._adaptive, self.metrics, self.tracer, self.name)
         return result
-
-    def _observe_adaptive(self) -> None:
-        """One control step per adaptive trigger policy, after each run.
-
-        The policies' ``observe`` hook is the only place trigger thresholds
-        change (REP009); the service just reports each adjustment as a
-        trigger event and counts it.
-        """
-        for policy in self._adaptive:
-            record = policy.observe(self.metrics)
-            if record is None:
-                continue
-            self.metrics.counter("trigger.adaptive_adjustments").inc()
-            if self.tracer.enabled:
-                self.tracer.trigger_event(
-                    node=self.name,
-                    fired=[type(policy).__name__],
-                    decision=False,
-                    detail={"adjustment": record},
-                )
 
     def _schedule_pool(self) -> SchedulingResult | None:
         """The planning body of :meth:`run_scheduling` (inside its span)."""
         start = self.now_slice
-        end = start + self.config.horizon_slices
-        eligible: list[tuple[str, AggregatedFlexOffer]] = []
-        originals: list[AggregatedFlexOffer] = []
-        # Iterate in group-id order: the pool dict's insertion order depends
-        # on how updates interleaved (and, under sharded ingest, on the hash
-        # partition), but the plan for a given pool must not.
-        for gid in sorted(self.pool):
-            original = self.pool[gid].aggregate
-            aggregate = eligible_for_window(original, start, end)
-            if aggregate is None:
-                continue
-            eligible.append((gid, aggregate))
-            originals.append(original)
-        if not eligible:
+        # Candidates in group-id order: the pool dict's insertion order
+        # depends on how updates interleaved (and, under sharded ingest, on
+        # the hash partition), but the plan for a given pool must not.
+        plan = self.session.plan_window(
+            [(gid, self.pool[gid].aggregate) for gid in sorted(self.pool)],
+            start,
+            start + self.config.horizon_slices,
+        )
+        if plan is None:
             self.metrics.counter("schedule.empty_runs").inc()
             return None
-
-        problem = SchedulingProblem(
-            net_forecast=net_forecast_window(self.net_forecast, start, end),
-            offers=tuple(aggregate for _, aggregate in eligible),
-            market=_flat_market(
-                end - start, self.config.buy_price, self.config.sell_price
-            ),
-            shortage_penalty=np.array(self.config.shortage_penalty),
-            surplus_penalty=np.array(self.config.surplus_penalty),
-        )
-        result = self.session.plan(
-            problem,
-            eligible,
-            self.scheduler,
-            passes=self.config.scheduler_passes,
-            rng=self._rng,
-        )
+        result = plan.result
         self.metrics.gauge("schedule.last_cost", merge="last").set(result.cost)
-        self.metrics.gauge("schedule.last_offers", merge="last").set(len(eligible))
+        self.metrics.gauge("schedule.last_offers", merge="last").set(
+            len(plan.keys)
+        )
         if self.session.last_warm_started:
             self.metrics.counter("schedule.warm_started").inc()
-        if self.session.last_mode == "delta":
-            self.metrics.counter("delta.runs").inc()
-            self.metrics.counter("delta.reused_placements").inc(
-                self.session.last_reused
-            )
-            self.metrics.counter("delta.replaced_placements").inc(
-                self.session.last_replaced
-            )
-        elif "delta" in getattr(self.scheduler, "capabilities", frozenset()):
-            self.metrics.counter("delta.full_fallbacks").inc()
-
-        self.last_schedule = problem.to_schedule(result.solution)
-        self.last_plan_originals = tuple(originals)
-        self._disaggregate(self.last_schedule, originals)
+        self.last_schedule = plan.schedule
+        self.last_plan_originals = plan.originals
+        self._disaggregate(plan.schedule, plan.originals)
         for listener in self.plan_listeners:
             listener(result)
         return result

@@ -405,6 +405,42 @@ class TestClusterRuntime:
             for client in cluster.clients.values()
         )
         assert report.latency_slices_p95 == merged_latency.p95
+        # The planning-side instrument names both tiers emit on this run
+        # (greedy at both tiers, so no delta.* counter may appear).
+        assert {
+            name
+            for name, _ in merged.items()
+            if name.startswith(
+                ("schedule.", "tso.", "delta.", "trigger.", "stage.wall_seconds")
+            )
+        } == {
+            "schedule.empty_runs",
+            "schedule.last_cost",
+            "schedule.last_offers",
+            "schedule.run_seconds",
+            "schedule.runs",
+            "schedule.unique_scheduled",
+            "schedule.warm_started",
+            "trigger.AgeTrigger",
+            "trigger.ImbalanceTrigger",
+            "tso.last_cost",
+            "tso.macro_pool",
+            "tso.macro_snapshots",
+            "tso.macros_received",
+            "tso.macros_returned",
+            "tso.refresh_wait_slices",
+            "tso.run_seconds",
+            "tso.runs",
+            'stage.wall_seconds{brp="brp-0",stage="aggregate"}',
+            'stage.wall_seconds{brp="brp-0",stage="disaggregate"}',
+            'stage.wall_seconds{brp="brp-0",stage="schedule"}',
+            'stage.wall_seconds{brp="brp-0",stage="sweep"}',
+            'stage.wall_seconds{brp="brp-1",stage="aggregate"}',
+            'stage.wall_seconds{brp="brp-1",stage="disaggregate"}',
+            'stage.wall_seconds{brp="brp-1",stage="schedule"}',
+            'stage.wall_seconds{brp="brp-1",stage="sweep"}',
+            'stage.wall_seconds{brp="tso",stage="schedule"}',
+        }
 
 
 # ----------------------------------------------------------------------

@@ -320,7 +320,7 @@ class TestConfigValidation:
 class TestNetForecastWindow:
     def test_provided_forecast_is_windowed(self):
         from repro.core.timeseries import TimeSeries
-        from repro.runtime.service import net_forecast_window
+        from repro.runtime.planning import net_forecast_window
 
         series = TimeSeries(0, np.arange(200, dtype=float))
         window = net_forecast_window(series, 10, 106)
@@ -384,6 +384,114 @@ class TestPlanSession:
         )
         assert session.dirty == {"new", "kept", "gone"}
         assert "gone" not in session.warm and "kept" in session.warm
+
+
+class TestPlanWindowAtBothTiers:
+    """One planning pass, two callers: a BRP's and a TSO's session agree."""
+
+    START, END = 10, 106
+
+    def _tiers(self, scheduler):
+        from repro.core.timeseries import TimeSeries
+        from repro.node import MessageBus
+        from repro.runtime import (
+            BusAdapter,
+            SimulatedDriver,
+            TsoConfig,
+            TsoRuntimeService,
+        )
+
+        forecast = TimeSeries(0, np.linspace(-6.0, 6.0, 80))
+        brp = BrpRuntimeService(
+            ServiceConfig.from_flat(
+                scheduler=scheduler, scheduler_passes=1, seed=3
+            ),
+            net_forecast=forecast,
+        )
+        tso = TsoRuntimeService(
+            TsoConfig(scheduler=scheduler, scheduler_passes=1, seed=3),
+            adapter=BusAdapter(MessageBus(), SimulatedDriver()),
+            net_forecast=forecast,
+        )
+        problems = {}
+        for tier in (brp, tso):
+            # Rebind plan on the instance, the way the e2e harness's span
+            # recorder does: plan_window must reach it through self.plan.
+            seen = problems[tier.name] = []
+            inner = tier.session.plan
+
+            def spy(problem, *args, _inner=inner, _seen=seen, **kwargs):
+                _seen.append(problem)
+                return _inner(problem, *args, **kwargs)
+
+            tier.session.plan = spy
+        return brp, tso, problems
+
+    def _candidates(self):
+        from repro.aggregation import aggregate_group
+
+        windows = [(4, 30), (12, 40), (20, 60), (2, 8), (50, 90)]
+        return [
+            (f"k{i}", aggregate_group([_offer(est, tf=lst - est, duration=3)]))
+            for i, (est, lst) in enumerate(windows)
+        ]
+
+    @pytest.mark.parametrize("scheduler", ["greedy", "delta"])
+    def test_same_candidates_same_problem_same_plan(self, scheduler):
+        brp, tso, problems = self._tiers(scheduler)
+        candidates = self._candidates()
+        clipped = candidates[0][1]  # earliest_start 4 < START, window open
+        closed = candidates[3][1]  # latest_start 8 < START
+        # Cold run, then an unchanged re-run (warm start / pure delta pass).
+        for _ in range(2):
+            ours, theirs = (
+                tier.session.plan_window(candidates, self.START, self.END)
+                for tier in (brp, tso)
+            )
+            for plan in (ours, theirs):
+                assert plan.keys == ("k0", "k1", "k2", "k4")
+                assert closed not in plan.originals
+                # Scheduled on the clipped window, returned unclipped.
+                assert plan.originals[0] is clipped
+                assert clipped.earliest_start < self.START
+                scheduled = plan.schedule.assignments[0].offer
+                assert scheduled.earliest_start == self.START
+            assert ours.result.cost == theirs.result.cost
+            assert [(a.start, a.energies) for a in ours.schedule] == [
+                (a.start, a.energies) for a in theirs.schedule
+            ]
+        # Nothing eligible: no plan, and the planner is never reached.
+        for tier in (brp, tso):
+            assert tier.session.plan_window(candidates, 500, 596) is None
+        assert len(problems[brp.name]) == len(problems[tso.name]) == 2
+        for ours, theirs in zip(problems[brp.name], problems[tso.name]):
+            assert ours.net_forecast.start == theirs.net_forecast.start
+            assert ours.net_forecast.start == self.START
+            assert ours.market is theirs.market  # one cached flat market
+            for field in ("shortage_penalty", "surplus_penalty"):
+                assert np.array_equal(
+                    getattr(ours, field), getattr(theirs, field)
+                )
+            assert ours.net_forecast.values.any()
+            assert np.array_equal(
+                ours.net_forecast.values, theirs.net_forecast.values
+            )
+
+        counters, tso_counters = (
+            {
+                name: instrument.value
+                for name, instrument in tier.metrics.items()
+                if name.startswith("delta.")
+            }
+            for tier in (brp, tso)
+        )
+        assert counters == tso_counters
+        if scheduler == "delta":
+            assert counters["delta.full_fallbacks"] == 1
+            assert counters["delta.runs"] == 1
+            assert counters["delta.reused_placements"] == 4
+        else:
+            assert counters == {}
 
 
 class TestDeltaSchedulerService:
