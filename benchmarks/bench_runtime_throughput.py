@@ -4,7 +4,6 @@ End-to-end offers/sec and latency of the BRP loop are ``BENCHMARK.json``'s
 job (``brp_steady`` and friends, timed from outside); this file keeps the
 per-layer comparisons that contract does not make:
 
-* sharded + packed ingest vs the single scalar pipeline on one stream;
 * incremental aggregate maintenance beats rebuilding every aggregate from
   scratch on a sustained stream — the optimisation the paper highlights
   ("aggregated flex-offers can be incrementally updated to avoid a
@@ -30,7 +29,6 @@ from repro.runtime import (
     AnyTrigger,
     BrpRuntimeService,
     CountTrigger,
-    ImbalanceTrigger,
     LoadGenerator,
     ServiceConfig,
 )
@@ -41,124 +39,7 @@ from repro.scheduling import (
     SchedulingProblem,
 )
 
-DURATION_SLICES = 192.0  # two simulated days
 SEED = 42
-
-
-def _duration_slices() -> float:
-    return 24.0 if smoke_mode() else DURATION_SLICES
-
-
-def test_sharded_packed_runtime_vs_single_scalar(once, bench_record):
-    """Sharded ingest (K=4, packed engine) vs the PR-2 single-pipeline runtime.
-
-    All three configurations replay the identical Poisson stream; simulated-
-    time behaviour (triggers, schedules, latencies in slices) is identical by
-    construction, so the comparison isolates wall-clock throughput.  The
-    sharded + packed runtime must beat the scalar single-pipeline baseline
-    while holding the p95 scheduling-trigger latency recorded by PR 2.
-    """
-    rate = 50.0 if smoke_mode() else 400.0 * scale_factor()
-    duration = _duration_slices()
-
-    def run_config(engine: str, shards: int, warm_rate: float | None = None):
-        config = ServiceConfig.from_flat(
-            batch_size=64,
-            horizon_slices=192,
-            scheduler_passes=1,
-            trigger=AnyTrigger(
-                [CountTrigger(200), AgeTrigger(16), ImbalanceTrigger(2_000.0)]
-            ),
-            min_run_interval_slices=2.0,
-            seed=SEED,
-            engine=engine,
-            shards=shards,
-        )
-        service = BrpRuntimeService(config)
-        generator = LoadGenerator(
-            rate_per_hour=rate if warm_rate is None else warm_rate, seed=SEED
-        )
-        report = service.run_stream(generator.stream(0.0, duration), duration)
-        # Wall seconds the incremental aggregation path consumed — the
-        # component this comparison targets, and far less noisy than the
-        # end-to-end figure on a shared machine.
-        aggregation_seconds = service.metrics.histogram(
-            "aggregate.batch_seconds"
-        ).total
-        return report, aggregation_seconds
-
-    def run_all():
-        import gc
-
-        # A discarded warm-up run plus a collection per config: the first
-        # service run in a fresh process is systematically faster (small
-        # heap, cold allocator), which would bias whichever config runs
-        # first.  Two interleaved rounds, keeping each config's faster run,
-        # filter transient machine noise without favouring any position.
-        run_config("scalar", 1, warm_rate=rate / 4)
-        configs = (
-            ("single_scalar", "scalar", 1),
-            ("single_packed", "packed", 1),
-            ("sharded_packed", "packed", 4),
-        )
-        out = {}
-        for _ in range(1 if smoke_mode() else 2):
-            for name, engine, shards in configs:
-                gc.collect()
-                result = run_config(engine, shards)
-                best = out.get(name)
-                if best is None or result[0].wall_seconds < best[0].wall_seconds:
-                    out[name] = result
-        return out
-
-    results = once(run_all)
-
-    rows = [
-        [
-            name,
-            report.offers_accepted,
-            f"{report.offers_per_second:.0f}",
-            f"{agg_seconds:.3f}",
-            f"{report.latency_slices_p95:.2f}",
-            f"{report.latency_wall_p95 * 1e3:.1f}",
-        ]
-        for name, (report, agg_seconds) in results.items()
-    ]
-    print_table(
-        f"sharded packed runtime vs single scalar (rate {rate:g}/h)",
-        ["config", "offers", "offers/s", "agg s", "p95 sim", "p95 ms"],
-        rows,
-    )
-    for name, (report, agg_seconds) in results.items():
-        bench_record(
-            "runtime",
-            name=f"sharded_vs_single.{name}",
-            workload={"rate_per_hour": rate, "duration_slices": duration},
-            metrics={
-                "offers_accepted": report.offers_accepted,
-                "offers_per_sec": report.offers_per_second,
-                "aggregation_seconds": agg_seconds,
-                "latency_slices_p95": report.latency_slices_p95,
-                "latency_wall_p95_ms": report.latency_wall_p95 * 1e3,
-            },
-        )
-
-    baseline, baseline_agg = results["single_scalar"]
-    sharded, sharded_agg = results["sharded_packed"]
-    # Identical simulated-time behaviour: the stream, triggers and plans do
-    # not depend on the engine or the shard count.
-    assert sharded.offers_accepted == baseline.offers_accepted
-    assert sharded.offers_scheduled == baseline.offers_scheduled
-    assert sharded.latency_slices_p95 <= baseline.latency_slices_p95 + 1e-9
-    if not smoke_mode():
-        # The sharded packed ingest must spend clearly less wall time on
-        # aggregation than the single scalar pipeline — the component this
-        # configuration changes — and the end-to-end throughput must not
-        # regress beyond shared-machine noise (the recorded offers/sec carry
-        # the improvement trajectory against the committed
-        # BENCH_runtime.json rows).
-        assert sharded_agg < 0.75 * baseline_agg
-        assert sharded.offers_per_second > 0.85 * baseline.offers_per_second
 
 
 def test_incremental_beats_rebuild_on_sustained_stream(once, bench_record):

@@ -184,10 +184,6 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         help="cooldown between scheduling runs (slices)",
     )
     parser.add_argument(
-        "--shards", type=int, default=1,
-        help="ingest pipelines the stream is hash-partitioned over",
-    )
-    parser.add_argument(
         "--engine", default="packed",
         help="aggregation engine, by registry name (see repro.api.registry)",
     )
@@ -396,7 +392,6 @@ def _run_runtime(command: str, argv: list[str]) -> int:
         KIND_AGGREGATION,
         KIND_DRIVER,
         KIND_EXPORTER,
-        KIND_FAULT,
         KIND_SCHEDULER,
         LedmsClient,
         default_registry,
@@ -410,7 +405,7 @@ def _run_runtime(command: str, argv: list[str]) -> int:
         build_trigger,
     )
     from .core.errors import ServiceError
-    from .runtime import LoadGenerator
+    from .runtime import LoadGenerator, parse_outage
 
     parser = _runtime_parser(command)
     error = _load_config_file(parser, command, argv)
@@ -497,7 +492,7 @@ def _run_runtime(command: str, argv: list[str]) -> int:
             )
         for spec in args.outage:
             try:
-                outages.append(registry.create(KIND_FAULT, "outage", spec))
+                outages.append(parse_outage(spec))
             except ServiceError as exc:
                 return _usage_error(str(exc))
 
@@ -515,9 +510,7 @@ def _run_runtime(command: str, argv: list[str]) -> int:
             ]
         )
         config = ServiceConfig(
-            aggregation=AggregationConfig(
-                engine=args.engine, shards=args.shards
-            ),
+            aggregation=AggregationConfig(engine=args.engine),
             scheduling=SchedulingConfig(
                 horizon_slices=args.horizon,
                 scheduler=args.scheduler,
@@ -555,7 +548,13 @@ def _run_runtime(command: str, argv: list[str]) -> int:
     )
     try:
         report = client.run_stream(
-            _fault_stream(generator.stream(0.0, args.duration), args, args.seed),
+            generator.hostile_stream(
+                0.0,
+                args.duration,
+                duplicate_rate=args.duplicate_rate,
+                reorder_window=args.reorder_window,
+                seed=args.seed,
+            ),
             args.duration,
             report_every=getattr(args, "report_every", None),
             report_sink=lambda line: print(line, file=out),
@@ -586,27 +585,6 @@ def _make_ledger(args, name: str | None = None):
     directory = args.ledger if name is None else os.path.join(args.ledger, name)
     log = JsonlEventLog(directory, fsync=args.fsync)
     return OfferLedger(log, node=name or "brp")
-
-
-def _fault_stream(arrivals, args, seed: int):
-    """Apply the ``--reorder-window`` / ``--duplicate-rate`` transforms.
-
-    Transforms resolve through the fault registry (reorder before
-    duplicate, so re-emissions duplicate the *delivered* order); with both
-    knobs at their defaults the stream passes through untouched.
-    """
-    from .api import KIND_FAULT, default_registry
-
-    registry = default_registry()
-    if args.reorder_window > 0.0:
-        arrivals = registry.create(
-            KIND_FAULT, "reorder", arrivals, args.reorder_window, seed=seed
-        )
-    if args.duplicate_rate > 0.0:
-        arrivals = registry.create(
-            KIND_FAULT, "duplicate", arrivals, args.duplicate_rate, seed=seed + 1
-        )
-    return arrivals
 
 
 def _build_tracer(args):
@@ -732,12 +710,14 @@ def _run_cluster(
     except ServiceError as exc:
         return _usage_error(f"invalid {command} configuration: {exc}")
     streams = {
-        name: _fault_stream(
-            LoadGenerator(
-                rate_per_hour=args.rate, seed=args.seed + index
-            ).stream(0.0, args.duration),
-            args,
-            args.seed + index,
+        name: LoadGenerator(
+            rate_per_hour=args.rate, seed=args.seed + index
+        ).hostile_stream(
+            0.0,
+            args.duration,
+            duplicate_rate=args.duplicate_rate,
+            reorder_window=args.reorder_window,
+            seed=args.seed + index,
         )
         for index, name in enumerate(cluster_config.brps)
     }

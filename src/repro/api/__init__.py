@@ -19,10 +19,10 @@ Everything a caller needs to run a node lives here, typed and composable:
   runtime: one client per BRP over a ``node.bus``-backed adapter on a
   shared time driver, with a :class:`TsoRuntimeService` scheduling tier
   consuming each BRP's committed macro flex-offers;
-* :class:`Tracer` / :class:`ObsConfig` / :class:`JsonlWriter` — the
-  observability subsystem (:mod:`repro.obs`): end-to-end offer tracing
-  over the cluster, a structured JSONL event log, and metrics exporters
-  registered under the ``exporter`` registry kind.
+* :class:`Tracer` / :class:`JsonlWriter` — the observability subsystem
+  (:mod:`repro.obs`): end-to-end offer tracing over the cluster, a
+  structured JSONL event log, and metrics exporters registered under the
+  ``exporter`` registry kind.
 
 Only the registry is imported eagerly; the facade classes resolve lazily
 (PEP 562) so lower layers can consult the registry without import cycles.
@@ -32,7 +32,6 @@ from .registry import (
     KIND_AGGREGATION,
     KIND_DRIVER,
     KIND_EXPORTER,
-    KIND_FAULT,
     KIND_SCHEDULER,
     KIND_TRIGGER,
     Registration,
@@ -56,7 +55,6 @@ __all__ = [
     "KIND_AGGREGATION",
     "KIND_DRIVER",
     "KIND_EXPORTER",
-    "KIND_FAULT",
     "KIND_SCHEDULER",
     "KIND_TRIGGER",
     "LedmsClient",
@@ -64,7 +62,6 @@ __all__ = [
     "MarketConfig",
     "MemoryEventLog",
     "NullTracer",
-    "ObsConfig",
     "OfferLedger",
     "OfferView",
     "ParallelClusterRuntime",
@@ -103,7 +100,6 @@ _LAZY_EXPORTS = {
     "AggregationConfig": "config",
     "IngestConfig": "config",
     "MarketConfig": "config",
-    "ObsConfig": "config",
     "SchedulingConfig": "config",
     "ServiceConfig": "config",
     "build_trigger": "config",

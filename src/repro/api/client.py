@@ -286,24 +286,13 @@ class LedmsClient:
         if recording:
             if sid is None:
                 sid = default_source_event_id(offer)
-            prior = led.recorded_result(sid)
-            if prior is not None:
-                led.note_duplicate(sid, offer_id=prior.offer_id, at=service.now)
-                service.metrics.counter("ledger.duplicates").inc()
-                if service.tracer.enabled:
-                    service.tracer.ledger_event(
-                        "duplicate",
-                        prior.offer_id,
-                        node=service.name,
-                        detail={"source_event_id": sid},
-                    )
-                live = (
-                    service._live.get(prior.offer_id)
-                    if prior.accepted
-                    else None
-                )
+            duplicate = service._deflect_duplicate(sid)
+            if duplicate is not None:
                 return SubmitResult(
-                    prior.accepted, prior.offer_id, live, prior.reason
+                    duplicate.accepted,
+                    duplicate.offer_id,
+                    duplicate.offer,
+                    duplicate.reason,
                 )
         reason = service.ingest.reject_reason(offer, service.now_slice)
         if reason is not None:

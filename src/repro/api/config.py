@@ -11,7 +11,6 @@ from ..runtime.config import (
     AggregationConfig,
     IngestConfig,
     MarketConfig,
-    ObsConfig,
     SchedulingConfig,
     ServiceConfig,
     build_trigger,
@@ -22,7 +21,6 @@ __all__ = [
     "AggregationConfig",
     "IngestConfig",
     "MarketConfig",
-    "ObsConfig",
     "SchedulingConfig",
     "ServiceConfig",
     "build_trigger",

@@ -32,7 +32,6 @@ __all__ = [
     "KIND_AGGREGATION",
     "KIND_DRIVER",
     "KIND_EXPORTER",
-    "KIND_FAULT",
     "KIND_SCHEDULER",
     "KIND_TRIGGER",
     "Registration",
@@ -47,7 +46,6 @@ KIND_SCHEDULER = "scheduler"
 KIND_TRIGGER = "trigger"
 KIND_DRIVER = "driver"
 KIND_EXPORTER = "exporter"
-KIND_FAULT = "fault"
 
 
 class RegistryError(ServiceError):
@@ -292,24 +290,6 @@ def _prometheus_exporter():
     return render_prometheus
 
 
-def _duplicate_fault(arrivals, rate, **kwargs):
-    from ..runtime.faults import duplicate_stream
-
-    return duplicate_stream(arrivals, rate, **kwargs)
-
-
-def _reorder_fault(arrivals, window_slices, **kwargs):
-    from ..runtime.faults import reorder_stream
-
-    return reorder_stream(arrivals, window_slices, **kwargs)
-
-
-def _outage_fault(spec):
-    from ..runtime.faults import parse_outage
-
-    return parse_outage(spec)
-
-
 def _register_builtins(registry: Registry) -> Registry:
     registry.register(
         KIND_AGGREGATION, "packed", _packed_pipeline,
@@ -391,24 +371,6 @@ def _register_builtins(registry: Registry) -> Registry:
     registry.register(
         KIND_EXPORTER, "prometheus", _prometheus_exporter,
         description="Prometheus text exposition (histograms as summaries)",
-    )
-    # Fault injectors: stream transforms take (arrivals, knob, **kwargs)
-    # and return a transformed arrival iterator; "outage" parses a
-    # "brp:start:end" spec into an OutageSpec.
-    registry.register(
-        KIND_FAULT, "duplicate", _duplicate_fault,
-        description="re-emit a fraction of arrivals later (at-least-once)",
-        capabilities=("stream",),
-    )
-    registry.register(
-        KIND_FAULT, "reorder", _reorder_fault,
-        description="shuffle offers within a bounded window (out-of-order)",
-        capabilities=("stream",),
-    )
-    registry.register(
-        KIND_FAULT, "outage", _outage_fault,
-        description="node outage spec 'brp:start:end' for cluster runs",
-        capabilities=("cluster",),
     )
     return registry
 

@@ -259,32 +259,6 @@ class OfferLedger:
             self.record_dead_letter(offer, reason or "rejected", at=at)
         return event
 
-    def record_update(
-        self,
-        previous_offer_id: int,
-        offer: FlexOffer,
-        *,
-        at: float,
-        source_event_id: str | None,
-        accepted: bool,
-        reason: str | None = None,
-        accepted_offer: FlexOffer | None = None,
-    ) -> dict:
-        """An offer edit as a reverse-and-replace correction pair."""
-        self.record_reverse(
-            previous_offer_id, at=at, replaced_by=source_event_id
-        )
-        return self.record_submit(
-            offer,
-            at=at,
-            source_event_id=source_event_id,
-            accepted=accepted,
-            reason=reason,
-            accepted_offer=accepted_offer,
-            kind="replace",
-            reverses=previous_offer_id,
-        )
-
     def record_reverse(
         self, offer_id: int, *, at: float, replaced_by: str | None = None
     ) -> dict:

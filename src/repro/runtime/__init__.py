@@ -16,7 +16,7 @@ Most callers should go through the typed facade in :mod:`repro.api`
         BrpRuntimeService, ServiceConfig, RuntimeReport,
         TimeDriver, SimulatedDriver, WallClockDriver,
         EventQueue, SimulatedClock,
-        FlexOfferIngest, ShardedFlexOfferIngest, LoadGenerator, MetricsRegistry,
+        FlexOfferIngest, LoadGenerator, MetricsRegistry,
         TriggerContext, CountTrigger, AgeTrigger, ImbalanceTrigger, AnyTrigger,
         ClusterRuntime, ClusterConfig, ClusterReport, BrpHost,
         TsoRuntimeService, TsoConfig, BusAdapter,
@@ -39,7 +39,6 @@ from .config import (
     AggregationConfig,
     IngestConfig,
     MarketConfig,
-    ObsConfig,
     SchedulingConfig,
     ServiceConfig,
 )
@@ -71,7 +70,6 @@ from .metrics import (
     aggregate_registries,
 )
 from .service import BrpRuntimeService, RuntimeReport
-from .sharding import ShardedFlexOfferIngest
 from .triggers import (
     AdaptiveCooldown,
     AdaptiveTrigger,
@@ -109,14 +107,12 @@ __all__ = [
     "LoadGenerator",
     "MarketConfig",
     "MetricsRegistry",
-    "ObsConfig",
     "OutageSpec",
     "ParallelClusterRuntime",
     "ProcessBusTransport",
     "RuntimeReport",
     "SchedulingConfig",
     "ServiceConfig",
-    "ShardedFlexOfferIngest",
     "SimulatedClock",
     "SimulatedDriver",
     "TimeDriver",

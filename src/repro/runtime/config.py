@@ -5,17 +5,17 @@ module splits the configuration along those seams:
 
 * :class:`MarketConfig` — prices and imbalance penalties the scheduler
   prices residuals against;
-* :class:`AggregationConfig` — grouping thresholds, the aggregation engine
-  (validated against the :mod:`repro.api.registry`), and ingest sharding;
+* :class:`AggregationConfig` — grouping thresholds and the aggregation
+  engine (validated against the :mod:`repro.api.registry`);
 * :class:`SchedulingConfig` — horizon, scheduler (by registry name),
   passes, trigger policy, cadence and seed;
 * :class:`IngestConfig` — admission batching and expiry sweeping.
 
-:class:`ServiceConfig` composes the four (plus the time axis) and exposes
-*flat read-only properties*, so the service loop reads
-``config.batch_size`` however the config was constructed;
-:meth:`ServiceConfig.from_flat` builds the composed form from the same flat
-names.
+:class:`ServiceConfig` composes the four (plus the time axis); readers go
+through the sections (``config.ingest.batch_size``).
+:meth:`ServiceConfig.from_flat` / :meth:`ServiceConfig.merged` also accept
+every section field under its bare name — a table derived from the section
+dataclasses, so a field is declared once.
 
 Engine, scheduler and trigger names are resolved through
 :func:`repro.api.default_registry`, so the set of valid names is defined in
@@ -24,7 +24,7 @@ exactly one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from ..aggregation.thresholds import AggregationParameters
@@ -42,7 +42,6 @@ __all__ = [
     "AggregationConfig",
     "IngestConfig",
     "MarketConfig",
-    "ObsConfig",
     "SchedulingConfig",
     "ServiceConfig",
 ]
@@ -78,22 +77,18 @@ class MarketConfig:
 
 @dataclass(frozen=True)
 class AggregationConfig:
-    """Grouping thresholds, engine selection and ingest sharding."""
+    """Grouping thresholds and engine selection."""
 
     parameters: AggregationParameters = field(
         default_factory=_runtime_parameters
     )
     engine: str = "packed"
     """Aggregation engine, by :mod:`repro.api.registry` name."""
-    shards: int = 1
-    """Ingest pipelines the stream is partitioned over (by group-cell hash)."""
 
     def __post_init__(self) -> None:
         registry = default_registry()
         if not registry.has(KIND_AGGREGATION, self.engine):
             registry.get(KIND_AGGREGATION, self.engine)  # raises with names
-        if self.shards <= 0:
-            raise ServiceError("shards must be positive")
 
 
 @dataclass(frozen=True)
@@ -156,51 +151,35 @@ class IngestConfig:
             raise ServiceError("max_duration_slices must be positive")
 
 
-@dataclass(frozen=True)
-class ObsConfig:
-    """Observability: tracing and event-log retention.
-
-    The default ``tracer="null"`` records nothing (the
-    :class:`~repro.obs.tracing.NullTracer`, benchmarked to <2% overhead);
-    ``tracer="ring"`` builds a recording
-    :class:`~repro.obs.tracing.Tracer`.  An explicitly injected tracer
-    instance (``BrpRuntimeService(tracer=...)``) always wins over this
-    section — that is how the CLI shares one tracer (and one event-log
-    file) across a whole cluster.
-    """
-
-    tracer: str = "null"
-    """Tracer kind: ``"null"`` (no-op default) or ``"ring"`` (recording)."""
-    sample_every: int = 1
-    """Offer-lifecycle sampling stride (``offer_id % sample_every == 0``)."""
-    ring_capacity: int = 65536
-    """Events retained in the tracer's ring buffer (FIFO eviction)."""
-
-    def __post_init__(self) -> None:
-        if self.tracer not in ("null", "ring"):
-            raise ServiceError(
-                f"unknown obs tracer {self.tracer!r}; expected 'null' or 'ring'"
-            )
-        if self.sample_every <= 0:
-            raise ServiceError("obs sample_every must be positive")
-        if self.ring_capacity <= 0:
-            raise ServiceError("obs ring_capacity must be positive")
-
-    def build_tracer(self, *, sink=None, clock=None):
-        """Instantiate the configured tracer (sink/clock optional)."""
-        from ..obs.tracing import NullTracer, Tracer
-
-        if self.tracer == "null":
-            return NullTracer()
-        return Tracer(
-            capacity=self.ring_capacity,
-            sample_every=self.sample_every,
-            sink=sink,
-            clock=clock,
-        )
-
-
 # ----------------------------------------------------------------------
+#: Section -> its field names, read off the section dataclasses.
+_SECTION_FIELDS = {
+    section: tuple(f.name for f in fields(cls))
+    for section, cls in (
+        ("market", MarketConfig),
+        ("aggregation", AggregationConfig),
+        ("scheduling", SchedulingConfig),
+        ("ingest", IngestConfig),
+    )
+}
+
+#: Flat name -> (section, field): every field goes by its own name except
+#: ``AggregationConfig.parameters``.
+_FLAT_FIELDS = {
+    name: (section, name)
+    for section, names in _SECTION_FIELDS.items()
+    for name in names
+}
+_FLAT_FIELDS["aggregation_parameters"] = _FLAT_FIELDS.pop("parameters")
+
+
+def _unknown_field(scope: str, key: str, known) -> ServiceError:
+    return ServiceError(
+        f"unknown {scope} configuration field {key!r}; known "
+        f"fields: {', '.join(sorted(known))}"
+    )
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """The composed configuration of one streaming BRP service."""
@@ -210,97 +189,6 @@ class ServiceConfig:
     aggregation: AggregationConfig = field(default_factory=AggregationConfig)
     scheduling: SchedulingConfig = field(default_factory=SchedulingConfig)
     ingest: IngestConfig = field(default_factory=IngestConfig)
-    obs: ObsConfig = field(default_factory=ObsConfig)
-
-    # -- flat views under the historical names --------------------------
-    @property
-    def aggregation_parameters(self) -> AggregationParameters:
-        return self.aggregation.parameters
-
-    @property
-    def engine(self) -> str:
-        return self.aggregation.engine
-
-    @property
-    def shards(self) -> int:
-        return self.aggregation.shards
-
-    @property
-    def horizon_slices(self) -> int:
-        return self.scheduling.horizon_slices
-
-    @property
-    def scheduler(self) -> str:
-        return self.scheduling.scheduler
-
-    @property
-    def scheduler_passes(self) -> int:
-        return self.scheduling.scheduler_passes
-
-    @property
-    def trigger(self) -> TriggerPolicy:
-        return self.scheduling.trigger
-
-    @property
-    def min_run_interval_slices(self) -> float:
-        return self.scheduling.min_run_interval_slices
-
-    @property
-    def seed(self) -> int:
-        return self.scheduling.seed
-
-    @property
-    def target_p95_slices(self) -> float | None:
-        return self.scheduling.target_p95_slices
-
-    @property
-    def buy_price(self) -> float:
-        return self.market.buy_price
-
-    @property
-    def sell_price(self) -> float:
-        return self.market.sell_price
-
-    @property
-    def shortage_penalty(self) -> float:
-        return self.market.shortage_penalty
-
-    @property
-    def surplus_penalty(self) -> float:
-        return self.market.surplus_penalty
-
-    @property
-    def batch_size(self) -> int:
-        return self.ingest.batch_size
-
-    @property
-    def expiry_sweep_interval(self) -> float:
-        return self.ingest.expiry_sweep_interval
-
-    @property
-    def max_duration_slices(self) -> int | None:
-        return self.ingest.max_duration_slices
-
-    # -------------------------------------------------------------------
-    _FLAT_FIELDS = {
-        "aggregation_parameters": ("aggregation", "parameters"),
-        "engine": ("aggregation", "engine"),
-        "shards": ("aggregation", "shards"),
-        "horizon_slices": ("scheduling", "horizon_slices"),
-        "scheduler": ("scheduling", "scheduler"),
-        "scheduler_passes": ("scheduling", "scheduler_passes"),
-        "trigger": ("scheduling", "trigger"),
-        "min_run_interval_slices": ("scheduling", "min_run_interval_slices"),
-        "seed": ("scheduling", "seed"),
-        "target_p95_slices": ("scheduling", "target_p95_slices"),
-        "buy_price": ("market", "buy_price"),
-        "sell_price": ("market", "sell_price"),
-        "shortage_penalty": ("market", "shortage_penalty"),
-        "surplus_penalty": ("market", "surplus_penalty"),
-        "batch_size": ("ingest", "batch_size"),
-        "expiry_sweep_interval": ("ingest", "expiry_sweep_interval"),
-        "max_duration_slices": ("ingest", "max_duration_slices"),
-    }
 
     @classmethod
     def from_flat(cls, *, axis: TimeAxis = DEFAULT_AXIS, **flat) -> "ServiceConfig":
@@ -312,26 +200,25 @@ class ServiceConfig:
         sections: dict[str, dict[str, Any]] = {}
         axis = flat.pop("axis", self.axis)
         for key, value in flat.items():
-            target = self._FLAT_FIELDS.get(key)
+            target = _FLAT_FIELDS.get(key)
             if target is None:
-                raise ServiceError(
-                    f"unknown runtime configuration field {key!r}; known "
-                    f"fields: {', '.join(sorted(self._FLAT_FIELDS))}"
-                )
+                raise _unknown_field("runtime", key, _FLAT_FIELDS)
             section, name = target
             sections.setdefault(section, {})[name] = value
-        updates = {
-            section: replace(getattr(self, section), **values)
-            for section, values in sections.items()
-        }
-        return ServiceConfig(
-            axis=axis,
-            market=updates.get("market", self.market),
-            aggregation=updates.get("aggregation", self.aggregation),
-            scheduling=updates.get("scheduling", self.scheduling),
-            ingest=updates.get("ingest", self.ingest),
-            obs=self.obs,
-        )
+        return replace(self, axis=axis)._with_sections(sections)
+
+    def _with_sections(
+        self, sections: Mapping[str, Mapping[str, Any]]
+    ) -> "ServiceConfig":
+        """A copy with ``{section: {field: value}}`` overrides applied."""
+        updates = {}
+        for section, values in sections.items():
+            known = _SECTION_FIELDS[section]
+            for key in values:
+                if key not in known:
+                    raise _unknown_field(section, key, known)
+            updates[section] = replace(getattr(self, section), **values)
+        return replace(self, **updates)
 
     @classmethod
     def from_dict(
@@ -343,7 +230,7 @@ class ServiceConfig:
         """Build a config from a JSON-style mapping.
 
         Accepts nested sections (``{"scheduling": {"horizon_slices": 96}}``)
-        and/or historical flat keys at the top level.  A trigger is given as
+        and/or flat keys at the top level.  A trigger is given as
         a registry spec — one mapping or a list of mappings with a ``kind``
         key, combined with the ``any`` composite::
 
@@ -356,11 +243,10 @@ class ServiceConfig:
         back to (instead of the built-in defaults) — how the cluster CLI
         layers file sections over flag-derived settings.
         """
-        sections = ("market", "aggregation", "scheduling", "ingest", "obs")
         flat: dict[str, Any] = {}
         nested: dict[str, dict[str, Any]] = {}
         for key, value in data.items():
-            if key in sections:
+            if key in _SECTION_FIELDS:
                 if not isinstance(value, Mapping):
                     raise ServiceError(
                         f"config section {key!r} must be a mapping"
@@ -376,20 +262,8 @@ class ServiceConfig:
         trigger_spec = nested.get("scheduling", {}).pop("trigger", None)
         if trigger_spec is None:
             trigger_spec = flat.pop("trigger", None)
-        config = base.merged(**flat) if base is not None else cls.from_flat(**flat)
-        section_updates = {
-            section: replace(getattr(config, section), **values)
-            for section, values in nested.items()
-            if values
-        }
-        config = ServiceConfig(
-            axis=config.axis,
-            market=section_updates.get("market", config.market),
-            aggregation=section_updates.get("aggregation", config.aggregation),
-            scheduling=section_updates.get("scheduling", config.scheduling),
-            ingest=section_updates.get("ingest", config.ingest),
-            obs=section_updates.get("obs", config.obs),
-        )
+        config = base if base is not None else cls()
+        config = config.merged(**flat)._with_sections(nested)
         if trigger_spec is not None:
             config = config.merged(trigger=build_trigger(trigger_spec))
         return config

@@ -6,9 +6,9 @@ under fire.  This module supplies the fire:
 * **stream transforms** — :func:`duplicate_stream` re-emits a fraction of
   arrivals later (at-least-once delivery), :func:`reorder_stream` permutes
   offers inside a bounded window (out-of-order and back-dated
-  submissions).  Both are registered as ``fault`` engines, so the CLI and
-  benchmarks resolve them by name through the same registry as everything
-  else.
+  submissions).  :meth:`~repro.runtime.loadgen.LoadGenerator.
+  hostile_stream` composes the two over a seeded Poisson stream — the one
+  entry the CLI, tests and benchmarks use.
 * **crash-kill** — :func:`run_stream_with_crash` raises :class:`CrashKill`
   at a chosen instant inside ``run_stream``; the abandoned client's ledger
   is then all that survives, and :func:`continue_stream` finishes the

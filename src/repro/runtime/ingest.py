@@ -28,20 +28,7 @@ from ..core.flexoffer import FlexOffer
 from ..datamgmt.mirabel import LedmsStore
 from .metrics import MetricsRegistry
 
-__all__ = ["FlexOfferIngest", "admission_clip"]
-
-
-def admission_clip(offer: FlexOffer, now: int) -> FlexOffer:
-    """The admission-time window clip, shared with the shard router.
-
-    An offer whose earliest start already passed but whose window is still
-    open starts no earlier than ``now``.  Sharded ingest routes by the
-    *clipped* offer's group cell, so this single definition is what keeps
-    routing cells equal to grouping cells.
-    """
-    if offer.earliest_start < now and offer.latest_start >= now:
-        return offer.with_times(now, offer.latest_start)
-    return offer
+__all__ = ["FlexOfferIngest"]
 
 
 class FlexOfferIngest:
@@ -142,7 +129,8 @@ class FlexOfferIngest:
             self.metrics.counter("ingest.rejected").inc()
             self._record(offer, "rejected", now)
             return None
-        offer = admission_clip(offer, now)
+        if offer.earliest_start < now and offer.latest_start >= now:
+            offer = offer.with_times(now, offer.latest_start)
         self.pipeline.submit(FlexOfferUpdate.insert(offer))
         self._pending += 1
         self._batch.append(offer)

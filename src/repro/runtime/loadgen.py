@@ -114,7 +114,9 @@ class LoadGenerator:
         ``duplicate_rate`` re-emits that fraction of arrivals again later
         (at-least-once delivery); ``reorder_window`` shuffles offers within
         windows that wide (out-of-order, possibly back-dated submissions).
-        Both default to off, in which case this is exactly :meth:`stream`.
+        Reordering applies first, so re-emissions duplicate the *delivered*
+        order.  Both default to off, in which case this is exactly
+        :meth:`stream`.
         """
         from .faults import duplicate_stream, reorder_stream
 

@@ -8,9 +8,7 @@ flex-offer arrivals over a pluggable :class:`~repro.runtime.drivers.TimeDriver`
 maintains the aggregate pool *incrementally* — by default through the
 columnar :class:`~repro.aggregation.engine.PackedAggregationPipeline`
 (every engine registered in :mod:`repro.api.registry` is selectable via
-``AggregationConfig(engine=...)``), optionally
-partitioned over ``AggregationConfig(shards=K)`` hash-routed ingest pipelines
-whose pools merge at scheduling time — and re-plans when a
+``AggregationConfig(engine=...)``) — and re-plans when a
 :mod:`~repro.runtime.triggers` policy fires.  Planning is not written here:
 the service hands its pool, sorted by group id, to the one planning pass in
 :mod:`repro.runtime.planning` (the TSO tier is that pass's other caller) and
@@ -50,7 +48,6 @@ from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .ingest import FlexOfferIngest
 from .metrics import Histogram, MetricsRegistry
 from .planning import PlanSession, report_adaptive
-from .sharding import ShardedFlexOfferIngest
 from .triggers import AdaptiveTrigger, AnyTrigger, TriggerContext
 
 __all__ = [
@@ -179,12 +176,10 @@ class BrpRuntimeService:
         #: This node's name — the bus address in a cluster, and the ``brp``
         #: label on per-stage metrics and trace events.
         self.name = name
-        # An injected tracer wins over the config section (how a cluster
-        # shares one ring/event-log across every node); the default is the
-        # no-op NullTracer, so instrumentation guards stay cheap.
-        self.tracer = (
-            tracer if tracer is not None else self.config.obs.build_tracer()
-        )
+        # A tracer is injected (how a cluster shares one ring/event-log
+        # across every node); the default is the no-op NullTracer, so
+        # instrumentation guards stay cheap.
+        self.tracer = tracer if tracer is not None else NullTracer()
         #: Optional durable event ledger: every state-changing ingest path
         #: journals an immutable fact through it, the idempotency guard
         #: deflects duplicate submissions, and recovery replays the log.
@@ -198,30 +193,16 @@ class BrpRuntimeService:
         # Instruments touched once per arriving offer, looked up once.
         self._submitted_counter = self.metrics.counter("runtime.offers_submitted")
         self._live_gauge = self.metrics.gauge("runtime.live_offers")
-        if self.config.shards > 1:
-            # Sharded ingest: K pipelines keyed by group-cell hash; pools are
-            # merged at scheduling time through the shared update stream.
-            self.pipeline = None
-            self.ingest = ShardedFlexOfferIngest(
-                self.config.aggregation_parameters,
-                shards=self.config.shards,
-                engine=self.config.engine,
-                store=self.store,
-                metrics=self.metrics,
-                batch_size=self.config.batch_size,
-                max_duration_slices=self.config.max_duration_slices,
-            )
-        else:
-            self.pipeline = make_pipeline(
-                self.config.aggregation_parameters, engine=self.config.engine
-            )
-            self.ingest = FlexOfferIngest(
-                self.pipeline,
-                store=self.store,
-                metrics=self.metrics,
-                batch_size=self.config.batch_size,
-                max_duration_slices=self.config.max_duration_slices,
-            )
+        self.ingest = FlexOfferIngest(
+            make_pipeline(
+                self.config.aggregation.parameters,
+                engine=self.config.aggregation.engine,
+            ),
+            store=self.store,
+            metrics=self.metrics,
+            batch_size=self.config.ingest.batch_size,
+            max_duration_slices=self.config.ingest.max_duration_slices,
+        )
         self.pool: dict[str, AggregateUpdate] = {}
         self.last_schedule = None
         #: The *unclipped* pool aggregates behind :attr:`last_schedule`, in
@@ -250,9 +231,9 @@ class BrpRuntimeService:
         #: market, rng, warm-start cache and dirty key set live here.
         self.session = PlanSession(
             self.config.scheduling.scheduler,
-            passes=self.config.scheduler_passes,
+            passes=self.config.scheduling.scheduler_passes,
             market=self.config.market,
-            seed=self.config.seed,
+            seed=self.config.scheduling.seed,
             metrics=self.metrics,
             net_forecast=net_forecast,
         )
@@ -263,7 +244,7 @@ class BrpRuntimeService:
         #: configured explicitly, the closed-loop default replaces the
         #: static composite (the adaptive policy owns count+age semantics).
         target = self.config.scheduling.target_p95_slices
-        trigger = self.config.trigger
+        trigger = self.config.scheduling.trigger
         if target is not None and not _adaptive_policies(trigger):
             trigger = AdaptiveTrigger(target)
         self.trigger = trigger
@@ -370,24 +351,9 @@ class BrpRuntimeService:
                 if source_event_id is not None
                 else default_source_event_id(offer)
             )
-            prior = led.recorded_result(sid)
-            if prior is not None:
-                # Idempotent re-submission: return what was originally
-                # recorded; nothing is double-counted, nothing re-enters
-                # the pipeline.
-                led.note_duplicate(sid, offer_id=prior.offer_id, at=self.now)
-                self.metrics.counter("ledger.duplicates").inc()
-                if self.tracer.enabled:
-                    self.tracer.ledger_event(
-                        "duplicate",
-                        prior.offer_id,
-                        node=self.name,
-                        detail={"source_event_id": sid},
-                    )
-                live = self._live.get(prior.offer_id) if prior.accepted else None
-                return SubmitOutcome(
-                    live, prior.offer_id, prior.accepted, prior.reason, True
-                )
+            duplicate = self._deflect_duplicate(sid)
+            if duplicate is not None:
+                return duplicate
         else:
             sid = source_event_id
         self._submitted_counter.inc()
@@ -432,6 +398,31 @@ class BrpRuntimeService:
             self.run_aggregation()
         self.maybe_schedule()
         return SubmitOutcome(accepted, accepted.offer_id, True, None, False)
+
+    def _deflect_duplicate(self, sid: str) -> SubmitOutcome | None:
+        """The originally recorded outcome if ``sid`` was journaled before.
+
+        The idempotency guard of every ledger-recorded front door
+        (:meth:`submit_fact`, the facade's ``update``): the duplicate is
+        journaled and counted, nothing is double-counted and nothing
+        re-enters the pipeline.  ``None`` means ``sid`` is new.
+        """
+        prior = self.ledger.recorded_result(sid)
+        if prior is None:
+            return None
+        self.ledger.note_duplicate(sid, offer_id=prior.offer_id, at=self.now)
+        self.metrics.counter("ledger.duplicates").inc()
+        if self.tracer.enabled:
+            self.tracer.ledger_event(
+                "duplicate",
+                prior.offer_id,
+                node=self.name,
+                detail={"source_event_id": sid},
+            )
+        live = self._live.get(prior.offer_id) if prior.accepted else None
+        return SubmitOutcome(
+            live, prior.offer_id, prior.accepted, prior.reason, True
+        )
 
     def withdraw(self, offer_id: int) -> FlexOffer | None:
         """Retract a live offer before execution; returns it, or ``None``.
@@ -529,7 +520,8 @@ class BrpRuntimeService:
     def maybe_schedule(self, force: bool = False) -> SchedulingResult | None:
         """Run scheduling if the trigger policy fires (or ``force``)."""
         if not force:
-            if self.now - self._last_run_time < self.config.min_run_interval_slices:
+            cooldown = self.config.scheduling.min_run_interval_slices
+            if self.now - self._last_run_time < cooldown:
                 return None
             context = self._trigger_context()
             trigger = self.trigger
@@ -580,12 +572,12 @@ class BrpRuntimeService:
         """The planning body of :meth:`run_scheduling` (inside its span)."""
         start = self.now_slice
         # Candidates in group-id order: the pool dict's insertion order
-        # depends on how updates interleaved (and, under sharded ingest, on
-        # the hash partition), but the plan for a given pool must not.
+        # depends on how updates interleaved, but the plan for a given pool
+        # must not.
         plan = self.session.plan_window(
             [(gid, self.pool[gid].aggregate) for gid in sorted(self.pool)],
             start,
-            start + self.config.horizon_slices,
+            start + self.config.scheduling.horizon_slices,
         )
         if plan is None:
             self.metrics.counter("schedule.empty_runs").inc()
@@ -896,17 +888,16 @@ class BrpRuntimeService:
 
     def arm_sweep_ticks(self, end: float) -> None:
         """Periodic expiry sweeps + trigger evaluation until ``end``."""
+        interval = self.config.ingest.expiry_sweep_interval
 
         def sweep_tick() -> None:
             self.sweep_expired()
             self.maybe_schedule()
-            next_time = self.now + self.config.expiry_sweep_interval
+            next_time = self.now + interval
             if next_time < end:
                 self.driver.schedule_at(next_time, sweep_tick)
 
-        self.driver.schedule_at(
-            min(self.now + self.config.expiry_sweep_interval, end), sweep_tick
-        )
+        self.driver.schedule_at(min(self.now + interval, end), sweep_tick)
 
     def open_window(
         self, arrivals: Iterable[tuple[float, FlexOffer]], end: float

@@ -27,7 +27,7 @@ from repro.aggregation.reference import reference_aggregate_group
 from repro.core import flex_offer
 from repro.core.errors import AggregationError
 from repro.core.flexoffer import Profile
-from repro.runtime import FlexOfferIngest, ShardedFlexOfferIngest
+from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
 
 
 # ----------------------------------------------------------------------
@@ -307,152 +307,23 @@ class TestProfileCaches:
 
 
 # ----------------------------------------------------------------------
-# sharded ingest: K-shard merge equals the single pipeline
+# the service loop is engine-independent
 # ----------------------------------------------------------------------
-class TestShardedIngest:
-    def _offers(self, n, seed=3):
-        rng = np.random.default_rng(seed)
-        return [_random_offer(rng) for _ in range(n)]
-
-    def test_merge_equals_single_pipeline(self):
-        parameters = AggregationParameters(4, 4, name="shard")
-        single = FlexOfferIngest(
-            make_pipeline(parameters, engine="packed"), batch_size=8
+def test_runtime_service_equivalent_across_engines():
+    # The full service loop must behave identically (simulated-time
+    # semantics) whether aggregation runs scalar or packed.
+    reports = []
+    for engine in ("scalar", "packed"):
+        service = BrpRuntimeService(
+            ServiceConfig.from_flat(batch_size=16, seed=5, engine=engine)
         )
-        sharded = ShardedFlexOfferIngest(
-            parameters, shards=4, engine="packed", batch_size=8
-        )
-        offers = self._offers(60)
-        accepted = []
-        for offer in offers:
-            a = single.submit(offer, now=0)
-            b = sharded.submit(offer, now=0)
-            assert (a is None) == (b is None)
-            if a is not None:
-                accepted.append(a)
-        single_updates = single.flush(0)
-        sharded_updates = sharded.flush(0)
-        assert _updates_summary(single_updates) == _updates_summary(sharded_updates)
-        assert single.input_count == sharded.input_count == len(accepted)
-
-        retire = accepted[::3]
-        single.retire(retire, 0, "expired")
-        sharded.retire(retire, 0, "expired")
-        assert _updates_summary(single.flush(0)) == _updates_summary(sharded.flush(0))
-        assert single.input_count == sharded.input_count
-
-    def test_flush_merges_shard_dirty_sets(self):
-        parameters = AggregationParameters(4, 4, name="shard")
-        sharded = ShardedFlexOfferIngest(
-            parameters, shards=4, engine="packed", batch_size=8
-        )
-        offers = [
-            offer
-            for offer in self._offers(40)
-            if sharded.submit(offer, now=0) is not None
-        ]
-        updates = sharded.flush(0)
-        assert sharded.last_dirty.created == {u.group_id for u in updates}
-        assert not sharded.last_dirty.changed
-        assert not sharded.last_dirty.deleted
-        sharded.retire(offers, 0, "expired")
-        updates = sharded.flush(0)
-        assert sharded.last_dirty.deleted == {u.group_id for u in updates}
-
-    def test_clipped_offer_retires_from_its_true_home_shard(self):
-        """Admission-clipped offers must retire where submit routed them.
-
-        Submit routes by the *clipped* cell; an offer whose window was
-        clipped on entry hashes to a different cell unclipped.  When the
-        routing table cannot answer (the regression: the fallback re-hashed
-        the unclipped offer), the delete must still land on the shard that
-        actually holds the offer — membership lookup, never a guessed hash.
-        """
-        parameters = AggregationParameters(4, 4, name="shard")
-        sharded = ShardedFlexOfferIngest(
-            parameters, shards=4, engine="packed", batch_size=4
-        )
-        now = 9
-        offer = next(
-            o
-            for tf in range(6, 40)
-            for o in [
-                flex_offer(
-                    [(1.0, 2.0)] * 2, earliest_start=0, latest_start=tf
-                )
-            ]
-            if sharded.shard_of(o) != sharded.shard_of(o, now)
-        )
-        accepted = sharded.submit(offer, now)
-        assert accepted.earliest_start == now  # clip applied at admission
-        sharded.flush(now)
-        assert sharded.contains(accepted.offer_id)
-
-        # Drop the routing entry, then retire via the *original* unclipped
-        # object — the path that used to re-hash onto the wrong shard and
-        # leave a ghost member behind.
-        del sharded._shard_of_offer[accepted.offer_id]
-        assert sharded.retire([offer], now, "expired") == 1
-        sharded.flush(now)
-        assert sharded.input_count == 0
-        assert not sharded.contains(accepted.offer_id)
-
-    def test_retire_unknown_offer_is_skipped_not_guessed(self):
-        parameters = AggregationParameters(4, 4, name="shard")
-        sharded = ShardedFlexOfferIngest(parameters, shards=4, batch_size=4)
-        stranger = flex_offer(
-            [(1.0, 2.0)] * 2, earliest_start=0, latest_start=8
-        )
-        assert sharded.retire([stranger], 0, "expired") == 0
-        assert sharded.metrics.counter("ingest.retire_unknown").value == 1
-        assert sharded.flush(0) == []
-
-    def test_shard_group_spaces_are_disjoint(self):
-        parameters = AggregationParameters(2, 2, name="disjoint")
-        sharded = ShardedFlexOfferIngest(parameters, shards=4, batch_size=4)
-        for offer in self._offers(80, seed=9):
-            sharded.submit(offer, now=0)
-        sharded.flush(0)
-        seen: dict[str, int] = {}
-        for index, shard in enumerate(sharded.shards):
-            for update in shard.pipeline._states:
-                assert update not in seen, (update, index)
-                seen[update] = index
-        assert len({v for v in seen.values()}) > 1  # actually spread out
-
-    def test_runtime_service_equivalent_across_engines_and_shards(self):
-        # The full service loop must behave identically (simulated-time
-        # semantics) whether aggregation runs scalar, packed, or packed over
-        # four hash-routed shards.
-        from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
-
-        reports = []
-        for engine, shards in (("scalar", 1), ("packed", 1), ("packed", 4)):
-            service = BrpRuntimeService(
-                ServiceConfig.from_flat(batch_size=16, seed=5, engine=engine, shards=shards)
-            )
-            generator = LoadGenerator(rate_per_hour=40.0, seed=5)
-            reports.append(service.run_stream(generator.stream(0.0, 96.0), 96.0))
-        baseline = reports[0]
-        for report in reports[1:]:
-            assert report.offers_accepted == baseline.offers_accepted
-            assert report.offers_scheduled == baseline.offers_scheduled
-            assert report.offers_expired == baseline.offers_expired
-            assert report.pool_aggregates == baseline.pool_aggregates
-            assert report.pool_offers == baseline.pool_offers
-            assert report.latency_slices_p50 == baseline.latency_slices_p50
-            assert report.latency_slices_p95 == baseline.latency_slices_p95
-
-    def test_routing_matches_for_clipped_offers(self):
-        # An offer whose earliest start passed is clipped on admission; the
-        # retire of the accepted offer must hash to the same shard.
-        parameters = AggregationParameters(0, 0, name="clip")
-        sharded = ShardedFlexOfferIngest(parameters, shards=4, batch_size=2)
-        offer = flex_offer([(1, 2)] * 2, earliest_start=0, latest_start=20)
-        accepted = sharded.submit(offer, now=5)
-        assert accepted.earliest_start == 5
-        sharded.flush(5)
-        assert sharded.input_count == 1
-        sharded.retire([accepted], 6, "expired")
-        sharded.flush(6)
-        assert sharded.input_count == 0
+        generator = LoadGenerator(rate_per_hour=40.0, seed=5)
+        reports.append(service.run_stream(generator.stream(0.0, 96.0), 96.0))
+    baseline, report = reports
+    assert report.offers_accepted == baseline.offers_accepted
+    assert report.offers_scheduled == baseline.offers_scheduled
+    assert report.offers_expired == baseline.offers_expired
+    assert report.pool_aggregates == baseline.pool_aggregates
+    assert report.pool_offers == baseline.pool_offers
+    assert report.latency_slices_p50 == baseline.latency_slices_p50
+    assert report.latency_slices_p95 == baseline.latency_slices_p95

@@ -109,36 +109,16 @@ class TestOperations:
         assert view.live
         assert view.offer.earliest_start == 10  # untouched
 
-    def test_sharded_client_reports_rejection_reason(self):
-        # ShardedFlexOfferIngest must expose the same rejection surface as
-        # the single-pipeline ingest (regression: AttributeError).
-        from repro.api.config import AggregationConfig
-
+    def test_max_duration_admission_limit_enforced(self):
+        # Regression: the configured limit must reach the ingest stage.
         config = ServiceConfig(
-            aggregation=AggregationConfig(shards=4),
-            ingest=IngestConfig(batch_size=4),
+            ingest=IngestConfig(batch_size=4, max_duration_slices=4),
         )
         client = LedmsClient(config)
-        result = client.submit(_offer(5, lo=0.0, hi=0.0))
+        result = client.submit(_offer(10, duration=8))
         assert not result.accepted
-        assert "energy" in result.reason
-        assert client.submit(_offer(10)).accepted
-
-    def test_max_duration_admission_limit_enforced(self):
-        # Regression: the configured limit must reach the ingest stage,
-        # single-pipeline and sharded alike.
-        from repro.api.config import AggregationConfig
-
-        for shards in (1, 4):
-            config = ServiceConfig(
-                aggregation=AggregationConfig(shards=shards),
-                ingest=IngestConfig(batch_size=4, max_duration_slices=4),
-            )
-            client = LedmsClient(config)
-            result = client.submit(_offer(10, duration=8))
-            assert not result.accepted
-            assert "admission limit" in result.reason
-            assert client.submit(_offer(10, duration=2)).accepted
+        assert "admission limit" in result.reason
+        assert client.submit(_offer(10, duration=2)).accepted
 
     def test_update_of_unknown_offer_degrades_to_submit(self):
         client = LedmsClient(_config())

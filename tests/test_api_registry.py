@@ -13,6 +13,7 @@ from repro.aggregation.thresholds import AggregationParameters
 from repro.api import (
     KIND_AGGREGATION,
     KIND_DRIVER,
+    KIND_EXPORTER,
     KIND_SCHEDULER,
     KIND_TRIGGER,
     Registry,
@@ -54,6 +55,13 @@ class TestRegistry:
             "adaptive", "age", "any", "count", "imbalance",
         )
         assert registry.names(KIND_DRIVER) == ("simulated", "wallclock")
+        # One consumer is not a catalogue: the fault transforms are plain
+        # functions (LoadGenerator.hostile_stream, parse_outage).
+        assert {entry.kind for entry in registry.entries()} == {
+            KIND_AGGREGATION, KIND_SCHEDULER, KIND_TRIGGER, KIND_DRIVER,
+            KIND_EXPORTER,
+        }
+        assert len(registry.entries()) == 17
 
     def test_unknown_name_error_lists_known_set(self):
         with pytest.raises(RegistryError) as excinfo:
@@ -93,7 +101,7 @@ class TestUnifiedEngineValidation:
         # make_pipeline supported it.  Both now consult the registry.
         for engine in default_registry().names(KIND_AGGREGATION):
             config = ServiceConfig(aggregation=AggregationConfig(engine=engine))
-            assert config.engine == engine
+            assert config.aggregation.engine == engine
             assert make_pipeline(PARAMS, engine=engine) is not None
 
     def test_pipeline_engines_constant_matches_registry(self):
@@ -113,24 +121,69 @@ class TestServiceConfig:
     def test_flat_properties_cover_historical_names(self):
         config = ServiceConfig(
             market=MarketConfig(buy_price=0.3),
-            aggregation=AggregationConfig(engine="scalar", shards=2),
+            aggregation=AggregationConfig(engine="scalar"),
             scheduling=SchedulingConfig(horizon_slices=96, seed=7),
             ingest=IngestConfig(batch_size=16),
         )
-        assert config.buy_price == 0.3
-        assert config.engine == "scalar"
-        assert config.shards == 2
-        assert config.horizon_slices == 96
-        assert config.seed == 7
-        assert config.batch_size == 16
-        assert config.aggregation_parameters.name == "runtime"
+        assert config.market.buy_price == 0.3
+        assert config.aggregation.engine == "scalar"
+        assert config.scheduling.horizon_slices == 96
+        assert config.scheduling.seed == 7
+        assert config.ingest.batch_size == 16
+        assert config.aggregation.parameters.name == "runtime"
 
-    def test_every_flat_field_is_readable_as_a_property(self):
-        # from_flat/merged accept exactly _FLAT_FIELDS; each key must also
-        # read back flat, so the two views cannot drift apart.
-        config = ServiceConfig()
-        for name in ServiceConfig._FLAT_FIELDS:
-            getattr(config, name)
+    def test_every_flat_name_reaches_its_section_field(self):
+        # The flat-name table is derived from the section dataclasses; this
+        # literal list pins the names from_flat/merged must keep accepting.
+        table = [
+            ("aggregation_parameters", "aggregation", "parameters", PARAMS),
+            ("engine", "aggregation", "engine", "scalar"),
+            ("horizon_slices", "scheduling", "horizon_slices", 96),
+            ("scheduler", "scheduling", "scheduler", "delta"),
+            ("scheduler_passes", "scheduling", "scheduler_passes", 3),
+            ("trigger", "scheduling", "trigger", CountTrigger(7)),
+            ("min_run_interval_slices", "scheduling", "min_run_interval_slices", 2.5),
+            ("seed", "scheduling", "seed", 11),
+            ("target_p95_slices", "scheduling", "target_p95_slices", 6.0),
+            ("buy_price", "market", "buy_price", 0.31),
+            ("sell_price", "market", "sell_price", 0.07),
+            ("shortage_penalty", "market", "shortage_penalty", 0.9),
+            ("surplus_penalty", "market", "surplus_penalty", 0.4),
+            ("batch_size", "ingest", "batch_size", 8),
+            ("expiry_sweep_interval", "ingest", "expiry_sweep_interval", 2.0),
+            ("max_duration_slices", "ingest", "max_duration_slices", 12),
+        ]
+        for name, section, field, value in table:
+            for config in (
+                ServiceConfig.from_flat(**{name: value}),
+                ServiceConfig().merged(**{name: value}),
+            ):
+                assert getattr(getattr(config, section), field) == value, name
+
+    def test_removed_options_are_unknown_fields(self):
+        # No shim, no accepted-but-ignored key: a deleted option is rejected
+        # like any typo, with the known-field list.
+        attempts = (
+            lambda: ServiceConfig.from_flat(shards=2),
+            lambda: ServiceConfig().merged(shards=2),
+            lambda: ServiceConfig.from_dict({"shards": 2}),
+            lambda: ServiceConfig.from_dict({"aggregation": {"shards": 2}}),
+            lambda: ServiceConfig.from_dict({"obs": {"tracer": "ring"}}),
+        )
+        for attempt in attempts:
+            with pytest.raises(ServiceError) as excinfo:
+                attempt()
+            message = str(excinfo.value)
+            assert "known fields: " in message and "engine" in message
+
+    def test_unknown_key_inside_a_section_names_section_and_fields(self):
+        # Used to escape dataclasses.replace as a raw TypeError.
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceConfig.from_dict({"ingest": {"batch_sizee": 3}})
+        message = str(excinfo.value)
+        assert "ingest" in message and "'batch_sizee'" in message
+        for known in ("batch_size", "expiry_sweep_interval", "max_duration_slices"):
+            assert known in message
 
     def test_validation_errors_preserved(self):
         with pytest.raises(ServiceError):
@@ -141,8 +194,6 @@ class TestServiceConfig:
             SchedulingConfig(scheduler_passes=0)
         with pytest.raises(ServiceError):
             IngestConfig(expiry_sweep_interval=0)
-        with pytest.raises(ServiceError):
-            AggregationConfig(shards=0)
 
     def test_scheduler_requires_runtime_capability(self):
         with pytest.raises(ServiceError) as excinfo:
@@ -151,13 +202,16 @@ class TestServiceConfig:
 
     def test_from_flat_and_merged(self):
         config = ServiceConfig.from_flat(batch_size=8, engine="scalar", seed=3)
-        assert (config.batch_size, config.engine, config.seed) == (8, "scalar", 3)
+        assert config.ingest.batch_size == 8
+        assert config.aggregation.engine == "scalar"
+        assert config.scheduling.seed == 3
         assert config.scheduling.scheduler == "greedy"  # defaults elsewhere
         with pytest.raises(ServiceError):
             ServiceConfig.from_flat(nonsense=1)
-        merged = config.merged(seed=9, shards=2)
-        assert merged.seed == 9 and merged.shards == 2
-        assert merged.batch_size == 8  # untouched sections carried over
+        merged = config.merged(seed=9, horizon_slices=48)
+        assert merged.scheduling.seed == 9
+        assert merged.scheduling.horizon_slices == 48
+        assert merged.ingest.batch_size == 8  # untouched sections carried over
         with pytest.raises(ServiceError):
             config.merged(nonsense=1)
 
@@ -175,11 +229,11 @@ class TestServiceConfig:
                 "engine": "scalar",
             }
         )
-        assert config.horizon_slices == 96
-        assert config.batch_size == 16
-        assert config.engine == "scalar"
-        assert isinstance(config.trigger, AnyTrigger)
-        assert len(config.trigger.policies) == 2
+        assert config.scheduling.horizon_slices == 96
+        assert config.ingest.batch_size == 16
+        assert config.aggregation.engine == "scalar"
+        assert isinstance(config.scheduling.trigger, AnyTrigger)
+        assert len(config.scheduling.trigger.policies) == 2
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ServiceError):

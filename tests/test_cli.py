@@ -77,6 +77,18 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert "warp_speed" in err and "known keys" in err
 
 
+def test_removed_shards_option_is_rejected_like_a_typo(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["loadtest", *TINY, "--shards", "2"])
+    assert excinfo.value.code == EXIT_UNKNOWN_EXPERIMENT
+    assert "--shards" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"shards": 2}))
+    assert main(["loadtest", "--config", str(config)]) == EXIT_UNKNOWN_EXPERIMENT
+    err = capsys.readouterr().err
+    assert "'shards'" in err and "known keys" in err
+
+
 def test_config_file_engine_validated_through_registry(tmp_path, capsys):
     # Names arriving via the file bypass argparse; the registry check must
     # still catch them.
@@ -158,6 +170,27 @@ def test_cluster_file_validated_exits_2(tmp_path, capsys):
     assert "invalid loadtest configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "defaults, named",
+    [
+        ({"shards": 2}, "engine"),
+        ({"aggregation": {"shards": 2}}, "aggregation"),
+        ({"obs": {"tracer": "ring"}}, "engine"),
+        # A typo inside a section used to escape as a TypeError traceback.
+        ({"ingest": {"batch_sizee": 3}}, "batch_size, expiry_sweep_interval"),
+    ],
+)
+def test_cluster_file_unknown_service_field_exits_2(
+    tmp_path, capsys, defaults, named
+):
+    bad = tmp_path / "cluster.json"
+    bad.write_text(json.dumps({"brps": 2, "defaults": defaults}))
+    assert main(["loadtest", *TINY, "--cluster", str(bad)]) == EXIT_UNKNOWN_EXPERIMENT
+    err = capsys.readouterr().err
+    assert "invalid loadtest configuration: unknown" in err
+    assert "known fields: " in err and named in err
+
+
 def test_nonpositive_brps_exits_2(capsys):
     assert main(["loadtest", *TINY, "--brps", "0"]) == EXIT_UNKNOWN_EXPERIMENT
     assert "--brps must be positive" in capsys.readouterr().err
@@ -184,14 +217,43 @@ def test_cluster_ledger_uses_per_brp_subdirs(tmp_path, capsys):
 
 
 def test_hostile_stream_flags_run(tmp_path, capsys):
+    # The fault flags are LoadGenerator.hostile_stream and nothing else: the
+    # CLI run admits, rejects and deflects exactly what a client fed that
+    # stream (same seed, same order of transforms) does.
+    from repro.api import LedmsClient, OfferLedger, ServiceConfig
+    from repro.runtime import LoadGenerator
+
+    dump = tmp_path / "metrics.json"
     assert (
         main([
             "loadtest", *TINY, "--ledger", str(tmp_path / "led"),
-            "--duplicate-rate", "0.2", "--reorder-window", "4",
+            "--duplicate-rate", "0.2", "--reorder-window", "2",
+            "--metrics-json", str(dump),
         ])
         == EXIT_OK
     )
     assert "offers accepted" in capsys.readouterr().out
+    cli = json.loads(dump.read_text())
+
+    client = LedmsClient(
+        ServiceConfig.from_flat(
+            batch_size=8, scheduler_passes=1, seed=1, min_run_interval_slices=2.0
+        ),
+        ledger=OfferLedger(),
+    )
+    client.run_stream(
+        LoadGenerator(rate_per_hour=20.0, seed=1).hostile_stream(
+            0.0, 12.0, duplicate_rate=0.2, reorder_window=2.0, seed=1
+        ),
+        12.0,
+    )
+    direct = client.metrics()
+    assert cli["ledger.duplicates"] > 0
+    for name in (
+        "runtime.offers_submitted", "ingest.accepted", "ingest.rejected",
+        "ledger.duplicates",
+    ):
+        assert cli[name] == direct[name], name
 
 
 def test_outage_flag_runs_in_cluster_mode(capsys):

@@ -133,10 +133,10 @@ class TestClusterConfig:
             }
         )
         assert sorted(config.brps) == ["north", "south"]
-        assert config.brps["north"].batch_size == 16
-        assert config.brps["north"].horizon_slices == 192
-        assert config.brps["south"].batch_size == 16
-        assert config.brps["south"].horizon_slices == 48
+        assert config.brps["north"].ingest.batch_size == 16
+        assert config.brps["north"].scheduling.horizon_slices == 192
+        assert config.brps["south"].ingest.batch_size == 16
+        assert config.brps["south"].scheduling.horizon_slices == 48
         assert config.tso.trigger_refreshes == 3
 
     def test_from_dict_integer_brps(self):
@@ -156,13 +156,13 @@ class TestClusterConfig:
             base=base,
         )
         # Unmentioned fields keep the base values, not built-in defaults.
-        assert config.brps["north"].batch_size == 8
-        assert config.brps["north"].scheduler_passes == 3
+        assert config.brps["north"].ingest.batch_size == 8
+        assert config.brps["north"].scheduling.scheduler_passes == 3
         # File sections still win where they speak.
-        assert config.brps["south"].batch_size == 16
-        assert config.brps["south"].scheduler_passes == 3
+        assert config.brps["south"].ingest.batch_size == 16
+        assert config.brps["south"].scheduling.scheduler_passes == 3
         uniform = ClusterConfig.from_dict({"brps": 2}, base=base)
-        assert uniform.brps["brp-0"].batch_size == 8
+        assert uniform.brps["brp-0"].ingest.batch_size == 8
 
     def test_from_dict_rejects_unknown_keys_and_bad_specs(self):
         with pytest.raises(ServiceError):

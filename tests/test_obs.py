@@ -43,7 +43,6 @@ from repro.runtime import (
     ClusterRuntime,
     LoadGenerator,
     MetricsRegistry,
-    ObsConfig,
     ServiceConfig,
 )
 from repro.runtime.metrics import instrument_key
@@ -195,19 +194,6 @@ def test_tracer_validation():
         Tracer(capacity=0)
     with pytest.raises(ServiceError):
         Tracer(sample_every=0)
-
-
-def test_obs_config_builds_tracers():
-    assert isinstance(ObsConfig().build_tracer(), NullTracer)
-    tracer = ObsConfig(
-        tracer="ring", sample_every=4, ring_capacity=128
-    ).build_tracer()
-    assert isinstance(tracer, Tracer)
-    assert tracer.sample_every == 4 and tracer.capacity == 128
-    with pytest.raises(ServiceError):
-        ObsConfig(tracer="zipkin")
-    with pytest.raises(ServiceError):
-        ObsConfig(sample_every=0)
 
 
 # ----------------------------------------------------------------------

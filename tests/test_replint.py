@@ -20,7 +20,7 @@ from tools.replint.baseline import load_baseline, split_baseline, write_baseline
 from tools.replint.cli import run as replint_run
 from tools.replint.core import Finding, lint_paths, parse_suppressions
 from tools.replint.resolver import ProjectContext, find_repo_root
-from tools.replint.rules import ALL_RULES, rules_by_id
+from tools.replint.rules import ALL_RULES, RegistryNameRule, rules_by_id
 
 REPO_ROOT = find_repo_root()
 PROJECT = ProjectContext(REPO_ROOT)
@@ -54,6 +54,10 @@ class TestProjectContext:
         assert "packed" in PROJECT.registry_names["aggregation"]
         assert "greedy" in PROJECT.registry_names["scheduler"]
         assert "simulated" in PROJECT.registry_names["driver"]
+        # REP003 maps a keyword to a kind only where the registry has one.
+        assert set(RegistryNameRule.KIND_FOR_NAME.values()) == set(
+            PROJECT.registry_names
+        )
 
     def test_missing_root_degrades_to_empty(self, tmp_path):
         ctx = ProjectContext(tmp_path)

@@ -233,7 +233,7 @@ class TestExpiry:
         service.sweep_expired()
         service.run_aggregation()
         assert service.store.offer_state(offer_id) == "expired"
-        assert service.pipeline.input_count == 0
+        assert service.ingest.pipeline.input_count == 0
 
 
 class TestAssignmentDeadline:

@@ -232,7 +232,7 @@ class RegistryNameRule(Rule):
     """REP003: component-name literals must resolve in the registry.
 
     ``default_registry()`` is the single source of truth for engine/
-    scheduler/trigger/driver/exporter/fault names; a literal that does not
+    scheduler/trigger/driver/exporter names; a literal that does not
     resolve raises ``RegistryError`` at runtime — on whichever code path
     finally evaluates it.  Checked at call keywords, function-parameter
     defaults and annotated (dataclass-style) field defaults.
@@ -248,7 +248,6 @@ class RegistryNameRule(Rule):
         "trigger": "trigger",
         "driver": "driver",
         "exporter": "exporter",
-        "fault": "fault",
     }
 
     def check(self, ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
@@ -431,7 +430,6 @@ class JournalFirstRule(Rule):
     _RECORD_METHODS = frozenset(
         {
             "record_submit",
-            "record_update",
             "record_reverse",
             "record_withdraw",
             "record_scheduled",
