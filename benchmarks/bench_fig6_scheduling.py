@@ -12,20 +12,59 @@ and both rates land in ``BENCH_scheduling.json`` (run with ``--json``), so
 the speedup is a recorded number rather than a one-off claim.
 """
 
+import os
 import time
 
 import numpy as np
 
 from conftest import smoke_mode
+from repro.core import TimeSeries, flex_offer
 from repro.experiments import run_fig6, scale_factor
 from repro.experiments.fig6 import intraday_scenario
 from repro.experiments.reporting import print_table
-from repro.scheduling import RandomizedGreedyScheduler
+from repro.scheduling import Market, RandomizedGreedyScheduler, SchedulingProblem
 from repro.scheduling.reference import reference_one_pass
 
 MIN_KERNEL_SPEEDUP = 5.0
 """Vectorized greedy passes/sec must beat the scalar baseline by this factor
 (asserted at full size; the smoke run only checks the harness plumbing)."""
+
+FIG6_SHAPE = "fig6 intraday micro-offers (d 2-7, median n 13-18)"
+RUNTIME_SHAPE = "runtime aggregates (d 14-40, n 5-33, horizon 96)"
+
+
+def runtime_shape_problem(seed: int = 0) -> SchedulingProblem:
+    """48 aggregates at the shapes the streaming runtime schedules.
+
+    The Figure-6 micro-offers are short (median 5 slices) and the kernel's
+    cost there is per-call overhead; the end-to-end workloads hand it
+    aggregates of 14-40 slices with 5-33 admissible starts on a 96-slice
+    window, a flat market and no compensation price, where the cost is
+    element work.  A kernel change can move one and not the other, so both
+    are recorded.
+    """
+    rng = np.random.default_rng(seed)
+    horizon = 96
+    offers = []
+    for _ in range(48):
+        duration = int(rng.integers(14, 41))
+        n_starts = int(rng.integers(5, 34))
+        earliest = int(rng.integers(0, horizon - (n_starts + duration - 1) + 1))
+        scale = rng.uniform(1.0, 8.0)
+        lo = scale * rng.uniform(0.0, 2.0, duration)
+        hi = lo + scale * rng.uniform(0.0, 3.0, duration)
+        offers.append(
+            flex_offer(
+                list(zip(lo, hi)),
+                earliest_start=earliest,
+                latest_start=earliest + n_starts - 1,
+            )
+        )
+    return SchedulingProblem(
+        TimeSeries(0, rng.uniform(-40.0, 40.0, horizon)),
+        tuple(offers),
+        Market.flat(horizon),
+    )
 
 
 def test_fig6_scheduling_convergence(once, bench_record):
@@ -78,13 +117,15 @@ def test_fig6_scheduling_convergence(once, bench_record):
 def test_greedy_kernel_speedup_vs_reference(once, bench_record):
     """Batched placement kernel vs the scalar baseline, same workload.
 
-    Both run complete greedy passes on the Figure-6 intraday scenario; the
-    recorded passes/sec pair is the before/after trajectory this repo's
-    perf work is judged against.
+    Both run complete greedy passes on the Figure-6 intraday scenario and
+    on :func:`runtime_shape_problem`; the recorded passes/sec pair is the
+    before/after trajectory this repo's perf work is judged against.
     """
     sizes = [10] if smoke_mode() else [10, 100, 1000]
     seconds = 0.1 if smoke_mode() else 1.5
     scheduler = RandomizedGreedyScheduler()
+    problems = [(FIG6_SHAPE, intraday_scenario(size, seed=0)) for size in sizes]
+    problems.append((RUNTIME_SHAPE, runtime_shape_problem()))
 
     def passes_per_second(fn, problem) -> float:
         fn(problem, np.random.default_rng(0))  # warm engine caches
@@ -97,29 +138,33 @@ def test_greedy_kernel_speedup_vs_reference(once, bench_record):
 
     def run_all():
         rows = []
-        for size in sizes:
-            problem = intraday_scenario(size, seed=0)
+        for shape, problem in problems:
             baseline = passes_per_second(reference_one_pass, problem)
             vectorized = passes_per_second(
                 lambda p, rng: scheduler._one_pass(p, rng), problem
             )
-            rows.append((size, baseline, vectorized))
+            rows.append((shape, problem.offer_count, baseline, vectorized))
         return rows
 
     rows = once(run_all)
     print_table(
         "greedy kernel: scalar baseline vs vectorized engine (passes/sec)",
-        ["offers", "baseline/s", "vectorized/s", "speedup"],
+        ["shape", "offers", "baseline/s", "vectorized/s", "speedup"],
         [
-            [size, f"{base:.2f}", f"{fast:.2f}", f"{fast / base:.1f}x"]
-            for size, base, fast in rows
+            [shape, size, f"{base:.2f}", f"{fast:.2f}", f"{fast / base:.1f}x"]
+            for shape, size, base, fast in rows
         ],
     )
-    for size, baseline, vectorized in rows:
+    for shape, size, baseline, vectorized in rows:
         bench_record(
             "scheduling",
             name="greedy_kernel",
-            workload={"offers": size, "timebox_seconds": seconds},
+            workload={
+                "offers": size,
+                "shape": shape,
+                "timebox_seconds": seconds,
+                "cpu_count": os.cpu_count(),
+            },
             metrics={
                 "baseline_passes_per_sec": baseline,
                 "vectorized_passes_per_sec": vectorized,
@@ -127,8 +172,8 @@ def test_greedy_kernel_speedup_vs_reference(once, bench_record):
             },
         )
     if not smoke_mode():
-        for size, baseline, vectorized in rows:
+        for shape, size, baseline, vectorized in rows:
             assert vectorized / baseline >= MIN_KERNEL_SPEEDUP, (
-                f"kernel speedup regressed at {size} offers: "
+                f"kernel speedup regressed at {size} offers, {shape}: "
                 f"{vectorized / baseline:.1f}x < {MIN_KERNEL_SPEEDUP}x"
             )

@@ -18,6 +18,10 @@ dirty-set re-planning rows (``delta.*``) and requires numeric
 ``runtime.store`` selects the LEDMS store rows (``store.*``) and requires a
 numeric ``batch`` (rows per store call) and ``cpu_count``: an events/sec
 figure means nothing without the batch size it was taken at.
+``scheduling.kernel`` selects the placement-kernel rows (``greedy_kernel``)
+and requires a numeric ``cpu_count`` and a ``shape`` string: the kernel's
+cost is per-call overhead on short micro-offers and element work on the
+aggregates the runtime schedules, so a passes/sec figure must say which.
 
 Checks structure only — never timing thresholds — so the CI smoke job can
 assert the harness works without becoming a flaky performance gate.  Exits
@@ -54,6 +58,12 @@ SPECIAL_FAMILIES: dict[tuple[str, str], dict] = {
     ("runtime", "store"): {
         "name_prefix": "store.",
         "required_workload": ("batch", "cpu_count"),
+    },
+    # Kernel rows must say which offer shape they timed.
+    ("scheduling", "kernel"): {
+        "name_prefix": "greedy_kernel",
+        "required_workload": ("cpu_count",),
+        "required_text": ("shape",),
     },
 }
 
@@ -146,18 +156,23 @@ def main(argv: list[str]) -> int:
                 )
             for record in matched:
                 workload = record.get("workload")
+                if not isinstance(workload, dict):
+                    workload = {}
                 for field in special["required_workload"]:
-                    value = (
-                        workload.get(field)
-                        if isinstance(workload, dict)
-                        else None
-                    )
+                    value = workload.get(field)
                     if not isinstance(value, (int, float)) or isinstance(
                         value, bool
                     ):
                         problems.append(
                             f"{directory}: record {record['name']!r} "
                             f"workload is missing a numeric {field!r}"
+                        )
+                for field in special.get("required_text", ()):
+                    value = workload.get(field)
+                    if not isinstance(value, str) or not value:
+                        problems.append(
+                            f"{directory}: record {record['name']!r} "
+                            f"workload is missing a {field!r} string"
                         )
         elif not any(
             name == family or name.startswith(f"{family}.") for name in names

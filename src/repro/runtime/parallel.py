@@ -15,8 +15,8 @@ need and nothing else:
 * a :class:`ProcessBusTransport` as each worker's uplink — the
   ``BusAdapter`` send/register surface over a ``multiprocessing`` pipe;
 * committed macro snapshots crossing the process boundary as raw
-  struct-of-arrays numpy buffers in ``multiprocessing.shared_memory``
-  segments (:mod:`repro.runtime.shm`) — macro columns only: as in the
+  struct-of-arrays numpy buffers in POSIX shared-memory segments
+  (:mod:`repro.runtime.shm`) — macro columns only: as in the
   paper, micro members never leave the worker that aggregated them (it
   is the one that disaggregates), and the pipe carries segment names,
   never pickled offer graphs;

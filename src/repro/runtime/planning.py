@@ -258,8 +258,8 @@ class PlanSession:
         for key, offer in eligible:
             prior = self.warm.get(key)
             if prior is not None and len(prior[1]) == offer.duration:
-                start = int(
-                    np.clip(prior[0], offer.earliest_start, offer.latest_start)
+                start = min(
+                    max(prior[0], offer.earliest_start), offer.latest_start
                 )
                 values = np.clip(
                     prior[1],

@@ -8,18 +8,24 @@ them, because that worker is the one that disaggregates.  So the wire
 carries the macro columns and nothing else — one int64 matrix (offer id,
 start window, creation time, deadline, interned owner, profile length),
 one float64 ``unit_price`` column and the concatenated ``(min, max)``
-profile bounds — written as raw numpy buffers into one
-``multiprocessing.shared_memory`` segment, and the receiver rebuilds each
-macro as a validated plain :class:`~repro.core.flexoffer.FlexOffer`
-under the macro's ``offer_id``.  A snapshot's size is independent of how
-many micro offers its macros fold.  The pipe carries only the segment
-name.
+profile bounds — written as raw numpy buffers into one POSIX
+shared-memory segment, and the receiver rebuilds each macro as a validated
+plain :class:`~repro.core.flexoffer.FlexOffer` under the macro's
+``offer_id``.  A snapshot's size is independent of how many micro offers
+its macros fold.  The pipe carries only the segment name.
 
-Lifecycle contract: the *worker* creates and writes a segment (and
-immediately deregisters it from the resource tracker, so a worker exit
-does not tear it down under the parent), the *parent* decodes and unlinks
-it.  Segment names embed a per-run id so a crashed run's leftovers can be
-swept by :func:`cleanup_run_segments` — no leaked ``/dev/shm`` blocks.
+Lifecycle contract: the *worker* creates and writes a segment, the
+*parent* decodes and unlinks it.  Segment names embed a per-run id so a
+crashed run's leftovers can be swept by :func:`cleanup_run_segments` — no
+leaked ``/dev/shm`` blocks.
+
+Segments are opened as the files ``shm_open`` makes of them on Linux
+(``/dev/shm``), not through ``multiprocessing.shared_memory``.  On Python
+3.11 every ``SharedMemory()`` registers its name with a resource tracker —
+a separate interpreter that each worker and the parent would launch mid-run
+(a tenth of a CPU-second apiece, on the cores the workers need) only to be
+told to forget the name again, because ownership here is an explicit
+handoff and teardown by a tracker would race the parent's decode.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from multiprocessing import resource_tracker, shared_memory
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +53,8 @@ __all__ = [
 
 #: Prefix of every segment this codec creates (the crash-sweep glob key).
 SHM_PREFIX = "repro-shm"
+#: Where POSIX shared-memory segments live (Linux).
+_SHM_ROOT = "/dev/shm"
 
 _CODEC_VERSION = 2
 #: Sentinel for a ``None`` ``assignment_before`` (real deadlines are >= 0).
@@ -161,46 +168,32 @@ def segment_name(run_id: str, worker_index: int, sequence: int) -> str:
 def write_snapshot(macros: Sequence[FlexOffer], name: str) -> tuple[str, int]:
     """Encode ``macros`` into a fresh shared-memory segment ``name``.
 
-    Returns ``(name, nbytes)``.  The segment is deregistered from this
-    process's resource tracker: ownership transfers to whoever decodes it
-    (the parent unlinks after :func:`read_snapshot`), and crash leftovers
-    are swept by name prefix instead.
+    Returns ``(name, nbytes)``.  Ownership transfers to whoever decodes it
+    (the parent unlinks after :func:`read_snapshot`); crash leftovers are
+    swept by name prefix.  An existing segment of that name is an error.
     """
     payload = encode_macros(macros)
-    segment = shared_memory.SharedMemory(
-        name=name, create=True, size=len(payload)
+    fd = os.open(
+        os.path.join(_SHM_ROOT, name),
+        os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+        0o600,
     )
-    try:
-        segment.buf[: len(payload)] = payload
-    finally:
-        _untrack(segment)
-        segment.close()
+    with open(fd, "wb") as segment:
+        segment.write(payload)
     return name, len(payload)
 
 
 def read_snapshot(name: str) -> tuple[FlexOffer, ...]:
-    """Decode a snapshot segment (attach, copy out, close — no unlink)."""
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        # Attaching (create=False) never registers with the resource
-        # tracker on 3.11, so no untrack is needed here.  The bytes are
-        # copied out before the close, so a decode error cannot leave an
-        # exported buffer pinning the mapping.
-        payload = bytes(segment.buf)
-    finally:
-        segment.close()
+    """Decode a snapshot segment (copy out, then decode — no unlink)."""
+    with open(os.path.join(_SHM_ROOT, name), "rb") as segment:
+        payload = segment.read()
     return decode_macros(payload)
 
 
 def unlink_segment(name: str) -> bool:
     """Unlink one segment; False when it is already gone."""
     try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    segment.close()
-    try:
-        segment.unlink()
+        os.unlink(os.path.join(_SHM_ROOT, name))
     except FileNotFoundError:
         return False
     return True
@@ -213,28 +206,13 @@ def cleanup_run_segments(run_id: str) -> int:
     named ``{SHM_PREFIX}-{run_id}-…``, so sweeping ``/dev/shm`` by prefix
     reclaims everything the normal decode-then-unlink path missed.
     """
-    root = "/dev/shm"
     prefix = f"{SHM_PREFIX}-{run_id}-"
     removed = 0
     try:
-        entries = os.listdir(root)
+        entries = os.listdir(_SHM_ROOT)
     except OSError:
         return 0
     for entry in entries:
         if entry.startswith(prefix) and unlink_segment(entry):
             removed += 1
     return removed
-
-
-def _untrack(segment: shared_memory.SharedMemory) -> None:
-    """Opt this process's resource tracker out of managing ``segment``.
-
-    Python 3.11's tracker unlinks every registered segment when *any*
-    process that touched it exits; snapshot segments have an explicit
-    owner handoff instead, so tracker teardown would race the parent's
-    decode.  (3.13+ exposes ``track=False`` for exactly this.)
-    """
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except (OSError, KeyError, ValueError, AttributeError):
-        pass

@@ -18,8 +18,10 @@ so evaluating a residual window needs no :meth:`settle_market` temporaries —
 and, crucially, broadcasts over arbitrary leading axes.  That enables the
 batched placement kernel :meth:`CostEngine.best_placement`, which scores
 **all admissible start positions × all four per-slice energy candidates of
-one offer in a single vectorized operation** over a strided window view of
-the residual, replacing the per-start Python loop the solvers used to run.
+one offer in a single vectorized operation** over the band of (profile
+slice, start) pairs a placement can occupy, read through zero-copy views,
+replacing the per-start Python loop the solvers used to run.  Per-start
+totals accumulate in slice order, and plans depend on that bit for bit.
 
 :class:`IncrementalCostState` maintains the residual and the running
 schedule cost across placements so a greedy pass (and the evolutionary /
@@ -40,11 +42,53 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.errors import SchedulingError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..core.flexoffer import FlexOffer
     from .problem import SchedulingProblem
 
 __all__ = ["OfferConstants", "PackedOffers", "CostEngine", "IncrementalCostState"]
+
+
+def _band(values: np.ndarray, first: int, d: int, n: int) -> np.ndarray:
+    """Zero-copy ``band[..., t, k] = values[..., first + t + k]`` (float64).
+
+    The ``ndarray`` constructor, unlike ``numpy.lib.stride_tricks``, checks
+    the view against the buffer's extent, so a band past either end of the
+    horizon is an error instead of a read of foreign memory.  It needs one
+    C-contiguous buffer (a no-op for the arrays the solvers maintain).
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    try:
+        return np.ndarray(
+            values.shape[:-1] + (d, n),
+            float,
+            values,
+            first * 8,
+            values.strides[:-1] + (8, 8),
+        )
+    except ValueError as exc:
+        raise SchedulingError(
+            f"placement band [{first}, {first + n + d - 1}) leaves the "
+            f"{values.shape[-1]}-slice horizon"
+        ) from exc
+
+
+def _price(residual: np.ndarray, market: np.ndarray) -> np.ndarray:
+    """Settled EUR cost per element of ``residual`` under the six marginal
+    arrays of a :class:`CostEngine`, cut to the slices ``residual`` covers."""
+    shortage_cap, surplus_cap, buy, short_penalty, sell, long_penalty = market
+    shortage = np.maximum(residual, 0.0)
+    surplus = np.maximum(-residual, 0.0)
+    covered = np.minimum(shortage, shortage_cap)
+    sold = np.minimum(surplus, surplus_cap)
+    return (
+        covered * buy
+        + (shortage - covered) * short_penalty
+        + sold * sell
+        + (surplus - sold) * long_penalty
+    )
 
 
 @dataclass(frozen=True)
@@ -213,57 +257,39 @@ class CostEngine:
     settlement-derived oracle in every branch.
     """
 
-    __slots__ = (
-        "horizon_length",
-        "shortage_price",
-        "shortage_cap",
-        "shortage_penalty",
-        "surplus_price",
-        "surplus_cap",
-        "surplus_penalty",
-    )
+    __slots__ = ("_market",)
 
     def __init__(self, problem: "SchedulingProblem") -> None:
         market = problem.market
-        h = problem.horizon_length
-        inf = np.full(h, np.inf)
-        max_buy = inf if market.max_buy is None else market.max_buy
-        max_sell = inf if market.max_sell is None else market.max_sell
+        max_buy = np.inf if market.max_buy is None else market.max_buy
+        max_sell = np.inf if market.max_sell is None else market.max_sell
 
         buying = market.buy_price < problem.shortage_penalty
         selling = market.sell_price > -problem.surplus_penalty
 
-        self.horizon_length = h
-        self.shortage_price = np.where(
-            buying, market.buy_price, problem.shortage_penalty
+        # One (6, horizon) table, so a window or a band of all six marginal
+        # arrays is a single view; :func:`_price` names the rows.
+        self._market = np.stack(
+            (
+                np.where(buying, max_buy, np.inf),
+                np.where(selling, max_sell, np.inf),
+                np.where(buying, market.buy_price, problem.shortage_penalty),
+                problem.shortage_penalty,
+                np.where(selling, -market.sell_price, problem.surplus_penalty),
+                problem.surplus_penalty,
+            )
         )
-        self.shortage_cap = np.where(buying, max_buy, np.inf)
-        self.shortage_penalty = problem.shortage_penalty
-        self.surplus_price = np.where(
-            selling, -market.sell_price, problem.surplus_penalty
-        )
-        self.surplus_cap = np.where(selling, max_sell, np.inf)
-        self.surplus_penalty = problem.surplus_penalty
 
     # ------------------------------------------------------------------
     def slice_costs(self, residual: np.ndarray, offset: int = 0) -> np.ndarray:
         """EUR cost per slice of a residual window after market settlement.
 
-        ``residual`` may carry arbitrary leading axes (the batched kernel
-        passes ``(candidates, starts, duration)`` stacks); the trailing axis
-        is positioned within the horizon by ``offset``.
+        ``residual`` may carry arbitrary leading axes; the trailing axis is
+        positioned within the horizon by ``offset``.
         """
         residual = np.asarray(residual, dtype=float)
-        window = slice(offset, offset + residual.shape[-1])
-        shortage = np.maximum(residual, 0.0)
-        surplus = np.maximum(-residual, 0.0)
-        covered = np.minimum(shortage, self.shortage_cap[window])
-        sold = np.minimum(surplus, self.surplus_cap[window])
-        return (
-            covered * self.shortage_price[window]
-            + (shortage - covered) * self.shortage_penalty[window]
-            + sold * self.surplus_price[window]
-            + (surplus - sold) * self.surplus_penalty[window]
+        return _price(
+            residual, self._market[:, offset : offset + residual.shape[-1]]
         )
 
     def total_cost(self, residual: np.ndarray) -> float:
@@ -281,16 +307,25 @@ class CostEngine:
 
         Evaluates every admissible start position against all four per-slice
         energy candidates (bounds, imbalance-nulling, zero — the kinks of
-        the piecewise-linear slice cost) in one vectorized operation.  The
-        key identity: the delta of applying profile slice ``t`` at horizon
-        slice ``i`` depends only on ``(i, t)``, never on the start itself —
-        so deltas are priced once on a ``(span, duration)`` table and the
-        per-start totals fall out as strided diagonal sums, instead of
-        re-pricing ``n_starts`` overlapping windows.
+        the piecewise-linear slice cost) in one vectorized operation over
+        the *band*: entry ``[t, k]`` is profile slice ``t`` of the offer
+        started ``k`` slices after its earliest start, at horizon slice
+        ``earliest_index + t + k``.  Only those ``duration × n_starts``
+        pairs can be occupied, and residual, slice costs and market arrays
+        reach them through zero-copy :func:`_band` views.
+
+        **Summation contract.**  Per-start totals are the ``(duration,
+        n_starts)`` delta table reduced over axis 0, which numpy accumulates
+        sequentially in slice order ``t = 0, 1, …``.  Committed plans depend
+        on it: summing contiguous rows of the transposed table is pairwise
+        from 8 slices up, moves totals in their last bits and flips
+        near-tied starts (``test_kernel_bits_pinned_at_runtime_shapes``).
 
         ``cost_vector`` is the per-slice cost of the current residual when
         the caller (an :class:`IncrementalCostState`) already maintains it;
-        otherwise the touched span is priced here.
+        otherwise the band is priced here.  Both may be any real array over
+        the horizon; an offer whose band leaves the horizon raises
+        :class:`~repro.core.errors.SchedulingError`.
 
         Returns ``(start_index, energies, cost_delta)`` where
         ``start_index`` is relative to the offer's earliest start and
@@ -301,51 +336,32 @@ class CostEngine:
         """
         d = consts.duration
         n = consts.n_starts
-        m = n + d - 1  # horizon slices any admissible placement can touch
-        span = slice(consts.earliest_index, consts.earliest_index + m)
-        segment = residual[span]  # (m,)
+        first = consts.earliest_index
+        window = _band(residual, first, d, n)  # (d, n)
+        market = _band(self._market, first, d, n)  # (6, d, n)
         if cost_vector is None:
-            before = self.slice_costs(segment, consts.earliest_index)
+            before = _price(window, market)
         else:
-            before = cost_vector[span]
+            before = _band(cost_vector, first, d, n)
 
-        candidates = np.empty((4, m, d))
-        candidates[0] = consts.lo
-        candidates[1] = consts.hi
-        np.clip(-segment[:, None], consts.lo, consts.hi, out=candidates[2])
-        candidates[3] = consts.zero
+        lo = consts.lo[:, None]
+        hi = consts.hi[:, None]
+        candidates = np.empty((4, d, n))
+        candidates[0] = lo
+        candidates[1] = hi
+        np.minimum(np.maximum(-window, lo), hi, out=candidates[2])
+        candidates[3] = consts.zero[:, None]
 
-        shifted = segment[None, :, None] + candidates  # (4, m, d)
-        column = (slice(None), None)  # (m,) params -> (m, 1) columns
-        shortage = np.maximum(shifted, 0.0)
-        surplus = np.maximum(-shifted, 0.0)
-        covered = np.minimum(shortage, self.shortage_cap[span][column])
-        sold = np.minimum(surplus, self.surplus_cap[span][column])
-        delta = (
-            covered * self.shortage_price[span][column]
-            + (shortage - covered) * self.shortage_penalty[span][column]
-            + sold * self.surplus_price[span][column]
-            + (surplus - sold) * self.surplus_penalty[span][column]
-        )
-        delta -= before[column]
+        delta = _price(window + candidates, market)  # (4, d, n)
+        delta -= before
         if consts.unit_price:
             delta += consts.unit_price * np.abs(candidates)
 
-        best = delta.min(axis=0)  # (m, d), min keeps earlier-candidate ties
-        # totals[k] = sum_t best[k + t, t]: the (n, d) diagonal-band view of
-        # the contiguous (m, d) table, summed per start.
-        stride_row, stride_col = best.strides
-        diagonals = np.lib.stride_tricks.as_strided(
-            best, shape=(n, d), strides=(stride_row, stride_row + stride_col),
-            writeable=False,
-        )
-        totals = diagonals.sum(axis=1)  # (n,)
-        start_index = int(np.argmin(totals))  # first min = earlier start
-
-        rows = start_index + np.arange(d)
-        cols = np.arange(d)
-        choice = np.argmin(delta[:, rows, cols], axis=0)  # first = earlier cand
-        energies = candidates[choice, rows, cols].copy()
+        best = delta.min(axis=0)  # (d, n), min keeps earlier-candidate ties
+        totals = best.sum(axis=0)  # (n,), accumulated in slice order
+        start_index = int(totals.argmin())  # first min = earlier start
+        choice = delta[:, :, start_index].argmin(axis=0)  # first = earlier cand
+        energies = candidates[choice, np.arange(d), start_index]
         return start_index, energies, float(totals[start_index])
 
 

@@ -243,6 +243,34 @@ class TestShmCodec:
         assert cleanup_run_segments("testrun") == 2
         assert _shm_residue("testrun") == []
 
+    def test_segments_start_no_helper_process(self):
+        # multiprocessing.shared_memory would launch a resource-tracker
+        # interpreter on first use, in every worker and in the parent, in
+        # the middle of a run.  A fresh interpreter that writes, reads and
+        # unlinks a segment must end up with no child process at all.
+        probe = (
+            "import os\n"
+            "from repro.runtime.shm import (\n"
+            "    read_snapshot, segment_name, unlink_segment, write_snapshot)\n"
+            "name = segment_name('trackerprobe', 0, 1)\n"
+            "write_snapshot((), name)\n"
+            "assert read_snapshot(name) == ()\n"
+            "assert unlink_segment(name)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child process')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "no child process"
+
 
 # ----------------------------------------------------------------------
 #: Every placement of the one cluster loop, by how its BRP hosts are built.

@@ -8,10 +8,15 @@ kernel must be numerically equivalent to the settlement-derived oracle
 volume limits, penalty shapes, and production/consumption offers.
 """
 
+import hashlib
+import struct
+from dataclasses import replace
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from repro.core import TimeSeries, flex_offer
+from repro.core import SchedulingError, TimeSeries, flex_offer
 from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
 from repro.scheduling import (
     CandidateSolution,
@@ -80,6 +85,89 @@ def random_problem(rng: np.random.Generator) -> SchedulingProblem:
         shortage_penalty=penalty(1.0),
         surplus_penalty=penalty(0.6),
     )
+
+
+RUNTIME_SHAPE_SHA256 = (
+    "8918c197275b161325f895329de14a0dd9f445a775496a3be54913646279a5e4"
+)
+"""Kernel output over :func:`runtime_shape_corpus`, recorded from the
+``(span, duration)``-table kernel the band kernel replaced."""
+
+
+def runtime_shape_corpus():
+    """Seeded ``(problem, offer index, residual)`` kernel inputs at the
+    shapes the streaming runtime schedules.
+
+    Horizon 96, aggregates of 8-40 slices with 1-35 admissible starts
+    (each extreme pair forced once per four problems); the 16 problems
+    cross flat / volume-capped markets, scalar / per-slice penalties and
+    zero / non-zero ``unit_price``.  ``random_problem`` stops at 5 slices,
+    below numpy's pairwise-summation threshold of 8, so it cannot see a
+    change in the kernel's accumulation order; this corpus can.
+    """
+    rng = np.random.default_rng(19)
+    horizon = 96
+    corners = [(8, 1), (40, 35), (8, 35), (40, 1)]
+    for p in range(16):
+        capped, per_slice, priced = p & 1, p & 2, p & 4
+        if capped:
+            buy = rng.uniform(0.05, 0.6, horizon)
+            market = Market(
+                buy,
+                buy - rng.uniform(0.0, 0.7, horizon),
+                max_buy=rng.uniform(0.0, 60.0, horizon),
+                max_sell=rng.uniform(0.0, 20.0, horizon),
+            )
+        else:
+            market = Market.flat(horizon)
+        if per_slice:
+            shortage_penalty = rng.uniform(0.0, 1.0, horizon)
+            surplus_penalty = rng.uniform(0.0, 0.6, horizon)
+        else:
+            shortage_penalty, surplus_penalty = np.array(0.5), np.array(0.2)
+        offers = []
+        for k in range(8):
+            if k == 0:
+                duration, n_starts = corners[p % 4]
+            else:
+                duration = int(rng.integers(8, 41))
+                n_starts = int(rng.integers(1, 36))
+            earliest = int(
+                rng.integers(0, horizon - (n_starts + duration - 1) + 1)
+            )
+            scale = rng.uniform(1.0, 8.0)  # aggregates carry several members
+            kind = rng.random()
+            if kind < 0.4:  # consumption
+                lo = rng.uniform(0.0, 2.0, duration)
+            elif kind < 0.8:  # production
+                lo = rng.uniform(-4.0, -1.0, duration)
+            else:  # sign-crossing flexibility
+                lo = rng.uniform(-2.0, 0.0, duration)
+            hi = lo + rng.uniform(0.0, 3.0, duration)
+            offers.append(
+                flex_offer(
+                    list(zip(scale * lo, scale * hi)),
+                    earliest_start=earliest,
+                    latest_start=earliest + n_starts - 1,
+                    unit_price=float(rng.uniform(0.0, 0.1)) if priced else 0.0,
+                )
+            )
+        problem = SchedulingProblem(
+            TimeSeries(0, rng.uniform(-40.0, 40.0, horizon)),
+            tuple(offers),
+            market,
+            shortage_penalty=shortage_penalty,
+            surplus_penalty=surplus_penalty,
+        )
+        for j in range(len(offers)):
+            yield problem, j, problem.net_forecast.values + rng.uniform(
+                -10.0, 10.0, horizon
+            )
+
+
+def widest_corpus_case():
+    """The corpus's widest band: 40 slices x 35 starts, capped market."""
+    return next(islice(runtime_shape_corpus(), 8, None))
 
 
 class TestEngineEquivalence:
@@ -153,6 +241,88 @@ class TestBatchedKernel:
                 assert consts.earliest_start + start_index == best_start
                 assert np.array_equal(energy, best_energy)
                 assert delta == pytest.approx(best_cost, abs=1e-9)
+
+    def test_kernel_bits_pinned_at_runtime_shapes(self):
+        """Every start, energy byte and cost delta at runtime shapes.
+
+        The per-start totals are sums of 8-40 terms; their accumulation
+        order (slice order, see ``best_placement``) decides near-tied
+        starts and through them whole plans, and nothing with 5-slice
+        offers and a 1e-9 cost tolerance can see it move.
+        """
+        digest = hashlib.sha256()
+        for problem, j, residual in runtime_shape_corpus():
+            consts = problem.offer_constants[j]
+            engine = problem.engine
+            for cost_vector in (None, engine.slice_costs(residual)):
+                start_index, energies, delta = engine.best_placement(
+                    consts, residual, cost_vector
+                )
+                digest.update(struct.pack("<q", start_index))
+                digest.update(energies.tobytes())
+                digest.update(struct.pack("<d", delta))
+
+            offer = problem.offers[j]
+            best_cost, best_index, best_energy = np.inf, -1, None
+            for k in range(consts.n_starts):
+                i = consts.earliest_index + k
+                energy, cost = reference_optimal_energies(
+                    problem,
+                    offer,
+                    residual[i : i + consts.duration],
+                    i,
+                    consts.lo,
+                    consts.hi,
+                )
+                if cost < best_cost:
+                    best_cost, best_index, best_energy = cost, k, energy
+            assert start_index == best_index
+            assert np.array_equal(energies, best_energy)
+            assert delta == pytest.approx(best_cost, abs=1e-9)
+        assert digest.hexdigest() == RUNTIME_SHAPE_SHA256
+
+    def test_accepts_any_real_array_over_the_horizon(self):
+        """Strided views and integer arrays answer like their float copy."""
+        problem, j, residual = widest_corpus_case()
+        consts = problem.offer_constants[j]
+        engine = problem.engine
+        whole = np.round(residual)
+        costs = engine.slice_costs(whole)
+        want = engine.best_placement(consts, whole, costs)
+
+        def strided(values):
+            view = np.repeat(values, 2)[::2]
+            assert not view.flags.c_contiguous
+            return view
+
+        for got in (
+            engine.best_placement(consts, strided(whole), strided(costs)),
+            engine.best_placement(consts, strided(whole)),
+            engine.best_placement(consts, whole.astype(np.int64), costs),
+            engine.best_placement(consts, whole.astype(np.int64)),
+        ):
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    def test_band_past_the_horizon_raises(self):
+        """An offer the horizon cannot hold is an error, not a foreign read."""
+        problem, j, residual = widest_corpus_case()
+        consts = problem.offer_constants[j]
+        engine = problem.engine
+        room = len(residual) - (consts.n_starts + consts.duration - 1)
+        fits = replace(consts, earliest_index=room)
+        engine.best_placement(fits, residual)
+        for earliest_index in (room + 1, len(residual), -1):
+            off = replace(consts, earliest_index=earliest_index)
+            with pytest.raises(SchedulingError, match="horizon"):
+                engine.best_placement(off, residual)
+            with pytest.raises(SchedulingError, match="horizon"):
+                engine.best_placement(
+                    off, residual, engine.slice_costs(residual)
+                )
+        with pytest.raises(SchedulingError, match="horizon"):  # short residual
+            engine.best_placement(fits, residual[:-1])
 
     def test_greedy_pass_identical_to_reference(self):
         rng_seed = 5
