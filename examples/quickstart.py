@@ -4,13 +4,13 @@
 Starts a BRP node behind the :class:`~repro.api.LedmsClient` facade,
 streams a morning of Poisson flex-offer traffic through it, watches plans
 commit via a lifecycle hook, submits/updates/withdraws offers through a
-prosumer session, and finally restarts the node from its store — the same
-request/response surface a deployed MIRABEL node would expose.
+prosumer session, and finally rebuilds the node from its event ledger — the
+same request/response surface a deployed MIRABEL node would expose.
 
 Run:  PYTHONPATH=src python examples/quickstart.py
 """
 
-from repro.api import LedmsClient
+from repro.api import LedmsClient, OfferLedger
 from repro.api.config import (
     IngestConfig,
     SchedulingConfig,
@@ -37,7 +37,9 @@ def main() -> None:
             ),
         ),
     )
-    client = LedmsClient(config)
+    # The ledger journals every submit/update/withdraw; in memory here, a
+    # deployed node passes OfferLedger(JsonlEventLog("ledger/")).
+    client = LedmsClient(config, ledger=OfferLedger())
 
     @client.on_plan_committed
     def report_plan(plan) -> None:
@@ -76,11 +78,13 @@ def main() -> None:
     session.withdraw(result.offer_id)
     print(f"after withdraw: state={client.query_offer(result.offer_id).state}")
 
-    # --- 4. restart: rebuild the live pool from the store ----------------
-    resumed = LedmsClient.resume(client.store, config)
+    # --- 4. restart: re-execute the journaled inputs onto a fresh node ---
+    # (a deployed node passes the ledger directory instead of the log)
+    resumed = LedmsClient.resume_from_ledger(client.ledger.log, config)
     print(
-        f"resumed node at t={resumed.now:g} with "
-        f"{resumed.live_offers} live offers"
+        f"resumed node at t={resumed.now:g} with {resumed.live_offers} live "
+        f"offers ({resumed.last_replay.events} facts, "
+        f"{resumed.last_replay.mode})"
     )
     resumed.schedule_now()
     print(f"metrics: {int(resumed.metrics()['schedule.runs'])} scheduling runs")

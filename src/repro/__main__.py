@@ -120,6 +120,8 @@ def _print_registry() -> None:
 # runtime subcommands
 # ----------------------------------------------------------------------
 def _runtime_parser(command: str) -> argparse.ArgumentParser:
+    from .api.ledger import FSYNC_MODES
+
     parser = argparse.ArgumentParser(
         prog=f"python -m repro {command}",
         description=(
@@ -156,23 +158,12 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         "--passes", type=int, default=2, help="greedy passes per scheduling run"
     )
     parser.add_argument(
-        "--trigger-count", type=int, default=200,
-        help="offers since last run that force a scheduling run",
-    )
-    parser.add_argument(
-        "--trigger-age", type=float, default=16.0,
-        help="max slices an offer may wait unscheduled",
-    )
-    parser.add_argument(
-        "--trigger-imbalance", type=float, default=2000.0,
-        help="unscheduled kWh that force a scheduling run",
-    )
-    parser.add_argument(
         "--trigger", metavar="SPEC", action="append", default=None,
         help="trigger policy spec 'kind' or 'kind:key=val,...' by registry "
         "name (e.g. 'count:threshold=100', 'adaptive:target_p95_slices=8'); "
-        "repeatable — multiple specs combine with the 'any' composite and "
-        "replace the default count/age/imbalance triple",
+        "repeatable — multiple specs combine with the 'any' composite; "
+        "default: the library's count/age/imbalance policy "
+        "(repro.runtime.config.default_trigger)",
     )
     parser.add_argument(
         "--target-p95-slices", type=float, default=None,
@@ -223,10 +214,6 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         "(default 0 = single-process cluster)",
     )
     parser.add_argument(
-        "--parallel", action="store_true",
-        help="shorthand for --workers 2 (process-parallel cluster runtime)",
-    )
-    parser.add_argument(
         "--epoch-slices", type=float, default=4.0, metavar="S",
         help="parallel mode: simulated slices per barrier epoch (workers "
         "sync with the TSO tier at each boundary; default 4.0)",
@@ -268,7 +255,7 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         "crash-recovery via 'repro.api.LedmsClient.resume_from_ledger'",
     )
     parser.add_argument(
-        "--fsync", default="commit", metavar="MODE",
+        "--fsync", default="commit", metavar="MODE", choices=FSYNC_MODES,
         help="ledger durability mode: 'commit' (fsync every append, "
         "default), 'close' (fsync on segment close) or 'never'",
     )
@@ -310,8 +297,9 @@ def _load_config_file(
 
     File values become argparse *defaults*, so flags given explicitly on
     the command line always win.  Unknown keys are an error (exit 2), with
-    the known flag set in the message.  Returns an error string instead of
-    raising so the caller owns the exit path.
+    the known flag set in the message, and so is a value its flag would not
+    take on the command line.  Returns an error string instead of raising
+    so the caller owns the exit path.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
@@ -320,8 +308,8 @@ def _load_config_file(
         return None
     import json
 
-    known = {
-        action.dest
+    flags = {
+        action.dest: action
         for action in parser._actions
         if action.dest not in ("help", "config")
     }
@@ -335,14 +323,48 @@ def _load_config_file(
     if not isinstance(values, dict):
         return "--config file must hold a JSON object of flag values"
     values = {key.replace("-", "_"): value for key, value in values.items()}
-    unknown = sorted(set(values) - known)
+    unknown = sorted(set(values) - set(flags))
     if unknown:
         return (
             f"unknown {command} config keys {', '.join(map(repr, unknown))}; "
-            f"known keys: {', '.join(sorted(known))}"
+            f"known keys: {', '.join(sorted(flags))}"
         )
+    for key, value in values.items():
+        try:
+            values[key] = _config_value(flags[key], value)
+        except ValueError as exc:
+            return f"bad value for {command} config key {key!r}: {exc}"
     parser.set_defaults(**values)
     return None
+
+
+def _config_value(flag: argparse.Action, value):
+    """One ``--config`` value, through its flag's own ``type``/``action``.
+
+    Scalars travel as the text the command line would have carried, so the
+    file accepts exactly what the flag does; a repeatable flag takes a list
+    (or one scalar, wrapped — never iterated), an on/off flag a JSON bool.
+    """
+    if value is None and flag.default is None:
+        return None
+    if isinstance(flag, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {value!r}")
+        return value
+    repeatable = isinstance(flag, argparse._AppendAction)
+    converted = []
+    for item in value if repeatable and isinstance(value, list) else [value]:
+        if isinstance(item, (bool, list, dict)) or item is None:
+            raise ValueError(f"expected one value, got {item!r}")
+        item = item if isinstance(item, str) else repr(item)
+        if flag.type is not None:
+            item = flag.type(item)
+        if flag.choices is not None and item not in flag.choices:
+            raise ValueError(
+                f"{item!r} is not one of {', '.join(map(repr, flag.choices))}"
+            )
+        converted.append(item)
+    return converted if repeatable else converted[0]
 
 
 def _parse_trigger_spec(spec: str):
@@ -396,7 +418,6 @@ def _run_runtime(command: str, argv: list[str]) -> int:
         LedmsClient,
         default_registry,
     )
-    from .api.ledger import FSYNC_MODES
     from .api.config import (
         AggregationConfig,
         IngestConfig,
@@ -406,6 +427,7 @@ def _run_runtime(command: str, argv: list[str]) -> int:
     )
     from .core.errors import ServiceError
     from .runtime import LoadGenerator, parse_outage
+    from .runtime.config import default_trigger
 
     parser = _runtime_parser(command)
     error = _load_config_file(parser, command, argv)
@@ -444,17 +466,10 @@ def _run_runtime(command: str, argv: list[str]) -> int:
         return _usage_error(
             f"--reorder-window must be >= 0, got {args.reorder_window}"
         )
-    if args.fsync not in FSYNC_MODES:
-        return _usage_error(
-            f"unknown --fsync mode {args.fsync!r}; known modes: "
-            f"{', '.join(FSYNC_MODES)}"
-        )
     if args.bus_retries < 0:
         return _usage_error(
             f"--bus-retries must be >= 0, got {args.bus_retries}"
         )
-    if args.parallel and args.workers == 0:
-        args.workers = 2
     if args.workers < 0:
         return _usage_error(f"--workers must be >= 0, got {args.workers}")
     if args.workers > 0:
@@ -497,17 +512,10 @@ def _run_runtime(command: str, argv: list[str]) -> int:
                 return _usage_error(str(exc))
 
     try:
-        trigger_spec = (
-            [_parse_trigger_spec(spec) for spec in args.trigger]
+        trigger = (
+            build_trigger([_parse_trigger_spec(spec) for spec in args.trigger])
             if args.trigger
-            else [
-                {"kind": "count", "threshold": args.trigger_count},
-                {"kind": "age", "max_age_slices": args.trigger_age},
-                {
-                    "kind": "imbalance",
-                    "threshold_kwh": args.trigger_imbalance,
-                },
-            ]
+            else default_trigger()
         )
         config = ServiceConfig(
             aggregation=AggregationConfig(engine=args.engine),
@@ -515,7 +523,7 @@ def _run_runtime(command: str, argv: list[str]) -> int:
                 horizon_slices=args.horizon,
                 scheduler=args.scheduler,
                 scheduler_passes=args.passes,
-                trigger=build_trigger(trigger_spec),
+                trigger=trigger,
                 min_run_interval_slices=args.min_run_interval,
                 seed=args.seed,
                 target_p95_slices=args.target_p95_slices,

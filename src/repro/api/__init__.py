@@ -5,7 +5,8 @@ Everything a caller needs to run a node lives here, typed and composable:
 * :class:`LedmsClient` / :class:`LedmsSession` — request/response facade
   over the streaming BRP service (submit / update / withdraw /
   query_offer / current_plan / metrics), with lifecycle hooks and
-  :meth:`LedmsClient.resume` for store-backed restarts;
+  :meth:`LedmsClient.resume_from_ledger` for recovery from the durable
+  event ledger;
 * :class:`TimeDriver` — the pluggable time seam: deterministic
   :class:`SimulatedDriver` or real-time :class:`WallClockDriver`;
 * :func:`default_registry` — the engine registry where aggregation

@@ -2,9 +2,11 @@
 
 The paper's LEDMS node is a *service*: prosumers submit, update and
 withdraw flex-offers against a running node, and the BRP tier answers with
-schedules (§§2–4).  :class:`LedmsClient` is that request/response surface
-over the streaming :class:`~repro.runtime.service.BrpRuntimeService` —
-callers no longer wire the service, event queue and engine strings by hand:
+schedules (§§2–4).  That node is the streaming
+:class:`~repro.runtime.service.BrpRuntimeService`, which owns the three
+operations, their journal facts and the idempotency guard;
+:class:`LedmsClient` builds one and puts the request/response surface on it,
+so callers need not wire the service, event queue and engine strings by hand:
 
     from repro.api import LedmsClient, ServiceConfig
 
@@ -13,14 +15,13 @@ callers no longer wire the service, event queue and engine strings by hand:
     plan = client.schedule_now()           # -> PlanView | None
     view = client.query_offer(result.offer_id)
 
-Every operation returns a typed result object (:class:`SubmitResult`,
-:class:`PlanView`, :class:`OfferView`) instead of bare booleans and
-internals.  Lifecycle hooks (:meth:`LedmsClient.on_plan_committed`,
-:meth:`LedmsClient.on_offer_state_change`) observe the node; a
-:class:`LedmsSession` scopes the same operations to one prosumer; and
-:meth:`LedmsClient.resume` rebuilds a live pool from
-:class:`~repro.datamgmt.mirabel.LedmsStore` lifecycle facts, so a node can
-restart mid-stream without losing its population.
+The facade adds what a caller sees and the loop does not need: typed views
+(:class:`PlanView`, :class:`OfferView`; :class:`SubmitResult` is the
+service's own result type), lifecycle hooks
+(:meth:`LedmsClient.on_plan_committed`,
+:meth:`LedmsClient.on_offer_state_change`), a :class:`LedmsSession` scoping
+the operations to one prosumer, and :meth:`LedmsClient.resume_from_ledger` —
+the one way back after a restart: a node rebuilt from its durable ledger.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ from ..core.flexoffer import FlexOffer
 from ..core.timeseries import TimeSeries
 from ..datamgmt.mirabel import LedmsStore
 from ..ledger import replay as ledger_replay
-from ..ledger.codec import default_source_event_id
 from ..ledger.ledger import DeadLetter, OfferLedger
-from ..ledger.log import JsonlEventLog
+from ..ledger.log import JsonlEventLog, segment_files
 from ..runtime.config import ServiceConfig
 from ..runtime.drivers import SimulatedDriver, TimeDriver
 from ..runtime.metrics import MetricsRegistry
-from ..runtime.service import BrpRuntimeService, RuntimeReport
+from ..runtime.service import BrpRuntimeService, RuntimeReport, SubmitResult
 from ..scheduling import SchedulingResult
 
 __all__ = [
@@ -54,24 +54,6 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SubmitResult:
-    """Outcome of one submit/update operation.
-
-    Truthiness mirrors acceptance, so ``if client.submit(offer):`` works.
-    """
-
-    accepted: bool
-    offer_id: int
-    offer: FlexOffer | None
-    """The admitted (possibly window-clipped) offer; None when rejected."""
-    reason: str | None = None
-    """Why admission failed (None when accepted)."""
-
-    def __bool__(self) -> bool:
-        return self.accepted
-
-
 @dataclass(frozen=True)
 class PlanAssignment:
     """One aggregate's placement in a committed plan."""
@@ -128,7 +110,7 @@ class LedmsClient:
     :class:`~repro.runtime.drivers.TimeDriver`
     (simulated by default; pass a
     :class:`~repro.runtime.drivers.WallClockDriver` for real-time
-    operation), plus optional store/metrics/forecast injections.
+    operation), plus optional metrics/forecast injections.
     """
 
     def __init__(
@@ -136,7 +118,6 @@ class LedmsClient:
         config: ServiceConfig | None = None,
         *,
         driver: TimeDriver | None = None,
-        store: LedmsStore | None = None,
         metrics: MetricsRegistry | None = None,
         net_forecast: TimeSeries | None = None,
         name: str = "brp",
@@ -145,7 +126,6 @@ class LedmsClient:
     ):
         self.service = BrpRuntimeService(
             config,
-            store=store,
             metrics=metrics,
             net_forecast=net_forecast,
             driver=driver,
@@ -238,128 +218,17 @@ class LedmsClient:
     def submit(
         self, offer: FlexOffer, *, source_event_id: str | None = None
     ) -> SubmitResult:
-        """Admit one flex-offer; always returns a :class:`SubmitResult`.
-
-        With a ledger attached the submission is journaled as an immutable
-        fact; a duplicate (same ``source_event_id``, content-derived by
-        default) is deflected to the *originally recorded* result instead
-        of double-counting.
-        """
-        outcome = self.service.submit_fact(offer, source_event_id)
-        if outcome.accepted:
-            return SubmitResult(True, outcome.offer_id, outcome.offer)
-        reason = outcome.reason
-        if reason is None and not outcome.duplicate:
-            reason = self.service.ingest.reject_reason(
-                offer, self.service.now_slice
-            )
-        return SubmitResult(
-            False, outcome.offer_id, None, reason or "rejected"
-        )
+        """Admit one flex-offer (see :meth:`BrpRuntimeService.submit_fact`)."""
+        return self.service.submit_fact(offer, source_event_id)
 
     def update(
         self, offer: FlexOffer, *, source_event_id: str | None = None
     ) -> SubmitResult:
-        """Replace a live offer (same ``offer_id``) with a revised one.
+        """Replace a live offer with a revision of the same ``offer_id``.
 
-        The revision is validated *before* the previous version is touched,
-        so a rejected update leaves the existing offer intact.  On success
-        the previous version is withdrawn (its delete update flushed
-        through the aggregation pipeline first, so the insert cannot pair
-        with a stale state), then the revision is admitted like a fresh
-        submission.  Under a wall-clock driver the admission clock may tick
-        between those steps; if the revision fails that second check, the
-        previous version is re-admitted, so the prosumer never loses a live
-        offer to a rejected update (unless its own window closed in the
-        meantime — ordinary expiry).  Updating an unknown/retired id
-        degrades to a plain submit.
-
-        With a ledger attached the edit journals as one ``reverse`` +
-        ``replace`` correction pair (the inner withdraw/submit facts are
-        suppressed; derived facts keep recording), and duplicates return
-        the originally recorded result.
+        Side-effect free when rejected; see :meth:`BrpRuntimeService.update`.
         """
-        service = self.service
-        led = service.ledger
-        recording = led is not None and led.recording_inputs
-        sid = source_event_id
-        if recording:
-            if sid is None:
-                sid = default_source_event_id(offer)
-            duplicate = service._deflect_duplicate(sid)
-            if duplicate is not None:
-                return SubmitResult(
-                    duplicate.accepted,
-                    duplicate.offer_id,
-                    duplicate.offer,
-                    duplicate.reason,
-                )
-        reason = service.ingest.reject_reason(offer, service.now_slice)
-        if reason is not None:
-            if recording:
-                # The previous version stays live, so this journals as a
-                # rejected replace with no reverse half.
-                led.record_submit(
-                    offer,
-                    at=service.now,
-                    source_event_id=sid,
-                    accepted=False,
-                    reason=reason,
-                    kind="replace",
-                )
-                service.metrics.counter("ledger.dead_letters").inc()
-                if service.tracer.enabled:
-                    service.tracer.dlq_event(
-                        offer.offer_id, reason, node=service.name
-                    )
-            return SubmitResult(False, offer.offer_id, None, reason)
-        if recording:
-            # Journal the compensating half before touching the pool, so
-            # derived facts the edit triggers land between the pair.
-            led.record_reverse(offer.offer_id, at=service.now, replaced_by=sid)
-            with led.suspended():
-                result = self._replace(offer)
-            led.record_submit(
-                offer,
-                at=service.now,
-                source_event_id=sid,
-                accepted=result.accepted,
-                reason=result.reason,
-                accepted_offer=result.offer,
-                kind="replace",
-                reverses=offer.offer_id,
-            )
-            if service.tracer.enabled:
-                service.tracer.ledger_event(
-                    "replace",
-                    offer.offer_id,
-                    node=service.name,
-                    detail={"accepted": result.accepted},
-                )
-                if not result.accepted:
-                    service.tracer.dlq_event(
-                        offer.offer_id, result.reason or "rejected",
-                        node=service.name,
-                    )
-            if not result.accepted:
-                service.metrics.counter("ledger.dead_letters").inc()
-            return result
-        return self._replace(offer)
-
-    def _replace(self, offer: FlexOffer) -> SubmitResult:
-        """The withdraw-flush-resubmit core of :meth:`update`."""
-        previous = self.service.withdraw(offer.offer_id)
-        if previous is not None:
-            self.service.run_aggregation()
-        accepted = self.service.submit(offer)
-        if accepted is not None:
-            return SubmitResult(True, accepted.offer_id, accepted)
-        if previous is not None:
-            self.service.submit(previous)  # best-effort reinstatement
-        reason = self.service.ingest.reject_reason(
-            offer, self.service.now_slice
-        )
-        return SubmitResult(False, offer.offer_id, None, reason or "rejected")
+        return self.service.update(offer, source_event_id)
 
     def withdraw(self, offer_id: int) -> bool:
         """Retract a live offer; True when something was withdrawn."""
@@ -441,61 +310,10 @@ class LedmsClient:
         """
         self.service.driver.post(lambda: self.service.submit(offer))
 
-    # -- sessions & restart ----------------------------------------------
+    # -- sessions & recovery ---------------------------------------------
     def session(self, owner: str) -> "LedmsSession":
         """A per-prosumer view stamping ``owner`` on everything it submits."""
         return LedmsSession(self, owner)
-
-    @classmethod
-    def resume(
-        cls,
-        store: LedmsStore,
-        config: ServiceConfig | None = None,
-        *,
-        driver: TimeDriver | None = None,
-        metrics: MetricsRegistry | None = None,
-        net_forecast: TimeSeries | None = None,
-        name: str = "brp",
-        tracer=None,
-    ) -> "LedmsClient":
-        """Rebuild a node from a store's lifecycle facts (restart mid-stream).
-
-        The driver starts at the store's last recorded event time and every
-        offer whose latest state is live (``accepted``/``aggregated``/
-        ``scheduled``) is re-admitted through the normal ingest path, so
-        the aggregate pool is rebuilt by the same code that built it the
-        first time.  Offers whose start window closed while the node was
-        down fail re-admission and end in a terminal state, exactly as if
-        an expiry sweep had caught them.
-
-        An explicitly passed ``driver`` must already be anchored at or
-        after that time (e.g. ``WallClockDriver(start=store.
-        last_event_time)``) — resuming on a rewound clock would re-admit
-        offers whose windows closed while the node was down.
-        """
-        start = float(store.last_event_time)
-        if driver is None:
-            driver = SimulatedDriver(start)
-        elif driver.now < start:
-            raise ServiceError(
-                f"resume driver starts at {driver.now:g}, before the "
-                f"store's last event time {start:g}; anchor it with "
-                f"start={start:g} so closed-window offers cannot rejoin "
-                "the pool"
-            )
-        client = cls(
-            config,
-            driver=driver,
-            store=store,
-            metrics=metrics,
-            net_forecast=net_forecast,
-            name=name,
-            tracer=tracer,
-        )
-        for offer in store.live_offers():
-            client.service.submit(offer)
-        client.service.run_aggregation()
-        return client
 
     @classmethod
     def resume_from_ledger(
@@ -508,7 +326,6 @@ class LedmsClient:
         net_forecast: TimeSeries | None = None,
         name: str = "brp",
         tracer=None,
-        mode: str | None = None,
         fsync: str = "commit",
     ) -> "LedmsClient":
         """Rebuild a node from its durable event log (crash recovery).
@@ -516,16 +333,17 @@ class LedmsClient:
         ``log`` is a ledger directory path, an event-log backend
         (:class:`~repro.ledger.JsonlEventLog` /
         :class:`~repro.ledger.MemoryEventLog`) or an
-        :class:`~repro.ledger.OfferLedger`.  Two replay modes:
+        :class:`~repro.ledger.OfferLedger`.  A path must hold a ledger:
+        recovering from a directory without one is an error, not an empty
+        node.  The driver selects the replay (:mod:`repro.ledger.replay`):
 
-        ``"reexecute"`` (default under simulated time)
-            Re-drive every journaled input at its recorded instant on a
-            fresh simulated driver — the rebuilt node is *bit-identical*
-            to the uninterrupted run at the last journaled time, and the
-            run can simply continue.
+        re-execution (no driver, or a simulated one not past the first
+        journaled instant)
+            Re-drive every journaled input at its recorded instant — the
+            rebuilt node is *bit-identical* to the uninterrupted run at the
+            last journaled time, and the run can simply continue.
 
-        ``"project"`` (default when an explicit driver sits past the log,
-        e.g. wall-clock)
+        projection (any other driver, wall-clock included)
             Fold the facts into store/service state at the current time:
             zero-loss (live pool, committed starts, terminal history) but
             not bit-for-bit internal state.
@@ -533,46 +351,32 @@ class LedmsClient:
         The returned client keeps the ledger attached (new operations keep
         journaling) and exposes the replay summary as ``client.last_replay``.
         """
-        if isinstance(log, OfferLedger):
-            ledger = log
-            ledger.node = name
-        else:
-            if isinstance(log, (str, os.PathLike)):
-                log = JsonlEventLog(log, fsync=fsync)
-            ledger = OfferLedger(log, node=name)
+        if isinstance(log, (str, os.PathLike)):
+            if not segment_files(log):
+                raise ServiceError(
+                    f"no ledger to recover under {os.fspath(log)!r}: the "
+                    "directory holds no event-log segment"
+                )
+            log = JsonlEventLog(log, fsync=fsync)
+        ledger = (
+            log if isinstance(log, OfferLedger) else OfferLedger(log, node=name)
+        )
         events = list(ledger.events())
-        times = [float(e["at"]) for e in events]
-        first = min(times) if times else 0.0
-        last = max(times) if times else 0.0
-        if mode is None:
-            if driver is None or (
-                isinstance(driver, SimulatedDriver) and driver.now <= first
-            ):
-                mode = "reexecute"
-            else:
-                mode = "project"
-        if mode not in ("reexecute", "project"):
-            raise ServiceError(
-                f"unknown ledger replay mode {mode!r}; "
-                "expected 'reexecute' or 'project'"
-            )
-        if driver is None:
-            driver = SimulatedDriver(first if mode == "reexecute" else last)
+        first = min((float(e["at"]) for e in events), default=0.0)
+        reexecute = driver is None or (
+            isinstance(driver, SimulatedDriver) and driver.now <= first
+        )
         client = cls(
             config,
-            driver=driver,
+            driver=driver if driver is not None else SimulatedDriver(first),
             metrics=metrics,
             net_forecast=net_forecast,
             name=name,
             tracer=tracer,
             ledger=ledger,
         )
-        replay = (
-            ledger_replay.reexecute
-            if mode == "reexecute"
-            else ledger_replay.project
-        )
-        client.last_replay = replay(client, events)
+        replay = ledger_replay.reexecute if reexecute else ledger_replay.project
+        client.last_replay = replay(client.service, events)
         return client
 
 

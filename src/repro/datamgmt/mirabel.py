@@ -41,7 +41,6 @@ from .table import Column
 __all__ = [
     "build_mirabel_schema",
     "LedmsStore",
-    "LIVE_OFFER_STATES",
     "OFFER_STATES",
 ]
 
@@ -57,14 +56,12 @@ OFFER_STATES = (
     "withdrawn",
 )
 
-#: States in which an offer is still part of the live pool (not terminal,
-#: not merely submitted): the set :meth:`LedmsStore.live_offers` rebuilds
-#: a restarted service from.
-LIVE_OFFER_STATES = frozenset({"accepted", "aggregated", "scheduled"})
-
 #: States in which the store keeps the offer *object* (see
-#: :meth:`LedmsStore.offer`); in every other state only the audit trail stays.
-_RETAINED_OFFER_STATES = LIVE_OFFER_STATES | {"submitted"}
+#: :meth:`LedmsStore.offer`) — submitted or part of the live pool; in every
+#: other state only the audit trail stays.
+_RETAINED_OFFER_STATES = frozenset(
+    {"submitted", "accepted", "aggregated", "scheduled"}
+)
 
 
 def build_mirabel_schema() -> StarSchema:
@@ -162,7 +159,6 @@ class LedmsStore:
         self._offer_states: dict[int, str] = {}
         self._offers: dict[int, FlexOffer] = {}
         self._offer_owners: dict[int, str] = {}
-        self._last_event_time = 0
         self._subscribers: list = []
 
     # ------------------------------------------------------------------
@@ -385,8 +381,6 @@ class LedmsStore:
             # store without bound.
             self._offers.pop(offer_id, None)
         self._offer_owners[offer_id] = actor
-        if now > self._last_event_time:
-            self._last_event_time = now
         for callback in self._subscribers:
             callback(offer_id, state, now)
 
@@ -426,35 +420,15 @@ class LedmsStore:
     def offer(self, offer_id: int) -> FlexOffer | None:
         """The retained object of a *live* offer (None if unseen/retired).
 
-        After admission this is the *accepted* (window-clipped) offer — the
-        exact object a restarted service must re-admit.  Objects of offers
-        in terminal states are evicted (their lifecycle stays queryable via
-        :meth:`offer_state` and the fact table).
+        After admission this is the *accepted* (window-clipped) offer.
+        Objects of offers in terminal states are evicted (their lifecycle
+        stays queryable via :meth:`offer_state` and the fact table).
         """
         return self._offers.get(offer_id)
 
     def offer_owner(self, offer_id: int) -> str | None:
         """The actor a lifecycle event was last recorded for (None if unseen)."""
         return self._offer_owners.get(offer_id)
-
-    @property
-    def last_event_time(self) -> int:
-        """Largest ``now`` any lifecycle event was recorded at (0 if none)."""
-        return self._last_event_time
-
-    def live_offers(self) -> list[FlexOffer]:
-        """Offers whose latest state is live, sorted by offer id.
-
-        These are the offers a restarted service re-admits to rebuild its
-        pool (:meth:`repro.api.LedmsClient.resume`): accepted or aggregated
-        offers plus scheduled-but-not-yet-executed ones.  Terminal states
-        (``executed``/``expired``/``rejected``/``withdrawn``) stay out.
-        """
-        return [
-            self._offers[oid]
-            for oid in sorted(self._offer_states)
-            if self._offer_states[oid] in LIVE_OFFER_STATES
-        ]
 
     def offers_in_state(self, state: str) -> list[int]:
         """Offer ids currently in ``state``."""

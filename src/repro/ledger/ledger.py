@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 
 from ..core.errors import DataManagementError
 from ..core.flexoffer import FlexOffer
-from .codec import default_source_event_id, offer_to_dict
+from .codec import offer_to_dict
 from .log import JsonlEventLog, MemoryEventLog
 
 __all__ = [
@@ -153,7 +153,7 @@ class OfferLedger:
     def suspended(self) -> Iterator["OfferLedger"]:
         """Suppress input-fact journaling for a compound operation.
 
-        ``LedmsClient.update`` journals one ``reverse``+``replace`` pair
+        ``BrpRuntimeService.update`` journals one ``reverse``+``replace`` pair
         and runs its internal withdraw/submit under suspension, so the log
         records the edit as a correction pair rather than three
         overlapping facts.  Derived facts keep recording.
@@ -172,10 +172,6 @@ class OfferLedger:
         if source_event_id is None:
             return None
         return self._results.get(source_event_id)
-
-    def source_event_id(self, offer: FlexOffer) -> str:
-        """Default content-derived idempotency key for ``offer``."""
-        return default_source_event_id(offer)
 
     def note_duplicate(
         self, source_event_id: str, *, offer_id: int, at: float

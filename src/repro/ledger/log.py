@@ -32,6 +32,15 @@ SEGMENT_PREFIX = "segment-"
 SEGMENT_SUFFIX = ".jsonl"
 
 
+def segment_files(directory: str | os.PathLike) -> list[Path]:
+    """The segment files under ``directory``, oldest first.
+
+    Empty when the directory holds no ledger (or does not exist) — the
+    look-before-you-open check of a recovery, which must not create one.
+    """
+    return sorted(Path(directory).glob(f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"))
+
+
 class MemoryEventLog:
     """A list-backed event log: the non-durable default for tests/benches."""
 
@@ -89,12 +98,7 @@ class JsonlEventLog:
 
     def segments(self) -> list[Path]:
         """Existing segment files, oldest first."""
-        return sorted(
-            path
-            for path in self.directory.glob(
-                f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"
-            )
-        )
+        return segment_files(self.directory)
 
     def _scan_existing(self) -> None:
         """Resume appending after the last intact record on disk."""

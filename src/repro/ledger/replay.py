@@ -1,11 +1,14 @@
 """Deterministic log replay: re-execution and projection recovery modes.
 
-Two ways to rebuild a node from its ledger after a crash:
+Both take the :class:`~repro.runtime.service.BrpRuntimeService` to rebuild
+(fresh, with the ledger attached) and drive it through its own front door —
+``submit``/``update``/``withdraw``/``drain``/``restore_commitment`` — so any
+host of a service (the api facade, a cluster's ``BrpHost``) is replayable:
 
 :func:`reexecute`
     Re-drive every journaled *input* fact (``submit``/``replace``/
-    ``withdraw``, plus ``run_window`` sweep-cadence markers) through a
-    fresh client at its recorded simulated time, on a simulated driver.
+    ``withdraw``, plus ``run_window`` sweep-cadence markers) through the
+    service at its recorded simulated time, on a simulated driver.
     Because the service loop is deterministic given (config, input
     sequence, times), the rebuilt node is bit-identical to the
     uninterrupted run at the last journaled instant — pool, warm starts,
@@ -15,7 +18,7 @@ Two ways to rebuild a node from its ledger after a crash:
     suspended while replaying so the log is not double-appended.
 
 :func:`project`
-    Fold the facts directly into store + service state: re-admit the
+    Fold the facts into the state they imply, then apply it: re-admit the
     still-live offers, restore committed starts from ``scheduled`` facts
     and replay terminal lifecycle rows for retired offers.  This works
     under any driver (wall-clock included, where past instants cannot be
@@ -53,41 +56,25 @@ class ReplayStats:
     windows: list[tuple[float, float]] = field(default_factory=list)
 
 
-def _trace_restored(client, stats: ReplayStats) -> None:
-    """Mark every restored-live offer in the trace (chain survives restart)."""
-    service = client.service
-    tracer = service.tracer
-    if not tracer.enabled:
-        return
-    for offer_id in sorted(service._live):
-        tracer.replay_event(
-            offer_id,
-            "live_restored",
-            node=service.name,
-            detail={"mode": stats.mode},
-        )
+def reexecute(service, events: list[dict]) -> ReplayStats:
+    """Re-drive journaled inputs through ``service`` at their recorded times.
 
-
-def reexecute(client, events: list[dict]) -> ReplayStats:
-    """Re-drive journaled inputs through ``client`` at their recorded times.
-
-    ``client.service.driver`` must be a simulated driver positioned at or
+    ``service.driver`` must be a simulated driver positioned at or
     before the first journaled instant.  Returns after the driver has run
     up to the last journaled event time; sweep ticks armed by
     ``run_window`` facts stay armed, so the caller can continue the run
     (arm the not-yet-journaled arrivals, run to the window end, drain).
     """
-    service = client.service
     ledger: OfferLedger = service.ledger
     if ledger is None:
-        raise DataManagementError("client has no ledger attached")
+        raise DataManagementError("service has no ledger attached")
     stats = ReplayStats(events=len(events), mode="reexecute")
     inputs = [e for e in events if e.get("kind") in INPUT_KINDS]
     stats.inputs = len(inputs)
     if events:
         stats.last_time = max(float(e["at"]) for e in events)
     if not inputs:
-        _finish(client, stats)
+        _finish(service, stats)
         return stats
 
     first = float(inputs[0]["at"])
@@ -106,7 +93,7 @@ def reexecute(client, events: list[dict]) -> ReplayStats:
             return
         driver.schedule_at(
             float(event["at"]),
-            lambda event=event: (_execute(client, event, stats), arm_next()),
+            lambda event=event: (_execute(service, event, stats), arm_next()),
         )
 
     ledger.replaying = True
@@ -115,13 +102,12 @@ def reexecute(client, events: list[dict]) -> ReplayStats:
         driver.run_until(stats.last_time)
     finally:
         ledger.replaying = False
-    _finish(client, stats)
+    _finish(service, stats)
     return stats
 
 
-def _execute(client, event: dict, stats: ReplayStats) -> None:
+def _execute(service, event: dict, stats: ReplayStats) -> None:
     kind = event["kind"]
-    service = client.service
     if kind == "run_window":
         # open_window journals the window up front; re-arm the same expiry
         # sweep cadence so trigger evaluation fires at the original times
@@ -134,25 +120,25 @@ def _execute(client, event: dict, stats: ReplayStats) -> None:
     elif kind == "submit":
         service.submit(offer_from_dict(event["offer"]))
     elif kind == "replace":
-        client.update(offer_from_dict(event["offer"]))
+        service.update(offer_from_dict(event["offer"]))
     elif kind == "withdraw":
         service.withdraw(int(event["offer_id"]))
 
 
-def project(client, events: list[dict]) -> ReplayStats:
-    """Fold the facts into fresh store/service state at the current time.
+def project(service, events: list[dict]) -> ReplayStats:
+    """Fold the facts into a fresh ``service`` at its current time.
 
     Works under any driver: nothing is re-driven at past instants.  The
     live pool is rebuilt by re-admission, committed starts are restored
     from the last ``scheduled`` fact per offer, and retired offers get
     their terminal lifecycle row replayed into the store (auto-registering
     their actors).  The driver must sit at or after the last journaled
-    instant, like a store-backed resume.
+    instant — on a rewound clock, offers whose windows closed while the
+    node was down would rejoin the pool.
     """
-    service = client.service
     ledger: OfferLedger = service.ledger
     if ledger is None:
-        raise DataManagementError("client has no ledger attached")
+        raise DataManagementError("service has no ledger attached")
     stats = ReplayStats(events=len(events), mode="project")
     if events:
         stats.last_time = max(float(e["at"]) for e in events)
@@ -235,16 +221,8 @@ def project(client, events: list[dict]) -> ReplayStats:
             # Committed plan starts survive the crash: the log, not the
             # lost process memory, is the system of record.
             for oid, start in committed.items():
-                offer = service._live.get(oid)
-                if offer is None:
-                    continue
-                service._committed_start[oid] = start
-                if oid not in service._scheduled:
-                    service._scheduled.add(oid)
-                    service._scheduled_total += 1
-                    service._unscheduled_energy -= service._offer_energy(offer)
-                store.replay_offer_event(offer.owner, offer, "scheduled", now_slice)
-                stats.committed_restored += 1
+                if service.restore_commitment(oid, start):
+                    stats.committed_restored += 1
             # Terminal history for retired offers: replayed straight into
             # the store, auto-registering actors the fresh store never saw.
             for oid, info in sorted(terminal.items()):
@@ -257,16 +235,24 @@ def project(client, events: list[dict]) -> ReplayStats:
                 )
         finally:
             ledger.replaying = False
-    _finish(client, stats)
+    _finish(service, stats)
     return stats
 
 
-def _finish(client, stats: ReplayStats) -> None:
-    service = client.service
+def _finish(service, stats: ReplayStats) -> None:
     if stats.mode == "reexecute":
-        stats.live_restored = len(service._live)
+        stats.live_restored = service.live_offers
         stats.committed_restored = len(service._committed_start)
     stats.dead_letters = len(service.ledger.dead_letters())
     service.metrics.counter("ledger.replays").inc()
     service.metrics.counter("ledger.replayed_events").inc(stats.events)
-    _trace_restored(client, stats)
+    tracer = service.tracer
+    if tracer.enabled:
+        # Mark every restored-live offer: its trace chain survives restart.
+        for offer_id in sorted(service._live):
+            tracer.replay_event(
+                offer_id,
+                "live_restored",
+                node=service.name,
+                detail={"mode": stats.mode},
+            )

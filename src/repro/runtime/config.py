@@ -56,8 +56,8 @@ def _runtime_parameters() -> AggregationParameters:
 def default_trigger() -> TriggerPolicy:
     """Count for throughput, age for latency, imbalance for burst risk.
 
-    Thresholds match the ``loadtest``/``serve`` CLI defaults so library and
-    CLI runs behave identically out of the box.
+    The ``loadtest``/``serve`` CLI takes this policy when no ``--trigger``
+    is given, so library and CLI runs behave identically out of the box.
     """
     return AnyTrigger(
         [CountTrigger(200), AgeTrigger(16), ImbalanceTrigger(2_000.0)]

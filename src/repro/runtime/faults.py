@@ -200,9 +200,10 @@ def state_fingerprint(client) -> dict:
     committed plan starts, the lifecycle state of every offer ever seen,
     the store's state counters and the dead-letter queue.  Wall-clock
     metrics and aggregate ids (drawn from a process-global counter) are
-    deliberately excluded.
+    deliberately excluded.  Takes a facade client or the bare service a
+    replay rebuilt.
     """
-    service = client.service
+    service = getattr(client, "service", client)
     store = service.store
     seen = set(service._live) | set(service._committed_start)
     fingerprint = {

@@ -30,7 +30,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from ..aggregation.aggregator import AggregatedFlexOffer
 from ..aggregation.pipeline import make_pipeline
@@ -53,23 +53,29 @@ from .triggers import AdaptiveTrigger, AnyTrigger, TriggerContext
 __all__ = [
     "RuntimeReport",
     "BrpRuntimeService",
-    "SubmitOutcome",
+    "SubmitResult",
 ]
 
 
-class SubmitOutcome(NamedTuple):
-    """The full result of one submission through the ledger-aware path.
+@dataclass(frozen=True)
+class SubmitResult:
+    """Outcome of one submit/update operation.
 
-    ``duplicate`` marks a submission deflected by the idempotency guard:
-    the other fields then carry the *originally recorded* outcome, not a
-    re-derived one.
+    Truthiness mirrors acceptance, so ``if client.submit(offer):`` works.
     """
 
-    offer: FlexOffer | None
-    offer_id: int
     accepted: bool
-    reason: str | None
+    offer_id: int
+    offer: FlexOffer | None
+    """The admitted (possibly window-clipped) offer; None when rejected."""
+    reason: str | None = None
+    """Why admission failed (None when accepted)."""
     duplicate: bool = False
+    """Deflected by the idempotency guard: the other fields carry the
+    *originally recorded* outcome, not a re-derived one."""
+
+    def __bool__(self) -> bool:
+        return self.accepted
 
 
 def _adaptive_policies(trigger) -> tuple:
@@ -157,7 +163,6 @@ class BrpRuntimeService:
         self,
         config: ServiceConfig | None = None,
         *,
-        store: LedmsStore | None = None,
         metrics: MetricsRegistry | None = None,
         net_forecast: TimeSeries | None = None,
         driver: TimeDriver | None = None,
@@ -166,9 +171,7 @@ class BrpRuntimeService:
         ledger: OfferLedger | None = None,
     ):
         self.config = config if config is not None else ServiceConfig()
-        self.store = (
-            store if store is not None else LedmsStore(self.config.axis)
-        )
+        self.store = LedmsStore(self.config.axis)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.driver: TimeDriver = (
             driver if driver is not None else SimulatedDriver()
@@ -329,37 +332,37 @@ class BrpRuntimeService:
     # ingest
     # ------------------------------------------------------------------
     def submit(self, offer: FlexOffer, source_event_id: str | None = None) -> FlexOffer | None:
-        """Admit one offer at the current time.
+        """:meth:`submit_fact`, reduced to the accepted offer (``None`` = rejected).
 
-        Returns the accepted (possibly window-clipped) offer — truthy, so
-        boolean call sites keep working — or ``None`` on rejection.  With
-        a ledger attached, the submission is journaled as an immutable
-        fact and duplicates (same ``source_event_id``, content-derived by
-        default) are deflected to the originally recorded result.
+        What the arrival loop and the internal re-admissions call: truthy on
+        acceptance, so boolean call sites keep working.
         """
         return self.submit_fact(offer, source_event_id).offer
 
     def submit_fact(
         self, offer: FlexOffer, source_event_id: str | None = None
-    ) -> SubmitOutcome:
-        """:meth:`submit` with the full recorded outcome (facade/ledger path)."""
+    ) -> SubmitResult:
+        """Admit one offer at the current time; the full recorded outcome.
+
+        The accepted offer may be window-clipped; a rejection carries its
+        reason.  With a ledger attached the submission is journaled as an
+        immutable fact, and a duplicate (same ``source_event_id``,
+        content-derived by default) is deflected to the *originally
+        recorded* result instead of double-counting.
+        """
         led = self.ledger
         recording = led is not None and led.recording_inputs
+        sid = source_event_id
         if recording:
-            sid = (
-                source_event_id
-                if source_event_id is not None
-                else default_source_event_id(offer)
-            )
-            duplicate = self._deflect_duplicate(sid)
+            sid, duplicate = self._deflect_duplicate(offer, sid)
             if duplicate is not None:
                 return duplicate
-        else:
-            sid = source_event_id
         self._submitted_counter.inc()
         accepted = self.ingest.submit(offer, self.now_slice)
-        reason: str | None = None
-        if accepted is not None:
+        if accepted is None:
+            reason = self.ingest.reject_reason(offer, self.now_slice)
+            result = SubmitResult(False, offer.offer_id, None, reason or "rejected")
+        else:
             oid = accepted.offer_id
             self._live[oid] = accepted
             self._arrival_sim[oid] = self.now
@@ -368,48 +371,96 @@ class BrpRuntimeService:
             self._unscheduled_energy += self._offer_energy(accepted)
             heapq.heappush(self._pending_heap, (self.now, oid))
             self._live_gauge.set(len(self._live))
-        elif recording:
-            reason = self.ingest.reject_reason(offer, self.now_slice) or "rejected"
+            result = SubmitResult(True, oid, accepted)
         if recording:
             # Journal before the aggregation/trigger cascade below, so the
             # submit fact precedes any derived facts it causes.
-            led.record_submit(
-                offer,
-                at=self.now,
-                source_event_id=sid,
-                accepted=accepted is not None,
-                reason=reason,
-                accepted_offer=accepted,
-            )
-            if accepted is None:
-                self.metrics.counter("ledger.dead_letters").inc()
-            if self.tracer.enabled:
-                self.tracer.ledger_event(
-                    "submit",
-                    offer.offer_id,
-                    node=self.name,
-                    detail={"accepted": accepted is not None},
-                )
-                if accepted is None:
-                    self.tracer.dlq_event(offer.offer_id, reason, node=self.name)
-        if accepted is None:
-            return SubmitOutcome(None, offer.offer_id, False, reason, False)
-        if self.ingest.batch_full:
-            self.run_aggregation()
-        self.maybe_schedule()
-        return SubmitOutcome(accepted, accepted.offer_id, True, None, False)
+            self._journal_submit("submit", offer, sid, result)
+        if accepted is not None:
+            if self.ingest.batch_full:
+                self.run_aggregation()
+            self.maybe_schedule()
+        return result
 
-    def _deflect_duplicate(self, sid: str) -> SubmitOutcome | None:
-        """The originally recorded outcome if ``sid`` was journaled before.
+    def update(
+        self, offer: FlexOffer, source_event_id: str | None = None
+    ) -> SubmitResult:
+        """Replace a live offer (same ``offer_id``) with a revised one.
 
-        The idempotency guard of every ledger-recorded front door
-        (:meth:`submit_fact`, the facade's ``update``): the duplicate is
-        journaled and counted, nothing is double-counted and nothing
-        re-enters the pipeline.  ``None`` means ``sid`` is new.
+        The revision is validated *before* the previous version is touched,
+        so a rejected update leaves the existing offer intact; otherwise
+        :meth:`_replace` swaps the versions.  Updating an unknown/retired id
+        degrades to a plain submit.
+
+        With a ledger attached the edit journals as one ``reverse`` +
+        ``replace`` correction pair (the inner withdraw/submit facts are
+        suppressed; derived facts keep recording) — a revision rejected
+        before the pool was touched as a lone rejected ``replace`` — and a
+        duplicate returns the originally recorded result.
         """
+        led = self.ledger
+        recording = led is not None and led.recording_inputs
+        sid = source_event_id
+        if recording:
+            sid, duplicate = self._deflect_duplicate(offer, sid)
+            if duplicate is not None:
+                return duplicate
+        reason = self.ingest.reject_reason(offer, self.now_slice)
+        if reason is not None:
+            result = SubmitResult(False, offer.offer_id, None, reason)
+            if recording:
+                self._journal_submit("replace", offer, sid, result)
+            return result
+        if not recording:
+            return self._replace(offer)
+        # Journal the compensating half before touching the pool, so
+        # derived facts the edit triggers land between the pair.
+        led.record_reverse(offer.offer_id, at=self.now, replaced_by=sid)
+        with led.suspended():
+            result = self._replace(offer)
+        self._journal_submit(
+            "replace", offer, sid, result, reverses=offer.offer_id
+        )
+        return result
+
+    def _replace(self, offer: FlexOffer) -> SubmitResult:
+        """The withdraw-flush-resubmit core of :meth:`update`.
+
+        The previous version's delete update is flushed through the
+        aggregation pipeline first, so the insert cannot pair with a stale
+        state; then the revision is admitted like a fresh submission.
+        Under a wall-clock driver the admission clock may tick between
+        those steps; if the revision fails that second check, the previous
+        version is re-admitted, so the prosumer never loses a live offer to
+        a rejected update (unless its own window closed in the meantime —
+        ordinary expiry).
+        """
+        previous = self.withdraw(offer.offer_id)
+        if previous is not None:
+            self.run_aggregation()
+        result = self.submit_fact(offer)
+        if not result.accepted and previous is not None:
+            self.submit(previous)  # best-effort reinstatement
+        return result
+
+    def _deflect_duplicate(
+        self, offer: FlexOffer, source_event_id: str | None
+    ) -> tuple[str, SubmitResult | None]:
+        """The idempotency guard of both ledger-recorded front doors.
+
+        Returns the submission's idempotency key (content-derived unless
+        given) and, when that key was journaled before, the originally
+        recorded outcome: the duplicate is journaled and counted, nothing
+        is double-counted and nothing re-enters the pipeline.
+        """
+        sid = (
+            source_event_id
+            if source_event_id is not None
+            else default_source_event_id(offer)
+        )
         prior = self.ledger.recorded_result(sid)
         if prior is None:
-            return None
+            return sid, None
         self.ledger.note_duplicate(sid, offer_id=prior.offer_id, at=self.now)
         self.metrics.counter("ledger.duplicates").inc()
         if self.tracer.enabled:
@@ -420,9 +471,46 @@ class BrpRuntimeService:
                 detail={"source_event_id": sid},
             )
         live = self._live.get(prior.offer_id) if prior.accepted else None
-        return SubmitOutcome(
-            live, prior.offer_id, prior.accepted, prior.reason, True
+        return sid, SubmitResult(
+            prior.accepted, prior.offer_id, live, prior.reason, duplicate=True
         )
+
+    def _journal_submit(
+        self,
+        kind: str,
+        offer: FlexOffer,
+        sid: str,
+        result: SubmitResult,
+        reverses: int | None = None,
+    ) -> None:
+        """Journal one ``submit``/``replace`` fact; count and trace it.
+
+        A rejection also lands in the dead-letter queue (the ledger routes
+        it), so the ``ledger.dead_letters`` counter moves with the queue.
+        """
+        self.ledger.record_submit(
+            offer,
+            at=self.now,
+            source_event_id=sid,
+            accepted=result.accepted,
+            reason=result.reason,
+            accepted_offer=result.offer,
+            kind=kind,
+            reverses=reverses,
+        )
+        if not result.accepted:
+            self.metrics.counter("ledger.dead_letters").inc()
+        if self.tracer.enabled:
+            self.tracer.ledger_event(
+                kind,
+                offer.offer_id,
+                node=self.name,
+                detail={"accepted": result.accepted},
+            )
+            if not result.accepted:
+                self.tracer.dlq_event(
+                    offer.offer_id, result.reason, node=self.name
+                )
 
     def withdraw(self, offer_id: int) -> FlexOffer | None:
         """Retract a live offer before execution; returns it, or ``None``.
@@ -698,12 +786,32 @@ class BrpRuntimeService:
                 )
         self._committed_start[oid] = start
         if oid not in self._scheduled:
-            self._scheduled.add(oid)
-            self._scheduled_total += 1
-            self._unscheduled_energy -= self._offer_energy(self._live[oid])
+            self._mark_scheduled(oid)
             latency_sim.observe(self.now - self._arrival_sim[oid])
             latency_wall.observe(time.perf_counter() - self._arrival_wall[oid])
             newly_scheduled.append(member)
+        return True
+
+    def _mark_scheduled(self, oid: int) -> None:
+        """A live offer's first commitment: it leaves the unscheduled backlog."""
+        self._scheduled.add(oid)
+        self._scheduled_total += 1
+        self._unscheduled_energy -= self._offer_energy(self._live[oid])
+
+    def restore_commitment(self, offer_id: int, start: int) -> bool:
+        """Re-instate a journaled plan start on a live offer; False if not live.
+
+        Projection recovery's seam: the start comes from the ledger, so
+        nothing is journaled and no latency is observed — the offer is
+        simply scheduled again, in this service's books and in the store.
+        """
+        offer = self._live.get(offer_id)
+        if offer is None:
+            return False
+        self._committed_start[offer_id] = start
+        if offer_id not in self._scheduled:
+            self._mark_scheduled(offer_id)
+        self._record_scheduled([offer], self.now_slice)
         return True
 
     def _record_scheduled(self, members: list[FlexOffer], now: int) -> None:

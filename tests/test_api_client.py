@@ -1,18 +1,18 @@
-"""The LedmsClient facade: typed operations, hooks, sessions, restart.
+"""The LedmsClient facade: typed operations, hooks, sessions.
 
 Covers the request/response surface (submit/update/withdraw/query/plan),
-the lifecycle hooks, the per-prosumer session scoping, and
-``LedmsClient.resume`` rebuilding a live pool from store lifecycle facts —
-including a mid-stream restart round-trip to the same pool state.
+the one result type it shares with the service, the lifecycle hooks and the
+per-prosumer session scoping.  Recovery (``resume_from_ledger``) is covered
+in ``tests/test_ledger.py``.
 """
 
 import pytest
 
-from repro.api import LedmsClient, OfferView, PlanView, SubmitResult
+from repro.api import LedmsClient, OfferLedger, OfferView, PlanView, SubmitResult
 from repro.api.config import IngestConfig, SchedulingConfig, ServiceConfig
 from repro.core import flex_offer
 from repro.core.errors import ServiceError
-from repro.runtime import LoadGenerator
+from repro.runtime import BrpRuntimeService, LoadGenerator
 from repro.runtime.triggers import AgeTrigger, AnyTrigger, CountTrigger
 
 
@@ -34,14 +34,6 @@ def _offer(est, tf=6, duration=2, lo=1.0, hi=2.0, **kw):
     )
 
 
-def _member_sets(service):
-    """The pool's aggregates as member-id sets (pipeline-instance agnostic)."""
-    return {
-        frozenset(m.offer_id for m in update.aggregate.members)
-        for update in service.pool.values()
-    }
-
-
 class TestOperations:
     def test_submit_returns_typed_result(self):
         client = LedmsClient(_config())
@@ -56,6 +48,30 @@ class TestOperations:
         result = client.submit(_offer(5, lo=0.0, hi=0.0))  # carries no energy
         assert not result
         assert "energy" in result.reason
+
+    def test_service_and_facade_share_one_result_type(self):
+        client = LedmsClient(_config(), ledger=OfferLedger())
+        service = client.service
+        offer = _offer(10)
+        fresh = [
+            service.submit_fact(_offer(10)),
+            service.update(_offer(11)),
+            client.submit(offer),
+            client.update(_offer(12, offer_id=offer.offer_id)),
+        ]
+        assert all(type(r) is SubmitResult and r and not r.duplicate for r in fresh)
+        bad = _offer(5, lo=0.0, hi=0.0)
+        rejected = client.submit(bad)
+        # A deflected duplicate carries the originally recorded outcome.
+        for first, again in ((fresh[2], client.submit(offer)),
+                             (rejected, service.submit_fact(bad))):
+            assert type(again) is SubmitResult and again.duplicate
+            assert (again.accepted, again.offer_id, again.reason) == (
+                first.accepted, first.offer_id, first.reason
+            )
+        # Without a ledger the reason still comes from where it is decided.
+        bare = BrpRuntimeService(_config()).submit_fact(bad)
+        assert not bare and "energy" in bare.reason and not bare.duplicate
 
     def test_query_offer_lifecycle(self):
         client = LedmsClient(_config())
@@ -199,74 +215,3 @@ class TestSession:
     def test_empty_owner_rejected(self):
         with pytest.raises(ServiceError):
             LedmsClient(_config()).session("")
-
-
-class TestResume:
-    def test_resume_round_trips_pool_state(self):
-        # Controlled future-window offers: the resumed pool must regroup to
-        # exactly the same aggregates (same member sets) as the original.
-        client = LedmsClient(_config())
-        for i in range(10):
-            client.submit(_offer(20 + 2 * i, tf=8, owner=f"p{i % 3}"))
-        client.service.run_aggregation()
-        original_members = _member_sets(client.service)
-        original_live = sorted(client.service._live)
-        assert original_members
-
-        resumed = LedmsClient.resume(client.store, _config())
-        resumed.service.run_aggregation()
-        assert sorted(resumed.service._live) == original_live
-        assert resumed.service.ingest.input_count == len(original_live)
-        assert _member_sets(resumed.service) == original_members
-
-    def test_resume_mid_stream_restart(self):
-        # Drive a real Poisson stream, "crash", resume from the store: the
-        # live population carries over one-to-one and the node keeps
-        # serving (clock starts at the store's last event time).
-        client = LedmsClient(_config(batch=8))
-        generator = LoadGenerator(rate_per_hour=40, seed=3)
-        client.run_stream(generator.stream(0, 24), 24)
-        live_before = sorted(client.service._live)
-        assert live_before  # stream left live offers behind
-
-        resumed = LedmsClient.resume(client.store, _config(batch=8))
-        assert resumed.now == client.store.last_event_time
-        assert sorted(resumed.service._live) == live_before
-        assert resumed.service.ingest.input_count == len(live_before)
-        # The resumed node schedules the inherited pool.
-        plan = resumed.schedule_now()
-        assert plan is not None and plan.aggregates >= 1
-
-    def test_resume_includes_scheduled_offers(self):
-        client = LedmsClient(_config())
-        oid = client.submit(_offer(20, tf=8)).offer_id
-        client.schedule_now()
-        assert client.query_offer(oid).state == "scheduled"
-        resumed = LedmsClient.resume(client.store, _config())
-        assert oid in resumed.service._live
-        # Re-admitted: scheduling state is rebuilt by the next plan.
-        assert resumed.query_offer(oid).state in ("accepted", "aggregated")
-
-    def test_resume_rejects_rewound_driver(self):
-        from repro.runtime import SimulatedDriver
-
-        client = LedmsClient(_config())
-        client.submit(_offer(20, tf=8))
-        client.driver.queue.clock.advance_to(10)
-        client.submit(_offer(30, tf=8))  # records events at t=10
-        with pytest.raises(ServiceError):
-            LedmsClient.resume(client.store, _config(), driver=SimulatedDriver(0.0))
-        # Anchored at (or after) the last event time is fine.
-        resumed = LedmsClient.resume(
-            client.store, _config(), driver=SimulatedDriver(10.0)
-        )
-        assert resumed.live_offers == 2
-
-    def test_resume_excludes_terminal_offers(self):
-        client = LedmsClient(_config())
-        kept = client.submit(_offer(20, tf=8)).offer_id
-        gone = client.submit(_offer(21, tf=8)).offer_id
-        client.withdraw(gone)
-        resumed = LedmsClient.resume(client.store, _config())
-        assert kept in resumed.service._live
-        assert gone not in resumed.service._live

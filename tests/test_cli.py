@@ -50,8 +50,10 @@ def test_scheduler_without_runtime_capability_exits_2(capsys):
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     config = tmp_path / "run.json"
+    # "trigger" is a repeatable flag: one spec is wrapped, not iterated.
     config.write_text(json.dumps({
         "rate": 20, "duration": 12, "seed": 1, "batch": 8, "passes": 1,
+        "trigger": "count:threshold=5",
     }))
     assert main(["loadtest", "--config", str(config)]) == EXIT_OK
     assert "rate=20" in capsys.readouterr().out
@@ -106,6 +108,11 @@ def test_config_file_unreadable_or_invalid_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["loadtest", "--config", str(bad)]) == EXIT_UNKNOWN_EXPERIMENT
+    capsys.readouterr()
+    # A value the flag itself would refuse is refused here too, by key.
+    bad.write_text(json.dumps({"rate": [1]}))
+    assert main(["loadtest", "--config", str(bad)]) == EXIT_UNKNOWN_EXPERIMENT
+    assert "config key 'rate'" in capsys.readouterr().err
 
 
 def test_serve_accepts_config_with_report_every(tmp_path, capsys):
@@ -280,10 +287,9 @@ def test_bad_reorder_window_exits_2(capsys):
 
 
 def test_bad_fsync_mode_exits_2(capsys):
-    assert (
+    with pytest.raises(SystemExit) as excinfo:
         main(["loadtest", *TINY, "--ledger", "led", "--fsync", "sometimes"])
-        == EXIT_UNKNOWN_EXPERIMENT
-    )
+    assert excinfo.value.code == EXIT_UNKNOWN_EXPERIMENT
     err = capsys.readouterr().err
     assert "commit" in err and "never" in err
 

@@ -215,7 +215,7 @@ class TestCli:
                 "--rate", "20",
                 "--duration", "24",
                 "--seed", "1",
-                "--trigger-count", "20",
+                "--trigger", "count:threshold=20",
                 "--batch", "8",
                 "--passes", "1",
             ]

@@ -310,7 +310,6 @@ class TestWallClockCrashProjection:
             log,
             _config(),
             driver=_wall_driver(FakeClock(), start=last),
-            mode="project",
         )
         assert resumed.last_replay.mode == "project"
         assert sorted(resumed.service._live) == sorted(client.service._live)

@@ -3,11 +3,13 @@
 Covers the offer codec's bit-exact round trip, the segmented JSONL log's
 rolling/fsync/torn-tail behaviour, the ledger's idempotency guard and
 dead-letter queue (including their rebuild from disk across a restart
-boundary), reverse-and-replace journaling for edits, and the two replay
-modes of ``LedmsClient.resume_from_ledger``.
+boundary), reverse-and-replace journaling for edits, and the two replays
+``LedmsClient.resume_from_ledger`` selects between (both also driven here
+on a bare service, without the facade).
 """
 
 import json
+from functools import partial
 
 import pytest
 
@@ -22,12 +24,18 @@ from repro.api.ledger import (
     default_source_event_id,
     offer_from_dict,
     offer_to_dict,
+    reexecute,
 )
 from repro.core import flex_offer
-from repro.core.errors import DataManagementError
+from repro.core.errors import DataManagementError, ServiceError
 from repro.core.timebase import TimeAxis
 from repro.datamgmt.mirabel import LedmsStore
-from repro.runtime import LoadGenerator, SimulatedDriver, state_fingerprint
+from repro.runtime import (
+    BrpRuntimeService,
+    LoadGenerator,
+    SimulatedDriver,
+    state_fingerprint,
+)
 from repro.runtime.triggers import AgeTrigger, AnyTrigger, CountTrigger
 
 
@@ -52,6 +60,27 @@ def _offer(est, tf=6, duration=2, lo=1.0, hi=2.0, **kw):
 def _ledger_client(log=None):
     ledger = OfferLedger(log if log is not None else MemoryEventLog())
     return LedmsClient(_config(), ledger=ledger)
+
+
+def _close_window_mid_update(service, revision):
+    """Reject ``revision`` once its previous version has left the pool.
+
+    ``update`` checks admission twice (before touching the pool, and when
+    re-admitting); only a wall clock ticking past the revision's window
+    between the two makes them disagree.  This injects exactly that at the
+    ingest seam, on simulated time, so re-execution replay can repeat it.
+    """
+    admissible = service.ingest.reject_reason
+    key = (revision.offer_id, revision.earliest_start)
+
+    def reject_reason(offer, now):
+        if (offer.offer_id, offer.earliest_start) == key and not service.is_live(
+            offer.offer_id
+        ):
+            return "start window already closed"
+        return admissible(offer, now)
+
+    service.ingest.reject_reason = reject_reason
 
 
 # ----------------------------------------------------------------------
@@ -198,19 +227,44 @@ class TestIdempotency:
 # ----------------------------------------------------------------------
 class TestFactJournal:
     def test_update_journals_reverse_and_replace_pair(self):
-        client = _ledger_client()
-        first = _offer(10, lo=1.0, hi=2.0)
-        client.submit(first)
-        revised = _offer(12, lo=2.0, hi=3.0, offer_id=first.offer_id)
-        assert client.update(revised).accepted
-        events = list(client.ledger.events())
-        reverse = next(e for e in events if e["kind"] == "reverse")
-        replace = next(e for e in events if e["kind"] == "replace")
-        assert reverse["offer_id"] == first.offer_id
-        assert replace["reverses"] == first.offer_id
-        assert reverse["seq"] < replace["seq"]
-        # An edit is a correction pair, not a withdraw+submit triple.
-        assert not any(e["kind"] == "withdraw" for e in events)
+        # outcome -> (revision energy bounds, admission fails once the
+        # previous version is out of the pool, journaled accepted flag)
+        outcomes = {
+            "accepted": ((2.0, 3.0), False, True),
+            "rejected before touch": ((0.0, 0.0), False, False),
+            "rejected after withdraw, reinstated": ((2.0, 3.0), True, False),
+        }
+        for outcome, ((lo, hi), closes, accepted) in outcomes.items():
+            client = _ledger_client()
+            first = _offer(10, lo=1.0, hi=2.0)
+            client.submit(first)
+            revised = _offer(12, lo=lo, hi=hi, offer_id=first.offer_id)
+            if closes:
+                _close_window_mid_update(client.service, revised)
+            assert client.update(revised).accepted is accepted, outcome
+            events = list(client.ledger.events())
+            kinds = [e["kind"] for e in events]
+            # An edit is one replace fact — never a withdraw+submit triple —
+            # with a reverse in front of it only when the pool was touched.
+            assert kinds.count("replace") == 1, outcome
+            assert kinds.count("submit") == 1 and "withdraw" not in kinds, outcome
+            replace = next(e for e in events if e["kind"] == "replace")
+            assert replace["accepted"] is accepted, outcome
+            if outcome == "rejected before touch":
+                assert "reverse" not in kinds and "reverses" not in replace
+            else:
+                reverse = next(e for e in events if e["kind"] == "reverse")
+                assert reverse["offer_id"] == first.offer_id, outcome
+                assert replace["reverses"] == first.offer_id, outcome
+                assert reverse["seq"] < replace["seq"], outcome
+            # Whatever the outcome, the prosumer still has a live offer, and
+            # the dead-letter counter moved exactly with the queue.
+            assert client.query_offer(first.offer_id).live, outcome
+            assert (
+                client.metrics().get("ledger.dead_letters", 0)
+                == len(client.dead_letters())
+                == (0 if accepted else 1)
+            ), outcome
 
     def test_rejected_update_journals_no_reverse(self):
         client = _ledger_client()
@@ -303,6 +357,11 @@ class TestResumeFromLedger:
             resumed.service.store.state_counts()
             == original.service.store.state_counts()
         )
+        # A driver rewound behind the log's last instant cannot take one:
+        # offers whose windows closed since would rejoin the pool.
+        rewound = SimulatedDriver(original.service.now / 2)
+        with pytest.raises(DataManagementError, match="cannot project"):
+            LedmsClient.resume_from_ledger(log, _config(), driver=rewound)
 
     def test_resumed_client_keeps_journaling(self):
         log = MemoryEventLog()
@@ -312,3 +371,51 @@ class TestResumeFromLedger:
         result = resumed.submit(_offer(int(resumed.service.now) + 4))
         assert result.accepted
         assert resumed.ledger.appends > before
+
+    def test_replay_needs_no_facade(self):
+        # A bare service journals a seeded history of every front-door
+        # outcome; a second bare service re-executes it from the log alone.
+        log = MemoryEventLog()
+        live = BrpRuntimeService(_config(), ledger=OfferLedger(log))
+        stream = list(LoadGenerator(rate_per_hour=40, seed=5).stream(0.0, 24.0))
+        for index, (at, offer) in enumerate(stream):
+            oid, est = offer.offer_id, offer.earliest_start
+            revised = _offer(est + 1, tf=offer.latest_start - est, offer_id=oid)
+            if index == 4:  # the one update that loses its window mid-edit
+                reinstated = revised
+                _close_window_mid_update(live, revised)
+            follow_up = {
+                0: partial(live.submit, offer),  # duplicate
+                1: partial(live.withdraw, oid),
+                2: partial(live.update, revised),
+                3: partial(live.update, _offer(est, lo=0.0, hi=0.0, offer_id=oid)),
+            }.get(2 if index == 4 else index % 7)
+            live.driver.schedule_at(at, partial(live.submit, offer))
+            if follow_up is not None:
+                live.driver.schedule_at(at + 0.25, follow_up)
+        live.open_window((), 24.0)
+        live.driver.run_until(24.0)
+        live.drain(24.0)
+        events = list(log.replay())
+        replaces = [e for e in events if e["kind"] == "replace"]
+        assert {(e["accepted"], "reverses" in e) for e in replaces} == {
+            (True, True), (False, False), (False, True),
+        }
+        assert {"duplicate", "withdraw", "dead_letter"} <= {e["kind"] for e in events}
+
+        fresh = BrpRuntimeService(_config(), ledger=OfferLedger(log))
+        _close_window_mid_update(fresh, reinstated)
+        stats = reexecute(fresh, events)
+        assert stats.inputs > len(stream) and stats.live_restored == live.live_offers
+        assert state_fingerprint(fresh) == state_fingerprint(live)
+        assert len(log) == len(events)  # replay appended nothing
+
+    def test_missing_ledger_directory_is_an_error_not_an_empty_node(self, tmp_path):
+        typo = tmp_path / "typo"
+        with pytest.raises(ServiceError, match="typo"):
+            LedmsClient.resume_from_ledger(typo, _config())
+        assert not typo.exists()  # and recovery created nothing
+        # An empty log *object* is a legal, empty history.
+        for empty in (MemoryEventLog(), OfferLedger()):
+            resumed = LedmsClient.resume_from_ledger(empty, _config())
+            assert resumed.last_replay.events == 0 and resumed.live_offers == 0

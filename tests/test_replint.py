@@ -366,6 +366,18 @@ class TestJournalFirst:
         )
         assert rule_ids(findings) == ["REP006"]
 
+    def test_flags_cascade_before_the_service_journaling_seam(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "anywhere.py",
+            """
+            def submit_fact(self, offer, sid, result):
+                self.maybe_schedule()
+                self._journal_submit("submit", offer, sid, result)
+            """,
+        )
+        assert rule_ids(findings) == ["REP006"]
+
     def test_journal_first_passes(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
@@ -565,6 +577,58 @@ class TestTriggerStateWrite:
             """
             def test_park(service):
                 service._last_run_time = float("inf")
+            """,
+        )
+        assert findings == []
+
+    def test_flags_foreign_commitment_bookkeeping(self, tmp_path):
+        # The body ledger/replay.py's project() had before the service grew
+        # restore_commitment(): four books written from outside, one read.
+        findings = lint_snippet(
+            tmp_path,
+            "src/repro/ledger/mod.py",
+            """
+            def project(service, store, committed, now_slice):
+                for oid, start in committed.items():
+                    offer = service._live.get(oid)
+                    if offer is None:
+                        continue
+                    service._committed_start[oid] = start
+                    if oid not in service._scheduled:
+                        service._scheduled.add(oid)
+                        service._scheduled_total += 1
+                        service._unscheduled_energy -= service._offer_energy(offer)
+                    store.replay_offer_event(offer.owner, offer, "scheduled", now_slice)
+            """,
+        )
+        assert rule_ids(findings) == ["REP009"]
+        assert sorted(f.line for f in findings) == [7, 9, 10, 11]
+
+    def test_flags_foreign_pool_eviction(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "src/repro/runtime/mod.py",
+            """
+            def evict(client, oid):
+                client.service._scheduled.discard(oid)
+                client.service._committed_start.pop(oid, None)
+                del client.service._live[oid]
+            """,
+        )
+        assert rule_ids(findings) == ["REP009"] and len(findings) == 3
+
+    def test_own_commitment_bookkeeping_passes(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "src/repro/runtime/mod.py",
+            """
+            class Node:
+                def commit(self, oid, start, other):
+                    self._committed_start[oid] = start
+                    self._scheduled.add(oid)
+                    self._scheduled_total += 1
+                    del self._live[oid]
+                    return len(other._live), other._committed_start.get(oid)
             """,
         )
         assert findings == []

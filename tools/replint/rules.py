@@ -436,6 +436,9 @@ class JournalFirstRule(Rule):
             "record_retire",
             "record_dead_letter",
             "note_duplicate",
+            # BrpRuntimeService's one journaling seam for submit/replace
+            # facts: calling it *is* the append, for ordering purposes.
+            "_journal_submit",
         }
     )
     _CASCADE_METHODS = frozenset(
@@ -561,13 +564,20 @@ class SwallowedExceptionRule(Rule):
 class TriggerStateWriteRule(Rule):
     """REP009: scheduling cadence state mutates only behind its owning seam.
 
-    Two families of state drive the closed loop and must have exactly one
+    Three families of state drive the closed loop and must have exactly one
     writer each:
 
     * a service's run cadence (``_last_run_time`` / ``_offers_since_run``)
       belongs to the service itself — outside callers go through
       ``BrpRuntimeService.scheduling_suspended()`` instead of reaching in
       (a raw write silently disarms or re-arms the trigger cooldown);
+    * a service's commitment books (``_live`` / ``_scheduled`` /
+      ``_scheduled_total`` / ``_committed_start`` / ``_unscheduled_energy``)
+      move together or the triggers read a backlog that is not there —
+      outside callers go through ``submit``/``withdraw``/
+      ``restore_commitment``; assignments, subscript stores, ``del`` and
+      mutating calls (``.add``/``.pop``/…) on another object's books all
+      count as writes;
     * adaptive trigger thresholds (``count_threshold`` / ``max_age_slices``
       / ``trigger_refreshes`` / ``min_run_interval_slices`` as *attribute*
       targets) change only inside the controllers' ``observe`` seam in
@@ -579,7 +589,25 @@ class TriggerStateWriteRule(Rule):
     title = "trigger/cadence state written outside its owning seam"
     scope = ("src/repro/",)
 
-    _CADENCE = frozenset({"_last_run_time", "_offers_since_run"})
+    #: Attribute -> the seam outside callers use instead of writing it.
+    _OWNED = {
+        **dict.fromkeys(
+            ("_last_run_time", "_offers_since_run"), "scheduling_suspended()"
+        ),
+        **dict.fromkeys(
+            (
+                "_live",
+                "_scheduled",
+                "_scheduled_total",
+                "_committed_start",
+                "_unscheduled_energy",
+            ),
+            "submit()/withdraw()/restore_commitment()",
+        ),
+    }
+    _MUTATORS = frozenset(
+        {"add", "discard", "remove", "pop", "clear", "update", "setdefault"}
+    )
     _THRESHOLDS = frozenset(
         {
             "count_threshold",
@@ -593,30 +621,42 @@ class TriggerStateWriteRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
         in_triggers = ctx.rel.endswith(self._THRESHOLD_HOME)
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign):
+            if isinstance(node, (ast.Assign, ast.Delete)):
                 targets = node.targets
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self._MUTATORS
+            ):
+                targets = [node.func.value]
             else:
                 continue
             for target in targets:
-                if not isinstance(target, ast.Attribute):
+                # ``x._live[k] = v`` and ``del x._live[k]`` write ``x._live``.
+                owned = target.value if isinstance(target, ast.Subscript) else target
+                if not isinstance(owned, ast.Attribute):
                     continue
                 owner_is_self = (
-                    isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
+                    isinstance(owned.value, ast.Name) and owned.value.id == "self"
                 )
-                if target.attr in self._CADENCE and not owner_is_self:
+                if owned.attr in self._OWNED and not owner_is_self:
                     yield (
-                        target,
-                        f"write to another object's {target.attr!r} "
-                        "bypasses its trigger-cadence seam; use "
-                        "scheduling_suspended() (or a method on the owner)",
+                        owned,
+                        f"write to another object's {owned.attr!r} bypasses "
+                        f"its owning seam; use {self._OWNED[owned.attr]} (or "
+                        "a method on the owner)",
                     )
-                elif target.attr in self._THRESHOLDS and not in_triggers:
+                elif (
+                    owned is target
+                    and not isinstance(node, (ast.Call, ast.Delete))
+                    and owned.attr in self._THRESHOLDS
+                    and not in_triggers
+                ):
                     yield (
-                        target,
-                        f"trigger threshold {target.attr!r} assigned outside "
+                        owned,
+                        f"trigger threshold {owned.attr!r} assigned outside "
                         "runtime/triggers.py; thresholds change only inside "
                         "the adaptive controllers' observe() seam",
                     )
