@@ -31,9 +31,12 @@ MIN_KERNEL_SPEEDUP = 5.0
 
 FIG6_SHAPE = "fig6 intraday micro-offers (d 2-7, median n 13-18)"
 RUNTIME_SHAPE = "runtime aggregates (d 14-40, n 5-33, horizon 96)"
+RUNTIME_MIXED_SHAPE = RUNTIME_SHAPE + ", mixed-sign slices"
 
 
-def runtime_shape_problem(seed: int = 0) -> SchedulingProblem:
+def runtime_shape_problem(
+    seed: int = 0, *, mixed_sign: bool = False
+) -> SchedulingProblem:
     """48 aggregates at the shapes the streaming runtime schedules.
 
     The Figure-6 micro-offers are short (median 5 slices) and the kernel's
@@ -42,6 +45,10 @@ def runtime_shape_problem(seed: int = 0) -> SchedulingProblem:
     window, a flat market and no compensation price, where the cost is
     element work.  A kernel change can move one and not the other, so both
     are recorded.
+
+    ``mixed_sign`` shifts every aggregate's bounds down so that slices with
+    ``lo < 0 < hi`` occur in all of them: the kernel then prices its fourth
+    (zero) candidate row, which consumption-only aggregates never need.
     """
     rng = np.random.default_rng(seed)
     horizon = 96
@@ -53,6 +60,8 @@ def runtime_shape_problem(seed: int = 0) -> SchedulingProblem:
         scale = rng.uniform(1.0, 8.0)
         lo = scale * rng.uniform(0.0, 2.0, duration)
         hi = lo + scale * rng.uniform(0.0, 3.0, duration)
+        if mixed_sign:
+            lo, hi = lo - scale, hi - scale
         offers.append(
             flex_offer(
                 list(zip(lo, hi)),
@@ -118,14 +127,18 @@ def test_greedy_kernel_speedup_vs_reference(once, bench_record):
     """Batched placement kernel vs the scalar baseline, same workload.
 
     Both run complete greedy passes on the Figure-6 intraday scenario and
-    on :func:`runtime_shape_problem`; the recorded passes/sec pair is the
-    before/after trajectory this repo's perf work is judged against.
+    on :func:`runtime_shape_problem` (consumption-only and mixed-sign); the
+    recorded passes/sec pair is the before/after trajectory this repo's
+    perf work is judged against.
     """
     sizes = [10] if smoke_mode() else [10, 100, 1000]
     seconds = 0.1 if smoke_mode() else 1.5
     scheduler = RandomizedGreedyScheduler()
     problems = [(FIG6_SHAPE, intraday_scenario(size, seed=0)) for size in sizes]
     problems.append((RUNTIME_SHAPE, runtime_shape_problem()))
+    problems.append(
+        (RUNTIME_MIXED_SHAPE, runtime_shape_problem(mixed_sign=True))
+    )
 
     def passes_per_second(fn, problem) -> float:
         fn(problem, np.random.default_rng(0))  # warm engine caches

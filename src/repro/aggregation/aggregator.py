@@ -201,17 +201,34 @@ def _finalize_aggregate(
     """Assemble the aggregate metadata around an already-built profile.
 
     Shared by the scalar state (bounds tuples) and the columnar engine
-    (profiles built from packed arrays), so both construct aggregates with
-    identical semantics.
+    (profiles built from packed arrays, which calls this directly), so both
+    construct aggregates with identical semantics.
     """
-    time_flex = min(o.time_flexibility for o in members)
-    deadlines = [
-        o.assignment_before for o in members if o.assignment_before is not None
-    ]
-    creation = min(min(o.creation_time for o in members), est)
+    if not members:
+        raise AggregationError("cannot build an aggregate from no members")
+    # One walk over the members (a hundred-odd, on every materialised
+    # update): least time flexibility, earliest creation, tightest
+    # deadline, and the price and offset columns.
+    time_flex = members[0].time_flexibility
+    creation = est
+    deadline = None
+    prices = []
+    offsets = []
+    for o in members:
+        earliest = o.earliest_start
+        if o.latest_start - earliest < time_flex:
+            time_flex = o.latest_start - earliest
+        if o.creation_time < creation:
+            creation = o.creation_time
+        due = o.assignment_before
+        if due is not None and (deadline is None or due < deadline):
+            deadline = due
+        prices.append(o.unit_price)
+        offsets.append(earliest - est)
     # The aggregate's deadline is the tightest member deadline, but never
     # beyond its own (possibly reduced) latest start.
-    deadline = min(min(deadlines), est + time_flex) if deadlines else None
+    if deadline is not None and deadline > est + time_flex:
+        deadline = est + time_flex
     return AggregatedFlexOffer(
         profile=profile,
         earliest_start=est,
@@ -220,9 +237,9 @@ def _finalize_aggregate(
         owner="aggregate",
         creation_time=creation,
         assignment_before=deadline,
-        unit_price=float(np.mean([o.unit_price for o in members])),
+        unit_price=float(np.mean(prices)),
         members=members,
-        offsets=tuple(o.earliest_start - est for o in members),
+        offsets=tuple(offsets),
     )
 
 

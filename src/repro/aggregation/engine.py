@@ -545,10 +545,10 @@ def _deferred_build(state: GroupProfileState, arena: GroupArena, *, eager: bool 
         snapshot.resolve(arena)
         lo, hi = snapshot.lo, snapshot.hi
         # Guard against sub-ulp subtraction residue inverting a slice whose
-        # bounds coincide (mirrors the scalar state's snapshot guard).
-        profile = Profile.from_bounds(
-            zip(lo.tolist(), np.maximum(hi, lo).tolist())
-        )
+        # bounds coincide (mirrors the scalar state's snapshot guard).  The
+        # snapshot's own copies become the profile's bound arrays, so the
+        # scheduler's first read does not rebuild them from the objects.
+        profile = Profile.from_arrays(lo, np.maximum(hi, lo))
         return _finalize_aggregate(members, est, profile, offer_id)
 
     return build

@@ -141,6 +141,34 @@ class Profile(tuple):
         return tuple.__new__(cls, items)
 
     @classmethod
+    def from_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> "Profile":
+        """:meth:`from_bounds` for a caller that holds the bound columns.
+
+        Every :class:`EnergyConstraint` is still built and validated, but
+        ``lo`` and ``hi`` (equal-length 1-D float64) *become* the
+        :attr:`min_array` / :attr:`max_array` caches — made read-only, not
+        copied — instead of being rebuilt slice by slice from the objects
+        on first use.  The caller hands them over: it must not write to
+        them afterwards (aggregate builds and the shared-memory macro
+        decode pass their own fresh copies).
+        """
+        if not (
+            lo.dtype == hi.dtype == np.float64
+            and lo.ndim == 1
+            and lo.shape == hi.shape
+        ):
+            raise InvalidFlexOfferError(
+                "profile bound arrays must be 1-D float64 of equal length, "
+                f"got {lo.dtype}{lo.shape} and {hi.dtype}{hi.shape}"
+            )
+        profile = cls.from_bounds(zip(lo.tolist(), hi.tolist()))
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        profile.__dict__["_min_array"] = lo
+        profile.__dict__["_max_array"] = hi
+        return profile
+
+    @classmethod
     def constant(cls, n_slices: int, min_energy: float, max_energy: float) -> "Profile":
         """A flat profile of ``n_slices`` identical constraints."""
         if n_slices <= 0:

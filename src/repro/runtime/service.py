@@ -721,15 +721,13 @@ class BrpRuntimeService:
                     # and recorded.
                     skipped += 1
                     continue
-                delta = assignment.start - original.earliest_start
-                for member in original.members:
-                    self._commit_member(
-                        member,
-                        member.earliest_start + delta,
-                        latency_sim,
-                        latency_wall,
-                        newly_scheduled,
-                    )
+                self._commit_members(
+                    original.members,
+                    assignment.start - original.earliest_start,
+                    latency_sim,
+                    latency_wall,
+                    newly_scheduled,
+                )
                 members_out += len(original.members)
                 if trace:
                     recommitted.append(original)
@@ -752,34 +750,70 @@ class BrpRuntimeService:
         self.metrics.counter("disaggregate.unchanged_skipped").inc(skipped)
         self.metrics.gauge("schedule.unique_scheduled").set(self._scheduled_total)
 
+    def _commit_members(
+        self,
+        members: tuple[FlexOffer, ...],
+        delta: int,
+        latency_sim,
+        latency_wall,
+        newly_scheduled: list[FlexOffer],
+    ) -> int:
+        """Shift every live member of one aggregate by ``delta``; the count.
+
+        The one member-commit loop, for local plans and remote schedules
+        alike; it runs for every member of every re-planned aggregate on
+        every trigger, so the books are looked up once per aggregate and a
+        re-commitment with no ledger recording is one dict store.  A member
+        counts as live only while ``_live`` holds *this object*: the pool,
+        ``_live`` and the published originals share the accepted instance,
+        so a different one under the same id is a later version (an
+        ``update`` while the plan travelled) whose window the start was not
+        chosen for, and it is skipped like a retired member.
+        """
+        live_version = self._live.get
+        scheduled = self._scheduled
+        committed_start = self._committed_start
+        led = self.ledger
+        recording = led is not None and led.recording
+        skipped = 0
+        for member in members:
+            oid = member.offer_id
+            if live_version(oid) is not member:
+                skipped += 1
+            elif recording or oid not in scheduled:
+                self._commit_member(
+                    member,
+                    member.earliest_start + delta,
+                    recording,
+                    latency_sim,
+                    latency_wall,
+                    newly_scheduled,
+                )
+            else:
+                committed_start[oid] = member.earliest_start + delta
+        return len(members) - skipped
+
     def _commit_member(
         self,
         member: FlexOffer,
         start: int,
+        recording: bool,
         latency_sim,
         latency_wall,
         newly_scheduled: list[FlexOffer],
-    ) -> bool:
-        """Record one member's committed start; returns True when still live.
+    ) -> None:
+        """Commit one live member the long way (see :meth:`_commit_members`).
 
-        The latency histograms are passed in (hoisted by the caller): this
-        runs for every member of every assignment on every re-plan.  A
-        member scheduled for the first time is appended to
+        Taken for a member's first commitment and whenever a ledger is
+        recording.  A member scheduled for the first time is appended to
         ``newly_scheduled``; the caller records those lifecycle facts in one
         batch (:meth:`_record_scheduled`).
         """
         oid = member.offer_id
-        if oid not in self._live:
-            return False
-        led = self.ledger
-        if (
-            led is not None
-            and led.recording
-            and self._committed_start.get(oid) != start
-        ):
+        if recording and self._committed_start.get(oid) != start:
             # Every change to a committed plan start is a durable fact —
             # what makes committed schedules survive a crash or outage.
-            led.record_scheduled(oid, start, at=self.now)
+            self.ledger.record_scheduled(oid, start, at=self.now)
             if self.tracer.enabled:
                 self.tracer.ledger_event(
                     "scheduled", oid, node=self.name, detail={"start": start}
@@ -790,7 +824,6 @@ class BrpRuntimeService:
             latency_sim.observe(self.now - self._arrival_sim[oid])
             latency_wall.observe(time.perf_counter() - self._arrival_wall[oid])
             newly_scheduled.append(member)
-        return True
 
     def _mark_scheduled(self, oid: int) -> None:
         """A live offer's first commitment: it leaves the unscheduled backlog."""
@@ -834,8 +867,9 @@ class BrpRuntimeService:
         placement wins.  Like the local `_disaggregate` path, only start
         commitments are derived here; per-slice energy disaggregation
         (:func:`repro.aggregation.disaggregate`) stays a dispatch-time
-        concern.  Members that retired while the plan travelled are
-        skipped.  Returns the number of members committed.
+        concern.  Members that retired, or were replaced by an ``update``,
+        while the plan travelled are skipped.  Returns the number of
+        members committed.
         """
         aggregate = scheduled.offer
         if not isinstance(aggregate, AggregatedFlexOffer):
@@ -847,30 +881,25 @@ class BrpRuntimeService:
         latency_sim = self.metrics.histogram("latency.e2e_slices")
         latency_wall = self.metrics.histogram("latency.e2e_wall_seconds")
         trace = self.tracer.enabled
-        delta = scheduled.start - aggregate.earliest_start
         newly_scheduled: list[FlexOffer] = []
         with self._stage("remote_commit"):
-            live = [
-                member
-                for member in aggregate.members
-                if self._commit_member(
-                    member,
-                    member.earliest_start + delta,
-                    latency_sim,
-                    latency_wall,
-                    newly_scheduled,
-                )
-            ]
-            committed = len(live)
+            committed = self._commit_members(
+                aggregate.members,
+                scheduled.start - aggregate.earliest_start,
+                latency_sim,
+                latency_wall,
+                newly_scheduled,
+            )
             self._record_scheduled(newly_scheduled, now)
             if trace:
-                for member in live:
-                    self.tracer.offer_event(
-                        member.offer_id,
-                        "remote_commit",
-                        node=self.name,
-                        detail={"macro": aggregate.offer_id},
-                    )
+                for member in aggregate.members:
+                    if self._live.get(member.offer_id) is member:
+                        self.tracer.offer_event(
+                            member.offer_id,
+                            "remote_commit",
+                            node=self.name,
+                            detail={"macro": aggregate.offer_id},
+                        )
         if trace:
             self.tracer.offer_event(
                 aggregate.offer_id,

@@ -112,8 +112,10 @@ def encode_macros(macros: Sequence[FlexOffer]) -> bytes:
 def decode_macros(buffer: bytes | memoryview) -> tuple[FlexOffer, ...]:
     """Rebuild what :func:`encode_macros` flattened, as plain flex-offers.
 
-    Every value is copied out into Python objects (one ``tolist()`` per
-    column), so nothing returned references ``buffer``.
+    Every value is copied out of ``buffer`` — the integer and price columns
+    into Python objects, the two bound columns into arrays of their own
+    that the profiles then keep as their bound arrays (the TSO's scheduler
+    reads exactly those) — so nothing returned references ``buffer``.
     """
     try:
         header_len = int.from_bytes(buffer[:8], "little")
@@ -126,17 +128,18 @@ def decode_macros(buffer: bytes | memoryview) -> tuple[FlexOffer, ...]:
             )
         owners = header["owners"]
 
-        def take(dtype, *shape: int) -> list:
+        def take(dtype, *shape: int) -> np.ndarray:
             nonlocal at
             column = np.frombuffer(
                 buffer, dtype=dtype, count=math.prod(shape), offset=at
             )
             at += column.nbytes
-            return column.reshape(shape).tolist()
+            return column.reshape(shape)
 
-        ints = take(np.int64, header["macros"], _N_INT_COLS)
-        prices = take(np.float64, len(ints))
+        ints = take(np.int64, header["macros"], _N_INT_COLS).tolist()
+        prices = take(np.float64, len(ints)).tolist()
         bounds = take(np.float64, sum(row[-1] for row in ints), 2)
+        lo, hi = bounds[:, 0].copy(), bounds[:, 1].copy()
     except (ValueError, KeyError) as exc:
         raise ServiceError(f"malformed snapshot buffer: {exc}") from exc
 
@@ -145,7 +148,9 @@ def decode_macros(buffer: bytes | memoryview) -> tuple[FlexOffer, ...]:
     for (oid, est, lst, created, deadline, owner, n), price in zip(ints, prices):
         macros.append(
             FlexOffer(
-                profile=Profile.from_bounds(bounds[slice_at : slice_at + n]),
+                profile=Profile.from_arrays(
+                    lo[slice_at : slice_at + n], hi[slice_at : slice_at + n]
+                ),
                 earliest_start=est,
                 latest_start=lst,
                 offer_id=oid,

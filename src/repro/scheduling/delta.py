@@ -210,10 +210,10 @@ class DeltaScheduler:
             if retained[j] is not None:
                 continue
             c = consts[j]
-            start_index, energy, cost_delta = state.best_placement(c)
+            start_index, energy, cost_delta, after = state.best_placement(c)
             starts[j] = c.earliest_start + start_index
             energies_out[j] = energy
-            state.place(c.earliest_index + start_index, energy, cost_delta)
+            state.place(c.earliest_index + start_index, energy, cost_delta, after)
 
         # Canonical cost: re-price the final residual and accumulate the
         # compensation terms in index order (never the drifting total).

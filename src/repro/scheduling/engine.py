@@ -17,11 +17,16 @@ effective caps) once per :class:`~repro.scheduling.problem.SchedulingProblem`
 so evaluating a residual window needs no :meth:`settle_market` temporaries —
 and, crucially, broadcasts over arbitrary leading axes.  That enables the
 batched placement kernel :meth:`CostEngine.best_placement`, which scores
-**all admissible start positions × all four per-slice energy candidates of
-one offer in a single vectorized operation** over the band of (profile
-slice, start) pairs a placement can occupy, read through zero-copy views,
+**all admissible start positions × all per-slice energy candidates of one
+offer in a single vectorized operation** over the band of (profile slice,
+start) pairs a placement can occupy, read through zero-copy views,
 replacing the per-start Python loop the solvers used to run.  Per-start
 totals accumulate in slice order, and plans depend on that bit for bit.
+Nothing is priced twice: a candidate row that can only repeat another is
+never built (:attr:`OfferConstants.candidates`), and the slice costs the
+kernel computed for the placement it chose are handed to
+:meth:`IncrementalCostState.place` rather than derived again — one
+expression, :func:`_price`, produces every cost on both routes.
 
 :class:`IncrementalCostState` maintains the residual and the running
 schedule cost across placements so a greedy pass (and the evolutionary /
@@ -77,18 +82,39 @@ def _band(values: np.ndarray, first: int, d: int, n: int) -> np.ndarray:
 
 def _price(residual: np.ndarray, market: np.ndarray) -> np.ndarray:
     """Settled EUR cost per element of ``residual`` under the six marginal
-    arrays of a :class:`CostEngine`, cut to the slices ``residual`` covers."""
+    arrays of a :class:`CostEngine`, cut to the slices ``residual`` covers.
+
+    The ONE pricing expression: :meth:`CostEngine.slice_costs` and the
+    placement kernel both call it, and ``IncrementalCostState.place`` stores
+    the kernel's results where it used to call ``slice_costs`` — which is
+    exact only because both routes run these operations, in this order::
+
+        shortage = max(r, 0)                 surplus = max(-r, 0)
+        covered  = min(shortage, cap_buy)    sold    = min(surplus, cap_sell)
+        ((covered * buy + (shortage - covered) * short_penalty)
+            + sold * sell) + (surplus - sold) * long_penalty
+
+    Every step is elementwise, so writing a step's result over an operand
+    it no longer needs changes no bit; three arrays of ``residual``'s shape
+    are allocated instead of one per step, and ``residual`` itself is only
+    read (it needs at least one axis).
+    """
     shortage_cap, surplus_cap, buy, short_penalty, sell, long_penalty = market
     shortage = np.maximum(residual, 0.0)
-    surplus = np.maximum(-residual, 0.0)
-    covered = np.minimum(shortage, shortage_cap)
-    sold = np.minimum(surplus, surplus_cap)
-    return (
-        covered * buy
-        + (shortage - covered) * short_penalty
-        + sold * sell
-        + (surplus - sold) * long_penalty
-    )
+    surplus = np.negative(residual)
+    np.maximum(surplus, 0.0, out=surplus)
+    cost = np.minimum(shortage, shortage_cap)  # covered
+    np.subtract(shortage, cost, out=shortage)  # shortage - covered
+    np.multiply(cost, buy, out=cost)
+    np.multiply(shortage, short_penalty, out=shortage)
+    np.add(cost, shortage, out=cost)
+    sold = np.minimum(surplus, surplus_cap, out=shortage)
+    np.subtract(surplus, sold, out=surplus)  # surplus - sold
+    np.multiply(sold, sell, out=sold)
+    np.add(cost, sold, out=cost)
+    np.multiply(surplus, long_penalty, out=surplus)
+    np.add(cost, surplus, out=cost)
+    return cost
 
 
 @dataclass(frozen=True)
@@ -99,15 +125,28 @@ class OfferConstants:
     (and re-read ``unit_price`` and the admissible start range) from the
     profile inside every greedy pass, every mutation and every
     ``flexoffer_cost`` call; these are immutable per problem, so they are
-    built exactly once (see ``SchedulingProblem.offer_constants``).
+    built exactly once (see ``SchedulingProblem.offer_constants``) — and
+    with them the two arrays the placement kernel would otherwise rebuild
+    on every call: the candidate template and the slice index.
     """
 
     lo: np.ndarray
     """Per-slice minimum energies (kWh), shape ``(duration,)``."""
     hi: np.ndarray
     """Per-slice maximum energies (kWh), shape ``(duration,)``."""
-    zero: np.ndarray
-    """``clip(0, lo, hi)`` — the do-least candidate, shape ``(duration,)``."""
+    candidates: np.ndarray
+    """Read-only ``(c, duration, 1)`` template of the kernel's per-slice
+    energy candidates: row 0 ``lo``, row 1 ``hi``, row 2 scratch for the
+    imbalance-nulling candidate (it depends on the residual), and — only
+    when it is needed, so ``c`` is 3 or 4 — row 3 ``clip(0, lo, hi)``, the
+    do-least candidate.  That row equals ``lo`` on a slice with ``lo >= 0``
+    and ``hi`` on one with ``hi <= 0``; the kernel takes ``min`` and the
+    *first* ``argmin`` over candidates slice by slice, where a later row
+    that repeats an earlier one can neither lower the minimum nor be
+    chosen, so unless some slice has ``lo < 0 < hi`` the row is dropped
+    and the plan keeps every bit."""
+    slice_index: np.ndarray
+    """``arange(duration)``, the kernel's gather index."""
     unit_price: float
     duration: int
     earliest_start: int
@@ -123,10 +162,20 @@ class OfferConstants:
         # several problems (or rebuilding a problem) shares the same buffers.
         lo = offer.profile.min_array
         hi = offer.profile.max_array
+        if ((lo < 0.0) & (hi > 0.0)).any():
+            candidates = np.empty((4, offer.duration, 1))
+            candidates[3, :, 0] = np.clip(0.0, lo, hi)
+        else:
+            candidates = np.empty((3, offer.duration, 1))
+        candidates[0, :, 0] = lo
+        candidates[1, :, 0] = hi
+        candidates[2, :, 0] = lo  # scratch: the kernel overwrites its copy
+        candidates.setflags(write=False)
         return cls(
             lo=lo,
             hi=hi,
-            zero=np.clip(0.0, lo, hi),
+            candidates=candidates,
+            slice_index=np.arange(offer.duration),
             unit_price=float(offer.unit_price),
             duration=offer.duration,
             earliest_start=offer.earliest_start,
@@ -302,17 +351,18 @@ class CostEngine:
         consts: OfferConstants,
         residual: np.ndarray,
         cost_vector: np.ndarray | None = None,
-    ) -> tuple[int, np.ndarray, float]:
+    ) -> tuple[int, np.ndarray, float, np.ndarray]:
         """Best start and per-slice energies for one offer, fully batched.
 
-        Evaluates every admissible start position against all four per-slice
-        energy candidates (bounds, imbalance-nulling, zero — the kinks of
-        the piecewise-linear slice cost) in one vectorized operation over
-        the *band*: entry ``[t, k]`` is profile slice ``t`` of the offer
-        started ``k`` slices after its earliest start, at horizon slice
-        ``earliest_index + t + k``.  Only those ``duration × n_starts``
-        pairs can be occupied, and residual, slice costs and market arrays
-        reach them through zero-copy :func:`_band` views.
+        Evaluates every admissible start position against the per-slice
+        energy candidates (bounds, imbalance-nulling and, where it is not a
+        repeat of a bound, zero — the kinks of the piecewise-linear slice
+        cost; see :attr:`OfferConstants.candidates`) in one vectorized
+        operation over the *band*: entry ``[t, k]`` is profile slice ``t``
+        of the offer started ``k`` slices after its earliest start, at
+        horizon slice ``earliest_index + t + k``.  Only those ``duration ×
+        n_starts`` pairs can be occupied, and residual, slice costs and
+        market arrays reach them through zero-copy :func:`_band` views.
 
         **Summation contract.**  Per-start totals are the ``(duration,
         n_starts)`` delta table reduced over axis 0, which numpy accumulates
@@ -327,9 +377,16 @@ class CostEngine:
         the horizon; an offer whose band leaves the horizon raises
         :class:`~repro.core.errors.SchedulingError`.
 
-        Returns ``(start_index, energies, cost_delta)`` where
-        ``start_index`` is relative to the offer's earliest start and
-        ``cost_delta`` includes the offer's compensation term.
+        Returns ``(start_index, energies, cost_delta, after_costs)`` where
+        ``start_index`` is relative to the offer's earliest start,
+        ``cost_delta`` includes the offer's compensation term, and
+        ``after_costs`` are the slice costs of the residual *with* the
+        placement applied, over the placement's own slices: the kernel
+        priced ``residual + candidate`` for every pair to find the best
+        one, so the chosen column is handed back instead of being priced
+        again (:meth:`IncrementalCostState.place` stores it; bit-equal to
+        ``slice_costs(residual[w] + energies, w.start)`` because both are
+        :func:`_price` of the same sums under the same market slices).
         Tie-breaking matches the scalar reference kernel exactly: earlier
         candidates and earlier starts win ties, so solutions are
         bit-for-bit identical to the pre-vectorization solver.
@@ -344,16 +401,15 @@ class CostEngine:
         else:
             before = _band(cost_vector, first, d, n)
 
-        lo = consts.lo[:, None]
-        hi = consts.hi[:, None]
-        candidates = np.empty((4, d, n))
-        candidates[0] = lo
-        candidates[1] = hi
-        np.minimum(np.maximum(-window, lo), hi, out=candidates[2])
-        candidates[3] = consts.zero[:, None]
+        template = consts.candidates  # (c, d, 1)
+        candidates = np.empty((len(template), d, n))
+        candidates[:] = template
+        np.minimum(
+            np.maximum(-window, template[0]), template[1], out=candidates[2]
+        )
 
-        delta = _price(window + candidates, market)  # (4, d, n)
-        delta -= before
+        after = _price(window + candidates, market)  # (c, d, n)
+        delta = after - before
         if consts.unit_price:
             delta += consts.unit_price * np.abs(candidates)
 
@@ -361,8 +417,13 @@ class CostEngine:
         totals = best.sum(axis=0)  # (n,), accumulated in slice order
         start_index = int(totals.argmin())  # first min = earlier start
         choice = delta[:, :, start_index].argmin(axis=0)  # first = earlier cand
-        energies = candidates[choice, np.arange(d), start_index]
-        return start_index, energies, float(totals[start_index])
+        chosen = (choice, consts.slice_index, start_index)
+        return (
+            start_index,
+            candidates[chosen],
+            float(totals[start_index]),
+            after[chosen],
+        )
 
 
 class IncrementalCostState:
@@ -373,7 +434,8 @@ class IncrementalCostState:
     the batched kernel's deltas (which include compensation terms), the
     evolutionary and exhaustive schedulers take pure slice-cost deltas from
     :meth:`replace` and keep compensation separately.  Either way only the
-    touched windows are ever re-priced, and the maintained ``cost_vector``
+    touched windows are ever re-priced — by :meth:`replace`; :meth:`place`
+    takes the kernel's own after-costs — and the maintained ``cost_vector``
     hands the kernel its "before" costs for free.
     """
 
@@ -404,17 +466,29 @@ class IncrementalCostState:
         )
 
     # ------------------------------------------------------------------
-    def best_placement(self, consts: OfferConstants) -> tuple[int, np.ndarray, float]:
+    def best_placement(
+        self, consts: OfferConstants
+    ) -> tuple[int, np.ndarray, float, np.ndarray]:
         """The batched kernel against this state's residual and cost vector."""
         return self.engine.best_placement(consts, self.residual, self.cost_vector)
 
-    def place(self, offset: int, energies: np.ndarray, cost_delta: float) -> None:
-        """Apply one placement whose cost delta is already known (kernel)."""
+    def place(
+        self,
+        offset: int,
+        energies: np.ndarray,
+        cost_delta: float,
+        after_costs: np.ndarray,
+    ) -> None:
+        """Apply one placement the kernel just scored.
+
+        ``cost_delta`` and ``after_costs`` are what
+        :meth:`best_placement` returned with ``energies``, against this
+        state as it is now; nothing is priced here, and the cost vector
+        stays bit-equal to ``engine.slice_costs(residual)``.
+        """
         window = slice(offset, offset + len(energies))
         self.residual[window] += energies
-        self.cost_vector[window] = self.engine.slice_costs(
-            self.residual[window], offset
-        )
+        self.cost_vector[window] = after_costs
         self.total += cost_delta
 
     def replace(

@@ -12,10 +12,11 @@ found (with the cost-over-time trace of Figure 6).
 
 Each placement runs the batched kernel
 :meth:`~repro.scheduling.engine.CostEngine.best_placement` — all admissible
-start positions × all four per-slice energy candidates in one vectorized
+start positions × all per-slice energy candidates in one vectorized
 operation — and an :class:`~repro.scheduling.engine.IncrementalCostState`
-carries the residual *and* the pass cost across placements, so a finished
-pass already knows its own cost and ``schedule()`` never re-derives
+carries the residual, the slice costs (the kernel's own, handed back with
+each placement) *and* the pass cost across placements, so a finished pass
+already knows its own cost and ``schedule()`` never re-derives
 ``problem.cost(solution)`` from scratch.  The pre-vectorization scalar loop
 survives as :mod:`repro.scheduling.reference` (oracle + benchmark baseline).
 """
@@ -87,9 +88,9 @@ class RandomizedGreedyScheduler:
 
         for j in rng.permutation(problem.offer_count):
             c = consts[j]
-            start_index, energy, delta = state.best_placement(c)
+            start_index, energy, delta, after = state.best_placement(c)
             starts[j] = c.earliest_start + start_index
             energies[j] = energy
-            state.place(c.earliest_index + start_index, energy, delta)
+            state.place(c.earliest_index + start_index, energy, delta, after)
 
         return CandidateSolution(starts, [e for e in energies]), state.total

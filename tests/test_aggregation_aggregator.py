@@ -96,6 +96,28 @@ class TestAggregateGroup:
         agg = aggregate_group([a, b])
         assert agg.assignment_before == 7
 
+    def test_deadline_capped_by_reduced_latest_start_and_creation_is_earliest(self):
+        a = flex_offer([(1, 1)], earliest_start=5, latest_start=12, creation_time=3)
+        b = flex_offer(
+            [(1, 1)], earliest_start=6, latest_start=8,
+            assignment_before=8, creation_time=1,
+        )
+        c = flex_offer([(1, 1)], earliest_start=5, latest_start=11, creation_time=4)
+        agg = aggregate_group([a, b, c])
+        assert (agg.earliest_start, agg.latest_start) == (5, 7)
+        assert agg.assignment_before == 7  # member deadline 8 > latest start 7
+        assert agg.creation_time == 1
+        assert agg.offsets == (0, 1, 0)
+        assert aggregate_group([a, c]).assignment_before is None
+
+    def test_finalize_rejects_no_members(self):
+        """The packed engine reaches ``_finalize_aggregate`` directly."""
+        from repro.aggregation.aggregator import _finalize_aggregate
+
+        profile = flex_offer([(1, 1)], earliest_start=0, latest_start=0).profile
+        with pytest.raises(AggregationError, match="no members"):
+            _finalize_aggregate((), 0, profile, 1)
+
     def test_unit_price_is_mean(self):
         a = flex_offer([(1, 1)], earliest_start=0, latest_start=0, unit_price=0.1)
         b = flex_offer([(1, 1)], earliest_start=0, latest_start=0, unit_price=0.3)

@@ -1,5 +1,6 @@
 """Unit tests for flex-offers, profiles and energy constraints."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -82,6 +83,32 @@ class TestProfile:
     def test_constant_rejects_zero_slices(self):
         with pytest.raises(InvalidFlexOfferError):
             Profile.constant(0, 1, 2)
+
+    def test_from_arrays_equals_from_bounds(self):
+        lo = np.array([1.0, -2.0, 0.0, 3.5])
+        hi = np.array([2.0, -2.0, 4.0, 3.75])
+        p = Profile.from_arrays(lo, hi)
+        assert p == Profile.from_bounds(zip(lo.tolist(), hi.tolist()))
+        assert all(type(s) is EnergyConstraint for s in p)
+        assert all(type(s.min_energy) is float for s in p)
+
+    def test_from_arrays_seeds_the_array_caches(self):
+        lo, hi = np.array([1.0, -2.0]), np.array([2.0, -1.0])
+        p = Profile.from_arrays(lo, hi)
+        assert p.min_array is lo and p.max_array is hi  # no fromiter copy
+        assert not lo.flags.writeable and not hi.flags.writeable
+        with pytest.raises(ValueError):
+            p.min_array[0] = 0.0
+
+    def test_from_arrays_still_validates(self):
+        with pytest.raises(InvalidFlexOfferError):
+            Profile.from_arrays(np.array([1.0, 3.0]), np.array([2.0, 2.5]))
+        with pytest.raises(InvalidFlexOfferError):
+            Profile.from_arrays(np.zeros(0), np.zeros(0))
+        with pytest.raises(InvalidFlexOfferError):
+            Profile.from_arrays(np.zeros(2), np.ones(3))
+        with pytest.raises(InvalidFlexOfferError):
+            Profile.from_arrays(np.zeros(2, dtype=np.int64), np.ones(2))
 
 
 class TestFlexOffer:

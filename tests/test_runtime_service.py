@@ -6,12 +6,16 @@ driving every stage (ingest → incremental aggregation → triggered scheduling
 → disaggregation → expiry) through real traffic.
 """
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from repro.aggregation import DirtySet
-from repro.core import flex_offer
+from repro.core import ScheduledFlexOffer, flex_offer
 from repro.core.errors import ServiceError
+from repro.ledger import MemoryEventLog, OfferLedger
 from repro.runtime.planning import PlanSession
 from repro.runtime import (
     AgeTrigger,
@@ -111,6 +115,74 @@ class TestServiceLoop:
         assert "scheduling runs" in text
 
 
+REPLANNING_SHA256 = (
+    "1c38d55a8357a772feff7afb994aef0669f79600f1ecb30bdcf500b2ba2584e9"
+)
+"""Plan costs, committed starts and commit latencies of
+:func:`_replanning_digests`' stream."""
+
+REPLANNING_SCHEDULED_FACTS_SHA256 = (
+    "b51408f3c2576e6a57031321b3971625da75845057e88e26a4a3cd41ab57551f"
+)
+"""The ``scheduled`` facts the same stream journals, in order."""
+
+
+def _replanning_digests(ledger=None):
+    """(plans digest, ``scheduled``-facts digest) of one default-config run.
+
+    Offer ids come from a process-global counter, so every id is replaced
+    by the offer's arrival rank before it is hashed.
+    """
+    service = BrpRuntimeService(ServiceConfig(), ledger=ledger)
+    costs = []
+    service.plan_listeners.append(lambda result: costs.append(result.cost))
+    rank = {}
+
+    def arrivals():
+        generator = LoadGenerator(rate_per_hour=200.0, seed=3)
+        for at, offer in generator.stream(0.0, 24.0):
+            rank[offer.offer_id] = len(rank)
+            yield at, offer
+
+    report = service.run_stream(arrivals(), 24.0)
+    assert report.scheduling_runs >= 20 and len(costs) >= 20
+    assert any(
+        np.any((update.aggregate.min_array < 0) & (update.aggregate.max_array > 0))
+        for update in service.pool.values()
+    )  # the four-candidate kernel path planned something
+    latency = service.metrics.histogram("latency.e2e_slices")
+    plans = hashlib.sha256(struct.pack(f"<{len(costs)}d", *costs))
+    for oid, start in sorted(
+        (rank[oid], start) for oid, start in service._committed_start.items()
+    ):
+        plans.update(struct.pack("<qq", oid, start))
+    plans.update(struct.pack("<qdd", latency.count, latency.p50, latency.p95))
+    facts = hashlib.sha256()
+    if ledger is not None:
+        for event in ledger.events():
+            if event["kind"] == "scheduled":
+                facts.update(
+                    struct.pack(
+                        "<qqd", rank[event["offer_id"]], event["start"], event["at"]
+                    )
+                )
+    return plans.hexdigest(), facts.hexdigest()
+
+
+class TestReplanningPinned:
+    """Tier-1 pin for "plans bit-identical": a change to the planner, the
+    kernel or the commit walk that moves one committed bit fails here."""
+
+    def test_replanning_bits_pinned(self):
+        plans, _ = _replanning_digests()
+        assert plans == REPLANNING_SHA256
+
+    def test_replanning_bits_pinned_with_ledger(self):
+        plans, facts = _replanning_digests(OfferLedger(MemoryEventLog()))
+        assert plans == REPLANNING_SHA256
+        assert facts == REPLANNING_SCHEDULED_FACTS_SHA256
+
+
 class TestSchedulingIntegration:
     def test_warm_start_used_on_rescheduling(self):
         service, _ = _run(duration=48)
@@ -155,6 +227,45 @@ class TestSchedulingIntegration:
         result = service.maybe_schedule(force=True)
         assert result is None
         assert service.metrics.counter("schedule.empty_runs").value == 1
+
+
+class TestStaleRemoteSchedule:
+    def test_remote_schedule_skips_a_member_edited_since_publication(self):
+        """A macro published before an ``update`` holds the *previous*
+        version of the member; committing it would place the live offer
+        outside its (now narrower) start window."""
+        ledger = OfferLedger(MemoryEventLog())
+        service = BrpRuntimeService(TINY, ledger=ledger)
+        offer = _offer(10, tf=10)
+        oid = offer.offer_id
+        service.submit(offer)
+        service.maybe_schedule(force=True)
+        (macro,) = service.last_plan_originals
+        assert macro.latest_start == 20 and service.committed_start(oid) is not None
+
+        service.update(_offer(10, tf=2, offer_id=oid))
+
+        def scheduled_facts():
+            return [e for e in ledger.events() if e["kind"] == "scheduled"]
+
+        facts = scheduled_facts()
+        stale = ScheduledFlexOffer(macro, 20, macro.profile.min_energies())
+        assert service.apply_remote_schedule(stale) == 0
+        assert service.committed_start(oid) is None
+        assert not service.is_scheduled(oid)
+        assert scheduled_facts() == facts
+
+        service.maybe_schedule(force=True)
+        assert 10 <= service.committed_start(oid) <= 12
+        facts = scheduled_facts()
+        assert service.apply_remote_schedule(stale) == 0
+        assert 10 <= service.committed_start(oid) <= 12
+        assert scheduled_facts() == facts
+        # The macro built from the live version still commits.
+        (fresh,) = service.last_plan_originals
+        current = ScheduledFlexOffer(fresh, 12, fresh.profile.min_energies())
+        assert service.apply_remote_schedule(current) == 1
+        assert service.committed_start(oid) == 12
 
 
 class TestExpiry:

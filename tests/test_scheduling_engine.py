@@ -93,8 +93,68 @@ RUNTIME_SHAPE_SHA256 = (
 """Kernel output over :func:`runtime_shape_corpus`, recorded from the
 ``(span, duration)``-table kernel the band kernel replaced."""
 
+MIXED_SIGN_SHA256 = (
+    "30436ed4434d0a072a28ffb058e952fa7badb352c9c96b2ea6dc2fa42c8205a6"
+)
+"""Kernel output over :func:`mixed_sign_corpus`, recorded from the kernel
+that priced all four candidate rows for every offer."""
 
-def runtime_shape_corpus():
+PLACE_TOTALS_SHA256 = (
+    "9a6a085e2b108b8acab678943d58764a39833b9b7a80a6b5dcc18251eb0b6b3f"
+)
+"""Every ``(offset, energies, running total)`` of
+``test_place_keeps_cost_vector_exact``, recorded from the ``place`` that
+re-priced each window with ``slice_costs``."""
+
+
+def _runtime_bounds(rng, k, duration):
+    """Per-slice ``(lo, hi)`` of one aggregate: consumption, production or
+    sign-crossing as a whole, scaled as if it carried several members."""
+    scale = rng.uniform(1.0, 8.0)
+    kind = rng.random()
+    if kind < 0.4:  # consumption
+        lo = rng.uniform(0.0, 2.0, duration)
+    elif kind < 0.8:  # production
+        lo = rng.uniform(-4.0, -1.0, duration)
+    else:  # sign-crossing flexibility
+        lo = rng.uniform(-2.0, 0.0, duration)
+    hi = lo + rng.uniform(0.0, 3.0, duration)
+    return scale * lo, scale * hi
+
+
+def _mixed_sign_bounds(rng, k, duration):
+    """Bounds that decide whether the kernel needs its ``zero`` candidate.
+
+    ``clip(0, lo, hi)`` differs from both bounds exactly on the slices with
+    ``lo < 0 < hi``; the four shapes by offer index are: every slice
+    crossing, production only (some upper bounds exactly 0), consumption
+    with exactly one crossing slice, and consumption and production slices
+    alternating — where the zero row is a patchwork of the two bound rows
+    without ever differing from both.
+    """
+    scale = rng.uniform(1.0, 8.0)
+    shape = k % 4
+    if shape == 0:
+        lo = -rng.uniform(0.1, 2.0, duration)
+        hi = rng.uniform(0.1, 3.0, duration)
+    elif shape == 1:
+        hi = -rng.uniform(0.0, 2.0, duration)
+        hi[rng.random(duration) < 0.25] = 0.0
+        lo = hi - rng.uniform(0.0, 3.0, duration)
+    elif shape == 2:
+        lo = rng.uniform(0.0, 2.0, duration)
+        hi = lo + rng.uniform(0.0, 3.0, duration)
+        crossing = int(rng.integers(0, duration))
+        lo[crossing], hi[crossing] = -rng.uniform(0.1, 2.0), rng.uniform(0.1, 3.0)
+    else:
+        lo = rng.uniform(0.0, 2.0, duration)
+        hi = lo + rng.uniform(0.0, 3.0, duration)
+        produce = np.arange(duration) % 2 == 1
+        lo[produce], hi[produce] = -hi[produce], -lo[produce]
+    return scale * lo, scale * hi
+
+
+def _shape_corpus(seed, draw_bounds):
     """Seeded ``(problem, offer index, residual)`` kernel inputs at the
     shapes the streaming runtime schedules.
 
@@ -103,9 +163,9 @@ def runtime_shape_corpus():
     cross flat / volume-capped markets, scalar / per-slice penalties and
     zero / non-zero ``unit_price``.  ``random_problem`` stops at 5 slices,
     below numpy's pairwise-summation threshold of 8, so it cannot see a
-    change in the kernel's accumulation order; this corpus can.
+    change in the kernel's accumulation order; these corpora can.
     """
-    rng = np.random.default_rng(19)
+    rng = np.random.default_rng(seed)
     horizon = 96
     corners = [(8, 1), (40, 35), (8, 35), (40, 1)]
     for p in range(16):
@@ -135,18 +195,10 @@ def runtime_shape_corpus():
             earliest = int(
                 rng.integers(0, horizon - (n_starts + duration - 1) + 1)
             )
-            scale = rng.uniform(1.0, 8.0)  # aggregates carry several members
-            kind = rng.random()
-            if kind < 0.4:  # consumption
-                lo = rng.uniform(0.0, 2.0, duration)
-            elif kind < 0.8:  # production
-                lo = rng.uniform(-4.0, -1.0, duration)
-            else:  # sign-crossing flexibility
-                lo = rng.uniform(-2.0, 0.0, duration)
-            hi = lo + rng.uniform(0.0, 3.0, duration)
+            lo, hi = draw_bounds(rng, k, duration)
             offers.append(
                 flex_offer(
-                    list(zip(scale * lo, scale * hi)),
+                    list(zip(lo, hi)),
                     earliest_start=earliest,
                     latest_start=earliest + n_starts - 1,
                     unit_price=float(rng.uniform(0.0, 0.1)) if priced else 0.0,
@@ -165,9 +217,63 @@ def runtime_shape_corpus():
             )
 
 
+def runtime_shape_corpus():
+    """The corpus behind :data:`RUNTIME_SHAPE_SHA256`."""
+    return _shape_corpus(19, _runtime_bounds)
+
+
+def mixed_sign_corpus():
+    """The corpus behind :data:`MIXED_SIGN_SHA256`: the same shapes over
+    :func:`_mixed_sign_bounds`, so three- and four-candidate offers both
+    sit under a pin whatever the first corpus happens to draw."""
+    return _shape_corpus(22, _mixed_sign_bounds)
+
+
 def widest_corpus_case():
     """The corpus's widest band: 40 slices x 35 starts, capped market."""
     return next(islice(runtime_shape_corpus(), 8, None))
+
+
+def _pinned_kernel_digest(corpus) -> str:
+    """sha256 of ``(start_index, energies, cost_delta)`` over a corpus,
+    each placement also compared with the scalar reference kernel."""
+    digest = hashlib.sha256()
+    for problem, j, residual in corpus:
+        consts = problem.offer_constants[j]
+        engine = problem.engine
+        for cost_vector in (None, engine.slice_costs(residual)):
+            start_index, energies, delta, after = engine.best_placement(
+                consts, residual, cost_vector
+            )
+            digest.update(struct.pack("<q", start_index))
+            digest.update(energies.tobytes())
+            digest.update(struct.pack("<d", delta))
+            # The hand-off to ``place``: the chosen placement's after-costs
+            # are the slice costs of the residual it leaves behind.
+            i = consts.earliest_index + start_index
+            assert np.array_equal(
+                after,
+                engine.slice_costs(residual[i : i + consts.duration] + energies, i),
+            )
+
+        offer = problem.offers[j]
+        best_cost, best_index, best_energy = np.inf, -1, None
+        for k in range(consts.n_starts):
+            i = consts.earliest_index + k
+            energy, cost = reference_optimal_energies(
+                problem,
+                offer,
+                residual[i : i + consts.duration],
+                i,
+                consts.lo,
+                consts.hi,
+            )
+            if cost < best_cost:
+                best_cost, best_index, best_energy = cost, k, energy
+        assert start_index == best_index
+        assert np.array_equal(energies, best_energy)
+        assert delta == pytest.approx(best_cost, abs=1e-9)
+    return digest.hexdigest()
 
 
 class TestEngineEquivalence:
@@ -235,7 +341,7 @@ class TestBatchedKernel:
                         best_cost = delta
                         best_start = start
                         best_energy = energy
-                start_index, energy, delta = problem.engine.best_placement(
+                start_index, energy, delta, _ = problem.engine.best_placement(
                     consts, residual
                 )
                 assert consts.earliest_start + start_index == best_start
@@ -250,36 +356,22 @@ class TestBatchedKernel:
         starts and through them whole plans, and nothing with 5-slice
         offers and a 1e-9 cost tolerance can see it move.
         """
-        digest = hashlib.sha256()
-        for problem, j, residual in runtime_shape_corpus():
-            consts = problem.offer_constants[j]
-            engine = problem.engine
-            for cost_vector in (None, engine.slice_costs(residual)):
-                start_index, energies, delta = engine.best_placement(
-                    consts, residual, cost_vector
-                )
-                digest.update(struct.pack("<q", start_index))
-                digest.update(energies.tobytes())
-                digest.update(struct.pack("<d", delta))
+        assert _pinned_kernel_digest(runtime_shape_corpus()) == RUNTIME_SHAPE_SHA256
 
-            offer = problem.offers[j]
-            best_cost, best_index, best_energy = np.inf, -1, None
-            for k in range(consts.n_starts):
-                i = consts.earliest_index + k
-                energy, cost = reference_optimal_energies(
-                    problem,
-                    offer,
-                    residual[i : i + consts.duration],
-                    i,
-                    consts.lo,
-                    consts.hi,
-                )
-                if cost < best_cost:
-                    best_cost, best_index, best_energy = cost, k, energy
-            assert start_index == best_index
-            assert np.array_equal(energies, best_energy)
-            assert delta == pytest.approx(best_cost, abs=1e-9)
-        assert digest.hexdigest() == RUNTIME_SHAPE_SHA256
+    def test_kernel_bits_pinned_on_mixed_sign_corpus(self):
+        """The same pin where the ``zero`` candidate row is and is not built."""
+        crossing = [
+            int(np.sum((c.lo < 0) & (c.hi > 0)))
+            for c in (p.offer_constants[j] for p, j, _ in mixed_sign_corpus())
+        ]
+        durations = [
+            p.offer_constants[j].duration for p, j, _ in mixed_sign_corpus()
+        ]
+        assert crossing[0::4] == durations[0::4]  # every slice crosses
+        assert set(crossing[1::4]) == {0}  # production only
+        assert set(crossing[2::4]) == {1}  # exactly one crossing slice
+        assert set(crossing[3::4]) == {0}  # alternating signs, none crossing
+        assert _pinned_kernel_digest(mixed_sign_corpus()) == MIXED_SIGN_SHA256
 
     def test_accepts_any_real_array_over_the_horizon(self):
         """Strided views and integer arrays answer like their float copy."""
@@ -339,6 +431,50 @@ class TestBatchedKernel:
 
 
 class TestIncrementalCostState:
+    def test_place_keeps_cost_vector_exact(self, monkeypatch):
+        """``place`` stores the kernel's after-costs instead of re-pricing.
+
+        After every placement of a greedy pass and of the delta scheduler's
+        re-placement loop, over both corpora's problems, the cost vector is
+        still bit-equal to the slice costs of the residual and the running
+        total advanced by exactly the kernel's delta; the digest of every
+        (offset, energies, total) was recorded from the ``place`` that
+        re-priced its window.
+        """
+        original = IncrementalCostState.place
+        digest = hashlib.sha256()
+        placements = 0
+
+        def checked_place(state, offset, energies, cost_delta, after_costs):
+            nonlocal placements
+            before = state.total
+            original(state, offset, energies, cost_delta, after_costs)
+            assert np.array_equal(
+                state.cost_vector, state.engine.slice_costs(state.residual)
+            )
+            assert state.total == before + cost_delta
+            digest.update(struct.pack("<qd", offset, state.total))
+            digest.update(energies.tobytes())
+            placements += 1
+
+        monkeypatch.setattr(IncrementalCostState, "place", checked_place)
+        for corpus in (runtime_shape_corpus, mixed_sign_corpus):
+            for problem, j, _ in corpus():
+                if j:
+                    continue  # one entry per offer; take each problem once
+                RandomizedGreedyScheduler()._one_pass(
+                    problem, np.random.default_rng(3)
+                )
+                keys = tuple(f"g{i}" for i in range(problem.offer_count))
+                scheduler = DeltaScheduler(full_fraction=0.5)
+                for dirty in (keys, keys[::3]):
+                    scheduler.schedule(
+                        problem, delta=DeltaRequest(keys, frozenset(dirty), 0)
+                    )
+                assert scheduler.last_stats["mode"] == "delta"
+        assert placements == 2 * 16 * (8 + 8 + 3)
+        assert digest.hexdigest() == PLACE_TOTALS_SHA256
+
     def test_replace_tracks_full_recompute(self):
         rng = np.random.default_rng(42)
         problem = random_problem(rng)
@@ -527,10 +663,10 @@ class _DeltaOracle:
             if j in retained:
                 continue
             c = consts[j]
-            index, energy, cost_delta = state.best_placement(c)
+            index, energy, cost_delta, after = state.best_placement(c)
             starts[j] = c.earliest_start + index
             energies_out[j] = energy
-            state.place(c.earliest_index + index, energy, cost_delta)
+            state.place(c.earliest_index + index, energy, cost_delta, after)
         compensation = 0.0
         for j in range(n):
             compensation += consts[j].flex_cost(energies_out[j])
