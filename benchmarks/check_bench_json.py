@@ -22,6 +22,10 @@ figure means nothing without the batch size it was taken at.
 and requires a numeric ``cpu_count`` and a ``shape`` string: the kernel's
 cost is per-call overhead on short micro-offers and element work on the
 aggregates the runtime schedules, so a passes/sec figure must say which.
+``runtime.ledger`` selects the journal rows (``ledger.*``) and requires a
+numeric ``cpu_count`` and a ``source`` string: fsync and append-call counts
+describe the code that journaled, so a row must say which tree that was
+(the commit's own, or a parent's ``src/`` for a before/after pair).
 
 Checks structure only — never timing thresholds — so the CI smoke job can
 assert the harness works without becoming a flaky performance gate.  Exits
@@ -58,6 +62,12 @@ SPECIAL_FAMILIES: dict[tuple[str, str], dict] = {
     ("runtime", "store"): {
         "name_prefix": "store.",
         "required_workload": ("batch", "cpu_count"),
+    },
+    # Journal rows must say whose journaling code they counted.
+    ("runtime", "ledger"): {
+        "name_prefix": "ledger.",
+        "required_workload": ("cpu_count",),
+        "required_text": ("source",),
     },
     # Kernel rows must say which offer shape they timed.
     ("scheduling", "kernel"): {

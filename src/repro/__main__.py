@@ -256,8 +256,9 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fsync", default="commit", metavar="MODE", choices=FSYNC_MODES,
-        help="ledger durability mode: 'commit' (fsync every append, "
-        "default), 'close' (fsync on segment close) or 'never'",
+        help="ledger durability mode: 'commit' (fsync every append call: "
+        "each input fact, each planning pass's facts; default), 'close' "
+        "(fsync on segment close) or 'never'",
     )
     parser.add_argument(
         "--duplicate-rate", type=float, default=0.0, metavar="P",

@@ -358,10 +358,10 @@ class LedmsClient:
                     "directory holds no event-log segment"
                 )
             log = JsonlEventLog(log, fsync=fsync)
-        ledger = (
-            log if isinstance(log, OfferLedger) else OfferLedger(log, node=name)
-        )
-        events = list(ledger.events())
+        if isinstance(log, OfferLedger):
+            ledger, events = log, list(log.events())
+        else:
+            ledger, events = OfferLedger.recover(log, node=name)
         first = min((float(e["at"]) for e in events), default=0.0)
         reexecute = driver is None or (
             isinstance(driver, SimulatedDriver) and driver.now <= first

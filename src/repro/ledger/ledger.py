@@ -22,12 +22,12 @@ crash/restart boundary even before any replay runs.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ..core.errors import DataManagementError
 from ..core.flexoffer import FlexOffer
 from .codec import offer_to_dict
-from .log import JsonlEventLog, MemoryEventLog
+from .log import JsonlEventLog, MemoryEventLog, encode
 
 __all__ = [
     "FACT_KINDS",
@@ -96,13 +96,29 @@ class OfferLedger:
         self._dead: list[DeadLetter] = []
         self.appends = 0
         self.duplicates = 0
-        self._rebuild_from_log()
+        self._rebuild(self.log.replay())
+
+    @classmethod
+    def recover(
+        cls, log: MemoryEventLog | JsonlEventLog, *, node: str = "brp"
+    ) -> tuple["OfferLedger", list[dict]]:
+        """A ledger over ``log`` plus the facts it was rebuilt from.
+
+        Recovery needs both — the ledger to keep journaling, the facts to
+        replay — and decoding a journal is most of what reading it costs,
+        so the two share one :meth:`replay` pass of the log.
+        """
+        events = list(log.replay())
+        ledger = cls(node=node)  # over an empty log: nothing to rebuild yet
+        ledger.log = log
+        ledger._rebuild(events)
+        return ledger, events
 
     # ------------------------------------------------------------------
     # state rebuilt from the log (survives restart)
     # ------------------------------------------------------------------
-    def _rebuild_from_log(self) -> None:
-        for event in self.log.replay():
+    def _rebuild(self, events: Iterable[dict]) -> None:
+        for event in events:
             self._seq = max(self._seq, int(event.get("seq", -1)) + 1)
             self.appends += 1
             self._absorb(event)
@@ -266,10 +282,38 @@ class OfferLedger:
     def record_withdraw(self, offer_id: int, *, at: float) -> dict:
         return self._append("withdraw", at=at, offer_id=offer_id)
 
-    def record_scheduled(self, offer_id: int, start: int, *, at: float) -> dict:
-        return self._append(
-            "scheduled", at=at, offer_id=offer_id, start=int(start)
-        )
+    def record_scheduled(
+        self, starts: Sequence[tuple[int, int]], *, at: float
+    ) -> None:
+        """Journal one planning pass's changed plan starts, as one batch.
+
+        ``starts`` holds ``(offer_id, start)`` in commit order; each becomes
+        one ``scheduled`` fact with the next ``seq``, exactly the facts and
+        the order that one call per member would journal.  They reach the
+        log in one ``append`` call — one write and one flush/fsync for the
+        pass (group commit) — all stamped with the pass's one ``at``.
+
+        A pass journals about a thousand of these and they differ in three
+        integers, so the fields they share are encoded once: the generic
+        encoder renders ``{"at": …, "kind": "scheduled", "node": …`` (float
+        ``repr`` and name escaping stay its business) and each fact adds its
+        own ``offer_id``/``seq``/``start``, which sort after the shared
+        keys.  Each string is what :data:`~repro.ledger.log.encode` gives
+        for the fact's dict (the tests hold it to that), and the logs take
+        it as such: the durable one writes it, the in-memory one decodes it.
+        """
+        if not starts:
+            return
+        shared = {"at": float(at), "kind": "scheduled", "node": self.node}
+        head = encode(shared)[:-1]
+        own = ', "offer_id": %d, "seq": %d, "start": %d}'
+        facts = [
+            head + own % (offer_id, seq, start)
+            for seq, (offer_id, start) in enumerate(starts, self._seq)
+        ]
+        self._seq += len(facts)
+        self.appends += len(facts)
+        self.log.append(*facts)
 
     def record_retire(self, offer_id: int, state: str, *, at: float) -> dict:
         return self._append("retire", at=at, offer_id=offer_id, state=state)

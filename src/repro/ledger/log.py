@@ -3,16 +3,28 @@
 The durable backend writes one JSON object per line into numbered segment
 files (``segment-00000000.jsonl``, …) and rolls to a fresh segment every
 ``segment_max_events`` records, so a long-running node never rewrites old
-history and archival/truncation can operate on whole segments.  The
-``fsync`` policy trades durability for throughput:
+history and archival/truncation can operate on whole segments.
+
+``append(*events)`` is the one write entry and the unit of durability: the
+events of one call go out as one write of their joined lines (split only
+where a segment fills, so segment files are the same whether facts arrive
+one per call or a thousand) followed by what the ``fsync`` policy asks for,
+once per *call*:
 
 ``"commit"``
-    fsync after every append — a crash loses at most the final,
-    partially-written line (which :meth:`JsonlEventLog.replay` tolerates).
+    one flush + fsync per append call — a crash loses at most the call in
+    flight: none of its lines or a prefix of them, the last one possibly
+    torn (which :meth:`JsonlEventLog.replay` tolerates).
 ``"close"``
-    flush to the OS on every append, fsync only on close/roll.
+    one flush to the OS per append call, fsync only on close/roll.
 ``"never"``
     leave flushing to the runtime/OS entirely (tests, benchmarks).
+
+The ledger journals an input fact as a call of one, and the derived
+``scheduled`` facts of a whole planning pass as one call — group commit:
+under ``"commit"`` a pass costs one fsync, not one per member.  Every line
+is ``encode(fact) + "\n"`` whether the log encoded the fact or its caller
+did; there is no batch record and no second on-disk format.
 """
 
 from __future__ import annotations
@@ -25,6 +37,10 @@ from typing import Iterator, TextIO
 from ..core.errors import DataManagementError
 
 __all__ = ["MemoryEventLog", "JsonlEventLog", "FSYNC_MODES"]
+
+#: The on-disk encoding of one fact (its line is this plus ``"\n"``): keys
+#: sorted, so a fact's bytes do not depend on how its dict was built.
+encode = json.JSONEncoder(sort_keys=True).encode
 
 FSYNC_MODES = ("commit", "close", "never")
 
@@ -50,8 +66,16 @@ class MemoryEventLog:
     def __len__(self) -> int:
         return len(self._events)
 
-    def append(self, event: dict) -> None:
-        self._events.append(event)
+    def append(self, *events: dict | str) -> None:
+        """Append ``events`` in order.
+
+        A ``str`` is a fact its caller already encoded (see
+        :meth:`JsonlEventLog.append`); it is held as the dict it encodes.
+        """
+        self._events.extend(
+            json.loads(event) if isinstance(event, str) else event
+            for event in events
+        )
 
     def replay(self) -> Iterator[dict]:
         """Every event appended so far, in order."""
@@ -101,26 +125,32 @@ class JsonlEventLog:
         return segment_files(self.directory)
 
     def _scan_existing(self) -> None:
-        """Resume appending after the last intact record on disk."""
+        """Resume appending after the last intact record on disk.
+
+        Records are counted, not decoded: one read per segment, and a
+        corrupt record mid-segment is :meth:`replay`'s to report.
+        """
         segments = self.segments()
         if not segments:
             return
-        for path in segments[:-1]:
-            self._count += sum(1 for _ in _intact_lines(path))
-        last = segments[-1]
-        tail_events = sum(1 for _ in _intact_lines(last))
-        self._count += tail_events
+        for path in segments:
+            raw = path.read_bytes()
+            intact = _intact_prefix_length(raw)
+            self._segment_events = sum(
+                1 for line in raw[:intact].splitlines() if line.strip()
+            )
+            self._count += self._segment_events
+        # ``path``, ``raw`` and ``intact`` now describe the last segment.
         self._segment_index = int(
-            last.name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)]
+            path.name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)]
         )
-        self._segment_events = tail_events
         # A torn final line (crash mid-append) would corrupt the next
-        # record if we appended after it; truncate back to the last intact
-        # record before reopening for append.
-        raw = last.read_bytes()
-        intact = raw[: _intact_prefix_length(raw)]
-        if len(intact) != len(raw):
-            last.write_bytes(intact)
+        # record if we appended after it; cut the last segment back to its
+        # last intact record before reopening for append.  Cut in place:
+        # rewriting the file would empty it first, and a second crash
+        # inside recovery would lose every acknowledged fact it held.
+        if intact != len(raw):
+            os.truncate(path, intact)
 
     def _open_for_append(self) -> TextIO:
         if self._handle is None:
@@ -135,18 +165,34 @@ class JsonlEventLog:
     def __len__(self) -> int:
         return self._count
 
-    def append(self, event: dict) -> None:
-        if self._segment_events >= self.segment_max_events:
-            self._roll()
-        handle = self._open_for_append()
-        handle.write(json.dumps(event, sort_keys=True) + "\n")
-        if self.fsync == "commit":
+    def append(self, *events: dict | str) -> None:
+        """Append ``events`` in order: one write, one flush/fsync per call.
+
+        A ``str`` stands for a fact its caller already encoded — it must be
+        exactly ``encode(fact)`` — and is written as it is; the ledger
+        renders the fields a pass's ``scheduled`` facts share once that way.
+        """
+        if not events:
+            return
+        records = [
+            event if isinstance(event, str) else encode(event)
+            for event in events
+        ]
+        written = 0
+        while written < len(records):
+            if self._segment_events >= self.segment_max_events:
+                self._roll()
+            room = self.segment_max_events - self._segment_events
+            chunk = records[written : written + room]
+            handle = self._open_for_append()
+            handle.write("\n".join(chunk) + "\n")
+            self._segment_events += len(chunk)
+            self._count += len(chunk)
+            written += len(chunk)
+        if self.fsync != "never":
             handle.flush()
-            os.fsync(handle.fileno())
-        elif self.fsync == "close":
-            handle.flush()
-        self._segment_events += 1
-        self._count += 1
+            if self.fsync == "commit":
+                os.fsync(handle.fileno())
 
     def _roll(self) -> None:
         self._close_handle()

@@ -709,6 +709,7 @@ class BrpRuntimeService:
         cache = self._plan_cache
         fresh_cache: dict[int, tuple[int, tuple]] = {}
         newly_scheduled: list[FlexOffer] = []
+        journal = self._pass_journal()
         recommitted: list[AggregatedFlexOffer] = []
         t0 = time.perf_counter()
         with self._stage("disaggregate"):
@@ -727,10 +728,13 @@ class BrpRuntimeService:
                     latency_sim,
                     latency_wall,
                     newly_scheduled,
+                    journal,
                 )
                 members_out += len(original.members)
                 if trace:
                     recommitted.append(original)
+            if journal:
+                self.ledger.record_scheduled(journal, at=self.now)
             # One store call per pass, ahead of the pass's trace events:
             # each member's "scheduled" still precedes its
             # "aggregated_into" in the event log.
@@ -757,6 +761,7 @@ class BrpRuntimeService:
         latency_sim,
         latency_wall,
         newly_scheduled: list[FlexOffer],
+        journal: list[tuple[int, int]] | None,
     ) -> int:
         """Shift every live member of one aggregate by ``delta``; the count.
 
@@ -769,38 +774,59 @@ class BrpRuntimeService:
         so a different one under the same id is a later version (an
         ``update`` while the plan travelled) whose window the start was not
         chosen for, and it is skipped like a retired member.
+
+        ``journal`` is the pass's list from :meth:`_pass_journal` (``None``
+        when no ledger records).  This loop calls no ledger method: a
+        member whose committed start changes adds ``(offer_id, start)`` to
+        the list, in commit order, and the pass that owns the list hands it
+        to the ledger once, right after its commit loop.  Nothing else is
+        journaled inside a pass, so the facts and their ``seq`` are those
+        of one ledger call per member.
         """
         live_version = self._live.get
         scheduled = self._scheduled
         committed_start = self._committed_start
-        led = self.ledger
-        recording = led is not None and led.recording
         skipped = 0
         for member in members:
             oid = member.offer_id
             if live_version(oid) is not member:
                 skipped += 1
-            elif recording or oid not in scheduled:
+            elif journal is not None or oid not in scheduled:
                 self._commit_member(
                     member,
                     member.earliest_start + delta,
-                    recording,
                     latency_sim,
                     latency_wall,
                     newly_scheduled,
+                    journal,
                 )
             else:
                 committed_start[oid] = member.earliest_start + delta
         return len(members) - skipped
 
+    def _pass_journal(self) -> list[tuple[int, int]] | None:
+        """A fresh list for one pass's changed plan starts; ``None`` when
+        no ledger records them.
+
+        The pass that asks for it (:meth:`_disaggregate`,
+        :meth:`apply_remote_schedule`) owns it: it threads it through its
+        commit loop, journals it with one ``record_scheduled`` call and
+        lets it go when it returns.  That call stamps every fact with the
+        instant the commit loop ended — the instant each was committed on
+        a simulated driver, where time stands still inside a pass; under a
+        wall-clock driver a pass's facts share that one ``at``.
+        """
+        led = self.ledger
+        return [] if led is not None and led.recording else None
+
     def _commit_member(
         self,
         member: FlexOffer,
         start: int,
-        recording: bool,
         latency_sim,
         latency_wall,
         newly_scheduled: list[FlexOffer],
+        journal: list[tuple[int, int]] | None,
     ) -> None:
         """Commit one live member the long way (see :meth:`_commit_members`).
 
@@ -810,10 +836,10 @@ class BrpRuntimeService:
         batch (:meth:`_record_scheduled`).
         """
         oid = member.offer_id
-        if recording and self._committed_start.get(oid) != start:
+        if journal is not None and self._committed_start.get(oid) != start:
             # Every change to a committed plan start is a durable fact —
             # what makes committed schedules survive a crash or outage.
-            self.ledger.record_scheduled(oid, start, at=self.now)
+            journal.append((oid, start))
             if self.tracer.enabled:
                 self.tracer.ledger_event(
                     "scheduled", oid, node=self.name, detail={"start": start}
@@ -882,6 +908,7 @@ class BrpRuntimeService:
         latency_wall = self.metrics.histogram("latency.e2e_wall_seconds")
         trace = self.tracer.enabled
         newly_scheduled: list[FlexOffer] = []
+        journal = self._pass_journal()
         with self._stage("remote_commit"):
             committed = self._commit_members(
                 aggregate.members,
@@ -889,7 +916,10 @@ class BrpRuntimeService:
                 latency_sim,
                 latency_wall,
                 newly_scheduled,
+                journal,
             )
+            if journal:
+                self.ledger.record_scheduled(journal, at=self.now)
             self._record_scheduled(newly_scheduled, now)
             if trace:
                 for member in aggregate.members:

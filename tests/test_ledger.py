@@ -9,9 +9,14 @@ on a bare service, without the facade).
 """
 
 import json
+import os
+import tempfile
 from functools import partial
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import LedmsClient, SubmitResult
 from repro.api.config import IngestConfig, SchedulingConfig, ServiceConfig
@@ -172,6 +177,172 @@ class TestJsonlEventLog:
     def test_unknown_fsync_mode_raises(self, tmp_path):
         with pytest.raises(DataManagementError):
             JsonlEventLog(tmp_path / "led", fsync="sometimes")
+
+
+# ----------------------------------------------------------------------
+def _segment_bytes(log) -> bytes:
+    return b"".join(path.read_bytes() for path in log.segments())
+
+
+class _CountingHandle:
+    """A segment handle that counts the calls the log makes on it."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self.writes = 0
+        self.flushes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return self._handle.write(text)
+
+    def flush(self):
+        self.flushes += 1
+        self._handle.flush()
+
+    def fileno(self):
+        return self._handle.fileno()
+
+    def close(self):
+        self._handle.close()
+
+
+class TestGroupCommit:
+    """One ``append`` call is one write and one flush/fsync, and a batch's
+    lines are the generic encoder's, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        node=st.text(max_size=12),
+        at=st.floats(allow_nan=False, allow_infinity=False),
+        starts=st.lists(st.tuples(st.integers(), st.integers()), max_size=6),
+    )
+    @example(node='b"r\\p', at=17.0, starts=[(0, -3), (-1, 0), (2**70, 2**31)])
+    @example(node="brp-é", at=0.1 + 0.2, starts=[(7, 7)])
+    @example(node="100%d %s %%", at=1e-7, starts=[(1, 2), (3, 4)])
+    @example(node="brp", at=-0.0, starts=[])
+    def test_batch_lines_equal_generic_encoding(self, node, at, starts):
+        with tempfile.TemporaryDirectory() as tmp:
+            durable = OfferLedger(JsonlEventLog(tmp, fsync="never"), node=node)
+            memory = OfferLedger(MemoryEventLog(), node=node)
+            for ledger in (durable, memory):
+                ledger.record_withdraw(5, at=at)  # the batch starts at seq 1
+                ledger.record_scheduled(starts, at=at)
+                assert ledger.appends == 1 + len(starts)
+                ledger.record_withdraw(6, at=at)  # and seq carries on after it
+            events = [
+                {
+                    "seq": 1 + i,
+                    "kind": "scheduled",
+                    "at": at,
+                    "node": node,
+                    "offer_id": offer_id,
+                    "start": start,
+                }
+                for i, (offer_id, start) in enumerate(starts)
+            ]
+            held = list(memory.events())[1:-1]
+            assert held == events
+            assert all(type(e["at"]) is float for e in held)
+            durable.close()
+            lines = _segment_bytes(durable.log).decode("utf-8").splitlines(True)
+            assert lines[1:-1] == [
+                json.dumps(event, sort_keys=True) + "\n" for event in events
+            ]
+            assert [e["seq"] for e in durable.events()] == list(
+                range(len(starts) + 2)
+            )
+
+    def test_batch_rolls_segments_like_single_appends(self, tmp_path):
+        events = [{"seq": i, "pad": "x" * i} for i in range(8)]
+        batched = JsonlEventLog(
+            tmp_path / "batched", fsync="never", segment_max_events=3
+        )
+        # Pre-encoded facts (what the ledger hands over for a pass) and
+        # dicts mix freely in one call.
+        batched.append(
+            *(json.dumps(e, sort_keys=True) if e["seq"] % 2 else e for e in events)
+        )
+        single = JsonlEventLog(
+            tmp_path / "single", fsync="never", segment_max_events=3
+        )
+        for event in events:
+            single.append(event)
+        assert len(batched) == len(single) == 8
+        batched.close()
+        single.close()
+        assert [p.name for p in batched.segments()] == [
+            p.name for p in single.segments()
+        ]
+        assert len(batched.segments()) == 3
+        for ours, theirs in zip(batched.segments(), single.segments()):
+            assert ours.read_bytes() == theirs.read_bytes()
+        reopened = JsonlEventLog(tmp_path / "batched", segment_max_events=3)
+        assert len(reopened) == 8
+        assert list(reopened.replay()) == events
+
+    @pytest.mark.parametrize(
+        "mode, flushes, fsyncs", [("commit", 1, 1), ("close", 1, 0), ("never", 0, 0)]
+    )
+    def test_one_flush_and_fsync_per_append_call(
+        self, tmp_path, monkeypatch, mode, flushes, fsyncs
+    ):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
+        )
+        log = JsonlEventLog(tmp_path / "led", fsync=mode)
+        handle = log._handle = _CountingHandle(log._open_for_append())
+        log.append(*({"seq": i} for i in range(5)))
+        assert (handle.writes, handle.flushes, len(synced)) == (1, flushes, fsyncs)
+        log.append({"seq": 5})
+        log.append()  # nothing to write: no syscall either
+        assert (handle.writes, handle.flushes, len(synced)) == (
+            2, 2 * flushes, 2 * fsyncs,
+        )
+        log.close()
+        assert [e["seq"] for e in log.replay()] == list(range(6))
+
+    def test_batch_torn_mid_line_replays_the_intact_prefix(self, tmp_path):
+        ledger = OfferLedger(JsonlEventLog(tmp_path / "led"))
+        ledger.record_scheduled([(i, 10 + i) for i in range(5)], at=3.0)
+        ledger.close()
+        (segment,) = ledger.log.segments()
+        lines = segment.read_bytes().splitlines(True)
+        # Killed inside the pass's one write: two whole lines and a torn third.
+        os.truncate(segment, len(lines[0]) + len(lines[1]) + len(lines[2]) // 2)
+        assert [e["offer_id"] for e in ledger.events()] == [0, 1]
+        reopened = OfferLedger(JsonlEventLog(tmp_path / "led"))
+        assert reopened.appends == len(reopened.log) == 2
+        assert segment.read_bytes() == lines[0] + lines[1]
+        reopened.record_scheduled([(9, 9)], at=4.0)
+        assert [(e["seq"], e["offer_id"]) for e in reopened.events()] == [
+            (0, 0), (1, 1), (2, 9),
+        ]
+
+    def test_torn_tail_is_cut_in_place_not_rewritten(self, tmp_path, monkeypatch):
+        """Repairing a torn tail must never empty the segment first: a
+        second crash inside recovery would lose every fact it held."""
+        log = JsonlEventLog(tmp_path / "led")
+        log.append({"seq": 0}, {"seq": 1})
+        log.close()
+        (segment,) = log.segments()
+        intact = segment.read_bytes()
+        with open(segment, "ab") as handle:
+            handle.write(b'{"seq": 2, "torn')
+
+        def refuse(self, data):
+            raise AssertionError(f"rewrote {self} while repairing its tail")
+
+        monkeypatch.setattr(Path, "write_bytes", refuse)
+        reopened = JsonlEventLog(tmp_path / "led")
+        assert len(reopened) == 2
+        assert segment.read_bytes() == intact
+        reopened.append({"seq": 2})
+        reopened.close()
+        assert [e["seq"] for e in reopened.replay()] == [0, 1, 2]
+        assert segment.read_bytes() == intact + b'{"seq": 2}\n'
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +509,22 @@ class TestResumeFromLedger:
             str(tmp_path / "led"), _config()
         )
         assert resumed.last_replay.mode == "reexecute"
+        assert state_fingerprint(resumed) == state_fingerprint(original)
+
+    def test_recovery_decodes_each_fact_once(self, tmp_path, monkeypatch):
+        original = self._run(JsonlEventLog(tmp_path / "led"))
+        original.ledger.close()
+        facts = original.ledger.appends
+        decoded = []
+        real_loads = json.loads
+        monkeypatch.setattr(
+            json, "loads", lambda line: (decoded.append(1), real_loads(line))[1]
+        )
+        resumed = LedmsClient.resume_from_ledger(
+            str(tmp_path / "led"), _config()
+        )
+        assert len(decoded) == resumed.last_replay.events == facts
+        assert resumed.ledger.appends == len(resumed.ledger.log) == facts
         assert state_fingerprint(resumed) == state_fingerprint(original)
 
     def test_project_restores_live_pool_and_commitments(self):

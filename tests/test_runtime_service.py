@@ -15,7 +15,8 @@ import pytest
 from repro.aggregation import DirtySet
 from repro.core import ScheduledFlexOffer, flex_offer
 from repro.core.errors import ServiceError
-from repro.ledger import MemoryEventLog, OfferLedger
+from repro.core.flexoffer import rebase_offer_ids
+from repro.ledger import JsonlEventLog, MemoryEventLog, OfferLedger
 from repro.runtime.planning import PlanSession
 from repro.runtime import (
     AgeTrigger,
@@ -126,6 +127,16 @@ REPLANNING_SCHEDULED_FACTS_SHA256 = (
 )
 """The ``scheduled`` facts the same stream journals, in order."""
 
+REPLANNING_JOURNAL_SHA256 = (
+    "ec3cbc6f8e321e1d8afc2f08d857934e52ee6ddef4d0c5e817687d7eee7fc8ca"
+)
+"""Every byte the same stream journals to JSONL segments, with offer ids
+minted from :data:`JOURNAL_ID_BASE` (recorded on 3b56d78, the commit before
+the journal was group-committed: one ``append`` call per fact)."""
+
+JOURNAL_ID_BASE = 23 * 10**9
+"""Above any id the suite has minted, so ids minted afterwards stay unique."""
+
 
 def _replanning_digests(ledger=None):
     """(plans digest, ``scheduled``-facts digest) of one default-config run.
@@ -181,6 +192,18 @@ class TestReplanningPinned:
         plans, facts = _replanning_digests(OfferLedger(MemoryEventLog()))
         assert plans == REPLANNING_SHA256
         assert facts == REPLANNING_SCHEDULED_FACTS_SHA256
+
+    def test_replanning_journal_bytes_pinned(self, tmp_path):
+        """The JSONL twin of the test above: not one journal byte moves."""
+        rebase_offer_ids(JOURNAL_ID_BASE)
+        log = JsonlEventLog(tmp_path / "led", fsync="never")
+        plans, _ = _replanning_digests(OfferLedger(log))
+        log.close()
+        journal = hashlib.sha256()
+        for segment in log.segments():
+            journal.update(segment.read_bytes())
+        assert plans == REPLANNING_SHA256
+        assert journal.hexdigest() == REPLANNING_JOURNAL_SHA256
 
 
 class TestSchedulingIntegration:
