@@ -32,10 +32,11 @@ MIN_KERNEL_SPEEDUP = 5.0
 FIG6_SHAPE = "fig6 intraday micro-offers (d 2-7, median n 13-18)"
 RUNTIME_SHAPE = "runtime aggregates (d 14-40, n 5-33, horizon 96)"
 RUNTIME_MIXED_SHAPE = RUNTIME_SHAPE + ", mixed-sign slices"
+RUNTIME_CAPPED_SHAPE = RUNTIME_SHAPE + ", volume-capped market"
 
 
 def runtime_shape_problem(
-    seed: int = 0, *, mixed_sign: bool = False
+    seed: int = 0, *, mixed_sign: bool = False, capped: bool = False
 ) -> SchedulingProblem:
     """48 aggregates at the shapes the streaming runtime schedules.
 
@@ -49,6 +50,12 @@ def runtime_shape_problem(
     ``mixed_sign`` shifts every aggregate's bounds down so that slices with
     ``lo < 0 < hi`` occur in all of them: the kernel then prices its fourth
     (zero) candidate row, which consumption-only aggregates never need.
+
+    ``capped`` puts per-slice volume limits on the same prices, forecast
+    and aggregates (they are drawn last): the engine then prices its
+    six-row table — caps and penalties next to the two rates — where the
+    flat market, like every market the runtime builds, needs the two rates
+    only.  The pair is the cost of the rows an uncapped market leaves out.
     """
     rng = np.random.default_rng(seed)
     horizon = 96
@@ -69,11 +76,16 @@ def runtime_shape_problem(
                 latest_start=earliest + n_starts - 1,
             )
         )
-    return SchedulingProblem(
-        TimeSeries(0, rng.uniform(-40.0, 40.0, horizon)),
-        tuple(offers),
-        Market.flat(horizon),
-    )
+    net_forecast = TimeSeries(0, rng.uniform(-40.0, 40.0, horizon))
+    market = Market.flat(horizon)
+    if capped:
+        market = Market(
+            market.buy_price,
+            market.sell_price,
+            max_buy=rng.uniform(0.0, 60.0, horizon),
+            max_sell=rng.uniform(0.0, 20.0, horizon),
+        )
+    return SchedulingProblem(net_forecast, tuple(offers), market)
 
 
 def test_fig6_scheduling_convergence(once, bench_record):
@@ -127,9 +139,10 @@ def test_greedy_kernel_speedup_vs_reference(once, bench_record):
     """Batched placement kernel vs the scalar baseline, same workload.
 
     Both run complete greedy passes on the Figure-6 intraday scenario and
-    on :func:`runtime_shape_problem` (consumption-only and mixed-sign); the
-    recorded passes/sec pair is the before/after trajectory this repo's
-    perf work is judged against.
+    on :func:`runtime_shape_problem` (consumption-only, mixed-sign, and
+    consumption-only under a volume-capped market); the recorded passes/sec
+    pair is the before/after trajectory this repo's perf work is judged
+    against.
     """
     sizes = [10] if smoke_mode() else [10, 100, 1000]
     seconds = 0.1 if smoke_mode() else 1.5
@@ -139,6 +152,7 @@ def test_greedy_kernel_speedup_vs_reference(once, bench_record):
     problems.append(
         (RUNTIME_MIXED_SHAPE, runtime_shape_problem(mixed_sign=True))
     )
+    problems.append((RUNTIME_CAPPED_SHAPE, runtime_shape_problem(capped=True)))
 
     def passes_per_second(fn, problem) -> float:
         fn(problem, np.random.default_rng(0))  # warm engine caches

@@ -14,8 +14,10 @@ prices, penalties and volume limits:
 
 :class:`CostEngine` precomputes those four marginal-price arrays (plus the
 effective caps) once per :class:`~repro.scheduling.problem.SchedulingProblem`
-so evaluating a residual window needs no :meth:`settle_market` temporaries —
-and, crucially, broadcasts over arbitrary leading axes.  That enables the
+— or, for a market where no volume limit can bind, the two effective prices
+alone, which is all that is left of the expression there — so evaluating a
+residual window needs no :meth:`settle_market` temporaries — and, crucially,
+broadcasts over arbitrary leading axes.  That enables the
 batched placement kernel :meth:`CostEngine.best_placement`, which scores
 **all admissible start positions × all per-slice energy candidates of one
 offer in a single vectorized operation** over the band of (profile slice,
@@ -81,28 +83,58 @@ def _band(values: np.ndarray, first: int, d: int, n: int) -> np.ndarray:
 
 
 def _price(residual: np.ndarray, market: np.ndarray) -> np.ndarray:
-    """Settled EUR cost per element of ``residual`` under the six marginal
-    arrays of a :class:`CostEngine`, cut to the slices ``residual`` covers.
+    """Settled EUR cost per element of ``residual`` under the market table
+    of a :class:`CostEngine`, cut to the slices ``residual`` covers.
 
     The ONE pricing expression: :meth:`CostEngine.slice_costs` and the
     placement kernel both call it, and ``IncrementalCostState.place`` stores
     the kernel's results where it used to call ``slice_costs`` — which is
-    exact only because both routes run these operations, in this order::
+    exact only because both routes run these operations, in this order.
+    With ``shortage = max(r, 0)`` and ``surplus = max(-r, 0)``, a six-row
+    table (some volume cap is finite) is priced as::
 
-        shortage = max(r, 0)                 surplus = max(-r, 0)
         covered  = min(shortage, cap_buy)    sold    = min(surplus, cap_sell)
         ((covered * buy + (shortage - covered) * short_penalty)
             + sold * sell) + (surplus - sold) * long_penalty
 
+    and a two-row table (no finite cap anywhere) as::
+
+        (shortage * buy + surplus * sell) + 0.0
+
+    which is the six-row expression with both caps ``+inf``, bit for bit.
+    There ``covered`` *is* ``shortage`` and ``sold`` *is* ``surplus``, so
+    the two uncovered remainders are ``x - x = +0.0`` for every finite
+    ``x`` and, times a finite penalty that is positive or ``+0.0``, stay
+    ``+0.0``: the six rows compute
+    ``((shortage * buy + 0.0) + surplus * sell) + 0.0``.
+    Adding ``+0.0`` changes exactly one value, ``-0.0`` (to ``+0.0``), and
+    both products can be ``-0.0`` (zero shortage at a negative buy price;
+    zero surplus wherever selling earns revenue), so the last ``+ 0.0``
+    stays.  The first is redundant beside it: a zero of either sign adds
+    to ``surplus * sell`` the same way unless that is ``-0.0`` too, and
+    then the sum — ``-0.0`` without the first, ``+0.0`` with it — is
+    ``+0.0`` after the last.  The argument needs a finite residual
+    (``inf - inf`` is ``nan``), finite rates (so is ``0 * inf``) and no
+    ``-0.0`` penalty; :class:`~repro.scheduling.market.Market` and
+    :class:`~repro.scheduling.problem.SchedulingProblem` reject the
+    non-finite rates and normalise the zero.
+
     Every step is elementwise, so writing a step's result over an operand
-    it no longer needs changes no bit; three arrays of ``residual``'s shape
-    are allocated instead of one per step, and ``residual`` itself is only
-    read (it needs at least one axis).
+    it no longer needs changes no bit; two or three arrays of
+    ``residual``'s shape are allocated instead of one per step, and
+    ``residual`` itself is only read (it needs at least one axis).
     """
-    shortage_cap, surplus_cap, buy, short_penalty, sell, long_penalty = market
     shortage = np.maximum(residual, 0.0)
     surplus = np.negative(residual)
     np.maximum(surplus, 0.0, out=surplus)
+    if len(market) == 2:
+        buy, sell = market
+        cost = np.multiply(shortage, buy, out=shortage)
+        np.multiply(surplus, sell, out=surplus)
+        np.add(cost, surplus, out=cost)
+        np.add(cost, 0.0, out=cost)
+        return cost
+    shortage_cap, surplus_cap, buy, short_penalty, sell, long_penalty = market
     cost = np.minimum(shortage, shortage_cap)  # covered
     np.subtract(shortage, cost, out=shortage)  # shortage - covered
     np.multiply(cost, buy, out=cost)
@@ -304,6 +336,16 @@ class CostEngine:
     effective price equals the penalty, so every branch of the original
     settlement collapses into one expression — bit-for-bit equal to the
     settlement-derived oracle in every branch.
+
+    The engine holds one table over the horizon, ``_market``, whose shape
+    is read off the market it was handed.  If any *effective* volume cap is
+    finite — a ``max_buy`` on a slice where buying beats the penalty, a
+    ``max_sell`` where selling does — it is ``(6, horizon)``: the two caps,
+    then effective shortage price, shortage penalty, effective surplus
+    price, surplus penalty.  If none is (no limits given, limits that are
+    ``+inf``, or limits only where trading never pays), the caps bind
+    nowhere and it is ``(2, horizon)``: the two effective prices alone.
+    :func:`_price` names the rows and prices either shape to the same bits.
     """
 
     __slots__ = ("_market",)
@@ -315,19 +357,26 @@ class CostEngine:
 
         buying = market.buy_price < problem.shortage_penalty
         selling = market.sell_price > -problem.surplus_penalty
+        buy_cap = np.where(buying, max_buy, np.inf)
+        sell_cap = np.where(selling, max_sell, np.inf)
+        buy = np.where(buying, market.buy_price, problem.shortage_penalty)
+        sell = np.where(selling, -market.sell_price, problem.surplus_penalty)
 
-        # One (6, horizon) table, so a window or a band of all six marginal
-        # arrays is a single view; :func:`_price` names the rows.
-        self._market = np.stack(
-            (
-                np.where(buying, max_buy, np.inf),
-                np.where(selling, max_sell, np.inf),
-                np.where(buying, market.buy_price, problem.shortage_penalty),
-                problem.shortage_penalty,
-                np.where(selling, -market.sell_price, problem.surplus_penalty),
-                problem.surplus_penalty,
+        # One table, so a window or a band of every marginal array is a
+        # single view.
+        if np.isinf(buy_cap).all() and np.isinf(sell_cap).all():
+            self._market = np.stack((buy, sell))
+        else:
+            self._market = np.stack(
+                (
+                    buy_cap,
+                    sell_cap,
+                    buy,
+                    problem.shortage_penalty,
+                    sell,
+                    problem.surplus_penalty,
+                )
             )
-        )
 
     # ------------------------------------------------------------------
     def slice_costs(self, residual: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -395,7 +444,7 @@ class CostEngine:
         n = consts.n_starts
         first = consts.earliest_index
         window = _band(residual, first, d, n)  # (d, n)
-        market = _band(self._market, first, d, n)  # (6, d, n)
+        market = _band(self._market, first, d, n)  # (2 or 6, d, n)
         if cost_vector is None:
             before = _price(window, market)
         else:

@@ -23,6 +23,8 @@ class Market:
 
     ``sell_price <= buy_price`` must hold slice-wise (no-arbitrage): a BRP
     cannot profit by simultaneously buying and selling the same slice.
+    Prices must be finite; a volume limit may be ``inf`` (that slice is
+    uncapped, as if no limit were given).
     """
 
     buy_price: np.ndarray
@@ -35,6 +37,10 @@ class Market:
         object.__setattr__(self, "sell_price", np.asarray(self.sell_price, float))
         if self.buy_price.shape != self.sell_price.shape:
             raise SchedulingError("buy and sell price arrays must align")
+        if not (
+            np.isfinite(self.buy_price).all() and np.isfinite(self.sell_price).all()
+        ):
+            raise SchedulingError("market prices must be finite")
         if np.any(self.sell_price > self.buy_price):
             raise SchedulingError("sell_price must not exceed buy_price (arbitrage)")
         for name in ("max_buy", "max_sell"):
@@ -44,7 +50,7 @@ class Market:
                 object.__setattr__(self, name, limit)
                 if limit.shape != self.buy_price.shape:
                     raise SchedulingError(f"{name} must align with prices")
-                if np.any(limit < 0):
+                if not np.all(limit >= 0):
                     raise SchedulingError(f"{name} must be non-negative")
 
     @property

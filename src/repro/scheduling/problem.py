@@ -92,7 +92,8 @@ class SchedulingProblem:
     market:
         Buy/sell prices (and optional volume limits) per slice.
     shortage_penalty, surplus_penalty:
-        EUR/kWh cost of *unresolved* mismatch per slice; scalars broadcast.
+        EUR/kWh cost of *unresolved* mismatch per slice, finite and
+        non-negative; scalars broadcast.
         "Mismatches at peak periods cost the BRP more than at other periods"
         — pass arrays to express that.
     """
@@ -109,11 +110,14 @@ class SchedulingProblem:
         if self.market.horizon_length != horizon:
             raise SchedulingError("market prices must cover the horizon")
         for name in ("shortage_penalty", "surplus_penalty"):
-            value = np.broadcast_to(
-                np.asarray(getattr(self, name), float), (horizon,)
-            ).copy()
-            if np.any(value < 0):
-                raise SchedulingError(f"{name} must be non-negative")
+            # ``+ 0.0`` makes the copy and turns a ``-0.0`` penalty into
+            # ``+0.0``: the engine relies on ``0.0 * penalty`` being ``+0.0``.
+            value = (
+                np.broadcast_to(np.asarray(getattr(self, name), float), (horizon,))
+                + 0.0
+            )
+            if not np.all(np.isfinite(value) & (value >= 0)):
+                raise SchedulingError(f"{name} must be finite and non-negative")
             object.__setattr__(self, name, value)
         for offer in self.offers:
             if offer.earliest_start < self.horizon_start:
@@ -314,12 +318,12 @@ class SchedulingProblem:
     # ------------------------------------------------------------------
     def to_schedule(self, solution: CandidateSolution) -> Schedule:
         """Convert a candidate into a validated :class:`Schedule`."""
-        evaluation = self.evaluate(solution)
         schedule = Schedule(self.horizon_start, self.horizon_length)
         for offer, start, energies in zip(
             self.offers, solution.starts, solution.energies
         ):
-            schedule.add(ScheduledFlexOffer(offer, int(start), tuple(energies)))
-        schedule.market_buy = evaluation.market_buy
-        schedule.market_sell = evaluation.market_sell
+            schedule.add(ScheduledFlexOffer(offer, int(start), energies))
+        schedule.market_buy, schedule.market_sell = self.settle_market(
+            self.net_forecast.values + self.flex_series(solution)
+        )
         return schedule

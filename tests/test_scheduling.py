@@ -61,6 +61,23 @@ class TestMarket:
         with pytest.raises(SchedulingError):
             Market(np.full(5, 0.2), np.full(5, 0.1), max_sell=np.full(5, -1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["buy_price", "sell_price"])
+    def test_rejects_non_finite_prices(self, side, bad):
+        """A ``nan`` price passed every comparison and priced every slice
+        ``nan``; ``-inf`` to sell (or ``inf`` to buy) did the same through
+        ``0 * inf``.  An ``inf`` volume limit is not a price: it means
+        uncapped and stays legal."""
+        prices = {"buy_price": np.full(5, 0.2), "sell_price": np.full(5, 0.1)}
+        prices[side][2] = bad
+        with pytest.raises(SchedulingError, match="finite"):
+            Market(**prices)
+        Market(np.full(5, 0.2), np.full(5, 0.1), max_buy=np.full(5, np.inf))
+
+    def test_rejects_nan_limits(self):
+        with pytest.raises(SchedulingError, match="non-negative"):
+            Market(np.full(5, 0.2), np.full(5, 0.1), max_buy=np.full(5, np.nan))
+
     def test_day_night_prices(self):
         market = Market.day_night(96, 96)
         assert market.buy_price.min() < market.buy_price.max()
@@ -87,6 +104,17 @@ class TestProblemValidation:
         offer = flex_offer([(1, 2)], earliest_start=0, latest_start=4)
         with pytest.raises(SchedulingError):
             flat_problem([offer], shortage_penalty=np.array(-0.1))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["shortage_penalty", "surplus_penalty"])
+    def test_non_finite_penalty_rejected(self, name, bad):
+        """``np.any(value < 0)`` is false for ``inf`` and ``nan`` alike, so
+        both used to be accepted — and every slice cost came back ``nan``
+        under a ``RuntimeWarning``, which ``argmin`` reads as "start 0"."""
+        offer = flex_offer([(1, 2)], earliest_start=0, latest_start=4)
+        for value in (np.array(bad), np.where(np.arange(T) == 7, bad, 0.5)):
+            with pytest.raises(SchedulingError, match=name):
+                flat_problem([offer], **{name: value})
 
 
 class TestCostModel:
@@ -155,6 +183,35 @@ class TestCostModel:
         schedule = problem.to_schedule(problem.minimum_solution())
         assert len(schedule) == 1
         assert schedule.market_buy is not None
+
+    def test_to_schedule_equals_the_evaluate_construction(self):
+        """``to_schedule`` settles the market on the one residual and hands
+        ``ScheduledFlexOffer`` the energy arrays; it used to run the whole
+        ``evaluate`` breakdown for its two market arrays and pass tuples of
+        numpy scalars.  Same ``Schedule`` either way."""
+        rng = np.random.default_rng(5)
+        offers = [
+            flex_offer([(1, 2), (-1, 1), (0, 3)], earliest_start=5, latest_start=20)
+            for _ in range(6)
+        ]
+        for problem in (flat_problem(offers), surplus_problem(offers)):
+            solution = problem.random_solution(rng)
+            schedule = problem.to_schedule(solution)
+            evaluation = problem.evaluate(solution)
+            assert [(s.offer, s.start, s.energies) for s in schedule] == [
+                (offer, int(start), tuple(float(e) for e in energies))
+                for offer, start, energies in zip(
+                    problem.offers, solution.starts, solution.energies
+                )
+            ]
+            assert all(
+                type(e) is float for s in schedule for e in s.energies
+            )
+            for got, want in (
+                (schedule.market_buy, evaluation.market_buy),
+                (schedule.market_sell, evaluation.market_sell),
+            ):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestGreedy:

@@ -15,6 +15,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SchedulingError, TimeSeries, flex_offer
 from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
@@ -27,6 +29,7 @@ from repro.scheduling import (
     RandomizedGreedyScheduler,
     SchedulingProblem,
 )
+from repro.scheduling.engine import CostEngine
 from repro.scheduling.reference import (
     reference_one_pass,
     reference_optimal_energies,
@@ -274,6 +277,167 @@ def _pinned_kernel_digest(corpus) -> str:
         assert np.array_equal(energies, best_energy)
         assert delta == pytest.approx(best_cost, abs=1e-9)
     return digest.hexdigest()
+
+
+def six_row_engine(problem: SchedulingProblem) -> CostEngine:
+    """The six-row engine of an *uncapped* problem, its table built by hand
+    around the two rate rows: what ``CostEngine`` held for every market
+    before it read the shape off the caps, so the two-row form has the old
+    arithmetic to be compared to."""
+    buy, sell = problem.engine._market
+    uncapped = np.full(problem.horizon_length, np.inf)
+    engine = object.__new__(CostEngine)
+    engine._market = np.stack(
+        (
+            uncapped,
+            uncapped,
+            buy,
+            problem.shortage_penalty,
+            sell,
+            problem.surplus_penalty,
+        )
+    )
+    return engine
+
+
+_ZEROS = st.sampled_from([0.0, -0.0])
+_RESIDUAL = st.one_of(_ZEROS, st.floats(-60.0, 60.0), st.floats(-1e-300, 1e-300))
+_RATE = st.one_of(_ZEROS, st.floats(0.0, 1.0))
+
+
+@st.composite
+def uncapped_pricing_cases(draw):
+    """``(problem, residual)`` over a market without volume limits.
+
+    Residuals mix ``+0.0``, ``-0.0``, denormal-small and ordinary values of
+    both signs.  Prices are the day/night tariff or drawn per slice with
+    zero and negative buy prices (sell below buy by a drawn gap, so often
+    negative too); penalties are drawn per slice from ``[0, 1]`` with exact
+    zeros, which puts slices where buying (selling) beats the penalty next
+    to slices where it does not, and ties between the two.
+    """
+    n = draw(st.integers(1, 12))
+    per_slice = lambda element: st.lists(element, min_size=n, max_size=n)
+    residual = np.array(draw(per_slice(_RESIDUAL)))
+    if draw(st.booleans()):
+        market = Market.day_night(n, draw(st.integers(1, n)))
+    else:
+        buy = np.array(draw(per_slice(st.one_of(_ZEROS, st.floats(-0.4, 0.9)))))
+        market = Market(buy, buy - np.array(draw(per_slice(_RATE))))
+    problem = SchedulingProblem(
+        TimeSeries(0, np.zeros(n)),
+        (),
+        market,
+        shortage_penalty=np.array(draw(per_slice(_RATE))),
+        surplus_penalty=np.array(draw(per_slice(_RATE))),
+    )
+    return problem, residual
+
+
+class TestTwoRowPricing:
+    """An uncapped market is priced from two rate rows; a capped one from
+    six.  Same bits either way, and the market alone decides which."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(uncapped_pricing_cases())
+    def test_two_rows_six_rows_and_settlement_agree_byte_for_byte(self, case):
+        problem, residual = case
+        engine = problem.engine
+        assert engine._market.shape == (2, len(residual))
+        six = six_row_engine(problem)
+        assert (
+            engine.slice_costs(residual).tobytes()
+            == six.slice_costs(residual).tobytes()
+            == problem.settled_slice_costs(residual).tobytes()
+        )
+        # and with a leading axis, as the kernel prices its candidate rows
+        stacked = np.stack((residual, -residual, residual * 0.0))
+        assert (
+            engine.slice_costs(stacked).tobytes()
+            == six.slice_costs(stacked).tobytes()
+        )
+
+    def test_kernel_output_equal_under_either_table(self):
+        """Every uncapped problem of both corpora, two-row engine against a
+        hand-built six-row one: same start, energies, delta, after-costs."""
+        cases = 0
+        for corpus in (runtime_shape_corpus, mixed_sign_corpus):
+            for problem, j, residual in corpus():
+                if problem.market.max_buy is not None:
+                    continue
+                consts = problem.offer_constants[j]
+                assert problem.engine._market.shape == (2, 96)
+                six = six_row_engine(problem)
+                for cost_vector in (None, six.slice_costs(residual)):
+                    got = problem.engine.best_placement(
+                        consts, residual, cost_vector
+                    )
+                    want = six.best_placement(consts, residual, cost_vector)
+                    assert got[0] == want[0]
+                    assert got[1].tobytes() == want[1].tobytes()
+                    assert struct.pack("<d", got[2]) == struct.pack("<d", want[2])
+                    assert got[3].tobytes() == want[3].tobytes()
+                cases += 1
+        assert cases == 2 * 8 * 8
+
+    def test_table_shape_is_read_off_the_effective_caps(self):
+        """Six rows exactly when a finite cap sits on a slice where that
+        trade beats the penalty; a limit that is ``inf``, or finite only
+        where trading never pays, leaves two."""
+        horizon = 6
+        buy = np.full(horizon, 0.2)
+        buy[3] = 0.9  # above the 0.5 shortage penalty: never bought
+        sell = np.full(horizon, 0.05)
+        sell[4] = -0.3  # below -0.2: dumping costs more than the penalty
+        unlimited = np.full(horizon, np.inf)
+
+        def rows(**limits):
+            problem = SchedulingProblem(
+                TimeSeries(0, np.zeros(horizon)), (), Market(buy, sell, **limits)
+            )
+            return problem.engine._market.shape[0]
+
+        def capped_at(k):
+            limit = unlimited.copy()
+            limit[k] = 5.0
+            return limit
+
+        assert rows() == 2
+        assert rows(max_buy=unlimited) == 2
+        assert rows(max_buy=unlimited, max_sell=unlimited) == 2
+        assert rows(max_buy=capped_at(3)) == 2  # cap where buying never pays
+        assert rows(max_sell=capped_at(4)) == 2  # cap where selling never pays
+        assert rows(max_buy=capped_at(3), max_sell=capped_at(4)) == 2
+        for k in range(horizon):
+            assert rows(max_buy=capped_at(k)) == (2 if k == 3 else 6)
+            assert rows(max_sell=capped_at(k)) == (2 if k == 4 else 6)
+        assert rows(max_buy=np.zeros(horizon)) == 6  # a zero cap is a cap
+
+    def test_capped_slices_price_like_the_settlement(self):
+        """The six-row path on a market that needs it: caps that bind on
+        some slices, ``inf`` on others, against the settlement oracle."""
+        rng = np.random.default_rng(31)
+        horizon = 24
+        buy = rng.uniform(0.05, 0.6, horizon)
+        max_buy = np.where(rng.random(horizon) < 0.5, rng.uniform(0, 10, horizon), np.inf)
+        problem = SchedulingProblem(
+            TimeSeries(0, np.zeros(horizon)),
+            (),
+            Market(
+                buy,
+                buy - rng.uniform(0.0, 0.7, horizon),
+                max_buy=max_buy,
+                max_sell=rng.uniform(0.0, 5.0, horizon),
+            ),
+        )
+        assert problem.engine._market.shape == (6, horizon)
+        for _ in range(20):
+            residual = rng.uniform(-25.0, 25.0, horizon)
+            assert np.allclose(
+                problem.engine.slice_costs(residual),
+                problem.settled_slice_costs(residual),
+                atol=1e-9,
+            )
 
 
 class TestEngineEquivalence:
