@@ -13,9 +13,10 @@ Claims to measure:
   resuming from its on-disk journal reconverges *bit-identically* with
   the uninterrupted run; the recovery cost is one pass over the log;
 * **group commit** — journaling the same hostile stream to disk costs one
-  ``append`` call (one write, one flush/fsync) per input fact and per
-  planning pass, not per fact, and the journal's bytes do not depend on
-  the fsync mode.
+  ``append`` call (one write, one flush/fsync) per input fact, per
+  planning pass and per expiry sweep, not per fact, and the journal's bytes
+  do not depend on the fsync mode; the same stream on an in-memory log
+  gives the cost of journaling one submission (its content key included).
 
 Records land in ``BENCH_runtime.json`` under ``fault.*`` names, the last
 under ``ledger.group_commit``.
@@ -31,6 +32,7 @@ from repro.api import LedmsClient
 from repro.api.ledger import JsonlEventLog, MemoryEventLog, OfferLedger
 from repro.experiments import scale_factor
 from repro.experiments.reporting import print_table
+from repro.runtime import service as service_module
 from repro.runtime import (
     BusConfig,
     ClusterConfig,
@@ -296,11 +298,25 @@ _LEDGER_ENTRIES = (
     "record_withdraw", "record_scheduled", "record_retire", "note_duplicate",
 )
 
+#: What the service calls to derive a submission's content key — module
+#: globals of ``repro.runtime.service``, timed with the entries above (a
+#: name the service does not import is skipped).  Without them, moving the
+#: offer's encoding from the ledger into the key would read as a saving.
+_KEY_ENTRIES = ("offer_json", "content_key", "default_source_event_id")
 
-def _journal(hostile, duration, directory, fsync, monkeypatch):
-    """Journal ``hostile`` to ``directory``; what the journaling cost."""
-    counts = {"append_calls": 0, "fsyncs": 0, "journal_wall_s": 0.0}
-    ledger = OfferLedger(JsonlEventLog(directory, fsync=fsync))
+
+def _journal(hostile, duration, log, monkeypatch):
+    """Journal ``hostile`` to ``log``; what the journaling cost.
+
+    ``submit_wall_s`` is the part spent on submissions — content keys plus
+    ``record_submit`` — and ``us_per_submission`` divides it by the
+    ``record_submit`` calls.
+    """
+    counts = {
+        "append_calls": 0, "fsyncs": 0, "journal_wall_s": 0.0,
+        "submissions": 0, "submit_wall_s": 0.0,
+    }
+    ledger = OfferLedger(log)
 
     def counted(original, key):
         def call(*args, **kwargs):
@@ -309,29 +325,42 @@ def _journal(hostile, duration, directory, fsync, monkeypatch):
 
         return call
 
-    def timed(original):
+    def timed(original, *keys):
         def call(*args, **kwargs):
             t0 = time.perf_counter()
             try:
                 return original(*args, **kwargs)
             finally:
-                counts["journal_wall_s"] += time.perf_counter() - t0
+                elapsed = time.perf_counter() - t0
+                for key in keys:
+                    counts[key] += elapsed
 
         return call
 
+    submission = ("journal_wall_s", "submit_wall_s")
     ledger.log.append = counted(ledger.log.append, "append_calls")
     for entry in _LEDGER_ENTRIES:
-        setattr(ledger, entry, timed(getattr(ledger, entry)))
+        keys = submission if entry == "record_submit" else ("journal_wall_s",)
+        setattr(ledger, entry, timed(getattr(ledger, entry), *keys))
+    ledger.record_submit = counted(ledger.record_submit, "submissions")
     with monkeypatch.context() as patch:
         patch.setattr(os, "fsync", counted(os.fsync, "fsyncs"))
+        for name in _KEY_ENTRIES:
+            if hasattr(service_module, name):
+                original = getattr(service_module, name)
+                patch.setattr(service_module, name, timed(original, *submission))
         client = LedmsClient(_service_config(), ledger=ledger)
         t0 = time.perf_counter()
         report = client.run_stream(iter(hostile), duration)
         counts["run_wall_s"] = time.perf_counter() - t0
     ledger.close()
+    counts["us_per_submission"] = (
+        1e6 * counts["submit_wall_s"] / max(1, counts["submissions"])
+    )
     digest = hashlib.sha256()
-    for segment in ledger.log.segments():
-        digest.update(segment.read_bytes())
+    if isinstance(log, JsonlEventLog):
+        for segment in log.segments():
+            digest.update(segment.read_bytes())
     return {
         **counts,
         "facts": ledger.appends,
@@ -346,17 +375,30 @@ def test_ledger_group_commit(once, bench_record, tmp_path, monkeypatch):
 
     def run():
         _, hostile = _hostile_stream(duration)
-        return {
-            mode: _journal(hostile, duration, tmp_path / mode, mode, monkeypatch)
+        runs = {
+            mode: _journal(
+                hostile, duration, JsonlEventLog(tmp_path / mode, fsync=mode),
+                monkeypatch,
+            )
             for mode in modes
         }
+        # The in-memory log writes nothing: what is left is the encoding.
+        # Best of three, the number being a few microseconds.
+        runs["memory"] = min(
+            (
+                _journal(hostile, duration, MemoryEventLog(), monkeypatch)
+                for _ in range(3)
+            ),
+            key=lambda counts: counts["us_per_submission"],
+        )
+        return runs
 
     runs = once(run)
 
     print_table(
         f"journaling one hostile stream ({_rate():g}/h, {duration:g} slices)",
-        ["fsync", "facts", "append calls", "os.fsync calls",
-         "journaling wall (s)", "run wall (s)"],
+        ["log", "facts", "append calls", "os.fsync calls",
+         "journaling wall (s)", "us/submission", "run wall (s)"],
         [
             [
                 mode,
@@ -364,9 +406,10 @@ def test_ledger_group_commit(once, bench_record, tmp_path, monkeypatch):
                 runs[mode]["append_calls"],
                 runs[mode]["fsyncs"],
                 f"{runs[mode]['journal_wall_s']:.3f}",
+                f"{runs[mode]['us_per_submission']:.2f}",
                 f"{runs[mode]['run_wall_s']:.3f}",
             ]
-            for mode in modes
+            for mode in (*modes, "memory")
         ],
     )
 
@@ -384,10 +427,14 @@ def test_ledger_group_commit(once, bench_record, tmp_path, monkeypatch):
         metrics={
             "facts": runs["commit"]["facts"],
             "offers_accepted": runs["commit"]["accepted"],
+            "submissions": runs["commit"]["submissions"],
             **{
                 f"{mode}.{key}": runs[mode][key]
-                for mode in modes
-                for key in ("append_calls", "fsyncs", "journal_wall_s", "run_wall_s")
+                for mode in (*modes, "memory")
+                for key in (
+                    "append_calls", "fsyncs", "journal_wall_s",
+                    "us_per_submission", "run_wall_s",
+                )
             },
         },
     )
@@ -399,7 +446,7 @@ def test_ledger_group_commit(once, bench_record, tmp_path, monkeypatch):
     assert runs["commit"]["fsyncs"] == runs["commit"]["append_calls"]
     assert runs["close"]["fsyncs"] == runs["never"]["fsyncs"] == 0
     assert len({runs[mode]["journal_sha256"] for mode in modes}) == 1
-    assert len({runs[mode]["facts"] for mode in modes}) == 1
+    assert len({runs[mode]["facts"] for mode in (*modes, "memory")}) == 1
     # (A smoke stream's passes move a handful of members each: there a
     # call still carries more than one fact, but not five.)
     per_call = 1 if smoke_mode() else 5

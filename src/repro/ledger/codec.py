@@ -5,19 +5,26 @@ more than the final partially-written line and any JSON tool can audit
 the history.  The codec round-trips every :class:`~repro.core.flexoffer.
 FlexOffer` field bit-exactly (floats survive Python's repr-based JSON
 round trip), which is what makes re-execution replay deterministic.
+
+:func:`offer_json` is the one rendering of an offer as JSON text.  The
+content key hashes that text and a journaled ``submit``/``replace``/
+``dead_letter`` fact carries it verbatim as its ``offer`` field, so the
+key hashes exactly the bytes the fact's ``offer`` field holds on disk.
 """
 
 from __future__ import annotations
 
-import json
 import zlib
 
 from ..core.errors import DataManagementError
 from ..core.flexoffer import EnergyConstraint, FlexOffer, Profile
+from .log import encode
 
 __all__ = [
     "offer_to_dict",
     "offer_from_dict",
+    "offer_json",
+    "content_key",
     "default_source_event_id",
 ]
 
@@ -64,6 +71,23 @@ def offer_from_dict(data: dict) -> FlexOffer:
         raise DataManagementError(f"malformed offer record: {exc}") from exc
 
 
+def offer_json(offer: FlexOffer) -> str:
+    """The canonical JSON text of ``offer``: ``encode(offer_to_dict(offer))``.
+
+    Keys sorted by the log's own encoder, so this is byte for byte what a
+    fact's ``offer`` field reads on disk.
+    """
+    return encode(offer_to_dict(offer))
+
+
+def content_key(offer: FlexOffer, text: str) -> str:
+    """The content-derived idempotency key of ``offer``, whose
+    :func:`offer_json` is ``text`` (rendered once by the caller, which
+    journals the same text)."""
+    digest = zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
+    return f"{offer.owner}:{offer.offer_id}:{digest:08x}"
+
+
 def default_source_event_id(offer: FlexOffer) -> str:
     """Content-derived idempotency key for one submission.
 
@@ -71,7 +95,7 @@ def default_source_event_id(offer: FlexOffer) -> str:
     the same key and is deflected by the ledger's idempotency guard; an
     *edited* offer under the same id fingerprints differently, so
     reverse-and-replace corrections are never mistaken for duplicates.
+    The key hashes :func:`offer_json`'s text — the bytes the submission's
+    journaled ``offer`` field carries.
     """
-    payload = json.dumps(offer_to_dict(offer), sort_keys=True)
-    digest = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-    return f"{offer.owner}:{offer.offer_id}:{digest:08x}"
+    return content_key(offer, offer_json(offer))

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ..core.errors import DataManagementError
 from ..core.flexoffer import FlexOffer
-from .codec import offer_to_dict
+from .codec import offer_json, offer_to_dict
 from .log import JsonlEventLog, MemoryEventLog, encode
 
 __all__ = [
@@ -233,6 +233,12 @@ class OfferLedger:
         """
         return self._append("run_drain", at=at, end=float(end))
 
+    def _shared(self, kind: str, at: float) -> str:
+        """``"at": …, "kind": …, "node": …`` — the leading keys every fact
+        shares, rendered by the generic encoder (float ``repr`` and name
+        escaping stay its business)."""
+        return encode({"at": float(at), "kind": kind, "node": self.node})[1:-1]
+
     def record_submit(
         self,
         offer: FlexOffer,
@@ -244,32 +250,58 @@ class OfferLedger:
         accepted_offer: FlexOffer | None = None,
         kind: str = "submit",
         reverses: int | None = None,
-    ) -> dict:
+        offer_text: str | None = None,
+    ) -> None:
         """One submission fact (or the ``replace`` half of an edit).
 
         A rejected submission is additionally routed to the dead-letter
         queue with its reason.  The outcome is recorded against
         ``source_event_id`` so later duplicates return it unchanged.
+
+        ``offer_text`` is :func:`~repro.ledger.codec.offer_json` of
+        ``offer`` when the caller already rendered it — the front door
+        does, to derive the content key, which therefore hashes exactly the
+        bytes this fact's ``offer`` field carries; without it the text is
+        rendered here, once.  The line is composed the way
+        :meth:`record_scheduled` composes its lines: the text goes in
+        verbatim as ``offer``, and again as ``accepted_offer`` when the
+        admitted offer is the submitted object (a clipped admission renders
+        its own), with every other field rendered by the generic encoder in
+        sorted-key order.  The string is :data:`~repro.ledger.log.encode`
+        of the fact's dict (the tests hold it to that); a dead letter
+        reuses the same text.
         """
-        payload: dict = {
-            "source_event_id": source_event_id,
-            "offer": offer_to_dict(offer),
+        if kind not in ("submit", "replace"):
+            raise DataManagementError(f"not a submission fact kind: {kind!r}")
+        text = offer_json(offer) if offer_text is None else offer_text
+        if accepted_offer is None:
+            admitted = ""
+        elif accepted_offer is offer:
+            admitted = ', "accepted_offer": ' + text
+        else:
+            admitted = ', "accepted_offer": ' + offer_json(accepted_offer)
+        own: dict = {
             "offer_id": offer.offer_id,
-            "accepted": bool(accepted),
             "reason": reason,
+            "seq": self._seq,
+            "source_event_id": source_event_id,
         }
-        if accepted_offer is not None:
-            payload["accepted_offer"] = offer_to_dict(accepted_offer)
         if reverses is not None:
-            payload["reverses"] = reverses
-        event = self._append(kind, at=at, **payload)
+            own["reverses"] = reverses
+        self._seq += 1
+        self.appends += 1
+        self.log.append(
+            '{"accepted": ' + ("true" if accepted else "false") + admitted
+            + ", " + self._shared(kind, at)
+            + ', "offer": ' + text
+            + ", " + encode(own)[1:]
+        )
         if source_event_id is not None:
             self._results[source_event_id] = RecordedResult(
                 bool(accepted), offer.offer_id, reason
             )
         if not accepted:
-            self.record_dead_letter(offer, reason or "rejected", at=at)
-        return event
+            self._dead_letter(offer, reason or "rejected", at, text)
 
     def record_reverse(
         self, offer_id: int, *, at: float, replaced_by: str | None = None
@@ -282,69 +314,110 @@ class OfferLedger:
     def record_withdraw(self, offer_id: int, *, at: float) -> dict:
         return self._append("withdraw", at=at, offer_id=offer_id)
 
+    def _append_batch(
+        self, kind: str, at: float, own: str, rows: Sequence[tuple]
+    ) -> None:
+        """One fact per ``(offer_id, value)`` row, in one ``append`` call.
+
+        Each fact takes the next ``seq``, exactly the facts and the order
+        that one call per row would journal, all stamped with the one
+        ``at``; they reach the log as one write and one flush/fsync (group
+        commit).  The shared keys are rendered once by :meth:`_shared` and
+        ``own`` — a ``%`` template over ``(offer_id, seq, value)`` whose
+        keys sort after ``node`` — adds each fact's own fields.  Each
+        string is what :data:`~repro.ledger.log.encode` gives for the
+        fact's dict (the tests hold it to that), and the logs take it as
+        such: the durable one writes it, the in-memory one decodes it when
+        read.
+        """
+        if not rows:
+            return
+        head = "{" + self._shared(kind, at)
+        facts = [
+            head + own % (offer_id, seq, value)
+            for seq, (offer_id, value) in enumerate(rows, self._seq)
+        ]
+        self._seq += len(facts)
+        self.appends += len(facts)
+        self.log.append(*facts)
+
     def record_scheduled(
         self, starts: Sequence[tuple[int, int]], *, at: float
     ) -> None:
         """Journal one planning pass's changed plan starts, as one batch.
 
         ``starts`` holds ``(offer_id, start)`` in commit order; each becomes
-        one ``scheduled`` fact with the next ``seq``, exactly the facts and
-        the order that one call per member would journal.  They reach the
-        log in one ``append`` call — one write and one flush/fsync for the
-        pass (group commit) — all stamped with the pass's one ``at``.
-
-        A pass journals about a thousand of these and they differ in three
-        integers, so the fields they share are encoded once: the generic
-        encoder renders ``{"at": …, "kind": "scheduled", "node": …`` (float
-        ``repr`` and name escaping stay its business) and each fact adds its
-        own ``offer_id``/``seq``/``start``, which sort after the shared
-        keys.  Each string is what :data:`~repro.ledger.log.encode` gives
-        for the fact's dict (the tests hold it to that), and the logs take
-        it as such: the durable one writes it, the in-memory one decodes it.
+        one ``scheduled`` fact.  A pass journals about a thousand of these
+        and they differ in three integers, so the fields they share are
+        encoded once (:meth:`_append_batch`).
         """
-        if not starts:
-            return
-        shared = {"at": float(at), "kind": "scheduled", "node": self.node}
-        head = encode(shared)[:-1]
-        own = ', "offer_id": %d, "seq": %d, "start": %d}'
-        facts = [
-            head + own % (offer_id, seq, start)
-            for seq, (offer_id, start) in enumerate(starts, self._seq)
-        ]
-        self._seq += len(facts)
-        self.appends += len(facts)
-        self.log.append(*facts)
+        self._append_batch(
+            "scheduled", at, ', "offer_id": %d, "seq": %d, "start": %d}', starts
+        )
 
-    def record_retire(self, offer_id: int, state: str, *, at: float) -> dict:
-        return self._append("retire", at=at, offer_id=offer_id, state=state)
+    def record_retire(
+        self, retirements: Sequence[tuple[int, str]], *, at: float
+    ) -> None:
+        """Journal one expiry sweep's retirements, as one batch.
+
+        ``retirements`` holds ``(offer_id, state)`` in the order the sweep
+        retires them — every ``executed`` offer before every ``expired``
+        one, each in live-pool order — and each becomes one ``retire`` fact
+        (:meth:`_append_batch`): one append call per sweep, not per offer.
+        """
+        self._append_batch(
+            "retire",
+            at,
+            ', "offer_id": %d, "seq": %d, "state": %s}',
+            [(offer_id, encode(state)) for offer_id, state in retirements],
+        )
 
     def record_dead_letter(
         self, offer: FlexOffer | None, reason: str, *, at: float, offer_id: int | None = None
-    ) -> dict:
-        """Route one rejected/malformed submission to the dead-letter queue."""
-        encoded = offer_to_dict(offer) if offer is not None else None
-        oid = offer.offer_id if offer is not None else (offer_id or -1)
-        owner = offer.owner if offer is not None else ""
-        event = self._append(
-            "dead_letter",
-            at=at,
-            offer_id=oid,
-            owner=owner,
-            reason=reason,
-            offer=encoded,
+    ) -> None:
+        """Route one rejected/malformed submission to the dead-letter queue.
+
+        Without an offer (a record too malformed to decode) the fact carries
+        ``offer_id``, or ``-1`` when none is known.
+        """
+        text = None if offer is None else offer_json(offer)
+        self._dead_letter(offer, reason, at, text, offer_id)
+
+    def _dead_letter(
+        self,
+        offer: FlexOffer | None,
+        reason: str,
+        at: float,
+        text: str | None,
+        offer_id: int | None = None,
+    ) -> None:
+        """Journal and queue one dead letter; ``text`` is ``offer``'s
+        :func:`~repro.ledger.codec.offer_json`, spliced in as the fact's
+        ``offer`` field the way :meth:`record_submit` splices it."""
+        if offer is None:
+            oid, owner = (-1 if offer_id is None else offer_id), ""
+        else:
+            oid, owner = offer.offer_id, offer.owner
+        seq = self._seq
+        self._seq += 1
+        self.appends += 1
+        own = {"offer_id": oid, "owner": owner, "reason": reason, "seq": seq}
+        self.log.append(
+            "{" + self._shared("dead_letter", at)
+            + ', "offer": ' + ("null" if text is None else text)
+            + ", " + encode(own)[1:]
         )
         self._dead.append(
             DeadLetter(
-                seq=event["seq"],
-                at=event["at"],
+                seq=seq,
+                at=float(at),
                 node=self.node,
                 offer_id=oid,
                 owner=owner,
                 reason=reason,
-                offer=encoded,
+                offer=None if offer is None else offer_to_dict(offer),
             )
         )
-        return event
 
     # ------------------------------------------------------------------
     # views

@@ -21,10 +21,14 @@ once per *call*:
     leave flushing to the runtime/OS entirely (tests, benchmarks).
 
 The ledger journals an input fact as a call of one, and the derived
-``scheduled`` facts of a whole planning pass as one call — group commit:
-under ``"commit"`` a pass costs one fsync, not one per member.  Every line
-is ``encode(fact) + "\n"`` whether the log encoded the fact or its caller
-did; there is no batch record and no second on-disk format.
+``scheduled`` facts of a whole planning pass, like the ``retire`` facts of
+one expiry sweep, as one call — group commit: under ``"commit"`` a pass or
+a sweep costs one fsync, not one per member.  Every line is
+``encode(fact) + "\n"`` whether the log encoded the fact or its caller did
+(the ledger composes most of its lines, splicing an offer's
+:func:`~repro.ledger.codec.offer_json` text into a submission's line — the
+same bytes its content key hashes); there is no batch record and no second
+on-disk format.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class MemoryEventLog:
     """A list-backed event log: the non-durable default for tests/benches."""
 
     def __init__(self) -> None:
-        self._events: list[dict] = []
+        self._events: list[dict | str] = []
 
     def __len__(self) -> int:
         return len(self._events)
@@ -70,16 +74,19 @@ class MemoryEventLog:
         """Append ``events`` in order.
 
         A ``str`` is a fact its caller already encoded (see
-        :meth:`JsonlEventLog.append`); it is held as the dict it encodes.
+        :meth:`JsonlEventLog.append`); it is kept as that text until the
+        log is first read, and from then on held as the dict it encodes —
+        journaling to memory decodes nothing.
         """
-        self._events.extend(
-            json.loads(event) if isinstance(event, str) else event
-            for event in events
-        )
+        self._events.extend(events)
 
     def replay(self) -> Iterator[dict]:
         """Every event appended so far, in order."""
-        return iter(list(self._events))
+        events = self._events
+        for index, event in enumerate(events):
+            if isinstance(event, str):
+                events[index] = json.loads(event)
+        return iter(list(events))
 
     def flush(self) -> None:  # pragma: no cover - interface symmetry
         pass

@@ -39,7 +39,7 @@ from ..core.errors import ServiceError
 from ..core.flexoffer import FlexOffer
 from ..core.timeseries import TimeSeries
 from ..datamgmt.mirabel import LedmsStore
-from ..ledger.codec import default_source_event_id
+from ..ledger.codec import content_key, offer_json
 from ..ledger.ledger import OfferLedger
 from ..obs.tracing import NullTracer, Tracer
 from ..scheduling import SchedulingResult
@@ -352,9 +352,9 @@ class BrpRuntimeService:
         """
         led = self.ledger
         recording = led is not None and led.recording_inputs
-        sid = source_event_id
+        sid, text = source_event_id, None
         if recording:
-            sid, duplicate = self._deflect_duplicate(offer, sid)
+            sid, text, duplicate = self._deflect_duplicate(offer, sid)
             if duplicate is not None:
                 return duplicate
         self._submitted_counter.inc()
@@ -375,7 +375,7 @@ class BrpRuntimeService:
         if recording:
             # Journal before the aggregation/trigger cascade below, so the
             # submit fact precedes any derived facts it causes.
-            self._journal_submit("submit", offer, sid, result)
+            self._journal_submit("submit", offer, sid, text, result)
         if accepted is not None:
             if self.ingest.batch_full:
                 self.run_aggregation()
@@ -400,16 +400,16 @@ class BrpRuntimeService:
         """
         led = self.ledger
         recording = led is not None and led.recording_inputs
-        sid = source_event_id
+        sid, text = source_event_id, None
         if recording:
-            sid, duplicate = self._deflect_duplicate(offer, sid)
+            sid, text, duplicate = self._deflect_duplicate(offer, sid)
             if duplicate is not None:
                 return duplicate
         reason = self.ingest.reject_reason(offer, self.now_slice)
         if reason is not None:
             result = SubmitResult(False, offer.offer_id, None, reason)
             if recording:
-                self._journal_submit("replace", offer, sid, result)
+                self._journal_submit("replace", offer, sid, text, result)
             return result
         if not recording:
             return self._replace(offer)
@@ -419,7 +419,7 @@ class BrpRuntimeService:
         with led.suspended():
             result = self._replace(offer)
         self._journal_submit(
-            "replace", offer, sid, result, reverses=offer.offer_id
+            "replace", offer, sid, text, result, reverses=offer.offer_id
         )
         return result
 
@@ -445,22 +445,23 @@ class BrpRuntimeService:
 
     def _deflect_duplicate(
         self, offer: FlexOffer, source_event_id: str | None
-    ) -> tuple[str, SubmitResult | None]:
+    ) -> tuple[str, str | None, SubmitResult | None]:
         """The idempotency guard of both ledger-recorded front doors.
 
         Returns the submission's idempotency key (content-derived unless
-        given) and, when that key was journaled before, the originally
-        recorded outcome: the duplicate is journaled and counted, nothing
-        is double-counted and nothing re-enters the pipeline.
+        given), the offer's JSON text when deriving the key rendered it
+        (the fact journals that same text; ``None`` for a given key) and,
+        when the key was journaled before, the originally recorded outcome:
+        the duplicate is journaled and counted, nothing is double-counted
+        and nothing re-enters the pipeline.
         """
-        sid = (
-            source_event_id
-            if source_event_id is not None
-            else default_source_event_id(offer)
-        )
+        sid, text = source_event_id, None
+        if sid is None:
+            text = offer_json(offer)
+            sid = content_key(offer, text)
         prior = self.ledger.recorded_result(sid)
         if prior is None:
-            return sid, None
+            return sid, text, None
         self.ledger.note_duplicate(sid, offer_id=prior.offer_id, at=self.now)
         self.metrics.counter("ledger.duplicates").inc()
         if self.tracer.enabled:
@@ -471,7 +472,7 @@ class BrpRuntimeService:
                 detail={"source_event_id": sid},
             )
         live = self._live.get(prior.offer_id) if prior.accepted else None
-        return sid, SubmitResult(
+        return sid, text, SubmitResult(
             prior.accepted, prior.offer_id, live, prior.reason, duplicate=True
         )
 
@@ -480,13 +481,17 @@ class BrpRuntimeService:
         kind: str,
         offer: FlexOffer,
         sid: str,
+        text: str | None,
         result: SubmitResult,
         reverses: int | None = None,
     ) -> None:
         """Journal one ``submit``/``replace`` fact; count and trace it.
 
-        A rejection also lands in the dead-letter queue (the ledger routes
-        it), so the ``ledger.dead_letters`` counter moves with the queue.
+        ``text`` is the offer's JSON text when :meth:`_deflect_duplicate`
+        rendered it for the content key, so a journaled submission renders
+        its offer once.  A rejection also lands in the dead-letter queue
+        (the ledger routes it), so the ``ledger.dead_letters`` counter moves
+        with the queue.
         """
         self.ledger.record_submit(
             offer,
@@ -497,6 +502,7 @@ class BrpRuntimeService:
             accepted_offer=result.offer,
             kind=kind,
             reverses=reverses,
+            offer_text=text,
         )
         if not result.accepted:
             self.metrics.counter("ledger.dead_letters").inc()
@@ -986,10 +992,12 @@ class BrpRuntimeService:
                 expired.append(offer)
         led = self.ledger
         if led is not None and led.recording and (executed or expired):
-            for offer in executed:
-                led.record_retire(offer.offer_id, "executed", at=now)
-            for offer in expired:
-                led.record_retire(offer.offer_id, "expired", at=now)
+            # One append for the whole sweep (group commit).
+            led.record_retire(
+                [(offer.offer_id, "executed") for offer in executed]
+                + [(offer.offer_id, "expired") for offer in expired],
+                at=now,
+            )
         self.ingest.retire(executed, now_slice, "executed")
         self.ingest.retire(expired, now_slice, "expired")
         for offer in expired:

@@ -11,6 +11,7 @@ on a bare service, without the facade).
 import json
 import os
 import tempfile
+import zlib
 from functools import partial
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from repro.api.ledger import (
     reexecute,
 )
 from repro.core import flex_offer
+from repro.ledger.codec import offer_json
 from repro.core.errors import DataManagementError, ServiceError
 from repro.core.timebase import TimeAxis
 from repro.datamgmt.mirabel import LedmsStore
@@ -88,6 +90,37 @@ def _close_window_mid_update(service, revision):
     service.ingest.reject_reason = reject_reason
 
 
+@st.composite
+def _offers(draw):
+    """Offers with negative, zero and mixed-sign bounds, any owner."""
+    energy = st.sampled_from([0.0, -0.0, 1e-7, 0.1 + 0.2]) | st.floats(
+        -1e6, 1e6, allow_nan=False
+    )
+    bounds = draw(
+        st.lists(st.tuples(energy, energy).map(sorted), min_size=1, max_size=4)
+    )
+    creation = draw(st.integers(0, 50))
+    earliest = creation + draw(st.integers(0, 20))
+    latest = earliest + draw(st.integers(0, 10))
+    return flex_offer(
+        bounds,
+        earliest,
+        latest,
+        offer_id=draw(st.integers(0, 2**62)),
+        owner=draw(st.sampled_from(['o"w\\n%s', "prosumer-é✓"]) | st.text(max_size=8)),
+        creation_time=creation,
+        assignment_before=draw(st.none() | st.integers(earliest, latest)),
+        unit_price=draw(st.floats(-10, 10, allow_nan=False)),
+    )
+
+
+def _clipped(offer):
+    """A copy of ``offer`` with its start window cut short (as admission
+    clips a late arrival): another object, other content where it can."""
+    floor = max(offer.earliest_start, offer.assignment_before or 0)
+    return offer.with_times(offer.earliest_start, max(floor, offer.latest_start - 1))
+
+
 # ----------------------------------------------------------------------
 class TestCodec:
     def test_round_trip_is_exact(self):
@@ -118,6 +151,18 @@ class TestCodec:
         offer = _offer(10, lo=1.0, hi=2.0)
         edited = _offer(10, lo=2.0, hi=3.0, offer_id=offer.offer_id)
         assert default_source_event_id(offer) != default_source_event_id(edited)
+
+    @settings(max_examples=60, deadline=None)
+    @given(offer=_offers())
+    def test_source_event_id_hashes_the_sorted_key_json(self, offer):
+        """The key's bytes are the same as ever: a crc32 over the sorted-key
+        JSON of the offer's dict — the text its journaled fact carries."""
+        payload = json.dumps(offer_to_dict(offer), sort_keys=True)
+        assert offer_json(offer) == payload
+        assert default_source_event_id(offer) == (
+            f"{offer.owner}:{offer.offer_id}:"
+            f"{zlib.crc32(payload.encode('utf-8')):08x}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +366,43 @@ class TestGroupCommit:
             (0, 0), (1, 1), (2, 9),
         ]
 
+    def test_sweep_retirements_are_one_append(self, tmp_path):
+        """An expiry sweep journals its retirements as one batch: one write
+        and one flush, executed before expired, each in live-pool order,
+        every line the generic encoder's."""
+        ledger = OfferLedger(JsonlEventLog(tmp_path / "led", fsync="close"))
+        service = BrpRuntimeService(_config(batch=100), ledger=ledger)
+        # Live-pool order: lapses, runs, runs, lapses, stays.
+        lapses = [_offer(200, tf=2, assignment_before=15) for _ in range(2)]
+        runs = [_offer(4, tf=2) for _ in range(2)]
+        stays = _offer(40, tf=4)
+        for offer in (lapses[0], *runs, lapses[1], stays):
+            assert service.submit(offer)
+        service.run_aggregation()
+        service.maybe_schedule(force=True)
+        assert {o.offer_id for o in runs} <= service._scheduled
+        assert not {o.offer_id for o in lapses} & service._scheduled
+        service.driver.queue.clock.advance_to(20)
+        first = ledger.appends
+        handle = ledger.log._handle = _CountingHandle(ledger.log._open_for_append())
+        assert service.sweep_expired() == 4
+        assert (handle.writes, handle.flushes) == (1, 1)
+        assert ledger.appends == first + 4
+        assert service.live_offers == 1
+        ledger.close()
+        retired = [(o.offer_id, "executed") for o in runs] + [
+            (o.offer_id, "expired") for o in lapses
+        ]
+        lines = _segment_bytes(ledger.log).decode("utf-8").splitlines(True)
+        assert lines[first:] == [
+            json.dumps(
+                {"seq": first + i, "kind": "retire", "at": 20.0, "node": "brp",
+                 "offer_id": offer_id, "state": state},
+                sort_keys=True,
+            ) + "\n"
+            for i, (offer_id, state) in enumerate(retired)
+        ]
+
     def test_torn_tail_is_cut_in_place_not_rewritten(self, tmp_path, monkeypatch):
         """Repairing a torn tail must never empty the segment first: a
         second crash inside recovery would lose every fact it held."""
@@ -343,6 +425,126 @@ class TestGroupCommit:
         reopened.close()
         assert [e["seq"] for e in reopened.replay()] == [0, 1, 2]
         assert segment.read_bytes() == intact + b'{"seq": 2}\n'
+
+
+# ----------------------------------------------------------------------
+def _capture_appends(log):
+    """Record every event ``log.append`` is handed, in order."""
+    handed = []
+    append = log.append
+
+    def capture(*events):
+        handed.extend(events)
+        append(*events)
+
+    log.append = capture
+    return handed
+
+
+class TestFactEncoding:
+    """A composed ``submit``/``replace``/``dead_letter`` line is the generic
+    encoder's line for the fact's dict, byte for byte, and decodes to it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        node=st.sampled_from(['b"r\\p', "brp-é", "100%d %s %%"]) | st.text(max_size=12),
+        at=st.sampled_from([-0.0, 1e-7, 0.1 + 0.2, 1e300])
+        | st.floats(allow_nan=False, allow_infinity=False),
+        source_event_id=st.none() | st.just('ev "1" \\ é') | st.text(max_size=12),
+        reason=st.none() | st.text(max_size=12),
+        accepted=st.booleans(),
+        admitted=st.sampled_from(["none", "same", "clipped"]),
+        kind=st.sampled_from(["submit", "replace"]),
+        reverses=st.none() | st.integers(-1, 2**62),
+        rendered=st.booleans(),
+        offer=_offers(),
+    )
+    @example(
+        node="brp", at=-0.0, source_event_id=None, reason=None, accepted=False,
+        admitted="none", kind="submit", reverses=None, rendered=False,
+        offer=flex_offer([(-2.0, 0.0), (0.0, 0.0), (-1.5, 3.0)], 3, 7,
+                         offer_id=0, owner="ägent", assignment_before=5),
+    )
+    def test_submission_lines_equal_generic_encoding(
+        self, node, at, source_event_id, reason, accepted, admitted, kind,
+        reverses, rendered, offer,
+    ):
+        accepted_offer = {"none": None, "same": offer, "clipped": _clipped(offer)}[
+            admitted
+        ]
+        fact = {
+            "seq": 1,
+            "kind": kind,
+            "at": at,
+            "node": node,
+            "source_event_id": source_event_id,
+            "offer": offer_to_dict(offer),
+            "offer_id": offer.offer_id,
+            "accepted": accepted,
+            "reason": reason,
+        }
+        if accepted_offer is not None:
+            fact["accepted_offer"] = offer_to_dict(accepted_offer)
+        if reverses is not None:
+            fact["reverses"] = reverses
+        facts = [fact]
+        if not accepted:
+            facts.append({
+                "seq": 2,
+                "kind": "dead_letter",
+                "at": at,
+                "node": node,
+                "offer_id": offer.offer_id,
+                "owner": offer.owner,
+                "reason": reason or "rejected",
+                "offer": offer_to_dict(offer),
+            })
+        # Without the offer: a record too malformed to decode.
+        facts.append({
+            "seq": len(facts) + 1,
+            "kind": "dead_letter",
+            "at": at,
+            "node": node,
+            "offer_id": offer.offer_id,
+            "owner": "",
+            "reason": "malformed record",
+            "offer": None,
+        })
+        with tempfile.TemporaryDirectory() as tmp:
+            for log in (JsonlEventLog(tmp, fsync="never"), MemoryEventLog()):
+                ledger = OfferLedger(log, node=node)
+                ledger.record_withdraw(5, at=at)  # the submission is seq 1
+                handed = _capture_appends(log)
+                ledger.record_submit(
+                    offer,
+                    at=at,
+                    source_event_id=source_event_id,
+                    accepted=accepted,
+                    reason=reason,
+                    accepted_offer=accepted_offer,
+                    kind=kind,
+                    reverses=reverses,
+                    offer_text=offer_json(offer) if rendered else None,
+                )
+                ledger.record_dead_letter(
+                    None, "malformed record", at=at, offer_id=offer.offer_id
+                )
+                assert handed == [json.dumps(f, sort_keys=True) for f in facts]
+                assert list(ledger.events())[1:] == facts
+                assert ledger.appends == 1 + len(facts)
+                assert [d.offer for d in ledger.dead_letters()] == [
+                    f["offer"] for f in facts[1:]
+                ]
+                assert ledger.recorded_result(source_event_id) == (
+                    None
+                    if source_event_id is None
+                    else (accepted, offer.offer_id, reason)
+                )
+                ledger.close()
+            disk = JsonlEventLog(tmp)
+            lines = _segment_bytes(disk).decode("utf-8").splitlines(True)
+            assert lines[1:] == [json.dumps(f, sort_keys=True) + "\n" for f in facts]
+            assert list(disk.replay())[1:] == facts
 
 
 # ----------------------------------------------------------------------
@@ -466,10 +668,25 @@ class TestFactJournal:
         reopened = OfferLedger(JsonlEventLog(tmp_path / "led"))
         assert len(reopened.dead_letters()) == 1
 
+    def test_dead_letter_keeps_offer_id_zero(self):
+        ledger = OfferLedger()
+        ledger.record_dead_letter(None, "malformed record", at=1.0, offer_id=0)
+        ledger.record_dead_letter(None, "malformed record", at=2.0)
+        assert [e["offer_id"] for e in ledger.events()] == [0, -1]
+        assert [d.offer_id for d in ledger.dead_letters()] == [0, -1]
+        rebuilt = OfferLedger(ledger.log)
+        assert [d.offer_id for d in rebuilt.dead_letters()] == [0, -1]
+
     def test_unknown_fact_kind_raises(self):
         ledger = OfferLedger()
         with pytest.raises(DataManagementError):
             ledger._append("telegram", at=0.0)
+        with pytest.raises(DataManagementError):
+            ledger.record_submit(
+                _offer(10), at=0.0, source_event_id=None, accepted=True,
+                kind="withdraw",
+            )
+        assert ledger.appends == 0
 
     def test_input_kinds_are_a_subset_of_fact_kinds(self):
         assert set(INPUT_KINDS) <= set(FACT_KINDS)

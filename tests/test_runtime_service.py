@@ -206,6 +206,87 @@ class TestReplanningPinned:
         assert journal.hexdigest() == REPLANNING_JOURNAL_SHA256
 
 
+CHURN_JOURNAL_SHA256 = (
+    "097bef9f5e48461d8a05621a49e9546a5da67b4b32a6b43c8e00d6869f6a983d"
+)
+"""Every byte :func:`_churn_journal`'s run journals to JSONL segments, with
+offer ids minted from :data:`CHURN_ID_BASE` (recorded on d215ec7, the
+commit before a submission's offer was rendered once for its content key
+and its fact)."""
+
+CHURN_ID_BASE = 24 * 10**9
+"""Above :data:`JOURNAL_ID_BASE`'s band, so the two pins mint disjoint ids."""
+
+
+def _churn_journal(directory):
+    """Journal one short churn-shaped run; the ledger and its facts.
+
+    Duplicated and reordered arrivals (a reordered offer can arrive after
+    its earliest start and be admitted clipped), window-narrowing updates
+    and withdrawals half a slice after chosen arrivals, one back-dated
+    submission admitted clipped and then updated to no energy (a rejected
+    replace), one submission that carries no energy and one that expires
+    unplanned — every kind of fact a journaling node writes.
+    """
+    rebase_offer_ids(CHURN_ID_BASE)
+    ledger = OfferLedger(JsonlEventLog(directory, fsync="never"))
+    service = BrpRuntimeService(TINY, ledger=ledger)
+    duration = 24.0
+    arrivals = [
+        (at, offer)
+        for at, offer in LoadGenerator(rate_per_hour=40.0, seed=9).hostile_stream(
+            0.0, duration, duplicate_rate=0.3, reorder_window=2.0, seed=9
+        )
+        if at < duration
+    ]
+    backdated = _offer(9, tf=6)
+    empty = _offer(9, lo=0.0, hi=0.0, offer_id=backdated.offer_id)
+    service.driver.schedule_at(11.0, lambda: service.update(empty))
+    arrivals += [
+        (5.25, _offer(200, tf=2, assignment_before=20)),  # beyond the horizon
+        (10.25, backdated),
+        (12.5, _offer(14, lo=0.0, hi=0.0)),
+    ]
+    arrivals.sort(key=lambda arrival: arrival[0])
+    seen: set[int] = set()
+    for at, offer in arrivals:
+        if offer.offer_id in seen or at + 0.5 >= duration:
+            continue
+        seen.add(offer.offer_id)
+        if len(seen) % 4 == 0 and offer.latest_start > offer.earliest_start:
+            revised = offer.with_times(offer.earliest_start, offer.latest_start - 1)
+            service.driver.schedule_at(
+                at + 0.5, lambda revised=revised: service.update(revised)
+            )
+        elif len(seen) % 5 == 1:
+            service.driver.schedule_at(
+                at + 0.5, lambda oid=offer.offer_id: service.withdraw(oid)
+            )
+    service.run_stream(iter(arrivals), duration)
+    ledger.close()
+    return ledger, list(ledger.events())
+
+
+class TestChurnJournalPinned:
+    def test_churn_journal_bytes_pinned(self, tmp_path):
+        """Not one byte of a duplicate, reverse, replace, withdraw,
+        dead-letter, retire or clipped-admission fact moves."""
+        ledger, events = _churn_journal(tmp_path / "led")
+        kinds = {event["kind"] for event in events}
+        assert {
+            "submit", "duplicate", "reverse", "replace", "withdraw",
+            "dead_letter", "scheduled", "retire",
+        } <= kinds
+        assert any(
+            "accepted_offer" in event and event["accepted_offer"] != event["offer"]
+            for event in events
+        )  # a clipped admission
+        journal = hashlib.sha256()
+        for segment in ledger.log.segments():
+            journal.update(segment.read_bytes())
+        assert journal.hexdigest() == CHURN_JOURNAL_SHA256
+
+
 class TestSchedulingIntegration:
     def test_warm_start_used_on_rescheduling(self):
         service, _ = _run(duration=48)
