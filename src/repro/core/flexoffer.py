@@ -180,23 +180,43 @@ class Profile(tuple):
         """Number of slices the profile spans."""
         return len(self)
 
+    def _cache_bound(self, bounds: list, array_key: str, total_key: str) -> None:
+        """Fill one bound's array and total from a single pass's values.
+
+        ``np.array`` and ``sum`` over the list give bit for bit what
+        ``np.fromiter`` and ``sum`` over a generator give; an array handed
+        over by :meth:`from_arrays` is kept.
+        """
+        cache = self.__dict__
+        if array_key not in cache:
+            array = np.array(bounds, dtype=float)
+            array.setflags(write=False)
+            cache[array_key] = array
+        cache[total_key] = sum(bounds)
+
+    def _cache_min(self) -> None:
+        self._cache_bound(
+            [s.min_energy for s in self], "_min_array", "_total_min_energy"
+        )
+
+    def _cache_max(self) -> None:
+        self._cache_bound(
+            [s.max_energy for s in self], "_max_array", "_total_max_energy"
+        )
+
     @property
     def total_min_energy(self) -> float:
-        """Sum of lower bounds (kWh; cached)."""
-        cached = self.__dict__.get("_total_min_energy")
-        if cached is None:
-            cached = sum(s.min_energy for s in self)
-            self.__dict__["_total_min_energy"] = cached
-        return cached
+        """Sum of lower bounds (kWh; cached with :attr:`min_array`)."""
+        if "_total_min_energy" not in self.__dict__:
+            self._cache_min()
+        return self.__dict__["_total_min_energy"]
 
     @property
     def total_max_energy(self) -> float:
-        """Sum of upper bounds (kWh; cached)."""
-        cached = self.__dict__.get("_total_max_energy")
-        if cached is None:
-            cached = sum(s.max_energy for s in self)
-            self.__dict__["_total_max_energy"] = cached
-        return cached
+        """Sum of upper bounds (kWh; cached with :attr:`max_array`)."""
+        if "_total_max_energy" not in self.__dict__:
+            self._cache_max()
+        return self.__dict__["_total_max_energy"]
 
     @property
     def total_energy_flexibility(self) -> float:
@@ -225,27 +245,17 @@ class Profile(tuple):
 
     @property
     def min_array(self) -> np.ndarray:
-        """Read-only float64 array of the lower bounds (cached)."""
-        cached = self.__dict__.get("_min_array")
-        if cached is None:
-            cached = np.fromiter(
-                (s.min_energy for s in self), dtype=float, count=len(self)
-            )
-            cached.setflags(write=False)
-            self.__dict__["_min_array"] = cached
-        return cached
+        """Read-only float64 array of the lower bounds (cached with the total)."""
+        if "_min_array" not in self.__dict__:
+            self._cache_min()
+        return self.__dict__["_min_array"]
 
     @property
     def max_array(self) -> np.ndarray:
-        """Read-only float64 array of the upper bounds (cached)."""
-        cached = self.__dict__.get("_max_array")
-        if cached is None:
-            cached = np.fromiter(
-                (s.max_energy for s in self), dtype=float, count=len(self)
-            )
-            cached.setflags(write=False)
-            self.__dict__["_max_array"] = cached
-        return cached
+        """Read-only float64 array of the upper bounds (cached with the total)."""
+        if "_max_array" not in self.__dict__:
+            self._cache_max()
+        return self.__dict__["_max_array"]
 
 
 @dataclass(frozen=True, slots=True)

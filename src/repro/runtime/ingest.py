@@ -12,10 +12,13 @@ Batching: the group-builder already accumulates updates until ``run()``;
 the ingest stage decides *when* to run, namely once ``batch_size`` updates
 are pending (or when the service forces a flush before scheduling).
 
-Store writes follow the same shape: the two admission facts of an offer are
-recorded one row at a time as it arrives, while a flush records its whole
-batch's ``aggregated`` facts, and a retirement its ``executed``/``expired``/
-``withdrawn`` facts, in one column-wise store call each.
+Store writes follow the same shape: a flush records its whole batch's
+``aggregated`` facts, and a retirement its ``executed``/``expired``/
+``withdrawn`` facts, in one column-wise store call each.  The two admission
+facts of an offer are handed to the store one at a time as it arrives; the
+store advances the offer's state at once but holds the rows back and writes
+them as one column-wise batch ahead of its next fact write or fact-table
+read, and at the latest when this stage flushes.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ class FlexOfferIngest:
         self.actor_role = actor_role
         self._pending = 0
         self._batch: list[FlexOffer] = []
+        # Touched once per admitted offer, looked up once.
+        self._accepted_counter = self.metrics.counter("ingest.accepted")
+        self._rejected_counter = self.metrics.counter("ingest.rejected")
         #: Dirty group ids reported by the most recent :meth:`flush`.
         self.last_dirty = DirtySet()
 
@@ -115,28 +121,32 @@ class FlexOfferIngest:
             return "offer carries no energy"
         return None
 
-    def submit(self, offer: FlexOffer, now: int) -> FlexOffer | None:
-        """Admit one offer; returns the (possibly clipped) accepted offer.
+    def submit(
+        self, offer: FlexOffer, now: int
+    ) -> tuple[FlexOffer | None, str | None]:
+        """Admit one offer; returns ``(accepted, None)`` or ``(None, reason)``.
 
         Offers whose earliest start already passed but whose window is still
         open are clipped to start no earlier than ``now`` — the remaining
-        flexibility is still worth aggregating.  Returns ``None`` when the
-        offer was rejected.
+        flexibility is still worth aggregating; ``accepted`` is that
+        (possibly clipped) offer.  A rejection returns the reason this call
+        evaluated, so a caller never re-asks :meth:`reject_reason` against a
+        clock that may have moved on.
         """
         self._record(offer, "submitted", now)
         reason = self.reject_reason(offer, now)
         if reason is not None:
-            self.metrics.counter("ingest.rejected").inc()
+            self._rejected_counter.inc()
             self._record(offer, "rejected", now)
-            return None
+            return None, reason
         if offer.earliest_start < now and offer.latest_start >= now:
             offer = offer.with_times(now, offer.latest_start)
         self.pipeline.submit(FlexOfferUpdate.insert(offer))
         self._pending += 1
         self._batch.append(offer)
-        self.metrics.counter("ingest.accepted").inc()
+        self._accepted_counter.inc()
         self._record(offer, "accepted", now)
-        return offer
+        return offer, None
 
     def retire(self, offers: Iterable[FlexOffer], now: int, state: str) -> int:
         """Queue delete updates for offers leaving the pool; returns count.
@@ -163,7 +173,13 @@ class FlexOfferIngest:
 
     # ------------------------------------------------------------------
     def flush(self, now: int) -> list[AggregateUpdate]:
-        """Run the pipeline over the accumulated batch; return its updates."""
+        """Run the pipeline over the accumulated batch; return its updates.
+
+        The store's held-back admission facts are written first, whether or
+        not there is anything to run.
+        """
+        if self.store is not None:
+            self.store.flush()
         if self._pending == 0:
             self.last_dirty = DirtySet()
             return []

@@ -358,10 +358,9 @@ class BrpRuntimeService:
             if duplicate is not None:
                 return duplicate
         self._submitted_counter.inc()
-        accepted = self.ingest.submit(offer, self.now_slice)
+        accepted, reason = self.ingest.submit(offer, self.now_slice)
         if accepted is None:
-            reason = self.ingest.reject_reason(offer, self.now_slice)
-            result = SubmitResult(False, offer.offer_id, None, reason or "rejected")
+            result = SubmitResult(False, offer.offer_id, None, reason)
         else:
             oid = accepted.offer_id
             self._live[oid] = accepted

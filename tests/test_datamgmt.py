@@ -14,6 +14,7 @@ from repro.datamgmt import (
     Column,
     DimensionTable,
     FactTable,
+    OFFER_STATES,
     LedmsStore,
     StarSchema,
     Table,
@@ -621,3 +622,271 @@ class TestBatchedLifecycleFacts:
         store.record_offer_events([], now=0)
         assert len(store.schema.facts["flexoffer_event"]) == 0
         assert store.offer_state(offer.offer_id) is None and not calls
+
+
+# ----------------------------------------------------------------------
+# held-back admission facts
+# ----------------------------------------------------------------------
+_EVENT_COLUMNS = list(build_mirabel_schema().facts["flexoffer_event"].columns.values())
+
+
+def _held(store):
+    """Rows the store holds back (not yet in the fact table)."""
+    return len(store._pending_rows)
+
+
+def _written(store):
+    return len(store._schema.facts["flexoffer_event"])
+
+
+class TestHeldBackFacts:
+    def _store(self):
+        store = LedmsStore(TimeAxis(15))
+        store.register_actor("p", "prosumer")
+        store.register_energy_type("load", renewable=False)
+        return store
+
+    def _offer(self, offer_id=700):
+        return flex_offer([(1.0, 2.0)], earliest_start=5, latest_start=9,
+                          offer_id=offer_id)
+
+    def test_state_reads_see_held_back_facts(self):
+        store = self._store()
+        offer = self._offer()
+        store.record_offer_event("p", offer, "submitted", now=0)
+        store.record_offer_event("p", offer, "accepted", now=1)
+        assert store.offer_state(700) == "accepted"
+        assert store.offer(700) is offer and store.offer_owner(700) == "p"
+        assert store.offers_in_state("accepted") == [700]
+        assert store.state_counts()["accepted"] == 1
+        # The state maps advance without writing the held-back rows.
+        assert _held(store) == 2 and _written(store) == 0
+
+    @pytest.mark.parametrize("read", [
+        lambda s: s.measurements("p", "load", 0, 4),
+        lambda s: s.prices("p", 0, 4),
+        lambda s: s.schema,
+    ], ids=["measurements", "prices", "schema"])
+    def test_fact_table_reads_write_held_back_facts(self, read):
+        store = self._store()
+        offer = self._offer()
+        store.record_offer_event("p", offer, "submitted", now=0)
+        store.record_offer_event("p", offer, "accepted", now=1)
+        assert _held(store) == 2 and _written(store) == 0
+        read(store)
+        assert _held(store) == 0 and _written(store) == 2
+        assert list(
+            store._schema.facts["flexoffer_event"].column("offer_state_id")
+        ) == [OFFER_STATES.index("submitted"), OFFER_STATES.index("accepted")]
+
+    def test_subscriber_reading_the_schema_sees_its_fact(self):
+        store = self._store()
+        seen = []
+        store.subscribe(lambda *args: seen.append(
+            len(store.schema.facts["flexoffer_event"])
+        ))
+        store.record_offer_event("p", self._offer(), "submitted", now=0)
+        store.record_offer_event("p", self._offer(), "accepted", now=0)
+        assert seen == [1, 2]
+
+    @pytest.mark.parametrize("write", [
+        lambda s, o: s.record_offer_events([("p", o, "aggregated")], 2),
+        lambda s, o: s.record_measurements("p", "load", TimeSeries(0, [1.0])),
+        lambda s, o: s.record_forecast("p", "load", 4, TimeSeries(0, [1.0])),
+    ], ids=["record_offer_events", "record_measurements", "record_forecast"])
+    def test_other_writes_go_after_held_back_facts(self, write):
+        store = self._store()
+        offer = self._offer()
+        store.record_offer_event("p", offer, "accepted", now=1)
+        write(store, offer)
+        assert _held(store) == 0
+        assert store._schema.facts["flexoffer_event"].column("time_id")[0] == 1
+
+    def test_bad_facts_raise_where_they_are_recorded(self):
+        from types import SimpleNamespace
+
+        store = self._store()
+        with pytest.raises(DataManagementError):
+            store.record_offer_event("p", self._offer(), "vanished", now=0)
+        with pytest.raises(DataManagementError):
+            store.record_offer_event("ghost", self._offer(), "accepted", now=0)
+        odd = SimpleNamespace(offer_id=701, total_min_energy="1",
+                              total_max_energy=2.0, time_flexibility=4)
+        with pytest.raises(DataManagementError):
+            store.record_offer_event("p", odd, "accepted", now=3)
+        assert _held(store) == 0
+        # The time dimension row is inserted when the fact is recorded.
+        assert [row["time_id"] for row in store.schema.dimensions["time"]] == [0, 3]
+
+    def test_subscriber_mid_buffer_sees_later_events_once(self):
+        store = self._store()
+        first, second = self._offer(700), self._offer(701)
+        store.record_offer_event("p", first, "submitted", now=0)
+        store.record_offer_event("p", first, "accepted", now=0)
+        calls = []
+        store.subscribe(lambda *args: calls.append(args))
+        store.record_offer_event("p", second, "submitted", now=1)
+        store.record_offer_event("p", second, "rejected", now=1)
+        assert _held(store) == 4  # a subscriber does not stop holding back
+        store.record_offer_events([("p", first, "aggregated")], now=2)
+        store.flush()
+        assert calls == [(701, "submitted", 1), (701, "rejected", 1),
+                         (700, "aggregated", 2)]
+        assert _written(store) == 5
+
+    def test_held_back_facts_are_capped(self, monkeypatch):
+        from repro.datamgmt import mirabel
+
+        monkeypatch.setattr(mirabel, "_MAX_PENDING_FACTS", 3)
+        store = self._store()
+        for now in range(7):
+            store.record_offer_event("p", self._offer(), "submitted", now=now)
+        assert (_written(store), _held(store)) == (6, 1)
+
+    def test_nothing_held_back_after_any_ingest_flush(self):
+        from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
+
+        service = BrpRuntimeService(ServiceConfig.from_flat(batch_size=8))
+        flush = service.ingest.flush
+        held_after = []
+
+        def checked_flush(now):
+            updates = flush(now)
+            held_after.append(_held(service.store))
+            return updates
+
+        service.ingest.flush = checked_flush
+        generator = LoadGenerator(rate_per_hour=60.0, seed=4)
+        service.run_stream(generator.stream(0.0, 24.0), 24.0)
+        assert len(held_after) > 10 and not any(held_after)
+        # A flush with only deletes queued still drains a rejection.
+        ingest = service.ingest
+        live = next(iter(service._live.values()))
+        ingest.retire([live], now=30, state="withdrawn")
+        ingest.submit(flex_offer([(1.0, 2.0)], earliest_start=1,
+                                 latest_start=2), now=30)
+        assert _held(service.store) == 2
+        ingest.flush(now=30)
+        assert _held(service.store) == 0
+
+
+_ACTORS = ("p", "q", "r", "ghost")
+_LIFECYCLE = ("submitted", "accepted", "rejected", "aggregated", "scheduled",
+              "executed", "expired", "withdrawn", "vanished")
+_event = st.tuples(st.sampled_from(_ACTORS), st.integers(0, 4),
+                   st.sampled_from(_LIFECYCLE))
+_STORE_READS = {
+    "offer_state": lambda store: store.offer_state(800),
+    "offers_in_state": lambda store: store.offers_in_state("accepted"),
+    "state_counts": lambda store: store.state_counts(),
+    "schema": lambda store: len(store.schema.facts["flexoffer_event"]),
+}
+_store_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("one"), _event, st.integers(0, 5)),
+        st.tuples(st.just("batch"), st.lists(_event, max_size=4),
+                  st.integers(0, 5)),
+        st.tuples(st.just("register"), st.just("r")),
+        st.tuples(st.just("subscribe"), st.none()),
+        st.tuples(st.just("read"), st.sampled_from(sorted(_STORE_READS))),
+    ),
+    max_size=40,
+)
+
+
+def _store_offers():
+    """Five offers; the last has an int bound (promoted) and the one before
+    it a float time flexibility (rejected by the fact table)."""
+    from types import SimpleNamespace
+
+    offers = [
+        flex_offer([(1.0, 2.0 + i)], earliest_start=5, latest_start=7 + i,
+                   offer_id=800 + i)
+        for i in range(3)
+    ]
+    offers.append(SimpleNamespace(offer_id=803, total_min_energy=1.0,
+                                  total_max_energy=2.0, time_flexibility=1.5))
+    offers.append(SimpleNamespace(offer_id=804, total_min_energy=1,
+                                  total_max_energy=2.0, time_flexibility=2))
+    return offers
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations=_store_operations)
+def test_held_back_facts_match_write_through(operations):
+    """Any mix of one-row and batched lifecycle writes, reads, registrations
+    and late subscriptions leaves a store that holds one-row facts back with
+    the same fact rows, dimension rows, state maps and subscriber calls as
+    one that writes each of those facts through as a one-event
+    :meth:`~LedmsStore.record_offer_events` batch — and the rows the
+    row-dict oracle stores for the same successful writes."""
+    held, through = LedmsStore(TimeAxis(15)), LedmsStore(TimeAxis(15))
+    oracle = RowDictTable(_EVENT_COLUMNS)
+    state_ids = {state: i for i, state in enumerate(_LIFECYCLE[:-1])}
+    for store in (held, through):
+        for actor in ("p", "q"):
+            store.register_actor(actor, "prosumer")
+    actor_ids = {"p": 1, "q": 2}
+    offers = _store_offers()
+    calls = {id(held): [], id(through): []}
+
+    def row(actor, offer, state, now):
+        return (now, actor_ids[actor], state_ids[state], offer.offer_id,
+                offer.total_min_energy, offer.total_max_energy,
+                offer.time_flexibility)
+
+    for step, (kind, payload, *rest) in enumerate(operations):
+        outcomes = []
+        for store in (held, through):
+            result = None
+            try:
+                if kind == "one" and store is held:
+                    actor, index, state = payload
+                    store.record_offer_event(actor, offers[index], state, rest[0])
+                elif kind == "one":
+                    actor, index, state = payload
+                    store.record_offer_events(
+                        [(actor, offers[index], state)], rest[0]
+                    )
+                elif kind == "batch":
+                    store.record_offer_events(
+                        [(a, offers[i], s) for a, i, s in payload], rest[0]
+                    )
+                elif kind == "register":
+                    store.register_actor(payload, "prosumer")
+                elif kind == "subscribe":
+                    store.subscribe(
+                        lambda *args, log=calls[id(store)]: log.append(args)
+                    )
+                else:
+                    result = _STORE_READS[payload](store)
+                outcomes.append(("ok", result))
+            except DataManagementError as error:
+                outcomes.append(("raised", type(error)))
+        assert outcomes[0] == outcomes[1], (step, kind, payload)
+        if outcomes[1][0] == "raised":
+            continue
+        if kind == "register":
+            actor_ids.setdefault(payload, len(actor_ids) + 1)
+        elif kind == "one":
+            actor, index, state = payload
+            oracle.append(*row(actor, offers[index], state, rest[0]))
+        elif kind == "batch" and payload:
+            oracle.extend(list(zip(*(
+                row(a, offers[i], s, rest[0]) for a, i, s in payload
+            ))))
+
+    held_facts = held.schema.facts["flexoffer_event"]
+    through_facts = through.schema.facts["flexoffer_event"]
+    for name in held_facts.columns:
+        assert held_facts.column(name) == through_facts.column(name)
+    assert list(held_facts) == oracle.rows
+    for dimension in ("time", "actor"):
+        assert list(held.schema.dimensions[dimension]) == list(
+            through.schema.dimensions[dimension]
+        )
+    assert list(held._offer_states.items()) == list(through._offer_states.items())
+    assert list(held._offer_owners.items()) == list(through._offer_owners.items())
+    assert held._offers.keys() == through._offers.keys()
+    assert all(held._offers[k] is through._offers[k] for k in held._offers)
+    assert calls[id(held)] == calls[id(through)]

@@ -211,9 +211,9 @@ class TestIngest:
 
     def test_accepts_and_batches(self):
         ingest = self._ingest(batch_size=2)
-        assert ingest.submit(_offer(10), now=0) is not None
+        assert ingest.submit(_offer(10), now=0)[0] is not None
         assert not ingest.batch_full
-        assert ingest.submit(_offer(11), now=0) is not None
+        assert ingest.submit(_offer(11), now=0)[0] is not None
         assert ingest.batch_full
         updates = ingest.flush(now=0)
         assert updates and ingest.pending_updates == 0
@@ -221,25 +221,27 @@ class TestIngest:
 
     def test_rejects_closed_window(self):
         ingest = self._ingest()
-        assert ingest.submit(_offer(5, tf=2), now=10) is None
+        assert ingest.submit(_offer(5, tf=2), now=10) == (
+            None, "start window already closed"
+        )
         assert ingest.metrics.counter("ingest.rejected").value == 1
 
     def test_rejects_zero_energy(self):
         ingest = self._ingest()
         offer = _offer(10, lo=0.0, hi=0.0)
-        assert ingest.submit(offer, now=0) is None
+        assert ingest.submit(offer, now=0) == (None, "offer carries no energy")
 
     def test_clips_partially_passed_window(self):
         ingest = self._ingest()
-        accepted = ingest.submit(_offer(5, tf=10), now=8)
-        assert accepted is not None
+        accepted, reason = ingest.submit(_offer(5, tf=10), now=8)
+        assert accepted is not None and reason is None
         assert accepted.earliest_start == 8
         assert accepted.latest_start == 15
 
     def test_lifecycle_recorded_in_store(self):
         store = LedmsStore(DEFAULT_AXIS)
         ingest = self._ingest(store=store)
-        offer = ingest.submit(_offer(10), now=0)
+        offer, _ = ingest.submit(_offer(10), now=0)
         assert store.offer_state(offer.offer_id) == "accepted"
         ingest.flush(now=0)
         assert store.offer_state(offer.offer_id) == "aggregated"
@@ -250,7 +252,7 @@ class TestIngest:
 
     def test_flush_exposes_pipeline_dirty_set(self):
         ingest = self._ingest(batch_size=1)
-        offer = ingest.submit(_offer(10), now=0)
+        offer, _ = ingest.submit(_offer(10), now=0)
         ingest.flush(now=0)
         assert ingest.last_dirty.created
         group_id = next(iter(ingest.last_dirty.created))
@@ -262,7 +264,7 @@ class TestIngest:
 
     def test_retire_flows_deletes_through_pipeline(self):
         ingest = self._ingest(batch_size=1)
-        offer = ingest.submit(_offer(10), now=0)
+        offer, _ = ingest.submit(_offer(10), now=0)
         ingest.flush(now=0)
         assert ingest.pipeline.input_count == 1
         ingest.retire([offer], now=20, state="expired")

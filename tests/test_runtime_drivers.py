@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import flex_offer
 from repro.core.errors import ServiceError
+from repro.ledger import MemoryEventLog, OfferLedger
 from repro.runtime import (
     BrpRuntimeService,
     ServiceConfig,
@@ -213,3 +214,32 @@ class TestServiceEquivalence:
         # The simulated queue is a driver detail, not a service attribute.
         assert not hasattr(service.driver, "queue")
         assert service.now == 0.0
+
+    def test_rejection_reason_is_the_one_evaluated(self):
+        """Wall time that ticks on right after the admission check cannot
+        change the reason the result, the store and the dead letter carry."""
+        clock = FakeClock()
+        driver = fake_driver(clock)
+        service = BrpRuntimeService(
+            _config(), driver=driver, ledger=OfferLedger(MemoryEventLog())
+        )
+        assert service.now == 0.0  # anchors the driver at fake time 0
+        clock.t = 10.0
+        check = service.ingest.reject_reason
+
+        def check_then_tick(offer, now):
+            reason = check(offer, now)
+            clock.t += 5.0  # past the offer's latest start
+            return reason
+
+        service.ingest.reject_reason = check_then_tick
+        offer = flex_offer(
+            [(1.0, 2.0)], earliest_start=8, latest_start=12, assignment_before=10
+        )
+        result = service.submit_fact(offer)
+        assert not result.accepted
+        assert result.reason == "assignment deadline already passed"
+        assert check(offer, service.now_slice) == "start window already closed"
+        (letter,) = service.ledger.dead_letters()
+        assert letter.reason == result.reason
+        assert service.store.offer_state(offer.offer_id) == "rejected"

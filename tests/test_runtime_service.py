@@ -287,6 +287,62 @@ class TestChurnJournalPinned:
         assert journal.hexdigest() == CHURN_JOURNAL_SHA256
 
 
+STORE_FACTS_SHA256 = (
+    "31005d414f867392a4cd5ab07bd930f56d8a9b02d49b93a9da8ee990207b1259"
+)
+"""The LEDMS store's ``flexoffer_event`` column buffers and per-offer states
+after :func:`_store_facts_run`, with offer ids minted from
+:data:`STORE_ID_BASE` (recorded on 6756575, the commit before admission facts
+were held back and written in batches)."""
+
+STORE_ID_BASE = 25 * 10**9
+"""Above :data:`CHURN_ID_BASE`'s band, so the three pins mint disjoint ids."""
+
+
+def _store_facts_run():
+    """One seeded stream with rejections, an update, a withdrawal and
+    expiries; the service that ran it."""
+    rebase_offer_ids(STORE_ID_BASE)
+    service = BrpRuntimeService(TINY)
+    duration = 36.0
+    arrivals = list(LoadGenerator(rate_per_hour=40.0, seed=13).stream(0.0, duration))
+    revised = _offer(30, tf=3)
+    service.driver.schedule_at(
+        7.5, lambda: service.update(_offer(30, tf=1, offer_id=revised.offer_id))
+    )
+    withdrawn = _offer(40, tf=4)
+    service.driver.schedule_at(9.5, lambda: service.withdraw(withdrawn.offer_id))
+    arrivals += [
+        (3.25, revised),
+        (4.25, withdrawn),
+        (5.25, _offer(200, tf=2, assignment_before=20)),  # beyond the horizon
+        (6.25, _offer(2, tf=3)),  # window already closed
+        (8.25, _offer(14, lo=0.0, hi=0.0)),  # no energy
+    ]
+    arrivals.sort(key=lambda arrival: arrival[0])
+    service.run_stream(iter(arrivals), duration)
+    return service
+
+
+class TestStoreFactsPinned:
+    def test_store_facts_pinned(self):
+        """Holding admission facts back moves no fact row, no row order and
+        no per-offer state."""
+        store = _store_facts_run().store
+        counts = store.state_counts()
+        assert all(
+            counts[state] for state in ("rejected", "withdrawn", "expired", "executed")
+        )
+        facts = store.schema.facts["flexoffer_event"]
+        digest = hashlib.sha256()
+        for name in facts.columns:
+            digest.update(name.encode())
+            digest.update(facts.column(name).tobytes())
+        for offer_id, state in store._offer_states.items():
+            digest.update(struct.pack("<q", offer_id) + state.encode())
+        assert digest.hexdigest() == STORE_FACTS_SHA256
+
+
 class TestSchedulingIntegration:
     def test_warm_start_used_on_rescheduling(self):
         service, _ = _run(duration=48)
