@@ -9,7 +9,9 @@ This module also carries the scheduling perf trajectory: the vectorized
 :class:`~repro.scheduling.engine.CostEngine` greedy kernel is timed against
 the scalar :mod:`~repro.scheduling.reference` baseline on the same workload
 and both rates land in ``BENCH_scheduling.json`` (run with ``--json``), so
-the speedup is a recorded number rather than a one-off claim.
+the speedup is a recorded number rather than a one-off claim.  Beside the
+kernel, ``plan_window`` times the whole runtime planning pass around it
+(problem build, constants, warm start, passes, schedule validation).
 """
 
 import os
@@ -22,6 +24,7 @@ from repro.core import TimeSeries, flex_offer
 from repro.experiments import run_fig6, scale_factor
 from repro.experiments.fig6 import intraday_scenario
 from repro.experiments.reporting import print_table
+from repro.runtime.planning import PlanSession
 from repro.scheduling import Market, RandomizedGreedyScheduler, SchedulingProblem
 from repro.scheduling.reference import reference_one_pass
 
@@ -204,3 +207,48 @@ def test_greedy_kernel_speedup_vs_reference(once, bench_record):
                 f"kernel speedup regressed at {size} offers, {shape}: "
                 f"{vectorized / baseline:.1f}x < {MIN_KERNEL_SPEEDUP}x"
             )
+
+
+def test_plan_window_passes_per_second(once, bench_record):
+    """Whole runtime planning passes, not just the kernel.
+
+    ``PlanSession.plan_window`` over :func:`runtime_shape_problem`'s 48
+    aggregates and forecast, as a BRP runs it on every trigger: the
+    eligibility walk, the problem, the offer constants, the warm candidate
+    and its cost, two greedy passes and ``to_schedule``.  Every pass after
+    the first plans the same pool warm-started from the one before, so it
+    finds each offer's kernel template already cached on its profile.
+    """
+    seconds = 0.1 if smoke_mode() else 1.5
+    problem = runtime_shape_problem()
+    candidates = [(f"g{j}", offer) for j, offer in enumerate(problem.offers)]
+    horizon = problem.horizon_length
+
+    def passes_per_second() -> tuple[float, float]:
+        session = PlanSession(passes=2, net_forecast=problem.net_forecast)
+        session.plan_window(candidates, 0, horizon)  # cold: fills the caches
+        t0 = time.perf_counter()
+        count = 0
+        while time.perf_counter() - t0 < seconds:
+            plan = session.plan_window(candidates, 0, horizon)
+            count += 1
+        return count / (time.perf_counter() - t0), plan.result.cost
+
+    rate, cost = once(passes_per_second)
+    print_table(
+        "runtime planning pass: PlanSession.plan_window (passes/sec)",
+        ["shape", "offers", "passes/s", "plan cost"],
+        [[RUNTIME_SHAPE, problem.offer_count, f"{rate:.1f}", f"{cost:.4f}"]],
+    )
+    bench_record(
+        "scheduling",
+        name="plan_window",
+        workload={
+            "offers": problem.offer_count,
+            "shape": RUNTIME_SHAPE,
+            "scheduler_passes": 2,
+            "timebox_seconds": seconds,
+            "cpu_count": os.cpu_count(),
+        },
+        metrics={"passes_per_sec": rate, "plan_cost": cost},
+    )

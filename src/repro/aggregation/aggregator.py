@@ -229,6 +229,10 @@ def _finalize_aggregate(
     # beyond its own (possibly reduced) latest start.
     if deadline is not None and deadline > est + time_flex:
         deadline = est + time_flex
+    # What ``np.mean`` computes (numpy/_core/_methods.py: one ``add.reduce``
+    # over the float64 column, then a true division by the count), without
+    # its Python-level wrapper.
+    unit_price = np.add.reduce(np.array(prices, float)) / len(prices)
     return AggregatedFlexOffer(
         profile=profile,
         earliest_start=est,
@@ -237,7 +241,7 @@ def _finalize_aggregate(
         owner="aggregate",
         creation_time=creation,
         assignment_before=deadline,
-        unit_price=float(np.mean(prices)),
+        unit_price=float(unit_price),
         members=members,
         offsets=tuple(offsets),
     )

@@ -69,9 +69,7 @@ class EnergyConstraint:
 
     def __post_init__(self) -> None:
         if self.max_energy < self.min_energy:
-            raise InvalidFlexOfferError(
-                f"max_energy {self.max_energy} < min_energy {self.min_energy}"
-            )
+            raise _inverted(self.min_energy, self.max_energy)
 
     @property
     def energy_flexibility(self) -> float:
@@ -96,6 +94,16 @@ class EnergyConstraint:
         return EnergyConstraint(
             self.min_energy + other.min_energy, self.max_energy + other.max_energy
         )
+
+
+def _inverted(min_energy: float, max_energy: float) -> InvalidFlexOfferError:
+    """The one error for a slice whose upper bound is below its lower one."""
+    return InvalidFlexOfferError(f"max_energy {max_energy} < min_energy {min_energy}")
+
+
+_new = object.__new__
+_set_min = EnergyConstraint.min_energy.__set__  # type: ignore[attr-defined]
+_set_max = EnergyConstraint.max_energy.__set__  # type: ignore[attr-defined]
 
 
 class Profile(tuple):
@@ -132,10 +140,30 @@ class Profile(tuple):
         """Build a profile from ``(min_energy, max_energy)`` pairs.
 
         Skips the per-item type validation of the constructor — every item
-        is an :class:`EnergyConstraint` built right here (aggregate builds
-        materialise millions of them, so the check is pure overhead).
+        is an :class:`EnergyConstraint` built right here (ingest builds one
+        per offer slice, so the check is pure overhead).  The bounds rule
+        runs once per pair, then :meth:`_from_checked` builds the slices.
         """
-        items = tuple(EnergyConstraint(lo, hi) for lo, hi in bounds)
+        pairs = list(bounds)
+        for lo, hi in pairs:
+            if hi < lo:
+                raise _inverted(lo, hi)
+        return cls._from_checked(pairs)
+
+    @classmethod
+    def _from_checked(cls, pairs: Iterable[tuple[float, float]]) -> "Profile":
+        """The profile of bound pairs that already passed ``max >= min``.
+
+        Each :class:`EnergyConstraint` is allocated and its two slots set
+        directly, without the per-object ``__init__``/``__post_init__``
+        calls — the same object the constructor builds, at half the cost.
+        """
+        items = []
+        for lo, hi in pairs:
+            constraint = _new(EnergyConstraint)
+            _set_min(constraint, lo)
+            _set_max(constraint, hi)
+            items.append(constraint)
         if not items:
             raise InvalidFlexOfferError("a profile must contain at least one slice")
         return tuple.__new__(cls, items)
@@ -144,13 +172,15 @@ class Profile(tuple):
     def from_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> "Profile":
         """:meth:`from_bounds` for a caller that holds the bound columns.
 
-        Every :class:`EnergyConstraint` is still built and validated, but
-        ``lo`` and ``hi`` (equal-length 1-D float64) *become* the
-        :attr:`min_array` / :attr:`max_array` caches — made read-only, not
-        copied — instead of being rebuilt slice by slice from the objects
-        on first use.  The caller hands them over: it must not write to
-        them afterwards (aggregate builds and the shared-memory macro
-        decode pass their own fresh copies).
+        ``lo`` and ``hi`` must be equal-length 1-D float64.  The bounds rule
+        runs once over the two arrays (an inverted slice raises the error
+        :class:`EnergyConstraint` raises, for the first such slice), then
+        :meth:`_from_checked` builds the slices from their Python floats.
+        The arrays *become* the :attr:`min_array` / :attr:`max_array`
+        caches — made read-only, not copied — instead of being rebuilt
+        slice by slice from the objects on first use.  The caller hands
+        them over: it must not write to them afterwards (aggregate builds
+        and the shared-memory macro decode pass their own fresh copies).
         """
         if not (
             lo.dtype == hi.dtype == np.float64
@@ -161,7 +191,12 @@ class Profile(tuple):
                 "profile bound arrays must be 1-D float64 of equal length, "
                 f"got {lo.dtype}{lo.shape} and {hi.dtype}{hi.shape}"
             )
-        profile = cls.from_bounds(zip(lo.tolist(), hi.tolist()))
+        lows, highs = lo.tolist(), hi.tolist()
+        inverted = hi < lo
+        if np.logical_or.reduce(inverted):
+            first = int(inverted.argmax())
+            raise _inverted(lows[first], highs[first])
+        profile = cls._from_checked(zip(lows, highs))
         lo.setflags(write=False)
         hi.setflags(write=False)
         profile.__dict__["_min_array"] = lo

@@ -19,7 +19,19 @@ from .errors import InvalidScheduleError
 from .flexoffer import FlexOffer
 from .timeseries import TimeSeries, align_union
 
-__all__ = ["ScheduledFlexOffer", "Schedule"]
+__all__ = ["ScheduledFlexOffer", "Schedule", "outside_bounds"]
+
+
+def outside_bounds(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Per-slice mask of energies *not* within ``[lo, hi]`` (1e-9 kWh slack).
+
+    The one containment rule over bound arrays: written as the negation of
+    "inside" so that a ``nan`` energy (or bound) counts as outside, exactly
+    as :meth:`~repro.core.flexoffer.EnergyConstraint.contains` rejects it.
+    """
+    return ~((values >= lo - 1e-9) & (values <= hi + 1e-9))
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,20 +63,21 @@ class ScheduledFlexOffer:
                 f"{self.offer.duration}-slice profile"
             )
         # Containment check: vectorized over the profile's cached bound
-        # arrays when they are already materialised (the engine packed this
-        # profile, or something read its energy totals, which fill the
-        # arrays in the same pass); plain per-slice arithmetic otherwise,
-        # which beats a cold cache fill.  Both apply the same 1e-9
-        # tolerance and report the first bad slice.  With warm arrays the
-        # vectorized form is the faster one from ~28 slices on (2-vCPU
-        # Xeon: 6.8 vs 7.2 us at 32 slices, 6.7 vs 4.9 us at 16); every
-        # schedule the runtime builds already finds its arrays warm.
+        # arrays when they are already materialised (something read the
+        # profile's energy totals, which fill the arrays in the same pass);
+        # plain per-slice arithmetic otherwise, which beats a cold cache
+        # fill.  Both apply the same 1e-9 tolerance, reject ``nan`` and
+        # report the first bad slice.  The schedules a planning pass
+        # returns do not come through here: ``SchedulingProblem.
+        # to_schedule`` applies :func:`outside_bounds` to all of its
+        # assignments at once and builds them with :meth:`_from_checked`,
+        # constructing them one by one only to raise this method's error.
         profile = self.offer.profile
         if "_min_array" in profile.__dict__:
-            bad = (values < profile.min_array - 1e-9) | (
-                values > profile.max_array + 1e-9
+            bad = outside_bounds(values, profile.min_array, profile.max_array)
+            violation = (
+                int(bad.argmax()) if np.logical_or.reduce(bad) else None
             )
-            violation = int(np.argmax(bad)) if bad.any() else None
         else:
             violation = next(
                 (
@@ -81,6 +94,22 @@ class ScheduledFlexOffer:
                 f"[{constraint.min_energy}, {constraint.max_energy}] "
                 f"in slice {violation} of offer {self.offer.offer_id}"
             )
+
+    @classmethod
+    def _from_checked(
+        cls, offer: FlexOffer, start: int, energies: tuple[float, ...]
+    ) -> "ScheduledFlexOffer":
+        """The assignment ``__post_init__`` would build, without running it.
+
+        For a caller that already applied every check of ``__post_init__``
+        to this exact ``(start, energies)`` — and ``energies`` is already
+        the tuple of Python floats it would have stored.
+        """
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "offer", offer)
+        object.__setattr__(assignment, "start", start)
+        object.__setattr__(assignment, "energies", energies)
+        return assignment
 
     @property
     def end(self) -> int:

@@ -261,9 +261,9 @@ class PlanSession:
                 start = min(
                     max(prior[0], offer.earliest_start), offer.latest_start
                 )
-                values = np.clip(
-                    prior[1],
-                    offer.profile.min_array,
+                # ``np.clip``'s arithmetic, without its Python-level wrapper.
+                values = np.minimum(
+                    np.maximum(prior[1], offer.profile.min_array),
                     offer.profile.max_array,
                 )
                 any_warm = True

@@ -30,6 +30,18 @@ kernel computed for the placement it chose are handed to
 :meth:`IncrementalCostState.place` rather than derived again — one
 expression, :func:`_price`, produces every cost on both routes.
 
+Nothing around the kernel's arithmetic is rebuilt either.  Its reductions
+are the ufunc reductions themselves (``np.minimum.reduce``,
+``np.add.reduce``, ``np.logical_or.reduce``): the same C loops
+``ndarray.min``/``.sum``/``.any`` reach through a Python wrapper frame
+each, so the same bits.  The bounds, candidate template and slice index of
+an offer depend on its immutable profile alone and are cached on it
+(:func:`_kernel_template`), so a problem builds only the start fields of
+:class:`OfferConstants`.  :class:`PackedOffers` concatenates every offer's
+bounds once per problem; ``SchedulingProblem.to_schedule`` checks a whole
+plan against them in one pass and sums its flex series with one
+``bincount``.
+
 :class:`IncrementalCostState` maintains the residual and the running
 schedule cost across placements so a greedy pass (and the evolutionary /
 exhaustive schedulers' moves) pays only for touched windows instead of
@@ -149,6 +161,41 @@ def _price(residual: np.ndarray, market: np.ndarray) -> np.ndarray:
     return cost
 
 
+_KERNEL_TEMPLATE = "_kernel_template"
+"""Key of a profile's cached ``(lo, hi, candidates, slice_index, duration)``."""
+
+
+def _kernel_template(profile) -> tuple:
+    """The profile-only half of :class:`OfferConstants`, built once per
+    profile and cached on it next to its bound arrays.
+
+    A :class:`~repro.core.flexoffer.Profile` is immutable and shared by
+    every copy of its offer — ``with_times`` clips the start window and
+    keeps the profile — so a clipped copy, and a clean aggregate that is
+    planned again in a later run, reuse the arrays built here.
+    """
+    template = profile.__dict__.get(_KERNEL_TEMPLATE)
+    if template is not None:
+        return template
+    lo = profile.min_array
+    hi = profile.max_array
+    duration = len(lo)
+    if np.logical_or.reduce((lo < 0.0) & (hi > 0.0)):
+        candidates = np.empty((4, duration, 1))
+        candidates[3, :, 0] = np.clip(0.0, lo, hi)
+    else:
+        candidates = np.empty((3, duration, 1))
+    candidates[0, :, 0] = lo
+    candidates[1, :, 0] = hi
+    candidates[2, :, 0] = lo  # scratch: the kernel overwrites its copy
+    candidates.setflags(write=False)
+    slice_index = np.arange(duration)
+    slice_index.setflags(write=False)
+    template = (lo, hi, candidates, slice_index, duration)
+    profile.__dict__[_KERNEL_TEMPLATE] = template
+    return template
+
+
 @dataclass(frozen=True)
 class OfferConstants:
     """Per-offer arrays and bounds cached once per problem.
@@ -159,7 +206,10 @@ class OfferConstants:
     ``flexoffer_cost`` call; these are immutable per problem, so they are
     built exactly once (see ``SchedulingProblem.offer_constants``) — and
     with them the two arrays the placement kernel would otherwise rebuild
-    on every call: the candidate template and the slice index.
+    on every call: the candidate template and the slice index.  Those and
+    the bounds depend on the profile alone and are built once per profile
+    (:func:`_kernel_template`); only the price and start fields are per
+    problem.
     """
 
     lo: np.ndarray
@@ -178,9 +228,9 @@ class OfferConstants:
     chosen, so unless some slice has ``lo < 0 < hi`` the row is dropped
     and the plan keeps every bit."""
     slice_index: np.ndarray
-    """``arange(duration)``, the kernel's gather index."""
-    unit_price: float
+    """Read-only ``arange(duration)``, the kernel's gather index."""
     duration: int
+    unit_price: float
     earliest_start: int
     latest_start: int
     earliest_index: int
@@ -190,35 +240,20 @@ class OfferConstants:
 
     @classmethod
     def from_offer(cls, offer: "FlexOffer", horizon_start: int) -> "OfferConstants":
-        # The profile caches these read-only arrays, so packing an offer into
-        # several problems (or rebuilding a problem) shares the same buffers.
-        lo = offer.profile.min_array
-        hi = offer.profile.max_array
-        if ((lo < 0.0) & (hi > 0.0)).any():
-            candidates = np.empty((4, offer.duration, 1))
-            candidates[3, :, 0] = np.clip(0.0, lo, hi)
-        else:
-            candidates = np.empty((3, offer.duration, 1))
-        candidates[0, :, 0] = lo
-        candidates[1, :, 0] = hi
-        candidates[2, :, 0] = lo  # scratch: the kernel overwrites its copy
-        candidates.setflags(write=False)
+        earliest = offer.earliest_start
+        latest = offer.latest_start
         return cls(
-            lo=lo,
-            hi=hi,
-            candidates=candidates,
-            slice_index=np.arange(offer.duration),
-            unit_price=float(offer.unit_price),
-            duration=offer.duration,
-            earliest_start=offer.earliest_start,
-            latest_start=offer.latest_start,
-            earliest_index=offer.earliest_start - horizon_start,
-            n_starts=offer.time_flexibility + 1,
+            *_kernel_template(offer.profile),
+            float(offer.unit_price),
+            earliest,
+            latest,
+            earliest - horizon_start,
+            latest - earliest + 1,
         )
 
     def flex_cost(self, energies: np.ndarray) -> float:
         """Compensation paid for one placement of this offer (EUR)."""
-        return self.unit_price * float(np.abs(energies).sum())
+        return self.unit_price * float(np.add.reduce(np.abs(energies)))
 
 
 class PackedOffers:
@@ -462,8 +497,10 @@ class CostEngine:
         if consts.unit_price:
             delta += consts.unit_price * np.abs(candidates)
 
-        best = delta.min(axis=0)  # (d, n), min keeps earlier-candidate ties
-        totals = best.sum(axis=0)  # (n,), accumulated in slice order
+        # The ufunc reductions ``ndarray.min``/``.sum`` call, minus their
+        # Python-level wrapper frames (numpy/_core/_methods.py).
+        best = np.minimum.reduce(delta, axis=0)  # (d, n), earlier ties kept
+        totals = np.add.reduce(best, axis=0)  # (n,), accumulated in slice order
         start_index = int(totals.argmin())  # first min = earlier start
         choice = delta[:, :, start_index].argmin(axis=0)  # first = earlier cand
         chosen = (choice, consts.slice_index, start_index)

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.errors import SchedulingError
 from ..core.flexoffer import FlexOffer
-from ..core.schedule import Schedule, ScheduledFlexOffer
+from ..core.schedule import Schedule, ScheduledFlexOffer, outside_bounds
 from ..core.timeseries import TimeSeries
 from .engine import CostEngine, OfferConstants, PackedOffers
 from .market import Market
@@ -109,6 +109,10 @@ class SchedulingProblem:
         horizon = len(self.net_forecast)
         if self.market.horizon_length != horizon:
             raise SchedulingError("market prices must cover the horizon")
+        # One ``nan`` slice would price every placement ``nan`` and leave the
+        # solvers without a candidate to compare.
+        if not np.logical_and.reduce(np.isfinite(self.net_forecast.values)):
+            raise SchedulingError("net_forecast must be finite")
         for name in ("shortage_penalty", "surplus_penalty"):
             # ``+ 0.0`` makes the copy and turns a ``-0.0`` penalty into
             # ``+0.0``: the engine relies on ``0.0 * penalty`` being ``+0.0``.
@@ -202,15 +206,14 @@ class SchedulingProblem:
     # evaluation
     # ------------------------------------------------------------------
     def flex_series(self, solution: CandidateSolution) -> np.ndarray:
-        """Net flex-offer energy per horizon slice for a candidate."""
-        total = np.zeros(self.horizon_length)
-        horizon_start = self.horizon_start
-        for c, start, energies in zip(
-            self.offer_constants, solution.starts, solution.energies
-        ):
-            i = int(start) - horizon_start
-            total[i : i + c.duration] += energies
-        return total
+        """Net flex-offer energy per horizon slice for a candidate.
+
+        One ``bincount`` over the packed energies, which adds them to each
+        slice in offer order starting from ``0.0`` — the additions, and so
+        the bits, of a per-offer ``total[window] += energies`` loop.
+        """
+        packed = self.packed_offers
+        return packed.flex_series(solution.starts, packed.pack(solution.energies))
 
     def settle_market(
         self, residual: np.ndarray, offset: int = 0
@@ -317,13 +320,63 @@ class SchedulingProblem:
 
     # ------------------------------------------------------------------
     def to_schedule(self, solution: CandidateSolution) -> Schedule:
-        """Convert a candidate into a validated :class:`Schedule`."""
-        schedule = Schedule(self.horizon_start, self.horizon_length)
-        for offer, start, energies in zip(
-            self.offers, solution.starts, solution.energies
-        ):
-            schedule.add(ScheduledFlexOffer(offer, int(start), energies))
+        """Convert a candidate into a validated :class:`Schedule`.
+
+        Every check :class:`ScheduledFlexOffer` makes — start inside the
+        offer's window, one energy per profile slice, every energy inside
+        its bounds (:func:`~repro.core.schedule.outside_bounds`) — runs
+        once over the whole candidate, against :attr:`packed_offers`; the
+        assignments are then built without repeating them.  If anything
+        fails, the assignments are built one by one instead, so the error
+        raised is the first failing assignment's own.
+        """
+        starts = solution.starts
+        values = self._checked_energies(solution)
+        if values is None:
+            assignments = [
+                ScheduledFlexOffer(offer, int(start), energies)
+                for offer, start, energies in zip(
+                    self.offers, starts, solution.energies
+                )
+            ]
+            flex = self.flex_series(solution)
+        else:
+            flat = values.tolist()
+            offsets = self.packed_offers.offsets.tolist()
+            assignments = [
+                ScheduledFlexOffer._from_checked(offer, start, tuple(flat[a:b]))
+                for offer, start, a, b in zip(
+                    self.offers, starts.tolist(), offsets, offsets[1:]
+                )
+            ]
+            flex = self.packed_offers.flex_series(starts, values)
+        schedule = Schedule(self.horizon_start, self.horizon_length, assignments)
         schedule.market_buy, schedule.market_sell = self.settle_market(
-            self.net_forecast.values + self.flex_series(solution)
+            self.net_forecast.values + flex
         )
         return schedule
+
+    def _checked_energies(self, solution: CandidateSolution) -> np.ndarray | None:
+        """The candidate's packed float64 energies if every assignment
+        passes every :class:`ScheduledFlexOffer` check, else ``None``."""
+        packed = self.packed_offers
+        starts, energies = solution.starts, solution.energies
+        try:
+            if not (
+                len(starts) == len(energies) == packed.count
+                and list(map(len, energies)) == packed.durations.tolist()
+            ):
+                return None
+            values = packed.pack(energies)
+        except (TypeError, ValueError):  # a scalar, or mixed dimensions
+            return None
+        if (
+            values.dtype != np.float64
+            or values.shape != (packed.total,)
+            or np.logical_or.reduce(
+                (starts < packed.earliest) | (starts > packed.latest)
+            )
+            or np.logical_or.reduce(outside_bounds(values, packed.lo, packed.hi))
+        ):
+            return None
+        return values

@@ -7,7 +7,9 @@ its constraints eagerly, so a successful round-trip is itself the proof.
 """
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,28 @@ class TestAggregateGroup:
         a = flex_offer([(1, 1)], earliest_start=0, latest_start=0, unit_price=0.1)
         b = flex_offer([(1, 1)], earliest_start=0, latest_start=0, unit_price=0.3)
         assert aggregate_group([a, b]).unit_price == pytest.approx(0.2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        prices=st.lists(
+            st.one_of(st.floats(0.0, 1e3), st.integers(0, 10**6)),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_unit_price_has_the_bits_of_np_mean(self, prices):
+        """Past 8 members ``np.mean`` sums pairwise; the price keeps that."""
+        from repro.aggregation.aggregator import _finalize_aggregate
+
+        members = tuple(
+            flex_offer([(1, 1)], earliest_start=0, latest_start=0, unit_price=p)
+            for p in prices
+        )
+        aggregate = _finalize_aggregate(members, 0, members[0].profile, 1)
+        assert type(aggregate.unit_price) is float
+        assert struct.pack("<d", aggregate.unit_price) == struct.pack(
+            "<d", float(np.mean(prices))
+        )
 
     def test_members_offsets_length_guard(self):
         fo = flex_offer([(1, 1)], earliest_start=0, latest_start=0)

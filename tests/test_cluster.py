@@ -7,6 +7,9 @@ system-wide scheduling, and scheduled macros disaggregating back down to
 prosumer micro-offer commitments.
 """
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,64 @@ def _streams(cluster, duration, rate=30.0, seed=11, stride=1):
         ).stream(0.0, duration)
         for index, name in enumerate(cluster.clients)
     }
+
+
+CLUSTER_PLANS_SHA256 = (
+    "5f2f16e18908f1fb43f7ba3a8d9d999999efa660aca00480a293218e897e3046"
+)
+"""Plan costs, remote commits and committed starts of
+:func:`_cluster_plans_digest`' run."""
+
+
+def _cluster_plans_digest() -> str:
+    """sha256 of one seeded 2-BRP cluster run's plans.
+
+    In order: each TSO plan's cost, each BRP's plan costs (BRPs by name),
+    the remote commit count, then each BRP's committed starts.  Offer ids
+    come from a process-global counter, so every id is replaced by the
+    offer's arrival rank in its BRP's stream before it is hashed.
+    """
+    cluster = _cluster(brps=2)
+    tso_costs: list[float] = []
+    plan_window = cluster.tso.session.plan_window
+
+    def recording_plan_window(*args, **kwargs):
+        plan = plan_window(*args, **kwargs)
+        if plan is not None:
+            tso_costs.append(plan.result.cost)
+        return plan
+
+    cluster.tso.session.plan_window = recording_plan_window
+    brp_costs: dict[str, list[float]] = {name: [] for name in cluster.clients}
+    for name, client in cluster.clients.items():
+        client.service.plan_listeners.append(
+            lambda result, costs=brp_costs[name]: costs.append(result.cost)
+        )
+    rank: dict[str, dict[int, int]] = {name: {} for name in cluster.clients}
+
+    def ranked(name, stream):
+        for at, offer in stream:
+            rank[name][offer.offer_id] = len(rank[name])
+            yield at, offer
+
+    duration = 48.0
+    streams = _streams(cluster, duration)
+    report = cluster.run(
+        {name: ranked(name, stream) for name, stream in streams.items()},
+        duration,
+    )
+    assert len(tso_costs) >= 5 and report.remote_commits > 0
+    digest = hashlib.sha256(struct.pack(f"<{len(tso_costs)}d", *tso_costs))
+    for name in sorted(brp_costs):
+        costs = brp_costs[name]
+        digest.update(struct.pack(f"<{len(costs)}d", *costs))
+    digest.update(struct.pack("<q", report.remote_commits))
+    for name, starts in sorted(cluster.committed_starts.items()):
+        for oid, start in sorted(
+            (rank[name][oid], start) for oid, start in starts.items()
+        ):
+            digest.update(struct.pack("<qq", oid, start))
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +399,12 @@ class TestClusterRuntime:
             )
 
         assert run() == run()
+
+    def test_cluster_plans_pinned(self):
+        """Tier-1 pin for "plans bit-identical" at the TSO tier: every plan
+        cost of both tiers, the remote commit count and each BRP's committed
+        starts of one seeded 2-BRP run (recorded on 5e82995)."""
+        assert _cluster_plans_digest() == CLUSTER_PLANS_SHA256
 
     def test_unreachable_brp_degrades_gracefully_mid_stream(self):
         """One BRP lost mid-stream: its TSO traffic drops, the rest plan on."""

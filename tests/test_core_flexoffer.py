@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     EnergyConstraint,
@@ -109,6 +111,49 @@ class TestProfile:
             Profile.from_arrays(np.zeros(2), np.ones(3))
         with pytest.raises(InvalidFlexOfferError):
             Profile.from_arrays(np.zeros(2, dtype=np.int64), np.ones(2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bounds=st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)),
+            min_size=1,
+            max_size=48,
+        )
+    )
+    def test_from_arrays_is_from_bounds_exactly(self, bounds):
+        """Both fast paths build the constraints the constructor builds,
+        down to the sign of a zero, for any valid pair of columns."""
+        lo = np.array([b[0] for b in bounds])
+        hi = lo + np.array([b[1] for b in bounds])
+        pairs = list(zip(lo.tolist(), hi.tolist()))
+        built = Profile(EnergyConstraint(a, b) for a, b in pairs)
+
+        def bits(profile):
+            assert all(type(s) is EnergyConstraint for s in profile)
+            assert all(type(s.min_energy) is float for s in profile)
+            return np.array([(s.min_energy, s.max_energy) for s in profile]).tobytes()
+
+        for fast in (Profile.from_arrays(lo, hi), Profile.from_bounds(pairs)):
+            assert fast == built
+            assert bits(fast) == bits(built)
+
+    def test_inverted_slice_raises_the_constraint_error(self):
+        """Both fast paths name the first inverted slice exactly as
+        ``EnergyConstraint`` does; ``nan`` bounds pass all three alike."""
+        lo = [1.0, 3.0, 5.5, 7.0]
+        hi = [2.0, 2.5, 5.0, 8.0]  # slices 1 and 2 inverted
+        with pytest.raises(InvalidFlexOfferError) as want:
+            EnergyConstraint(lo[1], hi[1])
+        with pytest.raises(InvalidFlexOfferError) as by_pairs:
+            Profile.from_bounds(zip(lo, hi))
+        with pytest.raises(InvalidFlexOfferError) as by_arrays:
+            Profile.from_arrays(np.array(lo), np.array(hi))
+        assert str(by_pairs.value) == str(by_arrays.value) == str(want.value)
+        assert str(want.value) == "max_energy 2.5 < min_energy 3.0"
+        nan = [(1.0, float("nan")), (float("nan"), 2.0)]
+        EnergyConstraint(*nan[0])
+        assert len(Profile.from_bounds(nan)) == 2
+        assert len(Profile.from_arrays(*map(np.array, zip(*nan)))) == 2
 
 
 class TestFlexOffer:

@@ -1,9 +1,16 @@
 """Unit tests for scheduled flex-offers and schedules."""
 
+import numpy as np
 import pytest
 
-from repro.core import InvalidScheduleError, Schedule, ScheduledFlexOffer, flex_offer
-from repro.core.schedule import sum_profiles
+from repro.core import (
+    EnergyConstraint,
+    InvalidScheduleError,
+    Schedule,
+    ScheduledFlexOffer,
+    flex_offer,
+)
+from repro.core.schedule import outside_bounds, sum_profiles
 
 
 @pytest.fixture
@@ -33,6 +40,29 @@ class TestScheduledFlexOffer:
     def test_energy_out_of_bounds(self, offer):
         with pytest.raises(InvalidScheduleError):
             ScheduledFlexOffer(offer, 10, (2.5, 2.0))
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_nan_energy_rejected_cold_and_warm(self, warm):
+        """``nan`` is inside no bounds, whether the check runs per slice
+        (cold profile) or over the cached bound arrays (warm profile)."""
+        offer = flex_offer([(1, 2), (1, 2)], earliest_start=0, latest_start=0)
+        if warm:
+            assert offer.total_min_energy == 2  # fills the bound-array cache
+        assert ("_min_array" in offer.profile.__dict__) is warm
+        with pytest.raises(
+            InvalidScheduleError, match=r"energy nan outside \[1, 2\] in slice 0"
+        ):
+            ScheduledFlexOffer(offer, 0, (float("nan"), 1.5))
+        with pytest.raises(InvalidScheduleError, match="in slice 1"):
+            ScheduledFlexOffer(offer, 0, (1.5, float("nan")))
+
+    def test_outside_bounds_is_the_constraint_rule(self):
+        values = np.array([1.0 - 2e-9, 1.0 - 5e-10, 2.0 + 5e-10, np.nan, np.inf])
+        lo, hi = np.full(5, 1.0), np.full(5, 2.0)
+        constraint = EnergyConstraint(1.0, 2.0)
+        assert outside_bounds(values, lo, hi).tolist() == [
+            not constraint.contains(v) for v in values.tolist()
+        ] == [True, False, False, True, True]
 
     def test_as_series(self, offer):
         s = ScheduledFlexOffer(offer, 11, (1.0, 3.0))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TimeSeries, flex_offer
-from repro.core.errors import SchedulingError
+from repro.core import ScheduledFlexOffer, TimeSeries, flex_offer
+from repro.core.errors import InvalidScheduleError, SchedulingError
 from repro.scheduling import (
     CandidateSolution,
     EvolutionaryScheduler,
@@ -116,6 +116,16 @@ class TestProblemValidation:
             with pytest.raises(SchedulingError, match=name):
                 flat_problem([offer], **{name: value})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_net_forecast_rejected(self, bad):
+        """One non-finite slice priced every pass ``nan`` (or ``inf - inf``),
+        and ``schedule()`` died with "no candidate was evaluated"."""
+        offer = flex_offer([(1, 2)], earliest_start=0, latest_start=4)
+        net = np.full(T, 10.0)
+        net[7] = bad
+        with pytest.raises(SchedulingError, match="net_forecast"):
+            SchedulingProblem(TimeSeries(0, net), (offer,), Market.flat(T))
+
 
 class TestCostModel:
     def test_shortage_buys_when_cheaper(self):
@@ -212,6 +222,82 @@ class TestCostModel:
                 (schedule.market_sell, evaluation.market_sell),
             ):
                 assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _one_by_one_error(problem, solution):
+        """The error of the first assignment ``ScheduledFlexOffer`` rejects."""
+        with pytest.raises(InvalidScheduleError) as error:
+            for offer, start, energies in zip(
+                problem.offers, solution.starts, solution.energies
+            ):
+                ScheduledFlexOffer(offer, int(start), energies)
+        return str(error.value)
+
+    @pytest.mark.parametrize(
+        "fault", ["early start", "late start", "short", "long", "above", "below", "nan"]
+    )
+    def test_to_schedule_raises_the_first_assignments_error(self, fault):
+        """The batched check finds the fault; the error is the one building
+        the assignments one by one raises, for the first bad assignment
+        (two are broken, the third and the fifth)."""
+        offers = [
+            flex_offer([(1, 2), (-1, 1), (0, 3)], earliest_start=5, latest_start=20)
+            for _ in range(6)
+        ]
+        problem = flat_problem(offers)
+        solution = problem.random_solution(np.random.default_rng(7))
+        for j in (2, 4):
+            if fault == "early start":
+                solution.starts[j] = 4
+            elif fault == "late start":
+                solution.starts[j] = 21
+            elif fault == "short":
+                solution.energies[j] = solution.energies[j][:2]
+            elif fault == "long":
+                solution.energies[j] = np.append(solution.energies[j], 1.0)
+            else:
+                value = {"above": 3.1, "below": -1.1, "nan": np.nan}[fault]
+                solution.energies[j][1] = value
+        want = self._one_by_one_error(problem, solution)
+        if fault in ("short", "long"):
+            assert "-slice profile" in want
+        else:
+            assert want.endswith(f"offer {offers[2].offer_id}")
+        with pytest.raises(InvalidScheduleError) as got:
+            problem.to_schedule(solution)
+        assert str(got.value) == want
+
+    def test_to_schedule_accepts_what_one_by_one_accepts(self):
+        """Energies a hair outside the bounds (inside the tolerance), lists
+        instead of arrays, integer and float32 energies: the batched build
+        returns what the one-by-one build returns, every energy a float."""
+        offers = [
+            flex_offer([(1, 2), (-1, 1)], earliest_start=5, latest_start=20)
+            for _ in range(4)
+        ]
+        problem = flat_problem(offers)
+        solution = CandidateSolution(
+            np.array([5, 9, 20, 12]),
+            [
+                np.array([1.0 - 5e-10, 1.0 + 5e-10]),
+                [2.0, -1.0],
+                np.array([1, 0]),
+                np.array([1.5, -0.0], dtype=np.float32),
+            ],
+        )
+        schedule = problem.to_schedule(solution)
+        want = [
+            ScheduledFlexOffer(offer, int(start), energies)
+            for offer, start, energies in zip(
+                problem.offers, solution.starts, solution.energies
+            )
+        ]
+        assert schedule.assignments == want
+        assert all(type(e) is float for s in schedule for e in s.energies)
+        assert all(type(s.start) is int for s in schedule)
+        assert np.array(schedule.assignments[3].energies).tobytes() == (
+            np.array([1.5, -0.0]).tobytes()
+        )
 
 
 class TestGreedy:

@@ -10,7 +10,7 @@ volume limits, penalty shapes, and production/consumption offers.
 
 import hashlib
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import islice
 
 import numpy as np
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SchedulingError, TimeSeries, flex_offer
+from repro.core import Profile, SchedulingError, TimeSeries, flex_offer
 from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
 from repro.scheduling import (
     CandidateSolution,
@@ -29,7 +29,7 @@ from repro.scheduling import (
     RandomizedGreedyScheduler,
     SchedulingProblem,
 )
-from repro.scheduling.engine import CostEngine
+from repro.scheduling.engine import CostEngine, OfferConstants
 from repro.scheduling.reference import (
     reference_one_pass,
     reference_optimal_energies,
@@ -479,6 +479,60 @@ class TestEngineEquivalence:
         assert problem.packed_offers is problem.packed_offers
 
 
+class TestKernelTemplate:
+    """``OfferConstants`` builds its profile-only arrays once per profile."""
+
+    @staticmethod
+    def _fields(consts: OfferConstants) -> list:
+        """Every field, arrays as (dtype, shape, bytes, writeable)."""
+        return [
+            (value.dtype, value.shape, value.tobytes(), value.flags.writeable)
+            if isinstance(value, np.ndarray)
+            else value
+            for value in (getattr(consts, f.name) for f in fields(consts))
+        ]
+
+    def test_reused_across_problems_and_equal_to_a_fresh_build(self):
+        for problem, j, residual in islice(mixed_sign_corpus(), 0, 64, 9):
+            offer = problem.offers[j]
+            first = problem.offer_constants[j]
+            # A later run: the offer clipped one slice (when it can be),
+            # in a problem over another forecast.
+            clip = 1 if offer.time_flexibility else 0
+            later_offer = offer.with_times(offer.earliest_start + clip, offer.latest_start)
+            later = replace(
+                problem,
+                net_forecast=TimeSeries(0, residual),
+                offers=(later_offer,),
+            ).offer_constants[0]
+            for name in ("lo", "hi", "candidates", "slice_index"):
+                assert getattr(later, name) is getattr(first, name)
+            assert later.earliest_start == first.earliest_start + clip
+            assert later.n_starts == first.n_starts - clip
+
+            fresh_offer = replace(
+                later_offer,
+                profile=Profile.from_arrays(
+                    offer.min_array.copy(), offer.max_array.copy()
+                ),
+            )
+            fresh = OfferConstants.from_offer(fresh_offer, 0)
+            assert fresh.candidates is not later.candidates
+            assert self._fields(fresh) == self._fields(later)
+            assert len(fresh.candidates) == (
+                4 if np.any((fresh.lo < 0) & (fresh.hi > 0)) else 3
+            )
+            if len(fresh.candidates) == 4:
+                assert np.array_equal(
+                    fresh.candidates[3, :, 0], np.clip(0.0, fresh.lo, fresh.hi)
+                )
+            engine = problem.engine
+            got = engine.best_placement(later, residual)
+            want = engine.best_placement(fresh, residual)
+            assert got[0] == want[0] and got[2] == want[2]
+            assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestBatchedKernel:
     def test_matches_reference_placement_bit_for_bit(self):
         """Batched kernel ≡ scalar per-start scan, including tie-breaks."""
@@ -728,6 +782,26 @@ class TestPackedOffers:
             assert problem.packed_offers.flex_cost(packed) == pytest.approx(
                 problem.flexoffer_cost(solution), abs=1e-9
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
+    def test_problem_flex_series_is_the_loop_bit_for_bit(self, seed, zeros):
+        """``bincount`` adds each slice's energies in offer order from
+        ``0.0``, as the per-offer window loop did — equal bytes, signed
+        zeros included."""
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng)
+        solution = problem.random_solution(rng)
+        if zeros:  # exact cancellations and negative zeros
+            for energies in solution.energies:
+                energies[rng.random(len(energies)) < 0.5] = -0.0
+        loop = np.zeros(problem.horizon_length)
+        for offer, start, energies in zip(
+            problem.offers, solution.starts, solution.energies
+        ):
+            i = int(start) - problem.horizon_start
+            loop[i : i + offer.duration] += energies
+        assert problem.flex_series(solution).tobytes() == loop.tobytes()
 
     def test_split_roundtrips(self):
         problem = random_problem(np.random.default_rng(3))
