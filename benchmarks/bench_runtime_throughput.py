@@ -14,6 +14,7 @@ per-layer comparisons that contract does not make:
 Scale with ``REPRO_SCALE`` (multiplies the arrival rates and stream length).
 """
 
+import os
 import time
 
 import numpy as np
@@ -111,6 +112,98 @@ def test_incremental_beats_rebuild_on_sustained_stream(once, bench_record):
     # in smoke mode: tiny workloads make the timing comparison noise).
     if not smoke_mode():
         assert inc_time < reb_time
+
+
+def test_sweep_and_aggregate_build_at_brp_steady_shape(once, bench_record):
+    """Two walks of every scheduling trigger, timed on a running BRP.
+
+    A default-config service streams ``brp_steady``'s arrival rate (400
+    offers per simulated hour) over its 128 slices, one 8-slice window at
+    a time from slice 64 on.  At each window's end, frozen there:
+    ``service.sweep`` times expiry sweeps over the live pool (the first
+    retires what fell due, each later one retires nothing and times the
+    check alone), and ``aggregate_build`` times one deferred build of each
+    pool group — its bound arrays made a profile, plus the member walk —
+    as every re-planned group pays it.  Only the service's public surface
+    is used, so the same file times a parent commit's ``src/``.
+    """
+    rate, warmup, window, stops = (
+        (100.0, 8.0, 4.0, 2) if smoke_mode() else (400.0, 64.0, 8.0, 8)
+    )
+    sweeps, rounds = (10, 2) if smoke_mode() else (100, 10)
+
+    def run():
+        service = BrpRuntimeService(ServiceConfig())
+        arrivals = iter(
+            LoadGenerator(rate_per_hour=rate, seed=SEED).stream(
+                0.0, warmup + window * stops
+            )
+        )
+        service.run_stream(arrivals, warmup)
+        live, sweep_s, build_s, aggregates = [], 0.0, 0.0, []
+        for _ in range(stops):
+            service.run_stream(arrivals, window)
+            service.sweep_expired()
+            live.append(service.live_offers)
+            t0 = time.perf_counter()
+            for _ in range(sweeps):
+                service.sweep_expired()
+            sweep_s += time.perf_counter() - t0
+            updates = list(service.pool.values())
+            aggregates.extend(update.aggregate for update in updates)
+            t0 = time.perf_counter()
+            for _ in range(rounds):
+                for update in updates:
+                    update.builder()
+            build_s += time.perf_counter() - t0
+        return (
+            sum(live) / len(live),
+            sweep_s / (stops * sweeps),
+            aggregates,
+            build_s / (rounds * len(aggregates)),
+        )
+
+    live, sweep_s, aggregates, build_s = once(run)
+    members = sum(a.member_count for a in aggregates) / len(aggregates)
+    slices = sum(a.duration for a in aggregates) / len(aggregates)
+    groups = len(aggregates) / stops
+    print_table(
+        "expiry sweep and aggregate build at brp_steady's shape",
+        ["row", "shape (mean over stops)", "us"],
+        [
+            ["service.sweep", f"{live:.0f} live offers", f"{sweep_s * 1e6:.1f}"],
+            [
+                "aggregate_build",
+                f"{groups:.0f} groups, {members:.0f} members, "
+                f"{slices:.1f} slices",
+                f"{build_s * 1e6:.1f}",
+            ],
+        ],
+    )
+    shape = {
+        "rate_per_hour": rate,
+        "stops": stops,
+        "cpu_count": os.cpu_count(),
+    }
+    bench_record(
+        "runtime",
+        name="service.sweep",
+        workload={**shape, "live_offers": live, "sweeps_per_stop": sweeps},
+        metrics={"us_per_sweep": sweep_s * 1e6},
+    )
+    bench_record(
+        "runtime",
+        name="aggregate_build",
+        workload={
+            **shape,
+            "groups": groups,
+            "mean_members": members,
+            "mean_slices": slices,
+            "rounds_per_stop": rounds,
+        },
+        metrics={"us_per_build": build_s * 1e6},
+    )
+    assert live > 0 and aggregates
 
 
 def _delta_offer(rng: np.random.Generator, horizon: int):

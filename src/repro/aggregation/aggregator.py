@@ -125,7 +125,7 @@ class _GroupState:
 
         offset = offer.earliest_start - self.base
         profile = offer.profile
-        need = offset + len(profile)
+        need = offset + profile.duration
         if need > len(self._lo):
             grow = need - len(self._lo)
             self._lo.extend([0.0] * grow)
@@ -284,19 +284,22 @@ def disaggregate(scheduled: ScheduledFlexOffer) -> list[ScheduledFlexOffer]:
         )
 
     delta = scheduled.start - aggregate.earliest_start
-    # The aggregate profile is the long one — its fraction sweep is
-    # vectorized; member profiles are short, so plain Python arithmetic
-    # beats array round-trips (and cold bound-array cache fills) per member.
-    fractions = _slice_fractions(aggregate, scheduled.energies).tolist()
+    fractions = _slice_fractions(aggregate, scheduled.energies)
 
+    # Per member ``lo + f * (hi - lo)`` over its bound arrays: the IEEE
+    # operations of ``c.min_energy + f * c.energy_flexibility`` per
+    # constraint, so the same bits, and a member in array form (a macro
+    # under a TSO super) never builds its constraint objects.
     out: list[ScheduledFlexOffer] = []
     for member, offset in zip(aggregate.members, aggregate.offsets):
-        start = member.earliest_start + delta
-        energies = tuple(
-            c.min_energy + fractions[offset + k] * c.energy_flexibility
-            for k, c in enumerate(member.profile)
+        profile = member.profile
+        lo = profile.min_array
+        energies = lo + fractions[offset : offset + profile.duration] * (
+            profile.max_array - lo
         )
-        out.append(ScheduledFlexOffer(member, start, energies))
+        out.append(
+            ScheduledFlexOffer(member, member.earliest_start + delta, energies)
+        )
     return out
 
 

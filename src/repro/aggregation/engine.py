@@ -159,7 +159,7 @@ class PackedPool:
             profile = offer.profile
             ests.append(offer.earliest_start)
             lsts.append(offer.latest_start)
-            durs.append(len(profile))
+            durs.append(profile.duration)
             prices.append(offer.unit_price)
             lows.append(profile.min_array)
             highs.append(profile.max_array)

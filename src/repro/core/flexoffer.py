@@ -18,6 +18,7 @@ requires — every algorithm in the library is sign-agnostic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -56,20 +57,24 @@ def rebase_offer_ids(base: int) -> None:
     _id_counter = itertools.count(base + 1)
 
 
+_NEG_INF = -math.inf
+_INF = math.inf
+
+
 @dataclass(frozen=True, slots=True)
 class EnergyConstraint:
     """Energy bounds for one profile slice, in kWh.
 
-    ``min_energy <= max_energy``; the *energy flexibility* of the slice is
-    ``max_energy - min_energy``.
+    Both bounds are finite and ``min_energy <= max_energy``; the *energy
+    flexibility* of the slice is ``max_energy - min_energy``.
     """
 
     min_energy: float
     max_energy: float
 
     def __post_init__(self) -> None:
-        if self.max_energy < self.min_energy:
-            raise _inverted(self.min_energy, self.max_energy)
+        if not _NEG_INF < self.min_energy <= self.max_energy < _INF:
+            raise _bound_error(self.min_energy, self.max_energy)
 
     @property
     def energy_flexibility(self) -> float:
@@ -96,9 +101,21 @@ class EnergyConstraint:
         )
 
 
-def _inverted(min_energy: float, max_energy: float) -> InvalidFlexOfferError:
-    """The one error for a slice whose upper bound is below its lower one."""
-    return InvalidFlexOfferError(f"max_energy {max_energy} < min_energy {min_energy}")
+def _bound_error(min_energy: float, max_energy: float) -> InvalidFlexOfferError:
+    """The one error for a slice that breaks the bounds rule.
+
+    The rule, wherever bounds enter a profile: both bounds finite and
+    ``min_energy <= max_energy``.  A non-finite bound is named as such, a
+    finite slice whose upper bound is below its lower one as inverted.
+    """
+    if _NEG_INF < min_energy < _INF and _NEG_INF < max_energy < _INF:
+        return InvalidFlexOfferError(
+            f"max_energy {max_energy} < min_energy {min_energy}"
+        )
+    return InvalidFlexOfferError(
+        f"energy bounds must be finite, got min_energy {min_energy}, "
+        f"max_energy {max_energy}"
+    )
 
 
 _new = object.__new__
@@ -106,23 +123,68 @@ _set_min = EnergyConstraint.min_energy.__set__  # type: ignore[attr-defined]
 _set_max = EnergyConstraint.max_energy.__set__  # type: ignore[attr-defined]
 
 
-class Profile(tuple):
+def _constraints_of(pairs: Iterable[tuple[float, float]]) -> list[EnergyConstraint]:
+    """The constraints of bound pairs that already passed the bounds rule.
+
+    Each :class:`EnergyConstraint` is allocated and its two slots set
+    directly, without the per-object ``__init__``/``__post_init__`` calls —
+    the same object the constructor builds, at half the cost.
+    """
+    items = []
+    for lo, hi in pairs:
+        constraint = _new(EnergyConstraint)
+        _set_min(constraint, lo)
+        _set_max(constraint, hi)
+        items.append(constraint)
+    return items
+
+
+class Profile:
     """An immutable sequence of :class:`EnergyConstraint`, one per slice.
 
     Each entry spans exactly one slice of the time axis; devices whose
     operation covers several slices simply repeat constraints (a 2 h washing
     cycle on a 15-min axis is a profile of 8 slices).
 
-    Bound views (:meth:`min_energies` / :meth:`max_energies` and the NumPy
-    :attr:`min_array` / :attr:`max_array`) and the energy totals are cached
-    on first access: they are hit on every aggregate build, every cost-engine
-    pack and every lifecycle fact, and the profile is immutable, so
-    re-materialising them per call was pure waste.
-    (No ``__slots__``: tuple subclasses cannot carry non-empty slots, and the
-    cache lives in the instance dict.)
+    One class with two storage forms behind one surface: ``len``, indexing,
+    slicing (which returns a plain tuple), iteration, ``==`` and ``hash``
+    equal to the tuple of its constraints, that tuple's ``repr``, pickling.
+
+    * *Item form* holds the constraint tuple.  The constructor and
+      :meth:`from_bounds` build it — every micro offer.
+    * *Array form* holds the two read-only bound arrays.
+      :meth:`from_arrays` builds it — every aggregate and every macro
+      decoded from shared memory.  The planner, the TSO's disaggregation
+      and the shared-memory encoder read only the arrays, so the runtime
+      never builds an aggregate's per-slice objects.
+
+    Each form derives the other on first use and caches it; both hold the
+    same Python floats, so every derived view is bit for bit the one the
+    other form gives.  The bound views (:meth:`min_energies` /
+    :meth:`max_energies`, :attr:`min_array` / :attr:`max_array`) and the
+    energy totals are cached on first access: they are hit on every
+    aggregate build, every cost-engine pack and every lifecycle fact.
+
+    The storage, the arrays and the two bound totals live in slots, and
+    :attr:`duration` is one of them, so reading it costs no Python call.
+    The rarer caches (the energy tuples, the flexibility total, the
+    scheduler's kernel template) live in an instance dict that exists only
+    once one of them is written: a micro offer's profile never gets one on
+    the runtime path.
     """
 
-    def __new__(cls, slices: Iterable[EnergyConstraint]) -> "Profile":
+    __slots__ = {
+        "duration": "Number of slices the profile spans.",
+        "_items": "The constraint tuple (None until derived, in array form).",
+        "_lo": "Read-only lower-bound array (None until derived, in item form).",
+        "_hi": "Read-only upper-bound array (None until derived, in item form).",
+        "_totals": "``(total_min, total_max)`` once computed, else None.",
+        "__dict__": "The rarer caches, created on first write.",
+    }
+
+    duration: int
+
+    def __init__(self, slices: Iterable[EnergyConstraint]) -> None:
         items = tuple(slices)
         if not items:
             raise InvalidFlexOfferError("a profile must contain at least one slice")
@@ -131,7 +193,15 @@ class Profile(tuple):
                 raise InvalidFlexOfferError(
                     f"profile slices must be EnergyConstraint, got {type(s).__name__}"
                 )
-        return super().__new__(cls, items)
+        self._hold(items, None, None)
+
+    def _hold(self, items, lo, hi) -> None:
+        """Set the storage slots: one form given, the other ``None``."""
+        self._items = items
+        self.duration = len(items) if lo is None else len(lo)
+        self._lo = lo
+        self._hi = hi
+        self._totals = None
 
     @classmethod
     def from_bounds(
@@ -145,41 +215,40 @@ class Profile(tuple):
         runs once per pair, then :meth:`_from_checked` builds the slices.
         """
         pairs = list(bounds)
+        neg_inf, inf = _NEG_INF, _INF
         for lo, hi in pairs:
-            if hi < lo:
-                raise _inverted(lo, hi)
+            if not neg_inf < lo <= hi < inf:
+                raise _bound_error(lo, hi)
         return cls._from_checked(pairs)
 
     @classmethod
     def _from_checked(cls, pairs: Iterable[tuple[float, float]]) -> "Profile":
-        """The profile of bound pairs that already passed ``max >= min``.
-
-        Each :class:`EnergyConstraint` is allocated and its two slots set
-        directly, without the per-object ``__init__``/``__post_init__``
-        calls — the same object the constructor builds, at half the cost.
-        """
-        items = []
-        for lo, hi in pairs:
-            constraint = _new(EnergyConstraint)
-            _set_min(constraint, lo)
-            _set_max(constraint, hi)
-            items.append(constraint)
+        """The item-form profile of bound pairs that already passed the
+        bounds rule (see :func:`_constraints_of`)."""
+        items = _constraints_of(pairs)
         if not items:
             raise InvalidFlexOfferError("a profile must contain at least one slice")
-        return tuple.__new__(cls, items)
+        profile = _new(cls)
+        profile._hold(tuple(items), None, None)
+        return profile
 
     @classmethod
     def from_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> "Profile":
-        """:meth:`from_bounds` for a caller that holds the bound columns.
+        """The array-form profile of two bound columns.
 
-        ``lo`` and ``hi`` must be equal-length 1-D float64.  The bounds rule
-        runs once over the two arrays (an inverted slice raises the error
-        :class:`EnergyConstraint` raises, for the first such slice), then
-        :meth:`_from_checked` builds the slices from their Python floats.
-        The arrays *become* the :attr:`min_array` / :attr:`max_array`
-        caches — made read-only, not copied — instead of being rebuilt
-        slice by slice from the objects on first use.  The caller hands
-        them over: it must not write to them afterwards (aggregate builds
+        ``lo`` and ``hi`` must be equal-length, non-empty, 1-D float64.  The
+        bounds rule runs eagerly, in four numpy calls and no arithmetic:
+        every slice ordered (which a ``nan`` on either side fails), the
+        smallest lower bound above ``-inf`` and the largest upper bound
+        below ``inf`` — so every bound is finite.  A violation raises the
+        error :class:`EnergyConstraint` raises, for the first bad slice.
+
+        No :class:`EnergyConstraint` is built and nothing is converted to
+        Python floats: the arrays *are* the profile — made read-only, not
+        copied — until something iterates or indexes it, which derives the
+        constraint tuple once (from the arrays' Python floats, so it equals
+        what :meth:`from_bounds` builds from them).  The caller hands the
+        arrays over and must not write to them afterwards (aggregate builds
         and the shared-memory macro decode pass their own fresh copies).
         """
         if not (
@@ -191,16 +260,20 @@ class Profile(tuple):
                 "profile bound arrays must be 1-D float64 of equal length, "
                 f"got {lo.dtype}{lo.shape} and {hi.dtype}{hi.shape}"
             )
-        lows, highs = lo.tolist(), hi.tolist()
-        inverted = hi < lo
-        if np.logical_or.reduce(inverted):
-            first = int(inverted.argmax())
-            raise _inverted(lows[first], highs[first])
-        profile = cls._from_checked(zip(lows, highs))
+        if not lo.shape[0]:
+            raise InvalidFlexOfferError("a profile must contain at least one slice")
+        if not (
+            np.logical_and.reduce(lo <= hi)
+            and _NEG_INF < np.minimum.reduce(lo)
+            and np.maximum.reduce(hi) < _INF
+        ):
+            for a, b in zip(lo.tolist(), hi.tolist()):
+                if not _NEG_INF < a <= b < _INF:
+                    raise _bound_error(a, b)
         lo.setflags(write=False)
         hi.setflags(write=False)
-        profile.__dict__["_min_array"] = lo
-        profile.__dict__["_max_array"] = hi
+        profile = _new(cls)
+        profile._hold(None, lo, hi)
         return profile
 
     @classmethod
@@ -210,55 +283,103 @@ class Profile(tuple):
             raise InvalidFlexOfferError("n_slices must be positive")
         return cls(EnergyConstraint(min_energy, max_energy) for _ in range(n_slices))
 
-    @property
-    def duration(self) -> int:
-        """Number of slices the profile spans."""
-        return len(self)
+    # ------------------------------------------------------------------
+    # the sequence surface (derives the item form of an array profile)
+    # ------------------------------------------------------------------
+    def _constraints(self) -> tuple[EnergyConstraint, ...]:
+        """The constraint tuple; derived from the arrays once, then kept."""
+        items = self._items
+        if items is None:
+            items = self._items = tuple(
+                _constraints_of(zip(self._lo.tolist(), self._hi.tolist()))
+            )
+        return items
 
-    def _cache_bound(self, bounds: list, array_key: str, total_key: str) -> None:
-        """Fill one bound's array and total from a single pass's values.
+    def __len__(self) -> int:
+        return self.duration
 
-        ``np.array`` and ``sum`` over the list give bit for bit what
-        ``np.fromiter`` and ``sum`` over a generator give; an array handed
-        over by :meth:`from_arrays` is kept.
+    def __iter__(self) -> Iterator[EnergyConstraint]:
+        return iter(self._constraints())
+
+    def __getitem__(self, index):
+        return self._constraints()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Profile):
+            return self._constraints() == other._constraints()
+        if isinstance(other, tuple):
+            return self._constraints() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._constraints())
+
+    def __repr__(self) -> str:
+        return repr(self._constraints())
+
+    def __reduce__(self):
+        if self._items is not None:
+            return (type(self), (self._items,))
+        return (type(self).from_arrays, (self._lo, self._hi))
+
+    # ------------------------------------------------------------------
+    # bound views (derive the array form of an item profile)
+    # ------------------------------------------------------------------
+    def _cache_bounds(self) -> None:
+        """Fill an item profile's bound arrays and totals, one pass per bound.
+
+        Iterates the stored tuple directly; ``np.array`` and ``sum`` over
+        each bound's list give bit for bit what ``np.fromiter`` and ``sum``
+        over a generator give.
         """
-        cache = self.__dict__
-        if array_key not in cache:
-            array = np.array(bounds, dtype=float)
-            array.setflags(write=False)
-            cache[array_key] = array
-        cache[total_key] = sum(bounds)
+        items = self._items
+        lows = [s.min_energy for s in items]
+        highs = [s.max_energy for s in items]
+        lo = np.array(lows, dtype=float)
+        lo.setflags(write=False)
+        hi = np.array(highs, dtype=float)
+        hi.setflags(write=False)
+        self._lo = lo
+        self._hi = hi
+        self._totals = (sum(lows), sum(highs))
 
-    def _cache_min(self) -> None:
-        self._cache_bound(
-            [s.min_energy for s in self], "_min_array", "_total_min_energy"
-        )
+    def _bound_totals(self) -> tuple[float, float]:
+        """``(total_min, total_max)``, filled on first use.
 
-    def _cache_max(self) -> None:
-        self._cache_bound(
-            [s.max_energy for s in self], "_max_array", "_total_max_energy"
-        )
+        An array profile sums its arrays' Python floats: the totals an item
+        profile of the same floats gives.
+        """
+        if self._lo is None:
+            self._cache_bounds()
+        else:
+            self._totals = (sum(self._lo.tolist()), sum(self._hi.tolist()))
+        return self._totals
 
     @property
     def total_min_energy(self) -> float:
         """Sum of lower bounds (kWh; cached with :attr:`min_array`)."""
-        if "_total_min_energy" not in self.__dict__:
-            self._cache_min()
-        return self.__dict__["_total_min_energy"]
+        totals = self._totals
+        if totals is None:
+            totals = self._bound_totals()
+        return totals[0]
 
     @property
     def total_max_energy(self) -> float:
         """Sum of upper bounds (kWh; cached with :attr:`max_array`)."""
-        if "_total_max_energy" not in self.__dict__:
-            self._cache_max()
-        return self.__dict__["_total_max_energy"]
+        totals = self._totals
+        if totals is None:
+            totals = self._bound_totals()
+        return totals[1]
 
     @property
     def total_energy_flexibility(self) -> float:
         """Sum of per-slice energy flexibilities (kWh; cached)."""
         cached = self.__dict__.get("_total_energy_flexibility")
         if cached is None:
-            cached = sum(s.energy_flexibility for s in self)
+            if self._items is None:
+                cached = sum((self._hi - self._lo).tolist())
+            else:
+                cached = sum(s.energy_flexibility for s in self._items)
             self.__dict__["_total_energy_flexibility"] = cached
         return cached
 
@@ -266,7 +387,10 @@ class Profile(tuple):
         """Lower bounds as a tuple (cached)."""
         cached = self.__dict__.get("_min_energies")
         if cached is None:
-            cached = tuple(s.min_energy for s in self)
+            if self._items is None:
+                cached = tuple(self._lo.tolist())
+            else:
+                cached = tuple(s.min_energy for s in self._items)
             self.__dict__["_min_energies"] = cached
         return cached
 
@@ -274,23 +398,35 @@ class Profile(tuple):
         """Upper bounds as a tuple (cached)."""
         cached = self.__dict__.get("_max_energies")
         if cached is None:
-            cached = tuple(s.max_energy for s in self)
+            if self._items is None:
+                cached = tuple(self._hi.tolist())
+            else:
+                cached = tuple(s.max_energy for s in self._items)
             self.__dict__["_max_energies"] = cached
         return cached
 
     @property
     def min_array(self) -> np.ndarray:
         """Read-only float64 array of the lower bounds (cached with the total)."""
-        if "_min_array" not in self.__dict__:
-            self._cache_min()
-        return self.__dict__["_min_array"]
+        lo = self._lo
+        if lo is None:
+            self._cache_bounds()
+            lo = self._lo
+        return lo
 
     @property
     def max_array(self) -> np.ndarray:
         """Read-only float64 array of the upper bounds (cached with the total)."""
-        if "_max_array" not in self.__dict__:
-            self._cache_max()
-        return self.__dict__["_max_array"]
+        hi = self._hi
+        if hi is None:
+            self._cache_bounds()
+            hi = self._hi
+        return hi
+
+    @property
+    def bounds_cached(self) -> bool:
+        """Whether :attr:`min_array` / :attr:`max_array` exist already."""
+        return self._lo is not None
 
 
 @dataclass(frozen=True, slots=True)

@@ -62,9 +62,9 @@ class ScheduledFlexOffer:
                 f"got {len(values)} energies for a "
                 f"{self.offer.duration}-slice profile"
             )
-        # Containment check: vectorized over the profile's cached bound
-        # arrays when they are already materialised (something read the
-        # profile's energy totals, which fill the arrays in the same pass);
+        # Containment check: vectorized over the profile's bound arrays
+        # when they exist (an array-form profile, or an item-form one whose
+        # energy totals were read, which fill the arrays in the same pass);
         # plain per-slice arithmetic otherwise, which beats a cold cache
         # fill.  Both apply the same 1e-9 tolerance, reject ``nan`` and
         # report the first bad slice.  The schedules a planning pass
@@ -73,7 +73,7 @@ class ScheduledFlexOffer:
         # assignments at once and builds them with :meth:`_from_checked`,
         # constructing them one by one only to raise this method's error.
         profile = self.offer.profile
-        if "_min_array" in profile.__dict__:
+        if profile.bounds_cached:
             bad = outside_bounds(values, profile.min_array, profile.max_array)
             violation = (
                 int(bad.argmax()) if np.logical_or.reduce(bad) else None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import zlib
 
-from ..core.errors import DataManagementError
+from ..core.errors import DataManagementError, InvalidFlexOfferError
 from ..core.flexoffer import EnergyConstraint, FlexOffer, Profile
 from .log import encode
 
@@ -47,7 +47,12 @@ def offer_to_dict(offer: FlexOffer) -> dict:
 
 
 def offer_from_dict(data: dict) -> FlexOffer:
-    """Rebuild the exact :class:`FlexOffer` encoded by :func:`offer_to_dict`."""
+    """Rebuild the exact :class:`FlexOffer` encoded by :func:`offer_to_dict`.
+
+    A record no valid offer encodes — a missing field, a non-finite or
+    inverted bound, a broken start window — raises
+    :class:`~repro.core.errors.DataManagementError`.
+    """
     try:
         profile = Profile(
             EnergyConstraint(float(lo), float(hi))
@@ -67,7 +72,7 @@ def offer_from_dict(data: dict) -> FlexOffer:
             ),
             unit_price=float(data.get("unit_price", 0.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidFlexOfferError) as exc:
         raise DataManagementError(f"malformed offer record: {exc}") from exc
 
 

@@ -269,7 +269,7 @@ class PlanSession:
                 any_warm = True
             else:
                 start = offer.earliest_start
-                values = np.array(offer.profile.min_energies())
+                values = offer.profile.min_array.copy()
             starts.append(start)
             energies.append(values)
         if not any_warm:

@@ -26,6 +26,7 @@ stage so load tests report throughput and end-to-end latency.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -258,6 +259,14 @@ class BrpRuntimeService:
         # unscheduled offer (entries invalidated lazily).
         self._unscheduled_energy = 0.0
         self._pending_heap: list[tuple[float, int]] = []
+        # The expiry sweep's due-time index (see _sweep_pool).  Admission
+        # pushes (due, seq, offer) — seq counts admissions, so it orders
+        # offers as _live does; a sweep moves the entries that fell due
+        # into ``_armed`` (offer_id -> (seq, offer)), and only armed offers
+        # are checked against the retirement conditions.
+        self._admissions = itertools.count()
+        self._due_heap: list[tuple[int, int, FlexOffer]] = []
+        self._armed: dict[int, tuple[int, FlexOffer]] = {}
 
     # ------------------------------------------------------------------
     # observability plumbing
@@ -369,6 +378,14 @@ class BrpRuntimeService:
             self._offers_since_run += 1
             self._unscheduled_energy += self._offer_energy(accepted)
             heapq.heappush(self._pending_heap, (self.now, oid))
+            # Keyed by the *submitted* earliest start (see _sweep_pool).
+            due = offer.earliest_start
+            deadline = accepted.assignment_before
+            if deadline is not None and deadline < due:
+                due = deadline
+            heapq.heappush(
+                self._due_heap, (due, next(self._admissions), accepted)
+            )
             self._live_gauge.set(len(self._live))
             result = SubmitResult(True, oid, accepted)
         if recording:
@@ -527,6 +544,8 @@ class BrpRuntimeService:
         offer = self._live.pop(offer_id, None)
         if offer is None:
             return None
+        # Its due-heap entry goes stale (the sweep checks identity).
+        self._armed.pop(offer_id, None)
         led = self.ledger
         if led is not None and led.recording_inputs:
             led.record_withdraw(offer_id, at=self.now)
@@ -962,6 +981,12 @@ class BrpRuntimeService:
         transition to ``expired``, also when their assignment deadline
         passed with the start window still open.  Both leave the aggregation
         pool via incremental delete updates.
+
+        The sweep visits only offers whose retirement could already be due
+        — those whose earliest start has passed or whose deadline has come
+        (a due-time heap filled at admission) — not the whole live pool, and
+        retires in live-pool order, exactly what a walk over every live
+        offer would retire.
         """
         t0 = time.perf_counter()
         with self._stage("sweep"):
@@ -970,25 +995,50 @@ class BrpRuntimeService:
         return retired
 
     def _sweep_pool(self) -> int:
-        """The retirement body of :meth:`sweep_expired` (inside its span)."""
+        """The retirement body of :meth:`sweep_expired` (inside its span).
+
+        An offer can retire only once ``now > earliest_start`` or its
+        deadline is ``<= now``: its latest start, and any start committed
+        to it, are never before its earliest start — local and remote plans
+        place starts inside the admitted window, and the heap key is the
+        *submitted* earliest start, at or before the clipped one and before
+        any start projection recovery restores.  So the offers whose key
+        ``min(earliest_start, assignment_before) <= now`` are armed (stale
+        versions skipped by identity against ``_live``), and the retirement
+        conditions run over the armed offers only.  An armed offer stays
+        armed until it retires or leaves the pool.
+        """
         now = self.now
         now_slice = self.now_slice
         scheduled = self._scheduled
         committed_start = self._committed_start
-        # One pass, each list in live-pool order: the ledger journals
-        # executed before expired, and replay fingerprints depend on it.
-        executed: list[FlexOffer] = []
-        expired: list[FlexOffer] = []
-        for oid, offer in self._live.items():
+        live = self._live
+        armed = self._armed
+        due = self._due_heap
+        while due and due[0][0] <= now:
+            _, seq, offer = heapq.heappop(due)
+            if live.get(offer.offer_id) is offer:
+                armed[offer.offer_id] = (seq, offer)
+        # Each list sorted by admission seq, which is live-pool order: the
+        # ledger journals executed before expired, and replay fingerprints
+        # depend on both orders.
+        executed_entries: list[tuple[int, FlexOffer]] = []
+        expired_entries: list[tuple[int, FlexOffer]] = []
+        for oid, entry in armed.items():
+            offer = entry[1]
             window_closed = offer.latest_start < now
             if oid in scheduled:
                 if window_closed or committed_start.get(oid, math.inf) < now:
-                    executed.append(offer)
+                    executed_entries.append(entry)
             elif window_closed or (
                 offer.assignment_before is not None
                 and offer.assignment_before <= now
             ):
-                expired.append(offer)
+                expired_entries.append(entry)
+        executed_entries.sort()
+        expired_entries.sort()
+        executed = [offer for _, offer in executed_entries]
+        expired = [offer for _, offer in expired_entries]
         led = self.ledger
         if led is not None and led.recording and (executed or expired):
             # One append for the whole sweep (group commit).
@@ -1003,7 +1053,8 @@ class BrpRuntimeService:
             self._unscheduled_energy -= self._offer_energy(offer)
         for offer in (*executed, *expired):
             oid = offer.offer_id
-            del self._live[oid]
+            del live[oid]
+            del armed[oid]
             self._arrival_sim.pop(oid, None)
             self._arrival_wall.pop(oid, None)
             self._committed_start.pop(oid, None)

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.errors import ServiceError
+from ..core.errors import InvalidFlexOfferError, ServiceError
 from ..core.flexoffer import FlexOffer, Profile
 
 __all__ = [
@@ -69,7 +69,10 @@ def encode_macros(macros: Sequence[FlexOffer]) -> bytes:
     """Flatten a macro snapshot's own columns into one raw buffer.
 
     Only the :class:`~repro.core.flexoffer.FlexOffer` surface is read, so
-    an aggregate's members never enter the buffer.
+    an aggregate's members never enter the buffer.  The bounds come from
+    each profile's bound arrays, column-stacked into the ``(min, max)``
+    pairs — the bytes the pairs themselves give, without building an
+    aggregate's per-slice constraint objects.
     """
     owner_index: dict[str, int] = {}
     ints = [
@@ -82,14 +85,21 @@ def encode_macros(macros: Sequence[FlexOffer]) -> bytes:
             if macro.assignment_before is None
             else macro.assignment_before,
             owner_index.setdefault(macro.owner, len(owner_index)),
-            len(macro.profile),
+            macro.duration,
         )
         for macro in macros
     ]
     prices = [macro.unit_price for macro in macros]
-    bounds = [
-        (s.min_energy, s.max_energy) for macro in macros for s in macro.profile
-    ]
+    bounds = (
+        np.column_stack(
+            (
+                np.concatenate([macro.min_array for macro in macros]),
+                np.concatenate([macro.max_array for macro in macros]),
+            )
+        )
+        if macros
+        else np.empty((0, 2))
+    )
     header = json.dumps(
         {
             "version": _CODEC_VERSION,
@@ -104,7 +114,7 @@ def encode_macros(macros: Sequence[FlexOffer]) -> bytes:
             header,
             np.array(ints, dtype=np.int64).tobytes(),
             np.array(prices, dtype=np.float64).tobytes(),
-            np.array(bounds, dtype=np.float64).tobytes(),
+            bounds.tobytes(),
         )
     )
 
@@ -145,22 +155,30 @@ def decode_macros(buffer: bytes | memoryview) -> tuple[FlexOffer, ...]:
 
     macros: list[FlexOffer] = []
     slice_at = 0
-    for (oid, est, lst, created, deadline, owner, n), price in zip(ints, prices):
-        macros.append(
-            FlexOffer(
-                profile=Profile.from_arrays(
-                    lo[slice_at : slice_at + n], hi[slice_at : slice_at + n]
-                ),
-                earliest_start=est,
-                latest_start=lst,
-                offer_id=oid,
-                owner=owners[owner],
-                creation_time=created,
-                assignment_before=None if deadline == _NO_DEADLINE else deadline,
-                unit_price=price,
+    try:
+        for (oid, est, lst, created, deadline, owner, n), price in zip(
+            ints, prices
+        ):
+            macros.append(
+                FlexOffer(
+                    profile=Profile.from_arrays(
+                        lo[slice_at : slice_at + n], hi[slice_at : slice_at + n]
+                    ),
+                    earliest_start=est,
+                    latest_start=lst,
+                    offer_id=oid,
+                    owner=owners[owner],
+                    creation_time=created,
+                    assignment_before=(
+                        None if deadline == _NO_DEADLINE else deadline
+                    ),
+                    unit_price=price,
+                )
             )
-        )
-        slice_at += n
+            slice_at += n
+    except InvalidFlexOfferError as exc:
+        # A non-finite or inverted bound, or a broken start window.
+        raise ServiceError(f"malformed snapshot buffer: {exc}") from exc
     return tuple(macros)
 
 

@@ -22,12 +22,14 @@ from repro.api import (
     ServiceConfig,
     TsoConfig,
 )
-from repro.core import flex_offer
+from repro.aggregation import AggregatedFlexOffer
+from repro.core import Profile, flex_offer
 from repro.core.errors import CommunicationError, ServiceError
 from repro.core.schedule import ScheduledFlexOffer
 from repro.node import Message, MessageBus, MessageType
 from repro.obs import NullTracer
 from repro.runtime import (
+    BrpRuntimeService,
     BusAdapter,
     LoadGenerator,
     MetricsRegistry,
@@ -508,6 +510,54 @@ class TestClusterRuntime:
             'stage.wall_seconds{brp="brp-1",stage="sweep"}',
             'stage.wall_seconds{brp="tso",stage="schedule"}',
         }
+
+
+# ----------------------------------------------------------------------
+class TestAggregatesStayArrays:
+    def test_no_aggregate_builds_its_constraints_in_the_window(
+        self, monkeypatch
+    ):
+        """Pin: the runtime reads an aggregate's profile as its two bound
+        arrays only.  Over a seeded BRP run and a seeded 2-BRP cluster run,
+        every pool aggregate and every TSO super stays in array form, and
+        no array-form profile (the macros under a super included) derives
+        its constraint objects."""
+        derived = []
+        constraints = Profile._constraints
+
+        def recording(profile):
+            if profile._items is None:
+                derived.append(profile)
+            return constraints(profile)
+
+        monkeypatch.setattr(Profile, "_constraints", recording)
+        planned = []
+
+        def watch(session):
+            plan_window = session.plan_window
+
+            def recording_plan_window(candidates, *args, **kwargs):
+                planned.extend(offer for _, offer in candidates)
+                return plan_window(candidates, *args, **kwargs)
+
+            session.plan_window = recording_plan_window
+
+        service = BrpRuntimeService(TINY)
+        watch(service.session)
+        stream = LoadGenerator(rate_per_hour=30.0, seed=11).stream(0.0, 48.0)
+        service.run_stream(stream, 48.0)
+        brp_planned = len(planned)
+        cluster = _cluster(brps=2)
+        watch(cluster.tso.session)
+        for client in cluster.clients.values():
+            watch(client.service.session)
+        report = cluster.run(_streams(cluster, 48.0), 48.0)
+
+        assert brp_planned > 0 and len(planned) > brp_planned
+        assert report.tso_scheduling_runs > 0 and report.remote_commits > 0
+        assert all(isinstance(a, AggregatedFlexOffer) for a in planned)
+        assert all(a.profile._items is None for a in planned)
+        assert derived == []
 
 
 # ----------------------------------------------------------------------

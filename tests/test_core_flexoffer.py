@@ -1,5 +1,9 @@
 """Unit tests for flex-offers, profiles and energy constraints."""
 
+import gc
+import pickle
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,7 +143,7 @@ class TestProfile:
 
     def test_inverted_slice_raises_the_constraint_error(self):
         """Both fast paths name the first inverted slice exactly as
-        ``EnergyConstraint`` does; ``nan`` bounds pass all three alike."""
+        ``EnergyConstraint`` does; a ``nan`` bound fails all three alike."""
         lo = [1.0, 3.0, 5.5, 7.0]
         hi = [2.0, 2.5, 5.0, 8.0]  # slices 1 and 2 inverted
         with pytest.raises(InvalidFlexOfferError) as want:
@@ -150,10 +154,143 @@ class TestProfile:
             Profile.from_arrays(np.array(lo), np.array(hi))
         assert str(by_pairs.value) == str(by_arrays.value) == str(want.value)
         assert str(want.value) == "max_energy 2.5 < min_energy 3.0"
-        nan = [(1.0, float("nan")), (float("nan"), 2.0)]
-        EnergyConstraint(*nan[0])
-        assert len(Profile.from_bounds(nan)) == 2
-        assert len(Profile.from_arrays(*map(np.array, zip(*nan)))) == 2
+        nan = [(1.0, 2.0), (1.0, float("nan")), (float("nan"), 2.0)]
+        for build in (
+            lambda: EnergyConstraint(*nan[1]),
+            lambda: Profile.from_bounds(nan),
+            lambda: Profile.from_arrays(*map(np.array, zip(*nan))),
+        ):
+            with pytest.raises(InvalidFlexOfferError, match="max_energy nan$"):
+                build()
+
+
+FORM_BOUNDS = [(1.0, 2.0), (-2.5, -0.5), (0.1, 0.7), (-0.0, 0.0), (3.0, 3.0)]
+
+
+def _forms():
+    """The same bounds as an item-form and an array-form profile."""
+    lo = np.array([b[0] for b in FORM_BOUNDS])
+    hi = np.array([b[1] for b in FORM_BOUNDS])
+    return Profile.from_bounds(FORM_BOUNDS), Profile.from_arrays(lo, hi)
+
+
+def _has_dict(profile) -> bool:
+    """Whether the instance dict exists (reading ``__dict__`` would make it)."""
+    return any(type(r) is dict for r in gc.get_referents(profile))
+
+
+class TestProfileForms:
+    """One surface over the constraint tuple and over the bound arrays."""
+
+    def test_equal_and_hash_equal_across_forms_and_to_the_tuple(self):
+        item, array = _forms()
+        plain = tuple(EnergyConstraint(a, b) for a, b in FORM_BOUNDS)
+        assert item == array == plain and plain == array and array == item
+        assert hash(item) == hash(array) == hash(plain)
+        assert {item: "x"}[array] == "x"
+        assert array != Profile.from_bounds(FORM_BOUNDS[:-1])
+        assert array != list(plain) and array != plain[:-1]
+
+    def test_sequence_surface(self):
+        item, array = _forms()
+        plain = tuple(EnergyConstraint(a, b) for a, b in FORM_BOUNDS)
+        for profile in (item, array):
+            assert len(profile) == profile.duration == len(plain)
+            assert list(profile) == list(plain)
+            assert profile[1] == plain[1] and profile[-1] == plain[-1]
+            assert profile[1:4] == plain[1:4] and type(profile[1:4]) is tuple
+            assert plain[2] in profile
+            assert repr(profile) == repr(plain)
+
+    def test_pickle_round_trip_keeps_the_form(self):
+        item, array = _forms()
+        for profile in (item, array):
+            back = pickle.loads(pickle.dumps(profile))
+            assert type(back) is Profile
+            assert (back._items is None) is (profile._items is None)
+            assert not back.min_array.flags.writeable
+            assert back.min_array.tobytes() == profile.min_array.tobytes()
+            assert back == profile
+
+    def test_bound_views_are_the_same_bits_in_both_forms(self):
+        item, array = _forms()
+        lo, hi = (np.array(column) for column in zip(*FORM_BOUNDS))
+        for profile in (item, array):
+            assert np.array(profile.min_energies()).tobytes() == lo.tobytes()
+            assert np.array(profile.max_energies()).tobytes() == hi.tobytes()
+            assert all(type(v) is float for v in profile.min_energies())
+            assert profile.min_array.tobytes() == lo.tobytes()
+            assert profile.max_array.tobytes() == hi.tobytes()
+        for total in (
+            "total_min_energy", "total_max_energy", "total_energy_flexibility"
+        ):
+            assert struct.pack("d", getattr(item, total)) == struct.pack(
+                "d", getattr(array, total)
+            )
+
+    def test_array_form_builds_no_constraint_until_one_is_read(self):
+        lo, hi = np.array([1.0, -2.0, 0.5]), np.array([2.0, -1.0, 0.5])
+        profile = Profile.from_arrays(lo, hi)
+        profile.min_energies(), profile.max_energies()
+        profile.total_min_energy, profile.total_energy_flexibility
+        assert len(profile) == 3 and profile.bounds_cached
+        assert profile._items is None
+        assert profile[0] == EnergyConstraint(1.0, 2.0)
+        assert profile._items is not None
+        assert profile.min_array is lo and profile.max_array is hi
+
+    def test_item_form_has_no_dict_until_a_rare_cache_is_written(self):
+        """Duration, bound arrays and totals live in slots: the reads every
+        micro offer makes on the runtime path create no instance dict."""
+        profile = Profile.from_bounds(FORM_BOUNDS)
+        profile.duration, profile.total_min_energy, profile.total_max_energy
+        profile.min_array, profile.max_array
+        assert profile.bounds_cached and not _has_dict(profile)
+        profile.min_energies()
+        assert _has_dict(profile)
+
+    def test_inverted_slice_message_is_the_same_in_both_forms(self):
+        lo, hi = [0.0, 4.0, 1.0], [1.0, 3.5, 0.0]
+        with pytest.raises(InvalidFlexOfferError) as by_pairs:
+            Profile.from_bounds(zip(lo, hi))
+        with pytest.raises(InvalidFlexOfferError) as by_arrays:
+            Profile.from_arrays(np.array(lo), np.array(hi))
+        assert str(by_pairs.value) == str(by_arrays.value)
+        assert str(by_arrays.value) == "max_energy 3.5 < min_energy 4.0"
+
+
+NON_FINITE = [
+    (float("nan"), 1.0),
+    (0.0, float("nan")),
+    (0.0, float("inf")),
+    (float("-inf"), 0.0),
+    (float("inf"), float("inf")),
+    (float("-inf"), float("-inf")),
+]
+
+
+class TestFiniteBounds:
+    """One rule wherever bounds enter: both finite, ``min <= max``."""
+
+    @pytest.mark.parametrize("pair", NON_FINITE, ids=str)
+    def test_non_finite_bound_rejected_on_every_path(self, pair):
+        bounds = [(1.0, 2.0), pair]
+        lo, hi = (np.array(column) for column in zip(*bounds))
+        builds = (
+            lambda: EnergyConstraint(*pair),
+            lambda: Profile.from_bounds(bounds),
+            lambda: Profile.from_arrays(lo, hi),
+            lambda: flex_offer(bounds, earliest_start=0, latest_start=2),
+        )
+        for build in builds:
+            with pytest.raises(InvalidFlexOfferError, match="must be finite"):
+                build()
+
+    def test_the_largest_finite_bounds_are_admitted(self):
+        big = float(np.finfo(float).max)
+        bounds = [(-big, big), (1.0, 2.0)]
+        lo, hi = (np.array(column) for column in zip(*bounds))
+        assert Profile.from_arrays(lo, hi) == Profile.from_bounds(bounds)
 
 
 class TestFlexOffer:

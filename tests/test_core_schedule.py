@@ -48,7 +48,7 @@ class TestScheduledFlexOffer:
         offer = flex_offer([(1, 2), (1, 2)], earliest_start=0, latest_start=0)
         if warm:
             assert offer.total_min_energy == 2  # fills the bound-array cache
-        assert ("_min_array" in offer.profile.__dict__) is warm
+        assert offer.profile.bounds_cached is warm
         with pytest.raises(
             InvalidScheduleError, match=r"energy nan outside \[1, 2\] in slice 0"
         ):

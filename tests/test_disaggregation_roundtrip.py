@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation import AggregationParameters, AggregationPipeline
-from repro.aggregation.aggregator import disaggregate
+from repro.aggregation.aggregator import _slice_fractions, disaggregate
 from repro.core.timeseries import TimeSeries
 from repro.datagen import FlexOfferDatasetSpec, generate_flexoffer_dataset
 from repro.scheduling import Market, RandomizedGreedyScheduler, SchedulingProblem
@@ -105,6 +105,25 @@ class TestDisaggregationRoundTrip:
                 assignment.start - horizon_start : assignment.end - horizon_start
             ] += np.asarray(assignment.energies)
             np.testing.assert_allclose(total, scheduled, atol=1e-6)
+
+    def test_member_energies_are_the_per_constraint_arithmetic(self, roundtrip):
+        """Bit for bit what ``min + f * flexibility`` per constraint gives:
+        the array expression runs the same IEEE operations."""
+        _, _, schedule, _ = roundtrip
+        for assignment in schedule:
+            aggregate = assignment.offer
+            fractions = _slice_fractions(aggregate, assignment.energies).tolist()
+            want = [
+                tuple(
+                    c.min_energy + fractions[offset + k] * c.energy_flexibility
+                    for k, c in enumerate(member.profile)
+                )
+                for member, offset in zip(aggregate.members, aggregate.offsets)
+            ]
+            got = [m.energies for m in disaggregate(assignment)]
+            assert [[v.hex() for v in e] for e in got] == [
+                [v.hex() for v in e] for e in want
+            ]
 
     def test_aggregate_shift_propagates_to_members(self, roundtrip):
         original, _, schedule, _ = roundtrip

@@ -142,6 +142,29 @@ class TestCodec:
         with pytest.raises(DataManagementError):
             offer_from_dict({"offer_id": 1})
 
+    @pytest.mark.parametrize(
+        "bounds, start_window",
+        [
+            ([[1.0, 2.0], [float("nan"), 1.0]], (3, 5)),
+            ([[0.0, float("inf")]], (3, 5)),
+            ([[2.0, 1.0]], (3, 5)),
+            ([[1.0, 2.0]], (5, 3)),
+        ],
+        ids=["nan bound", "inf bound", "inverted slice", "inverted window"],
+    )
+    def test_record_no_valid_offer_encodes_is_malformed(
+        self, bounds, start_window
+    ):
+        """A record ``offer_to_dict`` could not have written — JSON reads
+        ``NaN``/``Infinity`` back — fails as a malformed record, not as an
+        offer-construction error."""
+        record = offer_to_dict(_offer(3))
+        record["bounds"] = bounds
+        record["earliest_start"], record["latest_start"] = start_window
+        wire = json.loads(json.dumps(record))
+        with pytest.raises(DataManagementError, match="malformed offer record"):
+            offer_from_dict(wire)
+
     def test_source_event_id_stable_for_identical_content(self):
         offer = _offer(10)
         clone = offer_from_dict(offer_to_dict(offer))

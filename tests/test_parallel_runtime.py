@@ -8,17 +8,20 @@ workers mid-run and require zero leaked ``/dev/shm`` blocks, and the
 2-worker trace must satisfy the same JSONL validator CI runs.
 """
 
+import dataclasses
 import gc
 import json
 import os
 import pathlib
 import signal
+import struct
 import subprocess
 import sys
 import threading
 import time
 from multiprocessing import shared_memory
 
+import numpy as np
 import pytest
 
 from repro.aggregation import AggregatedFlexOffer
@@ -132,6 +135,38 @@ def _v1_payload() -> bytes:
     return len(header).to_bytes(8, "little") + header
 
 
+def _pairwise_encoding(macros) -> bytes:
+    """The snapshot layout written from each profile's ``(min, max)`` pairs,
+    walked constraint by constraint (the reference for the array encoder)."""
+    owners = list(dict.fromkeys(macro.owner for macro in macros))
+    header = json.dumps(
+        {"version": 2, "macros": len(macros), "owners": owners},
+        separators=(",", ":"),
+    ).encode("utf-8")
+    ints = [
+        (
+            m.offer_id,
+            m.earliest_start,
+            m.latest_start,
+            m.creation_time,
+            -1 if m.assignment_before is None else m.assignment_before,
+            owners.index(m.owner),
+            len(m.profile),
+        )
+        for m in macros
+    ]
+    pairs = [(s.min_energy, s.max_energy) for m in macros for s in m.profile]
+    return b"".join(
+        (
+            len(header).to_bytes(8, "little"),
+            header,
+            np.array(ints, dtype=np.int64).tobytes(),
+            np.array([m.unit_price for m in macros], dtype=np.float64).tobytes(),
+            np.array(pairs, dtype=np.float64).tobytes(),
+        )
+    )
+
+
 # ----------------------------------------------------------------------
 def _columns(offer):
     """Every flex-offer field, floats as exact bit patterns."""
@@ -214,6 +249,34 @@ class TestShmCodec:
             decode_macros(payload[:12])
         with pytest.raises(ServiceError, match="codec version 1"):
             decode_macros(_v1_payload())
+
+    def test_bytes_equal_the_pairwise_encoding(self):
+        """Bounds column-stacked from the profiles' arrays are the bytes of
+        the ``(min, max)`` pairs, and an array-form macro is encoded
+        without building its constraint objects."""
+        item_form = _macros() + [
+            flex_offer([(-0.0, 0.1 + 0.2), (5e-324, 1e308)], 3, 3, owner="b")
+        ]
+        array_form = [
+            dataclasses.replace(
+                macro,
+                profile=Profile.from_arrays(
+                    macro.min_array.copy(), macro.max_array.copy()
+                ),
+            )
+            for macro in item_form
+        ]
+        payload = encode_macros(array_form)
+        assert all(macro.profile._items is None for macro in array_form)
+        assert payload == encode_macros(item_form)
+        assert payload == _pairwise_encoding(item_form)
+        assert encode_macros([]) == _pairwise_encoding([])
+
+    def test_non_finite_bound_is_a_malformed_snapshot(self):
+        payload = encode_macros(_macros())
+        poisoned = payload[:-8] + struct.pack("<d", float("nan"))
+        with pytest.raises(ServiceError, match="malformed snapshot.*finite"):
+            decode_macros(poisoned)
 
     def test_size_is_independent_of_member_count(self):
         small, large = _macro_of(1), _macro_of(50)

@@ -7,6 +7,7 @@ driving every stage (ingest → incremental aggregation → triggered scheduling
 """
 
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -14,9 +15,19 @@ import pytest
 
 from repro.aggregation import DirtySet
 from repro.core import ScheduledFlexOffer, flex_offer
-from repro.core.errors import ServiceError
+from repro.core.errors import (
+    DataManagementError,
+    InvalidFlexOfferError,
+    ServiceError,
+)
 from repro.core.flexoffer import rebase_offer_ids
-from repro.ledger import JsonlEventLog, MemoryEventLog, OfferLedger
+from repro.ledger import (
+    JsonlEventLog,
+    MemoryEventLog,
+    OfferLedger,
+    offer_from_dict,
+    offer_to_dict,
+)
 from repro.runtime.planning import PlanSession
 from repro.runtime import (
     AgeTrigger,
@@ -387,6 +398,27 @@ class TestSchedulingIntegration:
         result = service.maybe_schedule(force=True)
         assert result is None
         assert service.metrics.counter("schedule.empty_runs").value == 1
+
+
+class TestNonFiniteBounds:
+    @pytest.mark.parametrize(
+        "lo, hi", [(float("nan"), 1.0), (0.0, float("inf"))], ids=["nan", "inf"]
+    )
+    def test_a_poisoned_offer_never_reaches_the_service(self, lo, hi):
+        """A non-finite bound used to be admitted, and every scheduling run
+        after it raised; neither the constructor nor a journaled record can
+        now hand the service such an offer, and planning goes on."""
+        service = BrpRuntimeService(TINY, ledger=OfferLedger(MemoryEventLog()))
+        with pytest.raises(InvalidFlexOfferError, match="finite"):
+            _offer(4, tf=8, lo=lo, hi=hi)
+        record = offer_to_dict(_offer(4, tf=8))
+        record["bounds"] = [[lo, hi]] * 2
+        with pytest.raises(DataManagementError, match="malformed offer record"):
+            offer_from_dict(json.loads(json.dumps(record)))
+        good = _offer(4, tf=8)
+        assert service.submit(good)
+        assert service.maybe_schedule(force=True) is not None
+        assert service.committed_start(good.offer_id) is not None
 
 
 class TestStaleRemoteSchedule:
