@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """A BRP's balancing day — the paper's Figure 1, end to end.
 
-Runs the full 3-level hierarchy simulation (prosumer households with EVs,
-washing machines, solar panels and CHPs under two BRPs with wind supply),
-then renders the before/after net-load picture as ASCII art: flexible demand
-moves into the wind-production window, peaks shrink.
+Runs one planning day of the 3-level hierarchy (prosumer households with
+EVs, washing machines, solar panels and CHPs under two BRPs with wind
+supply) on the streaming runtime, then renders the report's before/after
+demand as ASCII art: flexible demand moves into the wind-production window,
+peaks shrink.
 
 Run:  python examples/brp_balancing_day.py
 """
@@ -12,7 +13,7 @@ Run:  python examples/brp_balancing_day.py
 import numpy as np
 
 from repro.experiments import run_balancing
-from repro.node import HierarchySimulation, ScenarioConfig
+from repro.experiments.balancing import ScenarioConfig
 
 
 def ascii_profile(label: str, values: np.ndarray, width: int = 72, height: float | None = None) -> None:
@@ -30,22 +31,9 @@ def ascii_profile(label: str, values: np.ndarray, width: int = 72, height: float
 def main() -> None:
     config = ScenarioConfig(seed=3, n_brps=2, prosumers_per_brp=20)
 
-    # the report (printed table) ...
+    # the report (printed table) and the Figure-1 picture behind it
     report = run_balancing(config=config)
-
-    # ... and the Figure-1 picture behind it
-    simulation = HierarchySimulation(config)
-    start, horizon = config.day_start, config.horizon_slices
-    for prosumer in simulation.prosumers:
-        prosumer.plan_day(start, horizon, simulation.rng)
-    simulation.bus.dispatch_all()
-    before = simulation._total_load(start, horizon)
-    for brp in simulation.brps:
-        aggregates = brp.aggregate()
-        brp.schedule_and_disaggregate(aggregates, start, horizon, simulation.rng)
-    simulation.bus.dispatch_all()
-    after = simulation._total_load(start, horizon)
-    wind = simulation._wind_total
+    before, after, wind = report.demand_before, report.demand_after, report.wind
 
     top = max(before.max(), after.max(), wind.max())
     ascii_profile("wind production", wind, height=top)

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """The 3-level EDMS hierarchy with TSO-level scheduling and failure injection.
 
-Compares three ways of running the same planning day:
+Compares three ways of running the same planning day on the streaming
+runtime:
 
 * BRP-local scheduling (level 2), the default;
 * TSO-level scheduling (level 3): BRPs forward macro flex-offers upward, the
@@ -10,59 +11,34 @@ Compares three ways of running the same planning day:
 * BRP-local scheduling under a partial network outage — unreachable
   prosumers simply fall back to the open contract (graceful degradation).
 
-Also peeks into a node's dimensional store (the §3 data-management schema).
-
 Run:  python examples/hierarchy_simulation.py
 """
 
-from repro.node import HierarchySimulation, ScenarioConfig
-
-
-def describe(label: str, report) -> None:
-    print(
-        f"{label:<28} peak {report.peak_demand_before:6.1f} -> "
-        f"{report.peak_demand_after:6.1f}  "
-        f"imbalance {report.imbalance_before:7.0f} -> {report.imbalance_after:7.0f}  "
-        f"scheduled {report.offers_scheduled:>2}/{report.offers_submitted}  "
-        f"msgs {report.messages_delivered}"
-    )
+from repro.experiments import run_balancing
+from repro.experiments.balancing import ScenarioConfig
 
 
 def main() -> None:
     base = dict(seed=3, n_brps=2, prosumers_per_brp=20)
-
-    local = HierarchySimulation(ScenarioConfig(**base)).run()
-    describe("BRP-local scheduling", local)
-
-    tso = HierarchySimulation(ScenarioConfig(**base, use_tso=True)).run()
-    describe("TSO-level scheduling", tso)
-
-    outage = HierarchySimulation(
-        ScenarioConfig(
-            **base,
-            unreachable_prosumers=frozenset(
-                {"prosumer-0-0", "prosumer-0-1", "prosumer-1-5"}
-            ),
+    down = frozenset({"prosumer-0-0", "prosumer-0-1", "prosumer-1-5"})
+    for label, overrides in [
+        ("BRP-local scheduling", {}),
+        ("TSO-level scheduling", {"use_tso": True}),
+        ("BRP-local + 3 nodes down", {"unreachable_prosumers": down}),
+    ]:
+        config = ScenarioConfig(**base, **overrides)
+        report = run_balancing(config=config, verbose=False)
+        print(
+            f"{label:<28} peak {report.peak_demand_before:6.1f} -> "
+            f"{report.peak_demand_after:6.1f}  "
+            f"imbalance {report.imbalance_before:7.0f} -> {report.imbalance_after:7.0f}  "
+            f"scheduled {report.offers_scheduled:>2}/{report.offers_submitted}"
         )
-    ).run()
-    describe("BRP-local + 3 nodes down", outage)
     print(
-        f"  outage: {outage.messages_dropped} messages dropped; the affected "
-        f"prosumers fell back to the open contract, the rest were scheduled."
+        f"  outage: {report.schedules_undelivered} schedules never arrived; the "
+        f"affected prosumers fell back to the open contract, the rest were "
+        f"scheduled."
     )
-
-    # --- a look inside one node's data-management component ----------------
-    simulation = HierarchySimulation(ScenarioConfig(**base))
-    report = simulation.run()
-    prosumer = simulation.prosumers[0]
-    store = prosumer.store
-    print(f"\ninside {prosumer.name}'s LEDMS store (star/snowflake schema):")
-    print(f"  offer lifecycle: {store.state_counts()}")
-    facts = store.schema.facts["measurement"]
-    rows = store.schema.join_facts("measurement", expand=["actor", "energy_type"])
-    total = sum(r["energy_kwh"] for r in rows)
-    print(f"  {len(facts)} measurement facts, {total:.1f} kWh total, "
-          f"first actor role: {rows[0]['actor.role']}")
 
 
 if __name__ == "__main__":

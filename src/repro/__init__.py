@@ -11,7 +11,7 @@ The library implements the full LEDMS node stack described in the paper:
 * :mod:`repro.scheduling` — cost model, greedy & evolutionary schedulers (§6)
 * :mod:`repro.negotiation` — flexibility pricing and acceptance (§7)
 * :mod:`repro.datamgmt` — dimensional (star/snowflake) data store (§3)
-* :mod:`repro.node` — LEDMS node runtime and the 3-level hierarchy (§§2-3, 8)
+* :mod:`repro.node` — the message bus between nodes, prosumer device models
 * :mod:`repro.runtime` — streaming service loop: event-driven ingest,
   incremental aggregation, triggered scheduling, load generation
 * :mod:`repro.datagen` — synthetic workloads standing in for the paper's data

@@ -1,13 +1,8 @@
-"""Node architecture and the 3-level EDMS hierarchy (paper §§2-3, 8).
+"""The message bus between LEDMS nodes and the prosumer device models.
 
-Public API::
-
-    from repro.node import (
-        Message, MessageType, MessageBus,
-        Device, BaseLoad, EVCharger, WashingMachine, SolarPanel, MicroCHP,
-        ProsumerNode, BrpNode, TsoNode,
-        ScenarioConfig, HierarchySimulation, BalancingReport,
-    )
+The cluster runtime's BRPs and TSO talk over the bus
+(:mod:`repro.runtime.cluster`); the devices are the households of Fig. 1's
+balancing day (:mod:`repro.experiments.balancing`).
 """
 
 from .bus import MessageBus
@@ -22,8 +17,6 @@ from .devices import (
     default_household,
 )
 from .messages import Message, MessageType
-from .node import BrpDayResult, BrpNode, LedmsNode, ProsumerNode, TsoNode
-from .simulation import BalancingReport, HierarchySimulation, ScenarioConfig
 
 __all__ = [
     "MessageBus",
@@ -37,12 +30,4 @@ __all__ = [
     "SolarPanel",
     "MicroCHP",
     "default_household",
-    "LedmsNode",
-    "ProsumerNode",
-    "BrpNode",
-    "TsoNode",
-    "BrpDayResult",
-    "ScenarioConfig",
-    "HierarchySimulation",
-    "BalancingReport",
 ]

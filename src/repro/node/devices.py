@@ -263,7 +263,6 @@ class MicroCHP(Device):
         earliest = day_start + 6 * per_hour
         latest = day_start + 21 * per_hour - duration
         hours_per_slice = 1.0 / per_hour
-        hi_power, lo_power = self.power_band_kw
         return [
             flex_offer(
                 # production: energies negative; min is the *most* production

@@ -14,8 +14,7 @@ three layers with one loop each:
   snapshot, a returned scheduled macro is disaggregated locally;
 * :class:`ClusterRuntime` — the TSO head (:class:`BusAdapter` bridging the
   :class:`~repro.node.bus.MessageBus` onto the driver, plus the
-  :class:`TsoRuntimeService`, the streaming equivalent of
-  :meth:`repro.node.node.TsoNode.schedule`) and the cluster loop: start
+  :class:`TsoRuntimeService`) and the cluster loop: start
   the hosts, advance epoch by epoch with a barrier after each, drain the
   hosts, drain the TSO, collect results into a :class:`ClusterReport`.
 
@@ -641,6 +640,9 @@ class TsoRuntimeService:
         self._pending_refreshes = 0
         self._last_run_time = -math.inf
         self.last_plan_cost = float("nan")
+        #: The last non-empty :class:`~repro.runtime.planning.WindowPlan`
+        #: (scheduled supers and their unclipped originals), or ``None``.
+        self.last_plan = None
         # The same planner as the BRP tier, keyed by the super-aggregate's
         # member-macro-id join.
         self.session = PlanSession(
@@ -811,6 +813,7 @@ class TsoRuntimeService:
             time.perf_counter() - t0
         )
         result = plan.result
+        self.last_plan = plan
         # Refresh the reverse index driving per-sender dirty marking.
         self._keys_by_brp = {}
         for key, original in zip(plan.keys, plan.originals):

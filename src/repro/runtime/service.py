@@ -1,7 +1,8 @@
 """The event-driven BRP service loop: ingest → aggregate → schedule → disaggregate.
 
-This is the online counterpart of :mod:`repro.node.simulation`'s one-shot
-planning day.  A :class:`BrpRuntimeService` consumes a continuous stream of
+This is the paper's BRP node, run online (Fig. 1's one-shot planning day,
+:mod:`repro.experiments.balancing`, runs on it too).  A
+:class:`BrpRuntimeService` consumes a continuous stream of
 flex-offer arrivals over a pluggable :class:`~repro.runtime.drivers.TimeDriver`
 (deterministic simulated time by default; real time via
 :class:`~repro.runtime.drivers.WallClockDriver`),
@@ -907,15 +908,14 @@ class BrpRuntimeService:
     def apply_remote_schedule(self, scheduled) -> int:
         """Commit a TSO-scheduled macro back onto this node's members.
 
-        The downlink of the cluster's level-3 path — the streaming
-        counterpart of :meth:`repro.node.node.BrpNode.
-        disaggregate_tso_schedule`.  ``scheduled`` fixes one of this node's
-        own published aggregates (see :attr:`last_plan_originals`); its
-        admissible start shift maps to every member as-is (the §4
-        disaggregation guarantee), and those start commitments replace
-        whatever the local plan had committed — the TSO's system-wide
-        placement wins.  Like the local `_disaggregate` path, only start
-        commitments are derived here; per-slice energy disaggregation
+        The downlink of the cluster's level-3 path.  ``scheduled`` fixes one
+        of this node's own published aggregates (see
+        :attr:`last_plan_originals`); its admissible start shift maps to
+        every member as-is (the §4 disaggregation guarantee), and those
+        start commitments replace whatever the local plan had committed —
+        the TSO's system-wide placement wins.  Like the local
+        `_disaggregate` path, only start commitments are derived here;
+        per-slice energy disaggregation
         (:func:`repro.aggregation.disaggregate`) stays a dispatch-time
         concern.  Members that retired, or were replaced by an ``update``,
         while the plan travelled are skipped.  Returns the number of

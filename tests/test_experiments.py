@@ -24,7 +24,7 @@ from repro.experiments.ablations import (
     run_hybrid_scheduling,
     run_price_grouping,
 )
-from repro.node import ScenarioConfig
+from repro.experiments.balancing import ScenarioConfig
 
 
 class TestReporting:

@@ -1,21 +1,27 @@
-"""Tests for the message bus, devices, nodes and the end-to-end simulation."""
+"""Tests for the message bus, the device models and Fig. 1's balancing day."""
 
 import numpy as np
 import pytest
 
-from repro.core import ScheduledFlexOffer, flex_offer
+from repro.core import ScheduledFlexOffer
 from repro.core.errors import CommunicationError
 from repro.core.timebase import DEFAULT_AXIS
+from repro.experiments.balancing import (
+    ScenarioConfig,
+    draw_scenario,
+    executions,
+    fallback_execution,
+    plan_day,
+    prosumer_day,
+    run_balancing,
+)
 from repro.node import (
     BaseLoad,
     EVCharger,
-    HierarchySimulation,
     Message,
     MessageBus,
     MessageType,
     MicroCHP,
-    ProsumerNode,
-    ScenarioConfig,
     SolarPanel,
     WashingMachine,
     default_household,
@@ -125,152 +131,182 @@ class TestDevices:
             assert any(isinstance(d, BaseLoad) for d in devices)
 
 
-class TestProsumerNode:
-    def _node(self, devices=None):
-        bus = MessageBus()
-        bus.register("brp", lambda m: None)
-        node = ProsumerNode(
-            "p1", AXIS, bus, devices or [EVCharger(AXIS, use_probability=1.0)], "brp"
-        )
-        return node, bus
+class TestProsumerDay:
+    """One household's day and what its offers actually run."""
 
-    def test_plan_day_submits_offers_and_baseline(self):
-        node, bus = self._node()
-        node.plan_day(0, 144, np.random.default_rng(0))
-        assert len(node.pending) == 1
-        assert bus.pending == 2  # measurement + offer
-        bus.dispatch_all()
-        assert bus.delivered[MessageType.FLEX_OFFER_SUBMIT] == 1
+    def _offers(self, *devices, horizon=144, seed=0):
+        devices = devices or (BaseLoad(AXIS), EVCharger(AXIS, use_probability=1.0))
+        config = ScenarioConfig(horizon_slices=horizon)
+        return prosumer_day("p1", list(devices), config, np.random.default_rng(seed))
+
+    def _ev_and_washer(self):
+        _, offers = self._offers(
+            EVCharger(AXIS, use_probability=1.0),
+            WashingMachine(AXIS, run_probability=1.0),
+        )
+        return offers
+
+    def test_prosumer_day_draws_offers_and_baseline(self):
+        baseline, offers = self._offers()
+        assert len(baseline) == 144
+        assert [offer.owner for offer in offers] == ["p1"]
 
     def test_fallback_execution_when_no_schedule_arrives(self):
-        node, _ = self._node()
-        node.plan_day(0, 144, np.random.default_rng(0))
-        executions = node.executions()
-        assert len(executions) == 1
-        offer = list(node.pending.values())[0]
-        assert executions[0].start == offer.earliest_start
-        assert executions[0].energies == offer.profile.max_energies()
+        _, offers = self._offers()
+        (run,) = executions(offers, {}, set())
+        assert run.start == offers[0].earliest_start
+        assert run.energies == offers[0].profile.max_energies()
 
-    def test_schedule_message_overrides_fallback(self):
-        node, _ = self._node()
-        node.plan_day(0, 144, np.random.default_rng(0))
-        offer = list(node.pending.values())[0]
+    def test_schedule_overrides_fallback(self):
+        _, (offer,) = self._offers()
         scheduled = ScheduledFlexOffer.at_minimum(offer, start=offer.latest_start)
-        node.handle_message(
-            Message("brp", "p1", MessageType.SCHEDULED_FLEX_OFFER, scheduled, 0)
-        )
-        assert node.executions()[0].start == offer.latest_start
+        assert executions([offer], {offer.offer_id: scheduled}, set()) == [scheduled]
 
     def test_production_fallback_runs_at_full_output(self):
-        node, _ = self._node([MicroCHP(AXIS, run_probability=1.0)])
-        node.plan_day(0, 144, np.random.default_rng(1))
-        execution = node.executions()[0]
-        offer = list(node.pending.values())[0]
-        assert execution.energies == offer.profile.min_energies()
+        _, (offer,) = self._offers(MicroCHP(AXIS, run_probability=1.0), seed=1)
+        assert fallback_execution(offer).energies == offer.profile.min_energies()
 
     def test_realized_load_includes_flex(self):
-        node, _ = self._node()
-        node.plan_day(0, 144, np.random.default_rng(0))
-        load = node.realized_load(0, 144)
-        assert load.total() > 0
+        config = ScenarioConfig(seed=1, n_brps=1, prosumers_per_brp=6)
+        baselines = draw_scenario(config).baselines.values()
+        report = run_balancing(config=config, verbose=False)
+        assert report.demand_before.sum() > sum(b.sum() for b in baselines) > 0
 
-    def test_rejected_offers_do_not_run_or_inflate_realized_load(self):
+    def test_rejected_offers_do_not_run(self):
         """A BRP-rejected offer has no contract: no fallback execution."""
-        node, _ = self._node()
-        node.plan_day(0, 144, np.random.default_rng(0))
-        offer = list(node.pending.values())[0]
-        with_fallback = node.realized_load(0, 144).total()
-        node.handle_message(
-            Message("brp", "p1", MessageType.FLEX_OFFER_REJECT, offer, 0)
-        )
-        assert offer.offer_id in node.rejected  # the set is consulted...
-        assert node.executions() == []  # ...and the fallback is skipped
-        rejected_load = node.realized_load(0, 144).total()
-        assert rejected_load < with_fallback
-        # Only the baseline remains.
-        assert rejected_load == pytest.approx(node._baseline.values.sum())
+        _, offers = self._offers()
+        assert executions(offers, {}, {offers[0].offer_id}) == []
 
     def test_rejected_offer_leaves_other_executions_intact(self):
-        node, _ = self._node(
-            [
-                EVCharger(AXIS, use_probability=1.0),
-                WashingMachine(AXIS, run_probability=1.0),
-            ]
-        )
-        node.plan_day(0, 144, np.random.default_rng(0))
-        assert len(node.pending) == 2
-        first, second = node.pending.values()
-        node.handle_message(
-            Message("brp", "p1", MessageType.FLEX_OFFER_REJECT, first, 0)
-        )
-        executions = node.executions()
-        assert len(executions) == 1
-        assert executions[0].offer.offer_id == second.offer_id
+        first, second = self._ev_and_washer()
+        runs = executions([first, second], {}, {first.offer_id})
+        assert [run.offer.offer_id for run in runs] == [second.offer_id]
 
-    def test_plan_day_with_horizon_shorter_than_a_day(self):
+    def test_unreachable_prosumer_runs_every_offer_on_the_open_contract(self):
+        """Cut off, it hears neither its schedules nor its rejections."""
+        first, second = self._ev_and_washer()
+        plan = {first.offer_id: ScheduledFlexOffer.at_minimum(first)}
+        runs = executions([first, second], plan, {second.offer_id}, reachable=False)
+        assert runs == [fallback_execution(first), fallback_execution(second)]
+
+    def test_prosumer_day_with_horizon_shorter_than_a_day(self):
         """A horizon below slices_per_day keeps the overlapping baseline."""
-        node, bus = self._node()
-        horizon = PER_DAY // 2
-        node.plan_day(0, horizon, np.random.default_rng(0))  # must not raise
-        assert len(node._baseline) == horizon
-        full_node, _ = self._node()
-        full_node.plan_day(0, PER_DAY, np.random.default_rng(0))
-        np.testing.assert_allclose(
-            node._baseline.values, full_node._baseline.values[:horizon]
-        )
+        baseline, _ = self._offers(horizon=PER_DAY // 2)
+        full, _ = self._offers(horizon=PER_DAY)
+        np.testing.assert_array_equal(baseline, full[: PER_DAY // 2])
 
 
-class TestHierarchySimulation:
+# Seed-3 days on the streaming runtime.  "Before" numbers, counts and
+# compensation equal the deleted one-shot node stack's bit for bit; "after"
+# moved (flat market, the runtime's scheduler RNG, clip-based eligibility).
+BEFORE_SEED_3 = (44.05103402506857, 771.4171012711372, 0.3881784126756211)
+
+
+def _report(**overrides):
+    return run_balancing(config=ScenarioConfig(seed=3, **overrides), verbose=False)
+
+
+def _assert_pinned(r, after, scheduled, undelivered=0):
+    assert (r.peak_demand_before, r.imbalance_before, r.res_utilization_before) == (
+        BEFORE_SEED_3
+    )
+    assert (r.offers_submitted, r.offers_accepted, r.aggregate_count) == (62, 62, 15)
+    assert r.compensation_eur == 39.43155283290004
+    assert (r.peak_demand_after, r.imbalance_after, r.res_utilization_after) == after
+    assert (r.offers_scheduled, r.schedules_undelivered) == (scheduled, undelivered)
+
+
+class TestBalancingDay:
     def test_balancing_improves(self):
-        report = HierarchySimulation(ScenarioConfig(seed=3)).run()
-        assert report.offers_submitted > 0
+        report = _report()
+        _assert_pinned(report, (15.0, 407.77772107660434, 0.5370012980764652), 62)
         assert report.offers_scheduled == report.offers_submitted
         assert report.peak_demand_after < report.peak_demand_before
         assert report.imbalance_after < report.imbalance_before
         assert report.res_utilization_after >= report.res_utilization_before
 
     def test_tso_path_schedules_everything(self):
-        report = HierarchySimulation(
-            ScenarioConfig(seed=3, use_tso=True)
-        ).run()
+        report = _report(use_tso=True)
+        _assert_pinned(report, (15.0, 417.8235044527785, 0.5168946863302478), 62)
         assert report.offers_scheduled == report.offers_submitted
         assert report.imbalance_after < report.imbalance_before
 
     def test_outage_falls_back_gracefully(self):
         """Unreachable prosumers lose their schedules but the day completes —
         the paper's graceful-degradation claim."""
-        config = ScenarioConfig(
-            seed=3, unreachable_prosumers=frozenset({"prosumer-0-0"})
-        )
-        report = HierarchySimulation(config).run()
-        assert report.messages_dropped > 0
+        down = frozenset({"prosumer-0-0", "prosumer-1-3"})
+        report = _report(unreachable_prosumers=down)
+        _assert_pinned(report, (13.5, 423.77772107660434, 0.5370012980764652), 60, 2)
         assert report.offers_scheduled < report.offers_submitted
         assert report.imbalance_after < report.imbalance_before  # still helps
 
     def test_deterministic_under_seed(self):
-        a = HierarchySimulation(ScenarioConfig(seed=11)).run()
-        b = HierarchySimulation(ScenarioConfig(seed=11)).run()
+        a = run_balancing(config=ScenarioConfig(seed=11), verbose=False)
+        b = run_balancing(config=ScenarioConfig(seed=11), verbose=False)
         assert a.imbalance_after == b.imbalance_after
         assert a.offers_submitted == b.offers_submitted
 
-    def test_message_accounting(self):
-        report = HierarchySimulation(ScenarioConfig(seed=5)).run()
-        # every prosumer sends one baseline measurement plus its offers, and
-        # gets an accept + a schedule back for each offer
-        expected_minimum = (
-            2 * ScenarioConfig().prosumers_per_brp  # baselines, both BRPs
-            + 3 * report.offers_submitted
+    @pytest.mark.parametrize("use_tso", [False, True], ids=["local", "tso"])
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    def test_fig1_holds(self, seed, use_tso):
+        report = run_balancing(
+            config=ScenarioConfig(seed=seed, use_tso=use_tso), verbose=False
         )
-        assert report.messages_delivered >= expected_minimum
+        assert report.offers_scheduled == report.offers_accepted
+        assert report.peak_demand_after < report.peak_demand_before
+        assert report.imbalance_after < report.imbalance_before
+        assert report.res_utilization_after >= report.res_utilization_before
+
+    @pytest.mark.parametrize("use_tso", [False, True], ids=["local", "tso"])
+    def test_dispatch_follows_the_runtime_commitments(self, use_tso):
+        """Every dispatched schedule starts where the runtime committed the
+        offer — under a TSO, where its remote schedule moved it."""
+        config = ScenarioConfig(seed=3, use_tso=use_tso)
+        scenario = draw_scenario(config)
+        plan = plan_day(scenario, config)
+        moved = 0
+        for brp, client in plan.clients.items():
+            service = client.service
+            starts = [planned.start for planned in service.last_schedule]
+            local = {  # the BRP's own last plan, member by member
+                member.offer_id: member.earliest_start + start - macro.earliest_start
+                for start, macro in zip(starts, service.last_plan_originals)
+                for member in macro.members
+            }
+            for offer in scenario.agreed[brp]:
+                oid = offer.offer_id
+                if use_tso:
+                    committed = plan.cluster.committed_starts[brp][oid]
+                else:
+                    committed = client.query_offer(oid).committed_start
+                assert plan.schedules[oid].start == committed
+                moved += local[oid] != committed
+        assert (moved > 0) == use_tso
+
+    @pytest.mark.parametrize("horizon, use_tso", [(96, False), (96, True), (48, True)])
+    def test_short_horizon_falls_back(self, horizon, use_tso):
+        """Offers that cannot finish inside the planning window stay
+        unplanned and run on the open contract; the day completes."""
+        config = ScenarioConfig(seed=3, horizon_slices=horizon, use_tso=use_tso)
+        scenario = draw_scenario(config)
+        plan = plan_day(scenario, config)
+        end = config.day_start + 1 + horizon  # the window opens a slice later
+        offers = [offer for day in scenario.offers.values() for offer in day]
+        late = [offer for offer in offers if offer.latest_end > end]
+        assert late and plan.schedules
+        for offer in late:
+            assert offer.offer_id not in plan.schedules
+            (run,) = executions([offer], plan.schedules, scenario.rejected)
+            assert run == fallback_execution(offer)
+        report = run_balancing(config=config, verbose=False)
+        assert report.offers_scheduled == len(plan.schedules) < len(offers)
 
 
 class TestBrpNegotiation:
     def test_compensation_accumulates(self):
-        report = HierarchySimulation(ScenarioConfig(seed=3)).run()
-        total = sum(r.compensation_eur for r in report.brp_results.values())
-        assert total > 0  # every accepted offer was priced via negotiation
-        accepted = sum(r.accepted for r in report.brp_results.values())
-        assert total < accepted * 2.0  # bounded by per-offer value scale
+        report = _report()
+        assert report.compensation_eur > 0  # every accepted offer was priced
+        assert report.compensation_eur < report.offers_accepted * 2.0
 
 
 class TestHeatPump:
