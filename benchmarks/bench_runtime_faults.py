@@ -28,8 +28,7 @@ import os
 import time
 
 from conftest import smoke_mode
-from repro.api import LedmsClient
-from repro.api.ledger import JsonlEventLog, MemoryEventLog, OfferLedger
+from repro.api import JsonlEventLog, LedmsClient, MemoryEventLog, OfferLedger
 from repro.experiments import scale_factor
 from repro.experiments.reporting import print_table
 from repro.runtime import service as service_module

@@ -10,9 +10,10 @@ same request/response surface a deployed MIRABEL node would expose.
 Run:  PYTHONPATH=src python examples/quickstart.py
 """
 
-from repro.api import LedmsClient, OfferLedger
-from repro.api.config import (
+from repro.api import (
     IngestConfig,
+    LedmsClient,
+    OfferLedger,
     SchedulingConfig,
     ServiceConfig,
     build_trigger,

@@ -119,8 +119,34 @@ def _print_registry() -> None:
 # ----------------------------------------------------------------------
 # runtime subcommands
 # ----------------------------------------------------------------------
+#: Flags that set a :class:`~repro.runtime.config.ServiceConfig` field:
+#: flag -> (flat field name, help).  Each default is read off a default
+#: ``ServiceConfig()`` and the config is built with ``from_flat``, so the
+#: CLI and the library cannot disagree.  ``--seed`` seeds the scheduler
+#: too, but it also seeds the stream, so it stays a flag of its own.
+SERVICE_FLAGS: dict[str, tuple[str, str]] = {
+    "--batch": ("batch_size", "pending updates per incremental aggregation run"),
+    "--horizon": ("horizon_slices", "rolling scheduling horizon in slices"),
+    "--passes": ("scheduler_passes", "greedy passes per scheduling run"),
+    "--min-run-interval": (
+        "min_run_interval_slices", "cooldown between scheduling runs (slices)",
+    ),
+    "--engine": ("engine", "aggregation engine, by registry name"),
+    "--scheduler": (
+        "scheduler",
+        "scheduling engine, by registry name (needs the 'runtime' capability)",
+    ),
+    "--target-p95-slices": (
+        "target_p95_slices",
+        "closed-loop latency target: auto-tune the BRP trigger thresholds "
+        "and the TSO re-run cooldown toward this p95 (slices)",
+    ),
+}
+
+
 def _runtime_parser(command: str) -> argparse.ArgumentParser:
-    from .api.ledger import FSYNC_MODES
+    from .ledger import FSYNC_MODES
+    from .runtime.config import ServiceConfig
 
     parser = argparse.ArgumentParser(
         prog=f"python -m repro {command}",
@@ -146,17 +172,14 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         help="simulated slices to run (default 600 = 6.25 days at 15 min)",
     )
     parser.add_argument("--seed", type=int, default=42, help="stream + scheduler seed")
-    parser.add_argument(
-        "--batch", type=int, default=64,
-        help="pending updates per incremental aggregation run",
-    )
-    parser.add_argument(
-        "--horizon", type=int, default=192,
-        help="rolling scheduling horizon in slices",
-    )
-    parser.add_argument(
-        "--passes", type=int, default=2, help="greedy passes per scheduling run"
-    )
+    defaults = ServiceConfig().flat()
+    for flag, (name, text) in SERVICE_FLAGS.items():
+        default = defaults[name]  # None only for the optional float target
+        parser.add_argument(
+            flag, default=default,
+            type=float if default is None else type(default),
+            help=f"{text}; default %(default)s, from ServiceConfig {name}",
+        )
     parser.add_argument(
         "--trigger", metavar="SPEC", action="append", default=None,
         help="trigger policy spec 'kind' or 'kind:key=val,...' by registry "
@@ -164,24 +187,6 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         "repeatable — multiple specs combine with the 'any' composite; "
         "default: the library's count/age/imbalance policy "
         "(repro.runtime.config.default_trigger)",
-    )
-    parser.add_argument(
-        "--target-p95-slices", type=float, default=None,
-        help="closed-loop latency target: auto-tune the BRP trigger "
-        "thresholds and the TSO re-run cooldown toward this p95 (slices)",
-    )
-    parser.add_argument(
-        "--min-run-interval", type=float, default=2.0,
-        help="cooldown between scheduling runs (slices)",
-    )
-    parser.add_argument(
-        "--engine", default="packed",
-        help="aggregation engine, by registry name (see repro.api.registry)",
-    )
-    parser.add_argument(
-        "--scheduler", default="greedy",
-        help="scheduling engine, by registry name (needs the 'runtime' "
-        "capability)",
     )
     parser.add_argument(
         "--driver", default="simulated",
@@ -307,22 +312,14 @@ def _load_config_file(
     args, _ = probe.parse_known_args(argv)
     if args.config is None:
         return None
-    import json
-
     flags = {
         action.dest: action
         for action in parser._actions
         if action.dest not in ("help", "config")
     }
-    try:
-        with open(args.config) as handle:
-            values = json.load(handle)
-    except OSError as exc:
-        return f"cannot read --config file: {exc}"
-    except json.JSONDecodeError as exc:
-        return f"--config file is not valid JSON: {exc}"
-    if not isinstance(values, dict):
-        return "--config file must hold a JSON object of flag values"
+    values, error = _read_json_object(args.config, "--config")
+    if error is not None:
+        return error
     values = {key.replace("-", "_"): value for key, value in values.items()}
     unknown = sorted(set(values) - set(flags))
     if unknown:
@@ -337,6 +334,23 @@ def _load_config_file(
             return f"bad value for {command} config key {key!r}: {exc}"
     parser.set_defaults(**values)
     return None
+
+
+def _read_json_object(path: str, flag: str):
+    """``(object, None)`` from a ``--config``/``--cluster`` JSON file, or
+    ``(None, error)``."""
+    import json
+
+    try:
+        with open(path) as handle:
+            value = json.load(handle)
+    except OSError as exc:
+        return None, f"cannot read {flag} file: {exc}"
+    except json.JSONDecodeError as exc:
+        return None, f"{flag} file is not valid JSON: {exc}"
+    if not isinstance(value, dict):
+        return None, f"{flag} file must hold a JSON object"
+    return value, None
 
 
 def _config_value(flag: argparse.Action, value):
@@ -412,23 +426,16 @@ def _usage_error(message: str) -> int:
 
 def _run_runtime(command: str, argv: list[str]) -> int:
     from .api import (
-        KIND_AGGREGATION,
         KIND_DRIVER,
         KIND_EXPORTER,
-        KIND_SCHEDULER,
         LedmsClient,
+        ServiceConfig,
+        WorkerCrashError,
+        build_trigger,
         default_registry,
     )
-    from .api.config import (
-        AggregationConfig,
-        IngestConfig,
-        SchedulingConfig,
-        ServiceConfig,
-        build_trigger,
-    )
     from .core.errors import ServiceError
-    from .runtime import LoadGenerator, parse_outage
-    from .runtime.config import default_trigger
+    from .runtime import parse_outage
 
     parser = _runtime_parser(command)
     error = _load_config_file(parser, command, argv)
@@ -436,25 +443,11 @@ def _run_runtime(command: str, argv: list[str]) -> int:
         return _usage_error(error)
     args = parser.parse_args(argv)
 
-    # Engine/scheduler/driver names are validated against the registry so
-    # the rejection message always carries the currently-known name set.
-    registry = default_registry()
-    for kind, name in (
-        (KIND_AGGREGATION, args.engine),
-        (KIND_SCHEDULER, args.scheduler),
-        (KIND_DRIVER, args.driver),
-        (KIND_EXPORTER, args.metrics_format),
-    ):
-        if not registry.has(kind, name):
-            known = ", ".join(registry.names(kind)) or "<none>"
-            return _usage_error(
-                f"unknown {kind} {name!r}; known {kind} names: {known}"
-            )
-
     if args.cluster is not None and args.brps != 1:
         return _usage_error("--cluster and --brps are mutually exclusive")
     if args.brps <= 0:
         return _usage_error(f"--brps must be positive, got {args.brps}")
+    cluster_mode = args.cluster is not None or args.brps > 1
 
     # Fault-injection and durability knobs are validated up front so a bad
     # spec never starts a (potentially long) run.
@@ -473,8 +466,9 @@ def _run_runtime(command: str, argv: list[str]) -> int:
         )
     if args.workers < 0:
         return _usage_error(f"--workers must be >= 0, got {args.workers}")
+    report_every = getattr(args, "report_every", None)
     if args.workers > 0:
-        if args.cluster is None and args.brps == 1:
+        if not cluster_mode:
             return _usage_error(
                 "--workers needs cluster mode (--brps K or --cluster)"
             )
@@ -493,16 +487,16 @@ def _run_runtime(command: str, argv: list[str]) -> int:
                 f"--epoch-slices must be positive, got "
                 f"{args.epoch_slices}"
             )
-        if getattr(args, "report_every", None) is not None:
+        if report_every is not None:
             return _usage_error(
                 "--report-every is not supported with --workers (the "
                 "BRPs it reports on live in the worker processes)"
             )
-    elif command == "serve" and args.report_every is None:
-        args.report_every = 96.0
+    elif command == "serve" and report_every is None:
+        report_every = 96.0
     outages = []
     if args.outage:
-        if args.cluster is None and args.brps == 1:
+        if not cluster_mode:
             return _usage_error(
                 "--outage needs cluster mode (--brps K or --cluster)"
             )
@@ -511,72 +505,110 @@ def _run_runtime(command: str, argv: list[str]) -> int:
                 outages.append(parse_outage(spec))
             except ServiceError as exc:
                 return _usage_error(str(exc))
+    cluster_spec = None
+    if args.cluster is not None:
+        cluster_spec, error = _read_json_object(args.cluster, "--cluster")
+        if error is not None:
+            return _usage_error(error)
 
+    # With --log-json the event stream owns stdout; everything human-facing
+    # moves to stderr.
+    out = sys.stderr if args.log_json else sys.stdout
     try:
-        trigger = (
-            build_trigger([_parse_trigger_spec(spec) for spec in args.trigger])
-            if args.trigger
-            else default_trigger()
-        )
-        config = ServiceConfig(
-            aggregation=AggregationConfig(engine=args.engine),
-            scheduling=SchedulingConfig(
-                horizon_slices=args.horizon,
-                scheduler=args.scheduler,
-                scheduler_passes=args.passes,
-                trigger=trigger,
-                min_run_interval_slices=args.min_run_interval,
-                seed=args.seed,
-                target_p95_slices=args.target_p95_slices,
-            ),
-            ingest=IngestConfig(batch_size=args.batch),
-        )
+        # Unknown engine/scheduler/driver/exporter names raise a
+        # RegistryError carrying the known names.
+        flat = {
+            name: getattr(args, flag[2:].replace("-", "_"))
+            for flag, (name, _) in SERVICE_FLAGS.items()
+        }
+        if args.trigger:
+            flat["trigger"] = build_trigger(
+                [_parse_trigger_spec(spec) for spec in args.trigger]
+            )
+        config = ServiceConfig.from_flat(seed=args.seed, **flat)
+        registry = default_registry()
         driver_kwargs = (
             {"slices_per_second": args.slices_per_second}
             if args.driver == "wallclock"
             else {}
         )
         driver = registry.create(KIND_DRIVER, args.driver, **driver_kwargs)
+        render = registry.create(KIND_EXPORTER, args.metrics_format)
         tracer, writers = _build_tracer(args)
-        if args.cluster is not None or args.brps > 1:
-            return _run_cluster(
-                command, args, config, driver, tracer, writers, outages
+        if cluster_mode:
+            node = _build_cluster(
+                args, config, cluster_spec, driver, tracer, outages
             )
-        ledger = _make_ledger(args)
-        client = LedmsClient(config, driver=driver, tracer=tracer, ledger=ledger)
-        generator = LoadGenerator(rate_per_hour=args.rate, seed=args.seed)
+            arrivals = {
+                name: _stream(args, index)
+                for index, name in enumerate(node.config.brps)
+            }
+            placement = (
+                f" across {args.workers} worker processes"
+                if args.workers > 0
+                else ""
+            )
+            scope = (
+                f"cluster of {len(arrivals)} BRPs + TSO{placement}, "
+                f"rate={args.rate}/h per BRP,"
+            )
+            run, shutdown = node.run, node.trace_shutdown
+        else:
+            node = LedmsClient(
+                config, driver=driver, tracer=tracer, ledger=_make_ledger(args)
+            )
+            arrivals, scope = _stream(args), f"rate={args.rate}/h"
+            run, shutdown = node.run_stream, node.service.trace_shutdown
     except ServiceError as exc:
         return _usage_error(f"invalid {command} configuration: {exc}")
-    # With --log-json the event stream owns stdout; everything human-facing
-    # moves to stderr.
-    out = sys.stderr if args.log_json else sys.stdout
     print(
-        f"### {command}: rate={args.rate}/h duration={args.duration} slices "
+        f"### {command}: {scope} duration={args.duration} slices "
         f"seed={args.seed} driver={args.driver}",
         file=out,
     )
     try:
-        report = client.run_stream(
-            generator.hostile_stream(
-                0.0,
-                args.duration,
-                duplicate_rate=args.duplicate_rate,
-                reorder_window=args.reorder_window,
-                seed=args.seed,
-            ),
+        report = run(
+            arrivals,
             args.duration,
-            report_every=getattr(args, "report_every", None),
+            report_every=report_every,
             report_sink=lambda line: print(line, file=out),
         )
+    except WorkerCrashError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EXPERIMENT_FAILED
     except ServiceError as exc:
         return _usage_error(f"invalid {command} configuration: {exc}")
     if tracer is not None:
-        client.service.trace_shutdown()
+        shutdown()
     for writer in writers:
         writer.close()
     print(report.as_text(), file=out)
-    _emit_metrics(args, registry, client.service.metrics, out)
+    metrics = node.metrics() if cluster_mode else node.service.metrics
+    if args.metrics:
+        print(file=out)
+        print(render(metrics), file=out, end="")
+    if args.metrics_json is not None:
+        from .obs import render_metrics_json
+
+        with open(args.metrics_json, "w", encoding="utf-8") as handle:
+            handle.write(render_metrics_json(metrics))
+            handle.write("\n")
     return EXIT_OK
+
+
+def _stream(args, index: int = 0):
+    """The ``--rate``/``--duration``/fault-flag stream of BRP ``index``,
+    seeded ``--seed + index`` (per-BRP traffic differs, the run does not)."""
+    from .runtime import LoadGenerator
+
+    seed = args.seed + index
+    return LoadGenerator(rate_per_hour=args.rate, seed=seed).hostile_stream(
+        0.0,
+        args.duration,
+        duplicate_rate=args.duplicate_rate,
+        reorder_window=args.reorder_window,
+        seed=seed,
+    )
 
 
 def _make_ledger(args, name: str | None = None):
@@ -589,7 +621,7 @@ def _make_ledger(args, name: str | None = None):
         return None
     import os
 
-    from .api.ledger import JsonlEventLog, OfferLedger
+    from .ledger import JsonlEventLog, OfferLedger
 
     directory = args.ledger if name is None else os.path.join(args.ledger, name)
     log = JsonlEventLog(directory, fsync=args.fsync)
@@ -622,75 +654,35 @@ def _build_tracer(args):
     return tracer, writers
 
 
-def _emit_metrics(args, registry, metrics, out) -> None:
-    """Apply the --metrics / --metrics-json flags to one registry."""
-    from .api import KIND_EXPORTER
-    from .obs import render_metrics_json
+def _build_cluster(args, config, spec, driver, tracer, outages):
+    """The cluster of serve/loadtest's multi-node mode: K BRPs + TSO.
 
-    if args.metrics:
-        render = registry.create(KIND_EXPORTER, args.metrics_format)
-        print(file=out)
-        print(render(metrics), file=out, end="")
-    if args.metrics_json is not None:
-        with open(args.metrics_json, "w", encoding="utf-8") as handle:
-            handle.write(render_metrics_json(metrics))
-            handle.write("\n")
-
-
-def _run_cluster(
-    command: str, args, config, driver, tracer, writers, outages=()
-) -> int:
-    """Multi-node mode of serve/loadtest: K BRPs + TSO over the bus.
-
-    ``--cluster FILE.json`` supplies per-BRP service sections and the TSO
-    section, layered over the flag-derived base config; ``--brps K``
-    replicates the flag-derived config as-is.  Every BRP replays its own
-    Poisson stream (seeded ``--seed + index``, so per-BRP traffic differs
-    but the whole cluster run is deterministic).  With ``--ledger DIR``
-    each BRP journals into ``DIR/<name>``; ``--outage`` specs schedule
-    bus-reachability toggles on the shared driver.  ``--workers N`` only
-    chooses the runtime class: the same cluster with its BRPs in N forked
-    worker processes instead of on the one shared driver.
+    ``--cluster FILE.json`` (already read into ``spec``) supplies per-BRP
+    service sections and the TSO section, layered over the flag-derived
+    base ``config``; ``--brps K`` replicates ``config`` as-is.  With
+    ``--ledger DIR`` each BRP journals into ``DIR/<name>``; ``--outage``
+    specs schedule bus-reachability toggles on the shared driver.
+    ``--workers N`` only chooses the runtime class: the same cluster with
+    its BRPs in N forked worker processes instead of on the one shared
+    driver.  Raises :class:`~repro.core.errors.ServiceError` on a bad
+    configuration.
     """
     import dataclasses
-    import json
 
-    from .api import (
-        ClusterConfig,
-        ClusterRuntime,
-        ParallelClusterRuntime,
-        WorkerCrashError,
-        default_registry,
-    )
-    from .core.errors import ServiceError
-    from .runtime import BusConfig, LoadGenerator, apply_outages
+    from .api import ClusterConfig, ClusterRuntime, ParallelClusterRuntime
+    from .runtime import BusConfig, apply_outages
 
-    if args.cluster is not None:
-        try:
-            with open(args.cluster) as handle:
-                spec = json.load(handle)
-        except OSError as exc:
-            return _usage_error(f"cannot read --cluster file: {exc}")
-        except json.JSONDecodeError as exc:
-            return _usage_error(f"--cluster file is not valid JSON: {exc}")
-        if not isinstance(spec, dict):
-            return _usage_error("--cluster file must hold a JSON object")
-        # Flag-derived service settings underlie every BRP; the file's
-        # defaults/per-BRP sections override where they speak.
+    if spec is not None:
         cluster_config = ClusterConfig.from_dict(spec, base=config)
     else:
         cluster_config = ClusterConfig.uniform(args.brps, config)
-    if (
-        args.target_p95_slices is not None
-        and cluster_config.tso.target_p95_slices is None
-    ):
+    target = config.scheduling.target_p95_slices
+    if target is not None and cluster_config.tso.target_p95_slices is None:
         # The latency target reaches both tiers: a --cluster file's tso
         # section wins where it speaks, the flag fills the gap.
         cluster_config = dataclasses.replace(
             cluster_config,
-            tso=dataclasses.replace(
-                cluster_config.tso, target_p95_slices=args.target_p95_slices
-            ),
+            tso=dataclasses.replace(cluster_config.tso, target_p95_slices=target),
         )
     if args.bus_retries > 0:
         cluster_config = dataclasses.replace(
@@ -699,64 +691,17 @@ def _run_cluster(
     ledger_factory = (
         (lambda name: _make_ledger(args, name)) if args.ledger else None
     )
-    try:
-        if args.workers > 0:
-            cluster = ParallelClusterRuntime(
-                cluster_config,
-                workers=args.workers,
-                epoch_slices=args.epoch_slices,
-                tracer=tracer,
-                ledger_factory=ledger_factory,
-            )
-        else:
-            cluster = ClusterRuntime(
-                cluster_config,
-                driver=driver,
-                tracer=tracer,
-                ledger_factory=ledger_factory,
-            )
-        apply_outages(cluster, outages)
-    except ServiceError as exc:
-        return _usage_error(f"invalid {command} configuration: {exc}")
-    streams = {
-        name: LoadGenerator(
-            rate_per_hour=args.rate, seed=args.seed + index
-        ).hostile_stream(
-            0.0,
-            args.duration,
-            duplicate_rate=args.duplicate_rate,
-            reorder_window=args.reorder_window,
-            seed=args.seed + index,
-        )
-        for index, name in enumerate(cluster_config.brps)
-    }
-    out = sys.stderr if args.log_json else sys.stdout
     placement = (
-        f" across {args.workers} worker processes" if args.workers > 0 else ""
+        {"workers": args.workers, "epoch_slices": args.epoch_slices}
+        if args.workers > 0
+        else {"driver": driver}
     )
-    print(
-        f"### {command}: cluster of {len(cluster_config.brps)} BRPs + TSO"
-        f"{placement}, rate={args.rate}/h per BRP, duration={args.duration} "
-        f"slices seed={args.seed} driver={args.driver}",
-        file=out,
+    runtime = ParallelClusterRuntime if args.workers > 0 else ClusterRuntime
+    cluster = runtime(
+        cluster_config, tracer=tracer, ledger_factory=ledger_factory, **placement
     )
-    try:
-        report = cluster.run(
-            streams,
-            args.duration,
-            report_every=getattr(args, "report_every", None),
-            report_sink=lambda line: print(line, file=out),
-        )
-    except WorkerCrashError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXPERIMENT_FAILED
-    if tracer is not None:
-        cluster.trace_shutdown()
-    for writer in writers:
-        writer.close()
-    print(report.as_text(), file=out)
-    _emit_metrics(args, default_registry(), cluster.metrics(), out)
-    return EXIT_OK
+    apply_outages(cluster, outages)
+    return cluster
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,13 @@ Everything a caller needs to run a node lives here, typed and composable:
   structured JSONL event log, and metrics exporters registered under the
   ``exporter`` registry kind.
 
-Only the registry is imported eagerly; the facade classes resolve lazily
-(PEP 562) so lower layers can consult the registry without import cycles.
+Only the client and the registry are defined in this package.  Every other
+name is its defining module's own object (:mod:`repro.runtime.config`,
+:mod:`repro.runtime.drivers`, :mod:`repro.runtime.cluster` /
+:mod:`repro.runtime.parallel`, :mod:`repro.ledger`, :mod:`repro.obs`):
+import it from here or from there, never through a re-export module.  Only
+the registry is imported eagerly; everything else resolves lazily (PEP 562)
+so lower layers can consult the registry without import cycles.
 """
 
 from .registry import (
@@ -88,56 +93,55 @@ __all__ = [
     "default_registry",
 ]
 
-#: Lazily exported names -> the submodule that defines them.  The client
-#: pulls in the whole runtime stack; importing it eagerly here would cycle
-#: with the runtime modules that consult the registry above.
+#: Lazily exported names -> the module that defines them.  The client pulls
+#: in the whole runtime stack; importing it eagerly here would cycle with
+#: the runtime modules that consult the registry above.
 _LAZY_EXPORTS = {
-    "LedmsClient": "client",
-    "LedmsSession": "client",
-    "OfferView": "client",
-    "PlanAssignment": "client",
-    "PlanView": "client",
-    "SubmitResult": "client",
-    "AggregationConfig": "config",
-    "IngestConfig": "config",
-    "MarketConfig": "config",
-    "SchedulingConfig": "config",
-    "ServiceConfig": "config",
-    "build_trigger": "config",
-    "JsonlWriter": "obs",
-    "NullTracer": "obs",
-    "TraceContext": "obs",
-    "Tracer": "obs",
-    "SimulatedDriver": "drivers",
-    "TimeDriver": "drivers",
-    "WallClockDriver": "drivers",
-    "BrpHost": "cluster",
-    "BusAdapter": "cluster",
-    "BusConfig": "cluster",
-    "ClusterConfig": "cluster",
-    "ClusterReport": "cluster",
-    "ClusterRuntime": "cluster",
-    "ParallelClusterRuntime": "cluster",
-    "ProcessBusTransport": "cluster",
-    "WorkerCrashError": "cluster",
-    "TsoConfig": "cluster",
-    "TsoRuntimeService": "cluster",
-    "DeadLetter": "ledger",
-    "JsonlEventLog": "ledger",
-    "MemoryEventLog": "ledger",
-    "OfferLedger": "ledger",
-    "ReplayStats": "ledger",
+    "LedmsClient": "repro.api.client",
+    "LedmsSession": "repro.api.client",
+    "OfferView": "repro.api.client",
+    "PlanAssignment": "repro.api.client",
+    "PlanView": "repro.api.client",
+    "SubmitResult": "repro.api.client",
+    "AggregationConfig": "repro.runtime.config",
+    "IngestConfig": "repro.runtime.config",
+    "MarketConfig": "repro.runtime.config",
+    "SchedulingConfig": "repro.runtime.config",
+    "ServiceConfig": "repro.runtime.config",
+    "build_trigger": "repro.runtime.config",
+    "JsonlWriter": "repro.obs",
+    "NullTracer": "repro.obs",
+    "TraceContext": "repro.obs",
+    "Tracer": "repro.obs",
+    "SimulatedDriver": "repro.runtime.drivers",
+    "TimeDriver": "repro.runtime.drivers",
+    "WallClockDriver": "repro.runtime.drivers",
+    "BrpHost": "repro.runtime.cluster",
+    "BusAdapter": "repro.runtime.cluster",
+    "BusConfig": "repro.runtime.cluster",
+    "ClusterConfig": "repro.runtime.cluster",
+    "ClusterReport": "repro.runtime.cluster",
+    "ClusterRuntime": "repro.runtime.cluster",
+    "TsoConfig": "repro.runtime.cluster",
+    "TsoRuntimeService": "repro.runtime.cluster",
+    "ParallelClusterRuntime": "repro.runtime.parallel",
+    "ProcessBusTransport": "repro.runtime.parallel",
+    "WorkerCrashError": "repro.runtime.parallel",
+    "DeadLetter": "repro.ledger",
+    "JsonlEventLog": "repro.ledger",
+    "MemoryEventLog": "repro.ledger",
+    "OfferLedger": "repro.ledger",
+    "ReplayStats": "repro.ledger",
 }
 
 
 def __getattr__(name: str):
-    submodule = _LAZY_EXPORTS.get(name)
-    if submodule is None:
+    module_name = _LAZY_EXPORTS.get(name)
+    if module_name is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib
 
-    module = importlib.import_module(f".{submodule}", __name__)
-    value = getattr(module, name)
+    value = getattr(importlib.import_module(module_name), name)
     globals()[name] = value  # cache: next access skips __getattr__
     return value
 

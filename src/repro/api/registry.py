@@ -23,7 +23,9 @@ cycles.  User code can register additional engines::
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from ..core.errors import ServiceError
@@ -112,10 +114,6 @@ class Registry:
             sorted(name for (k, name) in self._entries if k == kind)
         )
 
-    def has(self, kind: str, name: str) -> bool:
-        """Whether ``(kind, name)`` is registered."""
-        return (kind, name) in self._entries
-
     def get(self, kind: str, name: str) -> Registration:
         """The registration of ``(kind, name)``; raises with the known set."""
         entry = self._entries.get((kind, name))
@@ -150,18 +148,6 @@ class Registry:
             )
         return entry
 
-    def create_with_capability(
-        self, kind: str, name: str, capability: str, *args, **kwargs
-    ):
-        """Like :meth:`create`, but requires a declared capability first."""
-        return self.require_capability(kind, name, capability).create(
-            *args, **kwargs
-        )
-
-    def capabilities(self, kind: str, name: str) -> frozenset[str]:
-        """Declared capabilities of ``(kind, name)``."""
-        return self.get(kind, name).capabilities
-
     def entries(self, kind: str | None = None) -> tuple[Registration, ...]:
         """All registrations (of ``kind`` if given), sorted by kind then name."""
         return tuple(
@@ -185,16 +171,14 @@ class Registry:
 # ----------------------------------------------------------------------
 # built-in registrations (lazy factories: no heavyweight imports up front)
 # ----------------------------------------------------------------------
-def _packed_pipeline(parameters, bounds=None):
-    from ..aggregation.engine import PackedAggregationPipeline
+def _resolve(module: str, name: str):
+    """``repro.<module>.<name>``, imported on first use."""
+    return getattr(importlib.import_module(f"repro.{module}"), name)
 
-    return PackedAggregationPipeline(parameters, bounds)
 
-
-def _scalar_pipeline(parameters, bounds=None):
-    from ..aggregation.pipeline import AggregationPipeline
-
-    return AggregationPipeline(parameters, bounds)
+def _lazy(module: str, name: str) -> Callable[..., object]:
+    """A factory calling ``repro.<module>.<name>`` with its arguments."""
+    return lambda *args, **kwargs: _resolve(module, name)(*args, **kwargs)
 
 
 def _reference_pipeline(parameters, bounds=None):
@@ -206,98 +190,16 @@ def _reference_pipeline(parameters, bounds=None):
     return pipeline
 
 
-def _greedy_scheduler(**kwargs):
-    from ..scheduling import RandomizedGreedyScheduler
-
-    return RandomizedGreedyScheduler(**kwargs)
-
-
-def _evolutionary_scheduler(**kwargs):
-    from ..scheduling import EvolutionaryScheduler
-
-    return EvolutionaryScheduler(**kwargs)
-
-
-def _exhaustive_scheduler(**kwargs):
-    from ..scheduling import ExhaustiveScheduler
-
-    return ExhaustiveScheduler(**kwargs)
-
-
-def _delta_scheduler(**kwargs):
-    from ..scheduling import DeltaScheduler
-
-    return DeltaScheduler(**kwargs)
-
-
-def _count_trigger(threshold):
-    from ..runtime.triggers import CountTrigger
-
-    return CountTrigger(threshold)
-
-
-def _age_trigger(max_age_slices):
-    from ..runtime.triggers import AgeTrigger
-
-    return AgeTrigger(max_age_slices)
-
-
-def _imbalance_trigger(threshold_kwh):
-    from ..runtime.triggers import ImbalanceTrigger
-
-    return ImbalanceTrigger(threshold_kwh)
-
-
-def _any_trigger(policies):
-    from ..runtime.triggers import AnyTrigger
-
-    return AnyTrigger(policies)
-
-
-def _adaptive_trigger(target_p95_slices, **kwargs):
-    from ..runtime.triggers import AdaptiveTrigger
-
-    return AdaptiveTrigger(target_p95_slices, **kwargs)
-
-
-def _simulated_driver(**kwargs):
-    from ..runtime.drivers import SimulatedDriver
-
-    return SimulatedDriver(**kwargs)
-
-
-def _wallclock_driver(**kwargs):
-    from ..runtime.drivers import WallClockDriver
-
-    return WallClockDriver(**kwargs)
-
-
-def _text_exporter():
-    from ..obs.export import render_metrics_text
-
-    return render_metrics_text
-
-
-def _json_exporter():
-    from ..obs.export import render_metrics_json
-
-    return render_metrics_json
-
-
-def _prometheus_exporter():
-    from ..obs.export import render_prometheus
-
-    return render_prometheus
-
-
 def _register_builtins(registry: Registry) -> Registry:
     registry.register(
-        KIND_AGGREGATION, "packed", _packed_pipeline,
+        KIND_AGGREGATION, "packed",
+        _lazy("aggregation.engine", "PackedAggregationPipeline"),
         description="columnar engine (PackedPool + GroupArena), runtime default",
         capabilities=("incremental", "columnar"),
     )
     registry.register(
-        KIND_AGGREGATION, "scalar", _scalar_pipeline,
+        KIND_AGGREGATION, "scalar",
+        _lazy("aggregation.pipeline", "AggregationPipeline"),
         description="live object pipeline (group-builder -> n-to-1 aggregator)",
         capabilities=("incremental",),
     )
@@ -306,70 +208,80 @@ def _register_builtins(registry: Registry) -> Registry:
         description="historical rebuild-on-remove state; oracle + baseline",
         capabilities=("incremental", "oracle"),
     )
+    # Scheduler capabilities are declared here and nowhere else:
+    # ``runtime`` = usable by the streaming service's pass-bounded
+    # re-planning loop (the budget-driven EA is not), ``warm-start`` =
+    # accepts a seed candidate, ``budget`` = honours a wall-clock budget,
+    # ``delta`` = takes a :class:`~repro.scheduling.delta.DeltaRequest`
+    # (read by :class:`~repro.runtime.planning.PlanSession`).
     registry.register(
-        KIND_SCHEDULER, "greedy", _greedy_scheduler,
+        KIND_SCHEDULER, "greedy", _lazy("scheduling", "RandomizedGreedyScheduler"),
         description="randomized best-position greedy with warm starts",
         capabilities=("runtime", "warm-start", "budget"),
     )
     registry.register(
-        KIND_SCHEDULER, "evolutionary", _evolutionary_scheduler,
+        KIND_SCHEDULER, "evolutionary",
+        _lazy("scheduling", "EvolutionaryScheduler"),
         description="packed-genome evolutionary search",
         capabilities=("budget",),
     )
     registry.register(
-        KIND_SCHEDULER, "exhaustive", _exhaustive_scheduler,
+        KIND_SCHEDULER, "exhaustive", _lazy("scheduling", "ExhaustiveScheduler"),
         description="exact start-odometer enumeration (tiny pools only)",
         capabilities=("exact",),
     )
     registry.register(
-        KIND_SCHEDULER, "delta", _delta_scheduler,
+        KIND_SCHEDULER, "delta", _lazy("scheduling", "DeltaScheduler"),
         description="dirty-set re-planning over a retained plan (one pass)",
         capabilities=("runtime", "delta"),
     )
     registry.register(
-        KIND_TRIGGER, "count", _count_trigger,
+        KIND_TRIGGER, "count", _lazy("runtime.triggers", "CountTrigger"),
         description="fire after N offers since the last run",
     )
     registry.register(
-        KIND_TRIGGER, "age", _age_trigger,
+        KIND_TRIGGER, "age", _lazy("runtime.triggers", "AgeTrigger"),
         description="fire once the oldest unscheduled offer waited too long",
     )
     registry.register(
-        KIND_TRIGGER, "imbalance", _imbalance_trigger,
+        KIND_TRIGGER, "imbalance", _lazy("runtime.triggers", "ImbalanceTrigger"),
         description="fire once unscheduled flexible energy exceeds a kWh bound",
     )
     registry.register(
-        KIND_TRIGGER, "any", _any_trigger,
+        KIND_TRIGGER, "any", _lazy("runtime.triggers", "AnyTrigger"),
         description="composite: fire when any member policy fires",
         capabilities=("composite",),
     )
     registry.register(
-        KIND_TRIGGER, "adaptive", _adaptive_trigger,
+        KIND_TRIGGER, "adaptive", _lazy("runtime.triggers", "AdaptiveTrigger"),
         description="count/age thresholds auto-tuned toward a target p95",
         capabilities=("adaptive",),
     )
     registry.register(
-        KIND_DRIVER, "simulated", _simulated_driver,
-        description="deterministic simulated time over the event queue",
+        KIND_DRIVER, "simulated", _lazy("runtime.drivers", "SimulatedDriver"),
+        description="deterministic simulated time over an event heap",
         capabilities=("deterministic",),
     )
     registry.register(
-        KIND_DRIVER, "wallclock", _wallclock_driver,
+        KIND_DRIVER, "wallclock", _lazy("runtime.drivers", "WallClockDriver"),
         description="real-time slices with a thread-safe arrival inbox",
         capabilities=("realtime", "threadsafe-inbox"),
     )
     # Exporter factories return a render callable (registry -> str), so an
     # exporter is resolved once and applied to any number of registries.
     registry.register(
-        KIND_EXPORTER, "text", _text_exporter,
+        KIND_EXPORTER, "text",
+        partial(_resolve, "obs.export", "render_metrics_text"),
         description="plain key = value metrics dump (the CLI default)",
     )
     registry.register(
-        KIND_EXPORTER, "json", _json_exporter,
+        KIND_EXPORTER, "json",
+        partial(_resolve, "obs.export", "render_metrics_json"),
         description="pretty-printed JSON metrics snapshot (as_dict)",
     )
     registry.register(
-        KIND_EXPORTER, "prometheus", _prometheus_exporter,
+        KIND_EXPORTER, "prometheus",
+        partial(_resolve, "obs.export", "render_prometheus"),
         description="Prometheus text exposition (histograms as summaries)",
     )
     return registry

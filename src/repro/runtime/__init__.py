@@ -10,12 +10,14 @@ trigger-driven scheduling with warm starts, lifecycle persistence in the
 LEDMS store, and operational metrics end to end.
 
 Most callers should go through the typed facade in :mod:`repro.api`
-(:class:`~repro.api.LedmsClient`); this package remains the engine room::
+(:class:`~repro.api.LedmsClient`).  The configuration, driver and cluster
+names :mod:`repro.api` exports are defined here (``config``, ``drivers``,
+``cluster``, ``parallel``), and it hands out these very objects; this
+package remains the engine room::
 
     from repro.runtime import (
         BrpRuntimeService, ServiceConfig, RuntimeReport,
-        TimeDriver, SimulatedDriver, WallClockDriver,
-        EventQueue, SimulatedClock,
+        TimeDriver, SimulatedDriver, WallClockDriver, ClockError,
         FlexOfferIngest, LoadGenerator, MetricsRegistry,
         TriggerContext, CountTrigger, AgeTrigger, ImbalanceTrigger, AnyTrigger,
         ClusterRuntime, ClusterConfig, ClusterReport, BrpHost,
@@ -24,7 +26,6 @@ Most callers should go through the typed facade in :mod:`repro.api`
     )
 """
 
-from .clock import ClockError, EventQueue, SimulatedClock
 from .cluster import (
     BrpHost,
     BusAdapter,
@@ -42,7 +43,7 @@ from .config import (
     SchedulingConfig,
     ServiceConfig,
 )
-from .drivers import SimulatedDriver, TimeDriver, WallClockDriver
+from .drivers import ClockError, SimulatedDriver, TimeDriver, WallClockDriver
 from .faults import (
     CrashKill,
     OutageSpec,
@@ -98,7 +99,6 @@ __all__ = [
     "CountTrigger",
     "Counter",
     "CrashKill",
-    "EventQueue",
     "FlexOfferIngest",
     "Gauge",
     "Histogram",
@@ -113,7 +113,6 @@ __all__ = [
     "RuntimeReport",
     "SchedulingConfig",
     "ServiceConfig",
-    "SimulatedClock",
     "SimulatedDriver",
     "TimeDriver",
     "TriggerContext",

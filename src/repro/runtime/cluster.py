@@ -60,7 +60,12 @@ from ..node.bus import MessageBus
 from ..node.messages import Message, MessageType
 from ..obs.tracing import NullTracer, Tracer
 from ..scheduling import SchedulingResult
-from .config import MarketConfig, ServiceConfig, _runtime_parameters
+from .config import (
+    MarketConfig,
+    ServiceConfig,
+    _require_finite,
+    _runtime_parameters,
+)
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .metrics import MetricsRegistry, aggregate_registries
 from .planning import PlanSession, eligible_for_window, report_adaptive
@@ -105,6 +110,7 @@ class BusConfig:
     """Per-recipient cap on exhausted messages parked for recovery replay."""
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.max_retries < 0:
             raise ServiceError(
                 f"max_retries must be non-negative, got {self.max_retries}"
@@ -435,9 +441,9 @@ class TsoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         registry = default_registry()
-        if not registry.has(KIND_AGGREGATION, self.engine):
-            registry.get(KIND_AGGREGATION, self.engine)  # raises with names
+        registry.get(KIND_AGGREGATION, self.engine)  # raises with names
         registry.require_capability(KIND_SCHEDULER, self.scheduler, "runtime")
         if self.scheduler_passes <= 0:
             raise ServiceError("scheduler_passes must be positive")

@@ -24,6 +24,7 @@ exactly one place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -57,11 +58,26 @@ def default_trigger() -> TriggerPolicy:
     """Count for throughput, age for latency, imbalance for burst risk.
 
     The ``loadtest``/``serve`` CLI takes this policy when no ``--trigger``
-    is given, so library and CLI runs behave identically out of the box.
+    is given, and reads every other service flag's default off a default
+    :class:`ServiceConfig`, so library and CLI runs behave identically out
+    of the box.
     """
     return AnyTrigger(
         [CountTrigger(200), AgeTrigger(16), ImbalanceTrigger(2_000.0)]
     )
+
+
+def _require_finite(section: Any) -> None:
+    """Reject a NaN or infinite number in any field of a config dataclass.
+
+    A comparison against NaN is false either way round, so a range check
+    alone (``interval <= 0``) lets it through, and a NaN time stalls the
+    driver it reaches.
+    """
+    for item in fields(section):
+        value = getattr(section, item.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ServiceError(f"{item.name} must be finite, got {value}")
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +89,9 @@ class MarketConfig:
     sell_price: float = 0.05
     shortage_penalty: float = 0.5
     surplus_penalty: float = 0.2
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -86,9 +105,7 @@ class AggregationConfig:
     """Aggregation engine, by :mod:`repro.api.registry` name."""
 
     def __post_init__(self) -> None:
-        registry = default_registry()
-        if not registry.has(KIND_AGGREGATION, self.engine):
-            registry.get(KIND_AGGREGATION, self.engine)  # raises with names
+        default_registry().get(KIND_AGGREGATION, self.engine)  # raises with names
 
 
 @dataclass(frozen=True)
@@ -115,10 +132,13 @@ class SchedulingConfig:
     """
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.horizon_slices <= 0:
             raise ServiceError("horizon_slices must be positive")
         if self.scheduler_passes <= 0:
             raise ServiceError("scheduler_passes must be positive")
+        if self.min_run_interval_slices < 0:
+            raise ServiceError("min_run_interval_slices must be non-negative")
         if self.target_p95_slices is not None and self.target_p95_slices <= 0:
             raise ServiceError("target_p95_slices must be positive")
         # RegistryError is a ServiceError; the registry owns the single
@@ -140,6 +160,7 @@ class IngestConfig:
     """Admission limit on profile length (None = unlimited)."""
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.batch_size <= 0:
             raise ServiceError("batch_size must be positive")
         if self.expiry_sweep_interval <= 0:
@@ -206,6 +227,13 @@ class ServiceConfig:
             section, name = target
             sections.setdefault(section, {})[name] = value
         return replace(self, axis=axis)._with_sections(sections)
+
+    def flat(self) -> dict[str, Any]:
+        """Every section field under its flat name (what ``merged`` takes)."""
+        return {
+            name: getattr(getattr(self, section), field_name)
+            for name, (section, field_name) in _FLAT_FIELDS.items()
+        }
 
     def _with_sections(
         self, sections: Mapping[str, Mapping[str, Any]]

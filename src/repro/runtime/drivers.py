@@ -6,10 +6,11 @@ small protocol extracted from the original event loop: read ``now``,
 schedule timed callbacks, and run until a horizon.  Two drivers implement
 it:
 
-* :class:`SimulatedDriver` wraps the existing
-  :class:`~repro.runtime.clock.EventQueue` bit-identically — every test and
-  load run stays deterministic, two runs with the same seed process the
-  exact same events in the exact same order.
+* :class:`SimulatedDriver` owns a heap of timed callbacks over simulated
+  time — a slice index on the shared :class:`~repro.core.timebase.TimeAxis`,
+  possibly fractional for sub-slice arrival jitter.  Every test and load
+  run stays deterministic: two runs with the same seed process the exact
+  same events in the exact same order, however fast the hardware is.
 * :class:`WallClockDriver` maps real (monotonic) time onto the slice axis
   at a configurable ``slices_per_second`` rate and adds a **thread-safe
   inbox**: producers on other threads :meth:`~WallClockDriver.post`
@@ -29,15 +30,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 import time
 from collections import deque
 from typing import Callable, Protocol, runtime_checkable
 
 from ..core.errors import ServiceError
-from .clock import ClockError, EventQueue
 
-__all__ = ["TimeDriver", "SimulatedDriver", "WallClockDriver", "sim_clock"]
+__all__ = [
+    "ClockError", "TimeDriver", "SimulatedDriver", "WallClockDriver", "sim_clock",
+]
 
 
 def sim_clock(driver: "TimeDriver") -> Callable[[], float]:
@@ -69,10 +72,6 @@ class TimeDriver(Protocol):
         """Run ``callback`` once the driver's time reaches ``time``."""
         ...
 
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` ``delay`` slice units from now."""
-        ...
-
     def post(self, callback: Callable[[], None]) -> None:
         """Enqueue ``callback`` to run as soon as possible (thread-safe
         where the driver supports cross-thread producers)."""
@@ -83,36 +82,71 @@ class TimeDriver(Protocol):
         ...
 
 
-class SimulatedDriver:
-    """The deterministic driver: a thin veneer over :class:`EventQueue`.
+class ClockError(ServiceError):
+    """Raised on attempts to move simulated time backwards, or off the axis."""
 
-    Exposes the wrapped queue as :attr:`queue`, so simulated-time callers
-    can move the clock directly (``driver.queue.clock.advance_to(...)``).
+
+class SimulatedDriver:
+    """The deterministic driver: timed callbacks on a heap, simulated time.
+
+    Callbacks run with no arguments once time has advanced to theirs, in
+    time order; ties run FIFO (by insertion order), so a handler that
+    re-arms itself at the current time cannot starve later events for the
+    same slice.  Time moves only by running events, :meth:`run_until`'s
+    horizon, or an explicit :meth:`advance_to`.
     """
 
-    def __init__(self, start: float = 0.0, *, queue: EventQueue | None = None):
-        self.queue = queue if queue is not None else EventQueue(start)
+    def __init__(self, start: float = 0.0):
+        self._now = float(start)
+        self.processed = 0
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._seq = itertools.count()
 
     @property
     def now(self) -> float:
-        return self.queue.clock.now
+        return self._now
 
-    @property
-    def processed(self) -> int:
-        return self.queue.processed
+    def advance_to(self, time: float) -> None:
+        """Move simulated time forward to ``time``: never backwards, and
+        never past a pending event (so no event can run in the past)."""
+        if time < self._now:
+            raise ClockError(
+                f"cannot move simulated time backwards: {time} < {self._now}"
+            )
+        if self._heap and self._heap[0][0] < time:
+            raise ClockError(
+                f"cannot advance to {time} past the event due at "
+                f"{self._heap[0][0]}; run_until it instead"
+            )
+        self._now = float(time)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
-        self.queue.schedule_at(time, callback)
-
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
-        self.queue.schedule_after(delay, callback)
+        """Run ``callback`` at simulated ``time``: finite, and not past."""
+        if not self._now <= time < math.inf:
+            raise ClockError(
+                f"cannot schedule an event at {time}: times must be finite "
+                f"and not before now ({self._now})"
+            )
+        heapq.heappush(self._heap, (float(time), next(self._seq), callback))
 
     def post(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the current simulated time (FIFO with peers)."""
-        self.queue.schedule_at(self.queue.clock.now, callback)
+        heapq.heappush(self._heap, (self._now, next(self._seq), callback))
 
     def run_until(self, end: float) -> int:
-        return self.queue.run_until(end)
+        """Run every event due at or before ``end``; return the count.
+
+        Time finishes at ``end`` even when the heap drains earlier, so
+        periodic reports and age-based triggers see consistent time.
+        """
+        heap = self._heap
+        before = self.processed
+        while heap and heap[0][0] <= end:
+            self._now, _, callback = heapq.heappop(heap)
+            self.processed += 1
+            callback()
+        self._now = max(self._now, float(end))
+        return self.processed - before
 
 
 class WallClockDriver:
@@ -188,17 +222,12 @@ class WallClockDriver:
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` for slice ``time``; late times run ASAP.
 
-        Unlike the simulated queue this never raises for past times — wall
+        Unlike the simulated driver this never raises for past times — wall
         time cannot be paused, so a handler that overran its slot simply
         fires the moment the loop sees it.
         """
         heapq.heappush(self._heap, (float(time), next(self._seq), callback))
         self._wake.set()
-
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
-        if delay < 0:
-            raise ClockError(f"delay must be non-negative, got {delay}")
-        self.schedule_at(self.now + delay, callback)
 
     def post(self, callback: Callable[[], None]) -> None:
         """Thread-safe: enqueue ``callback`` for the loop thread to run.

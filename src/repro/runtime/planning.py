@@ -156,9 +156,13 @@ class PlanSession:
         metrics: MetricsRegistry | None = None,
         net_forecast: TimeSeries | None = None,
     ) -> None:
-        self.scheduler = default_registry().create_with_capability(
+        registration = default_registry().require_capability(
             KIND_SCHEDULER, scheduler, "runtime"
         )
+        self.scheduler = registration.create()
+        #: Whether the scheduler takes a :class:`DeltaRequest` (its
+        #: registration's ``delta`` capability) instead of a warm start.
+        self.delta = "delta" in registration.capabilities
         self.passes = passes
         self.market = market if market is not None else MarketConfig()
         self.rng = np.random.default_rng(seed)
@@ -222,9 +226,7 @@ class PlanSession:
             shortage_penalty=np.array(market.shortage_penalty),
             surplus_penalty=np.array(market.surplus_penalty),
         )
-        result = self.plan(
-            problem, eligible, self.scheduler, passes=self.passes, rng=self.rng
-        )
+        result = self.plan(problem, eligible)
         if self.last_mode == "delta":
             self.metrics.counter("delta.runs").inc()
             self.metrics.counter("delta.reused_placements").inc(self.last_reused)
@@ -281,24 +283,20 @@ class PlanSession:
         self,
         problem: SchedulingProblem,
         eligible: Sequence[tuple[str, FlexOffer]],
-        scheduler,
-        *,
-        passes: int,
-        rng: np.random.Generator,
     ) -> SchedulingResult:
-        """One planning run through the session.
+        """One planning run of the session's scheduler over ``eligible``.
 
-        A scheduler advertising the ``delta`` capability receives a
-        :class:`DeltaRequest` built from the accumulated dirty set; any
-        other scheduler gets the classic warm-start seeding.  On return the
-        warm cache reflects the committed plan for every key, the dirty set
-        is drained, and ``last_mode`` / ``last_reused`` / ``last_replaced``
-        describe what the planner actually did.
+        A ``delta`` scheduler receives a :class:`DeltaRequest` built from
+        the accumulated dirty set; any other scheduler gets the classic
+        warm-start seeding.  On return the warm cache reflects the committed
+        plan for every key, the dirty set is drained, and ``last_mode`` /
+        ``last_reused`` / ``last_replaced`` describe what the planner
+        actually did.
         """
         keys = tuple(key for key, _ in eligible)
-        capabilities = getattr(scheduler, "capabilities", frozenset())
+        scheduler, passes, rng = self.scheduler, self.passes, self.rng
         self.last_warm_started = False
-        if "delta" in capabilities:
+        if self.delta:
             request = DeltaRequest(
                 keys=keys,
                 dirty=frozenset(self.dirty),

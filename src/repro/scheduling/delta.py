@@ -76,13 +76,12 @@ class DeltaScheduler:
 
     Deterministic: placements run in ascending problem-index order (the
     runtime sorts its pool by group id), ``rng`` and ``warm_start`` are
-    ignored, and one call performs exactly one pass.  The ``delta``
-    capability advertises that :meth:`schedule` accepts a
+    ignored, and one call performs exactly one pass.  Its registry entry's
+    ``delta`` capability says that :meth:`schedule` accepts a
     :class:`DeltaRequest`; without one, every call is a full pass.
     """
 
     name = "delta"
-    capabilities = frozenset({"runtime", "delta"})
 
     def __init__(
         self,

@@ -68,11 +68,6 @@ class EvolutionaryScheduler:
 
     name = "evolutionary-algorithm"
 
-    #: Declared capabilities (see the greedy scheduler for the vocabulary);
-    #: no ``runtime``: the EA is budget-driven, not pass-bounded, so the
-    #: streaming service cannot re-plan with it.
-    capabilities = frozenset({"budget"})
-
     def __init__(
         self,
         *,

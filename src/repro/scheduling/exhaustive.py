@@ -46,10 +46,6 @@ class ExhaustiveScheduler:
 
     name = "exhaustive"
 
-    #: Declared capabilities (see the greedy scheduler for the vocabulary):
-    #: exact enumeration, only feasible on tiny pools.
-    capabilities = frozenset({"exact"})
-
     def __init__(self, *, limit: int = 2_000_000) -> None:
         self.limit = limit
 

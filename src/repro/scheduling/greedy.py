@@ -37,13 +37,6 @@ class RandomizedGreedyScheduler:
 
     name = "greedy-search"
 
-    #: Declared capabilities, mirrored by the ``scheduler`` entry in
-    #: :func:`repro.api.default_registry` (a test pins the two equal):
-    #: ``runtime`` = usable by the streaming service's pass-bounded
-    #: re-planning loop, ``warm-start`` = accepts a seed candidate,
-    #: ``budget`` = honours a wall-clock budget.
-    capabilities = frozenset({"runtime", "warm-start", "budget"})
-
     def schedule(
         self,
         problem: SchedulingProblem,

@@ -8,8 +8,16 @@ in ``tests/test_ledger.py``.
 
 import pytest
 
-from repro.api import LedmsClient, OfferLedger, OfferView, PlanView, SubmitResult
-from repro.api.config import IngestConfig, SchedulingConfig, ServiceConfig
+from repro.api import (
+    IngestConfig,
+    LedmsClient,
+    OfferLedger,
+    OfferView,
+    PlanView,
+    SchedulingConfig,
+    ServiceConfig,
+    SubmitResult,
+)
 from repro.core import flex_offer
 from repro.core.errors import ServiceError
 from repro.runtime import BrpRuntimeService, LoadGenerator

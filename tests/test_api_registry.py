@@ -6,6 +6,9 @@ accepted names can never diverge again (``reference`` used to be accepted
 by one and rejected by the other).
 """
 
+import json
+import math
+
 import pytest
 
 from repro.aggregation.pipeline import make_pipeline
@@ -16,17 +19,17 @@ from repro.api import (
     KIND_EXPORTER,
     KIND_SCHEDULER,
     KIND_TRIGGER,
-    Registry,
-    RegistryError,
-    default_registry,
-)
-from repro.api.config import (
     AggregationConfig,
+    BusConfig,
     IngestConfig,
     MarketConfig,
+    Registry,
+    RegistryError,
     SchedulingConfig,
     ServiceConfig,
+    TsoConfig,
     build_trigger,
+    default_registry,
 )
 from repro.core.errors import AggregationError, ServiceError
 from repro.runtime.triggers import AnyTrigger, CountTrigger
@@ -78,7 +81,7 @@ class TestRegistry:
         entry = registry.register("kind", "x", float, replace=True)
         assert entry.factory is float
 
-    def test_scheduler_capabilities_mirror_class_attributes(self):
+    def test_factories_build_their_classes(self):
         registry = default_registry()
         for name, cls in (
             ("greedy", RandomizedGreedyScheduler),
@@ -86,8 +89,12 @@ class TestRegistry:
             ("exhaustive", ExhaustiveScheduler),
             ("delta", DeltaScheduler),
         ):
-            assert registry.capabilities(KIND_SCHEDULER, name) == cls.capabilities
             assert isinstance(registry.create(KIND_SCHEDULER, name), cls)
+        assert isinstance(
+            registry.create(KIND_TRIGGER, "count", threshold=3), CountTrigger
+        )
+        render = registry.create(KIND_EXPORTER, "text")
+        assert render is registry.create(KIND_EXPORTER, "text")  # a function
 
     def test_render_mentions_every_entry(self):
         text = default_registry().render()
@@ -194,6 +201,38 @@ class TestServiceConfig:
             SchedulingConfig(scheduler_passes=0)
         with pytest.raises(ServiceError):
             IngestConfig(expiry_sweep_interval=0)
+
+    @pytest.mark.parametrize(
+        "section, name",
+        [
+            ("market", "buy_price"),
+            ("market", "sell_price"),
+            ("market", "shortage_penalty"),
+            ("market", "surplus_penalty"),
+            ("scheduling", "min_run_interval_slices"),
+            ("scheduling", "target_p95_slices"),
+            ("ingest", "expiry_sweep_interval"),
+            ("ingest", "batch_size"),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected(self, section, name):
+        """``nan <= 0`` is false, so a range check alone let a NaN through;
+        a NaN sweep interval then stalled the run after its first event."""
+        for text in ("NaN", "Infinity", "-Infinity"):
+            data = json.loads(f'{{"{section}": {{"{name}": {text}}}}}')
+            with pytest.raises(ServiceError, match=name):
+                ServiceConfig.from_dict(data)
+
+    def test_cluster_sections_reject_non_finite_numbers(self):
+        with pytest.raises(ServiceError, match="retry_backoff_slices"):
+            BusConfig(retry_backoff_slices=math.nan)
+        with pytest.raises(ServiceError, match="min_run_interval_slices"):
+            TsoConfig(min_run_interval_slices=math.inf)
+
+    def test_negative_cooldown_is_rejected(self):
+        with pytest.raises(ServiceError, match="non-negative"):
+            SchedulingConfig(min_run_interval_slices=-1.0)
+        assert SchedulingConfig(min_run_interval_slices=0.0)
 
     def test_scheduler_requires_runtime_capability(self):
         with pytest.raises(ServiceError) as excinfo:

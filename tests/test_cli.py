@@ -243,9 +243,7 @@ def test_hostile_stream_flags_run(tmp_path, capsys):
     cli = json.loads(dump.read_text())
 
     client = LedmsClient(
-        ServiceConfig.from_flat(
-            batch_size=8, scheduler_passes=1, seed=1, min_run_interval_slices=2.0
-        ),
+        ServiceConfig.from_flat(batch_size=8, scheduler_passes=1, seed=1),
         ledger=OfferLedger(),
     )
     client.run_stream(
@@ -261,6 +259,40 @@ def test_hostile_stream_flags_run(tmp_path, capsys):
         "ledger.duplicates",
     ):
         assert cli[name] == direct[name], name
+
+
+def test_resumed_ledger_reproduces_the_cli_run(tmp_path, capsys):
+    """The CLI's service defaults are the library's: re-executing a
+    loadtest's journal under ``ServiceConfig.from_flat`` of the same flag
+    values makes the same scheduling runs, commits and last plan cost.
+    (``--min-run-interval`` used to default to 2.0 against the library's
+    1.0, and the resumed node planned twice as often.)"""
+    from repro.api import LedmsClient, ServiceConfig
+
+    led, dump = tmp_path / "led", tmp_path / "metrics.json"
+    flags = ["--rate", "100", "--duration", "24", "--seed", "1", "--batch",
+             "8", "--passes", "1"]
+    assert main(
+        ["loadtest", *flags, "--ledger", str(led), "--metrics-json", str(dump)]
+    ) == EXIT_OK
+    cli = json.loads(dump.read_text())
+    resumed = LedmsClient.resume_from_ledger(
+        str(led), ServiceConfig.from_flat(batch_size=8, scheduler_passes=1, seed=1)
+    ).metrics()
+    assert cli["schedule.runs"] > 2
+    for name in ("schedule.runs", "disaggregate.assignments", "schedule.last_cost"):
+        assert resumed[name] == cli[name], name
+
+
+def test_service_flag_defaults_are_the_library_defaults():
+    from repro.__main__ import SERVICE_FLAGS, _runtime_parser
+    from repro.api import ServiceConfig
+
+    args = _runtime_parser("loadtest").parse_args([])
+    library = ServiceConfig().flat()
+    assert library["min_run_interval_slices"] == 1.0
+    for flag, (name, _) in SERVICE_FLAGS.items():
+        assert getattr(args, flag[2:].replace("-", "_")) == library[name], flag
 
 
 def test_outage_flag_runs_in_cluster_mode(capsys):
@@ -385,9 +417,22 @@ def test_trigger_specs_compose(capsys):
     )
 
 
-def test_delta_scheduler_loadtest_runs(capsys):
-    assert main(["loadtest", *TINY, "--scheduler", "delta"]) == EXIT_OK
-    assert "offers" in capsys.readouterr().out
+def test_delta_scheduler_loadtest_runs(tmp_path, capsys):
+    # The registration's ``delta`` capability routes planning through the
+    # DeltaRequest branch, where its runs or its full-pass fallbacks count.
+    routed = {}
+    for scheduler in ("delta", "greedy"):
+        dump = tmp_path / f"{scheduler}.json"
+        assert main([
+            "loadtest", *TINY, "--scheduler", scheduler,
+            "--metrics-json", str(dump),
+        ]) == EXIT_OK
+        assert "offers" in capsys.readouterr().out
+        metrics = json.loads(dump.read_text())
+        routed[scheduler] = metrics.get("delta.runs", 0) + metrics.get(
+            "delta.full_fallbacks", 0
+        )
+    assert routed["delta"] > 0 and routed["greedy"] == 0
 
 
 def test_adaptive_target_flag_accepted(capsys):

@@ -132,7 +132,6 @@ class TestDueTimeSweep:
         service.plan_listeners.append(
             lambda _result: published.extend(service.last_plan_originals)
         )
-        clock = service.driver.queue.clock
         operations = st.sampled_from(
             ["submit", "submit", "update", "withdraw", "plan", "remote",
              "sweep", "advance", "advance"]
@@ -162,8 +161,8 @@ class TestDueTimeSweep:
                 service.sweep_expired()
             elif operation == "advance":
                 step = data.draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 4.0]))
-                clock.advance_to(service.now + step)
-        clock.advance_to(service.now + 20.0)
+                service.driver.advance_to(service.now + step)
+        service.driver.advance_to(service.now + 20.0)
         service.sweep_expired()
         assert checked.sweeps > 0
         assert service.live_offers == 0  # every window closed by now
@@ -177,7 +176,7 @@ class TestDueTimeSweep:
             [(1.0, 2.0)], earliest_start=10, latest_start=14, assignment_before=6
         )
         service.submit(offer)
-        service.driver.queue.clock.advance_to(6.5)
+        service.driver.advance_to(6.5)
         assert service.sweep_expired() == 1 and checked.retired == 1
         assert service.store.offer_state(offer.offer_id) == "expired"
 

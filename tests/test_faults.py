@@ -11,9 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import LedmsClient
-from repro.api.config import IngestConfig, SchedulingConfig, ServiceConfig
-from repro.api.ledger import MemoryEventLog, OfferLedger
+from repro.api import (
+    IngestConfig,
+    LedmsClient,
+    MemoryEventLog,
+    OfferLedger,
+    SchedulingConfig,
+    ServiceConfig,
+)
 from repro.core import flex_offer
 from repro.core.errors import ServiceError
 from repro.node import MessageBus, MessageType

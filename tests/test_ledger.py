@@ -19,9 +19,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import LedmsClient, SubmitResult
-from repro.api.config import IngestConfig, SchedulingConfig, ServiceConfig
-from repro.api.ledger import (
+from repro.api import (
+    IngestConfig,
+    LedmsClient,
+    SchedulingConfig,
+    ServiceConfig,
+    SubmitResult,
+)
+from repro.core import flex_offer
+from repro.core.errors import DataManagementError, ServiceError
+from repro.core.timebase import TimeAxis
+from repro.datamgmt.mirabel import LedmsStore
+from repro.ledger import (
     FACT_KINDS,
     INPUT_KINDS,
     JsonlEventLog,
@@ -32,11 +41,7 @@ from repro.api.ledger import (
     offer_to_dict,
     reexecute,
 )
-from repro.core import flex_offer
 from repro.ledger.codec import offer_json
-from repro.core.errors import DataManagementError, ServiceError
-from repro.core.timebase import TimeAxis
-from repro.datamgmt.mirabel import LedmsStore
 from repro.runtime import (
     BrpRuntimeService,
     LoadGenerator,
@@ -405,7 +410,7 @@ class TestGroupCommit:
         service.maybe_schedule(force=True)
         assert {o.offer_id for o in runs} <= service._scheduled
         assert not {o.offer_id for o in lapses} & service._scheduled
-        service.driver.queue.clock.advance_to(20)
+        service.driver.advance_to(20)
         first = ledger.appends
         handle = ledger.log._handle = _CountingHandle(ledger.log._open_for_append())
         assert service.sweep_expired() == 4

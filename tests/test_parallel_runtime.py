@@ -27,8 +27,7 @@ import pytest
 from repro.aggregation import AggregatedFlexOffer
 from repro.aggregation.pipeline import aggregate_from_scratch
 from repro.aggregation.thresholds import AggregationParameters
-from repro.api import LedmsClient
-from repro.api.ledger import JsonlEventLog, OfferLedger
+from repro.api import JsonlEventLog, LedmsClient, OfferLedger
 from repro.core.errors import CommunicationError, ServiceError
 from repro.core.flexoffer import (
     FlexOffer,

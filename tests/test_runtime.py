@@ -1,6 +1,6 @@
 """Unit tests for the streaming runtime building blocks.
 
-Clock/event queue, metrics registry, trigger policies, the ingest stage and
+The simulated driver, metrics registry, trigger policies, the ingest stage and
 the Poisson load generator — the service loop itself is covered end-to-end
 in ``test_runtime_service.py``.
 """
@@ -20,12 +20,11 @@ from repro.runtime import (
     AnyTrigger,
     ClockError,
     CountTrigger,
-    EventQueue,
     FlexOfferIngest,
     ImbalanceTrigger,
     LoadGenerator,
     MetricsRegistry,
-    SimulatedClock,
+    SimulatedDriver,
     TriggerContext,
 )
 
@@ -38,60 +37,72 @@ def _offer(est, tf=4, duration=2, lo=1.0, hi=2.0, **kw):
 
 class TestClock:
     def test_advance_monotonic(self):
-        clock = SimulatedClock()
-        clock.advance_to(3.5)
-        assert clock.now == 3.5
-        assert clock.now_slice == 3
+        driver = SimulatedDriver()
+        driver.advance_to(3.5)
+        assert driver.now == 3.5
         with pytest.raises(ClockError):
-            clock.advance_to(2.0)
+            driver.advance_to(2.0)
+        driver.schedule_at(4.0, lambda: None)
+        with pytest.raises(ClockError):  # would skip the pending event
+            driver.advance_to(5.0)
 
     def test_events_run_in_time_order(self):
-        queue = EventQueue()
+        driver = SimulatedDriver()
         seen = []
-        queue.schedule_at(5, lambda: seen.append("c"))
-        queue.schedule_at(1, lambda: seen.append("a"))
-        queue.schedule_at(3, lambda: seen.append("b"))
-        queue.run_all()
-        assert seen == ["a", "b", "c"]
+        driver.schedule_at(5, lambda: seen.append(("c", driver.now)))
+        driver.schedule_at(1, lambda: seen.append(("a", driver.now)))
+        driver.schedule_at(3, lambda: seen.append(("b", driver.now)))
+        assert driver.run_until(10) == 3
+        assert seen == [("a", 1.0), ("b", 3.0), ("c", 5.0)]
+        assert driver.processed == 3
 
     def test_equal_times_run_fifo(self):
-        queue = EventQueue()
+        driver = SimulatedDriver()
         seen = []
         for tag in "abc":
-            queue.schedule_at(2, lambda tag=tag: seen.append(tag))
-        queue.run_all()
-        assert seen == ["a", "b", "c"]
+            driver.schedule_at(2, lambda tag=tag: seen.append(tag))
+        driver.post(lambda: seen.append("posted"))  # at now = 0
+        driver.run_until(2)
+        assert seen == ["posted", "a", "b", "c"]
 
     def test_run_until_stops_and_advances_clock(self):
-        queue = EventQueue()
+        driver = SimulatedDriver()
         seen = []
-        queue.schedule_at(1, lambda: seen.append(1))
-        queue.schedule_at(10, lambda: seen.append(10))
-        assert queue.run_until(5) == 1
+        driver.schedule_at(1, lambda: seen.append(1))
+        driver.schedule_at(10, lambda: seen.append(10))
+        assert driver.run_until(5) == 1
         assert seen == [1]
-        assert queue.clock.now == 5.0
-        assert len(queue) == 1
+        assert driver.now == 5.0
+        assert driver.run_until(10) == 1 and seen == [1, 10]
 
     def test_handlers_may_reschedule(self):
-        queue = EventQueue()
+        driver = SimulatedDriver()
         seen = []
 
         def tick():
-            seen.append(queue.clock.now)
-            if queue.clock.now < 3:
-                queue.schedule_after(1, tick)
+            seen.append(driver.now)
+            if driver.now < 3:
+                driver.schedule_at(driver.now + 1, tick)
 
-        queue.schedule_at(1, tick)
-        queue.run_until(10)
+        driver.schedule_at(1, tick)
+        driver.run_until(10)
         assert seen == [1.0, 2.0, 3.0]
 
     def test_cannot_schedule_in_the_past(self):
-        queue = EventQueue()
-        queue.clock.advance_to(5)
+        driver = SimulatedDriver(5.0)
         with pytest.raises(ClockError):
-            queue.schedule_at(4, lambda: None)
+            driver.schedule_at(4, lambda: None)
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_is_rejected(self, time):
+        """A NaN passed the old ``time < now`` guard, reached the heap root
+        and stopped ``run_until`` for good."""
+        driver = SimulatedDriver()
         with pytest.raises(ClockError):
-            queue.schedule_after(-1, lambda: None)
+            driver.schedule_at(time, lambda: None)
+        seen = []
+        driver.schedule_at(1.0, lambda: seen.append(1.0))
+        assert driver.run_until(2.0) == 1 and seen == [1.0]
 
 
 class TestMetrics:

@@ -22,7 +22,6 @@ from repro.runtime import (
     TimeDriver,
     WallClockDriver,
 )
-from repro.runtime.clock import ClockError
 from repro.runtime.config import IngestConfig, SchedulingConfig
 from repro.runtime.triggers import AgeTrigger, AnyTrigger, CountTrigger
 
@@ -95,7 +94,7 @@ class TestWallClockDriver:
         seen = []
         driver.schedule_at(3.0, lambda: seen.append(("b", driver.now)))
         driver.schedule_at(1.0, lambda: seen.append(("a", driver.now)))
-        driver.schedule_after(5.0, lambda: seen.append(("c", driver.now)))
+        driver.schedule_at(5.0, lambda: seen.append(("c", driver.now)))
         driver.run_until(10.0)
         assert [name for name, _ in seen] == ["a", "b", "c"]
         assert [t for _, t in seen] == [1.0, 3.0, 5.0]
@@ -116,10 +115,6 @@ class TestWallClockDriver:
         driver.schedule_at(1.0, lambda: seen.append(driver.now))  # in the past
         driver.run_until(6.0)
         assert seen and seen[0] >= 5.0
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ClockError):
-            fake_driver(FakeClock()).schedule_after(-1.0, lambda: None)
 
     def test_timers_beyond_end_stay_queued(self):
         clock = FakeClock()
@@ -211,8 +206,8 @@ class TestServiceEquivalence:
 
     def test_service_without_queue_attr_under_wallclock(self):
         service = BrpRuntimeService(_config(), driver=fake_driver(FakeClock()))
-        # The simulated queue is a driver detail, not a service attribute.
-        assert not hasattr(service.driver, "queue")
+        # Moving time by hand is a simulated-driver detail, not protocol.
+        assert not hasattr(service.driver, "advance_to")
         assert service.now == 0.0
 
     def test_rejection_reason_is_the_one_evaluated(self):

@@ -386,7 +386,7 @@ class TestSchedulingIntegration:
         service = BrpRuntimeService(TINY)
         service.submit(_offer(2, tf=20))
         service.run_aggregation()
-        service.driver.queue.clock.advance_to(10)  # earliest_start=2 is now past
+        service.driver.advance_to(10)  # earliest_start=2 is now past
         result = service.maybe_schedule(force=True)
         assert result is not None
         assert len(service._scheduled) == 1
@@ -472,7 +472,7 @@ class TestExpiry:
         )
         service = BrpRuntimeService(config)
         service.submit(_offer(2, tf=2))
-        service.driver.queue.clock.advance_to(10)
+        service.driver.advance_to(10)
         retired = service.sweep_expired()
         assert retired == 1
         report = service.report(duration_slices=10, wall_seconds=0.1)
@@ -484,7 +484,7 @@ class TestExpiry:
         service.submit(_offer(4, tf=2))
         service.run_aggregation()
         service.maybe_schedule(force=True)
-        service.driver.queue.clock.advance_to(20)
+        service.driver.advance_to(20)
         service.sweep_expired()
         counts = service.store.state_counts()
         assert counts["executed"] == 1
@@ -499,7 +499,7 @@ class TestExpiry:
         service.maybe_schedule(force=True)
         (oid,) = list(service._scheduled)
         committed = service._committed_start[oid]
-        service.driver.queue.clock.advance_to(committed + 1)
+        service.driver.advance_to(committed + 1)
         result = service.maybe_schedule(force=True)
         assert result is None  # pool emptied by the pre-run sweep
         assert service.store.offer_state(oid) == "executed"
@@ -511,7 +511,7 @@ class TestExpiry:
         service.run_aggregation()
         service.maybe_schedule(force=True)
         assert len(service._scheduled) == 1
-        service.driver.queue.clock.advance_to(20)
+        service.driver.advance_to(20)
         service.sweep_expired()
         # The live tracking set is bounded; the report total is cumulative.
         assert len(service._scheduled) == 0
@@ -532,7 +532,7 @@ class TestExpiry:
         service = BrpRuntimeService(config)
         service.submit(_offer(2, tf=2))
         (offer_id,) = list(service._live)
-        service.driver.queue.clock.advance_to(10)
+        service.driver.advance_to(10)
         service.sweep_expired()
         service.run_aggregation()
         assert service.store.offer_state(offer_id) == "expired"
@@ -544,7 +544,7 @@ class TestAssignmentDeadline:
         service = BrpRuntimeService(TINY)
         service.submit(_offer(10, tf=20, assignment_before=12))
         service.run_aggregation()
-        service.driver.queue.clock.advance_to(14)  # deadline passed, window open
+        service.driver.advance_to(14)  # deadline passed, window open
         result = service.maybe_schedule(force=True)
         assert result is None  # only ineligible work → empty run
         assert len(service._scheduled) == 0
@@ -553,7 +553,7 @@ class TestAssignmentDeadline:
         service = BrpRuntimeService(TINY)
         service.submit(_offer(10, tf=20, assignment_before=12))
         service.run_aggregation()
-        service.driver.queue.clock.advance_to(14)
+        service.driver.advance_to(14)
         service.sweep_expired()
         counts = service.store.state_counts()
         assert counts["expired"] == 1
@@ -596,7 +596,7 @@ class TestRunStreamValidation:
 
         service = BrpRuntimeService(TINY)
         iterator = arrivals()
-        service.driver.queue.schedule_at(0.5, lambda: pulled.append("mid"))
+        service.driver.schedule_at(0.5, lambda: pulled.append("mid"))
 
         # Prime the stream but stop the clock after the first arrival: only
         # the consumed prefix may have been pulled.
