@@ -1,8 +1,7 @@
-"""Legacy setuptools entry point.
+"""Legacy setuptools entry point; all metadata lives in ``setup.cfg``.
 
-Kept so that ``pip install -e .`` works in offline environments without the
-``wheel`` package (PEP 660 editable builds need it; ``setup.py develop`` does
-not).  All metadata lives in ``pyproject.toml``.
+Kept for offline environments without the ``wheel`` package: pip's
+editable install (PEP 660) needs it, ``python setup.py develop`` does not.
 """
 
 from setuptools import setup

@@ -37,9 +37,7 @@ def first_fit_bins(
     returns bins of item positions.  The trailing bin is best-effort on the
     lower side: first try folding it into its predecessor, then try
     rebalancing items from the predecessor into it; give up if neither keeps
-    all bounds intact.  Shared by :class:`BinPacker` (weighing offer objects)
-    and the columnar engine (weighing packed pool columns) so both produce
-    identical packings.
+    all bounds intact.  :class:`BinPacker` runs it over its offers' weights.
     """
     bins: list[list[int]] = []
     totals: list[float] = []

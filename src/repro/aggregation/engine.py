@@ -22,9 +22,11 @@ mirroring the design of :mod:`repro.scheduling.engine`:
   group's earliest start / end are re-derived from value counters, since a
   removal may raise them);
 * :class:`PackedAggregationPipeline` — a drop-in replacement for
-  :class:`~repro.aggregation.pipeline.AggregationPipeline` (same interface,
-  same :class:`~repro.aggregation.updates.AggregateUpdate` stream, the same
-  optional bin-packer bounds via the shared first-fit kernel).
+  :class:`~repro.aggregation.pipeline.AggregationPipeline` without the
+  bin-packer (same interface, same
+  :class:`~repro.aggregation.updates.AggregateUpdate` stream).  Bin-packing
+  stays with the scalar pipelines, which are the only engines registered
+  with the ``bin-packing`` capability.
 
 The scalar path survives in :mod:`repro.aggregation.reference` as the
 correctness oracle; ``tests/test_aggregation_engine.py`` pins the packed
@@ -43,7 +45,6 @@ import numpy as np
 from ..core.errors import AggregationError
 from ..core.flexoffer import FlexOffer, Profile, _next_id
 from .aggregator import AggregatedFlexOffer, _finalize_aggregate
-from .binpacking import BinPackerBounds, first_fit_bins
 from .grouping import GroupBuilder, cell_columns, partition_cells
 from .pipeline import _gc_paused
 from .thresholds import AggregationParameters
@@ -468,61 +469,6 @@ class GroupProfileState:
         """Arena offset of absolute slice 0 (segment start minus base)."""
         return self.start - self.base
 
-    # ------------------------------------------------------------------
-    # per-group scatters (the bin-packer path and direct/unit-test use;
-    # the plain path batches these across all touched groups instead)
-    # ------------------------------------------------------------------
-    def insert_members(self, arena: GroupArena, offers: Sequence[FlexOffer]) -> None:
-        """Add members' contributions and bookkeeping for one group.
-
-        Values come from the member objects' cached bound arrays — exactly
-        what the scalar aggregator adds when the bin-packer hands it a
-        (sub-)group membership.
-        """
-        if not offers:
-            return
-        self._materialize(arena)
-        ests = [o.earliest_start for o in offers]
-        ends = [est + o.duration for est, o in zip(ests, offers)]
-        first, last = min(ests), max(ends)
-        self.ensure_span(arena, first, last)
-        shift = self.shift
-        for offer, est in zip(offers, ests):
-            o = shift + est
-            d = offer.duration
-            arena.lo[o : o + d] += offer.profile.min_array
-            arena.hi[o : o + d] += offer.profile.max_array
-        self.admit(offers, ests, ends, first, last)
-
-    def remove_members(self, arena: GroupArena, offers: Sequence[FlexOffer]) -> None:
-        """Subtract members' contributions (the objects this state admitted).
-
-        Emptying the group resets the segment entirely, exactly like the
-        scalar state.
-        """
-        if not offers:
-            return
-        if len(offers) >= len(self.members):
-            self.reset(arena)
-            return
-        self._materialize(arena)
-        shift = self.shift
-        for offer in offers:
-            o = shift + offer.earliest_start
-            d = offer.duration
-            arena.lo[o : o + d] -= offer.profile.min_array
-            arena.hi[o : o + d] -= offer.profile.max_array
-        self.evict(offers)
-
-    # ------------------------------------------------------------------
-    def snapshot(
-        self, arena: GroupArena
-    ) -> tuple[tuple[FlexOffer, ...], int, np.ndarray, np.ndarray]:
-        """Copy out the live span: (members, est, lo, hi)."""
-        members = tuple(self.members.values())
-        lo_view = slice(self.start + self.est - self.base, self.start + self.end - self.base)
-        return members, self.est, arena.lo[lo_view].copy(), arena.hi[lo_view].copy()
-
 
 def _deferred_build(state: GroupProfileState, arena: GroupArena, *, eager: bool = False):
     """Snapshot now (copy-on-write), materialise the aggregate lazily.
@@ -555,36 +501,28 @@ def _deferred_build(state: GroupProfileState, arena: GroupArena, *, eager: bool 
 
 
 class PackedAggregationPipeline:
-    """Columnar counterpart of :class:`AggregationPipeline` (same interface).
+    """Columnar counterpart of :class:`AggregationPipeline` (same interface,
+    no bin-packer).
 
-    Grouping, bin-packing and the n-to-1 profile sums all run against the
-    :class:`PackedPool` columns and the shared :class:`GroupArena`.  Updates
-    accumulate until :meth:`run`, which applies the **net** batch effect:
-    grid cells for all inserts are computed vectorized, all removals land in
-    one subtract sweep and all inserts in one add sweep, and the emitted
+    Grouping and the n-to-1 profile sums run against the :class:`PackedPool`
+    columns and the shared :class:`GroupArena`.  Updates accumulate until
+    :meth:`run`, which applies the **net** batch effect: grid cells for all
+    inserts are computed vectorized, all removals land in one subtract sweep
+    and all inserts in one add sweep, and the emitted
     :class:`AggregateUpdate` stream carries the same kinds the scalar
     pipeline would emit (sequences compare equal up to emission order; the
     property tests sort by group id).
     """
 
-    def __init__(
-        self,
-        parameters: AggregationParameters,
-        bounds: BinPackerBounds | None = None,
-    ) -> None:
+    def __init__(self, parameters: AggregationParameters) -> None:
         self.parameters = parameters
-        self.bounds = bounds
         self.pool = PackedPool()
         self.arena = GroupArena()
         self._pending: list[FlexOfferUpdate] = []
-        #: (sub)group id -> profile state
+        #: group id -> profile state
         self._states: dict[str, GroupProfileState] = {}
         self._offer_gid: dict[int, str] = {}
         self._gid_cache: dict[tuple, str] = {}
-        # bin-packer bookkeeping (bounds is not None): parent-cell membership
-        # and the current packing, as ordered member-id tuples per subgroup.
-        self._cell_members: dict[str, dict[int, FlexOffer]] = {}
-        self._packings: dict[str, list[tuple[int, ...]]] = {}
         #: Group ids the most recent :meth:`run` created/changed/deleted.
         self.last_dirty = DirtySet()
 
@@ -607,10 +545,6 @@ class PackedAggregationPipeline:
     def input_count(self) -> int:
         """Number of micro flex-offers currently in the pipeline."""
         return self.pool.live
-
-    def contains(self, offer_id: int) -> bool:
-        """Whether the pipeline currently holds the offer (flushed state)."""
-        return offer_id in self._offer_gid
 
     @property
     def aggregates(self) -> list[AggregatedFlexOffer]:
@@ -676,20 +610,13 @@ class PackedAggregationPipeline:
         # touched and emits MODIFIED.  A re-insert into a *different* cell is
         # a genuine remove+add across groups.
         retouched: list[str] = []
-        retouched_offers: dict[str, list[FlexOffer]] = {}
         for oid in [oid for oid in inserts if oid in deletes]:
             new_gid = GroupBuilder._group_id(
                 self.parameters.group_key(inserts[oid])
             )
             if self._offer_gid[oid] == new_gid:
-                replacement = inserts.pop(oid)
-                del deletes[oid]
+                del inserts[oid], deletes[oid]
                 retouched.append(new_gid)
-                # The bin-packer layer (like the scalar group-builder) *does*
-                # see the replacement object: it weighs and value-compares
-                # the current membership, while the profile states keep the
-                # originally admitted contribution (aggregator semantics).
-                retouched_offers.setdefault(new_gid, []).append(replacement)
 
         # 2) Tombstone deleted rows (slice data remains readable for the
         # subtract sweeps below) and bucket them by their group.
@@ -750,35 +677,20 @@ class PackedAggregationPipeline:
         for gid in retouched:
             touched.setdefault(gid)
 
-        if self.bounds is None:
-            updates = self._apply_plain(
-                touched, removed_by_gid, added_by_gid, dead_row_of
-            )
-        else:
-            updates = []
-            for gid in touched:
-                added = added_by_gid.get(gid)
-                self._apply_packed_bins(
-                    gid,
-                    removed_by_gid.get(gid, []),
-                    added[1] if added is not None else [],
-                    retouched_offers.get(gid, []),
-                    updates,
-                )
-
+        updates = self._apply(touched, removed_by_gid, added_by_gid, dead_row_of)
         self.pool.maybe_compact()
         self.arena.compact(self._states.values())
         return updates
 
     # ------------------------------------------------------------------
-    def _apply_plain(
+    def _apply(
         self,
         touched: dict[str, None],
         removed_by_gid: dict[str, list[int]],
         added_by_gid: dict[str, tuple],
         dead_row_of: dict[int, int],
     ) -> list[AggregateUpdate]:
-        """One flush over plain (un-binned) groups: two scatter sweeps total.
+        """One flush over every touched group: two scatter sweeps total.
 
         Pass 1 settles membership bookkeeping per group and collects every
         member's (rows, arena shift) for the subtract and add sweeps; pass 2
@@ -887,92 +799,3 @@ class PackedAggregationPipeline:
                 state.free(arena)
                 del self._states[gid]
         return updates
-
-    # ------------------------------------------------------------------
-    def _weights(self, offers: Sequence[FlexOffer]) -> list[float]:
-        # Weighed the same way the scalar bin-packer does, so packings
-        # agree bit-for-bit.
-        return [self.bounds.weight(o) for o in offers]
-
-    def _apply_packed_bins(
-        self,
-        gid: str,
-        removed: list[int],
-        added: Sequence[FlexOffer],
-        retouched: Sequence[FlexOffer],
-        updates: list[AggregateUpdate],
-    ) -> None:
-        members = self._cell_members.get(gid)
-        if members is None:
-            if not added:
-                return
-            members = self._cell_members[gid] = {}
-        for oid in removed:
-            del members[oid]
-        for offer in added:
-            members[offer.offer_id] = offer
-        # Members replaced within the flush: the membership layer tracks the
-        # new object (weights, value comparisons), and bins whose values
-        # changed re-emit even though their id sets did not.
-        changed_ids = set()
-        for offer in retouched:
-            if members[offer.offer_id] != offer:
-                changed_ids.add(offer.offer_id)
-            members[offer.offer_id] = offer
-
-        old_packing = self._packings.get(gid, [])
-        if not members:
-            for index, _ in enumerate(old_packing):
-                sub_id = f"{gid}#{index}"
-                state = self._states.pop(sub_id)
-                updates.append(
-                    AggregateUpdate(
-                        UpdateKind.DELETED,
-                        sub_id,
-                        _deferred_build(state, self.arena, eager=True),
-                    )
-                )
-                state.free(self.arena)
-            del self._cell_members[gid]
-            self._packings.pop(gid, None)
-            return
-
-        # Deterministic first-fit in offer-id order (the same kernel the
-        # scalar bin-packer runs).
-        ordered_ids = sorted(members)
-        ordered = [members[oid] for oid in ordered_ids]
-        bins = first_fit_bins(
-            self._weights(ordered), self.bounds.minimum, self.bounds.maximum
-        )
-        new_packing = [tuple(ordered_ids[j] for j in b) for b in bins]
-
-        for index, sub_ids in enumerate(new_packing):
-            sub_id = f"{gid}#{index}"
-            old_ids = old_packing[index] if index < len(old_packing) else None
-            if old_ids == sub_ids and changed_ids.isdisjoint(sub_ids):
-                continue  # untouched subgroup: no update (scalar parity)
-            state = self._states.get(sub_id)
-            sub_existed = state is not None
-            if state is None:
-                state = self._states[sub_id] = GroupProfileState()
-            new_set = set(sub_ids)
-            evicted = [o for oid, o in state.members.items() if oid not in new_set]
-            to_add = [members[oid] for oid in sub_ids if oid not in state.members]
-            state.remove_members(self.arena, evicted)
-            state.insert_members(self.arena, to_add)
-            kind = UpdateKind.MODIFIED if sub_existed else UpdateKind.CREATED
-            updates.append(
-                AggregateUpdate(kind, sub_id, _deferred_build(state, self.arena))
-            )
-        for index in range(len(new_packing), len(old_packing)):
-            sub_id = f"{gid}#{index}"
-            state = self._states.pop(sub_id)
-            updates.append(
-                AggregateUpdate(
-                    UpdateKind.DELETED,
-                    sub_id,
-                    _deferred_build(state, self.arena, eager=True),
-                )
-            )
-            state.free(self.arena)
-        self._packings[gid] = new_packing

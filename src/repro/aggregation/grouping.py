@@ -127,10 +127,6 @@ class GroupBuilder:
         """Number of flex-offers currently held in groups."""
         return len(self._offer_cells)
 
-    def contains(self, offer_id: int) -> bool:
-        """Whether the offer is currently held in a group (flushed state)."""
-        return offer_id in self._offer_cells
-
     # ------------------------------------------------------------------
     # processing
     # ------------------------------------------------------------------

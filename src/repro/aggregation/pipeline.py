@@ -41,15 +41,19 @@ def make_pipeline(
     engines expose the same submit/run/aggregates interface.  The name is
     resolved through :func:`repro.api.default_registry`, the same catalogue
     the runtime configuration validates against, so the two accepted sets
-    cannot diverge.
+    cannot diverge.  ``bounds`` needs an engine registered with the
+    ``bin-packing`` capability (``scalar`` or ``reference``); any other
+    engine raises :class:`AggregationError` naming the capability.
     """
     # Imported lazily: the registry lives in the api layer above this one.
     from ..api.registry import KIND_AGGREGATION, RegistryError, default_registry
 
+    registry = default_registry()
     try:
-        return default_registry().create(
-            KIND_AGGREGATION, engine, parameters, bounds
-        )
+        if bounds is None:
+            return registry.create(KIND_AGGREGATION, engine, parameters)
+        entry = registry.require_capability(KIND_AGGREGATION, engine, "bin-packing")
+        return entry.create(parameters, bounds)
     except RegistryError as exc:
         raise AggregationError(str(exc)) from exc
 
@@ -133,10 +137,6 @@ class AggregationPipeline:
     def input_count(self) -> int:
         """Number of micro flex-offers currently in the pipeline."""
         return self.group_builder.offer_count
-
-    def contains(self, offer_id: int) -> bool:
-        """Whether the pipeline currently holds the offer (flushed state)."""
-        return self.group_builder.contains(offer_id)
 
 
 def aggregate_from_scratch(

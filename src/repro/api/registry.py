@@ -191,6 +191,8 @@ def _reference_pipeline(parameters, bounds=None):
 
 
 def _register_builtins(registry: Registry) -> Registry:
+    # ``bin-packing`` = accepts ``BinPackerBounds`` (``make_pipeline``
+    # checks it); the packed engine runs with the optional bin-packer off.
     registry.register(
         KIND_AGGREGATION, "packed",
         _lazy("aggregation.engine", "PackedAggregationPipeline"),
@@ -201,12 +203,12 @@ def _register_builtins(registry: Registry) -> Registry:
         KIND_AGGREGATION, "scalar",
         _lazy("aggregation.pipeline", "AggregationPipeline"),
         description="live object pipeline (group-builder -> n-to-1 aggregator)",
-        capabilities=("incremental",),
+        capabilities=("incremental", "bin-packing"),
     )
     registry.register(
         KIND_AGGREGATION, "reference", _reference_pipeline,
         description="historical rebuild-on-remove state; oracle + baseline",
-        capabilities=("incremental", "oracle"),
+        capabilities=("incremental", "oracle", "bin-packing"),
     )
     # Scheduler capabilities are declared here and nowhere else:
     # ``runtime`` = usable by the streaming service's pass-bounded

@@ -150,11 +150,11 @@ def build_mirabel_schema() -> StarSchema:
 class LedmsStore:
     """Component-facing facade over the MIRABEL schema."""
 
-    def __init__(self, axis: TimeAxis, market_area: str = "EU", country: str = "EU"):
+    def __init__(self, axis: TimeAxis):
         self.axis = axis
         self._schema = build_mirabel_schema()
         self._schema.insert_dimension_row(
-            "market_area", {"market_area_id": 1, "name": market_area, "country": country}
+            "market_area", {"market_area_id": 1, "name": "EU", "country": "EU"}
         )
         for state_id, state in enumerate(OFFER_STATES):
             self._schema.insert_dimension_row(

@@ -19,7 +19,12 @@ __all__ = ["MessageBus"]
 
 
 class MessageBus:
-    """FIFO message delivery between named nodes."""
+    """FIFO message delivery between named nodes.
+
+    Sending is best-effort only (:meth:`try_send`): its one user,
+    :class:`~repro.runtime.cluster.BusAdapter`, must survive outages, so
+    nothing here raises on an unknown or unreachable recipient.
+    """
 
     def __init__(self) -> None:
         self._handlers: dict[str, Callable[[Message], None]] = {}
@@ -34,22 +39,14 @@ class MessageBus:
             raise CommunicationError(f"node name {name!r} already registered")
         self._handlers[name] = handler
 
-    def send(self, message: Message) -> None:
-        """Queue a message for delivery."""
-        if message.recipient not in self._handlers:
-            raise CommunicationError(f"unknown recipient {message.recipient!r}")
-        self._queue.append(message)
-
     def try_send(self, message: Message) -> bool:
         """Best-effort delivery: queue the message unless it cannot arrive.
 
-        The outage-aware counterpart of :meth:`send` for long-running
-        senders (the cluster runtime): a message to an unknown or currently
-        unreachable recipient is counted as dropped and ``False`` is
-        returned instead of raising — the paper's graceful degradation,
-        where a node outage means pending flexibilities simply time out.
-        A recipient that turns unreachable *after* queueing is still
-        dropped at dispatch time, as before.
+        A message to an unknown or currently unreachable recipient is
+        counted as dropped and ``False`` is returned — the paper's graceful
+        degradation, where a node outage means pending flexibilities simply
+        time out.  A recipient that turns unreachable *after* queueing is
+        still dropped at dispatch time.
         """
         if (
             message.recipient not in self._handlers
@@ -59,10 +56,6 @@ class MessageBus:
             return False
         self._queue.append(message)
         return True
-
-    def is_reachable(self, name: str) -> bool:
-        """Whether ``name`` is registered and not marked unreachable."""
-        return name in self._handlers and name not in self._unreachable
 
     # ------------------------------------------------------------------
     # failure injection
@@ -92,11 +85,6 @@ class MessageBus:
             self.delivered[message.type] += 1
             count += 1
         return count
-
-    @property
-    def pending(self) -> int:
-        """Messages queued but not yet delivered."""
-        return len(self._queue)
 
     def total_delivered(self) -> int:
         """All-time delivered message count."""

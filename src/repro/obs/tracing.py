@@ -139,11 +139,9 @@ class Tracer:
         disjoint band (e.g. ``(worker_index + 1) * 10**9``) — cross-process
         :class:`TraceContext` links then stay unambiguous when the worker
         streams merge into one trace.
-    clock:
-        Sim-time source (callable returning the current slice as float).
-        Usually bound later via :meth:`bind_clock` once a driver exists.
-    wall:
-        Wall-time source; defaults to :func:`time.perf_counter`.
+
+    Sim time reads 0.0 until :meth:`bind_clock` attaches a driver's clock;
+    wall time is :func:`time.perf_counter`.
     """
 
     enabled = True
@@ -154,8 +152,6 @@ class Tracer:
         capacity: int = 65536,
         sample_every: int = 1,
         sink: Callable[[dict], None] | None = None,
-        clock: Callable[[], float] | None = None,
-        wall: Callable[[], float] | None = None,
         span_base: int = 1,
     ):
         if capacity <= 0:
@@ -169,8 +165,7 @@ class Tracer:
         self.evicted = 0
         self._ring: deque[dict] = deque(maxlen=capacity)
         self._sink = sink
-        self._clock = clock
-        self._wall = wall if wall is not None else time.perf_counter
+        self._clock: Callable[[], float] | None = None
         self._seq = 0
         self._next_span = span_base
         self._stack: list[Span] = []
@@ -184,7 +179,7 @@ class Tracer:
         return float(self._clock()) if self._clock is not None else 0.0
 
     def wall_now(self) -> float:
-        return self._wall()
+        return time.perf_counter()
 
     # -- sampling -------------------------------------------------------
     def sampled(self, offer_id: int) -> bool:

@@ -1135,7 +1135,6 @@ class ClusterRuntime:
         config: ClusterConfig | None = None,
         *,
         driver: TimeDriver | None = None,
-        bus: MessageBus | None = None,
         tso_net_forecast: TimeSeries | None = None,
         tracer: Tracer | NullTracer | None = None,
         ledger_factory: Callable[[str], Any] | None = None,
@@ -1144,7 +1143,7 @@ class ClusterRuntime:
         self.driver: TimeDriver = (
             driver if driver is not None else SimulatedDriver()
         )
-        self.bus = bus if bus is not None else MessageBus()
+        self.bus = MessageBus()
         # One shared tracer across every node: span ids are then unique
         # cluster-wide and the ring holds the whole causal graph in one
         # deterministic sequence.

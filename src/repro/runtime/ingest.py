@@ -45,7 +45,6 @@ class FlexOfferIngest:
         metrics: MetricsRegistry | None = None,
         batch_size: int = 64,
         max_duration_slices: int | None = None,
-        actor_role: str = "prosumer",
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -54,7 +53,6 @@ class FlexOfferIngest:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.batch_size = batch_size
         self.max_duration_slices = max_duration_slices
-        self.actor_role = actor_role
         self._pending = 0
         self._batch: list[FlexOffer] = []
         # Touched once per admitted offer, looked up once.
@@ -79,17 +77,11 @@ class FlexOfferIngest:
         """Micro flex-offers currently held by the pipeline behind this ingest."""
         return self.pipeline.input_count
 
-    def contains(self, offer_id: int) -> bool:
-        """Whether this ingest holds the offer (flushed or awaiting flush)."""
-        return self.pipeline.contains(offer_id) or any(
-            offer.offer_id == offer_id for offer in self._batch
-        )
-
     # ------------------------------------------------------------------
     def _record(self, offer: FlexOffer, state: str, now: int) -> None:
         if self.store is None:
             return
-        self.store.register_actor(offer.owner, self.actor_role)
+        self.store.register_actor(offer.owner, "prosumer")
         self.store.record_offer_event(offer.owner, offer, state, now)
 
     def _record_all(self, offers: list[FlexOffer], state: str, now: int) -> None:
@@ -98,7 +90,7 @@ class FlexOfferIngest:
             return
         # dict, not set: first-seen order keeps actor ids deterministic.
         for owner in dict.fromkeys(offer.owner for offer in offers):
-            self.store.register_actor(owner, self.actor_role)
+            self.store.register_actor(owner, "prosumer")
         self.store.record_offer_events(
             [(offer.owner, offer, state) for offer in offers], now
         )

@@ -661,7 +661,9 @@ class ParallelClusterRuntime(ClusterRuntime):
         """Tear down workers and sweep the run's shared-memory segments.
 
         Idempotent; also registered via ``atexit`` so an aborted run (or a
-        crashed parent) still reclaims every ``/dev/shm`` block.
+        crashed parent) still reclaims every ``/dev/shm`` block.  Once it has
+        run, the registration is dropped: it would otherwise keep the
+        finished runtime, and everything it holds, alive until exit.
         """
         for proc in self._procs:
             if proc.is_alive():
@@ -678,3 +680,4 @@ class ParallelClusterRuntime(ClusterRuntime):
             except OSError:
                 pass
         cleanup_run_segments(self.run_id)
+        atexit.unregister(self._cleanup)

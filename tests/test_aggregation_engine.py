@@ -18,7 +18,6 @@ from repro.aggregation import (
     AggregationParameters,
     BinPackerBounds,
     FlexOfferUpdate,
-    GroupProfileState,
     PackedPool,
     UpdateKind,
     make_pipeline,
@@ -134,10 +133,16 @@ def test_packed_matches_reference_on_random_streams(block):
 
 
 @pytest.mark.parametrize("property_name", ["count", "energy", "time_flexibility"])
-def test_packed_matches_scalar_with_binpacker(property_name):
+def test_reference_matches_scalar_with_binpacker(property_name):
+    """The two bin-packing engines emit the same sub-group aggregates."""
     bounds = BinPackerBounds(property_name, minimum=0.0, maximum=6.0)
     for seed in range(40):
-        _run_scenario(seed, engines=("scalar", "packed"), bounds=bounds)
+        _run_scenario(seed, engines=("reference", "scalar"), bounds=bounds)
+
+
+def test_packed_engine_refuses_bin_packer_bounds():
+    with pytest.raises(AggregationError, match="bin-packing"):
+        make_pipeline(AggregationParameters(0, 0), BinPackerBounds(), engine="packed")
 
 
 def test_packed_matches_scalar_on_arbitrary_floats():
@@ -247,21 +252,21 @@ class TestPackedPool:
             assert got.tolist() == list(offer.profile.min_energies())
 
     def test_group_state_tracks_est_and_end_through_removals(self):
-        from repro.aggregation import GroupArena
-
-        arena = GroupArena()
+        pipe = make_pipeline(AggregationParameters(8, 8), engine="packed")
         early = flex_offer([(1, 1)] * 2, earliest_start=5, latest_start=9)
         late = flex_offer([(2, 3)] * 6, earliest_start=8, latest_start=12)
-        state = GroupProfileState()
-        state.insert_members(arena, [early, late])
-        assert (state.est, state.end) == (5, 14)
-        state.remove_members(arena, [early])
-        assert (state.est, state.end) == (8, 14)
-        members, est, lo, hi = state.snapshot(arena)
-        assert members == (late,)
-        assert est == 8
-        assert lo.tolist() == [2.0] * 6
-        assert hi.tolist() == [3.0] * 6
+        pipe.submit_inserts([early, late])
+        (created,) = pipe.run()
+        both = created.aggregate
+        assert (both.earliest_start, both.earliest_start + both.duration) == (5, 14)
+        pipe.submit_deletes([early])
+        (update,) = pipe.run()
+        assert update.kind is UpdateKind.MODIFIED
+        aggregate = update.aggregate
+        assert aggregate.members == (late,)
+        assert (aggregate.earliest_start, aggregate.earliest_start + aggregate.duration) == (8, 14)
+        assert aggregate.profile.min_energies() == (2.0,) * 6
+        assert aggregate.profile.max_energies() == (3.0,) * 6
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -511,6 +512,15 @@ class TestLifecycle:
         cluster.run(_streams(cluster.config.brps, 8.0), 8.0)
         with pytest.raises(ServiceError, match="runs once"):
             cluster.run({}, 8.0)
+
+    def test_finished_runtime_is_freed(self):
+        """The atexit teardown hook lets go of the runtime once it has run."""
+        cluster = ParallelClusterRuntime(_cluster_config(brps=2), workers=2)
+        cluster.run(_streams(cluster.config.brps, 12.0), 12.0)
+        ref = weakref.ref(cluster)
+        del cluster
+        gc.collect()
+        assert ref() is None
 
     def test_transport_rejects_foreign_messages(self):
         transport = ProcessBusTransport(
