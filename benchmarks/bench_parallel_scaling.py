@@ -76,7 +76,7 @@ def _service_config() -> ServiceConfig:
 
 def _cluster_config() -> ClusterConfig:
     return ClusterConfig.uniform(
-        BRPS, _service_config(), tso=TsoConfig(scheduler_passes=1)
+        BRPS, _service_config(), tso=TsoConfig.from_flat(scheduler_passes=1)
     )
 
 

@@ -677,12 +677,12 @@ def _build_cluster(args, config, spec, driver, tracer, outages):
     else:
         cluster_config = ClusterConfig.uniform(args.brps, config)
     target = config.scheduling.target_p95_slices
-    if target is not None and cluster_config.tso.target_p95_slices is None:
+    tso = cluster_config.tso
+    if target is not None and tso.scheduling.target_p95_slices is None:
         # The latency target reaches both tiers: a --cluster file's tso
         # section wins where it speaks, the flag fills the gap.
         cluster_config = dataclasses.replace(
-            cluster_config,
-            tso=dataclasses.replace(cluster_config.tso, target_p95_slices=target),
+            cluster_config, tso=tso.merged(target_p95_slices=target)
         )
     if args.bus_retries > 0:
         cluster_config = dataclasses.replace(

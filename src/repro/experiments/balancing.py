@@ -199,7 +199,7 @@ def plan_day(scenario: Scenario, config: ScenarioConfig) -> DayPlan:
     cluster = None
     if config.use_tso:
         system = sum((f.values for f in scenario.forecasts.values()), np.zeros(horizon))
-        tso = TsoConfig(parameters=parameters, **tier)
+        tso = TsoConfig(aggregation=service.aggregation).merged(**tier)
         cluster = ClusterRuntime(
             ClusterConfig.uniform(config.n_brps, service, tso=tso),
             driver=SimulatedDriver(start),

@@ -250,9 +250,10 @@ def _finish(service, stats: ReplayStats) -> None:
     if tracer.enabled:
         # Mark every restored-live offer: its trace chain survives restart.
         for offer_id in sorted(service._live):
-            tracer.replay_event(
-                offer_id,
-                "live_restored",
+            tracer.record(
+                "ledger_replay",
                 node=service.name,
+                offer_id=offer_id,
+                state="live_restored",
                 detail={"mode": stats.mode},
             )

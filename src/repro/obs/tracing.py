@@ -13,10 +13,13 @@ time went.  This module records the missing causal structure:
   bus messages, so a macro scheduled at the TSO links back to the BRP
   spans (and micro commitments) that produced it.
 
-All records land in one bounded ring buffer (FIFO eviction, deterministic)
-and, optionally, in a sink callable (the JSON-lines writer).  The default
-tracer everywhere is :class:`NullTracer` — instrumentation call sites
-guard on ``tracer.enabled``, so an untraced run pays almost nothing.
+Every record is built by one method, :meth:`Tracer.record`, from the
+kind's field list in :data:`~repro.obs.events.EVENT_SCHEMA` — the schema
+is the only place a record's fields are declared.  All records land in one
+bounded ring buffer (FIFO eviction, deterministic) and, optionally, in a
+sink callable (the JSON-lines writer).  The default tracer everywhere is
+:class:`NullTracer` — instrumentation call sites guard on
+``tracer.enabled``, so an untraced run pays almost nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from ..core.errors import ServiceError
+from .events import EVENT_SCHEMA
 
 __all__ = [
     "TraceContext",
@@ -67,7 +71,6 @@ class Span:
         "parent_id",
         "links",
         "labels",
-        "offer_ids",
         "sim_start",
         "wall_start",
         "_tracer",
@@ -81,8 +84,6 @@ class Span:
         node: str,
         parent_id: int | None,
         labels: Mapping[str, str] | None,
-        links: list[TraceContext],
-        offer_ids: list[int],
     ):
         self._tracer = tracer
         self.span_id = span_id
@@ -90,8 +91,7 @@ class Span:
         self.node = node
         self.parent_id = parent_id
         self.labels = dict(labels) if labels else {}
-        self.links = links
-        self.offer_ids = offer_ids
+        self.links: list[TraceContext] = []
         self.sim_start = tracer.sim_now()
         self.wall_start = tracer.wall_now()
 
@@ -99,10 +99,6 @@ class Span:
         """Add a cross-node causal edge (no-op for a missing context)."""
         if ctx is not None:
             self.links.append(ctx)
-
-    def add_offer(self, offer_id: int) -> None:
-        """Associate an offer id with this span (for trace reconstruction)."""
-        self.offer_ids.append(int(offer_id))
 
     def context(self) -> TraceContext:
         """A :class:`TraceContext` pointing at this span."""
@@ -115,6 +111,63 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._tracer._close_span(self)
         return False
+
+
+#: Default of a field the caller may leave out (any other field is a
+#: required keyword); ``_FILL`` stands for "filled in when recorded".
+_DEFAULTS = {"span": "_FILL", "sim": "_FILL", "wall": "_FILL", "detail": "None"}
+
+#: The value stored for a field, over the tracer ``t`` and the field's
+#: parameter — a normalisation or a fill-in; any other field is stored as
+#: passed.
+_VALUES = {
+    "offer_id": "int(offer_id)",
+    "attempt": "int(attempt)",
+    "decision": "bool(decision)",
+    "fired": "list(fired)",
+    "ctx": "ctx.as_dict() if ctx is not None else None",
+    "detail": "dict(detail) if detail else {}",
+    "span": "(t._stack[-1].span_id if t._stack else None) "
+    "if span is _FILL else span",
+    "sim": "t.sim_now() if sim is _FILL else sim",
+    "wall": "t.wall_now() if wall is _FILL else wall",
+}
+
+_FILL = object()
+
+
+def _compile_recorder(kind: str, schema: Mapping[str, str]) -> Callable:
+    """``record_<kind>(tracer, force, **fields)``, compiled from the schema.
+
+    The schema's fields become keyword parameters (so a missing or unknown
+    field fails as a call would) and the record one dict display with the
+    fields in schema order — the code a hand-written method would be, so a
+    record costs no loop over its fields (the way :mod:`dataclasses`
+    compiles ``__init__`` from the declared fields).  Every expression
+    comes from this module.
+    """
+    params = ", ".join(
+        f"{key}={_DEFAULTS[key]}" if key in _DEFAULTS else key for key in schema
+    )
+    values = ", ".join(f"{key!r}: {_VALUES.get(key, key)}" for key in schema)
+    sampling = (
+        "if not force and int(offer_id) % t.sample_every:\n        return\n    "
+        if "offer_id" in schema
+        else ""
+    )
+    namespace: dict[str, Any] = {"_FILL": _FILL}
+    exec(
+        f"def record_{kind}(t, force, *, {params}):\n"
+        f"    {sampling}t._emit({{'event': {kind!r}, {values}}})\n",
+        namespace,
+    )
+    return namespace[f"record_{kind}"]
+
+
+#: Kind -> its compiled recorder.
+_RECORDERS = {
+    kind: _compile_recorder(kind, schema) for kind, schema in EVENT_SCHEMA.items()
+}
 
 
 class Tracer:
@@ -193,29 +246,14 @@ class Tracer:
         *,
         node: str = "",
         labels: Mapping[str, str] | None = None,
-        parent: Span | None = None,
-        links: list[TraceContext] | None = None,
-        offer_ids: list[int] | None = None,
     ) -> Span:
         """Open a span; use as ``with tracer.span("schedule", node=...) as s:``.
 
-        The parent defaults to the innermost currently-open span, so
-        nesting falls out of lexical structure.
+        Its parent is the innermost currently-open span, so nesting falls
+        out of lexical structure.
         """
-        if parent is not None:
-            parent_id = parent.span_id
-        else:
-            parent_id = self._stack[-1].span_id if self._stack else None
-        span = Span(
-            self,
-            self._next_span,
-            name,
-            node,
-            parent_id,
-            labels,
-            list(links) if links else [],
-            [int(o) for o in offer_ids] if offer_ids else [],
-        )
+        parent_id = self._stack[-1].span_id if self._stack else None
+        span = Span(self, self._next_span, name, node, parent_id, labels)
         self._next_span += 1
         return span
 
@@ -233,199 +271,39 @@ class Tracer:
             self._stack.pop()
         elif span in self._stack:  # defensive: out-of-order close
             self._stack.remove(span)
-        self._emit(
-            {
-                "event": "span",
-                "node": span.node,
-                "name": span.name,
-                "span": span.span_id,
-                "parent": span.parent_id,
-                "links": [ctx.as_dict() for ctx in span.links],
-                "labels": span.labels,
-                "offer_ids": span.offer_ids,
-                "sim_start": span.sim_start,
-                "sim_end": self.sim_now(),
-                "wall_seconds": self.wall_now() - span.wall_start,
-            }
+        self.record(
+            "span",
+            node=span.node,
+            name=span.name,
+            span=span.span_id,
+            parent=span.parent_id,
+            links=[ctx.as_dict() for ctx in span.links],
+            labels=span.labels,
+            offer_ids=[],
+            sim_start=span.sim_start,
+            sim_end=self.sim_now(),
+            wall_seconds=self.wall_now() - span.wall_start,
         )
 
     # -- event records --------------------------------------------------
-    def offer_event(
-        self,
-        offer_id: int,
-        state: str,
-        *,
-        node: str = "",
-        detail: Mapping[str, Any] | None = None,
-        force: bool = False,
-    ) -> None:
-        """Record an offer-lifecycle transition (subject to sampling)."""
-        if not force and not self.sampled(offer_id):
-            return
-        span = self.current_span()
-        self._emit(
-            {
-                "event": "offer",
-                "node": node,
-                "offer_id": int(offer_id),
-                "state": state,
-                "span": span.span_id if span is not None else None,
-                "sim": self.sim_now(),
-                "wall": self.wall_now(),
-                "detail": dict(detail) if detail else {},
-            }
-        )
+    def record(self, kind: str, *, force: bool = False, **fields: Any) -> None:
+        """Record one ``kind`` event, built from ``EVENT_SCHEMA[kind]``.
 
-    def bus_event(
-        self,
-        action: str,
-        *,
-        node: str = "",
-        type: str = "",
-        sender: str = "",
-        recipient: str = "",
-        message_id: int | None = None,
-        ctx: TraceContext | None = None,
-        detail: Mapping[str, Any] | None = None,
-    ) -> None:
-        """Record a bus publish/deliver/drop."""
-        span = self.current_span()
-        self._emit(
-            {
-                "event": "bus",
-                "node": node,
-                "action": action,
-                "type": type,
-                "sender": sender,
-                "recipient": recipient,
-                "message_id": message_id,
-                "span": span.span_id if span is not None else None,
-                "ctx": ctx.as_dict() if ctx is not None else None,
-                "sim": self.sim_now(),
-                "wall": self.wall_now(),
-                "detail": dict(detail) if detail else {},
-            }
-        )
-
-    def trigger_event(
-        self,
-        *,
-        node: str = "",
-        fired: list[str] | None = None,
-        decision: bool = False,
-        detail: Mapping[str, Any] | None = None,
-    ) -> None:
-        """Record a trigger evaluation (which conditions fired, outcome)."""
-        self._emit(
-            {
-                "event": "trigger",
-                "node": node,
-                "fired": list(fired) if fired else [],
-                "decision": bool(decision),
-                "sim": self.sim_now(),
-                "wall": self.wall_now(),
-                "detail": dict(detail) if detail else {},
-            }
-        )
-
-    def ledger_event(
-        self,
-        fact: str,
-        offer_id: int,
-        *,
-        node: str = "",
-        detail: Mapping[str, Any] | None = None,
-        force: bool = False,
-    ) -> None:
-        """Record one durable-ledger append (subject to offer sampling)."""
-        if not force and not self.sampled(offer_id):
-            return
-        self._emit(
-            {
-                "event": "ledger_append",
-                "node": node,
-                "fact": fact,
-                "offer_id": int(offer_id),
-                "sim": self.sim_now(),
-                "wall": self.wall_now(),
-                "detail": dict(detail) if detail else {},
-            }
-        )
-
-    def replay_event(
-        self,
-        offer_id: int,
-        state: str,
-        *,
-        node: str = "",
-        detail: Mapping[str, Any] | None = None,
-        force: bool = False,
-    ) -> None:
-        """Record one offer restored by log replay (crash/restart boundary)."""
-        if not force and not self.sampled(offer_id):
-            return
-        self._emit(
-            {
-                "event": "ledger_replay",
-                "node": node,
-                "offer_id": int(offer_id),
-                "state": state,
-                "sim": self.sim_now(),
-                "wall": self.wall_now(),
-                "detail": dict(detail) if detail else {},
-            }
-        )
-
-    def dlq_event(
-        self,
-        offer_id: int,
-        reason: str,
-        *,
-        node: str = "",
-        detail: Mapping[str, Any] | None = None,
-        force: bool = False,
-    ) -> None:
-        """Record one submission routed to the dead-letter queue."""
-        if not force and not self.sampled(offer_id):
-            return
-        self._emit(
-            {
-                "event": "dlq_routed",
-                "node": node,
-                "offer_id": int(offer_id),
-                "reason": reason,
-                "sim": self.sim_now(),
-                "wall": self.wall_now(),
-                "detail": dict(detail) if detail else {},
-            }
-        )
-
-    def bus_retry_event(
-        self,
-        *,
-        node: str = "",
-        type: str = "",
-        sender: str = "",
-        recipient: str = "",
-        message_id: int | None = None,
-        attempt: int = 1,
-        detail: Mapping[str, Any] | None = None,
-    ) -> None:
-        """Record one bounded-retry attempt for an undeliverable message."""
-        self._emit(
-            {
-                "event": "bus_retry",
-                "node": node,
-                "type": type,
-                "sender": sender,
-                "recipient": recipient,
-                "message_id": message_id,
-                "attempt": int(attempt),
-                "sim": self.sim_now(),
-                "wall": self.wall_now(),
-                "detail": dict(detail) if detail else {},
-            }
-        )
+        The record's keys are ``event``, the schema's fields in schema
+        order, then ``seq``.  Where the schema has them and the caller did
+        not pass them, ``span`` (the innermost open span), ``sim``, ``wall``
+        and an empty ``detail`` are filled in; every other field must be
+        passed, and a field the schema lacks is a ``TypeError``.  A kind
+        that carries an ``offer_id`` is recorded only for a sampled offer
+        (see :meth:`sampled`), unless ``force`` is set.
+        """
+        recorder = _RECORDERS.get(kind)
+        if recorder is None:
+            raise ServiceError(
+                f"unknown event kind {kind!r}; known kinds: "
+                f"{', '.join(EVENT_SCHEMA)}"
+            )
+        recorder(self, force, **fields)
 
     # -- retention ------------------------------------------------------
     def _emit(self, record: dict) -> None:
@@ -456,9 +334,6 @@ class _NullSpan:
         return False
 
     def link(self, ctx) -> None:
-        pass
-
-    def add_offer(self, offer_id) -> None:
         pass
 
     def context(self) -> None:
@@ -496,25 +371,7 @@ class NullTracer:
     def current_context(self, node: str = "") -> None:
         return None
 
-    def offer_event(self, offer_id, state, **kwargs) -> None:
-        pass
-
-    def bus_event(self, action, **kwargs) -> None:
-        pass
-
-    def trigger_event(self, **kwargs) -> None:
-        pass
-
-    def ledger_event(self, fact, offer_id, **kwargs) -> None:
-        pass
-
-    def replay_event(self, offer_id, state, **kwargs) -> None:
-        pass
-
-    def dlq_event(self, offer_id, reason, **kwargs) -> None:
-        pass
-
-    def bus_retry_event(self, **kwargs) -> None:
+    def record(self, kind, *, force=False, **fields) -> None:
         pass
 
     @property

@@ -45,12 +45,6 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from ..aggregation.aggregator import disaggregate
 from ..aggregation.pipeline import make_pipeline
-from ..aggregation.thresholds import AggregationParameters
-from ..api.registry import (
-    KIND_AGGREGATION,
-    KIND_SCHEDULER,
-    default_registry,
-)
 from ..core.errors import CommunicationError, ServiceError
 from ..core.flexoffer import FlexOffer
 from ..core.schedule import ScheduledFlexOffer
@@ -61,16 +55,19 @@ from ..node.messages import Message, MessageType
 from ..obs.tracing import NullTracer, Tracer
 from ..scheduling import SchedulingResult
 from .config import (
+    AggregationConfig,
     MarketConfig,
+    SchedulingConfig,
+    SectionedConfig,
     ServiceConfig,
-    _require_finite,
-    _runtime_parameters,
+    _check_fields,
+    _field_tables,
 )
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .metrics import MetricsRegistry, aggregate_registries
 from .planning import PlanSession, eligible_for_window, report_adaptive
 from .service import RuntimeReport
-from .triggers import AdaptiveCooldown
+from .triggers import AdaptiveCooldown, CountTrigger, TriggerContext
 
 __all__ = [
     "BrpHost",
@@ -110,7 +107,7 @@ class BusConfig:
     """Per-recipient cap on exhausted messages parked for recovery replay."""
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if self.max_retries < 0:
             raise ServiceError(
                 f"max_retries must be non-negative, got {self.max_retries}"
@@ -206,9 +203,10 @@ class BusAdapter:
                     "bus.delivered", labels={"type": info[1]}
                 ).inc()
             if self.tracer.enabled:
-                self.tracer.bus_event(
-                    "deliver",
+                self.tracer.record(
+                    "bus",
                     node=name,
+                    action="deliver",
                     type=message.type.value,
                     sender=message.sender,
                     recipient=message.recipient,
@@ -236,12 +234,14 @@ class BusAdapter:
                     "bus.replayed", labels={"type": message.type.value}
                 ).inc()
                 if self.tracer.enabled:
-                    self.tracer.bus_retry_event(
+                    self.tracer.record(
+                        "bus_retry",
                         node=name,
                         type=message.type.value,
                         sender=message.sender,
                         recipient=message.recipient,
                         message_id=message.message_id,
+                        attempt=1,
                         detail={"outcome": "replayed_after_recovery"},
                     )
                 self._dispatch(message, attempt=1)
@@ -306,9 +306,10 @@ class BusAdapter:
                 time.perf_counter(), type_name, message,
             )
             if self.tracer.enabled:
-                self.tracer.bus_event(
-                    "publish",
+                self.tracer.record(
+                    "bus",
                     node=message.sender,
+                    action="publish",
                     type=type_name,
                     sender=message.sender,
                     recipient=message.recipient,
@@ -343,7 +344,8 @@ class BusAdapter:
                 "bus.retries", labels={"type": type_name}
             ).inc()
             if self.tracer.enabled:
-                self.tracer.bus_retry_event(
+                self.tracer.record(
+                    "bus_retry",
                     node=message.sender,
                     type=type_name,
                     sender=message.sender,
@@ -368,9 +370,10 @@ class BusAdapter:
             }
             if detail:
                 drop_detail.update(detail)
-            self.tracer.bus_event(
-                "drop",
+            self.tracer.record(
+                "bus",
                 node=message.sender,
+                action="drop",
                 type=type_name,
                 sender=message.sender,
                 recipient=message.recipient,
@@ -412,68 +415,50 @@ class BusAdapter:
 
 
 # ----------------------------------------------------------------------
+def _tso_scheduling() -> SchedulingConfig:
+    """Re-plan after two snapshot refreshes, at most once per 4 slices."""
+    return SchedulingConfig(trigger=CountTrigger(2), min_run_interval_slices=4.0)
+
+
 @dataclass(frozen=True)
-class TsoConfig:
-    """Configuration of the cluster's level-3 scheduling tier."""
+class TsoConfig(SectionedConfig):
+    """Configuration of the cluster's level-3 scheduling tier.
 
-    engine: str = "packed"
-    """Aggregation engine re-aggregating BRP macros, by registry name."""
-    scheduler: str = "greedy"
-    """System-wide scheduler, by registry name (``runtime`` capability)."""
-    scheduler_passes: int = 2
-    horizon_slices: int = 192
-    trigger_refreshes: int = 2
-    """BRP macro-snapshot refreshes that trigger a TSO scheduling run."""
-    min_run_interval_slices: float = 4.0
-    """Cooldown between TSO runs, bounding re-plan thrash."""
-    target_p95_slices: float | None = None
-    """Closed-loop staleness target (p95 of snapshot wait, in slices).
-
-    When set, an :class:`~repro.runtime.triggers.AdaptiveCooldown` owns
-    mutable copies of ``trigger_refreshes`` / ``min_run_interval_slices``
-    and steers them toward this target; the configured values become the
-    relaxation rails.
+    The TSO "essentially repeats the process at a higher level", so it
+    takes the BRP's own sections; only the scheduling defaults differ (a
+    count trigger over snapshot refreshes and a longer cooldown).  Flat
+    names work as they do for :class:`~repro.api.ServiceConfig`
+    (``TsoConfig.from_flat(scheduler_passes=1)``).
     """
-    parameters: AggregationParameters = field(
-        default_factory=_runtime_parameters
-    )
+
     market: MarketConfig = field(default_factory=MarketConfig)
-    seed: int = 0
+    aggregation: AggregationConfig = field(default_factory=AggregationConfig)
+    """Re-aggregation of the BRPs' macros into supers."""
+    scheduling: SchedulingConfig = field(default_factory=_tso_scheduling)
+    """At the TSO, ``trigger`` counts snapshot refreshes (see
+    :attr:`SchedulingConfig.trigger`); with ``target_p95_slices`` set it
+    must be a count trigger, whose threshold and the cooldown an
+    :class:`~repro.runtime.triggers.AdaptiveCooldown` then steers."""
+
+    _SCOPE = "tso"
+    _SECTION_FIELDS, _FLAT_FIELDS = _field_tables(
+        {
+            "market": MarketConfig,
+            "aggregation": AggregationConfig,
+            "scheduling": SchedulingConfig,
+        }
+    )
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        registry = default_registry()
-        registry.get(KIND_AGGREGATION, self.engine)  # raises with names
-        registry.require_capability(KIND_SCHEDULER, self.scheduler, "runtime")
-        if self.scheduler_passes <= 0:
-            raise ServiceError("scheduler_passes must be positive")
-        if self.horizon_slices <= 0:
-            raise ServiceError("horizon_slices must be positive")
-        if self.trigger_refreshes <= 0:
-            raise ServiceError("trigger_refreshes must be positive")
-        if self.min_run_interval_slices < 0:
-            raise ServiceError("min_run_interval_slices must be non-negative")
-        if self.target_p95_slices is not None and self.target_p95_slices <= 0:
-            raise ServiceError("target_p95_slices must be positive")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TsoConfig":
-        """Build from a JSON-style mapping (``market`` may be nested)."""
-        values = dict(data)
-        if "parameters" in values:
+        _check_fields(self)
+        scheduling = self.scheduling
+        if scheduling.target_p95_slices is not None and not isinstance(
+            scheduling.trigger, CountTrigger
+        ):
             raise ServiceError(
-                "TSO aggregation parameters cannot be configured from a "
-                "dict; pass parameters= to TsoConfig directly"
+                "an adaptive TSO (target_p95_slices) tunes a count trigger; "
+                "give the tso scheduling trigger as {'kind': 'count', ...}"
             )
-        market = values.pop("market", None)
-        if market is not None:
-            if not isinstance(market, Mapping):
-                raise ServiceError("tso config section 'market' must be a mapping")
-            values["market"] = MarketConfig(**market)
-        try:
-            return cls(**values)
-        except TypeError as exc:
-            raise ServiceError(f"invalid tso config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -525,12 +510,16 @@ class ClusterConfig:
         ``brps`` is either an integer (that many default BRPs) or a mapping
         of BRP name to a :meth:`ServiceConfig.from_dict` section (``{}``
         for defaults); ``defaults`` supplies the base section every BRP
-        starts from; ``tso`` configures the level-3 tier::
+        starts from; ``tso`` configures the level-3 tier with the same
+        sections and flat names (:meth:`TsoConfig.from_dict`, minus
+        ``ingest``)::
 
             {"brps": {"north": {"scheduling": {"horizon_slices": 96}},
                       "south": {}},
              "defaults": {"ingest": {"batch_size": 32}},
-             "tso": {"trigger_refreshes": 4}}
+             "tso": {"scheduling": {"trigger": {"kind": "count",
+                                                "threshold": 4}},
+                     "aggregation": {"engine": "scalar"}}}
 
         ``base`` (e.g. the CLI's flag-derived :class:`ServiceConfig`)
         underlies everything: fields neither a BRP section nor ``defaults``
@@ -614,13 +603,14 @@ class TsoRuntimeService:
     *replaces* that BRP's previous one, so the TSO's macro pool
     always mirrors the fleet's latest committed plans (a pool change always
     materialises new aggregate ids, so retaining stale snapshots would
-    double-count).  After ``trigger_refreshes`` snapshot refreshes (and a
-    cooldown), the TSO re-aggregates the pool once more — "the process is
-    essentially repeated at a higher level" — plans the super-aggregates
-    system-wide through its :class:`~repro.runtime.planning.PlanSession`,
-    disaggregates the plan back into scheduled macros, and returns each to
-    its home BRP over the bus in best-effort mode, so an unreachable BRP
-    degrades to dropped messages.
+    double-count).  When its trigger fires over the snapshot refreshes
+    (and the cooldown allows), the TSO re-aggregates the pool once more —
+    "the process is essentially repeated at a higher level" — plans the
+    super-aggregates system-wide through its
+    :class:`~repro.runtime.planning.PlanSession`, disaggregates the plan
+    back into scheduled macros, and returns each to its home BRP over the
+    bus in best-effort mode, so an unreachable BRP degrades to dropped
+    messages.
     """
 
     def __init__(
@@ -643,19 +633,19 @@ class TsoRuntimeService:
         self._snapshot_ctx: dict[str, Any] = {}
         self._macros_by_brp: dict[str, dict[int, FlexOffer]] = {}
         self._macro_home: dict[int, str] = {}
-        self._pending_refreshes = 0
         self._last_run_time = -math.inf
         self.last_plan_cost = float("nan")
         #: The last non-empty :class:`~repro.runtime.planning.WindowPlan`
         #: (scheduled supers and their unclipped originals), or ``None``.
         self.last_plan = None
+        scheduling = self.config.scheduling
         # The same planner as the BRP tier, keyed by the super-aggregate's
         # member-macro-id join.
         self.session = PlanSession(
-            self.config.scheduler,
-            passes=self.config.scheduler_passes,
+            scheduling.scheduler,
+            passes=scheduling.scheduler_passes,
             market=self.config.market,
-            seed=self.config.seed,
+            seed=scheduling.seed,
             metrics=self.metrics,
             net_forecast=net_forecast,
         )
@@ -663,15 +653,18 @@ class TsoRuntimeService:
         self._keys_by_brp: dict[str, set[str]] = {}
         #: Sim arrival time of each snapshot refresh still awaiting a run.
         self._refresh_arrivals: list[float] = []
+        #: With a latency target, the adaptive cooldown stands in for both
+        #: the count trigger and the cooldown; their values are its rails.
         self._cooldown = (
             AdaptiveCooldown(
-                self.config.target_p95_slices,
-                trigger_refreshes=self.config.trigger_refreshes,
-                min_run_interval_slices=self.config.min_run_interval_slices,
+                scheduling.target_p95_slices,
+                trigger_refreshes=scheduling.trigger.threshold,
+                min_run_interval_slices=scheduling.min_run_interval_slices,
             )
-            if self.config.target_p95_slices is not None
+            if scheduling.target_p95_slices is not None
             else None
         )
+        self.trigger = self._cooldown or scheduling.trigger
         self._adaptive = () if self._cooldown is None else (self._cooldown,)
         adapter.register(name, self.handle_message)
 
@@ -715,7 +708,6 @@ class TsoRuntimeService:
         # built purely from other BRPs' macros stay clean.
         touched = self._keys_by_brp.pop(brp, set())
         self.session.mark_dirty(touched)
-        self._pending_refreshes += 1
         self._refresh_arrivals.append(self.now)
         self.metrics.counter("tso.macro_snapshots").inc()
         self.metrics.counter("tso.macros_received").inc(len(fresh))
@@ -725,32 +717,43 @@ class TsoRuntimeService:
             # lifecycle is always recorded regardless of the sampling
             # stride — the chain's trunk must stay complete.
             for offer_id in sorted(fresh):
-                self.tracer.offer_event(
-                    offer_id,
-                    "macro_received",
-                    node=self.name,
+                self.tracer.record(
+                    "offer",
                     force=True,
+                    node=self.name,
+                    offer_id=offer_id,
+                    state="macro_received",
                     detail={"brp": brp},
                 )
         self.maybe_schedule()
 
     # ------------------------------------------------------------------
+    def _trigger_context(self) -> TriggerContext:
+        """Snapshot refreshes since the last run, and the oldest one's wait."""
+        arrivals = self._refresh_arrivals
+        return TriggerContext(
+            now=self.now,
+            offers_since_last_run=len(arrivals),
+            oldest_unscheduled_age=self.now - arrivals[0] if arrivals else 0.0,
+            unscheduled_energy_kwh=0.0,
+        )
+
     def maybe_schedule(self, force: bool = False) -> SchedulingResult | None:
-        """Run system-wide scheduling when enough snapshots refreshed."""
+        """Run system-wide scheduling when the trigger fires (or ``force``).
+
+        Asked on every snapshot arrival: the TSO has no tick of its own.
+        """
         if not force:
-            # The adaptive cooldown (when configured) owns the effective
-            # thresholds; the static config values are its relaxation rails.
-            gate = self._cooldown if self._cooldown is not None else self.config
-            if self._pending_refreshes < gate.trigger_refreshes:
+            pace = self._cooldown or self.config.scheduling
+            if self.now - self._last_run_time < pace.min_run_interval_slices:
                 return None
-            if self.now - self._last_run_time < gate.min_run_interval_slices:
+            if not self.trigger.should_fire(self._trigger_context()):
                 return None
         return self.run_scheduling()
 
     def run_scheduling(self) -> SchedulingResult | None:
         """One system-wide run over the eligible macro pool."""
         self._last_run_time = self.now
-        self._pending_refreshes = 0
         wait = self.metrics.histogram("tso.refresh_wait_slices")
         for arrival in self._refresh_arrivals:
             wait.observe(self.now - arrival)
@@ -770,7 +773,7 @@ class TsoRuntimeService:
     def _schedule_macros(self, span) -> SchedulingResult | None:
         """The planning body of :meth:`run_scheduling` (inside its span)."""
         start = int(math.ceil(self.now))
-        end = start + self.config.horizon_slices
+        end = start + self.config.scheduling.horizon_slices
         trace = self.tracer.enabled
 
         eligible: list[FlexOffer] = []
@@ -797,7 +800,8 @@ class TsoRuntimeService:
         # Re-aggregate the fleet's macros once more (level 3 of the paper's
         # hierarchy); a fresh pipeline per run — the macro pool is orders of
         # magnitude smaller than any BRP's micro pool.
-        pipeline = make_pipeline(self.config.parameters, engine=self.config.engine)
+        aggregation = self.config.aggregation
+        pipeline = make_pipeline(aggregation.parameters, engine=aggregation.engine)
         pipeline.submit_inserts(eligible)
         pipeline.run()
 
@@ -844,11 +848,12 @@ class TsoRuntimeService:
                 if home is None:
                     continue
                 if trace:
-                    self.tracer.offer_event(
-                        macro_id,
-                        "macro_scheduled",
-                        node=self.name,
+                    self.tracer.record(
+                        "offer",
                         force=True,
+                        node=self.name,
+                        offer_id=macro_id,
+                        state="macro_scheduled",
                         detail={"super": original.offer_id, "brp": home},
                     )
                 if self.adapter.send(
@@ -1307,7 +1312,7 @@ class ClusterRuntime:
     def _drain_tso(self) -> None:
         """Deliver the final snapshots, plan system-wide, deliver the replies."""
         self.driver.run_until(self.driver.now)
-        if self.tso._pending_refreshes:
+        if self.tso._refresh_arrivals:
             self.tso.run_scheduling()
             self.driver.run_until(self.driver.now)
 

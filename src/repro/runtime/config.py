@@ -12,10 +12,13 @@ module splits the configuration along those seams:
 * :class:`IngestConfig` — admission batching and expiry sweeping.
 
 :class:`ServiceConfig` composes the four (plus the time axis); readers go
-through the sections (``config.ingest.batch_size``).
-:meth:`ServiceConfig.from_flat` / :meth:`ServiceConfig.merged` also accept
-every section field under its bare name — a table derived from the section
-dataclasses, so a field is declared once.
+through the sections (``config.ingest.batch_size``).  The cluster's TSO
+tier composes the same market, aggregation and scheduling sections
+(:class:`~repro.runtime.cluster.TsoConfig`), and both share one
+:meth:`~SectionedConfig.from_flat` / :meth:`~SectionedConfig.merged` /
+:meth:`~SectionedConfig.from_dict`, which also accept every section field
+under its bare name — a table derived from the section dataclasses, so a
+field is declared once.
 
 Engine, scheduler and trigger names are resolved through
 :func:`repro.api.default_registry`, so the set of valid names is defined in
@@ -25,7 +28,11 @@ exactly one place.
 from __future__ import annotations
 
 import math
+import numbers
+import types
+import typing
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from typing import Any, Mapping
 
 from ..aggregation.thresholds import AggregationParameters
@@ -67,17 +74,49 @@ def default_trigger() -> TriggerPolicy:
     )
 
 
-def _require_finite(section: Any) -> None:
-    """Reject a NaN or infinite number in any field of a config dataclass.
+#: Annotated number type -> the values it admits (numpy scalars included).
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
 
-    A comparison against NaN is false either way round, so a range check
+
+@cache
+def _field_types(cls: type) -> tuple[tuple[str, type, bool, str], ...]:
+    """Per field of a config dataclass: name, the type its values must
+    have, whether ``None`` is allowed, and the annotation as written."""
+    hints = typing.get_type_hints(cls)
+    table = []
+    for item in fields(cls):
+        hint = hints[item.name]
+        options = (
+            typing.get_args(hint)
+            if isinstance(hint, types.UnionType) else (hint,)
+        )
+        (kind,) = [option for option in options if option is not type(None)]
+        table.append(
+            (item.name, _NUMBERS.get(kind, kind), len(options) > 1, str(item.type))
+        )
+    return tuple(table)
+
+
+def _check_fields(section: Any) -> None:
+    """Check every field of a config dataclass against its annotation.
+
+    Configuration arrives from JSON files, so a value can have any type: a
+    string ``"96"`` used to escape a range check as a ``TypeError``
+    traceback, a string price was accepted and run, and a dict of
+    aggregation parameters crashed mid-run.  ``bool`` is not a number here
+    (no config field is a flag).  A number must also be finite: a
+    comparison against NaN is false either way round, so a range check
     alone (``interval <= 0``) lets it through, and a NaN time stalls the
     driver it reaches.
     """
-    for item in fields(section):
-        value = getattr(section, item.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ServiceError(f"{item.name} must be finite, got {value}")
+    for name, kind, optional, annotation in _field_types(type(section)):
+        value = getattr(section, name)
+        if value is None and optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ServiceError(f"{name} must be {annotation}, got {value!r}")
+        if kind is numbers.Real and not math.isfinite(value):
+            raise ServiceError(f"{name} must be finite, got {value}")
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +130,7 @@ class MarketConfig:
     surplus_penalty: float = 0.2
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -105,6 +144,7 @@ class AggregationConfig:
     """Aggregation engine, by :mod:`repro.api.registry` name."""
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         default_registry().get(KIND_AGGREGATION, self.engine)  # raises with names
 
 
@@ -119,20 +159,33 @@ class SchedulingConfig:
     scheduler_passes: int = 2
     """Greedy passes per scheduling run (the warm start adds one evaluation)."""
     trigger: TriggerPolicy = field(default_factory=default_trigger)
+    """When a scheduling run fires, asked over a
+    :class:`~repro.runtime.triggers.TriggerContext`.
+
+    At a BRP it counts accepted offers since the last run and is evaluated
+    on every arrival.  At the TSO it counts macro-snapshot refreshes since
+    the last run (the age is the oldest waiting refresh's, the energy 0)
+    and is evaluated when a snapshot arrives, since the TSO has no tick of
+    its own.
+    """
     min_run_interval_slices: float = 1.0
     """Cooldown between scheduling runs, bounding trigger thrash."""
     seed: int = 0
     """Seed of the scheduler RNG (the load generator has its own)."""
     target_p95_slices: float | None = None
-    """Closed-loop latency target (p95 of offer end-to-end slices).
+    """Closed-loop latency target, in slices.
 
-    When set and no explicit adaptive policy is configured, the service
-    replaces ``trigger`` with an :class:`~repro.runtime.triggers.AdaptiveTrigger`
-    steering its count/age thresholds toward this target.
+    At a BRP (p95 of offer end-to-end latency), when no explicit adaptive
+    policy is configured, the service replaces ``trigger`` with an
+    :class:`~repro.runtime.triggers.AdaptiveTrigger` steering its count/age
+    thresholds toward this target.  At the TSO (p95 of snapshot wait), an
+    :class:`~repro.runtime.triggers.AdaptiveCooldown` steers the count
+    trigger's threshold and the cooldown, the configured values being its
+    rails.
     """
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if self.horizon_slices <= 0:
             raise ServiceError("horizon_slices must be positive")
         if self.scheduler_passes <= 0:
@@ -160,7 +213,7 @@ class IngestConfig:
     """Admission limit on profile length (None = unlimited)."""
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if self.batch_size <= 0:
             raise ServiceError("batch_size must be positive")
         if self.expiry_sweep_interval <= 0:
@@ -173,25 +226,23 @@ class IngestConfig:
 
 
 # ----------------------------------------------------------------------
-#: Section -> its field names, read off the section dataclasses.
-_SECTION_FIELDS = {
-    section: tuple(f.name for f in fields(cls))
-    for section, cls in (
-        ("market", MarketConfig),
-        ("aggregation", AggregationConfig),
-        ("scheduling", SchedulingConfig),
-        ("ingest", IngestConfig),
-    )
-}
+def _field_tables(sections: Mapping[str, type]):
+    """Section -> its field names, and flat name -> (section, field).
 
-#: Flat name -> (section, field): every field goes by its own name except
-#: ``AggregationConfig.parameters``.
-_FLAT_FIELDS = {
-    name: (section, name)
-    for section, names in _SECTION_FIELDS.items()
-    for name in names
-}
-_FLAT_FIELDS["aggregation_parameters"] = _FLAT_FIELDS.pop("parameters")
+    Read off the section dataclasses.  Every field goes by its own flat
+    name except ``AggregationConfig.parameters``.
+    """
+    by_section = {
+        section: tuple(f.name for f in fields(cls))
+        for section, cls in sections.items()
+    }
+    flat = {
+        name: (section, name)
+        for section, names in by_section.items()
+        for name in names
+    }
+    flat["aggregation_parameters"] = flat.pop("parameters")
+    return by_section, flat
 
 
 def _unknown_field(scope: str, key: str, known) -> ServiceError:
@@ -201,47 +252,47 @@ def _unknown_field(scope: str, key: str, known) -> ServiceError:
     )
 
 
-@dataclass(frozen=True)
-class ServiceConfig:
-    """The composed configuration of one streaming BRP service."""
+class SectionedConfig:
+    """Flat and JSON-style construction of a config made of sections.
 
-    axis: TimeAxis = DEFAULT_AXIS
-    market: MarketConfig = field(default_factory=MarketConfig)
-    aggregation: AggregationConfig = field(default_factory=AggregationConfig)
-    scheduling: SchedulingConfig = field(default_factory=SchedulingConfig)
-    ingest: IngestConfig = field(default_factory=IngestConfig)
+    A subclass is a frozen dataclass with one field per section; it sets
+    ``_SECTION_FIELDS, _FLAT_FIELDS = _field_tables({section: class})``
+    and, for error messages, ``_SCOPE``.  :class:`ServiceConfig` and the
+    cluster's ``TsoConfig`` are the two users.
+    """
+
+    _SCOPE = "runtime"
+    _SECTION_FIELDS: dict[str, tuple[str, ...]] = {}
+    _FLAT_FIELDS: dict[str, tuple[str, str]] = {}
 
     @classmethod
-    def from_flat(cls, *, axis: TimeAxis = DEFAULT_AXIS, **flat) -> "ServiceConfig":
-        """Build a composed config from flat keyword names (see ``merged``)."""
-        return cls(axis=axis).merged(**flat)
+    def from_flat(cls, **flat):
+        """Build a config from flat keyword names (see ``merged``)."""
+        return cls().merged(**flat)
 
-    def merged(self, **flat) -> "ServiceConfig":
+    def merged(self, **flat):
         """A copy with flat-named overrides applied (explicit values win)."""
         sections: dict[str, dict[str, Any]] = {}
-        axis = flat.pop("axis", self.axis)
         for key, value in flat.items():
-            target = _FLAT_FIELDS.get(key)
+            target = self._FLAT_FIELDS.get(key)
             if target is None:
-                raise _unknown_field("runtime", key, _FLAT_FIELDS)
+                raise _unknown_field(self._SCOPE, key, self._FLAT_FIELDS)
             section, name = target
             sections.setdefault(section, {})[name] = value
-        return replace(self, axis=axis)._with_sections(sections)
+        return self._with_sections(sections)
 
     def flat(self) -> dict[str, Any]:
         """Every section field under its flat name (what ``merged`` takes)."""
         return {
             name: getattr(getattr(self, section), field_name)
-            for name, (section, field_name) in _FLAT_FIELDS.items()
+            for name, (section, field_name) in self._FLAT_FIELDS.items()
         }
 
-    def _with_sections(
-        self, sections: Mapping[str, Mapping[str, Any]]
-    ) -> "ServiceConfig":
+    def _with_sections(self, sections: Mapping[str, Mapping[str, Any]]):
         """A copy with ``{section: {field: value}}`` overrides applied."""
         updates = {}
         for section, values in sections.items():
-            known = _SECTION_FIELDS[section]
+            known = self._SECTION_FIELDS[section]
             for key in values:
                 if key not in known:
                     raise _unknown_field(section, key, known)
@@ -249,12 +300,7 @@ class ServiceConfig:
         return replace(self, **updates)
 
     @classmethod
-    def from_dict(
-        cls,
-        data: Mapping[str, Any],
-        *,
-        base: "ServiceConfig | None" = None,
-    ) -> "ServiceConfig":
+    def from_dict(cls, data: Mapping[str, Any], *, base=None):
         """Build a config from a JSON-style mapping.
 
         Accepts nested sections (``{"scheduling": {"horizon_slices": 96}}``)
@@ -274,7 +320,7 @@ class ServiceConfig:
         flat: dict[str, Any] = {}
         nested: dict[str, dict[str, Any]] = {}
         for key, value in data.items():
-            if key in _SECTION_FIELDS:
+            if key in cls._SECTION_FIELDS:
                 if not isinstance(value, Mapping):
                     raise ServiceError(
                         f"config section {key!r} must be a mapping"
@@ -295,6 +341,31 @@ class ServiceConfig:
         if trigger_spec is not None:
             config = config.merged(trigger=build_trigger(trigger_spec))
         return config
+
+
+@dataclass(frozen=True)
+class ServiceConfig(SectionedConfig):
+    """The composed configuration of one streaming BRP service."""
+
+    axis: TimeAxis = DEFAULT_AXIS
+    market: MarketConfig = field(default_factory=MarketConfig)
+    aggregation: AggregationConfig = field(default_factory=AggregationConfig)
+    scheduling: SchedulingConfig = field(default_factory=SchedulingConfig)
+    ingest: IngestConfig = field(default_factory=IngestConfig)
+
+    _SECTION_FIELDS, _FLAT_FIELDS = _field_tables(
+        {
+            "market": MarketConfig,
+            "aggregation": AggregationConfig,
+            "scheduling": SchedulingConfig,
+            "ingest": IngestConfig,
+        }
+    )
+
+    @classmethod
+    def from_flat(cls, *, axis: TimeAxis = DEFAULT_AXIS, **flat) -> "ServiceConfig":
+        """Build a composed config from flat keyword names (see ``merged``)."""
+        return cls(axis=axis).merged(**flat)
 
 
 def build_trigger(spec: Any) -> TriggerPolicy:

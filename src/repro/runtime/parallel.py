@@ -38,7 +38,7 @@ identical by construction (same host code, same streams, same seeds;
 per-worker offer-id bands keep the TSO's sorted pool walk in the same
 order), but TSO feedback lands at barriers instead of mid-epoch, so
 *mid-run* downlink timing differs.  With TSO feedback deferred to the
-final drain (``trigger_refreshes`` above the snapshot count) both
+final drain (a TSO count trigger above the snapshot count) both
 placements commit the same accepted offers and the same micro start
 commitments.
 

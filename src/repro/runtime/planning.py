@@ -120,7 +120,8 @@ def report_adaptive(
             continue
         metrics.counter("trigger.adaptive_adjustments").inc()
         if tracer.enabled:
-            tracer.trigger_event(
+            tracer.record(
+                "trigger",
                 node=node,
                 fired=[type(policy).__name__],
                 decision=False,

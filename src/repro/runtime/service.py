@@ -275,7 +275,9 @@ class BrpRuntimeService:
     def _trace_store_event(self, offer_id: int, state: str, now: int) -> None:
         """Mirror store lifecycle transitions into the trace (if sampled)."""
         if self.tracer.enabled:
-            self.tracer.offer_event(offer_id, state, node=self.name)
+            self.tracer.record(
+                "offer", node=self.name, offer_id=offer_id, state=state
+            )
 
     def _stage(self, stage: str):
         """A span around one pipeline stage (no-op under NullTracer)."""
@@ -300,8 +302,9 @@ class BrpRuntimeService:
         if not self.tracer.enabled:
             return
         for offer_id in sorted(self._live):
-            self.tracer.offer_event(
-                offer_id, "live_at_shutdown", node=self.name
+            self.tracer.record(
+                "offer", node=self.name, offer_id=offer_id,
+                state="live_at_shutdown",
             )
 
     # ------------------------------------------------------------------
@@ -482,10 +485,11 @@ class BrpRuntimeService:
         self.ledger.note_duplicate(sid, offer_id=prior.offer_id, at=self.now)
         self.metrics.counter("ledger.duplicates").inc()
         if self.tracer.enabled:
-            self.tracer.ledger_event(
-                "duplicate",
-                prior.offer_id,
+            self.tracer.record(
+                "ledger_append",
                 node=self.name,
+                fact="duplicate",
+                offer_id=prior.offer_id,
                 detail={"source_event_id": sid},
             )
         live = self._live.get(prior.offer_id) if prior.accepted else None
@@ -524,15 +528,19 @@ class BrpRuntimeService:
         if not result.accepted:
             self.metrics.counter("ledger.dead_letters").inc()
         if self.tracer.enabled:
-            self.tracer.ledger_event(
-                kind,
-                offer.offer_id,
+            self.tracer.record(
+                "ledger_append",
                 node=self.name,
+                fact=kind,
+                offer_id=offer.offer_id,
                 detail={"accepted": result.accepted},
             )
             if not result.accepted:
-                self.tracer.dlq_event(
-                    offer.offer_id, result.reason, node=self.name
+                self.tracer.record(
+                    "dlq_routed",
+                    node=self.name,
+                    offer_id=offer.offer_id,
+                    reason=result.reason,
                 )
 
     def withdraw(self, offer_id: int) -> FlexOffer | None:
@@ -551,7 +559,10 @@ class BrpRuntimeService:
         if led is not None and led.recording_inputs:
             led.record_withdraw(offer_id, at=self.now)
             if self.tracer.enabled:
-                self.tracer.ledger_event("withdraw", offer_id, node=self.name)
+                self.tracer.record(
+                    "ledger_append", node=self.name, fact="withdraw",
+                    offer_id=offer_id,
+                )
         if offer_id not in self._scheduled:
             self._unscheduled_energy -= self._offer_energy(offer)
         self.ingest.retire([offer], self.now_slice, "withdrawn")
@@ -649,12 +660,12 @@ class BrpRuntimeService:
             for name in fired:
                 self.metrics.counter(f"trigger.{name}").inc()
             if self.tracer.enabled:
-                self.tracer.trigger_event(
-                    node=self.name, fired=fired, decision=True
+                self.tracer.record(
+                    "trigger", node=self.name, fired=fired, decision=True
                 )
         elif self.tracer.enabled:
-            self.tracer.trigger_event(
-                node=self.name, fired=["forced"], decision=True
+            self.tracer.record(
+                "trigger", node=self.name, fired=["forced"], decision=True
             )
         return self.run_scheduling()
 
@@ -767,10 +778,11 @@ class BrpRuntimeService:
             if trace:
                 for original in recommitted:
                     for member in original.members:
-                        self.tracer.offer_event(
-                            member.offer_id,
-                            "aggregated_into",
+                        self.tracer.record(
+                            "offer",
                             node=self.name,
+                            offer_id=member.offer_id,
+                            state="aggregated_into",
                             detail={"macro": original.offer_id},
                         )
         self._observe_stage("disaggregate", time.perf_counter() - t0)
@@ -866,8 +878,9 @@ class BrpRuntimeService:
             # what makes committed schedules survive a crash or outage.
             journal.append((oid, start))
             if self.tracer.enabled:
-                self.tracer.ledger_event(
-                    "scheduled", oid, node=self.name, detail={"start": start}
+                self.tracer.record(
+                    "ledger_append", node=self.name, fact="scheduled",
+                    offer_id=oid, detail={"start": start},
                 )
         self._committed_start[oid] = start
         if oid not in self._scheduled:
@@ -948,18 +961,20 @@ class BrpRuntimeService:
             if trace:
                 for member in aggregate.members:
                     if self._live.get(member.offer_id) is member:
-                        self.tracer.offer_event(
-                            member.offer_id,
-                            "remote_commit",
+                        self.tracer.record(
+                            "offer",
                             node=self.name,
+                            offer_id=member.offer_id,
+                            state="remote_commit",
                             detail={"macro": aggregate.offer_id},
                         )
         if trace:
-            self.tracer.offer_event(
-                aggregate.offer_id,
-                "macro_commit",
-                node=self.name,
+            self.tracer.record(
+                "offer",
                 force=True,
+                node=self.name,
+                offer_id=aggregate.offer_id,
+                state="macro_commit",
                 detail={"members": committed},
             )
         # A remote commitment supersedes the cached local plan for this

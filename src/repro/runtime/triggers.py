@@ -278,10 +278,12 @@ class AdaptiveTrigger:
 class AdaptiveCooldown:
     """The TSO-tier half of the control loop: auto-tuned re-run gating.
 
-    The TSO gates system-wide re-scheduling on two static knobs — run after
-    ``trigger_refreshes`` per-BRP snapshot refreshes, but never within
-    ``min_run_interval_slices`` of the previous run.  This controller owns
-    mutable copies of both and, fed the p95 of the TSO's snapshot staleness
+    The TSO gates system-wide re-scheduling on its scheduling section — a
+    count trigger over per-BRP snapshot refreshes, and a cooldown of
+    ``min_run_interval_slices`` after the previous run.  This controller
+    stands in for both: it is the TSO's trigger (firing after
+    ``trigger_refreshes`` refreshes), owns a mutable copy of the cooldown
+    and, fed the p95 of the TSO's snapshot staleness
     (``tso.refresh_wait_slices``, observed at each run), tightens them when
     macros wait longer than ``target_p95_slices`` and relaxes them when the
     wait sits under ``relax_margin x target``.  :meth:`observe` is the only
@@ -332,6 +334,10 @@ class AdaptiveCooldown:
         self._max_interval = float(min_run_interval_slices)
         self.relax_margin = float(relax_margin)
         self._seen_observations = 0
+
+    def should_fire(self, context: TriggerContext) -> bool:
+        """Fire once ``trigger_refreshes`` snapshot refreshes arrived."""
+        return context.offers_since_last_run >= self.trigger_refreshes
 
     def observe(self, metrics: MetricsRegistry) -> Optional[dict]:
         """One control step over ``tso.refresh_wait_slices``; see class doc."""

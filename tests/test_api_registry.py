@@ -227,7 +227,42 @@ class TestServiceConfig:
         with pytest.raises(ServiceError, match="retry_backoff_slices"):
             BusConfig(retry_backoff_slices=math.nan)
         with pytest.raises(ServiceError, match="min_run_interval_slices"):
-            TsoConfig(min_run_interval_slices=math.inf)
+            TsoConfig.from_flat(min_run_interval_slices=math.inf)
+
+    @pytest.mark.parametrize(
+        "build, data, name",
+        [
+            # Used to escape the range check as a raw TypeError.
+            (ServiceConfig.from_dict, {"scheduling": {"horizon_slices": "96"}}, "horizon_slices"),
+            # Used to be accepted and run.
+            (ServiceConfig.from_dict, {"market": {"buy_price": "0.2"}}, "buy_price"),
+            (ServiceConfig.from_dict, {"scheduling": {"scheduler_passes": True}}, "scheduler_passes"),
+            (ServiceConfig.from_dict, {"ingest": {"batch_size": 8.0}}, "batch_size"),
+            (ServiceConfig.from_dict, {"ingest": {"max_duration_slices": "4"}}, "max_duration_slices"),
+            (ServiceConfig.from_dict, {"aggregation": {"engine": 3}}, "engine"),
+            # Used to crash mid-run with an AttributeError.
+            (
+                ServiceConfig.from_dict,
+                {"aggregation": {"parameters": {"start_after_tolerance": 4}}},
+                "parameters",
+            ),
+            (ServiceConfig.from_dict, {"aggregation_parameters": {}}, "parameters"),
+            (TsoConfig.from_dict, {"scheduling": {"seed": "1"}}, "seed"),
+            (TsoConfig.from_dict, {"sell_price": False}, "sell_price"),
+            (BusConfig.from_dict, {"max_retries": "3"}, "max_retries"),
+            (BusConfig.from_dict, {"backoff_factor": True}, "backoff_factor"),
+        ],
+    )
+    def test_wrongly_typed_fields_are_rejected(self, build, data, name):
+        with pytest.raises(ServiceError, match=f"{name} must be"):
+            build(data)
+
+    def test_numbers_of_the_other_width_are_accepted(self):
+        config = ServiceConfig.from_dict(
+            {"market": {"buy_price": 1}, "ingest": {"expiry_sweep_interval": 2}}
+        )
+        assert config.market.buy_price == 1
+        assert config.ingest.expiry_sweep_interval == 2
 
     def test_negative_cooldown_is_rejected(self):
         with pytest.raises(ServiceError, match="non-negative"):

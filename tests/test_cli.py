@@ -149,7 +149,10 @@ def test_serve_cluster_file_runs(tmp_path, capsys):
     cluster = tmp_path / "cluster.json"
     cluster.write_text(json.dumps({
         "brps": {"north": {}, "south": {}},
-        "tso": {"trigger_refreshes": 1, "scheduler_passes": 1},
+        "tso": {
+            "scheduling": {"trigger": {"kind": "count", "threshold": 1}},
+            "scheduler_passes": 1,
+        },
     }))
     assert (
         main(["serve", *TINY, "--cluster", str(cluster), "--report-every", "6"])
@@ -196,6 +199,28 @@ def test_cluster_file_unknown_service_field_exits_2(
     err = capsys.readouterr().err
     assert "invalid loadtest configuration: unknown" in err
     assert "known fields: " in err and named in err
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        # Accepted, then crashed mid-run with an AttributeError traceback.
+        (
+            {"brps": 2, "defaults": {"aggregation": {"parameters": {"start_after_tolerance": 4}}}},
+            "parameters must be AggregationParameters",
+        ),
+        ({"brps": 2, "defaults": {"aggregation_parameters": {}}}, "parameters must be"),
+        ({"brps": 2, "tso": {"scheduling": {"horizon_slices": "96"}}}, "horizon_slices must be int"),
+        # The TSO's count trigger is a trigger spec now.
+        ({"brps": 2, "tso": {"trigger_refreshes": 2}}, ", trigger"),
+    ],
+)
+def test_cluster_file_bad_field_exits_2(tmp_path, capsys, spec, named):
+    bad = tmp_path / "cluster.json"
+    bad.write_text(json.dumps(spec))
+    assert main(["loadtest", *TINY, "--cluster", str(bad)]) == EXIT_UNKNOWN_EXPERIMENT
+    err = capsys.readouterr().err
+    assert "invalid loadtest configuration" in err and named in err
 
 
 def test_nonpositive_brps_exits_2(capsys):

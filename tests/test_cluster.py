@@ -31,6 +31,7 @@ from repro.obs import NullTracer
 from repro.runtime import (
     BrpRuntimeService,
     BusAdapter,
+    CountTrigger,
     LoadGenerator,
     MetricsRegistry,
     SimulatedDriver,
@@ -42,8 +43,8 @@ TINY = ServiceConfig(
     scheduling=SchedulingConfig(scheduler_passes=1, horizon_slices=96),
     ingest=IngestConfig(batch_size=8),
 )
-TINY_TSO = TsoConfig(
-    scheduler_passes=1, horizon_slices=96, trigger_refreshes=1,
+TINY_TSO = TsoConfig.from_flat(
+    scheduler_passes=1, horizon_slices=96, trigger=CountTrigger(1),
     min_run_interval_slices=2.0,
 )
 
@@ -185,7 +186,14 @@ class TestClusterConfig:
                     "south": {"scheduling": {"horizon_slices": 48}},
                 },
                 "defaults": {"ingest": {"batch_size": 16}},
-                "tso": {"trigger_refreshes": 3},
+                "tso": {
+                    "scheduling": {
+                        "trigger": {"kind": "count", "threshold": 3},
+                        "horizon_slices": 96,
+                    },
+                    "aggregation": {"engine": "scalar"},
+                    "scheduler_passes": 1,
+                },
             }
         )
         assert sorted(config.brps) == ["north", "south"]
@@ -193,7 +201,27 @@ class TestClusterConfig:
         assert config.brps["north"].scheduling.horizon_slices == 192
         assert config.brps["south"].ingest.batch_size == 16
         assert config.brps["south"].scheduling.horizon_slices == 48
-        assert config.tso.trigger_refreshes == 3
+        tso = config.tso.scheduling
+        assert tso.trigger == CountTrigger(3)
+        assert (tso.horizon_slices, tso.scheduler_passes) == (96, 1)
+        assert tso.min_run_interval_slices == 4.0  # the TSO default
+        assert config.tso.aggregation.engine == "scalar"
+
+    def test_tso_defaults_are_a_count_trigger_and_a_longer_cooldown(self):
+        tso = TsoConfig().scheduling
+        assert tso.trigger == CountTrigger(2)
+        assert tso.min_run_interval_slices == 4.0
+
+    def test_old_tso_key_fails_naming_its_replacement(self):
+        with pytest.raises(ServiceError, match=r"known fields: .*\btrigger\b(,|$)"):
+            ClusterConfig.from_dict({"tso": {"trigger_refreshes": 3}})
+
+    def test_adaptive_tso_needs_a_count_trigger(self):
+        with pytest.raises(ServiceError, match="count trigger"):
+            TsoConfig.from_dict(
+                {"scheduling": {"target_p95_slices": 4.0,
+                                "trigger": {"kind": "age", "max_age_slices": 2}}}
+            )
 
     def test_from_dict_integer_brps(self):
         config = ClusterConfig.from_dict({"brps": 4})
@@ -559,7 +587,7 @@ class TestTsoRuntimeService:
         driver = SimulatedDriver()
         adapter = BusAdapter(MessageBus(), driver)
         tso = TsoRuntimeService(
-            TsoConfig(trigger_refreshes=2, min_run_interval_slices=0.0),
+            TsoConfig.from_flat(min_run_interval_slices=0.0),
             adapter=adapter,
             **kwargs,
         )
@@ -611,8 +639,8 @@ class TestTsoRuntimeService:
         driver = SimulatedDriver()
         adapter = BusAdapter(MessageBus(), driver)
         tso = TsoRuntimeService(
-            TsoConfig(
-                trigger_refreshes=3,
+            TsoConfig.from_flat(
+                trigger=CountTrigger(3),
                 min_run_interval_slices=4.0,
                 target_p95_slices=2.0,
             ),
@@ -631,7 +659,8 @@ class TestTsoRuntimeService:
             tso.metrics.counter("trigger.adaptive_adjustments").value == 1
         )
         # The gate reads the tuned values, not the static config.
-        assert tso.config.trigger_refreshes == 3
+        assert tso.trigger is tso._cooldown
+        assert tso.config.scheduling.trigger == CountTrigger(3)
 
     def test_rejects_unexpected_message_types(self):
         tso, adapter, driver = self._tso()

@@ -160,7 +160,7 @@ def test_spans_nest_and_link():
 def test_ring_eviction_is_fifo_and_counted():
     tracer = Tracer(capacity=3)
     for oid in range(5):
-        tracer.offer_event(oid, "submitted", node="n")
+        tracer.record("offer", node="n", offer_id=oid, state="submitted")
     assert tracer.evicted == 2
     assert [e["offer_id"] for e in tracer.events] == [2, 3, 4]
     assert [e["seq"] for e in tracer.events] == [2, 3, 4]
@@ -169,10 +169,39 @@ def test_ring_eviction_is_fifo_and_counted():
 def test_sampling_is_deterministic_and_forceable():
     tracer = Tracer(sample_every=10)
     for oid in (5, 10, 15, 20):
-        tracer.offer_event(oid, "submitted")
-    assert [e["offer_id"] for e in tracer.events] == [10, 20]
-    tracer.offer_event(7, "macro_commit", force=True)
+        tracer.record("offer", node="", offer_id=oid, state="submitted")
+        tracer.record("dlq_routed", node="", offer_id=oid, reason="late")
+    assert [e["offer_id"] for e in tracer.events] == [10, 10, 20, 20]
+    tracer.record("offer", force=True, node="", offer_id=7, state="macro_commit")
     assert tracer.events[-1]["offer_id"] == 7
+    # Kinds without an offer id are never sampled out.
+    tracer.record("trigger", node="", fired=["CountTrigger"], decision=True)
+    assert tracer.events[-1]["event"] == "trigger"
+
+
+def test_record_fills_and_coerces_from_the_schema():
+    tracer = Tracer()
+    with tracer.span("stage", node="n") as span:
+        tracer.record(
+            "bus", node="n", action="publish", type="t", sender="a",
+            recipient="b", message_id=3, ctx=TraceContext("a", 9), detail=None,
+        )
+    bus = tracer.events[0]
+    assert list(bus) == ["event", *EVENT_SCHEMA["bus"], "seq"]
+    assert bus["span"] == span.span_id
+    assert bus["ctx"] == {"node": "a", "span": 9}
+    assert bus["detail"] == {}
+    tracer.record(
+        "bus_retry", node="n", type="t", sender="a", recipient="b",
+        message_id=3, attempt=2.0, detail={"backoff_slices": 1.0},
+    )
+    assert type(tracer.events[-1]["attempt"]) is int
+    with pytest.raises(TypeError, match="'state'"):
+        tracer.record("offer", node="n", offer_id=1)
+    with pytest.raises(TypeError, match="'stat'"):
+        tracer.record("offer", node="n", offer_id=1, state="x", stat="y")
+    with pytest.raises(ServiceError, match="unknown event kind 'offr'"):
+        tracer.record("offr", node="n", offer_id=1, state="x")  # replint: ignore[REP002]
 
 
 def test_null_tracer_is_inert():
@@ -180,11 +209,9 @@ def test_null_tracer_is_inert():
     assert not tracer.enabled
     with tracer.span("anything") as span:
         span.link(TraceContext("x", 1))
-        span.add_offer(3)
         assert span.context() is None
-    tracer.offer_event(1, "submitted")
-    tracer.bus_event("publish")
-    tracer.trigger_event(node="n")
+    tracer.record("offer", node="n", offer_id=1, state="submitted")
+    tracer.record("trigger", node="n", fired=[], decision=False)
     assert tracer.events == ()
     assert not tracer.sampled(0)
 
@@ -204,7 +231,7 @@ def test_jsonl_round_trip(tmp_path):
     writer = JsonlWriter(str(path))
     tracer = Tracer(sink=writer)
     with tracer.span("stage", node="brp-0", labels={"stage": "aggregate"}):
-        tracer.offer_event(42, "submitted", node="brp-0")
+        tracer.record("offer", node="brp-0", offer_id=42, state="submitted")
     writer.close()
     events = list(iter_events(str(path)))
     assert [e["event"] for e in events] == ["offer", "span"]
@@ -474,6 +501,41 @@ def test_traced_loadtest_keeps_per_offer_event_order(mode, tmp_path, capsys):
     else:
         assert any("L:scheduled scheduled" in own for own in micro)
         assert any(own.endswith(" executed") for own in micro)
+
+
+def test_records_follow_the_schema(tmp_path, capsys):
+    """Every record is ``event``, its kind's ``EVENT_SCHEMA`` fields in
+    schema order, then ``seq`` — over a run that emits all eight kinds: a
+    2-BRP cluster with an outage and bus retries, journaling duplicates and
+    rejections (dead letters) to a ledger, then one BRP resumed from it."""
+    from repro.api import LedmsClient
+
+    trace, ledger = tmp_path / "run.jsonl", tmp_path / "ledger"
+    cluster = tmp_path / "cluster.json"
+    cluster.write_text(
+        json.dumps({"brps": 2, "defaults": {"ingest": {"max_duration_slices": 16}}})
+    )
+    assert main([
+        "loadtest", "--cluster", str(cluster), "--rate", "20", "--duration", "24",
+        "--seed", "1", "--batch", "8", "--passes", "1", "--ledger", str(ledger),
+        "--duplicate-rate", "0.2", "--reorder-window", "2",
+        "--outage", "brp-1:6:20", "--bus-retries", "2", "--trace", str(trace),
+    ]) == 0
+    capsys.readouterr()
+    records = load_trace(str(trace))
+    tracer = Tracer()
+    LedmsClient.resume_from_ledger(
+        str(ledger / "brp-0"),
+        ServiceConfig.from_flat(
+            batch_size=8, scheduler_passes=1, seed=1, max_duration_slices=16
+        ),
+        name="brp-0",
+        tracer=tracer,
+    )
+    records += tracer.events
+    assert {record["event"] for record in records} == set(EVENT_SCHEMA)
+    for record in records:
+        assert list(record) == ["event", *EVENT_SCHEMA[record["event"]], "seq"]
 
 
 def test_cli_inspect_missing_file(capsys):

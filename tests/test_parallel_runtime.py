@@ -42,6 +42,7 @@ from repro.runtime import (
     BusAdapter,
     ClusterConfig,
     ClusterRuntime,
+    CountTrigger,
     IngestConfig,
     LoadGenerator,
     SchedulingConfig,
@@ -96,11 +97,11 @@ def _service_config(seed: int = 7) -> ServiceConfig:
     )
 
 
-def _cluster_config(brps: int = 4, **tso_kwargs) -> ClusterConfig:
+def _cluster_config(brps: int = 4, **tso_flat) -> ClusterConfig:
     return ClusterConfig.uniform(
         brps,
         _service_config(),
-        tso=TsoConfig(scheduler_passes=1, **tso_kwargs),
+        tso=TsoConfig.from_flat(scheduler_passes=1, **tso_flat),
     )
 
 
@@ -201,7 +202,9 @@ def _tso_returns(macros):
     """Feed one snapshot to a fresh TSO; what it plans and sends back."""
     driver = SimulatedDriver()
     adapter = BusAdapter(MessageBus(), driver)
-    tso = TsoRuntimeService(TsoConfig(scheduler_passes=1), adapter=adapter)
+    tso = TsoRuntimeService(
+        TsoConfig.from_flat(scheduler_passes=1), adapter=adapter
+    )
     returned = []
 
     def capture(message):
@@ -344,9 +347,9 @@ PLACEMENTS = {
 }
 
 
-def _run(placement: str, duration: float = 24.0, brps: int = 4, **tso_kwargs):
+def _run(placement: str, duration: float = 24.0, brps: int = 4, **tso_flat):
     """Run one placement on the fixed-seed streams; the runtime and its report."""
-    cluster = PLACEMENTS[placement](_cluster_config(brps, **tso_kwargs))
+    cluster = PLACEMENTS[placement](_cluster_config(brps, **tso_flat))
     report = cluster.run(_streams(cluster.config.brps, duration), duration)
     if cluster.workers:
         assert _shm_residue(cluster.run_id) == []
@@ -357,15 +360,16 @@ class TestParity:
     def test_parallel_matches_single_thread_oracle(self):
         """Fixed seed, drain-only TSO: same accepted set, same commitments.
 
-        ``trigger_refreshes`` is pinned above the snapshot count so TSO
+        The TSO's count trigger is pinned above the snapshot count so TSO
         feedback lands only in the final drain — mid-run downlink timing is
         the one place the epoch barrier differs from the in-process
         interleaving (see the runtime's docstring).
         """
-        oracle, oracle_report = _run("in-process", trigger_refreshes=10**9)
+        drain_only = CountTrigger(10**9)
+        oracle, oracle_report = _run("in-process", trigger=drain_only)
         assert oracle_report.offers_accepted > 0 and oracle.committed_starts
         for placement in ("workers=1", "workers=2"):
-            cluster, report = _run(placement, trigger_refreshes=10**9)
+            cluster, report = _run(placement, trigger=drain_only)
             assert cluster.accepted_offers == oracle.accepted_offers
             assert cluster.committed_starts == oracle.committed_starts
             assert report.offers_accepted == oracle_report.offers_accepted

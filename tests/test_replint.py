@@ -82,7 +82,7 @@ class TestTracerGuard:
             "runtime/mod.py",
             """
             def emit(self, offer_id):
-                self.tracer.offer_event(offer_id, "stored")
+                self.tracer.record("offer", offer_id=offer_id, state="stored")
             """,
         )
         assert rule_ids(findings) == ["REP001"]
@@ -94,7 +94,7 @@ class TestTracerGuard:
             """
             def emit(self, offer_id):
                 if self.tracer.enabled:
-                    self.tracer.offer_event(offer_id, "stored")
+                    self.tracer.record("offer", offer_id=offer_id, state="stored")
             """,
         )
         assert findings == []
@@ -108,7 +108,7 @@ class TestTracerGuard:
                 trace = self.tracer.enabled
                 for _ in range(3):
                     if trace:
-                        self.tracer.offer_event(offer_id, "stored")
+                        self.tracer.record("offer", offer_id=offer_id, state="stored")
             """,
         )
         assert findings == []
@@ -122,7 +122,7 @@ class TestTracerGuard:
                 if not tracer.enabled:
                     return
                 for offer in offers:
-                    tracer.replay_event(offer, "restored")
+                    tracer.record("ledger_replay", offer_id=offer, state="restored")
             """,
         )
         assert findings == []
@@ -144,7 +144,7 @@ class TestTracerGuard:
             "forecasting/mod.py",
             """
             def emit(self, offer_id):
-                self.tracer.offer_event(offer_id, "stored")
+                self.tracer.record("offer", offer_id=offer_id, state="stored")
             """,
         )
         assert findings == []
@@ -172,6 +172,31 @@ class TestEventKind:
             """
             def build():
                 return {"event": "offer", "seq": 0}
+            """,
+        )
+        assert findings == []
+
+    def test_flags_unknown_kind_passed_to_record(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "runtime/mod.py",
+            """
+            def emit(self, offer_id):
+                if self.tracer.enabled:
+                    self.tracer.record("offr", offer_id=offer_id, state="x")
+            """,
+        )
+        assert rule_ids(findings) == ["REP002"]
+        assert "'offr'" in findings[0].message
+
+    def test_known_kind_passed_to_record_passes(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "runtime/mod.py",
+            """
+            def emit(self, offer_id):
+                if self.tracer.enabled:
+                    self.tracer.record("offer", offer_id=offer_id, state="x")
             """,
         )
         assert findings == []

@@ -712,7 +712,7 @@ class TestPlanWindowAtBothTiers:
             net_forecast=forecast,
         )
         tso = TsoRuntimeService(
-            TsoConfig(scheduler=scheduler, scheduler_passes=1, seed=3),
+            TsoConfig.from_flat(scheduler=scheduler, scheduler_passes=1, seed=3),
             adapter=BusAdapter(MessageBus(), SimulatedDriver()),
             net_forecast=forecast,
         )

@@ -14,21 +14,21 @@ from .core import FileContext, Rule
 
 __all__ = ["ALL_RULES", "rules_by_id"]
 
-#: Tracer methods that build a record dict per call — the ones the
-#: observability layer's overhead budget requires guarding.  ``span`` is
-#: deliberately absent: ``with tracer.span(...)`` through ``NullTracer``
-#: returns a shared no-op span and is the sanctioned unguarded idiom.
-_TRACER_RECORD_METHODS = frozenset(
-    {
-        "offer_event",
-        "bus_event",
-        "trigger_event",
-        "ledger_event",
-        "replay_event",
-        "dlq_event",
-        "bus_retry_event",
-    }
-)
+def _is_tracer_record(node: ast.AST) -> bool:
+    """Whether ``node`` calls ``*tracer*.record(...)``.
+
+    ``record`` is the tracer method that builds a record dict per call —
+    the one the observability layer's overhead budget requires guarding.
+    ``span`` is deliberately not: ``with tracer.span(...)`` through
+    ``NullTracer`` returns a shared no-op span and is the sanctioned
+    unguarded idiom.
+    """
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "record"
+        and "tracer" in _chain_names(node.func.value)
+    )
 
 
 def _mentions_enabled(node: ast.AST, guard_names: frozenset[str]) -> bool:
@@ -58,10 +58,10 @@ class TracerGuardRule(Rule):
 
     The ROADMAP pins the untraced hot path as free: ``NullTracer`` methods
     are no-ops, but the *call site* still builds detail dicts and label
-    lists.  Every ``tracer.offer_event(...)``-family call in hot-path
-    packages must be inside an ``if ...enabled:`` branch (directly, via a
-    local ``trace = self.tracer.enabled`` flag, or behind an early-return
-    guard at the top of the function).
+    lists.  Every ``tracer.record(...)`` call in hot-path packages must be
+    inside an ``if ...enabled:`` branch (directly, via a local
+    ``trace = self.tracer.enabled`` flag, or behind an early-return guard
+    at the top of the function).
     """
 
     rule_id = "REP001"
@@ -70,19 +70,12 @@ class TracerGuardRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
         for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _TRACER_RECORD_METHODS
-                and "tracer" in _chain_names(node.func.value)
-            ):
-                continue
-            if self._guarded(ctx, node):
+            if not _is_tracer_record(node) or self._guarded(ctx, node):
                 continue
             yield (
                 node,
-                f"tracer.{node.func.attr}(...) outside a tracer.enabled "
-                "guard; the untraced hot path must not build event records",
+                "tracer.record(...) outside a tracer.enabled guard; the "
+                "untraced hot path must not build event records",
             )
 
     # ------------------------------------------------------------------
@@ -157,9 +150,10 @@ class EventKindRule(Rule):
     """REP002: emitted/compared event kinds must exist in ``EVENT_SCHEMA``.
 
     The JSONL trace schema (``repro/obs/events.py``) is the contract the
-    CLI, ``inspect`` and CI's trace validator share.  A record built with
-    an unknown ``"event"`` kind, or a comparison against one, is drift the
-    validator would only catch at runtime — if the code path runs at all.
+    CLI, ``inspect`` and CI's trace validator share.  A kind passed to
+    ``tracer.record("...")``, a record built with an unknown ``"event"``
+    kind, or a comparison against one, is drift the validator would only
+    catch at runtime — if the code path runs at all.
     """
 
     rule_id = "REP002"
@@ -170,7 +164,19 @@ class EventKindRule(Rule):
         if not kinds or ctx.rel.endswith("obs/events.py"):
             return
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Dict):
+            if _is_tracer_record(node) and node.args:
+                kind = node.args[0]
+                if (
+                    isinstance(kind, ast.Constant)
+                    and isinstance(kind.value, str)
+                    and kind.value not in kinds
+                ):
+                    yield (
+                        kind,
+                        f"tracer.record kind {kind.value!r} is not in "
+                        "EVENT_SCHEMA (repro/obs/events.py)",
+                    )
+            elif isinstance(node, ast.Dict):
                 for key, value in zip(node.keys, node.values):
                     if (
                         isinstance(key, ast.Constant)
@@ -578,10 +584,11 @@ class TriggerStateWriteRule(Rule):
       ``restore_commitment``; assignments, subscript stores, ``del`` and
       mutating calls (``.add``/``.pop``/…) on another object's books all
       count as writes;
-    * adaptive trigger thresholds (``count_threshold`` / ``max_age_slices``
-      / ``trigger_refreshes`` / ``min_run_interval_slices`` as *attribute*
-      targets) change only inside the controllers' ``observe`` seam in
-      ``runtime/triggers.py`` — anywhere else and the control loop's
+    * adaptive trigger thresholds — ``AdaptiveTrigger``'s
+      ``count_threshold`` / ``max_age_slices`` and ``AdaptiveCooldown``'s
+      ``trigger_refreshes`` / ``min_run_interval_slices``, as *attribute*
+      targets — change only inside the controllers' ``observe`` seam in
+      ``runtime/triggers.py``; anywhere else and the control loop's
       adjustment events no longer tell the truth.
     """
 
@@ -608,6 +615,7 @@ class TriggerStateWriteRule(Rule):
     _MUTATORS = frozenset(
         {"add", "discard", "remove", "pop", "clear", "update", "setdefault"}
     )
+    #: The mutable thresholds of ``AdaptiveTrigger`` and ``AdaptiveCooldown``.
     _THRESHOLDS = frozenset(
         {
             "count_threshold",
