@@ -35,7 +35,6 @@ from .reference import ReferenceAggregator, ReferenceGroupState
 from .thresholds import P0, P1, P2, P3, AggregationParameters, paper_combinations
 from .updates import (
     AggregateUpdate,
-    DirtySet,
     FlexOfferUpdate,
     GroupUpdate,
     UpdateKind,
@@ -68,7 +67,6 @@ __all__ = [
     "P2",
     "P3",
     "AggregateUpdate",
-    "DirtySet",
     "FlexOfferUpdate",
     "GroupUpdate",
     "UpdateKind",

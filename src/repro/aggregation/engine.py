@@ -48,7 +48,7 @@ from .aggregator import AggregatedFlexOffer, _finalize_aggregate
 from .grouping import GroupBuilder, cell_columns, partition_cells
 from .pipeline import _gc_paused
 from .thresholds import AggregationParameters
-from .updates import AggregateUpdate, DirtySet, FlexOfferUpdate, UpdateKind
+from .updates import AggregateUpdate, FlexOfferUpdate, UpdateKind
 
 __all__ = [
     "PackedPool",
@@ -523,8 +523,6 @@ class PackedAggregationPipeline:
         self._states: dict[str, GroupProfileState] = {}
         self._offer_gid: dict[int, str] = {}
         self._gid_cache: dict[tuple, str] = {}
-        #: Group ids the most recent :meth:`run` created/changed/deleted.
-        self.last_dirty = DirtySet()
 
     # ------------------------------------------------------------------
     # accumulation (interface parity with AggregationPipeline)
@@ -572,9 +570,7 @@ class PackedAggregationPipeline:
         rate would otherwise distort the maintenance cost.
         """
         with _gc_paused():
-            updates = self._run()
-        self.last_dirty = DirtySet.from_updates(updates)
-        return updates
+            return self._run()
 
     def _run(self) -> list[AggregateUpdate]:
         pending, self._pending = self._pending, []

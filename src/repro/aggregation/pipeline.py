@@ -20,7 +20,7 @@ from .aggregator import AggregatedFlexOffer, NToOneAggregator
 from .binpacking import BinPacker, BinPackerBounds
 from .grouping import GroupBuilder
 from .thresholds import AggregationParameters
-from .updates import AggregateUpdate, DirtySet, FlexOfferUpdate
+from .updates import AggregateUpdate, FlexOfferUpdate
 
 __all__ = ["AggregationPipeline", "aggregate_from_scratch", "make_pipeline"]
 
@@ -90,8 +90,6 @@ class AggregationPipeline:
         self.group_builder = GroupBuilder(parameters)
         self.bin_packer = BinPacker(bounds) if bounds is not None else None
         self.aggregator = NToOneAggregator()
-        #: Group ids the most recent :meth:`run` created/changed/deleted.
-        self.last_dirty = DirtySet()
 
     # ------------------------------------------------------------------
     def submit(self, update: FlexOfferUpdate) -> None:
@@ -123,9 +121,7 @@ class AggregationPipeline:
             group_updates = self.group_builder.flush()
             if self.bin_packer is not None:
                 group_updates = self.bin_packer.process(group_updates)
-            updates = self.aggregator.process(group_updates)
-        self.last_dirty = DirtySet.from_updates(updates)
-        return updates
+            return self.aggregator.process(group_updates)
 
     # ------------------------------------------------------------------
     @property

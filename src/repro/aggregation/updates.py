@@ -24,7 +24,6 @@ __all__ = [
     "FlexOfferUpdate",
     "GroupUpdate",
     "AggregateUpdate",
-    "DirtySet",
 ]
 
 
@@ -112,57 +111,3 @@ class AggregateUpdate:
         update = cls(kind, group_id, lambda: aggregate)
         update._cached.append(aggregate)
         return update
-
-
-@dataclass(frozen=True, slots=True)
-class DirtySet:
-    """The group ids one pipeline flush created, changed, or deleted.
-
-    Emitted by the pipeline engines alongside their ``AggregateUpdate``
-    stream so downstream planners can re-place only what moved instead of
-    diffing the whole pool.  A group id appears in exactly one bucket per
-    flush: the ``AggregateUpdate`` stream already nets multiple touches of
-    the same group into a single update.
-    """
-
-    created: frozenset[str] = frozenset()
-    changed: frozenset[str] = frozenset()
-    deleted: frozenset[str] = frozenset()
-
-    @classmethod
-    def from_updates(cls, updates: "list[AggregateUpdate]") -> "DirtySet":
-        """Bucket one flush's aggregate updates by kind."""
-        buckets: dict[UpdateKind, set[str]] = {kind: set() for kind in UpdateKind}
-        for update in updates:
-            buckets[update.kind].add(update.group_id)
-        return cls(
-            created=frozenset(buckets[UpdateKind.CREATED]),
-            changed=frozenset(buckets[UpdateKind.MODIFIED]),
-            deleted=frozenset(buckets[UpdateKind.DELETED]),
-        )
-
-    @property
-    def group_ids(self) -> frozenset[str]:
-        """Every group id the flush touched, regardless of bucket."""
-        return self.created | self.changed | self.deleted
-
-    def __bool__(self) -> bool:
-        return bool(self.created or self.changed or self.deleted)
-
-    def merged(self, other: "DirtySet") -> "DirtySet":
-        """Union with a later flush's dirty set (bucket by latest effect).
-
-        A group created in this set and deleted in ``other`` stays dirty in
-        the deleted bucket (and vice versa for delete→create); consumers
-        that only read :attr:`group_ids` are unaffected by the bucketing.
-        """
-        deleted = (self.deleted - other.created - other.changed) | other.deleted
-        created = (self.created - other.deleted) | other.created
-        changed = (
-            (self.changed - other.deleted) | other.changed
-        ) - created - deleted
-        return DirtySet(
-            created=frozenset(created),
-            changed=frozenset(changed),
-            deleted=frozenset(deleted),
-        )

@@ -167,7 +167,6 @@ class LedmsStore:
         self._known_times: set[int] = set()
         self._offer_states: dict[int, str] = {}
         self._offers: dict[int, FlexOffer] = {}
-        self._offer_owners: dict[int, str] = {}
         self._subscribers: list = []
         # Checked one-row lifecycle facts not yet in the fact table, in
         # call order.
@@ -376,7 +375,7 @@ class LedmsStore:
         self._pending_rows.append(self._offer_events.checked_row(row))
         if len(self._pending_rows) >= _MAX_PENDING_FACTS:
             self.flush()
-        self._transition(actor, offer, state, now)
+        self._transition(offer, state, now)
 
     def record_offer_events(
         self, events: Sequence[tuple[str, FlexOffer, str]], now: int
@@ -410,10 +409,10 @@ class LedmsStore:
                 [offer.time_flexibility for offer in offers],
             ),
         )
-        for actor, offer, state in events:
-            self._transition(actor, offer, state, now)
+        for _, offer, state in events:
+            self._transition(offer, state, now)
 
-    def _transition(self, actor: str, offer: FlexOffer, state: str, now: int) -> None:
+    def _transition(self, offer: FlexOffer, state: str, now: int) -> None:
         """Advance the per-offer state for one recorded fact; notify."""
         offer_id = offer.offer_id
         self._offer_states[offer_id] = state
@@ -425,7 +424,6 @@ class LedmsStore:
             # profile arrays — is dropped so a long stream cannot grow the
             # store without bound.
             self._offers.pop(offer_id, None)
-        self._offer_owners[offer_id] = actor
         for callback in self._subscribers:
             callback(offer_id, state, now)
 
@@ -473,10 +471,6 @@ class LedmsStore:
         stays queryable via :meth:`offer_state` and the fact table).
         """
         return self._offers.get(offer_id)
-
-    def offer_owner(self, offer_id: int) -> str | None:
-        """The actor a lifecycle event was last recorded for (None if unseen)."""
-        return self._offer_owners.get(offer_id)
 
     def offers_in_state(self, state: str) -> list[int]:
         """Offer ids currently in ``state``."""

@@ -242,14 +242,14 @@ def project(service, events: list[dict]) -> ReplayStats:
 def _finish(service, stats: ReplayStats) -> None:
     if stats.mode == "reexecute":
         stats.live_restored = service.live_offers
-        stats.committed_restored = len(service._committed_start)
+        stats.committed_restored = len(service.committed_starts())
     stats.dead_letters = len(service.ledger.dead_letters())
     service.metrics.counter("ledger.replays").inc()
     service.metrics.counter("ledger.replayed_events").inc(stats.events)
     tracer = service.tracer
     if tracer.enabled:
         # Mark every restored-live offer: its trace chain survives restart.
-        for offer_id in sorted(service._live):
+        for offer_id in service.live_offer_ids():
             tracer.record(
                 "ledger_replay",
                 node=service.name,

@@ -59,7 +59,8 @@ class Message:
     sender produced it.  ``trace`` optionally carries the sender's
     :class:`~repro.obs.tracing.TraceContext`, so the receiver can link its
     own spans back to the work that produced the message; it is ``None``
-    on untraced runs and ignored by domain logic.
+    on untraced runs and ignored by domain logic.  Both are keyword-only,
+    so a trace context can never land in ``message_id``.
     """
 
     sender: str
@@ -67,5 +68,5 @@ class Message:
     type: MessageType
     payload: Any
     issued_at: int
-    message_id: int = field(default_factory=lambda: next(_sequence))
-    trace: Any = None
+    message_id: int = field(default_factory=next_message_id, kw_only=True)
+    trace: Any = field(default=None, kw_only=True)

@@ -60,10 +60,10 @@ from .config import (
     SchedulingConfig,
     SectionedConfig,
     ServiceConfig,
-    _check_fields,
     _field_tables,
 )
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
+from .fields import check_fields
 from .metrics import MetricsRegistry, aggregate_registries
 from .planning import PlanSession, eligible_for_window, report_adaptive
 from .service import RuntimeReport
@@ -107,7 +107,7 @@ class BusConfig:
     """Per-recipient cap on exhausted messages parked for recovery replay."""
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        check_fields(self)
         if self.max_retries < 0:
             raise ServiceError(
                 f"max_retries must be non-negative, got {self.max_retries}"
@@ -450,7 +450,7 @@ class TsoConfig(SectionedConfig):
     )
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        check_fields(self)
         scheduling = self.scheduling
         if scheduling.target_p95_slices is not None and not isinstance(
             scheduling.trigger, CountTrigger
@@ -1105,7 +1105,7 @@ class BrpHost:
                     duration_slices=duration_slices, wall_seconds=wall_seconds
                 ),
                 client.service.metrics,
-                dict(client.service._committed_start),
+                client.service.committed_starts(),
                 sorted(
                     set().union(
                         *(client.store.offers_in_state(s) for s in admitted)

@@ -27,12 +27,7 @@ exactly one place.
 
 from __future__ import annotations
 
-import math
-import numbers
-import types
-import typing
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
 from typing import Any, Mapping
 
 from ..aggregation.thresholds import AggregationParameters
@@ -44,6 +39,7 @@ from ..api.registry import (
 )
 from ..core.errors import ServiceError
 from ..core.timebase import DEFAULT_AXIS, TimeAxis
+from .fields import check_fields
 from .triggers import AgeTrigger, AnyTrigger, CountTrigger, ImbalanceTrigger, TriggerPolicy
 
 __all__ = [
@@ -74,51 +70,6 @@ def default_trigger() -> TriggerPolicy:
     )
 
 
-#: Annotated number type -> the values it admits (numpy scalars included).
-_NUMBERS = {int: numbers.Integral, float: numbers.Real}
-
-
-@cache
-def _field_types(cls: type) -> tuple[tuple[str, type, bool, str], ...]:
-    """Per field of a config dataclass: name, the type its values must
-    have, whether ``None`` is allowed, and the annotation as written."""
-    hints = typing.get_type_hints(cls)
-    table = []
-    for item in fields(cls):
-        hint = hints[item.name]
-        options = (
-            typing.get_args(hint)
-            if isinstance(hint, types.UnionType) else (hint,)
-        )
-        (kind,) = [option for option in options if option is not type(None)]
-        table.append(
-            (item.name, _NUMBERS.get(kind, kind), len(options) > 1, str(item.type))
-        )
-    return tuple(table)
-
-
-def _check_fields(section: Any) -> None:
-    """Check every field of a config dataclass against its annotation.
-
-    Configuration arrives from JSON files, so a value can have any type: a
-    string ``"96"`` used to escape a range check as a ``TypeError``
-    traceback, a string price was accepted and run, and a dict of
-    aggregation parameters crashed mid-run.  ``bool`` is not a number here
-    (no config field is a flag).  A number must also be finite: a
-    comparison against NaN is false either way round, so a range check
-    alone (``interval <= 0``) lets it through, and a NaN time stalls the
-    driver it reaches.
-    """
-    for name, kind, optional, annotation in _field_types(type(section)):
-        value = getattr(section, name)
-        if value is None and optional:
-            continue
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ServiceError(f"{name} must be {annotation}, got {value!r}")
-        if kind is numbers.Real and not math.isfinite(value):
-            raise ServiceError(f"{name} must be finite, got {value}")
-
-
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MarketConfig:
@@ -130,7 +81,7 @@ class MarketConfig:
     surplus_penalty: float = 0.2
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -144,7 +95,7 @@ class AggregationConfig:
     """Aggregation engine, by :mod:`repro.api.registry` name."""
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        check_fields(self)
         default_registry().get(KIND_AGGREGATION, self.engine)  # raises with names
 
 
@@ -185,7 +136,7 @@ class SchedulingConfig:
     """
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        check_fields(self)
         if self.horizon_slices <= 0:
             raise ServiceError("horizon_slices must be positive")
         if self.scheduler_passes <= 0:
@@ -213,7 +164,7 @@ class IngestConfig:
     """Admission limit on profile length (None = unlimited)."""
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        check_fields(self)
         if self.batch_size <= 0:
             raise ServiceError("batch_size must be positive")
         if self.expiry_sweep_interval <= 0:

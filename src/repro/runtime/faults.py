@@ -205,14 +205,12 @@ def state_fingerprint(client) -> dict:
     """
     service = getattr(client, "service", client)
     store = service.store
-    seen = set(service._live) | set(service._committed_start)
+    live = service.live_offer_ids()
     fingerprint = {
-        "live": tuple(sorted(service._live)),
-        "committed": tuple(sorted(service._committed_start.items())),
-        "scheduled_total": service._scheduled_total,
-        "states": tuple(
-            sorted((oid, store.offer_state(oid)) for oid in seen)
-        ),
+        "live": tuple(live),
+        "committed": tuple(sorted(service.committed_starts().items())),
+        "scheduled_total": service.scheduled_total,
+        "states": tuple((oid, store.offer_state(oid)) for oid in live),
         "state_counts": tuple(sorted(store.state_counts().items())),
     }
     led = service.ledger

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..aggregation.pipeline import AggregationPipeline
-from ..aggregation.updates import AggregateUpdate, DirtySet, FlexOfferUpdate
+from ..aggregation.updates import AggregateUpdate, FlexOfferUpdate
 from ..core.flexoffer import FlexOffer
 from ..datamgmt.mirabel import LedmsStore
 from .metrics import MetricsRegistry
@@ -41,7 +41,7 @@ class FlexOfferIngest:
         self,
         pipeline: AggregationPipeline,
         *,
-        store: LedmsStore | None = None,
+        store: LedmsStore,
         metrics: MetricsRegistry | None = None,
         batch_size: int = 64,
         max_duration_slices: int | None = None,
@@ -58,8 +58,6 @@ class FlexOfferIngest:
         # Touched once per admitted offer, looked up once.
         self._accepted_counter = self.metrics.counter("ingest.accepted")
         self._rejected_counter = self.metrics.counter("ingest.rejected")
-        #: Dirty group ids reported by the most recent :meth:`flush`.
-        self.last_dirty = DirtySet()
 
     # ------------------------------------------------------------------
     @property
@@ -79,14 +77,12 @@ class FlexOfferIngest:
 
     # ------------------------------------------------------------------
     def _record(self, offer: FlexOffer, state: str, now: int) -> None:
-        if self.store is None:
-            return
         self.store.register_actor(offer.owner, "prosumer")
         self.store.record_offer_event(offer.owner, offer, state, now)
 
     def _record_all(self, offers: list[FlexOffer], state: str, now: int) -> None:
         """One store call for many offers entering ``state`` at ``now``."""
-        if self.store is None or not offers:
+        if not offers:
             return
         # dict, not set: first-seen order keeps actor ids deterministic.
         for owner in dict.fromkeys(offer.owner for offer in offers):
@@ -170,15 +166,12 @@ class FlexOfferIngest:
         The store's held-back admission facts are written first, whether or
         not there is anything to run.
         """
-        if self.store is not None:
-            self.store.flush()
+        self.store.flush()
         if self._pending == 0:
-            self.last_dirty = DirtySet()
             return []
         batch, self._batch = self._batch, []
         self._pending = 0
         updates = self.pipeline.run()
-        self.last_dirty = self.pipeline.last_dirty
         self._record_all(batch, "aggregated", now)
         self.metrics.counter("ingest.flushes").inc()
         self.metrics.counter("ingest.aggregate_updates").inc(len(updates))

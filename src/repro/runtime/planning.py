@@ -12,11 +12,11 @@ and the ``delta.*`` counters live here and nowhere else.
 
 Inside the pass, :meth:`PlanSession.plan` is the seam between full and
 delta planners: it keeps the warm-start cache and the dirty key set fed by
-the aggregation pipeline's per-flush
-:class:`~repro.aggregation.updates.DirtySet`, and routes a run either to a
-delta-capable scheduler (with a :class:`~repro.scheduling.delta.
-DeltaRequest`) or down the classic warm-started path, so swapping
-``--scheduler delta`` in changes nothing but the planner.
+each flush's :class:`~repro.aggregation.updates.AggregateUpdate` stream,
+and routes a run either to a delta-capable scheduler (with a
+:class:`~repro.scheduling.delta.DeltaRequest`) or down the classic
+warm-started path, so swapping ``--scheduler delta`` in changes nothing
+but the planner.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ..aggregation.aggregator import AggregatedFlexOffer
-from ..aggregation.updates import DirtySet
+from ..aggregation.updates import AggregateUpdate, UpdateKind
 from ..api.registry import KIND_SCHEDULER, default_registry
 from ..core.flexoffer import FlexOffer
 from ..core.schedule import Schedule
@@ -180,16 +180,17 @@ class PlanSession:
         self.last_warm_started = False
 
     # ------------------------------------------------------------------
-    def absorb(self, dirty: DirtySet) -> None:
-        """Fold one flush's dirty set into the session.
+    def absorb(self, updates: Iterable[AggregateUpdate]) -> None:
+        """Fold one flush's aggregate updates into the session.
 
-        Deleted keys leave the warm cache immediately (their aggregates are
-        gone from the pool); created/changed keys accumulate until the next
-        :meth:`plan` consumes them.
+        Every group id they touch is dirty until the next :meth:`plan`
+        consumes it; a deleted group also leaves the warm cache at once
+        (its aggregate is gone from the pool).
         """
-        self.dirty |= dirty.group_ids
-        for key in dirty.deleted:
-            self.warm.pop(key, None)
+        for update in updates:
+            self.dirty.add(update.group_id)
+            if update.kind is UpdateKind.DELETED:
+                self.warm.pop(update.group_id, None)
 
     def mark_dirty(self, keys) -> None:
         """Mark keys dirty directly (the TSO's per-sender snapshot diff)."""

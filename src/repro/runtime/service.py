@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -78,6 +79,28 @@ class SubmitResult:
 
     def __bool__(self) -> bool:
         return self.accepted
+
+
+@dataclass(slots=True, eq=False)
+class _LiveOffer:
+    """The service's one book entry for an admitted offer, until it retires."""
+
+    offer: FlexOffer
+    """The accepted (possibly window-clipped) version."""
+    seq: int
+    """Admission count: orders offers as ``_live`` does."""
+    arrival_sim: float
+    arrival_wall: float
+    start: int | None = None
+    """The committed plan start; ``None`` until first committed."""
+
+
+_admission_seq = operator.attrgetter("seq")
+
+# What ``_live.get`` returns for an id that is not live: its ``offer`` is no
+# member, so the commit loop tests liveness and version with one identity
+# check.
+_GONE = _LiveOffer(None, -1, 0.0, 0.0)  # type: ignore[arg-type]
 
 
 def _adaptive_policies(trigger) -> tuple:
@@ -220,18 +243,14 @@ class BrpRuntimeService:
         #: after its plan has been committed (the facade's
         #: ``on_plan_committed`` hook attaches here).
         self.plan_listeners: list[Callable[[SchedulingResult], None]] = []
-        self._live: dict[int, FlexOffer] = {}
-        self._scheduled: set[int] = set()
+        self._live: dict[int, _LiveOffer] = {}
         self._scheduled_total = 0
-        self._committed_start: dict[int, int] = {}
         # aggregate offer_id -> (start, energies) of the last disaggregated
         # plan.  A pool change always materialises a *new* aggregate (new
         # offer_id), so an unchanged key proves every member's schedule is
         # unchanged and the whole disaggregation can be skipped.
         self._plan_cache: dict[int, tuple[int, tuple]] = {}
         self._stream_overflow: tuple[Iterable, float, FlexOffer] | None = None
-        self._arrival_sim: dict[int, float] = {}
-        self._arrival_wall: dict[int, float] = {}
         #: This tier's planner (:mod:`repro.runtime.planning`): scheduler,
         #: market, rng, warm-start cache and dirty key set live here.
         self.session = PlanSession(
@@ -261,13 +280,12 @@ class BrpRuntimeService:
         self._unscheduled_energy = 0.0
         self._pending_heap: list[tuple[float, int]] = []
         # The expiry sweep's due-time index (see _sweep_pool).  Admission
-        # pushes (due, seq, offer) — seq counts admissions, so it orders
-        # offers as _live does; a sweep moves the entries that fell due
-        # into ``_armed`` (offer_id -> (seq, offer)), and only armed offers
-        # are checked against the retirement conditions.
+        # pushes (due, seq, entry); a sweep moves the entries that fell due
+        # into ``_armed`` (offer_id -> entry), and only armed offers are
+        # checked against the retirement conditions.
         self._admissions = itertools.count()
-        self._due_heap: list[tuple[int, int, FlexOffer]] = []
-        self._armed: dict[int, tuple[int, FlexOffer]] = {}
+        self._due_heap: list[tuple[int, int, _LiveOffer]] = []
+        self._armed: dict[int, _LiveOffer] = {}
 
     # ------------------------------------------------------------------
     # observability plumbing
@@ -301,7 +319,7 @@ class BrpRuntimeService:
         """
         if not self.tracer.enabled:
             return
-        for offer_id in sorted(self._live):
+        for offer_id in self.live_offer_ids():
             self.tracer.record(
                 "offer", node=self.name, offer_id=offer_id,
                 state="live_at_shutdown",
@@ -330,11 +348,23 @@ class BrpRuntimeService:
 
     def is_scheduled(self, offer_id: int) -> bool:
         """Whether the current plan covers the offer."""
-        return offer_id in self._scheduled
+        return self.committed_start(offer_id) is not None
 
     def committed_start(self, offer_id: int) -> int | None:
         """The start slice the plan committed the offer to (None if none)."""
-        return self._committed_start.get(offer_id)
+        return self._live.get(offer_id, _GONE).start
+
+    def live_offer_ids(self) -> list[int]:
+        """The ids of the offers in the active pool, sorted."""
+        return sorted(self._live)
+
+    def committed_starts(self) -> dict[int, int]:
+        """Offer id -> committed start of every live scheduled offer."""
+        return {
+            oid: entry.start
+            for oid, entry in self._live.items()
+            if entry.start is not None
+        }
 
     @property
     def scheduled_total(self) -> int:
@@ -376,9 +406,10 @@ class BrpRuntimeService:
             result = SubmitResult(False, offer.offer_id, None, reason)
         else:
             oid = accepted.offer_id
-            self._live[oid] = accepted
-            self._arrival_sim[oid] = self.now
-            self._arrival_wall[oid] = time.perf_counter()
+            entry = _LiveOffer(
+                accepted, next(self._admissions), self.now, time.perf_counter()
+            )
+            self._live[oid] = entry
             self._offers_since_run += 1
             self._unscheduled_energy += self._offer_energy(accepted)
             heapq.heappush(self._pending_heap, (self.now, oid))
@@ -387,9 +418,7 @@ class BrpRuntimeService:
             deadline = accepted.assignment_before
             if deadline is not None and deadline < due:
                 due = deadline
-            heapq.heappush(
-                self._due_heap, (due, next(self._admissions), accepted)
-            )
+            heapq.heappush(self._due_heap, (due, entry.seq, entry))
             self._live_gauge.set(len(self._live))
             result = SubmitResult(True, oid, accepted)
         if recording:
@@ -492,7 +521,8 @@ class BrpRuntimeService:
                 offer_id=prior.offer_id,
                 detail={"source_event_id": sid},
             )
-        live = self._live.get(prior.offer_id) if prior.accepted else None
+        entry = self._live.get(prior.offer_id, _GONE)
+        live = entry.offer if prior.accepted else None
         return sid, text, SubmitResult(
             prior.accepted, prior.offer_id, live, prior.reason, duplicate=True
         )
@@ -550,9 +580,10 @@ class BrpRuntimeService:
         its lifecycle ends in the ``withdrawn`` state.  Offers already
         executed/expired (no longer live) cannot be withdrawn.
         """
-        offer = self._live.pop(offer_id, None)
-        if offer is None:
+        entry = self._live.pop(offer_id, None)
+        if entry is None:
             return None
+        offer = entry.offer
         # Its due-heap entry goes stale (the sweep checks identity).
         self._armed.pop(offer_id, None)
         led = self.ledger
@@ -563,13 +594,9 @@ class BrpRuntimeService:
                     "ledger_append", node=self.name, fact="withdraw",
                     offer_id=offer_id,
                 )
-        if offer_id not in self._scheduled:
+        if entry.start is None:
             self._unscheduled_energy -= self._offer_energy(offer)
         self.ingest.retire([offer], self.now_slice, "withdrawn")
-        self._scheduled.discard(offer_id)
-        self._arrival_sim.pop(offer_id, None)
-        self._arrival_wall.pop(offer_id, None)
-        self._committed_start.pop(offer_id, None)
         self.metrics.counter("runtime.offers_withdrawn").inc()
         self._live_gauge.set(len(self._live))
         return offer
@@ -589,10 +616,10 @@ class BrpRuntimeService:
                     self.pool.pop(update.group_id, None)
                 else:
                     self.pool[update.group_id] = update
-            # The pipeline reported which groups this flush touched; the
-            # session accumulates them for the next delta-planning run
-            # (and evicts deleted groups from the warm-start cache).
-            self.session.absorb(self.ingest.last_dirty)
+            # The session accumulates the touched groups for the next
+            # delta-planning run (and evicts deleted groups from the
+            # warm-start cache).
+            self.session.absorb(updates)
         elapsed = time.perf_counter() - t0
         self.metrics.counter("aggregate.runs").inc()
         self.metrics.histogram("aggregate.batch_seconds").observe(elapsed)
@@ -612,7 +639,8 @@ class BrpRuntimeService:
         """Age of the oldest live unscheduled offer (lazy heap cleanup)."""
         while self._pending_heap:
             arrival, oid = self._pending_heap[0]
-            if oid in self._live and oid not in self._scheduled:
+            entry = self._live.get(oid)
+            if entry is not None and entry.start is None:
                 return self.now - arrival
             heapq.heappop(self._pending_heap)
         return 0.0
@@ -804,13 +832,13 @@ class BrpRuntimeService:
 
         The one member-commit loop, for local plans and remote schedules
         alike; it runs for every member of every re-planned aggregate on
-        every trigger, so the books are looked up once per aggregate and a
-        re-commitment with no ledger recording is one dict store.  A member
-        counts as live only while ``_live`` holds *this object*: the pool,
-        ``_live`` and the published originals share the accepted instance,
-        so a different one under the same id is a later version (an
-        ``update`` while the plan travelled) whose window the start was not
-        chosen for, and it is skipped like a retired member.
+        every trigger, so a re-commitment with no ledger recording is one
+        lookup, one identity check and one store.  A member counts as live
+        only while ``_live``'s entry holds *this object*: the pool, ``_live``
+        and the published originals share the accepted instance, so a
+        different one under the same id is a later version (an ``update``
+        while the plan travelled) whose window the start was not chosen for,
+        and it is skipped like a retired member.
 
         ``journal`` is the pass's list from :meth:`_pass_journal` (``None``
         when no ledger records).  This loop calls no ledger method: a
@@ -820,17 +848,15 @@ class BrpRuntimeService:
         journaled inside a pass, so the facts and their ``seq`` are those
         of one ledger call per member.
         """
-        live_version = self._live.get
-        scheduled = self._scheduled
-        committed_start = self._committed_start
+        live_entry = self._live.get
         skipped = 0
         for member in members:
-            oid = member.offer_id
-            if live_version(oid) is not member:
+            entry = live_entry(member.offer_id, _GONE)
+            if entry.offer is not member:
                 skipped += 1
-            elif journal is not None or oid not in scheduled:
+            elif journal is not None or entry.start is None:
                 self._commit_member(
-                    member,
+                    entry,
                     member.earliest_start + delta,
                     latency_sim,
                     latency_wall,
@@ -838,7 +864,7 @@ class BrpRuntimeService:
                     journal,
                 )
             else:
-                committed_start[oid] = member.earliest_start + delta
+                entry.start = member.earliest_start + delta
         return len(members) - skipped
 
     def _pass_journal(self) -> list[tuple[int, int]] | None:
@@ -858,7 +884,7 @@ class BrpRuntimeService:
 
     def _commit_member(
         self,
-        member: FlexOffer,
+        entry: _LiveOffer,
         start: int,
         latency_sim,
         latency_wall,
@@ -872,8 +898,9 @@ class BrpRuntimeService:
         ``newly_scheduled``; the caller records those lifecycle facts in one
         batch (:meth:`_record_scheduled`).
         """
+        member = entry.offer
         oid = member.offer_id
-        if journal is not None and self._committed_start.get(oid) != start:
+        if journal is not None and entry.start != start:
             # Every change to a committed plan start is a durable fact —
             # what makes committed schedules survive a crash or outage.
             journal.append((oid, start))
@@ -882,18 +909,17 @@ class BrpRuntimeService:
                     "ledger_append", node=self.name, fact="scheduled",
                     offer_id=oid, detail={"start": start},
                 )
-        self._committed_start[oid] = start
-        if oid not in self._scheduled:
-            self._mark_scheduled(oid)
-            latency_sim.observe(self.now - self._arrival_sim[oid])
-            latency_wall.observe(time.perf_counter() - self._arrival_wall[oid])
+        if entry.start is None:
+            self._mark_scheduled(entry)
+            latency_sim.observe(self.now - entry.arrival_sim)
+            latency_wall.observe(time.perf_counter() - entry.arrival_wall)
             newly_scheduled.append(member)
+        entry.start = start
 
-    def _mark_scheduled(self, oid: int) -> None:
+    def _mark_scheduled(self, entry: _LiveOffer) -> None:
         """A live offer's first commitment: it leaves the unscheduled backlog."""
-        self._scheduled.add(oid)
         self._scheduled_total += 1
-        self._unscheduled_energy -= self._offer_energy(self._live[oid])
+        self._unscheduled_energy -= self._offer_energy(entry.offer)
 
     def restore_commitment(self, offer_id: int, start: int) -> bool:
         """Re-instate a journaled plan start on a live offer; False if not live.
@@ -902,13 +928,13 @@ class BrpRuntimeService:
         nothing is journaled and no latency is observed — the offer is
         simply scheduled again, in this service's books and in the store.
         """
-        offer = self._live.get(offer_id)
-        if offer is None:
+        entry = self._live.get(offer_id)
+        if entry is None:
             return False
-        self._committed_start[offer_id] = start
-        if offer_id not in self._scheduled:
-            self._mark_scheduled(offer_id)
-        self._record_scheduled([offer], self.now_slice)
+        if entry.start is None:
+            self._mark_scheduled(entry)
+        entry.start = start
+        self._record_scheduled([entry.offer], self.now_slice)
         return True
 
     def _record_scheduled(self, members: list[FlexOffer], now: int) -> None:
@@ -960,7 +986,7 @@ class BrpRuntimeService:
             self._record_scheduled(newly_scheduled, now)
             if trace:
                 for member in aggregate.members:
-                    if self._live.get(member.offer_id) is member:
+                    if self._live.get(member.offer_id, _GONE).offer is member:
                         self.tracer.record(
                             "offer",
                             node=self.name,
@@ -1025,35 +1051,34 @@ class BrpRuntimeService:
         """
         now = self.now
         now_slice = self.now_slice
-        scheduled = self._scheduled
-        committed_start = self._committed_start
         live = self._live
         armed = self._armed
         due = self._due_heap
         while due and due[0][0] <= now:
-            _, seq, offer = heapq.heappop(due)
-            if live.get(offer.offer_id) is offer:
-                armed[offer.offer_id] = (seq, offer)
+            entry = heapq.heappop(due)[2]
+            oid = entry.offer.offer_id
+            if live.get(oid) is entry:
+                armed[oid] = entry
         # Each list sorted by admission seq, which is live-pool order: the
         # ledger journals executed before expired, and replay fingerprints
         # depend on both orders.
-        executed_entries: list[tuple[int, FlexOffer]] = []
-        expired_entries: list[tuple[int, FlexOffer]] = []
-        for oid, entry in armed.items():
-            offer = entry[1]
+        executed_entries: list[_LiveOffer] = []
+        expired_entries: list[_LiveOffer] = []
+        for entry in armed.values():
+            offer = entry.offer
             window_closed = offer.latest_start < now
-            if oid in scheduled:
-                if window_closed or committed_start.get(oid, math.inf) < now:
+            if entry.start is not None:
+                if window_closed or entry.start < now:
                     executed_entries.append(entry)
             elif window_closed or (
                 offer.assignment_before is not None
                 and offer.assignment_before <= now
             ):
                 expired_entries.append(entry)
-        executed_entries.sort()
-        expired_entries.sort()
-        executed = [offer for _, offer in executed_entries]
-        expired = [offer for _, offer in expired_entries]
+        executed_entries.sort(key=_admission_seq)
+        expired_entries.sort(key=_admission_seq)
+        executed = [entry.offer for entry in executed_entries]
+        expired = [entry.offer for entry in expired_entries]
         led = self.ledger
         if led is not None and led.recording and (executed or expired):
             # One append for the whole sweep (group commit).
@@ -1070,12 +1095,6 @@ class BrpRuntimeService:
             oid = offer.offer_id
             del live[oid]
             del armed[oid]
-            self._arrival_sim.pop(oid, None)
-            self._arrival_wall.pop(oid, None)
-            self._committed_start.pop(oid, None)
-            # Keep the scheduled set bounded to live offers; the cumulative
-            # count lives in _scheduled_total.
-            self._scheduled.discard(oid)
         self.metrics.counter("runtime.offers_executed").inc(len(executed))
         self.metrics.counter("runtime.offers_expired").inc(len(expired))
         self._live_gauge.set(len(self._live))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from ..core.errors import ServiceError
+from .fields import check_fields
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -79,6 +80,7 @@ class CountTrigger:
     threshold: int
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.threshold <= 0:
             raise ServiceError("CountTrigger threshold must be positive")
 
@@ -93,6 +95,7 @@ class AgeTrigger:
     max_age_slices: float
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.max_age_slices <= 0:
             raise ServiceError("AgeTrigger max_age_slices must be positive")
 
@@ -107,6 +110,7 @@ class ImbalanceTrigger:
     threshold_kwh: float
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.threshold_kwh <= 0:
             raise ServiceError("ImbalanceTrigger threshold_kwh must be positive")
 
@@ -118,6 +122,7 @@ class AnyTrigger:
     """Composite policy: fires when any member policy fires."""
 
     def __init__(self, policies: Sequence[TriggerPolicy]):
+        check_fields(self, locals())
         if not policies:
             raise ServiceError("AnyTrigger needs at least one policy")
         self.policies = tuple(policies)
@@ -183,6 +188,7 @@ class AdaptiveTrigger:
         relax_factor: float = 1.2,
         relax_margin: float = 0.7,
     ) -> None:
+        check_fields(self, locals())
         if target_p95_slices <= 0:
             raise ServiceError(
                 "AdaptiveTrigger target_p95_slices must be positive"

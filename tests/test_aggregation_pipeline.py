@@ -22,7 +22,7 @@ from repro.aggregation import (
     evaluate_aggregation,
     paper_combinations,
 )
-from repro.aggregation.updates import AggregateUpdate, DirtySet, GroupUpdate
+from repro.aggregation.updates import GroupUpdate
 
 
 def _offer(est, tf, duration=2, lo=1.0, hi=2.0, **kw):
@@ -370,56 +370,3 @@ class TestPriceAwareGrouping:
     def test_negative_price_tolerance_rejected(self):
         with pytest.raises(ValueError):
             AggregationParameters(unit_price_tolerance=-0.1)
-
-
-class TestDirtySet:
-    def _update(self, kind, gid):
-        return AggregateUpdate(kind, gid, lambda: None)
-
-    def test_from_updates_buckets_by_kind(self):
-        dirty = DirtySet.from_updates(
-            [
-                self._update(UpdateKind.CREATED, "a"),
-                self._update(UpdateKind.MODIFIED, "b"),
-                self._update(UpdateKind.DELETED, "c"),
-            ]
-        )
-        assert dirty.created == {"a"}
-        assert dirty.changed == {"b"}
-        assert dirty.deleted == {"c"}
-        assert dirty.group_ids == {"a", "b", "c"}
-        assert dirty
-        assert not DirtySet()
-
-    def test_merged_buckets_by_latest_effect(self):
-        first = DirtySet(
-            created=frozenset({"a"}),
-            changed=frozenset({"b"}),
-            deleted=frozenset({"c"}),
-        )
-        second = DirtySet(
-            created=frozenset({"c"}), deleted=frozenset({"a", "b"})
-        )
-        merged = first.merged(second)
-        assert merged.created == {"c"}  # delete -> re-create stays created
-        assert merged.deleted == {"a", "b"}  # create/change -> delete
-        assert merged.changed == frozenset()
-        # group_ids readers see the union either way.
-        assert merged.group_ids == {"a", "b", "c"}
-
-    def test_pipeline_reports_flush_dirty_set(self):
-        pipe = AggregationPipeline(P0)
-        fo = _offer(10, 8)
-        pipe.submit_inserts([fo])
-        updates = pipe.run()
-        gid = updates[0].group_id
-        assert pipe.last_dirty.created == {gid}
-        sibling = _offer(10, 8)
-        pipe.submit_inserts([sibling])
-        pipe.run()
-        assert pipe.last_dirty.changed == {gid}
-        pipe.submit_deletes([fo, sibling])
-        pipe.run()
-        assert pipe.last_dirty.deleted == {gid}
-        pipe.run()  # nothing pending: the dirty set drains
-        assert not pipe.last_dirty

@@ -421,6 +421,23 @@ def test_bad_trigger_param_exits_2(capsys):
     assert "target_p95_slices must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ("age:max_age_slices=nan", "max_age_slices"),
+        ("count:threshold=2.5", "threshold"),
+        ("count:threshold=true", "threshold"),
+        ("adaptive:target_p95_slices=nan", "target_p95_slices"),
+        ("adaptive:target_p95_slices=6,count_threshold=nan", "count_threshold"),
+    ],
+)
+def test_trigger_params_are_field_checked(capsys, spec, field):
+    assert (
+        main(["loadtest", *TINY, "--trigger", spec]) == EXIT_UNKNOWN_EXPERIMENT
+    )
+    assert f"{field} must be" in capsys.readouterr().err
+
+
 def test_malformed_trigger_spec_exits_2(capsys):
     assert (
         main(["loadtest", *TINY, "--trigger", "count:threshold"])

@@ -387,10 +387,8 @@ class TestClusterRuntime:
             if commits:
                 remote_brps += 1
             checked = 0
-            for offer_id, offer in service._live.items():
-                start = service.committed_start(offer_id)
-                if start is None:
-                    continue
+            for offer_id, start in service.committed_starts().items():
+                offer = service.store.offer(offer_id)
                 assert offer.earliest_start <= start <= offer.latest_start
                 checked += 1
             assert service.scheduled_total > 0 or checked == 0
@@ -404,12 +402,7 @@ class TestClusterRuntime:
             # runs in one process see different absolute ids; compare the
             # id-independent shape of the committed state instead.
             starts = {
-                name: sorted(
-                    start
-                    for oid in client.service._live
-                    if (start := client.service.committed_start(oid))
-                    is not None
-                )
+                name: sorted(client.service.committed_starts().values())
                 for name, client in cluster.clients.items()
             }
             return (

@@ -601,7 +601,6 @@ class TestBatchedLifecycleFacts:
             oid = offer.offer_id
             assert batch.offer_state(oid) == single.offer_state(oid)
             assert batch.offer(oid) == single.offer(oid)
-            assert batch.offer_owner(oid) == single.offer_owner(oid)
         assert batch.state_counts() == single.state_counts()
         for state in batch.state_counts():
             assert batch.offers_in_state(state) == single.offers_in_state(state)
@@ -656,7 +655,7 @@ class TestHeldBackFacts:
         store.record_offer_event("p", offer, "submitted", now=0)
         store.record_offer_event("p", offer, "accepted", now=1)
         assert store.offer_state(700) == "accepted"
-        assert store.offer(700) is offer and store.offer_owner(700) == "p"
+        assert store.offer(700) is offer
         assert store.offers_in_state("accepted") == [700]
         assert store.state_counts()["accepted"] == 1
         # The state maps advance without writing the held-back rows.
@@ -761,7 +760,7 @@ class TestHeldBackFacts:
         assert len(held_after) > 10 and not any(held_after)
         # A flush with only deletes queued still drains a rejection.
         ingest = service.ingest
-        live = next(iter(service._live.values()))
+        live = service.store.offer(service.live_offer_ids()[0])
         ingest.retire([live], now=30, state="withdrawn")
         ingest.submit(flex_offer([(1.0, 2.0)], earliest_start=1,
                                  latest_start=2), now=30)
@@ -886,7 +885,6 @@ def test_held_back_facts_match_write_through(operations):
             through.schema.dimensions[dimension]
         )
     assert list(held._offer_states.items()) == list(through._offer_states.items())
-    assert list(held._offer_owners.items()) == list(through._offer_owners.items())
     assert held._offers.keys() == through._offers.keys()
     assert all(held._offers[k] is through._offers[k] for k in held._offers)
     assert calls[id(held)] == calls[id(through)]

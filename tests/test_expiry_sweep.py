@@ -7,8 +7,6 @@ scheduling run — is checked against it: the same offers retired, in the
 same order, and the same ``retire`` facts journaled.
 """
 
-import math
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -43,10 +41,12 @@ def census(service):
     """
     now = service.now
     executed, expired = [], []
-    for oid, offer in service._live.items():
+    for entry in service._live.values():
+        offer = entry.offer
         window_closed = offer.latest_start < now
-        if oid in service._scheduled:
-            if window_closed or service._committed_start.get(oid, math.inf) < now:
+        start = service.committed_start(offer.offer_id)
+        if start is not None:
+            if window_closed or start < now:
                 executed.append(offer)
         elif window_closed or (
             offer.assignment_before is not None
@@ -138,7 +138,7 @@ class TestDueTimeSweep:
         )
         for _ in range(data.draw(st.integers(5, 40), label="steps")):
             operation = data.draw(operations, label="operation")
-            live = sorted(service._live)
+            live = service.live_offer_ids()
             if operation == "submit":
                 service.submit(_draw_offer(data, service.now_slice))
             elif operation == "update" and live:
@@ -200,7 +200,7 @@ class TestDueTimeSweep:
         )
         checked = CensusChecked(restored)
         project(restored, list(ledger.events()))
-        admitted = restored._live[offer.offer_id]
+        admitted = restored._live[offer.offer_id].offer
         assert admitted.earliest_start == start + 1  # clipped past the start
         assert restored.committed_start(offer.offer_id) == start
         assert restored.sweep_expired() == 1

@@ -317,9 +317,9 @@ class TestWallClockCrashProjection:
             driver=_wall_driver(FakeClock(), start=last),
         )
         assert resumed.last_replay.mode == "project"
-        assert sorted(resumed.service._live) == sorted(client.service._live)
+        assert resumed.service.live_offer_ids() == client.service.live_offer_ids()
         assert (
-            resumed.service._committed_start == client.service._committed_start
+            resumed.service.committed_starts() == client.service.committed_starts()
         )
         assert resumed.dead_letters() == client.dead_letters()
         # The resumed node finishes the interrupted window cleanly.

@@ -408,8 +408,8 @@ class TestGroupCommit:
             assert service.submit(offer)
         service.run_aggregation()
         service.maybe_schedule(force=True)
-        assert {o.offer_id for o in runs} <= service._scheduled
-        assert not {o.offer_id for o in lapses} & service._scheduled
+        assert all(service.is_scheduled(o.offer_id) for o in runs)
+        assert not any(service.is_scheduled(o.offer_id) for o in lapses)
         service.driver.advance_to(20)
         first = ledger.appends
         handle = ledger.log._handle = _CountingHandle(ledger.log._open_for_append())
@@ -582,11 +582,11 @@ class TestIdempotency:
         offer = _offer(10)
         first = client.submit(offer)
         assert first.accepted
-        live_before = len(client.service._live)
+        live_before = client.service.live_offers
         again = client.submit(offer)
         assert isinstance(again, SubmitResult)
         assert again.accepted and again.offer_id == first.offer_id
-        assert len(client.service._live) == live_before  # no double-count
+        assert client.service.live_offers == live_before  # no double-count
         assert client.ledger.duplicates == 1
         kinds = [e["kind"] for e in client.ledger.events()]
         assert kinds.count("submit") == 1
@@ -677,7 +677,7 @@ class TestFactJournal:
         assert not any(e["kind"] == "reverse" for e in events)
         assert any(e["kind"] == "dead_letter" for e in events)
         # The original version stays live.
-        assert first.offer_id in client.service._live
+        assert client.service.is_live(first.offer_id)
 
     def test_rejection_routes_to_dead_letter_queue(self):
         client = _ledger_client()
@@ -781,9 +781,12 @@ class TestResumeFromLedger:
             log, _config(), driver=driver
         )
         assert resumed.last_replay.mode == "project"
-        assert sorted(resumed.service._live) == sorted(original.service._live)
         assert (
-            resumed.service._committed_start == original.service._committed_start
+            resumed.service.live_offer_ids() == original.service.live_offer_ids()
+        )
+        assert (
+            resumed.service.committed_starts()
+            == original.service.committed_starts()
         )
         assert (
             resumed.service.store.state_counts()

@@ -43,6 +43,10 @@ class TestMessageBus:
         assert bus.dispatch_all() == 2
         assert [m.payload for m in received] == [1, 2]
 
+    def test_message_id_and_trace_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            Message("a", "b", MessageType.MEASUREMENT, {}, 0, 7, object())
+
     def test_unknown_recipient(self):
         bus = MessageBus()
         assert not bus.try_send(Message("x", "ghost", MessageType.MEASUREMENT, 1, 0))

@@ -436,37 +436,6 @@ class TestJournalFirst:
 
 
 # ----------------------------------------------------------------------
-# REP007: Message trace keyword
-# ----------------------------------------------------------------------
-class TestMessageTrace:
-    def test_flags_positional_trace(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            "anywhere.py",
-            """
-            from repro.node.messages import Message
-
-            def send(ctx):
-                return Message("a", "b", "submit", {}, 0, 7, ctx)
-            """,
-        )
-        assert rule_ids(findings) == ["REP007"]
-
-    def test_keyword_trace_passes(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            "anywhere.py",
-            """
-            from repro.node.messages import Message
-
-            def send(ctx):
-                return Message("a", "b", "submit", {}, 0, trace=ctx)
-            """,
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
 # REP008: swallowed exceptions
 # ----------------------------------------------------------------------
 class TestSwallowedException:
@@ -614,27 +583,25 @@ class TestTriggerStateWrite:
         assert findings == []
 
     def test_flags_foreign_commitment_bookkeeping(self, tmp_path):
-        # The body ledger/replay.py's project() had before the service grew
-        # restore_commitment(): four books written from outside, one read.
+        # A projection that re-admits and commits from outside instead of
+        # calling submit()/restore_commitment(): three books written, one
+        # read.
         findings = lint_snippet(
             tmp_path,
             "src/repro/ledger/mod.py",
             """
-            def project(service, store, committed, now_slice):
-                for oid, start in committed.items():
-                    offer = service._live.get(oid)
-                    if offer is None:
+            def project(service, store, offers, now_slice):
+                for oid, offer in offers.items():
+                    if service._live.get(oid) is not None:
                         continue
-                    service._committed_start[oid] = start
-                    if oid not in service._scheduled:
-                        service._scheduled.add(oid)
-                        service._scheduled_total += 1
-                        service._unscheduled_energy -= service._offer_energy(offer)
+                    service._live[oid] = offer
+                    service._scheduled_total += 1
+                    service._unscheduled_energy -= service._offer_energy(offer)
                     store.replay_offer_event(offer.owner, offer, "scheduled", now_slice)
             """,
         )
         assert rule_ids(findings) == ["REP009"]
-        assert sorted(f.line for f in findings) == [7, 9, 10, 11]
+        assert sorted(f.line for f in findings) == [6, 7, 8]
 
     def test_flags_foreign_pool_eviction(self, tmp_path):
         findings = lint_snippet(
@@ -642,8 +609,8 @@ class TestTriggerStateWrite:
             "src/repro/runtime/mod.py",
             """
             def evict(client, oid):
-                client.service._scheduled.discard(oid)
-                client.service._committed_start.pop(oid, None)
+                client.service._live.pop(oid, None)
+                client.service._scheduled_total -= 1
                 del client.service._live[oid]
             """,
         )
@@ -655,12 +622,12 @@ class TestTriggerStateWrite:
             "src/repro/runtime/mod.py",
             """
             class Node:
-                def commit(self, oid, start, other):
-                    self._committed_start[oid] = start
-                    self._scheduled.add(oid)
+                def commit(self, oid, entry, other):
+                    self._live[oid] = entry
                     self._scheduled_total += 1
+                    self._unscheduled_energy -= 1.0
                     del self._live[oid]
-                    return len(other._live), other._committed_start.get(oid)
+                    return len(other._live), other._live.get(oid)
             """,
         )
         assert findings == []

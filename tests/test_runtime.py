@@ -8,7 +8,11 @@ in ``test_runtime_service.py``.
 import numpy as np
 import pytest
 
-from repro.aggregation import AggregationParameters, AggregationPipeline
+from repro.aggregation import (
+    AggregationParameters,
+    AggregationPipeline,
+    UpdateKind,
+)
 from repro.core import flex_offer
 from repro.core.errors import ServiceError
 from repro.core.timebase import DEFAULT_AXIS
@@ -218,6 +222,8 @@ class TestIngest:
         pipeline = AggregationPipeline(
             AggregationParameters(8, 8, name="test")
         )
+        if store is None:
+            store = LedmsStore(DEFAULT_AXIS)
         return FlexOfferIngest(pipeline, store=store, batch_size=batch_size)
 
     def test_accepts_and_batches(self):
@@ -261,17 +267,17 @@ class TestIngest:
         counts = store.state_counts()
         assert counts["expired"] == 1
 
-    def test_flush_exposes_pipeline_dirty_set(self):
+    def test_flush_returns_the_flush_updates(self):
         ingest = self._ingest(batch_size=1)
         offer, _ = ingest.submit(_offer(10), now=0)
-        ingest.flush(now=0)
-        assert ingest.last_dirty.created
-        group_id = next(iter(ingest.last_dirty.created))
+        (created,) = ingest.flush(now=0)
+        assert created.kind is UpdateKind.CREATED
         ingest.retire([offer], now=20, state="expired")
-        ingest.flush(now=20)
-        assert ingest.last_dirty.deleted == {group_id}
-        ingest.flush(now=21)  # nothing pending: the dirty set drains
-        assert not ingest.last_dirty
+        (deleted,) = ingest.flush(now=20)
+        assert (deleted.kind, deleted.group_id) == (
+            UpdateKind.DELETED, created.group_id
+        )
+        assert ingest.flush(now=21) == []  # nothing pending
 
     def test_retire_flows_deletes_through_pipeline(self):
         ingest = self._ingest(batch_size=1)

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.aggregation import DirtySet
+from repro.aggregation import AggregateUpdate, UpdateKind
 from repro.core import ScheduledFlexOffer, flex_offer
 from repro.core.errors import (
     DataManagementError,
@@ -175,7 +175,7 @@ def _replanning_digests(ledger=None):
     latency = service.metrics.histogram("latency.e2e_slices")
     plans = hashlib.sha256(struct.pack(f"<{len(costs)}d", *costs))
     for oid, start in sorted(
-        (rank[oid], start) for oid, start in service._committed_start.items()
+        (rank[oid], start) for oid, start in service.committed_starts().items()
     ):
         plans.update(struct.pack("<qq", oid, start))
     plans.update(struct.pack("<qdd", latency.count, latency.p50, latency.p95))
@@ -378,7 +378,7 @@ class TestSchedulingIntegration:
         service.run_aggregation()
         result = service.maybe_schedule(force=True)
         assert result is not None
-        assert len(service._scheduled) == 6
+        assert len(service.committed_starts()) == 6
 
     def test_past_earliest_start_still_schedulable(self):
         # An offer whose earliest start passed while it waited must not be
@@ -389,7 +389,7 @@ class TestSchedulingIntegration:
         service.driver.advance_to(10)  # earliest_start=2 is now past
         result = service.maybe_schedule(force=True)
         assert result is not None
-        assert len(service._scheduled) == 1
+        assert len(service.committed_starts()) == 1
         schedule = service.last_schedule
         assert schedule.assignments[0].start >= 10
 
@@ -497,8 +497,7 @@ class TestExpiry:
         service.submit(_offer(4, tf=20))
         service.run_aggregation()
         service.maybe_schedule(force=True)
-        (oid,) = list(service._scheduled)
-        committed = service._committed_start[oid]
+        ((oid, committed),) = service.committed_starts().items()
         service.driver.advance_to(committed + 1)
         result = service.maybe_schedule(force=True)
         assert result is None  # pool emptied by the pre-run sweep
@@ -510,11 +509,11 @@ class TestExpiry:
         service.submit(_offer(4, tf=2))
         service.run_aggregation()
         service.maybe_schedule(force=True)
-        assert len(service._scheduled) == 1
+        assert len(service.committed_starts()) == 1
         service.driver.advance_to(20)
         service.sweep_expired()
         # The live tracking set is bounded; the report total is cumulative.
-        assert len(service._scheduled) == 0
+        assert len(service.committed_starts()) == 0
         report = service.report(duration_slices=20, wall_seconds=0.1)
         assert report.offers_scheduled == 1
 
@@ -531,7 +530,7 @@ class TestExpiry:
         )
         service = BrpRuntimeService(config)
         service.submit(_offer(2, tf=2))
-        (offer_id,) = list(service._live)
+        (offer_id,) = service.live_offer_ids()
         service.driver.advance_to(10)
         service.sweep_expired()
         service.run_aggregation()
@@ -547,7 +546,7 @@ class TestAssignmentDeadline:
         service.driver.advance_to(14)  # deadline passed, window open
         result = service.maybe_schedule(force=True)
         assert result is None  # only ineligible work → empty run
-        assert len(service._scheduled) == 0
+        assert len(service.committed_starts()) == 0
 
     def test_deadline_passed_offer_expires_despite_open_window(self):
         service = BrpRuntimeService(TINY)
@@ -679,11 +678,14 @@ class TestPlanSession:
         session.warm["gone"] = (0, np.array([1.0]))
         session.warm["kept"] = (2, np.array([1.0]))
         session.absorb(
-            DirtySet(
-                created=frozenset({"new"}),
-                changed=frozenset({"kept"}),
-                deleted=frozenset({"gone"}),
-            )
+            [
+                AggregateUpdate(kind, gid, lambda: None)
+                for kind, gid in (
+                    (UpdateKind.CREATED, "new"),
+                    (UpdateKind.MODIFIED, "kept"),
+                    (UpdateKind.DELETED, "gone"),
+                )
+            ]
         )
         assert session.dirty == {"new", "kept", "gone"}
         assert "gone" not in session.warm and "kept" in session.warm

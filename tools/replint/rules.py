@@ -484,35 +484,6 @@ class JournalFirstRule(Rule):
                     )
 
 
-class MessageTraceKeywordRule(Rule):
-    """REP007: ``Message`` must not receive ``trace`` positionally.
-
-    ``Message``'s sixth field is ``message_id`` (defaulted); ``trace`` is
-    keyword-only by convention.  A seventh positional argument silently
-    lands a TraceContext in ``message_id`` — or worse — and breaks
-    publish/deliver pairing.
-    """
-
-    rule_id = "REP007"
-    title = "Message(...) with positional trace argument"
-
-    def check(self, ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = ctx.resolver.dotted(node.func) or ""
-            if not (dotted == "Message" or dotted.endswith(".Message")):
-                continue
-            if any(isinstance(arg, ast.Starred) for arg in node.args):
-                continue
-            if len(node.args) >= 7:
-                yield (
-                    node,
-                    "Message(...) passes trace positionally (field 6 is "
-                    "message_id); pass trace= and message_id= by keyword",
-                )
-
-
 class SwallowedExceptionRule(Rule):
     """REP008: worker/bus lifecycle code must not swallow exceptions blind.
 
@@ -577,9 +548,10 @@ class TriggerStateWriteRule(Rule):
       belongs to the service itself — outside callers go through
       ``BrpRuntimeService.scheduling_suspended()`` instead of reaching in
       (a raw write silently disarms or re-arms the trigger cooldown);
-    * a service's commitment books (``_live`` / ``_scheduled`` /
-      ``_scheduled_total`` / ``_committed_start`` / ``_unscheduled_energy``)
-      move together or the triggers read a backlog that is not there —
+    * a service's commitment books (``_live``, whose entries carry each
+      offer's committed start, / ``_scheduled_total`` /
+      ``_unscheduled_energy``) move together or the triggers read a
+      backlog that is not there —
       outside callers go through ``submit``/``withdraw``/
       ``restore_commitment``; assignments, subscript stores, ``del`` and
       mutating calls (``.add``/``.pop``/…) on another object's books all
@@ -602,13 +574,7 @@ class TriggerStateWriteRule(Rule):
             ("_last_run_time", "_offers_since_run"), "scheduling_suspended()"
         ),
         **dict.fromkeys(
-            (
-                "_live",
-                "_scheduled",
-                "_scheduled_total",
-                "_committed_start",
-                "_unscheduled_energy",
-            ),
+            ("_live", "_scheduled_total", "_unscheduled_energy"),
             "submit()/withdraw()/restore_commitment()",
         ),
     }
@@ -677,7 +643,6 @@ ALL_RULES: tuple[Rule, ...] = (
     SimPathTimeRule(),
     ShmUnlinkRule(),
     JournalFirstRule(),
-    MessageTraceKeywordRule(),
     SwallowedExceptionRule(),
     TriggerStateWriteRule(),
 )
