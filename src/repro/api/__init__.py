@@ -17,7 +17,7 @@ Everything a caller needs to run a node lives here, typed and composable:
   (:class:`MarketConfig` / :class:`AggregationConfig` /
   :class:`SchedulingConfig` / :class:`IngestConfig`);
 * :class:`ClusterRuntime` / :class:`ClusterConfig` — the multi-node
-  runtime: one client per BRP over a ``node.bus``-backed adapter on a
+  runtime: one client per BRP over one bus adapter on a
   shared time driver, with a :class:`TsoRuntimeService` scheduling tier
   consuming each BRP's committed macro flex-offers;
 * :class:`Tracer` / :class:`JsonlWriter` — the observability subsystem

@@ -1,11 +1,10 @@
-"""The message bus between LEDMS nodes and the prosumer device models.
+"""The messages between LEDMS nodes and the prosumer device models.
 
-The cluster runtime's BRPs and TSO talk over the bus
-(:mod:`repro.runtime.cluster`); the devices are the households of Fig. 1's
-balancing day (:mod:`repro.experiments.balancing`).
+The cluster runtime's BRPs and TSO exchange these messages over its bus
+(:class:`repro.runtime.cluster.BusAdapter`); the devices are the
+households of Fig. 1's balancing day (:mod:`repro.experiments.balancing`).
 """
 
-from .bus import MessageBus
 from .devices import (
     BaseLoad,
     Device,
@@ -19,7 +18,6 @@ from .devices import (
 from .messages import Message, MessageType
 
 __all__ = [
-    "MessageBus",
     "Message",
     "MessageType",
     "Device",

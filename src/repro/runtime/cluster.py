@@ -1,4 +1,4 @@
-"""Multi-node runtime: per-BRP streaming services and a TSO tier over node.bus.
+"""Multi-node runtime: per-BRP streaming services and a TSO tier over one bus.
 
 The paper's EDMS is a *hierarchy* of LEDMS nodes — prosumers feed BRPs, and
 BRPs forward macro flex-offers to a TSO that "essentially repeats the
@@ -12,8 +12,8 @@ three layers with one loop each:
   LedmsClient`) on one :class:`~repro.runtime.drivers.TimeDriver`, wired
   once to an *uplink*: a committed local plan publishes the BRP's macro
   snapshot, a returned scheduled macro is disaggregated locally;
-* :class:`ClusterRuntime` — the TSO head (:class:`BusAdapter` bridging the
-  :class:`~repro.node.bus.MessageBus` onto the driver, plus the
+* :class:`ClusterRuntime` — the TSO head (the :class:`BusAdapter`, the
+  simulated network delivering on the driver, plus the
   :class:`TsoRuntimeService`) and the cluster loop: start
   the hosts, advance epoch by epoch with a barrier after each, drain the
   hosts, drain the TSO, collect results into a :class:`ClusterReport`.
@@ -50,7 +50,6 @@ from ..core.flexoffer import FlexOffer
 from ..core.schedule import ScheduledFlexOffer
 from ..core.timeseries import TimeSeries
 from ..datamgmt.mirabel import OFFER_STATES
-from ..node.bus import MessageBus
 from ..node.messages import Message, MessageType
 from ..obs.tracing import NullTracer, Tracer
 from ..scheduling import SchedulingResult
@@ -82,48 +81,38 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
+#: Delay before a message's first retry, in driver slices.
+RETRY_BACKOFF_SLICES = 1.0
+#: Multiplier applied to the backoff after each failed attempt.
+BACKOFF_FACTOR = 2.0
+#: Per-recipient cap on exhausted messages parked for recovery replay.
+PARK_LIMIT = 256
+
+
 @dataclass(frozen=True)
 class BusConfig:
-    """Delivery-resilience knobs for the cluster's :class:`BusAdapter`.
+    """Delivery resilience of the cluster's :class:`BusAdapter`.
 
     With ``max_retries=0`` (the default) a message to an unreachable node
-    drops immediately — the original best-effort mode, where every failed
-    send is a traced drop.  With ``max_retries>0`` the adapter retries
-    with exponential backoff and parks exhausted messages per recipient,
-    replaying them when the node returns
-    (:meth:`BusAdapter.set_unreachable` with ``unreachable=False``), so a
-    BRP returning from an outage reconciles the TSO schedules it missed.
-    Enable it from a cluster-config ``bus`` section, e.g.
-    ``{"bus": {"max_retries": 3}}``.
+    drops immediately — best effort, where every failed send is a traced
+    drop.  With ``max_retries>0`` the adapter retries after
+    :data:`RETRY_BACKOFF_SLICES`, the wait growing by
+    :data:`BACKOFF_FACTOR` per attempt, and parks up to
+    :data:`PARK_LIMIT` exhausted messages per recipient, replaying them
+    when the node returns (:meth:`BusAdapter.set_unreachable` with
+    ``unreachable=False``), so a BRP returning from an outage reconciles
+    the TSO schedules it missed.  Enable it from a cluster-config ``bus``
+    section, e.g. ``{"bus": {"max_retries": 3}}``.
     """
 
     max_retries: int = 0
     """Redelivery attempts after the first failure (0 disables retry)."""
-    retry_backoff_slices: float = 1.0
-    """Delay before the first retry, in driver slices."""
-    backoff_factor: float = 2.0
-    """Multiplier applied to the backoff after each failed attempt."""
-    park_limit: int = 256
-    """Per-recipient cap on exhausted messages parked for recovery replay."""
 
     def __post_init__(self) -> None:
         check_fields(self)
         if self.max_retries < 0:
             raise ServiceError(
                 f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.retry_backoff_slices <= 0:
-            raise ServiceError(
-                "retry_backoff_slices must be positive, got "
-                f"{self.retry_backoff_slices}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ServiceError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.park_limit < 0:
-            raise ServiceError(
-                f"park_limit must be non-negative, got {self.park_limit}"
             )
 
     @classmethod
@@ -136,43 +125,42 @@ class BusConfig:
 
 # ----------------------------------------------------------------------
 class BusAdapter:
-    """Bridges a :class:`MessageBus` onto a :class:`TimeDriver`.
+    """The simulated wide-area network between nodes, on a :class:`TimeDriver`.
 
-    ``send`` queues in the bus's best-effort mode
-    (:meth:`~repro.node.bus.MessageBus.try_send`: an unknown or unreachable
-    recipient is counted as dropped, never raised) and arms a single *pump*
-    callback through :meth:`TimeDriver.post`; when the pump runs — on the
-    driver's loop, at the current driver time — every queued message is
-    delivered to its registered handler.  Handlers therefore always execute
-    on the loop, in deterministic driver order, which is what lets one
-    simulated clock drive a whole cluster.  Under a
+    ``send`` queues a message and arms a single *pump* callback through
+    :meth:`TimeDriver.post`; when the pump runs — on the driver's loop, at
+    the current driver time — every queued message is delivered to its
+    recipient's handler.  Handlers therefore always execute on the loop, in
+    deterministic driver order, which is what lets one simulated clock
+    drive a whole cluster.  Under a
     :class:`~repro.runtime.drivers.WallClockDriver` the same ``post`` is
     thread-safe, so network threads can feed the bus without touching the
-    loop — the adapter *is* the real wall-clock feed.
+    loop — the adapter *is* the real wall-clock feed.  An unknown or
+    unreachable recipient never raises: the message takes the retry path
+    (:class:`BusConfig`) and drops when retries are out — the paper's
+    graceful degradation, where pending flexibilities simply time out.
     """
 
     def __init__(
         self,
-        bus: MessageBus,
         driver: TimeDriver,
         *,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | NullTracer | None = None,
         bus_config: BusConfig | None = None,
     ):
-        self.bus = bus
         self.driver = driver
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NullTracer()
         #: Drop-immediately by default; pass a :class:`BusConfig` with
         #: ``max_retries>0`` to enable retry-with-backoff + park/replay.
         self.bus_config = bus_config if bus_config is not None else BusConfig()
+        self._handlers: dict[str, Callable[[Message], None]] = {}
+        self._unreachable: set[str] = set()
+        # (wall send time, message) for everything queued but not yet
+        # delivered, in send order.
+        self._queue: deque[tuple[float, Message]] = deque()
         self._pump_armed = False
-        # message_id -> (wall send time, message-type label, message) for
-        # everything queued but not yet delivered; resolved to a
-        # delivery-latency observation on delivery, or re-routed through
-        # the retry path when dropped at dispatch.
-        self._sent_at: dict[int, tuple[float, str, Message]] = {}
         # recipient -> exhausted messages awaiting recovery replay.
         self._parked: dict[str, deque[Message]] = {}
         self.retries = 0
@@ -185,66 +173,46 @@ class BusAdapter:
     def register(self, name: str, handler: Callable[[Message], None]) -> None:
         """Attach a node's handler under its unique bus name.
 
-        The handler is wrapped so every delivery is accounted: queue→handler
-        latency lands in the ``bus.delivery_seconds`` histogram, the
-        per-type ``bus.delivered`` counter increments, and (when tracing)
-        a ``deliver`` bus event records the message's carried
+        Every delivery is accounted: queue→handler latency lands in the
+        ``bus.delivery_seconds`` histogram, the per-type ``bus.delivered``
+        counter increments, and (when tracing) a ``deliver`` bus event
+        records the message's carried
         :class:`~repro.obs.tracing.TraceContext` — the receive side of the
         cross-node causal edge.
         """
-
-        def deliver(message: Message) -> None:
-            info = self._sent_at.pop(message.message_id, None)
-            if info is not None:
-                self.metrics.histogram("bus.delivery_seconds").observe(
-                    time.perf_counter() - info[0]
-                )
-                self.metrics.counter(
-                    "bus.delivered", labels={"type": info[1]}
-                ).inc()
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "bus",
-                    node=name,
-                    action="deliver",
-                    type=message.type.value,
-                    sender=message.sender,
-                    recipient=message.recipient,
-                    message_id=message.message_id,
-                    ctx=message.trace,
-                )
-            handler(message)
-
-        self.bus.register(name, deliver)
+        if name in self._handlers:
+            raise CommunicationError(f"node name {name!r} already registered")
+        self._handlers[name] = handler
 
     def set_unreachable(self, name: str, unreachable: bool = True) -> None:
-        """Simulate a node outage (messages to it count as dropped).
+        """Simulate a node outage (messages to it fail to arrive).
 
         Recovery (``unreachable=False``) replays every message parked for
         the node while it was down, so it reconciles what it missed.
         """
-        self.bus.set_unreachable(name, unreachable)
-        if not unreachable:
-            parked = self._parked.pop(name, None)
-            if not parked:
-                return
-            for message in parked:
-                self.replayed += 1
-                self.metrics.counter(
-                    "bus.replayed", labels={"type": message.type.value}
-                ).inc()
-                if self.tracer.enabled:
-                    self.tracer.record(
-                        "bus_retry",
-                        node=name,
-                        type=message.type.value,
-                        sender=message.sender,
-                        recipient=message.recipient,
-                        message_id=message.message_id,
-                        attempt=1,
-                        detail={"outcome": "replayed_after_recovery"},
-                    )
-                self._dispatch(message, attempt=1)
+        if name not in self._handlers:
+            raise CommunicationError(f"unknown node {name!r}")
+        if unreachable:
+            self._unreachable.add(name)
+            return
+        self._unreachable.discard(name)
+        for message in self._parked.pop(name, ()):
+            self.replayed += 1
+            self.metrics.counter(
+                "bus.replayed", labels={"type": message.type.value}
+            ).inc()
+            if self.tracer.enabled:
+                self.tracer.record(
+                    "bus_retry",
+                    node=name,
+                    type=message.type.value,
+                    sender=message.sender,
+                    recipient=message.recipient,
+                    message_id=message.message_id,
+                    attempt=1,
+                    detail={"outcome": "replayed_after_recovery"},
+                )
+            self._dispatch(message, attempt=1)
 
     @property
     def parked(self) -> int:
@@ -298,31 +266,29 @@ class BusAdapter:
         detail: Mapping[str, Any] | None = None,
     ) -> bool:
         """One queueing attempt; failures go through the retry path."""
-        sent = self.bus.try_send(message)
-        type_name = message.type.value
-        if sent:
-            self.metrics.counter("bus.sent", labels={"type": type_name}).inc()
-            self._sent_at[message.message_id] = (
-                time.perf_counter(), type_name, message,
-            )
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "bus",
-                    node=message.sender,
-                    action="publish",
-                    type=type_name,
-                    sender=message.sender,
-                    recipient=message.recipient,
-                    message_id=message.message_id,
-                    ctx=message.trace,
-                    detail=detail,
-                )
-            if not self._pump_armed:
-                self._pump_armed = True
-                self.driver.post(self._pump)
-        else:
+        recipient = message.recipient
+        if recipient not in self._handlers or recipient in self._unreachable:
             self._handle_failure(message, attempt=attempt, detail=detail)
-        return sent
+            return False
+        type_name = message.type.value
+        self.metrics.counter("bus.sent", labels={"type": type_name}).inc()
+        self._queue.append((time.perf_counter(), message))
+        if self.tracer.enabled:
+            self.tracer.record(
+                "bus",
+                node=message.sender,
+                action="publish",
+                type=type_name,
+                sender=message.sender,
+                recipient=recipient,
+                message_id=message.message_id,
+                ctx=message.trace,
+                detail=detail,
+            )
+        if not self._pump_armed:
+            self._pump_armed = True
+            self.driver.post(self._pump)
+        return True
 
     def _handle_failure(
         self,
@@ -332,12 +298,10 @@ class BusAdapter:
         detail: Mapping[str, Any] | None = None,
     ) -> None:
         """Retry with exponential backoff; exhausted messages drop + park."""
-        config = self.bus_config
+        max_retries = self.bus_config.max_retries
         type_name = message.type.value
-        if attempt <= config.max_retries:
-            backoff = config.retry_backoff_slices * (
-                config.backoff_factor ** (attempt - 1)
-            )
+        if attempt <= max_retries:
+            backoff = RETRY_BACKOFF_SLICES * BACKOFF_FACTOR ** (attempt - 1)
             self.retries += 1
             self.pending_retries += 1
             self.metrics.counter(
@@ -364,9 +328,7 @@ class BusAdapter:
         self.metrics.counter("bus.dropped", labels={"type": type_name}).inc()
         if self.tracer.enabled:
             drop_detail = {
-                "reason": (
-                    "retries_exhausted" if config.max_retries else "unreachable"
-                )
+                "reason": "retries_exhausted" if max_retries else "unreachable"
             }
             if detail:
                 drop_detail.update(detail)
@@ -381,37 +343,66 @@ class BusAdapter:
                 ctx=message.trace,
                 detail=drop_detail,
             )
-        if config.max_retries and config.park_limit:
+        if max_retries:
             # The recipient may come back: park the exhausted message so
             # recovery can replay it instead of losing it outright.
-            queue = self._parked.get(message.recipient)
-            if queue is None:
-                queue = deque(maxlen=config.park_limit)
-                self._parked[message.recipient] = queue
-            queue.append(message)
+            self._parked.setdefault(
+                message.recipient, deque(maxlen=PARK_LIMIT)
+            ).append(message)
 
     def _pump(self) -> None:
+        """Deliver every queued message, in FIFO order.
+
+        A message whose recipient went down after it was queued is set
+        aside; once the queue is empty, those go down the retry path in
+        message-id order, like a failed send.
+        """
         self._pump_armed = False
-        self.bus.dispatch_all()
-        if self._sent_at:
-            # dispatch_all drains the whole queue, so anything still
-            # outstanding was dropped at dispatch time (its recipient
-            # turned unreachable after queueing); route it through the
-            # retry path like a failed send.
-            leftovers = [self._sent_at[mid] for mid in sorted(self._sent_at)]
-            self._sent_at.clear()
-            for _, _, message in leftovers:
-                self._handle_failure(message, attempt=1)
+        queue = self._queue
+        stranded: list[Message] = []
+        while queue:
+            sent_at, message = queue.popleft()
+            recipient = message.recipient
+            if recipient in self._unreachable:
+                stranded.append(message)
+                continue
+            type_name = message.type.value
+            self.metrics.histogram("bus.delivery_seconds").observe(
+                time.perf_counter() - sent_at
+            )
+            self.metrics.counter(
+                "bus.delivered", labels={"type": type_name}
+            ).inc()
+            if self.tracer.enabled:
+                self.tracer.record(
+                    "bus",
+                    node=recipient,
+                    action="deliver",
+                    type=type_name,
+                    sender=message.sender,
+                    recipient=recipient,
+                    message_id=message.message_id,
+                    ctx=message.trace,
+                )
+            self._handlers[recipient](message)
+        stranded.sort(key=lambda message: message.message_id)
+        for message in stranded:
+            self._handle_failure(message, attempt=1)
+
+    def _total(self, name: str) -> int:
+        counters = self.metrics.items()
+        return int(sum(c.value for _, c in counters if c.name == name))
 
     @property
     def delivered(self) -> int:
-        """All-time messages delivered over this adapter's bus."""
-        return self.bus.total_delivered()
+        """All-time messages delivered: the ``bus.delivered`` counters."""
+        return self._total("bus.delivered")
 
     @property
     def dropped(self) -> int:
-        """All-time messages dropped (unknown or unreachable recipients)."""
-        return self.bus.dropped
+        """All-time messages whose retries ran out: the ``bus.dropped``
+        counters, one per traced ``drop`` event."""
+        return self._total("bus.dropped")
 
 
 # ----------------------------------------------------------------------
@@ -892,7 +883,8 @@ class ClusterReport:
     bus_replayed: int = 0
     """Parked messages replayed to nodes that recovered from an outage."""
     bus_parked: int = 0
-    """Exhausted messages still parked (recipient down at run end)."""
+    """Messages the bus still holds undelivered at run end: parked after
+    their retries ran out, or waiting for a retry."""
     workers: int = 0
     """Worker processes hosting the BRPs (0: all in the calling process)."""
     epochs: int = 0
@@ -1148,14 +1140,12 @@ class ClusterRuntime:
         self.driver: TimeDriver = (
             driver if driver is not None else SimulatedDriver()
         )
-        self.bus = MessageBus()
         # One shared tracer across every node: span ids are then unique
         # cluster-wide and the ring holds the whole causal graph in one
         # deterministic sequence.
         self.tracer = tracer if tracer is not None else NullTracer()
         self.tracer.bind_clock(sim_clock(self.driver))
         self.adapter = BusAdapter(
-            self.bus,
             self.driver,
             tracer=self.tracer,
             bus_config=self.config.bus,
@@ -1367,7 +1357,7 @@ class ClusterRuntime:
             latency_slices_p95=latency.p95,
             bus_retries=self.adapter.retries,
             bus_replayed=self.adapter.replayed,
-            bus_parked=self.adapter.parked,
+            bus_parked=self.adapter.parked + self.adapter.pending_retries,
             workers=self.workers,
             epochs=self.epochs,
             shm_segments=self.shm_segments,

@@ -26,7 +26,7 @@ from repro.aggregation import AggregatedFlexOffer
 from repro.core import Profile, flex_offer
 from repro.core.errors import CommunicationError, ServiceError
 from repro.core.schedule import ScheduledFlexOffer
-from repro.node import Message, MessageBus, MessageType
+from repro.node import Message, MessageType
 from repro.obs import NullTracer
 from repro.runtime import (
     BrpRuntimeService,
@@ -121,31 +121,10 @@ def _cluster_plans_digest() -> str:
 
 
 # ----------------------------------------------------------------------
-class TestBusBestEffort:
-    def test_try_send_unknown_recipient_drops_instead_of_raising(self):
-        bus = MessageBus()
-        bus.register("a", lambda m: None)
-        message = Message("a", "ghost", MessageType.MEASUREMENT, 1, 0)
-        assert bus.try_send(message) is False
-        assert bus.dropped == 1
-        assert bus.dispatch_all() == 0
-
-    def test_try_send_unreachable_recipient_drops_at_send_time(self):
-        bus = MessageBus()
-        bus.register("a", lambda m: None)
-        bus.set_unreachable("a")
-        message = Message("x", "a", MessageType.MEASUREMENT, 1, 0)
-        assert bus.try_send(message) is False
-        assert bus.dropped == 1
-        bus.set_unreachable("a", False)
-        assert bus.try_send(message) is True
-        assert bus.dispatch_all() == 1
-
-
 class TestBusAdapter:
     def test_messages_deliver_on_the_driver_loop(self):
         driver = SimulatedDriver()
-        adapter = BusAdapter(MessageBus(), driver)
+        adapter = BusAdapter(driver)
         received = []
         adapter.register("node", received.append)
         assert adapter.send("peer", "node", MessageType.MEASUREMENT, 41, 0)
@@ -157,13 +136,17 @@ class TestBusAdapter:
 
     def test_unreachable_node_degrades_to_dropped(self):
         driver = SimulatedDriver()
-        adapter = BusAdapter(MessageBus(), driver)
+        adapter = BusAdapter(driver)
         adapter.register("node", lambda m: None)
         adapter.set_unreachable("node")
         assert not adapter.send("peer", "node", MessageType.MEASUREMENT, 1, 0)
         driver.run_until(driver.now)
         assert adapter.dropped == 1
         assert adapter.delivered == 0
+        adapter.set_unreachable("node", False)
+        assert adapter.send("peer", "node", MessageType.MEASUREMENT, 1, 0)
+        driver.run_until(driver.now)
+        assert adapter.delivered == 1
 
 
 # ----------------------------------------------------------------------
@@ -578,7 +561,7 @@ class TestAggregatesStayArrays:
 class TestTsoRuntimeService:
     def _tso(self, **kwargs):
         driver = SimulatedDriver()
-        adapter = BusAdapter(MessageBus(), driver)
+        adapter = BusAdapter(driver)
         tso = TsoRuntimeService(
             TsoConfig.from_flat(min_run_interval_slices=0.0),
             adapter=adapter,
@@ -630,7 +613,7 @@ class TestTsoRuntimeService:
         from repro.aggregation import aggregate_group
 
         driver = SimulatedDriver()
-        adapter = BusAdapter(MessageBus(), driver)
+        adapter = BusAdapter(driver)
         tso = TsoRuntimeService(
             TsoConfig.from_flat(
                 trigger=CountTrigger(3),

@@ -21,7 +21,8 @@ from repro.api import (
 )
 from repro.core import flex_offer
 from repro.core.errors import ServiceError
-from repro.node import MessageBus, MessageType
+from repro.node import MessageType
+from repro.obs import Tracer
 from repro.runtime import (
     BrpRuntimeService,
     BusAdapter,
@@ -40,6 +41,7 @@ from repro.runtime import (
     run_stream_with_crash,
     state_fingerprint,
 )
+from repro.runtime.cluster import PARK_LIMIT
 from repro.runtime.triggers import AgeTrigger, AnyTrigger, CountTrigger
 
 
@@ -128,18 +130,43 @@ class TestBusResilience:
     def test_config_validation(self):
         with pytest.raises(ServiceError):
             BusConfig(max_retries=-1)
-        with pytest.raises(ServiceError):
-            BusConfig(max_retries=1, retry_backoff_slices=0)
-        with pytest.raises(ServiceError):
-            BusConfig(backoff_factor=0.5)
+
+    @pytest.mark.parametrize(
+        "name", ["retry_backoff_slices", "backoff_factor", "park_limit"]
+    )
+    def test_bus_section_takes_only_max_retries(self, name):
+        """The backoff and the park bound are constants: a config file
+        that still sets them fails loudly instead of being ignored."""
+        with pytest.raises(ServiceError, match=name):
+            ClusterConfig.from_dict({"brps": {"a": {}}, "bus": {name: 1}})
+
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_recipient_down_at_pump_drops_once(self, max_retries):
+        """Down between ``send`` and the pump: one drop, traced once."""
+        driver = SimulatedDriver()
+        tracer = Tracer()
+        adapter = BusAdapter(
+            driver, tracer=tracer, bus_config=BusConfig(max_retries=max_retries)
+        )
+        received = []
+        adapter.register("node", received.append)
+        assert adapter.send("peer", "node", MessageType.MEASUREMENT, 7, 0)
+        adapter.set_unreachable("node")
+        driver.run_until(driver.now + 10)
+        drops = [
+            e for e in tracer.events
+            if e["event"] == "bus" and e["action"] == "drop"
+        ]
+        assert adapter.dropped == len(drops) == 1
+        assert adapter.retries == max_retries
+        adapter.set_unreachable("node", False)
+        driver.run_until(driver.now + 1)
+        # Only a retried message was parked, so only it comes back.
+        assert [m.payload for m in received] == ([7] if max_retries else [])
 
     def test_retry_exhaust_park_then_replay_on_recovery(self):
         driver = SimulatedDriver()
-        adapter = BusAdapter(
-            MessageBus(),
-            driver,
-            bus_config=BusConfig(max_retries=2, retry_backoff_slices=1.0),
-        )
+        adapter = BusAdapter(driver, bus_config=BusConfig(max_retries=2))
         received = []
         adapter.register("node", received.append)
         adapter.set_unreachable("node")
@@ -148,28 +175,24 @@ class TestBusResilience:
         assert adapter.retries == 2
         assert adapter.pending_retries == 0
         assert adapter.parked == 1
+        assert adapter.dropped == 1
         assert received == []
         adapter.set_unreachable("node", False)
         driver.run_until(driver.now + 1)
         assert [m.payload for m in received] == [7]
         assert adapter.replayed == 1
         assert adapter.parked == 0
+        assert adapter.delivered == 1
 
     def test_park_queue_is_bounded(self):
         driver = SimulatedDriver()
-        adapter = BusAdapter(
-            MessageBus(),
-            driver,
-            bus_config=BusConfig(
-                max_retries=1, retry_backoff_slices=0.5, park_limit=2
-            ),
-        )
+        adapter = BusAdapter(driver, bus_config=BusConfig(max_retries=1))
         adapter.register("node", lambda m: None)
         adapter.set_unreachable("node")
-        for payload in range(5):
+        for payload in range(PARK_LIMIT + 3):
             adapter.send("peer", "node", MessageType.MEASUREMENT, payload, 0)
         driver.run_until(driver.now + 5)
-        assert adapter.parked == 2  # oldest evicted, bound holds
+        assert adapter.parked == PARK_LIMIT  # oldest evicted, bound holds
 
     def test_outage_storm_loses_no_committed_schedules(self):
         config = ClusterConfig.uniform(
@@ -192,6 +215,37 @@ class TestBusResilience:
         # The downed BRP's committed schedules survived the outage.
         brp1 = cluster.clients["brp-1"].service
         assert brp1.scheduled_total > 0
+
+    def test_report_counts_every_message_still_held_at_window_end(self):
+        """An outage past the window's end: what the trace never saw
+        delivered is what the report says the bus still holds."""
+        tracer = Tracer(capacity=100_000)
+        cluster = ClusterRuntime(
+            ClusterConfig.uniform(
+                2, _config(batch=8), bus=BusConfig(max_retries=2)
+            ),
+            tracer=tracer,
+        )
+        apply_outages(cluster, [parse_outage("brp-1:10:30")])
+        duration = 24.0
+        streams = {
+            name: LoadGenerator(rate_per_hour=20, seed=1 + i).stream(
+                0.0, duration
+            )
+            for i, name in enumerate(cluster.clients)
+        }
+        report = cluster.run(streams, duration)
+        bus_events = [
+            e for e in tracer.events if e["event"] in ("bus", "bus_retry")
+        ]
+        seen = {e["message_id"] for e in bus_events}
+        delivered = {
+            e["message_id"] for e in bus_events if e.get("action") == "deliver"
+        }
+        drops = [e for e in bus_events if e.get("action") == "drop"]
+        assert cluster.adapter.pending_retries > 0  # some still wait
+        assert report.bus_parked == len(seen - delivered) > 0
+        assert report.bus_dropped == len(drops)
 
 
 # ----------------------------------------------------------------------

@@ -19,73 +19,84 @@ from repro.node import (
     BaseLoad,
     EVCharger,
     Message,
-    MessageBus,
     MessageType,
     MicroCHP,
     SolarPanel,
     WashingMachine,
     default_household,
 )
+from repro.runtime import BusAdapter, SimulatedDriver
 
 AXIS = DEFAULT_AXIS
 PER_DAY = AXIS.slices_per_day
 
 
 class TestMessageBus:
+    """The simulated network, through :class:`BusAdapter`'s public surface."""
+
+    def _bus(self):
+        driver = SimulatedDriver()
+        return BusAdapter(driver), driver
+
     def test_fifo_delivery(self):
-        bus = MessageBus()
+        bus, driver = self._bus()
         received = []
         bus.register("a", received.append)
         bus.register("b", lambda m: None)
-        assert bus.try_send(Message("b", "a", MessageType.MEASUREMENT, 1, 0))
-        assert bus.try_send(Message("b", "a", MessageType.MEASUREMENT, 2, 0))
+        assert bus.send("b", "a", MessageType.MEASUREMENT, 1, 0)
+        assert bus.send("b", "a", MessageType.MEASUREMENT, 2, 0)
         assert received == []
-        assert bus.dispatch_all() == 2
+        driver.run_until(driver.now)
         assert [m.payload for m in received] == [1, 2]
+        assert bus.delivered == 2
 
     def test_message_id_and_trace_are_keyword_only(self):
         with pytest.raises(TypeError):
             Message("a", "b", MessageType.MEASUREMENT, {}, 0, 7, object())
 
     def test_unknown_recipient(self):
-        bus = MessageBus()
-        assert not bus.try_send(Message("x", "ghost", MessageType.MEASUREMENT, 1, 0))
+        """An unknown recipient drops instead of raising."""
+        bus, driver = self._bus()
+        bus.register("a", lambda m: None)
+        assert not bus.send("a", "ghost", MessageType.MEASUREMENT, 1, 0)
+        driver.run_until(driver.now)
         assert bus.dropped == 1
-        assert bus.dispatch_all() == 0
+        assert bus.delivered == 0
 
     def test_duplicate_registration(self):
-        bus = MessageBus()
+        bus, _ = self._bus()
         bus.register("a", lambda m: None)
         with pytest.raises(CommunicationError):
             bus.register("a", lambda m: None)
 
     def test_handlers_can_enqueue_more(self):
-        bus = MessageBus()
+        bus, driver = self._bus()
         log = []
 
         def relay(message):
             log.append(message.payload)
             if message.payload < 3:
-                bus.try_send(
-                    Message("a", "a", MessageType.MEASUREMENT, message.payload + 1, 0)
-                )
+                bus.send("a", "a", MessageType.MEASUREMENT, message.payload + 1, 0)
 
         bus.register("a", relay)
-        bus.try_send(Message("a", "a", MessageType.MEASUREMENT, 1, 0))
-        assert bus.dispatch_all() == 3
+        bus.send("a", "a", MessageType.MEASUREMENT, 1, 0)
+        driver.run_until(driver.now)
         assert log == [1, 2, 3]
+        assert bus.delivered == 3
 
     def test_unreachable_nodes_drop_messages(self):
         """A recipient that goes down after queueing is dropped at dispatch."""
-        bus = MessageBus()
+        bus, driver = self._bus()
         bus.register("a", lambda m: None)
-        assert bus.try_send(Message("x", "a", MessageType.MEASUREMENT, 1, 0))
+        assert bus.send("x", "a", MessageType.MEASUREMENT, 1, 0)
         bus.set_unreachable("a")
-        assert bus.dispatch_all() == 0
+        driver.run_until(driver.now)
         assert bus.dropped == 1
+        assert bus.delivered == 0
         bus.set_unreachable("a", False)
-        assert bus.try_send(Message("x", "a", MessageType.MEASUREMENT, 1, 0))
-        assert bus.dispatch_all() == 1
+        assert bus.send("x", "a", MessageType.MEASUREMENT, 1, 0)
+        driver.run_until(driver.now)
+        assert bus.delivered == 1
 
 
 class TestDevices:

@@ -14,6 +14,7 @@ Covers the obs package end to end:
   registry kind, and the ``inspect`` CLI subcommand.
 """
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -39,6 +40,7 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.runtime import (
+    BusConfig,
     ClusterConfig,
     ClusterRuntime,
     LoadGenerator,
@@ -244,13 +246,13 @@ def test_jsonl_round_trip(tmp_path):
 # ----------------------------------------------------------------------
 # cluster round trip with a mid-stream outage
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def traced_outage_run():
+def _traced_outage_run(bus=None):
     """A 2-BRP cluster run, tracing on, with brp-1 down mid-window."""
     tracer = Tracer(capacity=400_000)
-    cluster = ClusterRuntime(
-        ClusterConfig.uniform(2, ServiceConfig()), tracer=tracer
-    )
+    config = ClusterConfig.uniform(2, ServiceConfig())
+    if bus is not None:
+        config = dataclasses.replace(config, bus=bus)
+    cluster = ClusterRuntime(config, tracer=tracer)
     cluster.driver.schedule_at(
         20.0, lambda: cluster.set_unreachable("brp-1")
     )
@@ -266,22 +268,38 @@ def traced_outage_run():
     return cluster, tracer, report
 
 
-def test_outage_run_traces_drops(traced_outage_run):
-    cluster, tracer, report = traced_outage_run
-    drops = [
-        e
-        for e in tracer.events
-        if e["event"] == "bus" and e["action"] == "drop"
-    ]
-    assert drops, "outage window produced no traced drops"
-    assert all(e["detail"]["reason"].startswith("unreachable") for e in drops)
-    assert report.bus_dropped == len(drops)
-    dropped_counter = sum(
-        value
-        for key, value in cluster.adapter.metrics.as_dict().items()
-        if key.startswith("bus.dropped")
-    )
-    assert dropped_counter == report.bus_dropped
+@pytest.fixture(scope="module")
+def traced_outage_run():
+    return _traced_outage_run()
+
+
+@pytest.fixture(scope="module")
+def traced_retried_outage_run():
+    """The same run with two retries per message before it drops."""
+    return _traced_outage_run(BusConfig(max_retries=2))
+
+
+def test_outage_run_traces_drops(traced_outage_run, traced_retried_outage_run):
+    """The report's drops, the traced drops and the counter agree, with
+    and without retries: a message drops once, however often it failed."""
+    for (cluster, tracer, report), reason in (
+        (traced_outage_run, "unreachable"),
+        (traced_retried_outage_run, "retries_exhausted"),
+    ):
+        drops = [
+            e
+            for e in tracer.events
+            if e["event"] == "bus" and e["action"] == "drop"
+        ]
+        assert drops, "outage window produced no traced drops"
+        assert all(e["detail"]["reason"] == reason for e in drops)
+        assert report.bus_dropped == len(drops)
+        dropped_counter = sum(
+            value
+            for key, value in cluster.adapter.metrics.as_dict().items()
+            if key.startswith("bus.dropped")
+        )
+        assert dropped_counter == report.bus_dropped
 
 
 def test_offer_chain_survives_round_trip(traced_outage_run):

@@ -36,7 +36,6 @@ from repro.core.flexoffer import (
     flex_offer,
     rebase_offer_ids,
 )
-from repro.node.bus import MessageBus
 from repro.obs import JsonlWriter, Tracer
 from repro.runtime import (
     BusAdapter,
@@ -201,7 +200,7 @@ def _macro_of(member_count: int) -> AggregatedFlexOffer:
 def _tso_returns(macros):
     """Feed one snapshot to a fresh TSO; what it plans and sends back."""
     driver = SimulatedDriver()
-    adapter = BusAdapter(MessageBus(), driver)
+    adapter = BusAdapter(driver)
     tso = TsoRuntimeService(
         TsoConfig.from_flat(scheduler_passes=1), adapter=adapter
     )

@@ -3,11 +3,10 @@
 Each rule gets a fixture pair — one snippet that must fire and one that
 must stay silent — written into a temp tree whose sub-directories mimic
 the repo layout (scoped rules match on path fragments like ``runtime/``).
-On top sit the mechanism tests (suppressions, baseline round-trip, CLI
-exit codes) and the meta-test: the linter runs clean over the real repo.
+On top sit the mechanism tests (suppressions, CLI exit codes) and the
+meta-test: the linter runs clean over the real repo.
 """
 
-import json
 import subprocess
 import sys
 import textwrap
@@ -16,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tools.replint.baseline import load_baseline, split_baseline, write_baseline
 from tools.replint.cli import run as replint_run
 from tools.replint.core import Finding, lint_paths, parse_suppressions
 from tools.replint.resolver import ProjectContext, find_repo_root
@@ -677,28 +675,6 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# baseline round-trip
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_round_trip_partitions_findings(self, tmp_path):
-        finding = Finding("pkg/mod.py", 3, 1, "REP003", "engine='turbo' ...")
-        other = Finding("pkg/mod.py", 9, 1, "REP003", "engine='warp' ...")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, [finding])
-        baseline = load_baseline(baseline_path)
-        new, grandfathered = split_baseline([finding, other], baseline)
-        assert grandfathered == [finding]
-        assert new == [other]
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == frozenset()
-
-    def test_committed_baseline_loads(self):
-        path = REPO_ROOT / "tools" / "replint" / "baseline.json"
-        assert load_baseline(path) == frozenset()
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 class TestCli:
@@ -719,32 +695,6 @@ class TestCli:
 
     def test_exit_two_on_unknown_rule(self, tmp_path, capsys):
         assert replint_run(["--select", "REP999", str(tmp_path)]) == 2
-
-    def test_json_format(self, tmp_path, capsys):
-        (tmp_path / "dirty.py").write_text(
-            "def go(make):\n    return make(engine='turbo')\n", encoding="utf-8"
-        )
-        assert replint_run(["--format", "json", str(tmp_path)]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 1
-        assert payload["findings"][0]["rule"] == "REP003"
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        (tmp_path / "dirty.py").write_text(
-            "def go(make):\n    return make(engine='turbo')\n", encoding="utf-8"
-        )
-        baseline = tmp_path / "baseline.json"
-        assert (
-            replint_run(
-                ["--write-baseline", "--baseline", str(baseline), str(tmp_path)]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert (
-            replint_run(["--baseline", str(baseline), str(tmp_path)]) == 0
-        )
-        assert "suppressed by baseline" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

@@ -698,7 +698,6 @@ class TestPlanWindowAtBothTiers:
 
     def _tiers(self, scheduler):
         from repro.core.timeseries import TimeSeries
-        from repro.node import MessageBus
         from repro.runtime import (
             BusAdapter,
             SimulatedDriver,
@@ -715,7 +714,7 @@ class TestPlanWindowAtBothTiers:
         )
         tso = TsoRuntimeService(
             TsoConfig.from_flat(scheduler=scheduler, scheduler_passes=1, seed=3),
-            adapter=BusAdapter(MessageBus(), SimulatedDriver()),
+            adapter=BusAdapter(SimulatedDriver()),
             net_forecast=forecast,
         )
         problems = {}

@@ -12,8 +12,7 @@ must not swallow exceptions.  Each convention is encoded as a
     python -m tools.replint src/ tests/ benchmarks/
 
 Exit codes: 0 clean, 1 findings, 2 usage error.  Suppress a single line
-with ``# replint: ignore[REP003]``; grandfathered findings live in the
-committed baseline (``tools/replint/baseline.json``).
+with ``# replint: ignore[REP003]``.
 """
 
 from .core import Finding, Rule

@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m tools.replint [paths]``.
 
-Exit codes: 0 clean (or baseline-only), 1 new findings, 2 usage error.
+Exit codes: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -10,14 +10,8 @@ import sys
 from pathlib import Path
 from typing import IO, Sequence
 
-from .baseline import (
-    default_baseline_path,
-    load_baseline,
-    split_baseline,
-    write_baseline,
-)
 from .core import LintError, lint_paths
-from .reporters import render_json, render_text
+from .reporters import render_text
 from .resolver import ProjectContext, find_repo_root
 from .rules import ALL_RULES, rules_by_id
 
@@ -36,30 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--select",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: {default_baseline_path()})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline with the current findings and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -96,29 +68,15 @@ def run(argv: Sequence[str] | None = None, stream: IO[str] | None = None) -> int
 
     root = find_repo_root()
     paths = [Path(p) for p in args.paths]
-    baseline_path = args.baseline if args.baseline else default_baseline_path()
     try:
         project = ProjectContext(root)
         findings, errors = lint_paths(paths, rules, root=root, project=project)
-        if args.write_baseline:
-            write_baseline(baseline_path, findings)
-            print(
-                f"wrote {len(findings)} finding(s) to {baseline_path}", file=out
-            )
-            return 0
-        baseline = (
-            frozenset() if args.no_baseline else load_baseline(baseline_path)
-        )
     except LintError as exc:
         print(f"usage error: {exc}", file=out)
         return 2
 
-    new, grandfathered = split_baseline(findings, baseline)
-    if args.format == "json":
-        render_json(new, grandfathered, errors, out)
-    else:
-        render_text(new, grandfathered, errors, out)
-    return 1 if new else 0
+    render_text(findings, errors, out)
+    return 1 if findings else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -32,7 +32,7 @@ _SUPPRESS_RE = re.compile(r"#\s*replint:\s*ignore\[([^\]]+)\]")
 
 
 class LintError(Exception):
-    """A usage-level failure (bad path, unreadable baseline, ...)."""
+    """A usage-level failure (bad path, unparsable registry, ...)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -44,20 +44,6 @@ class Finding:
     col: int
     rule_id: str
     message: str
-
-    @property
-    def key(self) -> tuple[str, str, int]:
-        """Identity used for baseline matching."""
-        return (self.rule_id, self.path, self.line)
-
-    def as_dict(self) -> dict:
-        return {
-            "rule": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"

@@ -1,47 +1,23 @@
-"""Text and JSON reporters for lint results."""
+"""Text reporter for lint results."""
 
 from __future__ import annotations
 
-import json
 from typing import IO
 
 from .core import Finding
 
-__all__ = ["render_json", "render_text"]
+__all__ = ["render_text"]
 
 
 def render_text(
-    findings: list[Finding],
-    grandfathered: list[Finding],
-    errors: list[str],
-    stream: IO[str],
+    findings: list[Finding], errors: list[str], stream: IO[str]
 ) -> None:
     for error in errors:
         print(f"error: {error}", file=stream)
     for finding in findings:
         print(finding.render(), file=stream)
-    if grandfathered:
-        print(
-            f"({len(grandfathered)} finding(s) suppressed by baseline)",
-            file=stream,
-        )
     if findings:
         noun = "finding" if len(findings) == 1 else "findings"
         print(f"replint: {len(findings)} {noun}", file=stream)
     else:
         print("replint: clean", file=stream)
-
-
-def render_json(
-    findings: list[Finding],
-    grandfathered: list[Finding],
-    errors: list[str],
-    stream: IO[str],
-) -> None:
-    payload = {
-        "findings": [f.as_dict() for f in findings],
-        "baseline_suppressed": [f.as_dict() for f in grandfathered],
-        "errors": errors,
-        "count": len(findings),
-    }
-    print(json.dumps(payload, indent=2), file=stream)
