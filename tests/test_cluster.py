@@ -121,6 +121,30 @@ def _cluster_plans_digest() -> str:
 
 
 # ----------------------------------------------------------------------
+class TestBusBestEffort:
+    def test_try_send_unknown_recipient_drops_instead_of_raising(self):
+        driver = SimulatedDriver()
+        adapter = BusAdapter(driver)
+        adapter.register("a", lambda m: None)
+        assert adapter.send("a", "ghost", MessageType.MEASUREMENT, 1, 0) is False
+        assert adapter.dropped == 1
+        driver.run_until(driver.now)
+        assert adapter.dropped == 1
+        assert adapter.delivered == 0
+
+    def test_try_send_unreachable_recipient_drops_at_send_time(self):
+        driver = SimulatedDriver()
+        adapter = BusAdapter(driver)
+        adapter.register("a", lambda m: None)
+        adapter.set_unreachable("a")
+        assert adapter.send("x", "a", MessageType.MEASUREMENT, 1, 0) is False
+        assert adapter.dropped == 1
+        adapter.set_unreachable("a", False)
+        assert adapter.send("x", "a", MessageType.MEASUREMENT, 1, 0) is True
+        driver.run_until(driver.now)
+        assert adapter.delivered == 1
+
+
 class TestBusAdapter:
     def test_messages_deliver_on_the_driver_loop(self):
         driver = SimulatedDriver()
@@ -143,10 +167,6 @@ class TestBusAdapter:
         driver.run_until(driver.now)
         assert adapter.dropped == 1
         assert adapter.delivered == 0
-        adapter.set_unreachable("node", False)
-        assert adapter.send("peer", "node", MessageType.MEASUREMENT, 1, 0)
-        driver.run_until(driver.now)
-        assert adapter.delivered == 1
 
 
 # ----------------------------------------------------------------------
