@@ -25,7 +25,6 @@ from repro.core import TimeSeries, flex_offer
 from repro.experiments import scale_factor
 from repro.experiments.reporting import print_table
 from repro.runtime import (
-    AdaptiveTrigger,
     AgeTrigger,
     AnyTrigger,
     BrpRuntimeService,
@@ -255,13 +254,13 @@ def test_delta_scheduler_vs_full_replan(once, bench_record):
         )
 
     def run_rounds():
-        delta = DeltaScheduler(full_fraction=0.25)
-        full = DeltaScheduler(full_fraction=0.25)
+        delta = DeltaScheduler()
+        full = DeltaScheduler()
         # Warm both planners on the initial pool (delta's first run is a
         # full pass by construction; untimed so the steady state is what
         # the records compare).
         seed_problem = problem_from_pool()
-        request = DeltaRequest(keys=keys, dirty=frozenset(keys), window_start=0)
+        request = DeltaRequest(keys=keys, dirty=frozenset(keys))
         delta.schedule(seed_problem, delta=request)
         full.schedule(seed_problem, delta=None)
 
@@ -275,7 +274,7 @@ def test_delta_scheduler_vs_full_replan(once, bench_record):
             for key in dirty:
                 pool[key] = _delta_offer(rng, horizon)
             problem = problem_from_pool()
-            request = DeltaRequest(keys=keys, dirty=dirty, window_start=0)
+            request = DeltaRequest(keys=keys, dirty=dirty)
 
             t0 = time.perf_counter()
             delta.schedule(problem, delta=request)
@@ -338,14 +337,14 @@ def test_adaptive_trigger_holds_latency_target(once, bench_record):
     rate = 50.0 if smoke_mode() else 200.0 * scale_factor()
     duration = 24.0 if smoke_mode() else 384.0
 
-    def run_service(trigger):
+    def run_service(**loop):
         config = ServiceConfig.from_flat(
             batch_size=64,
             horizon_slices=192,
             scheduler_passes=1,
-            trigger=trigger,
             min_run_interval_slices=1.0,
             seed=SEED,
+            **loop,
         )
         service = BrpRuntimeService(config)
         generator = LoadGenerator(rate_per_hour=rate, seed=SEED)
@@ -357,9 +356,9 @@ def test_adaptive_trigger_holds_latency_target(once, bench_record):
 
     def run_both():
         static = run_service(
-            AnyTrigger([CountTrigger(4000), AgeTrigger(48.0)])
+            trigger=AnyTrigger([CountTrigger(4000), AgeTrigger(48.0)])
         )
-        adaptive = run_service(AdaptiveTrigger(target))
+        adaptive = run_service(target_p95_slices=target)
         return static, adaptive
 
     (static_report, _), (adaptive_report, adjustments) = once(run_both)

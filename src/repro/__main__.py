@@ -183,10 +183,11 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
     parser.add_argument(
         "--trigger", metavar="SPEC", action="append", default=None,
         help="trigger policy spec 'kind' or 'kind:key=val,...' by registry "
-        "name (e.g. 'count:threshold=100', 'adaptive:target_p95_slices=8'); "
+        "name (e.g. 'count:threshold=100', 'age:max_age_slices=8'); "
         "repeatable — multiple specs combine with the 'any' composite; "
         "default: the library's count/age/imbalance policy "
-        "(repro.runtime.config.default_trigger)",
+        "(repro.runtime.config.default_trigger); --target-p95-slices "
+        "replaces the BRP trigger with the adaptive one",
     )
     parser.add_argument(
         "--driver", default="simulated",

@@ -285,18 +285,6 @@ class LedmsClient:
         """Drive the node through an arrival stream (see the service docs)."""
         return self.service.run_stream(arrivals, duration_slices, **kwargs)
 
-    def advance(self, duration_slices: float) -> int:
-        """Run the driver forward ``duration_slices`` (sweeps, triggers).
-
-        Under a wall-clock driver this blocks for the corresponding real
-        time while posted arrivals are consumed.
-        """
-        if duration_slices < 0:
-            raise ServiceError(
-                f"duration_slices must be non-negative, got {duration_slices}"
-            )
-        return self.service.driver.run_until(self.now + duration_slices)
-
     def post(self, offer: FlexOffer) -> None:
         """Submit through the driver's inbox (deferred to the loop).
 

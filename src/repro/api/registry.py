@@ -255,11 +255,6 @@ def _register_builtins(registry: Registry) -> Registry:
         capabilities=("composite",),
     )
     registry.register(
-        KIND_TRIGGER, "adaptive", _lazy("runtime.triggers", "AdaptiveTrigger"),
-        description="count/age thresholds auto-tuned toward a target p95",
-        capabilities=("adaptive",),
-    )
-    registry.register(
         KIND_DRIVER, "simulated", _lazy("runtime.drivers", "SimulatedDriver"),
         description="deterministic simulated time over an event heap",
         capabilities=("deterministic",),

@@ -534,11 +534,13 @@ class ClusterConfig:
                 "cluster config 'brps' must be an integer count or a "
                 "mapping of BRP name to service-config section"
             )
+        # ``defaults`` is a layer over ``base`` and each BRP's section one
+        # over it, so a BRP's own field wins however either spells it.
+        layer = ServiceConfig.from_dict(defaults, base=base)
         if isinstance(brps_spec, int):
             if brps_spec <= 0:
                 raise ServiceError("cluster BRP count must be positive")
-            uniform = ServiceConfig.from_dict(defaults, base=base)
-            brps = {f"brp-{i}": uniform for i in range(brps_spec)}
+            brps = {f"brp-{i}": layer for i in range(brps_spec)}
         else:
             brps = {}
             for name, section in brps_spec.items():
@@ -546,17 +548,7 @@ class ClusterConfig:
                     raise ServiceError(
                         f"cluster BRP section {name!r} must be a mapping"
                     )
-                merged = dict(defaults)
-                for key, value in section.items():
-                    if (
-                        key in merged
-                        and isinstance(merged[key], Mapping)
-                        and isinstance(value, Mapping)
-                    ):
-                        merged[key] = {**merged[key], **value}
-                    else:
-                        merged[key] = value
-                brps[name] = ServiceConfig.from_dict(merged, base=base)
+                brps[name] = ServiceConfig.from_dict(section, base=layer)
         tso_spec = data.get("tso", {})
         if not isinstance(tso_spec, Mapping):
             raise ServiceError("cluster config 'tso' must be a mapping")
@@ -656,7 +648,6 @@ class TsoRuntimeService:
             else None
         )
         self.trigger = self._cooldown or scheduling.trigger
-        self._adaptive = () if self._cooldown is None else (self._cooldown,)
         adapter.register(name, self.handle_message)
 
     # ------------------------------------------------------------------
@@ -758,7 +749,7 @@ class TsoRuntimeService:
         self.metrics.histogram(
             "stage.wall_seconds", labels={"brp": self.name, "stage": "schedule"}
         ).observe(time.perf_counter() - t0)
-        report_adaptive(self._adaptive, self.metrics, self.tracer, self.name)
+        report_adaptive(self._cooldown, self.metrics, self.tracer, self.name)
         return result
 
     def _schedule_macros(self, span) -> SchedulingResult | None:

@@ -40,7 +40,14 @@ from ..api.registry import (
 from ..core.errors import ServiceError
 from ..core.timebase import DEFAULT_AXIS, TimeAxis
 from .fields import check_fields
-from .triggers import AgeTrigger, AnyTrigger, CountTrigger, ImbalanceTrigger, TriggerPolicy
+from .triggers import (
+    AdaptiveTrigger,
+    AgeTrigger,
+    AnyTrigger,
+    CountTrigger,
+    ImbalanceTrigger,
+    TriggerPolicy,
+)
 
 __all__ = [
     "AggregationConfig",
@@ -124,15 +131,16 @@ class SchedulingConfig:
     seed: int = 0
     """Seed of the scheduler RNG (the load generator has its own)."""
     target_p95_slices: float | None = None
-    """Closed-loop latency target, in slices.
+    """Closed-loop latency target, in slices: the loop's one switch.
 
-    At a BRP (p95 of offer end-to-end latency), when no explicit adaptive
-    policy is configured, the service replaces ``trigger`` with an
-    :class:`~repro.runtime.triggers.AdaptiveTrigger` steering its count/age
-    thresholds toward this target.  At the TSO (p95 of snapshot wait), an
-    :class:`~repro.runtime.triggers.AdaptiveCooldown` steers the count
-    trigger's threshold and the cooldown, the configured values being its
-    rails.
+    At a BRP (p95 of offer end-to-end latency) the service replaces
+    ``trigger`` with an :class:`~repro.runtime.triggers.AdaptiveTrigger`
+    steering its count/age thresholds toward this target.  At the TSO (p95
+    of snapshot wait), an :class:`~repro.runtime.triggers.AdaptiveCooldown`
+    steers the count trigger's threshold and the cooldown, the configured
+    values being its rails.  The controllers' tuning is fixed (the
+    constants in :mod:`repro.runtime.triggers`); no trigger spec builds
+    them, and a hand-built ``AdaptiveTrigger`` is refused as ``trigger``.
     """
 
     def __post_init__(self) -> None:
@@ -145,6 +153,12 @@ class SchedulingConfig:
             raise ServiceError("min_run_interval_slices must be non-negative")
         if self.target_p95_slices is not None and self.target_p95_slices <= 0:
             raise ServiceError("target_p95_slices must be positive")
+        policies = getattr(self.trigger, "policies", (self.trigger,))
+        if any(isinstance(p, AdaptiveTrigger) for p in policies):
+            raise ServiceError(
+                "an AdaptiveTrigger is not configured as a trigger; set "
+                "target_p95_slices instead"
+            )
         # RegistryError is a ServiceError; the registry owns the single
         # copy of the capability check and its message.
         default_registry().require_capability(
@@ -266,7 +280,8 @@ class SectionedConfig:
 
         ``base`` supplies the configuration every unmentioned field falls
         back to (instead of the built-in defaults) — how the cluster CLI
-        layers file sections over flag-derived settings.
+        layers file sections over flag-derived settings.  A field given
+        both flat and in its section is refused.
         """
         flat: dict[str, Any] = {}
         nested: dict[str, dict[str, Any]] = {}
@@ -284,6 +299,13 @@ class SectionedConfig:
                 )
             else:
                 flat[key] = value
+        for key in flat:
+            section, name = cls._FLAT_FIELDS.get(key, (None, None))
+            if name in nested.get(section, ()):
+                raise ServiceError(
+                    f"config field {key!r} is given both flat and in section "
+                    f"{section!r}; give it once"
+                )
         trigger_spec = nested.get("scheduling", {}).pop("trigger", None)
         if trigger_spec is None:
             trigger_spec = flat.pop("trigger", None)

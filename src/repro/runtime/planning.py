@@ -106,27 +106,27 @@ def net_forecast_window(
 
 
 def report_adaptive(
-    policies: Iterable, metrics: MetricsRegistry, tracer: Tracer | NullTracer, node: str
+    policy, metrics: MetricsRegistry, tracer: Tracer | NullTracer, node: str
 ) -> None:
-    """One control step per adaptive policy, after each scheduling run.
+    """One control step of a tier's adaptive policy, after each scheduling run.
 
-    The policies' ``observe`` hook is the only place trigger thresholds
-    change (REP009); a tier (the BRP with its adaptive trigger members, the
-    TSO with its adaptive cooldown) just counts and traces each adjustment.
+    ``policy`` is the BRP's adaptive trigger or the TSO's adaptive cooldown,
+    ``None`` without a latency target.  Its ``observe`` hook is the only
+    place trigger thresholds change (REP009); the tier just counts and
+    traces each adjustment.
     """
-    for policy in policies:
-        record = policy.observe(metrics)
-        if record is None:
-            continue
-        metrics.counter("trigger.adaptive_adjustments").inc()
-        if tracer.enabled:
-            tracer.record(
-                "trigger",
-                node=node,
-                fired=[type(policy).__name__],
-                decision=False,
-                detail={"adjustment": record},
-            )
+    record = None if policy is None else policy.observe(metrics)
+    if record is None:
+        return
+    metrics.counter("trigger.adaptive_adjustments").inc()
+    if tracer.enabled:
+        tracer.record(
+            "trigger",
+            node=node,
+            fired=[type(policy).__name__],
+            decision=False,
+            detail={"adjustment": record},
+        )
 
 
 class WindowPlan(NamedTuple):
@@ -299,11 +299,7 @@ class PlanSession:
         scheduler, passes, rng = self.scheduler, self.passes, self.rng
         self.last_warm_started = False
         if self.delta:
-            request = DeltaRequest(
-                keys=keys,
-                dirty=frozenset(self.dirty),
-                window_start=problem.horizon_start,
-            )
+            request = DeltaRequest(keys=keys, dirty=frozenset(self.dirty))
             result = scheduler.schedule(
                 problem, max_passes=passes, rng=rng, delta=request
             )

@@ -103,16 +103,6 @@ _admission_seq = operator.attrgetter("seq")
 _GONE = _LiveOffer(None, -1, 0.0, 0.0)  # type: ignore[arg-type]
 
 
-def _adaptive_policies(trigger) -> tuple:
-    """The adaptive members of a trigger policy (empty when static).
-
-    The service calls each member's ``observe`` hook after every scheduling
-    run — the closed loop's only threshold-mutation seam (REP009).
-    """
-    policies = getattr(trigger, "policies", (trigger,))
-    return tuple(p for p in policies if hasattr(p, "observe"))
-
-
 @dataclass
 class RuntimeReport:
     """Summary of one runtime/load-test run."""
@@ -264,15 +254,12 @@ class BrpRuntimeService:
         self._offers_since_run = 0
         self._last_run_time = -math.inf
         #: The effective trigger policy.  With
-        #: ``SchedulingConfig.target_p95_slices`` set and no adaptive policy
-        #: configured explicitly, the closed-loop default replaces the
-        #: static composite (the adaptive policy owns count+age semantics).
+        #: ``SchedulingConfig.target_p95_slices`` set, an adaptive trigger
+        #: steering toward it replaces the configured one (it owns the
+        #: count+age semantics).
         target = self.config.scheduling.target_p95_slices
-        trigger = self.config.scheduling.trigger
-        if target is not None and not _adaptive_policies(trigger):
-            trigger = AdaptiveTrigger(target)
-        self.trigger = trigger
-        self._adaptive = _adaptive_policies(trigger)
+        self._adaptive = None if target is None else AdaptiveTrigger(target)
+        self.trigger = self._adaptive or self.config.scheduling.trigger
         # Running trigger-context state, so per-arrival trigger evaluation
         # stays O(1) instead of scanning every live offer: total magnitude
         # of unscheduled energy plus an arrival-ordered heap for the oldest

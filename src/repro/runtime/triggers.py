@@ -11,17 +11,18 @@ scheduling run should fire *now*:
 * :class:`ImbalanceTrigger` — the unscheduled flexible energy exceeds a
   kWh threshold (fires early under bursts of large offers);
 * :class:`AnyTrigger` — fires when any child fires (the usual composite:
-  count for throughput, age for latency, imbalance for risk);
-* :class:`AdaptiveTrigger` — count/age semantics whose thresholds a control
-  loop tightens or relaxes toward a target end-to-end p95 (registry name
-  ``adaptive``).
+  count for throughput, age for latency, imbalance for risk).
 
 Policies are stateless between decisions; the service resets its context
 counters after every scheduling run, so "since the last run" semantics live
-in the context, not the policy.  The adaptive policy is the one exception:
-its thresholds are mutable, and :meth:`AdaptiveTrigger.observe` — called by
-the service after each scheduling run — is the **only** place they change
-(replint rule REP009 enforces the seam).
+in the context, not the policy.
+
+The closed latency loop has one switch, ``SchedulingConfig.target_p95_slices``
+(no registry name builds these controllers).  With it set, a BRP's trigger is
+an :class:`AdaptiveTrigger` and the TSO's an :class:`AdaptiveCooldown`; their
+tuning is the module constants below.  Their thresholds are mutable, and
+``observe`` — called by the tier after each scheduling run — is the **only**
+place they change (replint rule REP009 enforces the seam).
 """
 
 from __future__ import annotations
@@ -141,6 +142,21 @@ class AnyTrigger:
         ]
 
 
+#: The adaptive controllers' tuning.  :class:`AdaptiveTrigger` starts from
+#: the static count/age defaults and keeps both thresholds between a floor
+#: and a cap; a step of either controller scales by one of the factors.
+START_COUNT = 200
+START_AGE_SLICES = 16.0
+MIN_COUNT = 8
+MIN_AGE_SLICES = 1.0
+MAX_COUNT = 4096
+MAX_AGE_SLICES = 64.0
+TIGHTEN_FACTOR = 0.5
+RELAX_FACTOR = 1.2
+#: Both controllers relax only once the p95 is under this share of target.
+RELAX_MARGIN = 0.7
+
+
 class AdaptiveTrigger:
     """Count/age trigger whose thresholds auto-tune toward a latency target.
 
@@ -148,12 +164,12 @@ class AdaptiveTrigger:
     the feedback loop: after every scheduling run the service hands the
     metrics registry to :meth:`observe`, which compares the p95 of
     ``latency.e2e_slices`` against ``target_p95_slices`` and multiplicatively
-    tightens (``x tighten_factor``) or relaxes (``x relax_factor``) both
-    thresholds within ``[min, max]`` bounds.  Tightening makes runs fire
-    earlier (lower latency, more solver work); relaxing recovers batching
-    once the p95 sits comfortably under target (below ``relax_margin x
-    target``), with the p95 of ``schedule.run_seconds`` reported alongside
-    so operators can see the cost of each adjustment.
+    tightens (``x TIGHTEN_FACTOR``) or relaxes (``x RELAX_FACTOR``) both
+    thresholds between the ``MIN_*`` floors and ``MAX_*`` caps.  Tightening
+    makes runs fire earlier (lower latency, more solver work); relaxing
+    recovers batching once the p95 sits comfortably under target (below
+    ``RELAX_MARGIN x target``), with the p95 of ``schedule.run_seconds``
+    reported alongside so operators can see the cost of each adjustment.
 
     :meth:`observe` is the single mutation seam for the thresholds —
     nothing else may assign ``count_threshold`` / ``max_age_slices``
@@ -164,65 +180,18 @@ class AdaptiveTrigger:
         "target_p95_slices",
         "count_threshold",
         "max_age_slices",
-        "min_count",
-        "max_count",
-        "min_age_slices",
-        "max_age_cap",
-        "tighten_factor",
-        "relax_factor",
-        "relax_margin",
         "_seen_observations",
     )
 
-    def __init__(
-        self,
-        target_p95_slices: float,
-        *,
-        count_threshold: int = 200,
-        max_age_slices: float = 16.0,
-        min_count: int = 8,
-        max_count: int = 4096,
-        min_age_slices: float = 1.0,
-        max_age_cap: float = 64.0,
-        tighten_factor: float = 0.5,
-        relax_factor: float = 1.2,
-        relax_margin: float = 0.7,
-    ) -> None:
+    def __init__(self, target_p95_slices: float) -> None:
         check_fields(self, locals())
         if target_p95_slices <= 0:
             raise ServiceError(
                 "AdaptiveTrigger target_p95_slices must be positive"
             )
-        if count_threshold <= 0 or max_age_slices <= 0:
-            raise ServiceError("AdaptiveTrigger thresholds must be positive")
-        if not 0 < min_count <= max_count:
-            raise ServiceError(
-                "AdaptiveTrigger needs 0 < min_count <= max_count"
-            )
-        if not 0 < min_age_slices <= max_age_cap:
-            raise ServiceError(
-                "AdaptiveTrigger needs 0 < min_age_slices <= max_age_cap"
-            )
-        if not 0.0 < tighten_factor < 1.0:
-            raise ServiceError(
-                "AdaptiveTrigger tighten_factor must be in (0, 1)"
-            )
-        if relax_factor <= 1.0:
-            raise ServiceError("AdaptiveTrigger relax_factor must exceed 1")
-        if not 0.0 < relax_margin < 1.0:
-            raise ServiceError(
-                "AdaptiveTrigger relax_margin must be in (0, 1)"
-            )
         self.target_p95_slices = float(target_p95_slices)
-        self.count_threshold = int(count_threshold)
-        self.max_age_slices = float(max_age_slices)
-        self.min_count = int(min_count)
-        self.max_count = int(max_count)
-        self.min_age_slices = float(min_age_slices)
-        self.max_age_cap = float(max_age_cap)
-        self.tighten_factor = float(tighten_factor)
-        self.relax_factor = float(relax_factor)
-        self.relax_margin = float(relax_margin)
+        self.count_threshold = START_COUNT
+        self.max_age_slices = START_AGE_SLICES
         self._seen_observations = 0
 
     def should_fire(self, context: TriggerContext) -> bool:
@@ -245,25 +214,18 @@ class AdaptiveTrigger:
         p95 = latency.p95
         if p95 > self.target_p95_slices:
             direction = "tighten"
-            count = max(
-                self.min_count,
-                int(self.count_threshold * self.tighten_factor),
-            )
-            age = max(
-                self.min_age_slices, self.max_age_slices * self.tighten_factor
-            )
-        elif p95 < self.relax_margin * self.target_p95_slices:
+            count = max(MIN_COUNT, int(self.count_threshold * TIGHTEN_FACTOR))
+            age = max(MIN_AGE_SLICES, self.max_age_slices * TIGHTEN_FACTOR)
+        elif p95 < RELAX_MARGIN * self.target_p95_slices:
             direction = "relax"
             count = min(
-                self.max_count,
+                MAX_COUNT,
                 max(
                     self.count_threshold + 1,
-                    int(self.count_threshold * self.relax_factor),
+                    int(self.count_threshold * RELAX_FACTOR),
                 ),
             )
-            age = min(
-                self.max_age_cap, self.max_age_slices * self.relax_factor
-            )
+            age = min(MAX_AGE_SLICES, self.max_age_slices * RELAX_FACTOR)
         else:
             return None
         if count == self.count_threshold and age == self.max_age_slices:
@@ -292,7 +254,7 @@ class AdaptiveCooldown:
     and, fed the p95 of the TSO's snapshot staleness
     (``tso.refresh_wait_slices``, observed at each run), tightens them when
     macros wait longer than ``target_p95_slices`` and relaxes them when the
-    wait sits under ``relax_margin x target``.  :meth:`observe` is the only
+    wait sits under ``RELAX_MARGIN x target``.  :meth:`observe` is the only
     mutation site (replint rule REP009, same seam as
     :class:`AdaptiveTrigger`).
     """
@@ -303,7 +265,6 @@ class AdaptiveCooldown:
         "min_run_interval_slices",
         "_max_refreshes",
         "_max_interval",
-        "relax_margin",
         "_seen_observations",
     )
 
@@ -313,7 +274,6 @@ class AdaptiveCooldown:
         *,
         trigger_refreshes: int,
         min_run_interval_slices: float,
-        relax_margin: float = 0.7,
     ) -> None:
         if target_p95_slices <= 0:
             raise ServiceError(
@@ -327,10 +287,6 @@ class AdaptiveCooldown:
             raise ServiceError(
                 "AdaptiveCooldown min_run_interval_slices must be >= 0"
             )
-        if not 0.0 < relax_margin < 1.0:
-            raise ServiceError(
-                "AdaptiveCooldown relax_margin must be in (0, 1)"
-            )
         self.target_p95_slices = float(target_p95_slices)
         # The configured values double as the relaxation rails: adaptivity
         # may only make the TSO *more* responsive than its static config.
@@ -338,7 +294,6 @@ class AdaptiveCooldown:
         self.min_run_interval_slices = float(min_run_interval_slices)
         self._max_refreshes = int(trigger_refreshes)
         self._max_interval = float(min_run_interval_slices)
-        self.relax_margin = float(relax_margin)
         self._seen_observations = 0
 
     def should_fire(self, context: TriggerContext) -> bool:
@@ -355,14 +310,14 @@ class AdaptiveCooldown:
         if p95 > self.target_p95_slices:
             direction = "tighten"
             refreshes = max(1, self.trigger_refreshes - 1)
-            interval = self.min_run_interval_slices * 0.5
+            interval = self.min_run_interval_slices * TIGHTEN_FACTOR
             if interval < 0.25:  # snap to "no cooldown" instead of asymptoting
                 interval = 0.0
-        elif p95 < self.relax_margin * self.target_p95_slices:
+        elif p95 < RELAX_MARGIN * self.target_p95_slices:
             direction = "relax"
             refreshes = min(self._max_refreshes, self.trigger_refreshes + 1)
             interval = min(
-                self._max_interval, self.min_run_interval_slices * 1.2
+                self._max_interval, self.min_run_interval_slices * RELAX_FACTOR
             )
         else:
             return None

@@ -7,9 +7,9 @@ changed.  :class:`DeltaScheduler` is the consumer the
 for: it retains the previous run's placements and re-runs the batched
 placement kernel only for offers the caller marked **dirty** (via a
 :class:`DeltaRequest` built from the aggregation pipeline's per-flush
-dirty set), falling back to a deterministic full pass when dirt exceeds a
-fraction threshold, when the horizon window shifts (optional), or when no
-prior plan exists.
+dirty set), falling back to a deterministic full pass when more than
+``FULL_FRACTION`` of the pool needs re-placing, or when no prior plan
+exists.
 
 Canonical arithmetic contract (the parity guarantee)
 ----------------------------------------------------
@@ -53,6 +53,10 @@ from .result import SchedulingResult
 
 __all__ = ["DeltaRequest", "DeltaScheduler"]
 
+#: A run re-places everything once more than this share of the pool would
+#: be re-placed anyway.
+FULL_FRACTION = 0.25
+
 
 @dataclass(frozen=True, slots=True)
 class DeltaRequest:
@@ -62,13 +66,10 @@ class DeltaRequest:
     ``problem.offers`` by index (the runtime uses aggregate group ids).
     ``dirty`` holds the keys whose offers were created or changed since the
     last run; deleted keys simply no longer appear in ``keys``.
-    ``window_start`` is the problem's horizon start, used to detect window
-    shifts.
     """
 
     keys: tuple[str, ...]
     dirty: frozenset[str]
-    window_start: int
 
 
 class DeltaScheduler:
@@ -83,32 +84,15 @@ class DeltaScheduler:
 
     name = "delta"
 
-    def __init__(
-        self,
-        *,
-        full_fraction: float = 0.25,
-        full_on_window_shift: bool = False,
-    ) -> None:
-        if not 0.0 < full_fraction <= 1.0:
-            raise ValueError(
-                f"full_fraction must be in (0, 1], got {full_fraction}"
-            )
-        self.full_fraction = full_fraction
-        self.full_on_window_shift = full_on_window_shift
+    def __init__(self) -> None:
         #: key -> (absolute start slice, per-slice energies) of the last plan.
         self._plan: dict[str, tuple[int, np.ndarray]] = {}
-        self._window_start: int | None = None
         #: Mode and reuse counts of the most recent run, for observability.
         self.last_stats: dict[str, int | str] = {
-            "mode": "full", "reused": 0, "replaced": 0, "total": 0,
+            "mode": "full", "reused": 0, "replaced": 0,
         }
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Forget the retained plan (next run is a full pass)."""
-        self._plan.clear()
-        self._window_start = None
-
     def _retainable(
         self, consts: OfferConstants, key: str
     ) -> tuple[int, np.ndarray] | None:
@@ -162,15 +146,7 @@ class DeltaScheduler:
                 f"for {n} offers"
             )
 
-        mode = "delta"
-        if delta is None or not self._plan:
-            mode = "full"
-        elif (
-            self.full_on_window_shift
-            and self._window_start is not None
-            and delta.window_start != self._window_start
-        ):
-            mode = "full"
+        mode = "full" if delta is None or not self._plan else "delta"
 
         # Classify: an offer is re-placed when dirty, unknown, or its
         # retained placement no longer fits the offer's current shape.
@@ -181,7 +157,7 @@ class DeltaScheduler:
                 if keys[j] not in delta.dirty:
                     retained[j] = self._retainable(consts[j], keys[j])
             replaced = sum(1 for r in retained if r is None)
-            if n and replaced / n > self.full_fraction:
+            if n and replaced / n > FULL_FRACTION:
                 mode = "full"
         if mode == "full":
             retained = [None] * n
@@ -224,12 +200,9 @@ class DeltaScheduler:
         self._plan = {
             keys[j]: (int(starts[j]), energies_out[j]) for j in range(n)
         }
-        self._window_start = (
-            delta.window_start if delta is not None else h0
-        )
         reused = sum(1 for r in retained if r is not None)
         self.last_stats = {
-            "mode": mode, "reused": reused, "replaced": n - reused, "total": n,
+            "mode": mode, "reused": reused, "replaced": n - reused,
         }
         elapsed = time.perf_counter() - t0
         return SchedulingResult(

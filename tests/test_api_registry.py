@@ -32,7 +32,7 @@ from repro.api import (
     default_registry,
 )
 from repro.core.errors import AggregationError, ServiceError
-from repro.runtime.triggers import AnyTrigger, CountTrigger
+from repro.runtime.triggers import AdaptiveTrigger, AnyTrigger, CountTrigger
 from repro.scheduling import (
     DeltaScheduler,
     EvolutionaryScheduler,
@@ -55,7 +55,7 @@ class TestRegistry:
             "delta", "evolutionary", "exhaustive", "greedy",
         )
         assert registry.names(KIND_TRIGGER) == (
-            "adaptive", "age", "any", "count", "imbalance",
+            "age", "any", "count", "imbalance",
         )
         assert registry.names(KIND_DRIVER) == ("simulated", "wallclock")
         # One consumer is not a catalogue: the fault transforms are plain
@@ -64,7 +64,7 @@ class TestRegistry:
             KIND_AGGREGATION, KIND_SCHEDULER, KIND_TRIGGER, KIND_DRIVER,
             KIND_EXPORTER,
         }
-        assert len(registry.entries()) == 17
+        assert len(registry.entries()) == 16
 
     def test_unknown_name_error_lists_known_set(self):
         with pytest.raises(RegistryError) as excinfo:
@@ -311,6 +311,39 @@ class TestServiceConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ServiceError):
             ServiceConfig.from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize(
+        "flat, section",
+        [
+            ({"horizon_slices": 96}, {"horizon_slices": 48}),
+            (
+                {"trigger": {"kind": "count", "threshold": 5}},
+                {"trigger": {"kind": "age", "max_age_slices": 4}},
+            ),
+        ],
+    )
+    def test_from_dict_rejects_a_field_given_flat_and_in_its_section(
+        self, flat, section
+    ):
+        (name,) = flat
+        with pytest.raises(
+            ServiceError,
+            match=f"{name!r} is given both flat and in section 'scheduling'",
+        ):
+            ServiceConfig.from_dict({**flat, "scheduling": section})
+
+    def test_latency_target_is_the_only_adaptive_switch(self):
+        # The adaptive trigger is built from target_p95_slices alone: no
+        # spec names it, and a hand-built one is refused as the trigger,
+        # alone or inside a composite, so a config holds one target.
+        with pytest.raises(RegistryError, match="age, any, count, imbalance"):
+            build_trigger({"kind": "adaptive", "target_p95_slices": 8.0})
+        for trigger in (
+            AdaptiveTrigger(8.0),
+            AnyTrigger([CountTrigger(5), AdaptiveTrigger(8.0)]),
+        ):
+            with pytest.raises(ServiceError, match="target_p95_slices"):
+                SchedulingConfig(trigger=trigger, target_p95_slices=4.0)
 
     def test_build_trigger_single_and_passthrough(self):
         single = build_trigger({"kind": "count", "threshold": 5})

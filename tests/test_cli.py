@@ -213,6 +213,12 @@ def test_cluster_file_unknown_service_field_exits_2(
         ({"brps": 2, "tso": {"scheduling": {"horizon_slices": "96"}}}, "horizon_slices must be int"),
         # The TSO's count trigger is a trigger spec now.
         ({"brps": 2, "tso": {"trigger_refreshes": 2}}, ", trigger"),
+        # One field given twice in one BRP section.
+        (
+            {"brps": {"north": {"horizon_slices": 96,
+                                "scheduling": {"horizon_slices": 48}}}},
+            "'horizon_slices' is given both flat and in section 'scheduling'",
+        ),
     ],
 )
 def test_cluster_file_bad_field_exits_2(tmp_path, capsys, spec, named):
@@ -408,17 +414,37 @@ def test_unknown_trigger_kind_exits_2_with_known_names(capsys):
     )
     err = capsys.readouterr().err
     assert "unknown trigger" in err
-    assert "adaptive" in err and "count" in err
+    assert "imbalance" in err and "count" in err
+
+
+def test_adaptive_trigger_spec_exits_2_listing_the_kinds(capsys):
+    # The latency loop's one switch is --target-p95-slices; no trigger spec
+    # builds the adaptive controller.
+    assert (
+        main(["loadtest", *TINY, "--trigger", "adaptive:target_p95_slices=8"])
+        == EXIT_UNKNOWN_EXPERIMENT
+    )
+    assert "age, any, count, imbalance" in capsys.readouterr().err
 
 
 def test_bad_trigger_param_exits_2(capsys):
     assert (
-        main(
-            ["loadtest", *TINY, "--trigger", "adaptive:target_p95_slices=-3"]
-        )
+        main(["loadtest", *TINY, "--trigger", "count:threshold=-3"])
         == EXIT_UNKNOWN_EXPERIMENT
     )
-    assert "target_p95_slices must be positive" in capsys.readouterr().err
+    assert "threshold must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("-3", "must be positive"), ("nan", "must be finite")],
+)
+def test_target_p95_slices_is_field_checked(capsys, value, message):
+    assert (
+        main(["loadtest", *TINY, "--target-p95-slices", value])
+        == EXIT_UNKNOWN_EXPERIMENT
+    )
+    assert f"target_p95_slices {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -427,8 +453,6 @@ def test_bad_trigger_param_exits_2(capsys):
         ("age:max_age_slices=nan", "max_age_slices"),
         ("count:threshold=2.5", "threshold"),
         ("count:threshold=true", "threshold"),
-        ("adaptive:target_p95_slices=nan", "target_p95_slices"),
-        ("adaptive:target_p95_slices=6,count_threshold=nan", "count_threshold"),
     ],
 )
 def test_trigger_params_are_field_checked(capsys, spec, field):
@@ -490,4 +514,4 @@ def test_list_shows_registry_catalogue(capsys):
     assert main(["--list"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "scheduler" in out and "delta" in out
-    assert "trigger" in out and "adaptive" in out
+    assert "trigger" in out and "imbalance" in out

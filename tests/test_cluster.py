@@ -226,6 +226,32 @@ class TestClusterConfig:
                                 "trigger": {"kind": "age", "max_age_slices": 2}}}
             )
 
+    def test_brp_section_is_layered_over_defaults(self):
+        # A BRP's own field wins over ``defaults`` even when one gives it
+        # flat and the other in its section.
+        config = ClusterConfig.from_dict(
+            {
+                "brps": {
+                    "north": {
+                        "horizon_slices": 96,
+                        "trigger": {"kind": "count", "threshold": 7},
+                    },
+                    "south": {},
+                },
+                "defaults": {
+                    "scheduling": {
+                        "horizon_slices": 48,
+                        "trigger": {"kind": "count", "threshold": 3},
+                    },
+                },
+            }
+        )
+        north, south = config.brps["north"], config.brps["south"]
+        assert north.scheduling.horizon_slices == 96
+        assert north.scheduling.trigger == CountTrigger(7)
+        assert south.scheduling.horizon_slices == 48
+        assert south.scheduling.trigger == CountTrigger(3)
+
     def test_from_dict_integer_brps(self):
         config = ClusterConfig.from_dict({"brps": 4})
         assert len(config.brps) == 4

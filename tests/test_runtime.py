@@ -335,94 +335,81 @@ class TestAdaptiveTrigger:
     def test_validation(self):
         with pytest.raises(ServiceError):
             AdaptiveTrigger(0.0)
-        with pytest.raises(ServiceError):
-            AdaptiveTrigger(8.0, count_threshold=0)
-        with pytest.raises(ServiceError):
-            AdaptiveTrigger(8.0, min_count=10, max_count=5)
-        with pytest.raises(ServiceError):
-            AdaptiveTrigger(8.0, tighten_factor=1.0)
-        with pytest.raises(ServiceError):
-            AdaptiveTrigger(8.0, relax_factor=0.9)
-        with pytest.raises(ServiceError):
-            AdaptiveTrigger(8.0, relax_margin=1.5)
 
     def test_fires_on_count_or_age(self):
-        trigger = AdaptiveTrigger(8.0, count_threshold=10, max_age_slices=4.0)
+        trigger = AdaptiveTrigger(8.0)  # starts at 200 offers / 16 slices
         fire = TriggerContext(
             now=0.0,
-            offers_since_last_run=10,
+            offers_since_last_run=200,
             oldest_unscheduled_age=0.0,
+            unscheduled_energy_kwh=0.0,
+        )
+        aged = TriggerContext(
+            now=0.0,
+            offers_since_last_run=0,
+            oldest_unscheduled_age=16.0,
             unscheduled_energy_kwh=0.0,
         )
         wait = TriggerContext(
             now=0.0,
-            offers_since_last_run=9,
-            oldest_unscheduled_age=3.9,
+            offers_since_last_run=199,
+            oldest_unscheduled_age=15.9,
             unscheduled_energy_kwh=1e9,  # imbalance is not part of the rule
         )
         assert trigger.should_fire(fire)
+        assert trigger.should_fire(aged)
         assert not trigger.should_fire(wait)
 
     def test_tightens_when_p95_above_target(self):
-        trigger = AdaptiveTrigger(10.0, count_threshold=100, max_age_slices=8.0)
+        trigger = AdaptiveTrigger(10.0)
         metrics = MetricsRegistry()
         self._latency(metrics, *[50.0] * 20)
         record = trigger.observe(metrics)
         assert record is not None and record["direction"] == "tighten"
-        assert trigger.count_threshold == 50
-        assert trigger.max_age_slices == 4.0
-        assert record["count_threshold"] == {"old": 100, "new": 50}
-        assert record["max_age_slices"] == {"old": 8.0, "new": 4.0}
+        assert trigger.count_threshold == 100
+        assert trigger.max_age_slices == 8.0
+        assert record["count_threshold"] == {"old": 200, "new": 100}
+        assert record["max_age_slices"] == {"old": 16.0, "new": 8.0}
 
     def test_stale_histogram_is_not_acted_on(self):
-        trigger = AdaptiveTrigger(10.0, count_threshold=100, max_age_slices=8.0)
+        trigger = AdaptiveTrigger(10.0)
         metrics = MetricsRegistry()
         assert trigger.observe(metrics) is None  # no observations at all
         self._latency(metrics, 50.0)
         assert trigger.observe(metrics) is not None
         # No new observations since: the cumulative histogram is stale.
         assert trigger.observe(metrics) is None
-        assert trigger.count_threshold == 50
-
-    def test_in_band_p95_leaves_thresholds_alone(self):
-        trigger = AdaptiveTrigger(10.0, count_threshold=100, max_age_slices=8.0)
-        metrics = MetricsRegistry()
-        self._latency(metrics, 8.0)  # between relax_margin*target and target
-        assert trigger.observe(metrics) is None
         assert trigger.count_threshold == 100
 
+    def test_in_band_p95_leaves_thresholds_alone(self):
+        trigger = AdaptiveTrigger(10.0)
+        metrics = MetricsRegistry()
+        self._latency(metrics, 8.0)  # between RELAX_MARGIN*target and target
+        assert trigger.observe(metrics) is None
+        assert trigger.count_threshold == 200
+
     def test_relax_is_capped_at_the_rails(self):
-        trigger = AdaptiveTrigger(
-            10.0,
-            count_threshold=100,
-            max_age_slices=8.0,
-            max_count=130,
-            max_age_cap=10.0,
-        )
+        trigger = AdaptiveTrigger(10.0)
         metrics = MetricsRegistry()
         self._latency(metrics, 1.0)
         record = trigger.observe(metrics)
         assert record["direction"] == "relax"
-        assert trigger.count_threshold == 120
-        assert trigger.max_age_slices == pytest.approx(9.6)
-        self._latency(metrics, 1.0)
-        assert trigger.observe(metrics) is not None
-        assert trigger.count_threshold == 130
-        assert trigger.max_age_slices == 10.0
+        assert trigger.count_threshold == 240
+        assert trigger.max_age_slices == pytest.approx(19.2)
+        for _ in range(50):
+            self._latency(metrics, 1.0)
+            if trigger.observe(metrics) is None:
+                break
+        assert trigger.count_threshold == 4096
+        assert trigger.max_age_slices == 64.0
         self._latency(metrics, 1.0)
         assert trigger.observe(metrics) is None  # pinned at the rails
-        assert trigger.count_threshold == 130
+        assert trigger.count_threshold == 4096
 
     def test_tighten_is_floored_at_the_minimums(self):
-        trigger = AdaptiveTrigger(
-            2.0,
-            count_threshold=20,
-            max_age_slices=3.0,
-            min_count=8,
-            min_age_slices=1.0,
-        )
+        trigger = AdaptiveTrigger(2.0)
         metrics = MetricsRegistry()
-        for _ in range(4):
+        for _ in range(50):
             self._latency(metrics, 50.0)
             if trigger.observe(metrics) is None:
                 break

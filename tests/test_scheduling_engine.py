@@ -29,6 +29,7 @@ from repro.scheduling import (
     RandomizedGreedyScheduler,
     SchedulingProblem,
 )
+from repro.scheduling import delta as delta_module
 from repro.scheduling.engine import CostEngine, OfferConstants
 from repro.scheduling.reference import (
     reference_one_pass,
@@ -676,6 +677,7 @@ class TestIncrementalCostState:
             placements += 1
 
         monkeypatch.setattr(IncrementalCostState, "place", checked_place)
+        monkeypatch.setattr(delta_module, "FULL_FRACTION", 0.5)
         for corpus in (runtime_shape_corpus, mixed_sign_corpus):
             for problem, j, _ in corpus():
                 if j:
@@ -684,10 +686,10 @@ class TestIncrementalCostState:
                     problem, np.random.default_rng(3)
                 )
                 keys = tuple(f"g{i}" for i in range(problem.offer_count))
-                scheduler = DeltaScheduler(full_fraction=0.5)
+                scheduler = DeltaScheduler()
                 for dirty in (keys, keys[::3]):
                     scheduler.schedule(
-                        problem, delta=DeltaRequest(keys, frozenset(dirty), 0)
+                        problem, delta=DeltaRequest(keys, frozenset(dirty))
                     )
                 assert scheduler.last_stats["mode"] == "delta"
         assert placements == 2 * 16 * (8 + 8 + 3)
@@ -848,25 +850,15 @@ class _DeltaOracle:
     degenerate empty-retained case.
     """
 
-    def __init__(self, *, full_fraction=0.25, full_on_window_shift=False):
+    def __init__(self, *, full_fraction=0.25):
         self.full_fraction = full_fraction
-        self.full_on_window_shift = full_on_window_shift
         self.plan: dict = {}
-        self.window = None
 
     def run(self, problem, keys, dirty):
         consts = problem.offer_constants
         n = problem.offer_count
         h0 = problem.horizon_start
-        mode = "delta"
-        if not self.plan:
-            mode = "full"
-        elif (
-            self.full_on_window_shift
-            and self.window is not None
-            and h0 != self.window
-        ):
-            mode = "full"
+        mode = "delta" if self.plan else "full"
         retained: dict = {}
         if mode == "delta":
             for j, key in enumerate(keys):
@@ -912,7 +904,6 @@ class _DeltaOracle:
         self.plan = {
             keys[j]: (int(starts[j]), energies_out[j]) for j in range(n)
         }
-        self.window = h0
         return starts, energies_out, cost, mode
 
 
@@ -955,7 +946,7 @@ class TestDeltaScheduler:
 
         Every committed start, energy vector and cost must equal the
         oracle's bit for bit — and when dirt pushes the scheduler over
-        ``full_fraction`` mid-history, the fallback full pass must equal a
+        ``FULL_FRACTION`` mid-history, the fallback full pass must equal a
         forced full re-plan by a fresh scheduler on the same problem.
         """
         rng = np.random.default_rng(42)
@@ -992,11 +983,7 @@ class TestDeltaScheduler:
                 )
                 result = scheduler.schedule(
                     problem,
-                    delta=DeltaRequest(
-                        keys=keys,
-                        dirty=frozenset(dirty),
-                        window_start=problem.horizon_start,
-                    ),
+                    delta=DeltaRequest(keys=keys, dirty=frozenset(dirty)),
                 )
                 starts, energies, cost, mode = oracle.run(
                     problem, keys, dirty
@@ -1023,7 +1010,7 @@ class TestDeltaScheduler:
         assert delta_rounds > 100
         assert fallback_rounds > 20
 
-    def test_window_shift_forces_full_pass_when_enabled(self):
+    def test_window_shift_still_runs_delta(self):
         rng = np.random.default_rng(7)
         pool = {
             f"g{j}": _random_pool_offer(rng, 16, h0=6) for j in range(6)
@@ -1038,26 +1025,20 @@ class TestDeltaScheduler:
                 market,
             )
 
-        for shift_full, expected in ((True, "full"), (False, "delta")):
-            scheduler = DeltaScheduler(full_on_window_shift=shift_full)
-            oracle = _DeltaOracle(full_on_window_shift=shift_full)
-            for h0 in (0, 4):
-                keys, problem = problem_at(h0)
-                result = scheduler.schedule(
-                    problem,
-                    delta=DeltaRequest(
-                        keys=keys, dirty=frozenset(), window_start=h0
-                    ),
-                )
-                starts, energies, cost, mode = oracle.run(
-                    problem, keys, set()
-                )
-                assert scheduler.last_stats["mode"] == mode
-                assert np.array_equal(result.solution.starts, starts)
-                assert result.cost == cost
-            assert scheduler.last_stats["mode"] == expected
+        scheduler = DeltaScheduler()
+        oracle = _DeltaOracle()
+        for h0 in (0, 4):
+            keys, problem = problem_at(h0)
+            result = scheduler.schedule(
+                problem, delta=DeltaRequest(keys=keys, dirty=frozenset())
+            )
+            starts, energies, cost, mode = oracle.run(problem, keys, set())
+            assert scheduler.last_stats["mode"] == mode
+            assert np.array_equal(result.solution.starts, starts)
+            assert result.cost == cost
+        assert scheduler.last_stats["mode"] == "delta"
 
-    def test_undirtied_shape_change_is_evicted(self):
+    def test_undirtied_shape_change_is_evicted(self, monkeypatch):
         """A clean key whose offer changed shape is re-placed, not reused.
 
         The dirty set is advisory; the retained-placement feasibility check
@@ -1073,7 +1054,8 @@ class TestDeltaScheduler:
             "d": flex_offer([(0.2, 0.9)] * 2, earliest_start=1, latest_start=12),
             "e": flex_offer([(0.1, 0.4)] * 4, earliest_start=3, latest_start=15),
         }
-        scheduler = DeltaScheduler(full_fraction=1.0)
+        monkeypatch.setattr(delta_module, "FULL_FRACTION", 1.0)
+        scheduler = DeltaScheduler()
         oracle = _DeltaOracle(full_fraction=1.0)
 
         def run(dirty):
@@ -1083,9 +1065,7 @@ class TestDeltaScheduler:
             )
             result = scheduler.schedule(
                 problem,
-                delta=DeltaRequest(
-                    keys=keys, dirty=frozenset(dirty), window_start=0
-                ),
+                delta=DeltaRequest(keys=keys, dirty=frozenset(dirty)),
             )
             starts, energies, cost, mode = oracle.run(problem, keys, dirty)
             assert np.array_equal(result.solution.starts, starts)
@@ -1107,34 +1087,23 @@ class TestDeltaScheduler:
         assert scheduler.last_stats["replaced"] == 3
         assert scheduler.last_stats["reused"] == 2
 
-    def test_validation_and_reset(self):
-        with pytest.raises(ValueError):
-            DeltaScheduler(full_fraction=0.0)
-        with pytest.raises(ValueError):
-            DeltaScheduler(full_fraction=1.5)
+    def test_key_count_validation_and_modes(self):
         problem = random_problem(np.random.default_rng(3))
         scheduler = DeltaScheduler()
         with pytest.raises(ValueError):
             scheduler.schedule(
                 problem,
                 delta=DeltaRequest(
-                    keys=("k",) * (problem.offer_count + 1),
-                    dirty=frozenset(),
-                    window_start=0,
+                    keys=("k",) * (problem.offer_count + 1), dirty=frozenset()
                 ),
             )
         keys = tuple(f"k{j}" for j in range(problem.offer_count))
-        request = DeltaRequest(
-            keys=keys, dirty=frozenset(), window_start=problem.horizon_start
-        )
+        request = DeltaRequest(keys=keys, dirty=frozenset())
         scheduler.schedule(problem, delta=request)
         assert scheduler.last_stats["mode"] == "full"
         scheduler.schedule(problem, delta=request)
         assert scheduler.last_stats["mode"] == "delta"
         assert scheduler.last_stats["reused"] == problem.offer_count
-        scheduler.reset()
-        scheduler.schedule(problem, delta=request)
-        assert scheduler.last_stats["mode"] == "full"
         # Without a request every call is a full pass, even with a plan.
         scheduler.schedule(problem)
         assert scheduler.last_stats["mode"] == "full"
