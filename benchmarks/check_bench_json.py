@@ -26,6 +26,10 @@ aggregates the runtime schedules, so a passes/sec figure must say which.
 numeric ``cpu_count`` and a ``source`` string: fsync and append-call counts
 describe the code that journaled, so a row must say which tree that was
 (the commit's own, or a parent's ``src/`` for a before/after pair).
+``scheduling.optimum`` selects the oracle's gap-table rows
+(``fig6_optimum``) and requires a ``status`` string and a numeric
+``cpu_count``: an optimality gap is measured against a proven optimum only
+when the solver says ``optimal``.
 
 Checks structure only — never timing thresholds — so the CI smoke job can
 assert the harness works without becoming a flaky performance gate.  Exits
@@ -74,6 +78,12 @@ SPECIAL_FAMILIES: dict[tuple[str, str], dict] = {
         "name_prefix": "greedy_kernel",
         "required_workload": ("cpu_count",),
         "required_text": ("shape",),
+    },
+    # Gap-table rows must say whether their optimum is proven.
+    ("scheduling", "optimum"): {
+        "name_prefix": "fig6_optimum",
+        "required_workload": ("cpu_count",),
+        "required_text": ("status",),
     },
 }
 

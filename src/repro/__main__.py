@@ -66,7 +66,7 @@ EXPERIMENTS: dict[str, tuple[Callable[[], object], str]] = {
     "fig4b": (run_fig4b, "forecast accuracy vs horizon, demand vs wind (Fig. 4b)"),
     "fig5": (run_fig5, "aggregation: compression / time / loss / disagg (Fig. 5)"),
     "fig6": (run_fig6, "scheduling cost over time, GS vs EA (Fig. 6)"),
-    "exhaustive": (run_exhaustive, "exhaustive optimum vs metaheuristics (§6)"),
+    "exhaustive": (run_exhaustive, "exact optimum vs metaheuristics, 10 offers (§6)"),
     "balancing": (run_balancing, "end-to-end balancing day (Fig. 1)"),
     "interplay-agg": (
         run_aggregation_scheduling_interplay,

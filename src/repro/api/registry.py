@@ -215,7 +215,8 @@ def _register_builtins(registry: Registry) -> Registry:
     # re-planning loop (the budget-driven EA is not), ``warm-start`` =
     # accepts a seed candidate, ``budget`` = honours a wall-clock budget,
     # ``delta`` = takes a :class:`~repro.scheduling.delta.DeltaRequest`
-    # (read by :class:`~repro.runtime.planning.PlanSession`).
+    # (read by :class:`~repro.runtime.planning.PlanSession`), ``exact`` =
+    # returns a proven optimum (the plan-quality oracle).
     registry.register(
         KIND_SCHEDULER, "greedy", _lazy("scheduling", "RandomizedGreedyScheduler"),
         description="randomized best-position greedy with warm starts",
@@ -228,8 +229,8 @@ def _register_builtins(registry: Registry) -> Registry:
         capabilities=("budget",),
     )
     registry.register(
-        KIND_SCHEDULER, "exhaustive", _lazy("scheduling", "ExhaustiveScheduler"),
-        description="exact start-odometer enumeration (tiny pools only)",
+        KIND_SCHEDULER, "milp", _lazy("scheduling.milp", "MilpScheduler"),
+        description="exact MILP optimum via HiGHS (needs scipy); the oracle",
         capabilities=("exact",),
     )
     registry.register(

@@ -6,17 +6,20 @@ Public API::
     from repro.scheduling import (
         SchedulingProblem, CandidateSolution, Market,
         RandomizedGreedyScheduler, EvolutionaryScheduler,
-        ExhaustiveScheduler, count_start_combinations,
+        count_start_combinations,
     )
+
+The exact oracle, :class:`repro.scheduling.milp.MilpScheduler`, needs scipy
+(the ``exact`` extra), so nothing here imports it.
 """
 
 from .delta import DeltaRequest, DeltaScheduler
 from .engine import CostEngine, IncrementalCostState, OfferConstants
 from .evolutionary import EvolutionaryScheduler
-from .exhaustive import ExhaustiveScheduler, count_start_combinations
 from .greedy import RandomizedGreedyScheduler
 from .market import Market
 from .problem import CandidateSolution, ScheduleEvaluation, SchedulingProblem
+from .problem import count_start_combinations
 from .result import CostTracker, SchedulingResult
 
 __all__ = [
@@ -26,7 +29,6 @@ __all__ = [
     "DeltaRequest",
     "DeltaScheduler",
     "EvolutionaryScheduler",
-    "ExhaustiveScheduler",
     "count_start_combinations",
     "RandomizedGreedyScheduler",
     "Market",

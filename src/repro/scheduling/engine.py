@@ -43,9 +43,8 @@ plan against them in one pass and sums its flex series with one
 ``bincount``.
 
 :class:`IncrementalCostState` maintains the residual and the running
-schedule cost across placements so a greedy pass (and the evolutionary /
-exhaustive schedulers' moves) pays only for touched windows instead of
-re-deriving the full-horizon cost after every change.
+schedule cost across placements so a greedy pass pays only for touched
+windows instead of re-deriving the full-horizon cost after every change.
 
 The engine is numerically equivalent to the settlement-derived
 :meth:`SchedulingProblem.settled_slice_costs` oracle (property-tested in
@@ -516,40 +515,24 @@ class IncrementalCostState:
     """Residual, per-slice cost vector and running total across placements.
 
     ``total`` starts at the slice-cost of the initial residual and is then
-    advanced by whatever deltas the caller feeds it: the greedy pass feeds
-    the batched kernel's deltas (which include compensation terms), the
-    evolutionary and exhaustive schedulers take pure slice-cost deltas from
-    :meth:`replace` and keep compensation separately.  Either way only the
-    touched windows are ever re-priced — by :meth:`replace`; :meth:`place`
-    takes the kernel's own after-costs — and the maintained ``cost_vector``
-    hands the kernel its "before" costs for free.
+    advanced by the batched kernel's deltas (which include compensation
+    terms).  Nothing is re-priced: :meth:`place` takes the kernel's own
+    after-costs, and the maintained ``cost_vector`` hands the kernel its
+    "before" costs for free.
     """
 
     __slots__ = ("engine", "residual", "cost_vector", "total")
 
-    def __init__(
-        self,
-        engine: CostEngine,
-        residual: np.ndarray,
-        cost_vector: np.ndarray | None = None,
-        total: float | None = None,
-    ) -> None:
+    def __init__(self, engine: CostEngine, residual: np.ndarray) -> None:
         self.engine = engine
         self.residual = residual
-        self.cost_vector = (
-            engine.slice_costs(residual) if cost_vector is None else cost_vector
-        )
-        self.total = float(self.cost_vector.sum()) if total is None else total
+        self.cost_vector = engine.slice_costs(residual)
+        self.total = float(self.cost_vector.sum())
 
     @classmethod
     def for_problem(cls, problem: "SchedulingProblem") -> "IncrementalCostState":
         """Fresh state over the problem's net forecast (no offers placed)."""
         return cls(problem.engine, problem.net_forecast.values.copy())
-
-    def copy(self) -> "IncrementalCostState":
-        return IncrementalCostState(
-            self.engine, self.residual.copy(), self.cost_vector.copy(), self.total
-        )
 
     # ------------------------------------------------------------------
     def best_placement(
@@ -576,37 +559,3 @@ class IncrementalCostState:
         self.residual[window] += energies
         self.cost_vector[window] = after_costs
         self.total += cost_delta
-
-    def replace(
-        self,
-        old_offset: int,
-        old_energies: np.ndarray,
-        new_offset: int,
-        new_energies: np.ndarray,
-    ) -> float:
-        """Swap one offer's placement; re-prices only the touched windows.
-
-        Returns the slice-cost delta (compensation terms are the caller's,
-        since they do not depend on the residual).
-        """
-        lo = min(old_offset, new_offset)
-        hi = max(old_offset + len(old_energies), new_offset + len(new_energies))
-        window = slice(lo, hi)
-        before = float(self.cost_vector[window].sum())
-        self.residual[old_offset : old_offset + len(old_energies)] -= old_energies
-        self.residual[new_offset : new_offset + len(new_energies)] += new_energies
-        self.cost_vector[window] = self.engine.slice_costs(
-            self.residual[window], lo
-        )
-        delta = float(self.cost_vector[window].sum()) - before
-        self.total += delta
-        return delta
-
-    def resync(self) -> None:
-        """Re-price the whole horizon, zeroing accumulated fp drift.
-
-        Long enumerations (the exhaustive scheduler walks millions of
-        moves) call this periodically; a single greedy pass never needs it.
-        """
-        self.cost_vector = self.engine.slice_costs(self.residual)
-        self.total = float(self.cost_vector.sum())

@@ -33,7 +33,10 @@ from ..core.timeseries import TimeSeries
 from .engine import CostEngine, OfferConstants, PackedOffers
 from .market import Market
 
-__all__ = ["SchedulingProblem", "CandidateSolution", "ScheduleEvaluation"]
+__all__ = [
+    "SchedulingProblem", "CandidateSolution", "ScheduleEvaluation",
+    "count_start_combinations",
+]
 
 
 @dataclass(frozen=True)
@@ -380,3 +383,12 @@ class SchedulingProblem:
         ):
             return None
         return values
+
+
+def count_start_combinations(problem: SchedulingProblem) -> int:
+    """Number of distinct start-time assignments (the paper's "sensible
+    solutions"); energy flexibility, a continuum, is not counted."""
+    count = 1
+    for offer in problem.offers:
+        count *= offer.time_flexibility + 1
+    return count

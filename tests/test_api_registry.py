@@ -36,9 +36,9 @@ from repro.runtime.triggers import AdaptiveTrigger, AnyTrigger, CountTrigger
 from repro.scheduling import (
     DeltaScheduler,
     EvolutionaryScheduler,
-    ExhaustiveScheduler,
     RandomizedGreedyScheduler,
 )
+from repro.scheduling.milp import MilpScheduler
 
 PARAMS = AggregationParameters(
     start_after_tolerance=8, time_flexibility_tolerance=8, name="test"
@@ -52,7 +52,7 @@ class TestRegistry:
             "packed", "reference", "scalar",
         )
         assert registry.names(KIND_SCHEDULER) == (
-            "delta", "evolutionary", "exhaustive", "greedy",
+            "delta", "evolutionary", "greedy", "milp",
         )
         assert registry.names(KIND_TRIGGER) == (
             "age", "any", "count", "imbalance",
@@ -86,7 +86,7 @@ class TestRegistry:
         for name, cls in (
             ("greedy", RandomizedGreedyScheduler),
             ("evolutionary", EvolutionaryScheduler),
-            ("exhaustive", ExhaustiveScheduler),
+            ("milp", MilpScheduler),
             ("delta", DeltaScheduler),
         ):
             assert isinstance(registry.create(KIND_SCHEDULER, name), cls)

@@ -5,9 +5,14 @@ workloads, so the whole file runs in a couple of seconds.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import EXIT_OK, EXIT_UNKNOWN_EXPERIMENT, main
 
 TINY = ["--rate", "20", "--duration", "12", "--seed", "1", "--batch", "8",
@@ -19,6 +24,28 @@ def test_loadtest_runs(capsys):
     out = capsys.readouterr().out
     assert "offers accepted" in out
     assert "driver=simulated" in out
+
+
+def test_runtime_never_imports_scipy():
+    """scipy is the MILP oracle's solver only: importing the public
+    packages and running a loadtest must not load it (it would cost every
+    run's setup time).  A fresh interpreter, since this one may have it."""
+    code = (
+        "import sys\n"
+        "import repro, repro.api, repro.runtime, repro.scheduling\n"
+        "from repro.__main__ import main\n"
+        f"assert main(['loadtest', *{TINY!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_unknown_engine_exits_2_with_known_names(capsys):

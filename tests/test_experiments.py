@@ -81,10 +81,12 @@ class TestFig6Harness:
 
 class TestExhaustiveHarness:
     def test_small_instance(self):
+        pytest.importorskip("scipy")
         result = run_exhaustive(
             n_offers=3, time_flex=4, metaheuristic_seconds=0.2, verbose=False
         )
         assert result.solution_count == 5**3
+        assert result.status == "optimal"
         assert result.greedy_cost >= result.optimal_cost - 1e-9
         assert result.greedy_gap >= 0
 

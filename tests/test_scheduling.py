@@ -1,4 +1,7 @@
-"""Tests for the scheduling problem, cost model and all three solvers."""
+"""Tests for the scheduling problem, cost model, the heuristics and the
+exact oracle."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -7,15 +10,17 @@ from hypothesis import strategies as st
 
 from repro.core import ScheduledFlexOffer, TimeSeries, flex_offer
 from repro.core.errors import InvalidScheduleError, SchedulingError
+from repro.experiments.fig6 import intraday_scenario
 from repro.scheduling import (
     CandidateSolution,
     EvolutionaryScheduler,
-    ExhaustiveScheduler,
     Market,
     RandomizedGreedyScheduler,
     SchedulingProblem,
     count_start_combinations,
+    milp,
 )
+from repro.scheduling.milp import MilpScheduler
 
 T = 48
 
@@ -417,6 +422,8 @@ class TestEvolutionary:
 
 
 class TestExhaustive:
+    """The exact oracle against enumeration of every start combination."""
+
     def _fixed_energy_offers(self, n, rng):
         offers = []
         for _ in range(n):
@@ -439,50 +446,137 @@ class TestExhaustive:
         assert count_start_combinations(problem) == 3 * 5
 
     def test_finds_true_optimum(self):
+        """With fixed energies a start combination is the whole candidate,
+        so pricing every combination finds the optimum the oracle must
+        match, under a capped and an uncapped market."""
+        pytest.importorskip("scipy")
         rng = np.random.default_rng(11)
-        offers = []
-        for _ in range(4):
-            est = int(rng.integers(0, 25))
-            offers.append(
-                flex_offer([(2.0, 2.0)] * 2, earliest_start=est, latest_start=est + 6)
-            )
-        problem = surplus_problem(offers)
-        optimum = ExhaustiveScheduler().schedule(problem)
-        assert optimum.evaluations == count_start_combinations(problem)
-        # no candidate found by the metaheuristics may beat the optimum
-        greedy = RandomizedGreedyScheduler().schedule(
-            problem, max_passes=30, rng=rng
+        cases = [self._fixed_energy_offers(n, rng) for n in (0, 1, 2, 3, 3)]
+        for offers in cases:
+            problem = surplus_problem(offers)
+            self._match_brute_force(problem)
+            self._match_brute_force(flat_problem(offers, net=-3.0))
+
+    @staticmethod
+    def _match_brute_force(problem):
+        energies = problem.minimum_solution().energies
+        windows = [
+            range(o.earliest_start, o.latest_start + 1) for o in problem.offers
+        ]
+        brute = min(
+            problem.cost(CandidateSolution(np.array(starts), energies))
+            for starts in itertools.product(*windows)
         )
-        ea = EvolutionaryScheduler().schedule(
-            problem, max_evaluations=3000, rng=rng
-        )
-        assert greedy.cost >= optimum.cost - 1e-9
-        assert ea.cost >= optimum.cost - 1e-9
+        optimum = MilpScheduler().schedule(problem)
+        assert optimum.status == "optimal"
+        assert optimum.cost == pytest.approx(brute, rel=1e-9)
+        assert problem.cost(optimum.solution) == pytest.approx(brute, rel=1e-9)
 
     def test_metaheuristics_reach_optimum_on_tiny_instance(self):
+        pytest.importorskip("scipy")
         rng = np.random.default_rng(12)
         offers = self._fixed_energy_offers(3, rng)
         problem = surplus_problem(offers)
-        optimum = ExhaustiveScheduler().schedule(problem)
+        optimum = MilpScheduler().schedule(problem)
         greedy = RandomizedGreedyScheduler().schedule(
             problem, max_passes=50, rng=np.random.default_rng(1)
         )
         assert greedy.cost == pytest.approx(optimum.cost, abs=1e-6)
 
-    def test_rejects_energy_flexibility(self):
-        offers = [flex_offer([(1, 2)], earliest_start=0, latest_start=1)]
-        problem = flat_problem(offers)
-        with pytest.raises(SchedulingError):
-            ExhaustiveScheduler().schedule(problem)
 
-    def test_rejects_oversized_space(self):
-        offers = [
-            flex_offer([(1.0, 1.0)], earliest_start=0, latest_start=40)
-            for _ in range(8)
-        ]
-        problem = flat_problem(offers)
-        with pytest.raises(SchedulingError):
-            ExhaustiveScheduler(limit=1000).schedule(problem)
+def _oracle_problem(rng, n_offers, capped):
+    """1-4 offers with mixed-sign and fixed slices, a positive price, under
+    a two-row (uncapped) or six-row (capped) market.  Shortage penalties
+    fall on both sides of the buy price, so both settlement branches occur;
+    a sell price at most the lower of the two keeps every slice convex."""
+    horizon = 24
+    offers = []
+    for _ in range(n_offers):
+        d = int(rng.integers(1, 5))
+        est = int(rng.integers(0, horizon - d))
+        lo = rng.uniform(-3.0, 2.0, d)
+        hi = lo + rng.uniform(0.0, 3.0, d) * (rng.random(d) < 0.8)
+        offers.append(
+            flex_offer(
+                list(zip(lo, hi)),
+                earliest_start=est,
+                latest_start=min(est + int(rng.integers(0, 8)), horizon - d),
+                unit_price=float(rng.uniform(0.0, 0.05)),
+            )
+        )
+    buy = rng.uniform(0.1, 0.3, horizon)
+    short = rng.uniform(0.0, 0.6, horizon)
+    sell = np.minimum(buy, short) * rng.uniform(0.0, 1.0, horizon)
+    caps = {}
+    if capped:
+        caps = {
+            "max_buy": rng.uniform(0.0, 8.0, horizon),
+            "max_sell": rng.uniform(0.0, 4.0, horizon),
+        }
+    return SchedulingProblem(
+        TimeSeries(0, rng.uniform(-10.0, 10.0, horizon)),
+        tuple(offers),
+        Market(buy, sell, **caps),
+        shortage_penalty=short,
+        surplus_penalty=rng.uniform(0.0, 0.3, horizon),
+    )
+
+
+class TestMilpOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        capped=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_objective_prices_like_the_settlement_and_bounds_heuristics(
+        self, n, capped, seed
+    ):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(seed)
+        problem = _oracle_problem(rng, n, capped)
+        assert len(problem.engine._market) == (6 if capped else 2)
+        exact = MilpScheduler().schedule(problem)
+        assert exact.status == "optimal"
+        solution = exact.solution
+        assert exact.cost == pytest.approx(
+            problem.evaluate(solution).total_cost, rel=1e-7
+        )
+        assert exact.cost == pytest.approx(problem.cost(solution), rel=1e-7)
+        assert exact.mip_dual_bound <= exact.cost + 1e-9 * abs(exact.cost)
+        problem.to_schedule(solution)  # validates every offer
+        floor = exact.cost - 1e-9 * max(1.0, abs(exact.cost))
+        greedy = RandomizedGreedyScheduler().schedule(
+            problem, max_passes=5, rng=np.random.default_rng(seed)
+        )
+        ea = EvolutionaryScheduler().schedule(
+            problem, max_evaluations=300, rng=np.random.default_rng(seed)
+        )
+        assert greedy.cost >= floor
+        assert ea.cost >= floor
+
+    def test_nonconvex_slice_raises(self):
+        """At slice 5 shortage costs its 0.5 penalty (buying at 1.0 does
+        not pay) while surplus earns 0.8: buying and selling at once would
+        pay, which the split model cannot express."""
+        pytest.importorskip("scipy")
+        buy = np.full(T, 0.2)
+        sell = np.full(T, 0.05)
+        buy[5], sell[5] = 1.0, 0.8
+        offer = flex_offer([(1, 2)], earliest_start=0, latest_start=4)
+        problem = flat_problem([offer], market=Market(buy, sell))
+        with pytest.raises(SchedulingError, match=r"non-convex slice cost at \[5\]"):
+            MilpScheduler().schedule(problem)
+
+    def test_no_point_within_the_time_limit_raises(self, monkeypatch):
+        """HiGHS hands back no ``x`` when it stops before a feasible point:
+        the oracle says so, with the solver's status, instead of failing
+        on the missing array."""
+        pytest.importorskip("scipy")
+        monkeypatch.setattr(milp, "TIME_LIMIT_S", 1e-3)
+        problem = intraday_scenario(1000, seed=0)
+        with pytest.raises(SchedulingError, match="status 1, time_limit"):
+            MilpScheduler().schedule(problem)
 
 
 @settings(max_examples=40, deadline=None)

@@ -695,25 +695,6 @@ class TestIncrementalCostState:
         assert placements == 2 * 16 * (8 + 8 + 3)
         assert digest.hexdigest() == PLACE_TOTALS_SHA256
 
-    def test_replace_tracks_full_recompute(self):
-        rng = np.random.default_rng(42)
-        problem = random_problem(rng)
-        state = IncrementalCostState.for_problem(problem)
-        horizon = problem.horizon_length
-        for _ in range(50):
-            d = int(rng.integers(1, 4))
-            old_i = int(rng.integers(0, horizon - d + 1))
-            new_i = int(rng.integers(0, horizon - d + 1))
-            energies = rng.uniform(-3.0, 3.0, d)
-            state.replace(old_i, np.zeros(d), new_i, energies)
-            assert state.total == pytest.approx(
-                problem.engine.total_cost(state.residual), abs=1e-9
-            )
-        state.resync()
-        assert state.total == pytest.approx(
-            problem.engine.total_cost(state.residual), abs=1e-9
-        )
-
 
 class TestWarmStartedReplanning:
     def _problem_and_warm(self):
