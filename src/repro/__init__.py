@@ -8,7 +8,7 @@ The library implements the full LEDMS node stack described in the paper:
 * :mod:`repro.core` — flex-offers, time axis, time series, schedules
 * :mod:`repro.aggregation` — incremental flex-offer aggregation (§4)
 * :mod:`repro.forecasting` — HWT/EGRV models, estimators, maintenance (§5)
-* :mod:`repro.scheduling` — cost model, greedy & evolutionary schedulers (§6)
+* :mod:`repro.scheduling` — cost model, greedy & delta schedulers (§6)
 * :mod:`repro.negotiation` — flexibility pricing and acceptance (§7)
 * :mod:`repro.datamgmt` — dimensional (star/snowflake) data store (§3)
 * :mod:`repro.node` — the message bus between nodes, prosumer device models

@@ -134,7 +134,7 @@ SERVICE_FLAGS: dict[str, tuple[str, str]] = {
     "--engine": ("engine", "aggregation engine, by registry name"),
     "--scheduler": (
         "scheduler",
-        "scheduling engine, by registry name (needs the 'runtime' capability)",
+        "scheduling engine, by registry name",
     ),
     "--target-p95-slices": (
         "target_p95_slices",

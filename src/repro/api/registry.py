@@ -17,8 +17,13 @@ cycles.  User code can register additional engines::
 
     default_registry().register(
         KIND_SCHEDULER, "annealing", make_annealer,
-        description="simulated annealing", capabilities=("runtime",),
+        description="simulated annealing",
     )
+
+Every scheduler in the catalogue is one the streaming runtime can drive,
+so a scheduler registered here must accept the runtime's
+``schedule(problem, *, max_passes, rng, warm_start)`` call — or, declaring
+the ``delta`` capability, ``schedule(problem, *, delta)``.
 """
 
 from __future__ import annotations
@@ -135,10 +140,10 @@ class Registry:
         ``capability``.
 
         The shared validation for call sites that can only drive components
-        of a certain shape — e.g. the streaming loop and the node planning
-        tier both need schedulers with the ``runtime`` capability
-        (warm-started, pass-bounded re-planning).  Raises
-        :class:`RegistryError` naming the missing capability.
+        of a certain shape — e.g. ``make_pipeline`` needs an aggregation
+        engine with the ``bin-packing`` capability when given bin-packer
+        bounds.  Raises :class:`RegistryError` naming the missing
+        capability.
         """
         entry = self.get(kind, name)
         if capability not in entry.capabilities:
@@ -197,46 +202,31 @@ def _register_builtins(registry: Registry) -> Registry:
         KIND_AGGREGATION, "packed",
         _lazy("aggregation.engine", "PackedAggregationPipeline"),
         description="columnar engine (PackedPool + GroupArena), runtime default",
-        capabilities=("incremental", "columnar"),
     )
     registry.register(
         KIND_AGGREGATION, "scalar",
         _lazy("aggregation.pipeline", "AggregationPipeline"),
         description="live object pipeline (group-builder -> n-to-1 aggregator)",
-        capabilities=("incremental", "bin-packing"),
+        capabilities=("bin-packing",),
     )
     registry.register(
         KIND_AGGREGATION, "reference", _reference_pipeline,
         description="historical rebuild-on-remove state; oracle + baseline",
-        capabilities=("incremental", "oracle", "bin-packing"),
+        capabilities=("bin-packing",),
     )
-    # Scheduler capabilities are declared here and nowhere else:
-    # ``runtime`` = usable by the streaming service's pass-bounded
-    # re-planning loop (the budget-driven EA is not), ``warm-start`` =
-    # accepts a seed candidate, ``budget`` = honours a wall-clock budget,
+    # Only the runtime's planners are schedulers here (the EA and the MILP
+    # oracle are imported directly by the experiments that compare them).
     # ``delta`` = takes a :class:`~repro.scheduling.delta.DeltaRequest`
-    # (read by :class:`~repro.runtime.planning.PlanSession`), ``exact`` =
-    # returns a proven optimum (the plan-quality oracle).
+    # instead of a warm start (read by
+    # :class:`~repro.runtime.planning.PlanSession`).
     registry.register(
         KIND_SCHEDULER, "greedy", _lazy("scheduling", "RandomizedGreedyScheduler"),
         description="randomized best-position greedy with warm starts",
-        capabilities=("runtime", "warm-start", "budget"),
-    )
-    registry.register(
-        KIND_SCHEDULER, "evolutionary",
-        _lazy("scheduling", "EvolutionaryScheduler"),
-        description="packed-genome evolutionary search",
-        capabilities=("budget",),
-    )
-    registry.register(
-        KIND_SCHEDULER, "milp", _lazy("scheduling.milp", "MilpScheduler"),
-        description="exact MILP optimum via HiGHS (needs scipy); the oracle",
-        capabilities=("exact",),
     )
     registry.register(
         KIND_SCHEDULER, "delta", _lazy("scheduling", "DeltaScheduler"),
         description="dirty-set re-planning over a retained plan (one pass)",
-        capabilities=("runtime", "delta"),
+        capabilities=("delta",),
     )
     registry.register(
         KIND_TRIGGER, "count", _lazy("runtime.triggers", "CountTrigger"),
@@ -253,17 +243,14 @@ def _register_builtins(registry: Registry) -> Registry:
     registry.register(
         KIND_TRIGGER, "any", _lazy("runtime.triggers", "AnyTrigger"),
         description="composite: fire when any member policy fires",
-        capabilities=("composite",),
     )
     registry.register(
         KIND_DRIVER, "simulated", _lazy("runtime.drivers", "SimulatedDriver"),
         description="deterministic simulated time over an event heap",
-        capabilities=("deterministic",),
     )
     registry.register(
         KIND_DRIVER, "wallclock", _lazy("runtime.drivers", "WallClockDriver"),
         description="real-time slices with a thread-safe arrival inbox",
-        capabilities=("realtime", "threadsafe-inbox"),
     )
     # Exporter factories return a render callable (registry -> str), so an
     # exporter is resolved once and applied to any number of registries.

@@ -25,12 +25,12 @@ from ..core.flexoffer import flex_offer
 from ..core.timeseries import TimeSeries
 from ..datagen import paper_dataset
 from ..scheduling import (
-    EvolutionaryScheduler,
     Market,
     RandomizedGreedyScheduler,
     SchedulingProblem,
     count_start_combinations,
 )
+from .evolutionary import EvolutionaryScheduler
 from .reporting import print_table
 
 __all__ = [

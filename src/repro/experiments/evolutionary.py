@@ -27,17 +27,67 @@ only when the tracker records an improvement.
 search (one greedy pass joins the initial population) — the paper's
 "hybridizing the existing [algorithms]" research direction, evaluated in
 ``benchmarks/bench_ablation_scheduling.py``.
+
+The streaming runtime never runs the EA: greedy beats it at every Fig-6
+size against the MILP optimum, so it lives here as the §6 comparison
+baseline of :mod:`~repro.experiments.fig6`, :mod:`~repro.experiments.exhaustive`
+and :mod:`~repro.experiments.ablations`.  Its tuning is fixed (the
+constants below).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import PackedOffers
-from .problem import CandidateSolution, SchedulingProblem
-from .result import CostTracker, SchedulingResult
+from ..scheduling import (
+    CandidateSolution,
+    CostTracker,
+    RandomizedGreedyScheduler,
+    SchedulingProblem,
+    SchedulingResult,
+)
+from ..scheduling.engine import PackedOffers
 
 __all__ = ["EvolutionaryScheduler"]
+
+POPULATION_SIZE = 24
+TOURNAMENT_SIZE = 3
+CROSSOVER_RATE = 0.9
+#: Share of offers a child's mutation re-draws.
+MUTATION_RATE = 0.15
+#: Gaussian energy jitter, as a fraction of each slice's bound span.
+ENERGY_MUTATION_SCALE = 0.25
+#: Largest local start shift, in slices.
+START_SHIFT = 2
+
+
+def _random_starts(
+    packing: PackedOffers, rng: np.random.Generator
+) -> np.ndarray:
+    """Uniform start per offer within its admissible window."""
+    return rng.integers(packing.earliest, packing.latest + 1, dtype=np.int64)
+
+
+def _random_packed(
+    packing: PackedOffers, rng: np.random.Generator
+) -> np.ndarray:
+    """Uniform per-slice energies within bounds, already packed."""
+    return packing.lo + rng.random(packing.total) * (packing.hi - packing.lo)
+
+
+def _slice_indices(packing: PackedOffers, members: np.ndarray) -> np.ndarray:
+    """Packed-array indices covered by the given offer indices.
+
+    Vectorized concatenation of ``arange(offsets[j], offsets[j+1])`` for
+    every ``j`` in ``members`` (order preserved, standard cumsum trick).
+    """
+    lengths = packing.durations[members]
+    if not len(lengths):
+        return np.zeros(0, dtype=np.int64)
+    return np.repeat(packing.offsets[members], lengths) + (
+        np.arange(int(lengths.sum()), dtype=np.int64)
+        - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    )
 
 
 class _PackedGenome:
@@ -68,27 +118,7 @@ class EvolutionaryScheduler:
 
     name = "evolutionary-algorithm"
 
-    def __init__(
-        self,
-        *,
-        population_size: int = 24,
-        tournament_size: int = 3,
-        crossover_rate: float = 0.9,
-        mutation_rate: float = 0.15,
-        energy_mutation_scale: float = 0.25,
-        start_shift: int = 2,
-        seed_with_greedy_pass: bool = False,
-    ) -> None:
-        if population_size < 4:
-            raise ValueError("population_size must be at least 4")
-        if not 0 < mutation_rate <= 1:
-            raise ValueError("mutation_rate must be in (0, 1]")
-        self.population_size = population_size
-        self.tournament_size = tournament_size
-        self.crossover_rate = crossover_rate
-        self.mutation_rate = mutation_rate
-        self.energy_mutation_scale = energy_mutation_scale
-        self.start_shift = start_shift
+    def __init__(self, *, seed_with_greedy_pass: bool = False) -> None:
         self.seed_with_greedy_pass = seed_with_greedy_pass
 
     # ------------------------------------------------------------------
@@ -114,13 +144,13 @@ class EvolutionaryScheduler:
 
         population = [
             _PackedGenome(
-                packing, packing.random_starts(rng), packing.random_packed(rng)
+                packing,
+                _random_starts(packing, rng),
+                _random_packed(packing, rng),
             )
-            for _ in range(self.population_size)
+            for _ in range(POPULATION_SIZE)
         ]
         if self.seed_with_greedy_pass:
-            from .greedy import RandomizedGreedyScheduler  # avoid module cycle
-
             seed_solution, _ = RandomizedGreedyScheduler()._one_pass(problem, rng)
             population[0] = _PackedGenome(
                 packing,
@@ -135,7 +165,7 @@ class EvolutionaryScheduler:
             elite = int(np.argmin(costs))
             next_population = [population[elite]]
             next_costs = [costs[elite]]
-            while len(next_population) < self.population_size:
+            while len(next_population) < POPULATION_SIZE:
                 parent_a = self._tournament(population, costs, rng)
                 parent_b = self._tournament(population, costs, rng)
                 child = self._crossover(packing, parent_a, parent_b, rng)
@@ -157,7 +187,7 @@ class EvolutionaryScheduler:
         costs: np.ndarray,
         rng: np.random.Generator,
     ) -> _PackedGenome:
-        contenders = rng.integers(0, len(population), self.tournament_size)
+        contenders = rng.integers(0, len(population), TOURNAMENT_SIZE)
         winner = contenders[np.argmin(costs[contenders])]
         return population[int(winner)]
 
@@ -168,7 +198,7 @@ class EvolutionaryScheduler:
         b: _PackedGenome,
         rng: np.random.Generator,
     ) -> _PackedGenome:
-        if rng.random() > self.crossover_rate:
+        if rng.random() > CROSSOVER_RATE:
             return _PackedGenome(packing, a.starts.copy(), a.packed.copy())
         take_from_a = rng.random(packing.count) < 0.5
         starts = np.where(take_from_a, a.starts, b.starts)
@@ -183,7 +213,7 @@ class EvolutionaryScheduler:
         genome: _PackedGenome,
         rng: np.random.Generator,
     ) -> None:
-        mutated = np.nonzero(rng.random(packing.count) < self.mutation_rate)[0]
+        mutated = np.nonzero(rng.random(packing.count) < MUTATION_RATE)[0]
         if not len(mutated):
             return
 
@@ -194,7 +224,7 @@ class EvolutionaryScheduler:
         local = rng.random(len(mutated)) < 0.5
         shifted = np.clip(
             genome.starts[mutated]
-            + rng.integers(-self.start_shift, self.start_shift + 1, len(mutated)),
+            + rng.integers(-START_SHIFT, START_SHIFT + 1, len(mutated)),
             earliest,
             latest,
         )
@@ -210,11 +240,11 @@ class EvolutionaryScheduler:
             (move < 0.25, lambda idx: packing.lo[idx]),
             ((move >= 0.25) & (move < 0.5), lambda idx: packing.hi[idx]),
         ):
-            idx = packing.slice_indices(mutated[pick])
+            idx = _slice_indices(packing, mutated[pick])
             packed[idx] = apply(idx)
-        idx = packing.slice_indices(mutated[move >= 0.5])
+        idx = _slice_indices(packing, mutated[move >= 0.5])
         span = packing.hi[idx] - packing.lo[idx]
-        jitter = rng.normal(0.0, self.energy_mutation_scale, len(idx)) * span
+        jitter = rng.normal(0.0, ENERGY_MUTATION_SCALE, len(idx)) * span
         packed[idx] = np.clip(
             packed[idx] + jitter, packing.lo[idx], packing.hi[idx]
         )

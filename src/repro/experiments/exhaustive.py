@@ -17,13 +17,13 @@ import numpy as np
 from ..core.flexoffer import flex_offer
 from ..core.timeseries import TimeSeries
 from ..scheduling import (
-    EvolutionaryScheduler,
     Market,
     RandomizedGreedyScheduler,
     SchedulingProblem,
     count_start_combinations,
 )
 from ..scheduling.milp import MilpScheduler
+from .evolutionary import EvolutionaryScheduler
 from .reporting import print_table
 
 __all__ = ["OptimalityResult", "run_exhaustive"]

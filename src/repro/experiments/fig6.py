@@ -16,11 +16,11 @@ import numpy as np
 from ..core.flexoffer import FlexOffer, flex_offer
 from ..core.timeseries import TimeSeries
 from ..scheduling import (
-    EvolutionaryScheduler,
     Market,
     RandomizedGreedyScheduler,
     SchedulingProblem,
 )
+from .evolutionary import EvolutionaryScheduler
 from .reporting import print_table
 
 __all__ = ["intraday_scenario", "Fig6Result", "run_fig6"]

@@ -113,7 +113,7 @@ class SchedulingConfig:
     horizon_slices: int = 192
     """Rolling planning horizon (2 days on the 15-min axis)."""
     scheduler: str = "greedy"
-    """Scheduler, by registry name; must declare the ``runtime`` capability."""
+    """Scheduler, by :mod:`repro.api.registry` name."""
     scheduler_passes: int = 2
     """Greedy passes per scheduling run (the warm start adds one evaluation)."""
     trigger: TriggerPolicy = field(default_factory=default_trigger)
@@ -159,11 +159,8 @@ class SchedulingConfig:
                 "an AdaptiveTrigger is not configured as a trigger; set "
                 "target_p95_slices instead"
             )
-        # RegistryError is a ServiceError; the registry owns the single
-        # copy of the capability check and its message.
-        default_registry().require_capability(
-            KIND_SCHEDULER, self.scheduler, "runtime"
-        )
+        # RegistryError is a ServiceError; raises with the known names.
+        default_registry().get(KIND_SCHEDULER, self.scheduler)
 
 
 @dataclass(frozen=True)

@@ -157,9 +157,7 @@ class PlanSession:
         metrics: MetricsRegistry | None = None,
         net_forecast: TimeSeries | None = None,
     ) -> None:
-        registration = default_registry().require_capability(
-            KIND_SCHEDULER, scheduler, "runtime"
-        )
+        registration = default_registry().get(KIND_SCHEDULER, scheduler)
         self.scheduler = registration.create()
         #: Whether the scheduler takes a :class:`DeltaRequest` (its
         #: registration's ``delta`` capability) instead of a warm start.
@@ -296,13 +294,11 @@ class PlanSession:
         actually did.
         """
         keys = tuple(key for key, _ in eligible)
-        scheduler, passes, rng = self.scheduler, self.passes, self.rng
+        scheduler = self.scheduler
         self.last_warm_started = False
         if self.delta:
             request = DeltaRequest(keys=keys, dirty=frozenset(self.dirty))
-            result = scheduler.schedule(
-                problem, max_passes=passes, rng=rng, delta=request
-            )
+            result = scheduler.schedule(problem, delta=request)
             stats = getattr(scheduler, "last_stats", {})
             self.last_mode = str(stats.get("mode", "delta"))
             self.last_reused = int(stats.get("reused", 0))
@@ -311,8 +307,8 @@ class PlanSession:
             warm = self.warm_candidate(eligible)
             result = scheduler.schedule(
                 problem,
-                max_passes=passes + (1 if warm is not None else 0),
-                rng=rng,
+                max_passes=self.passes + (1 if warm is not None else 0),
+                rng=self.rng,
                 warm_start=warm,
             )
             self.last_mode = "warm" if warm is not None else "cold"

@@ -5,17 +5,19 @@ Public API::
 
     from repro.scheduling import (
         SchedulingProblem, CandidateSolution, Market,
-        RandomizedGreedyScheduler, EvolutionaryScheduler,
+        RandomizedGreedyScheduler, DeltaScheduler,
         count_start_combinations,
     )
 
-The exact oracle, :class:`repro.scheduling.milp.MilpScheduler`, needs scipy
-(the ``exact`` extra), so nothing here imports it.
+These are the runtime's planners and the cost model they share.  The exact
+oracle, :class:`repro.scheduling.milp.MilpScheduler`, needs scipy (the
+``exact`` extra), so nothing here imports it; the paper's evolutionary
+algorithm is the §6 comparison baseline in
+:mod:`repro.experiments.evolutionary`.
 """
 
 from .delta import DeltaRequest, DeltaScheduler
 from .engine import CostEngine, IncrementalCostState, OfferConstants
-from .evolutionary import EvolutionaryScheduler
 from .greedy import RandomizedGreedyScheduler
 from .market import Market
 from .problem import CandidateSolution, ScheduleEvaluation, SchedulingProblem
@@ -28,7 +30,6 @@ __all__ = [
     "OfferConstants",
     "DeltaRequest",
     "DeltaScheduler",
-    "EvolutionaryScheduler",
     "count_start_combinations",
     "RandomizedGreedyScheduler",
     "Market",

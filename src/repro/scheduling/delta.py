@@ -76,10 +76,11 @@ class DeltaScheduler:
     """Dirty-set re-planning over a retained plan (registry name ``delta``).
 
     Deterministic: placements run in ascending problem-index order (the
-    runtime sorts its pool by group id), ``rng`` and ``warm_start`` are
-    ignored, and one call performs exactly one pass.  Its registry entry's
-    ``delta`` capability says that :meth:`schedule` accepts a
-    :class:`DeltaRequest`; without one, every call is a full pass.
+    runtime sorts its pool by group id), and one call performs exactly one
+    pass, seeded by the retained plan instead of a warm start.  Its
+    registry entry's ``delta`` capability says that :meth:`schedule`
+    accepts a :class:`DeltaRequest`; without one, every call is a full
+    pass.
     """
 
     name = "delta"
@@ -121,19 +122,9 @@ class DeltaScheduler:
         self,
         problem: SchedulingProblem,
         *,
-        budget_seconds: float | None = None,
-        max_passes: int | None = None,
-        rng: np.random.Generator | None = None,
-        warm_start: CandidateSolution | None = None,
         delta: DeltaRequest | None = None,
     ) -> SchedulingResult:
-        """One delta (or full) pass; returns the committed plan.
-
-        ``budget_seconds`` / ``max_passes`` / ``rng`` / ``warm_start`` are
-        accepted for interface compatibility with the randomized schedulers
-        but have no effect: the pass is single, deterministic, and seeded
-        by the retained plan instead of a warm-start candidate.
-        """
+        """One delta (or full) pass; returns the committed plan."""
         t0 = time.perf_counter()
         n = problem.offer_count
         consts = problem.offer_constants

@@ -258,11 +258,12 @@ class OfferConstants:
 class PackedOffers:
     """All offers' constants concatenated into flat arrays (built once).
 
-    The evolutionary scheduler represents a genome as ``(starts, packed)``
-    where ``packed`` holds every offer's per-slice energies back to back;
-    with these companion arrays, crossover, mutation, the residual rebuild
-    and the compensation sum are all single vectorized operations over the
-    whole genome instead of per-offer Python loops.
+    A placement becomes ``(starts, packed)``, where ``packed`` holds every
+    offer's per-slice energies back to back; with these companion arrays
+    the residual rebuild and the compensation sum are single vectorized
+    operations instead of per-offer Python loops (the evolutionary
+    baseline in :mod:`repro.experiments.evolutionary` evaluates every
+    genome this way).
     """
 
     __slots__ = (
@@ -339,28 +340,6 @@ class PackedOffers:
     def flex_cost(self, packed: np.ndarray) -> float:
         """Total compensation (EUR) of a flat genome."""
         return float((self.unit_price * np.abs(packed)).sum())
-
-    def random_starts(self, rng: np.random.Generator) -> np.ndarray:
-        """Uniform start per offer within its admissible window."""
-        return rng.integers(self.earliest, self.latest + 1, dtype=np.int64)
-
-    def random_packed(self, rng: np.random.Generator) -> np.ndarray:
-        """Uniform per-slice energies within bounds, already packed."""
-        return self.lo + rng.random(self.total) * (self.hi - self.lo)
-
-    def slice_indices(self, members: np.ndarray) -> np.ndarray:
-        """Packed-array indices covered by the given offer indices.
-
-        Vectorized concatenation of ``arange(offsets[j], offsets[j+1])`` for
-        every ``j`` in ``members`` (order preserved, standard cumsum trick).
-        """
-        lengths = self.durations[members]
-        if not len(lengths):
-            return np.zeros(0, dtype=np.int64)
-        return np.repeat(self.offsets[members], lengths) + (
-            np.arange(int(lengths.sum()), dtype=np.int64)
-            - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        )
 
 
 class CostEngine:

@@ -61,18 +61,12 @@ def test_unknown_driver_exits_2_with_known_names(capsys):
     assert "simulated" in err and "wallclock" in err
 
 
-def test_unknown_scheduler_exits_2(capsys):
-    assert main(["loadtest", "--scheduler", "bogus"]) == EXIT_UNKNOWN_EXPERIMENT
-    assert "greedy" in capsys.readouterr().err
-
-
-def test_scheduler_without_runtime_capability_exits_2(capsys):
-    # Registered, but not usable by the streaming loop.
-    assert (
-        main(["loadtest", *TINY, "--scheduler", "evolutionary"])
-        == EXIT_UNKNOWN_EXPERIMENT
-    )
-    assert "runtime" in capsys.readouterr().err
+@pytest.mark.parametrize("name", ["bogus", "evolutionary", "milp"])
+def test_unknown_scheduler_exits_2(capsys, name):
+    # The EA and the MILP oracle are experiment-only, not registry names.
+    assert main(["loadtest", "--scheduler", name]) == EXIT_UNKNOWN_EXPERIMENT
+    err = capsys.readouterr().err
+    assert "delta" in err and "greedy" in err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

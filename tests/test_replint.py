@@ -760,7 +760,7 @@ class TestSchedulerDefaultRngDeterminism:
         self._assert_same_solution(first.solution, second.solution)
 
     def test_evolutionary_default_rng_is_reproducible(self):
-        from repro.scheduling import EvolutionaryScheduler
+        from repro.experiments.evolutionary import EvolutionaryScheduler
 
         first = EvolutionaryScheduler().schedule(
             self._problem(), max_evaluations=60

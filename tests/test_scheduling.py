@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from repro.core import ScheduledFlexOffer, TimeSeries, flex_offer
 from repro.core.errors import InvalidScheduleError, SchedulingError
+from repro.experiments import evolutionary
+from repro.experiments.evolutionary import EvolutionaryScheduler
 from repro.experiments.fig6 import intraday_scenario
 from repro.scheduling import (
     CandidateSolution,
-    EvolutionaryScheduler,
     Market,
     RandomizedGreedyScheduler,
     SchedulingProblem,
@@ -400,25 +401,55 @@ class TestEvolutionary:
         )
         problem.to_schedule(result.solution)
 
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            EvolutionaryScheduler(population_size=2)
-        with pytest.raises(ValueError):
-            EvolutionaryScheduler(mutation_rate=0.0)
-
     def test_deterministic_under_seed(self):
+        """Two runs on the default rng give the same solution, and the
+        seed-9 cost pins the fixed tuning (the module constants) and the
+        operators' draw order: changing either moves it."""
         offers = [
             flex_offer([(1, 2)] * 2, earliest_start=0, latest_start=20)
             for _ in range(4)
         ]
         problem = surplus_problem(offers)
-        a = EvolutionaryScheduler().schedule(
+        first, second = (
+            EvolutionaryScheduler().schedule(problem, max_evaluations=60)
+            for _ in range(2)
+        )
+        assert first.cost == second.cost
+        np.testing.assert_array_equal(
+            first.solution.starts, second.solution.starts
+        )
+        assert len(first.solution.energies) == len(second.solution.energies)
+        for left, right in zip(first.solution.energies, second.solution.energies):
+            np.testing.assert_array_equal(left, right)
+        pinned = EvolutionaryScheduler().schedule(
             problem, max_evaluations=300, rng=np.random.default_rng(9)
         )
-        b = EvolutionaryScheduler().schedule(
-            problem, max_evaluations=300, rng=np.random.default_rng(9)
+        assert pinned.cost == 97.9466546920981
+
+    def test_random_genomes_respect_bounds(self):
+        packing = intraday_scenario(30, seed=8).packed_offers
+        rng = np.random.default_rng(5)
+        starts = evolutionary._random_starts(packing, rng)
+        packed = evolutionary._random_packed(packing, rng)
+        assert np.all(starts >= packing.earliest)
+        assert np.all(starts <= packing.latest)
+        assert np.all(packed >= packing.lo - 1e-12)
+        assert np.all(packed <= packing.hi + 1e-12)
+
+    def test_slice_indices_subset(self):
+        packing = intraday_scenario(30, seed=21).packed_offers
+        members = np.arange(packing.count)[::2]
+        expected = np.concatenate(
+            [
+                np.arange(packing.offsets[j], packing.offsets[j + 1])
+                for j in members
+            ]
         )
-        assert a.cost == b.cost
+        assert np.array_equal(
+            evolutionary._slice_indices(packing, members), expected
+        )
+        empty = np.zeros(0, dtype=np.int64)
+        assert evolutionary._slice_indices(packing, empty).size == 0
 
 
 class TestExhaustive:

@@ -795,30 +795,6 @@ class TestPackedOffers:
         ):
             assert np.array_equal(original, piece)
 
-    def test_random_genomes_respect_bounds(self):
-        problem = random_problem(np.random.default_rng(8))
-        packing = problem.packed_offers
-        rng = np.random.default_rng(5)
-        starts = packing.random_starts(rng)
-        packed = packing.random_packed(rng)
-        assert np.all(starts >= packing.earliest)
-        assert np.all(starts <= packing.latest)
-        assert np.all(packed >= packing.lo - 1e-12)
-        assert np.all(packed <= packing.hi + 1e-12)
-
-    def test_slice_indices_subset(self):
-        problem = random_problem(np.random.default_rng(21))
-        packing = problem.packed_offers
-        members = np.arange(packing.count)[::2]
-        expected = np.concatenate(
-            [
-                np.arange(packing.offsets[j], packing.offsets[j + 1])
-                for j in members
-            ]
-        )
-        assert np.array_equal(packing.slice_indices(members), expected)
-        assert packing.slice_indices(np.zeros(0, dtype=np.int64)).size == 0
-
 
 class _DeltaOracle:
     """From-scratch replay of the delta scheduler's arithmetic contract.
