@@ -175,7 +175,6 @@ class PlanSession:
         self.last_mode = "cold"
         self.last_reused = 0
         self.last_replaced = 0
-        self.last_warm_started = False
 
     # ------------------------------------------------------------------
     def absorb(self, updates: Iterable[AggregateUpdate]) -> None:
@@ -295,7 +294,6 @@ class PlanSession:
         """
         keys = tuple(key for key, _ in eligible)
         scheduler = self.scheduler
-        self.last_warm_started = False
         if self.delta:
             request = DeltaRequest(keys=keys, dirty=frozenset(self.dirty))
             result = scheduler.schedule(problem, delta=request)
@@ -312,7 +310,6 @@ class PlanSession:
                 warm_start=warm,
             )
             self.last_mode = "warm" if warm is not None else "cold"
-            self.last_warm_started = warm is not None
             self.last_reused = 0
             self.last_replaced = len(keys)
 

@@ -726,7 +726,7 @@ class BrpRuntimeService:
         self.metrics.gauge("schedule.last_offers", merge="last").set(
             len(plan.keys)
         )
-        if self.session.last_warm_started:
+        if self.session.last_mode == "warm":
             self.metrics.counter("schedule.warm_started").inc()
         self.last_schedule = plan.schedule
         self.last_plan_originals = plan.originals

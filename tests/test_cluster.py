@@ -13,6 +13,7 @@ import struct
 import numpy as np
 import pytest
 
+from pins import pin
 from repro.api import (
     BrpHost,
     ClusterConfig,
@@ -60,13 +61,6 @@ def _streams(cluster, duration, rate=30.0, seed=11, stride=1):
         ).stream(0.0, duration)
         for index, name in enumerate(cluster.clients)
     }
-
-
-CLUSTER_PLANS_SHA256 = (
-    "5f2f16e18908f1fb43f7ba3a8d9d999999efa660aca00480a293218e897e3046"
-)
-"""Plan costs, remote commits and committed starts of
-:func:`_cluster_plans_digest`' run."""
 
 
 def _cluster_plans_digest() -> str:
@@ -445,11 +439,12 @@ class TestClusterRuntime:
 
         assert run() == run()
 
+    @pytest.mark.pinned
     def test_cluster_plans_pinned(self):
         """Tier-1 pin for "plans bit-identical" at the TSO tier: every plan
         cost of both tiers, the remote commit count and each BRP's committed
-        starts of one seeded 2-BRP run (recorded on 5e82995)."""
-        assert _cluster_plans_digest() == CLUSTER_PLANS_SHA256
+        starts of one seeded 2-BRP run."""
+        pin("cluster.plans", _cluster_plans_digest())
 
     def test_unreachable_brp_degrades_gracefully_mid_stream(self):
         """One BRP lost mid-stream: its TSO traffic drops, the rest plan on."""
@@ -556,6 +551,7 @@ class TestClusterRuntime:
 
 
 # ----------------------------------------------------------------------
+@pytest.mark.pinned
 class TestAggregatesStayArrays:
     def test_no_aggregate_builds_its_constraints_in_the_window(
         self, monkeypatch

@@ -179,6 +179,7 @@ def _has_dict(profile) -> bool:
     return any(type(r) is dict for r in gc.get_referents(profile))
 
 
+@pytest.mark.pinned
 class TestProfileForms:
     """One surface over the constraint tuple and over the bound arrays."""
 
@@ -269,6 +270,7 @@ NON_FINITE = [
 ]
 
 
+@pytest.mark.pinned
 class TestFiniteBounds:
     """One rule wherever bounds enter: both finite, ``min <= max``."""
 

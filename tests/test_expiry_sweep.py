@@ -7,6 +7,7 @@ scheduling run — is checked against it: the same offers retired, in the
 same order, and the same ``retire`` facts journaled.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,8 @@ from repro.runtime import (
     ServiceConfig,
     SimulatedDriver,
 )
+
+pytestmark = pytest.mark.pinned
 
 CONFIG = ServiceConfig.from_flat(
     batch_size=4,

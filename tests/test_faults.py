@@ -267,6 +267,7 @@ def _hostile_fixture():
     return _CACHE["arrivals"], _CACHE["baseline"]
 
 
+@pytest.mark.pinned
 class TestCrashReplay:
     @settings(max_examples=6, deadline=None)
     @given(crash=st.floats(min_value=4.0, max_value=44.0))

@@ -180,6 +180,7 @@ class TestCodec:
         edited = _offer(10, lo=2.0, hi=3.0, offer_id=offer.offer_id)
         assert default_source_event_id(offer) != default_source_event_id(edited)
 
+    @pytest.mark.pinned
     @settings(max_examples=60, deadline=None)
     @given(offer=_offers())
     def test_source_event_id_hashes_the_sorted_key_json(self, offer):
@@ -469,6 +470,7 @@ def _capture_appends(log):
     return handed
 
 
+@pytest.mark.pinned
 class TestFactEncoding:
     """A composed ``submit``/``replace``/``dead_letter`` line is the generic
     encoder's line for the fact's dict, byte for byte, and decodes to it."""
@@ -739,6 +741,7 @@ class TestStoreReplay:
 
 
 # ----------------------------------------------------------------------
+@pytest.mark.pinned
 class TestResumeFromLedger:
     def _run(self, log, duration=48.0):
         client = _ledger_client(log)

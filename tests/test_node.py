@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pins import pin
 from repro.core import ScheduledFlexOffer
 from repro.core.errors import CommunicationError
 from repro.core.timebase import DEFAULT_AXIS
@@ -212,47 +213,52 @@ class TestProsumerDay:
         np.testing.assert_array_equal(baseline, full[: PER_DAY // 2])
 
 
-# Seed-3 days on the streaming runtime.  "Before" numbers, counts and
-# compensation equal the deleted one-shot node stack's bit for bit; "after"
-# moved (flat market, the runtime's scheduler RNG, clip-based eligibility).
-BEFORE_SEED_3 = (44.05103402506857, 771.4171012711372, 0.3881784126756211)
-
-
 def _report(**overrides):
     return run_balancing(config=ScenarioConfig(seed=3, **overrides), verbose=False)
 
 
-def _assert_pinned(r, after, scheduled, undelivered=0):
-    assert (r.peak_demand_before, r.imbalance_before, r.res_utilization_before) == (
-        BEFORE_SEED_3
-    )
-    assert (r.offers_submitted, r.offers_accepted, r.aggregate_count) == (62, 62, 15)
-    assert r.compensation_eur == 39.43155283290004
-    assert (r.peak_demand_after, r.imbalance_after, r.res_utilization_after) == after
-    assert (r.offers_scheduled, r.schedules_undelivered) == (scheduled, undelivered)
+def _before(r):
+    """A seed-3 day's numbers before planning, the same in every variant."""
+    return [
+        r.peak_demand_before, r.imbalance_before, r.res_utilization_before,
+        r.offers_submitted, r.offers_accepted, r.aggregate_count, r.compensation_eur,
+    ]
+
+
+def _after(r):
+    return [
+        r.peak_demand_after, r.imbalance_after, r.res_utilization_after,
+        r.offers_scheduled, r.schedules_undelivered,
+    ]
 
 
 class TestBalancingDay:
+    @pytest.mark.pinned
     def test_balancing_improves(self):
         report = _report()
-        _assert_pinned(report, (15.0, 407.77772107660434, 0.5370012980764652), 62)
+        pin("fig1.seed3.before", _before(report))
+        pin("fig1.seed3.local", _after(report))
         assert report.offers_scheduled == report.offers_submitted
         assert report.peak_demand_after < report.peak_demand_before
         assert report.imbalance_after < report.imbalance_before
         assert report.res_utilization_after >= report.res_utilization_before
 
+    @pytest.mark.pinned
     def test_tso_path_schedules_everything(self):
         report = _report(use_tso=True)
-        _assert_pinned(report, (15.0, 417.8235044527785, 0.5168946863302478), 62)
+        pin("fig1.seed3.before", _before(report))
+        pin("fig1.seed3.tso", _after(report))
         assert report.offers_scheduled == report.offers_submitted
         assert report.imbalance_after < report.imbalance_before
 
+    @pytest.mark.pinned
     def test_outage_falls_back_gracefully(self):
         """Unreachable prosumers lose their schedules but the day completes —
         the paper's graceful-degradation claim."""
         down = frozenset({"prosumer-0-0", "prosumer-1-3"})
         report = _report(unreachable_prosumers=down)
-        _assert_pinned(report, (13.5, 423.77772107660434, 0.5370012980764652), 60, 2)
+        pin("fig1.seed3.before", _before(report))
+        pin("fig1.seed3.outage", _after(report))
         assert report.offers_scheduled < report.offers_submitted
         assert report.imbalance_after < report.imbalance_before  # still helps
 

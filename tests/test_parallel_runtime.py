@@ -252,6 +252,7 @@ class TestShmCodec:
         with pytest.raises(ServiceError, match="codec version 1"):
             decode_macros(_v1_payload())
 
+    @pytest.mark.pinned
     def test_bytes_equal_the_pairwise_encoding(self):
         """Bounds column-stacked from the profiles' arrays are the bytes of
         the ``(min, max)`` pairs, and an array-form macro is encoded

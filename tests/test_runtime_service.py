@@ -13,6 +13,7 @@ import struct
 import numpy as np
 import pytest
 
+from pins import pin
 from repro.aggregation import AggregateUpdate, UpdateKind
 from repro.core import ScheduledFlexOffer, flex_offer
 from repro.core.errors import (
@@ -127,24 +128,6 @@ class TestServiceLoop:
         assert "scheduling runs" in text
 
 
-REPLANNING_SHA256 = (
-    "1c38d55a8357a772feff7afb994aef0669f79600f1ecb30bdcf500b2ba2584e9"
-)
-"""Plan costs, committed starts and commit latencies of
-:func:`_replanning_digests`' stream."""
-
-REPLANNING_SCHEDULED_FACTS_SHA256 = (
-    "b51408f3c2576e6a57031321b3971625da75845057e88e26a4a3cd41ab57551f"
-)
-"""The ``scheduled`` facts the same stream journals, in order."""
-
-REPLANNING_JOURNAL_SHA256 = (
-    "ec3cbc6f8e321e1d8afc2f08d857934e52ee6ddef4d0c5e817687d7eee7fc8ca"
-)
-"""Every byte the same stream journals to JSONL segments, with offer ids
-minted from :data:`JOURNAL_ID_BASE` (recorded on 3b56d78, the commit before
-the journal was group-committed: one ``append`` call per fact)."""
-
 JOURNAL_ID_BASE = 23 * 10**9
 """Above any id the suite has minted, so ids minted afterwards stay unique."""
 
@@ -191,18 +174,19 @@ def _replanning_digests(ledger=None):
     return plans.hexdigest(), facts.hexdigest()
 
 
+@pytest.mark.pinned
 class TestReplanningPinned:
     """Tier-1 pin for "plans bit-identical": a change to the planner, the
     kernel or the commit walk that moves one committed bit fails here."""
 
     def test_replanning_bits_pinned(self):
         plans, _ = _replanning_digests()
-        assert plans == REPLANNING_SHA256
+        pin("service.replanning.plans", plans)
 
     def test_replanning_bits_pinned_with_ledger(self):
         plans, facts = _replanning_digests(OfferLedger(MemoryEventLog()))
-        assert plans == REPLANNING_SHA256
-        assert facts == REPLANNING_SCHEDULED_FACTS_SHA256
+        pin("service.replanning.plans", plans)
+        pin("service.replanning.scheduled_facts", facts)
 
     def test_replanning_journal_bytes_pinned(self, tmp_path):
         """The JSONL twin of the test above: not one journal byte moves."""
@@ -213,17 +197,9 @@ class TestReplanningPinned:
         journal = hashlib.sha256()
         for segment in log.segments():
             journal.update(segment.read_bytes())
-        assert plans == REPLANNING_SHA256
-        assert journal.hexdigest() == REPLANNING_JOURNAL_SHA256
+        pin("service.replanning.plans", plans)
+        pin("service.replanning.journal", journal.hexdigest())
 
-
-CHURN_JOURNAL_SHA256 = (
-    "097bef9f5e48461d8a05621a49e9546a5da67b4b32a6b43c8e00d6869f6a983d"
-)
-"""Every byte :func:`_churn_journal`'s run journals to JSONL segments, with
-offer ids minted from :data:`CHURN_ID_BASE` (recorded on d215ec7, the
-commit before a submission's offer was rendered once for its content key
-and its fact)."""
 
 CHURN_ID_BASE = 24 * 10**9
 """Above :data:`JOURNAL_ID_BASE`'s band, so the two pins mint disjoint ids."""
@@ -278,6 +254,7 @@ def _churn_journal(directory):
     return ledger, list(ledger.events())
 
 
+@pytest.mark.pinned
 class TestChurnJournalPinned:
     def test_churn_journal_bytes_pinned(self, tmp_path):
         """Not one byte of a duplicate, reverse, replace, withdraw,
@@ -295,16 +272,8 @@ class TestChurnJournalPinned:
         journal = hashlib.sha256()
         for segment in ledger.log.segments():
             journal.update(segment.read_bytes())
-        assert journal.hexdigest() == CHURN_JOURNAL_SHA256
+        pin("service.churn.journal", journal.hexdigest())
 
-
-STORE_FACTS_SHA256 = (
-    "31005d414f867392a4cd5ab07bd930f56d8a9b02d49b93a9da8ee990207b1259"
-)
-"""The LEDMS store's ``flexoffer_event`` column buffers and per-offer states
-after :func:`_store_facts_run`, with offer ids minted from
-:data:`STORE_ID_BASE` (recorded on 6756575, the commit before admission facts
-were held back and written in batches)."""
 
 STORE_ID_BASE = 25 * 10**9
 """Above :data:`CHURN_ID_BASE`'s band, so the three pins mint disjoint ids."""
@@ -335,6 +304,7 @@ def _store_facts_run():
     return service
 
 
+@pytest.mark.pinned
 class TestStoreFactsPinned:
     def test_store_facts_pinned(self):
         """Holding admission facts back moves no fact row, no row order and
@@ -351,7 +321,7 @@ class TestStoreFactsPinned:
             digest.update(facts.column(name).tobytes())
         for offer_id, state in store._offer_states.items():
             digest.update(struct.pack("<q", offer_id) + state.encode())
-        assert digest.hexdigest() == STORE_FACTS_SHA256
+        pin("service.store_facts", digest.hexdigest())
 
 
 class TestSchedulingIntegration:

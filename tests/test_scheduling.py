@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pins import pin
 from repro.core import ScheduledFlexOffer, TimeSeries, flex_offer
 from repro.core.errors import InvalidScheduleError, SchedulingError
 from repro.experiments import evolutionary
@@ -401,6 +402,7 @@ class TestEvolutionary:
         )
         problem.to_schedule(result.solution)
 
+    @pytest.mark.pinned
     def test_deterministic_under_seed(self):
         """Two runs on the default rng give the same solution, and the
         seed-9 cost pins the fixed tuning (the module constants) and the
@@ -424,7 +426,7 @@ class TestEvolutionary:
         pinned = EvolutionaryScheduler().schedule(
             problem, max_evaluations=300, rng=np.random.default_rng(9)
         )
-        assert pinned.cost == 97.9466546920981
+        pin("ea.seed9.cost", [pinned.cost])
 
     def test_random_genomes_respect_bounds(self):
         packing = intraday_scenario(30, seed=8).packed_offers

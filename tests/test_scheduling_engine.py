@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pins import pin
 from repro.core import Profile, SchedulingError, TimeSeries, flex_offer
 from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
 from repro.scheduling import (
@@ -89,26 +90,6 @@ def random_problem(rng: np.random.Generator) -> SchedulingProblem:
         shortage_penalty=penalty(1.0),
         surplus_penalty=penalty(0.6),
     )
-
-
-RUNTIME_SHAPE_SHA256 = (
-    "8918c197275b161325f895329de14a0dd9f445a775496a3be54913646279a5e4"
-)
-"""Kernel output over :func:`runtime_shape_corpus`, recorded from the
-``(span, duration)``-table kernel the band kernel replaced."""
-
-MIXED_SIGN_SHA256 = (
-    "30436ed4434d0a072a28ffb058e952fa7badb352c9c96b2ea6dc2fa42c8205a6"
-)
-"""Kernel output over :func:`mixed_sign_corpus`, recorded from the kernel
-that priced all four candidate rows for every offer."""
-
-PLACE_TOTALS_SHA256 = (
-    "9a6a085e2b108b8acab678943d58764a39833b9b7a80a6b5dcc18251eb0b6b3f"
-)
-"""Every ``(offset, energies, running total)`` of
-``test_place_keeps_cost_vector_exact``, recorded from the ``place`` that
-re-priced each window with ``slice_costs``."""
 
 
 def _runtime_bounds(rng, k, duration):
@@ -222,12 +203,12 @@ def _shape_corpus(seed, draw_bounds):
 
 
 def runtime_shape_corpus():
-    """The corpus behind :data:`RUNTIME_SHAPE_SHA256`."""
+    """The corpus behind pin ``kernel.runtime_shape``."""
     return _shape_corpus(19, _runtime_bounds)
 
 
 def mixed_sign_corpus():
-    """The corpus behind :data:`MIXED_SIGN_SHA256`: the same shapes over
+    """The corpus behind pin ``kernel.mixed_sign``: the same shapes over
     :func:`_mixed_sign_bounds`, so three- and four-candidate offers both
     sit under a pin whatever the first corpus happens to draw."""
     return _shape_corpus(22, _mixed_sign_bounds)
@@ -335,6 +316,7 @@ def uncapped_pricing_cases(draw):
     return problem, residual
 
 
+@pytest.mark.pinned
 class TestTwoRowPricing:
     """An uncapped market is priced from two rate rows; a capped one from
     six.  Same bits either way, and the market alone decides which."""
@@ -567,6 +549,7 @@ class TestBatchedKernel:
                 assert np.array_equal(energy, best_energy)
                 assert delta == pytest.approx(best_cost, abs=1e-9)
 
+    @pytest.mark.pinned
     def test_kernel_bits_pinned_at_runtime_shapes(self):
         """Every start, energy byte and cost delta at runtime shapes.
 
@@ -575,8 +558,9 @@ class TestBatchedKernel:
         starts and through them whole plans, and nothing with 5-slice
         offers and a 1e-9 cost tolerance can see it move.
         """
-        assert _pinned_kernel_digest(runtime_shape_corpus()) == RUNTIME_SHAPE_SHA256
+        pin("kernel.runtime_shape", _pinned_kernel_digest(runtime_shape_corpus()))
 
+    @pytest.mark.pinned
     def test_kernel_bits_pinned_on_mixed_sign_corpus(self):
         """The same pin where the ``zero`` candidate row is and is not built."""
         crossing = [
@@ -590,7 +574,7 @@ class TestBatchedKernel:
         assert set(crossing[1::4]) == {0}  # production only
         assert set(crossing[2::4]) == {1}  # exactly one crossing slice
         assert set(crossing[3::4]) == {0}  # alternating signs, none crossing
-        assert _pinned_kernel_digest(mixed_sign_corpus()) == MIXED_SIGN_SHA256
+        pin("kernel.mixed_sign", _pinned_kernel_digest(mixed_sign_corpus()))
 
     def test_accepts_any_real_array_over_the_horizon(self):
         """Strided views and integer arrays answer like their float copy."""
@@ -650,6 +634,7 @@ class TestBatchedKernel:
 
 
 class TestIncrementalCostState:
+    @pytest.mark.pinned
     def test_place_keeps_cost_vector_exact(self, monkeypatch):
         """``place`` stores the kernel's after-costs instead of re-pricing.
 
@@ -693,7 +678,7 @@ class TestIncrementalCostState:
                     )
                 assert scheduler.last_stats["mode"] == "delta"
         assert placements == 2 * 16 * (8 + 8 + 3)
-        assert digest.hexdigest() == PLACE_TOTALS_SHA256
+        pin("kernel.place_totals", digest.hexdigest())
 
 
 class TestWarmStartedReplanning:
