@@ -276,6 +276,10 @@ def disaggregate(scheduled: ScheduledFlexOffer) -> list[ScheduledFlexOffer]:
     aggregate slice was scheduled at fraction ``f`` of its ``[min, max]``
     range, every member slice is scheduled at fraction ``f`` of its own range,
     which reproduces the aggregate energy exactly and respects member bounds.
+    Each member starts at the aggregate's start plus its profile offset, so
+    an aggregate whose start window was clipped (``with_times``: same
+    profile and offsets, a later earliest start) disaggregates exactly as
+    its unclipped original does.
     """
     aggregate = scheduled.offer
     if not isinstance(aggregate, AggregatedFlexOffer):
@@ -283,7 +287,6 @@ def disaggregate(scheduled: ScheduledFlexOffer) -> list[ScheduledFlexOffer]:
             f"offer {aggregate.offer_id} is not an AggregatedFlexOffer"
         )
 
-    delta = scheduled.start - aggregate.earliest_start
     fractions = _slice_fractions(aggregate, scheduled.energies)
 
     # Per member ``lo + f * (hi - lo)`` over its bound arrays: the IEEE
@@ -298,7 +301,7 @@ def disaggregate(scheduled: ScheduledFlexOffer) -> list[ScheduledFlexOffer]:
             profile.max_array - lo
         )
         out.append(
-            ScheduledFlexOffer(member, member.earliest_start + delta, energies)
+            ScheduledFlexOffer(member, scheduled.start + offset, energies)
         )
     return out
 

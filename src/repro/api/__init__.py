@@ -18,8 +18,8 @@ Everything a caller needs to run a node lives here, typed and composable:
   :class:`SchedulingConfig` / :class:`IngestConfig`);
 * :class:`ClusterRuntime` / :class:`ClusterConfig` — the multi-node
   runtime: one client per BRP over one bus adapter on a
-  shared time driver, with a :class:`TsoRuntimeService` scheduling tier
-  consuming each BRP's committed macro flex-offers;
+  shared time driver, with a TSO that is one more streaming service,
+  admitting each BRP's committed macro flex-offers (:class:`TsoConfig`);
 * :class:`Tracer` / :class:`JsonlWriter` — the observability subsystem
   (:mod:`repro.obs`): end-to-end offer tracing over the cluster, a
   structured JSONL event log, and metrics exporters registered under the
@@ -86,7 +86,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "TsoConfig",
-    "TsoRuntimeService",
     "WallClockDriver",
     "WorkerCrashError",
     "build_trigger",
@@ -123,7 +122,6 @@ _LAZY_EXPORTS = {
     "ClusterReport": "repro.runtime.cluster",
     "ClusterRuntime": "repro.runtime.cluster",
     "TsoConfig": "repro.runtime.cluster",
-    "TsoRuntimeService": "repro.runtime.cluster",
     "ParallelClusterRuntime": "repro.runtime.parallel",
     "ProcessBusTransport": "repro.runtime.parallel",
     "WorkerCrashError": "repro.runtime.parallel",

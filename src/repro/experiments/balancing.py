@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from ..aggregation import AggregationParameters, disaggregate
+from ..aggregation import AggregatedFlexOffer, AggregationParameters, disaggregate
 from ..api.client import LedmsClient
 from ..core.flexoffer import FlexOffer
 from ..core.schedule import ScheduledFlexOffer
@@ -170,15 +170,19 @@ def draw_scenario(config: ScenarioConfig) -> Scenario:
     return Scenario(baselines, offers, agreed, rejected, paid, forecasts, wind)
 
 
-def _disaggregated(schedule, originals) -> list[ScheduledFlexOffer]:
-    """A plan's member schedules, each anchored at its unclipped original."""
-    return [
-        member
-        for scheduled, original in zip(schedule, originals)
-        for member in disaggregate(
-            ScheduledFlexOffer(original, scheduled.start, scheduled.energies)
-        )
-    ]
+def _micro_schedules(schedule) -> list[ScheduledFlexOffer]:
+    """A plan's prosumer schedules: each scheduled aggregate disaggregated
+    down to the micro offers under it (a TSO plan's supers through their
+    macros)."""
+    pending = list(schedule)
+    micro = []
+    while pending:
+        scheduled = pending.pop()
+        if isinstance(scheduled.offer, AggregatedFlexOffer):
+            pending += disaggregate(scheduled)
+        else:
+            micro.append(scheduled)
+    return micro
 
 
 def plan_day(scenario: Scenario, config: ScenarioConfig) -> DayPlan:
@@ -215,14 +219,14 @@ def plan_day(scenario: Scenario, config: ScenarioConfig) -> DayPlan:
                 service, driver=SimulatedDriver(start), net_forecast=forecast, name=brp
             )
             clients[brp].run_stream(stream, 1)
-    planned = []
-    for client in clients.values():
-        node = client.service
-        planned += _disaggregated(node.last_schedule or (), node.last_plan_originals)
-    if cluster is not None and cluster.tso.last_plan is not None:
-        plan = cluster.tso.last_plan
-        macros = _disaggregated(plan.schedule, plan.originals)
-        planned += [micro for macro in macros for micro in disaggregate(macro)]
+    nodes = [client.service for client in clients.values()]
+    if cluster is not None:
+        nodes.append(cluster.tso)  # last: its plan overrides the BRPs'
+    planned = [
+        micro
+        for node in nodes
+        for micro in _micro_schedules(node.last_schedule or ())
+    ]
     return DayPlan({s.offer.offer_id: s for s in planned}, clients, cluster)
 
 

@@ -21,7 +21,7 @@ package remains the engine room::
         FlexOfferIngest, LoadGenerator, MetricsRegistry,
         TriggerContext, CountTrigger, AgeTrigger, ImbalanceTrigger, AnyTrigger,
         ClusterRuntime, ClusterConfig, ClusterReport, BrpHost,
-        TsoRuntimeService, TsoConfig, BusAdapter,
+        TsoConfig, BusAdapter,
         ParallelClusterRuntime, ProcessBusTransport,
     )
 """
@@ -34,7 +34,6 @@ from .cluster import (
     ClusterReport,
     ClusterRuntime,
     TsoConfig,
-    TsoRuntimeService,
 )
 from .config import (
     AggregationConfig,
@@ -72,7 +71,6 @@ from .metrics import (
 )
 from .service import BrpRuntimeService, RuntimeReport
 from .triggers import (
-    AdaptiveCooldown,
     AdaptiveTrigger,
     AgeTrigger,
     AnyTrigger,
@@ -83,7 +81,6 @@ from .triggers import (
 )
 
 __all__ = [
-    "AdaptiveCooldown",
     "AdaptiveTrigger",
     "AgeTrigger",
     "AggregationConfig",
@@ -118,7 +115,6 @@ __all__ = [
     "TriggerContext",
     "TriggerPolicy",
     "TsoConfig",
-    "TsoRuntimeService",
     "WallClockDriver",
     "WorkerCrashError",
     "aggregate_registries",

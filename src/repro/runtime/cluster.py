@@ -1,4 +1,4 @@
-"""Multi-node runtime: per-BRP streaming services and a TSO tier over one bus.
+"""Multi-node runtime: per-BRP streaming services and a TSO over one bus.
 
 The paper's EDMS is a *hierarchy* of LEDMS nodes — prosumers feed BRPs, and
 BRPs forward macro flex-offers to a TSO that "essentially repeats the
@@ -7,21 +7,22 @@ three layers with one loop each:
 
 * **service window** — :meth:`~repro.runtime.service.BrpRuntimeService.
   open_window` / :meth:`~repro.runtime.service.BrpRuntimeService.drain`
-  say what a run window means for one BRP;
+  say what a run window means for one node;
 * :class:`BrpHost` — N BRPs (each behind its :class:`~repro.api.
   LedmsClient`) on one :class:`~repro.runtime.drivers.TimeDriver`, wired
   once to an *uplink*: a committed local plan publishes the BRP's macro
   snapshot, a returned scheduled macro is disaggregated locally;
-* :class:`ClusterRuntime` — the TSO head (the :class:`BusAdapter`, the
-  simulated network delivering on the driver, plus the
-  :class:`TsoRuntimeService`) and the cluster loop: start
-  the hosts, advance epoch by epoch with a barrier after each, drain the
-  hosts, drain the TSO, collect results into a :class:`ClusterReport`.
+* :class:`ClusterRuntime` — the head (the :class:`BusAdapter`, the
+  simulated network delivering on the driver, and the TSO) and the cluster
+  loop: open the hosts' and the TSO's windows, advance epoch by epoch with
+  a barrier after each, drain the hosts, drain the TSO, collect results
+  into a :class:`ClusterReport`.
 
-The TSO plans through the same pass as every BRP
-(:meth:`repro.runtime.planning.PlanSession.plan_window`); what is specific
-to it lives here — which macros are in, their re-aggregation into supers,
-and sending the scheduled macros home.
+The TSO runs level 2's loop: it is a :class:`~repro.runtime.service.
+BrpRuntimeService` (configured by :class:`TsoConfig`) whose offers are the
+BRPs' macros.  What is specific to it lives here, in two seams: a snapshot
+from a BRP is diffed against that BRP's previous one and admitted, and a
+committed TSO plan is disaggregated into scheduled macros sent home.
 
 Here the one host shares the TSO's driver, so cluster time is a single
 axis — deterministic under :class:`~repro.runtime.drivers.SimulatedDriver`,
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from ..aggregation.aggregator import disaggregate
-from ..aggregation.pipeline import make_pipeline
 from ..core.errors import CommunicationError, ServiceError
 from ..core.flexoffer import FlexOffer
 from ..core.schedule import ScheduledFlexOffer
@@ -52,21 +52,12 @@ from ..core.timeseries import TimeSeries
 from ..datamgmt.mirabel import OFFER_STATES
 from ..node.messages import Message, MessageType
 from ..obs.tracing import NullTracer, Tracer
-from ..scheduling import SchedulingResult
-from .config import (
-    AggregationConfig,
-    MarketConfig,
-    SchedulingConfig,
-    SectionedConfig,
-    ServiceConfig,
-    _field_tables,
-)
+from .config import SchedulingConfig, ServiceConfig
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .fields import check_fields
 from .metrics import MetricsRegistry, aggregate_registries
-from .planning import PlanSession, eligible_for_window, report_adaptive
-from .service import RuntimeReport
-from .triggers import AdaptiveCooldown, CountTrigger, TriggerContext
+from .service import BrpRuntimeService, RuntimeReport
+from .triggers import CountTrigger
 
 __all__ = [
     "BrpHost",
@@ -76,7 +67,6 @@ __all__ = [
     "ClusterReport",
     "ClusterRuntime",
     "TsoConfig",
-    "TsoRuntimeService",
 ]
 
 
@@ -407,49 +397,25 @@ class BusAdapter:
 
 # ----------------------------------------------------------------------
 def _tso_scheduling() -> SchedulingConfig:
-    """Re-plan after two snapshot refreshes, at most once per 4 slices."""
+    """Re-plan after two admitted macros, at most once per 4 slices."""
     return SchedulingConfig(trigger=CountTrigger(2), min_run_interval_slices=4.0)
 
 
 @dataclass(frozen=True)
-class TsoConfig(SectionedConfig):
-    """Configuration of the cluster's level-3 scheduling tier.
+class TsoConfig(ServiceConfig):
+    """Configuration of the cluster's level-3 node.
 
-    The TSO "essentially repeats the process at a higher level", so it
-    takes the BRP's own sections; only the scheduling defaults differ (a
-    count trigger over snapshot refreshes and a longer cooldown).  Flat
-    names work as they do for :class:`~repro.api.ServiceConfig`
-    (``TsoConfig.from_flat(scheduler_passes=1)``).
+    The TSO "essentially repeats the process at a higher level": it is a
+    :class:`~repro.runtime.service.BrpRuntimeService` whose offers are the
+    BRPs' macros, so it takes a BRP's sections; only the scheduling default
+    differs (a count trigger over two admitted macros and a longer
+    cooldown).  Flat names work as they do for
+    :class:`~repro.api.ServiceConfig` (``TsoConfig.from_flat(scheduler_passes=1)``).
     """
 
-    market: MarketConfig = field(default_factory=MarketConfig)
-    aggregation: AggregationConfig = field(default_factory=AggregationConfig)
-    """Re-aggregation of the BRPs' macros into supers."""
     scheduling: SchedulingConfig = field(default_factory=_tso_scheduling)
-    """At the TSO, ``trigger`` counts snapshot refreshes (see
-    :attr:`SchedulingConfig.trigger`); with ``target_p95_slices`` set it
-    must be a count trigger, whose threshold and the cooldown an
-    :class:`~repro.runtime.triggers.AdaptiveCooldown` then steers."""
 
     _SCOPE = "tso"
-    _SECTION_FIELDS, _FLAT_FIELDS = _field_tables(
-        {
-            "market": MarketConfig,
-            "aggregation": AggregationConfig,
-            "scheduling": SchedulingConfig,
-        }
-    )
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        scheduling = self.scheduling
-        if scheduling.target_p95_slices is not None and not isinstance(
-            scheduling.trigger, CountTrigger
-        ):
-            raise ServiceError(
-                "an adaptive TSO (target_p95_slices) tunes a count trigger; "
-                "give the tso scheduling trigger as {'kind': 'count', ...}"
-            )
 
 
 @dataclass(frozen=True)
@@ -501,9 +467,8 @@ class ClusterConfig:
         ``brps`` is either an integer (that many default BRPs) or a mapping
         of BRP name to a :meth:`ServiceConfig.from_dict` section (``{}``
         for defaults); ``defaults`` supplies the base section every BRP
-        starts from; ``tso`` configures the level-3 tier with the same
-        sections and flat names (:meth:`TsoConfig.from_dict`, minus
-        ``ingest``)::
+        starts from; ``tso`` configures the level-3 node with the same
+        sections and flat names (:meth:`TsoConfig.from_dict`)::
 
             {"brps": {"north": {"scheduling": {"horizon_slices": 96}},
                       "south": {}},
@@ -564,294 +529,25 @@ class ClusterConfig:
 
 
 # ----------------------------------------------------------------------
-def _member_key(aggregate) -> str:
-    """A super-aggregate's identity across TSO runs: its member-macro ids.
+def _same_macro(held: FlexOffer | None, sent: FlexOffer) -> bool:
+    """Whether ``sent`` is the macro the TSO holds under the same id.
 
-    An unchanged fleet re-aggregates into the same supers, so the keys
-    recur and clean placements can be retained; any pool change
-    materialises new keys, which are re-placed as new.
+    In-process a re-sent macro is the very object; decoded from shared
+    memory it is a copy, so the columns the TSO plans on are compared.
     """
-    return "|".join(
-        str(mid) for mid in sorted(m.offer_id for m in aggregate.members)
+    if held is sent:
+        return True
+    return (
+        held is not None
+        and held.earliest_start == sent.earliest_start
+        and held.latest_start == sent.latest_start
+        and held.assignment_before == sent.assignment_before
+        and held.unit_price == sent.unit_price
+        and held.profile.min_array.tobytes() == sent.profile.min_array.tobytes()
+        and held.profile.max_array.tobytes() == sent.profile.max_array.tobytes()
     )
 
 
-class TsoRuntimeService:
-    """The streaming level-3 node: re-aggregate BRP macros, schedule, reply.
-
-    BRPs publish ``MACRO_FLEX_OFFER`` messages whose payload is the BRP's
-    full committed macro snapshot (a tuple of macro flex-offers, of which
-    only the :class:`~repro.core.flexoffer.FlexOffer` surface is read —
-    members stay with the BRP that disaggregates them); each snapshot
-    *replaces* that BRP's previous one, so the TSO's macro pool
-    always mirrors the fleet's latest committed plans (a pool change always
-    materialises new aggregate ids, so retaining stale snapshots would
-    double-count).  When its trigger fires over the snapshot refreshes
-    (and the cooldown allows), the TSO re-aggregates the pool once more —
-    "the process is essentially repeated at a higher level" — plans the
-    super-aggregates system-wide through its
-    :class:`~repro.runtime.planning.PlanSession`, disaggregates the plan
-    back into scheduled macros, and returns each to its home BRP over the
-    bus in best-effort mode, so an unreachable BRP degrades to dropped
-    messages.
-    """
-
-    def __init__(
-        self,
-        config: TsoConfig | None = None,
-        *,
-        adapter: BusAdapter,
-        name: str = "tso",
-        metrics: MetricsRegistry | None = None,
-        net_forecast: TimeSeries | None = None,
-        tracer: Tracer | NullTracer | None = None,
-    ):
-        self.config = config if config is not None else TsoConfig()
-        self.adapter = adapter
-        self.name = name
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else adapter.tracer
-        # Last macro-snapshot trace context per BRP: the causal edge from
-        # the BRP plan that published the macros into the next TSO run.
-        self._snapshot_ctx: dict[str, Any] = {}
-        self._macros_by_brp: dict[str, dict[int, FlexOffer]] = {}
-        self._macro_home: dict[int, str] = {}
-        self._last_run_time = -math.inf
-        self.last_plan_cost = float("nan")
-        #: The last non-empty :class:`~repro.runtime.planning.WindowPlan`
-        #: (scheduled supers and their unclipped originals), or ``None``.
-        self.last_plan = None
-        scheduling = self.config.scheduling
-        # The same planner as the BRP tier, keyed by the super-aggregate's
-        # member-macro-id join.
-        self.session = PlanSession(
-            scheduling.scheduler,
-            passes=scheduling.scheduler_passes,
-            market=self.config.market,
-            seed=scheduling.seed,
-            metrics=self.metrics,
-            net_forecast=net_forecast,
-        )
-        #: key -> keys of the last plan containing each BRP's macros.
-        self._keys_by_brp: dict[str, set[str]] = {}
-        #: Sim arrival time of each snapshot refresh still awaiting a run.
-        self._refresh_arrivals: list[float] = []
-        #: With a latency target, the adaptive cooldown stands in for both
-        #: the count trigger and the cooldown; their values are its rails.
-        self._cooldown = (
-            AdaptiveCooldown(
-                scheduling.target_p95_slices,
-                trigger_refreshes=scheduling.trigger.threshold,
-                min_run_interval_slices=scheduling.min_run_interval_slices,
-            )
-            if scheduling.target_p95_slices is not None
-            else None
-        )
-        self.trigger = self._cooldown or scheduling.trigger
-        adapter.register(name, self.handle_message)
-
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.adapter.driver.now
-
-    @property
-    def macro_count(self) -> int:
-        """Macro flex-offers currently in the pool, across all BRPs."""
-        return len(self._macro_home)
-
-    @property
-    def scheduling_runs(self) -> int:
-        return int(self.metrics.counter("tso.runs").value)
-
-    @property
-    def macros_returned(self) -> int:
-        return int(self.metrics.counter("tso.macros_returned").value)
-
-    # ------------------------------------------------------------------
-    def handle_message(self, message: Message) -> None:
-        if message.type is not MessageType.MACRO_FLEX_OFFER:
-            raise CommunicationError(f"{self.name}: unexpected {message.type}")
-        if message.trace is not None:
-            self._snapshot_ctx[message.sender] = message.trace
-        self.receive_snapshot(message.sender, message.payload)
-
-    def receive_snapshot(self, brp: str, macros: Iterable[FlexOffer]) -> None:
-        """Replace ``brp``'s macro set with its latest committed snapshot."""
-        fresh = {macro.offer_id: macro for macro in macros}
-        for offer_id in self._macros_by_brp.get(brp, ()):
-            self._macro_home.pop(offer_id, None)
-        self._macros_by_brp[brp] = fresh
-        for offer_id in fresh:
-            self._macro_home[offer_id] = brp
-        # Only this sender's part of the plan is dirtied: every retained
-        # super-aggregate containing one of its macros must be re-placed
-        # (same macro id can reappear with a changed profile), while supers
-        # built purely from other BRPs' macros stay clean.
-        touched = self._keys_by_brp.pop(brp, set())
-        self.session.mark_dirty(touched)
-        self._refresh_arrivals.append(self.now)
-        self.metrics.counter("tso.macro_snapshots").inc()
-        self.metrics.counter("tso.macros_received").inc(len(fresh))
-        self.metrics.gauge("tso.macro_pool").set(self.macro_count)
-        if self.tracer.enabled:
-            # Macros are few (one per committed BRP aggregate), so their
-            # lifecycle is always recorded regardless of the sampling
-            # stride — the chain's trunk must stay complete.
-            for offer_id in sorted(fresh):
-                self.tracer.record(
-                    "offer",
-                    force=True,
-                    node=self.name,
-                    offer_id=offer_id,
-                    state="macro_received",
-                    detail={"brp": brp},
-                )
-        self.maybe_schedule()
-
-    # ------------------------------------------------------------------
-    def _trigger_context(self) -> TriggerContext:
-        """Snapshot refreshes since the last run, and the oldest one's wait."""
-        arrivals = self._refresh_arrivals
-        return TriggerContext(
-            now=self.now,
-            offers_since_last_run=len(arrivals),
-            oldest_unscheduled_age=self.now - arrivals[0] if arrivals else 0.0,
-            unscheduled_energy_kwh=0.0,
-        )
-
-    def maybe_schedule(self, force: bool = False) -> SchedulingResult | None:
-        """Run system-wide scheduling when the trigger fires (or ``force``).
-
-        Asked on every snapshot arrival: the TSO has no tick of its own.
-        """
-        if not force:
-            pace = self._cooldown or self.config.scheduling
-            if self.now - self._last_run_time < pace.min_run_interval_slices:
-                return None
-            if not self.trigger.should_fire(self._trigger_context()):
-                return None
-        return self.run_scheduling()
-
-    def run_scheduling(self) -> SchedulingResult | None:
-        """One system-wide run over the eligible macro pool."""
-        self._last_run_time = self.now
-        wait = self.metrics.histogram("tso.refresh_wait_slices")
-        for arrival in self._refresh_arrivals:
-            wait.observe(self.now - arrival)
-        self._refresh_arrivals.clear()
-        self.metrics.counter("tso.runs").inc()
-        t0 = time.perf_counter()
-        with self.tracer.span(
-            "schedule", node=self.name, labels={"stage": "schedule"}
-        ) as span:
-            result = self._schedule_macros(span)
-        self.metrics.histogram(
-            "stage.wall_seconds", labels={"brp": self.name, "stage": "schedule"}
-        ).observe(time.perf_counter() - t0)
-        report_adaptive(self._cooldown, self.metrics, self.tracer, self.name)
-        return result
-
-    def _schedule_macros(self, span) -> SchedulingResult | None:
-        """The planning body of :meth:`run_scheduling` (inside its span)."""
-        start = int(math.ceil(self.now))
-        end = start + self.config.scheduling.horizon_slices
-        trace = self.tracer.enabled
-
-        eligible: list[FlexOffer] = []
-        # Deterministic pool order regardless of snapshot arrival
-        # interleaving.  Eligibility is the same rule as the BRP pool walk;
-        # the clip is not applied here — macros enter re-aggregation with
-        # their full windows, and the clip happens at the super level.
-        for brp in sorted(self._macros_by_brp):
-            macros = self._macros_by_brp[brp]
-            contributed = False
-            for offer_id in sorted(macros):
-                macro = macros[offer_id]
-                if eligible_for_window(macro, start, end) is not None:
-                    eligible.append(macro)
-                    contributed = True
-            if contributed and trace:
-                # Link this run back to the BRP plan whose publish carried
-                # the snapshot — the uplink edge of the causal graph.
-                span.link(self._snapshot_ctx.get(brp))
-        if not eligible:
-            self.metrics.counter("tso.empty_runs").inc()
-            return None
-
-        # Re-aggregate the fleet's macros once more (level 3 of the paper's
-        # hierarchy); a fresh pipeline per run — the macro pool is orders of
-        # magnitude smaller than any BRP's micro pool.
-        aggregation = self.config.aggregation
-        pipeline = make_pipeline(aggregation.parameters, engine=aggregation.engine)
-        pipeline.submit_inserts(eligible)
-        pipeline.run()
-
-        # Aggregation shrinks the window to the least-flexible member, so a
-        # super-aggregate can be unschedulable even when every macro in it
-        # was eligible; the planning pass re-applies the eligibility rule at
-        # this level (ineligible supers simply wait for the next run).
-        supers = sorted(pipeline.aggregates, key=lambda a: a.offer_id)
-        t0 = time.perf_counter()
-        plan = self.session.plan_window(
-            [(_member_key(original), original) for original in supers],
-            start,
-            end,
-        )
-        if plan is None:
-            self.metrics.counter("tso.empty_runs").inc()
-            return None
-        self.metrics.histogram("tso.run_seconds").observe(
-            time.perf_counter() - t0
-        )
-        result = plan.result
-        self.last_plan = plan
-        # Refresh the reverse index driving per-sender dirty marking.
-        self._keys_by_brp = {}
-        for key, original in zip(plan.keys, plan.originals):
-            for member in original.members:
-                home = self._macro_home.get(member.offer_id)
-                if home is not None:
-                    self._keys_by_brp.setdefault(home, set()).add(key)
-        self.last_plan_cost = float(result.cost)
-        self.metrics.gauge("tso.last_cost", merge="last").set(result.cost)
-
-        # Clipped supers were scheduled on the clipped window but are
-        # disaggregated against the original, whose member offsets anchor
-        # at the unclipped start.
-        returned = 0
-        for scheduled_super, original in zip(plan.schedule, plan.originals):
-            anchored = ScheduledFlexOffer(
-                original, scheduled_super.start, scheduled_super.energies
-            )
-            for scheduled_macro in disaggregate(anchored):
-                macro_id = scheduled_macro.offer.offer_id
-                home = self._macro_home.get(macro_id)
-                if home is None:
-                    continue
-                if trace:
-                    self.tracer.record(
-                        "offer",
-                        force=True,
-                        node=self.name,
-                        offer_id=macro_id,
-                        state="macro_scheduled",
-                        detail={"super": original.offer_id, "brp": home},
-                    )
-                if self.adapter.send(
-                    self.name,
-                    home,
-                    MessageType.SCHEDULED_MACRO_FLEX_OFFER,
-                    scheduled_macro,
-                    start,
-                    detail={"macro": macro_id} if trace else None,
-                ):
-                    returned += 1
-        self.metrics.counter("tso.macros_returned").inc(returned)
-        return result
-
-
-# ----------------------------------------------------------------------
 @dataclass
 class ClusterReport:
     """Cluster-level summary of one multi-node run."""
@@ -1103,8 +799,9 @@ class BrpHost:
 class ClusterRuntime:
     """K BRP streaming services + one TSO over a shared driver and bus.
 
-    Owns the TSO head (driver, bus, :class:`BusAdapter`,
-    :class:`TsoRuntimeService`) and the one cluster run loop.  Here every
+    Owns the head (driver, bus, :class:`BusAdapter`, the TSO's
+    :class:`~repro.runtime.service.BrpRuntimeService` and its two seams)
+    and the one cluster run loop.  Here every
     BRP sits in a local :class:`BrpHost` on the shared driver, the window
     is a single epoch and the barrier is empty;
     :class:`~repro.runtime.parallel.ParallelClusterRuntime` overrides only
@@ -1136,18 +833,25 @@ class ClusterRuntime:
         # deterministic sequence.
         self.tracer = tracer if tracer is not None else NullTracer()
         self.tracer.bind_clock(sim_clock(self.driver))
+        head = self._head_driver()
         self.adapter = BusAdapter(
-            self.driver,
+            head,
             tracer=self.tracer,
             bus_config=self.config.bus,
         )
-        self.tso = TsoRuntimeService(
+        #: Level 3: the same service as every BRP, on the shared driver,
+        #: admitting the BRPs' macros and planning their super-aggregates.
+        self.tso = BrpRuntimeService(
             self.config.tso,
-            adapter=self.adapter,
+            driver=head,
             name=self.config.tso_name,
             net_forecast=tso_net_forecast,
             tracer=self.tracer,
         )
+        #: BRP -> macro id -> the macro as that BRP last sent it.
+        self._macros: dict[str, dict[int, FlexOffer]] = {}
+        self.adapter.register(self.config.tso_name, self._receive_macros)
+        self.tso.plan_listeners.append(self._return_macros)
         self.host = BrpHost(
             self._local_brps(),
             driver=self.driver,
@@ -1164,6 +868,10 @@ class ClusterRuntime:
     def _local_brps(self) -> Mapping[str, ServiceConfig]:
         """The BRPs hosted in this process: all of them."""
         return self.config.brps
+
+    def _head_driver(self) -> TimeDriver:
+        """The driver of the bus and the TSO: here the one shared driver."""
+        return self.driver
 
     # ------------------------------------------------------------------
     @property
@@ -1196,28 +904,131 @@ class ClusterRuntime:
         """Mark one BRP as down; bus traffic to it drops instead of raising."""
         self.adapter.set_unreachable(name, unreachable)
 
+    def _tso_count(self, name: str) -> int:
+        return int(self.tso.metrics.counter(name).value)
+
     def metrics(self) -> MetricsRegistry:
         """Cluster-level aggregation of every BRP's metrics registry.
 
         Counters and gauges sum by name (gauges declared ``merge="last"``
         or ``"max"`` follow their policy); latency histograms pool their
         observations, so cluster-wide p50/p95 come from the merged
-        distribution rather than a max-of-maxima.  The TSO's ``tso.*``
-        instruments and the bus adapter's ``bus.*``/``transport.*``
-        instruments ride along (their names are disjoint from the BRPs').
+        distribution rather than a max-of-maxima.  The bus adapter's
+        ``bus.*``/``transport.*`` instruments ride along, and the TSO's
+        registry joins under a ``tso.`` prefix: it is a service's registry
+        too, and its macro latencies must not pool with the BRPs' offers.
         """
-        return aggregate_registries(
-            [*self._brp_registries(), self.tso.metrics, self.adapter.metrics]
+        merged = aggregate_registries(
+            [*self._brp_registries(), self.adapter.metrics]
         )
+        merged.merge_from(self.tso.metrics, prefix="tso.")
+        return merged
 
     def trace_shutdown(self) -> None:
         """Emit terminal ``live_at_shutdown`` events for still-open offers.
 
         Call once after the final drain (the CLI does) so the trace
         validator can require a terminal lifecycle state for every
-        submitted offer.  Remote hosts emit theirs before they exit.
+        submitted offer, macros at the TSO included.  Remote hosts emit
+        theirs before they exit.
         """
         self.host.trace_shutdown()
+        self.tso.trace_shutdown()
+
+    # -- the TSO's two seams ---------------------------------------------
+    def _receive_macros(self, message: Message) -> None:
+        """Uplink: admit what changed in one BRP's macro snapshot.
+
+        A snapshot is the BRP's full committed macro set, so it replaces
+        that BRP's previous one: ids that left, and ids whose macro
+        changed, are withdrawn from the TSO; the new macros are submitted
+        as one admission, so the trigger is asked once per snapshot.
+        """
+        tso = self.tso
+        if message.type is not MessageType.MACRO_FLEX_OFFER:
+            raise CommunicationError(f"{tso.name}: unexpected {message.type}")
+        brp = message.sender
+        previous = self._macros.get(brp, {})
+        current = {macro.offer_id: macro for macro in message.payload}
+        self._macros[brp] = current
+        fresh = {
+            offer_id: macro
+            for offer_id, macro in current.items()
+            if not _same_macro(previous.get(offer_id), macro)
+        }
+        tso.metrics.counter("cluster.macro_snapshots").inc()
+        with self.tracer.span(
+            "snapshot", node=tso.name, labels={"stage": "snapshot"}
+        ) as span:
+            # The uplink edge of the causal graph: back to the BRP plan
+            # whose publish carried the snapshot.
+            span.link(message.trace)
+            tso.withdraw_many(
+                offer_id
+                for offer_id in previous
+                if offer_id not in current or offer_id in fresh
+            )
+            if self.tracer.enabled:
+                # Macros are few (one per committed BRP aggregate), so their
+                # receipt is recorded regardless of the sampling stride —
+                # the chain's trunk must stay complete.
+                for offer_id in fresh:
+                    self.tracer.record(
+                        "offer",
+                        force=True,
+                        node=tso.name,
+                        offer_id=offer_id,
+                        state="macro_received",
+                        detail={"brp": brp},
+                    )
+            tso.submit_many(fresh.values())
+
+    def _return_macros(self, result) -> None:
+        """Downlink: send every macro of the TSO's committed plan home.
+
+        The plan's supers are disaggregated into scheduled macros, and each
+        goes back to its BRP built on the macro object that BRP sent (not
+        the TSO's admission-clipped copy), over the bus in best-effort
+        mode, so an unreachable BRP degrades to dropped messages.
+        """
+        tso = self.tso
+        trace = self.tracer.enabled
+        returned = 0
+        for scheduled_super in tso.last_schedule:
+            for scheduled in disaggregate(scheduled_super):
+                macro_id = scheduled.offer.offer_id
+                home = next(
+                    (b for b, held in self._macros.items() if macro_id in held),
+                    None,
+                )
+                if home is None:
+                    continue
+                if trace:
+                    self.tracer.record(
+                        "offer",
+                        force=True,
+                        node=tso.name,
+                        offer_id=macro_id,
+                        state="macro_scheduled",
+                        detail={
+                            "super": scheduled_super.offer.offer_id,
+                            "brp": home,
+                        },
+                    )
+                if self.adapter.send(
+                    tso.name,
+                    home,
+                    MessageType.SCHEDULED_MACRO_FLEX_OFFER,
+                    ScheduledFlexOffer(
+                        self._macros[home][macro_id],
+                        scheduled.start,
+                        scheduled.energies,
+                    ),
+                    tso.now_slice,
+                    detail={"macro": macro_id} if trace else None,
+                ):
+                    returned += 1
+        tso.metrics.counter("cluster.macros_returned").inc(returned)
 
     # ------------------------------------------------------------------
     def run(
@@ -1233,13 +1044,15 @@ class ClusterRuntime:
         ``streams`` maps BRP name to an iterable of ``(time, offer)`` pairs
         in non-decreasing time order (e.g. one
         :meth:`~repro.runtime.loadgen.LoadGenerator.stream` per BRP, with
-        per-BRP seeds).  The window runs epoch by epoch — the TSO's driver
-        advances to each boundary, then :meth:`_barrier` waits for every
-        host to get there.  After the last one every BRP drains (sweep,
-        flush, forced plan), the resulting macro snapshots are delivered,
-        and the TSO runs once more so the final system plan reaches every
-        reachable BRP.  In-process, all of it executes on the one shared
-        driver, so a simulated cluster run is exactly reproducible.
+        per-BRP seeds).  The TSO's window opens with the hosts', and the
+        window runs epoch by epoch — the driver advances to each boundary,
+        then :meth:`_barrier` waits for every host to get there.  After the
+        last one every BRP
+        drains (sweep, flush, forced plan), the resulting macro snapshots
+        are delivered, and the TSO drains too, so the final system plan
+        reaches every reachable BRP.  In-process, all of it executes on the
+        one shared driver, so a simulated cluster run is exactly
+        reproducible.
         """
         unknown = sorted(set(streams) - set(self.config.brps))
         if unknown:
@@ -1259,6 +1072,7 @@ class ClusterRuntime:
         self.epochs = len(boundaries)
         try:
             self._start(streams, boundaries)
+            self.tso.open_window((), end)
             if report_every is not None:
                 self._arm_report(report_every, end, report_sink)
             for epoch, boundary in enumerate(boundaries):
@@ -1286,16 +1100,16 @@ class ClusterRuntime:
         """
 
     def _final_drain(self, end: float) -> None:
-        """Drain every host, then the TSO tier."""
+        """Drain every host, then the TSO."""
         self.host.drain(end)
-        self._drain_tso()
+        self._drain_tso(end)
 
-    def _drain_tso(self) -> None:
-        """Deliver the final snapshots, plan system-wide, deliver the replies."""
-        self.driver.run_until(self.driver.now)
-        if self.tso._refresh_arrivals:
-            self.tso.run_scheduling()
-            self.driver.run_until(self.driver.now)
+    def _drain_tso(self, end: float) -> None:
+        """Deliver the final snapshots, drain the TSO, deliver the replies."""
+        driver = self.tso.driver
+        driver.run_until(driver.now)
+        self.tso.drain(end)
+        driver.run_until(driver.now)
 
     def _collect_results(self, duration_slices: float, wall_seconds: float) -> None:
         """Gather every host's end-of-run results."""
@@ -1316,7 +1130,7 @@ class ClusterRuntime:
             sink(
                 f"[t={self.driver.now:8.1f}] brps={len(self.clients)} "
                 f"live={live} scheduled={scheduled} "
-                f"tso_runs={self.tso.scheduling_runs} "
+                f"tso_runs={self._tso_count('schedule.runs')} "
                 f"bus={self.adapter.delivered}/{self.adapter.dropped}d"
             )
             next_time = self.driver.now + every
@@ -1335,12 +1149,14 @@ class ClusterRuntime:
             duration_slices=duration_slices,
             wall_seconds=wall_seconds,
             brp_reports={n: r.report for n, r in self._results.items()},
-            tso_scheduling_runs=self.tso.scheduling_runs,
-            tso_macro_snapshots=int(
-                self.tso.metrics.counter("tso.macro_snapshots").value
+            tso_scheduling_runs=self._tso_count("schedule.runs"),
+            tso_macro_snapshots=self._tso_count("cluster.macro_snapshots"),
+            tso_macros_returned=self._tso_count("cluster.macros_returned"),
+            tso_plan_cost=(
+                self.tso.metrics.gauge("schedule.last_cost", merge="last").value
+                if self.tso.last_schedule is not None
+                else math.nan
             ),
-            tso_macros_returned=self.tso.macros_returned,
-            tso_plan_cost=self.tso.last_plan_cost,
             remote_commits=self.remote_commits,
             bus_delivered=self.adapter.delivered,
             bus_dropped=self.adapter.dropped,

@@ -12,9 +12,9 @@ module splits the configuration along those seams:
 * :class:`IngestConfig` — admission batching and expiry sweeping.
 
 :class:`ServiceConfig` composes the four (plus the time axis); readers go
-through the sections (``config.ingest.batch_size``).  The cluster's TSO
-tier composes the same market, aggregation and scheduling sections
-(:class:`~repro.runtime.cluster.TsoConfig`), and both share one
+through the sections (``config.ingest.batch_size``).  The cluster's TSO is
+a service too, configured by a subclass with another scheduling default
+(:class:`~repro.runtime.cluster.TsoConfig`).  Both share one
 :meth:`~SectionedConfig.from_flat` / :meth:`~SectionedConfig.merged` /
 :meth:`~SectionedConfig.from_dict`, which also accept every section field
 under its bare name — a table derived from the section dataclasses, so a
@@ -120,11 +120,10 @@ class SchedulingConfig:
     """When a scheduling run fires, asked over a
     :class:`~repro.runtime.triggers.TriggerContext`.
 
-    At a BRP it counts accepted offers since the last run and is evaluated
-    on every arrival.  At the TSO it counts macro-snapshot refreshes since
-    the last run (the age is the oldest waiting refresh's, the energy 0)
-    and is evaluated when a snapshot arrives, since the TSO has no tick of
-    its own.
+    It counts accepted offers since the last run and is evaluated on every
+    arrival and every expiry sweep.  At the TSO the offers are the BRPs'
+    macros, and a snapshot's new macros arrive as one admission, so it is
+    asked once per snapshot.
     """
     min_run_interval_slices: float = 1.0
     """Cooldown between scheduling runs, bounding trigger thrash."""
@@ -133,14 +132,13 @@ class SchedulingConfig:
     target_p95_slices: float | None = None
     """Closed-loop latency target, in slices: the loop's one switch.
 
-    At a BRP (p95 of offer end-to-end latency) the service replaces
-    ``trigger`` with an :class:`~repro.runtime.triggers.AdaptiveTrigger`
-    steering its count/age thresholds toward this target.  At the TSO (p95
-    of snapshot wait), an :class:`~repro.runtime.triggers.AdaptiveCooldown`
-    steers the count trigger's threshold and the cooldown, the configured
-    values being its rails.  The controllers' tuning is fixed (the
-    constants in :mod:`repro.runtime.triggers`); no trigger spec builds
-    them, and a hand-built ``AdaptiveTrigger`` is refused as ``trigger``.
+    The service replaces ``trigger`` with an
+    :class:`~repro.runtime.triggers.AdaptiveTrigger` steering its count/age
+    thresholds toward this p95 of arrival-to-first-commitment latency: an
+    offer's at a BRP, a macro's at the TSO.  The controller's tuning is
+    fixed (the constants in :mod:`repro.runtime.triggers`); no trigger spec
+    builds it, and a hand-built ``AdaptiveTrigger`` is refused as
+    ``trigger``.
     """
 
     def __post_init__(self) -> None:

@@ -378,8 +378,11 @@ class MetricsRegistry:
                 out[key] = instrument.value
         return out
 
-    def merge_from(self, other: "MetricsRegistry") -> None:
+    def merge_from(self, other: "MetricsRegistry", *, prefix: str = "") -> None:
         """Fold another registry's instruments into this one, by identity.
+
+        ``prefix`` is prepended to every incoming name, so a registry can
+        join under its own namespace instead of pooling with like names.
 
         Counters add; gauges combine per their declared merge policy
         (``sum`` by default, ``last``/``max`` where summing would
@@ -391,20 +394,21 @@ class MetricsRegistry:
         as they would within a single registry.
         """
         for _, instrument in other.items():
+            name = prefix + instrument.name
             if isinstance(instrument, Counter):
-                self.counter(instrument.name, labels=instrument.labels).inc(
+                self.counter(name, labels=instrument.labels).inc(
                     instrument.value
                 )
             elif isinstance(instrument, Gauge):
                 self.gauge(
-                    instrument.name,
+                    name,
                     merge=instrument.merge,
                     labels=instrument.labels,
                 ).merge_value(instrument)
             else:
-                self.histogram(
-                    instrument.name, labels=instrument.labels
-                ).merge_with(instrument)
+                self.histogram(name, labels=instrument.labels).merge_with(
+                    instrument
+                )
 
     def render(self) -> str:
         """Human-readable multi-line snapshot of every instrument."""

@@ -28,19 +28,19 @@ need and nothing else:
 
 Time advances in **epochs** (bulk-synchronous): workers simulate
 ``epoch_slices`` of arrivals/sweeps/local plans, then barrier; the parent
-relays their snapshots to the TSO, runs system-wide scheduling under the
-normal trigger rules, and returns scheduled macros down the pipes before
-releasing the next epoch.  Snapshots are always applied in worker order,
-so a parallel run is reproducible run-to-run for a fixed seed.
+replays the epoch on the head's own driver — each relayed snapshot reaches
+the TSO at the instant its BRP sent it, in send order, between the TSO's
+own sweeps and runs — and returns the scheduled macros down the pipes
+before releasing the next epoch.  A parallel run is reproducible
+run-to-run for a fixed seed.
 
 Determinism vs the in-process cluster: per-BRP local behaviour is
-identical by construction (same host code, same streams, same seeds;
-per-worker offer-id bands keep the TSO's sorted pool walk in the same
-order), but TSO feedback lands at barriers instead of mid-epoch, so
-*mid-run* downlink timing differs.  With TSO feedback deferred to the
-final drain (a TSO count trigger above the snapshot count) both
-placements commit the same accepted offers and the same micro start
-commitments.
+identical by construction (same host code, same streams, same seeds), and
+the TSO admits the same macros at the same slices in the same order, but
+TSO feedback lands at barriers instead of mid-epoch, so *mid-run*
+downlink timing differs.  With TSO feedback deferred to the final drain
+(a TSO count trigger above the macro count) both placements commit the
+same accepted offers and the same micro start commitments.
 
 Worker lifecycle: each worker announces ``ready`` once its SIGTERM
 handler is installed (:attr:`ParallelClusterRuntime.ready` is set when
@@ -193,7 +193,7 @@ class ProcessBusTransport:
                 _ctx_tuple(context),
                 name,
                 nbytes,
-                int(now),
+                now,
                 detail,
             )
         )
@@ -439,6 +439,9 @@ class ParallelClusterRuntime(ClusterRuntime):
         self._worker_of = {
             name: w for w, owned in self.assignment.items() for name in owned
         }
+        self._brp_rank = {name: rank for rank, name in enumerate(names)}
+        #: Snapshots decoded at a barrier, awaiting :meth:`_deliver_relayed`.
+        self._relayed: list[tuple] = []
         self._outbox: dict[int, list[tuple]] = {}
         for name in names:
             self.adapter.register(name, self._queue_downlink)
@@ -455,6 +458,12 @@ class ParallelClusterRuntime(ClusterRuntime):
     def _local_brps(self) -> Mapping[str, ServiceConfig]:
         """None: every BRP lives in a worker."""
         return {}
+
+    def _head_driver(self) -> SimulatedDriver:
+        """A driver of the head's own, which replays each epoch once the
+        barrier holds its snapshots, while the cluster's driver keeps pace
+        with the workers."""
+        return SimulatedDriver()
 
     # ------------------------------------------------------------------
     def _queue_downlink(self, message: Message) -> None:
@@ -559,11 +568,18 @@ class ParallelClusterRuntime(ClusterRuntime):
             else:
                 self.tracer._ring.append(record)
 
-    def _relay_snapshot(self, item: tuple) -> None:
-        _, brp, message_id, ctx, seg, nbytes, issued_at, detail = item
+    def _relay_snapshot(self, worker: int, item: tuple) -> None:
+        """Decode one announced snapshot; :meth:`_deliver_relayed` sends it."""
+        _, brp, message_id, ctx, seg, nbytes, sent_at, detail = item
         t0 = time.perf_counter()
         try:
             macros = read_snapshot(seg)
+        except FileNotFoundError as exc:
+            # A worker's SIGTERM path unlinks the segments it announced but
+            # the parent had not decoded yet: the worker is going down.
+            raise WorkerCrashError(
+                f"worker {worker}: snapshot segment {seg!r} is gone"
+            ) from exc
         finally:
             # A rejected buffer is reclaimed now, not at the end-of-run sweep.
             unlink_segment(seg)
@@ -572,18 +588,34 @@ class ParallelClusterRuntime(ClusterRuntime):
         )
         self.shm_segments += 1
         self.shm_bytes += nbytes
-        self.adapter.forward(
-            Message(
-                brp,
-                self.config.tso_name,
-                MessageType.MACRO_FLEX_OFFER,
-                macros,
-                int(issued_at),
-                message_id=message_id,
-                trace=_ctx_from(ctx),
-            ),
-            detail=detail,
+        message = Message(
+            brp,
+            self.config.tso_name,
+            MessageType.MACRO_FLEX_OFFER,
+            macros,
+            int(sent_at),
+            message_id=message_id,
+            trace=_ctx_from(ctx),
         )
+        self._relayed.append((sent_at, self._brp_rank[brp], message, detail))
+
+    def _deliver_relayed(self) -> None:
+        """Send the decoded snapshots at the instants their BRPs sent them.
+
+        In send order — time, then BRP config order, which is how the
+        in-process cluster's shared driver orders same-instant publishes —
+        so the TSO admits the same macros at the same slices in the same
+        order under either placement.
+        """
+        self._relayed.sort(key=lambda relayed: relayed[:2])
+        for sent_at, _, message, detail in self._relayed:
+            self.tso.driver.schedule_at(
+                sent_at,
+                lambda message=message, detail=detail: self.adapter.forward(
+                    message, detail=detail
+                ),
+            )
+        self._relayed.clear()
 
     def _collect_until(self, worker: int, marker: str, epoch: int):
         """Read one worker's pipe up to its barrier, relaying snapshots."""
@@ -591,7 +623,7 @@ class ParallelClusterRuntime(ClusterRuntime):
             item = self._recv(worker)
             kind = item[0]
             if kind == "snapshot":
-                self._relay_snapshot(item)
+                self._relay_snapshot(worker, item)
             elif kind == "error":
                 raise WorkerCrashError(
                     f"worker {worker} failed:\n{item[1]}"
@@ -621,18 +653,25 @@ class ParallelClusterRuntime(ClusterRuntime):
                 ) from exc
 
     def _barrier(self, epoch: int) -> None:
+        """Wait for every worker at the boundary, then replay the epoch.
+
+        The head's driver runs the epoch after the workers did: each
+        relayed snapshot reaches the TSO at the instant it was sent, and
+        the TSO's own sweeps and runs fall in between; the schedules it
+        returns reach the workers with the release.
+        """
         for w in range(self.workers):
             self._collect_until(w, "barrier", epoch)
-        # Deliveries (and any TSO runs they trigger) pump on the parent
-        # driver at the epoch boundary, in worker order — deterministic.
-        self.driver.run_until(self.driver.now)
+        self._deliver_relayed()
+        self.tso.driver.run_until(self.driver.now)
         self._release(epoch)
 
     def _final_drain(self, end: float) -> None:
         """Workers drain themselves after the last release; then the TSO."""
         for w in range(self.workers):
             self._collect_until(w, "drained", -1)
-        self._drain_tso()
+        self._deliver_relayed()
+        self._drain_tso(end)
         self._release(-1)
 
     def _collect_results(self, duration_slices: float, wall_seconds: float) -> None:
@@ -647,6 +686,12 @@ class ParallelClusterRuntime(ClusterRuntime):
             self._results.update(payload["host"])
             self.adapter.metrics.merge_from(payload["transport_metrics"])
         self._stop_workers()
+        # The parent's one node closes its trace at run end, as each
+        # worker's host does before it exits.
+        self.tso.trace_shutdown()
+
+    def trace_shutdown(self) -> None:
+        """Nothing to do: every node closed its trace as the run ended."""
 
     def _stop_workers(self) -> None:
         for conn in self._conns:

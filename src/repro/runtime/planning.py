@@ -1,14 +1,15 @@
-"""The one planning pass both runtime tiers run over a window.
+"""The one planning pass every runtime node runs over a window.
 
-At the TSO "the process is essentially repeated at a higher level" (§3);
-this is that process's planning half, written once.  A tier builds one
+At the TSO "the process is essentially repeated at a higher level" (§3),
+and the cluster's TSO is a :class:`~repro.runtime.service.BrpRuntimeService`
+like every BRP, so this pass has one caller.  A node builds one
 :class:`PlanSession` from what its planner *is* (scheduler, passes, market,
 seed, metrics registry, optional net forecast) and hands
-:meth:`PlanSession.plan_window` its ordered candidates — the BRP its
-aggregate pool by group id, the TSO its re-aggregated supers keyed by their
-member-macro-id join.  Eligibility and clipping, the rolling forecast
-window, the flat market, the :class:`SchedulingProblem`, the planner call
-and the ``delta.*`` counters live here and nowhere else.
+:meth:`PlanSession.plan_window` its aggregate pool ordered by group id — at
+the TSO, super-aggregates of the BRPs' macros.  Eligibility and clipping,
+the rolling forecast window, the flat market, the
+:class:`SchedulingProblem`, the planner call and the ``delta.*`` counters
+live here and nowhere else.
 
 Inside the pass, :meth:`PlanSession.plan` is the seam between full and
 delta planners: it keeps the warm-start cache and the dirty key set fed by
@@ -32,7 +33,6 @@ from ..api.registry import KIND_SCHEDULER, default_registry
 from ..core.flexoffer import FlexOffer
 from ..core.schedule import Schedule
 from ..core.timeseries import TimeSeries
-from ..obs.tracing import NullTracer, Tracer
 from ..scheduling import Market
 from ..scheduling.delta import DeltaRequest
 from ..scheduling.problem import CandidateSolution, SchedulingProblem
@@ -45,7 +45,6 @@ __all__ = [
     "WindowPlan",
     "eligible_for_window",
     "net_forecast_window",
-    "report_adaptive",
 ]
 
 
@@ -64,8 +63,8 @@ def _flat_market(length: int, buy_price: float, sell_price: float) -> Market:
 def eligible_for_window(aggregate: FlexOffer, start: int, end: int) -> FlexOffer | None:
     """The schedulable form of ``aggregate`` for ``[start, end)``, or None.
 
-    One definition of plan eligibility for both scheduling tiers (the BRP
-    pool, the TSO's macros and its super-aggregates): an aggregate is out
+    One definition of plan eligibility for every node's pool (a BRP's
+    aggregates, the TSO's super-aggregates): an aggregate is out
     when its start window closed, its profile cannot finish inside the
     horizon, or the tightest member assignment deadline passed.  An
     aggregate whose earliest start passed while the window is still open is
@@ -105,30 +104,6 @@ def net_forecast_window(
     return TimeSeries(start, values)
 
 
-def report_adaptive(
-    policy, metrics: MetricsRegistry, tracer: Tracer | NullTracer, node: str
-) -> None:
-    """One control step of a tier's adaptive policy, after each scheduling run.
-
-    ``policy`` is the BRP's adaptive trigger or the TSO's adaptive cooldown,
-    ``None`` without a latency target.  Its ``observe`` hook is the only
-    place trigger thresholds change (REP009); the tier just counts and
-    traces each adjustment.
-    """
-    record = None if policy is None else policy.observe(metrics)
-    if record is None:
-        return
-    metrics.counter("trigger.adaptive_adjustments").inc()
-    if tracer.enabled:
-        tracer.record(
-            "trigger",
-            node=node,
-            fired=[type(policy).__name__],
-            decision=False,
-            detail={"adjustment": record},
-        )
-
-
 class WindowPlan(NamedTuple):
     """One non-empty planned window; the sequences cover the eligible
     candidates only, in candidate order."""
@@ -141,10 +116,10 @@ class WindowPlan(NamedTuple):
 
 
 class PlanSession:
-    """One tier's planner: scheduler, market, rng, warm cache, dirty set.
+    """One node's planner: scheduler, market, rng, warm cache, dirty set.
 
-    Keys are stable identities for pool entries across runs: aggregate
-    group ids at the BRP tier, member-macro id joins at the TSO tier.
+    Keys are stable identities for pool entries across runs: the
+    aggregation pipeline's group ids.
     """
 
     def __init__(
@@ -188,10 +163,6 @@ class PlanSession:
             self.dirty.add(update.group_id)
             if update.kind is UpdateKind.DELETED:
                 self.warm.pop(update.group_id, None)
-
-    def mark_dirty(self, keys) -> None:
-        """Mark keys dirty directly (the TSO's per-sender snapshot diff)."""
-        self.dirty.update(keys)
 
     # ------------------------------------------------------------------
     def plan_window(

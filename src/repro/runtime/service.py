@@ -12,8 +12,9 @@ columnar :class:`~repro.aggregation.engine.PackedAggregationPipeline`
 ``AggregationConfig(engine=...)``) — and re-plans when a
 :mod:`~repro.runtime.triggers` policy fires.  Planning is not written here:
 the service hands its pool, sorted by group id, to the one planning pass in
-:mod:`repro.runtime.planning` (the TSO tier is that pass's other caller) and
-commits the returned schedule to the members.  The pass warm-starts the
+:mod:`repro.runtime.planning` and commits the returned schedule to the
+members.  A cluster's TSO is this service too, its offers the BRPs' macros
+(:class:`~repro.runtime.cluster.ClusterRuntime`).  The pass warm-starts the
 scheduler from the previous plan and prices placements through the batched
 :class:`~repro.scheduling.engine.CostEngine` kernel, so sustained streams
 pay only for what changed.
@@ -50,7 +51,7 @@ from .config import ServiceConfig
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .ingest import FlexOfferIngest
 from .metrics import Histogram, MetricsRegistry
-from .planning import PlanSession, report_adaptive
+from .planning import PlanSession
 from .triggers import AdaptiveTrigger, AnyTrigger, TriggerContext
 
 __all__ = [
@@ -380,6 +381,25 @@ class BrpRuntimeService:
         content-derived by default) is deflected to the *originally
         recorded* result instead of double-counting.
         """
+        result = self._admit(offer, source_event_id)
+        if result.accepted and not result.duplicate:
+            self.maybe_schedule()
+        return result
+
+    def submit_many(self, offers: Iterable[FlexOffer]) -> list[SubmitResult]:
+        """Admit ``offers`` as one admission: the trigger is asked once, last.
+
+        How a cluster's TSO takes in the macros of one BRP snapshot.
+        """
+        results = [self._admit(offer) for offer in offers]
+        if any(r.accepted and not r.duplicate for r in results):
+            self.maybe_schedule()
+        return results
+
+    def _admit(
+        self, offer: FlexOffer, source_event_id: str | None = None
+    ) -> SubmitResult:
+        """:meth:`submit_fact` short of asking the trigger."""
         led = self.ledger
         recording = led is not None and led.recording_inputs
         sid, text = source_event_id, None
@@ -412,10 +432,8 @@ class BrpRuntimeService:
             # Journal before the aggregation/trigger cascade below, so the
             # submit fact precedes any derived facts it causes.
             self._journal_submit("submit", offer, sid, text, result)
-        if accepted is not None:
-            if self.ingest.batch_full:
-                self.run_aggregation()
-            self.maybe_schedule()
+        if accepted is not None and self.ingest.batch_full:
+            self.run_aggregation()
         return result
 
     def update(
@@ -567,26 +585,46 @@ class BrpRuntimeService:
         its lifecycle ends in the ``withdrawn`` state.  Offers already
         executed/expired (no longer live) cannot be withdrawn.
         """
-        entry = self._live.pop(offer_id, None)
-        if entry is None:
-            return None
-        offer = entry.offer
-        # Its due-heap entry goes stale (the sweep checks identity).
-        self._armed.pop(offer_id, None)
+        withdrawn = self.withdraw_many([offer_id])
+        return withdrawn[0] if withdrawn else None
+
+    def withdraw_many(self, offer_ids: Iterable[int]) -> list[FlexOffer]:
+        """:meth:`withdraw` each id; the offers that were live, retired in
+        one batch (how a cluster's TSO drops the macros a snapshot left)."""
         led = self.ledger
-        if led is not None and led.recording_inputs:
-            led.record_withdraw(offer_id, at=self.now)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "ledger_append", node=self.name, fact="withdraw",
-                    offer_id=offer_id,
-                )
-        if entry.start is None:
-            self._unscheduled_energy -= self._offer_energy(offer)
-        self.ingest.retire([offer], self.now_slice, "withdrawn")
-        self.metrics.counter("runtime.offers_withdrawn").inc()
-        self._live_gauge.set(len(self._live))
-        return offer
+        withdrawn = []
+        for offer_id in offer_ids:
+            entry = self._live.pop(offer_id, None)
+            if entry is None:
+                continue
+            # Its due-heap entry goes stale (the sweep checks identity).
+            self._armed.pop(offer_id, None)
+            if led is not None and led.recording_inputs:
+                led.record_withdraw(offer_id, at=self.now)
+                if self.tracer.enabled:
+                    self.tracer.record(
+                        "ledger_append", node=self.name, fact="withdraw",
+                        offer_id=offer_id,
+                    )
+            if entry.start is None:
+                self._unscheduled_energy -= self._offer_energy(entry.offer)
+            withdrawn.append(entry.offer)
+        if withdrawn:
+            self.ingest.retire(withdrawn, self.now_slice, "withdrawn")
+            self.metrics.counter("runtime.offers_withdrawn").inc(len(withdrawn))
+            self._live_gauge.set(len(self._live))
+            live = self._live
+            if len(self._due_heap) > 2 * len(live) + 64:
+                # A withdrawn offer's due entry waits in the heap until it
+                # falls due; under heavy churn (a TSO's macros) drop them
+                # now, keeping exactly the entries a sweep would arm.
+                self._due_heap = [
+                    item
+                    for item in self._due_heap
+                    if live.get(item[2].offer.offer_id) is item[2]
+                ]
+                heapq.heapify(self._due_heap)
+        return withdrawn
 
     # ------------------------------------------------------------------
     # aggregation
@@ -704,8 +742,29 @@ class BrpRuntimeService:
         # both, and the value covers the whole stage (problem build +
         # solver + disaggregation), not just the solver call.
         self.metrics.histogram("schedule.run_seconds").observe(elapsed)
-        report_adaptive(self._adaptive, self.metrics, self.tracer, self.name)
+        self._adapt()
         return result
+
+    def _adapt(self) -> None:
+        """One control step of the adaptive trigger, after each run.
+
+        Its ``observe`` hook is the only place trigger thresholds change
+        (REP009); the service just counts and traces each adjustment.
+        """
+        record = None if self._adaptive is None else self._adaptive.observe(
+            self.metrics
+        )
+        if record is None:
+            return
+        self.metrics.counter("trigger.adaptive_adjustments").inc()
+        if self.tracer.enabled:
+            self.tracer.record(
+                "trigger",
+                node=self.name,
+                fired=["AdaptiveTrigger"],
+                decision=False,
+                detail={"adjustment": record},
+            )
 
     def _schedule_pool(self) -> SchedulingResult | None:
         """The planning body of :meth:`run_scheduling` (inside its span)."""

@@ -18,11 +18,11 @@ counters after every scheduling run, so "since the last run" semantics live
 in the context, not the policy.
 
 The closed latency loop has one switch, ``SchedulingConfig.target_p95_slices``
-(no registry name builds these controllers).  With it set, a BRP's trigger is
-an :class:`AdaptiveTrigger` and the TSO's an :class:`AdaptiveCooldown`; their
-tuning is the module constants below.  Their thresholds are mutable, and
-``observe`` — called by the tier after each scheduling run — is the **only**
-place they change (replint rule REP009 enforces the seam).
+(no registry name builds the controller).  With it set, a node's trigger is
+an :class:`AdaptiveTrigger` — at a BRP and at the TSO alike — tuned by the
+module constants below.  Its thresholds are mutable, and ``observe`` —
+called by the service after each scheduling run — is the **only** place
+they change (replint rule REP009 enforces the seam).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "ImbalanceTrigger",
     "AnyTrigger",
     "AdaptiveTrigger",
-    "AdaptiveCooldown",
 ]
 
 
@@ -142,9 +141,9 @@ class AnyTrigger:
         ]
 
 
-#: The adaptive controllers' tuning.  :class:`AdaptiveTrigger` starts from
+#: The adaptive controller's tuning.  :class:`AdaptiveTrigger` starts from
 #: the static count/age defaults and keeps both thresholds between a floor
-#: and a cap; a step of either controller scales by one of the factors.
+#: and a cap; a step scales them by one of the factors.
 START_COUNT = 200
 START_AGE_SLICES = 16.0
 MIN_COUNT = 8
@@ -153,7 +152,7 @@ MAX_COUNT = 4096
 MAX_AGE_SLICES = 64.0
 TIGHTEN_FACTOR = 0.5
 RELAX_FACTOR = 1.2
-#: Both controllers relax only once the p95 is under this share of target.
+#: The controller relaxes only once the p95 is under this share of target.
 RELAX_MARGIN = 0.7
 
 
@@ -241,103 +240,3 @@ class AdaptiveTrigger:
         self.count_threshold = count
         self.max_age_slices = age
         return record
-
-
-class AdaptiveCooldown:
-    """The TSO-tier half of the control loop: auto-tuned re-run gating.
-
-    The TSO gates system-wide re-scheduling on its scheduling section — a
-    count trigger over per-BRP snapshot refreshes, and a cooldown of
-    ``min_run_interval_slices`` after the previous run.  This controller
-    stands in for both: it is the TSO's trigger (firing after
-    ``trigger_refreshes`` refreshes), owns a mutable copy of the cooldown
-    and, fed the p95 of the TSO's snapshot staleness
-    (``tso.refresh_wait_slices``, observed at each run), tightens them when
-    macros wait longer than ``target_p95_slices`` and relaxes them when the
-    wait sits under ``RELAX_MARGIN x target``.  :meth:`observe` is the only
-    mutation site (replint rule REP009, same seam as
-    :class:`AdaptiveTrigger`).
-    """
-
-    __slots__ = (
-        "target_p95_slices",
-        "trigger_refreshes",
-        "min_run_interval_slices",
-        "_max_refreshes",
-        "_max_interval",
-        "_seen_observations",
-    )
-
-    def __init__(
-        self,
-        target_p95_slices: float,
-        *,
-        trigger_refreshes: int,
-        min_run_interval_slices: float,
-    ) -> None:
-        if target_p95_slices <= 0:
-            raise ServiceError(
-                "AdaptiveCooldown target_p95_slices must be positive"
-            )
-        if trigger_refreshes <= 0:
-            raise ServiceError(
-                "AdaptiveCooldown trigger_refreshes must be positive"
-            )
-        if min_run_interval_slices < 0:
-            raise ServiceError(
-                "AdaptiveCooldown min_run_interval_slices must be >= 0"
-            )
-        self.target_p95_slices = float(target_p95_slices)
-        # The configured values double as the relaxation rails: adaptivity
-        # may only make the TSO *more* responsive than its static config.
-        self.trigger_refreshes = int(trigger_refreshes)
-        self.min_run_interval_slices = float(min_run_interval_slices)
-        self._max_refreshes = int(trigger_refreshes)
-        self._max_interval = float(min_run_interval_slices)
-        self._seen_observations = 0
-
-    def should_fire(self, context: TriggerContext) -> bool:
-        """Fire once ``trigger_refreshes`` snapshot refreshes arrived."""
-        return context.offers_since_last_run >= self.trigger_refreshes
-
-    def observe(self, metrics: MetricsRegistry) -> Optional[dict]:
-        """One control step over ``tso.refresh_wait_slices``; see class doc."""
-        wait = metrics.histogram("tso.refresh_wait_slices")
-        if wait.count == self._seen_observations or wait.count == 0:
-            return None
-        self._seen_observations = wait.count
-        p95 = wait.p95
-        if p95 > self.target_p95_slices:
-            direction = "tighten"
-            refreshes = max(1, self.trigger_refreshes - 1)
-            interval = self.min_run_interval_slices * TIGHTEN_FACTOR
-            if interval < 0.25:  # snap to "no cooldown" instead of asymptoting
-                interval = 0.0
-        elif p95 < RELAX_MARGIN * self.target_p95_slices:
-            direction = "relax"
-            refreshes = min(self._max_refreshes, self.trigger_refreshes + 1)
-            interval = min(
-                self._max_interval, self.min_run_interval_slices * RELAX_FACTOR
-            )
-        else:
-            return None
-        if (
-            refreshes == self.trigger_refreshes
-            and interval == self.min_run_interval_slices
-        ):
-            return None
-        record = {
-            "direction": direction,
-            "p95_slices": p95,
-            "target_p95_slices": self.target_p95_slices,
-            "trigger_refreshes": {
-                "old": self.trigger_refreshes, "new": refreshes,
-            },
-            "min_run_interval_slices": {
-                "old": self.min_run_interval_slices, "new": interval,
-            },
-        }
-        self.trigger_refreshes = refreshes
-        self.min_run_interval_slices = interval
-        return record
-

@@ -531,6 +531,20 @@ def test_adaptive_target_flag_accepted(capsys):
     ) == EXIT_OK
 
 
+def test_latency_target_holds_the_tsos_macro_wait(tmp_path, capsys):
+    """CI's two-tier adaptive smoke: the TSO's adaptive trigger keeps its
+    macros' wait, arrival to first commitment, under the target."""
+    path = tmp_path / "metrics.json"
+    assert main(
+        ["loadtest", "--rate", "50", "--duration", "48", "--seed", "1",
+         "--brps", "2", "--target-p95-slices", "6",
+         "--metrics-json", str(path)]
+    ) == EXIT_OK
+    wait = json.loads(path.read_text())["tso.latency.e2e_slices"]
+    assert wait["count"] > 0
+    assert wait["p95"] <= 6.0
+
+
 def test_list_shows_registry_catalogue(capsys):
     assert main(["--list"]) == EXIT_OK
     out = capsys.readouterr().out

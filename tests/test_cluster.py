@@ -36,7 +36,6 @@ from repro.runtime import (
     LoadGenerator,
     MetricsRegistry,
     SimulatedDriver,
-    TsoRuntimeService,
     aggregate_registries,
 )
 
@@ -212,13 +211,6 @@ class TestClusterConfig:
     def test_old_tso_key_fails_naming_its_replacement(self):
         with pytest.raises(ServiceError, match=r"known fields: .*\btrigger\b(,|$)"):
             ClusterConfig.from_dict({"tso": {"trigger_refreshes": 3}})
-
-    def test_adaptive_tso_needs_a_count_trigger(self):
-        with pytest.raises(ServiceError, match="count trigger"):
-            TsoConfig.from_dict(
-                {"scheduling": {"target_p95_slices": 4.0,
-                                "trigger": {"kind": "age", "max_age_slices": 2}}}
-            )
 
     def test_brp_section_is_layered_over_defaults(self):
         # A BRP's own field wins over ``defaults`` even when one gives it
@@ -512,14 +504,20 @@ class TestClusterRuntime:
             for client in cluster.clients.values()
         )
         assert report.latency_slices_p95 == merged_latency.p95
+        # The TSO's registry joins under its own prefix: its macro
+        # latencies never pool into the BRPs' offer latencies.
+        tso_latency = cluster.tso.metrics.histogram("latency.e2e_slices")
+        assert tso_latency.count > 0
+        assert merged.histogram("tso.latency.e2e_slices").count == (
+            tso_latency.count
+        )
         # The planning-side instrument names both tiers emit on this run
         # (greedy at both tiers, so no delta.* counter may appear).
+        planning = ("schedule.", "delta.", "trigger.", "stage.wall_seconds")
         assert {
             name
             for name, _ in merged.items()
-            if name.startswith(
-                ("schedule.", "tso.", "delta.", "trigger.", "stage.wall_seconds")
-            )
+            if name.startswith(planning + tuple("tso." + p for p in planning))
         } == {
             "schedule.empty_runs",
             "schedule.last_cost",
@@ -530,14 +528,6 @@ class TestClusterRuntime:
             "schedule.warm_started",
             "trigger.AgeTrigger",
             "trigger.ImbalanceTrigger",
-            "tso.last_cost",
-            "tso.macro_pool",
-            "tso.macro_snapshots",
-            "tso.macros_received",
-            "tso.macros_returned",
-            "tso.refresh_wait_slices",
-            "tso.run_seconds",
-            "tso.runs",
             'stage.wall_seconds{brp="brp-0",stage="aggregate"}',
             'stage.wall_seconds{brp="brp-0",stage="disaggregate"}',
             'stage.wall_seconds{brp="brp-0",stage="schedule"}',
@@ -546,7 +536,17 @@ class TestClusterRuntime:
             'stage.wall_seconds{brp="brp-1",stage="disaggregate"}',
             'stage.wall_seconds{brp="brp-1",stage="schedule"}',
             'stage.wall_seconds{brp="brp-1",stage="sweep"}',
-            'stage.wall_seconds{brp="tso",stage="schedule"}',
+            "tso.schedule.last_cost",
+            "tso.schedule.last_offers",
+            "tso.schedule.run_seconds",
+            "tso.schedule.runs",
+            "tso.schedule.unique_scheduled",
+            "tso.schedule.warm_started",
+            "tso.trigger.CountTrigger",
+            'tso.stage.wall_seconds{brp="tso",stage="aggregate"}',
+            'tso.stage.wall_seconds{brp="tso",stage="disaggregate"}',
+            'tso.stage.wall_seconds{brp="tso",stage="schedule"}',
+            'tso.stage.wall_seconds{brp="tso",stage="sweep"}',
         }
 
 
@@ -600,92 +600,102 @@ class TestAggregatesStayArrays:
 
 
 # ----------------------------------------------------------------------
-class TestTsoRuntimeService:
-    def _tso(self, **kwargs):
-        driver = SimulatedDriver()
-        adapter = BusAdapter(driver)
-        tso = TsoRuntimeService(
-            TsoConfig.from_flat(min_run_interval_slices=0.0),
-            adapter=adapter,
-            **kwargs,
-        )
-        return tso, adapter, driver
+def _macro(earliest, latest, bounds=((1.0, 2.0),) * 2):
+    from repro.aggregation import aggregate_group
 
-    def test_snapshot_replaces_previous_macros(self):
-        from repro.aggregation import aggregate_group
+    return aggregate_group(
+        [flex_offer(list(bounds), earliest_start=earliest, latest_start=latest)]
+    )
 
-        tso, adapter, driver = self._tso()
-        offer_a = flex_offer([(1.0, 2.0)] * 2, earliest_start=4, latest_start=10)
-        offer_b = flex_offer([(1.0, 2.0)] * 2, earliest_start=4, latest_start=10)
-        macro_1 = aggregate_group([offer_a])
-        macro_2 = aggregate_group([offer_b])
-        tso.receive_snapshot("brp-0", (macro_1,))
-        assert tso.macro_count == 1
-        tso.receive_snapshot("brp-0", (macro_2,))
-        # The second snapshot replaced the first, not accumulated with it.
-        assert tso.macro_count == 1
-        assert tso._macro_home == {macro_2.offer_id: "brp-0"}
 
-    def test_snapshot_refresh_dirties_only_the_senders_keys(self):
-        from repro.aggregation import aggregate_group
+class TestTsoSeams:
+    """The two cluster seams around the TSO service: snapshots up, plans down."""
 
-        tso, adapter, driver = self._tso()
-        macro_a = aggregate_group(
-            [flex_offer([(1.0, 2.0)] * 2, earliest_start=4, latest_start=10)]
+    def _cluster(self, **tso_flat):
+        tso = TsoConfig.from_flat(
+            scheduler_passes=1, horizon_slices=96, **tso_flat
         )
-        macro_b = aggregate_group(
-            [flex_offer([(0.5, 1.5)] * 3, earliest_start=40, latest_start=60)]
-        )
-        tso.receive_snapshot("brp-0", (macro_a,))
-        tso.receive_snapshot("brp-1", (macro_b,))
-        tso.maybe_schedule(force=True)
-        assert not tso.session.dirty  # drained by the run
-        keys_b = set(tso._keys_by_brp["brp-1"])
-        assert keys_b
-        # A refreshed snapshot from brp-0 dirties its previous plan keys
-        # and nothing of brp-1's.
-        replacement = aggregate_group(
-            [flex_offer([(1.0, 2.0)] * 2, earliest_start=5, latest_start=11)]
-        )
-        tso.receive_snapshot("brp-0", (replacement,))
-        assert tso.session.dirty
-        assert tso.session.dirty.isdisjoint(keys_b)
+        return _cluster(brps=2, tso=tso)
 
-    def test_adaptive_cooldown_tightens_after_long_waits(self):
-        from repro.aggregation import aggregate_group
+    def _send(self, cluster, brp, macros):
+        cluster.adapter.send(
+            brp, cluster.config.tso_name, MessageType.MACRO_FLEX_OFFER,
+            tuple(macros), cluster.driver.now,
+        )
+        cluster.driver.run_until(cluster.driver.now)
 
-        driver = SimulatedDriver()
-        adapter = BusAdapter(driver)
-        tso = TsoRuntimeService(
-            TsoConfig.from_flat(
-                trigger=CountTrigger(3),
-                min_run_interval_slices=4.0,
-                target_p95_slices=2.0,
-            ),
-            adapter=adapter,
+    def test_one_snapshot_is_one_admission_and_one_run(self):
+        cluster = self._cluster(
+            trigger=CountTrigger(1), min_run_interval_slices=0.0
         )
-        assert tso._cooldown is not None
-        macro = aggregate_group(
-            [flex_offer([(1.0, 2.0)] * 2, earliest_start=4, latest_start=30)]
+        macros = [_macro(4 + i, 20 + i) for i in range(5)]
+        self._send(cluster, "brp-0", macros)
+        tso = cluster.tso
+        # A count-1 trigger asked per macro would have run five times.
+        assert tso.metrics.counter("schedule.runs").value == 1
+        assert tso.metrics.counter("ingest.accepted").value == len(macros)
+        assert tso.scheduled_total == len(macros)
+        planned = {
+            macro.offer_id
+            for original in tso.last_plan_originals
+            for macro in original.members
+        }
+        assert planned == {macro.offer_id for macro in macros}
+        report = cluster.report(duration_slices=0.0, wall_seconds=0.0)
+        assert report.tso_scheduling_runs == 1
+        assert report.tso_macro_snapshots == 1
+        assert report.tso_macros_returned == len(macros)
+
+    def test_returned_macro_is_the_object_its_brp_sent(self):
+        cluster = self._cluster(
+            trigger=CountTrigger(1), min_run_interval_slices=0.0
         )
-        tso.receive_snapshot("brp-0", (macro,))
-        driver.run_until(20.0)  # the snapshot waits 20 slices before a run
-        tso.run_scheduling()
-        assert tso._cooldown.trigger_refreshes == 2
-        assert tso._cooldown.min_run_interval_slices == 2.0
-        assert (
-            tso.metrics.counter("trigger.adaptive_adjustments").value == 1
+        cluster.driver.run_until(6.0)
+        sent = _macro(4, 20)  # admitted at slice 6: the TSO clips its copy
+        returned = []
+        cluster.clients["brp-0"].service.apply_remote_schedule = returned.append
+        self._send(cluster, "brp-0", [sent])
+        assert [scheduled.offer for scheduled in returned] == [sent]
+        assert returned[0].start >= 6
+
+    def test_second_snapshot_replaces_the_first_and_spares_the_other_brp(self):
+        cluster = self._cluster(trigger=CountTrigger(10**6))
+        tso = cluster.tso
+        macro_1, macro_2 = _macro(4, 10), _macro(4, 10)
+        macro_b = _macro(40, 60, bounds=((0.5, 1.5),) * 3)
+        self._send(cluster, "brp-0", [macro_1])
+        self._send(cluster, "brp-1", [macro_b])
+        self._send(cluster, "brp-0", [macro_2])
+        # brp-0's second snapshot replaced its first, not accumulated with it.
+        assert tso.live_offer_ids() == sorted(
+            [macro_2.offer_id, macro_b.offer_id]
         )
-        # The gate reads the tuned values, not the static config.
-        assert tso.trigger is tso._cooldown
-        assert tso.config.scheduling.trigger == CountTrigger(3)
+        assert tso.metrics.counter("runtime.offers_withdrawn").value == 1
+        # brp-1's macro was admitted once, and an unchanged re-send admits
+        # nothing.
+        assert tso.metrics.counter("ingest.accepted").value == 3
+        self._send(cluster, "brp-1", [macro_b])
+        assert tso.metrics.counter("ingest.accepted").value == 3
+        # The same id with a changed window is withdrawn and re-admitted.
+        narrowed = macro_b.with_times(40, 50)
+        self._send(cluster, "brp-1", [narrowed])
+        assert tso.metrics.counter("runtime.offers_withdrawn").value == 2
+        assert tso.metrics.counter("ingest.accepted").value == 4
+        assert tso.live_offer_ids() == sorted(
+            [macro_2.offer_id, macro_b.offer_id]
+        )
+        assert tso.metrics.counter("cluster.macro_snapshots").value == 5
 
     def test_rejects_unexpected_message_types(self):
-        tso, adapter, driver = self._tso()
-        adapter.send("x", tso.name, MessageType.MEASUREMENT, 1, 0)
+        cluster = self._cluster()
+        cluster.adapter.send(
+            "x", cluster.config.tso_name, MessageType.MEASUREMENT, 1, 0
+        )
         with pytest.raises(CommunicationError):
-            driver.run_until(driver.now)
+            cluster.driver.run_until(cluster.driver.now)
 
+
+class TestMetricsMerge:
     def test_metrics_registry_merge_is_order_independent(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("x").inc(3)

@@ -37,8 +37,8 @@ from repro.core.flexoffer import (
     rebase_offer_ids,
 )
 from repro.obs import JsonlWriter, Tracer
+from repro.node.messages import MessageType
 from repro.runtime import (
-    BusAdapter,
     ClusterConfig,
     ClusterRuntime,
     CountTrigger,
@@ -46,9 +46,7 @@ from repro.runtime import (
     LoadGenerator,
     SchedulingConfig,
     ServiceConfig,
-    SimulatedDriver,
     TsoConfig,
-    TsoRuntimeService,
 )
 from repro.runtime.parallel import (
     ParallelClusterRuntime,
@@ -198,25 +196,27 @@ def _macro_of(member_count: int) -> AggregatedFlexOffer:
 
 
 def _tso_returns(macros):
-    """Feed one snapshot to a fresh TSO; what it plans and sends back."""
-    driver = SimulatedDriver()
-    adapter = BusAdapter(driver)
-    tso = TsoRuntimeService(
-        TsoConfig.from_flat(scheduler_passes=1), adapter=adapter
+    """Send one snapshot to a fresh cluster's TSO; what it plans and sends back."""
+    cluster = ClusterRuntime(
+        ClusterConfig.uniform(
+            1, _service_config(), tso=TsoConfig.from_flat(scheduler_passes=1)
+        )
     )
     returned = []
 
-    def capture(message):
-        scheduled = message.payload
+    def capture(scheduled):
         returned.append(
             (scheduled.offer.offer_id, scheduled.start, scheduled.energies)
         )
 
-    adapter.register("brp-0", capture)
-    tso.receive_snapshot("brp-0", macros)
-    tso.maybe_schedule(force=True)
-    driver.run_until(driver.now)
-    return returned, tso.last_plan_cost
+    cluster.clients["brp-0"].service.apply_remote_schedule = capture
+    cluster.adapter.send(
+        "brp-0", cluster.config.tso_name, MessageType.MACRO_FLEX_OFFER,
+        tuple(macros), 0,
+    )
+    cluster.driver.run_until(cluster.driver.now)
+    report = cluster.report(duration_slices=0.0, wall_seconds=0.0)
+    return returned, report.tso_plan_cost
 
 
 class TestShmCodec:
@@ -502,10 +502,22 @@ class TestLifecycle:
         assert _shm_residue(cluster.run_id) == [name]
         with pytest.raises(ServiceError, match="codec version 1"):
             cluster._relay_snapshot(
-                ("snapshot", "brp-0", 1, None, name, len(payload), 0, [])
+                0, ("snapshot", "brp-0", 1, None, name, len(payload), 0, [])
             )
         # Reclaimed by the relay itself, not by the end-of-run sweep.
         assert _shm_residue(cluster.run_id) == []
+
+    def test_snapshot_whose_segment_is_gone_is_a_crash(self):
+        """A worker's SIGTERM path unlinks segments it already announced;
+        relaying one names the worker and the segment."""
+        cluster = ParallelClusterRuntime(_cluster_config(brps=2), workers=2)
+        name = segment_name(cluster.run_id, 1, 1)
+        assert _shm_residue(cluster.run_id) == []
+        with pytest.raises(WorkerCrashError, match=rf"worker 1: .*{name}"):
+            cluster._relay_snapshot(
+                1, ("snapshot", "brp-1", 1, None, name, 64, 0, [])
+            )
+        assert cluster.shm_segments == 0
 
     def test_run_is_single_use_and_validates_workers(self):
         with pytest.raises(ServiceError, match="workers must be positive"):
@@ -534,8 +546,6 @@ class TestLifecycle:
             tso_name="tso",
             tracer=Tracer(),
         )
-        from repro.node.messages import MessageType
-
         with pytest.raises(CommunicationError, match="only uplinks"):
             transport.send(
                 "brp-0", "brp-1", MessageType.FLEX_OFFER_SUBMIT, (), 0.0

@@ -564,7 +564,7 @@ class TestTriggerStateWrite:
             class Policy:
                 def observe(self, metrics):
                     self.count_threshold = 8
-                    self.trigger_refreshes = 1
+                    self.max_age_slices = 1.0
             """,
         )
         assert findings == []

@@ -18,7 +18,6 @@ from repro.core.errors import ServiceError
 from repro.core.timebase import DEFAULT_AXIS
 from repro.datamgmt import LedmsStore
 from repro.runtime import (
-    AdaptiveCooldown,
     AdaptiveTrigger,
     AgeTrigger,
     AnyTrigger,
@@ -417,63 +416,3 @@ class TestAdaptiveTrigger:
         assert trigger.max_age_slices == 1.0
         self._latency(metrics, 50.0)
         assert trigger.observe(metrics) is None  # pinned at the floors
-
-
-class TestAdaptiveCooldown:
-    def _waits(self, metrics, *values):
-        histogram = metrics.histogram("tso.refresh_wait_slices")
-        for value in values:
-            histogram.observe(value)
-
-    def test_validation(self):
-        with pytest.raises(ServiceError):
-            AdaptiveCooldown(0.0, trigger_refreshes=2, min_run_interval_slices=1.0)
-        with pytest.raises(ServiceError):
-            AdaptiveCooldown(4.0, trigger_refreshes=0, min_run_interval_slices=1.0)
-        with pytest.raises(ServiceError):
-            AdaptiveCooldown(4.0, trigger_refreshes=2, min_run_interval_slices=-1.0)
-
-    def test_tighten_reduces_refreshes_and_snaps_small_intervals(self):
-        cooldown = AdaptiveCooldown(
-            4.0, trigger_refreshes=3, min_run_interval_slices=0.4
-        )
-        metrics = MetricsRegistry()
-        self._waits(metrics, 20.0)
-        record = cooldown.observe(metrics)
-        assert record["direction"] == "tighten"
-        assert cooldown.trigger_refreshes == 2
-        # 0.4 * 0.5 < 0.25: snaps to "no cooldown" instead of asymptoting.
-        assert cooldown.min_run_interval_slices == 0.0
-        self._waits(metrics, 20.0)
-        assert cooldown.observe(metrics) is not None
-        assert cooldown.trigger_refreshes == 1
-        self._waits(metrics, 20.0)
-        assert cooldown.observe(metrics) is None  # fully tight already
-
-    def test_relax_recovers_toward_configured_rails_only(self):
-        cooldown = AdaptiveCooldown(
-            10.0, trigger_refreshes=3, min_run_interval_slices=2.0
-        )
-        tight = MetricsRegistry()
-        self._waits(tight, 50.0)
-        assert cooldown.observe(tight)["direction"] == "tighten"
-        assert (cooldown.trigger_refreshes, cooldown.min_run_interval_slices) == (2, 1.0)
-        relaxed = MetricsRegistry()
-        self._waits(relaxed, 1.0, 1.0)
-        assert cooldown.observe(relaxed)["direction"] == "relax"
-        assert cooldown.trigger_refreshes == 3  # back at the configured rail
-        assert cooldown.min_run_interval_slices == pytest.approx(1.2)
-        self._waits(relaxed, 1.0)
-        record = cooldown.observe(relaxed)
-        assert record["trigger_refreshes"] == {"old": 3, "new": 3}
-        assert cooldown.min_run_interval_slices == pytest.approx(1.44)
-
-    def test_stale_histogram_is_not_acted_on(self):
-        cooldown = AdaptiveCooldown(
-            4.0, trigger_refreshes=2, min_run_interval_slices=1.0
-        )
-        metrics = MetricsRegistry()
-        assert cooldown.observe(metrics) is None
-        self._waits(metrics, 20.0)
-        assert cooldown.observe(metrics) is not None
-        assert cooldown.observe(metrics) is None  # no new waits since

@@ -507,6 +507,18 @@ class TestExpiry:
         assert service.store.offer_state(offer_id) == "expired"
         assert service.ingest.pipeline.input_count == 0
 
+    def test_withdrawn_offers_leave_the_due_index_under_churn(self):
+        """Churn (a TSO's macros come and go) cannot grow the sweep's due
+        index past the live pool, and the survivors still retire."""
+        service = BrpRuntimeService(TINY)
+        for _ in range(10):
+            admitted = service.submit_many([_offer(40) for _ in range(30)])
+            service.withdraw_many(result.offer_id for result in admitted[1:])
+        assert service.live_offers == 10
+        assert len(service._due_heap) <= 2 * service.live_offers + 64
+        service.driver.advance_to(60)
+        assert service.sweep_expired() == 10
+
 
 class TestAssignmentDeadline:
     def test_aggregate_past_assignment_deadline_not_scheduled(self):
@@ -668,12 +680,7 @@ class TestPlanWindowAtBothTiers:
 
     def _tiers(self, scheduler):
         from repro.core.timeseries import TimeSeries
-        from repro.runtime import (
-            BusAdapter,
-            SimulatedDriver,
-            TsoConfig,
-            TsoRuntimeService,
-        )
+        from repro.runtime import TsoConfig
 
         forecast = TimeSeries(0, np.linspace(-6.0, 6.0, 80))
         brp = BrpRuntimeService(
@@ -682,10 +689,10 @@ class TestPlanWindowAtBothTiers:
             ),
             net_forecast=forecast,
         )
-        tso = TsoRuntimeService(
+        tso = BrpRuntimeService(
             TsoConfig.from_flat(scheduler=scheduler, scheduler_passes=1, seed=3),
-            adapter=BusAdapter(SimulatedDriver()),
             net_forecast=forecast,
+            name="tso",
         )
         problems = {}
         for tier in (brp, tso):

@@ -557,9 +557,8 @@ class TriggerStateWriteRule(Rule):
       mutating calls (``.add``/``.pop``/…) on another object's books all
       count as writes;
     * adaptive trigger thresholds — ``AdaptiveTrigger``'s
-      ``count_threshold`` / ``max_age_slices`` and ``AdaptiveCooldown``'s
-      ``trigger_refreshes`` / ``min_run_interval_slices``, as *attribute*
-      targets — change only inside the controllers' ``observe`` seam in
+      ``count_threshold`` / ``max_age_slices``, as *attribute* targets —
+      change only inside the controller's ``observe`` seam in
       ``runtime/triggers.py``; anywhere else and the control loop's
       adjustment events no longer tell the truth.
     """
@@ -581,15 +580,8 @@ class TriggerStateWriteRule(Rule):
     _MUTATORS = frozenset(
         {"add", "discard", "remove", "pop", "clear", "update", "setdefault"}
     )
-    #: The mutable thresholds of ``AdaptiveTrigger`` and ``AdaptiveCooldown``.
-    _THRESHOLDS = frozenset(
-        {
-            "count_threshold",
-            "max_age_slices",
-            "trigger_refreshes",
-            "min_run_interval_slices",
-        }
-    )
+    #: The mutable thresholds of ``AdaptiveTrigger``.
+    _THRESHOLDS = frozenset({"count_threshold", "max_age_slices"})
     _THRESHOLD_HOME = "runtime/triggers.py"
 
     def check(self, ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
@@ -632,7 +624,7 @@ class TriggerStateWriteRule(Rule):
                         owned,
                         f"trigger threshold {owned.attr!r} assigned outside "
                         "runtime/triggers.py; thresholds change only inside "
-                        "the adaptive controllers' observe() seam",
+                        "the adaptive controller's observe() seam",
                     )
 
 
