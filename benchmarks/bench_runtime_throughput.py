@@ -8,8 +8,8 @@ per-layer comparisons that contract does not make:
   scratch on a sustained stream — the optimisation the paper highlights
   ("aggregated flex-offers can be incrementally updated to avoid a
   from-scratch re-computation");
-* delta re-planning vs a full re-plan, and the adaptive trigger holding a
-  latency target.
+* re-placing only the dirty groups vs re-placing every group, and the
+  adaptive trigger holding a latency target.
 
 Scale with ``REPRO_SCALE`` (multiplies the arrival rates and stream length).
 """
@@ -32,12 +32,9 @@ from repro.runtime import (
     LoadGenerator,
     ServiceConfig,
 )
-from repro.scheduling import (
-    DeltaRequest,
-    DeltaScheduler,
-    Market,
-    SchedulingProblem,
-)
+from repro.aggregation.updates import AggregateUpdate, UpdateKind
+from repro.runtime.planning import PlanSession
+from repro.scheduling import Market, SchedulingProblem
 
 SEED = 42
 
@@ -221,14 +218,15 @@ def _delta_offer(rng: np.random.Generator, horizon: int):
 
 
 def test_delta_scheduler_vs_full_replan(once, bench_record):
-    """Dirty-set delta re-planning vs a full one-pass re-plan.
+    """Keeping clean placements vs re-placing the whole pool.
 
     A pool of live groups evolves by mutating a small dirty fraction per
     round (the steady state of a large deployment: most aggregates are
-    untouched between trigger firings).  The delta scheduler re-places only
-    the dirty offers over its retained plan; the full baseline re-places
-    the whole pool through the *same* one-pass canonical arithmetic, so the
-    comparison isolates exactly the work the dirty set avoids.
+    untouched between trigger firings).  Two :class:`PlanSession` s plan
+    the same problems: one is told which groups changed and re-places only
+    those, the other is told every group changed, so both run the same
+    passes of the same scheduler and the comparison isolates exactly the
+    work the kept placements avoid.
     """
     horizon = 192
     n = 60 if smoke_mode() else max(600, int(600 * scale_factor()))
@@ -253,49 +251,51 @@ def test_delta_scheduler_vs_full_replan(once, bench_record):
             surplus_penalty=np.array(0.2),
         )
 
-    def run_rounds():
-        delta = DeltaScheduler()
-        full = DeltaScheduler()
-        # Warm both planners on the initial pool (delta's first run is a
-        # full pass by construction; untimed so the steady state is what
-        # the records compare).
-        seed_problem = problem_from_pool()
-        request = DeltaRequest(keys=keys, dirty=frozenset(keys))
-        delta.schedule(seed_problem, delta=request)
-        full.schedule(seed_problem, delta=None)
+    def changed(session: PlanSession, dirty) -> None:
+        session.absorb(
+            AggregateUpdate(UpdateKind.MODIFIED, key, lambda: None)
+            for key in dirty
+        )
 
-        delta_seconds = 0.0
+    def run_rounds():
+        kept = PlanSession(seed=SEED)
+        full = PlanSession(seed=SEED)
+        # Both sessions' first run places every group (untimed, so the
+        # steady state is what the records compare).
+        seed_problem = problem_from_pool()
+        kept.plan(seed_problem, keys)
+        full.plan(seed_problem, keys)
+
+        kept_seconds = 0.0
         full_seconds = 0.0
-        reused = 0
         for _ in range(rounds):
-            dirty = frozenset(
-                rng.choice(np.array(keys), size=per_round, replace=False)
-            )
+            dirty = rng.choice(np.array(keys), size=per_round, replace=False)
             for key in dirty:
                 pool[key] = _delta_offer(rng, horizon)
             problem = problem_from_pool()
-            request = DeltaRequest(keys=keys, dirty=dirty)
+            changed(kept, dirty)
+            changed(full, keys)
 
             t0 = time.perf_counter()
-            delta.schedule(problem, delta=request)
-            delta_seconds += time.perf_counter() - t0
-            assert delta.last_stats["mode"] == "delta"
-            reused += int(delta.last_stats["reused"])
+            kept.plan(problem, keys)
+            kept_seconds += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            full.schedule(problem, delta=None)
+            full.plan(problem, keys)
             full_seconds += time.perf_counter() - t0
-        return delta_seconds, full_seconds, reused
+        reused = kept.metrics.counter("delta.reused_placements").value
+        assert full.metrics.counter("delta.reused_placements").value == 0
+        return kept_seconds, full_seconds, int(reused)
 
     delta_seconds, full_seconds, reused = once(run_rounds)
     speedup = full_seconds / max(delta_seconds, 1e-9)
 
     print_table(
-        f"delta vs full re-plan ({n} live groups, "
+        f"kept placements vs full re-plan ({n} live groups, "
         f"{per_round}/{n} dirty per round, {rounds} rounds)",
         ["path", "seconds", "per round ms"],
         [
-            ["delta", f"{delta_seconds:.3f}", f"{delta_seconds / rounds * 1e3:.1f}"],
+            ["kept", f"{delta_seconds:.3f}", f"{delta_seconds / rounds * 1e3:.1f}"],
             ["full", f"{full_seconds:.3f}", f"{full_seconds / rounds * 1e3:.1f}"],
             ["speedup", f"{speedup:.1f}x", ""],
         ],
@@ -315,11 +315,11 @@ def test_delta_scheduler_vs_full_replan(once, bench_record):
             "reused_placements": reused,
         },
     )
-    # Every clean placement must have been retained.
+    # Every clean placement must have been kept.
     assert reused == rounds * (n - per_round)
     if not smoke_mode():
-        # The acceptance bar: at >= 500 live groups and <= 5% dirt, delta
-        # re-planning beats the full pass by at least 3x.
+        # The acceptance bar: at >= 500 live groups and <= 5% dirt, keeping
+        # the clean placements beats re-placing them by at least 3x.
         assert n >= 500 and per_round / n <= 0.05
         assert speedup >= 3.0
 

@@ -22,8 +22,8 @@ cycles.  User code can register additional engines::
 
 Every scheduler in the catalogue is one the streaming runtime can drive,
 so a scheduler registered here must accept the runtime's
-``schedule(problem, *, max_passes, rng, warm_start)`` call — or, declaring
-the ``delta`` capability, ``schedule(problem, *, delta)``.
+``schedule(problem, *, max_passes, rng, retained)`` call, where
+``retained[j]`` is offer ``j``'s placement to keep or ``None``.
 """
 
 from __future__ import annotations
@@ -214,19 +214,11 @@ def _register_builtins(registry: Registry) -> Registry:
         description="historical rebuild-on-remove state; oracle + baseline",
         capabilities=("bin-packing",),
     )
-    # Only the runtime's planners are schedulers here (the EA and the MILP
+    # Only the runtime's planner is a scheduler here (the EA and the MILP
     # oracle are imported directly by the experiments that compare them).
-    # ``delta`` = takes a :class:`~repro.scheduling.delta.DeltaRequest`
-    # instead of a warm start (read by
-    # :class:`~repro.runtime.planning.PlanSession`).
     registry.register(
         KIND_SCHEDULER, "greedy", _lazy("scheduling", "RandomizedGreedyScheduler"),
-        description="randomized best-position greedy with warm starts",
-    )
-    registry.register(
-        KIND_SCHEDULER, "delta", _lazy("scheduling", "DeltaScheduler"),
-        description="dirty-set re-planning over a retained plan (one pass)",
-        capabilities=("delta",),
+        description="randomized best-position greedy; re-places only dirty offers",
     )
     registry.register(
         KIND_TRIGGER, "count", _lazy("runtime.triggers", "CountTrigger"),

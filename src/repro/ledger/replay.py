@@ -11,7 +11,7 @@ host of a service (the api facade, a cluster's ``BrpHost``) is replayable:
     service at its recorded simulated time, on a simulated driver.
     Because the service loop is deterministic given (config, input
     sequence, times), the rebuilt node is bit-identical to the
-    uninterrupted run at the last journaled instant — pool, warm starts,
+    uninterrupted run at the last journaled instant — pool, kept placements,
     trigger state, RNG trajectory, metrics and all — and the run simply
     continues from there.  Derived facts (``scheduled``/``retire``/
     ``dead_letter``) are regenerated, not replayed; journaling is

@@ -6,7 +6,7 @@ updates" (§4).  This package provides the *online* runtime that exercises
 that design the way a deployed MIRABEL BRP node would: a continuous stream
 of offer arrivals over a pluggable time driver (deterministic simulation by
 default, wall clock on request), incremental aggregate maintenance,
-trigger-driven scheduling with warm starts, lifecycle persistence in the
+trigger-driven scheduling that re-places only what changed, lifecycle persistence in the
 LEDMS store, and operational metrics end to end.
 
 Most callers should go through the typed facade in :mod:`repro.api`

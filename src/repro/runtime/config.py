@@ -115,7 +115,8 @@ class SchedulingConfig:
     scheduler: str = "greedy"
     """Scheduler, by :mod:`repro.api.registry` name."""
     scheduler_passes: int = 2
-    """Greedy passes per scheduling run (the warm start adds one evaluation)."""
+    """Greedy passes per scheduling run; each pass re-places only the offers
+    whose last placement was not kept (all of them on a first run)."""
     trigger: TriggerPolicy = field(default_factory=default_trigger)
     """When a scheduling run fires, asked over a
     :class:`~repro.runtime.triggers.TriggerContext`.

@@ -11,13 +11,12 @@ the rolling forecast window, the flat market, the
 :class:`SchedulingProblem`, the planner call and the ``delta.*`` counters
 live here and nowhere else.
 
-Inside the pass, :meth:`PlanSession.plan` is the seam between full and
-delta planners: it keeps the warm-start cache and the dirty key set fed by
-each flush's :class:`~repro.aggregation.updates.AggregateUpdate` stream,
-and routes a run either to a delta-capable scheduler (with a
-:class:`~repro.scheduling.delta.DeltaRequest`) or down the classic
-warm-started path, so swapping ``--scheduler delta`` in changes nothing
-but the planner.
+Inside the pass, :meth:`PlanSession.plan` plans only what changed: it keeps
+the last plan's placements and the dirty key set fed by each flush's
+:class:`~repro.aggregation.updates.AggregateUpdate` stream, and hands the
+scheduler every clean placement that still fits as one to keep, so only
+the dirty offers are re-placed.  A first run is the case where everything
+is dirty.
 """
 
 from __future__ import annotations
@@ -34,8 +33,9 @@ from ..core.flexoffer import FlexOffer
 from ..core.schedule import Schedule
 from ..core.timeseries import TimeSeries
 from ..scheduling import Market
-from ..scheduling.delta import DeltaRequest
-from ..scheduling.problem import CandidateSolution, SchedulingProblem
+from ..scheduling.engine import OfferConstants
+from ..scheduling.greedy import Placement
+from ..scheduling.problem import SchedulingProblem
 from ..scheduling.result import SchedulingResult
 from .config import MarketConfig
 from .metrics import MetricsRegistry
@@ -116,7 +116,7 @@ class WindowPlan(NamedTuple):
 
 
 class PlanSession:
-    """One node's planner: scheduler, market, rng, warm cache, dirty set.
+    """One node's planner: scheduler, market, rng, kept placements, dirt.
 
     Keys are stable identities for pool entries across runs: the
     aggregation pipeline's group ids.
@@ -132,37 +132,29 @@ class PlanSession:
         metrics: MetricsRegistry | None = None,
         net_forecast: TimeSeries | None = None,
     ) -> None:
-        registration = default_registry().get(KIND_SCHEDULER, scheduler)
-        self.scheduler = registration.create()
-        #: Whether the scheduler takes a :class:`DeltaRequest` (its
-        #: registration's ``delta`` capability) instead of a warm start.
-        self.delta = "delta" in registration.capabilities
+        self.scheduler = default_registry().get(KIND_SCHEDULER, scheduler).create()
         self.passes = passes
         self.market = market if market is not None else MarketConfig()
         self.rng = np.random.default_rng(seed)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.net_forecast = net_forecast
         #: key -> (absolute start slice, per-slice energies) of the last plan.
-        self.warm: dict[str, tuple[int, np.ndarray]] = {}
+        self.placements: dict[str, Placement] = {}
         #: Keys created/changed since the last successful :meth:`plan`.
         self.dirty: set[str] = set()
-        # Introspection for the tier's metrics, refreshed per plan():
-        self.last_mode = "cold"
-        self.last_reused = 0
-        self.last_replaced = 0
 
     # ------------------------------------------------------------------
     def absorb(self, updates: Iterable[AggregateUpdate]) -> None:
         """Fold one flush's aggregate updates into the session.
 
         Every group id they touch is dirty until the next :meth:`plan`
-        consumes it; a deleted group also leaves the warm cache at once
+        consumes it; a deleted group also loses its placement at once
         (its aggregate is gone from the pool).
         """
         for update in updates:
             self.dirty.add(update.group_id)
             if update.kind is UpdateKind.DELETED:
-                self.warm.pop(update.group_id, None)
+                self.placements.pop(update.group_id, None)
 
     # ------------------------------------------------------------------
     def plan_window(
@@ -178,115 +170,86 @@ class PlanSession:
         planned through :meth:`plan`.  ``None`` when nothing is eligible —
         the caller counts that under its own ``*.empty_runs``.
         """
-        eligible: list[tuple[str, FlexOffer]] = []
+        keys: list[str] = []
+        offers: list[FlexOffer] = []
         originals: list[AggregatedFlexOffer] = []
         for key, original in candidates:
             aggregate = eligible_for_window(original, start, end)
             if aggregate is None:
                 continue
-            eligible.append((key, aggregate))
+            keys.append(key)
+            offers.append(aggregate)
             originals.append(original)
-        if not eligible:
+        if not keys:
             return None
         market = self.market
         problem = SchedulingProblem(
             net_forecast=net_forecast_window(self.net_forecast, start, end),
-            offers=tuple(aggregate for _, aggregate in eligible),
+            offers=tuple(offers),
             market=_flat_market(end - start, market.buy_price, market.sell_price),
             shortage_penalty=np.array(market.shortage_penalty),
             surplus_penalty=np.array(market.surplus_penalty),
         )
-        result = self.plan(problem, eligible)
-        if self.last_mode == "delta":
-            self.metrics.counter("delta.runs").inc()
-            self.metrics.counter("delta.reused_placements").inc(self.last_reused)
-            self.metrics.counter("delta.replaced_placements").inc(
-                self.last_replaced
-            )
-        elif self.last_mode == "full":  # a delta scheduler's full-pass fallback
-            self.metrics.counter("delta.full_fallbacks").inc()
+        result = self.plan(problem, tuple(keys))
         return WindowPlan(
             result,
             problem.to_schedule(result.solution),
             tuple(originals),
-            tuple(key for key, _ in eligible),
+            tuple(keys),
         )
 
     # ------------------------------------------------------------------
-    def warm_candidate(
-        self, eligible: Sequence[tuple[str, FlexOffer]]
-    ) -> CandidateSolution | None:
-        """Previous plan projected onto the current pool (None if all new).
+    def _kept(self, key: str, consts: OfferConstants) -> Placement | None:
+        """``key``'s last placement if it is clean and still feasible.
 
-        Per entry: a prior placement whose duration still matches is
-        clipped into the offer's current start window and energy bounds;
-        entries without a usable prior fall back to the earliest-start /
-        minimum-energy placement.  When *no* entry has a usable prior the
-        candidate is pure default and not worth an extra solver pass.
+        A dirty key is re-placed, and so is one whose placement no longer
+        fits its offer: another duration, a start outside the (clipped)
+        window, or energies outside the bounds — the offer, or the window
+        around it, changed shape even though no update named it.
         """
-        starts: list[int] = []
-        energies: list[np.ndarray] = []
-        any_warm = False
-        for key, offer in eligible:
-            prior = self.warm.get(key)
-            if prior is not None and len(prior[1]) == offer.duration:
-                start = min(
-                    max(prior[0], offer.earliest_start), offer.latest_start
-                )
-                # ``np.clip``'s arithmetic, without its Python-level wrapper.
-                values = np.minimum(
-                    np.maximum(prior[1], offer.profile.min_array),
-                    offer.profile.max_array,
-                )
-                any_warm = True
-            else:
-                start = offer.earliest_start
-                values = offer.profile.min_array.copy()
-            starts.append(start)
-            energies.append(values)
-        if not any_warm:
+        if key in self.dirty:
             return None
-        return CandidateSolution(np.array(starts, dtype=np.int64), energies)
+        prior = self.placements.get(key)
+        if prior is None:
+            return None
+        start, energies = prior
+        if len(energies) != consts.duration:
+            return None
+        if not consts.earliest_start <= start <= consts.latest_start:
+            return None
+        # ``np.any``'s ufunc reduction, without its Python-level wrapper.
+        if np.logical_or.reduce((energies < consts.lo) | (energies > consts.hi)):
+            return None
+        return prior
 
     # ------------------------------------------------------------------
     def plan(
-        self,
-        problem: SchedulingProblem,
-        eligible: Sequence[tuple[str, FlexOffer]],
+        self, problem: SchedulingProblem, keys: Sequence[str]
     ) -> SchedulingResult:
-        """One planning run of the session's scheduler over ``eligible``.
+        """One planning run over ``problem``, whose offers ``keys`` name.
 
-        A ``delta`` scheduler receives a :class:`DeltaRequest` built from
-        the accumulated dirty set; any other scheduler gets the classic
-        warm-start seeding.  On return the warm cache reflects the committed
-        plan for every key, the dirty set is drained, and ``last_mode`` /
-        ``last_reused`` / ``last_replaced`` describe what the planner
-        actually did.
+        Every clean, still-feasible placement is kept and the scheduler
+        re-places the rest (all of them on a first run).  On return the
+        placements reflect the committed plan for every key, the dirty set
+        is drained, and ``schedule.warm_started`` (runs that kept a
+        placement) and ``delta.reused_placements`` /
+        ``delta.replaced_placements`` have counted the run.
         """
-        keys = tuple(key for key, _ in eligible)
-        scheduler = self.scheduler
-        if self.delta:
-            request = DeltaRequest(keys=keys, dirty=frozenset(self.dirty))
-            result = scheduler.schedule(problem, delta=request)
-            stats = getattr(scheduler, "last_stats", {})
-            self.last_mode = str(stats.get("mode", "delta"))
-            self.last_reused = int(stats.get("reused", 0))
-            self.last_replaced = int(stats.get("replaced", len(keys)))
-        else:
-            warm = self.warm_candidate(eligible)
-            result = scheduler.schedule(
-                problem,
-                max_passes=self.passes + (1 if warm is not None else 0),
-                rng=self.rng,
-                warm_start=warm,
-            )
-            self.last_mode = "warm" if warm is not None else "cold"
-            self.last_reused = 0
-            self.last_replaced = len(keys)
-
+        retained = [
+            self._kept(key, consts)
+            for key, consts in zip(keys, problem.offer_constants)
+        ]
+        result = self.scheduler.schedule(
+            problem, max_passes=self.passes, rng=self.rng, retained=retained
+        )
+        reused = sum(kept is not None for kept in retained)
+        if reused:
+            self.metrics.counter("schedule.warm_started").inc()
+        self.metrics.counter("delta.reused_placements").inc(reused)
+        self.metrics.counter("delta.replaced_placements").inc(len(keys) - reused)
         for key, start, energies in zip(
             keys, result.solution.starts, result.solution.energies
         ):
-            self.warm[key] = (int(start), np.asarray(energies).copy())
+            self.placements[key] = (int(start), energies)
         self.dirty.clear()
         return result

@@ -14,10 +14,10 @@ columnar :class:`~repro.aggregation.engine.PackedAggregationPipeline`
 the service hands its pool, sorted by group id, to the one planning pass in
 :mod:`repro.runtime.planning` and commits the returned schedule to the
 members.  A cluster's TSO is this service too, its offers the BRPs' macros
-(:class:`~repro.runtime.cluster.ClusterRuntime`).  The pass warm-starts the
-scheduler from the previous plan and prices placements through the batched
-:class:`~repro.scheduling.engine.CostEngine` kernel, so sustained streams
-pay only for what changed.
+(:class:`~repro.runtime.cluster.ClusterRuntime`).  The pass keeps the
+previous plan's clean placements and re-places only the changed aggregates
+through the batched :class:`~repro.scheduling.engine.CostEngine` kernel, so
+sustained streams pay only for what changed.
 
 Lifecycle states flow through the :class:`~repro.datamgmt.mirabel.LedmsStore`
 (``submitted → accepted → aggregated → scheduled → executed/expired``), and a
@@ -243,7 +243,7 @@ class BrpRuntimeService:
         self._plan_cache: dict[int, tuple[int, tuple]] = {}
         self._stream_overflow: tuple[Iterable, float, FlexOffer] | None = None
         #: This tier's planner (:mod:`repro.runtime.planning`): scheduler,
-        #: market, rng, warm-start cache and dirty key set live here.
+        #: market, rng, kept placements and dirty key set live here.
         self.session = PlanSession(
             self.config.scheduling.scheduler,
             passes=self.config.scheduling.scheduler_passes,
@@ -642,8 +642,7 @@ class BrpRuntimeService:
                 else:
                     self.pool[update.group_id] = update
             # The session accumulates the touched groups for the next
-            # delta-planning run (and evicts deleted groups from the
-            # warm-start cache).
+            # planning run (and drops deleted groups' placements).
             self.session.absorb(updates)
         elapsed = time.perf_counter() - t0
         self.metrics.counter("aggregate.runs").inc()
@@ -785,8 +784,6 @@ class BrpRuntimeService:
         self.metrics.gauge("schedule.last_offers", merge="last").set(
             len(plan.keys)
         )
-        if self.session.last_mode == "warm":
-            self.metrics.counter("schedule.warm_started").inc()
         self.last_schedule = plan.schedule
         self.last_plan_originals = plan.originals
         self._disaggregate(plan.schedule, plan.originals)

@@ -142,8 +142,9 @@ class AnyTrigger:
 
 
 #: The adaptive controller's tuning.  :class:`AdaptiveTrigger` starts from
-#: the static count/age defaults and keeps both thresholds between a floor
-#: and a cap; a step scales them by one of the factors.
+#: the static count/age defaults (the age no looser than ``RELAX_MARGIN``
+#: times its target) and keeps both thresholds between a floor and a cap;
+#: a step scales them by one of the factors.
 START_COUNT = 200
 START_AGE_SLICES = 16.0
 MIN_COUNT = 8
@@ -190,7 +191,11 @@ class AdaptiveTrigger:
             )
         self.target_p95_slices = float(target_p95_slices)
         self.count_threshold = START_COUNT
-        self.max_age_slices = START_AGE_SLICES
+        # Runs before the first feedback must not blow the target already:
+        # the age limit starts no looser than the band the loop settles in.
+        self.max_age_slices = min(
+            START_AGE_SLICES, RELAX_MARGIN * self.target_p95_slices
+        )
         self._seen_observations = 0
 
     def should_fire(self, context: TriggerContext) -> bool:

@@ -5,18 +5,17 @@ Public API::
 
     from repro.scheduling import (
         SchedulingProblem, CandidateSolution, Market,
-        RandomizedGreedyScheduler, DeltaScheduler,
+        RandomizedGreedyScheduler,
         count_start_combinations,
     )
 
-These are the runtime's planners and the cost model they share.  The exact
+This is the runtime's planner and the cost model it shares.  The exact
 oracle, :class:`repro.scheduling.milp.MilpScheduler`, needs scipy (the
 ``exact`` extra), so nothing here imports it; the paper's evolutionary
 algorithm is the §6 comparison baseline in
 :mod:`repro.experiments.evolutionary`.
 """
 
-from .delta import DeltaRequest, DeltaScheduler
 from .engine import CostEngine, IncrementalCostState, OfferConstants
 from .greedy import RandomizedGreedyScheduler
 from .market import Market
@@ -28,8 +27,6 @@ __all__ = [
     "CostEngine",
     "IncrementalCostState",
     "OfferConstants",
-    "DeltaRequest",
-    "DeltaScheduler",
     "count_start_combinations",
     "RandomizedGreedyScheduler",
     "Market",

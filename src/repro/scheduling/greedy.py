@@ -16,12 +16,24 @@ start positions × all per-slice energy candidates in one vectorized
 operation — and an :class:`~repro.scheduling.engine.IncrementalCostState`
 carries the residual, the slice costs (the kernel's own, handed back with
 each placement) *and* the pass cost across placements, so a finished pass
-already knows its own cost and ``schedule()`` never re-derives
+already knows its own cost and a cold ``schedule()`` never re-derives
 ``problem.cost(solution)`` from scratch.  The pre-vectorization scalar loop
 survives as :mod:`repro.scheduling.reference` (oracle + benchmark baseline).
+
+A streaming runtime re-plans a pool that mostly did not change, so
+``schedule()`` also takes the placements to keep (``retained``): every pass
+starts from the residual they leave and places only the other offers.  A
+full plan is the case where nothing is kept.  Kept placements are summed
+canonically — into a zero vector in index order, then onto the forecast in
+one add — so a run's bits depend on the kept set alone, never on the order
+in which earlier runs built it.  A kept placement is generally not where a
+fresh full plan of the changed pool would put it; on the runtime's flat
+two-row market the cost hardly depends on it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +41,10 @@ from .engine import IncrementalCostState
 from .problem import CandidateSolution, SchedulingProblem
 from .result import CostTracker, SchedulingResult
 
-__all__ = ["RandomizedGreedyScheduler"]
+__all__ = ["Placement", "RandomizedGreedyScheduler"]
+
+#: One offer's ``(absolute start slice, per-slice energies)``.
+Placement = tuple[int, np.ndarray]
 
 
 class RandomizedGreedyScheduler:
@@ -44,46 +59,100 @@ class RandomizedGreedyScheduler:
         budget_seconds: float | None = None,
         max_passes: int | None = None,
         rng: np.random.Generator | None = None,
-        warm_start: CandidateSolution | None = None,
+        retained: Sequence[Placement | None] | None = None,
     ) -> SchedulingResult:
         """Run greedy passes until the time budget or pass count is reached.
 
-        ``warm_start`` seeds the tracker with an existing candidate (e.g. the
-        previous planning run's solution in a streaming runtime) before any
-        greedy pass runs; it counts as one evaluation against ``max_passes``
-        and the result is only ever at least as good as the warm candidate.
+        ``retained[j]``, when given, is a kept ``(start, energies)``
+        placement of offer ``j`` (e.g. the previous planning run's, in a
+        streaming runtime) or ``None``.  Kept placements are added in index
+        order to a zero vector, which joins the forecast in one add; every
+        pass starts from that residual and places only the offers without
+        one.  Passes are compared by their incremental totals, which leave
+        out the kept offers' compensation (the same for every pass); a
+        caller that passes ``retained`` gets the winner re-priced by
+        ``problem.cost``.  Without it this is the cold greedy, every offer
+        placed on every pass.
         """
         rng = rng if rng is not None else np.random.default_rng(0)
         tracker = CostTracker(
             budget_seconds, None if max_passes is None else max_passes
         )
-        if warm_start is not None:
-            tracker.record(problem.cost(warm_start), warm_start)
+        start = _PassStart.of(problem, retained)
         while not tracker.exhausted():
-            solution, pass_cost = self._one_pass(problem, rng)
+            solution, pass_cost = self._one_pass(problem, rng, start)
             tracker.record(pass_cost, solution)
-        return tracker.result()
+        result = tracker.result()
+        if retained is not None:
+            result.cost = problem.cost(result.solution)
+        return result
 
     # ------------------------------------------------------------------
     def _one_pass(
-        self, problem: SchedulingProblem, rng: np.random.Generator
+        self,
+        problem: SchedulingProblem,
+        rng: np.random.Generator,
+        start: "_PassStart | None" = None,
     ) -> tuple[CandidateSolution, float]:
-        """Schedule every offer once, each in its locally best position.
+        """Place every free offer once, each in its locally best position.
 
-        Returns the finished candidate *and* its total cost — the
-        incremental state already paid for every placement delta, so the
-        caller must not rebuild the residual just to price the pass again.
+        Returns the finished candidate *and* the incremental state's total
+        — the residual's cost plus the placed offers' compensation, paid
+        for placement by placement, so the caller must not rebuild the
+        residual just to price the pass again.
         """
+        if start is None:
+            start = _PassStart.of(problem, None)
         consts = problem.offer_constants
-        state = IncrementalCostState.for_problem(problem)
-        starts = np.zeros(problem.offer_count, dtype=np.int64)
-        energies: list[np.ndarray | None] = [None] * problem.offer_count
+        state = IncrementalCostState(problem.engine, start.residual.copy())
+        starts = start.starts.copy()
+        energies = list(start.energies)
 
-        for j in rng.permutation(problem.offer_count):
+        for j in rng.permutation(start.free):
             c = consts[j]
             start_index, energy, delta, after = state.best_placement(c)
             starts[j] = c.earliest_start + start_index
             energies[j] = energy
             state.place(c.earliest_index + start_index, energy, delta, after)
 
-        return CandidateSolution(starts, [e for e in energies]), state.total
+        return CandidateSolution(starts, energies), state.total
+
+
+class _PassStart(NamedTuple):
+    """What every pass of one run starts from."""
+
+    residual: np.ndarray
+    starts: np.ndarray
+    energies: list
+    free: np.ndarray
+    """Indices of the offers a pass places."""
+
+    @classmethod
+    def of(
+        cls, problem: SchedulingProblem, retained: Sequence[Placement | None] | None
+    ) -> "_PassStart":
+        n = problem.offer_count
+        starts = np.zeros(n, dtype=np.int64)
+        energies: list = [None] * n
+        if retained is not None and len(retained) != n:
+            raise ValueError(f"{len(retained)} retained entries for {n} offers")
+        if retained is None or all(kept is None for kept in retained):
+            # The cold start: adding a zero seed would turn the forecast's
+            # -0.0s into +0.0, and a full plan must be the cold greedy's.
+            return cls(problem.net_forecast.values, starts, energies, np.arange(n))
+        h0 = problem.horizon_start
+        seed = np.zeros(problem.horizon_length)
+        free = []
+        for j, kept in enumerate(retained):
+            if kept is None:
+                free.append(j)
+                continue
+            start, values = kept
+            starts[j], energies[j] = start, values
+            seed[start - h0 : start - h0 + len(values)] += values
+        return cls(
+            problem.net_forecast.values + seed,
+            starts,
+            energies,
+            np.array(free, dtype=np.int64),
+        )

@@ -33,7 +33,7 @@ from repro.api import (
 )
 from repro.core.errors import AggregationError, ServiceError
 from repro.runtime.triggers import AdaptiveTrigger, AnyTrigger, CountTrigger
-from repro.scheduling import DeltaScheduler, RandomizedGreedyScheduler
+from repro.scheduling import RandomizedGreedyScheduler
 
 PARAMS = AggregationParameters(
     start_after_tolerance=8, time_flexibility_tolerance=8, name="test"
@@ -46,9 +46,9 @@ class TestRegistry:
         assert registry.names(KIND_AGGREGATION) == (
             "packed", "reference", "scalar",
         )
-        # Only the runtime's planners: the EA and the MILP oracle are
+        # Only the runtime's planner: the EA and the MILP oracle are
         # imported directly by the experiments that compare them.
-        assert registry.names(KIND_SCHEDULER) == ("delta", "greedy")
+        assert registry.names(KIND_SCHEDULER) == ("greedy",)
         assert registry.names(KIND_TRIGGER) == (
             "age", "any", "count", "imbalance",
         )
@@ -59,12 +59,12 @@ class TestRegistry:
             KIND_AGGREGATION, KIND_SCHEDULER, KIND_TRIGGER, KIND_DRIVER,
             KIND_EXPORTER,
         }
-        assert len(registry.entries()) == 14
-        # Each capability has one reader: ``make_pipeline`` checks
-        # ``bin-packing``, ``PlanSession`` reads ``delta``.
+        assert len(registry.entries()) == 13
+        # The one capability has one reader: ``make_pipeline`` checks
+        # ``bin-packing``.
         assert set().union(
             *(entry.capabilities for entry in registry.entries())
-        ) == {"bin-packing", "delta"}
+        ) == {"bin-packing"}
 
     def test_unknown_name_error_lists_known_set(self):
         with pytest.raises(RegistryError) as excinfo:
@@ -83,11 +83,9 @@ class TestRegistry:
 
     def test_factories_build_their_classes(self):
         registry = default_registry()
-        for name, cls in (
-            ("greedy", RandomizedGreedyScheduler),
-            ("delta", DeltaScheduler),
-        ):
-            assert isinstance(registry.create(KIND_SCHEDULER, name), cls)
+        assert isinstance(
+            registry.create(KIND_SCHEDULER, "greedy"), RandomizedGreedyScheduler
+        )
         assert isinstance(
             registry.create(KIND_TRIGGER, "count", threshold=3), CountTrigger
         )
@@ -144,7 +142,7 @@ class TestServiceConfig:
             ("aggregation_parameters", "aggregation", "parameters", PARAMS),
             ("engine", "aggregation", "engine", "scalar"),
             ("horizon_slices", "scheduling", "horizon_slices", 96),
-            ("scheduler", "scheduling", "scheduler", "delta"),
+            ("scheduler", "scheduling", "scheduler", "greedy"),
             ("scheduler_passes", "scheduling", "scheduler_passes", 3),
             ("trigger", "scheduling", "trigger", CountTrigger(7)),
             ("min_run_interval_slices", "scheduling", "min_run_interval_slices", 2.5),
@@ -270,8 +268,7 @@ class TestServiceConfig:
     def test_unknown_scheduler_is_refused(self, name):
         with pytest.raises(ServiceError) as excinfo:
             SchedulingConfig(scheduler=name)
-        message = str(excinfo.value)
-        assert "delta" in message and "greedy" in message
+        assert "known scheduler names: greedy" in str(excinfo.value)
 
     def test_from_flat_and_merged(self):
         config = ServiceConfig.from_flat(batch_size=8, engine="scalar", seed=3)

@@ -66,7 +66,7 @@ def test_unknown_scheduler_exits_2(capsys, name):
     # The EA and the MILP oracle are experiment-only, not registry names.
     assert main(["loadtest", "--scheduler", name]) == EXIT_UNKNOWN_EXPERIMENT
     err = capsys.readouterr().err
-    assert "delta" in err and "greedy" in err
+    assert "greedy" in err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -504,22 +504,15 @@ def test_trigger_specs_compose(capsys):
     )
 
 
-def test_delta_scheduler_loadtest_runs(tmp_path, capsys):
-    # The registration's ``delta`` capability routes planning through the
-    # DeltaRequest branch, where its runs or its full-pass fallbacks count.
-    routed = {}
-    for scheduler in ("delta", "greedy"):
-        dump = tmp_path / f"{scheduler}.json"
-        assert main([
-            "loadtest", *TINY, "--scheduler", scheduler,
-            "--metrics-json", str(dump),
-        ]) == EXIT_OK
-        assert "offers" in capsys.readouterr().out
-        metrics = json.loads(dump.read_text())
-        routed[scheduler] = metrics.get("delta.runs", 0) + metrics.get(
-            "delta.full_fallbacks", 0
-        )
-    assert routed["delta"] > 0 and routed["greedy"] == 0
+def test_delta_scheduler_is_refused(tmp_path, capsys):
+    # Keeping clean placements is the one planning path, so ``delta`` is no
+    # scheduler name, as a flag or in a config file.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"scheduler": "delta"}))
+    for args in (["--scheduler", "delta"], ["--config", str(config)]):
+        assert main(["loadtest", *TINY, *args]) == EXIT_UNKNOWN_EXPERIMENT
+        err = capsys.readouterr().err
+        assert "'delta'" in err and "known scheduler names: greedy" in err
 
 
 def test_adaptive_target_flag_accepted(capsys):
@@ -548,5 +541,5 @@ def test_latency_target_holds_the_tsos_macro_wait(tmp_path, capsys):
 def test_list_shows_registry_catalogue(capsys):
     assert main(["--list"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "scheduler" in out and "delta" in out
+    assert "scheduler" in out and "greedy" in out
     assert "trigger" in out and "imbalance" in out

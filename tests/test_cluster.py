@@ -9,6 +9,8 @@ prosumer micro-offer commitments.
 
 import hashlib
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,10 @@ from repro.runtime import (
     SimulatedDriver,
     aggregate_registries,
 )
+from repro.runtime.planning import PlanSession
+from repro.scheduling import RandomizedGreedyScheduler
+
+E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
 TINY = ServiceConfig(
     scheduling=SchedulingConfig(scheduler_passes=1, horizon_slices=96),
@@ -512,13 +518,15 @@ class TestClusterRuntime:
             tso_latency.count
         )
         # The planning-side instrument names both tiers emit on this run
-        # (greedy at both tiers, so no delta.* counter may appear).
+        # (each tier counts its kept and re-placed placements).
         planning = ("schedule.", "delta.", "trigger.", "stage.wall_seconds")
         assert {
             name
             for name, _ in merged.items()
             if name.startswith(planning + tuple("tso." + p for p in planning))
         } == {
+            "delta.replaced_placements",
+            "delta.reused_placements",
             "schedule.empty_runs",
             "schedule.last_cost",
             "schedule.last_offers",
@@ -536,6 +544,8 @@ class TestClusterRuntime:
             'stage.wall_seconds{brp="brp-1",stage="disaggregate"}',
             'stage.wall_seconds{brp="brp-1",stage="schedule"}',
             'stage.wall_seconds{brp="brp-1",stage="sweep"}',
+            "tso.delta.replaced_placements",
+            "tso.delta.reused_placements",
             "tso.schedule.last_cost",
             "tso.schedule.last_offers",
             "tso.schedule.run_seconds",
@@ -726,3 +736,49 @@ class TestMetricsMerge:
         # so both tails are visible — not ~93% of whichever merged first.
         assert merged.quantile(0.25) == 1.0
         assert merged.quantile(0.75) == 20.0
+
+
+class TestKeptPlacementQuality:
+    @pytest.fixture
+    def workloads(self):
+        saved = sys.path[:]
+        sys.path.insert(0, str(E2E))
+        try:
+            import workloads
+        finally:
+            sys.path[:] = saved
+        return workloads
+
+    def test_kept_placements_cost_what_a_full_replan_does(
+        self, workloads, tmp_path, monkeypatch
+    ):
+        """On every planning run of a ``cluster_k2``-shaped smoke run, at
+        both tiers, the plan that keeps clean placements costs within 1e-3
+        relative of a full two-pass greedy over the same problem: on the
+        runtime's flat two-row market the cost hardly depends on where the
+        kept offers sit."""
+        prepared = workloads.prepare(
+            workloads.WORKLOADS["cluster_k2"], 42, True, tmp_path
+        )
+        plan = PlanSession.plan
+        gaps = []
+        kept_runs = 0
+
+        def judged(session, problem, keys):
+            nonlocal kept_runs
+            before = session.metrics.counter("delta.reused_placements").value
+            result = plan(session, problem, keys)
+            kept_runs += (
+                session.metrics.counter("delta.reused_placements").value
+                > before
+            )
+            full = RandomizedGreedyScheduler().schedule(
+                problem, max_passes=2, rng=np.random.default_rng(0)
+            )
+            gaps.append(abs(result.cost - full.cost) / abs(full.cost))
+            return result
+
+        monkeypatch.setattr(PlanSession, "plan", judged)
+        prepared.replay()
+        assert len(gaps) > 20 and kept_runs > len(gaps) // 2
+        assert max(gaps) <= 1e-3

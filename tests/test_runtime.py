@@ -336,7 +336,7 @@ class TestAdaptiveTrigger:
             AdaptiveTrigger(0.0)
 
     def test_fires_on_count_or_age(self):
-        trigger = AdaptiveTrigger(8.0)  # starts at 200 offers / 16 slices
+        trigger = AdaptiveTrigger(40.0)  # starts at 200 offers / 16 slices
         fire = TriggerContext(
             now=0.0,
             offers_since_last_run=200,
@@ -359,8 +359,14 @@ class TestAdaptiveTrigger:
         assert trigger.should_fire(aged)
         assert not trigger.should_fire(wait)
 
+    def test_age_starts_inside_a_tight_targets_band(self):
+        # Runs before the first feedback: an age limit of 16 slices would
+        # make the first offers wait past a 6-slice target.
+        assert AdaptiveTrigger(6.0).max_age_slices == pytest.approx(4.2)
+        assert AdaptiveTrigger(40.0).max_age_slices == 16.0
+
     def test_tightens_when_p95_above_target(self):
-        trigger = AdaptiveTrigger(10.0)
+        trigger = AdaptiveTrigger(40.0)
         metrics = MetricsRegistry()
         self._latency(metrics, *[50.0] * 20)
         record = trigger.observe(metrics)
@@ -371,7 +377,7 @@ class TestAdaptiveTrigger:
         assert record["max_age_slices"] == {"old": 16.0, "new": 8.0}
 
     def test_stale_histogram_is_not_acted_on(self):
-        trigger = AdaptiveTrigger(10.0)
+        trigger = AdaptiveTrigger(40.0)
         metrics = MetricsRegistry()
         assert trigger.observe(metrics) is None  # no observations at all
         self._latency(metrics, 50.0)
@@ -381,14 +387,14 @@ class TestAdaptiveTrigger:
         assert trigger.count_threshold == 100
 
     def test_in_band_p95_leaves_thresholds_alone(self):
-        trigger = AdaptiveTrigger(10.0)
+        trigger = AdaptiveTrigger(40.0)
         metrics = MetricsRegistry()
-        self._latency(metrics, 8.0)  # between RELAX_MARGIN*target and target
+        self._latency(metrics, 32.0)  # between RELAX_MARGIN*target and target
         assert trigger.observe(metrics) is None
         assert trigger.count_threshold == 200
 
     def test_relax_is_capped_at_the_rails(self):
-        trigger = AdaptiveTrigger(10.0)
+        trigger = AdaptiveTrigger(40.0)
         metrics = MetricsRegistry()
         self._latency(metrics, 1.0)
         record = trigger.observe(metrics)

@@ -29,7 +29,9 @@ from repro.ledger import (
     offer_from_dict,
     offer_to_dict,
 )
+from repro.api.registry import KIND_SCHEDULER, default_registry
 from repro.runtime.planning import PlanSession
+from repro.scheduling.engine import OfferConstants
 from repro.runtime import (
     AgeTrigger,
     ServiceConfig,
@@ -619,46 +621,48 @@ class TestNetForecastWindow:
 
 
 class TestPlanSession:
-    def test_warm_candidate_none_for_all_new_pool(self):
+    def test_nothing_kept_for_an_all_new_pool(self):
         session = PlanSession()
-        assert session.warm_candidate([("a", _offer(2))]) is None
+        assert session.plan_window([("a", _offer(2))], 0, 96) is not None
+        assert [
+            session.metrics.counter(name).value
+            for name in (
+                "schedule.warm_started",
+                "delta.reused_placements",
+                "delta.replaced_placements",
+            )
+        ] == [0, 0, 1]
+        assert set(session.placements) == {"a"} and not session.dirty
 
-    def test_warm_candidate_duration_mismatch_falls_back_to_default(self):
+    def test_kept_placement_needs_its_duration(self):
         session = PlanSession()
-        session.warm["a"] = (3, np.array([1.5, 1.5, 1.5]))
-        shrunk = _offer(2, duration=2)
-        # A lone mismatched prior leaves no warm content at all.
-        assert session.warm_candidate([("a", shrunk)]) is None
-        # Next to a usable prior, the mismatch falls back to the
-        # earliest-start / minimum-energy default placement.
-        session.warm["b"] = (4, np.array([1.2, 1.2]))
-        candidate = session.warm_candidate(
-            [("a", shrunk), ("b", _offer(2, duration=2))]
-        )
-        assert candidate is not None
-        assert candidate.starts[0] == shrunk.earliest_start
-        assert np.array_equal(
-            candidate.energies[0], shrunk.profile.min_energies()
-        )
-        assert candidate.starts[1] == 4
-        assert np.array_equal(candidate.energies[1], [1.2, 1.2])
+        session.placements["a"] = (3, np.array([1.5, 1.5, 1.5]))
+        shrunk = OfferConstants.from_offer(_offer(2, duration=2), 0)
+        assert session._kept("a", shrunk) is None
+        session.placements["a"] = (3, np.array([1.5, 1.5]))
+        assert session._kept("a", shrunk) is session.placements["a"]
+        session.dirty.add("a")
+        assert session._kept("a", shrunk) is None
 
-    def test_warm_candidate_clips_into_current_window_and_bounds(self):
+    def test_kept_placement_must_fit_window_and_bounds(self):
         session = PlanSession()
-        offer = _offer(6, tf=4, duration=2, lo=1.0, hi=2.0)
-        session.warm["a"] = (0, np.array([9.0, 9.0]))
-        candidate = session.warm_candidate([("a", offer)])
-        assert candidate.starts[0] == offer.earliest_start  # clipped up
-        assert np.array_equal(candidate.energies[0], [2.0, 2.0])
-        session.warm["a"] = (30, np.array([0.0, 0.0]))
-        candidate = session.warm_candidate([("a", offer)])
-        assert candidate.starts[0] == offer.latest_start  # clipped down
-        assert np.array_equal(candidate.energies[0], [1.0, 1.0])
+        consts = OfferConstants.from_offer(_offer(6, tf=4, lo=1.0, hi=2.0), 0)
+        for start, energies in (
+            (5, [1.0, 1.0]),  # before the window
+            (11, [1.0, 1.0]),  # after it
+            (6, [1.0, 2.5]),  # above the bounds
+            (10, [0.5, 2.0]),  # below them
+        ):
+            session.placements["a"] = (start, np.array(energies))
+            assert session._kept("a", consts) is None
+        for start in (6, 10):
+            session.placements["a"] = (start, np.array([1.0, 2.0]))
+            assert session._kept("a", consts) is session.placements["a"]
 
     def test_absorb_accumulates_dirt_and_evicts_deleted(self):
         session = PlanSession()
-        session.warm["gone"] = (0, np.array([1.0]))
-        session.warm["kept"] = (2, np.array([1.0]))
+        session.placements["gone"] = (0, np.array([1.0]))
+        session.placements["kept"] = (2, np.array([1.0]))
         session.absorb(
             [
                 AggregateUpdate(kind, gid, lambda: None)
@@ -670,7 +674,7 @@ class TestPlanSession:
             ]
         )
         assert session.dirty == {"new", "kept", "gone"}
-        assert "gone" not in session.warm and "kept" in session.warm
+        assert "gone" not in session.placements and "kept" in session.placements
 
 
 class TestPlanWindowAtBothTiers:
@@ -717,13 +721,15 @@ class TestPlanWindowAtBothTiers:
             for i, (est, lst) in enumerate(windows)
         ]
 
-    @pytest.mark.parametrize("scheduler", ["greedy", "delta"])
+    @pytest.mark.parametrize(
+        "scheduler", default_registry().names(KIND_SCHEDULER)
+    )
     def test_same_candidates_same_problem_same_plan(self, scheduler):
         brp, tso, problems = self._tiers(scheduler)
         candidates = self._candidates()
         clipped = candidates[0][1]  # earliest_start 4 < START, window open
         closed = candidates[3][1]  # latest_start 8 < START
-        # Cold run, then an unchanged re-run (warm start / pure delta pass).
+        # Cold run, then an unchanged re-run that keeps every placement.
         for _ in range(2):
             ours, theirs = (
                 tier.session.plan_window(candidates, self.START, self.END)
@@ -766,61 +772,69 @@ class TestPlanWindowAtBothTiers:
             }
             for tier in (brp, tso)
         )
-        assert counters == tso_counters
-        if scheduler == "delta":
-            assert counters["delta.full_fallbacks"] == 1
-            assert counters["delta.runs"] == 1
-            assert counters["delta.reused_placements"] == 4
-        else:
-            assert counters == {}
+        assert counters == tso_counters == {
+            "delta.reused_placements": 4,
+            "delta.replaced_placements": 4,
+        }
 
 
-class TestDeltaSchedulerService:
+class TestKeptPlacementsService:
     def _config(self):
         return ServiceConfig.from_flat(
             batch_size=8,
-            scheduler="delta",
             scheduler_passes=1,
             trigger=AnyTrigger([CountTrigger(20), AgeTrigger(8)]),
             min_run_interval_slices=0.0,
             seed=0,
         )
 
+    @staticmethod
+    def _counts(service):
+        return [
+            service.metrics.counter(name).value
+            for name in (
+                "schedule.warm_started",
+                "delta.reused_placements",
+                "delta.replaced_placements",
+            )
+        ]
+
     def test_clean_rerun_reuses_every_group(self):
         service = BrpRuntimeService(self._config())
-        # Spread starts widely so aggregation builds several groups; one
-        # later insert then dirties a small fraction of the pool (below the
-        # scheduler's full-pass fallback threshold).
+        # Spread starts widely so aggregation builds several groups.
         for est in (8, 16, 24, 32, 40, 48, 56, 64):
             for duration in (1, 3):
                 assert service.submit(_offer(est, tf=6, duration=duration))
         service.run_aggregation()
-        assert service.maybe_schedule(force=True) is not None
-        assert service.session.last_mode == "full"
-        n_groups = len(service.session.warm)
-        assert n_groups > 0
-        # Nothing changed since: the re-run is a pure delta pass.
-        assert service.maybe_schedule(force=True) is not None
-        assert service.session.last_mode == "delta"
-        assert service.session.last_reused == n_groups
-        assert service.session.last_replaced == 0
+        first = service.maybe_schedule(force=True)
+        assert first is not None
+        n_groups = len(service.session.placements)
+        assert n_groups > 1
+        # A first run places everything and keeps nothing.
+        assert self._counts(service) == [0, 0, n_groups]
+        # Nothing changed since: the re-run keeps every placement.
+        second = service.maybe_schedule(force=True)
+        assert self._counts(service) == [1, n_groups, n_groups]
+        assert np.array_equal(second.solution.starts, first.solution.starts)
+        assert second.cost == first.cost
         # One new offer dirties only the group it lands in.
         assert service.submit(_offer(70, tf=6))
         service.run_aggregation()
         assert service.maybe_schedule(force=True) is not None
-        assert service.session.last_mode == "delta"
-        assert service.session.last_replaced >= 1
-        assert service.session.last_reused >= n_groups - 1
-        assert service.metrics.counter("delta.runs").value == 2
-        assert service.metrics.counter("delta.full_fallbacks").value == 1
-        assert service.metrics.counter("delta.reused_placements").value > 0
+        warm, reused, replaced = self._counts(service)
+        assert warm == 2
+        assert reused >= 2 * n_groups - 1
+        assert n_groups + 1 <= replaced <= n_groups + 2
 
-    def test_streamed_delta_run_matches_invariants(self):
+    def test_streamed_run_matches_invariants(self):
         service, report = _run(duration=48, config=self._config())
         assert report.offers_accepted > 0
-        runs = service.metrics.counter("delta.runs").value
-        fallbacks = service.metrics.counter("delta.full_fallbacks").value
-        assert runs + fallbacks == service.metrics.counter("schedule.runs").value
+        warm, reused, replaced = self._counts(service)
+        planned = service.metrics.counter("schedule.runs").value - (
+            service.metrics.counter("schedule.empty_runs").value
+        )
+        assert 0 < warm < planned and reused > 0
+        assert reused + replaced >= planned
         schedule = service.last_schedule
         assert schedule is not None
         for assignment in schedule:

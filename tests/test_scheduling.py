@@ -345,35 +345,48 @@ class TestGreedy:
         costs = [c for _, c in result.trace]
         assert costs == sorted(costs, reverse=True)
 
-    def test_warm_start_never_worse_than_seed(self):
+    def test_retained_placements_are_kept(self):
         rng = np.random.default_rng(6)
         offers = [
             flex_offer([(1.0, 2.0)] * 2, earliest_start=0, latest_start=40)
             for _ in range(8)
         ]
         problem = surplus_problem(offers)
-        warm = problem.minimum_solution()
-        warm_cost = problem.cost(warm)
+        seed = problem.minimum_solution()
+        retained = [
+            (int(seed.starts[j]), seed.energies[j]) if j % 2 else None
+            for j in range(len(offers))
+        ]
         result = RandomizedGreedyScheduler().schedule(
-            problem, max_passes=3, rng=rng, warm_start=warm
+            problem, max_passes=3, rng=rng, retained=retained
         )
-        assert result.cost <= warm_cost + 1e-9
-        # The warm candidate counts as one evaluation.
+        for j, kept in enumerate(retained):
+            if kept is not None:
+                assert result.solution.starts[j] == kept[0]
+                assert np.array_equal(result.solution.energies[j], kept[1])
+        problem.to_schedule(result.solution)
+        # Kept placements cost no evaluation, and the cost is re-priced.
         assert result.evaluations == 3
+        assert result.cost == problem.cost(result.solution)
 
     def test_warm_start_survives_zero_extra_passes(self):
+        # A run that keeps every placement of the previous plan returns it.
         rng = np.random.default_rng(7)
         offers = [
             flex_offer([(1.0, 2.0)], earliest_start=0, latest_start=10)
             for _ in range(3)
         ]
         problem = flat_problem(offers)
-        warm = problem.minimum_solution()
+        seed = problem.minimum_solution()
         result = RandomizedGreedyScheduler().schedule(
-            problem, max_passes=1, rng=rng, warm_start=warm
+            problem,
+            max_passes=1,
+            rng=rng,
+            retained=list(zip(seed.starts.tolist(), seed.energies)),
         )
         assert result.evaluations == 1
-        assert result.cost == pytest.approx(problem.cost(warm))
+        assert np.array_equal(result.solution.starts, seed.starts)
+        assert result.cost == problem.cost(seed)
 
 
 class TestEvolutionary:

@@ -21,17 +21,17 @@ from hypothesis import strategies as st
 from pins import pin
 from repro.core import Profile, SchedulingError, TimeSeries, flex_offer
 from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
+from repro.aggregation.updates import AggregateUpdate, UpdateKind
+from repro.runtime.planning import PlanSession
 from repro.scheduling import (
     CandidateSolution,
-    DeltaRequest,
-    DeltaScheduler,
     IncrementalCostState,
     Market,
     RandomizedGreedyScheduler,
     SchedulingProblem,
 )
-from repro.scheduling import delta as delta_module
 from repro.scheduling.engine import CostEngine, OfferConstants
+from repro.scheduling.greedy import _PassStart
 from repro.scheduling.reference import (
     reference_one_pass,
     reference_optimal_energies,
@@ -638,11 +638,13 @@ class TestIncrementalCostState:
     def test_place_keeps_cost_vector_exact(self, monkeypatch):
         """``place`` stores the kernel's after-costs instead of re-pricing.
 
-        After every placement of a greedy pass and of the delta scheduler's
-        re-placement loop, over both corpora's problems, the cost vector is
-        still bit-equal to the slice costs of the residual and the running
-        total advanced by exactly the kernel's delta; the digest of every
-        (offset, energies, total) was recorded from the ``place`` that
+        After every placement of a greedy pass and of two index-order
+        passes — one over the whole pool, one re-placing every third offer
+        from the residual the kept placements leave (the scheduler's
+        ``retained`` seed) — over both corpora's problems, the cost vector
+        is still bit-equal to the slice costs of the residual and the
+        running total advanced by exactly the kernel's delta; the digest of
+        every (offset, energies, total) was recorded from the ``place`` that
         re-priced its window.
         """
         original = IncrementalCostState.place
@@ -661,8 +663,18 @@ class TestIncrementalCostState:
             digest.update(energies.tobytes())
             placements += 1
 
+        def index_order_pass(problem, retained):
+            start = _PassStart.of(problem, retained)
+            state = IncrementalCostState(problem.engine, start.residual.copy())
+            placed = list(retained)
+            for j in start.free:
+                c = problem.offer_constants[j]
+                index, energy, cost_delta, after = state.best_placement(c)
+                state.place(c.earliest_index + index, energy, cost_delta, after)
+                placed[j] = (c.earliest_start + index, energy)
+            return placed
+
         monkeypatch.setattr(IncrementalCostState, "place", checked_place)
-        monkeypatch.setattr(delta_module, "FULL_FRACTION", 0.5)
         for corpus in (runtime_shape_corpus, mixed_sign_corpus):
             for problem, j, _ in corpus():
                 if j:
@@ -670,13 +682,10 @@ class TestIncrementalCostState:
                 RandomizedGreedyScheduler()._one_pass(
                     problem, np.random.default_rng(3)
                 )
-                keys = tuple(f"g{i}" for i in range(problem.offer_count))
-                scheduler = DeltaScheduler()
-                for dirty in (keys, keys[::3]):
-                    scheduler.schedule(
-                        problem, delta=DeltaRequest(keys, frozenset(dirty))
-                    )
-                assert scheduler.last_stats["mode"] == "delta"
+                full = index_order_pass(problem, [None] * problem.offer_count)
+                for i in range(0, problem.offer_count, 3):
+                    full[i] = None
+                index_order_pass(problem, full)
         assert placements == 2 * 16 * (8 + 8 + 3)
         pin("kernel.place_totals", digest.hexdigest())
 
@@ -701,14 +710,20 @@ class TestWarmStartedReplanning:
         return problem, problem.minimum_solution()
 
     def test_scheduler_warm_start_deterministic(self):
-        """Same warm start + rng ⇒ identical schedules under the new kernel."""
+        """Same kept placements + rng ⇒ identical schedules."""
         problem, warm = self._problem_and_warm()
+        retained = [
+            (int(start), energies) if j % 2 else None
+            for j, (start, energies) in enumerate(
+                zip(warm.starts, warm.energies)
+            )
+        ]
         runs = [
             RandomizedGreedyScheduler().schedule(
                 problem,
                 max_passes=3,
                 rng=np.random.default_rng(3),
-                warm_start=warm.copy(),
+                retained=list(retained),
             )
             for _ in range(2)
         ]
@@ -781,72 +796,107 @@ class TestPackedOffers:
             assert np.array_equal(original, piece)
 
 
-class _DeltaOracle:
-    """From-scratch replay of the delta scheduler's arithmetic contract.
+class _KeptPlacementOracle:
+    """From-scratch replay of a planning session that keeps placements.
 
-    Independent bookkeeping of the retained plan across runs; every run
-    rebuilds the incremental state canonically (zero seed + retained adds
-    in index order, one vector add onto the forecast, dirty placements in
-    index order, re-priced final cost).  The scheduler must reproduce this
-    bit for bit — including the full-pass fallbacks, which are just the
-    degenerate empty-retained case.
+    Independent bookkeeping of the last plan across runs.  A key is kept
+    when it is clean and its last placement still fits (duration, start
+    window, energy bounds); every run rebuilds its state canonically (zero
+    seed + kept adds in index order, one vector add onto the forecast),
+    places the other offers in ``rng.permutation`` order on each pass,
+    keeps the first cheapest pass and re-prices it with ``problem.cost``.
+    :class:`~repro.runtime.planning.PlanSession` must reproduce this bit
+    for bit; a first run, where nothing is kept, is the cold greedy.
     """
 
-    def __init__(self, *, full_fraction=0.25):
-        self.full_fraction = full_fraction
+    def __init__(self, seed, passes):
+        self.rng = np.random.default_rng(seed)
+        self.passes = passes
         self.plan: dict = {}
 
     def run(self, problem, keys, dirty):
         consts = problem.offer_constants
         n = problem.offer_count
         h0 = problem.horizon_start
-        mode = "delta" if self.plan else "full"
-        retained: dict = {}
-        if mode == "delta":
-            for j, key in enumerate(keys):
-                prior = self.plan.get(key)
-                if key in dirty or prior is None:
-                    continue
-                start, energies = prior
-                c = consts[j]
-                if (
-                    len(energies) == c.duration
-                    and c.earliest_start <= start <= c.latest_start
-                    and np.all(energies >= c.lo)
-                    and np.all(energies <= c.hi)
-                ):
-                    retained[j] = prior
-            if n and (n - len(retained)) / n > self.full_fraction:
-                mode = "full"
-                retained = {}
-        seed = np.zeros(problem.horizon_length)
-        for j in sorted(retained):
-            start, energies = retained[j]
-            seed[start - h0 : start - h0 + len(energies)] += energies
-        state = IncrementalCostState(
-            problem.engine, problem.net_forecast.values + seed
-        )
-        starts = np.zeros(n, dtype=np.int64)
-        energies_out = [None] * n
-        for j in range(n):
-            if j in retained:
-                starts[j], energies_out[j] = retained[j]
-        for j in range(n):
-            if j in retained:
+        kept: dict = {}
+        for j, key in enumerate(keys):
+            prior = self.plan.get(key)
+            if key in dirty or prior is None:
                 continue
+            start, energies = prior
             c = consts[j]
-            index, energy, cost_delta, after = state.best_placement(c)
-            starts[j] = c.earliest_start + index
-            energies_out[j] = energy
-            state.place(c.earliest_index + index, energy, cost_delta, after)
-        compensation = 0.0
-        for j in range(n):
-            compensation += consts[j].flex_cost(energies_out[j])
-        cost = problem.engine.total_cost(state.residual) + compensation
+            if (
+                len(energies) == c.duration
+                and c.earliest_start <= start <= c.latest_start
+                and np.all(energies >= c.lo)
+                and np.all(energies <= c.hi)
+            ):
+                kept[j] = prior
+        residual = problem.net_forecast.values
+        if kept:
+            seed = np.zeros(problem.horizon_length)
+            for j in sorted(kept):
+                start, energies = kept[j]
+                seed[start - h0 : start - h0 + len(energies)] += energies
+            residual = residual + seed
+        free = np.array([j for j in range(n) if j not in kept], dtype=np.int64)
+        best = None
+        for _ in range(self.passes):
+            state = IncrementalCostState(problem.engine, residual.copy())
+            starts = np.zeros(n, dtype=np.int64)
+            energies_out = [None] * n
+            for j, (start, energies) in kept.items():
+                starts[j], energies_out[j] = start, energies
+            for j in self.rng.permutation(free):
+                c = consts[j]
+                index, energy, cost_delta, after = state.best_placement(c)
+                starts[j] = c.earliest_start + index
+                energies_out[j] = energy
+                state.place(c.earliest_index + index, energy, cost_delta, after)
+            if best is None or state.total < best[0]:
+                best = (state.total, starts, energies_out)
+        _, starts, energies_out = best
+        cost = problem.cost(CandidateSolution(starts, energies_out))
         self.plan = {
             keys[j]: (int(starts[j]), energies_out[j]) for j in range(n)
         }
-        return starts, energies_out, cost, mode
+        return starts, energies_out, cost, len(kept)
+
+
+def _cold_greedy(problem, passes, rng):
+    """The cold greedy as it stood before ``retained`` existed."""
+    best = None
+    for _ in range(passes):
+        state = IncrementalCostState.for_problem(problem)
+        starts = np.zeros(problem.offer_count, dtype=np.int64)
+        energies = [None] * problem.offer_count
+        for j in rng.permutation(problem.offer_count):
+            c = problem.offer_constants[j]
+            index, energy, cost_delta, after = state.best_placement(c)
+            starts[j] = c.earliest_start + index
+            energies[j] = energy
+            state.place(c.earliest_index + index, energy, cost_delta, after)
+        if best is None or state.total < best[0]:
+            best = (state.total, starts, energies)
+    return best
+
+
+def _assert_same_plan(result, starts, energies, cost):
+    assert np.array_equal(result.solution.starts, starts)
+    for got, want in zip(result.solution.energies, energies):
+        assert np.array_equal(got, want)
+    assert result.cost == cost
+
+
+def _session_counts(session):
+    return tuple(
+        session.metrics.counter(name).value
+        for name in (
+            "schedule.warm_started",
+            "delta.reused_placements",
+            "delta.replaced_placements",
+        )
+    )
 
 
 def _random_pool_offer(rng, horizon, h0=0):
@@ -869,10 +919,10 @@ def _random_pool_offer(rng, horizon, h0=0):
     )
 
 
-class TestDeltaScheduler:
-    """Bit-parity of dirty-set re-planning against the from-scratch oracle."""
+class TestKeptPlacements:
+    """Bit-parity of kept-placement planning against the from-scratch oracle."""
 
-    def _pool_problem(self, pool, net_series, market, rng):
+    def _pool_problem(self, pool, net_series, market):
         keys = tuple(sorted(pool))
         problem = SchedulingProblem(
             net_series,
@@ -886,15 +936,13 @@ class TestDeltaScheduler:
     def test_oracle_parity_random_mixed_updates(self):
         """200 random pools x 4 rounds of mutate/delete/add updates.
 
-        Every committed start, energy vector and cost must equal the
-        oracle's bit for bit — and when dirt pushes the scheduler over
-        ``FULL_FRACTION`` mid-history, the fallback full pass must equal a
-        forced full re-plan by a fresh scheduler on the same problem.
+        Every committed start, energy vector and cost of a
+        :class:`PlanSession` fed the updates must equal the oracle's bit for
+        bit, and the reported cost is ``problem.cost`` of the plan.
         """
         rng = np.random.default_rng(42)
-        delta_rounds = 0
-        fallback_rounds = 0
-        for _ in range(N_RANDOM_PROBLEMS):
+        kept_rounds = 0
+        for history in range(N_RANDOM_PROBLEMS):
             horizon = int(rng.integers(16, 40))
             net_series = TimeSeries(0, rng.uniform(-20.0, 20.0, horizon))
             buy = rng.uniform(0.05, 0.6, horizon)
@@ -904,86 +952,65 @@ class TestDeltaScheduler:
                 f"g{next(fresh):04d}": _random_pool_offer(rng, horizon)
                 for _ in range(int(rng.integers(3, 9)))
             }
-            scheduler = DeltaScheduler()
-            oracle = _DeltaOracle()
+            session = PlanSession(seed=history)
+            oracle = _KeptPlacementOracle(history, session.passes)
             for round_no in range(4):
-                dirty = set()
+                updates = []
                 if round_no:
                     for key in list(pool):
                         roll = rng.random()
                         if roll < 0.15 and len(pool) > 1:
                             del pool[key]
+                            updates.append((UpdateKind.DELETED, key))
                         elif roll < 0.40:
                             pool[key] = _random_pool_offer(rng, horizon)
-                            dirty.add(key)
+                            updates.append((UpdateKind.MODIFIED, key))
                     for _ in range(int(rng.integers(0, 3))):
                         key = f"g{next(fresh):04d}"
                         pool[key] = _random_pool_offer(rng, horizon)
-                        dirty.add(key)
-                keys, problem = self._pool_problem(
-                    pool, net_series, market, rng
+                        updates.append((UpdateKind.CREATED, key))
+                session.absorb(
+                    AggregateUpdate(kind, key, lambda: None)
+                    for kind, key in updates
                 )
-                result = scheduler.schedule(
-                    problem,
-                    delta=DeltaRequest(keys=keys, dirty=frozenset(dirty)),
+                keys, problem = self._pool_problem(pool, net_series, market)
+                reused_before = _session_counts(session)[1]
+                result = session.plan(problem, keys)
+                starts, energies, cost, kept = oracle.run(
+                    problem, keys, {key for _, key in updates}
                 )
-                starts, energies, cost, mode = oracle.run(
-                    problem, keys, dirty
-                )
-                assert scheduler.last_stats["mode"] == mode
-                assert np.array_equal(result.solution.starts, starts)
-                for got, want in zip(result.solution.energies, energies):
-                    assert np.array_equal(got, want)
-                assert result.cost == cost
-                if mode == "delta":
-                    delta_rounds += 1
-                elif round_no:
-                    fallback_rounds += 1
-                    forced = DeltaScheduler().schedule(problem)
-                    assert np.array_equal(
-                        forced.solution.starts, result.solution.starts
-                    )
-                    for got, want in zip(
-                        forced.solution.energies, result.solution.energies
-                    ):
-                        assert np.array_equal(got, want)
-                    assert forced.cost == result.cost
-        # The history generator must actually exercise both regimes.
-        assert delta_rounds > 100
-        assert fallback_rounds > 20
+                _assert_same_plan(result, starts, energies, cost)
+                assert result.cost == problem.cost(result.solution)
+                assert _session_counts(session)[1] - reused_before == kept
+                kept_rounds += 0 < kept < len(keys)
+        # The history generator must mix kept and re-placed offers.
+        assert kept_rounds > 300
 
-    def test_window_shift_still_runs_delta(self):
+    def test_window_shift_keeps_what_still_fits(self):
         rng = np.random.default_rng(7)
         pool = {
             f"g{j}": _random_pool_offer(rng, 16, h0=6) for j in range(6)
         }
         market = Market.flat(24)
-
-        def problem_at(h0):
+        session = PlanSession(seed=5)
+        oracle = _KeptPlacementOracle(5, session.passes)
+        for h0 in (0, 4):
             keys = tuple(sorted(pool))
-            return keys, SchedulingProblem(
+            problem = SchedulingProblem(
                 TimeSeries(h0, rng.uniform(-5.0, 5.0, 24)),
                 tuple(pool[key] for key in keys),
                 market,
             )
+            result = session.plan(problem, keys)
+            starts, energies, cost, kept = oracle.run(problem, keys, set())
+            _assert_same_plan(result, starts, energies, cost)
+        assert kept == len(pool)
+        assert _session_counts(session) == (1, 6, 6)
 
-        scheduler = DeltaScheduler()
-        oracle = _DeltaOracle()
-        for h0 in (0, 4):
-            keys, problem = problem_at(h0)
-            result = scheduler.schedule(
-                problem, delta=DeltaRequest(keys=keys, dirty=frozenset())
-            )
-            starts, energies, cost, mode = oracle.run(problem, keys, set())
-            assert scheduler.last_stats["mode"] == mode
-            assert np.array_equal(result.solution.starts, starts)
-            assert result.cost == cost
-        assert scheduler.last_stats["mode"] == "delta"
+    def test_undirtied_shape_change_is_evicted(self):
+        """A clean key whose offer changed shape is re-placed, not kept.
 
-    def test_undirtied_shape_change_is_evicted(self, monkeypatch):
-        """A clean key whose offer changed shape is re-placed, not reused.
-
-        The dirty set is advisory; the retained-placement feasibility check
+        The dirty set is advisory; the kept-placement feasibility check
         (duration, start window, energy bounds) is the backstop.
         """
         horizon = 24
@@ -996,25 +1023,19 @@ class TestDeltaScheduler:
             "d": flex_offer([(0.2, 0.9)] * 2, earliest_start=1, latest_start=12),
             "e": flex_offer([(0.1, 0.4)] * 4, earliest_start=3, latest_start=15),
         }
-        monkeypatch.setattr(delta_module, "FULL_FRACTION", 1.0)
-        scheduler = DeltaScheduler()
-        oracle = _DeltaOracle(full_fraction=1.0)
+        session = PlanSession(seed=1)
+        oracle = _KeptPlacementOracle(1, session.passes)
 
-        def run(dirty):
+        def run():
             keys = tuple(sorted(pool))
             problem = SchedulingProblem(
                 net_series, tuple(pool[k] for k in keys), market
             )
-            result = scheduler.schedule(
-                problem,
-                delta=DeltaRequest(keys=keys, dirty=frozenset(dirty)),
-            )
-            starts, energies, cost, mode = oracle.run(problem, keys, dirty)
-            assert np.array_equal(result.solution.starts, starts)
-            assert result.cost == cost
-            return result
+            result = session.plan(problem, keys)
+            starts, energies, cost, _ = oracle.run(problem, keys, set())
+            _assert_same_plan(result, starts, energies, cost)
 
-        run(set())
+        run()
         # Duration change on "a", window change on "c", bounds change on
         # "d" — none marked dirty; all three must still be re-placed.
         pool["a"] = flex_offer(
@@ -1024,28 +1045,46 @@ class TestDeltaScheduler:
         pool["d"] = flex_offer(
             [(2.5, 3.0)] * 2, earliest_start=1, latest_start=12
         )
-        run(set())
-        assert scheduler.last_stats["mode"] == "delta"
-        assert scheduler.last_stats["replaced"] == 3
-        assert scheduler.last_stats["reused"] == 2
+        run()
+        assert _session_counts(session) == (1, 2, 5 + 3)
 
     def test_key_count_validation_and_modes(self):
         problem = random_problem(np.random.default_rng(3))
-        scheduler = DeltaScheduler()
-        with pytest.raises(ValueError):
-            scheduler.schedule(
-                problem,
-                delta=DeltaRequest(
-                    keys=("k",) * (problem.offer_count + 1), dirty=frozenset()
-                ),
+        n = problem.offer_count
+        with pytest.raises(ValueError, match="retained"):
+            RandomizedGreedyScheduler().schedule(
+                problem, max_passes=1, retained=[None] * (n + 1)
             )
-        keys = tuple(f"k{j}" for j in range(problem.offer_count))
-        request = DeltaRequest(keys=keys, dirty=frozenset())
-        scheduler.schedule(problem, delta=request)
-        assert scheduler.last_stats["mode"] == "full"
-        scheduler.schedule(problem, delta=request)
-        assert scheduler.last_stats["mode"] == "delta"
-        assert scheduler.last_stats["reused"] == problem.offer_count
-        # Without a request every call is a full pass, even with a plan.
-        scheduler.schedule(problem)
-        assert scheduler.last_stats["mode"] == "full"
+        session = PlanSession()
+        keys = tuple(f"k{j}" for j in range(n))
+        first = session.plan(problem, keys)
+        assert _session_counts(session) == (0, 0, n)
+        second = session.plan(problem, keys)
+        assert _session_counts(session) == (1, n, n)
+        # Everything kept: the plan does not move.
+        _assert_same_plan(
+            second, first.solution.starts, first.solution.energies, first.cost
+        )
+
+
+class TestColdGreedy:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), passes=st.integers(1, 4))
+    def test_no_retained_is_the_cold_greedy_bit_for_bit(self, seed, passes):
+        """``retained=None`` is the greedy as it was, cost included; an
+        all-``None`` list places the same plan and re-prices its cost."""
+        problem = random_problem(np.random.default_rng(seed))
+        cost, starts, energies = _cold_greedy(
+            problem, passes, np.random.default_rng(seed)
+        )
+        result = RandomizedGreedyScheduler().schedule(
+            problem, max_passes=passes, rng=np.random.default_rng(seed)
+        )
+        _assert_same_plan(result, starts, energies, cost)
+        result = RandomizedGreedyScheduler().schedule(
+            problem,
+            max_passes=passes,
+            rng=np.random.default_rng(seed),
+            retained=[None] * problem.offer_count,
+        )
+        _assert_same_plan(result, starts, energies, problem.cost(result.solution))
