@@ -28,7 +28,6 @@ def main() -> None:
         ingest=IngestConfig(batch_size=32),
         scheduling=SchedulingConfig(
             horizon_slices=192,
-            scheduler="greedy",  # any registry scheduler with 'runtime'
             scheduler_passes=2,
             trigger=build_trigger(
                 [

@@ -112,7 +112,7 @@ def _print_registry() -> None:
     from .api import default_registry
 
     print()
-    print("registry (kind  name  [capabilities]  description):")
+    print("registry (kind  name  description):")
     print(default_registry().render())
 
 
@@ -132,14 +132,11 @@ SERVICE_FLAGS: dict[str, tuple[str, str]] = {
         "min_run_interval_slices", "cooldown between scheduling runs (slices)",
     ),
     "--engine": ("engine", "aggregation engine, by registry name"),
-    "--scheduler": (
-        "scheduler",
-        "scheduling engine, by registry name",
-    ),
     "--target-p95-slices": (
         "target_p95_slices",
-        "closed-loop latency target: auto-tune the BRP trigger thresholds "
-        "and the TSO re-run cooldown toward this p95 (slices)",
+        "closed-loop latency target: an adaptive trigger at each BRP and "
+        "at the TSO steers its count/age thresholds toward this p95 "
+        "(slices)",
     ),
 }
 
@@ -187,7 +184,7 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         "repeatable — multiple specs combine with the 'any' composite; "
         "default: the library's count/age/imbalance policy "
         "(repro.runtime.config.default_trigger); --target-p95-slices "
-        "replaces the BRP trigger with the adaptive one",
+        "replaces it with the adaptive one, at the BRPs and at the TSO",
     )
     parser.add_argument(
         "--driver", default="simulated",
@@ -209,7 +206,7 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         help="JSON cluster config (per-BRP service sections + tso section; "
         "see repro.api.ClusterConfig.from_dict); implies cluster mode and "
         "is mutually exclusive with --brps.  Service flags (--batch, "
-        "--horizon, --scheduler, ...) supply the base config; the file's "
+        "--horizon, --passes, ...) supply the base config; the file's "
         "sections override where they speak",
     )
     parser.add_argument(
@@ -218,11 +215,6 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         "bus seam (shared-memory macro snapshots, TSO in the parent); "
         "requires --driver simulated, incompatible with --outage "
         "(default 0 = single-process cluster)",
-    )
-    parser.add_argument(
-        "--epoch-slices", type=float, default=4.0, metavar="S",
-        help="parallel mode: simulated slices per barrier epoch (workers "
-        "sync with the TSO tier at each boundary; default 4.0)",
     )
     parser.add_argument(
         "--metrics", action="store_true",
@@ -483,11 +475,6 @@ def _run_runtime(command: str, argv: list[str]) -> int:
                 "--outage is not supported with --workers (the fault "
                 "harness runs on the single-process cluster)"
             )
-        if args.epoch_slices <= 0:
-            return _usage_error(
-                f"--epoch-slices must be positive, got "
-                f"{args.epoch_slices}"
-            )
         if report_every is not None:
             return _usage_error(
                 "--report-every is not supported with --workers (the "
@@ -516,7 +503,7 @@ def _run_runtime(command: str, argv: list[str]) -> int:
     # moves to stderr.
     out = sys.stderr if args.log_json else sys.stdout
     try:
-        # Unknown engine/scheduler/driver/exporter names raise a
+        # Unknown engine/driver/exporter names raise a
         # RegistryError carrying the known names.
         flat = {
             name: getattr(args, flag[2:].replace("-", "_"))
@@ -693,7 +680,7 @@ def _build_cluster(args, config, spec, driver, tracer, outages):
         (lambda name: _make_ledger(args, name)) if args.ledger else None
     )
     placement = (
-        {"workers": args.workers, "epoch_slices": args.epoch_slices}
+        {"workers": args.workers}
         if args.workers > 0
         else {"driver": driver}
     )

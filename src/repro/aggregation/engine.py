@@ -25,8 +25,8 @@ mirroring the design of :mod:`repro.scheduling.engine`:
   :class:`~repro.aggregation.pipeline.AggregationPipeline` without the
   bin-packer (same interface, same
   :class:`~repro.aggregation.updates.AggregateUpdate` stream).  Bin-packing
-  stays with the scalar pipelines, which are the only engines registered
-  with the ``bin-packing`` capability.
+  stays with the scalar pipeline: build
+  ``AggregationPipeline(parameters, bounds)`` for it.
 
 The scalar path survives in :mod:`repro.aggregation.reference` as the
 correctness oracle; ``tests/test_aggregation_engine.py`` pins the packed

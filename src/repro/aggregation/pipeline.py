@@ -25,12 +25,7 @@ from .updates import AggregateUpdate, FlexOfferUpdate
 __all__ = ["AggregationPipeline", "aggregate_from_scratch", "make_pipeline"]
 
 
-def make_pipeline(
-    parameters: AggregationParameters,
-    bounds: BinPackerBounds | None = None,
-    *,
-    engine: str = "scalar",
-):
+def make_pipeline(parameters: AggregationParameters, *, engine: str = "scalar"):
     """Build an aggregation pipeline for the requested registry engine.
 
     ``"packed"`` is the columnar engine
@@ -38,22 +33,18 @@ def make_pipeline(
     runtime default), ``"scalar"`` the live object pipeline, and
     ``"reference"`` the scalar pipeline over the historical
     rebuild-on-remove group state (oracle and benchmark baseline).  All
-    engines expose the same submit/run/aggregates interface.  The name is
-    resolved through :func:`repro.api.default_registry`, the same catalogue
-    the runtime configuration validates against, so the two accepted sets
-    cannot diverge.  ``bounds`` needs an engine registered with the
-    ``bin-packing`` capability (``scalar`` or ``reference``); any other
-    engine raises :class:`AggregationError` naming the capability.
+    engines expose the same submit/run/aggregates interface and run with
+    the bin-packer off; build ``AggregationPipeline(parameters, bounds)``
+    directly for the bin-packer.  The name is resolved through
+    :func:`repro.api.default_registry`, the same catalogue the runtime
+    configuration validates against, so the two accepted sets cannot
+    diverge.
     """
     # Imported lazily: the registry lives in the api layer above this one.
     from ..api.registry import KIND_AGGREGATION, RegistryError, default_registry
 
-    registry = default_registry()
     try:
-        if bounds is None:
-            return registry.create(KIND_AGGREGATION, engine, parameters)
-        entry = registry.require_capability(KIND_AGGREGATION, engine, "bin-packing")
-        return entry.create(parameters, bounds)
+        return default_registry().create(KIND_AGGREGATION, engine, parameters)
     except RegistryError as exc:
         raise AggregationError(str(exc)) from exc
 

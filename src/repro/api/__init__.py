@@ -10,9 +10,8 @@ Everything a caller needs to run a node lives here, typed and composable:
 * :class:`TimeDriver` — the pluggable time seam: deterministic
   :class:`SimulatedDriver` or real-time :class:`WallClockDriver`;
 * :func:`default_registry` — the engine registry where aggregation
-  engines, schedulers, trigger policies and drivers register by name with
-  declared capabilities (the single source of truth every validation site
-  consults);
+  engines, trigger policies, drivers and metrics exporters register by
+  name (the single source of truth every validation site consults);
 * :class:`ServiceConfig` — the composed runtime configuration
   (:class:`MarketConfig` / :class:`AggregationConfig` /
   :class:`SchedulingConfig` / :class:`IngestConfig`);
@@ -38,7 +37,6 @@ from .registry import (
     KIND_AGGREGATION,
     KIND_DRIVER,
     KIND_EXPORTER,
-    KIND_SCHEDULER,
     KIND_TRIGGER,
     Registration,
     Registry,
@@ -61,7 +59,6 @@ __all__ = [
     "KIND_AGGREGATION",
     "KIND_DRIVER",
     "KIND_EXPORTER",
-    "KIND_SCHEDULER",
     "KIND_TRIGGER",
     "LedmsClient",
     "LedmsSession",

@@ -1,35 +1,33 @@
 """The engine registry: every pluggable component, one named catalogue.
 
-Aggregation engines, schedulers, trigger policies and time drivers used to
-be validated by ad-hoc string checks scattered across the runtime config,
-:func:`~repro.aggregation.pipeline.make_pipeline` and the CLI — three
-copies of the same set, free to diverge (and they did: the config
+Aggregation engines, trigger policies, time drivers and metrics exporters
+used to be validated by ad-hoc string checks scattered across the runtime
+config, :func:`~repro.aggregation.pipeline.make_pipeline` and the CLI —
+three copies of the same set, free to diverge (and they did: the config
 rejected ``"reference"`` while ``make_pipeline`` supported it).  This
 module is the single source of truth: components register by ``(kind,
-name)`` with a factory, a one-line description and declared capabilities;
-every validation site asks the registry, so the valid set *cannot* diverge.
+name)`` with a factory and a one-line description; every validation site
+asks the registry, so the valid set *cannot* diverge.
 
 Factories import their implementation lazily, which keeps this module —
 the one everything else consults — free of heavyweight imports and import
-cycles.  User code can register additional engines::
+cycles.  User code can register additional components::
 
-    from repro.api import default_registry, KIND_SCHEDULER
+    from repro.api import default_registry, KIND_EXPORTER
 
     default_registry().register(
-        KIND_SCHEDULER, "annealing", make_annealer,
-        description="simulated annealing",
+        KIND_EXPORTER, "csv", make_csv_renderer,
+        description="one metric per CSV row",
     )
 
-Every scheduler in the catalogue is one the streaming runtime can drive,
-so a scheduler registered here must accept the runtime's
-``schedule(problem, *, max_passes, rng, retained)`` call, where
-``retained[j]`` is offer ``j``'s placement to keep or ``None``.
+The scheduler is not a choice: the runtime always plans with the §6
+randomized greedy (:class:`~repro.scheduling.RandomizedGreedyScheduler`).
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -39,7 +37,6 @@ __all__ = [
     "KIND_AGGREGATION",
     "KIND_DRIVER",
     "KIND_EXPORTER",
-    "KIND_SCHEDULER",
     "KIND_TRIGGER",
     "Registration",
     "Registry",
@@ -49,7 +46,6 @@ __all__ = [
 
 #: Registry kinds used by the built-in stack.
 KIND_AGGREGATION = "aggregation"
-KIND_SCHEDULER = "scheduler"
 KIND_TRIGGER = "trigger"
 KIND_DRIVER = "driver"
 KIND_EXPORTER = "exporter"
@@ -61,13 +57,12 @@ class RegistryError(ServiceError):
 
 @dataclass(frozen=True)
 class Registration:
-    """One registered component: identity, factory, declared capabilities."""
+    """One registered component: identity, factory, description."""
 
     kind: str
     name: str
     factory: Callable[..., object]
     description: str = ""
-    capabilities: frozenset[str] = field(default_factory=frozenset)
 
     def create(self, *args, **kwargs):
         """Instantiate the component through its factory."""
@@ -75,7 +70,7 @@ class Registration:
 
 
 class Registry:
-    """Named component catalogue with capability queries."""
+    """Named component catalogue."""
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, str], Registration] = {}
@@ -88,26 +83,17 @@ class Registry:
         factory: Callable[..., object],
         *,
         description: str = "",
-        capabilities: tuple[str, ...] | frozenset[str] = (),
-        replace: bool = False,
     ) -> Registration:
         """Register ``factory`` under ``(kind, name)``; returns the entry.
 
-        Re-registering an existing name is an error unless ``replace=True``
-        — silent shadowing of a built-in engine would be a debugging trap.
+        Re-registering an existing name is an error — silent shadowing of a
+        built-in engine would be a debugging trap.
         """
         key = (kind, name)
-        if key in self._entries and not replace:
-            raise RegistryError(
-                f"{kind} {name!r} is already registered; pass replace=True "
-                "to override it"
-            )
+        if key in self._entries:
+            raise RegistryError(f"{kind} {name!r} is already registered")
         entry = Registration(
-            kind=kind,
-            name=name,
-            factory=factory,
-            description=description,
-            capabilities=frozenset(capabilities),
+            kind=kind, name=name, factory=factory, description=description
         )
         self._entries[key] = entry
         return entry
@@ -133,26 +119,6 @@ class Registry:
         """Instantiate ``(kind, name)`` through its registered factory."""
         return self.get(kind, name).create(*args, **kwargs)
 
-    def require_capability(
-        self, kind: str, name: str, capability: str
-    ) -> Registration:
-        """The registration of ``(kind, name)``, which must declare
-        ``capability``.
-
-        The shared validation for call sites that can only drive components
-        of a certain shape — e.g. ``make_pipeline`` needs an aggregation
-        engine with the ``bin-packing`` capability when given bin-packer
-        bounds.  Raises :class:`RegistryError` naming the missing
-        capability.
-        """
-        entry = self.get(kind, name)
-        if capability not in entry.capabilities:
-            raise RegistryError(
-                f"{kind} {name!r} lacks the {capability!r} capability "
-                f"(declared: {', '.join(sorted(entry.capabilities)) or 'none'})"
-            )
-        return entry
-
     def entries(self, kind: str | None = None) -> tuple[Registration, ...]:
         """All registrations (of ``kind`` if given), sorted by kind then name."""
         return tuple(
@@ -163,14 +129,10 @@ class Registry:
 
     def render(self) -> str:
         """Human-readable catalogue, one line per entry."""
-        lines = []
-        for entry in self.entries():
-            caps = ",".join(sorted(entry.capabilities)) or "-"
-            lines.append(
-                f"{entry.kind:<12} {entry.name:<12} [{caps}]  "
-                f"{entry.description}"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            f"{entry.kind:<12} {entry.name:<12} {entry.description}"
+            for entry in self.entries()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -186,18 +148,16 @@ def _lazy(module: str, name: str) -> Callable[..., object]:
     return lambda *args, **kwargs: _resolve(module, name)(*args, **kwargs)
 
 
-def _reference_pipeline(parameters, bounds=None):
+def _reference_pipeline(parameters):
     from ..aggregation.pipeline import AggregationPipeline
     from ..aggregation.reference import ReferenceAggregator
 
-    pipeline = AggregationPipeline(parameters, bounds)
+    pipeline = AggregationPipeline(parameters)
     pipeline.aggregator = ReferenceAggregator()
     return pipeline
 
 
 def _register_builtins(registry: Registry) -> Registry:
-    # ``bin-packing`` = accepts ``BinPackerBounds`` (``make_pipeline``
-    # checks it); the packed engine runs with the optional bin-packer off.
     registry.register(
         KIND_AGGREGATION, "packed",
         _lazy("aggregation.engine", "PackedAggregationPipeline"),
@@ -207,18 +167,10 @@ def _register_builtins(registry: Registry) -> Registry:
         KIND_AGGREGATION, "scalar",
         _lazy("aggregation.pipeline", "AggregationPipeline"),
         description="live object pipeline (group-builder -> n-to-1 aggregator)",
-        capabilities=("bin-packing",),
     )
     registry.register(
         KIND_AGGREGATION, "reference", _reference_pipeline,
         description="historical rebuild-on-remove state; oracle + baseline",
-        capabilities=("bin-packing",),
-    )
-    # Only the runtime's planner is a scheduler here (the EA and the MILP
-    # oracle are imported directly by the experiments that compare them).
-    registry.register(
-        KIND_SCHEDULER, "greedy", _lazy("scheduling", "RandomizedGreedyScheduler"),
-        description="randomized best-position greedy; re-places only dirty offers",
     )
     registry.register(
         KIND_TRIGGER, "count", _lazy("runtime.triggers", "CountTrigger"),

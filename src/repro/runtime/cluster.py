@@ -430,6 +430,12 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if not self.brps:
             raise ServiceError("a cluster needs at least one BRP section")
+        # Names are bus addresses and metric labels.
+        for name in (self.tso_name, *self.brps):
+            if not isinstance(name, str) or not name:
+                raise ServiceError(
+                    f"node names must be non-empty strings, got {name!r}"
+                )
         if self.tso_name in self.brps:
             raise ServiceError(
                 f"tso_name {self.tso_name!r} collides with a BRP name"

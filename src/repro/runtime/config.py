@@ -7,9 +7,9 @@ module splits the configuration along those seams:
   prices residuals against;
 * :class:`AggregationConfig` — grouping thresholds and the aggregation
   engine (validated against the :mod:`repro.api.registry`);
-* :class:`SchedulingConfig` — horizon, scheduler (by registry name),
-  passes, trigger policy, cadence and seed;
-* :class:`IngestConfig` — admission batching and expiry sweeping.
+* :class:`SchedulingConfig` — horizon, passes, trigger policy, cadence
+  and seed (the scheduler is always the §6 randomized greedy);
+* :class:`IngestConfig` — admission batching and the duration limit.
 
 :class:`ServiceConfig` composes the four (plus the time axis); readers go
 through the sections (``config.ingest.batch_size``).  The cluster's TSO is
@@ -20,7 +20,7 @@ a service too, configured by a subclass with another scheduling default
 under its bare name — a table derived from the section dataclasses, so a
 field is declared once.
 
-Engine, scheduler and trigger names are resolved through
+Engine and trigger names are resolved through
 :func:`repro.api.default_registry`, so the set of valid names is defined in
 exactly one place.
 """
@@ -33,7 +33,6 @@ from typing import Any, Mapping
 from ..aggregation.thresholds import AggregationParameters
 from ..api.registry import (
     KIND_AGGREGATION,
-    KIND_SCHEDULER,
     KIND_TRIGGER,
     default_registry,
 )
@@ -108,12 +107,10 @@ class AggregationConfig:
 
 @dataclass(frozen=True)
 class SchedulingConfig:
-    """Horizon, scheduler, trigger policy and re-planning cadence."""
+    """Horizon, trigger policy and re-planning cadence."""
 
     horizon_slices: int = 192
     """Rolling planning horizon (2 days on the 15-min axis)."""
-    scheduler: str = "greedy"
-    """Scheduler, by :mod:`repro.api.registry` name."""
     scheduler_passes: int = 2
     """Greedy passes per scheduling run; each pass re-places only the offers
     whose last placement was not kept (all of them on a first run)."""
@@ -158,18 +155,14 @@ class SchedulingConfig:
                 "an AdaptiveTrigger is not configured as a trigger; set "
                 "target_p95_slices instead"
             )
-        # RegistryError is a ServiceError; raises with the known names.
-        default_registry().get(KIND_SCHEDULER, self.scheduler)
 
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Admission batching and expiry sweeping."""
+    """Admission batching and the profile-length limit."""
 
     batch_size: int = 64
     """Pending flex-offer updates that trigger an incremental pipeline run."""
-    expiry_sweep_interval: float = 4.0
-    """Simulated slices between sweeps retiring closed-window offers."""
     max_duration_slices: int | None = None
     """Admission limit on profile length (None = unlimited)."""
 
@@ -177,8 +170,6 @@ class IngestConfig:
         check_fields(self)
         if self.batch_size <= 0:
             raise ServiceError("batch_size must be positive")
-        if self.expiry_sweep_interval <= 0:
-            raise ServiceError("expiry_sweep_interval must be positive")
         if (
             self.max_duration_slices is not None
             and self.max_duration_slices <= 0

@@ -15,6 +15,7 @@ benchmarks reproducible.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -29,6 +30,13 @@ from ..datagen.flexoffers import (
 )
 
 __all__ = ["LoadGenerator"]
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a non-positive or non-finite ``value``: a NaN window is empty
+    and an infinite rate puts every arrival at the window's start."""
+    if not (math.isfinite(value) and value > 0):
+        raise ServiceError(f"{name} must be finite and positive, got {value}")
 
 
 class LoadGenerator:
@@ -55,8 +63,7 @@ class LoadGenerator:
         seed: int = 42,
         rng: np.random.Generator | None = None,
     ):
-        if rate_per_hour <= 0:
-            raise ServiceError(f"rate_per_hour must be positive, got {rate_per_hour}")
+        _check_positive("rate_per_hour", rate_per_hour)
         self.rate_per_hour = rate_per_hour
         self.axis = axis
         self.archetypes = archetypes or household_archetypes(axis)
@@ -77,13 +84,17 @@ class LoadGenerator:
         Arrival times are strictly increasing fractional slice indices in
         ``[start, start + duration_slices)``; each offer's ``creation_time``
         is the whole slice of its arrival and its earliest start lies at or
-        after it, so the offer is always ingestible when it arrives.
+        after it, so the offer is always ingestible when it arrives.  A bad
+        ``duration_slices`` raises here, before any arrival is drawn.
         """
-        if duration_slices <= 0:
-            raise ServiceError("duration_slices must be positive")
+        _check_positive("duration_slices", duration_slices)
+        return self._arrivals(float(start), start + duration_slices)
+
+    def _arrivals(
+        self, start: float, end: float
+    ) -> Iterator[tuple[float, FlexOffer]]:
         mean_gap = self.mean_interarrival_slices
-        end = start + duration_slices
-        t = float(start) + self.rng.exponential(mean_gap)
+        t = start + self.rng.exponential(mean_gap)
         while t < end:
             index = int(self.rng.choice(len(self.archetypes), p=self._weights))
             offer = sample_archetype_offer(

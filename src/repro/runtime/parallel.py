@@ -27,7 +27,8 @@ need and nothing else:
   pairing and ``inspect --offer`` chains work across the pipe.
 
 Time advances in **epochs** (bulk-synchronous): workers simulate
-``epoch_slices`` of arrivals/sweeps/local plans, then barrier; the parent
+:attr:`ParallelClusterRuntime.epoch_slices` (4) slices of
+arrivals/sweeps/local plans, then barrier; the parent
 replays the epoch on the head's own driver — each relayed snapshot reaches
 the TSO at the instant its BRP sent it, in send order, between the TSO's
 own sweeps and runs — and returns the scheduled macros down the pipes
@@ -93,6 +94,10 @@ __all__ = [
 _OFFER_ID_BAND = 10**12
 _MESSAGE_ID_BAND = 10**9
 _SPAN_ID_BAND = 10**9
+
+#: Seconds the parent waits on a worker's pipe at a barrier before it
+#: declares the worker crashed.
+BARRIER_TIMEOUT_S = 120.0
 
 
 class WorkerCrashError(ServiceError):
@@ -382,7 +387,9 @@ class ParallelClusterRuntime(ClusterRuntime):
     :class:`~repro.runtime.cluster.ClusterReport` as the base class — only
     the placement hooks differ.  BRPs are assigned to ``workers`` processes
     round-robin (the parent hosts none); each worker simulates epochs of
-    ``epoch_slices`` between barriers.  A runtime runs once.
+    :attr:`epoch_slices` between barriers, and a worker silent for
+    :data:`BARRIER_TIMEOUT_S` at a barrier counts as crashed.  A runtime
+    runs once.
 
     Not supported here: wall-clock drivers (workers own simulated clocks),
     progress ticks (``report_every`` sees no BRP in the parent) and mid-run
@@ -390,16 +397,17 @@ class ParallelClusterRuntime(ClusterRuntime):
     in-process).
     """
 
+    #: Simulated slices per epoch between barriers.
+    epoch_slices = 4.0
+
     def __init__(
         self,
         config: ClusterConfig | None = None,
         *,
         workers: int = 2,
-        epoch_slices: float = 4.0,
         tracer: Tracer | NullTracer | None = None,
         tso_net_forecast: TimeSeries | None = None,
         ledger_factory: Callable[[str], Any] | None = None,
-        barrier_timeout: float = 120.0,
     ):
         config = config if config is not None else ClusterConfig.uniform(2)
         if workers < 1:
@@ -409,10 +417,6 @@ class ParallelClusterRuntime(ClusterRuntime):
                 f"{workers} workers for {len(config.brps)} BRPs; "
                 "a worker needs at least one BRP"
             )
-        if epoch_slices <= 0:
-            raise ServiceError(
-                f"epoch_slices must be positive, got {epoch_slices}"
-            )
         try:
             self._mp = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover - non-POSIX platforms
@@ -421,8 +425,6 @@ class ParallelClusterRuntime(ClusterRuntime):
             ) from exc
         super().__init__(config, tracer=tracer, tso_net_forecast=tso_net_forecast)
         self.workers = workers
-        self.epoch_slices = float(epoch_slices)
-        self.barrier_timeout = float(barrier_timeout)
         self.run_id = f"{os.getpid()}-{os.urandom(4).hex()}"
         self._ledger_factory = ledger_factory
         # Route the parent tracer's sink through a resequencer so parent
@@ -541,7 +543,7 @@ class ParallelClusterRuntime(ClusterRuntime):
     def _recv(self, worker: int):
         conn = self._conns[worker]
         proc = self._procs[worker]
-        deadline = time.monotonic() + self.barrier_timeout
+        deadline = time.monotonic() + BARRIER_TIMEOUT_S
         while True:
             if conn.poll(0.05):
                 try:
@@ -558,7 +560,7 @@ class ParallelClusterRuntime(ClusterRuntime):
             if time.monotonic() > deadline:
                 raise WorkerCrashError(
                     f"worker {worker} (pid {proc.pid}) unresponsive after "
-                    f"{self.barrier_timeout:g}s"
+                    f"{BARRIER_TIMEOUT_S:g}s"
                 )
 
     def _ingest_traces(self, records: list[dict]) -> None:

@@ -3,8 +3,9 @@
 At the TSO "the process is essentially repeated at a higher level" (§3),
 and the cluster's TSO is a :class:`~repro.runtime.service.BrpRuntimeService`
 like every BRP, so this pass has one caller.  A node builds one
-:class:`PlanSession` from what its planner *is* (scheduler, passes, market,
-seed, metrics registry, optional net forecast) and hands
+:class:`PlanSession` from what its planner *is* (passes, market, seed,
+metrics registry, optional net forecast; the scheduler is always the §6
+randomized greedy) and hands
 :meth:`PlanSession.plan_window` its aggregate pool ordered by group id — at
 the TSO, super-aggregates of the BRPs' macros.  Eligibility and clipping,
 the rolling forecast window, the flat market, the
@@ -28,11 +29,10 @@ import numpy as np
 
 from ..aggregation.aggregator import AggregatedFlexOffer
 from ..aggregation.updates import AggregateUpdate, UpdateKind
-from ..api.registry import KIND_SCHEDULER, default_registry
 from ..core.flexoffer import FlexOffer
 from ..core.schedule import Schedule
 from ..core.timeseries import TimeSeries
-from ..scheduling import Market
+from ..scheduling import Market, RandomizedGreedyScheduler
 from ..scheduling.engine import OfferConstants
 from ..scheduling.greedy import Placement
 from ..scheduling.problem import SchedulingProblem
@@ -124,7 +124,6 @@ class PlanSession:
 
     def __init__(
         self,
-        scheduler: str = "greedy",
         *,
         passes: int = 2,
         market: MarketConfig | None = None,
@@ -132,7 +131,7 @@ class PlanSession:
         metrics: MetricsRegistry | None = None,
         net_forecast: TimeSeries | None = None,
     ) -> None:
-        self.scheduler = default_registry().get(KIND_SCHEDULER, scheduler).create()
+        self.scheduler = RandomizedGreedyScheduler()
         self.passes = passes
         self.market = market if market is not None else MarketConfig()
         self.rng = np.random.default_rng(seed)

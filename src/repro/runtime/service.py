@@ -98,6 +98,10 @@ class _LiveOffer:
 
 _admission_seq = operator.attrgetter("seq")
 
+#: Simulated slices between the periodic sweeps that retire closed-window
+#: offers and re-evaluate the trigger.
+EXPIRY_SWEEP_SLICES = 4.0
+
 # What ``_live.get`` returns for an id that is not live: its ``offer`` is no
 # member, so the commit loop tests liveness and version with one identity
 # check.
@@ -245,7 +249,6 @@ class BrpRuntimeService:
         #: This tier's planner (:mod:`repro.runtime.planning`): scheduler,
         #: market, rng, kept placements and dirty key set live here.
         self.session = PlanSession(
-            self.config.scheduling.scheduler,
             passes=self.config.scheduling.scheduler_passes,
             market=self.config.market,
             seed=self.config.scheduling.seed,
@@ -1190,16 +1193,17 @@ class BrpRuntimeService:
 
     def arm_sweep_ticks(self, end: float) -> None:
         """Periodic expiry sweeps + trigger evaluation until ``end``."""
-        interval = self.config.ingest.expiry_sweep_interval
 
         def sweep_tick() -> None:
             self.sweep_expired()
             self.maybe_schedule()
-            next_time = self.now + interval
+            next_time = self.now + EXPIRY_SWEEP_SLICES
             if next_time < end:
                 self.driver.schedule_at(next_time, sweep_tick)
 
-        self.driver.schedule_at(min(self.now + interval, end), sweep_tick)
+        self.driver.schedule_at(
+            min(self.now + EXPIRY_SWEEP_SLICES, end), sweep_tick
+        )
 
     def open_window(
         self, arrivals: Iterable[tuple[float, FlexOffer]], end: float

@@ -16,13 +16,14 @@ import pytest
 
 from repro.aggregation import (
     AggregationParameters,
+    AggregationPipeline,
     BinPackerBounds,
     FlexOfferUpdate,
     PackedPool,
     UpdateKind,
     make_pipeline,
 )
-from repro.aggregation.reference import reference_aggregate_group
+from repro.aggregation.reference import ReferenceAggregator, reference_aggregate_group
 from repro.core import flex_offer
 from repro.core.errors import AggregationError
 from repro.core.flexoffer import Profile
@@ -81,6 +82,14 @@ def _updates_summary(updates):
     )
 
 
+def _binpacking_pipeline(name, parameters, bounds):
+    """The scalar or reference pipeline with the bin-packer on."""
+    pipeline = AggregationPipeline(parameters, bounds)
+    if name == "reference":
+        pipeline.aggregator = ReferenceAggregator()
+    return pipeline
+
+
 def _run_scenario(seed, *, engines=("reference", "scalar", "packed"), bounds=None):
     """Feed one random mixed insert/update/delete stream to every engine."""
     rng = np.random.default_rng(seed)
@@ -89,7 +98,12 @@ def _run_scenario(seed, *, engines=("reference", "scalar", "packed"), bounds=Non
         time_flexibility_tolerance=int(rng.integers(0, 9)),
         name="prop",
     )
-    pipelines = {name: make_pipeline(parameters, bounds, engine=name) for name in engines}
+    pipelines = {
+        name: make_pipeline(parameters, engine=name)
+        if bounds is None
+        else _binpacking_pipeline(name, parameters, bounds)
+        for name in engines
+    }
     live = []
     for _ in range(int(rng.integers(2, 7))):
         inserts = [_random_offer(rng) for _ in range(int(rng.integers(0, 7)))]
@@ -138,11 +152,6 @@ def test_reference_matches_scalar_with_binpacker(property_name):
     bounds = BinPackerBounds(property_name, minimum=0.0, maximum=6.0)
     for seed in range(40):
         _run_scenario(seed, engines=("reference", "scalar"), bounds=bounds)
-
-
-def test_packed_engine_refuses_bin_packer_bounds():
-    with pytest.raises(AggregationError, match="bin-packing"):
-        make_pipeline(AggregationParameters(0, 0), BinPackerBounds(), engine="packed")
 
 
 def test_packed_matches_scalar_on_arbitrary_floats():

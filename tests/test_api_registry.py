@@ -11,13 +11,12 @@ import math
 
 import pytest
 
-from repro.aggregation.pipeline import make_pipeline
+from repro.aggregation.pipeline import AggregationPipeline, make_pipeline
 from repro.aggregation.thresholds import AggregationParameters
 from repro.api import (
     KIND_AGGREGATION,
     KIND_DRIVER,
     KIND_EXPORTER,
-    KIND_SCHEDULER,
     KIND_TRIGGER,
     AggregationConfig,
     BusConfig,
@@ -33,7 +32,6 @@ from repro.api import (
 )
 from repro.core.errors import AggregationError, ServiceError
 from repro.runtime.triggers import AdaptiveTrigger, AnyTrigger, CountTrigger
-from repro.scheduling import RandomizedGreedyScheduler
 
 PARAMS = AggregationParameters(
     start_after_tolerance=8, time_flexibility_tolerance=8, name="test"
@@ -46,9 +44,6 @@ class TestRegistry:
         assert registry.names(KIND_AGGREGATION) == (
             "packed", "reference", "scalar",
         )
-        # Only the runtime's planner: the EA and the MILP oracle are
-        # imported directly by the experiments that compare them.
-        assert registry.names(KIND_SCHEDULER) == ("greedy",)
         assert registry.names(KIND_TRIGGER) == (
             "age", "any", "count", "imbalance",
         )
@@ -56,15 +51,12 @@ class TestRegistry:
         # One consumer is not a catalogue: the fault transforms are plain
         # functions (LoadGenerator.hostile_stream, parse_outage).
         assert {entry.kind for entry in registry.entries()} == {
-            KIND_AGGREGATION, KIND_SCHEDULER, KIND_TRIGGER, KIND_DRIVER,
-            KIND_EXPORTER,
+            KIND_AGGREGATION, KIND_TRIGGER, KIND_DRIVER, KIND_EXPORTER,
         }
-        assert len(registry.entries()) == 13
-        # The one capability has one reader: ``make_pipeline`` checks
-        # ``bin-packing``.
-        assert set().union(
-            *(entry.capabilities for entry in registry.entries())
-        ) == {"bin-packing"}
+        # The scheduler is not a choice: the runtime always plans with the
+        # greedy, and the EA and the MILP oracle are imported directly by
+        # the experiments that compare them.
+        assert len(registry.entries()) == 12
 
     def test_unknown_name_error_lists_known_set(self):
         with pytest.raises(RegistryError) as excinfo:
@@ -73,18 +65,18 @@ class TestRegistry:
         for name in ("packed", "reference", "scalar"):
             assert name in message
 
-    def test_duplicate_registration_rejected_unless_replace(self):
+    def test_duplicate_registration_rejected(self):
         registry = Registry()
         registry.register("kind", "x", int)
-        with pytest.raises(RegistryError):
+        with pytest.raises(RegistryError, match="already registered"):
             registry.register("kind", "x", float)
-        entry = registry.register("kind", "x", float, replace=True)
-        assert entry.factory is float
+        assert registry.get("kind", "x").factory is int
 
     def test_factories_build_their_classes(self):
         registry = default_registry()
         assert isinstance(
-            registry.create(KIND_SCHEDULER, "greedy"), RandomizedGreedyScheduler
+            registry.create(KIND_AGGREGATION, "scalar", PARAMS),
+            AggregationPipeline,
         )
         assert isinstance(
             registry.create(KIND_TRIGGER, "count", threshold=3), CountTrigger
@@ -94,8 +86,9 @@ class TestRegistry:
 
     def test_render_mentions_every_entry(self):
         text = default_registry().render()
-        for name in ("packed", "greedy", "wallclock", "imbalance"):
+        for name in ("packed", "wallclock", "imbalance"):
             assert name in text
+        assert "greedy" not in text and "[" not in text  # no capabilities
 
 
 class TestUnifiedEngineValidation:
@@ -142,7 +135,6 @@ class TestServiceConfig:
             ("aggregation_parameters", "aggregation", "parameters", PARAMS),
             ("engine", "aggregation", "engine", "scalar"),
             ("horizon_slices", "scheduling", "horizon_slices", 96),
-            ("scheduler", "scheduling", "scheduler", "greedy"),
             ("scheduler_passes", "scheduling", "scheduler_passes", 3),
             ("trigger", "scheduling", "trigger", CountTrigger(7)),
             ("min_run_interval_slices", "scheduling", "min_run_interval_slices", 2.5),
@@ -153,7 +145,6 @@ class TestServiceConfig:
             ("shortage_penalty", "market", "shortage_penalty", 0.9),
             ("surplus_penalty", "market", "surplus_penalty", 0.4),
             ("batch_size", "ingest", "batch_size", 8),
-            ("expiry_sweep_interval", "ingest", "expiry_sweep_interval", 2.0),
             ("max_duration_slices", "ingest", "max_duration_slices", 12),
         ]
         for name, section, field, value in table:
@@ -167,17 +158,35 @@ class TestServiceConfig:
         # No shim, no accepted-but-ignored key: a deleted option is rejected
         # like any typo, with the known-field list.
         attempts = (
-            lambda: ServiceConfig.from_flat(shards=2),
-            lambda: ServiceConfig().merged(shards=2),
-            lambda: ServiceConfig.from_dict({"shards": 2}),
-            lambda: ServiceConfig.from_dict({"aggregation": {"shards": 2}}),
-            lambda: ServiceConfig.from_dict({"obs": {"tracer": "ring"}}),
+            (lambda: ServiceConfig.from_flat(shards=2), "engine"),
+            (lambda: ServiceConfig().merged(shards=2), "engine"),
+            (lambda: ServiceConfig.from_dict({"shards": 2}), "engine"),
+            (
+                lambda: ServiceConfig.from_dict({"aggregation": {"shards": 2}}),
+                "engine",
+            ),
+            (lambda: ServiceConfig.from_dict({"obs": {"tracer": "ring"}}), "engine"),
+            # The scheduler is always the greedy; sweeps run every
+            # EXPIRY_SWEEP_SLICES.
+            (lambda: ServiceConfig.from_flat(scheduler="greedy"), "engine"),
+            (
+                lambda: ServiceConfig.from_dict(
+                    {"scheduling": {"scheduler": "greedy"}}
+                ),
+                "scheduler_passes",
+            ),
+            (
+                lambda: ServiceConfig.from_dict(
+                    {"ingest": {"expiry_sweep_interval": 2}}
+                ),
+                "batch_size",
+            ),
         )
-        for attempt in attempts:
+        for attempt, known in attempts:
             with pytest.raises(ServiceError) as excinfo:
                 attempt()
             message = str(excinfo.value)
-            assert "known fields: " in message and "engine" in message
+            assert "known fields: " in message and known in message
 
     def test_unknown_key_inside_a_section_names_section_and_fields(self):
         # Used to escape dataclasses.replace as a raw TypeError.
@@ -185,8 +194,7 @@ class TestServiceConfig:
             ServiceConfig.from_dict({"ingest": {"batch_sizee": 3}})
         message = str(excinfo.value)
         assert "ingest" in message and "'batch_sizee'" in message
-        for known in ("batch_size", "expiry_sweep_interval", "max_duration_slices"):
-            assert known in message
+        assert message.endswith("known fields: batch_size, max_duration_slices")
 
     def test_validation_errors_preserved(self):
         with pytest.raises(ServiceError):
@@ -195,8 +203,6 @@ class TestServiceConfig:
             SchedulingConfig(horizon_slices=-1)
         with pytest.raises(ServiceError):
             SchedulingConfig(scheduler_passes=0)
-        with pytest.raises(ServiceError):
-            IngestConfig(expiry_sweep_interval=0)
 
     @pytest.mark.parametrize(
         "section, name",
@@ -207,13 +213,12 @@ class TestServiceConfig:
             ("market", "surplus_penalty"),
             ("scheduling", "min_run_interval_slices"),
             ("scheduling", "target_p95_slices"),
-            ("ingest", "expiry_sweep_interval"),
             ("ingest", "batch_size"),
         ],
     )
     def test_non_finite_numbers_are_rejected(self, section, name):
         """``nan <= 0`` is false, so a range check alone let a NaN through;
-        a NaN sweep interval then stalled the run after its first event."""
+        a NaN cooldown then stalled the run."""
         for text in ("NaN", "Infinity", "-Infinity"):
             data = json.loads(f'{{"{section}": {{"{name}": {text}}}}}')
             with pytest.raises(ServiceError, match=name):
@@ -254,10 +259,10 @@ class TestServiceConfig:
 
     def test_numbers_of_the_other_width_are_accepted(self):
         config = ServiceConfig.from_dict(
-            {"market": {"buy_price": 1}, "ingest": {"expiry_sweep_interval": 2}}
+            {"market": {"buy_price": 1}, "scheduling": {"min_run_interval_slices": 2}}
         )
         assert config.market.buy_price == 1
-        assert config.ingest.expiry_sweep_interval == 2
+        assert config.scheduling.min_run_interval_slices == 2
 
     def test_negative_cooldown_is_rejected(self):
         with pytest.raises(ServiceError, match="non-negative"):
@@ -266,16 +271,16 @@ class TestServiceConfig:
 
     @pytest.mark.parametrize("name", ["bogus", "evolutionary", "milp"])
     def test_unknown_scheduler_is_refused(self, name):
-        with pytest.raises(ServiceError) as excinfo:
-            SchedulingConfig(scheduler=name)
-        assert "known scheduler names: greedy" in str(excinfo.value)
+        # There is no scheduler setting, so every name is an unknown field.
+        with pytest.raises(ServiceError, match="unknown scheduling configuration"):
+            ServiceConfig.from_dict({"scheduling": {"scheduler": name}})
 
     def test_from_flat_and_merged(self):
         config = ServiceConfig.from_flat(batch_size=8, engine="scalar", seed=3)
         assert config.ingest.batch_size == 8
         assert config.aggregation.engine == "scalar"
         assert config.scheduling.seed == 3
-        assert config.scheduling.scheduler == "greedy"  # defaults elsewhere
+        assert config.scheduling.scheduler_passes == 2  # defaults elsewhere
         with pytest.raises(ServiceError):
             ServiceConfig.from_flat(nonsense=1)
         merged = config.merged(seed=9, horizon_slices=48)

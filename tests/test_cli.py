@@ -63,10 +63,12 @@ def test_unknown_driver_exits_2_with_known_names(capsys):
 
 @pytest.mark.parametrize("name", ["bogus", "evolutionary", "milp"])
 def test_unknown_scheduler_exits_2(capsys, name):
-    # The EA and the MILP oracle are experiment-only, not registry names.
-    assert main(["loadtest", "--scheduler", name]) == EXIT_UNKNOWN_EXPERIMENT
-    err = capsys.readouterr().err
-    assert "greedy" in err
+    # The runtime always plans with the greedy, so there is no --scheduler
+    # flag; the EA and the MILP oracle are experiment-only.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["loadtest", "--scheduler", name])
+    assert excinfo.value.code == EXIT_UNKNOWN_EXPERIMENT
+    assert "--scheduler" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -110,6 +112,19 @@ def test_removed_shards_option_is_rejected_like_a_typo(tmp_path, capsys):
     assert main(["loadtest", "--config", str(config)]) == EXIT_UNKNOWN_EXPERIMENT
     err = capsys.readouterr().err
     assert "'shards'" in err and "known keys" in err
+
+
+def test_epoch_slices_is_not_a_flag(tmp_path, capsys):
+    # A parallel epoch is always ParallelClusterRuntime.epoch_slices.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["loadtest", *TINY, "--brps", "2", "--workers", "2", "--epoch-slices", "4"])
+    assert excinfo.value.code == EXIT_UNKNOWN_EXPERIMENT
+    assert "--epoch-slices" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"epoch_slices": 4}))
+    assert main(["loadtest", "--config", str(config)]) == EXIT_UNKNOWN_EXPERIMENT
+    err = capsys.readouterr().err
+    assert "'epoch_slices'" in err and "known keys" in err
 
 
 def test_config_file_engine_validated_through_registry(tmp_path, capsys):
@@ -196,9 +211,20 @@ def test_cluster_and_brps_flags_are_mutually_exclusive(tmp_path, capsys):
 
 def test_cluster_file_validated_exits_2(tmp_path, capsys):
     bad = tmp_path / "cluster.json"
-    bad.write_text(json.dumps({"brps": 2, "tso": {"scheduler": "bogus"}}))
-    assert main(["loadtest", *TINY, "--cluster", str(bad)]) == EXIT_UNKNOWN_EXPERIMENT
-    assert "invalid loadtest configuration" in capsys.readouterr().err
+    for spec in (
+        {"brps": 2, "tso": {"scheduler": "bogus"}},
+        # A numeric TSO name used to start the run and fail mid-way.
+        {"brps": 2, "tso_name": 5},
+        {"brps": {"": {}}},
+    ):
+        bad.write_text(json.dumps(spec))
+        assert (
+            main(["loadtest", *TINY, "--cluster", str(bad)])
+            == EXIT_UNKNOWN_EXPERIMENT
+        )
+        captured = capsys.readouterr()
+        assert "invalid loadtest configuration" in captured.err
+        assert "###" not in captured.out
 
 
 @pytest.mark.parametrize(
@@ -208,7 +234,7 @@ def test_cluster_file_validated_exits_2(tmp_path, capsys):
         ({"aggregation": {"shards": 2}}, "aggregation"),
         ({"obs": {"tracer": "ring"}}, "engine"),
         # A typo inside a section used to escape as a TypeError traceback.
-        ({"ingest": {"batch_sizee": 3}}, "batch_size, expiry_sweep_interval"),
+        ({"ingest": {"batch_sizee": 3}}, "batch_size, max_duration_slices"),
     ],
 )
 def test_cluster_file_unknown_service_field_exits_2(
@@ -248,6 +274,18 @@ def test_cluster_file_bad_field_exits_2(tmp_path, capsys, spec, named):
     assert main(["loadtest", *TINY, "--cluster", str(bad)]) == EXIT_UNKNOWN_EXPERIMENT
     err = capsys.readouterr().err
     assert "invalid loadtest configuration" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--rate", "nan"), ("--rate", "inf"), ("--duration", "nan"), ("--duration", "inf")],
+)
+def test_non_finite_rate_or_duration_exits_2(capsys, flag, value):
+    # NaN used to run an empty window and exit 0; --rate inf never returned.
+    assert main(["loadtest", *TINY, flag, value]) == EXIT_UNKNOWN_EXPERIMENT
+    captured = capsys.readouterr()
+    assert "###" not in captured.out
+    assert "must be finite and positive" in captured.err
 
 
 def test_nonpositive_brps_exits_2(capsys):
@@ -505,14 +543,20 @@ def test_trigger_specs_compose(capsys):
 
 
 def test_delta_scheduler_is_refused(tmp_path, capsys):
-    # Keeping clean placements is the one planning path, so ``delta`` is no
-    # scheduler name, as a flag or in a config file.
+    # Keeping clean placements is the one planning path, and the scheduler
+    # is no setting, so ``delta`` is refused as a flag or in a config file.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["loadtest", *TINY, "--scheduler", "delta"])
+    assert excinfo.value.code == EXIT_UNKNOWN_EXPERIMENT
+    assert "--scheduler" in capsys.readouterr().err
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"scheduler": "delta"}))
-    for args in (["--scheduler", "delta"], ["--config", str(config)]):
-        assert main(["loadtest", *TINY, *args]) == EXIT_UNKNOWN_EXPERIMENT
-        err = capsys.readouterr().err
-        assert "'delta'" in err and "known scheduler names: greedy" in err
+    assert (
+        main(["loadtest", *TINY, "--config", str(config)])
+        == EXIT_UNKNOWN_EXPERIMENT
+    )
+    err = capsys.readouterr().err
+    assert "'scheduler'" in err and "known keys" in err
 
 
 def test_adaptive_target_flag_accepted(capsys):
@@ -541,5 +585,8 @@ def test_latency_target_holds_the_tsos_macro_wait(tmp_path, capsys):
 def test_list_shows_registry_catalogue(capsys):
     assert main(["--list"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "scheduler" in out and "greedy" in out
     assert "trigger" in out and "imbalance" in out
+    # The scheduler is not a choice, and entries declare no capabilities.
+    registry = out.split("registry (", 1)[1]
+    assert "scheduler" not in registry and "greedy" not in registry
+    assert "capabilities" not in registry and "[" not in registry

@@ -278,6 +278,17 @@ class TestClusterConfig:
             ClusterConfig.from_dict({"brps": True})
         with pytest.raises(ServiceError):
             ClusterConfig.from_dict({"tso": {"scheduler": "bogus"}})
+        # Node names are bus addresses and metric labels: a number failed
+        # mid-run, and an empty BRP name ran unnamed.
+        for data in (
+            {"brps": 2, "tso_name": 5},
+            {"brps": 2, "tso_name": ""},
+            {"brps": {"": {}}},
+        ):
+            with pytest.raises(ServiceError, match="non-empty strings"):
+                ClusterConfig.from_dict(data)
+        with pytest.raises(ServiceError, match="non-empty strings"):
+            ClusterConfig(brps={7: ServiceConfig()})
 
 
 # ----------------------------------------------------------------------

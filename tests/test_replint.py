@@ -243,7 +243,7 @@ class TestRegistryName:
             "anywhere.py",
             """
             def go(make):
-                return make(engine="packed", scheduler="greedy", driver="simulated")
+                return make(engine="packed", trigger="count", driver="simulated")
             """,
         )
         assert findings == []
@@ -253,8 +253,8 @@ class TestRegistryName:
             tmp_path,
             "anywhere.py",
             """
-            def run(scheduler="quantum"):
-                return scheduler
+            def run(driver="quantum"):
+                return driver
             """,
         )
         assert rule_ids(findings) == ["REP003"]

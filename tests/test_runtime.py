@@ -5,6 +5,8 @@ the Poisson load generator — the service loop itself is covered end-to-end
 in ``test_runtime_service.py``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -315,8 +317,17 @@ class TestLoadGenerator:
         assert len(fast) > 5 * len(slow)
 
     def test_invalid_rate_rejected(self):
-        with pytest.raises(ServiceError):
-            LoadGenerator(rate_per_hour=0)
+        # An infinite rate made every gap 0.0, so the stream never ended.
+        for rate in (0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ServiceError, match="rate_per_hour must be finite"):
+                LoadGenerator(rate_per_hour=rate)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, 0.0])
+    def test_bad_duration_rejected_before_any_arrival(self, duration):
+        # A NaN window used to be empty and an infinite one never ended.
+        generator = LoadGenerator(rate_per_hour=20, seed=1)
+        with pytest.raises(ServiceError, match="duration_slices must be finite"):
+            generator.stream(0, duration)
 
     def test_explicit_rng_wins_over_seed(self):
         rng = np.random.default_rng(123)

@@ -29,7 +29,6 @@ from repro.ledger import (
     offer_from_dict,
     offer_to_dict,
 )
-from repro.api.registry import KIND_SCHEDULER, default_registry
 from repro.runtime.planning import PlanSession
 from repro.scheduling.engine import OfferConstants
 from repro.runtime import (
@@ -599,8 +598,6 @@ class TestConfigValidation:
             ServiceConfig.from_flat(horizon_slices=-1)
         with pytest.raises(ServiceError):
             ServiceConfig.from_flat(scheduler_passes=0)
-        with pytest.raises(ServiceError):
-            ServiceConfig.from_flat(expiry_sweep_interval=0)
 
 
 class TestNetForecastWindow:
@@ -682,19 +679,17 @@ class TestPlanWindowAtBothTiers:
 
     START, END = 10, 106
 
-    def _tiers(self, scheduler):
+    def _tiers(self):
         from repro.core.timeseries import TimeSeries
         from repro.runtime import TsoConfig
 
         forecast = TimeSeries(0, np.linspace(-6.0, 6.0, 80))
         brp = BrpRuntimeService(
-            ServiceConfig.from_flat(
-                scheduler=scheduler, scheduler_passes=1, seed=3
-            ),
+            ServiceConfig.from_flat(scheduler_passes=1, seed=3),
             net_forecast=forecast,
         )
         tso = BrpRuntimeService(
-            TsoConfig.from_flat(scheduler=scheduler, scheduler_passes=1, seed=3),
+            TsoConfig.from_flat(scheduler_passes=1, seed=3),
             net_forecast=forecast,
             name="tso",
         )
@@ -721,11 +716,8 @@ class TestPlanWindowAtBothTiers:
             for i, (est, lst) in enumerate(windows)
         ]
 
-    @pytest.mark.parametrize(
-        "scheduler", default_registry().names(KIND_SCHEDULER)
-    )
-    def test_same_candidates_same_problem_same_plan(self, scheduler):
-        brp, tso, problems = self._tiers(scheduler)
+    def test_same_candidates_same_problem_same_plan(self):
+        brp, tso, problems = self._tiers()
         candidates = self._candidates()
         clipped = candidates[0][1]  # earliest_start 4 < START, window open
         closed = candidates[3][1]  # latest_start 8 < START

@@ -238,7 +238,7 @@ class RegistryNameRule(Rule):
     """REP003: component-name literals must resolve in the registry.
 
     ``default_registry()`` is the single source of truth for engine/
-    scheduler/trigger/driver/exporter names; a literal that does not
+    trigger/driver/exporter names; a literal that does not
     resolve raises ``RegistryError`` at runtime — on whichever code path
     finally evaluates it.  Checked at call keywords, function-parameter
     defaults and annotated (dataclass-style) field defaults.
@@ -250,7 +250,6 @@ class RegistryNameRule(Rule):
     #: keyword/field name -> registry kind it must resolve against.
     KIND_FOR_NAME = {
         "engine": "aggregation",
-        "scheduler": "scheduler",
         "trigger": "trigger",
         "driver": "driver",
         "exporter": "exporter",
