@@ -11,7 +11,7 @@ the scalar :mod:`~repro.scheduling.reference` baseline on the same workload
 and both rates land in ``BENCH_scheduling.json`` (run with ``--json``), so
 the speedup is a recorded number rather than a one-off claim.  Beside the
 kernel, ``plan_window`` times the whole runtime planning pass around it
-(problem build, constants, warm start, passes, schedule validation).
+(constants, problem build, warm start, passes).
 
 The convergence run also records the gap table: per size up to 1 000
 offers, the MILP oracle's optimum of the same problem (``fig6_optimum``:
@@ -251,10 +251,11 @@ def test_plan_window_passes_per_second(once, bench_record):
 
     ``PlanSession.plan_window`` over :func:`runtime_shape_problem`'s 48
     aggregates and forecast, as a BRP runs it on every trigger: the
-    eligibility walk, the problem, the offer constants, the warm candidate
-    and its cost, two greedy passes and ``to_schedule``.  Every pass after
-    the first plans the same pool warm-started from the one before, so it
-    finds each offer's kernel template already cached on its profile.
+    eligibility walk, the offer constants, the problem, the warm candidate
+    and its cost, and two greedy passes (the schedule objects are built
+    only on demand, so not here).  Every pass after the first plans the
+    same pool warm-started from the one before, so it finds each offer's
+    kernel template already cached on its profile.
     """
     seconds = 0.1 if smoke_mode() else 1.5
     problem = runtime_shape_problem()

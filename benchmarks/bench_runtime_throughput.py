@@ -118,10 +118,11 @@ def test_sweep_and_aggregate_build_at_brp_steady_shape(once, bench_record):
     a time from slice 64 on.  At each window's end, frozen there:
     ``service.sweep`` times expiry sweeps over the live pool (the first
     retires what fell due, each later one retires nothing and times the
-    check alone), and ``aggregate_build`` times one deferred build of each
-    pool group — its bound arrays made a profile, plus the member walk —
-    as every re-planned group pays it.  Only the service's public surface
-    is used, so the same file times a parent commit's ``src/``.
+    check alone), and ``aggregate_build`` times one aggregate object built
+    per pool group through the engine's ``aggregates`` — its bound rows
+    made a profile, plus the member walk — as every uplinked group pays
+    it (the planner itself builds none).  Only the public surface is
+    used, so the same file times a parent commit's ``src/``.
     """
     rate, warmup, window, stops = (
         (100.0, 8.0, 4.0, 2) if smoke_mode() else (400.0, 64.0, 8.0, 8)
@@ -145,13 +146,12 @@ def test_sweep_and_aggregate_build_at_brp_steady_shape(once, bench_record):
             for _ in range(sweeps):
                 service.sweep_expired()
             sweep_s += time.perf_counter() - t0
-            updates = list(service.pool.values())
-            aggregates.extend(update.aggregate for update in updates)
+            pipeline = service.ingest.pipeline
             t0 = time.perf_counter()
             for _ in range(rounds):
-                for update in updates:
-                    update.builder()
+                built = pipeline.aggregates
             build_s += time.perf_counter() - t0
+            aggregates.extend(built)
         return (
             sum(live) / len(live),
             sweep_s / (stops * sweeps),

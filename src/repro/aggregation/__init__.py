@@ -17,6 +17,8 @@ historical scalar state as the property-test oracle.
 
 from .aggregator import (
     AggregatedFlexOffer,
+    AggregateView,
+    BuiltView,
     NToOneAggregator,
     aggregate_group,
     disaggregate,
@@ -27,6 +29,7 @@ from .engine import (
     GroupProfileState,
     PackedAggregationPipeline,
     PackedPool,
+    PackedView,
 )
 from .grouping import GroupBuilder
 from .metrics import AggregationQuality, evaluate_aggregation
@@ -42,6 +45,8 @@ from .updates import (
 
 __all__ = [
     "AggregatedFlexOffer",
+    "AggregateView",
+    "BuiltView",
     "NToOneAggregator",
     "aggregate_group",
     "disaggregate",
@@ -53,6 +58,7 @@ __all__ = [
     "GroupProfileState",
     "PackedAggregationPipeline",
     "PackedPool",
+    "PackedView",
     "AggregationQuality",
     "evaluate_aggregation",
     "AggregationPipeline",

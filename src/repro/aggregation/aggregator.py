@@ -30,7 +30,7 @@ from-scratch behaviour for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -39,7 +39,14 @@ from ..core.flexoffer import EnergyConstraint, FlexOffer, Profile, _next_id
 from ..core.schedule import ScheduledFlexOffer
 from .updates import AggregateUpdate, GroupUpdate, UpdateKind
 
-__all__ = ["AggregatedFlexOffer", "NToOneAggregator", "aggregate_group", "disaggregate"]
+__all__ = [
+    "AggregatedFlexOffer",
+    "AggregateView",
+    "BuiltView",
+    "NToOneAggregator",
+    "aggregate_group",
+    "disaggregate",
+]
 
 _ENERGY_EPS = 1e-9
 
@@ -200,51 +207,182 @@ def _finalize_aggregate(
 ) -> AggregatedFlexOffer:
     """Assemble the aggregate metadata around an already-built profile.
 
-    Shared by the scalar state (bounds tuples) and the columnar engine
-    (profiles built from packed arrays, which calls this directly), so both
-    construct aggregates with identical semantics.
+    The scalar and reference states build through here: one walk over the
+    members finds the least time flexibility and the tightest deadline,
+    then :func:`_assemble` adds the rest.
     """
     if not members:
         raise AggregationError("cannot build an aggregate from no members")
-    # One walk over the members (a hundred-odd, on every materialised
-    # update): least time flexibility, earliest creation, tightest
-    # deadline, and the price and offset columns.
     time_flex = members[0].time_flexibility
-    creation = est
     deadline = None
-    prices = []
-    offsets = []
     for o in members:
-        earliest = o.earliest_start
-        if o.latest_start - earliest < time_flex:
-            time_flex = o.latest_start - earliest
-        if o.creation_time < creation:
-            creation = o.creation_time
+        if o.latest_start - o.earliest_start < time_flex:
+            time_flex = o.latest_start - o.earliest_start
         due = o.assignment_before
         if due is not None and (deadline is None or due < deadline):
             deadline = due
-        prices.append(o.unit_price)
-        offsets.append(earliest - est)
-    # The aggregate's deadline is the tightest member deadline, but never
-    # beyond its own (possibly reduced) latest start.
-    if deadline is not None and deadline > est + time_flex:
-        deadline = est + time_flex
-    # What ``np.mean`` computes (numpy/_core/_methods.py: one ``add.reduce``
-    # over the float64 column, then a true division by the count), without
-    # its Python-level wrapper.
-    unit_price = np.add.reduce(np.array(prices, float)) / len(prices)
+    return _assemble(
+        members,
+        est,
+        est + time_flex,
+        _capped_deadline(deadline, est + time_flex),
+        _mean_price(members),
+        profile,
+        offer_id,
+    )
+
+
+def _capped_deadline(deadline: int | None, latest_start: int) -> int | None:
+    """The tightest member deadline, but never beyond the aggregate's own
+    (possibly reduced) latest start."""
+    if deadline is not None and deadline > latest_start:
+        return latest_start
+    return deadline
+
+
+def _mean_price(members: tuple[FlexOffer, ...]) -> float:
+    """The members' mean unit price, in membership order."""
+    return _mean(np.array([o.unit_price for o in members], float))
+
+
+def _mean(prices: np.ndarray) -> float:
+    """What ``np.mean`` computes (numpy/_core/_methods.py: one ``add.reduce``
+    over the float64 column, then a true division by the count), without
+    its Python-level wrapper.
+
+    The pairwise ``add.reduce`` is why no running sum can stand in for it:
+    the bits depend on the whole column, in order.
+    """
+    return float(np.add.reduce(prices) / len(prices))
+
+
+def _assemble(
+    members: tuple[FlexOffer, ...],
+    est: int,
+    latest_start: int,
+    deadline: int | None,
+    unit_price: float,
+    profile: Profile,
+    offer_id: int,
+) -> AggregatedFlexOffer:
+    """The aggregate object around scalars an engine already holds.
+
+    Only the earliest creation time and the member offsets need a walk.
+    """
+    creation = est
+    for o in members:
+        if o.creation_time < creation:
+            creation = o.creation_time
     return AggregatedFlexOffer(
         profile=profile,
         earliest_start=est,
-        latest_start=est + time_flex,
+        latest_start=latest_start,
         offer_id=offer_id,
         owner="aggregate",
         creation_time=creation,
         assignment_before=deadline,
-        unit_price=float(unit_price),
+        unit_price=unit_price,
         members=members,
-        offsets=tuple(offsets),
+        offsets=tuple(o.earliest_start - est for o in members),
     )
+
+
+class AggregateView(Protocol):
+    """One aggregate update as the planner and the service read it.
+
+    Every engine emits one per :class:`~repro.aggregation.updates.
+    AggregateUpdate`, and every view answers the same fields for its group
+    as of emission:
+
+    * ``offer_id`` — drawn when the update was emitted;
+    * ``members`` — in membership order;
+    * ``earliest_start``, ``latest_start``, ``duration``;
+    * ``assignment_before`` — the tightest member deadline, capped at
+      ``latest_start``;
+    * ``unit_price`` — the members' mean, bit for bit :func:`_mean_price`;
+    * ``profile`` — the array-form bound rows;
+    * ``aggregate`` — the :class:`AggregatedFlexOffer` with exactly these
+      fields, built on first use and kept, so one update version builds
+      at most one object.
+
+    All but ``members`` and ``aggregate`` carry :class:`~repro.core.
+    flexoffer.FlexOffer` names.  :class:`BuiltView` answers every field
+    from the built object (the scalar and reference engines); the packed
+    engine's
+    :class:`~repro.aggregation.engine.PackedView` answers them from its
+    columns and builds the object only when asked.
+    """
+
+    @property
+    def offer_id(self) -> int: ...
+    @property
+    def members(self) -> tuple[FlexOffer, ...]: ...
+    @property
+    def earliest_start(self) -> int: ...
+    @property
+    def latest_start(self) -> int: ...
+    @property
+    def duration(self) -> int: ...
+    @property
+    def assignment_before(self) -> int | None: ...
+    @property
+    def unit_price(self) -> float: ...
+    @property
+    def profile(self) -> Profile: ...
+    @property
+    def aggregate(self) -> AggregatedFlexOffer: ...
+
+
+class BuiltView:
+    """An :class:`AggregateView` read off the aggregate object itself.
+
+    The scalar and reference engines hand it their state snapshot's
+    builder, so the object is built on first use.
+    """
+
+    __slots__ = ("offer_id", "_build", "_aggregate")
+
+    def __init__(
+        self, offer_id: int, build: Callable[[], AggregatedFlexOffer]
+    ) -> None:
+        self.offer_id = offer_id
+        self._build = build
+        self._aggregate: AggregatedFlexOffer | None = None
+
+    @property
+    def aggregate(self) -> AggregatedFlexOffer:
+        built = self._aggregate
+        if built is None:
+            built = self._aggregate = self._build()
+        return built
+
+    @property
+    def members(self) -> tuple[FlexOffer, ...]:
+        return self.aggregate.members
+
+    @property
+    def earliest_start(self) -> int:
+        return self.aggregate.earliest_start
+
+    @property
+    def latest_start(self) -> int:
+        return self.aggregate.latest_start
+
+    @property
+    def duration(self) -> int:
+        return self.aggregate.duration
+
+    @property
+    def assignment_before(self) -> int | None:
+        return self.aggregate.assignment_before
+
+    @property
+    def unit_price(self) -> float:
+        return self.aggregate.unit_price
+
+    @property
+    def profile(self) -> Profile:
+        return self.aggregate.profile
 
 
 def aggregate_group(
@@ -369,9 +507,10 @@ class NToOneAggregator:
     def process(self, updates: Iterable[GroupUpdate]) -> list[AggregateUpdate]:
         """Apply group updates; return the resulting aggregate updates.
 
-        Emitted updates materialise their aggregate lazily from a snapshot
-        taken here, so the maintenance cost per update stays proportional to
-        the change, not to the aggregate object.
+        Each emitted update's :class:`BuiltView` builds its aggregate
+        on first use from a snapshot taken here, so the maintenance cost per
+        update stays proportional to the change, not to the aggregate
+        object.
         """
         out: list[AggregateUpdate] = []
         for update in updates:
@@ -409,10 +548,12 @@ class NToOneAggregator:
         )
 
     # ------------------------------------------------------------------
-    def _deferred(self, state: _GroupState):
+    def _deferred(self, state: _GroupState) -> BuiltView:
         members, est, bounds = state.snapshot()
         offer_id = self._take_id()
-        return lambda: _build_aggregate(members, est, bounds, offer_id)
+        return BuiltView(
+            offer_id, lambda: _build_aggregate(members, est, bounds, offer_id)
+        )
 
     def _apply_incremental(self, gid: str, offers: tuple[FlexOffer, ...]) -> _GroupState:
         state = self._states.get(gid)

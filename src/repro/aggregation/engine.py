@@ -26,7 +26,10 @@ mirroring the design of :mod:`repro.scheduling.engine`:
   bin-packer (same interface, same
   :class:`~repro.aggregation.updates.AggregateUpdate` stream).  Bin-packing
   stays with the scalar pipeline: build
-  ``AggregationPipeline(parameters, bounds)`` for it.
+  ``AggregationPipeline(parameters, bounds)`` for it;
+* :class:`PackedView` — what each update hands the planner: the group's
+  scalars off the state's counters and its bound rows off the arena, with
+  the aggregate object built only if someone asks for it.
 
 The scalar path survives in :mod:`repro.aggregation.reference` as the
 correctness oracle; ``tests/test_aggregation_engine.py`` pins the packed
@@ -44,7 +47,12 @@ import numpy as np
 
 from ..core.errors import AggregationError
 from ..core.flexoffer import FlexOffer, Profile, _next_id
-from .aggregator import AggregatedFlexOffer, _finalize_aggregate
+from .aggregator import (
+    AggregatedFlexOffer,
+    _assemble,
+    _capped_deadline,
+    _mean,
+)
 from .grouping import GroupBuilder, cell_columns, partition_cells
 from .pipeline import _gc_paused
 from .thresholds import AggregationParameters
@@ -55,9 +63,12 @@ __all__ = [
     "GroupArena",
     "GroupProfileState",
     "PackedAggregationPipeline",
+    "PackedView",
 ]
 
 _EMPTY_ROWS = np.zeros(0, dtype=np.int64)
+_NO_PRICES = np.zeros(0)
+_NO_PRICES.setflags(write=False)
 
 
 def _within(durations: np.ndarray) -> np.ndarray:
@@ -290,35 +301,109 @@ class GroupArena:
         return True
 
 
-class _LazySnapshot:
-    """Copy-on-write view of one group's profile span at emission time.
+class PackedView:
+    """The packed engine's :class:`~repro.aggregation.aggregator.AggregateView`.
 
-    An emitted :class:`~repro.aggregation.updates.AggregateUpdate` needs the
-    group's arrays *as of emission*, but most updates are never materialised
-    (streams between scheduling runs, benchmark drains).  The copy is
-    deferred: the state resolves its outstanding snapshots the moment it is
-    about to mutate again, so untouched snapshots read straight from the
-    arena and never pay for the copy.
+    Emission fills the scalars from the group state — members, earliest
+    start, duration, and the time-flexibility and deadline minima its
+    value counters keep, and its price column — so no walk over the
+    member objects runs.  The rest waits: :meth:`resolve` copies the bound
+    rows off the arena, the first reader takes the guarded profile and the
+    mean price, and the :class:`~repro.aggregation.aggregator.
+    AggregatedFlexOffer` itself is built only for a caller sending the
+    aggregate off the node.
+
+    :meth:`resolve` is copy-on-write: it runs when a reader first asks, or
+    earlier, when the state is about to mutate (or free its segment).
+    Most updates are superseded before any planning run reads them.
     """
 
-    __slots__ = ("state", "est", "end", "lo", "hi")
+    __slots__ = (
+        "offer_id",
+        "members",
+        "earliest_start",
+        "latest_start",
+        "duration",
+        "assignment_before",
+        "_prices",
+        "_price",
+        "_state",
+        "_arena",
+        "_lo",
+        "_hi",
+        "_profile",
+        "_aggregate",
+    )
 
-    def __init__(self, state: "GroupProfileState", est: int, end: int) -> None:
-        self.state = state
-        self.est = est
-        self.end = end
-        self.lo: np.ndarray | None = None
-        self.hi: np.ndarray | None = None
+    def __init__(
+        self, state: "GroupProfileState", arena: GroupArena, offer_id: int
+    ) -> None:
+        est = state.est
+        latest = est + state.time_flex
+        self.offer_id = offer_id
+        self.members = tuple(state.members.values())
+        self.earliest_start = est
+        self.latest_start = latest
+        self.duration = state.end - est
+        self.assignment_before = _capped_deadline(state.deadline, latest)
+        # The state never writes a price column in place (see admit and
+        # evict), so the one it holds now stays this emission's.
+        self._prices = state.prices
+        self._price: float | None = None
+        self._state: GroupProfileState | None = state
+        self._arena = arena
+        self._lo: np.ndarray | None = None
+        self._hi: np.ndarray | None = None
+        self._profile: Profile | None = None
+        self._aggregate: AggregatedFlexOffer | None = None
 
-    def resolve(self, arena: GroupArena) -> None:
-        if self.lo is not None:
+    def resolve(self) -> None:
+        """Copy the bound rows out of the arena (once)."""
+        state = self._state
+        if state is None:
             return
-        state = self.state
-        view = slice(
-            state.start + self.est - state.base, state.start + self.end - state.base
-        )
-        self.lo = arena.lo[view].copy()
-        self.hi = arena.hi[view].copy()
+        first = state.start + self.earliest_start - state.base
+        span = slice(first, first + self.duration)
+        self._lo = self._arena.lo[span].copy()
+        self._hi = self._arena.hi[span].copy()
+        self._state = self._arena = None
+
+    @property
+    def unit_price(self) -> float:
+        price = self._price
+        if price is None:
+            price = self._price = _mean(self._prices)
+        return price
+
+    @property
+    def profile(self) -> Profile:
+        profile = self._profile
+        if profile is None:
+            self.resolve()
+            lo = self._lo
+            # Guard against sub-ulp subtraction residue inverting a slice
+            # whose bounds coincide (mirrors the scalar state's snapshot
+            # guard).  The copies become the profile's own bound arrays:
+            # sums of admitted offers' finite bounds, ordered by the guard.
+            profile = self._profile = Profile._from_checked_arrays(
+                lo, np.maximum(self._hi, lo)
+            )
+        return profile
+
+    @property
+    def aggregate(self) -> AggregatedFlexOffer:
+        built = self._aggregate
+        if built is None:
+            built = self._aggregate = _assemble(
+                self.members,
+                self.earliest_start,
+                self.latest_start,
+                self.assignment_before,
+                self.unit_price,
+                self.profile,
+                self.offer_id,
+            )
+        return built
 
 
 class GroupProfileState:
@@ -332,61 +417,81 @@ class GroupProfileState:
     re-deriving it O(distinct values) instead of O(profile)).  ``span`` is
     the historical extent ever written, which relocation must preserve —
     slices vacated by removals carry the same (sub-ulp) residue the scalar
-    state's lists keep, and parity requires carrying it along.
+    state's lists keep, and parity requires carrying it along.  The least
+    member time flexibility and the tightest member deadline (``None``
+    while no member has one) are kept the same way.  ``prices`` is the
+    members' unit-price column in membership order; it is replaced, never
+    written in place, so an emitted view can hold it as is.  A view thus
+    reads the aggregate's latest start, deadline and mean price without
+    touching a member object.
     """
 
     __slots__ = (
         "members",
+        "prices",
         "est",
         "end",
+        "time_flex",
+        "deadline",
         "base",
         "start",
         "cap",
         "span",
         "_est_counts",
         "_end_counts",
-        "_lazy",
+        "_flex_counts",
+        "_due_counts",
+        "_views",
     )
 
     def __init__(self) -> None:
         self.members: dict[int, FlexOffer] = {}
+        self.prices = _NO_PRICES
         self.est = 0
         self.end = 0
+        self.time_flex = 0
+        self.deadline: int | None = None
         self.base = 0
         self.start = 0
         self.cap = 0
         self.span = 0
         self._est_counts: Counter[int] = Counter()
         self._end_counts: Counter[int] = Counter()
-        self._lazy: list[_LazySnapshot] = []
+        self._flex_counts: Counter[int] = Counter()
+        self._due_counts: Counter[int] = Counter()
+        self._views: list[PackedView] = []
 
     # ------------------------------------------------------------------
-    def _materialize(self, arena: GroupArena) -> None:
-        """Resolve outstanding lazy snapshots before the arrays change."""
-        if self._lazy:
-            for snapshot in self._lazy:
-                snapshot.resolve(arena)
-            self._lazy.clear()
+    def _resolve_views(self) -> None:
+        """Resolve outstanding views' bound rows before the arrays change."""
+        if self._views:
+            for view in self._views:
+                view.resolve()
+            self._views.clear()
 
     def free(self, arena: GroupArena) -> None:
         """Return this group's segment to the arena's waste pool.
 
-        Outstanding lazy snapshots from earlier flushes still point into the
+        Outstanding views from earlier flushes still point into the
         segment; they are resolved first, or a later arena compaction would
         hand their updates zeroed profiles.
         """
-        self._materialize(arena)
+        self._resolve_views()
         arena.waste += self.cap
         self.cap = 0
 
     def reset(self, arena: GroupArena) -> None:
         """Empty the group entirely (scalar parity: arrays start fresh)."""
-        self._materialize(arena)
         self.free(arena)
         self.members.clear()
+        self.prices = _NO_PRICES
         self._est_counts.clear()
         self._end_counts.clear()
+        self._flex_counts.clear()
+        self._due_counts.clear()
         self.est = self.end = self.base = self.start = self.span = 0
+        self.time_flex = 0
+        self.deadline = None
 
     def ensure_span(self, arena: GroupArena, first: int, last: int) -> None:
         """Make the segment cover ``[first, last)`` absolute slices."""
@@ -422,82 +527,98 @@ class GroupProfileState:
         offers: Sequence[FlexOffer],
         ests: Sequence[int],
         ends: Sequence[int],
+        flexes: Sequence[int],
+        prices: np.ndarray,
         first: int,
         last: int,
     ) -> None:
         """Register members after their contributions were scattered in.
 
-        ``ests`` / ``ends`` / ``first`` / ``last`` come from the pool
-        columns (the caller has them vectorized), so no per-offer attribute
-        chains run here.
+        ``ests`` / ``ends`` / ``flexes`` / ``prices`` / ``first`` /
+        ``last`` come from the pool columns (the caller has them
+        vectorized), so the only per-offer attribute reads here are the id
+        and the deadline.
         """
         fresh = not self.members
         members = self.members
         est_counts = self._est_counts
         end_counts = self._end_counts
-        for offer, est, end in zip(offers, ests, ends):
+        flex_counts = self._flex_counts
+        deadline = self.deadline
+        self.prices = np.concatenate((self.prices, prices))
+        for offer, est, end, flex in zip(offers, ests, ends, flexes):
             members[offer.offer_id] = offer
             est_counts[est] += 1
             end_counts[end] += 1
+            flex_counts[flex] += 1
+            due = offer.assignment_before
+            if due is not None:
+                self._due_counts[due] += 1
+                if deadline is None or due < deadline:
+                    deadline = due
+        self.deadline = deadline
+        least_flex = min(flexes)
         if fresh:
-            self.est, self.end = first, last
+            self.est, self.end, self.time_flex = first, last, least_flex
         else:
             if first < self.est:
                 self.est = first
             if last > self.end:
                 self.end = last
+            if least_flex < self.time_flex:
+                self.time_flex = least_flex
 
-    def evict(self, offers: Iterable[FlexOffer]) -> None:
-        """Deregister members after their contributions were subtracted."""
+    def evict(self, offers: Sequence[FlexOffer], positions: Sequence[int]) -> None:
+        """Deregister members after their contributions were subtracted;
+        ``positions`` are their places in membership order."""
+        keep = np.ones(len(self.members), dtype=bool)
+        keep[positions] = False
+        self.prices = self.prices[keep]
         for offer in offers:
             del self.members[offer.offer_id]
             est = offer.earliest_start
-            end = est + offer.duration
-            self._est_counts[est] -= 1
-            if not self._est_counts[est]:
-                del self._est_counts[est]
-            self._end_counts[end] -= 1
-            if not self._end_counts[end]:
-                del self._end_counts[end]
+            _discount(self._est_counts, est)
+            _discount(self._end_counts, est + offer.duration)
+            _discount(self._flex_counts, offer.latest_start - est)
+            due = offer.assignment_before
+            if due is not None:
+                _discount(self._due_counts, due)
         if self.est not in self._est_counts:
             self.est = min(self._est_counts)
         if self.end not in self._end_counts:
             self.end = max(self._end_counts)
+        if self.time_flex not in self._flex_counts:
+            self.time_flex = min(self._flex_counts)
+        if self.deadline is not None and self.deadline not in self._due_counts:
+            self.deadline = min(self._due_counts) if self._due_counts else None
 
     @property
     def shift(self) -> int:
         """Arena offset of absolute slice 0 (segment start minus base)."""
         return self.start - self.base
 
+    def view(self, arena: GroupArena, *, eager: bool = False) -> PackedView:
+        """This group's view under a freshly drawn id.
 
-def _deferred_build(state: GroupProfileState, arena: GroupArena, *, eager: bool = False):
-    """Snapshot now (copy-on-write), materialise the aggregate lazily.
+        The bound rows stay in the arena until the state next mutates,
+        unless ``eager`` — used when the state is about to be dropped
+        (DELETED updates).
+        """
+        view = PackedView(self, arena, _next_id())
+        if eager:
+            view.resolve()
+        else:
+            self._views.append(view)
+        return view
 
-    The member tuple and extent are captured eagerly (cheap); the array copy
-    is deferred through :class:`_LazySnapshot` unless ``eager`` — used when
-    the state is about to be dropped (DELETED updates) or the caller builds
-    immediately anyway.
-    """
-    members = tuple(state.members.values())
-    snapshot = _LazySnapshot(state, state.est, state.end)
-    if eager:
-        snapshot.resolve(arena)
+
+def _discount(counts: Counter, value: int) -> None:
+    """One value fewer in ``counts``; a value counted zero times goes."""
+    left = counts[value] - 1
+    if left:
+        counts[value] = left
     else:
-        state._lazy.append(snapshot)
-    offer_id = _next_id()
-    est = snapshot.est
-
-    def build() -> AggregatedFlexOffer:
-        snapshot.resolve(arena)
-        lo, hi = snapshot.lo, snapshot.hi
-        # Guard against sub-ulp subtraction residue inverting a slice whose
-        # bounds coincide (mirrors the scalar state's snapshot guard).  The
-        # snapshot's own copies become the profile's bound arrays, so the
-        # scheduler's first read does not rebuild them from the objects.
-        profile = Profile.from_arrays(lo, np.maximum(hi, lo))
-        return _finalize_aggregate(members, est, profile, offer_id)
-
-    return build
+        del counts[value]
 
 
 class PackedAggregationPipeline:
@@ -548,7 +669,7 @@ class PackedAggregationPipeline:
     def aggregates(self) -> list[AggregatedFlexOffer]:
         """All currently maintained aggregated flex-offers."""
         return [
-            _deferred_build(state, self.arena, eager=True)()
+            state.view(self.arena, eager=True).aggregate
             for state in self._states.values()
         ]
 
@@ -565,7 +686,7 @@ class PackedAggregationPipeline:
         """Process everything queued; return aggregated flex-offer updates.
 
         Like the scalar pipeline, the cyclic collector is paused for the
-        batch: the update records and snapshot closures allocated per touched
+        batch: the update records and views allocated per touched
         group are cycle-free, and collector runs triggered by the allocation
         rate would otherwise distort the maintenance cost.
         """
@@ -633,10 +754,11 @@ class PackedAggregationPipeline:
         if len(new_rows):
             ests_new = self.pool.est[new_rows]
             ends_new = ests_new + self.pool.dur[new_rows]
+            flexes_new = self.pool.lst[new_rows] - ests_new
             columns = cell_columns(
                 self.parameters,
                 ests_new,
-                self.pool.lst[new_rows] - ests_new,
+                flexes_new,
                 self.pool.dur[new_rows],
                 self.pool.price[new_rows],
             )
@@ -645,6 +767,7 @@ class PackedAggregationPipeline:
             lasts = np.maximum.reduceat(ends_new[order], starts).tolist()
             ests_list = ests_new.tolist()
             ends_list = ends_new.tolist()
+            flexes_list = flexes_new.tolist()
             offer_gid = self._offer_gid
             for k, part in enumerate(parts):
                 positions = part.tolist()
@@ -655,6 +778,7 @@ class PackedAggregationPipeline:
                     offers,
                     [ests_list[i] for i in positions],
                     [ends_list[i] for i in positions],
+                    [flexes_list[i] for i in positions],
                     firsts[k],
                     lasts[k],
                 )
@@ -693,7 +817,7 @@ class PackedAggregationPipeline:
         runs the two ``np.add.at`` sweeps over the whole flush at once (all
         segments live in the same arena arrays, and groups own disjoint
         slots, so per-slot accumulation order still matches the scalar
-        remove-then-add per group); pass 3 snapshots and emits.
+        remove-then-add per group); pass 3 emits a view per group.
         """
         pool = self.pool
         arena = self.arena
@@ -711,7 +835,7 @@ class PackedAggregationPipeline:
             if existed and removed is not None and len(removed) == len(state.members) and added is None:
                 # Group emptied: the DELETED update carries the last
                 # aggregate; no subtraction, the segment is simply freed
-                # (after the snapshot in pass 3).
+                # (after pass 3 copied it into the update's view).
                 emit.append((UpdateKind.DELETED, gid, state))
                 continue
             if state is None:
@@ -719,9 +843,9 @@ class PackedAggregationPipeline:
                     continue  # an ephemeral touch of a group nobody ever saw
                 state = self._states[gid] = GroupProfileState()
             else:
-                # This group's arrays are about to change: resolve any
-                # snapshots earlier updates still hold (copy-on-write).
-                state._materialize(arena)
+                # This group's arrays are about to change: resolve the
+                # views earlier updates still hold (copy-on-write).
+                state._resolve_views()
             removed_offers = None
             if removed is not None:
                 if len(removed) >= len(state.members):
@@ -732,14 +856,18 @@ class PackedAggregationPipeline:
                     # Subtract in membership (insertion) order — the order
                     # the scalar aggregator removes in.
                     removed_set = set(removed)
-                    removed_offers = [
-                        o for oid, o in state.members.items() if oid in removed_set
+                    positions = [
+                        i for i, oid in enumerate(state.members) if oid in removed_set
                     ]
-                    state.evict(removed_offers)
+                    members = tuple(state.members.values())
+                    removed_offers = [members[i] for i in positions]
+                    state.evict(removed_offers, positions)
             if added is not None:
-                rows, offers, ests, ends, first, last = added
+                rows, offers, ests, ends, flexes, first, last = added
                 state.ensure_span(arena, first, last)
-                state.admit(offers, ests, ends, first, last)
+                state.admit(
+                    offers, ests, ends, flexes, pool.price[rows], first, last
+                )
             # Shifts are captured only after every geometry change
             # (ensure_span may relocate the segment); phase 2 still applies
             # remove-before-add per arena slot, matching the scalar order.
@@ -781,15 +909,13 @@ class PackedAggregationPipeline:
                 np.add.at(arena.lo, idx, -pool.slice_lo[src])
                 np.add.at(arena.hi, idx, -pool.slice_hi[src])
 
-        # Pass 3: snapshot and emit (arrays are final now).  DELETED states
-        # lose their segment immediately, so their snapshot is eager.
+        # Pass 3: emit a view per group (arrays are final now).  DELETED
+        # states lose their segment immediately, so their views copy it now.
         updates: list[AggregateUpdate] = []
         for kind, gid, state in emit:
             deleted = kind is UpdateKind.DELETED
             updates.append(
-                AggregateUpdate(
-                    kind, gid, _deferred_build(state, arena, eager=deleted)
-                )
+                AggregateUpdate(kind, gid, state.view(arena, eager=deleted))
             )
             if deleted:
                 state.free(arena)

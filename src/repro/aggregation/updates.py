@@ -10,14 +10,14 @@ sub-components are chained, each consuming the previous one's updates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..core.flexoffer import FlexOffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .aggregator import AggregatedFlexOffer
+    from .aggregator import AggregatedFlexOffer, AggregateView
 
 __all__ = [
     "UpdateKind",
@@ -75,39 +75,30 @@ class GroupUpdate:
         return len(self.offers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateUpdate:
     """A change to one aggregated (macro) flex-offer.
 
-    The aggregate object is materialised **lazily** from a snapshot taken
-    when the update was emitted: building the immutable
+    :attr:`view` is what a planning run reads of the aggregate as of
+    emission (see :class:`~repro.aggregation.aggregator.AggregateView`):
+    its id, window, deadline, price, bound rows and members, answered by
+    the engine that emitted it.  The immutable
     :class:`~repro.aggregation.aggregator.AggregatedFlexOffer` costs time
-    proportional to the profile, and high-rate incremental maintenance must
-    not pay it for intermediate states nobody reads.  Accessing
-    :attr:`aggregate` materialises (and caches) the object.
+    proportional to the profile and the members, and high-rate incremental
+    maintenance must not pay it for states nobody reads, so it is built
+    only on first access to :attr:`aggregate` (and kept on the view).
 
-    For ``DELETED`` updates :attr:`aggregate` is the last aggregate that
-    existed under :attr:`group_id`, so downstream consumers (e.g. the
-    scheduler's pool) can remove it by identity.
+    A ``DELETED`` update's view is the last aggregate that existed under
+    :attr:`group_id`, under a freshly drawn ``offer_id`` like any other
+    update's; consumers (the runtime pool, the planner's kept placements)
+    drop the group by :attr:`group_id`.
     """
 
     kind: UpdateKind
     group_id: str
-    builder: Callable[[], "AggregatedFlexOffer"]
-    _cached: list = field(default_factory=list, repr=False, compare=False)
+    view: "AggregateView"
 
     @property
     def aggregate(self) -> "AggregatedFlexOffer":
         """The aggregated flex-offer after (or, for deletes, before) the change."""
-        if not self._cached:
-            self._cached.append(self.builder())
-        return self._cached[0]
-
-    @classmethod
-    def eager(
-        cls, kind: UpdateKind, group_id: str, aggregate: "AggregatedFlexOffer"
-    ) -> "AggregateUpdate":
-        """An update around an already-materialised aggregate."""
-        update = cls(kind, group_id, lambda: aggregate)
-        update._cached.append(aggregate)
-        return update
+        return self.view.aggregate

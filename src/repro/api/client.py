@@ -196,15 +196,23 @@ class LedmsClient:
             callback(offer_id, state, now)
 
     def _plan_view(self, result: SchedulingResult) -> PlanView:
-        schedule = self.service.last_schedule
+        # The plan's columns and its views: no aggregate object is built
+        # for a hook every committed plan fires.  ``sum`` over the Python
+        # floats adds in slice order, as it did over a scheduled offer's
+        # energy tuple.
+        solution = result.solution
         assignments = tuple(
             PlanAssignment(
-                aggregate_id=scheduled.offer.offer_id,
-                start=int(scheduled.start),
-                total_energy=float(sum(scheduled.energies)),
-                members=len(getattr(scheduled.offer, "members", ()) or ()) or 1,
+                aggregate_id=view.offer_id,
+                start=start,
+                total_energy=float(sum(energies.tolist())),
+                members=len(view.members),
             )
-            for scheduled in (schedule or ())
+            for view, start, energies in zip(
+                self.service.last_plan.views,
+                solution.starts.tolist(),
+                solution.energies,
+            )
         )
         return PlanView(
             at=self.service.now,

@@ -270,6 +270,14 @@ class Profile:
             for a, b in zip(lo.tolist(), hi.tolist()):
                 if not _NEG_INF < a <= b < _INF:
                     raise _bound_error(a, b)
+        return cls._from_checked_arrays(lo, hi)
+
+    @classmethod
+    def _from_checked_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> "Profile":
+        """The array-form profile of bound columns that already obey the
+        bounds rule — :meth:`from_arrays` without its checks, for columns
+        ordered and finite by construction (an aggregation engine's sums of
+        admitted offers' bounds, ``hi`` raised to ``lo`` slice by slice)."""
         lo.setflags(write=False)
         hi.setflags(write=False)
         profile = _new(cls)

@@ -1160,7 +1160,7 @@ class ClusterRuntime:
             tso_macros_returned=self._tso_count("cluster.macros_returned"),
             tso_plan_cost=(
                 self.tso.metrics.gauge("schedule.last_cost", merge="last").value
-                if self.tso.last_schedule is not None
+                if self.tso.last_plan is not None
                 else math.nan
             ),
             remote_commits=self.remote_commits,

@@ -5,12 +5,19 @@ and the cluster's TSO is a :class:`~repro.runtime.service.BrpRuntimeService`
 like every BRP, so this pass has one caller.  A node builds one
 :class:`PlanSession` from what its planner *is* (passes, market, seed,
 metrics registry, optional net forecast; the scheduler is always the §6
-randomized greedy) and hands
-:meth:`PlanSession.plan_window` its aggregate pool ordered by group id — at
-the TSO, super-aggregates of the BRPs' macros.  Eligibility and clipping,
-the rolling forecast window, the flat market, the
+randomized greedy) and hands :meth:`PlanSession.plan_window` its pool
+ordered by group id, as the aggregation engine's views
+(:class:`~repro.aggregation.aggregator.AggregateView`) — at the TSO, views
+of super-aggregates of the BRPs' macros.  Eligibility and clipping, the
+rolling forecast window, the flat market, the
 :class:`SchedulingProblem`, the planner call and the ``delta.*`` counters
 live here and nowhere else.
+
+The pass reads each view's window, deadline, price and bound rows and
+builds the planner's constants from them; no aggregate object is built on
+the way.  Clipping moves the first admissible start and nothing else.  The
+objects are built only where one leaves the node —
+:attr:`WindowPlan.originals` and :attr:`WindowPlan.schedule`, on demand.
 
 Inside the pass, :meth:`PlanSession.plan` plans only what changed: it keeps
 the last plan's placements and the dirty key set fed by each flush's
@@ -22,14 +29,14 @@ is dirty.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..aggregation.aggregator import AggregatedFlexOffer
+from ..aggregation.aggregator import AggregatedFlexOffer, AggregateView
 from ..aggregation.updates import AggregateUpdate, UpdateKind
-from ..core.flexoffer import FlexOffer
 from ..core.schedule import Schedule
 from ..core.timeseries import TimeSeries
 from ..scheduling import Market, RandomizedGreedyScheduler
@@ -43,7 +50,6 @@ from .metrics import MetricsRegistry
 __all__ = [
     "PlanSession",
     "WindowPlan",
-    "eligible_for_window",
     "net_forecast_window",
 ]
 
@@ -58,33 +64,6 @@ def _flat_market(length: int, buy_price: float, sell_price: float) -> Market:
     of being rebuilt on each trigger fire.
     """
     return Market.flat(length, buy_price=buy_price, sell_price=sell_price)
-
-
-def eligible_for_window(aggregate: FlexOffer, start: int, end: int) -> FlexOffer | None:
-    """The schedulable form of ``aggregate`` for ``[start, end)``, or None.
-
-    One definition of plan eligibility for every node's pool (a BRP's
-    aggregates, the TSO's super-aggregates): an aggregate is out
-    when its start window closed, its profile cannot finish inside the
-    horizon, or the tightest member assignment deadline passed.  An
-    aggregate whose earliest start passed while the window is still open is
-    *clipped* to start no earlier than ``start`` — disaggregation must run
-    against the unclipped original, whose member offsets are anchored at
-    the original earliest start (:attr:`WindowPlan.originals`).
-    """
-    if (
-        aggregate.latest_start < start
-        or aggregate.latest_start + aggregate.duration > end
-    ):
-        return None
-    if (
-        aggregate.assignment_before is not None
-        and aggregate.assignment_before <= start
-    ):
-        return None
-    if aggregate.earliest_start < start:
-        return aggregate.with_times(start, aggregate.latest_start)
-    return aggregate
 
 
 def net_forecast_window(
@@ -104,15 +83,35 @@ def net_forecast_window(
     return TimeSeries(start, values)
 
 
-class WindowPlan(NamedTuple):
+@dataclass(eq=False)
+class WindowPlan:
     """One non-empty planned window; the sequences cover the eligible
     candidates only, in candidate order."""
 
     result: SchedulingResult
-    schedule: Schedule
-    originals: tuple[AggregatedFlexOffer, ...]
-    """The unclipped candidates — what disaggregation must run against."""
+    problem: SchedulingProblem
+    views: tuple[AggregateView, ...]
+    """The candidates' views, unclipped: what disaggregation runs against
+    (member offsets are anchored at the unclipped earliest start)."""
     keys: tuple[str, ...]
+
+    @cached_property
+    def originals(self) -> tuple[AggregatedFlexOffer, ...]:
+        """The unclipped candidates as aggregate objects (built on demand)."""
+        return tuple(view.aggregate for view in self.views)
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The plan over the (possibly clipped) aggregate objects, built and
+        checked on first access."""
+        start = self.problem.horizon_start
+        offers = [
+            original
+            if original.earliest_start >= start
+            else original.with_times(start, original.latest_start)
+            for original in self.originals
+        ]
+        return self.problem.to_schedule(self.result.solution, offers)
 
 
 class PlanSession:
@@ -158,43 +157,57 @@ class PlanSession:
     # ------------------------------------------------------------------
     def plan_window(
         self,
-        candidates: Iterable[tuple[str, AggregatedFlexOffer]],
+        candidates: Iterable[tuple[str, AggregateView]],
         start: int,
         end: int,
     ) -> WindowPlan | None:
-        """Plan ``[start, end)`` over the tier's ordered ``(key, aggregate)``s.
+        """Plan ``[start, end)`` over the tier's ordered ``(key, view)``s.
 
-        The eligible (possibly clipped) candidates become one problem,
-        priced against the rolling forecast window and the flat market and
-        planned through :meth:`plan`.  ``None`` when nothing is eligible —
-        the caller counts that under its own ``*.empty_runs``.
+        One definition of plan eligibility for every node's pool (a BRP's
+        aggregates, the TSO's super-aggregates): a candidate is out when
+        its start window closed, its profile cannot finish inside the
+        horizon, or its tightest member assignment deadline passed.  One
+        whose earliest start passed while the window is still open is
+        *clipped*: its constants open the window at ``start``.  The
+        eligible candidates become one problem, priced against the rolling
+        forecast window and the flat market and planned through
+        :meth:`plan`.  ``None`` when nothing is eligible — the caller counts
+        that under its own ``*.empty_runs``.
         """
         keys: list[str] = []
-        offers: list[FlexOffer] = []
-        originals: list[AggregatedFlexOffer] = []
-        for key, original in candidates:
-            aggregate = eligible_for_window(original, start, end)
-            if aggregate is None:
+        views: list[AggregateView] = []
+        constants: list[OfferConstants] = []
+        for key, view in candidates:
+            latest = view.latest_start
+            if latest < start or latest + view.duration > end:
+                continue
+            due = view.assignment_before
+            if due is not None and due <= start:
                 continue
             keys.append(key)
-            offers.append(aggregate)
-            originals.append(original)
+            views.append(view)
+            constants.append(
+                OfferConstants.of(
+                    view.profile,
+                    view.unit_price,
+                    max(view.earliest_start, start),
+                    latest,
+                    start,
+                )
+            )
         if not keys:
             return None
         market = self.market
-        problem = SchedulingProblem(
+        problem = SchedulingProblem.from_constants(
+            constants,
             net_forecast=net_forecast_window(self.net_forecast, start, end),
-            offers=tuple(offers),
             market=_flat_market(end - start, market.buy_price, market.sell_price),
             shortage_penalty=np.array(market.shortage_penalty),
             surplus_penalty=np.array(market.surplus_penalty),
         )
-        result = self.plan(problem, tuple(keys))
+        keys_tuple = tuple(keys)
         return WindowPlan(
-            result,
-            problem.to_schedule(result.solution),
-            tuple(originals),
-            tuple(keys),
+            self.plan(problem, keys_tuple), problem, tuple(views), keys_tuple
         )
 
     # ------------------------------------------------------------------

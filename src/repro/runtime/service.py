@@ -36,11 +36,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+import numpy as np
+
 from ..aggregation.aggregator import AggregatedFlexOffer
 from ..aggregation.pipeline import make_pipeline
 from ..aggregation.updates import AggregateUpdate, UpdateKind
 from ..core.errors import ServiceError
 from ..core.flexoffer import FlexOffer
+from ..core.schedule import Schedule
 from ..core.timeseries import TimeSeries
 from ..datamgmt.mirabel import LedmsStore
 from ..ledger.codec import content_key, offer_json
@@ -51,7 +54,7 @@ from .config import ServiceConfig
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .ingest import FlexOfferIngest
 from .metrics import Histogram, MetricsRegistry
-from .planning import PlanSession
+from .planning import PlanSession, WindowPlan
 from .triggers import AdaptiveTrigger, AnyTrigger, TriggerContext
 
 __all__ = [
@@ -227,13 +230,9 @@ class BrpRuntimeService:
             max_duration_slices=self.config.ingest.max_duration_slices,
         )
         self.pool: dict[str, AggregateUpdate] = {}
-        self.last_schedule = None
-        #: The *unclipped* pool aggregates behind :attr:`last_schedule`, in
-        #: assignment order — what a cluster's BRP publishes as its
-        #: committed macro flex-offers to the TSO tier (member offsets are
-        #: anchored at the unclipped earliest start, so these are the
-        #: objects remote disaggregation must run against).
-        self.last_plan_originals: tuple[AggregatedFlexOffer, ...] = ()
+        #: The last committed non-empty plan: its result, problem, the
+        #: planned views and their keys (:mod:`repro.runtime.planning`).
+        self.last_plan: WindowPlan | None = None
         #: Callbacks invoked with each non-empty :class:`SchedulingResult`
         #: after its plan has been committed (the facade's
         #: ``on_plan_committed`` hook attaches here).
@@ -241,10 +240,10 @@ class BrpRuntimeService:
         self._live: dict[int, _LiveOffer] = {}
         self._scheduled_total = 0
         # aggregate offer_id -> (start, energies) of the last disaggregated
-        # plan.  A pool change always materialises a *new* aggregate (new
-        # offer_id), so an unchanged key proves every member's schedule is
-        # unchanged and the whole disaggregation can be skipped.
-        self._plan_cache: dict[int, tuple[int, tuple]] = {}
+        # plan.  A pool change always emits a *new* view (new offer_id), so
+        # an unchanged key proves every member's schedule is unchanged and
+        # the whole disaggregation can be skipped.
+        self._plan_cache: dict[int, tuple[int, np.ndarray]] = {}
         self._stream_overflow: tuple[Iterable, float, FlexOffer] | None = None
         #: This tier's planner (:mod:`repro.runtime.planning`): scheduler,
         #: market, rng, kept placements and dirty key set live here.
@@ -361,6 +360,24 @@ class BrpRuntimeService:
     def scheduled_total(self) -> int:
         """Cumulative unique offers ever scheduled by this service."""
         return self._scheduled_total
+
+    @property
+    def last_schedule(self) -> Schedule | None:
+        """The last plan as scheduled aggregate objects (built on first
+        access; ``None`` before the first plan)."""
+        plan = self.last_plan
+        return None if plan is None else plan.schedule
+
+    @property
+    def last_plan_originals(self) -> tuple[AggregatedFlexOffer, ...]:
+        """The *unclipped* pool aggregates behind :attr:`last_schedule`, in
+        assignment order — what a cluster's BRP publishes as its committed
+        macro flex-offers to the TSO tier (member offsets are anchored at
+        the unclipped earliest start, so these are the objects remote
+        disaggregation must run against).  Built on first access, once per
+        aggregate update."""
+        plan = self.last_plan
+        return () if plan is None else plan.originals
 
     # ------------------------------------------------------------------
     # ingest
@@ -775,7 +792,7 @@ class BrpRuntimeService:
         # depends on how updates interleaved, but the plan for a given pool
         # must not.
         plan = self.session.plan_window(
-            [(gid, self.pool[gid].aggregate) for gid in sorted(self.pool)],
+            [(gid, self.pool[gid].view) for gid in sorted(self.pool)],
             start,
             start + self.config.scheduling.horizon_slices,
         )
@@ -787,27 +804,27 @@ class BrpRuntimeService:
         self.metrics.gauge("schedule.last_offers", merge="last").set(
             len(plan.keys)
         )
-        self.last_schedule = plan.schedule
-        self.last_plan_originals = plan.originals
-        self._disaggregate(plan.schedule, plan.originals)
+        self.last_plan = plan
+        self._disaggregate(plan)
         for listener in self.plan_listeners:
             listener(result)
         return result
 
-    def _disaggregate(self, schedule, originals) -> None:
-        """Commit the aggregate schedule to members; record latencies.
+    def _disaggregate(self, plan: WindowPlan) -> None:
+        """Commit the plan to members; record latencies.
 
-        ``originals[i]`` is the pool aggregate behind ``schedule``'s ``i``-th
-        assignment — identical to the scheduled offer unless the window was
-        clipped (member offsets are relative to the unclipped earliest
-        start).  Only member *start commitments* are derived here: the
-        aggregate's admissible start shift maps to every member as-is
-        (the §4 disaggregation guarantee), and that is all the runtime's
+        Reads the plan's columns: the ``i``-th start and energies of the
+        solution belong to ``plan.views[i]``, whose members, id and
+        *unclipped* earliest start (member offsets are relative to it) are
+        all a commitment needs, so no aggregate object is built.  Only
+        member *start commitments* are derived here: the aggregate's
+        admissible start shift maps to every member as-is (the §4
+        disaggregation guarantee), and that is all the runtime's
         lifecycle/commitment tracking consumes per re-plan.  Full per-slice
         energy disaggregation (:func:`repro.aggregation.disaggregate`)
         happens at dispatch time, not on every trigger — re-deriving half a
         million member energy vectors per re-plan was the runtime's single
-        hottest path.  Re-plans whose aggregate object *and* plan are
+        hottest path.  Re-plans whose aggregate version *and* plan are
         unchanged are skipped outright.
         """
         now = self.now_slice
@@ -817,32 +834,42 @@ class BrpRuntimeService:
         members_out = 0
         skipped = 0
         cache = self._plan_cache
-        fresh_cache: dict[int, tuple[int, tuple]] = {}
+        fresh_cache: dict[int, tuple[int, np.ndarray]] = {}
         newly_scheduled: list[FlexOffer] = []
         journal = self._pass_journal()
-        recommitted: list[AggregatedFlexOffer] = []
+        recommitted: list = []
+        solution = plan.result.solution
         t0 = time.perf_counter()
         with self._stage("disaggregate"):
-            for assignment, original in zip(schedule, originals):
-                plan = (assignment.start, assignment.energies)
-                fresh_cache[original.offer_id] = plan
-                if cache.get(original.offer_id) == plan:
-                    # Same aggregate object, same plan: every member's
+            for view, start, energies in zip(
+                plan.views, solution.starts.tolist(), solution.energies
+            ):
+                fresh_cache[view.offer_id] = (start, energies)
+                prior = cache.get(view.offer_id)
+                if (
+                    prior is not None
+                    and prior[0] == start
+                    and (
+                        prior[1] is energies  # a kept placement's own array
+                        or prior[1].tolist() == energies.tolist()
+                    )
+                ):
+                    # Same aggregate version, same plan: every member's
                     # schedule is identical to the one already committed
                     # and recorded.
                     skipped += 1
                     continue
                 self._commit_members(
-                    original.members,
-                    assignment.start - original.earliest_start,
+                    view.members,
+                    start - view.earliest_start,
                     latency_sim,
                     latency_wall,
                     newly_scheduled,
                     journal,
                 )
-                members_out += len(original.members)
+                members_out += len(view.members)
                 if trace:
-                    recommitted.append(original)
+                    recommitted.append(view)
             if journal:
                 self.ledger.record_scheduled(journal, at=self.now)
             # One store call per pass, ahead of the pass's trace events:

@@ -63,7 +63,7 @@ import numpy as np
 from ..core.errors import SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..core.flexoffer import FlexOffer
+    from ..core.flexoffer import FlexOffer, Profile
     from .problem import SchedulingProblem
 
 __all__ = ["OfferConstants", "PackedOffers", "CostEngine", "IncrementalCostState"]
@@ -239,15 +239,33 @@ class OfferConstants:
 
     @classmethod
     def from_offer(cls, offer: "FlexOffer", horizon_start: int) -> "OfferConstants":
-        earliest = offer.earliest_start
-        latest = offer.latest_start
+        return cls.of(
+            offer.profile,
+            offer.unit_price,
+            offer.earliest_start,
+            offer.latest_start,
+            horizon_start,
+        )
+
+    @classmethod
+    def of(
+        cls,
+        profile: "Profile",
+        unit_price: float,
+        earliest_start: int,
+        latest_start: int,
+        horizon_start: int,
+    ) -> "OfferConstants":
+        """The constants of an offer given by its profile, price and start
+        window — how a runtime plans an aggregation engine's view without
+        building the offer object."""
         return cls(
-            *_kernel_template(offer.profile),
-            float(offer.unit_price),
-            earliest,
-            latest,
-            earliest - horizon_start,
-            latest - earliest + 1,
+            *_kernel_template(profile),
+            float(unit_price),
+            earliest_start,
+            latest_start,
+            earliest_start - horizon_start,
+            latest_start - earliest_start + 1,
         )
 
     def flex_cost(self, energies: np.ndarray) -> float:

@@ -136,6 +136,41 @@ class SchedulingProblem:
                     f"offer {offer.offer_id} may run past the horizon end"
                 )
 
+    @classmethod
+    def from_constants(
+        cls,
+        constants: Sequence[OfferConstants],
+        *,
+        net_forecast: TimeSeries,
+        market: Market,
+        shortage_penalty: np.ndarray,
+        surplus_penalty: np.ndarray,
+    ) -> "SchedulingProblem":
+        """A problem over offers given by their constants alone.
+
+        How a runtime node plans straight from its aggregation engine's
+        views, building no offer object: :attr:`offers` stays empty, every
+        solver reads :attr:`offer_constants`, and :meth:`to_schedule` takes
+        the objects from its caller.
+        """
+        problem = cls(
+            net_forecast=net_forecast,
+            offers=(),
+            market=market,
+            shortage_penalty=shortage_penalty,
+            surplus_penalty=surplus_penalty,
+        )
+        constants = tuple(constants)
+        for j, c in enumerate(constants):
+            if c.earliest_index < 0:
+                raise SchedulingError(f"offer {j} starts before the horizon")
+            if c.earliest_index + c.n_starts - 1 + c.duration > problem.horizon_length:
+                raise SchedulingError(f"offer {j} may run past the horizon end")
+        # The cached property's slot: a non-data descriptor, so the
+        # instance dict entry is what every later read finds.
+        object.__setattr__(problem, "offer_constants", constants)
+        return problem
+
     # ------------------------------------------------------------------
     @property
     def horizon_start(self) -> int:
@@ -151,7 +186,7 @@ class SchedulingProblem:
 
     @property
     def offer_count(self) -> int:
-        return len(self.offers)
+        return len(self.offer_constants)
 
     # ------------------------------------------------------------------
     # cached solver-path machinery
@@ -322,8 +357,16 @@ class SchedulingProblem:
         return self.engine.total_cost(residual) + self.flexoffer_cost(solution)
 
     # ------------------------------------------------------------------
-    def to_schedule(self, solution: CandidateSolution) -> Schedule:
+    def to_schedule(
+        self,
+        solution: CandidateSolution,
+        offers: Sequence[FlexOffer] | None = None,
+    ) -> Schedule:
         """Convert a candidate into a validated :class:`Schedule`.
+
+        The assignments name :attr:`offers`, or ``offers`` — one object per
+        offer constant, in order — for a problem built
+        :meth:`from_constants`.
 
         Every check :class:`ScheduledFlexOffer` makes — start inside the
         offer's window, one energy per profile slice, every energy inside
@@ -333,13 +376,18 @@ class SchedulingProblem:
         fails, the assignments are built one by one instead, so the error
         raised is the first failing assignment's own.
         """
+        offers = self.offers if offers is None else tuple(offers)
+        if len(offers) != self.offer_count:
+            raise SchedulingError(
+                f"{len(offers)} offer objects for {self.offer_count} offers"
+            )
         starts = solution.starts
         values = self._checked_energies(solution)
         if values is None:
             assignments = [
                 ScheduledFlexOffer(offer, int(start), energies)
                 for offer, start, energies in zip(
-                    self.offers, starts, solution.energies
+                    offers, starts, solution.energies
                 )
             ]
             flex = self.flex_series(solution)
@@ -349,7 +397,7 @@ class SchedulingProblem:
             assignments = [
                 ScheduledFlexOffer._from_checked(offer, start, tuple(flat[a:b]))
                 for offer, start, a, b in zip(
-                    self.offers, starts.tolist(), offsets, offsets[1:]
+                    offers, starts.tolist(), offsets, offsets[1:]
                 )
             ]
             flex = self.packed_offers.flex_series(starts, values)
@@ -389,6 +437,6 @@ def count_start_combinations(problem: SchedulingProblem) -> int:
     """Number of distinct start-time assignments (the paper's "sensible
     solutions"); energy flexibility, a continuum, is not counted."""
     count = 1
-    for offer in problem.offers:
-        count *= offer.time_flexibility + 1
+    for consts in problem.offer_constants:
+        count *= consts.n_starts
     return count

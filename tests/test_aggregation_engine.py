@@ -11,8 +11,14 @@ adds and subtracts in the same order, so they agree to the last bit with no
 exactness assumption.
 """
 
+import struct
+from dataclasses import replace
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregation import (
     AggregationParameters,
@@ -23,10 +29,14 @@ from repro.aggregation import (
     UpdateKind,
     make_pipeline,
 )
+from repro.aggregation import aggregator as aggregation_aggregator
+from repro.aggregation import engine as aggregation_engine
+from repro.aggregation.aggregator import _finalize_aggregate
 from repro.aggregation.reference import ReferenceAggregator, reference_aggregate_group
 from repro.core import flex_offer
 from repro.core.errors import AggregationError
 from repro.core.flexoffer import Profile
+from repro.core.flexoffer import _next_id as next_id
 from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
 
 
@@ -323,21 +333,238 @@ class TestProfileCaches:
 # ----------------------------------------------------------------------
 # the service loop is engine-independent
 # ----------------------------------------------------------------------
+def _dyadic_stream(stream):
+    """The stream with every bound rounded to a multiple of 1/64 kWh, so
+    group sums are exact and the rebuild-on-remove reference oracle has no
+    subtraction residue to differ by."""
+    for at, offer in stream:
+        bounds = [
+            (round(c.min_energy * 64) / 64, round(c.max_energy * 64) / 64)
+            for c in offer.profile
+        ]
+        yield at, replace(offer, profile=Profile.from_bounds(bounds))
+
+
+def _service_run(engine, dyadic):
+    """One seeded service run: its report, each run's plan cost, and every
+    committed start (offers named by arrival rank, since ids come from a
+    process-global counter)."""
+    service = BrpRuntimeService(
+        ServiceConfig.from_flat(batch_size=16, seed=5, engine=engine)
+    )
+    costs: list[float] = []
+    service.plan_listeners.append(lambda result: costs.append(result.cost))
+    rank: dict[int, int] = {}
+
+    def ranked(stream):
+        for at, offer in stream:
+            rank[offer.offer_id] = len(rank)
+            yield at, offer
+
+    stream = LoadGenerator(rate_per_hour=40.0, seed=5).stream(0.0, 96.0)
+    if dyadic:
+        stream = _dyadic_stream(stream)
+    report = service.run_stream(ranked(stream), 96.0)
+    starts = sorted(
+        (rank[oid], start) for oid, start in service.committed_starts().items()
+    )
+    return report, costs, starts
+
+
 def test_runtime_service_equivalent_across_engines():
     # The full service loop must behave identically (simulated-time
-    # semantics) whether aggregation runs scalar or packed.
-    reports = []
-    for engine in ("scalar", "packed"):
-        service = BrpRuntimeService(
-            ServiceConfig.from_flat(batch_size=16, seed=5, engine=engine)
+    # semantics) whichever engine aggregates: every engine hands the
+    # planner its views, so the plans themselves must match — each run's
+    # plan cost and every committed start.  The reference oracle rebuilds
+    # on removal, so it joins on exact (dyadic) energies only.
+    for engines, dyadic in (
+        (("scalar", "packed"), False),
+        (("scalar", "packed", "reference"), True),
+    ):
+        runs = [_service_run(engine, dyadic) for engine in engines]
+        baseline, base_costs, base_starts = runs[0]
+        assert len(base_costs) > 1 and base_starts
+        for report, costs, starts in runs[1:]:
+            assert report.offers_accepted == baseline.offers_accepted
+            assert report.offers_scheduled == baseline.offers_scheduled
+            assert report.offers_expired == baseline.offers_expired
+            assert report.pool_aggregates == baseline.pool_aggregates
+            assert report.pool_offers == baseline.pool_offers
+            assert report.latency_slices_p50 == baseline.latency_slices_p50
+            assert report.latency_slices_p95 == baseline.latency_slices_p95
+            assert costs == base_costs
+            assert starts == base_starts
+
+
+# ----------------------------------------------------------------------
+# every engine's views are the fields of the aggregate it would build
+# ----------------------------------------------------------------------
+def _view_fields(view):
+    """What the planner and the service read of one view, bit for bit."""
+    profile = view.profile
+    return (
+        view.offer_id,
+        view.earliest_start,
+        view.latest_start,
+        view.duration,
+        view.assignment_before,
+        struct.pack("<d", view.unit_price),
+        profile.min_array.tobytes(),
+        profile.max_array.tobytes(),
+        tuple(m.offer_id for m in view.members),
+    )
+
+
+def _aggregate_fields(aggregate):
+    return (
+        aggregate.offer_id,
+        aggregate.earliest_start,
+        aggregate.latest_start,
+        aggregate.duration,
+        aggregate.assignment_before,
+        struct.pack("<d", aggregate.unit_price),
+        aggregate.min_array.tobytes(),
+        aggregate.max_array.tobytes(),
+        tuple(m.offer_id for m in aggregate.members),
+    )
+
+
+@st.composite
+def _stream_offers(draw, dyadic):
+    duration = draw(st.integers(1, 4))
+    if dyadic:
+        energy = st.integers(-16, 16).map(lambda k: k / 8.0)
+    else:
+        energy = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    bounds = []
+    for _ in range(duration):
+        a = draw(energy)
+        # Slices whose bounds coincide are where subtraction residue can
+        # invert a group's summed bounds (the max(hi, lo) guard).
+        b = a if draw(st.booleans()) else draw(energy)
+        bounds.append((min(a, b), max(a, b)))
+    est = draw(st.integers(0, 12))
+    latest = est + draw(st.integers(0, 6))
+    return flex_offer(
+        bounds,
+        earliest_start=est,
+        latest_start=latest,
+        assignment_before=draw(st.none() | st.integers(est, latest)),
+        unit_price=draw(energy.map(abs)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_engine_emits_views_of_the_aggregate_it_would_build(data):
+    """Streams of inserts, deletes, in-flush churn and emptied-and-refilled
+    groups through all three engines.  Every emitted view equals, field for
+    field and bit for bit, both the aggregate its update builds and the
+    one the member walk (``_finalize_aggregate``) builds around its bound
+    rows; each flush draws exactly one id per update, in emission order,
+    and reading views or building aggregates draws none.  Packed and
+    scalar views agree bit for bit on any floats (same adds and subtracts
+    in the same order); the reference oracle, which rebuilds on removal,
+    joins them on dyadic energies."""
+    dyadic = data.draw(st.booleans(), label="dyadic")
+    parameters = AggregationParameters(
+        start_after_tolerance=data.draw(st.integers(0, 8)),
+        time_flexibility_tolerance=data.draw(st.integers(0, 8)),
+        name="views",
+    )
+    engines = ("packed", "scalar", "reference") if dyadic else ("packed", "scalar")
+    pipelines = {name: make_pipeline(parameters, engine=name) for name in engines}
+    draws: list[int] = []
+
+    def recording_next_id():
+        draws.append(next_id())
+        return draws[-1]
+
+    live: list = []
+    with patch.object(aggregation_engine, "_next_id", recording_next_id), patch.object(
+        aggregation_aggregator, "_next_id", recording_next_id
+    ):
+        for _ in range(data.draw(st.integers(1, 6), label="flushes")):
+            inserts = data.draw(st.lists(_stream_offers(dyadic), max_size=6))
+            if live and data.draw(st.booleans(), label="empty everything"):
+                deletes, live = live, []
+            else:
+                picks = data.draw(st.sets(st.integers(0, max(len(live) - 1, 0))))
+                deletes = [o for i, o in enumerate(live) if i in picks]
+                live = [o for i, o in enumerate(live) if i not in picks]
+            churn = live[:1] if live and data.draw(st.booleans()) else []
+            live.extend(inserts)
+            per_engine = {}
+            for name, pipeline in pipelines.items():
+                pipeline.submit_deletes(deletes)
+                pipeline.submit_inserts(inserts)
+                for offer in churn:
+                    pipeline.submit(FlexOfferUpdate.delete(offer))
+                    pipeline.submit(FlexOfferUpdate.insert(offer))
+                del draws[:]
+                updates = pipeline.run()
+                assert draws == [u.view.offer_id for u in updates], name
+                rows = []
+                for update in updates:
+                    view = update.view
+                    fields = _view_fields(view)
+                    walked = _finalize_aggregate(
+                        view.members, view.earliest_start, view.profile, view.offer_id
+                    )
+                    assert _aggregate_fields(update.aggregate) == fields, name
+                    assert _aggregate_fields(walked) == fields, name
+                    assert update.aggregate is view.aggregate
+                    rows.append((update.group_id, update.kind, fields[1:]))
+                assert draws == [u.view.offer_id for u in updates], name
+                per_engine[name] = sorted(rows, key=lambda row: row[0])
+            for name in engines[1:]:
+                assert per_engine[name] == per_engine["packed"], name
+
+
+def test_views_guard_an_inverted_residue_slice():
+    """(1.95 + 2.37) - 2.37 > (1.95 + 2.43) - 2.43: removing the second
+    member leaves a slice whose lower bound sums above its upper one.
+    Packed and scalar views both raise ``hi`` to ``lo`` there."""
+    parameters = AggregationParameters(0, 0, name="residue")
+    fixed = flex_offer([(1.95, 1.95)], earliest_start=4, latest_start=8)
+    loose = flex_offer([(2.37, 2.43)], earliest_start=4, latest_start=8)
+    rows = {}
+    for engine in ("packed", "scalar"):
+        pipeline = make_pipeline(parameters, engine=engine)
+        pipeline.submit_inserts([fixed, loose])
+        pipeline.run()
+        pipeline.submit_deletes([loose])
+        (update,) = pipeline.run()
+        profile = update.view.profile
+        rows[engine] = (profile.min_array.tolist(), profile.max_array.tolist())
+    residue = (1.95 + 2.37) - 2.37
+    assert residue > (1.95 + 2.43) - 2.43
+    assert rows["packed"] == rows["scalar"] == ([residue], [residue])
+
+
+def test_view_price_is_the_pairwise_mean_in_membership_order():
+    """Past eight members ``np.mean`` sums pairwise, so no running or
+    sequential sum has its bits; the view's price must."""
+    rng = np.random.default_rng(3)
+    parameters = AggregationParameters(0, 0, name="prices")
+    offers = [
+        flex_offer(
+            [(1.0, 2.0)],
+            earliest_start=4,
+            latest_start=8,
+            unit_price=float(rng.uniform(0.0, 1.0)),
         )
-        generator = LoadGenerator(rate_per_hour=40.0, seed=5)
-        reports.append(service.run_stream(generator.stream(0.0, 96.0), 96.0))
-    baseline, report = reports
-    assert report.offers_accepted == baseline.offers_accepted
-    assert report.offers_scheduled == baseline.offers_scheduled
-    assert report.offers_expired == baseline.offers_expired
-    assert report.pool_aggregates == baseline.pool_aggregates
-    assert report.pool_offers == baseline.pool_offers
-    assert report.latency_slices_p50 == baseline.latency_slices_p50
-    assert report.latency_slices_p95 == baseline.latency_slices_p95
+        for _ in range(300)
+    ]
+    kept = offers[:5] + offers[9:]
+    want = np.mean([o.unit_price for o in kept])
+    # These prices tell the pairwise mean from a sequential one.
+    assert sum(o.unit_price for o in kept) / len(kept) != want
+    for engine in ("packed", "scalar", "reference"):
+        pipeline = make_pipeline(parameters, engine=engine)
+        pipeline.submit_inserts(offers)
+        pipeline.run()
+        pipeline.submit_deletes(offers[5:9])
+        (update,) = pipeline.run()
+        assert [m.offer_id for m in update.view.members] == [o.offer_id for o in kept]
+        assert struct.pack("<d", update.view.unit_price) == struct.pack("<d", want)

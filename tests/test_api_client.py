@@ -6,6 +6,8 @@ per-prosumer session scoping.  Recovery (``resume_from_ledger``) is covered
 in ``tests/test_ledger.py``.
 """
 
+import struct
+
 import pytest
 
 from repro.api import (
@@ -198,6 +200,48 @@ class TestHooks:
         client.withdraw(oid)
         assert events[:2] == ["submitted", "accepted"]
         assert events[-1] == "withdrawn"
+
+
+class TestPlanViewFromColumns:
+    def test_plan_view_equals_the_scheduled_objects_derivation(self):
+        """The plan hook reads the plan's columns and views.  On a seeded
+        run every ``PlanView`` is, bit for bit, what the scheduled
+        aggregate objects give (built here, after the fact, on demand)."""
+        client = LedmsClient(_config())
+        compared = []
+
+        def derive(assignments):
+            return [
+                (
+                    aggregate_id,
+                    type(start),
+                    start,
+                    struct.pack("<d", total_energy),
+                    members,
+                )
+                for aggregate_id, start, total_energy, members in assignments
+            ]
+
+        def check(view):
+            old = [
+                (
+                    scheduled.offer.offer_id,
+                    int(scheduled.start),
+                    float(sum(scheduled.energies)),
+                    len(getattr(scheduled.offer, "members", ()) or ()) or 1,
+                )
+                for scheduled in client.service.last_schedule
+            ]
+            new = [
+                (a.aggregate_id, a.start, a.total_energy, a.members)
+                for a in view.assignments
+            ]
+            compared.append(derive(new) == derive(old))
+
+        client.on_plan_committed(check)
+        generator = LoadGenerator(rate_per_hour=30, seed=11)
+        client.run_stream(generator.stream(0, 48), 48)
+        assert len(compared) > 1 and all(compared)
 
 
 class TestSession:

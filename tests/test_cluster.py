@@ -21,11 +21,13 @@ from repro.api import (
     ClusterConfig,
     ClusterRuntime,
     IngestConfig,
+    LedmsClient,
     SchedulingConfig,
     ServiceConfig,
     TsoConfig,
 )
-from repro.aggregation import AggregatedFlexOffer
+from repro.aggregation import AggregatedFlexOffer, PackedView
+from repro.aggregation.aggregator import _finalize_aggregate
 from repro.core import Profile, flex_offer
 from repro.core.errors import CommunicationError, ServiceError
 from repro.core.schedule import ScheduledFlexOffer
@@ -579,9 +581,11 @@ class TestAggregatesStayArrays:
     ):
         """Pin: the runtime reads an aggregate's profile as its two bound
         arrays only.  Over a seeded BRP run and a seeded 2-BRP cluster run,
-        every pool aggregate and every TSO super stays in array form, and
-        no array-form profile (the macros under a super included) derives
-        its constraint objects."""
+        every planned candidate is the packed engine's view with an
+        array-form profile, every aggregate built from one (the BRPs'
+        uplinked macros, the TSO's supers for the downlink) holds that same
+        profile, and no array-form profile (the macros under a super
+        included) derives its constraint objects."""
         derived = []
         constraints = Profile._constraints
 
@@ -597,7 +601,8 @@ class TestAggregatesStayArrays:
             plan_window = session.plan_window
 
             def recording_plan_window(candidates, *args, **kwargs):
-                planned.extend(offer for _, offer in candidates)
+                candidates = list(candidates)
+                planned.extend(view for _, view in candidates)
                 return plan_window(candidates, *args, **kwargs)
 
             session.plan_window = recording_plan_window
@@ -615,9 +620,80 @@ class TestAggregatesStayArrays:
 
         assert brp_planned > 0 and len(planned) > brp_planned
         assert report.tso_scheduling_runs > 0 and report.remote_commits > 0
-        assert all(isinstance(a, AggregatedFlexOffer) for a in planned)
-        assert all(a.profile._items is None for a in planned)
+        assert all(isinstance(view, PackedView) for view in planned)
+        assert all(view.profile._items is None for view in planned)
+        built = [view for view in planned if view._aggregate is not None]
+        assert built
+        assert all(
+            isinstance(view.aggregate, AggregatedFlexOffer)
+            and view.aggregate.profile is view.profile
+            for view in built
+        )
         assert derived == []
+
+
+class TestWhereAggregatesAreBuilt:
+    """An aggregate object is built only where one leaves the node."""
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        built = []
+        post_init = AggregatedFlexOffer.__post_init__
+
+        def counting(aggregate):
+            built.append(aggregate)
+            post_init(aggregate)
+
+        monkeypatch.setattr(AggregatedFlexOffer, "__post_init__", counting)
+        return built
+
+    def test_a_brp_plans_and_commits_without_one(self, monkeypatch):
+        """A seeded single-BRP run — planning, commits and the facade's
+        plan hook included — constructs no aggregate object at all."""
+        built = self._count_builds(monkeypatch)
+        client = LedmsClient(TINY)
+        plans = []
+        client.on_plan_committed(plans.append)
+        stream = LoadGenerator(rate_per_hour=30.0, seed=11).stream(0.0, 48.0)
+        report = client.run_stream(stream, 48.0)
+        assert len(plans) > 1 and report.offers_scheduled > 0
+        assert built == []
+
+    def test_uplink_payloads_are_the_eager_build(self):
+        """What a BRP sends up is real aggregate objects, each equal — bit
+        for bit — to the member walk's build around its bound rows."""
+        cluster = _cluster(brps=2)
+        payloads = []
+        send = cluster.adapter.send
+
+        def recording_send(sender, recipient, type_, payload, *args, **kwargs):
+            if type_ is MessageType.MACRO_FLEX_OFFER:
+                payloads.extend(payload)
+            return send(sender, recipient, type_, payload, *args, **kwargs)
+
+        cluster.adapter.send = recording_send
+        report = cluster.run(_streams(cluster, 48.0), 48.0)
+        assert payloads and report.remote_commits > 0
+        def fields(aggregate):
+            return (
+                aggregate.offer_id,
+                aggregate.earliest_start,
+                aggregate.latest_start,
+                aggregate.creation_time,
+                aggregate.assignment_before,
+                struct.pack("<d", aggregate.unit_price),
+                aggregate.owner,
+                aggregate.offsets,
+                tuple(map(id, aggregate.members)),
+            )
+
+        for macro in payloads:
+            assert isinstance(macro, AggregatedFlexOffer)
+            assert macro.profile._items is None
+            eager = _finalize_aggregate(
+                macro.members, macro.earliest_start, macro.profile, macro.offer_id
+            )
+            assert fields(macro) == fields(eager)
 
 
 # ----------------------------------------------------------------------

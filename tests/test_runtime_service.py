@@ -708,19 +708,23 @@ class TestPlanWindowAtBothTiers:
         return brp, tso, problems
 
     def _candidates(self):
-        from repro.aggregation import aggregate_group
+        from repro.aggregation import BuiltView, aggregate_group
 
         windows = [(4, 30), (12, 40), (20, 60), (2, 8), (50, 90)]
+        aggregates = [
+            aggregate_group([_offer(est, tf=lst - est, duration=3)])
+            for est, lst in windows
+        ]
         return [
-            (f"k{i}", aggregate_group([_offer(est, tf=lst - est, duration=3)]))
-            for i, (est, lst) in enumerate(windows)
+            (f"k{i}", BuiltView(aggregate.offer_id, lambda a=aggregate: a))
+            for i, aggregate in enumerate(aggregates)
         ]
 
     def test_same_candidates_same_problem_same_plan(self):
         brp, tso, problems = self._tiers()
         candidates = self._candidates()
-        clipped = candidates[0][1]  # earliest_start 4 < START, window open
-        closed = candidates[3][1]  # latest_start 8 < START
+        clipped = candidates[0][1].aggregate  # earliest_start 4 < START, open
+        closed = candidates[3][1].aggregate  # latest_start 8 < START
         # Cold run, then an unchanged re-run that keeps every placement.
         for _ in range(2):
             ours, theirs = (
