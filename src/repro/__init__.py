@@ -4,7 +4,7 @@ System (Boehm et al., EDBT/ICDT Workshops 2012).
 The library implements the full LEDMS node stack described in the paper:
 
 * :mod:`repro.api` — the unified front door: ``LedmsClient`` facade,
-  pluggable time drivers, engine registry, composable ``ServiceConfig``
+  pluggable time drivers, composable ``ServiceConfig``
 * :mod:`repro.core` — flex-offers, time axis, time series, schedules
 * :mod:`repro.aggregation` — incremental flex-offer aggregation (§4)
 * :mod:`repro.forecasting` — HWT/EGRV models, estimators, maintenance (§5)

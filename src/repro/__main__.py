@@ -24,12 +24,13 @@ Usage::
     python -m repro loadtest --ledger led/ --duplicate-rate 0.1   # durable + chaos
     python -m repro loadtest --brps 3 --ledger led/ --outage brp-1:20:36
 
-Engine/scheduler/driver names are resolved through the
-:mod:`repro.api.registry`; unknown names exit ``2`` with the known set.
+Trigger kinds, drivers and metrics formats are names in the tables of the
+layers that read them (``--list`` prints them); unknown names exit ``2``
+with the known set.
 
 Exit codes: ``0`` success, ``1`` an experiment raised, ``2`` unknown
-experiment/engine/driver name or bad config file (argparse usage errors
-also exit ``2``).
+experiment/trigger/driver/exporter name or bad config file (argparse usage
+errors also exit ``2``).
 """
 
 from __future__ import annotations
@@ -100,7 +101,12 @@ RUNTIME_COMMANDS: dict[str, str] = {
 }
 
 
-def _print_registry() -> None:
+def _print_catalogue() -> None:
+    from .aggregation.pipeline import ENGINES
+    from .obs.export import EXPORTERS
+    from .runtime.drivers import DRIVERS
+    from .runtime.triggers import TRIGGERS
+
     width = max(len(name) for name in EXPERIMENTS)
     for name, (_, description) in EXPERIMENTS.items():
         print(f"{name.ljust(width)}  {description}")
@@ -109,11 +115,16 @@ def _print_registry() -> None:
     print("runtime subcommands (see --help of each):")
     for name, description in RUNTIME_COMMANDS.items():
         print(f"{name.ljust(width)}  {description}")
-    from .api import default_registry
-
     print()
-    print("registry (kind  name  description):")
-    print(default_registry().render())
+    print("names (kind  name  description):")
+    for kind, table in (
+        ("aggregation", ENGINES),
+        ("driver", DRIVERS),
+        ("exporter", EXPORTERS),
+        ("trigger", TRIGGERS),
+    ):
+        for name, (_, description) in sorted(table.items()):
+            print(f"{kind:<12} {name:<12} {description}")
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +142,6 @@ SERVICE_FLAGS: dict[str, tuple[str, str]] = {
     "--min-run-interval": (
         "min_run_interval_slices", "cooldown between scheduling runs (slices)",
     ),
-    "--engine": ("engine", "aggregation engine, by registry name"),
     "--target-p95-slices": (
         "target_p95_slices",
         "closed-loop latency target: an adaptive trigger at each BRP and "
@@ -179,8 +189,8 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         )
     parser.add_argument(
         "--trigger", metavar="SPEC", action="append", default=None,
-        help="trigger policy spec 'kind' or 'kind:key=val,...' by registry "
-        "name (e.g. 'count:threshold=100', 'age:max_age_slices=8'); "
+        help="trigger policy spec 'kind' or 'kind:key=val,...' "
+        "(e.g. 'count:threshold=100', 'age:max_age_slices=8'); "
         "repeatable — multiple specs combine with the 'any' composite; "
         "default: the library's count/age/imbalance policy "
         "(repro.runtime.config.default_trigger); --target-p95-slices "
@@ -188,7 +198,7 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--driver", default="simulated",
-        help="time driver, by registry name: 'simulated' (deterministic) "
+        help="time driver: 'simulated' (deterministic) "
         "or 'wallclock' (real time)",
     )
     parser.add_argument(
@@ -222,7 +232,7 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics-format", default="text",
-        help="exposition format for --metrics, by registry name: "
+        help="exposition format for --metrics: "
         "'text', 'json' or 'prometheus'",
     )
     parser.add_argument(
@@ -379,7 +389,7 @@ def _parse_trigger_spec(spec: str):
     """``'kind'`` or ``'kind:key=val,...'`` to a :func:`build_trigger` mapping.
 
     Values parse as int, then float, then bool literal, else string; the
-    kind itself is validated downstream against the trigger registry so the
+    kind itself is validated downstream against the trigger table so the
     rejection message always carries the known name set.
     """
     from .core.errors import ServiceError
@@ -419,15 +429,14 @@ def _usage_error(message: str) -> int:
 
 def _run_runtime(command: str, argv: list[str]) -> int:
     from .api import (
-        KIND_DRIVER,
-        KIND_EXPORTER,
         LedmsClient,
         ServiceConfig,
         WorkerCrashError,
         build_trigger,
-        default_registry,
     )
-    from .core.errors import ServiceError
+    from .core.errors import ServiceError, choose
+    from .obs.export import EXPORTERS
+    from .runtime.drivers import DRIVERS
     from .runtime import parse_outage
 
     parser = _runtime_parser(command)
@@ -503,8 +512,8 @@ def _run_runtime(command: str, argv: list[str]) -> int:
     # moves to stderr.
     out = sys.stderr if args.log_json else sys.stdout
     try:
-        # Unknown engine/driver/exporter names raise a
-        # RegistryError carrying the known names.
+        # Unknown trigger/driver/exporter names raise a ServiceError
+        # carrying the known names.
         flat = {
             name: getattr(args, flag[2:].replace("-", "_"))
             for flag, (name, _) in SERVICE_FLAGS.items()
@@ -514,14 +523,13 @@ def _run_runtime(command: str, argv: list[str]) -> int:
                 [_parse_trigger_spec(spec) for spec in args.trigger]
             )
         config = ServiceConfig.from_flat(seed=args.seed, **flat)
-        registry = default_registry()
         driver_kwargs = (
             {"slices_per_second": args.slices_per_second}
             if args.driver == "wallclock"
             else {}
         )
-        driver = registry.create(KIND_DRIVER, args.driver, **driver_kwargs)
-        render = registry.create(KIND_EXPORTER, args.metrics_format)
+        driver = choose(DRIVERS, "driver", args.driver)(**driver_kwargs)
+        render = choose(EXPORTERS, "exporter", args.metrics_format)
         tracer, writers = _build_tracer(args)
         if cluster_mode:
             node = _build_cluster(
@@ -749,12 +757,13 @@ def main(argv: list[str] | None = None) -> int:
         help="experiment id, 'all', or 'list' (see --list)",
     )
     parser.add_argument(
-        "--list", action="store_true", help="print the experiment registry"
+        "--list", action="store_true",
+        help="print the experiments and the runtime's names",
     )
     args = parser.parse_args(argv)
 
     if args.list or args.experiment == "list":
-        _print_registry()
+        _print_catalogue()
         return EXIT_OK
     if args.experiment is None:
         parser.print_usage(sys.stderr)
@@ -767,7 +776,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         return _usage_error(
             f"unknown experiment {args.experiment!r} "
-            "(run 'python -m repro --list' for the registry)"
+            "(run 'python -m repro --list' for the list)"
         )
 
     for name in selected:

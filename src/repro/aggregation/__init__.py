@@ -10,14 +10,14 @@ Public API::
         evaluate_aggregation,
     )
 
-The scalar and columnar ("packed") pipelines are interchangeable via
-:func:`make_pipeline`; :mod:`repro.aggregation.reference` keeps the
-historical scalar state as the property-test oracle.
+The runtime aggregates with the columnar ("packed") engine.  The scalar
+pipeline and :mod:`repro.aggregation.reference`'s historical scalar state
+are its oracles and the Fig. 5 baselines; :func:`make_pipeline` builds any
+of the three by name.
 """
 
 from .aggregator import (
     AggregatedFlexOffer,
-    AggregateView,
     BuiltView,
     NToOneAggregator,
     aggregate_group,
@@ -45,7 +45,6 @@ from .updates import (
 
 __all__ = [
     "AggregatedFlexOffer",
-    "AggregateView",
     "BuiltView",
     "NToOneAggregator",
     "aggregate_group",

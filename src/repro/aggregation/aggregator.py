@@ -30,7 +30,7 @@ from-scratch behaviour for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .updates import AggregateUpdate, GroupUpdate, UpdateKind
 
 __all__ = [
     "AggregatedFlexOffer",
-    "AggregateView",
     "BuiltView",
     "NToOneAggregator",
     "aggregate_group",
@@ -287,57 +286,14 @@ def _assemble(
     )
 
 
-class AggregateView(Protocol):
-    """One aggregate update as the planner and the service read it.
-
-    Every engine emits one per :class:`~repro.aggregation.updates.
-    AggregateUpdate`, and every view answers the same fields for its group
-    as of emission:
-
-    * ``offer_id`` — drawn when the update was emitted;
-    * ``members`` — in membership order;
-    * ``earliest_start``, ``latest_start``, ``duration``;
-    * ``assignment_before`` — the tightest member deadline, capped at
-      ``latest_start``;
-    * ``unit_price`` — the members' mean, bit for bit :func:`_mean_price`;
-    * ``profile`` — the array-form bound rows;
-    * ``aggregate`` — the :class:`AggregatedFlexOffer` with exactly these
-      fields, built on first use and kept, so one update version builds
-      at most one object.
-
-    All but ``members`` and ``aggregate`` carry :class:`~repro.core.
-    flexoffer.FlexOffer` names.  :class:`BuiltView` answers every field
-    from the built object (the scalar and reference engines); the packed
-    engine's
-    :class:`~repro.aggregation.engine.PackedView` answers them from its
-    columns and builds the object only when asked.
-    """
-
-    @property
-    def offer_id(self) -> int: ...
-    @property
-    def members(self) -> tuple[FlexOffer, ...]: ...
-    @property
-    def earliest_start(self) -> int: ...
-    @property
-    def latest_start(self) -> int: ...
-    @property
-    def duration(self) -> int: ...
-    @property
-    def assignment_before(self) -> int | None: ...
-    @property
-    def unit_price(self) -> float: ...
-    @property
-    def profile(self) -> Profile: ...
-    @property
-    def aggregate(self) -> AggregatedFlexOffer: ...
-
-
 class BuiltView:
-    """An :class:`AggregateView` read off the aggregate object itself.
+    """What a scalar or reference update carries: its id and its aggregate.
 
-    The scalar and reference engines hand it their state snapshot's
-    builder, so the object is built on first use.
+    The aggregator hands it its state snapshot's builder, so the
+    :class:`AggregatedFlexOffer` is built on first use of :attr:`aggregate`
+    and kept.  The runtime plans from the packed engine's
+    :class:`~repro.aggregation.engine.PackedView` only, so nothing reads
+    the aggregate's fields off this view.
     """
 
     __slots__ = ("offer_id", "_build", "_aggregate")
@@ -355,34 +311,6 @@ class BuiltView:
         if built is None:
             built = self._aggregate = self._build()
         return built
-
-    @property
-    def members(self) -> tuple[FlexOffer, ...]:
-        return self.aggregate.members
-
-    @property
-    def earliest_start(self) -> int:
-        return self.aggregate.earliest_start
-
-    @property
-    def latest_start(self) -> int:
-        return self.aggregate.latest_start
-
-    @property
-    def duration(self) -> int:
-        return self.aggregate.duration
-
-    @property
-    def assignment_before(self) -> int | None:
-        return self.aggregate.assignment_before
-
-    @property
-    def unit_price(self) -> float:
-        return self.aggregate.unit_price
-
-    @property
-    def profile(self) -> Profile:
-        return self.aggregate.profile
 
 
 def aggregate_group(

@@ -21,10 +21,11 @@ mirroring the design of :mod:`repro.scheduling.engine`:
   contribution instead of re-aggregating the remaining members (the
   group's earliest start / end are re-derived from value counters, since a
   removal may raise them);
-* :class:`PackedAggregationPipeline` — a drop-in replacement for
+* :class:`PackedAggregationPipeline` — the runtime's one aggregation
+  engine: the interface of
   :class:`~repro.aggregation.pipeline.AggregationPipeline` without the
-  bin-packer (same interface, same
-  :class:`~repro.aggregation.updates.AggregateUpdate` stream).  Bin-packing
+  bin-packer, and the same
+  :class:`~repro.aggregation.updates.AggregateUpdate` stream.  Bin-packing
   stays with the scalar pipeline: build
   ``AggregationPipeline(parameters, bounds)`` for it;
 * :class:`PackedView` — what each update hands the planner: the group's
@@ -40,8 +41,10 @@ because both apply the same adds and subtracts in the same order).
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +57,6 @@ from .aggregator import (
     _mean,
 )
 from .grouping import GroupBuilder, cell_columns, partition_cells
-from .pipeline import _gc_paused
 from .thresholds import AggregationParameters
 from .updates import AggregateUpdate, FlexOfferUpdate, UpdateKind
 
@@ -69,6 +71,18 @@ __all__ = [
 _EMPTY_ROWS = np.zeros(0, dtype=np.int64)
 _NO_PRICES = np.zeros(0)
 _NO_PRICES.setflags(write=False)
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Disable the cyclic collector for a block, restoring the prior state."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _within(durations: np.ndarray) -> np.ndarray:
@@ -302,7 +316,16 @@ class GroupArena:
 
 
 class PackedView:
-    """The packed engine's :class:`~repro.aggregation.aggregator.AggregateView`.
+    """One packed update's aggregate, as the runtime's planner and service read it.
+
+    It answers, for its group as of emission: ``offer_id`` (drawn when the
+    update was emitted), ``members`` in membership order,
+    ``earliest_start``, ``latest_start``, ``duration``,
+    ``assignment_before`` (the tightest member deadline, capped at
+    ``latest_start``), ``unit_price`` (the members' mean, bit for bit
+    ``np.mean``), ``profile`` (the array-form bound rows) and
+    ``aggregate`` (the object with exactly these fields, built on first
+    use and kept, so one update version builds at most one object).
 
     Emission fills the scalars from the group state — members, earliest
     start, duration, and the time-flexibility and deadline minima its

@@ -6,59 +6,35 @@ invoking :meth:`AggregationPipeline.run` pushes group updates through the
 (optional) bin-packer into the n-to-1 aggregator, which returns aggregated
 flex-offer updates.  :func:`aggregate_from_scratch` offers the non-
 incremental batch path.
+
+The runtime aggregates with the columnar
+:class:`~repro.aggregation.engine.PackedAggregationPipeline` only.  This
+scalar pipeline, and the same pipeline over the historical
+rebuild-on-remove state, stay as the packed engine's oracles and as the
+Fig. 5 baselines; :func:`make_pipeline` builds any of the three by its
+name in :data:`ENGINES`.
 """
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from ..core.errors import AggregationError
+from ..core.errors import AggregationError, choose
 from ..core.flexoffer import FlexOffer
 from .aggregator import AggregatedFlexOffer, NToOneAggregator
 from .binpacking import BinPacker, BinPackerBounds
+from .engine import PackedAggregationPipeline, _gc_paused
 from .grouping import GroupBuilder
+from .reference import ReferenceAggregator
 from .thresholds import AggregationParameters
 from .updates import AggregateUpdate, FlexOfferUpdate
 
-__all__ = ["AggregationPipeline", "aggregate_from_scratch", "make_pipeline"]
-
-
-def make_pipeline(parameters: AggregationParameters, *, engine: str = "scalar"):
-    """Build an aggregation pipeline for the requested registry engine.
-
-    ``"packed"`` is the columnar engine
-    (:class:`~repro.aggregation.engine.PackedAggregationPipeline`, the
-    runtime default), ``"scalar"`` the live object pipeline, and
-    ``"reference"`` the scalar pipeline over the historical
-    rebuild-on-remove group state (oracle and benchmark baseline).  All
-    engines expose the same submit/run/aggregates interface and run with
-    the bin-packer off; build ``AggregationPipeline(parameters, bounds)``
-    directly for the bin-packer.  The name is resolved through
-    :func:`repro.api.default_registry`, the same catalogue the runtime
-    configuration validates against, so the two accepted sets cannot
-    diverge.
-    """
-    # Imported lazily: the registry lives in the api layer above this one.
-    from ..api.registry import KIND_AGGREGATION, RegistryError, default_registry
-
-    try:
-        return default_registry().create(KIND_AGGREGATION, engine, parameters)
-    except RegistryError as exc:
-        raise AggregationError(str(exc)) from exc
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Disable the cyclic collector for a block, restoring the prior state."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+__all__ = [
+    "ENGINES",
+    "AggregationPipeline",
+    "aggregate_from_scratch",
+    "make_pipeline",
+]
 
 
 class AggregationPipeline:
@@ -140,3 +116,40 @@ def aggregate_from_scratch(
     pipeline.submit_inserts(offers)
     pipeline.run()
     return pipeline.aggregates
+
+
+def _reference_pipeline(parameters: AggregationParameters) -> AggregationPipeline:
+    pipeline = AggregationPipeline(parameters)
+    pipeline.aggregator = ReferenceAggregator()
+    return pipeline
+
+
+#: :func:`make_pipeline`'s engines: name -> (factory, description).
+ENGINES = {
+    "packed": (
+        PackedAggregationPipeline,
+        "columnar engine (PackedPool + GroupArena), the runtime's",
+    ),
+    "reference": (
+        _reference_pipeline,
+        "historical rebuild-on-remove state; oracle + Fig. 5 baseline",
+    ),
+    "scalar": (
+        AggregationPipeline,
+        "live object pipeline (group-builder -> n-to-1 aggregator)",
+    ),
+}
+
+
+def make_pipeline(parameters: AggregationParameters, *, engine: str):
+    """Build the aggregation pipeline named ``engine`` in :data:`ENGINES`.
+
+    ``"packed"`` is the columnar engine the runtime runs, ``"scalar"`` the
+    live object pipeline, and ``"reference"`` the scalar pipeline over the
+    historical rebuild-on-remove group state.  All three expose the same
+    submit/run/aggregates interface and run with the bin-packer off; build
+    ``AggregationPipeline(parameters, bounds)`` directly for the
+    bin-packer.  An unknown name raises :class:`AggregationError` listing
+    the known ones.
+    """
+    return choose(ENGINES, "aggregation", engine, AggregationError)(parameters)

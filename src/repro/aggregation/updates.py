@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING
 from ..core.flexoffer import FlexOffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .aggregator import AggregatedFlexOffer, AggregateView
+    from .aggregator import AggregatedFlexOffer, BuiltView
+    from .engine import PackedView
 
 __all__ = [
     "UpdateKind",
@@ -79,14 +80,17 @@ class GroupUpdate:
 class AggregateUpdate:
     """A change to one aggregated (macro) flex-offer.
 
-    :attr:`view` is what a planning run reads of the aggregate as of
-    emission (see :class:`~repro.aggregation.aggregator.AggregateView`):
-    its id, window, deadline, price, bound rows and members, answered by
-    the engine that emitted it.  The immutable
+    :attr:`view` is what the update carries of the aggregate as of
+    emission, under an ``offer_id`` drawn when it was emitted.  The packed
+    engine's :class:`~repro.aggregation.engine.PackedView` answers the
+    window, deadline, price, bound rows and members from its columns, and
+    is what a runtime planning run reads.  The scalar and reference
+    pipelines' :class:`~repro.aggregation.aggregator.BuiltView` answers
+    only the id and the aggregate.  The immutable
     :class:`~repro.aggregation.aggregator.AggregatedFlexOffer` costs time
     proportional to the profile and the members, and high-rate incremental
-    maintenance must not pay it for states nobody reads, so it is built
-    only on first access to :attr:`aggregate` (and kept on the view).
+    maintenance must not pay it for states nobody reads, so either view
+    builds it only on first access to :attr:`aggregate` (and keeps it).
 
     A ``DELETED`` update's view is the last aggregate that existed under
     :attr:`group_id`, under a freshly drawn ``offer_id`` like any other
@@ -96,7 +100,7 @@ class AggregateUpdate:
 
     kind: UpdateKind
     group_id: str
-    view: "AggregateView"
+    view: "PackedView | BuiltView"
 
     @property
     def aggregate(self) -> "AggregatedFlexOffer":

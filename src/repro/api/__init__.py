@@ -9,9 +9,6 @@ Everything a caller needs to run a node lives here, typed and composable:
   event ledger;
 * :class:`TimeDriver` — the pluggable time seam: deterministic
   :class:`SimulatedDriver` or real-time :class:`WallClockDriver`;
-* :func:`default_registry` — the engine registry where aggregation
-  engines, trigger policies, drivers and metrics exporters register by
-  name (the single source of truth every validation site consults);
 * :class:`ServiceConfig` — the composed runtime configuration
   (:class:`MarketConfig` / :class:`AggregationConfig` /
   :class:`SchedulingConfig` / :class:`IngestConfig`);
@@ -21,28 +18,22 @@ Everything a caller needs to run a node lives here, typed and composable:
   admitting each BRP's committed macro flex-offers (:class:`TsoConfig`);
 * :class:`Tracer` / :class:`JsonlWriter` — the observability subsystem
   (:mod:`repro.obs`): end-to-end offer tracing over the cluster, a
-  structured JSONL event log, and metrics exporters registered under the
-  ``exporter`` registry kind.
+  structured JSONL event log, and metrics exporters.
 
-Only the client and the registry are defined in this package.  Every other
-name is its defining module's own object (:mod:`repro.runtime.config`,
+Only the client is defined in this package.  Every other name is its
+defining module's own object (:mod:`repro.runtime.config`,
 :mod:`repro.runtime.drivers`, :mod:`repro.runtime.cluster` /
 :mod:`repro.runtime.parallel`, :mod:`repro.ledger`, :mod:`repro.obs`):
-import it from here or from there, never through a re-export module.  Only
-the registry is imported eagerly; everything else resolves lazily (PEP 562)
-so lower layers can consult the registry without import cycles.
-"""
+import it from here or from there, never through a re-export module.
+Every name resolves lazily (PEP 562), so ``import repro.api`` loads no
+runtime module until a name is used.
 
-from .registry import (
-    KIND_AGGREGATION,
-    KIND_DRIVER,
-    KIND_EXPORTER,
-    KIND_TRIGGER,
-    Registration,
-    Registry,
-    RegistryError,
-    default_registry,
-)
+The names a caller picks by string — trigger kinds, time drivers, metrics
+exporters, aggregation engines — are tables in the layer that reads them
+(:data:`repro.runtime.triggers.TRIGGERS`,
+:data:`repro.runtime.drivers.DRIVERS`, :data:`repro.obs.export.EXPORTERS`,
+:data:`repro.aggregation.pipeline.ENGINES`).
+"""
 
 __all__ = [
     "AggregationConfig",
@@ -56,10 +47,6 @@ __all__ = [
     "IngestConfig",
     "JsonlEventLog",
     "JsonlWriter",
-    "KIND_AGGREGATION",
-    "KIND_DRIVER",
-    "KIND_EXPORTER",
-    "KIND_TRIGGER",
     "LedmsClient",
     "LedmsSession",
     "MarketConfig",
@@ -71,9 +58,6 @@ __all__ = [
     "PlanAssignment",
     "PlanView",
     "ProcessBusTransport",
-    "Registration",
-    "Registry",
-    "RegistryError",
     "ReplayStats",
     "SchedulingConfig",
     "ServiceConfig",
@@ -86,12 +70,10 @@ __all__ = [
     "WallClockDriver",
     "WorkerCrashError",
     "build_trigger",
-    "default_registry",
 ]
 
 #: Lazily exported names -> the module that defines them.  The client pulls
-#: in the whole runtime stack; importing it eagerly here would cycle with
-#: the runtime modules that consult the registry above.
+#: in the whole runtime stack, which ``import repro.api`` alone must not.
 _LAZY_EXPORTS = {
     "LedmsClient": "repro.api.client",
     "LedmsSession": "repro.api.client",

@@ -6,7 +6,7 @@ schedules (§§2–4).  That node is the streaming
 :class:`~repro.runtime.service.BrpRuntimeService`, which owns the three
 operations, their journal facts and the idempotency guard;
 :class:`LedmsClient` builds one and puts the request/response surface on it,
-so callers need not wire the service, event queue and engine strings by hand:
+so callers need not wire the service and event queue by hand:
 
     from repro.api import LedmsClient, ServiceConfig
 

@@ -2,9 +2,14 @@
 
 Every package raises subclasses of :class:`MirabelError` so callers can
 catch library failures without also swallowing programming errors.
+:func:`choose` is the one lookup of a named component (a trigger kind, a
+time driver, a metrics exporter, a pipeline engine) in the table of the
+layer that owns the names.
 """
 
 from __future__ import annotations
+
+from typing import Any, Mapping
 
 
 class MirabelError(Exception):
@@ -66,3 +71,24 @@ class CommunicationError(MirabelError):
 
 class ServiceError(MirabelError):
     """The streaming runtime was misused (bad event times, invalid config)."""
+
+
+def choose(
+    table: Mapping[str, tuple[Any, str]],
+    kind: str,
+    name: str,
+    error: type[MirabelError] = ServiceError,
+) -> Any:
+    """The factory ``table`` holds under ``name``.
+
+    Each table maps a name to ``(factory, one-line description)``.  An
+    unknown name raises ``error`` naming the known set:
+    ``unknown trigger 'x'; known trigger names: age, any, count, imbalance``.
+    """
+    entry = table.get(name)
+    if entry is None:
+        raise error(
+            f"unknown {kind} {name!r}; known {kind} names: "
+            f"{', '.join(sorted(table))}"
+        )
+    return entry[0]

@@ -8,7 +8,7 @@ Four pieces, threaded through service, cluster, bus and CLI:
 * :mod:`~repro.obs.events` — the JSON-lines structured event log and its
   stable schema;
 * :mod:`~repro.obs.export` — Prometheus-text and JSON metrics exposition
-  (registered under the ``exporter`` registry kind);
+  (named in ``EXPORTERS`` for the CLI's ``--metrics-format``);
 * :mod:`~repro.obs.inspect` — per-stage breakdowns and per-offer causal
   chains from an exported trace (the CLI ``inspect`` subcommand).
 

@@ -1,10 +1,9 @@
 """Metrics exposition: Prometheus text format and JSON snapshots.
 
 Exporters take a :class:`~repro.runtime.metrics.MetricsRegistry` and return
-a string.  They are registered under the ``exporter`` kind of the engine
-registry (``repro.api.registry``) so callers pick a format by name::
+a string.  :data:`EXPORTERS` names them for the CLI's ``--metrics-format``::
 
-    render = create("exporter", "prometheus")
+    render, _ = EXPORTERS["prometheus"]
     print(render(client.service.metrics))
 """
 
@@ -14,7 +13,12 @@ import json
 import re
 from typing import Mapping
 
-__all__ = ["render_prometheus", "render_metrics_json", "render_metrics_text"]
+__all__ = [
+    "EXPORTERS",
+    "render_prometheus",
+    "render_metrics_json",
+    "render_metrics_text",
+]
 
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
@@ -85,5 +89,21 @@ def render_metrics_json(registry) -> str:
 
 
 def render_metrics_text(registry) -> str:
-    """The human-readable ``render()`` view (for parity in the registry)."""
+    """The human-readable ``render()`` view, newline-terminated."""
     return registry.render() + "\n"
+
+
+#: ``--metrics-format`` names: name -> (render function, description).
+EXPORTERS = {
+    "json": (
+        render_metrics_json, "pretty-printed JSON metrics snapshot (as_dict)",
+    ),
+    "prometheus": (
+        render_prometheus,
+        "Prometheus text exposition (histograms as summaries)",
+    ),
+    "text": (
+        render_metrics_text,
+        "plain key = value metrics dump (the CLI default)",
+    ),
+}

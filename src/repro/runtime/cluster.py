@@ -481,7 +481,7 @@ class ClusterConfig:
              "defaults": {"ingest": {"batch_size": 32}},
              "tso": {"scheduling": {"trigger": {"kind": "count",
                                                 "threshold": 4}},
-                     "aggregation": {"engine": "scalar"}}}
+                     "ingest": {"batch_size": 8}}}
 
         ``base`` (e.g. the CLI's flag-derived :class:`ServiceConfig`)
         underlies everything: fields neither a BRP section nor ``defaults``

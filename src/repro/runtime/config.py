@@ -5,8 +5,8 @@ module splits the configuration along those seams:
 
 * :class:`MarketConfig` — prices and imbalance penalties the scheduler
   prices residuals against;
-* :class:`AggregationConfig` — grouping thresholds and the aggregation
-  engine (validated against the :mod:`repro.api.registry`);
+* :class:`AggregationConfig` — grouping thresholds (the runtime always
+  aggregates with the packed engine);
 * :class:`SchedulingConfig` — horizon, passes, trigger policy, cadence
   and seed (the scheduler is always the §6 randomized greedy);
 * :class:`IngestConfig` — admission batching and the duration limit.
@@ -20,9 +20,8 @@ a service too, configured by a subclass with another scheduling default
 under its bare name — a table derived from the section dataclasses, so a
 field is declared once.
 
-Engine and trigger names are resolved through
-:func:`repro.api.default_registry`, so the set of valid names is defined in
-exactly one place.
+A trigger spec's ``kind`` names an entry of
+:data:`repro.runtime.triggers.TRIGGERS`, the one table of trigger names.
 """
 
 from __future__ import annotations
@@ -31,15 +30,11 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from ..aggregation.thresholds import AggregationParameters
-from ..api.registry import (
-    KIND_AGGREGATION,
-    KIND_TRIGGER,
-    default_registry,
-)
-from ..core.errors import ServiceError
+from ..core.errors import ServiceError, choose
 from ..core.timebase import DEFAULT_AXIS, TimeAxis
 from .fields import check_fields
 from .triggers import (
+    TRIGGERS,
     AdaptiveTrigger,
     AgeTrigger,
     AnyTrigger,
@@ -92,17 +87,14 @@ class MarketConfig:
 
 @dataclass(frozen=True)
 class AggregationConfig:
-    """Grouping thresholds and engine selection."""
+    """Grouping thresholds of the packed aggregation engine."""
 
     parameters: AggregationParameters = field(
         default_factory=_runtime_parameters
     )
-    engine: str = "packed"
-    """Aggregation engine, by :mod:`repro.api.registry` name."""
 
     def __post_init__(self) -> None:
         check_fields(self)
-        default_registry().get(KIND_AGGREGATION, self.engine)  # raises with names
 
 
 @dataclass(frozen=True)
@@ -257,8 +249,8 @@ class SectionedConfig:
 
         Accepts nested sections (``{"scheduling": {"horizon_slices": 96}}``)
         and/or flat keys at the top level.  A trigger is given as
-        a registry spec — one mapping or a list of mappings with a ``kind``
-        key, combined with the ``any`` composite::
+        a spec — one mapping or a list of mappings with a ``kind`` key,
+        combined with the ``any`` composite::
 
             {"scheduling": {"trigger": [
                 {"kind": "count", "threshold": 200},
@@ -329,15 +321,15 @@ class ServiceConfig(SectionedConfig):
 
 
 def build_trigger(spec: Any) -> TriggerPolicy:
-    """Instantiate a trigger policy from a registry-name spec.
+    """Instantiate a trigger policy from a spec.
 
     ``spec`` is one mapping (``{"kind": "count", "threshold": 200}``) or a
-    list of them (combined with the ``any`` composite).  Already-built
+    list of them (combined with the ``any`` composite); each ``kind`` is a
+    name in :data:`~repro.runtime.triggers.TRIGGERS`.  Already-built
     policies pass through untouched.
     """
     if isinstance(spec, TriggerPolicy) and not isinstance(spec, Mapping):
         return spec
-    registry = default_registry()
     if isinstance(spec, Mapping):
         spec = [spec]
     if not isinstance(spec, (list, tuple)) or not spec:
@@ -351,7 +343,7 @@ def build_trigger(spec: Any) -> TriggerPolicy:
                 f"trigger spec entries need a 'kind' key, got {item!r}"
             )
         kwargs = {k: v for k, v in item.items() if k != "kind"}
-        policies.append(registry.create(KIND_TRIGGER, item["kind"], **kwargs))
+        policies.append(choose(TRIGGERS, "trigger", item["kind"])(**kwargs))
     if len(policies) == 1:
         return policies[0]
-    return registry.create(KIND_TRIGGER, "any", policies)
+    return AnyTrigger(policies)

@@ -24,6 +24,8 @@ Late events cannot exist in simulation (the clock only advances by running
 events) but are a fact of life under wall clock: a callback scheduled for a
 slice that already passed while the loop was busy runs as soon as possible
 instead of raising.
+
+:data:`DRIVERS` names the two for the CLI's ``--driver``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from typing import Callable, Protocol, runtime_checkable
 from ..core.errors import ServiceError
 
 __all__ = [
-    "ClockError", "TimeDriver", "SimulatedDriver", "WallClockDriver", "sim_clock",
+    "DRIVERS", "ClockError", "TimeDriver", "SimulatedDriver",
+    "WallClockDriver", "sim_clock",
 ]
 
 
@@ -290,3 +293,14 @@ class WallClockDriver:
                 if self._inbox:
                     continue
             self._wait(self.seconds_until(min(next_time, end)))
+
+
+#: ``--driver`` names: name -> (driver class, description).
+DRIVERS = {
+    "simulated": (
+        SimulatedDriver, "deterministic simulated time over an event heap",
+    ),
+    "wallclock": (
+        WallClockDriver, "real-time slices with a thread-safe arrival inbox",
+    ),
+}

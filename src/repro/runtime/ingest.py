@@ -5,7 +5,8 @@ against the current simulated time, its lifecycle transition is persisted in
 the :class:`~repro.datamgmt.mirabel.LedmsStore` (``submitted`` →
 ``accepted``/``rejected``), and accepted offers are queued as
 :class:`~repro.aggregation.updates.FlexOfferUpdate` inserts on the existing
-:class:`~repro.aggregation.pipeline.AggregationPipeline` — the paper's
+pipeline — the service's
+:class:`~repro.aggregation.engine.PackedAggregationPipeline`, the paper's
 incremental path, never a from-scratch rebuild.
 
 Batching: the group-builder already accumulates updates until ``run()``;

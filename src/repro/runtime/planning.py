@@ -6,9 +6,9 @@ like every BRP, so this pass has one caller.  A node builds one
 :class:`PlanSession` from what its planner *is* (passes, market, seed,
 metrics registry, optional net forecast; the scheduler is always the §6
 randomized greedy) and hands :meth:`PlanSession.plan_window` its pool
-ordered by group id, as the aggregation engine's views
-(:class:`~repro.aggregation.aggregator.AggregateView`) — at the TSO, views
-of super-aggregates of the BRPs' macros.  Eligibility and clipping, the
+ordered by group id, as the packed aggregation engine's views
+(:class:`~repro.aggregation.engine.PackedView`) — at the TSO, views of
+super-aggregates of the BRPs' macros.  Eligibility and clipping, the
 rolling forecast window, the flat market, the
 :class:`SchedulingProblem`, the planner call and the ``delta.*`` counters
 live here and nowhere else.
@@ -35,7 +35,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..aggregation.aggregator import AggregatedFlexOffer, AggregateView
+from ..aggregation.aggregator import AggregatedFlexOffer
+from ..aggregation.engine import PackedView
 from ..aggregation.updates import AggregateUpdate, UpdateKind
 from ..core.schedule import Schedule
 from ..core.timeseries import TimeSeries
@@ -90,7 +91,7 @@ class WindowPlan:
 
     result: SchedulingResult
     problem: SchedulingProblem
-    views: tuple[AggregateView, ...]
+    views: tuple[PackedView, ...]
     """The candidates' views, unclipped: what disaggregation runs against
     (member offsets are anchored at the unclipped earliest start)."""
     keys: tuple[str, ...]
@@ -157,7 +158,7 @@ class PlanSession:
     # ------------------------------------------------------------------
     def plan_window(
         self,
-        candidates: Iterable[tuple[str, AggregateView]],
+        candidates: Iterable[tuple[str, PackedView]],
         start: int,
         end: int,
     ) -> WindowPlan | None:
@@ -175,7 +176,7 @@ class PlanSession:
         that under its own ``*.empty_runs``.
         """
         keys: list[str] = []
-        views: list[AggregateView] = []
+        views: list[PackedView] = []
         constants: list[OfferConstants] = []
         for key, view in candidates:
             latest = view.latest_start

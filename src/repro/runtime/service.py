@@ -6,10 +6,10 @@ This is the paper's BRP node, run online (Fig. 1's one-shot planning day,
 flex-offer arrivals over a pluggable :class:`~repro.runtime.drivers.TimeDriver`
 (deterministic simulated time by default; real time via
 :class:`~repro.runtime.drivers.WallClockDriver`),
-maintains the aggregate pool *incrementally* — by default through the
-columnar :class:`~repro.aggregation.engine.PackedAggregationPipeline`
-(every engine registered in :mod:`repro.api.registry` is selectable via
-``AggregationConfig(engine=...)``) — and re-plans when a
+maintains the aggregate pool *incrementally* through the columnar
+:class:`~repro.aggregation.engine.PackedAggregationPipeline` — the
+runtime's one aggregation engine, whose views the planner reads — and
+re-plans when a
 :mod:`~repro.runtime.triggers` policy fires.  Planning is not written here:
 the service hands its pool, sorted by group id, to the one planning pass in
 :mod:`repro.runtime.planning` and commits the returned schedule to the
@@ -39,7 +39,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..aggregation.aggregator import AggregatedFlexOffer
-from ..aggregation.pipeline import make_pipeline
+from ..aggregation.engine import PackedAggregationPipeline
 from ..aggregation.updates import AggregateUpdate, UpdateKind
 from ..core.errors import ServiceError
 from ..core.flexoffer import FlexOffer
@@ -220,10 +220,7 @@ class BrpRuntimeService:
         self._submitted_counter = self.metrics.counter("runtime.offers_submitted")
         self._live_gauge = self.metrics.gauge("runtime.live_offers")
         self.ingest = FlexOfferIngest(
-            make_pipeline(
-                self.config.aggregation.parameters,
-                engine=self.config.aggregation.engine,
-            ),
+            PackedAggregationPipeline(self.config.aggregation.parameters),
             store=self.store,
             metrics=self.metrics,
             batch_size=self.config.ingest.batch_size,

@@ -18,7 +18,7 @@ counters after every scheduling run, so "since the last run" semantics live
 in the context, not the policy.
 
 The closed latency loop has one switch, ``SchedulingConfig.target_p95_slices``
-(no registry name builds the controller).  With it set, a node's trigger is
+(no name in :data:`TRIGGERS` builds the controller).  With it set, a node's trigger is
 an :class:`AdaptiveTrigger` — at a BRP and at the TSO alike — tuned by the
 module constants below.  Its thresholds are mutable, and ``observe`` —
 called by the service after each scheduling run — is the **only** place
@@ -42,6 +42,7 @@ __all__ = [
     "ImbalanceTrigger",
     "AnyTrigger",
     "AdaptiveTrigger",
+    "TRIGGERS",
 ]
 
 
@@ -139,6 +140,20 @@ class AnyTrigger:
         return [
             type(p).__name__ for p in self.policies if p.should_fire(context)
         ]
+
+
+#: Trigger specs' ``kind`` names (:func:`repro.runtime.config.build_trigger`):
+#: name -> (policy class, description).  No name builds the
+#: :class:`AdaptiveTrigger`; ``SchedulingConfig.target_p95_slices`` does.
+TRIGGERS = {
+    "age": (AgeTrigger, "fire once the oldest unscheduled offer waited too long"),
+    "any": (AnyTrigger, "composite: fire when any member policy fires"),
+    "count": (CountTrigger, "fire after N offers since the last run"),
+    "imbalance": (
+        ImbalanceTrigger,
+        "fire once unscheduled flexible energy exceeds a kWh bound",
+    ),
+}
 
 
 #: The adaptive controller's tuning.  :class:`AdaptiveTrigger` starts from

@@ -331,7 +331,7 @@ class TestProfileCaches:
 
 
 # ----------------------------------------------------------------------
-# the service loop is engine-independent
+# the service's own stream, replayed through the oracles
 # ----------------------------------------------------------------------
 def _dyadic_stream(stream):
     """The stream with every bound rounded to a multiple of 1/64 kWh, so
@@ -345,55 +345,102 @@ def _dyadic_stream(stream):
         yield at, replace(offer, profile=Profile.from_bounds(bounds))
 
 
-def _service_run(engine, dyadic):
-    """One seeded service run: its report, each run's plan cost, and every
-    committed start (offers named by arrival rank, since ids come from a
-    process-global counter)."""
-    service = BrpRuntimeService(
-        ServiceConfig.from_flat(batch_size=16, seed=5, engine=engine)
-    )
-    costs: list[float] = []
-    service.plan_listeners.append(lambda result: costs.append(result.cost))
-    rank: dict[int, int] = {}
+class _FlushRecorder:
+    """Passes a service's pipeline calls through, recording each flush:
+    the flex-offer updates handed in since the last run, and the run's
+    aggregate updates with the ids it drew."""
 
-    def ranked(stream):
-        for at, offer in stream:
-            rank[offer.offer_id] = len(rank)
-            yield at, offer
+    def __init__(self, pipeline):
+        self.pipeline = pipeline
+        self.pending: list = []
+        self.flushes: list = []
 
+    def submit(self, update):
+        self.pending.append(update)
+        self.pipeline.submit(update)
+
+    def submit_deletes(self, offers):
+        offers = list(offers)
+        self.pending.extend(FlexOfferUpdate.delete(o) for o in offers)
+        self.pipeline.submit_deletes(offers)
+
+    def run(self):
+        draws: list[int] = []
+
+        def recording_next_id():
+            draws.append(next_id())
+            return draws[-1]
+
+        with patch.object(aggregation_engine, "_next_id", recording_next_id):
+            updates = self.pipeline.run()
+        self.flushes.append((self.pending, updates, draws))
+        self.pending = []
+        return updates
+
+    @property
+    def input_count(self):
+        return self.pipeline.input_count
+
+
+def _recorded_service_flushes(dyadic):
+    """The flushes a seeded service hands its (packed) pipeline, and the
+    offers the pipeline holds at the end."""
+    service = BrpRuntimeService(ServiceConfig.from_flat(batch_size=16, seed=5))
+    packed = service.ingest.pipeline
+    assert isinstance(packed, aggregation_engine.PackedAggregationPipeline)
+    recorder = service.ingest.pipeline = _FlushRecorder(packed)
     stream = LoadGenerator(rate_per_hour=40.0, seed=5).stream(0.0, 96.0)
     if dyadic:
         stream = _dyadic_stream(stream)
-    report = service.run_stream(ranked(stream), 96.0)
-    starts = sorted(
-        (rank[oid], start) for oid, start in service.committed_starts().items()
-    )
-    return report, costs, starts
+    assert service.run_stream(stream, 96.0).offers_scheduled
+    return recorder.flushes, packed.input_count
+
+
+def _by_group(updates, fields):
+    """One flush's updates sorted by group id: (group id, kind, fields)."""
+    return sorted((u.group_id, u.kind.value, fields(u)) for u in updates)
 
 
 def test_runtime_service_equivalent_across_engines():
-    # The full service loop must behave identically (simulated-time
-    # semantics) whichever engine aggregates: every engine hands the
-    # planner its views, so the plans themselves must match — each run's
-    # plan cost and every committed start.  The reference oracle rebuilds
-    # on removal, so it joins on exact (dyadic) energies only.
-    for engines, dyadic in (
-        (("scalar", "packed"), False),
-        (("scalar", "packed", "reference"), True),
-    ):
-        runs = [_service_run(engine, dyadic) for engine in engines]
-        baseline, base_costs, base_starts = runs[0]
-        assert len(base_costs) > 1 and base_starts
-        for report, costs, starts in runs[1:]:
-            assert report.offers_accepted == baseline.offers_accepted
-            assert report.offers_scheduled == baseline.offers_scheduled
-            assert report.offers_expired == baseline.offers_expired
-            assert report.pool_aggregates == baseline.pool_aggregates
-            assert report.pool_offers == baseline.pool_offers
-            assert report.latency_slices_p50 == baseline.latency_slices_p50
-            assert report.latency_slices_p95 == baseline.latency_slices_p95
-            assert costs == base_costs
-            assert starts == base_starts
+    """The runtime aggregates with the packed engine only.  Replay what a
+    seeded service handed it, flush by flush, through the scalar oracle
+    (and, on a dyadic copy of the stream, through the rebuild-on-remove
+    reference too).  Every flush must emit the same updates: kind, group
+    id, window, deadline, bit-equal price and bound rows, and members,
+    each update under the one ``_next_id()`` draw made at its emission.
+    Emission order may differ between engines, so flushes compare by
+    group id.  The reference oracle rebuilds on removal, so it joins on
+    exact (dyadic) energies only."""
+    parameters = ServiceConfig().aggregation.parameters
+    for oracles, dyadic in ((("scalar",), False), (("scalar", "reference"), True)):
+        flushes, live = _recorded_service_flushes(dyadic)
+        assert len(flushes) > 10 and live
+        # Executed offers retire through the pipeline as deletes.
+        handed = {u.kind for submitted, _, _ in flushes for u in submitted}
+        assert handed == {UpdateKind.CREATED, UpdateKind.DELETED}
+        emitted = {u.kind for _, updates, _ in flushes for u in updates}
+        assert emitted == set(UpdateKind)
+        for name in oracles:
+            pipeline = make_pipeline(parameters, engine=name)
+            for submitted, packed, packed_draws in flushes:
+                assert packed_draws == [u.view.offer_id for u in packed]
+                for update in submitted:
+                    pipeline.submit(update)
+                draws: list[int] = []
+
+                def recording_next_id(draws=draws):
+                    draws.append(next_id())
+                    return draws[-1]
+
+                with patch.object(
+                    aggregation_aggregator, "_next_id", recording_next_id
+                ):
+                    replayed = pipeline.run()
+                assert draws == [u.view.offer_id for u in replayed], name
+                assert _by_group(
+                    replayed, lambda u: _aggregate_fields(u.aggregate)[1:]
+                ) == _by_group(packed, lambda u: _view_fields(u.view)[1:]), name
+            assert pipeline.input_count == live, name
 
 
 # ----------------------------------------------------------------------
@@ -458,14 +505,15 @@ def _stream_offers(draw, dyadic):
 @given(data=st.data())
 def test_every_engine_emits_views_of_the_aggregate_it_would_build(data):
     """Streams of inserts, deletes, in-flush churn and emptied-and-refilled
-    groups through all three engines.  Every emitted view equals, field for
+    groups through all three engines.  Every packed view equals, field for
     field and bit for bit, both the aggregate its update builds and the
     one the member walk (``_finalize_aggregate``) builds around its bound
-    rows; each flush draws exactly one id per update, in emission order,
-    and reading views or building aggregates draws none.  Packed and
-    scalar views agree bit for bit on any floats (same adds and subtracts
-    in the same order); the reference oracle, which rebuilds on removal,
-    joins them on dyadic energies."""
+    rows, and the aggregate the scalar and reference oracles' updates
+    build for the same group; each flush draws exactly one id per update,
+    in emission order, and reading views or building aggregates draws
+    none.  Packed and scalar agree bit for bit on any floats (same adds
+    and subtracts in the same order); the reference oracle, which rebuilds
+    on removal, joins them on dyadic energies."""
     dyadic = data.draw(st.booleans(), label="dyadic")
     parameters = AggregationParameters(
         start_after_tolerance=data.draw(st.integers(0, 8)),
@@ -506,14 +554,20 @@ def test_every_engine_emits_views_of_the_aggregate_it_would_build(data):
                 assert draws == [u.view.offer_id for u in updates], name
                 rows = []
                 for update in updates:
-                    view = update.view
-                    fields = _view_fields(view)
+                    # A packed view answers every field from its columns;
+                    # an oracle's view answers its id and its aggregate.
+                    source = update.view if name == "packed" else update.aggregate
+                    fields = _view_fields(source)
+                    assert fields[0] == update.view.offer_id, name
                     walked = _finalize_aggregate(
-                        view.members, view.earliest_start, view.profile, view.offer_id
+                        source.members,
+                        source.earliest_start,
+                        source.profile,
+                        source.offer_id,
                     )
                     assert _aggregate_fields(update.aggregate) == fields, name
                     assert _aggregate_fields(walked) == fields, name
-                    assert update.aggregate is view.aggregate
+                    assert update.aggregate is update.view.aggregate
                     rows.append((update.group_id, update.kind, fields[1:]))
                 assert draws == [u.view.offer_id for u in updates], name
                 per_engine[name] = sorted(rows, key=lambda row: row[0])
@@ -524,7 +578,8 @@ def test_every_engine_emits_views_of_the_aggregate_it_would_build(data):
 def test_views_guard_an_inverted_residue_slice():
     """(1.95 + 2.37) - 2.37 > (1.95 + 2.43) - 2.43: removing the second
     member leaves a slice whose lower bound sums above its upper one.
-    Packed and scalar views both raise ``hi`` to ``lo`` there."""
+    The packed view and the scalar aggregate both raise ``hi`` to ``lo``
+    there."""
     parameters = AggregationParameters(0, 0, name="residue")
     fixed = flex_offer([(1.95, 1.95)], earliest_start=4, latest_start=8)
     loose = flex_offer([(2.37, 2.43)], earliest_start=4, latest_start=8)
@@ -535,7 +590,8 @@ def test_views_guard_an_inverted_residue_slice():
         pipeline.run()
         pipeline.submit_deletes([loose])
         (update,) = pipeline.run()
-        profile = update.view.profile
+        source = update.view if engine == "packed" else update.aggregate
+        profile = source.profile
         rows[engine] = (profile.min_array.tolist(), profile.max_array.tolist())
     residue = (1.95 + 2.37) - 2.37
     assert residue > (1.95 + 2.43) - 2.43
@@ -544,7 +600,8 @@ def test_views_guard_an_inverted_residue_slice():
 
 def test_view_price_is_the_pairwise_mean_in_membership_order():
     """Past eight members ``np.mean`` sums pairwise, so no running or
-    sequential sum has its bits; the view's price must."""
+    sequential sum has its bits.  The packed view's price and the
+    oracles' aggregate prices must have them."""
     rng = np.random.default_rng(3)
     parameters = AggregationParameters(0, 0, name="prices")
     offers = [
@@ -566,5 +623,6 @@ def test_view_price_is_the_pairwise_mean_in_membership_order():
         pipeline.run()
         pipeline.submit_deletes(offers[5:9])
         (update,) = pipeline.run()
-        assert [m.offer_id for m in update.view.members] == [o.offer_id for o in kept]
-        assert struct.pack("<d", update.view.unit_price) == struct.pack("<d", want)
+        source = update.view if engine == "packed" else update.aggregate
+        assert [m.offer_id for m in source.members] == [o.offer_id for o in kept]
+        assert struct.pack("<d", source.unit_price) == struct.pack("<d", want)

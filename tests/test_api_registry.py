@@ -1,9 +1,11 @@
-"""The engine registry and the composed service configuration.
+"""The runtime's name tables and the composed service configuration.
 
-Pins the satellite fix of this PR: engine validation in the runtime config
-and in ``make_pipeline`` route through the *same* registry, so the set of
-accepted names can never diverge again (``reference`` used to be accepted
-by one and rejected by the other).
+Each set of names a caller picks by string is a plain table in the layer
+that reads it: trigger kinds (``runtime/triggers.py``, read by
+``build_trigger``), time drivers (``runtime/drivers.py``) and metrics
+exporters (``obs/export.py``), both read by the CLI, and pipeline engines
+(``aggregation/pipeline.py``, read by ``make_pipeline``).  The runtime
+itself has one aggregation engine, so its configuration names none.
 """
 
 import json
@@ -11,129 +13,133 @@ import math
 
 import pytest
 
-from repro.aggregation.pipeline import AggregationPipeline, make_pipeline
+from repro.__main__ import _print_catalogue
+from repro.aggregation.engine import PackedAggregationPipeline
+from repro.aggregation.pipeline import ENGINES, AggregationPipeline, make_pipeline
+from repro.aggregation.reference import ReferenceAggregator
 from repro.aggregation.thresholds import AggregationParameters
 from repro.api import (
-    KIND_AGGREGATION,
-    KIND_DRIVER,
-    KIND_EXPORTER,
-    KIND_TRIGGER,
     AggregationConfig,
     BusConfig,
     IngestConfig,
     MarketConfig,
-    Registry,
-    RegistryError,
     SchedulingConfig,
     ServiceConfig,
+    SimulatedDriver,
     TsoConfig,
+    WallClockDriver,
     build_trigger,
-    default_registry,
 )
-from repro.core.errors import AggregationError, ServiceError
-from repro.runtime.triggers import AdaptiveTrigger, AnyTrigger, CountTrigger
+from repro.core.errors import AggregationError, ServiceError, choose
+from repro.obs.export import EXPORTERS, render_metrics_text
+from repro.runtime.drivers import DRIVERS
+from repro.runtime.triggers import (
+    TRIGGERS,
+    AdaptiveTrigger,
+    AnyTrigger,
+    CountTrigger,
+)
 
 PARAMS = AggregationParameters(
     start_after_tolerance=8, time_flexibility_tolerance=8, name="test"
 )
 
+#: kind -> its table, as the CLI's --list prints them.
+TABLES = {
+    "aggregation": ENGINES,
+    "driver": DRIVERS,
+    "exporter": EXPORTERS,
+    "trigger": TRIGGERS,
+}
+
 
 class TestRegistry:
     def test_builtin_catalogue(self):
-        registry = default_registry()
-        assert registry.names(KIND_AGGREGATION) == (
-            "packed", "reference", "scalar",
-        )
-        assert registry.names(KIND_TRIGGER) == (
-            "age", "any", "count", "imbalance",
-        )
-        assert registry.names(KIND_DRIVER) == ("simulated", "wallclock")
-        # One consumer is not a catalogue: the fault transforms are plain
-        # functions (LoadGenerator.hostile_stream, parse_outage).
-        assert {entry.kind for entry in registry.entries()} == {
-            KIND_AGGREGATION, KIND_TRIGGER, KIND_DRIVER, KIND_EXPORTER,
-        }
+        assert sorted(ENGINES) == ["packed", "reference", "scalar"]
+        assert sorted(TRIGGERS) == ["age", "any", "count", "imbalance"]
+        assert sorted(DRIVERS) == ["simulated", "wallclock"]
+        assert sorted(EXPORTERS) == ["json", "prometheus", "text"]
         # The scheduler is not a choice: the runtime always plans with the
         # greedy, and the EA and the MILP oracle are imported directly by
-        # the experiments that compare them.
-        assert len(registry.entries()) == 12
+        # the experiments that compare them.  One consumer is not a
+        # table: the fault transforms are plain functions.
+        assert sum(len(table) for table in TABLES.values()) == 12
+        for table in TABLES.values():
+            for factory, description in table.values():
+                assert callable(factory) and description
 
     def test_unknown_name_error_lists_known_set(self):
-        with pytest.raises(RegistryError) as excinfo:
-            default_registry().get(KIND_AGGREGATION, "bogus")
-        message = str(excinfo.value)
-        for name in ("packed", "reference", "scalar"):
-            assert name in message
-
-    def test_duplicate_registration_rejected(self):
-        registry = Registry()
-        registry.register("kind", "x", int)
-        with pytest.raises(RegistryError, match="already registered"):
-            registry.register("kind", "x", float)
-        assert registry.get("kind", "x").factory is int
+        for kind, table in TABLES.items():
+            with pytest.raises(ServiceError) as excinfo:
+                choose(table, kind, "bogus")
+            assert str(excinfo.value) == (
+                f"unknown {kind} 'bogus'; known {kind} names: "
+                + ", ".join(sorted(table))
+            )
+        with pytest.raises(AggregationError) as excinfo:
+            make_pipeline(PARAMS, engine="bogus")  # replint: ignore[REP003]
+        assert str(excinfo.value).endswith(
+            "known aggregation names: packed, reference, scalar"
+        )
 
     def test_factories_build_their_classes(self):
-        registry = default_registry()
         assert isinstance(
-            registry.create(KIND_AGGREGATION, "scalar", PARAMS),
-            AggregationPipeline,
+            make_pipeline(PARAMS, engine="packed"), PackedAggregationPipeline
         )
+        scalar = make_pipeline(PARAMS, engine="scalar")
+        assert type(scalar) is AggregationPipeline
+        assert type(scalar.aggregator) is not ReferenceAggregator
+        reference = make_pipeline(PARAMS, engine="reference")
+        assert isinstance(reference.aggregator, ReferenceAggregator)
         assert isinstance(
-            registry.create(KIND_TRIGGER, "count", threshold=3), CountTrigger
+            choose(TRIGGERS, "trigger", "count")(threshold=3), CountTrigger
         )
-        render = registry.create(KIND_EXPORTER, "text")
-        assert render is registry.create(KIND_EXPORTER, "text")  # a function
+        assert isinstance(choose(DRIVERS, "driver", "simulated")(), SimulatedDriver)
+        assert choose(DRIVERS, "driver", "wallclock") is WallClockDriver
+        assert choose(EXPORTERS, "exporter", "text") is render_metrics_text
 
-    def test_render_mentions_every_entry(self):
-        text = default_registry().render()
-        for name in ("packed", "wallclock", "imbalance"):
-            assert name in text
-        assert "greedy" not in text and "[" not in text  # no capabilities
+    def test_render_mentions_every_entry(self, capsys):
+        _print_catalogue()
+        listing = capsys.readouterr().out.split("names (", 1)[1]
+        lines = listing.splitlines()[1:]
+        assert [line.split()[:2] for line in lines] == [
+            [kind, name]
+            for kind, table in TABLES.items()
+            for name in sorted(table)
+        ]
+        assert "greedy" not in listing and "[" not in listing  # no capabilities
 
 
 class TestUnifiedEngineValidation:
-    def test_runtime_config_accepts_every_pipeline_engine(self):
-        # The historical bug: the config rejected "reference" although
-        # make_pipeline supported it.  Both now consult the registry.
-        for engine in default_registry().names(KIND_AGGREGATION):
-            config = ServiceConfig(aggregation=AggregationConfig(engine=engine))
-            assert config.aggregation.engine == engine
-            assert make_pipeline(PARAMS, engine=engine) is not None
-
     def test_pipeline_engines_constant_matches_registry(self):
-        assert set(default_registry().names(KIND_AGGREGATION)) == {
-            "packed", "scalar", "reference",
-        }
-
-    def test_both_sites_reject_with_the_same_known_set(self):
-        with pytest.raises(ServiceError) as config_err:
-            AggregationConfig(engine="bogus")  # replint: ignore[REP003]
-        with pytest.raises(AggregationError) as pipeline_err:
-            make_pipeline(PARAMS, engine="bogus")  # replint: ignore[REP003]
-        assert str(config_err.value) == str(pipeline_err.value)
+        assert set(ENGINES) == {"packed", "scalar", "reference"}
+        # The runtime's engine is no setting: the config holds the
+        # grouping thresholds only.
+        assert [f for f in AggregationConfig.__dataclass_fields__] == [
+            "parameters"
+        ]
 
 
 class TestServiceConfig:
     def test_flat_properties_cover_historical_names(self):
         config = ServiceConfig(
             market=MarketConfig(buy_price=0.3),
-            aggregation=AggregationConfig(engine="scalar"),
+            aggregation=AggregationConfig(PARAMS),
             scheduling=SchedulingConfig(horizon_slices=96, seed=7),
             ingest=IngestConfig(batch_size=16),
         )
         assert config.market.buy_price == 0.3
-        assert config.aggregation.engine == "scalar"
+        assert config.aggregation.parameters is PARAMS
         assert config.scheduling.horizon_slices == 96
         assert config.scheduling.seed == 7
         assert config.ingest.batch_size == 16
-        assert config.aggregation.parameters.name == "runtime"
+        assert ServiceConfig().aggregation.parameters.name == "runtime"
 
     def test_every_flat_name_reaches_its_section_field(self):
         # The flat-name table is derived from the section dataclasses; this
         # literal list pins the names from_flat/merged must keep accepting.
         table = [
             ("aggregation_parameters", "aggregation", "parameters", PARAMS),
-            ("engine", "aggregation", "engine", "scalar"),
             ("horizon_slices", "scheduling", "horizon_slices", 96),
             ("scheduler_passes", "scheduling", "scheduler_passes", 3),
             ("trigger", "scheduling", "trigger", CountTrigger(7)),
@@ -158,17 +164,20 @@ class TestServiceConfig:
         # No shim, no accepted-but-ignored key: a deleted option is rejected
         # like any typo, with the known-field list.
         attempts = (
-            (lambda: ServiceConfig.from_flat(shards=2), "engine"),
-            (lambda: ServiceConfig().merged(shards=2), "engine"),
-            (lambda: ServiceConfig.from_dict({"shards": 2}), "engine"),
+            (lambda: ServiceConfig.from_flat(shards=2), "aggregation_parameters"),
+            (lambda: ServiceConfig().merged(shards=2), "aggregation_parameters"),
+            (lambda: ServiceConfig.from_dict({"shards": 2}), "aggregation_parameters"),
             (
                 lambda: ServiceConfig.from_dict({"aggregation": {"shards": 2}}),
-                "engine",
+                "parameters",
             ),
-            (lambda: ServiceConfig.from_dict({"obs": {"tracer": "ring"}}), "engine"),
+            (
+                lambda: ServiceConfig.from_dict({"obs": {"tracer": "ring"}}),
+                "aggregation_parameters",
+            ),
             # The scheduler is always the greedy; sweeps run every
             # EXPIRY_SWEEP_SLICES.
-            (lambda: ServiceConfig.from_flat(scheduler="greedy"), "engine"),
+            (lambda: ServiceConfig.from_flat(scheduler="greedy"), "batch_size"),
             (
                 lambda: ServiceConfig.from_dict(
                     {"scheduling": {"scheduler": "greedy"}}
@@ -181,12 +190,31 @@ class TestServiceConfig:
                 ),
                 "batch_size",
             ),
+            # The runtime always aggregates with the packed engine.
+            (lambda: ServiceConfig.from_flat(engine="scalar"), "batch_size"),
+            (lambda: ServiceConfig().merged(engine="packed"), "batch_size"),
+            (lambda: ServiceConfig.from_dict({"engine": "scalar"}), "batch_size"),
+            (
+                lambda: ServiceConfig.from_dict(
+                    {"aggregation": {"engine": "scalar"}}
+                ),
+                "parameters",
+            ),
+            (lambda: TsoConfig.from_flat(engine="packed"), "batch_size"),
+            (
+                lambda: TsoConfig.from_dict({"aggregation": {"engine": "scalar"}}),
+                "parameters",
+            ),
         )
         for attempt, known in attempts:
             with pytest.raises(ServiceError) as excinfo:
                 attempt()
             message = str(excinfo.value)
             assert "known fields: " in message and known in message
+            assert "engine" not in message.split("known fields: ")[1]
+        # A section's known fields are its own: aggregation has one.
+        with pytest.raises(ServiceError, match=r"known fields: parameters$"):
+            ServiceConfig.from_dict({"aggregation": {"engine": "packed"}})
 
     def test_unknown_key_inside_a_section_names_section_and_fields(self):
         # Used to escape dataclasses.replace as a raw TypeError.
@@ -240,7 +268,11 @@ class TestServiceConfig:
             (ServiceConfig.from_dict, {"scheduling": {"scheduler_passes": True}}, "scheduler_passes"),
             (ServiceConfig.from_dict, {"ingest": {"batch_size": 8.0}}, "batch_size"),
             (ServiceConfig.from_dict, {"ingest": {"max_duration_slices": "4"}}, "max_duration_slices"),
-            (ServiceConfig.from_dict, {"aggregation": {"engine": 3}}, "engine"),
+            (
+                ServiceConfig.from_dict,
+                {"scheduling": {"min_run_interval_slices": "1"}},
+                "min_run_interval_slices",
+            ),
             # Used to crash mid-run with an AttributeError.
             (
                 ServiceConfig.from_dict,
@@ -276,9 +308,11 @@ class TestServiceConfig:
             ServiceConfig.from_dict({"scheduling": {"scheduler": name}})
 
     def test_from_flat_and_merged(self):
-        config = ServiceConfig.from_flat(batch_size=8, engine="scalar", seed=3)
+        config = ServiceConfig.from_flat(
+            batch_size=8, aggregation_parameters=PARAMS, seed=3
+        )
         assert config.ingest.batch_size == 8
-        assert config.aggregation.engine == "scalar"
+        assert config.aggregation.parameters is PARAMS
         assert config.scheduling.seed == 3
         assert config.scheduling.scheduler_passes == 2  # defaults elsewhere
         with pytest.raises(ServiceError):
@@ -301,12 +335,12 @@ class TestServiceConfig:
                     ],
                 },
                 "ingest": {"batch_size": 16},
-                "engine": "scalar",
+                "buy_price": 0.3,
             }
         )
         assert config.scheduling.horizon_slices == 96
         assert config.ingest.batch_size == 16
-        assert config.aggregation.engine == "scalar"
+        assert config.market.buy_price == 0.3
         assert isinstance(config.scheduling.trigger, AnyTrigger)
         assert len(config.scheduling.trigger.policies) == 2
 
@@ -338,7 +372,7 @@ class TestServiceConfig:
         # The adaptive trigger is built from target_p95_slices alone: no
         # spec names it, and a hand-built one is refused as the trigger,
         # alone or inside a composite, so a config holds one target.
-        with pytest.raises(RegistryError, match="age, any, count, imbalance"):
+        with pytest.raises(ServiceError, match="trigger names: age, any, count, imbalance$"):
             build_trigger({"kind": "adaptive", "target_p95_slices": 8.0})
         for trigger in (
             AdaptiveTrigger(8.0),

@@ -1,4 +1,4 @@
-"""CLI: registry-validated names, --config file merging, exit codes.
+"""CLI: table-validated names, --config file merging, exit codes.
 
 Drives ``repro.__main__.main`` in-process with tiny deterministic
 workloads, so the whole file runs in a couple of seconds.
@@ -48,11 +48,30 @@ def test_runtime_never_imports_scipy():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-def test_unknown_engine_exits_2_with_known_names(capsys):
-    assert main(["loadtest", "--engine", "bogus"]) == EXIT_UNKNOWN_EXPERIMENT
-    err = capsys.readouterr().err
-    for name in ("packed", "reference", "scalar"):
-        assert name in err
+def test_unknown_engine_exits_2_with_known_names(tmp_path, capsys):
+    # The runtime has one aggregation engine, so --engine is no flag, and
+    # ``engine`` is no key of a --config file or a --cluster section.
+    for name in ("bogus", "packed"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadtest", *TINY, "--engine", name])
+        assert excinfo.value.code == EXIT_UNKNOWN_EXPERIMENT
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+    cluster = tmp_path / "cluster.json"
+    for spec, known in (
+        ({"brps": 2, "defaults": {"aggregation": {"engine": "scalar"}}}, "parameters"),
+        ({"brps": {"north": {"engine": "packed"}}}, "aggregation_parameters"),
+        ({"brps": 2, "tso": {"aggregation": {"engine": "scalar"}}}, "parameters"),
+        ({"brps": 2, "tso": {"engine": "reference"}}, "aggregation_parameters"),
+    ):
+        cluster.write_text(json.dumps(spec))
+        assert (
+            main(["loadtest", *TINY, "--cluster", str(cluster)])
+            == EXIT_UNKNOWN_EXPERIMENT
+        )
+        err = capsys.readouterr().err
+        assert "invalid loadtest configuration: unknown" in err
+        assert "configuration field 'engine'; known fields: " in err
+        assert known in err
 
 
 def test_unknown_driver_exits_2_with_known_names(capsys):
@@ -128,12 +147,18 @@ def test_epoch_slices_is_not_a_flag(tmp_path, capsys):
 
 
 def test_config_file_engine_validated_through_registry(tmp_path, capsys):
-    # Names arriving via the file bypass argparse; the registry check must
-    # still catch them.
+    # Keys arriving via the file bypass argparse; the file's key check must
+    # still catch ``engine``, which is no flag any more, and the known
+    # names the file's values are checked against must still be named.
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"engine": "bogus"}))
+    for value in ("bogus", "packed"):
+        config.write_text(json.dumps({"engine": value}))
+        assert main(["loadtest", "--config", str(config)]) == EXIT_UNKNOWN_EXPERIMENT
+        err = capsys.readouterr().err
+        assert "'engine'" in err and "known keys" in err
+    config.write_text(json.dumps({"driver": "bogus", "metrics_format": "json"}))
     assert main(["loadtest", "--config", str(config)]) == EXIT_UNKNOWN_EXPERIMENT
-    assert "known aggregation names" in capsys.readouterr().err
+    assert "known driver names: simulated, wallclock" in capsys.readouterr().err
 
 
 def test_config_file_unreadable_or_invalid_exits_2(tmp_path, capsys):
@@ -230,9 +255,9 @@ def test_cluster_file_validated_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "defaults, named",
     [
-        ({"shards": 2}, "engine"),
+        ({"shards": 2}, "aggregation_parameters"),
         ({"aggregation": {"shards": 2}}, "aggregation"),
-        ({"obs": {"tracer": "ring"}}, "engine"),
+        ({"obs": {"tracer": "ring"}}, "aggregation_parameters"),
         # A typo inside a section used to escape as a TypeError traceback.
         ({"ingest": {"batch_sizee": 3}}, "batch_size, max_duration_slices"),
     ],
@@ -587,6 +612,13 @@ def test_list_shows_registry_catalogue(capsys):
     out = capsys.readouterr().out
     assert "trigger" in out and "imbalance" in out
     # The scheduler is not a choice, and entries declare no capabilities.
-    registry = out.split("registry (", 1)[1]
-    assert "scheduler" not in registry and "greedy" not in registry
-    assert "capabilities" not in registry and "[" not in registry
+    names = out.split("names (", 1)[1]
+    assert "scheduler" not in names and "greedy" not in names
+    assert "capabilities" not in names and "[" not in names
+    for kind, name in (
+        ("aggregation", "packed"),
+        ("driver", "wallclock"),
+        ("exporter", "prometheus"),
+        ("trigger", "any"),
+    ):
+        assert f"\n{kind:<12} {name:<12} " in names

@@ -195,7 +195,7 @@ class TestClusterConfig:
                         "trigger": {"kind": "count", "threshold": 3},
                         "horizon_slices": 96,
                     },
-                    "aggregation": {"engine": "scalar"},
+                    "ingest": {"max_duration_slices": 12},
                     "scheduler_passes": 1,
                 },
             }
@@ -209,7 +209,8 @@ class TestClusterConfig:
         assert tso.trigger == CountTrigger(3)
         assert (tso.horizon_slices, tso.scheduler_passes) == (96, 1)
         assert tso.min_run_interval_slices == 4.0  # the TSO default
-        assert config.tso.aggregation.engine == "scalar"
+        assert config.tso.ingest.max_duration_slices == 12
+        assert config.brps["north"].ingest.max_duration_slices is None
 
     def test_tso_defaults_are_a_count_trigger_and_a_longer_cooldown(self):
         tso = TsoConfig().scheduling

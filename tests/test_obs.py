@@ -10,8 +10,8 @@ Covers the obs package end to end:
 * trace-context propagation across a BRP -> TSO -> BRP bus round trip,
   including a mid-stream node outage (dropped deliveries are traced, the
   survivor's causal chain stays complete);
-* metrics exposition (text / JSON / Prometheus) through the ``exporter``
-  registry kind, and the ``inspect`` CLI subcommand.
+* metrics exposition (text / JSON / Prometheus) through the exporter
+  table, and the ``inspect`` CLI subcommand.
 """
 
 import dataclasses
@@ -412,12 +412,13 @@ def test_json_rendering_parses():
 
 
 def test_exporters_resolve_through_registry():
-    from repro.api import KIND_EXPORTER, default_registry
+    from repro.obs.export import EXPORTERS
 
     registry = MetricsRegistry()
     registry.counter("c").inc(1)
+    assert sorted(EXPORTERS) == ["json", "prometheus", "text"]
     for name in ("text", "json", "prometheus"):
-        render = default_registry().create(KIND_EXPORTER, name)
+        render, _ = EXPORTERS[name]
         assert "c" in render(registry)
 
 

@@ -18,7 +18,7 @@ import pytest
 from tools.replint.cli import run as replint_run
 from tools.replint.core import Finding, lint_paths, parse_suppressions
 from tools.replint.resolver import ProjectContext, find_repo_root
-from tools.replint.rules import ALL_RULES, RegistryNameRule, rules_by_id
+from tools.replint.rules import ALL_RULES, ComponentNameRule, rules_by_id
 
 REPO_ROOT = find_repo_root()
 PROJECT = ProjectContext(REPO_ROOT)
@@ -49,25 +49,28 @@ class TestProjectContext:
         assert "bogus" not in PROJECT.event_kinds
 
     def test_registry_names_extracted(self):
-        # REP003's vocabulary is parsed from the literal register() calls;
-        # it must name exactly what the live registry holds.
-        from repro.api import default_registry
+        # REP003's vocabulary is parsed from the dict literals of the four
+        # name tables; it must name exactly what the live tables hold.
+        from repro.aggregation.pipeline import ENGINES
+        from repro.obs.export import EXPORTERS
+        from repro.runtime.drivers import DRIVERS
+        from repro.runtime.triggers import TRIGGERS
 
-        live: dict[str, set[str]] = {}
-        for entry in default_registry().entries():
-            live.setdefault(entry.kind, set()).add(entry.name)
-        assert PROJECT.registry_names == {
-            kind: frozenset(names) for kind, names in live.items()
+        assert PROJECT.component_names == {
+            "aggregation": frozenset(ENGINES),
+            "driver": frozenset(DRIVERS),
+            "exporter": frozenset(EXPORTERS),
+            "trigger": frozenset(TRIGGERS),
         }
-        # REP003 maps a keyword to a kind only where the registry has one.
-        assert set(RegistryNameRule.KIND_FOR_NAME.values()) == set(
-            PROJECT.registry_names
+        # REP003 maps a keyword to a kind only where a table holds one.
+        assert set(ComponentNameRule.KEYWORD_KINDS.values()) == set(
+            PROJECT.component_names
         )
 
     def test_missing_root_degrades_to_empty(self, tmp_path):
         ctx = ProjectContext(tmp_path)
         assert ctx.event_kinds == frozenset()
-        assert ctx.registry_names == {}
+        assert ctx.component_names == {}
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +226,7 @@ class TestEventKind:
 
 
 # ----------------------------------------------------------------------
-# REP003: registry names
+# REP003: component names
 # ----------------------------------------------------------------------
 class TestRegistryName:
     def test_flags_unknown_engine_keyword(self, tmp_path):

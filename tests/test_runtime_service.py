@@ -708,17 +708,27 @@ class TestPlanWindowAtBothTiers:
         return brp, tso, problems
 
     def _candidates(self):
-        from repro.aggregation import BuiltView, aggregate_group
+        """One single-offer group per window, as the packed engine's views:
+        what a runtime pool hands ``plan_window``."""
+        from repro.aggregation import (
+            AggregationParameters,
+            PackedAggregationPipeline,
+            PackedView,
+        )
 
         windows = [(4, 30), (12, 40), (20, 60), (2, 8), (50, 90)]
-        aggregates = [
-            aggregate_group([_offer(est, tf=lst - est, duration=3)])
-            for est, lst in windows
-        ]
-        return [
-            (f"k{i}", BuiltView(aggregate.offer_id, lambda a=aggregate: a))
-            for i, aggregate in enumerate(aggregates)
-        ]
+        candidates = []
+        for i, (est, lst) in enumerate(windows):
+            pipeline = PackedAggregationPipeline(AggregationParameters(0, 0))
+            pipeline.submit_inserts([_offer(est, tf=lst - est, duration=3)])
+            (update,) = pipeline.run()
+            assert isinstance(update.view, PackedView)
+            assert (update.view.earliest_start, update.view.latest_start) == (
+                est,
+                lst,
+            )
+            candidates.append((f"k{i}", update.view))
+        return candidates
 
     def test_same_candidates_same_problem_same_plan(self):
         brp, tso, problems = self._tiers()

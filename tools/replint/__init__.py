@@ -2,12 +2,12 @@
 
 The runtime's correctness rests on conventions no type checker sees —
 tracer call sites must guard on ``tracer.enabled``, emitted event kinds
-must exist in the ``EVENT_SCHEMA`` contract, registry names must resolve,
-sim-path code must not read wall-clock time or unseeded RNG, shared-memory
-segments need an unlink path, ingest must journal before cascading, bus
-messages must pass ``trace`` by keyword, and worker/bus lifecycle code
-must not swallow exceptions.  Each convention is encoded as a
-:class:`~tools.replint.core.Rule`; run the whole pass with::
+must exist in the ``EVENT_SCHEMA`` contract, component names must be keys
+of their tables, sim-path code must not read wall-clock time or unseeded
+RNG, shared-memory segments need an unlink path, ingest must journal
+before cascading, bus messages must pass ``trace`` by keyword, and
+worker/bus lifecycle code must not swallow exceptions.  Each convention is
+encoded as a :class:`~tools.replint.core.Rule`; run the whole pass with::
 
     python -m tools.replint src/ tests/ benchmarks/
 

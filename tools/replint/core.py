@@ -4,7 +4,7 @@ A :class:`Rule` inspects one parsed file at a time through a
 :class:`FileContext`, which carries the AST (with a parent map), the raw
 source lines, a per-file import resolver and the shared
 :class:`~tools.replint.resolver.ProjectContext` (cross-module constants
-such as the event-kind vocabulary and the engine registry's name sets).
+such as the event-kind vocabulary and the component name tables).
 Rules yield ``(node, message)`` pairs; the driver turns them into
 :class:`Finding` records, drops suppressed lines
 (``# replint: ignore[RULE-ID]`` on any line the node spans, or on a
@@ -32,7 +32,7 @@ _SUPPRESS_RE = re.compile(r"#\s*replint:\s*ignore\[([^\]]+)\]")
 
 
 class LintError(Exception):
-    """A usage-level failure (bad path, unparsable registry, ...)."""
+    """A usage-level failure (bad path, unreadable file, ...)."""
 
 
 @dataclass(frozen=True, order=True)

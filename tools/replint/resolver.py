@@ -13,10 +13,8 @@ Two layers:
 
   - the event-kind vocabulary from ``src/repro/obs/events.py``
     (``EVENT_KINDS`` plus ``EVENT_SCHEMA`` keys);
-  - the registered engine names per kind from
-    ``src/repro/api/registry.py`` (the ``registry.register(KIND_X, "name",
-    ...)`` calls, with the ``KIND_*`` constants resolved from the same
-    module).
+  - the component names per kind: the keys of the module-level name
+    tables (:data:`NAME_TABLES`).
 """
 
 from __future__ import annotations
@@ -24,7 +22,15 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-__all__ = ["ImportResolver", "ProjectContext", "find_repo_root"]
+__all__ = ["NAME_TABLES", "ImportResolver", "ProjectContext", "find_repo_root"]
+
+#: Component kind -> (module under ``src/repro``, name of its dict table).
+NAME_TABLES = {
+    "aggregation": ("aggregation/pipeline.py", "ENGINES"),
+    "driver": ("runtime/drivers.py", "DRIVERS"),
+    "exporter": ("obs/export.py", "EXPORTERS"),
+    "trigger": ("runtime/triggers.py", "TRIGGERS"),
+}
 
 
 def find_repo_root(start: Path | None = None) -> Path:
@@ -98,87 +104,46 @@ class ProjectContext:
     def __init__(self, root: Path) -> None:
         self.root = root
         self.event_kinds = self._extract_event_kinds()
-        self.registry_names = self._extract_registry_names()
+        self.component_names = self._extract_component_names()
 
     # ------------------------------------------------------------------
     def _extract_event_kinds(self) -> frozenset[str]:
         path = self.root / "src" / "repro" / "obs" / "events.py"
         kinds: set[str] = set()
+        for name, value in self._assignments(path):
+            if name == "EVENT_KINDS" and isinstance(
+                value, (ast.Tuple, ast.List, ast.Set)
+            ):
+                kinds.update(_strings(value.elts))
+            elif name == "EVENT_SCHEMA" and isinstance(value, ast.Dict):
+                kinds.update(_strings(value.keys))
+        return frozenset(kinds)
+
+    # ------------------------------------------------------------------
+    def _extract_component_names(self) -> dict[str, frozenset[str]]:
+        names: dict[str, frozenset[str]] = {}
+        for kind, (module, table) in NAME_TABLES.items():
+            path = self.root / "src" / "repro" / module
+            for name, value in self._assignments(path):
+                if name == table and isinstance(value, ast.Dict):
+                    names[kind] = frozenset(_strings(value.keys))
+        return names
+
+    def _assignments(self, path: Path):
+        """``(name, value)`` of each module-level assignment in ``path``."""
         tree = self._parse(path)
         if tree is None:
-            return frozenset()
-        for node in ast.walk(tree):
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
+            return
+        for node in tree.body:
             if isinstance(node, ast.Assign):
                 targets, value = node.targets, node.value
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 targets, value = [node.target], node.value
-            for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if target.id == "EVENT_KINDS" and isinstance(
-                    value, (ast.Tuple, ast.List, ast.Set)
-                ):
-                    kinds.update(
-                        element.value
-                        for element in value.elts
-                        if isinstance(element, ast.Constant)
-                        and isinstance(element.value, str)
-                    )
-                elif target.id == "EVENT_SCHEMA" and isinstance(value, ast.Dict):
-                    kinds.update(
-                        key.value
-                        for key in value.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                    )
-        return frozenset(kinds)
-
-    # ------------------------------------------------------------------
-    def _extract_registry_names(self) -> dict[str, frozenset[str]]:
-        path = self.root / "src" / "repro" / "api" / "registry.py"
-        tree = self._parse(path)
-        if tree is None:
-            return {}
-        # KIND_AGGREGATION = "aggregation" style module constants.
-        kind_constants: dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and isinstance(
-                node.value, ast.Constant
-            ):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id.startswith("KIND_")
-                        and isinstance(node.value.value, str)
-                    ):
-                        kind_constants[target.id] = node.value.value
-        names: dict[str, set[str]] = {}
-        for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "register"
-                and len(node.args) >= 2
-            ):
-                continue
-            kind_arg, name_arg = node.args[0], node.args[1]
-            if isinstance(kind_arg, ast.Name):
-                kind = kind_constants.get(kind_arg.id)
-            elif isinstance(kind_arg, ast.Constant) and isinstance(
-                kind_arg.value, str
-            ):
-                kind = kind_arg.value
             else:
-                kind = None
-            if kind is None:
                 continue
-            if isinstance(name_arg, ast.Constant) and isinstance(
-                name_arg.value, str
-            ):
-                names.setdefault(kind, set()).add(name_arg.value)
-        return {kind: frozenset(found) for kind, found in names.items()}
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, value
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -187,3 +152,12 @@ class ProjectContext:
             return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         except (OSError, SyntaxError):
             return None
+
+
+def _strings(nodes) -> list[str]:
+    """The string constants among ``nodes``."""
+    return [
+        node.value
+        for node in nodes
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]

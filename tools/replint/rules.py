@@ -11,6 +11,7 @@ import ast
 from typing import Iterable, Iterator
 
 from .core import FileContext, Rule
+from .resolver import NAME_TABLES
 
 __all__ = ["ALL_RULES", "rules_by_id"]
 
@@ -234,21 +235,22 @@ class EventKindRule(Rule):
         return False
 
 
-class RegistryNameRule(Rule):
-    """REP003: component-name literals must resolve in the registry.
+class ComponentNameRule(Rule):
+    """REP003: component-name literals must be names in their table.
 
-    ``default_registry()`` is the single source of truth for engine/
-    trigger/driver/exporter names; a literal that does not
-    resolve raises ``RegistryError`` at runtime — on whichever code path
-    finally evaluates it.  Checked at call keywords, function-parameter
-    defaults and annotated (dataclass-style) field defaults.
+    Trigger kinds, time drivers, metrics exporters and pipeline engines
+    are each the keys of one dict table in the layer that reads them
+    (:data:`~tools.replint.resolver.NAME_TABLES`); a literal outside its
+    table raises at runtime — on whichever code path finally evaluates it.
+    Checked at call keywords, function-parameter defaults and annotated
+    (dataclass-style) field defaults.
     """
 
     rule_id = "REP003"
-    title = "registry name literal does not resolve"
+    title = "component name literal is not in its table"
 
-    #: keyword/field name -> registry kind it must resolve against.
-    KIND_FOR_NAME = {
+    #: keyword/field name -> the kind of name it must be.
+    KEYWORD_KINDS = {
         "engine": "aggregation",
         "trigger": "trigger",
         "driver": "driver",
@@ -256,46 +258,46 @@ class RegistryNameRule(Rule):
     }
 
     def check(self, ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
-        registry = ctx.project.registry_names
-        if not registry:
+        tables = ctx.project.component_names
+        if not tables:
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 for keyword in node.keywords:
                     yield from self._check_literal(
-                        keyword.arg, keyword.value, registry
+                        keyword.arg, keyword.value, tables
                     )
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_signature(node, registry)
+                yield from self._check_signature(node, tables)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 if isinstance(node.target, ast.Name):
                     yield from self._check_literal(
-                        node.target.id, node.value, registry
+                        node.target.id, node.value, tables
                     )
 
     # ------------------------------------------------------------------
     def _check_signature(
         self,
         node: ast.FunctionDef | ast.AsyncFunctionDef,
-        registry: dict[str, frozenset[str]],
+        tables: dict[str, frozenset[str]],
     ) -> Iterator[tuple[ast.AST, str]]:
         positional = node.args.posonlyargs + node.args.args
         for arg, default in zip(positional[::-1], node.args.defaults[::-1]):
-            yield from self._check_literal(arg.arg, default, registry)
+            yield from self._check_literal(arg.arg, default, tables)
         for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
             if default is not None:
-                yield from self._check_literal(arg.arg, default, registry)
+                yield from self._check_literal(arg.arg, default, tables)
 
     def _check_literal(
         self,
         name: str | None,
         value: ast.AST,
-        registry: dict[str, frozenset[str]],
+        tables: dict[str, frozenset[str]],
     ) -> Iterator[tuple[ast.AST, str]]:
-        if name is None or name not in self.KIND_FOR_NAME:
+        if name is None or name not in self.KEYWORD_KINDS:
             return
-        kind = self.KIND_FOR_NAME[name]
-        known = registry.get(kind)
+        kind = self.KEYWORD_KINDS[name]
+        known = tables.get(kind)
         if not known:
             return
         if (
@@ -303,10 +305,11 @@ class RegistryNameRule(Rule):
             and isinstance(value.value, str)
             and value.value not in known
         ):
+            module, table = NAME_TABLES[kind]
             yield (
                 value,
-                f"{name}={value.value!r} does not resolve against "
-                f"default_registry(); known {kind} names: "
+                f"{name}={value.value!r} is not a key of {table} "
+                f"(repro/{module}); known {kind} names: "
                 f"{', '.join(sorted(known))}",
             )
 
@@ -630,7 +633,7 @@ class TriggerStateWriteRule(Rule):
 ALL_RULES: tuple[Rule, ...] = (
     TracerGuardRule(),
     EventKindRule(),
-    RegistryNameRule(),
+    ComponentNameRule(),
     SimPathTimeRule(),
     ShmUnlinkRule(),
     JournalFirstRule(),
