@@ -326,6 +326,11 @@ class PackedView:
     ``np.mean``), ``profile`` (the array-form bound rows) and
     ``aggregate`` (the object with exactly these fields, built on first
     use and kept, so one update version builds at most one object).
+    ``joined`` is the members the emitting flush admitted to the group, in
+    membership order: every member of a group the flush reset, and a
+    member deleted and re-inserted within the flush under the object the
+    group kept.  A consumer that tracks members per group reads only these
+    between two emissions, never the whole membership.
 
     Emission fills the scalars from the group state — members, earliest
     start, duration, and the time-flexibility and deadline minima its
@@ -344,6 +349,7 @@ class PackedView:
     __slots__ = (
         "offer_id",
         "members",
+        "joined",
         "earliest_start",
         "latest_start",
         "duration",
@@ -359,12 +365,17 @@ class PackedView:
     )
 
     def __init__(
-        self, state: "GroupProfileState", arena: GroupArena, offer_id: int
+        self,
+        state: "GroupProfileState",
+        arena: GroupArena,
+        offer_id: int,
+        joined: tuple[FlexOffer, ...] = (),
     ) -> None:
         est = state.est
         latest = est + state.time_flex
         self.offer_id = offer_id
         self.members = tuple(state.members.values())
+        self.joined = joined
         self.earliest_start = est
         self.latest_start = latest
         self.duration = state.end - est
@@ -620,14 +631,20 @@ class GroupProfileState:
         """Arena offset of absolute slice 0 (segment start minus base)."""
         return self.start - self.base
 
-    def view(self, arena: GroupArena, *, eager: bool = False) -> PackedView:
-        """This group's view under a freshly drawn id.
+    def view(
+        self,
+        arena: GroupArena,
+        *,
+        eager: bool = False,
+        joined: tuple[FlexOffer, ...] = (),
+    ) -> PackedView:
+        """This group's view under a freshly drawn id, naming ``joined``.
 
         The bound rows stay in the arena until the state next mutates,
         unless ``eager`` — used when the state is about to be dropped
         (DELETED updates).
         """
-        view = PackedView(self, arena, _next_id())
+        view = PackedView(self, arena, _next_id(), joined)
         if eager:
             view.resolve()
         else:
@@ -749,14 +766,14 @@ class PackedAggregationPipeline:
         # its position (and its original contribution).  The group is still
         # touched and emits MODIFIED.  A re-insert into a *different* cell is
         # a genuine remove+add across groups.
-        retouched: list[str] = []
+        retouched: dict[str, set[int]] = {}
         for oid in [oid for oid in inserts if oid in deletes]:
             new_gid = GroupBuilder._group_id(
                 self.parameters.group_key(inserts[oid])
             )
             if self._offer_gid[oid] == new_gid:
                 del inserts[oid], deletes[oid]
-                retouched.append(new_gid)
+                retouched.setdefault(new_gid, set()).add(oid)
 
         # 2) Tombstone deleted rows (slice data remains readable for the
         # subtract sweeps below) and bucket them by their group.
@@ -820,7 +837,9 @@ class PackedAggregationPipeline:
         for gid in retouched:
             touched.setdefault(gid)
 
-        updates = self._apply(touched, removed_by_gid, added_by_gid, dead_row_of)
+        updates = self._apply(
+            touched, removed_by_gid, added_by_gid, dead_row_of, retouched
+        )
         self.pool.maybe_compact()
         self.arena.compact(self._states.values())
         return updates
@@ -832,6 +851,7 @@ class PackedAggregationPipeline:
         removed_by_gid: dict[str, list[int]],
         added_by_gid: dict[str, tuple],
         dead_row_of: dict[int, int],
+        retouched: dict[str, set[int]],
     ) -> list[AggregateUpdate]:
         """One flush over every touched group: two scatter sweeps total.
 
@@ -848,7 +868,9 @@ class PackedAggregationPipeline:
         sub_shift: list[int] = []
         add_rows: list[np.ndarray] = []
         add_shift: list[int] = []
-        emit: list[tuple[UpdateKind, str, GroupProfileState]] = []
+        emit: list[
+            tuple[UpdateKind, str, GroupProfileState, tuple[FlexOffer, ...]]
+        ] = []
 
         for gid in touched:
             removed = removed_by_gid.get(gid)
@@ -859,7 +881,7 @@ class PackedAggregationPipeline:
                 # Group emptied: the DELETED update carries the last
                 # aggregate; no subtraction, the segment is simply freed
                 # (after pass 3 copied it into the update's view).
-                emit.append((UpdateKind.DELETED, gid, state))
+                emit.append((UpdateKind.DELETED, gid, state, ()))
                 continue
             if state is None:
                 if added is None:
@@ -906,8 +928,15 @@ class PackedAggregationPipeline:
             if added is not None:
                 add_rows.append(rows)
                 add_shift.append(state.shift)
+            joined = () if added is None else tuple(added[1])
+            back = retouched.get(gid)
+            if back:
+                # Re-inserted members keep their place, ahead of the admitted.
+                joined = tuple(
+                    offer for oid, offer in state.members.items() if oid in back
+                ) + joined
             kind = UpdateKind.MODIFIED if existed else UpdateKind.CREATED
-            emit.append((kind, gid, state))
+            emit.append((kind, gid, state, joined))
 
         # Pass 2: the whole flush in two scatter sweeps.
         for parts, shifts, sign in (
@@ -935,10 +964,12 @@ class PackedAggregationPipeline:
         # Pass 3: emit a view per group (arrays are final now).  DELETED
         # states lose their segment immediately, so their views copy it now.
         updates: list[AggregateUpdate] = []
-        for kind, gid, state in emit:
+        for kind, gid, state, joined in emit:
             deleted = kind is UpdateKind.DELETED
             updates.append(
-                AggregateUpdate(kind, gid, state.view(arena, eager=deleted))
+                AggregateUpdate(
+                    kind, gid, state.view(arena, eager=deleted, joined=joined)
+                )
             )
             if deleted:
                 state.free(arena)

@@ -92,10 +92,15 @@ class AggregateUpdate:
     maintenance must not pay it for states nobody reads, so either view
     builds it only on first access to :attr:`aggregate` (and keeps it).
 
+    A packed view also names the members this flush admitted to the group
+    (``joined``), which is how the runtime binds each newcomer to its
+    group's commitment once instead of re-walking the membership.
+
     A ``DELETED`` update's view is the last aggregate that existed under
     :attr:`group_id`, under a freshly drawn ``offer_id`` like any other
-    update's; consumers (the runtime pool, the planner's kept placements)
-    drop the group by :attr:`group_id`.
+    update's; it names no joiners.  Consumers (the runtime pool and its
+    commitment books, the planner's kept placements) drop the group by
+    :attr:`group_id`.
     """
 
     kind: UpdateKind

@@ -140,7 +140,6 @@ class LedmsClient:
         self._plan_hooks: list[Callable[[PlanView], None]] = []
         self._state_hooks: list[Callable[[int, str, int], None]] = []
         self.service.plan_listeners.append(self._record_plan)
-        self.service.store.subscribe(self._record_state)
 
     # -- introspection ---------------------------------------------------
     @property
@@ -181,8 +180,12 @@ class LedmsClient:
     ) -> Callable[[int, str, int], None]:
         """Call ``callback(offer_id, state, now)`` on lifecycle transitions.
 
-        Returns the callback, so it can be used as a decorator.
+        The client subscribes to the store when the first hook registers,
+        so a node nobody listens to pays nothing per transition.  Returns
+        the callback, so it can be used as a decorator.
         """
+        if not self._state_hooks:
+            self.service.store.subscribe(self._record_state)
         self._state_hooks.append(callback)
         return callback
 

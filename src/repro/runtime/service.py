@@ -86,8 +86,40 @@ class SubmitResult:
 
 
 @dataclass(slots=True, eq=False)
+class _Cell:
+    """One aggregation group's commitment: the start shift of its last plan.
+
+    A member bound to the cell starts at ``offer.earliest_start + delta``:
+    by the §4 disaggregation guarantee a placement of the aggregate maps to
+    every member by the same shift, so a re-plan of the group moves every
+    bound member by writing ``delta`` once.  ``view_id``, ``start`` and
+    ``energies`` are the group's last local placement and ``plan`` numbers
+    the local plan that carried it: a plan that reproduces that placement
+    on the same view, straight after, commits nothing.
+    """
+
+    key: str
+    """The group id (the planner's key)."""
+    delta: int = 0
+    view_id: int = -1
+    start: int = 0
+    energies: np.ndarray | None = None
+    plan: int = -1
+
+
+@dataclass(slots=True, eq=False)
 class _LiveOffer:
-    """The service's one book entry for an admitted offer, until it retires."""
+    """The service's one book entry for an admitted offer, until it retires.
+
+    Its committed start is not stored per member: once a local plan first
+    commits the offer, the entry binds to its group's :class:`_Cell` and
+    :attr:`start` reads ``offer.earliest_start + cell.delta``.  A live
+    offer never changes groups (the group key depends only on the
+    immutable offer, and every revision is a new entry), so it binds once.
+    A remote schedule or a restored commitment detaches the entry to a
+    private start (:attr:`own`) until the group's next local commit
+    rebinds it.
+    """
 
     offer: FlexOffer
     """The accepted (possibly window-clipped) version."""
@@ -95,8 +127,23 @@ class _LiveOffer:
     """Admission count: orders offers as ``_live`` does."""
     arrival_sim: float
     arrival_wall: float
-    start: int | None = None
-    """The committed plan start; ``None`` until first committed."""
+    energy: float
+    """``max(|total_min_energy|, |total_max_energy|)``, computed once at
+    admission: what the unscheduled-energy book adds and subtracts."""
+    cell: _Cell | None = None
+    """The group's commitment cell, from the first local commitment on."""
+    own: int | None = None
+    """A private committed start that overrides the cell while set."""
+
+    @property
+    def start(self) -> int | None:
+        """The committed plan start; ``None`` until first committed."""
+        own = self.own
+        if own is None:
+            cell = self.cell
+            if cell is not None:
+                return self.offer.earliest_start + cell.delta
+        return own
 
 
 _admission_seq = operator.attrgetter("seq")
@@ -108,7 +155,7 @@ EXPIRY_SWEEP_SLICES = 4.0
 # What ``_live.get`` returns for an id that is not live: its ``offer`` is no
 # member, so the commit loop tests liveness and version with one identity
 # check.
-_GONE = _LiveOffer(None, -1, 0.0, 0.0)  # type: ignore[arg-type]
+_GONE = _LiveOffer(None, -1, 0.0, 0.0, 0.0)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -236,11 +283,14 @@ class BrpRuntimeService:
         self.plan_listeners: list[Callable[[SchedulingResult], None]] = []
         self._live: dict[int, _LiveOffer] = {}
         self._scheduled_total = 0
-        # aggregate offer_id -> (start, energies) of the last disaggregated
-        # plan.  A pool change always emits a *new* view (new offer_id), so
-        # an unchanged key proves every member's schedule is unchanged and
-        # the whole disaggregation can be skipped.
-        self._plan_cache: dict[int, tuple[int, np.ndarray]] = {}
+        # The commitment books (see _disaggregate): group id -> its cell,
+        # and group id -> the live entries that (re)bind at the group's
+        # next local commit: each flush's joiners, plus members a remote
+        # schedule or a restored commitment detached.  Both go with the
+        # group's DELETED update; ``_plans`` numbers the local plans.
+        self._cells: dict[str, _Cell] = {}
+        self._joiners: dict[str, list[_LiveOffer]] = {}
+        self._plans = 0
         self._stream_overflow: tuple[Iterable, float, FlexOffer] | None = None
         #: This tier's planner (:mod:`repro.runtime.planning`): scheduler,
         #: market, rng, kept placements and dirty key set live here.
@@ -347,11 +397,12 @@ class BrpRuntimeService:
 
     def committed_starts(self) -> dict[int, int]:
         """Offer id -> committed start of every live scheduled offer."""
-        return {
-            oid: entry.start
-            for oid, entry in self._live.items()
-            if entry.start is not None
-        }
+        starts = {}
+        for oid, entry in self._live.items():
+            start = entry.start
+            if start is not None:
+                starts[oid] = start
+        return starts
 
     @property
     def scheduled_total(self) -> int:
@@ -430,12 +481,19 @@ class BrpRuntimeService:
             result = SubmitResult(False, offer.offer_id, None, reason)
         else:
             oid = accepted.offer_id
+            energy = max(
+                abs(accepted.total_min_energy), abs(accepted.total_max_energy)
+            )
             entry = _LiveOffer(
-                accepted, next(self._admissions), self.now, time.perf_counter()
+                accepted,
+                next(self._admissions),
+                self.now,
+                time.perf_counter(),
+                energy,
             )
             self._live[oid] = entry
             self._offers_since_run += 1
-            self._unscheduled_energy += self._offer_energy(accepted)
+            self._unscheduled_energy += energy
             heapq.heappush(self._pending_heap, (self.now, oid))
             # Keyed by the *submitted* earliest start (see _sweep_pool).
             due = offer.earliest_start
@@ -624,7 +682,7 @@ class BrpRuntimeService:
                         offer_id=offer_id,
                     )
             if entry.start is None:
-                self._unscheduled_energy -= self._offer_energy(entry.offer)
+                self._unscheduled_energy -= entry.energy
             withdrawn.append(entry.offer)
         if withdrawn:
             self.ingest.retire(withdrawn, self.now_slice, "withdrawn")
@@ -653,11 +711,22 @@ class BrpRuntimeService:
         t0 = time.perf_counter()
         with self._stage("aggregate"):
             updates = self.ingest.flush(self.now_slice)
+            live = self._live.get
             for update in updates:
+                gid = update.group_id
                 if update.kind is UpdateKind.DELETED:
-                    self.pool.pop(update.group_id, None)
-                else:
-                    self.pool[update.group_id] = update
+                    self.pool.pop(gid, None)
+                    self._cells.pop(gid, None)
+                    self._joiners.pop(gid, None)
+                    continue
+                self.pool[gid] = update
+                joined = update.view.joined
+                if joined:
+                    waiting = self._joiners.setdefault(gid, [])
+                    for member in joined:
+                        entry = live(member.offer_id, _GONE)
+                        if entry.offer is member:
+                            waiting.append(entry)
             # The session accumulates the touched groups for the next
             # planning run (and drops deleted groups' placements).
             self.session.absorb(updates)
@@ -671,11 +740,6 @@ class BrpRuntimeService:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    @staticmethod
-    def _offer_energy(offer: FlexOffer) -> float:
-        """The offer's largest-magnitude total energy (trigger accounting)."""
-        return max(abs(offer.total_min_energy), abs(offer.total_max_energy))
-
     def _oldest_unscheduled_age(self) -> float:
         """Age of the oldest live unscheduled offer (lazy heap cleanup)."""
         while self._pending_heap:
@@ -811,59 +875,80 @@ class BrpRuntimeService:
         """Commit the plan to members; record latencies.
 
         Reads the plan's columns: the ``i``-th start and energies of the
-        solution belong to ``plan.views[i]``, whose members, id and
-        *unclipped* earliest start (member offsets are relative to it) are
-        all a commitment needs, so no aggregate object is built.  Only
-        member *start commitments* are derived here: the aggregate's
-        admissible start shift maps to every member as-is (the §4
-        disaggregation guarantee), and that is all the runtime's
-        lifecycle/commitment tracking consumes per re-plan.  Full per-slice
-        energy disaggregation (:func:`repro.aggregation.disaggregate`)
-        happens at dispatch time, not on every trigger — re-deriving half a
-        million member energy vectors per re-plan was the runtime's single
-        hottest path.  Re-plans whose aggregate version *and* plan are
-        unchanged are skipped outright.
+        solution belong to ``plan.views[i]``, planned under the group id
+        ``plan.keys[i]``.  Only member *start commitments* are derived
+        here: the aggregate's admissible start shift, ``start`` minus the
+        view's *unclipped* earliest start, maps to every member as-is (the
+        §4 disaggregation guarantee), and that shift is what the group's
+        :class:`_Cell` holds.  So committing a view writes one number, and
+        every member bound to the cell moves with it; no loop walks the
+        members.  The members that wait in ``_joiners`` bind: a newcomer
+        takes its first commitment here (latency observed, backlog and
+        store updated, in plan and membership order), and a member a
+        remote schedule or a restored commitment detached drops its
+        private start.  Full per-slice energy disaggregation
+        (:func:`repro.aggregation.disaggregate`) happens at dispatch time,
+        not on every trigger.  A view whose placement the previous plan
+        already committed is skipped outright.
+
+        A plan runs straight after sweep and flush, so every member of a
+        planned view is live and current, and every live member of the
+        group is either bound or waiting.  Only output walks the members:
+        with a ledger recording, the pass journals each member whose start
+        changed, and with a tracer, each member's ``aggregated_into``.
         """
-        now = self.now_slice
-        latency_sim = self.metrics.histogram("latency.e2e_slices")
-        latency_wall = self.metrics.histogram("latency.e2e_wall_seconds")
         trace = self.tracer.enabled
         members_out = 0
         skipped = 0
-        cache = self._plan_cache
-        fresh_cache: dict[int, tuple[int, np.ndarray]] = {}
-        newly_scheduled: list[FlexOffer] = []
+        self._plans += 1
+        number = self._plans
+        cells = self._cells
+        joiners = self._joiners
+        live = self._live.get
+        first: list[_LiveOffer] = []
         journal = self._pass_journal()
         recommitted: list = []
         solution = plan.result.solution
         t0 = time.perf_counter()
         with self._stage("disaggregate"):
-            for view, start, energies in zip(
-                plan.views, solution.starts.tolist(), solution.energies
+            for key, view, start, energies in zip(
+                plan.keys, plan.views, solution.starts.tolist(), solution.energies
             ):
-                fresh_cache[view.offer_id] = (start, energies)
-                prior = cache.get(view.offer_id)
-                if (
-                    prior is not None
-                    and prior[0] == start
+                cell = cells.get(key)
+                if cell is None:
+                    cell = cells[key] = _Cell(key)
+                elif (
+                    cell.plan == number - 1
+                    and cell.view_id == view.offer_id
+                    and cell.start == start
                     and (
-                        prior[1] is energies  # a kept placement's own array
-                        or prior[1].tolist() == energies.tolist()
+                        cell.energies is energies  # a kept placement's own array
+                        or cell.energies.tolist() == energies.tolist()
                     )
                 ):
                     # Same aggregate version, same plan: every member's
-                    # schedule is identical to the one already committed
-                    # and recorded.
+                    # schedule is the one already committed and recorded.
+                    cell.plan = number
+                    cell.energies = energies
                     skipped += 1
                     continue
-                self._commit_members(
-                    view.members,
-                    start - view.earliest_start,
-                    latency_sim,
-                    latency_wall,
-                    newly_scheduled,
-                    journal,
-                )
+                delta = start - view.earliest_start
+                if journal is not None:
+                    self._journal_starts(view.members, delta, journal)
+                cell.delta = delta
+                cell.view_id = view.offer_id
+                cell.start = start
+                cell.energies = energies
+                cell.plan = number
+                waiting = joiners.pop(key, None)
+                if waiting:
+                    for entry in waiting:
+                        if live(entry.offer.offer_id) is not entry:
+                            continue
+                        if entry.cell is None and entry.own is None:
+                            first.append(entry)
+                        entry.cell = cell
+                        entry.own = None
                 members_out += len(view.members)
                 if trace:
                     recommitted.append(view)
@@ -872,7 +957,7 @@ class BrpRuntimeService:
             # One store call per pass, ahead of the pass's trace events:
             # each member's "scheduled" still precedes its
             # "aggregated_into" in the event log.
-            self._record_scheduled(newly_scheduled, now)
+            self._commit_first(first)
             if trace:
                 for original in recommitted:
                     for member in original.members:
@@ -884,112 +969,89 @@ class BrpRuntimeService:
                             detail={"macro": original.offer_id},
                         )
         self._observe_stage("disaggregate", time.perf_counter() - t0)
-        self._plan_cache = fresh_cache
         self.metrics.counter("disaggregate.assignments").inc(members_out)
         self.metrics.counter("disaggregate.unchanged_skipped").inc(skipped)
         self.metrics.gauge("schedule.unique_scheduled").set(self._scheduled_total)
 
-    def _commit_members(
+    def _journal_starts(
         self,
         members: tuple[FlexOffer, ...],
         delta: int,
-        latency_sim,
-        latency_wall,
-        newly_scheduled: list[FlexOffer],
-        journal: list[tuple[int, int]] | None,
-    ) -> int:
-        """Shift every live member of one aggregate by ``delta``; the count.
+        journal: list[tuple[int, int]],
+    ) -> None:
+        """List each live current member whose start ``delta`` changes.
 
-        The one member-commit loop, for local plans and remote schedules
-        alike; it runs for every member of every re-planned aggregate on
-        every trigger, so a re-commitment with no ledger recording is one
-        lookup, one identity check and one store.  A member counts as live
-        only while ``_live``'s entry holds *this object*: the pool, ``_live``
-        and the published originals share the accepted instance, so a
-        different one under the same id is a later version (an ``update``
-        while the plan travelled) whose window the start was not chosen for,
-        and it is skipped like a retired member.
-
-        ``journal`` is the pass's list from :meth:`_pass_journal` (``None``
-        when no ledger records).  This loop calls no ledger method: a
-        member whose committed start changes adds ``(offer_id, start)`` to
-        the list, in commit order, and the pass that owns the list hands it
-        to the ledger once, right after its commit loop.  Nothing else is
-        journaled inside a pass, so the facts and their ``seq`` are those
-        of one ledger call per member.
+        An output loop, run before the pass moves any start: it appends
+        ``(offer_id, new_start)`` in membership order to the pass's list
+        from :meth:`_pass_journal`, which the pass hands to the ledger once.
+        A member counts as current only while ``_live``'s entry holds *this
+        object*; a different one under the same id is a later version.
         """
-        live_entry = self._live.get
-        skipped = 0
+        live = self._live.get
+        trace = self.tracer.enabled
         for member in members:
-            entry = live_entry(member.offer_id, _GONE)
+            entry = live(member.offer_id, _GONE)
             if entry.offer is not member:
-                skipped += 1
-            elif journal is not None or entry.start is None:
-                self._commit_member(
-                    entry,
-                    member.earliest_start + delta,
-                    latency_sim,
-                    latency_wall,
-                    newly_scheduled,
-                    journal,
-                )
-            else:
-                entry.start = member.earliest_start + delta
-        return len(members) - skipped
+                continue
+            start = member.earliest_start + delta
+            if entry.start != start:
+                # Every change to a committed plan start is a durable fact —
+                # what makes committed schedules survive a crash or outage.
+                journal.append((member.offer_id, start))
+                if trace:
+                    self.tracer.record(
+                        "ledger_append", node=self.name, fact="scheduled",
+                        offer_id=member.offer_id, detail={"start": start},
+                    )
 
     def _pass_journal(self) -> list[tuple[int, int]] | None:
         """A fresh list for one pass's changed plan starts; ``None`` when
         no ledger records them.
 
         The pass that asks for it (:meth:`_disaggregate`,
-        :meth:`apply_remote_schedule`) owns it: it threads it through its
-        commit loop, journals it with one ``record_scheduled`` call and
-        lets it go when it returns.  That call stamps every fact with the
-        instant the commit loop ended — the instant each was committed on
+        :meth:`apply_remote_schedule`) owns it: it fills it through
+        :meth:`_journal_starts`, journals it with one ``record_scheduled``
+        call and lets it go when it returns.  That call stamps every fact
+        with the instant the pass ended — the instant each was committed on
         a simulated driver, where time stands still inside a pass; under a
         wall-clock driver a pass's facts share that one ``at``.
         """
         led = self.ledger
         return [] if led is not None and led.recording else None
 
-    def _commit_member(
-        self,
-        entry: _LiveOffer,
-        start: int,
-        latency_sim,
-        latency_wall,
-        newly_scheduled: list[FlexOffer],
-        journal: list[tuple[int, int]] | None,
-    ) -> None:
-        """Commit one live member the long way (see :meth:`_commit_members`).
+    def _commit_first(self, entries: list[_LiveOffer]) -> None:
+        """One pass's first commitments by a plan, in commit order.
 
-        Taken for a member's first commitment and whenever a ledger is
-        recording.  A member scheduled for the first time is appended to
-        ``newly_scheduled``; the caller records those lifecycle facts in one
-        batch (:meth:`_record_scheduled`).
+        Each offer leaves the unscheduled backlog and its end-to-end
+        latencies are observed; then the pass records every ``scheduled``
+        transition in one store call.
         """
-        member = entry.offer
-        oid = member.offer_id
-        if journal is not None and entry.start != start:
-            # Every change to a committed plan start is a durable fact —
-            # what makes committed schedules survive a crash or outage.
-            journal.append((oid, start))
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "ledger_append", node=self.name, fact="scheduled",
-                    offer_id=oid, detail={"start": start},
-                )
-        if entry.start is None:
-            self._mark_scheduled(entry)
-            latency_sim.observe(self.now - entry.arrival_sim)
-            latency_wall.observe(time.perf_counter() - entry.arrival_wall)
-            newly_scheduled.append(member)
-        entry.start = start
+        if not entries:
+            return
+        now = self.now
+        observe_sim = self.metrics.histogram("latency.e2e_slices").observe
+        observe_wall = self.metrics.histogram("latency.e2e_wall_seconds").observe
+        clock = time.perf_counter
+        backlog = self._unscheduled_energy
+        for entry in entries:
+            backlog -= entry.energy
+            observe_sim(now - entry.arrival_sim)
+            observe_wall(clock() - entry.arrival_wall)
+        self._unscheduled_energy = backlog
+        self._scheduled_total += len(entries)
+        self._record_scheduled([entry.offer for entry in entries], self.now_slice)
 
-    def _mark_scheduled(self, entry: _LiveOffer) -> None:
-        """A live offer's first commitment: it leaves the unscheduled backlog."""
-        self._scheduled_total += 1
-        self._unscheduled_energy -= self._offer_energy(entry.offer)
+    def _detach(self, entry: _LiveOffer, start: int) -> None:
+        """Give a live entry the private start ``start``.
+
+        A bound entry leaves its cell's shift and waits to rebind at its
+        group's next local commit; an entry that never bound already waits
+        there as a joiner.
+        """
+        cell = entry.cell
+        if cell is not None and entry.own is None:
+            self._joiners.setdefault(cell.key, []).append(entry)
+        entry.own = start
 
     def restore_commitment(self, offer_id: int, start: int) -> bool:
         """Re-instate a journaled plan start on a live offer; False if not live.
@@ -997,13 +1059,16 @@ class BrpRuntimeService:
         Projection recovery's seam: the start comes from the ledger, so
         nothing is journaled and no latency is observed — the offer is
         simply scheduled again, in this service's books and in the store.
+        The start is a private one: the group's next local commit rebinds
+        the offer like a joiner, without a first commitment.
         """
         entry = self._live.get(offer_id)
         if entry is None:
             return False
         if entry.start is None:
-            self._mark_scheduled(entry)
-        entry.start = start
+            self._scheduled_total += 1
+            self._unscheduled_energy -= entry.energy
+        self._detach(entry, start)
         self._record_scheduled([entry.offer], self.now_slice)
         return True
 
@@ -1022,9 +1087,15 @@ class BrpRuntimeService:
         :attr:`last_plan_originals`); its admissible start shift maps to
         every member as-is (the §4 disaggregation guarantee), and those
         start commitments replace whatever the local plan had committed —
-        the TSO's system-wide placement wins.  Like the local
-        `_disaggregate` path, only start commitments are derived here;
-        per-slice energy disaggregation
+        the TSO's system-wide placement wins.  The published aggregate may
+        be older than the group's current view, so this pass walks the
+        members: each live current one is detached to a private start
+        (a first commitment if it had none) and rebinds to its group's
+        cell at the group's next local commit.  When the macro is the view
+        the group's cell last committed, that commit happens even if the
+        next plan reproduces the same placement.  Like the local
+        :meth:`_disaggregate` path, only start commitments are derived
+        here; per-slice energy disaggregation
         (:func:`repro.aggregation.disaggregate`) stays a dispatch-time
         concern.  Members that retired, or were replaced by an ``update``,
         while the plan travelled are skipped.  Returns the number of
@@ -1036,27 +1107,32 @@ class BrpRuntimeService:
                 f"remote schedule for offer {aggregate.offer_id} is not an "
                 "aggregated flex-offer"
             )
-        now = self.now_slice
-        latency_sim = self.metrics.histogram("latency.e2e_slices")
-        latency_wall = self.metrics.histogram("latency.e2e_wall_seconds")
         trace = self.tracer.enabled
-        newly_scheduled: list[FlexOffer] = []
+        first: list[_LiveOffer] = []
         journal = self._pass_journal()
+        delta = scheduled.start - aggregate.earliest_start
+        committed = 0
+        live = self._live.get
         with self._stage("remote_commit"):
-            committed = self._commit_members(
-                aggregate.members,
-                scheduled.start - aggregate.earliest_start,
-                latency_sim,
-                latency_wall,
-                newly_scheduled,
-                journal,
-            )
+            if journal is not None:
+                self._journal_starts(aggregate.members, delta, journal)
+            for member in aggregate.members:
+                entry = live(member.offer_id, _GONE)
+                if entry.offer is not member:
+                    continue
+                committed += 1
+                if entry.start is None:
+                    first.append(entry)
+                cell = entry.cell
+                if cell is not None and cell.view_id == aggregate.offer_id:
+                    cell.view_id = -1
+                self._detach(entry, member.earliest_start + delta)
             if journal:
                 self.ledger.record_scheduled(journal, at=self.now)
-            self._record_scheduled(newly_scheduled, now)
+            self._commit_first(first)
             if trace:
                 for member in aggregate.members:
-                    if self._live.get(member.offer_id, _GONE).offer is member:
+                    if live(member.offer_id, _GONE).offer is member:
                         self.tracer.record(
                             "offer",
                             node=self.name,
@@ -1073,10 +1149,6 @@ class BrpRuntimeService:
                 state="macro_commit",
                 detail={"members": committed},
             )
-        # A remote commitment supersedes the cached local plan for this
-        # aggregate: the next local re-plan must re-commit the members even
-        # when it reproduces the same placement.
-        self._plan_cache.pop(aggregate.offer_id, None)
         self.metrics.counter("cluster.remote_commits").inc(committed)
         return committed
 
@@ -1137,8 +1209,9 @@ class BrpRuntimeService:
         for entry in armed.values():
             offer = entry.offer
             window_closed = offer.latest_start < now
-            if entry.start is not None:
-                if window_closed or entry.start < now:
+            start = entry.start
+            if start is not None:
+                if window_closed or start < now:
                     executed_entries.append(entry)
             elif window_closed or (
                 offer.assignment_before is not None
@@ -1159,8 +1232,8 @@ class BrpRuntimeService:
             )
         self.ingest.retire(executed, now_slice, "executed")
         self.ingest.retire(expired, now_slice, "expired")
-        for offer in expired:
-            self._unscheduled_energy -= self._offer_energy(offer)
+        for entry in expired_entries:
+            self._unscheduled_energy -= entry.energy
         for offer in (*executed, *expired):
             oid = offer.offer_id
             del live[oid]

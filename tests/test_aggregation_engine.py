@@ -225,6 +225,43 @@ class TestPackedErrorSemantics:
         assert pipe.input_count == 0
 
 
+def test_packed_views_name_the_members_each_flush_joined():
+    pipe = make_pipeline(AggregationParameters(0, 0), engine="packed")
+
+    def offers(n):
+        return [flex_offer([(1, 2)], earliest_start=0, latest_start=4) for _ in range(n)]
+
+    def flush():
+        (update,) = pipe.run()
+        return update
+
+    a, b, c = offers(3)
+    pipe.submit_inserts([a, b])
+    assert flush().view.joined == (a, b)
+    # A later flush names only its newcomers, after the kept members.
+    pipe.submit_inserts([c])
+    pipe.submit_deletes([a])
+    update = flush()
+    assert update.view.members == (b, c) and update.view.joined == (c,)
+    # A member deleted and re-inserted within a flush keeps its place and
+    # its object, and counts as joined.
+    d, b_again = offers(1)[0], replace(b)
+    pipe.submit_deletes([b])
+    pipe.submit_inserts([b_again, d])
+    update = flush()
+    assert update.view.members == (b, c, d) and update.view.joined == (b, d)
+    # Emptied and refilled in one flush: every member joined.
+    e = offers(1)[0]
+    pipe.submit_deletes([b, c, d])
+    pipe.submit_inserts([e])
+    update = flush()
+    assert update.kind is UpdateKind.MODIFIED and update.view.joined == (e,)
+    # A deleted group names nobody.
+    pipe.submit_deletes([e])
+    update = flush()
+    assert update.kind is UpdateKind.DELETED and update.view.joined == ()
+
+
 # ----------------------------------------------------------------------
 # packed pool mechanics
 # ----------------------------------------------------------------------

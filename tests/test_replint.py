@@ -617,6 +617,38 @@ class TestTriggerStateWrite:
         )
         assert rule_ids(findings) == ["REP009"] and len(findings) == 3
 
+    def test_flags_foreign_commitment_cell_writes(self, tmp_path):
+        # Rebinding members or dropping a group's cell from outside the
+        # service, instead of letting its flush and plans do it.
+        findings = lint_snippet(
+            tmp_path,
+            "src/repro/ledger/mod.py",
+            """
+            def rebind(service, gid, entry):
+                service._joiners.setdefault(gid, []).append(entry)
+                service._joiners[gid] = [entry]
+                service._cells.pop(gid, None)
+                del service._cells[gid]
+            """,
+        )
+        assert rule_ids(findings) == ["REP009"]
+        assert sorted(f.line for f in findings) == [3, 4, 5, 6]
+
+    def test_own_commitment_cell_writes_pass(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "src/repro/runtime/mod.py",
+            """
+            class Node:
+                def flush(self, gid, entry, other):
+                    self._joiners.setdefault(gid, []).append(entry)
+                    self._cells.pop(gid, None)
+                    del self._joiners[gid]
+                    return other._cells.get(gid), len(other._joiners)
+            """,
+        )
+        assert findings == []
+
     def test_own_commitment_bookkeeping_passes(self, tmp_path):
         findings = lint_snippet(
             tmp_path,

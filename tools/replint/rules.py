@@ -543,21 +543,26 @@ class SwallowedExceptionRule(Rule):
 class TriggerStateWriteRule(Rule):
     """REP009: scheduling cadence state mutates only behind its owning seam.
 
-    Three families of state drive the closed loop and must have exactly one
+    Four families of state drive the closed loop and must have exactly one
     writer each:
 
     * a service's run cadence (``_last_run_time`` / ``_offers_since_run``)
       belongs to the service itself — outside callers go through
       ``BrpRuntimeService.scheduling_suspended()`` instead of reaching in
       (a raw write silently disarms or re-arms the trigger cooldown);
-    * a service's commitment books (``_live``, whose entries carry each
-      offer's committed start, / ``_scheduled_total`` /
+    * a service's commitment books (``_live``, whose entries bind to their
+      group's commitment cell, / ``_scheduled_total`` /
       ``_unscheduled_energy``) move together or the triggers read a
       backlog that is not there —
       outside callers go through ``submit``/``withdraw``/
       ``restore_commitment``; assignments, subscript stores, ``del`` and
       mutating calls (``.add``/``.pop``/…) on another object's books all
       count as writes;
+    * the cells themselves (``_cells``) and the entries waiting to bind
+      to them (``_joiners``: each flush's newcomers and the members a
+      remote schedule detached) change only with the pool and the plans
+      that fill them — outside callers go through ``run_aggregation``/
+      ``restore_commitment``/``apply_remote_schedule``;
     * adaptive trigger thresholds — ``AdaptiveTrigger``'s
       ``count_threshold`` / ``max_age_slices``, as *attribute* targets —
       change only inside the controller's ``observe`` seam in
@@ -577,6 +582,10 @@ class TriggerStateWriteRule(Rule):
         **dict.fromkeys(
             ("_live", "_scheduled_total", "_unscheduled_energy"),
             "submit()/withdraw()/restore_commitment()",
+        ),
+        **dict.fromkeys(
+            ("_cells", "_joiners"),
+            "run_aggregation()/restore_commitment()/apply_remote_schedule()",
         ),
     }
     _MUTATORS = frozenset(
