@@ -8,10 +8,12 @@ The library implements the full LEDMS node stack described in the paper:
 * :mod:`repro.core` — flex-offers, time axis, time series, schedules
 * :mod:`repro.aggregation` — incremental flex-offer aggregation (§4)
 * :mod:`repro.forecasting` — HWT/EGRV models, estimators, maintenance (§5)
-* :mod:`repro.scheduling` — cost model, greedy & delta schedulers (§6)
+* :mod:`repro.scheduling` — cost model, the randomized greedy planner, an
+  exact MILP oracle (§6)
 * :mod:`repro.negotiation` — flexibility pricing and acceptance (§7)
 * :mod:`repro.datamgmt` — dimensional (star/snowflake) data store (§3)
-* :mod:`repro.node` — the message bus between nodes, prosumer device models
+* :mod:`repro.node` — the messages the cluster runtime's BRPs and TSO
+  exchange over its bus, prosumer device models
 * :mod:`repro.runtime` — streaming service loop: event-driven ingest,
   incremental aggregation, triggered scheduling, load generation
 * :mod:`repro.datagen` — synthetic workloads standing in for the paper's data

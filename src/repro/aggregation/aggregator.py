@@ -357,8 +357,8 @@ def disaggregate(scheduled: ScheduledFlexOffer) -> list[ScheduledFlexOffer]:
 
     # Per member ``lo + f * (hi - lo)`` over its bound arrays: the IEEE
     # operations of ``c.min_energy + f * c.energy_flexibility`` per
-    # constraint, so the same bits, and a member in array form (a macro
-    # under a TSO super) never builds its constraint objects.
+    # constraint, so the same bits, and no member builds its constraint
+    # objects.
     out: list[ScheduledFlexOffer] = []
     for member, offset in zip(aggregate.members, aggregate.offsets):
         profile = member.profile

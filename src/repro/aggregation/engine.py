@@ -323,7 +323,7 @@ class PackedView:
     ``earliest_start``, ``latest_start``, ``duration``,
     ``assignment_before`` (the tightest member deadline, capped at
     ``latest_start``), ``unit_price`` (the members' mean, bit for bit
-    ``np.mean``), ``profile`` (the array-form bound rows) and
+    ``np.mean``), ``profile`` (the bound rows) and
     ``aggregate`` (the object with exactly these fields, built on first
     use and kept, so one update version builds at most one object).
     ``joined`` is the members the emitting flush admitted to the group, in

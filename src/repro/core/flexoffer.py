@@ -85,21 +85,6 @@ class EnergyConstraint:
         """Whether ``energy`` lies within the bounds (with tolerance)."""
         return self.min_energy - tol <= energy <= self.max_energy + tol
 
-    def clamp(self, energy: float) -> float:
-        """Project ``energy`` onto the admissible range."""
-        return min(max(energy, self.min_energy), self.max_energy)
-
-    def scaled(self, factor: float) -> "EnergyConstraint":
-        """Constraint with both bounds multiplied by a non-negative factor."""
-        if factor < 0:
-            raise InvalidFlexOfferError("scaling factor must be non-negative")
-        return EnergyConstraint(self.min_energy * factor, self.max_energy * factor)
-
-    def __add__(self, other: "EnergyConstraint") -> "EnergyConstraint":
-        return EnergyConstraint(
-            self.min_energy + other.min_energy, self.max_energy + other.max_energy
-        )
-
 
 def _bound_error(min_energy: float, max_energy: float) -> InvalidFlexOfferError:
     """The one error for a slice that breaks the bounds rule.
@@ -123,85 +108,75 @@ _set_min = EnergyConstraint.min_energy.__set__  # type: ignore[attr-defined]
 _set_max = EnergyConstraint.max_energy.__set__  # type: ignore[attr-defined]
 
 
-def _constraints_of(pairs: Iterable[tuple[float, float]]) -> list[EnergyConstraint]:
-    """The constraints of bound pairs that already passed the bounds rule.
-
-    Each :class:`EnergyConstraint` is allocated and its two slots set
-    directly, without the per-object ``__init__``/``__post_init__`` calls —
-    the same object the constructor builds, at half the cost.
-    """
-    items = []
-    for lo, hi in pairs:
-        constraint = _new(EnergyConstraint)
-        _set_min(constraint, lo)
-        _set_max(constraint, hi)
-        items.append(constraint)
-    return items
-
-
 class Profile:
-    """An immutable sequence of :class:`EnergyConstraint`, one per slice.
+    """A flex-offer's energy profile: one ``[min_energy, max_energy]`` range
+    per slice, stored as two bound columns.
 
-    Each entry spans exactly one slice of the time axis; devices whose
-    operation covers several slices simply repeat constraints (a 2 h washing
-    cycle on a 15-min axis is a profile of 8 slices).
+    Each slice spans exactly one slice of the time axis; devices whose
+    operation covers several slices simply repeat their bounds (a 2 h
+    washing cycle on a 15-min axis is a profile of 8 slices).
 
-    One class with two storage forms behind one surface: ``len``, indexing,
-    slicing (which returns a plain tuple), iteration, ``==`` and ``hash``
-    equal to the tuple of its constraints, that tuple's ``repr``, pickling.
+    The storage is two read-only float64 arrays, :attr:`min_array` and
+    :attr:`max_array`, and the two energy totals summed from their Python
+    floats.  Every constructor sets all four: the constructor from
+    :class:`EnergyConstraint` objects, :meth:`from_bounds`,
+    :meth:`from_arrays` and :meth:`constant` — so equal floats give equal
+    arrays and bit-identical totals whichever one built the profile.  The
+    packed pool, the planner, the shared-memory codec and disaggregation
+    read only these.
 
-    * *Item form* holds the constraint tuple.  The constructor and
-      :meth:`from_bounds` build it — every micro offer.
-    * *Array form* holds the two read-only bound arrays.
-      :meth:`from_arrays` builds it — every aggregate and every macro
-      decoded from shared memory.  The planner, the TSO's disaggregation
-      and the shared-memory encoder read only the arrays, so the runtime
-      never builds an aggregate's per-slice objects.
+    The profile also behaves as the tuple of its constraints: ``len``,
+    indexing, slicing (which returns a plain tuple), iteration, ``==`` and
+    ``hash`` equal to that tuple's, and its ``repr``.  That tuple is built
+    from the arrays' Python floats on the first iteration or indexing, then
+    kept; the runtime never asks for it.  Pickling goes through
+    :meth:`from_arrays`.
 
-    Each form derives the other on first use and caches it; both hold the
-    same Python floats, so every derived view is bit for bit the one the
-    other form gives.  The bound views (:meth:`min_energies` /
-    :meth:`max_energies`, :attr:`min_array` / :attr:`max_array`) and the
-    energy totals are cached on first access: they are hit on every
-    aggregate build, every cost-engine pack and every lifecycle fact.
-
-    The storage, the arrays and the two bound totals live in slots, and
-    :attr:`duration` is one of them, so reading it costs no Python call.
-    The rarer caches (the energy tuples, the flexibility total, the
-    scheduler's kernel template) live in an instance dict that exists only
-    once one of them is written: a micro offer's profile never gets one on
-    the runtime path.
+    Every field is a slot, so reading a bound array, a total or
+    :attr:`duration` costs no Python call.  The scheduler's kernel template
+    lives in an instance dict that exists only once it is written.
     """
 
     __slots__ = {
         "duration": "Number of slices the profile spans.",
-        "_items": "The constraint tuple (None until derived, in array form).",
-        "_lo": "Read-only lower-bound array (None until derived, in item form).",
-        "_hi": "Read-only upper-bound array (None until derived, in item form).",
-        "_totals": "``(total_min, total_max)`` once computed, else None.",
-        "__dict__": "The rarer caches, created on first write.",
+        "min_array": "Read-only float64 array of the lower bounds (kWh).",
+        "max_array": "Read-only float64 array of the upper bounds (kWh).",
+        "total_min_energy": "Sum of the lower bounds (kWh).",
+        "total_max_energy": "Sum of the upper bounds (kWh).",
+        "_items": "The constraint tuple once iterated or indexed, else None.",
+        "__dict__": "The scheduler's kernel template, created on first write.",
     }
 
     duration: int
+    min_array: np.ndarray
+    max_array: np.ndarray
+    total_min_energy: float
+    total_max_energy: float
 
     def __init__(self, slices: Iterable[EnergyConstraint]) -> None:
         items = tuple(slices)
-        if not items:
-            raise InvalidFlexOfferError("a profile must contain at least one slice")
         for s in items:
             if not isinstance(s, EnergyConstraint):
                 raise InvalidFlexOfferError(
                     f"profile slices must be EnergyConstraint, got {type(s).__name__}"
                 )
-        self._hold(items, None, None)
+        self._hold(
+            np.array([s.min_energy for s in items], dtype=float),
+            np.array([s.max_energy for s in items], dtype=float),
+        )
 
-    def _hold(self, items, lo, hi) -> None:
-        """Set the storage slots: one form given, the other ``None``."""
-        self._items = items
-        self.duration = len(items) if lo is None else len(lo)
-        self._lo = lo
-        self._hi = hi
-        self._totals = None
+    def _hold(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Set the storage from two bound columns that obey the bounds rule."""
+        if not lo.shape[0]:
+            raise InvalidFlexOfferError("a profile must contain at least one slice")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        self.duration = lo.shape[0]
+        self.min_array = lo
+        self.max_array = hi
+        self.total_min_energy = sum(lo.tolist())
+        self.total_max_energy = sum(hi.tolist())
+        self._items = None
 
     @classmethod
     def from_bounds(
@@ -209,32 +184,22 @@ class Profile:
     ) -> "Profile":
         """Build a profile from ``(min_energy, max_energy)`` pairs.
 
-        Skips the per-item type validation of the constructor — every item
-        is an :class:`EnergyConstraint` built right here (ingest builds one
-        per offer slice, so the check is pure overhead).  The bounds rule
-        runs once per pair, then :meth:`_from_checked` builds the slices.
+        The bounds rule runs once per pair, then the pairs become the two
+        bound columns; no :class:`EnergyConstraint` is built.
         """
         pairs = list(bounds)
         neg_inf, inf = _NEG_INF, _INF
         for lo, hi in pairs:
             if not neg_inf < lo <= hi < inf:
                 raise _bound_error(lo, hi)
-        return cls._from_checked(pairs)
-
-    @classmethod
-    def _from_checked(cls, pairs: Iterable[tuple[float, float]]) -> "Profile":
-        """The item-form profile of bound pairs that already passed the
-        bounds rule (see :func:`_constraints_of`)."""
-        items = _constraints_of(pairs)
-        if not items:
-            raise InvalidFlexOfferError("a profile must contain at least one slice")
-        profile = _new(cls)
-        profile._hold(tuple(items), None, None)
-        return profile
+        lows, highs = zip(*pairs) if pairs else ((), ())
+        return cls._from_checked_arrays(
+            np.array(lows, dtype=float), np.array(highs, dtype=float)
+        )
 
     @classmethod
     def from_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> "Profile":
-        """The array-form profile of two bound columns.
+        """The profile of two bound columns.
 
         ``lo`` and ``hi`` must be equal-length, non-empty, 1-D float64.  The
         bounds rule runs eagerly, in four numpy calls and no arithmetic:
@@ -243,13 +208,10 @@ class Profile:
         below ``inf`` — so every bound is finite.  A violation raises the
         error :class:`EnergyConstraint` raises, for the first bad slice.
 
-        No :class:`EnergyConstraint` is built and nothing is converted to
-        Python floats: the arrays *are* the profile — made read-only, not
-        copied — until something iterates or indexes it, which derives the
-        constraint tuple once (from the arrays' Python floats, so it equals
-        what :meth:`from_bounds` builds from them).  The caller hands the
-        arrays over and must not write to them afterwards (aggregate builds
-        and the shared-memory macro decode pass their own fresh copies).
+        The arrays *are* the profile: made read-only, not copied.  The
+        caller hands them over and must not write to them afterwards
+        (aggregate builds and the shared-memory macro decode pass their own
+        fresh copies).
         """
         if not (
             lo.dtype == hi.dtype == np.float64
@@ -274,33 +236,49 @@ class Profile:
 
     @classmethod
     def _from_checked_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> "Profile":
-        """The array-form profile of bound columns that already obey the
-        bounds rule — :meth:`from_arrays` without its checks, for columns
+        """:meth:`from_arrays` without its bounds checks, for columns
         ordered and finite by construction (an aggregation engine's sums of
         admitted offers' bounds, ``hi`` raised to ``lo`` slice by slice)."""
-        lo.setflags(write=False)
-        hi.setflags(write=False)
         profile = _new(cls)
-        profile._hold(None, lo, hi)
+        profile._hold(lo, hi)
         return profile
 
     @classmethod
     def constant(cls, n_slices: int, min_energy: float, max_energy: float) -> "Profile":
-        """A flat profile of ``n_slices`` identical constraints."""
+        """A flat profile of ``n_slices`` identical bounds."""
         if n_slices <= 0:
             raise InvalidFlexOfferError("n_slices must be positive")
-        return cls(EnergyConstraint(min_energy, max_energy) for _ in range(n_slices))
+        if not _NEG_INF < min_energy <= max_energy < _INF:
+            raise _bound_error(min_energy, max_energy)
+        return cls._from_checked_arrays(
+            np.full(n_slices, min_energy, dtype=float),
+            np.full(n_slices, max_energy, dtype=float),
+        )
+
+    @property
+    def total_energy_flexibility(self) -> float:
+        """Sum of per-slice energy flexibilities (kWh)."""
+        return sum((self.max_array - self.min_array).tolist())
 
     # ------------------------------------------------------------------
-    # the sequence surface (derives the item form of an array profile)
+    # the sequence surface (builds the constraint tuple on first use)
     # ------------------------------------------------------------------
     def _constraints(self) -> tuple[EnergyConstraint, ...]:
-        """The constraint tuple; derived from the arrays once, then kept."""
+        """The constraint tuple, built from the arrays once, then kept.
+
+        Each :class:`EnergyConstraint` is allocated and its two slots set
+        directly: the bounds already passed the bounds rule, so the
+        per-object ``__init__``/``__post_init__`` calls are skipped.
+        """
         items = self._items
         if items is None:
-            items = self._items = tuple(
-                _constraints_of(zip(self._lo.tolist(), self._hi.tolist()))
-            )
+            built = []
+            for lo, hi in zip(self.min_array.tolist(), self.max_array.tolist()):
+                constraint = _new(EnergyConstraint)
+                _set_min(constraint, lo)
+                _set_max(constraint, hi)
+                built.append(constraint)
+            items = self._items = tuple(built)
         return items
 
     def __len__(self) -> int:
@@ -326,115 +304,7 @@ class Profile:
         return repr(self._constraints())
 
     def __reduce__(self):
-        if self._items is not None:
-            return (type(self), (self._items,))
-        return (type(self).from_arrays, (self._lo, self._hi))
-
-    # ------------------------------------------------------------------
-    # bound views (derive the array form of an item profile)
-    # ------------------------------------------------------------------
-    def _cache_bounds(self) -> None:
-        """Fill an item profile's bound arrays and totals, one pass per bound.
-
-        Iterates the stored tuple directly; ``np.array`` and ``sum`` over
-        each bound's list give bit for bit what ``np.fromiter`` and ``sum``
-        over a generator give.
-        """
-        items = self._items
-        lows = [s.min_energy for s in items]
-        highs = [s.max_energy for s in items]
-        lo = np.array(lows, dtype=float)
-        lo.setflags(write=False)
-        hi = np.array(highs, dtype=float)
-        hi.setflags(write=False)
-        self._lo = lo
-        self._hi = hi
-        self._totals = (sum(lows), sum(highs))
-
-    def _bound_totals(self) -> tuple[float, float]:
-        """``(total_min, total_max)``, filled on first use.
-
-        An array profile sums its arrays' Python floats: the totals an item
-        profile of the same floats gives.
-        """
-        if self._lo is None:
-            self._cache_bounds()
-        else:
-            self._totals = (sum(self._lo.tolist()), sum(self._hi.tolist()))
-        return self._totals
-
-    @property
-    def total_min_energy(self) -> float:
-        """Sum of lower bounds (kWh; cached with :attr:`min_array`)."""
-        totals = self._totals
-        if totals is None:
-            totals = self._bound_totals()
-        return totals[0]
-
-    @property
-    def total_max_energy(self) -> float:
-        """Sum of upper bounds (kWh; cached with :attr:`max_array`)."""
-        totals = self._totals
-        if totals is None:
-            totals = self._bound_totals()
-        return totals[1]
-
-    @property
-    def total_energy_flexibility(self) -> float:
-        """Sum of per-slice energy flexibilities (kWh; cached)."""
-        cached = self.__dict__.get("_total_energy_flexibility")
-        if cached is None:
-            if self._items is None:
-                cached = sum((self._hi - self._lo).tolist())
-            else:
-                cached = sum(s.energy_flexibility for s in self._items)
-            self.__dict__["_total_energy_flexibility"] = cached
-        return cached
-
-    def min_energies(self) -> tuple[float, ...]:
-        """Lower bounds as a tuple (cached)."""
-        cached = self.__dict__.get("_min_energies")
-        if cached is None:
-            if self._items is None:
-                cached = tuple(self._lo.tolist())
-            else:
-                cached = tuple(s.min_energy for s in self._items)
-            self.__dict__["_min_energies"] = cached
-        return cached
-
-    def max_energies(self) -> tuple[float, ...]:
-        """Upper bounds as a tuple (cached)."""
-        cached = self.__dict__.get("_max_energies")
-        if cached is None:
-            if self._items is None:
-                cached = tuple(self._hi.tolist())
-            else:
-                cached = tuple(s.max_energy for s in self._items)
-            self.__dict__["_max_energies"] = cached
-        return cached
-
-    @property
-    def min_array(self) -> np.ndarray:
-        """Read-only float64 array of the lower bounds (cached with the total)."""
-        lo = self._lo
-        if lo is None:
-            self._cache_bounds()
-            lo = self._lo
-        return lo
-
-    @property
-    def max_array(self) -> np.ndarray:
-        """Read-only float64 array of the upper bounds (cached with the total)."""
-        hi = self._hi
-        if hi is None:
-            self._cache_bounds()
-            hi = self._hi
-        return hi
-
-    @property
-    def bounds_cached(self) -> bool:
-        """Whether :attr:`min_array` / :attr:`max_array` exist already."""
-        return self._lo is not None
+        return (type(self).from_arrays, (self.min_array, self.max_array))
 
 
 @dataclass(frozen=True, slots=True)
@@ -538,12 +408,12 @@ class FlexOffer:
 
     @property
     def min_array(self) -> np.ndarray:
-        """Per-slice minimum energies as a cached read-only array."""
+        """Per-slice minimum energies: the profile's read-only array."""
         return self.profile.min_array
 
     @property
     def max_array(self) -> np.ndarray:
-        """Per-slice maximum energies as a cached read-only array."""
+        """Per-slice maximum energies: the profile's read-only array."""
         return self.profile.max_array
 
     def start_times(self) -> Iterator[int]:

@@ -62,37 +62,19 @@ class ScheduledFlexOffer:
                 f"got {len(values)} energies for a "
                 f"{self.offer.duration}-slice profile"
             )
-        # Containment check: vectorized over the profile's bound arrays
-        # when they exist (an array-form profile, or an item-form one whose
-        # energy totals were read, which fill the arrays in the same pass);
-        # plain per-slice arithmetic otherwise, which beats a cold cache
-        # fill.  Both apply the same 1e-9 tolerance, reject ``nan`` and
-        # report the first bad slice.  The schedules a planning pass
-        # returns do not come through here: ``SchedulingProblem.
-        # to_schedule`` applies :func:`outside_bounds` to all of its
-        # assignments at once and builds them with :meth:`_from_checked`,
-        # constructing them one by one only to raise this method's error.
+        # The schedules a planning pass returns do not come through here:
+        # ``SchedulingProblem.to_schedule`` applies :func:`outside_bounds`
+        # to all of its assignments at once and builds them with
+        # :meth:`_from_checked`, constructing them one by one only to raise
+        # this method's error.
         profile = self.offer.profile
-        if profile.bounds_cached:
-            bad = outside_bounds(values, profile.min_array, profile.max_array)
-            violation = (
-                int(bad.argmax()) if np.logical_or.reduce(bad) else None
-            )
-        else:
-            violation = next(
-                (
-                    i
-                    for i, (energy, constraint) in enumerate(zip(self.energies, profile))
-                    if not constraint.contains(energy)
-                ),
-                None,
-            )
-        if violation is not None:
-            constraint = profile[violation]
+        bad = outside_bounds(values, profile.min_array, profile.max_array)
+        if np.logical_or.reduce(bad):
+            i = int(bad.argmax())
             raise InvalidScheduleError(
-                f"energy {self.energies[violation]} outside "
-                f"[{constraint.min_energy}, {constraint.max_energy}] "
-                f"in slice {violation} of offer {self.offer.offer_id}"
+                f"energy {self.energies[i]} outside "
+                f"[{float(profile.min_array[i])}, {float(profile.max_array[i])}] "
+                f"in slice {i} of offer {self.offer.offer_id}"
             )
 
     @classmethod
@@ -134,7 +116,7 @@ class ScheduledFlexOffer:
     def at_minimum(cls, offer: FlexOffer, start: int | None = None) -> "ScheduledFlexOffer":
         """Schedule at the lower energy bounds (earliest start by default)."""
         s = offer.earliest_start if start is None else start
-        return cls(offer, s, offer.profile.min_energies())
+        return cls(offer, s, offer.profile.min_array)
 
     @classmethod
     def at_fraction(
@@ -144,10 +126,8 @@ class ScheduledFlexOffer:
         if not 0.0 <= fraction <= 1.0:
             raise InvalidScheduleError(f"fraction {fraction} outside [0, 1]")
         s = offer.earliest_start if start is None else start
-        energies = tuple(
-            c.min_energy + fraction * c.energy_flexibility for c in offer.profile
-        )
-        return cls(offer, s, energies)
+        lo, hi = offer.profile.min_array, offer.profile.max_array
+        return cls(offer, s, lo + fraction * (hi - lo))
 
 
 @dataclass

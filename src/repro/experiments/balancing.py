@@ -235,7 +235,7 @@ def fallback_execution(offer: FlexOffer) -> ScheduledFlexOffer:
     charging power for consumption, full output (the *minimum*, energies
     being negative) for production."""
     bounds = offer.profile
-    energies = bounds.max_energies() if offer.is_consumption else bounds.min_energies()
+    energies = bounds.max_array if offer.is_consumption else bounds.min_array
     return ScheduledFlexOffer(offer, offer.earliest_start, energies)
 
 

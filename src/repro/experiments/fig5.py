@@ -117,6 +117,11 @@ def run_fig5(
         total_offers = int(100_000 * scale_factor())
     combinations = combinations or paper_combinations()
     offers = paper_dataset(total_offers, seed=seed)
+    if engine != "packed":
+        # The object engines iterate each offer's constraint tuple, which a
+        # profile builds on first use: build it here, outside the timer.
+        for offer in offers:
+            offer.profile[0]
     chunk = max(1, total_offers // n_points)
 
     result = Fig5Result()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import zlib
 
 from ..core.errors import DataManagementError, InvalidFlexOfferError
-from ..core.flexoffer import EnergyConstraint, FlexOffer, Profile
+from ..core.flexoffer import FlexOffer, Profile
 from .log import encode
 
 __all__ = [
@@ -35,14 +35,16 @@ def offer_to_dict(offer: FlexOffer) -> dict:
         "offer_id": offer.offer_id,
         "owner": offer.owner,
         "bounds": [
-            [constraint.min_energy, constraint.max_energy]
-            for constraint in offer.profile
+            [lo, hi]
+            for lo, hi in zip(
+                offer.profile.min_array.tolist(), offer.profile.max_array.tolist()
+            )
         ],
         "earliest_start": offer.earliest_start,
         "latest_start": offer.latest_start,
         "creation_time": offer.creation_time,
         "assignment_before": offer.assignment_before,
-        "unit_price": offer.unit_price,
+        "unit_price": float(offer.unit_price),
     }
 
 
@@ -54,9 +56,8 @@ def offer_from_dict(data: dict) -> FlexOffer:
     :class:`~repro.core.errors.DataManagementError`.
     """
     try:
-        profile = Profile(
-            EnergyConstraint(float(lo), float(hi))
-            for lo, hi in data["bounds"]
+        profile = Profile.from_bounds(
+            (float(lo), float(hi)) for lo, hi in data["bounds"]
         )
         return FlexOffer(
             profile=profile,

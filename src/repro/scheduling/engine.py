@@ -199,14 +199,14 @@ def _kernel_template(profile) -> tuple:
 class OfferConstants:
     """Per-offer arrays and bounds cached once per problem.
 
-    Solvers used to re-materialize ``min_energies``/``max_energies`` tuples
-    (and re-read ``unit_price`` and the admissible start range) from the
-    profile inside every greedy pass, every mutation and every
-    ``flexoffer_cost`` call; these are immutable per problem, so they are
-    built exactly once (see ``SchedulingProblem.offer_constants``) — and
-    with them the two arrays the placement kernel would otherwise rebuild
-    on every call: the candidate template and the slice index.  Those and
-    the bounds depend on the profile alone and are built once per profile
+    What every greedy pass, every mutation and every ``flexoffer_cost``
+    call reads of an offer: its profile's bound arrays, its ``unit_price``
+    and its admissible start range.  These are immutable per problem, so
+    they are gathered exactly once (see
+    ``SchedulingProblem.offer_constants``) — and with them the two arrays
+    the placement kernel would otherwise rebuild on every call: the
+    candidate template and the slice index.  Those and the bounds depend
+    on the profile alone and are built once per profile
     (:func:`_kernel_template`); only the price and start fields are per
     problem.
     """

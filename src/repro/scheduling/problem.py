@@ -200,8 +200,8 @@ class SchedulingProblem:
     def offer_constants(self) -> tuple[OfferConstants, ...]:
         """Per-offer bound arrays / prices / start ranges, built once.
 
-        Solvers read these instead of re-materializing ``min_energies`` /
-        ``max_energies`` tuples from the profile on every pass or mutation.
+        Solvers read these instead of going back to each offer and its
+        profile on every pass or mutation.
         """
         return tuple(
             OfferConstants.from_offer(offer, self.horizon_start)

@@ -75,8 +75,8 @@ def reference_one_pass(
 
     for j in rng.permutation(problem.offer_count):
         offer = problem.offers[j]
-        lo = np.asarray(offer.profile.min_energies())
-        hi = np.asarray(offer.profile.max_energies())
+        lo = offer.profile.min_array
+        hi = offer.profile.max_array
         duration = offer.duration
 
         best_cost = np.inf

@@ -57,7 +57,7 @@ class TestAggregateGroup:
         agg = aggregate_group([fo])
         assert agg.earliest_start == 5
         assert agg.time_flexibility == 4
-        assert agg.profile.min_energies() == (1, 3)
+        assert agg.profile.min_array.tolist() == [1, 3]
         assert agg.member_count == 1
         assert agg.time_flexibility_loss == 0
 
@@ -71,8 +71,8 @@ class TestAggregateGroup:
         agg = aggregate_group([a, b])
         assert agg.earliest_start == 10
         assert agg.duration == 2  # b overlaps a's second slice
-        assert agg.profile.min_energies() == (1, 3)
-        assert agg.profile.max_energies() == (2, 5)
+        assert agg.profile.min_array.tolist() == [1, 3]
+        assert agg.profile.max_array.tolist() == [2, 5]
 
     def test_profile_extends_for_late_members(self):
         a = flex_offer([(1, 1)], earliest_start=0, latest_start=5)

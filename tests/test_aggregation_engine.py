@@ -74,8 +74,8 @@ def _aggregate_summary(aggregate):
         aggregate.creation_time,
         -1 if aggregate.assignment_before is None else aggregate.assignment_before,
         aggregate.unit_price,
-        aggregate.profile.min_energies(),
-        aggregate.profile.max_energies(),
+        tuple(aggregate.profile.min_array.tolist()),
+        tuple(aggregate.profile.max_array.tolist()),
         tuple(m.offer_id for m in aggregate.members),
         aggregate.offsets,
     )
@@ -305,7 +305,7 @@ class TestPackedPool:
             assert pool.est[row] == offer.earliest_start
             start = pool.offset[row]
             got = pool.slice_lo[start : start + pool.dur[row]]
-            assert got.tolist() == list(offer.profile.min_energies())
+            assert got.tolist() == offer.profile.min_array.tolist()
 
     def test_group_state_tracks_est_and_end_through_removals(self):
         pipe = make_pipeline(AggregationParameters(8, 8), engine="packed")
@@ -321,8 +321,8 @@ class TestPackedPool:
         aggregate = update.aggregate
         assert aggregate.members == (late,)
         assert (aggregate.earliest_start, aggregate.earliest_start + aggregate.duration) == (8, 14)
-        assert aggregate.profile.min_energies() == (2.0,) * 6
-        assert aggregate.profile.max_energies() == (3.0,) * 6
+        assert aggregate.profile.min_array.tolist() == [2.0] * 6
+        assert aggregate.profile.max_array.tolist() == [3.0] * 6
 
 
 # ----------------------------------------------------------------------
@@ -349,12 +349,6 @@ def test_scalar_group_state_removal_matches_reference():
 # profile caching (satellite)
 # ----------------------------------------------------------------------
 class TestProfileCaches:
-    def test_tuples_cached(self):
-        profile = Profile.from_bounds([(1.0, 2.0), (3.0, 4.0)])
-        assert profile.min_energies() is profile.min_energies()
-        assert profile.max_energies() is profile.max_energies()
-        assert profile.min_energies() == (1.0, 3.0)
-
     def test_arrays_cached_and_readonly(self):
         profile = Profile.from_bounds([(1.0, 2.0), (3.0, 4.0)])
         assert profile.min_array is profile.min_array

@@ -10,6 +10,7 @@ prosumer micro-offer commitments.
 import hashlib
 import struct
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.aggregation.aggregator import _finalize_aggregate
 from repro.core import Profile, flex_offer
 from repro.core.errors import CommunicationError, ServiceError
 from repro.core.schedule import ScheduledFlexOffer
+from repro.ledger import MemoryEventLog, OfferLedger
 from repro.node import Message, MessageType
 from repro.obs import NullTracer
 from repro.runtime import (
@@ -347,7 +349,7 @@ class TestBrpHost:
         live = [m.offer_id for m in macro.members if service.is_live(m.offer_id)]
         assert live, "the final snapshot holds no live member"
         scheduled = ScheduledFlexOffer(
-            macro, macro.latest_start, macro.profile.min_energies()
+            macro, macro.latest_start, macro.profile.min_array
         )
         uplink.handlers["north"](
             Message(
@@ -695,6 +697,48 @@ class TestWhereAggregatesAreBuilt:
                 macro.members, macro.earliest_start, macro.profile, macro.offer_id
             )
             assert fields(macro) == fields(eager)
+
+
+class TestMicroProfilesStayArrays:
+    """The runtime reads a micro offer's profile as its two bound arrays:
+    no path builds the constraint tuple of an offer it holds."""
+
+    @staticmethod
+    def _tuples_held(service) -> list:
+        live = list(service._live.values())
+        assert live
+        return [e.offer for e in live if e.offer.profile._items is not None]
+
+    def test_a_seeded_brp_stream(self):
+        client = LedmsClient(TINY)
+        stream = LoadGenerator(rate_per_hour=60.0, seed=11).stream(0.0, 48.0)
+        report = client.run_stream(stream, 48.0)
+        assert report.offers_scheduled > 0
+        assert self._tuples_held(client.service) == []
+
+    def test_a_journaled_churn_stream(self):
+        """Duplicates, withdrawals and window-narrowing updates, each
+        journaled to a recording ledger, build no constraint tuple."""
+        service = BrpRuntimeService(TINY, ledger=OfferLedger(MemoryEventLog()))
+        stream = LoadGenerator(rate_per_hour=120.0, seed=5).stream(0.0, 36.0)
+        for index, (at, offer) in enumerate(stream):
+            follow_up = {
+                0: partial(service.submit, offer),
+                1: partial(service.withdraw, offer.offer_id),
+                2: partial(
+                    service.update,
+                    offer.with_times(offer.earliest_start, offer.latest_start - 1),
+                ),
+            }.get(index % 5)
+            service.driver.schedule_at(at, partial(service.submit, offer))
+            if follow_up is not None:
+                service.driver.schedule_at(at + 0.25, follow_up)
+        service.open_window((), 36.0)
+        service.driver.run_until(36.0)
+        service.drain(36.0)
+        kinds = {event["kind"] for event in service.ledger.events()}
+        assert {"submit", "replace", "withdraw", "scheduled"} <= kinds
+        assert self._tuples_held(service) == []
 
 
 # ----------------------------------------------------------------------

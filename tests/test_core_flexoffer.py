@@ -42,24 +42,6 @@ class TestEnergyConstraint:
         assert c.contains(2.0 + 1e-12)
         assert not c.contains(2.1)
 
-    def test_clamp(self):
-        c = EnergyConstraint(1.0, 2.0)
-        assert c.clamp(0.0) == 1.0
-        assert c.clamp(3.0) == 2.0
-        assert c.clamp(1.5) == 1.5
-
-    def test_addition_sums_bounds(self):
-        s = EnergyConstraint(1, 2) + EnergyConstraint(3, 5)
-        assert (s.min_energy, s.max_energy) == (4, 7)
-
-    def test_scaled(self):
-        c = EnergyConstraint(1, 2).scaled(2.5)
-        assert (c.min_energy, c.max_energy) == (2.5, 5.0)
-
-    def test_scaled_rejects_negative_factor(self):
-        with pytest.raises(InvalidFlexOfferError):
-            EnergyConstraint(1, 2).scaled(-1)
-
 
 class TestProfile:
     def test_from_bounds(self):
@@ -80,11 +62,6 @@ class TestProfile:
     def test_non_constraint_elements_rejected(self):
         with pytest.raises(InvalidFlexOfferError):
             Profile([(1, 2)])  # raw tuple, not EnergyConstraint
-
-    def test_min_max_energy_tuples(self):
-        p = Profile.from_bounds([(1, 2), (3, 4)])
-        assert p.min_energies() == (1, 3)
-        assert p.max_energies() == (2, 4)
 
     def test_constant_rejects_zero_slices(self):
         with pytest.raises(InvalidFlexOfferError):
@@ -168,10 +145,15 @@ FORM_BOUNDS = [(1.0, 2.0), (-2.5, -0.5), (0.1, 0.7), (-0.0, 0.0), (3.0, 3.0)]
 
 
 def _forms():
-    """The same bounds as an item-form and an array-form profile."""
+    """The same bounds through the constructor, ``from_bounds`` and
+    ``from_arrays``."""
     lo = np.array([b[0] for b in FORM_BOUNDS])
     hi = np.array([b[1] for b in FORM_BOUNDS])
-    return Profile.from_bounds(FORM_BOUNDS), Profile.from_arrays(lo, hi)
+    return (
+        Profile(EnergyConstraint(a, b) for a, b in FORM_BOUNDS),
+        Profile.from_bounds(FORM_BOUNDS),
+        Profile.from_arrays(lo, hi),
+    )
 
 
 def _has_dict(profile) -> bool:
@@ -181,21 +163,22 @@ def _has_dict(profile) -> bool:
 
 @pytest.mark.pinned
 class TestProfileForms:
-    """One surface over the constraint tuple and over the bound arrays."""
+    """One storage, the two bound arrays, whichever constructor built the
+    profile, and one surface over it: the constraint tuple's."""
 
     def test_equal_and_hash_equal_across_forms_and_to_the_tuple(self):
-        item, array = _forms()
+        built, paired, array = _forms()
         plain = tuple(EnergyConstraint(a, b) for a, b in FORM_BOUNDS)
-        assert item == array == plain and plain == array and array == item
-        assert hash(item) == hash(array) == hash(plain)
-        assert {item: "x"}[array] == "x"
+        assert built == paired == array == plain and plain == array
+        assert array == built and paired == built
+        assert hash(built) == hash(paired) == hash(array) == hash(plain)
+        assert {built: "x"}[array] == "x"
         assert array != Profile.from_bounds(FORM_BOUNDS[:-1])
         assert array != list(plain) and array != plain[:-1]
 
     def test_sequence_surface(self):
-        item, array = _forms()
         plain = tuple(EnergyConstraint(a, b) for a, b in FORM_BOUNDS)
-        for profile in (item, array):
+        for profile in _forms():
             assert len(profile) == profile.duration == len(plain)
             assert list(profile) == list(plain)
             assert profile[1] == plain[1] and profile[-1] == plain[-1]
@@ -204,51 +187,73 @@ class TestProfileForms:
             assert repr(profile) == repr(plain)
 
     def test_pickle_round_trip_keeps_the_form(self):
-        item, array = _forms()
-        for profile in (item, array):
+        for profile in _forms():
             back = pickle.loads(pickle.dumps(profile))
             assert type(back) is Profile
-            assert (back._items is None) is (profile._items is None)
+            assert back._items is None
             assert not back.min_array.flags.writeable
             assert back.min_array.tobytes() == profile.min_array.tobytes()
+            assert back.max_array.tobytes() == profile.max_array.tobytes()
             assert back == profile
 
-    def test_bound_views_are_the_same_bits_in_both_forms(self):
-        item, array = _forms()
+    def test_constructors_give_the_same_bits(self):
         lo, hi = (np.array(column) for column in zip(*FORM_BOUNDS))
-        for profile in (item, array):
-            assert np.array(profile.min_energies()).tobytes() == lo.tobytes()
-            assert np.array(profile.max_energies()).tobytes() == hi.tobytes()
-            assert all(type(v) is float for v in profile.min_energies())
+        forms = _forms()
+        for profile in forms:
+            assert profile.min_array.dtype == np.float64
             assert profile.min_array.tobytes() == lo.tobytes()
             assert profile.max_array.tobytes() == hi.tobytes()
+            assert not profile.min_array.flags.writeable
+            assert not profile.max_array.flags.writeable
         for total in (
             "total_min_energy", "total_max_energy", "total_energy_flexibility"
         ):
-            assert struct.pack("d", getattr(item, total)) == struct.pack(
-                "d", getattr(array, total)
-            )
+            bits = {struct.pack("d", getattr(p, total)) for p in forms}
+            assert len(bits) == 1, total
+
+    def test_int_bounds_are_stored_as_floats(self):
+        """Every constructor stores float64 columns, so int bounds and the
+        same floats give the same arrays, totals and constraints."""
+        ints = [(1, 2), (-3, 0)]
+        floats = [(1.0, 2.0), (-3.0, 0.0)]
+        for a, b in (
+            (Profile.from_bounds(ints), Profile.from_bounds(floats)),
+            (
+                Profile(EnergyConstraint(*pair) for pair in ints),
+                Profile.from_bounds(floats),
+            ),
+            (Profile.constant(2, 1, 2), Profile.constant(2, 1.0, 2.0)),
+        ):
+            assert a.min_array.tobytes() == b.min_array.tobytes()
+            assert a.max_array.tobytes() == b.max_array.tobytes()
+            assert type(a.total_min_energy) is float
+            assert repr(a) == repr(b)
 
     def test_array_form_builds_no_constraint_until_one_is_read(self):
         lo, hi = np.array([1.0, -2.0, 0.5]), np.array([2.0, -1.0, 0.5])
-        profile = Profile.from_arrays(lo, hi)
-        profile.min_energies(), profile.max_energies()
-        profile.total_min_energy, profile.total_energy_flexibility
-        assert len(profile) == 3 and profile.bounds_cached
-        assert profile._items is None
-        assert profile[0] == EnergyConstraint(1.0, 2.0)
-        assert profile._items is not None
-        assert profile.min_array is lo and profile.max_array is hi
+        for profile in (
+            Profile.from_arrays(lo, hi),
+            Profile.from_bounds(zip(lo.tolist(), hi.tolist())),
+        ):
+            profile.min_array, profile.max_array
+            profile.total_min_energy, profile.total_energy_flexibility
+            assert len(profile) == 3
+            assert profile._items is None
+            assert profile[0] == EnergyConstraint(1.0, 2.0)
+            assert profile._items is not None
+            assert profile[0] is profile[0]
+        assert profile.min_array.tolist() == lo.tolist()
 
-    def test_item_form_has_no_dict_until_a_rare_cache_is_written(self):
+    def test_no_dict_until_a_rare_cache_is_written(self):
         """Duration, bound arrays and totals live in slots: the reads every
         micro offer makes on the runtime path create no instance dict."""
-        profile = Profile.from_bounds(FORM_BOUNDS)
-        profile.duration, profile.total_min_energy, profile.total_max_energy
-        profile.min_array, profile.max_array
-        assert profile.bounds_cached and not _has_dict(profile)
-        profile.min_energies()
-        assert _has_dict(profile)
+        for profile in _forms():
+            profile.duration, profile.total_min_energy, profile.total_max_energy
+            profile.min_array, profile.max_array
+            profile.total_energy_flexibility
+            assert not _has_dict(profile)
+            profile.__dict__["_kernel_template"] = ()
+            assert _has_dict(profile)
 
     def test_inverted_slice_message_is_the_same_in_both_forms(self):
         lo, hi = [0.0, 4.0, 1.0], [1.0, 3.5, 0.0]

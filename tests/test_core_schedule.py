@@ -43,18 +43,21 @@ class TestScheduledFlexOffer:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_nan_energy_rejected_cold_and_warm(self, warm):
-        """``nan`` is inside no bounds, whether the check runs per slice
-        (cold profile) or over the cached bound arrays (warm profile)."""
+        """``nan`` is inside no bounds: the check over the profile's bound
+        arrays names the first bad slice, with its bounds as floats, whether
+        or not the constraint tuple was built (warm) — and never builds it."""
         offer = flex_offer([(1, 2), (1, 2)], earliest_start=0, latest_start=0)
         if warm:
-            assert offer.total_min_energy == 2  # fills the bound-array cache
-        assert offer.profile.bounds_cached is warm
+            assert offer.profile[0] == EnergyConstraint(1, 2)  # builds the tuple
+        items = offer.profile._items
+        assert (items is not None) is warm
         with pytest.raises(
-            InvalidScheduleError, match=r"energy nan outside \[1, 2\] in slice 0"
+            InvalidScheduleError, match=r"energy nan outside \[1\.0, 2\.0\] in slice 0"
         ):
             ScheduledFlexOffer(offer, 0, (float("nan"), 1.5))
         with pytest.raises(InvalidScheduleError, match="in slice 1"):
             ScheduledFlexOffer(offer, 0, (1.5, float("nan")))
+        assert offer.profile._items is items
 
     def test_outside_bounds_is_the_constraint_rule(self):
         values = np.array([1.0 - 2e-9, 1.0 - 5e-10, 2.0 + 5e-10, np.nan, np.inf])

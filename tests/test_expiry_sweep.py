@@ -158,7 +158,7 @@ class TestDueTimeSweep:
                     label="start",
                 )
                 service.apply_remote_schedule(
-                    ScheduledFlexOffer(macro, start, macro.profile.min_energies())
+                    ScheduledFlexOffer(macro, start, macro.profile.min_array)
                 )
             elif operation == "sweep":
                 service.sweep_expired()

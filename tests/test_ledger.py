@@ -175,6 +175,24 @@ class TestCodec:
         clone = offer_from_dict(offer_to_dict(offer))
         assert default_source_event_id(offer) == default_source_event_id(clone)
 
+    @pytest.mark.parametrize(
+        "bounds, unit_price",
+        [([(1, 2)], 1.0), ([(1.0, 2.0)], 1), ([(1, 2), (0, 3)], 1)],
+        ids=["int bounds", "int price", "both"],
+    )
+    def test_source_event_id_survives_the_json_round_trip(
+        self, bounds, unit_price
+    ):
+        """An offer built from ints gets the key its decoded copy gets:
+        the text renders float bounds and a float price either way."""
+        offer = flex_offer(
+            bounds, 4, 8, offer_id=7, owner="p", unit_price=unit_price
+        )
+        decoded = offer_from_dict(json.loads(offer_json(offer)))
+        assert decoded == offer
+        assert offer_json(decoded) == offer_json(offer)
+        assert default_source_event_id(offer) == default_source_event_id(decoded)
+
     def test_source_event_id_differs_for_edited_content(self):
         offer = _offer(10, lo=1.0, hi=2.0)
         edited = _offer(10, lo=2.0, hi=3.0, offer_id=offer.offer_id)

@@ -172,7 +172,7 @@ class TestProsumerDay:
         _, offers = self._offers()
         (run,) = executions(offers, {}, set())
         assert run.start == offers[0].earliest_start
-        assert run.energies == offers[0].profile.max_energies()
+        assert run.energies == tuple(offers[0].profile.max_array.tolist())
 
     def test_schedule_overrides_fallback(self):
         _, (offer,) = self._offers()
@@ -181,7 +181,7 @@ class TestProsumerDay:
 
     def test_production_fallback_runs_at_full_output(self):
         _, (offer,) = self._offers(MicroCHP(AXIS, run_probability=1.0), seed=1)
-        assert fallback_execution(offer).energies == offer.profile.min_energies()
+        assert fallback_execution(offer).energies == tuple(offer.profile.min_array.tolist())
 
     def test_realized_load_includes_flex(self):
         config = ScenarioConfig(seed=1, n_brps=1, prosumers_per_brp=6)

@@ -498,7 +498,7 @@ class TestSwallowedException:
 
 
 # ----------------------------------------------------------------------
-# REP009: trigger/cadence state seam
+# REP009: cadence, commitment-book and trigger state seams
 # ----------------------------------------------------------------------
 class TestTriggerStateWrite:
     def test_flags_foreign_cadence_write(self, tmp_path):

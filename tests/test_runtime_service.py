@@ -412,7 +412,7 @@ class TestStaleRemoteSchedule:
             return [e for e in ledger.events() if e["kind"] == "scheduled"]
 
         facts = scheduled_facts()
-        stale = ScheduledFlexOffer(macro, 20, macro.profile.min_energies())
+        stale = ScheduledFlexOffer(macro, 20, macro.profile.min_array)
         assert service.apply_remote_schedule(stale) == 0
         assert service.committed_start(oid) is None
         assert not service.is_scheduled(oid)
@@ -426,7 +426,7 @@ class TestStaleRemoteSchedule:
         assert scheduled_facts() == facts
         # The macro built from the live version still commits.
         (fresh,) = service.last_plan_originals
-        current = ScheduledFlexOffer(fresh, 12, fresh.profile.min_energies())
+        current = ScheduledFlexOffer(fresh, 12, fresh.profile.min_array)
         assert service.apply_remote_schedule(current) == 1
         assert service.committed_start(oid) == 12
 

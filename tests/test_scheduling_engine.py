@@ -527,8 +527,8 @@ class TestBatchedKernel:
             )
             for j, offer in enumerate(problem.offers):
                 consts = problem.offer_constants[j]
-                lo = np.asarray(offer.profile.min_energies())
-                hi = np.asarray(offer.profile.max_energies())
+                lo = offer.profile.min_array
+                hi = offer.profile.max_array
                 best_cost = np.inf
                 best_start = offer.earliest_start
                 best_energy = lo

@@ -541,7 +541,8 @@ class SwallowedExceptionRule(Rule):
 
 
 class TriggerStateWriteRule(Rule):
-    """REP009: scheduling cadence state mutates only behind its owning seam.
+    """REP009: cadence, commitment-book and trigger-threshold state mutates
+    only behind its owning seam.
 
     Four families of state drive the closed loop and must have exactly one
     writer each:
@@ -571,7 +572,7 @@ class TriggerStateWriteRule(Rule):
     """
 
     rule_id = "REP009"
-    title = "trigger/cadence state written outside its owning seam"
+    title = "cadence, commitment-book or trigger state written outside its owning seam"
     scope = ("src/repro/",)
 
     #: Attribute -> the seam outside callers use instead of writing it.
