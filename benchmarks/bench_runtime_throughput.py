@@ -11,7 +11,9 @@ per-layer comparisons that contract does not make:
 * re-placing only the dirty groups vs re-placing every group, and the
   adaptive trigger holding a latency target;
 * the expiry sweep, one aggregate build, and the commit stage of one
-  planning run (``commit_pass``), each at ``brp_steady``'s shape.
+  planning run (``commit_pass``), each at ``brp_steady``'s shape;
+* admission and its flushes per admitted offer (``admission_pass``) on
+  ``brp_ingest_heavy``'s stream.
 
 Scale with ``REPRO_SCALE`` (multiplies the arrival rates and stream length).
 """
@@ -31,7 +33,9 @@ from repro.runtime import (
     AnyTrigger,
     BrpRuntimeService,
     CountTrigger,
+    IngestConfig,
     LoadGenerator,
+    SchedulingConfig,
     ServiceConfig,
 )
 from repro.aggregation.updates import AggregateUpdate, UpdateKind
@@ -259,6 +263,68 @@ def test_commit_pass_at_brp_steady_shape(once, bench_record):
         metrics={"us_per_run": per_run * 1e6},
     )
     assert runs > 0 and first > 0
+
+
+def test_admission_pass_at_brp_ingest_heavy_shape(once, bench_record):
+    """Admission and its aggregation flushes, on ``brp_ingest_heavy``'s stream.
+
+    ``brp_ingest_heavy``'s seeded arrival stream (3 200 offers per
+    simulated hour over 48 slices) goes through
+    :meth:`BrpRuntimeService.submit` one arrival at a time, with its ingest
+    batch of 256, and a last ``run_aggregation`` flushes the rest.  Its
+    trigger never fires, so no planning run, commitment or sweep is timed:
+    ``admission_pass`` is the wall time of the submits (their store facts
+    and the flushes a full batch starts included) per admitted offer.  The
+    best of three runs is kept.  Only the public surface is read, so the
+    same file times a parent commit's ``src/``.
+    """
+    duration, rounds = (8.0, 1) if smoke_mode() else (48.0, 3)
+    arrivals = list(
+        LoadGenerator(rate_per_hour=3200.0, seed=SEED).stream(0.0, duration)
+    )
+    config = ServiceConfig(
+        ingest=IngestConfig(batch_size=256),
+        scheduling=SchedulingConfig(trigger=CountTrigger(10**9)),
+    )
+
+    def run():
+        best = None
+        for _ in range(rounds):
+            service = BrpRuntimeService(config)
+            advance, submit = service.driver.advance_to, service.submit
+            t0 = time.perf_counter()
+            for at, offer in arrivals:
+                advance(at)
+                submit(offer)
+            service.run_aggregation()
+            elapsed = time.perf_counter() - t0
+            admitted = service.metrics.counter("ingest.accepted").value
+            if best is None or elapsed < best[0]:
+                best = (elapsed, admitted, service.live_offers)
+        return best
+
+    elapsed, admitted, live = once(run)
+    per_offer = elapsed / admitted
+    print_table(
+        "admission and its flushes at brp_ingest_heavy's shape",
+        ["row", "arrivals", "admitted", "us per admitted offer"],
+        [["admission_pass", len(arrivals), f"{admitted:.0f}",
+          f"{per_offer * 1e6:.2f}"]],
+    )
+    bench_record(
+        "runtime",
+        name="admission_pass",
+        workload={
+            "rate_per_hour": 3200.0,
+            "duration_slices": duration,
+            "batch_size": 256,
+            "arrivals": len(arrivals),
+            "admitted": admitted,
+            "cpu_count": os.cpu_count(),
+        },
+        metrics={"us_per_offer": per_offer * 1e6},
+    )
+    assert admitted > 0 and live == admitted
 
 
 def _delta_offer(rng: np.random.Generator, horizon: int):

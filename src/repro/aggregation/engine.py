@@ -571,26 +571,26 @@ class GroupProfileState:
         ``ests`` / ``ends`` / ``flexes`` / ``prices`` / ``first`` /
         ``last`` come from the pool columns (the caller has them
         vectorized), so the only per-offer attribute reads here are the id
-        and the deadline.
+        and the deadline.  The whole batch is counted at once: one
+        ``dict.update`` for the members and one ``Counter.update`` per
+        value counter, in membership order.
         """
         fresh = not self.members
-        members = self.members
-        est_counts = self._est_counts
-        end_counts = self._end_counts
-        flex_counts = self._flex_counts
-        deadline = self.deadline
+        self.members.update({offer.offer_id: offer for offer in offers})
+        self._est_counts.update(ests)
+        self._end_counts.update(ends)
+        self._flex_counts.update(flexes)
         self.prices = np.concatenate((self.prices, prices))
-        for offer, est, end, flex in zip(offers, ests, ends, flexes):
-            members[offer.offer_id] = offer
-            est_counts[est] += 1
-            end_counts[end] += 1
-            flex_counts[flex] += 1
-            due = offer.assignment_before
-            if due is not None:
-                self._due_counts[due] += 1
-                if deadline is None or due < deadline:
-                    deadline = due
-        self.deadline = deadline
+        dues = [
+            offer.assignment_before
+            for offer in offers
+            if offer.assignment_before is not None
+        ]
+        if dues:
+            self._due_counts.update(dues)
+            due = min(dues)
+            if self.deadline is None or due < self.deadline:
+                self.deadline = due
         least_flex = min(flexes)
         if fresh:
             self.est, self.end, self.time_flex = first, last, least_flex

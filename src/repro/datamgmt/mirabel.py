@@ -18,19 +18,22 @@ the traffic has two shapes: admission records ``submitted`` and
 ``accepted``/``rejected`` one offer at a time
 (:meth:`LedmsStore.record_offer_event`), while a flush, a sweep or a plan
 commitment moves many offers at once (:meth:`LedmsStore.record_offer_events`,
-one ``extend_facts``).  A one-row fact is checked when it is recorded, then
-held back and written with the others as one ``extend_facts`` batch
-before the store's next fact write or fact-table read — the per-call set-up
-of column-wise validation is then paid once per batch rather than once per
-row (``benchmarks/bench_store_events.py`` records both).  The per-offer
-state advances, and subscribers fire, as each fact is recorded, so the fact
-rows, their order and the state transitions are those a write-through
-store would leave.
+one ``extend_facts``).  A one-row fact is held back as its three dimension
+keys and the offer itself, and the store's next fact write or fact-table
+read builds the four value columns from the held offers and writes all
+seven as one ``extend_facts`` batch, so a one-row fact costs about what a
+batched one does (``benchmarks/bench_store_events.py`` records both).  Its
+checks still run when it is recorded: an exact-type guard vouches for a
+:class:`~repro.core.flexoffer.FlexOffer`'s values, and anything else pays
+the per-cell check there, which promotes or raises exactly as a
+written-through row would.  The per-offer state advances, and subscribers
+fire, as each fact is recorded, so the fact rows, their order and the state
+transitions are those a write-through store would leave.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,8 +71,24 @@ _RETAINED_OFFER_STATES = frozenset(
 
 #: Held-back one-row lifecycle facts are written at the latest once this
 #: many accumulate: a stream that is never flushed or read (every offer
-#: rejected, say) keeps its rows as column buffers, not as row tuples.
+#: rejected, say) keeps its facts in the fact table's machine-typed column
+#: buffers, not as held offers.
 _MAX_PENDING_FACTS = 4096
+
+
+class _CheckedFact(NamedTuple):
+    """An offer's four fact values as the per-cell check returned them,
+    held back in place of an offer the type guard could not vouch for."""
+
+    offer_id: int
+    total_min_energy: float
+    total_max_energy: float
+    time_flexibility: int
+
+
+def _no_pending_facts() -> tuple[list, list, list, list]:
+    """Empty held-back columns: time ids, actor ids, state ids, offers."""
+    return ([], [], [], [])
 
 
 def build_mirabel_schema() -> StarSchema:
@@ -168,9 +187,9 @@ class LedmsStore:
         self._offer_states: dict[int, str] = {}
         self._offers: dict[int, FlexOffer] = {}
         self._subscribers: list = []
-        # Checked one-row lifecycle facts not yet in the fact table, in
-        # call order.
-        self._pending_rows: list[tuple] = []
+        # One-row lifecycle facts not yet in the fact table, in call order:
+        # their three dimension keys and the offer (or its checked values).
+        self._pending_facts = _no_pending_facts()
 
     @property
     def schema(self) -> StarSchema:
@@ -180,12 +199,27 @@ class LedmsStore:
 
     def flush(self) -> None:
         """Write the lifecycle facts :meth:`record_offer_event` held back,
-        as one batch."""
-        rows = self._pending_rows
-        if not rows:
+        as one column-wise batch in call order.
+
+        The three key columns are held as they will be written; the four
+        value columns are read off the held offers here.
+        """
+        time_ids, actor_ids, state_ids, offers = self._pending_facts
+        if not time_ids:
             return
-        self._pending_rows = []
-        self._schema.extend_facts("flexoffer_event", tuple(zip(*rows)))
+        self._pending_facts = _no_pending_facts()
+        self._schema.extend_facts(
+            "flexoffer_event",
+            (
+                time_ids,
+                actor_ids,
+                state_ids,
+                [offer.offer_id for offer in offers],
+                [offer.total_min_energy for offer in offers],
+                [offer.total_max_energy for offer in offers],
+                [offer.time_flexibility for offer in offers],
+            ),
+        )
 
     # ------------------------------------------------------------------
     # dimension management
@@ -351,29 +385,58 @@ class LedmsStore:
 
         The fact is checked here — unknown state, unknown actor or a bad
         value type raises from this call — and its time dimension row is
-        inserted here.  The per-offer state advances and the subscribers
-        are called right away; the checked row itself is held back.  The
-        held-back rows are written as one ``extend_facts`` batch before the
-        store's next fact write, before any fact-table read (:attr:`schema`,
-        :meth:`measurements`, :meth:`prices`), on :meth:`flush` and at the
+        inserted here.  A :class:`FlexOffer` is held back as is when an
+        exact-type test on the sources of its four fact values passes: an
+        int id, int start bounds (so an int time flexibility) and float
+        energy totals on its profile.  Any other offer takes the per-cell
+        check (:meth:`Table.checked_row`), which promotes (an int energy
+        bound) or raises here exactly as a written-through row would, and
+        its checked values are held instead.  The per-offer state advances
+        and the subscribers are called right away.  :meth:`flush` builds
+        the fact columns from the held offers and writes them as one batch
+        before the store's next fact write, before any fact-table read
+        (:attr:`schema`, :meth:`measurements`, :meth:`prices`) and at the
         latest once :data:`_MAX_PENDING_FACTS` accumulate, so no caller —
         a subscriber reading :attr:`schema` included — can observe the
-        delay.
+        delay.  Holding references in lists, not a tuple per fact, leaves
+        the cyclic collector nothing to count until the batch is written.
         """
         state_id = self._state_ids.get(state)
         if state_id is None:
             raise DataManagementError(f"unknown offer state {state!r}")
-        row = (
-            self._time_id(now),
-            self._actor_id(actor),
-            state_id,
-            offer.offer_id,
-            offer.total_min_energy,
-            offer.total_max_energy,
-            offer.time_flexibility,
-        )
-        self._pending_rows.append(self._offer_events.checked_row(row))
-        if len(self._pending_rows) >= _MAX_PENDING_FACTS:
+        if now not in self._known_times:
+            self._time_id(now)
+        actor_id = self._actor_ids.get(actor)
+        if actor_id is None:
+            actor_id = self._actor_id(actor)  # raises
+        fact = offer
+        if not (
+            type(offer) is FlexOffer
+            and type(now) is int
+            and type(offer.offer_id) is int
+            and type(offer.earliest_start) is int
+            and type(offer.latest_start) is int
+            and type(offer.profile.total_min_energy) is float
+            and type(offer.profile.total_max_energy) is float
+        ):
+            row = self._offer_events.checked_row(
+                (
+                    now,
+                    actor_id,
+                    state_id,
+                    offer.offer_id,
+                    offer.total_min_energy,
+                    offer.total_max_energy,
+                    offer.time_flexibility,
+                )
+            )
+            fact = _CheckedFact(*row[3:])
+        time_ids, actor_ids, state_ids, offers = self._pending_facts
+        time_ids.append(now)
+        actor_ids.append(actor_id)
+        state_ids.append(state_id)
+        offers.append(fact)
+        if len(time_ids) >= _MAX_PENDING_FACTS:
             self.flush()
         self._transition(offer, state, now)
 

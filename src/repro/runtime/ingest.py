@@ -15,11 +15,13 @@ are pending (or when the service forces a flush before scheduling).
 
 Store writes follow the same shape: a flush records its whole batch's
 ``aggregated`` facts, and a retirement its ``executed``/``expired``/
-``withdrawn`` facts, in one column-wise store call each.  The two admission
-facts of an offer are handed to the store one at a time as it arrives; the
-store advances the offer's state at once but holds the rows back and writes
-them as one column-wise batch ahead of its next fact write or fact-table
-read, and at the latest when this stage flushes.
+``withdrawn`` facts, in one column-wise store call each.  An arrival
+registers its owner once and records its two admission facts as one-row
+store calls; the store checks each fact and advances the offer's state at
+once, but holds the fact back (its keys and the offer) and writes the held
+facts as one column-wise batch ahead of its next fact write or fact-table
+read, and at the latest when this stage flushes — so an admission fact
+costs about what a batched one does.
 """
 
 from __future__ import annotations
@@ -77,10 +79,6 @@ class FlexOfferIngest:
         return self.pipeline.input_count
 
     # ------------------------------------------------------------------
-    def _record(self, offer: FlexOffer, state: str, now: int) -> None:
-        self.store.register_actor(offer.owner, "prosumer")
-        self.store.record_offer_event(offer.owner, offer, state, now)
-
     def _record_all(self, offers: list[FlexOffer], state: str, now: int) -> None:
         """One store call for many offers entering ``state`` at ``now``."""
         if not offers:
@@ -122,11 +120,14 @@ class FlexOfferIngest:
         evaluated, so a caller never re-asks :meth:`reject_reason` against a
         clock that may have moved on.
         """
-        self._record(offer, "submitted", now)
+        owner = offer.owner
+        record = self.store.record_offer_event
+        self.store.register_actor(owner, "prosumer")
+        record(owner, offer, "submitted", now)
         reason = self.reject_reason(offer, now)
         if reason is not None:
             self._rejected_counter.inc()
-            self._record(offer, "rejected", now)
+            record(owner, offer, "rejected", now)
             return None, reason
         if offer.earliest_start < now and offer.latest_start >= now:
             offer = offer.with_times(now, offer.latest_start)
@@ -134,7 +135,7 @@ class FlexOfferIngest:
         self._pending += 1
         self._batch.append(offer)
         self._accepted_counter.inc()
-        self._record(offer, "accepted", now)
+        record(owner, offer, "accepted", now)
         return offer, None
 
     def retire(self, offers: Iterable[FlexOffer], now: int, state: str) -> int:

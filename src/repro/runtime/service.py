@@ -467,7 +467,11 @@ class BrpRuntimeService:
     def _admit(
         self, offer: FlexOffer, source_event_id: str | None = None
     ) -> SubmitResult:
-        """:meth:`submit_fact` short of asking the trigger."""
+        """:meth:`submit_fact` short of asking the trigger.
+
+        The clock is read once: the arrival's slice, its admission instant
+        and its place in the age heap all come from that one reading.
+        """
         led = self.ledger
         recording = led is not None and led.recording_inputs
         sid, text = source_event_id, None
@@ -476,7 +480,8 @@ class BrpRuntimeService:
             if duplicate is not None:
                 return duplicate
         self._submitted_counter.inc()
-        accepted, reason = self.ingest.submit(offer, self.now_slice)
+        now = self.now
+        accepted, reason = self.ingest.submit(offer, int(math.ceil(now)))
         if accepted is None:
             result = SubmitResult(False, offer.offer_id, None, reason)
         else:
@@ -487,14 +492,14 @@ class BrpRuntimeService:
             entry = _LiveOffer(
                 accepted,
                 next(self._admissions),
-                self.now,
+                now,
                 time.perf_counter(),
                 energy,
             )
             self._live[oid] = entry
             self._offers_since_run += 1
             self._unscheduled_energy += energy
-            heapq.heappush(self._pending_heap, (self.now, oid))
+            heapq.heappush(self._pending_heap, (now, oid))
             # Keyed by the *submitted* earliest start (see _sweep_pool).
             due = offer.earliest_start
             deadline = accepted.assignment_before
@@ -740,21 +745,22 @@ class BrpRuntimeService:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _oldest_unscheduled_age(self) -> float:
-        """Age of the oldest live unscheduled offer (lazy heap cleanup)."""
+    def _oldest_unscheduled_age(self, now: float) -> float:
+        """Age at ``now`` of the oldest live unscheduled offer (lazy heap
+        cleanup)."""
         while self._pending_heap:
             arrival, oid = self._pending_heap[0]
             entry = self._live.get(oid)
             if entry is not None and entry.start is None:
-                return self.now - arrival
+                return now - arrival
             heapq.heappop(self._pending_heap)
         return 0.0
 
-    def _trigger_context(self) -> TriggerContext:
+    def _trigger_context(self, now: float) -> TriggerContext:
         return TriggerContext(
-            now=self.now,
+            now=now,
             offers_since_last_run=self._offers_since_run,
-            oldest_unscheduled_age=self._oldest_unscheduled_age(),
+            oldest_unscheduled_age=self._oldest_unscheduled_age(now),
             unscheduled_energy_kwh=max(0.0, self._unscheduled_energy),
         )
 
@@ -777,10 +783,11 @@ class BrpRuntimeService:
     def maybe_schedule(self, force: bool = False) -> SchedulingResult | None:
         """Run scheduling if the trigger policy fires (or ``force``)."""
         if not force:
+            now = self.now  # the trigger's one clock reading
             cooldown = self.config.scheduling.min_run_interval_slices
-            if self.now - self._last_run_time < cooldown:
+            if now - self._last_run_time < cooldown:
                 return None
-            context = self._trigger_context()
+            context = self._trigger_context(now)
             trigger = self.trigger
             if isinstance(trigger, AnyTrigger):
                 fired = trigger.fired_names(context)  # one evaluation pass

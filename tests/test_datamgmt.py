@@ -3,6 +3,7 @@
 import sys
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -631,7 +632,7 @@ _EVENT_COLUMNS = list(build_mirabel_schema().facts["flexoffer_event"].columns.va
 
 def _held(store):
     """Rows the store holds back (not yet in the fact table)."""
-    return len(store._pending_rows)
+    return len(store._pending_facts[0])
 
 
 def _written(store):
@@ -716,6 +717,31 @@ class TestHeldBackFacts:
         assert _held(store) == 0
         # The time dimension row is inserted when the fact is recorded.
         assert [row["time_id"] for row in store.schema.dimensions["time"]] == [0, 3]
+
+    def test_guard_sends_odd_flex_offers_through_the_per_cell_check(self):
+        store = self._store()
+        store.record_offer_event("p", self._offer(), "submitted", now=1)
+        odd_id = flex_offer([(1.0, 2.0)], earliest_start=5, latest_start=9,
+                            offer_id=np.int64(702))
+        with pytest.raises(DataManagementError):
+            store.record_offer_event("p", odd_id, "submitted", now=1)
+        # Slice 1's time row exists, so only the guard sees the float.
+        with pytest.raises(DataManagementError):
+            store.record_offer_event("p", self._offer(701), "submitted", now=1.0)
+        assert _held(store) == 1
+        assert store.offer_state(701) is None and store.offer_state(702) is None
+
+    def test_held_values_are_those_of_the_call(self):
+        from types import SimpleNamespace
+
+        store = self._store()
+        duck = SimpleNamespace(offer_id=703, total_min_energy=1,
+                               total_max_energy=2.0, time_flexibility=4)
+        store.record_offer_event("p", duck, "submitted", now=0)
+        duck.total_min_energy, duck.time_flexibility = 1.5, 3
+        facts = store.schema.facts["flexoffer_event"]
+        assert list(facts.column("energy_min_kwh")) == [1.0]
+        assert list(facts.column("time_flexibility")) == [4]
 
     def test_subscriber_mid_buffer_sees_later_events_once(self):
         store = self._store()

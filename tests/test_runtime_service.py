@@ -22,6 +22,7 @@ from repro.core.errors import (
     ServiceError,
 )
 from repro.core.flexoffer import rebase_offer_ids
+from repro.datamgmt import OFFER_STATES
 from repro.ledger import (
     JsonlEventLog,
     MemoryEventLog,
@@ -29,6 +30,7 @@ from repro.ledger import (
     offer_from_dict,
     offer_to_dict,
 )
+from repro.obs.tracing import Tracer
 from repro.runtime.planning import PlanSession
 from repro.scheduling.engine import OfferConstants
 from repro.runtime import (
@@ -323,6 +325,133 @@ class TestStoreFactsPinned:
         for offer_id, state in store._offer_states.items():
             digest.update(struct.pack("<q", offer_id) + state.encode())
         pin("service.store_facts", digest.hexdigest())
+
+
+CLIPPED_ID_BASE = 26 * 10**9
+"""The clipped-admission stream's band, above :data:`STORE_ID_BASE`'s."""
+
+#: Every reason :meth:`FlexOfferIngest.reject_reason` can give, as prefixes.
+REJECT_REASONS = (
+    "start window already closed",
+    "assignment deadline already passed",
+    "profile of 40 slices exceeds",
+    "offer carries no energy",
+)
+
+
+def _clipped_admissions_run(*, write_through=False, traced=False):
+    """A seeded stream in which some offers arrive after their earliest
+    start (and are admitted clipped), every reject reason occurs, one live
+    offer is updated and one withdrawn.
+
+    ``write_through`` makes the store write each one-row fact as a
+    one-event :meth:`~LedmsStore.record_offer_events` batch, the oracle of
+    ``test_held_back_facts_match_write_through``.  Returns the service, the
+    store's subscriber calls and the reject reasons in arrival order.
+    """
+    rebase_offer_ids(CLIPPED_ID_BASE)
+    service = BrpRuntimeService(
+        TINY.merged(max_duration_slices=32),
+        tracer=Tracer() if traced else None,
+    )
+    store = service.store
+    if write_through:
+        store.record_offer_event = (
+            lambda actor, offer, state, now:
+            store.record_offer_events([(actor, offer, state)], now)
+        )
+    calls = []
+    store.subscribe(lambda *args: calls.append(args))
+    reasons = []
+    submit = service.ingest.submit
+
+    def spied_submit(offer, now):
+        accepted, reason = submit(offer, now)
+        if reason is not None:
+            reasons.append(reason)
+        return accepted, reason
+
+    service.ingest.submit = spied_submit
+
+    duration = 36.0
+    arrivals = list(LoadGenerator(rate_per_hour=40.0, seed=17).stream(0.0, duration))
+    rng = np.random.default_rng(17)
+    for _ in range(16):
+        at = float(rng.uniform(2.0, 32.0))
+        est = int(at) - int(rng.integers(1, 3))
+        late = flex_offer(
+            [(0.5, 1.5)] * int(rng.integers(1, 6)),
+            earliest_start=est,
+            latest_start=est + int(rng.integers(3, 9)),
+            owner=f"late-{int(rng.integers(0, 3))}",
+        )
+        arrivals.append((at, late))
+    revised = _offer(30, tf=3)
+    service.driver.schedule_at(
+        7.5, lambda: service.update(_offer(30, tf=1, offer_id=revised.offer_id))
+    )
+    withdrawn = _offer(40, tf=4)
+    service.driver.schedule_at(9.5, lambda: service.withdraw(withdrawn.offer_id))
+    arrivals += [
+        (3.25, revised),
+        (4.25, withdrawn),
+        (6.25, _offer(2, tf=3)),  # window already closed
+        (7.25, _offer(5, tf=10, assignment_before=6)),  # deadline passed
+        (8.25, _offer(14, lo=0.0, hi=0.0)),  # no energy
+        (10.25, _offer(20, duration=40)),  # over the length limit
+    ]
+    arrivals.sort(key=lambda arrival: arrival[0])
+    service.run_stream(iter(arrivals), duration)
+    return service, calls, reasons
+
+
+def _fact_bytes(store):
+    facts = store.schema.facts["flexoffer_event"]
+    return {name: facts.column(name).tobytes() for name in facts.columns}
+
+
+class TestClippedAdmissionFacts:
+    def test_held_back_facts_match_write_through_at_service_level(self):
+        held, held_calls, reasons = _clipped_admissions_run()
+        through, through_calls, through_reasons = _clipped_admissions_run(
+            write_through=True
+        )
+        # The stream does what it is meant to: every reject reason, and
+        # accepted rows whose time flexibility the clock clipped.
+        assert reasons == through_reasons
+        for prefix in REJECT_REASONS:
+            assert any(reason.startswith(prefix) for reason in reasons), prefix
+        facts = held.store.schema.facts["flexoffer_event"]
+        submitted = OFFER_STATES.index("submitted")
+        accepted = OFFER_STATES.index("accepted")
+        flex_at = {}
+        clipped = 0
+        for key, state, flex in zip(
+            facts.column("offer_key"),
+            facts.column("offer_state_id"),
+            facts.column("time_flexibility"),
+        ):
+            if state == submitted:
+                flex_at[key] = flex
+            elif state == accepted and flex < flex_at[key]:
+                clipped += 1
+        assert clipped >= 5
+        assert held.store.state_counts()["withdrawn"] >= 1
+
+        assert _fact_bytes(held.store) == _fact_bytes(through.store)
+        for name, dimension in held.store.schema.dimensions.items():
+            assert list(dimension) == list(through.store.schema.dimensions[name])
+        assert list(held.store._offer_states.items()) == list(
+            through.store._offer_states.items()
+        )
+        assert held_calls == through_calls
+
+    def test_tracing_leaves_the_same_fact_bytes(self):
+        untraced, untraced_calls, _ = _clipped_admissions_run()
+        traced, traced_calls, _ = _clipped_admissions_run(traced=True)
+        assert traced.tracer.enabled
+        assert _fact_bytes(traced.store) == _fact_bytes(untraced.store)
+        assert traced_calls == untraced_calls
 
 
 class TestSchedulingIntegration:
