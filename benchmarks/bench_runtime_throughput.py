@@ -13,7 +13,9 @@ per-layer comparisons that contract does not make:
 * the expiry sweep, one aggregate build, and the commit stage of one
   planning run (``commit_pass``), each at ``brp_steady``'s shape;
 * admission and its flushes per admitted offer (``admission_pass``) on
-  ``brp_ingest_heavy``'s stream.
+  ``brp_ingest_heavy``'s stream;
+* an offer revision and the flushes it starts (``update_pass``) on
+  ``brp_ledger_churn``'s stream and revision share.
 
 Scale with ``REPRO_SCALE`` (multiplies the arrival rates and stream length).
 """
@@ -325,6 +327,90 @@ def test_admission_pass_at_brp_ingest_heavy_shape(once, bench_record):
         metrics={"us_per_offer": per_offer * 1e6},
     )
     assert admitted > 0 and live == admitted
+
+
+def test_update_pass_at_brp_ledger_churn_shape(once, bench_record):
+    """Offer revisions and the flushes they start, on ``brp_ledger_churn``'s stream.
+
+    ``brp_ledger_churn``'s seeded arrival stream (200 offers per simulated
+    hour over 56 slices) goes through :meth:`BrpRuntimeService.submit`, and
+    every tenth distinct offer is revised half a slice after its arrival
+    through :meth:`BrpRuntimeService.update`, its start window one slice
+    narrower, as that workload's harness does.  The trigger never fires, so
+    no planning run is timed.  ``us_per_update`` is the wall time of the
+    update calls (the flushes they start included) per update, and
+    ``us_per_arrival`` the wall time of the whole stream (submits, updates
+    and a last ``run_aggregation``) per arrival, so work an update leaves
+    to a later flush is counted there.  ``flushes`` is the stream's
+    ``ingest.flushes``.  The best of three runs is kept.  Only the public
+    surface is read, so the same file times a parent commit's ``src/``.
+    """
+    duration, rounds = (8.0, 1) if smoke_mode() else (56.0, 3)
+    arrivals = list(LoadGenerator(rate_per_hour=200.0, seed=SEED).stream(0.0, duration))
+    operations = [(at, 0, offer) for at, offer in arrivals]
+    for position, (at, offer) in enumerate(arrivals, start=1):
+        if position % 10 == 0 and at + 0.5 < duration:
+            revised = offer.with_times(offer.earliest_start, offer.latest_start - 1)
+            operations.append((at + 0.5, 1, revised))
+    operations.sort(key=lambda item: (item[0], item[1]))
+    config = ServiceConfig(
+        scheduling=SchedulingConfig(trigger=CountTrigger(10**9)),
+    )
+
+    def run():
+        best = None
+        for _ in range(rounds):
+            service = BrpRuntimeService(config)
+            advance = service.driver.advance_to
+            submit, update = service.submit, service.update
+            clock = time.perf_counter
+            in_updates = 0.0
+            accepted = 0
+            t0 = clock()
+            for at, is_update, offer in operations:
+                advance(at)
+                if is_update:
+                    u0 = clock()
+                    accepted += bool(update(offer))
+                    in_updates += clock() - u0
+                else:
+                    submit(offer)
+            service.run_aggregation()
+            elapsed = clock() - t0
+            flushes = service.metrics.counter("ingest.flushes").value
+            if best is None or in_updates < best[0]:
+                best = (in_updates, elapsed, accepted, flushes)
+        return best
+
+    in_updates, elapsed, accepted, flushes = once(run)
+    updates = len(operations) - len(arrivals)
+    per_update = in_updates / updates
+    per_arrival = elapsed / len(arrivals)
+    print_table(
+        "offer revisions and their flushes at brp_ledger_churn's shape",
+        ["row", "arrivals", "updates", "accepted", "flushes",
+         "us per update", "us per arrival"],
+        [["update_pass", len(arrivals), updates, accepted, f"{flushes:.0f}",
+          f"{per_update * 1e6:.2f}", f"{per_arrival * 1e6:.2f}"]],
+    )
+    bench_record(
+        "runtime",
+        name="update_pass",
+        workload={
+            "rate_per_hour": 200.0,
+            "duration_slices": duration,
+            "arrivals": len(arrivals),
+            "updates": updates,
+            "accepted_updates": accepted,
+            "cpu_count": os.cpu_count(),
+        },
+        metrics={
+            "us_per_update": per_update * 1e6,
+            "us_per_arrival": per_arrival * 1e6,
+            "flushes": flushes,
+        },
+    )
+    assert accepted > 0
 
 
 def _delta_offer(rng: np.random.Generator, horizon: int):

@@ -484,12 +484,16 @@ class NToOneAggregator:
         )
 
     def _apply_incremental(self, gid: str, offers: tuple[FlexOffer, ...]) -> _GroupState:
+        """Diff the held members against ``offers`` by identity: a revision
+        (another object under a held id) replaces its member at the end; the
+        held object itself keeps its place and its contribution."""
         state = self._states.get(gid)
         if state is None:
             state = self._states[gid] = self._state_factory()
-        current = {o.offer_id for o in offers}
-        for oid in [oid for oid in state.members if oid not in current]:
-            state.remove(oid)
+        current = {o.offer_id: o for o in offers}
+        for oid, held in list(state.members.items()):
+            if current.get(oid) is not held:
+                state.remove(oid)
         for offer in offers:
             if offer.offer_id not in state.members:
                 state.add(offer)

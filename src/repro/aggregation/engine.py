@@ -327,10 +327,11 @@ class PackedView:
     ``aggregate`` (the object with exactly these fields, built on first
     use and kept, so one update version builds at most one object).
     ``joined`` is the members the emitting flush admitted to the group, in
-    membership order: every member of a group the flush reset, and a
-    member deleted and re-inserted within the flush under the object the
-    group kept.  A consumer that tracks members per group reads only these
-    between two emissions, never the whole membership.
+    membership order: every member of a group the flush reset, a revision
+    (another object under a live id) at the group's end, and a member
+    deleted and re-inserted as the object the group held, in its place.
+    A consumer that tracks members per group reads only these between two
+    emissions, never the whole membership.
 
     Emission fills the scalars from the group state — members, earliest
     start, duration, and the time-flexibility and deadline minima its
@@ -760,20 +761,18 @@ class PackedAggregationPipeline:
                     raise AggregationError(f"flex-offer {oid} inserted twice")
                 inserts[oid] = offer
 
-        # A live offer deleted and re-inserted within the same flush is a
-        # membership no-op when it returns to the same cell: the scalar
-        # aggregator diffs group memberships **by id**, so the member keeps
-        # its position (and its original contribution).  The group is still
-        # touched and emits MODIFIED.  A re-insert into a *different* cell is
-        # a genuine remove+add across groups.
+        # A live offer deleted and re-inserted within one flush as the object
+        # the pool holds is a membership no-op (the scalar aggregator diffs
+        # memberships by identity): it keeps its position and contribution,
+        # and its group still emits MODIFIED.  Another object under the id
+        # (a revision) is a genuine remove+add, in its old cell or another,
+        # so the revision moves to the end of its group like any newcomer.
         retouched: dict[str, set[int]] = {}
+        pool = self.pool
         for oid in [oid for oid in inserts if oid in deletes]:
-            new_gid = GroupBuilder._group_id(
-                self.parameters.group_key(inserts[oid])
-            )
-            if self._offer_gid[oid] == new_gid:
+            if inserts[oid] is pool.offer_at(pool.row_of(oid)):
                 del inserts[oid], deletes[oid]
-                retouched.setdefault(new_gid, set()).add(oid)
+                retouched.setdefault(self._offer_gid[oid], set()).add(oid)
 
         # 2) Tombstone deleted rows (slice data remains readable for the
         # subtract sweeps below) and bucket them by their group.

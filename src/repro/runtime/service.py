@@ -523,7 +523,8 @@ class BrpRuntimeService:
 
         The revision is validated *before* the previous version is touched,
         so a rejected update leaves the existing offer intact; otherwise
-        :meth:`_replace` swaps the versions.  Updating an unknown/retired id
+        :meth:`_replace` swaps the versions in the ingest batch, for the next
+        flush (an update forces none).  Updating an unknown/retired id
         degrades to a plain submit.
 
         With a ledger attached the edit journals as one ``reverse`` +
@@ -558,20 +559,19 @@ class BrpRuntimeService:
         return result
 
     def _replace(self, offer: FlexOffer) -> SubmitResult:
-        """The withdraw-flush-resubmit core of :meth:`update`.
+        """The withdraw-then-resubmit core of :meth:`update`.
 
-        The previous version's delete update is flushed through the
-        aggregation pipeline first, so the insert cannot pair with a stale
-        state; then the revision is admitted like a fresh submission.
-        Under a wall-clock driver the admission clock may tick between
-        those steps; if the revision fails that second check, the previous
+        The previous version's delete and the revision's insert ride the
+        next flush like any arrival: the engine takes another object under
+        a live id as a replace (old contribution out, new in, the member at
+        its group's end), so no flush is forced between them.  Under a
+        wall-clock driver the admission clock may tick between the two
+        steps; if the revision fails that second check, the previous
         version is re-admitted, so the prosumer never loses a live offer to
         a rejected update (unless its own window closed in the meantime —
         ordinary expiry).
         """
         previous = self.withdraw(offer.offer_id)
-        if previous is not None:
-            self.run_aggregation()
         result = self.submit_fact(offer)
         if not result.accepted and previous is not None:
             self.submit(previous)  # best-effort reinstatement

@@ -29,6 +29,7 @@ from repro.aggregation import (
     UpdateKind,
     make_pipeline,
 )
+from repro.aggregation.pipeline import aggregate_from_scratch
 from repro.aggregation import aggregator as aggregation_aggregator
 from repro.aggregation import engine as aggregation_engine
 from repro.aggregation.aggregator import _finalize_aggregate
@@ -126,12 +127,23 @@ def _run_scenario(seed, *, engines=("reference", "scalar", "packed"), bounds=Non
         churn = []
         if live and rng.random() < 0.3:
             churn = [live[int(rng.integers(len(live)))]]
+        # Occasionally revise a live offer within one flush: a different
+        # object under the same id (the update path), which replaces the
+        # held member, in its old cell or in another.
+        revisions = []
+        if live and rng.random() < 0.5:
+            k = int(rng.integers(len(live)))
+            live[k] = _revised(live[k])
+            revisions = [live[k]]
 
         per_engine = {}
         for name, pipeline in pipelines.items():
             pipeline.submit_inserts(inserts)
             pipeline.submit_deletes(deletes)
             for offer in churn:
+                pipeline.submit(FlexOfferUpdate.delete(offer))
+                pipeline.submit(FlexOfferUpdate.insert(offer))
+            for offer in revisions:
                 pipeline.submit(FlexOfferUpdate.delete(offer))
                 pipeline.submit(FlexOfferUpdate.insert(offer))
             per_engine[name] = _updates_summary(pipeline.run())
@@ -142,8 +154,46 @@ def _run_scenario(seed, *, engines=("reference", "scalar", "packed"), bounds=Non
         pools = {name: _pool_summary(p) for name, p in pipelines.items()}
         for name in engines[1:]:
             assert pools[name] == pools[engines[0]], (seed, name)
+        for name, pipeline in pipelines.items():
+            _assert_holds_live(pipeline, live, parameters, bounds, (seed, name))
     counts = {p.input_count for p in pipelines.values()}
     assert counts == {len(live)}
+
+
+def _revised(offer):
+    """A revision of ``offer``: same id, window narrowed by one slice, or
+    the price moved when the window or a deadline forbids narrowing."""
+    latest = offer.latest_start - 1
+    deadline = offer.assignment_before
+    if latest >= offer.earliest_start and (deadline is None or deadline <= latest):
+        return offer.with_times(offer.earliest_start, latest)
+    return replace(offer, unit_price=offer.unit_price + 0.125)
+
+
+def _by_membership(aggregates):
+    return {
+        frozenset(m.offer_id for m in a.members): (
+            a.earliest_start,
+            tuple(a.profile.min_array.tolist()),
+            tuple(a.profile.max_array.tolist()),
+        )
+        for a in aggregates
+    }
+
+
+def _assert_holds_live(pipeline, live, parameters, bounds, label):
+    """Every live offer's current object is the member held, and (without
+    a bin-packer, whose sub-groups depend on arrival order) the pool is a
+    from-scratch aggregation of the live set: same memberships, same
+    bounds."""
+    current = {offer.offer_id: offer for offer in live}
+    aggregates = pipeline.aggregates
+    held = [m for a in aggregates for m in a.members]
+    assert len(held) == len(current), label
+    assert all(current[m.offer_id] is m for m in held), label
+    if bounds is None:
+        scratch = aggregate_from_scratch(live, parameters) if live else []
+        assert _by_membership(aggregates) == _by_membership(scratch), label
 
 
 # ----------------------------------------------------------------------
@@ -243,16 +293,23 @@ def test_packed_views_name_the_members_each_flush_joined():
     pipe.submit_deletes([a])
     update = flush()
     assert update.view.members == (b, c) and update.view.joined == (c,)
-    # A member deleted and re-inserted within a flush keeps its place and
-    # its object, and counts as joined.
+    # A member deleted and re-inserted as the very object the group holds
+    # keeps its place, and counts as joined.
+    pipe.submit_deletes([b])
+    pipe.submit_inserts([b])
+    update = flush()
+    assert update.view.members == (b, c) and update.view.joined == (b,)
+    # A revision (a different object under the same id) replaces the
+    # member: the old object leaves, the new one joins at the end.
     d, b_again = offers(1)[0], replace(b)
     pipe.submit_deletes([b])
     pipe.submit_inserts([b_again, d])
     update = flush()
-    assert update.view.members == (b, c, d) and update.view.joined == (b, d)
+    assert update.view.members == (c, b_again, d)
+    assert update.view.joined == (b_again, d)
     # Emptied and refilled in one flush: every member joined.
     e = offers(1)[0]
-    pipe.submit_deletes([b, c, d])
+    pipe.submit_deletes([b_again, c, d])
     pipe.submit_inserts([e])
     update = flush()
     assert update.kind is UpdateKind.MODIFIED and update.view.joined == (e,)

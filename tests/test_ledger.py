@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.aggregation.pipeline import aggregate_from_scratch
 from repro.api import (
     IngestConfig,
     LedmsClient,
@@ -756,6 +757,49 @@ class TestStoreReplay:
         # Idempotent: replaying more facts for the same actor is fine.
         store.replay_offer_event("ghost", offer, "scheduled", 1)
         assert store.offer_state(offer.offer_id) == "scheduled"
+
+
+class TestUpdateRecovery:
+    def test_an_update_costs_no_flush_and_recovery_matches_live(self, tmp_path):
+        """A journaled update rides the next flush, and re-execution from
+        the journal reproduces the live node."""
+        client = _ledger_client(JsonlEventLog(tmp_path / "led"))
+        service = client.service
+        flushes = service.metrics.counter("ingest.flushes")
+        offers = [_offer(40, lo=1.0 + k, hi=2.0 + k) for k in range(4)]
+        target = offers[1]
+        revised = target.with_times(target.earliest_start, target.latest_start - 1)
+        seen = {}
+
+        def update():
+            seen["before"] = flushes.value
+            assert client.update(revised).accepted
+            seen["after"] = flushes.value
+
+        for offer in offers:  # the fourth fills the batch of 4: one flush
+            service.driver.schedule_at(0.0, partial(client.submit, offer))
+        service.driver.schedule_at(0.5, update)
+        late = _offer(41)
+        service.driver.schedule_at(1.0, partial(client.submit, late))
+        service.open_window((), 16.0)
+        service.driver.run_until(16.0)
+        service.drain(16.0)
+        assert seen["before"] == seen["after"] > 0
+        (group,) = service.pool.values()
+        view = group.view
+        assert view.members == (offers[0], offers[2], offers[3], revised, late)
+        assert view.members[3] is revised
+        (scratch,) = aggregate_from_scratch(
+            view.members, service.ingest.pipeline.parameters
+        )
+        assert view.profile.min_array.tolist() == scratch.profile.min_array.tolist()
+        assert view.profile.max_array.tolist() == scratch.profile.max_array.tolist()
+        assert service.committed_start(revised.offer_id) is not None
+        client.ledger.close()
+
+        resumed = LedmsClient.resume_from_ledger(str(tmp_path / "led"), _config())
+        assert resumed.last_replay.mode == "reexecute"
+        assert state_fingerprint(resumed) == state_fingerprint(client)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from pins import pin
 from repro.aggregation import AggregateUpdate, UpdateKind
+from repro.aggregation.pipeline import aggregate_from_scratch
 from repro.core import ScheduledFlexOffer, flex_offer
 from repro.core.errors import (
     DataManagementError,
@@ -519,6 +520,63 @@ class TestNonFiniteBounds:
         assert service.submit(good)
         assert service.maybe_schedule(force=True) is not None
         assert service.committed_start(good.offer_id) is not None
+
+
+class TestUpdateRidesTheNextFlush:
+    """An update queues its replace in the ingest batch like an arrival:
+    it forces no flush, and the next flush holds the revision in place of
+    the member, with the bounds a from-scratch aggregation gives."""
+
+    CONFIG = ServiceConfig.from_flat(
+        batch_size=8,
+        horizon_slices=96,
+        scheduler_passes=1,
+        trigger=CountTrigger(10**9),
+        seed=0,
+    )
+
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_update_costs_no_flush_and_the_next_flush_holds_the_revision(
+        self, journaled
+    ):
+        ledger = OfferLedger(MemoryEventLog()) if journaled else None
+        service = BrpRuntimeService(self.CONFIG, ledger=ledger)
+        offers = [
+            service.submit(_offer(20, tf=6, lo=1.0 + k, hi=2.0 + k))
+            for k in range(3)
+        ]
+        service.run_aggregation()
+        (gid,) = service.pool
+        flushes = service.metrics.counter("ingest.flushes")
+        before = flushes.value
+
+        target = offers[1]
+        # One slice narrower: the same grid cell under the runtime's tolerances.
+        revised = target.with_times(target.earliest_start, target.latest_start - 1)
+        assert service.update(revised).offer is revised
+        assert flushes.value == before
+        assert service.pool[gid].view.members == tuple(offers)
+
+        service.run_aggregation()
+        assert flushes.value == before + 1
+        assert list(service.pool) == [gid]
+        view = service.pool[gid].view
+        live = [offers[0], offers[2], revised]
+        assert view.members == tuple(live) and view.joined == (revised,)
+        assert view.members[-1] is revised
+        (scratch,) = aggregate_from_scratch(
+            live, service.ingest.pipeline.parameters
+        )
+        assert (view.earliest_start, view.latest_start) == (
+            scratch.earliest_start,
+            scratch.latest_start,
+        )
+        assert view.profile.min_array.tolist() == scratch.profile.min_array.tolist()
+        assert view.profile.max_array.tolist() == scratch.profile.max_array.tolist()
+        # The revision plans and commits like any newcomer.
+        service.maybe_schedule(force=True)
+        start = service.committed_start(revised.offer_id)
+        assert revised.earliest_start <= start <= revised.latest_start
 
 
 class TestStaleRemoteSchedule:
