@@ -104,8 +104,11 @@ class SchedulingConfig:
     horizon_slices: int = 192
     """Rolling planning horizon (2 days on the 15-min axis)."""
     scheduler_passes: int = 2
-    """Greedy passes per scheduling run; each pass re-places only the offers
-    whose last placement was not kept (all of them on a first run)."""
+    """Most greedy passes per scheduling run; each pass re-places only the
+    offers whose last placement was not kept (all of them on a first run).
+    A run stops after a pass that a Lagrangian certificate proves optimal
+    (see :meth:`~repro.scheduling.greedy.RandomizedGreedyScheduler.schedule`),
+    so a run may take fewer."""
     trigger: TriggerPolicy = field(default_factory=default_trigger)
     """When a scheduling run fires, asked over a
     :class:`~repro.runtime.triggers.TriggerContext`.

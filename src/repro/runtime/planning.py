@@ -245,8 +245,10 @@ class PlanSession:
         re-places the rest (all of them on a first run).  On return the
         placements reflect the committed plan for every key, the dirty set
         is drained, and ``schedule.warm_started`` (runs that kept a
-        placement) and ``delta.reused_placements`` /
-        ``delta.replaced_placements`` have counted the run.
+        placement), ``schedule.certified_runs`` (runs whose plan a pass
+        proved optimal before the last one, so the scheduler stopped there)
+        and ``delta.reused_placements`` / ``delta.replaced_placements`` have
+        counted the run.
         """
         retained = [
             self._kept(key, consts)
@@ -258,6 +260,8 @@ class PlanSession:
         reused = sum(kept is not None for kept in retained)
         if reused:
             self.metrics.counter("schedule.warm_started").inc()
+        if result.evaluations < self.passes:
+            self.metrics.counter("schedule.certified_runs").inc()
         self.metrics.counter("delta.reused_placements").inc(reused)
         self.metrics.counter("delta.replaced_placements").inc(len(keys) - reused)
         for key, start, energies in zip(

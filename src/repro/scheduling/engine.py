@@ -425,6 +425,30 @@ class CostEngine:
         """Full-horizon slice-cost total of a residual (EUR)."""
         return float(self.slice_costs(residual).sum())
 
+    def multiplier(self, residual: np.ndarray) -> float | None:
+        """One constant ``λ`` that is a subgradient of every slice's cost at
+        the full-horizon ``residual``, or ``None`` when there is none.
+
+        On the two-row table slice ``t`` costs ``buy_t·max(r, 0) +
+        sell_t·max(-r, 0)``.  ``λ`` must lie in ``[-sell_t, buy_t]`` on
+        every slice, so that ``c_t(x) >= λ·x`` for every ``x`` (no ``λ``
+        does on a slice where ``buy_t < -sell_t``: its cost is not convex),
+        and equal ``buy_t`` where ``r > 0`` and ``-sell_t`` where ``r < 0``,
+        so that ``c_t(r) = λ·r`` at ``residual``.  Such a ``λ`` exists when
+        the largest lower end is at most the smallest upper end, and it is
+        that lower end: the Lagrangian bound
+        :meth:`RandomizedGreedyScheduler.schedule
+        <repro.scheduling.greedy.RandomizedGreedyScheduler.schedule>` checks
+        a pass against.  A six-row table (a volume cap binds somewhere) has
+        more kinks than this reads, so it has no multiplier here.
+        """
+        if len(self._market) != 2:
+            return None
+        buy, sell = self._market
+        lower = max(np.where(residual > 0.0, buy, -sell).max(), -sell.min())
+        upper = min(np.where(residual < 0.0, -sell, buy).min(), buy.min())
+        return float(lower) if lower <= upper else None
+
     # ------------------------------------------------------------------
     def best_placement(
         self,

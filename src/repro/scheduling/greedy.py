@@ -8,7 +8,17 @@ such optimal placements does not produce an overall optimal schedule."
 
 One *pass* builds a complete schedule; the scheduler keeps running fresh
 randomized passes until the budget expires and returns the best schedule
-found (with the cost-over-time trace of Figure 6).
+found (with the cost-over-time trace of Figure 6) — unless a pass is
+provably optimal.  After each pass a Lagrangian certificate is checked:
+one constant price ``λ`` that is a subgradient of every slice's cost at
+the pass's residual (:meth:`~repro.scheduling.engine.CostEngine.multiplier`)
+and every offer at an energy minimising ``λ·e + unit_price·|e|`` on each
+slice.  Then the pass costs what the Lagrangian lower bound says every plan
+costs at least, no later pass can be strictly cheaper, and the run stops.
+On the runtime's flat two-row market with no forecast most runs stop after
+one pass; a capped market, a slice whose cost is not convex, prices or a
+forecast that need more than one multiplier, and passes that are not
+``λ``-optimal run every pass, as they always did.
 
 Each placement runs the batched kernel
 :meth:`~repro.scheduling.engine.CostEngine.best_placement` — all admissible
@@ -48,7 +58,8 @@ Placement = tuple[int, np.ndarray]
 
 
 class RandomizedGreedyScheduler:
-    """Best-position insertion in random offer order, restarted until budget."""
+    """Best-position insertion in random offer order, restarted until budget
+    or a certified optimum."""
 
     name = "greedy-search"
 
@@ -61,7 +72,8 @@ class RandomizedGreedyScheduler:
         rng: np.random.Generator | None = None,
         retained: Sequence[Placement | None] | None = None,
     ) -> SchedulingResult:
-        """Run greedy passes until the time budget or pass count is reached.
+        """Run greedy passes until the time budget or pass count is reached,
+        or a pass is proven optimal.
 
         ``retained[j]``, when given, is a kept ``(start, energies)``
         placement of offer ``j`` (e.g. the previous planning run's, in a
@@ -73,6 +85,14 @@ class RandomizedGreedyScheduler:
         caller that passes ``retained`` gets the winner re-priced by
         ``problem.cost``.  Without it this is the cold greedy, every offer
         placed on every pass.
+
+        After each pass but the last, the Lagrangian certificate
+        (:func:`_certified`) is checked against the pass's final residual;
+        when it holds, the pass is optimal and the run ends.  It then draws
+        one ``rng.permutation`` per pass that ``max_passes`` still allowed,
+        as those passes would have, so a later run's passes do not depend
+        on whether this one was certified.  A run with a time budget alone
+        draws none.  ``evaluations`` counts the passes that ran.
         """
         rng = rng if rng is not None else np.random.default_rng(0)
         tracker = CostTracker(
@@ -80,8 +100,14 @@ class RandomizedGreedyScheduler:
         )
         start = _PassStart.of(problem, retained)
         while not tracker.exhausted():
-            solution, pass_cost = self._one_pass(problem, rng, start)
-            tracker.record(pass_cost, solution)
+            solution, state = self._one_pass(problem, rng, start)
+            tracker.record(state.total, solution)
+            if tracker.evaluations != max_passes and _certified(
+                problem, solution, state.residual
+            ):
+                for _ in range(tracker.evaluations, max_passes or 0):
+                    rng.permutation(start.free)
+                break
         result = tracker.result()
         if retained is not None:
             result.cost = problem.cost(result.solution)
@@ -93,13 +119,14 @@ class RandomizedGreedyScheduler:
         problem: SchedulingProblem,
         rng: np.random.Generator,
         start: "_PassStart | None" = None,
-    ) -> tuple[CandidateSolution, float]:
+    ) -> tuple[CandidateSolution, IncrementalCostState]:
         """Place every free offer once, each in its locally best position.
 
-        Returns the finished candidate *and* the incremental state's total
-        — the residual's cost plus the placed offers' compensation, paid
-        for placement by placement, so the caller must not rebuild the
-        residual just to price the pass again.
+        Returns the finished candidate *and* the incremental state it left:
+        its ``total`` is the residual's cost plus the placed offers'
+        compensation, paid for placement by placement, so the caller must
+        not rebuild the residual just to price the pass again, and its
+        ``residual`` is what the certificate reads.
         """
         if start is None:
             start = _PassStart.of(problem, None)
@@ -115,7 +142,35 @@ class RandomizedGreedyScheduler:
             energies[j] = energy
             state.place(c.earliest_index + start_index, energy, delta, after)
 
-        return CandidateSolution(starts, energies), state.total
+        return CandidateSolution(starts, energies), state
+
+
+def _certified(
+    problem: SchedulingProblem, solution: CandidateSolution, residual: np.ndarray
+) -> bool:
+    """Whether a Lagrangian certificate proves ``solution`` optimal.
+
+    ``residual`` is the solution's full-horizon residual (forecast plus every
+    placement).  With a constant multiplier ``λ`` of every slice's cost there
+    (:meth:`~repro.scheduling.engine.CostEngine.multiplier`), each slice
+    costs ``λ·r`` at the solution and at least that anywhere, so no plan
+    costs less than ``λ·Σforecast + Σ_j min λ-cost_j``, where an offer's
+    ``λ-cost`` is ``Σ_t λ·e_t + unit_price·|e_t|`` over its slices and does
+    not depend on its start.  That minimum is taken slice by slice at
+    ``lo``, ``hi`` or ``clip(0, lo, hi)``; the solution attains the bound
+    when every offer's energy, kept ones included, attains it on every
+    slice.
+    """
+    lam = problem.engine.multiplier(residual)
+    if lam is None:
+        return False
+    packed = problem.packed_offers
+    lo, hi = packed.lo, packed.hi
+    *candidates, chosen = [
+        lam * energy + packed.unit_price * np.abs(energy)
+        for energy in (lo, hi, np.clip(0.0, lo, hi), packed.pack(solution.energies))
+    ]
+    return bool(np.logical_and.reduce(chosen <= np.minimum.reduce(candidates)))
 
 
 class _PassStart(NamedTuple):

@@ -31,11 +31,12 @@ from repro.scheduling import (
     SchedulingProblem,
 )
 from repro.scheduling.engine import CostEngine, OfferConstants
-from repro.scheduling.greedy import _PassStart
+from repro.scheduling.greedy import _certified, _PassStart
 from repro.scheduling.reference import (
     reference_one_pass,
     reference_optimal_energies,
 )
+from repro.scheduling.result import CostTracker
 
 N_RANDOM_PROBLEMS = 200
 
@@ -624,13 +625,13 @@ class TestBatchedKernel:
         for trial in range(10):
             problem = random_problem(np.random.default_rng(trial))
             ref = reference_one_pass(problem, np.random.default_rng(rng_seed))
-            new, pass_cost = RandomizedGreedyScheduler()._one_pass(
+            new, state = RandomizedGreedyScheduler()._one_pass(
                 problem, np.random.default_rng(rng_seed)
             )
             assert np.array_equal(ref.starts, new.starts)
             for a, b in zip(ref.energies, new.energies):
                 assert np.array_equal(a, b)
-            assert pass_cost == pytest.approx(problem.cost(new), abs=1e-9)
+            assert state.total == pytest.approx(problem.cost(new), abs=1e-9)
 
 
 class TestIncrementalCostState:
@@ -796,6 +797,47 @@ class TestPackedOffers:
             assert np.array_equal(original, piece)
 
 
+def _reference_certified(problem, energies, residual):
+    """The Lagrangian certificate, slice by slice and offer by offer, read
+    off ``problem.market`` and the penalties rather than the engine's
+    table, so the oracles below do not share the scheduler's code.
+
+    A capped slice where trading pays has no multiplier.  Elsewhere ``λ``
+    must lie in ``[-surplus rate, shortage rate]`` on every slice (the
+    cheapest of market and penalty on each side), equal the shortage rate
+    where the residual is short and minus the surplus rate where it is
+    long; then every offer slice must sit at an energy minimising ``λ·e +
+    unit_price·|e|`` over ``lo``, ``hi`` and ``0`` clipped into them.
+    """
+    market = problem.market
+    horizon = problem.horizon_length
+    short = np.broadcast_to(problem.shortage_penalty, horizon)
+    long = np.broadcast_to(problem.surplus_penalty, horizon)
+    lower, upper = -np.inf, np.inf
+    for t in range(horizon):
+        buy, sell = market.buy_price[t], market.sell_price[t]
+        if buy < short[t] and market.max_buy is not None:
+            if np.isfinite(market.max_buy[t]):
+                return False
+        if sell > -long[t] and market.max_sell is not None:
+            if np.isfinite(market.max_sell[t]):
+                return False
+        shortage_rate, surplus_rate = min(buy, short[t]), min(-sell, long[t])
+        lower = max(lower, shortage_rate if residual[t] > 0.0 else -surplus_rate)
+        upper = min(upper, -surplus_rate if residual[t] < 0.0 else shortage_rate)
+    if lower > upper:
+        return False
+    for c, energy in zip(problem.offer_constants, energies):
+        for lo, hi, e in zip(c.lo, c.hi, energy):
+            best = min(
+                lower * x + c.unit_price * abs(x)
+                for x in (lo, hi, min(max(0.0, lo), hi))
+            )
+            if lower * e + c.unit_price * abs(e) > best:
+                return False
+    return True
+
+
 class _KeptPlacementOracle:
     """From-scratch replay of a planning session that keeps placements.
 
@@ -804,7 +846,9 @@ class _KeptPlacementOracle:
     window, energy bounds); every run rebuilds its state canonically (zero
     seed + kept adds in index order, one vector add onto the forecast),
     places the other offers in ``rng.permutation`` order on each pass,
-    keeps the first cheapest pass and re-prices it with ``problem.cost``.
+    stops after a pass :func:`_reference_certified` proves optimal (drawing
+    the skipped passes' permutations), keeps the first cheapest pass and re-prices it
+    with ``problem.cost``.
     :class:`~repro.runtime.planning.PlanSession` must reproduce this bit
     for bit; a first run, where nothing is kept, is the cold greedy.
     """
@@ -841,7 +885,7 @@ class _KeptPlacementOracle:
             residual = residual + seed
         free = np.array([j for j in range(n) if j not in kept], dtype=np.int64)
         best = None
-        for _ in range(self.passes):
+        for done in range(1, self.passes + 1):
             state = IncrementalCostState(problem.engine, residual.copy())
             starts = np.zeros(n, dtype=np.int64)
             energies_out = [None] * n
@@ -855,6 +899,12 @@ class _KeptPlacementOracle:
                 state.place(c.earliest_index + index, energy, cost_delta, after)
             if best is None or state.total < best[0]:
                 best = (state.total, starts, energies_out)
+            if done < self.passes and _reference_certified(
+                problem, energies_out, state.residual
+            ):
+                for _ in range(done, self.passes):
+                    self.rng.permutation(free)
+                break
         _, starts, energies_out = best
         cost = problem.cost(CandidateSolution(starts, energies_out))
         self.plan = {
@@ -864,9 +914,10 @@ class _KeptPlacementOracle:
 
 
 def _cold_greedy(problem, passes, rng):
-    """The cold greedy as it stood before ``retained`` existed."""
+    """The cold greedy as it stood before ``retained`` existed, with the
+    certificate's stop."""
     best = None
-    for _ in range(passes):
+    for done in range(1, passes + 1):
         state = IncrementalCostState.for_problem(problem)
         starts = np.zeros(problem.offer_count, dtype=np.int64)
         energies = [None] * problem.offer_count
@@ -878,6 +929,10 @@ def _cold_greedy(problem, passes, rng):
             state.place(c.earliest_index + index, energy, cost_delta, after)
         if best is None or state.total < best[0]:
             best = (state.total, starts, energies)
+        if done < passes and _reference_certified(
+            problem, energies, state.residual
+        ):
+            break
     return best
 
 
@@ -1088,3 +1143,232 @@ class TestColdGreedy:
             retained=[None] * problem.offer_count,
         )
         _assert_same_plan(result, starts, energies, problem.cost(result.solution))
+
+
+@st.composite
+def _two_row_problems(draw):
+    """A small problem on a two-row market, with kept placements.
+
+    Prices are flat or per slice with ``buy >= sell``.  Half the tables
+    are the market's own rows (penalties of 1.0 above every price); the
+    rest buy at negative prices under a surplus penalty drawn like a price,
+    or sell under a shortage penalty drawn like one.  There a slice whose
+    penalty is below ``-buy`` (or below ``sell``) is not convex: its
+    cheapest shortage rate plus its cheapest surplus rate is negative.
+    The forecast is zero or not; each offer is a consumer, a producer or
+    crosses zero, on a quarter-kWh grid, at a unit price of zero or
+    above; some offers keep a placement anywhere inside their bounds.
+    """
+    horizon = draw(st.integers(2, 6))
+    cents = st.integers(1, 12).map(lambda k: k / 20)
+    flat = draw(st.booleans())
+    buy = np.array([draw(cents) for _ in range(1 if flat else horizon)])
+    sell = buy - np.array([draw(cents) - 0.05 for _ in range(len(buy))])
+    shortage_penalty = surplus_penalty = 1.0
+    table = draw(st.sampled_from(("market", "negative buy", "low penalty")))
+    if table == "negative buy":
+        buy, sell = buy - 0.65, sell - 0.65
+        surplus_penalty = draw(cents)
+    elif table == "low penalty":
+        shortage_penalty = draw(cents)
+    market = Market(
+        np.broadcast_to(buy, horizon).copy(), np.broadcast_to(sell, horizon).copy()
+    )
+    quarters = st.integers(-8, 8).map(lambda k: k / 4)
+    forecast = np.zeros(horizon)
+    if draw(st.booleans()):
+        forecast = np.array([draw(quarters) for _ in range(horizon)])
+    offers, retained = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        duration = draw(st.integers(1, min(3, horizon)))
+        earliest = draw(st.integers(0, horizon - duration))
+        latest = draw(st.integers(earliest, horizon - duration))
+        sign = draw(st.sampled_from(("consumer", "producer", "mixed")))
+        bounds = []
+        for _ in range(duration):
+            a, b = sorted((draw(quarters), draw(quarters)))
+            if sign == "consumer":
+                a, b = abs(a), abs(a) + b - a
+            elif sign == "producer":
+                a, b = -abs(a) - (b - a), -abs(a)
+            bounds.append((a, b))
+        offers.append(
+            flex_offer(
+                bounds,
+                earliest_start=earliest,
+                latest_start=latest,
+                unit_price=draw(st.sampled_from((0.0, 0.0, 0.01, 0.05, 0.3))),
+            )
+        )
+        kept = None
+        if draw(st.integers(0, 2)) == 0:
+            energies = np.array(
+                [draw(st.sampled_from((a, b, (a + b) / 2))) for a, b in bounds]
+            )
+            kept = (draw(st.integers(earliest, latest)), energies)
+        retained.append(kept)
+    problem = SchedulingProblem(
+        TimeSeries(0, forecast),
+        tuple(offers),
+        market,
+        shortage_penalty=np.array(shortage_penalty),
+        surplus_penalty=np.array(surplus_penalty),
+    )
+    return problem, retained
+
+
+def _convex(problem):
+    """Whether every slice's cost is convex: the cheapest shortage rate plus
+    the cheapest surplus rate is never negative (what the MILP models)."""
+    market = problem.market
+    shortage = np.minimum(market.buy_price, problem.shortage_penalty)
+    surplus = np.minimum(-market.sell_price, problem.surplus_penalty)
+    return bool(np.all(shortage + surplus >= 0.0))
+
+
+class TestCertificate:
+    """A pass the Lagrangian certificate accepts ends the run: it must be
+    the proven optimum, and where none is accepted nothing changes."""
+
+    def test_certified_plan_is_the_milp_optimum(self):
+        """Every certified run on a convex table is the MILP optimum, and no
+        run on a non-convex one is certified: there no constant ``λ``
+        bounds a slice's cost from below, so a certificate proves nothing
+        (and the MILP, which models convex slices only, cannot judge)."""
+        pytest.importorskip("scipy")
+        from repro.scheduling.milp import MilpScheduler
+
+        outcomes = []
+
+        @settings(max_examples=400, derandomize=True, deadline=None)
+        @given(case=_two_row_problems(), seed=st.integers(0, 2**16))
+        def check(case, seed):
+            problem, retained = case
+            assert len(problem.engine._market) == 2
+            result = RandomizedGreedyScheduler().schedule(
+                problem,
+                max_passes=2,
+                rng=np.random.default_rng(seed),
+                retained=retained,
+            )
+            convex = _convex(problem)
+            outcomes.append((convex, result.evaluations == 1))
+            if result.evaluations == 2:
+                return
+            assert convex
+            cost = problem.cost(result.solution)
+            exact = MilpScheduler().schedule(problem)
+            assert exact.status == "optimal"
+            assert abs(exact.cost - cost) <= 1e-9 * max(1.0, abs(cost))
+
+        check()
+        # The corpus must hold runs the certificate stops and runs it does
+        # not, and tables it must refuse.
+        certified = sum(stopped for _, stopped in outcomes)
+        assert 30 < certified < len(outcomes) - 30
+        assert sum(not convex for convex, _ in outcomes) > 30
+
+    def test_non_convex_slice_is_never_certified(self):
+        """Buying at -0.5 EUR/kWh under a 0.2 surplus penalty makes every
+        slice's cost concave at 0.  Placing ``y`` on slice 0 and then ``x``
+        on slice 0 leaves every slice short for -2.0 EUR, but ``y`` on slice
+        1 and ``x`` on slice 0 costs -2.15 EUR: the short-side price is no
+        bound there, so no pass may stop the run."""
+        y = flex_offer([(1.0, 1.0)], earliest_start=0, latest_start=2)
+        x = flex_offer([(-1.0, -1.0), (1.0, 1.0)], earliest_start=0, latest_start=1)
+        problem = SchedulingProblem(
+            TimeSeries(0, np.array([0.5, 2.0, 0.5])),
+            (y, x),
+            Market(np.full(3, -0.5), np.full(3, -0.6)),
+        )
+        assert not _convex(problem)
+        energies = [np.array([1.0]), np.array([-1.0, 1.0])]
+        tied = CandidateSolution(np.array([0, 0]), energies)
+        best = CandidateSolution(np.array([1, 0]), energies)
+        assert problem.cost(tied) == pytest.approx(-2.0)
+        assert problem.cost(best) == pytest.approx(-2.15)
+        all_short = np.array([0.5, 3.0, 0.5])
+        assert problem.engine.multiplier(all_short) is None
+        assert not _certified(problem, tied, all_short)
+        for seed in range(8):
+            result = RandomizedGreedyScheduler().schedule(
+                problem, max_passes=2, rng=np.random.default_rng(seed)
+            )
+            assert result.evaluations == 2
+
+    @staticmethod
+    def _by_hand(problem, passes, rng):
+        scheduler = RandomizedGreedyScheduler()
+        tracker = CostTracker(None, passes)
+        for _ in range(passes):
+            solution, state = scheduler._one_pass(problem, rng)
+            tracker.record(state.total, solution)
+        return tracker.result()
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_uncertified_run_is_every_pass(self, capped):
+        """A forecast that swings both ways under a flat market, and the
+        same problem under volume caps (a six-row table): every pass runs,
+        and the plan, cost and rng are those of three hand-run passes."""
+        rng = np.random.default_rng(4)
+        offers = tuple(_random_pool_offer(rng, 24) for _ in range(6))
+        market = Market.flat(24)
+        if capped:
+            market = Market(
+                market.buy_price, market.sell_price, max_buy=np.full(24, 3.0)
+            )
+        problem = SchedulingProblem(
+            TimeSeries(0, 30.0 * np.sin(np.arange(24.0))), offers, market
+        )
+        assert problem.engine.multiplier(problem.net_forecast.values) is None
+        want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+        want = self._by_hand(problem, 3, want_rng)
+        got = RandomizedGreedyScheduler().schedule(
+            problem, max_passes=3, rng=got_rng
+        )
+        assert got.evaluations == 3
+        _assert_same_plan(got, want.solution.starts, want.solution.energies, want.cost)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_certified_run_stops_with_the_rng_aligned(self):
+        """Consumers on a flat market with no forecast: the first pass is
+        proven optimal, so it is the plan, and the rng stands where three
+        passes would have left it."""
+        rng = np.random.default_rng(5)
+        offers = []
+        for _ in range(6):
+            lo = rng.uniform(0.0, 2.0, 3)
+            offers.append(
+                flex_offer(
+                    list(zip(lo, lo + 1.0)), earliest_start=0, latest_start=8
+                )
+            )
+        problem = SchedulingProblem(
+            TimeSeries(0, np.zeros(12)), tuple(offers), Market.flat(12)
+        )
+        got_rng = np.random.default_rng(3)
+        got = RandomizedGreedyScheduler().schedule(
+            problem, max_passes=3, rng=got_rng
+        )
+        assert got.evaluations == 1
+        first = self._by_hand(problem, 1, np.random.default_rng(3))
+        _assert_same_plan(
+            got, first.solution.starts, first.solution.energies, first.cost
+        )
+        drawn = np.random.default_rng(3)
+        for _ in range(3):
+            drawn.permutation(np.arange(problem.offer_count))
+        assert got_rng.bit_generator.state == drawn.bit_generator.state
+
+    def test_plan_session_counts_certified_runs(self):
+        """``schedule.certified_runs`` counts the runs that stopped early;
+        a one-pass session has no pass to skip."""
+        offer = flex_offer([(1.0, 2.0)] * 2, earliest_start=0, latest_start=4)
+        for passes, certified in ((2, 1), (1, 0)):
+            session = PlanSession(passes=passes)
+            session.plan_window([("a", offer)], 0, 8)
+            names = {name for name, _ in session.metrics.items()}
+            assert ("schedule.certified_runs" in names) == bool(certified)
+            if certified:
+                counter = session.metrics.counter("schedule.certified_runs")
+                assert counter.value == certified
