@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+import typing
 from typing import Callable
 
 from .experiments import (
@@ -132,11 +133,17 @@ def _print_catalogue() -> None:
 # ----------------------------------------------------------------------
 #: Flags that set a :class:`~repro.runtime.config.ServiceConfig` field:
 #: flag -> (flat field name, help).  Each default is read off a default
-#: ``ServiceConfig()`` and the config is built with ``from_flat``, so the
-#: CLI and the library cannot disagree.  ``--seed`` seeds the scheduler
-#: too, but it also seeds the stream, so it stays a flag of its own.
+#: ``ServiceConfig()`` and its type off the field's annotation, and the
+#: config is built with ``from_flat``, so the CLI and the library cannot
+#: disagree.  ``--seed`` seeds the scheduler too, but it also seeds the
+#: stream, so it stays a flag of its own.
 SERVICE_FLAGS: dict[str, tuple[str, str]] = {
-    "--batch": ("batch_size", "pending updates per incremental aggregation run"),
+    "--batch": (
+        "batch_size",
+        "optional cap on pending updates per incremental aggregation run; "
+        "unset, the batch waits for the flush before the next planning run "
+        "(or a sweep that retires offers, or the drain)",
+    ),
     "--horizon": ("horizon_slices", "rolling scheduling horizon in slices"),
     "--passes": ("scheduler_passes", "greedy passes per scheduling run"),
     "--min-run-interval": (
@@ -179,12 +186,15 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
         help="simulated slices to run (default 600 = 6.25 days at 15 min)",
     )
     parser.add_argument("--seed", type=int, default=42, help="stream + scheduler seed")
-    defaults = ServiceConfig().flat()
+    config = ServiceConfig()
+    defaults = config.flat()
     for flag, (name, text) in SERVICE_FLAGS.items():
-        default = defaults[name]  # None only for the optional float target
+        section, field_name = config._FLAT_FIELDS[name]
+        hint = typing.get_type_hints(type(getattr(config, section)))[field_name]
+        # An optional field's flag parses to the type beside None.
+        (kind,) = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
         parser.add_argument(
-            flag, default=default,
-            type=float if default is None else type(default),
+            flag, default=defaults[name], type=kind,
             help=f"{text}; default %(default)s, from ServiceConfig {name}",
         )
     parser.add_argument(

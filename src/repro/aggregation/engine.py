@@ -336,15 +336,12 @@ class PackedView:
     Emission fills the scalars from the group state — members, earliest
     start, duration, and the time-flexibility and deadline minima its
     value counters keep, and its price column — so no walk over the
-    member objects runs.  The rest waits: :meth:`resolve` copies the bound
-    rows off the arena, the first reader takes the guarded profile and the
-    mean price, and the :class:`~repro.aggregation.aggregator.
-    AggregatedFlexOffer` itself is built only for a caller sending the
-    aggregate off the node.
-
-    :meth:`resolve` is copy-on-write: it runs when a reader first asks, or
-    earlier, when the state is about to mutate (or free its segment).
-    Most updates are superseded before any planning run reads them.
+    member objects runs.  It also copies the group's bound rows off the
+    arena, which the group's next flush changes and compaction moves; a
+    copy deferred until then would be made all the same.  The rest waits:
+    the first reader takes the guarded profile and the mean price, and the
+    :class:`~repro.aggregation.aggregator.AggregatedFlexOffer` itself is
+    built only for a caller sending the aggregate off the node.
     """
 
     __slots__ = (
@@ -357,8 +354,6 @@ class PackedView:
         "assignment_before",
         "_prices",
         "_price",
-        "_state",
-        "_arena",
         "_lo",
         "_hi",
         "_profile",
@@ -385,23 +380,12 @@ class PackedView:
         # evict), so the one it holds now stays this emission's.
         self._prices = state.prices
         self._price: float | None = None
-        self._state: GroupProfileState | None = state
-        self._arena = arena
-        self._lo: np.ndarray | None = None
-        self._hi: np.ndarray | None = None
+        first = state.shift + est
+        span = slice(first, first + self.duration)
+        self._lo = arena.lo[span].copy()
+        self._hi = arena.hi[span].copy()
         self._profile: Profile | None = None
         self._aggregate: AggregatedFlexOffer | None = None
-
-    def resolve(self) -> None:
-        """Copy the bound rows out of the arena (once)."""
-        state = self._state
-        if state is None:
-            return
-        first = state.start + self.earliest_start - state.base
-        span = slice(first, first + self.duration)
-        self._lo = self._arena.lo[span].copy()
-        self._hi = self._arena.hi[span].copy()
-        self._state = self._arena = None
 
     @property
     def unit_price(self) -> float:
@@ -414,7 +398,6 @@ class PackedView:
     def profile(self) -> Profile:
         profile = self._profile
         if profile is None:
-            self.resolve()
             lo = self._lo
             # Guard against sub-ulp subtraction residue inverting a slice
             # whose bounds coincide (mirrors the scalar state's snapshot
@@ -476,7 +459,6 @@ class GroupProfileState:
         "_end_counts",
         "_flex_counts",
         "_due_counts",
-        "_views",
     )
 
     def __init__(self) -> None:
@@ -494,24 +476,10 @@ class GroupProfileState:
         self._end_counts: Counter[int] = Counter()
         self._flex_counts: Counter[int] = Counter()
         self._due_counts: Counter[int] = Counter()
-        self._views: list[PackedView] = []
 
     # ------------------------------------------------------------------
-    def _resolve_views(self) -> None:
-        """Resolve outstanding views' bound rows before the arrays change."""
-        if self._views:
-            for view in self._views:
-                view.resolve()
-            self._views.clear()
-
     def free(self, arena: GroupArena) -> None:
-        """Return this group's segment to the arena's waste pool.
-
-        Outstanding views from earlier flushes still point into the
-        segment; they are resolved first, or a later arena compaction would
-        hand their updates zeroed profiles.
-        """
-        self._resolve_views()
+        """Return this group's segment to the arena's waste pool."""
         arena.waste += self.cap
         self.cap = 0
 
@@ -633,24 +601,10 @@ class GroupProfileState:
         return self.start - self.base
 
     def view(
-        self,
-        arena: GroupArena,
-        *,
-        eager: bool = False,
-        joined: tuple[FlexOffer, ...] = (),
+        self, arena: GroupArena, joined: tuple[FlexOffer, ...] = ()
     ) -> PackedView:
-        """This group's view under a freshly drawn id, naming ``joined``.
-
-        The bound rows stay in the arena until the state next mutates,
-        unless ``eager`` — used when the state is about to be dropped
-        (DELETED updates).
-        """
-        view = PackedView(self, arena, _next_id(), joined)
-        if eager:
-            view.resolve()
-        else:
-            self._views.append(view)
-        return view
+        """This group's view under a freshly drawn id, naming ``joined``."""
+        return PackedView(self, arena, _next_id(), joined)
 
 
 def _discount(counts: Counter, value: int) -> None:
@@ -710,7 +664,7 @@ class PackedAggregationPipeline:
     def aggregates(self) -> list[AggregatedFlexOffer]:
         """All currently maintained aggregated flex-offers."""
         return [
-            state.view(self.arena, eager=True).aggregate
+            state.view(self.arena).aggregate
             for state in self._states.values()
         ]
 
@@ -886,10 +840,6 @@ class PackedAggregationPipeline:
                 if added is None:
                     continue  # an ephemeral touch of a group nobody ever saw
                 state = self._states[gid] = GroupProfileState()
-            else:
-                # This group's arrays are about to change: resolve the
-                # views earlier updates still hold (copy-on-write).
-                state._resolve_views()
             removed_offers = None
             if removed is not None:
                 if len(removed) >= len(state.members):
@@ -960,17 +910,12 @@ class PackedAggregationPipeline:
                 np.add.at(arena.lo, idx, -pool.slice_lo[src])
                 np.add.at(arena.hi, idx, -pool.slice_hi[src])
 
-        # Pass 3: emit a view per group (arrays are final now).  DELETED
-        # states lose their segment immediately, so their views copy it now.
+        # Pass 3: emit a view per group (arrays are final now); a DELETED
+        # state's segment is freed once its view copied it.
         updates: list[AggregateUpdate] = []
         for kind, gid, state, joined in emit:
-            deleted = kind is UpdateKind.DELETED
-            updates.append(
-                AggregateUpdate(
-                    kind, gid, state.view(arena, eager=deleted, joined=joined)
-                )
-            )
-            if deleted:
+            updates.append(AggregateUpdate(kind, gid, state.view(arena, joined)))
+            if kind is UpdateKind.DELETED:
                 state.free(arena)
                 del self._states[gid]
         return updates

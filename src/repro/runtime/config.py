@@ -9,7 +9,8 @@ module splits the configuration along those seams:
   aggregates with the packed engine);
 * :class:`SchedulingConfig` — horizon, passes, trigger policy, cadence
   and seed (the scheduler is always the §6 randomized greedy);
-* :class:`IngestConfig` — admission batching and the duration limit.
+* :class:`IngestConfig` — the optional admission batch cap and the
+  duration limit.
 
 :class:`ServiceConfig` composes the four (plus the time axis); readers go
 through the sections (``config.ingest.batch_size``).  The cluster's TSO is
@@ -154,16 +155,24 @@ class SchedulingConfig:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Admission batching and the profile-length limit."""
+    """The optional admission batch cap and the profile-length limit."""
 
-    batch_size: int = 64
-    """Pending flex-offer updates that trigger an incremental pipeline run."""
+    batch_size: int | None = None
+    """Optional cap on pending flex-offer updates: once this many wait, the
+    arrival that reached it runs the incremental pipeline.
+
+    With no cap (the default), admitted inserts and retirement deletes wait
+    in the ingest batch for a flush the service makes anyway: the one
+    before each planning run, the one in an expiry sweep that retired
+    offers, and the one in a drain.  The planner is the pool's only
+    reader, so each node folds once per plan; an update waits at most
+    until the next plan or the next sweep that retires an offer."""
     max_duration_slices: int | None = None
     """Admission limit on profile length (None = unlimited)."""
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.batch_size <= 0:
+        if self.batch_size is not None and self.batch_size <= 0:
             raise ServiceError("batch_size must be positive")
         if (
             self.max_duration_slices is not None

@@ -9,9 +9,14 @@ pipeline — the service's
 :class:`~repro.aggregation.engine.PackedAggregationPipeline`, the paper's
 incremental path, never a from-scratch rebuild.
 
-Batching: the group-builder already accumulates updates until ``run()``;
-the ingest stage decides *when* to run, namely once ``batch_size`` updates
-are pending (or when the service forces a flush before scheduling).
+Batching: the pipeline accumulates updates until ``run()``; the service
+decides *when* to run it.  By default the batch waits for a flush the
+service makes anyway — before each planning run, in an expiry sweep that
+retired offers, and in a drain — so a node folds once per plan, and an
+update waits at most until the next plan or the next sweep that retires an
+offer.  An optional ``batch_size`` caps the wait: :attr:`~FlexOfferIngest.
+batch_full` turns true once that many updates are pending, and the
+arrival that filled the batch flushes it.
 
 Store writes follow the same shape: a flush records its whole batch's
 ``aggregated`` facts, and a retirement its ``executed``/``expired``/
@@ -38,7 +43,12 @@ __all__ = ["FlexOfferIngest"]
 
 
 class FlexOfferIngest:
-    """Validation + batching front of the incremental aggregation pipeline."""
+    """Validation + batching front of the incremental aggregation pipeline.
+
+    ``batch_size`` is an optional cap on pending updates (None = no cap:
+    the batch waits for the service's next flush; see the module
+    docstring).
+    """
 
     def __init__(
         self,
@@ -46,10 +56,10 @@ class FlexOfferIngest:
         *,
         store: LedmsStore,
         metrics: MetricsRegistry | None = None,
-        batch_size: int = 64,
+        batch_size: int | None = None,
         max_duration_slices: int | None = None,
     ):
-        if batch_size <= 0:
+        if batch_size is not None and batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.pipeline = pipeline
         self.store = store
@@ -70,8 +80,9 @@ class FlexOfferIngest:
 
     @property
     def batch_full(self) -> bool:
-        """Whether enough updates accumulated to warrant a pipeline run."""
-        return self._pending >= self.batch_size
+        """Whether the pending updates reached the cap (never, with none)."""
+        cap = self.batch_size
+        return cap is not None and self._pending >= cap
 
     @property
     def input_count(self) -> int:

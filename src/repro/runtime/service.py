@@ -512,6 +512,7 @@ class BrpRuntimeService:
             # Journal before the aggregation/trigger cascade below, so the
             # submit fact precedes any derived facts it causes.
             self._journal_submit("submit", offer, sid, text, result)
+        # Only a set batch cap folds on an arrival (IngestConfig.batch_size).
         if accepted is not None and self.ingest.batch_full:
             self.run_aggregation()
         return result

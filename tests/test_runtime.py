@@ -227,15 +227,27 @@ class TestIngest:
             store = LedmsStore(DEFAULT_AXIS)
         return FlexOfferIngest(pipeline, store=store, batch_size=batch_size)
 
-    def test_accepts_and_batches(self):
-        ingest = self._ingest(batch_size=2)
-        assert ingest.submit(_offer(10), now=0)[0] is not None
-        assert not ingest.batch_full
-        assert ingest.submit(_offer(11), now=0)[0] is not None
-        assert ingest.batch_full
-        updates = ingest.flush(now=0)
-        assert updates and ingest.pending_updates == 0
-        assert ingest.pipeline.input_count == 2
+    @pytest.mark.parametrize("cap", [None, 1, 2, 5])
+    def test_accepts_and_batches(self, cap):
+        """A cap of ``k`` fills the batch at ``k`` pending updates, so a
+        caller that flushes a full batch (the service) never holds more
+        than ``k``; with no cap the batch waits for an explicit flush."""
+        ingest = self._ingest(batch_size=cap)
+        flushed = 0
+        for k in range(7):
+            assert ingest.submit(_offer(10 + k), now=0)[0] is not None
+            pending = ingest.pending_updates
+            assert ingest.batch_full == (cap is not None and pending >= cap)
+            if cap is not None:
+                assert pending <= cap
+            if ingest.batch_full:
+                assert ingest.flush(now=0)
+                flushed += 1
+        assert flushed == (0 if cap is None else 7 // cap)
+        assert ingest.pending_updates == (7 if cap is None else 7 % cap)
+        ingest.flush(now=0)
+        assert ingest.pending_updates == 0
+        assert ingest.pipeline.input_count == 7
 
     def test_rejects_closed_window(self):
         ingest = self._ingest()

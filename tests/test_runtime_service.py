@@ -579,6 +579,73 @@ class TestUpdateRidesTheNextFlush:
         assert revised.earliest_start <= start <= revised.latest_start
 
 
+class TestFoldOncePerPlan:
+    """With no batch cap (the default) a node folds its ingest batch only
+    where the service already flushes: in a planning run, at most once, in
+    an expiry sweep that retired offers, and in the drain.  No arrival
+    folds, and a plan leaves nothing waiting."""
+
+    def test_default_config_folds_once_per_plan(self):
+        service = BrpRuntimeService(ServiceConfig())
+        assert service.config.ingest.batch_size is None
+        contexts: list[str] = []
+        folds: list[tuple[str, ...]] = []  # where each fold happened
+        plans: list[tuple[int, int]] = []  # (folds it made, updates left)
+        retiring_sweeps = 0  # outside a plan or the drain
+
+        def within(label, method):
+            def wrapped(*args):
+                contexts.append(label)
+                try:
+                    return method(*args)
+                finally:
+                    contexts.pop()
+
+            return wrapped
+
+        flush, sweep, plan = (
+            service.ingest.flush, service.sweep_expired, service.run_scheduling
+        )
+
+        def recording_flush(now):
+            if service.ingest.pending_updates:
+                folds.append(tuple(contexts))
+            return flush(now)
+
+        def sweep_expired():
+            nonlocal retiring_sweeps
+            retired = sweep()
+            if retired and not {"plan", "drain"} & set(contexts):
+                retiring_sweeps += 1
+            return retired
+
+        def run_scheduling():
+            before = len(folds)
+            try:
+                return within("plan", plan)()
+            finally:
+                plans.append((len(folds) - before, service.ingest.pending_updates))
+
+        service.ingest.flush = recording_flush
+        service.sweep_expired = within("sweep", sweep_expired)
+        service.drain = within("drain", service.drain)
+        service.run_scheduling = run_scheduling
+        generator = LoadGenerator(rate_per_hour=400.0, seed=42)
+        service.run_stream(generator.stream(0, 48), 48)
+
+        flushes = service.metrics.counter("ingest.flushes").value
+        runs = service.metrics.counter("schedule.runs").value
+        assert len(folds) == flushes > 0 and len(plans) == runs > 0
+        # No arrival folds (under a 64 cap, arrivals on this stream do):
+        # each fold is a plan's, the drain's or a retiring sweep's.
+        assert all(folds)
+        assert all(made <= 1 and left == 0 for made, left in plans)
+        outside = [where for where in folds if not {"plan", "drain"} & set(where)]
+        assert all(where == ("sweep",) for where in outside)
+        assert len(outside) == retiring_sweeps
+        assert flushes <= runs + retiring_sweeps + 1  # + the drain's
+
+
 class TestStaleRemoteSchedule:
     def test_remote_schedule_skips_a_member_edited_since_publication(self):
         """A macro published before an ``update`` holds the *previous*
