@@ -13,7 +13,8 @@ check on (types, nullability, foreign keys, unknown state/actor):
   ends the timed loop;
 * ``store.offer_events.batch_{8,64,256}`` —
   :meth:`LedmsStore.record_offer_events` at the batch sizes a flush, a sweep
-  or a plan commitment produces, building the event list included;
+  or a plan commitment produces: a slice of offers and one state, the
+  seven fact columns built straight from the offers;
 * ``store.offer_events.admission`` — the runtime's admission shape: two
   one-row facts per offer (``submitted``, ``accepted``) recorded one offer
   at a time, the held-back facts written as one ``extend_facts`` batch by
@@ -23,14 +24,16 @@ Each record carries ``events_per_sec``, ``us_per_event``, ``bytes_per_row``
 (the fact table's column buffers as allocated, per stored row) and
 ``speedup_vs_row_dict`` against :data:`ROW_DICT_EVENTS_PER_SEC` — the same
 one-row loop timed by this file at the last commit that stored each fact as
-a validated 7-key dict (the storage the column buffers replaced).  The
-small batches where the column-wise form loses to the one-row form
-(``batch_8``, and ``batch_1`` recorded to show it) are why the store keeps
-both entry points.  Since the one-row form holds back offers and builds
-the columns once per batch, it costs about what ``batch_256`` does and less than ``batch_64``, so the two
-ratio assertions at the end (a one-row fact dearer than a batched one) fail
-at full size: what they compare goes away with a single lifecycle entry
-point.
+a validated 7-key dict (the storage the column buffers replaced).
+
+The two entry points each win on their own shape, which is why the store
+keeps both.  A column-wise call pays a fixed cost (the batch's checks and
+one ``extend_facts``) that a one-offer call cannot spread: ``batch_1``,
+recorded to show it, costs about ten times a one-row fact, so admission —
+one offer at a time — stays on the one-row form.  From ``batch_64`` up the
+column-wise form is the cheaper one: the one-row form builds the same
+columns from its held offers, but checks and holds each fact in a call of
+its own.  The two ratio assertions at the end check that crossover.
 
 The recorded figures are best-of-rounds.  The assertions are not: they
 compare the entry points' *medians over the interleaved rounds* with each
@@ -60,8 +63,8 @@ from repro.runtime import LoadGenerator
 #: conservative ones).
 ROW_DICT_EVENTS_PER_SEC = 1e6 / 6.83
 #: Median per-event cost of the one-row form over that of a 256-row batch
-#: (recorded 1.6x best-of-rounds since the store holds one-row facts back
-#: and writes them in batches; 2.4x when each was written through).
+#: (1.39x over the interleaved rounds on the 2-core container, 1.40x
+#: best-of-rounds; 2.4x when each one-row fact was written through).
 BATCH_256_VS_ONE_ROW_FLOOR = 1.3
 BYTES_PER_ROW_CEILING = 64.0
 
@@ -105,9 +108,7 @@ def _batched(offers, size: int) -> tuple[float, LedmsStore]:
     t0 = time.perf_counter()
     for now, state in enumerate(STATES):
         for first in range(0, len(offers), size):
-            record(
-                [(o.owner, o, state) for o in offers[first:first + size]], now
-            )
+            record(offers[first:first + size], state, now)
     return time.perf_counter() - t0, store
 
 
@@ -127,8 +128,8 @@ def _admission_reference(offers) -> LedmsStore:
     """The admission record's facts, through the column-wise entry point."""
     store = _store(offers)
     for offer in offers:
-        store.record_offer_events([(offer.owner, offer, "submitted")], 0)
-        store.record_offer_events([(offer.owner, offer, "accepted")], 0)
+        store.record_offer_events([offer], "submitted", 0)
+        store.record_offer_events([offer], "accepted", 0)
     return store
 
 

@@ -20,13 +20,17 @@ arrival that filled the batch flushes it.
 
 Store writes follow the same shape: a flush records its whole batch's
 ``aggregated`` facts, and a retirement its ``executed``/``expired``/
-``withdrawn`` facts, in one column-wise store call each.  An arrival
-registers its owner once and records its two admission facts as one-row
-store calls; the store checks each fact and advances the offer's state at
-once, but holds the fact back (its keys and the offer) and writes the held
-facts as one column-wise batch ahead of its next fact write or fact-table
-read, and at the latest when this stage flushes — so an admission fact
-costs about what a batched one does.
+``withdrawn`` facts, in one column-wise store call each
+(:meth:`~repro.datamgmt.mirabel.LedmsStore.record_offer_events`, the actor
+of each fact being its offer's owner).  Neither registers an owner: every
+offer in those batches entered through :meth:`FlexOfferIngest.submit`,
+which did, and a batch with an owner the store never saw raises before
+anything is recorded.  An arrival registers its owner and records its two
+admission facts as one-row store calls; the store checks each fact and
+advances the offer's state at once, but holds the fact back (its keys and
+the offer) and writes the held facts as one column-wise batch ahead of its
+next fact write or fact-table read, and at the latest when this stage
+flushes.
 """
 
 from __future__ import annotations
@@ -90,17 +94,6 @@ class FlexOfferIngest:
         return self.pipeline.input_count
 
     # ------------------------------------------------------------------
-    def _record_all(self, offers: list[FlexOffer], state: str, now: int) -> None:
-        """One store call for many offers entering ``state`` at ``now``."""
-        if not offers:
-            return
-        # dict, not set: first-seen order keeps actor ids deterministic.
-        for owner in dict.fromkeys(offer.owner for offer in offers):
-            self.store.register_actor(owner, "prosumer")
-        self.store.record_offer_events(
-            [(offer.owner, offer, state) for offer in offers], now
-        )
-
     def reject_reason(self, offer: FlexOffer, now: int) -> str | None:
         """Why ``offer`` cannot be admitted at ``now`` (None = admissible)."""
         if offer.latest_start < now:
@@ -159,9 +152,11 @@ class FlexOfferIngest:
         retired = list(offers)
         count = len(retired)
         if count:
+            # The store checks the batch first: one it refuses (an owner
+            # no admission registered, say) leaves the pipeline untouched.
+            self.store.record_offer_events(retired, state, now)
             self.pipeline.submit_deletes(retired)
             self._pending += count
-            self._record_all(retired, state, now)
             retired_ids = {offer.offer_id for offer in retired}
             # A retired offer may still sit in the unflushed insert batch;
             # drop it so the next flush cannot regress its terminal state
@@ -185,7 +180,7 @@ class FlexOfferIngest:
         batch, self._batch = self._batch, []
         self._pending = 0
         updates = self.pipeline.run()
-        self._record_all(batch, "aggregated", now)
+        self.store.record_offer_events(batch, "aggregated", now)
         self.metrics.counter("ingest.flushes").inc()
         self.metrics.counter("ingest.aggregate_updates").inc(len(updates))
         self.metrics.gauge("ingest.pool_offers").set(self.pipeline.input_count)

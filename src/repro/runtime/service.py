@@ -434,9 +434,20 @@ class BrpRuntimeService:
         """:meth:`submit_fact`, reduced to the accepted offer (``None`` = rejected).
 
         What the arrival loop and the internal re-admissions call: truthy on
-        acceptance, so boolean call sites keep working.
+        acceptance, so boolean call sites keep working.  While no ledger
+        records inputs there is no outcome to journal or deflect, so the
+        offer goes straight through :meth:`_admit_offer` and no
+        :class:`SubmitResult` is built.
         """
-        return self.submit_fact(offer, source_event_id).offer
+        led = self.ledger
+        if led is not None and led.recording_inputs:
+            return self.submit_fact(offer, source_event_id).offer
+        accepted, _ = self._admit_offer(offer)
+        if accepted is not None:
+            if self.ingest.batch_full:
+                self.run_aggregation()
+            self.maybe_schedule()
+        return accepted
 
     def submit_fact(
         self, offer: FlexOffer, source_event_id: str | None = None
@@ -447,7 +458,8 @@ class BrpRuntimeService:
         reason.  With a ledger attached the submission is journaled as an
         immutable fact, and a duplicate (same ``source_event_id``,
         content-derived by default) is deflected to the *originally
-        recorded* result instead of double-counting.
+        recorded* result instead of double-counting.  Admission itself is
+        :meth:`_admit_offer`, the body :meth:`submit` runs too.
         """
         result = self._admit(offer, source_event_id)
         if result.accepted and not result.duplicate:
@@ -467,11 +479,8 @@ class BrpRuntimeService:
     def _admit(
         self, offer: FlexOffer, source_event_id: str | None = None
     ) -> SubmitResult:
-        """:meth:`submit_fact` short of asking the trigger.
-
-        The clock is read once: the arrival's slice, its admission instant
-        and its place in the age heap all come from that one reading.
-        """
+        """:meth:`submit_fact` short of asking the trigger: the admission
+        wrapped in the ledger's duplicate guard and journal."""
         led = self.ledger
         recording = led is not None and led.recording_inputs
         sid, text = source_event_id, None
@@ -479,35 +488,11 @@ class BrpRuntimeService:
             sid, text, duplicate = self._deflect_duplicate(offer, sid)
             if duplicate is not None:
                 return duplicate
-        self._submitted_counter.inc()
-        now = self.now
-        accepted, reason = self.ingest.submit(offer, int(math.ceil(now)))
+        accepted, reason = self._admit_offer(offer)
         if accepted is None:
             result = SubmitResult(False, offer.offer_id, None, reason)
         else:
-            oid = accepted.offer_id
-            energy = max(
-                abs(accepted.total_min_energy), abs(accepted.total_max_energy)
-            )
-            entry = _LiveOffer(
-                accepted,
-                next(self._admissions),
-                now,
-                time.perf_counter(),
-                energy,
-            )
-            self._live[oid] = entry
-            self._offers_since_run += 1
-            self._unscheduled_energy += energy
-            heapq.heappush(self._pending_heap, (now, oid))
-            # Keyed by the *submitted* earliest start (see _sweep_pool).
-            due = offer.earliest_start
-            deadline = accepted.assignment_before
-            if deadline is not None and deadline < due:
-                due = deadline
-            heapq.heappush(self._due_heap, (due, entry.seq, entry))
-            self._live_gauge.set(len(self._live))
-            result = SubmitResult(True, oid, accepted)
+            result = SubmitResult(True, accepted.offer_id, accepted)
         if recording:
             # Journal before the aggregation/trigger cascade below, so the
             # submit fact precedes any derived facts it causes.
@@ -516,6 +501,45 @@ class BrpRuntimeService:
         if accepted is not None and self.ingest.batch_full:
             self.run_aggregation()
         return result
+
+    def _admit_offer(
+        self, offer: FlexOffer
+    ) -> tuple[FlexOffer | None, str | None]:
+        """The one admission body: ``(accepted, None)`` or ``(None, reason)``.
+
+        Runs the ingest stage and enters an accepted offer into this
+        service's books.  The clock is read once: the arrival's slice, its
+        admission instant and its place in the age heap all come from that
+        one reading.
+        """
+        self._submitted_counter.inc()
+        now = self.now
+        accepted, reason = self.ingest.submit(offer, int(math.ceil(now)))
+        if accepted is None:
+            return None, reason
+        oid = accepted.offer_id
+        energy = max(
+            abs(accepted.total_min_energy), abs(accepted.total_max_energy)
+        )
+        entry = _LiveOffer(
+            accepted,
+            next(self._admissions),
+            now,
+            time.perf_counter(),
+            energy,
+        )
+        self._live[oid] = entry
+        self._offers_since_run += 1
+        self._unscheduled_energy += energy
+        heapq.heappush(self._pending_heap, (now, oid))
+        # Keyed by the *submitted* earliest start (see _sweep_pool).
+        due = offer.earliest_start
+        deadline = accepted.assignment_before
+        if deadline is not None and deadline < due:
+            due = deadline
+        heapq.heappush(self._due_heap, (due, entry.seq, entry))
+        self._live_gauge.set(len(self._live))
+        return accepted, None
 
     def update(
         self, offer: FlexOffer, source_event_id: str | None = None
@@ -1047,7 +1071,9 @@ class BrpRuntimeService:
             observe_wall(clock() - entry.arrival_wall)
         self._unscheduled_energy = backlog
         self._scheduled_total += len(entries)
-        self._record_scheduled([entry.offer for entry in entries], self.now_slice)
+        self.store.record_offer_events(
+            [entry.offer for entry in entries], "scheduled", self.now_slice
+        )
 
     def _detach(self, entry: _LiveOffer, start: int) -> None:
         """Give a live entry the private start ``start``.
@@ -1077,15 +1103,8 @@ class BrpRuntimeService:
             self._scheduled_total += 1
             self._unscheduled_energy -= entry.energy
         self._detach(entry, start)
-        self._record_scheduled([entry.offer], self.now_slice)
+        self.store.record_offer_events([entry.offer], "scheduled", self.now_slice)
         return True
-
-    def _record_scheduled(self, members: list[FlexOffer], now: int) -> None:
-        """Persist the ``scheduled`` transition of ``members`` in one call."""
-        if members:
-            self.store.record_offer_events(
-                [(member.owner, member, "scheduled") for member in members], now
-            )
 
     def apply_remote_schedule(self, scheduled) -> int:
         """Commit a TSO-scheduled macro back onto this node's members.

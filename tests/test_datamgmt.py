@@ -356,9 +356,10 @@ class TestColumnBuffers:
     def test_event_fact_row_fits_64_bytes(self):
         store = LedmsStore(TimeAxis(15))
         store.register_actor("p", "prosumer")
-        offer = flex_offer([(1.0, 2.0)], earliest_start=5, latest_start=9)
+        offer = flex_offer([(1.0, 2.0)], earliest_start=5, latest_start=9,
+                           owner="p")
         rows = 10_000
-        store.record_offer_events([("p", offer, "accepted")] * rows, now=0)
+        store.record_offer_events([offer] * rows, "accepted", now=0)
         facts = store.schema.facts["flexoffer_event"]
         held = sum(sys.getsizeof(facts.column(name)) for name in facts.columns)
         assert len(facts) == rows
@@ -561,67 +562,108 @@ def test_column_store_matches_row_dict_oracle(operations, extra):
 
 
 class TestBatchedLifecycleFacts:
-    STATES = ("submitted", "accepted", "aggregated", "scheduled", "executed",
-              "rejected", "withdrawn", "expired")
+    #: ``(now, state, width)``: the first ``width`` offers, then the
+    #: revision, enter ``state`` at ``now`` — retained states, terminal
+    #: ones, and a retained state after a terminal one.
+    BATCHES = ((0, "submitted", 6), (0, "accepted", 6), (1, "aggregated", 5),
+               (3, "withdrawn", 2), (3, "scheduled", 4), (2, "executed", 3),
+               (4, "rejected", 1), (4, "expired", 6))
 
-    def _recorded(self, batched):
+    def _recorded(self, batched, subscribed=True):
         store = LedmsStore(TimeAxis(15))
         for actor in ("p", "q"):
             store.register_actor(actor, "prosumer")
         calls = []
-        store.subscribe(lambda *args: calls.append(("first", *args)))
-        store.subscribe(lambda *args: calls.append(("second", *args)))
+        if subscribed:
+            store.subscribe(lambda *args: calls.append(("first", *args)))
+            store.subscribe(lambda *args: calls.append(("second", *args)))
         offers = [
             flex_offer([(1.0, 2.0 + i)], earliest_start=5, latest_start=9 + i,
-                       offer_id=900 + i)
+                       offer_id=900 + i, owner="pq"[i % 2])
             for i in range(6)
         ]
-        for now, width in ((0, 6), (3, 4), (2, 5)):
-            events = [
-                ("pq"[(i + now) % 2], offer, self.STATES[(2 * i + now) % 8])
-                for i, offer in enumerate(offers[:width])
-            ]
-            # The same offer twice in one batch: the later event wins.
-            events.append(("q", offers[0], "scheduled"))
+        # Another object under the first offer's id, with another owner.
+        revision = flex_offer([(0.5, 4.0)], earliest_start=6, latest_start=8,
+                              offer_id=900, owner="q")
+        for now, state, width in self.BATCHES:
+            # With width > 0 the first offer's id is in the batch twice:
+            # the later object wins.
+            members = offers[:width] + [revision]
             if batched:
-                store.record_offer_events(events, now)
+                store.record_offer_events(members, state, now)
             else:
-                for actor, offer, state in events:
-                    store.record_offer_event(actor, offer, state, now)
+                for offer in members:
+                    store.record_offer_event(offer.owner, offer, state, now)
         return store, offers, calls
 
     def test_batch_equals_one_by_one(self):
-        single, offers, single_calls = self._recorded(batched=False)
-        batch, _, batch_calls = self._recorded(batched=True)
+        self._check_batch_equals_one_by_one(subscribed=True)
+
+    def test_unsubscribed_batch_equals_one_by_one(self):
+        self._check_batch_equals_one_by_one(subscribed=False)
+
+    def _check_batch_equals_one_by_one(self, subscribed):
+        single, offers, single_calls = self._recorded(False, subscribed)
+        batch, _, batch_calls = self._recorded(True, subscribed)
         single_facts = single.schema.facts["flexoffer_event"]
         batch_facts = batch.schema.facts["flexoffer_event"]
-        assert len(batch_facts) == 18
+        assert len(batch_facts) == 41
         for name in batch_facts.columns:
             assert batch_facts.column(name) == single_facts.column(name)
+        assert list(batch._offer_states.items()) == list(
+            single._offer_states.items()
+        )
+        assert list(batch._offers) == list(single._offers)
         for offer in offers:
             oid = offer.offer_id
             assert batch.offer_state(oid) == single.offer_state(oid)
-            assert batch.offer(oid) == single.offer(oid)
+            assert batch.offer(oid) is single.offer(oid)
         assert batch.state_counts() == single.state_counts()
         for state in batch.state_counts():
             assert batch.offers_in_state(state) == single.offers_in_state(state)
-        assert batch_calls == single_calls and len(batch_calls) == 36
+        assert batch_calls == single_calls
+        assert len(batch_calls) == (82 if subscribed else 0)
 
-    def test_rejected_batch_records_nothing(self):
+    def test_later_object_under_an_id_wins(self):
         store = LedmsStore(TimeAxis(15))
         store.register_actor("p", "prosumer")
-        offer = flex_offer([(1, 2)], earliest_start=5, latest_start=9)
+        first, revision = (
+            flex_offer([(1.0, hi)], earliest_start=5, latest_start=9,
+                       offer_id=950, owner="p")
+            for hi in (2.0, 3.0)
+        )
+        store.record_offer_events([first, revision], "accepted", now=0)
+        assert store.offer(950) is revision
+        store.record_offer_events([revision, first], "scheduled", now=1)
+        assert store.offer(950) is first
+        store.record_offer_events([first, first], "executed", now=2)
+        assert store.offer(950) is None and store.offer_state(950) == "executed"
+
+    def test_rejected_batch_records_nothing(self):
+        from types import SimpleNamespace
+
+        store = LedmsStore(TimeAxis(15))
+        store.register_actor("p", "prosumer")
+        offer = flex_offer([(1, 2)], earliest_start=5, latest_start=9,
+                           owner="p")
+        ghost = flex_offer([(1, 2)], earliest_start=5, latest_start=9,
+                           owner="ghost")
+        odd = SimpleNamespace(offer_id=901, owner="p", total_min_energy=1.0,
+                              total_max_energy=2.0, time_flexibility=1.5)
         calls = []
         store.subscribe(lambda *args: calls.append(args))
-        for events in (
-            [("p", offer, "accepted"), ("p", offer, "vanished")],
-            [("p", offer, "accepted"), ("ghost", offer, "accepted")],
+        for offers, state in (
+            ([offer, offer], "vanished"),  # unknown state
+            ([offer, ghost], "accepted"),  # unknown actor
+            ([offer, odd], "accepted"),  # a float time flexibility
         ):
             with pytest.raises(DataManagementError):
-                store.record_offer_events(events, now=0)
-        store.record_offer_events([], now=0)
+                store.record_offer_events(offers, state, now=0)
+        store.record_offer_events([], "accepted", now=0)
+        store.record_offer_events([], "vanished", now=0)
         assert len(store.schema.facts["flexoffer_event"]) == 0
         assert store.offer_state(offer.offer_id) is None and not calls
+        assert store.offer_state(901) is None and store.offer(901) is None
 
 
 # ----------------------------------------------------------------------
@@ -648,7 +690,7 @@ class TestHeldBackFacts:
 
     def _offer(self, offer_id=700):
         return flex_offer([(1.0, 2.0)], earliest_start=5, latest_start=9,
-                          offer_id=offer_id)
+                          offer_id=offer_id, owner="p")
 
     def test_state_reads_see_held_back_facts(self):
         store = self._store()
@@ -661,6 +703,16 @@ class TestHeldBackFacts:
         assert store.state_counts()["accepted"] == 1
         # The state maps advance without writing the held-back rows.
         assert _held(store) == 2 and _written(store) == 0
+
+    def test_one_row_fact_records_the_actor_given(self):
+        # The one-row entry takes its actor from the caller, not from the
+        # offer's owner: here q records p's offer.
+        store = self._store()
+        q_id = store.register_actor("q", "prosumer")
+        store.record_offer_event("q", self._offer(), "submitted", now=0)
+        facts = store.schema.facts["flexoffer_event"]
+        assert list(facts.column("actor_id")) == [q_id]
+        assert q_id != store.register_actor("p", "prosumer")
 
     @pytest.mark.parametrize("read", [
         lambda s: s.measurements("p", "load", 0, 4),
@@ -690,7 +742,7 @@ class TestHeldBackFacts:
         assert seen == [1, 2]
 
     @pytest.mark.parametrize("write", [
-        lambda s, o: s.record_offer_events([("p", o, "aggregated")], 2),
+        lambda s, o: s.record_offer_events([o], "aggregated", 2),
         lambda s, o: s.record_measurements("p", "load", TimeSeries(0, [1.0])),
         lambda s, o: s.record_forecast("p", "load", 4, TimeSeries(0, [1.0])),
     ], ids=["record_offer_events", "record_measurements", "record_forecast"])
@@ -753,7 +805,7 @@ class TestHeldBackFacts:
         store.record_offer_event("p", second, "submitted", now=1)
         store.record_offer_event("p", second, "rejected", now=1)
         assert _held(store) == 4  # a subscriber does not stop holding back
-        store.record_offer_events([("p", first, "aggregated")], now=2)
+        store.record_offer_events([first], "aggregated", now=2)
         store.flush()
         assert calls == [(701, "submitted", 1), (701, "rejected", 1),
                          (700, "aggregated", 2)]
@@ -798,8 +850,13 @@ class TestHeldBackFacts:
 _ACTORS = ("p", "q", "r", "ghost")
 _LIFECYCLE = ("submitted", "accepted", "rejected", "aggregated", "scheduled",
               "executed", "expired", "withdrawn", "vanished")
-_event = st.tuples(st.sampled_from(_ACTORS), st.integers(0, 4),
-                   st.sampled_from(_LIFECYCLE))
+#: ``(owner, offer index)``: which of :func:`_store_offers`' objects.
+_member = st.tuples(st.sampled_from(_ACTORS), st.integers(0, 4))
+#: ``(actor, owner, offer index, state)``: a one-row fact's actor is drawn
+#: apart from its offer's owner, since the one-row entry records the actor
+#: it is given.
+_event = st.tuples(st.sampled_from(_ACTORS), st.sampled_from(_ACTORS),
+                   st.integers(0, 4), st.sampled_from(_LIFECYCLE))
 _STORE_READS = {
     "offer_state": lambda store: store.offer_state(800),
     "offers_in_state": lambda store: store.offers_in_state("accepted"),
@@ -809,7 +866,9 @@ _STORE_READS = {
 _store_operations = st.lists(
     st.one_of(
         st.tuples(st.just("one"), _event, st.integers(0, 5)),
-        st.tuples(st.just("batch"), st.lists(_event, max_size=4),
+        st.tuples(st.just("batch"),
+                  st.tuples(st.lists(_member, max_size=4),
+                            st.sampled_from(_LIFECYCLE)),
                   st.integers(0, 5)),
         st.tuples(st.just("register"), st.just("r")),
         st.tuples(st.just("subscribe"), st.none()),
@@ -820,19 +879,25 @@ _store_operations = st.lists(
 
 
 def _store_offers():
-    """Five offers; the last has an int bound (promoted) and the one before
-    it a float time flexibility (rejected by the fact table)."""
+    """Five offers per actor, owned by it and sharing ids 800-804 across
+    actors; the last has an int bound (promoted) and the one before it a
+    float time flexibility (rejected by the fact table)."""
     from types import SimpleNamespace
 
-    offers = [
-        flex_offer([(1.0, 2.0 + i)], earliest_start=5, latest_start=7 + i,
-                   offer_id=800 + i)
-        for i in range(3)
-    ]
-    offers.append(SimpleNamespace(offer_id=803, total_min_energy=1.0,
-                                  total_max_energy=2.0, time_flexibility=1.5))
-    offers.append(SimpleNamespace(offer_id=804, total_min_energy=1,
-                                  total_max_energy=2.0, time_flexibility=2))
+    offers = {}
+    for actor in _ACTORS:
+        owned = [
+            flex_offer([(1.0, 2.0 + i)], earliest_start=5, latest_start=7 + i,
+                       offer_id=800 + i, owner=actor)
+            for i in range(3)
+        ]
+        owned.append(SimpleNamespace(offer_id=803, owner=actor,
+                                     total_min_energy=1.0, total_max_energy=2.0,
+                                     time_flexibility=1.5))
+        owned.append(SimpleNamespace(offer_id=804, owner=actor,
+                                     total_min_energy=1, total_max_energy=2.0,
+                                     time_flexibility=2))
+        offers[actor] = owned
     return offers
 
 
@@ -842,9 +907,11 @@ def test_held_back_facts_match_write_through(operations):
     """Any mix of one-row and batched lifecycle writes, reads, registrations
     and late subscriptions leaves a store that holds one-row facts back with
     the same fact rows, dimension rows, state maps and subscriber calls as
-    one that writes each of those facts through as a one-event
-    :meth:`~LedmsStore.record_offer_events` batch — and the rows the
-    row-dict oracle stores for the same successful writes."""
+    one that writes each of those facts through — as a one-offer
+    :meth:`~LedmsStore.record_offer_events` batch when its actor is its
+    offer's owner, else as a one-row fact written out at once — and the
+    rows the row-dict oracle stores for the same successful writes, whose
+    actor is the one each write was given."""
     held, through = LedmsStore(TimeAxis(15)), LedmsStore(TimeAxis(15))
     oracle = RowDictTable(_EVENT_COLUMNS)
     state_ids = {state: i for i, state in enumerate(_LIFECYCLE[:-1])}
@@ -865,17 +932,19 @@ def test_held_back_facts_match_write_through(operations):
         for store in (held, through):
             result = None
             try:
-                if kind == "one" and store is held:
-                    actor, index, state = payload
-                    store.record_offer_event(actor, offers[index], state, rest[0])
-                elif kind == "one":
-                    actor, index, state = payload
-                    store.record_offer_events(
-                        [(actor, offers[index], state)], rest[0]
-                    )
+                if kind == "one":
+                    actor, owner, index, state = payload
+                    offer = offers[owner][index]
+                    if store is through and actor == owner:
+                        store.record_offer_events([offer], state, rest[0])
+                    else:
+                        store.record_offer_event(actor, offer, state, rest[0])
+                        if store is through:
+                            store.flush()
                 elif kind == "batch":
+                    members, state = payload
                     store.record_offer_events(
-                        [(a, offers[i], s) for a, i, s in payload], rest[0]
+                        [offers[a][i] for a, i in members], state, rest[0]
                     )
                 elif kind == "register":
                     store.register_actor(payload, "prosumer")
@@ -894,11 +963,12 @@ def test_held_back_facts_match_write_through(operations):
         if kind == "register":
             actor_ids.setdefault(payload, len(actor_ids) + 1)
         elif kind == "one":
-            actor, index, state = payload
-            oracle.append(*row(actor, offers[index], state, rest[0]))
-        elif kind == "batch" and payload:
+            actor, owner, index, state = payload
+            oracle.append(*row(actor, offers[owner][index], state, rest[0]))
+        elif kind == "batch" and payload[0]:
+            members, state = payload
             oracle.extend(list(zip(*(
-                row(a, offers[i], s, rest[0]) for a, i, s in payload
+                row(a, offers[a][i], state, rest[0]) for a, i in members
             ))))
 
     held_facts = held.schema.facts["flexoffer_event"]
@@ -914,3 +984,63 @@ def test_held_back_facts_match_write_through(operations):
     assert held._offers.keys() == through._offers.keys()
     assert all(held._offers[k] is through._offers[k] for k in held._offers)
     assert calls[id(held)] == calls[id(through)]
+
+
+#: Mostly registered owners, so that most batches are recorded.
+_offer_batches = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(("p", "q", "ghost")),
+                           st.integers(0, 4)), max_size=5),
+        st.sampled_from(_LIFECYCLE),
+        st.integers(0, 5),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches=_offer_batches)
+def test_subscribed_batches_match_unsubscribed(batches):
+    """The same batches leave the same state maps whether or not a
+    subscriber is attached (the unsubscribed store advances them with one
+    ``dict.update`` per batch); and a subscriber that reads the states of
+    every offer id, later members of the running batch included, sees at
+    each call what it sees when the facts are recorded one by one."""
+    plain, watched, single = (LedmsStore(TimeAxis(15)) for _ in range(3))
+    for store in (plain, watched, single):
+        for actor in ("p", "q"):
+            store.register_actor(actor, "prosumer")
+    offers = _store_offers()
+    offer_ids = range(800, 805)
+    seen = {id(watched): [], id(single): []}
+    for store in (watched, single):
+        store.subscribe(
+            lambda *args, store=store, log=seen[id(store)]: log.append(
+                (args, [store.offer_state(oid) for oid in offer_ids])
+            )
+        )
+    for members, state, now in batches:
+        batch = [offers[a][i] for a, i in members]
+        outcomes = []
+        for store in (plain, watched):
+            try:
+                store.record_offer_events(batch, state, now)
+                outcomes.append("ok")
+            except DataManagementError:
+                outcomes.append("raised")
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] == "ok":
+            for offer in batch:
+                single.record_offer_event(offer.owner, offer, state, now)
+    assert seen[id(watched)] == seen[id(single)]
+    for store in (watched, single):
+        assert list(store._offer_states.items()) == list(
+            plain._offer_states.items()
+        )
+        assert list(store._offers) == list(plain._offers)
+        for oid in offer_ids:
+            assert store.offer_state(oid) == plain.offer_state(oid)
+            assert store.offer(oid) is plain.offer(oid)
+        assert store.state_counts() == plain.state_counts()
+        for state in OFFER_STATES:
+            assert store.offers_in_state(state) == plain.offers_in_state(state)

@@ -16,7 +16,7 @@ from repro.aggregation import (
     UpdateKind,
 )
 from repro.core import flex_offer
-from repro.core.errors import ServiceError
+from repro.core.errors import DataManagementError, ServiceError
 from repro.core.timebase import DEFAULT_AXIS
 from repro.datamgmt import LedmsStore
 from repro.runtime import (
@@ -291,6 +291,27 @@ class TestIngest:
             UpdateKind.DELETED, created.group_id
         )
         assert ingest.flush(now=21) == []  # nothing pending
+
+    def test_retirement_with_an_unregistered_owner_records_nothing(self):
+        """Flushes and retirements register no owner (every offer in their
+        batches entered through :meth:`FlexOfferIngest.submit`, which did),
+        so a batch carrying an owner the store never saw raises — and
+        leaves the store, the pending count and the pipeline as they were."""
+        store = LedmsStore(DEFAULT_AXIS)
+        ingest = self._ingest(store=store)
+        offer, _ = ingest.submit(_offer(10, owner="known"), now=0)
+        ingest.flush(now=0)
+        stranger = _offer(12, owner="stranger")
+        facts = len(store.schema.facts["flexoffer_event"])
+        with pytest.raises(DataManagementError):
+            ingest.retire([offer, stranger], now=20, state="expired")
+        assert len(store.schema.facts["flexoffer_event"]) == facts
+        assert store.offer_state(offer.offer_id) == "aggregated"
+        assert store.offer(offer.offer_id) is offer
+        assert store.offer_state(stranger.offer_id) is None
+        assert ingest.pending_updates == 0
+        assert ingest.flush(now=20) == []
+        assert ingest.pipeline.input_count == 1
 
     def test_retire_flows_deletes_through_pipeline(self):
         ingest = self._ingest(batch_size=1)

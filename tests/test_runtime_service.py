@@ -346,7 +346,7 @@ def _clipped_admissions_run(*, write_through=False, traced=False):
     offer is updated and one withdrawn.
 
     ``write_through`` makes the store write each one-row fact as a
-    one-event :meth:`~LedmsStore.record_offer_events` batch, the oracle of
+    one-offer :meth:`~LedmsStore.record_offer_events` batch, the oracle of
     ``test_held_back_facts_match_write_through``.  Returns the service, the
     store's subscriber calls and the reject reasons in arrival order.
     """
@@ -357,10 +357,11 @@ def _clipped_admissions_run(*, write_through=False, traced=False):
     )
     store = service.store
     if write_through:
-        store.record_offer_event = (
-            lambda actor, offer, state, now:
-            store.record_offer_events([(actor, offer, state)], now)
-        )
+        def record_offer_event(actor, offer, state, now):
+            assert actor == offer.owner
+            store.record_offer_events([offer], state, now)
+
+        store.record_offer_event = record_offer_event
     calls = []
     store.subscribe(lambda *args: calls.append(args))
     reasons = []
@@ -644,6 +645,54 @@ class TestFoldOncePerPlan:
         assert all(where == ("sweep",) for where in outside)
         assert len(outside) == retiring_sweeps
         assert flushes <= runs + retiring_sweeps + 1  # + the drain's
+
+
+class TestArrivalBuildsNoSubmitResult:
+    """The arrival loop calls :meth:`BrpRuntimeService.submit`, which builds
+    a :class:`~repro.runtime.SubmitResult` only when a ledger records the
+    outcome (to journal it and to deflect duplicates)."""
+
+    def _counted_run(self, monkeypatch, **kwargs):
+        from repro.runtime import service as service_module
+
+        real = service_module.SubmitResult
+        built = []
+
+        def counting(*args, **kw):
+            result = real(*args, **kw)
+            built.append(result)
+            return result
+
+        monkeypatch.setattr(service_module, "SubmitResult", counting)
+        service, report = _run(duration=24, **kwargs)
+        return service, report, built
+
+    def test_without_a_ledger_no_arrival_builds_one(self, monkeypatch):
+        service, report, built = self._counted_run(monkeypatch)
+        assert report.offers_submitted > 10 and report.offers_accepted > 0
+        assert built == []
+
+    def test_a_recording_ledger_builds_one_per_submission(self, monkeypatch):
+        ledger = OfferLedger(MemoryEventLog())
+        service, report, built = self._counted_run(monkeypatch, ledger=ledger)
+        assert len(built) == report.offers_submitted > 10
+        assert sum(result.accepted for result in built) == report.offers_accepted
+
+    def test_both_front_doors_leave_the_same_run(self):
+        """Admitting through :meth:`submit` (no result built) and through
+        :meth:`submit_fact` leaves the same books, plans and store."""
+        plain, plain_report = _run(duration=24)
+        facts = BrpRuntimeService(TINY)
+        facts.submit = lambda offer, sid=None: facts.submit_fact(offer, sid).offer
+        generator = LoadGenerator(rate_per_hour=30, seed=11)
+        facts_report = facts.run_stream(generator.stream(0, 24), 24)
+        for field in ("offers_submitted", "offers_accepted", "offers_rejected",
+                      "scheduling_runs", "offers_scheduled"):
+            assert getattr(plain_report, field) == getattr(facts_report, field)
+        assert plain.store.state_counts() == facts.store.state_counts()
+        assert list(plain.committed_starts().values()) == list(
+            facts.committed_starts().values()
+        )
 
 
 class TestStaleRemoteSchedule:
