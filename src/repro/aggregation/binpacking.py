@@ -126,13 +126,6 @@ class BinPacker:
         """Total number of sub-groups across all groups."""
         return sum(len(bins) for bins in self._subgroups.values())
 
-    def subgroups(self) -> dict[str, tuple[FlexOffer, ...]]:
-        """Snapshot of all sub-groups keyed by sub-group id."""
-        out: dict[str, tuple[FlexOffer, ...]] = {}
-        for bins in self._subgroups.values():
-            out.update(bins)
-        return out
-
     def process(self, updates: Iterable[GroupUpdate]) -> list[GroupUpdate]:
         """Apply group updates; return updates on sub-groups."""
         out: list[GroupUpdate] = []

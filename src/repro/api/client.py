@@ -98,7 +98,8 @@ class OfferView:
     committed_start: int | None
     """The start slice the plan committed the offer to (None if unplanned)."""
     offer: FlexOffer | None
-    """The admitted offer object (None if never seen)."""
+    """The accepted (possibly window-clipped) version while the offer is
+    live; None once it is retired, rejected or never seen."""
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +255,7 @@ class LedmsClient:
             live=service.is_live(offer_id),
             scheduled=service.is_scheduled(offer_id),
             committed_start=service.committed_start(offer_id),
-            offer=service.store.offer(offer_id),
+            offer=service.live_offer(offer_id),
         )
 
     def current_plan(self) -> PlanView | None:

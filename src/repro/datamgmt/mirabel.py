@@ -9,7 +9,9 @@ lifecycle events and prices.
 :class:`LedmsStore` wraps the schema with the operations the other LEDMS
 components actually use — recording measurements and reading them back as
 :class:`~repro.core.timeseries.TimeSeries`, tracking flex-offer state, and
-persisting forecast-model parameters.
+persisting forecast-model parameters.  For a flex-offer it keeps the
+lifecycle facts and a map from offer id to latest state, not the offer
+object: the live offers are held once per node, by the runtime service.
 
 Every write ends in the fact tables' column buffers.  A series (measurements,
 a forecast, a market's prices) already *is* a column and goes in through one
@@ -64,13 +66,6 @@ OFFER_STATES = (
     "executed",
     "expired",
     "withdrawn",
-)
-
-#: States in which the store keeps the offer *object* (see
-#: :meth:`LedmsStore.offer`) — submitted or part of the live pool; in every
-#: other state only the audit trail stays.
-_RETAINED_OFFER_STATES = frozenset(
-    {"submitted", "accepted", "aggregated", "scheduled"}
 )
 
 #: Held-back one-row lifecycle facts are written at the latest once this
@@ -171,7 +166,12 @@ def build_mirabel_schema() -> StarSchema:
 
 
 class LedmsStore:
-    """Component-facing facade over the MIRABEL schema."""
+    """Component-facing facade over the MIRABEL schema.
+
+    For flex-offers the store keeps lifecycle facts and the latest state
+    per offer id, never the offer objects: the node's one book of live
+    offers is the runtime service's.
+    """
 
     def __init__(self, axis: TimeAxis):
         self.axis = axis
@@ -187,9 +187,9 @@ class LedmsStore:
         self._state_ids = {state: i for i, state in enumerate(OFFER_STATES)}
         self._actor_ids: dict[str, int] = {}
         self._energy_type_ids: dict[str, int] = {}
-        self._known_times: set[int] = set()
+        # Live view of the time dimension's keys: which slices have a row.
+        self._time_keys = self._schema.dimensions["time"].keys()
         self._offer_states: dict[int, str] = {}
-        self._offers: dict[int, FlexOffer] = {}
         self._subscribers: list = []
         # One-row lifecycle facts not yet in the fact table, in call order:
         # their three dimension keys and the offer (or its checked values).
@@ -253,7 +253,7 @@ class LedmsStore:
         return type_id
 
     def _time_id(self, slice_index: int) -> int:
-        if slice_index not in self._known_times:
+        if slice_index not in self._time_keys:
             self._schema.insert_dimension_row(
                 "time",
                 {
@@ -263,7 +263,6 @@ class LedmsStore:
                     "day_of_week": self.axis.day_of_week(slice_index),
                 },
             )
-            self._known_times.add(slice_index)
         return slice_index
 
     def _actor_id(self, name: str) -> int:
@@ -408,7 +407,7 @@ class LedmsStore:
         state_id = self._state_ids.get(state)
         if state_id is None:
             raise DataManagementError(f"unknown offer state {state!r}")
-        if now not in self._known_times:
+        if now not in self._time_keys:
             self._time_id(now)
         actor_id = self._actor_ids.get(actor)
         if actor_id is None:
@@ -442,7 +441,7 @@ class LedmsStore:
         offers.append(fact)
         if len(time_ids) >= _MAX_PENDING_FACTS:
             self.flush()
-        self._transition(offer, state, now)
+        self._transition(offer.offer_id, state, now)
 
     def record_offer_events(
         self, offers: Sequence[FlexOffer], state: str, now: int
@@ -454,14 +453,11 @@ class LedmsStore:
         offers and stored as one batch, all or nothing: an unknown state or
         actor, or a value of the wrong type, raises and records nothing.
         The per-offer state then advances in the order given (a later fact
-        for the same id wins), with one ``dict.update`` per map while no
+        for the same id wins), with one ``dict.update`` while no
         subscriber is attached; with one, each fact advances the state and
         notifies in turn, so a callback reading the store mid-batch sees
         what the same facts recorded one by one through
-        :meth:`record_offer_event` show.  The ``dict.update`` path is the
-        cheaper one: ``benchmarks/bench_store_events.py`` reads 0.66 and
-        0.56 us per fact at 64 and 256 offers per batch with it, against
-        0.69 and 0.61 with the per-fact advance (medians, 2-core box).
+        :meth:`record_offer_event` show.
         """
         if not offers:
             return
@@ -492,52 +488,16 @@ class LedmsStore:
             ),
         )
         if self._subscribers:
-            for offer in offers:
-                self._transition(offer, state, now)
+            for offer_id in offer_ids:
+                self._transition(offer_id, state, now)
             return
         self._offer_states.update(dict.fromkeys(offer_ids, state))
-        if state in _RETAINED_OFFER_STATES:
-            self._offers.update(zip(offer_ids, offers))
-        else:
-            drop = self._offers.pop
-            for offer_id in offer_ids:
-                drop(offer_id, None)
 
-    def _transition(self, offer: FlexOffer, state: str, now: int) -> None:
+    def _transition(self, offer_id: int, state: str, now: int) -> None:
         """Advance the per-offer state for one recorded fact; notify."""
-        offer_id = offer.offer_id
         self._offer_states[offer_id] = state
-        if state in _RETAINED_OFFER_STATES:
-            self._offers[offer_id] = offer
-        else:
-            # Terminal (or rejected) offers keep their audit trail in the
-            # fact table and the state map, but the object — with its
-            # profile arrays — is dropped so a long stream cannot grow the
-            # store without bound.
-            self._offers.pop(offer_id, None)
         for callback in self._subscribers:
             callback(offer_id, state, now)
-
-    def replay_offer_event(
-        self,
-        actor: str,
-        offer: FlexOffer,
-        state: str,
-        now: int,
-        *,
-        role: str = "prosumer",
-    ) -> None:
-        """Record a lifecycle transition replayed from a durable log.
-
-        Unlike :meth:`record_offer_event`, this never depends on
-        registration-order luck: a log replayed into a *fresh* store
-        carries facts for actors (dimension rows) the store has never
-        seen, so the actor is auto-registered first —
-        :meth:`register_actor` is idempotent, making this safe to call
-        for every replayed fact.
-        """
-        self.register_actor(actor, role)
-        self.record_offer_event(actor, offer, state, now)
 
     def subscribe(self, callback) -> None:
         """Register ``callback(offer_id, state, now)`` for lifecycle events.
@@ -553,15 +513,6 @@ class LedmsStore:
     def offer_state(self, offer_id: int) -> str | None:
         """Latest recorded state of an offer (None if never seen)."""
         return self._offer_states.get(offer_id)
-
-    def offer(self, offer_id: int) -> FlexOffer | None:
-        """The retained object of a *live* offer (None if unseen/retired).
-
-        After admission this is the *accepted* (window-clipped) offer.
-        Objects of offers in terminal states are evicted (their lifecycle
-        stays queryable via :meth:`offer_state` and the fact table).
-        """
-        return self._offers.get(offer_id)
 
     def offers_in_state(self, state: str) -> list[int]:
         """Offer ids currently in ``state``."""

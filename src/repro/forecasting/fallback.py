@@ -78,12 +78,6 @@ class FallbackModel(ForecastModel):
         return self._used_fallback
 
     @property
-    def active_model(self) -> ForecastModel:
-        """The model answering forecasts right now."""
-        self._require_fitted()
-        return self._active
-
-    @property
     def validation_errors(self) -> dict[str, float]:
         """Hold-out SMAPE per candidate from the last :meth:`fit`."""
         return dict(self._validation_errors)

@@ -87,9 +87,6 @@ class Configuration:
     runtime_seconds: float = float("nan")
     model_count: int = 0
 
-    def mode_of(self, node: HierarchyNode) -> NodeMode:
-        return self.modes[node.name]
-
 
 class ConfigurationAdvisor:
     """Searches mode assignments under a runtime constraint.

@@ -26,8 +26,8 @@ host of a service (the api facade, a cluster's ``BrpHost``) is replayable:
     lost, but does not reproduce internal scheduler state bit-for-bit.
 
 Projection writes lifecycle facts for actors the fresh store has never
-seen, so it goes through :meth:`LedmsStore.replay_offer_event`, which
-auto-registers dimension rows idempotently instead of depending on
+seen, so it registers each retired offer's owner first
+(:meth:`LedmsStore.register_actor` is idempotent) instead of depending on
 registration-order luck.
 """
 
@@ -230,7 +230,8 @@ def project(service, events: list[dict]) -> ReplayStats:
                 if encoded is None:
                     continue
                 offer = offer_from_dict(encoded)
-                store.replay_offer_event(
+                store.register_actor(offer.owner, "prosumer")
+                store.record_offer_event(
                     offer.owner, offer, info["state"], now_slice
                 )
         finally:

@@ -391,6 +391,10 @@ class BrpRuntimeService:
         """The start slice the plan committed the offer to (None if none)."""
         return self._live.get(offer_id, _GONE).start
 
+    def live_offer(self, offer_id: int) -> FlexOffer | None:
+        """The accepted version of a live offer (None if not live)."""
+        return self._live.get(offer_id, _GONE).offer
+
     def live_offer_ids(self) -> list[int]:
         """The ids of the offers in the active pool, sorted."""
         return sorted(self._live)
@@ -762,7 +766,6 @@ class BrpRuntimeService:
             self.session.absorb(updates)
         elapsed = time.perf_counter() - t0
         self.metrics.counter("aggregate.runs").inc()
-        self.metrics.histogram("aggregate.batch_seconds").observe(elapsed)
         self.metrics.gauge("aggregate.pool_size").set(len(self.pool))
         self._observe_stage("aggregate", elapsed)
         return updates

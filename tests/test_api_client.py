@@ -22,7 +22,7 @@ from repro.api import (
 )
 from repro.core import flex_offer
 from repro.core.errors import ServiceError
-from repro.runtime import BrpRuntimeService, LoadGenerator
+from repro.runtime import BrpRuntimeService, LoadGenerator, SimulatedDriver
 from repro.runtime.triggers import AgeTrigger, AnyTrigger, CountTrigger
 
 
@@ -101,8 +101,8 @@ class TestOperations:
         client.service.run_aggregation()
         assert client.query_offer(oid).state == "withdrawn"
         assert not client.query_offer(oid).live
-        # Terminal offers drop their retained object (memory bound on long
-        # streams); the lifecycle state stays queryable.
+        # A retired offer has no object to show (the service no longer
+        # holds it); the lifecycle state stays queryable in the store.
         assert client.query_offer(oid).offer is None
         assert client.service.ingest.input_count == 0
         assert not client.withdraw(oid)  # already gone
@@ -145,6 +145,43 @@ class TestOperations:
         assert not result.accepted
         assert "admission limit" in result.reason
         assert client.submit(_offer(10, duration=2)).accepted
+
+    def test_view_offer_is_the_services_live_object(self):
+        # The view reads the service's one book of live offers: the clipped
+        # or revised version while live, nothing once retired, while the
+        # store still reports the terminal state.
+        client = LedmsClient(_config(), driver=SimulatedDriver(5.0))
+        service = client.service
+        late = _offer(3)  # its window opened before now: admitted clipped
+        clipped = client.submit(late).offer
+        assert clipped is not late and clipped.earliest_start == 5
+        view = client.query_offer(late.offer_id)
+        assert view.offer is clipped is service.live_offer(late.offer_id)
+
+        first = _offer(10)
+        client.submit(first)
+        revision = _offer(12, offer_id=first.offer_id)
+        assert client.update(revision).accepted
+        view = client.query_offer(first.offer_id)
+        assert view.live and view.offer is revision
+
+        empty = _offer(10, lo=0.0, hi=0.0)
+        assert not client.submit(empty).accepted
+        withdrawn = _offer(11)
+        client.submit(withdrawn)
+        assert client.withdraw(withdrawn.offer_id)
+        client.service.run_aggregation()
+        service.driver.advance_to(9.5)  # past the clipped offer's latest start
+        assert service.sweep_expired() == 1
+        for oid, state in (
+            (empty.offer_id, "rejected"),
+            (withdrawn.offer_id, "withdrawn"),
+            (late.offer_id, "expired"),
+        ):
+            view = client.query_offer(oid)
+            assert view.offer is None and not view.live
+            assert view.state == state
+        assert client.query_offer(first.offer_id).offer is revision
 
     def test_update_of_unknown_offer_degrades_to_submit(self):
         client = LedmsClient(_config())

@@ -425,7 +425,7 @@ class TestClusterRuntime:
                 remote_brps += 1
             checked = 0
             for offer_id, start in service.committed_starts().items():
-                offer = service.store.offer(offer_id)
+                offer = service.live_offer(offer_id)
                 assert offer.earliest_start <= start <= offer.latest_start
                 checked += 1
             assert service.scheduled_total > 0 or checked == 0

@@ -613,31 +613,14 @@ class TestBatchedLifecycleFacts:
         assert list(batch._offer_states.items()) == list(
             single._offer_states.items()
         )
-        assert list(batch._offers) == list(single._offers)
         for offer in offers:
             oid = offer.offer_id
             assert batch.offer_state(oid) == single.offer_state(oid)
-            assert batch.offer(oid) is single.offer(oid)
         assert batch.state_counts() == single.state_counts()
         for state in batch.state_counts():
             assert batch.offers_in_state(state) == single.offers_in_state(state)
         assert batch_calls == single_calls
         assert len(batch_calls) == (82 if subscribed else 0)
-
-    def test_later_object_under_an_id_wins(self):
-        store = LedmsStore(TimeAxis(15))
-        store.register_actor("p", "prosumer")
-        first, revision = (
-            flex_offer([(1.0, hi)], earliest_start=5, latest_start=9,
-                       offer_id=950, owner="p")
-            for hi in (2.0, 3.0)
-        )
-        store.record_offer_events([first, revision], "accepted", now=0)
-        assert store.offer(950) is revision
-        store.record_offer_events([revision, first], "scheduled", now=1)
-        assert store.offer(950) is first
-        store.record_offer_events([first, first], "executed", now=2)
-        assert store.offer(950) is None and store.offer_state(950) == "executed"
 
     def test_rejected_batch_records_nothing(self):
         from types import SimpleNamespace
@@ -663,7 +646,7 @@ class TestBatchedLifecycleFacts:
         store.record_offer_events([], "vanished", now=0)
         assert len(store.schema.facts["flexoffer_event"]) == 0
         assert store.offer_state(offer.offer_id) is None and not calls
-        assert store.offer_state(901) is None and store.offer(901) is None
+        assert store.offer_state(901) is None
 
 
 # ----------------------------------------------------------------------
@@ -698,10 +681,9 @@ class TestHeldBackFacts:
         store.record_offer_event("p", offer, "submitted", now=0)
         store.record_offer_event("p", offer, "accepted", now=1)
         assert store.offer_state(700) == "accepted"
-        assert store.offer(700) is offer
         assert store.offers_in_state("accepted") == [700]
         assert store.state_counts()["accepted"] == 1
-        # The state maps advance without writing the held-back rows.
+        # The state map advances without writing the held-back rows.
         assert _held(store) == 2 and _written(store) == 0
 
     def test_one_row_fact_records_the_actor_given(self):
@@ -838,7 +820,7 @@ class TestHeldBackFacts:
         assert len(held_after) > 10 and not any(held_after)
         # A flush with only deletes queued still drains a rejection.
         ingest = service.ingest
-        live = service.store.offer(service.live_offer_ids()[0])
+        live = service.live_offer(service.live_offer_ids()[0])
         ingest.retire([live], now=30, state="withdrawn")
         ingest.submit(flex_offer([(1.0, 2.0)], earliest_start=1,
                                  latest_start=2), now=30)
@@ -906,7 +888,7 @@ def _store_offers():
 def test_held_back_facts_match_write_through(operations):
     """Any mix of one-row and batched lifecycle writes, reads, registrations
     and late subscriptions leaves a store that holds one-row facts back with
-    the same fact rows, dimension rows, state maps and subscriber calls as
+    the same fact rows, dimension rows, state map and subscriber calls as
     one that writes each of those facts through — as a one-offer
     :meth:`~LedmsStore.record_offer_events` batch when its actor is its
     offer's owner, else as a one-row fact written out at once — and the
@@ -981,8 +963,6 @@ def test_held_back_facts_match_write_through(operations):
             through.schema.dimensions[dimension]
         )
     assert list(held._offer_states.items()) == list(through._offer_states.items())
-    assert held._offers.keys() == through._offers.keys()
-    assert all(held._offers[k] is through._offers[k] for k in held._offers)
     assert calls[id(held)] == calls[id(through)]
 
 
@@ -1001,8 +981,8 @@ _offer_batches = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(batches=_offer_batches)
 def test_subscribed_batches_match_unsubscribed(batches):
-    """The same batches leave the same state maps whether or not a
-    subscriber is attached (the unsubscribed store advances them with one
+    """The same batches leave the same state map whether or not a
+    subscriber is attached (the unsubscribed store advances it with one
     ``dict.update`` per batch); and a subscriber that reads the states of
     every offer id, later members of the running batch included, sees at
     each call what it sees when the facts are recorded one by one."""
@@ -1037,10 +1017,8 @@ def test_subscribed_batches_match_unsubscribed(batches):
         assert list(store._offer_states.items()) == list(
             plain._offer_states.items()
         )
-        assert list(store._offers) == list(plain._offers)
         for oid in offer_ids:
             assert store.offer_state(oid) == plain.offer_state(oid)
-            assert store.offer(oid) is plain.offer(oid)
         assert store.state_counts() == plain.state_counts()
         for state in OFFER_STATES:
             assert store.offers_in_state(state) == plain.offers_in_state(state)

@@ -40,6 +40,7 @@ from repro.ledger import (
     default_source_event_id,
     offer_from_dict,
     offer_to_dict,
+    project,
     reexecute,
 )
 from repro.ledger.codec import offer_json
@@ -749,14 +750,65 @@ class TestStoreReplay:
         with pytest.raises(DataManagementError):
             store.record_offer_event("ghost", offer, "accepted", 0)
 
-    def test_replay_offer_event_auto_registers_actor(self):
-        store = LedmsStore(TimeAxis(15))
-        offer = _offer(10, owner="ghost")
-        store.replay_offer_event("ghost", offer, "accepted", 0)
-        assert store.offer_state(offer.offer_id) == "accepted"
-        # Idempotent: replaying more facts for the same actor is fine.
-        store.replay_offer_event("ghost", offer, "scheduled", 1)
-        assert store.offer_state(offer.offer_id) == "scheduled"
+    def test_project_registers_an_owner_the_fresh_store_never_saw(self):
+        log = MemoryEventLog()
+        live = BrpRuntimeService(_config(), ledger=OfferLedger(log))
+        withdrawn = _offer(10, owner="ghost")
+        rejected = _offer(10, lo=0.0, hi=0.0, owner="ghost")
+        live.submit(withdrawn)
+        live.submit(rejected)
+        live.withdraw(withdrawn.offer_id)
+        fresh = BrpRuntimeService(_config(), ledger=OfferLedger(log))
+        actors = fresh.store.schema.dimensions["actor"]
+        assert "ghost" not in actors.column("name")
+        stats = project(fresh, list(log.replay()))
+        assert stats.mode == "project" and stats.live_restored == 0
+        # Both retired offers' terminal rows land under one "ghost" row:
+        # registering the owner again is idempotent.
+        assert list(actors.column("name")).count("ghost") == 1
+        assert fresh.store.offer_state(withdrawn.offer_id) == "withdrawn"
+        assert fresh.store.offer_state(rejected.offer_id) == "rejected"
+
+    def test_project_restores_the_accepted_offer_objects(self):
+        log = MemoryEventLog()
+        original = _ledger_client(log)
+        stream = LoadGenerator(rate_per_hour=40, seed=3).stream(0.0, 48.0)
+        original.run_stream(stream, 48.0)
+        events = list(log.replay())
+        last = max(float(event["at"]) for event in events)
+        assert last > min(float(event["at"]) for event in events)
+        resumed = LedmsClient.resume_from_ledger(
+            log, _config(), driver=SimulatedDriver(last)
+        )
+        replay = resumed.last_replay
+        assert replay.mode == "project" and replay.live_restored > 0
+        accepted = {}
+        for event in events:
+            if event["kind"] in ("submit", "replace") and event.get("accepted"):
+                accepted[int(event["offer_id"])] = offer_from_dict(
+                    event.get("accepted_offer") or event["offer"]
+                )
+        live = resumed.service.live_offer_ids()
+        assert len(live) == replay.live_restored
+        now = resumed.service.now_slice
+        reclipped = 0
+        for oid in live:
+            expected = accepted[oid]
+            if expected.earliest_start < now:
+                # Its window opened while the node was down: re-admission
+                # clips it to the recovery instant, as any late arrival.
+                expected = expected.with_times(now, expected.latest_start)
+                reclipped += 1
+            view = resumed.query_offer(oid)
+            assert view.offer is resumed.service.live_offer(oid)
+            assert offer_to_dict(view.offer) == offer_to_dict(expected)
+        assert 0 < reclipped < len(live)
+        retired = accepted.keys() - set(live)
+        assert retired
+        for oid in retired:
+            view = resumed.query_offer(oid)
+            assert view.offer is None and not view.live
+            assert view.state in ("executed", "expired", "withdrawn")
 
 
 class TestUpdateRecovery:

@@ -598,7 +598,7 @@ class TestTriggerStateWrite:
                     service._live[oid] = offer
                     service._scheduled_total += 1
                     service._unscheduled_energy -= service._offer_energy(offer)
-                    store.replay_offer_event(offer.owner, offer, "scheduled", now_slice)
+                    store.record_offer_event(offer.owner, offer, "scheduled", now_slice)
             """,
         )
         assert rule_ids(findings) == ["REP009"]

@@ -307,7 +307,7 @@ class TestIngest:
             ingest.retire([offer, stranger], now=20, state="expired")
         assert len(store.schema.facts["flexoffer_event"]) == facts
         assert store.offer_state(offer.offer_id) == "aggregated"
-        assert store.offer(offer.offer_id) is offer
+        assert store.offers_in_state("aggregated") == [offer.offer_id]
         assert store.offer_state(stranger.offer_id) is None
         assert ingest.pending_updates == 0
         assert ingest.flush(now=20) == []
