@@ -13,12 +13,22 @@ Claims to measure:
 * full tracing (every offer, every stage) is the worst case and is
   reported for scale, not gated.
 
-Records land in ``BENCH_runtime.json`` under ``obs.overhead.*`` names;
-``overhead_pct`` is relative to the NullTracer run of the same session.
-``REPRO_BENCH_SMOKE=1`` shrinks the workload and disables the threshold
-assertion (smoke boxes are too noisy to gate on single-digit percentages).
+One run per tracer is noisier than the gate: the box alone moved the
+NullTracer baseline by a third between runs.  So the bench measures
+``ROUNDS`` interleaved rounds of (null, sampled, full), rotating which
+tracer runs first, takes each round's overhead against that round's own
+NullTracer run, and gates the *median* round.
+
+Records land in ``BENCH_runtime.json`` under ``obs.overhead.*`` names:
+``offers_per_sec`` and ``overhead_pct`` are the medians over the rounds,
+and ``offers_per_sec_round<i>`` / ``overhead_pct_round<i>`` carry every
+round.  ``REPRO_BENCH_SMOKE=1`` shrinks the workload and disables the
+threshold assertion (smoke boxes are too noisy to gate on single-digit
+percentages).
 """
 
+import os
+import statistics
 import time
 
 from conftest import smoke_mode
@@ -37,6 +47,7 @@ RATE_PER_HOUR = 200.0
 DURATION_SLICES = 96.0
 SEED = 42
 SAMPLE_STRIDE = 100
+ROUNDS = 5
 
 
 def _duration_slices() -> float:
@@ -69,45 +80,68 @@ def _run(tracer=None):
 
 
 def test_obs_overhead(once, bench_record):
+    tracers = (
+        ("null (baseline)", lambda: None),  # the NullTracer default
+        (f"sampled 1/{SAMPLE_STRIDE}", lambda: Tracer(sample_every=SAMPLE_STRIDE)),
+        ("full (every offer)", lambda: Tracer(sample_every=1)),
+    )
+
     def run_all():
-        # NullTracer default = the untraced baseline (guarded call sites).
-        baseline = _run()
-        sampled = _run(Tracer(sample_every=SAMPLE_STRIDE))
-        full = _run(Tracer(sample_every=1))
-        return baseline, sampled, full
+        # rounds[r][k]: tracer k's run in round r; round r starts with
+        # tracer r mod 3, so no tracer always runs first.
+        rounds = []
+        for r in range(ROUNDS):
+            runs = [None] * len(tracers)
+            for step in range(len(tracers)):
+                k = (r + step) % len(tracers)
+                runs[k] = _run(tracers[k][1]())
+            rounds.append(runs)
+        return rounds
 
-    (baseline, sampled, full) = once(run_all)
+    rounds = once(run_all)
 
-    base_rate = baseline[0].offers_per_second
     rows = []
     records = []
-    for label, (report, elapsed, events) in (
-        ("null (baseline)", baseline),
-        (f"sampled 1/{SAMPLE_STRIDE}", sampled),
-        ("full (every offer)", full),
-    ):
-        rate = report.offers_per_second
-        overhead = (base_rate - rate) / base_rate * 100.0 if base_rate else 0.0
+    for k, (label, _) in enumerate(tracers):
+        rates = [runs[k][0].offers_per_second for runs in rounds]
+        overheads = [
+            (runs[0][0].offers_per_second - runs[k][0].offers_per_second)
+            / runs[0][0].offers_per_second
+            * 100.0
+            for runs in rounds
+        ]
+        events = rounds[0][k][2]
+        rate, overhead = statistics.median(rates), statistics.median(overheads)
         rows.append(
             [
                 label,
-                report.offers_accepted,
+                rounds[0][k][0].offers_accepted,
                 f"{rate:.0f}",
                 f"{overhead:+.1f}%",
+                " ".join(f"{o:+.1f}" for o in overheads),
                 events,
             ]
         )
-        records.append((label, rate, overhead, events))
+        records.append((label, rate, overhead, rates, overheads, events))
     print_table(
-        f"tracing overhead ({_rate():g}/h, {_duration_slices():g} slices)",
-        ["tracer", "offers", "offers/s", "overhead", "events"],
+        f"tracing overhead ({_rate():g}/h, {_duration_slices():g} slices, "
+        f"median of {ROUNDS} interleaved rounds)",
+        ["tracer", "offers", "offers/s", "overhead", "per round", "events"],
         rows,
     )
 
-    for name, (label, rate, overhead, events) in zip(
+    for name, (label, rate, overhead, rates, overheads, events) in zip(
         ("obs.overhead.null", "obs.overhead.sampling", "obs.overhead.full"),
         records,
     ):
+        metrics = {
+            "offers_per_sec": rate,
+            "overhead_pct": overhead,
+            "trace_events": float(events),
+        }
+        for r, (round_rate, round_overhead) in enumerate(zip(rates, overheads)):
+            metrics[f"offers_per_sec_round{r + 1}"] = round_rate
+            metrics[f"overhead_pct_round{r + 1}"] = round_overhead
         bench_record(
             "runtime",
             name=name,
@@ -115,22 +149,24 @@ def test_obs_overhead(once, bench_record):
                 "rate_per_hour": _rate(),
                 "duration_slices": _duration_slices(),
                 "tracer": label,
+                "rounds": ROUNDS,
+                "cpu_count": os.cpu_count(),
             },
-            metrics={
-                "offers_per_sec": rate,
-                "overhead_pct": overhead,
-                "trace_events": float(events),
-            },
+            metrics=metrics,
         )
 
     # Same seed, same sim clock: tracing must never change behaviour, only
-    # record it.
-    assert sampled[0].offers_accepted == baseline[0].offers_accepted
-    assert full[0].offers_accepted == baseline[0].offers_accepted
-    assert full[2] >= sampled[2] > 0
+    # record it — in every round.
+    for (baseline, _, _), (sampled, _, sampled_events), (full, _, full_events) in (
+        rounds
+    ):
+        assert sampled.offers_accepted == baseline.offers_accepted
+        assert full.offers_accepted == baseline.offers_accepted
+        assert full_events >= sampled_events > 0
     if not smoke_mode():
         # Sampling budget: 1-in-100 tracing stays within ~10% of baseline
         # (generous slack over the target to keep CI-class noise out).
         assert records[1][2] < 15.0, (
-            f"sampled tracing overhead {records[1][2]:.1f}% exceeds budget"
+            f"median sampled tracing overhead {records[1][2]:.1f}% exceeds "
+            f"budget (rounds: {', '.join(f'{o:+.1f}%' for o in records[1][4])})"
         )

@@ -76,7 +76,9 @@ def _service_config() -> ServiceConfig:
 
 def _cluster_config() -> ClusterConfig:
     return ClusterConfig.uniform(
-        BRPS, _service_config(), tso=TsoConfig.from_flat(scheduler_passes=1)
+        BRPS,
+        _service_config(),
+        tso=TsoConfig.from_dict({"scheduling": {"scheduler_passes": 1}}),
     )
 
 

@@ -549,13 +549,15 @@ def test_adaptive_trigger_holds_latency_target(once, bench_record):
     duration = 24.0 if smoke_mode() else 384.0
 
     def run_service(**loop):
-        config = ServiceConfig.from_flat(
-            batch_size=64,
-            horizon_slices=192,
-            scheduler_passes=1,
-            min_run_interval_slices=1.0,
-            seed=SEED,
-            **loop,
+        config = ServiceConfig(
+            ingest=IngestConfig(batch_size=64),
+            scheduling=SchedulingConfig(
+                horizon_slices=192,
+                scheduler_passes=1,
+                min_run_interval_slices=1.0,
+                seed=SEED,
+                **loop,
+            ),
         )
         service = BrpRuntimeService(config)
         generator = LoadGenerator(rate_per_hour=rate, seed=SEED)

@@ -58,7 +58,7 @@ def pytest_terminal_summary(terminalreporter):
         return
     terminalreporter.write_line("")
     terminalreporter.write_line("=" * 70)
-    terminalreporter.write_line("Reproduced figure/table rows (see EXPERIMENTS.md)")
+    terminalreporter.write_line("Reproduced figure/table rows")
     terminalreporter.write_line("=" * 70)
     for text in tables:
         terminalreporter.write_line("")

@@ -132,24 +132,32 @@ def _print_catalogue() -> None:
 # runtime subcommands
 # ----------------------------------------------------------------------
 #: Flags that set a :class:`~repro.runtime.config.ServiceConfig` field:
-#: flag -> (flat field name, help).  Each default is read off a default
-#: ``ServiceConfig()`` and its type off the field's annotation, and the
-#: config is built with ``from_flat``, so the CLI and the library cannot
+#: flag -> (section, field, help).  Each default and type is read off a
+#: default ``ServiceConfig()``'s section, and the config is built with
+#: ``ServiceConfig.from_dict``, so the CLI and the library cannot
 #: disagree.  ``--seed`` seeds the scheduler too, but it also seeds the
 #: stream, so it stays a flag of its own.
-SERVICE_FLAGS: dict[str, tuple[str, str]] = {
+SERVICE_FLAGS: dict[str, tuple[str, str, str]] = {
     "--batch": (
+        "ingest",
         "batch_size",
         "optional cap on pending updates per incremental aggregation run; "
         "unset, the batch waits for the flush before the next planning run "
         "(or a sweep that retires offers, or the drain)",
     ),
-    "--horizon": ("horizon_slices", "rolling scheduling horizon in slices"),
-    "--passes": ("scheduler_passes", "greedy passes per scheduling run"),
+    "--horizon": (
+        "scheduling", "horizon_slices", "rolling scheduling horizon in slices",
+    ),
+    "--passes": (
+        "scheduling", "scheduler_passes", "greedy passes per scheduling run",
+    ),
     "--min-run-interval": (
-        "min_run_interval_slices", "cooldown between scheduling runs (slices)",
+        "scheduling",
+        "min_run_interval_slices",
+        "cooldown between scheduling runs (slices)",
     ),
     "--target-p95-slices": (
+        "scheduling",
         "target_p95_slices",
         "closed-loop latency target: an adaptive trigger at each BRP and "
         "at the TSO steers its count/age thresholds toward this p95 "
@@ -187,21 +195,21 @@ def _runtime_parser(command: str) -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=42, help="stream + scheduler seed")
     config = ServiceConfig()
-    defaults = config.flat()
-    for flag, (name, text) in SERVICE_FLAGS.items():
-        section, field_name = config._FLAT_FIELDS[name]
-        hint = typing.get_type_hints(type(getattr(config, section)))[field_name]
+    for flag, (section, name, text) in SERVICE_FLAGS.items():
+        values = getattr(config, section)
+        hint = typing.get_type_hints(type(values))[name]
         # An optional field's flag parses to the type beside None.
         (kind,) = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
         parser.add_argument(
-            flag, default=defaults[name], type=kind,
-            help=f"{text}; default %(default)s, from ServiceConfig {name}",
+            flag, default=getattr(values, name), type=kind,
+            help=f"{text}; default %(default)s, from ServiceConfig "
+            f"{section}.{name}",
         )
     parser.add_argument(
         "--trigger", metavar="SPEC", action="append", default=None,
         help="trigger policy spec 'kind' or 'kind:key=val,...' "
         "(e.g. 'count:threshold=100', 'age:max_age_slices=8'); "
-        "repeatable — multiple specs combine with the 'any' composite; "
+        "repeatable — a run fires when any of the given specs fires; "
         "default: the library's count/age/imbalance policy "
         "(repro.runtime.config.default_trigger); --target-p95-slices "
         "replaces it with the adaptive one, at the BRPs and at the TSO",
@@ -438,12 +446,7 @@ def _usage_error(message: str) -> int:
 
 
 def _run_runtime(command: str, argv: list[str]) -> int:
-    from .api import (
-        LedmsClient,
-        ServiceConfig,
-        WorkerCrashError,
-        build_trigger,
-    )
+    from .api import LedmsClient, ServiceConfig, WorkerCrashError
     from .core.errors import ServiceError, choose
     from .obs.export import EXPORTERS
     from .runtime.drivers import DRIVERS
@@ -524,15 +527,15 @@ def _run_runtime(command: str, argv: list[str]) -> int:
     try:
         # Unknown trigger/driver/exporter names raise a ServiceError
         # carrying the known names.
-        flat = {
-            name: getattr(args, flag[2:].replace("-", "_"))
-            for flag, (name, _) in SERVICE_FLAGS.items()
-        }
+        sections: dict = {"scheduling": {"seed": args.seed}}
+        for flag, (section, name, _) in SERVICE_FLAGS.items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            sections.setdefault(section, {})[name] = value
         if args.trigger:
-            flat["trigger"] = build_trigger(
-                [_parse_trigger_spec(spec) for spec in args.trigger]
-            )
-        config = ServiceConfig.from_flat(seed=args.seed, **flat)
+            sections["scheduling"]["trigger"] = [
+                _parse_trigger_spec(spec) for spec in args.trigger
+            ]
+        config = ServiceConfig.from_dict(sections)
         driver_kwargs = (
             {"slices_per_second": args.slices_per_second}
             if args.driver == "wallclock"
@@ -687,8 +690,11 @@ def _build_cluster(args, config, spec, driver, tracer, outages):
     if target is not None and tso.scheduling.target_p95_slices is None:
         # The latency target reaches both tiers: a --cluster file's tso
         # section wins where it speaks, the flag fills the gap.
+        scheduling = dataclasses.replace(
+            tso.scheduling, target_p95_slices=target
+        )
         cluster_config = dataclasses.replace(
-            cluster_config, tso=tso.merged(target_p95_slices=target)
+            cluster_config, tso=dataclasses.replace(tso, scheduling=scheduling)
         )
     if args.bus_retries > 0:
         cluster_config = dataclasses.replace(
@@ -757,9 +763,9 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Regenerate experiments from the MIRABEL paper (see "
-        "EXPERIMENTS.md for the paper-vs-measured discussion), or drive the "
-        "streaming runtime via the 'serve' / 'loadtest' subcommands.",
+        description="Regenerate experiments from the MIRABEL paper (each "
+        "prints the rows its figure plots), or drive the streaming runtime "
+        "via the 'serve' / 'loadtest' subcommands.",
     )
     parser.add_argument(
         "experiment",

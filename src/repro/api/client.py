@@ -427,9 +427,3 @@ class LedmsSession:
     def offers(self) -> list[OfferView]:
         """Lifecycle snapshots of every offer this session ever submitted."""
         return [self.client.query_offer(oid) for oid in sorted(self._offer_ids)]
-
-    @property
-    def live_count(self) -> int:
-        """This session's offers still in the active pool."""
-        service = self.client.service
-        return sum(1 for oid in self._offer_ids if service.is_live(oid))

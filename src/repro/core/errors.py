@@ -83,7 +83,7 @@ def choose(
 
     Each table maps a name to ``(factory, one-line description)``.  An
     unknown name raises ``error`` naming the known set:
-    ``unknown trigger 'x'; known trigger names: age, any, count, imbalance``.
+    ``unknown trigger 'x'; known trigger names: age, count, imbalance``.
     """
     entry = table.get(name)
     if entry is None:

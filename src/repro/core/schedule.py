@@ -103,11 +103,6 @@ class ScheduledFlexOffer:
         """Total scheduled energy (kWh, signed)."""
         return float(sum(self.energies))
 
-    @property
-    def start_offset(self) -> int:
-        """Shift relative to the earliest admissible start."""
-        return self.start - self.offer.earliest_start
-
     def as_series(self) -> TimeSeries:
         """Scheduled energies as a time series starting at :attr:`start`."""
         return TimeSeries(self.start, self.energies)
@@ -163,25 +158,6 @@ class Schedule:
     def add(self, assignment: ScheduledFlexOffer) -> None:
         """Append one scheduled flex-offer."""
         self.assignments.append(assignment)
-
-    def flex_energy_series(self) -> TimeSeries:
-        """Net scheduled flex-offer energy per slice over the horizon.
-
-        Energy outside the horizon (offers allowed to run past the end) is
-        truncated — mirroring a BRP that only accounts within its balancing
-        window.
-        """
-        total = np.zeros(self.horizon_length)
-        for a in self.assignments:
-            lo = max(a.start, self.horizon_start)
-            hi = min(a.end, self.horizon_end)
-            for t in range(lo, hi):
-                total[t - self.horizon_start] += a.energies[t - a.start]
-        return TimeSeries(self.horizon_start, total)
-
-    def total_flex_energy(self) -> float:
-        """Total signed energy of all assignments (kWh)."""
-        return float(sum(a.total_energy for a in self.assignments))
 
 
 def sum_profiles(assignments: Sequence[ScheduledFlexOffer]) -> TimeSeries:

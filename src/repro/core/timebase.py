@@ -98,20 +98,6 @@ class TimeAxis:
         """Number of whole days since the epoch."""
         return slice_index // self.slices_per_day
 
-    def duration_minutes(self, n_slices: int) -> int:
-        """Total minutes spanned by ``n_slices`` slices."""
-        return n_slices * self.resolution_minutes
-
-    def slices_for_hours(self, hours: float) -> int:
-        """Number of slices covering ``hours`` hours (must be a whole number)."""
-        minutes = hours * 60
-        n, rem = divmod(minutes, self.resolution_minutes)
-        if rem:
-            raise ValueError(
-                f"{hours} h is not a whole number of {self.resolution_minutes}-min slices"
-            )
-        return int(n)
-
 
 #: Library-wide default axis: 15-minute slices.
 DEFAULT_AXIS = TimeAxis()

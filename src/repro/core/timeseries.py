@@ -129,27 +129,6 @@ class TimeSeries:
         """Apply an elementwise function to the values."""
         return TimeSeries(self._start, fn(self._values))
 
-    def resampled(self, factor: int) -> "TimeSeries":
-        """Aggregate ``factor`` consecutive slices into one by summation.
-
-        Used to move energy series between axes (e.g. 15-min → hourly).
-        The length must be divisible by ``factor``; the new start index is
-        expressed on the coarser axis (``start // factor``), so ``start`` must
-        be aligned to a ``factor`` boundary.
-        """
-        if factor <= 0:
-            raise TimeSeriesError("factor must be positive")
-        if len(self) % factor != 0:
-            raise TimeSeriesError(
-                f"length {len(self)} not divisible by factor {factor}"
-            )
-        if self._start % factor != 0:
-            raise TimeSeriesError(
-                f"start {self._start} not aligned to factor {factor}"
-            )
-        coarse = self._values.reshape(-1, factor).sum(axis=1)
-        return TimeSeries(self._start // factor, coarse)
-
     # ------------------------------------------------------------------
     # arithmetic (strictly aligned)
     # ------------------------------------------------------------------

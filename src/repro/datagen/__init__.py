@@ -2,7 +2,7 @@
 
 Substitutes for the external datasets used in the paper's evaluation (UK
 NationalGrid demand, NREL wind integration data, the authors' artificial
-flex-offer set) — see DESIGN.md §2 for the substitution rationale.
+flex-offer set); README's package table lists them under §9.
 """
 
 from .calendar import CalendarModel, DayType

@@ -50,11 +50,3 @@ class CalendarModel:
         if weekday == 6:
             return DayType.SUNDAY
         return DayType.WORKDAY
-
-    def is_working_day(self, slice_index: int) -> bool:
-        """True for Monday-Friday non-holidays."""
-        return self.day_type(slice_index) == DayType.WORKDAY
-
-    def is_holiday(self, slice_index: int) -> bool:
-        """True for configured public holidays."""
-        return self.day_type(slice_index) == DayType.HOLIDAY

@@ -2,7 +2,8 @@
 
 One module per figure (plus the §6 anecdote, the Fig. 1 end-to-end story and
 the §8 interplay ablations); ``benchmarks/`` wraps these into pytest-benchmark
-targets and EXPERIMENTS.md records paper-vs-measured.
+targets whose rows land in ``bench_output.txt`` and in the ``BENCH_*.json``
+trajectories (README, "Benchmark trajectories").
 """
 
 from .balancing import run_balancing

@@ -24,7 +24,7 @@ from ..datagen.wind import WindFarmModel
 from ..negotiation import Negotiator
 from ..node.devices import Device, default_household
 from ..runtime.cluster import ClusterConfig, ClusterRuntime, TsoConfig
-from ..runtime.config import ServiceConfig
+from ..runtime.config import AggregationConfig, SchedulingConfig, ServiceConfig
 from ..runtime.drivers import SimulatedDriver
 from .reporting import print_table
 
@@ -193,17 +193,25 @@ def plan_day(scenario: Scenario, config: ScenarioConfig) -> DayPlan:
     due.  Under a TSO, its plan (super → macro → micro) overrides the BRPs'.
     """
     start, horizon = config.day_start, config.horizon_slices
-    passes, parameters = config.scheduler_passes, config.aggregation_parameters
     # Both tiers plan the same horizon with the same budget.
-    tier = dict(horizon_slices=horizon, scheduler_passes=passes, seed=config.seed)
-    service = ServiceConfig.from_flat(
-        axis=config.axis, aggregation_parameters=parameters, **tier
+    tier = dict(
+        horizon_slices=horizon,
+        scheduler_passes=config.scheduler_passes,
+        seed=config.seed,
+    )
+    service = ServiceConfig(
+        axis=config.axis,
+        aggregation=AggregationConfig(config.aggregation_parameters),
+        scheduling=SchedulingConfig(**tier),
     )
     streams = {b: [(start, o) for o in agreed] for b, agreed in scenario.agreed.items()}
     cluster = None
     if config.use_tso:
         system = sum((f.values for f in scenario.forecasts.values()), np.zeros(horizon))
-        tso = TsoConfig(aggregation=service.aggregation).merged(**tier)
+        tso = TsoConfig(
+            aggregation=service.aggregation,
+            scheduling=replace(TsoConfig().scheduling, **tier),
+        )
         cluster = ClusterRuntime(
             ClusterConfig.uniform(config.n_brps, service, tso=tso),
             driver=SimulatedDriver(start),

@@ -1,8 +1,7 @@
 """Text reporting helpers shared by the experiment harnesses.
 
 Every experiment prints the same rows/series the paper's figures plot, as
-plain text tables — the benchmarks tee these into ``bench_output.txt`` and
-EXPERIMENTS.md quotes them.
+plain text tables — the benchmarks tee these into ``bench_output.txt``.
 """
 
 from __future__ import annotations

@@ -409,13 +409,13 @@ class TsoConfig(ServiceConfig):
     :class:`~repro.runtime.service.BrpRuntimeService` whose offers are the
     BRPs' macros, so it takes a BRP's sections; only the scheduling default
     differs (a count trigger over two admitted macros and a longer
-    cooldown).  Flat names work as they do for
-    :class:`~repro.api.ServiceConfig` (``TsoConfig.from_flat(scheduler_passes=1)``).
+    cooldown).  Its sections are set as a BRP's are, each with the TSO's
+    own default underneath:
+    ``TsoConfig(scheduling=replace(TsoConfig().scheduling, scheduler_passes=1))``
+    or ``TsoConfig.from_dict({"scheduling": {"scheduler_passes": 1}})``.
     """
 
     scheduling: SchedulingConfig = field(default_factory=_tso_scheduling)
-
-    _SCOPE = "tso"
 
 
 @dataclass(frozen=True)
@@ -474,7 +474,9 @@ class ClusterConfig:
         of BRP name to a :meth:`ServiceConfig.from_dict` section (``{}``
         for defaults); ``defaults`` supplies the base section every BRP
         starts from; ``tso`` configures the level-3 node with the same
-        sections and flat names (:meth:`TsoConfig.from_dict`)::
+        sections (:meth:`TsoConfig.from_dict`).  A field is named only
+        through its section, so a bare ``batch_size`` anywhere is an
+        unknown key whose error names the section that holds it::
 
             {"brps": {"north": {"scheduling": {"horizon_slices": 96}},
                       "south": {}},
@@ -506,7 +508,7 @@ class ClusterConfig:
                 "mapping of BRP name to service-config section"
             )
         # ``defaults`` is a layer over ``base`` and each BRP's section one
-        # over it, so a BRP's own field wins however either spells it.
+        # over it, so a BRP's own field wins.
         layer = ServiceConfig.from_dict(defaults, base=base)
         if isinstance(brps_spec, int):
             if brps_spec <= 0:
@@ -917,7 +919,7 @@ class ClusterRuntime:
         """Cluster-level aggregation of every BRP's metrics registry.
 
         Counters and gauges sum by name (gauges declared ``merge="last"``
-        or ``"max"`` follow their policy); latency histograms pool their
+        follow their policy); latency histograms pool their
         observations, so cluster-wide p50/p95 come from the merged
         distribution rather than a max-of-maxima.  The bus adapter's
         ``bus.*``/``transport.*`` instruments ride along, and the TSO's

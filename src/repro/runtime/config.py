@@ -12,17 +12,18 @@ module splits the configuration along those seams:
 * :class:`IngestConfig` — the optional admission batch cap and the
   duration limit.
 
-:class:`ServiceConfig` composes the four (plus the time axis); readers go
-through the sections (``config.ingest.batch_size``).  The cluster's TSO is
-a service too, configured by a subclass with another scheduling default
-(:class:`~repro.runtime.cluster.TsoConfig`).  Both share one
-:meth:`~SectionedConfig.from_flat` / :meth:`~SectionedConfig.merged` /
-:meth:`~SectionedConfig.from_dict`, which also accept every section field
-under its bare name — a table derived from the section dataclasses, so a
-field is declared once.
+:class:`ServiceConfig` composes the four (plus the time axis), and a
+setting has one spelling, ``section.field``: readers go through the
+sections (``config.ingest.batch_size``), code builds them
+(``ServiceConfig(ingest=IngestConfig(batch_size=8))``) or overlays one
+with :func:`dataclasses.replace`, and JSON-style data names them the same
+way (``{"ingest": {"batch_size": 8}}``, :meth:`ServiceConfig.from_dict`).
+The cluster's TSO is a service too, configured by a subclass with another
+scheduling default (:class:`~repro.runtime.cluster.TsoConfig`).
 
 A trigger spec's ``kind`` names an entry of
-:data:`repro.runtime.triggers.TRIGGERS`, the one table of trigger names.
+:data:`repro.runtime.triggers.TRIGGERS`, the one table of trigger names,
+and a list of specs is the one spelling of the composite.
 """
 
 from __future__ import annotations
@@ -182,133 +183,33 @@ class IngestConfig:
 
 
 # ----------------------------------------------------------------------
-def _field_tables(sections: Mapping[str, type]):
-    """Section -> its field names, and flat name -> (section, field).
-
-    Read off the section dataclasses.  Every field goes by its own flat
-    name except ``AggregationConfig.parameters``.
-    """
-    by_section = {
-        section: tuple(f.name for f in fields(cls))
-        for section, cls in sections.items()
-    }
-    flat = {
-        name: (section, name)
-        for section, names in by_section.items()
-        for name in names
-    }
-    flat["aggregation_parameters"] = flat.pop("parameters")
-    return by_section, flat
-
-
-def _unknown_field(scope: str, key: str, known) -> ServiceError:
-    return ServiceError(
-        f"unknown {scope} configuration field {key!r}; known "
-        f"fields: {', '.join(sorted(known))}"
+#: Section name -> its field names, read off the section dataclasses.
+_SECTION_FIELDS: dict[str, tuple[str, ...]] = {
+    section: tuple(f.name for f in fields(cls))
+    for section, cls in (
+        ("market", MarketConfig),
+        ("aggregation", AggregationConfig),
+        ("scheduling", SchedulingConfig),
+        ("ingest", IngestConfig),
     )
+}
 
 
-class SectionedConfig:
-    """Flat and JSON-style construction of a config made of sections.
-
-    A subclass is a frozen dataclass with one field per section; it sets
-    ``_SECTION_FIELDS, _FLAT_FIELDS = _field_tables({section: class})``
-    and, for error messages, ``_SCOPE``.  :class:`ServiceConfig` and the
-    cluster's ``TsoConfig`` are the two users.
-    """
-
-    _SCOPE = "runtime"
-    _SECTION_FIELDS: dict[str, tuple[str, ...]] = {}
-    _FLAT_FIELDS: dict[str, tuple[str, str]] = {}
-
-    @classmethod
-    def from_flat(cls, **flat):
-        """Build a config from flat keyword names (see ``merged``)."""
-        return cls().merged(**flat)
-
-    def merged(self, **flat):
-        """A copy with flat-named overrides applied (explicit values win)."""
-        sections: dict[str, dict[str, Any]] = {}
-        for key, value in flat.items():
-            target = self._FLAT_FIELDS.get(key)
-            if target is None:
-                raise _unknown_field(self._SCOPE, key, self._FLAT_FIELDS)
-            section, name = target
-            sections.setdefault(section, {})[name] = value
-        return self._with_sections(sections)
-
-    def flat(self) -> dict[str, Any]:
-        """Every section field under its flat name (what ``merged`` takes)."""
-        return {
-            name: getattr(getattr(self, section), field_name)
-            for name, (section, field_name) in self._FLAT_FIELDS.items()
-        }
-
-    def _with_sections(self, sections: Mapping[str, Mapping[str, Any]]):
-        """A copy with ``{section: {field: value}}`` overrides applied."""
-        updates = {}
-        for section, values in sections.items():
-            known = self._SECTION_FIELDS[section]
-            for key in values:
-                if key not in known:
-                    raise _unknown_field(section, key, known)
-            updates[section] = replace(getattr(self, section), **values)
-        return replace(self, **updates)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], *, base=None):
-        """Build a config from a JSON-style mapping.
-
-        Accepts nested sections (``{"scheduling": {"horizon_slices": 96}}``)
-        and/or flat keys at the top level.  A trigger is given as
-        a spec — one mapping or a list of mappings with a ``kind`` key,
-        combined with the ``any`` composite::
-
-            {"scheduling": {"trigger": [
-                {"kind": "count", "threshold": 200},
-                {"kind": "age", "max_age_slices": 16}
-            ]}}
-
-        ``base`` supplies the configuration every unmentioned field falls
-        back to (instead of the built-in defaults) — how the cluster CLI
-        layers file sections over flag-derived settings.  A field given
-        both flat and in its section is refused.
-        """
-        flat: dict[str, Any] = {}
-        nested: dict[str, dict[str, Any]] = {}
-        for key, value in data.items():
-            if key in cls._SECTION_FIELDS:
-                if not isinstance(value, Mapping):
-                    raise ServiceError(
-                        f"config section {key!r} must be a mapping"
-                    )
-                nested[key] = dict(value)
-            elif key == "axis":
-                raise ServiceError(
-                    "the time axis cannot be configured from a dict; pass "
-                    "axis= to ServiceConfig directly"
-                )
-            else:
-                flat[key] = value
-        for key in flat:
-            section, name = cls._FLAT_FIELDS.get(key, (None, None))
-            if name in nested.get(section, ()):
-                raise ServiceError(
-                    f"config field {key!r} is given both flat and in section "
-                    f"{section!r}; give it once"
-                )
-        trigger_spec = nested.get("scheduling", {}).pop("trigger", None)
-        if trigger_spec is None:
-            trigger_spec = flat.pop("trigger", None)
-        config = base if base is not None else cls()
-        config = config.merged(**flat)._with_sections(nested)
-        if trigger_spec is not None:
-            config = config.merged(trigger=build_trigger(trigger_spec))
-        return config
+def _unknown_key(scope: str, key: str) -> ServiceError:
+    """A top-level key that names no section; a section's field is named
+    through its section, never bare."""
+    home = [s for s, names in _SECTION_FIELDS.items() if key in names]
+    hint = (
+        f"it is a field of section {home[0]!r}: "
+        f"{{{home[0]!r}: {{{key!r}: ...}}}}"
+        if home
+        else f"known sections: {', '.join(sorted(_SECTION_FIELDS))}"
+    )
+    return ServiceError(f"unknown {scope} configuration key {key!r}; {hint}")
 
 
 @dataclass(frozen=True)
-class ServiceConfig(SectionedConfig):
+class ServiceConfig:
     """The composed configuration of one streaming BRP service."""
 
     axis: TimeAxis = DEFAULT_AXIS
@@ -317,31 +218,60 @@ class ServiceConfig(SectionedConfig):
     scheduling: SchedulingConfig = field(default_factory=SchedulingConfig)
     ingest: IngestConfig = field(default_factory=IngestConfig)
 
-    _SECTION_FIELDS, _FLAT_FIELDS = _field_tables(
-        {
-            "market": MarketConfig,
-            "aggregation": AggregationConfig,
-            "scheduling": SchedulingConfig,
-            "ingest": IngestConfig,
-        }
-    )
-
     @classmethod
-    def from_flat(cls, *, axis: TimeAxis = DEFAULT_AXIS, **flat) -> "ServiceConfig":
-        """Build a composed config from flat keyword names (see ``merged``)."""
-        return cls(axis=axis).merged(**flat)
+    def from_dict(
+        cls, data: Mapping[str, Any], *, base: "ServiceConfig | None" = None
+    ):
+        """Build a config from a JSON-style mapping of sections.
+
+        Each key is a section and each value a mapping of that section's
+        fields (``{"scheduling": {"horizon_slices": 96}}``).  A trigger is
+        given as a spec (:func:`build_trigger`)::
+
+            {"scheduling": {"trigger": [
+                {"kind": "count", "threshold": 200},
+                {"kind": "age", "max_age_slices": 16}
+            ]}}
+
+        ``base`` supplies the configuration every unmentioned field falls
+        back to (instead of the built-in defaults) — how the cluster CLI
+        layers file sections over flag-derived settings.  The time axis is
+        no section; pass ``axis=`` to the constructor.
+        """
+        config = base if base is not None else cls()
+        updates = {}
+        for section, values in data.items():
+            known = _SECTION_FIELDS.get(section)
+            if known is None:
+                raise _unknown_key(cls.__name__, section)
+            if not isinstance(values, Mapping):
+                raise ServiceError(
+                    f"config section {section!r} must be a mapping"
+                )
+            for key in values:
+                if key not in known:
+                    raise ServiceError(
+                        f"unknown {section} configuration field {key!r}; "
+                        f"known fields: {', '.join(sorted(known))}"
+                    )
+            values = dict(values)
+            if "trigger" in values:
+                values["trigger"] = build_trigger(values["trigger"])
+            updates[section] = replace(getattr(config, section), **values)
+        return replace(config, **updates)
 
 
 def build_trigger(spec: Any) -> TriggerPolicy:
     """Instantiate a trigger policy from a spec.
 
     ``spec`` is one mapping (``{"kind": "count", "threshold": 200}``) or a
-    list of them (combined with the ``any`` composite); each ``kind`` is a
-    name in :data:`~repro.runtime.triggers.TRIGGERS`.  Already-built
-    policies pass through untouched.
+    non-empty list of them, which fire as one
+    :class:`~repro.runtime.triggers.AnyTrigger`: the list is the
+    composite's one spelling.  Each ``kind`` is a name in
+    :data:`~repro.runtime.triggers.TRIGGERS` and the other keys are that
+    policy's parameters; a spec its policy refuses is a
+    :class:`~repro.core.errors.ServiceError`.
     """
-    if isinstance(spec, TriggerPolicy) and not isinstance(spec, Mapping):
-        return spec
     if isinstance(spec, Mapping):
         spec = [spec]
     if not isinstance(spec, (list, tuple)) or not spec:
@@ -350,12 +280,22 @@ def build_trigger(spec: Any) -> TriggerPolicy:
         )
     policies = []
     for item in spec:
-        if not isinstance(item, Mapping) or "kind" not in item:
+        if not isinstance(item, Mapping) or not isinstance(
+            item.get("kind"), str
+        ):
             raise ServiceError(
-                f"trigger spec entries need a 'kind' key, got {item!r}"
+                f"trigger spec entries need a 'kind' name, got {item!r}"
             )
-        kwargs = {k: v for k, v in item.items() if k != "kind"}
-        policies.append(choose(TRIGGERS, "trigger", item["kind"])(**kwargs))
+        kind = item["kind"]
+        policy = choose(TRIGGERS, "trigger", kind)
+        params = {k: v for k, v in item.items() if k != "kind"}
+        try:
+            policies.append(policy(**params))
+        except TypeError:
+            takes = ", ".join(f.name for f in fields(policy))
+            raise ServiceError(
+                f"trigger {kind!r} takes {takes}; got {params or 'none'}"
+            ) from None
     if len(policies) == 1:
         return policies[0]
     return AnyTrigger(policies)

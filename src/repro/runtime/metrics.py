@@ -7,7 +7,7 @@ kinds cover the need:
 
 * :class:`Counter` — monotonically increasing event counts;
 * :class:`Gauge` — last-written values (pool sizes, queue depths), with an
-  explicit cross-registry merge policy (``sum`` / ``last`` / ``max``);
+  explicit cross-registry merge policy (``sum`` / ``last``);
 * :class:`Histogram` — observed distributions with exact quantiles.
 
 Every instrument may carry **labels** — a small ``{"brp": "brp-0",
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 #: Valid cross-registry merge policies for gauges.
-GAUGE_MERGE_POLICIES = ("sum", "last", "max")
+GAUGE_MERGE_POLICIES = ("sum", "last")
 
 
 def instrument_key(name: str, labels: Mapping[str, str] | None) -> str:
@@ -103,8 +103,7 @@ class Gauge:
     * ``sum`` — additive fleet totals (live offers, pool sizes summed
       across BRPs);
     * ``last`` — the merged-in value wins (last-written snapshots such as
-      ``schedule.last_cost``, where summing across merges double-counts);
-    * ``max`` — high-water marks.
+      ``schedule.last_cost``, where summing across merges double-counts).
     """
 
     __slots__ = ("name", "labels", "merge", "_value", "_touched")
@@ -152,10 +151,8 @@ class Gauge:
             return
         if self.merge == "sum":
             self._value += other._value
-        elif self.merge == "last" or not self._touched:
+        else:  # last
             self._value = other._value
-        else:  # max
-            self._value = max(self._value, other._value)
         self._touched = True
 
 

@@ -38,6 +38,7 @@ import numpy as np
 from ..aggregation.aggregator import AggregatedFlexOffer
 from ..aggregation.engine import PackedView
 from ..aggregation.updates import AggregateUpdate, UpdateKind
+from ..core.flexoffer import FlexOffer
 from ..core.schedule import Schedule
 from ..core.timeseries import TimeSeries
 from ..scheduling import Market, RandomizedGreedyScheduler
@@ -52,6 +53,7 @@ __all__ = [
     "PlanSession",
     "WindowPlan",
     "net_forecast_window",
+    "plannable",
 ]
 
 
@@ -65,6 +67,18 @@ def _flat_market(length: int, buy_price: float, sell_price: float) -> Market:
     of being rebuilt on each trigger fire.
     """
     return Market.flat(length, buy_price=buy_price, sell_price=sell_price)
+
+
+def plannable(offer: FlexOffer | PackedView, start: int) -> bool:
+    """Whether a plan starting at ``start`` may still place ``offer``.
+
+    An offer — a pool group's view or one member — is out once its start
+    window closed (``latest_start < start``) or its assignment deadline
+    passed.  :meth:`PlanSession.plan_window` drops a group this way, and
+    the service counts the members it strands by the same test.
+    """
+    due = offer.assignment_before
+    return offer.latest_start >= start and (due is None or due > start)
 
 
 def net_forecast_window(
@@ -165,9 +179,10 @@ class PlanSession:
         """Plan ``[start, end)`` over the tier's ordered ``(key, view)``s.
 
         One definition of plan eligibility for every node's pool (a BRP's
-        aggregates, the TSO's super-aggregates): a candidate is out when
-        its start window closed, its profile cannot finish inside the
-        horizon, or its tightest member assignment deadline passed.  One
+        aggregates, the TSO's super-aggregates): a candidate is out when it
+        is not :func:`plannable` (its start window closed, or its tightest
+        member assignment deadline passed) or its profile cannot finish
+        inside the horizon.  One
         whose earliest start passed while the window is still open is
         *clipped*: its constants open the window at ``start``.  The
         eligible candidates become one problem, priced against the rolling
@@ -180,10 +195,7 @@ class PlanSession:
         constants: list[OfferConstants] = []
         for key, view in candidates:
             latest = view.latest_start
-            if latest < start or latest + view.duration > end:
-                continue
-            due = view.assignment_before
-            if due is not None and due <= start:
+            if not plannable(view, start) or latest + view.duration > end:
                 continue
             keys.append(key)
             views.append(view)

@@ -39,7 +39,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..aggregation.aggregator import AggregatedFlexOffer
-from ..aggregation.engine import PackedAggregationPipeline
+from ..aggregation.engine import PackedAggregationPipeline, PackedView
 from ..aggregation.updates import AggregateUpdate, UpdateKind
 from ..core.errors import ServiceError
 from ..core.flexoffer import FlexOffer
@@ -54,7 +54,7 @@ from .config import ServiceConfig
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .ingest import FlexOfferIngest
 from .metrics import Histogram, MetricsRegistry
-from .planning import PlanSession, WindowPlan
+from .planning import PlanSession, WindowPlan, plannable
 from .triggers import AdaptiveTrigger, AnyTrigger, TriggerContext
 
 __all__ = [
@@ -887,10 +887,10 @@ class BrpRuntimeService:
         # Candidates in group-id order: the pool dict's insertion order
         # depends on how updates interleaved, but the plan for a given pool
         # must not.
+        candidates = [(gid, self.pool[gid].view) for gid in sorted(self.pool)]
+        self._count_stranded(candidates, start)
         plan = self.session.plan_window(
-            [(gid, self.pool[gid].view) for gid in sorted(self.pool)],
-            start,
-            start + self.config.scheduling.horizon_slices,
+            candidates, start, start + self.config.scheduling.horizon_slices
         )
         if plan is None:
             self.metrics.counter("schedule.empty_runs").inc()
@@ -905,6 +905,32 @@ class BrpRuntimeService:
         for listener in self.plan_listeners:
             listener(result)
         return result
+
+    def _count_stranded(
+        self, candidates: list[tuple[str, PackedView]], start: int
+    ) -> None:
+        """Count the members a run starting at ``start`` strands.
+
+        ``schedule.stranded_members`` adds each live, never-committed member
+        of a group the run drops as not :func:`plannable` while the member
+        itself still is: its own window is open and its own deadline has
+        not passed, yet no plan can place it inside this group.
+        """
+        live = self._live.get
+        stranded = 0
+        for _, view in candidates:
+            if plannable(view, start):
+                continue
+            for member in view.members:
+                entry = live(member.offer_id, _GONE)
+                if (
+                    entry.offer is member
+                    and entry.cell is None
+                    and entry.own is None
+                    and plannable(member, start)
+                ):
+                    stranded += 1
+        self.metrics.counter("schedule.stranded_members").inc(stranded)
 
     def _disaggregate(self, plan: WindowPlan) -> None:
         """Commit the plan to members; record latencies.

@@ -11,7 +11,8 @@ scheduling run should fire *now*:
 * :class:`ImbalanceTrigger` — the unscheduled flexible energy exceeds a
   kWh threshold (fires early under bursts of large offers);
 * :class:`AnyTrigger` — fires when any child fires (the usual composite:
-  count for throughput, age for latency, imbalance for risk).
+  count for throughput, age for latency, imbalance for risk); a list of
+  trigger specs builds it.
 
 Policies are stateless between decisions; the service resets its context
 counters after every scheduling run, so "since the last run" semantics live
@@ -126,6 +127,12 @@ class AnyTrigger:
         check_fields(self, locals())
         if not policies:
             raise ServiceError("AnyTrigger needs at least one policy")
+        for policy in policies:
+            if not isinstance(policy, TriggerPolicy):
+                raise ServiceError(
+                    f"AnyTrigger members must be trigger policies, got "
+                    f"{policy!r}"
+                )
         self.policies = tuple(policies)
 
     def should_fire(self, context: TriggerContext) -> bool:
@@ -144,10 +151,11 @@ class AnyTrigger:
 
 #: Trigger specs' ``kind`` names (:func:`repro.runtime.config.build_trigger`):
 #: name -> (policy class, description).  No name builds the
-#: :class:`AdaptiveTrigger`; ``SchedulingConfig.target_p95_slices`` does.
+#: :class:`AnyTrigger`, which a list of specs spells, or the
+#: :class:`AdaptiveTrigger`, which ``SchedulingConfig.target_p95_slices``
+#: builds.
 TRIGGERS = {
     "age": (AgeTrigger, "fire once the oldest unscheduled offer waited too long"),
-    "any": (AnyTrigger, "composite: fire when any member policy fires"),
     "count": (CountTrigger, "fire after N offers since the last run"),
     "imbalance": (
         ImbalanceTrigger,

@@ -550,11 +550,6 @@ class IncrementalCostState:
         self.cost_vector = engine.slice_costs(residual)
         self.total = float(self.cost_vector.sum())
 
-    @classmethod
-    def for_problem(cls, problem: "SchedulingProblem") -> "IncrementalCostState":
-        """Fresh state over the problem's net forecast (no offers placed)."""
-        return cls(problem.engine, problem.net_forecast.values.copy())
-
     # ------------------------------------------------------------------
     def best_placement(
         self, consts: OfferConstants

@@ -2,8 +2,7 @@
 
 Scheduling may sell surplus energy to — and buy shortage energy from — the
 market (day-ahead / other BRPs).  The scheduler only needs per-slice prices
-and optional volume limits; market microstructure is out of scope (see
-DESIGN.md substitutions).
+and optional volume limits; market microstructure is out of scope.
 """
 
 from __future__ import annotations

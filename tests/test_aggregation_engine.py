@@ -38,7 +38,13 @@ from repro.core import flex_offer
 from repro.core.errors import AggregationError
 from repro.core.flexoffer import Profile
 from repro.core.flexoffer import _next_id as next_id
-from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
+from repro.runtime import (
+    BrpRuntimeService,
+    IngestConfig,
+    LoadGenerator,
+    SchedulingConfig,
+    ServiceConfig,
+)
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +479,9 @@ class _FlushRecorder:
 def _recorded_service_flushes(dyadic):
     """The flushes a seeded service hands its (packed) pipeline, and the
     offers the pipeline holds at the end."""
-    service = BrpRuntimeService(ServiceConfig.from_flat(batch_size=16, seed=5))
+    service = BrpRuntimeService(ServiceConfig(
+        ingest=IngestConfig(batch_size=16), scheduling=SchedulingConfig(seed=5)
+    ))
     packed = service.ingest.pipeline
     assert isinstance(packed, aggregation_engine.PackedAggregationPipeline)
     recorder = service.ingest.pipeline = _FlushRecorder(packed)

@@ -36,6 +36,7 @@ from repro.runtime.drivers import DRIVERS
 from repro.runtime.triggers import (
     TRIGGERS,
     AdaptiveTrigger,
+    AgeTrigger,
     AnyTrigger,
     CountTrigger,
 )
@@ -56,14 +57,14 @@ TABLES = {
 class TestRegistry:
     def test_builtin_catalogue(self):
         assert sorted(ENGINES) == ["packed", "reference", "scalar"]
-        assert sorted(TRIGGERS) == ["age", "any", "count", "imbalance"]
+        assert sorted(TRIGGERS) == ["age", "count", "imbalance"]
         assert sorted(DRIVERS) == ["simulated", "wallclock"]
         assert sorted(EXPORTERS) == ["json", "prometheus", "text"]
         # The scheduler is not a choice: the runtime always plans with the
         # greedy, and the EA and the MILP oracle are imported directly by
         # the experiments that compare them.  One consumer is not a
         # table: the fault transforms are plain functions.
-        assert sum(len(table) for table in TABLES.values()) == 12
+        assert sum(len(table) for table in TABLES.values()) == 11
         for table in TABLES.values():
             for factory, description in table.values():
                 assert callable(factory) and description
@@ -135,49 +136,56 @@ class TestServiceConfig:
         assert config.ingest.batch_size == 16
         assert ServiceConfig().aggregation.parameters.name == "runtime"
 
-    def test_every_flat_name_reaches_its_section_field(self):
-        # The flat-name table is derived from the section dataclasses; this
-        # literal list pins the names from_flat/merged must keep accepting.
+    def test_every_bare_field_name_is_refused_naming_its_section(self):
+        # A setting has one spelling, ``section.field``: the bare field
+        # name, and the old ``aggregation_parameters`` rename, are unknown
+        # top-level keys, and the error points at the section.
         table = [
-            ("aggregation_parameters", "aggregation", "parameters", PARAMS),
-            ("horizon_slices", "scheduling", "horizon_slices", 96),
-            ("scheduler_passes", "scheduling", "scheduler_passes", 3),
-            ("trigger", "scheduling", "trigger", CountTrigger(7)),
-            ("min_run_interval_slices", "scheduling", "min_run_interval_slices", 2.5),
-            ("seed", "scheduling", "seed", 11),
-            ("target_p95_slices", "scheduling", "target_p95_slices", 6.0),
-            ("buy_price", "market", "buy_price", 0.31),
-            ("sell_price", "market", "sell_price", 0.07),
-            ("shortage_penalty", "market", "shortage_penalty", 0.9),
-            ("surplus_penalty", "market", "surplus_penalty", 0.4),
-            ("batch_size", "ingest", "batch_size", 8),
-            ("max_duration_slices", "ingest", "max_duration_slices", 12),
+            ("parameters", "aggregation"),
+            ("horizon_slices", "scheduling"),
+            ("scheduler_passes", "scheduling"),
+            ("trigger", "scheduling"),
+            ("min_run_interval_slices", "scheduling"),
+            ("seed", "scheduling"),
+            ("target_p95_slices", "scheduling"),
+            ("buy_price", "market"),
+            ("sell_price", "market"),
+            ("shortage_penalty", "market"),
+            ("surplus_penalty", "market"),
+            ("batch_size", "ingest"),
+            ("max_duration_slices", "ingest"),
         ]
-        for name, section, field, value in table:
-            for config in (
-                ServiceConfig.from_flat(**{name: value}),
-                ServiceConfig().merged(**{name: value}),
-            ):
-                assert getattr(getattr(config, section), field) == value, name
+        fields = {
+            (name, section)
+            for section in ("market", "aggregation", "scheduling", "ingest")
+            for name in getattr(ServiceConfig(), section).__dataclass_fields__
+        }
+        assert set(table) == fields
+        for config in (ServiceConfig, TsoConfig):
+            for name, section in table:
+                with pytest.raises(ServiceError) as excinfo:
+                    config.from_dict({name: 1})
+                assert str(excinfo.value) == (
+                    f"unknown {config.__name__} configuration key {name!r}; "
+                    f"it is a field of section {section!r}: "
+                    f"{{{section!r}: {{{name!r}: ...}}}}"
+                )
+        with pytest.raises(ServiceError, match="'aggregation_parameters'; known"):
+            ServiceConfig.from_dict({"aggregation_parameters": PARAMS})
 
     def test_removed_options_are_unknown_fields(self):
         # No shim, no accepted-but-ignored key: a deleted option is rejected
-        # like any typo, with the known-field list.
+        # like any typo, with the known sections or the section's fields.
+        sections = "known sections: aggregation, ingest, market, scheduling"
         attempts = (
-            (lambda: ServiceConfig.from_flat(shards=2), "aggregation_parameters"),
-            (lambda: ServiceConfig().merged(shards=2), "aggregation_parameters"),
-            (lambda: ServiceConfig.from_dict({"shards": 2}), "aggregation_parameters"),
+            (lambda: ServiceConfig.from_dict({"shards": 2}), sections),
             (
                 lambda: ServiceConfig.from_dict({"aggregation": {"shards": 2}}),
-                "parameters",
+                "known fields: parameters",
             ),
-            (
-                lambda: ServiceConfig.from_dict({"obs": {"tracer": "ring"}}),
-                "aggregation_parameters",
-            ),
+            (lambda: ServiceConfig.from_dict({"obs": {"tracer": "ring"}}), sections),
             # The scheduler is always the greedy; sweeps run every
             # EXPIRY_SWEEP_SLICES.
-            (lambda: ServiceConfig.from_flat(scheduler="greedy"), "batch_size"),
             (
                 lambda: ServiceConfig.from_dict(
                     {"scheduling": {"scheduler": "greedy"}}
@@ -191,27 +199,27 @@ class TestServiceConfig:
                 "batch_size",
             ),
             # The runtime always aggregates with the packed engine.
-            (lambda: ServiceConfig.from_flat(engine="scalar"), "batch_size"),
-            (lambda: ServiceConfig().merged(engine="packed"), "batch_size"),
-            (lambda: ServiceConfig.from_dict({"engine": "scalar"}), "batch_size"),
+            (lambda: ServiceConfig.from_dict({"engine": "scalar"}), sections),
             (
                 lambda: ServiceConfig.from_dict(
                     {"aggregation": {"engine": "scalar"}}
                 ),
                 "parameters",
             ),
-            (lambda: TsoConfig.from_flat(engine="packed"), "batch_size"),
+            (lambda: TsoConfig.from_dict({"engine": "packed"}), sections),
             (
                 lambda: TsoConfig.from_dict({"aggregation": {"engine": "scalar"}}),
                 "parameters",
             ),
+            # The time axis is no section.
+            (lambda: ServiceConfig.from_dict({"axis": 15}), sections),
         )
         for attempt, known in attempts:
             with pytest.raises(ServiceError) as excinfo:
                 attempt()
             message = str(excinfo.value)
-            assert "known fields: " in message and known in message
-            assert "engine" not in message.split("known fields: ")[1]
+            assert message.startswith("unknown ") and known in message
+            assert "engine" not in message.split("; ")[1]
         # A section's known fields are its own: aggregation has one.
         with pytest.raises(ServiceError, match=r"known fields: parameters$"):
             ServiceConfig.from_dict({"aggregation": {"engine": "packed"}})
@@ -256,7 +264,9 @@ class TestServiceConfig:
         with pytest.raises(ServiceError, match="max_retries"):
             BusConfig(max_retries=math.nan)
         with pytest.raises(ServiceError, match="min_run_interval_slices"):
-            TsoConfig.from_flat(min_run_interval_slices=math.inf)
+            TsoConfig.from_dict(
+                {"scheduling": {"min_run_interval_slices": math.inf}}
+            )
 
     @pytest.mark.parametrize(
         "build, data, name",
@@ -279,9 +289,9 @@ class TestServiceConfig:
                 {"aggregation": {"parameters": {"start_after_tolerance": 4}}},
                 "parameters",
             ),
-            (ServiceConfig.from_dict, {"aggregation_parameters": {}}, "parameters"),
+            (ServiceConfig.from_dict, {"aggregation": {"parameters": {}}}, "parameters"),
             (TsoConfig.from_dict, {"scheduling": {"seed": "1"}}, "seed"),
-            (TsoConfig.from_dict, {"sell_price": False}, "sell_price"),
+            (TsoConfig.from_dict, {"market": {"sell_price": False}}, "sell_price"),
             (BusConfig.from_dict, {"max_retries": "3"}, "max_retries"),
         ],
     )
@@ -307,23 +317,6 @@ class TestServiceConfig:
         with pytest.raises(ServiceError, match="unknown scheduling configuration"):
             ServiceConfig.from_dict({"scheduling": {"scheduler": name}})
 
-    def test_from_flat_and_merged(self):
-        config = ServiceConfig.from_flat(
-            batch_size=8, aggregation_parameters=PARAMS, seed=3
-        )
-        assert config.ingest.batch_size == 8
-        assert config.aggregation.parameters is PARAMS
-        assert config.scheduling.seed == 3
-        assert config.scheduling.scheduler_passes == 2  # defaults elsewhere
-        with pytest.raises(ServiceError):
-            ServiceConfig.from_flat(nonsense=1)
-        merged = config.merged(seed=9, horizon_slices=48)
-        assert merged.scheduling.seed == 9
-        assert merged.scheduling.horizon_slices == 48
-        assert merged.ingest.batch_size == 8  # untouched sections carried over
-        with pytest.raises(ServiceError):
-            config.merged(nonsense=1)
-
     def test_from_dict_nested_and_trigger_spec(self):
         config = ServiceConfig.from_dict(
             {
@@ -335,7 +328,7 @@ class TestServiceConfig:
                     ],
                 },
                 "ingest": {"batch_size": 16},
-                "buy_price": 0.3,
+                "market": {"buy_price": 0.3},
             }
         )
         assert config.scheduling.horizon_slices == 96
@@ -361,18 +354,32 @@ class TestServiceConfig:
     def test_from_dict_rejects_a_field_given_flat_and_in_its_section(
         self, flat, section
     ):
+        # The bare spelling is refused outright, beside its section too.
         (name,) = flat
         with pytest.raises(
             ServiceError,
-            match=f"{name!r} is given both flat and in section 'scheduling'",
+            match=f"key {name!r}; it is a field of section 'scheduling'",
         ):
             ServiceConfig.from_dict({**flat, "scheduling": section})
+
+    def test_from_dict_layers_over_base(self):
+        base = ServiceConfig(
+            ingest=IngestConfig(batch_size=8),
+            scheduling=SchedulingConfig(seed=3),
+        )
+        config = ServiceConfig.from_dict(
+            {"scheduling": {"horizon_slices": 48}}, base=base
+        )
+        assert config.scheduling.horizon_slices == 48
+        assert config.scheduling.seed == 3  # the base's, under the override
+        assert config.ingest.batch_size == 8  # untouched sections carried over
+        assert base.scheduling.horizon_slices == 192  # the base is not changed
 
     def test_latency_target_is_the_only_adaptive_switch(self):
         # The adaptive trigger is built from target_p95_slices alone: no
         # spec names it, and a hand-built one is refused as the trigger,
         # alone or inside a composite, so a config holds one target.
-        with pytest.raises(ServiceError, match="trigger names: age, any, count, imbalance$"):
+        with pytest.raises(ServiceError, match="trigger names: age, count, imbalance$"):
             build_trigger({"kind": "adaptive", "target_p95_slices": 8.0})
         for trigger in (
             AdaptiveTrigger(8.0),
@@ -381,11 +388,46 @@ class TestServiceConfig:
             with pytest.raises(ServiceError, match="target_p95_slices"):
                 SchedulingConfig(trigger=trigger, target_p95_slices=4.0)
 
-    def test_build_trigger_single_and_passthrough(self):
+    def test_build_trigger_takes_specs_only(self):
         single = build_trigger({"kind": "count", "threshold": 5})
         assert isinstance(single, CountTrigger)
-        policy = CountTrigger(3)
-        assert build_trigger(policy) is policy
-        with pytest.raises(ServiceError):
+        both = build_trigger(
+            [{"kind": "count", "threshold": 5}, {"kind": "age", "max_age_slices": 2}]
+        )
+        assert isinstance(both, AnyTrigger)
+        assert [type(p) for p in both.policies] == [CountTrigger, AgeTrigger]
+        # A built policy is no spec: the list is the composite's spelling,
+        # and there is no second one.
+        for spec in (CountTrigger(3), [CountTrigger(3)], [], "count"):
+            with pytest.raises(ServiceError, match="trigger spec"):
+                build_trigger(spec)
+        with pytest.raises(ServiceError, match="'kind' name"):
             build_trigger([{"threshold": 5}])  # missing kind
+        with pytest.raises(ServiceError, match="unknown trigger 'any'"):
+            build_trigger(
+                {"kind": "any", "policies": [{"kind": "count", "threshold": 3}]}
+            )
 
+    @pytest.mark.parametrize(
+        "spec, got",
+        [
+            ({"kind": "count"}, "got none"),
+            ({"kind": "count", "threshold": 5, "bogus": 1}, "'bogus': 1"),
+            ({"kind": "age", "threshold": 5}, "'threshold': 5"),
+        ],
+    )
+    def test_a_spec_its_policy_refuses_is_a_config_error(self, spec, got):
+        # A missing or unknown parameter used to escape as a TypeError.
+        kind = spec["kind"]
+        takes = {"count": "threshold", "age": "max_age_slices"}[kind]
+        with pytest.raises(ServiceError) as excinfo:
+            build_trigger(spec)
+        message = str(excinfo.value)
+        assert message.startswith(f"trigger {kind!r} takes {takes}; got ")
+        assert got in message
+
+    def test_any_trigger_refuses_members_that_are_not_policies(self):
+        # A raw spec handed to the composite used to be accepted, and the
+        # run crashed at the first evaluation.
+        with pytest.raises(ServiceError, match="must be trigger policies"):
+            AnyTrigger([CountTrigger(3), {"kind": "count", "threshold": 3}])

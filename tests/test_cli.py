@@ -14,9 +14,14 @@ import pytest
 
 import repro
 from repro.__main__ import EXIT_OK, EXIT_UNKNOWN_EXPERIMENT, main
+from repro.api import ServiceConfig
 
 TINY = ["--rate", "20", "--duration", "12", "--seed", "1", "--batch", "8",
         "--passes", "1"]
+#: The library config of TINY's service flags.
+TINY_CONFIG = ServiceConfig.from_dict(
+    {"ingest": {"batch_size": 8}, "scheduling": {"scheduler_passes": 1, "seed": 1}}
+)
 
 
 def test_loadtest_runs(capsys):
@@ -57,11 +62,18 @@ def test_unknown_engine_exits_2_with_known_names(tmp_path, capsys):
         assert excinfo.value.code == EXIT_UNKNOWN_EXPERIMENT
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
     cluster = tmp_path / "cluster.json"
+    sections = "known sections: aggregation, ingest, market, scheduling"
     for spec, known in (
-        ({"brps": 2, "defaults": {"aggregation": {"engine": "scalar"}}}, "parameters"),
-        ({"brps": {"north": {"engine": "packed"}}}, "aggregation_parameters"),
-        ({"brps": 2, "tso": {"aggregation": {"engine": "scalar"}}}, "parameters"),
-        ({"brps": 2, "tso": {"engine": "reference"}}, "aggregation_parameters"),
+        (
+            {"brps": 2, "defaults": {"aggregation": {"engine": "scalar"}}},
+            "field 'engine'; known fields: parameters",
+        ),
+        ({"brps": {"north": {"engine": "packed"}}}, f"key 'engine'; {sections}"),
+        (
+            {"brps": 2, "tso": {"aggregation": {"engine": "scalar"}}},
+            "field 'engine'; known fields: parameters",
+        ),
+        ({"brps": 2, "tso": {"engine": "reference"}}, f"key 'engine'; {sections}"),
     ):
         cluster.write_text(json.dumps(spec))
         assert (
@@ -70,7 +82,6 @@ def test_unknown_engine_exits_2_with_known_names(tmp_path, capsys):
         )
         err = capsys.readouterr().err
         assert "invalid loadtest configuration: unknown" in err
-        assert "configuration field 'engine'; known fields: " in err
         assert known in err
 
 
@@ -211,8 +222,10 @@ def test_serve_cluster_file_runs(tmp_path, capsys):
     cluster.write_text(json.dumps({
         "brps": {"north": {}, "south": {}},
         "tso": {
-            "scheduling": {"trigger": {"kind": "count", "threshold": 1}},
-            "scheduler_passes": 1,
+            "scheduling": {
+                "trigger": {"kind": "count", "threshold": 1},
+                "scheduler_passes": 1,
+            },
         },
     }))
     assert (
@@ -255,11 +268,16 @@ def test_cluster_file_validated_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "defaults, named",
     [
-        ({"shards": 2}, "aggregation_parameters"),
+        # The old flat rename is unknown, at the top and inside a section.
+        ({"aggregation_parameters": {}}, "aggregation_parameters"),
         ({"aggregation": {"shards": 2}}, "aggregation"),
-        ({"obs": {"tracer": "ring"}}, "aggregation_parameters"),
+        ({"scheduling": {"aggregation_parameters": {}}}, "aggregation_parameters"),
         # A typo inside a section used to escape as a TypeError traceback.
         ({"ingest": {"batch_sizee": 3}}, "batch_size, max_duration_slices"),
+        ({"obs": {"tracer": "ring"}}, "known sections: aggregation, ingest"),
+        # A bare field name used to be taken; it is an unknown key now,
+        # and the error names the section that holds the field.
+        ({"batch_size": 8}, "it is a field of section 'ingest'"),
     ],
 )
 def test_cluster_file_unknown_service_field_exits_2(
@@ -268,9 +286,11 @@ def test_cluster_file_unknown_service_field_exits_2(
     bad = tmp_path / "cluster.json"
     bad.write_text(json.dumps({"brps": 2, "defaults": defaults}))
     assert main(["loadtest", *TINY, "--cluster", str(bad)]) == EXIT_UNKNOWN_EXPERIMENT
-    err = capsys.readouterr().err
-    assert "invalid loadtest configuration: unknown" in err
-    assert "known fields: " in err and named in err
+    captured = capsys.readouterr()
+    assert "###" not in captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: invalid loadtest configuration: unknown")
+    assert named in line
 
 
 @pytest.mark.parametrize(
@@ -281,15 +301,12 @@ def test_cluster_file_unknown_service_field_exits_2(
             {"brps": 2, "defaults": {"aggregation": {"parameters": {"start_after_tolerance": 4}}}},
             "parameters must be AggregationParameters",
         ),
-        ({"brps": 2, "defaults": {"aggregation_parameters": {}}}, "parameters must be"),
+        ({"brps": 2, "tso": {"aggregation": {"parameters": {}}}}, "parameters must be"),
         ({"brps": 2, "tso": {"scheduling": {"horizon_slices": "96"}}}, "horizon_slices must be int"),
         # The TSO's count trigger is a trigger spec now.
-        ({"brps": 2, "tso": {"trigger_refreshes": 2}}, ", trigger"),
-        # One field given twice in one BRP section.
         (
-            {"brps": {"north": {"horizon_slices": 96,
-                                "scheduling": {"horizon_slices": 48}}}},
-            "'horizon_slices' is given both flat and in section 'scheduling'",
+            {"brps": 2, "tso": {"scheduling": {"trigger_refreshes": 2}}},
+            ", trigger",
         ),
     ],
 )
@@ -342,7 +359,7 @@ def test_hostile_stream_flags_run(tmp_path, capsys):
     # The fault flags are LoadGenerator.hostile_stream and nothing else: the
     # CLI run admits, rejects and deflects exactly what a client fed that
     # stream (same seed, same order of transforms) does.
-    from repro.api import LedmsClient, OfferLedger, ServiceConfig
+    from repro.api import LedmsClient, OfferLedger
     from repro.runtime import LoadGenerator
 
     dump = tmp_path / "metrics.json"
@@ -357,10 +374,7 @@ def test_hostile_stream_flags_run(tmp_path, capsys):
     assert "offers accepted" in capsys.readouterr().out
     cli = json.loads(dump.read_text())
 
-    client = LedmsClient(
-        ServiceConfig.from_flat(batch_size=8, scheduler_passes=1, seed=1),
-        ledger=OfferLedger(),
-    )
+    client = LedmsClient(TINY_CONFIG, ledger=OfferLedger())
     client.run_stream(
         LoadGenerator(rate_per_hour=20.0, seed=1).hostile_stream(
             0.0, 12.0, duplicate_rate=0.2, reorder_window=2.0, seed=1
@@ -378,11 +392,10 @@ def test_hostile_stream_flags_run(tmp_path, capsys):
 
 def test_resumed_ledger_reproduces_the_cli_run(tmp_path, capsys):
     """The CLI's service defaults are the library's: re-executing a
-    loadtest's journal under ``ServiceConfig.from_flat`` of the same flag
-    values makes the same scheduling runs, commits and last plan cost.
+    loadtest's journal under a config of the same flag values makes the same scheduling runs, commits and last plan cost.
     (``--min-run-interval`` used to default to 2.0 against the library's
     1.0, and the resumed node planned twice as often.)"""
-    from repro.api import LedmsClient, ServiceConfig
+    from repro.api import LedmsClient
 
     led, dump = tmp_path / "led", tmp_path / "metrics.json"
     flags = ["--rate", "100", "--duration", "24", "--seed", "1", "--batch",
@@ -391,9 +404,7 @@ def test_resumed_ledger_reproduces_the_cli_run(tmp_path, capsys):
         ["loadtest", *flags, "--ledger", str(led), "--metrics-json", str(dump)]
     ) == EXIT_OK
     cli = json.loads(dump.read_text())
-    resumed = LedmsClient.resume_from_ledger(
-        str(led), ServiceConfig.from_flat(batch_size=8, scheduler_passes=1, seed=1)
-    ).metrics()
+    resumed = LedmsClient.resume_from_ledger(str(led), TINY_CONFIG).metrics()
     assert cli["schedule.runs"] > 2
     for name in ("schedule.runs", "disaggregate.assignments", "schedule.last_cost"):
         assert resumed[name] == cli[name], name
@@ -401,13 +412,13 @@ def test_resumed_ledger_reproduces_the_cli_run(tmp_path, capsys):
 
 def test_service_flag_defaults_are_the_library_defaults():
     from repro.__main__ import SERVICE_FLAGS, _runtime_parser
-    from repro.api import ServiceConfig
 
     args = _runtime_parser("loadtest").parse_args([])
-    library = ServiceConfig().flat()
-    assert library["min_run_interval_slices"] == 1.0
-    for flag, (name, _) in SERVICE_FLAGS.items():
-        assert getattr(args, flag[2:].replace("-", "_")) == library[name], flag
+    library = ServiceConfig()
+    assert library.scheduling.min_run_interval_slices == 1.0
+    for flag, (section, name, _) in SERVICE_FLAGS.items():
+        default = getattr(getattr(library, section), name)
+        assert getattr(args, flag[2:].replace("-", "_")) == default, flag
 
 
 def test_outage_flag_runs_in_cluster_mode(capsys):
@@ -508,7 +519,7 @@ def test_adaptive_trigger_spec_exits_2_listing_the_kinds(capsys):
         main(["loadtest", *TINY, "--trigger", "adaptive:target_p95_slices=8"])
         == EXIT_UNKNOWN_EXPERIMENT
     )
-    assert "age, any, count, imbalance" in capsys.readouterr().err
+    assert "age, count, imbalance" in capsys.readouterr().err
 
 
 def test_bad_trigger_param_exits_2(capsys):
@@ -552,6 +563,41 @@ def test_malformed_trigger_spec_exits_2(capsys):
         == EXIT_UNKNOWN_EXPERIMENT
     )
     assert "expected 'kind:key=val" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "trigger, named",
+    [
+        # Each used to escape as a TypeError traceback with exit 1.
+        ("any", "unknown trigger 'any'; known trigger names: age, count, imbalance"),
+        ("count", "trigger 'count' takes threshold; got none"),
+        ("count:threshold=5,bogus=1", "trigger 'count' takes threshold; got"),
+        # The same specs from a --cluster file; the 'any' composite used to
+        # start the run and crash mid-window with an AttributeError.
+        (
+            {"kind": "any", "policies": [{"kind": "count", "threshold": 3}]},
+            "unknown trigger 'any'",
+        ),
+        ({"kind": "count"}, "trigger 'count' takes threshold; got none"),
+    ],
+)
+def test_refused_trigger_spec_exits_2_before_the_run(
+    tmp_path, capsys, trigger, named
+):
+    if isinstance(trigger, str):
+        argv = ["loadtest", *TINY, "--trigger", trigger]
+    else:
+        cluster = tmp_path / "cluster.json"
+        cluster.write_text(
+            json.dumps({"brps": 2, "tso": {"scheduling": {"trigger": trigger}}})
+        )
+        argv = ["loadtest", *TINY, "--cluster", str(cluster)]
+    assert main(argv) == EXIT_UNKNOWN_EXPERIMENT
+    captured = capsys.readouterr()
+    assert "###" not in captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: invalid loadtest configuration: ")
+    assert named in line
 
 
 def test_trigger_specs_compose(capsys):
@@ -619,6 +665,8 @@ def test_list_shows_registry_catalogue(capsys):
         ("aggregation", "packed"),
         ("driver", "wallclock"),
         ("exporter", "prometheus"),
-        ("trigger", "any"),
+        ("trigger", "count"),
     ):
         assert f"\n{kind:<12} {name:<12} " in names
+    # A list of specs is the composite's one spelling; no name builds it.
+    assert f"\n{'trigger':<12} {'any':<12} " not in names

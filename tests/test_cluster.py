@@ -10,6 +10,7 @@ prosumer micro-offer commitments.
 import hashlib
 import struct
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -53,9 +54,11 @@ TINY = ServiceConfig(
     scheduling=SchedulingConfig(scheduler_passes=1, horizon_slices=96),
     ingest=IngestConfig(batch_size=8),
 )
-TINY_TSO = TsoConfig.from_flat(
-    scheduler_passes=1, horizon_slices=96, trigger=CountTrigger(1),
-    min_run_interval_slices=2.0,
+TINY_TSO = TsoConfig(
+    scheduling=SchedulingConfig(
+        scheduler_passes=1, horizon_slices=96, trigger=CountTrigger(1),
+        min_run_interval_slices=2.0,
+    )
 )
 
 
@@ -196,9 +199,9 @@ class TestClusterConfig:
                     "scheduling": {
                         "trigger": {"kind": "count", "threshold": 3},
                         "horizon_slices": 96,
+                        "scheduler_passes": 1,
                     },
                     "ingest": {"max_duration_slices": 12},
-                    "scheduler_passes": 1,
                 },
             }
         )
@@ -221,17 +224,20 @@ class TestClusterConfig:
 
     def test_old_tso_key_fails_naming_its_replacement(self):
         with pytest.raises(ServiceError, match=r"known fields: .*\btrigger\b(,|$)"):
-            ClusterConfig.from_dict({"tso": {"trigger_refreshes": 3}})
+            ClusterConfig.from_dict(
+                {"tso": {"scheduling": {"trigger_refreshes": 3}}}
+            )
 
     def test_brp_section_is_layered_over_defaults(self):
-        # A BRP's own field wins over ``defaults`` even when one gives it
-        # flat and the other in its section.
+        # A BRP's own field wins over ``defaults``.
         config = ClusterConfig.from_dict(
             {
                 "brps": {
                     "north": {
-                        "horizon_slices": 96,
-                        "trigger": {"kind": "count", "threshold": 7},
+                        "scheduling": {
+                            "horizon_slices": 96,
+                            "trigger": {"kind": "count", "threshold": 7},
+                        },
                     },
                     "south": {},
                 },
@@ -255,7 +261,10 @@ class TestClusterConfig:
 
     def test_from_dict_layers_over_a_base_config(self):
         """A base config (the CLI's flag-derived one) underlies the file."""
-        base = ServiceConfig.from_flat(batch_size=8, scheduler_passes=3)
+        base = ServiceConfig(
+            ingest=IngestConfig(batch_size=8),
+            scheduling=SchedulingConfig(scheduler_passes=3),
+        )
         config = ClusterConfig.from_dict(
             {
                 "brps": {
@@ -548,6 +557,7 @@ class TestClusterRuntime:
             "schedule.last_offers",
             "schedule.run_seconds",
             "schedule.runs",
+            "schedule.stranded_members",
             "schedule.unique_scheduled",
             "schedule.warm_started",
             "trigger.AgeTrigger",
@@ -566,6 +576,7 @@ class TestClusterRuntime:
             "tso.schedule.last_offers",
             "tso.schedule.run_seconds",
             "tso.schedule.runs",
+            "tso.schedule.stranded_members",
             "tso.schedule.unique_scheduled",
             "tso.schedule.warm_started",
             "tso.trigger.CountTrigger",
@@ -753,9 +764,14 @@ def _macro(earliest, latest, bounds=((1.0, 2.0),) * 2):
 class TestTsoSeams:
     """The two cluster seams around the TSO service: snapshots up, plans down."""
 
-    def _cluster(self, **tso_flat):
-        tso = TsoConfig.from_flat(
-            scheduler_passes=1, horizon_slices=96, **tso_flat
+    def _cluster(self, **scheduling):
+        tso = TsoConfig(
+            scheduling=replace(
+                TsoConfig().scheduling,
+                scheduler_passes=1,
+                horizon_slices=96,
+                **scheduling,
+            )
         )
         return _cluster(brps=2, tso=tso)
 

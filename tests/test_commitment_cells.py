@@ -49,9 +49,11 @@ TINY = ServiceConfig(
     scheduling=SchedulingConfig(scheduler_passes=1, horizon_slices=96),
     ingest=IngestConfig(batch_size=8),
 )
-TINY_TSO = TsoConfig.from_flat(
-    scheduler_passes=1, horizon_slices=96, trigger=CountTrigger(1),
-    min_run_interval_slices=2.0,
+TINY_TSO = TsoConfig(
+    scheduling=SchedulingConfig(
+        scheduler_passes=1, horizon_slices=96, trigger=CountTrigger(1),
+        min_run_interval_slices=2.0,
+    )
 )
 
 

@@ -23,7 +23,6 @@ class TestScheduledFlexOffer:
         s = ScheduledFlexOffer(offer, 12, (1.5, 2.0))
         assert s.end == 14
         assert s.total_energy == 3.5
-        assert s.start_offset == 2
 
     def test_start_too_early(self, offer):
         with pytest.raises(InvalidScheduleError):
@@ -90,25 +89,6 @@ class TestScheduledFlexOffer:
 
 
 class TestSchedule:
-    def test_flex_energy_series_within_horizon(self, offer):
-        sched = Schedule(horizon_start=10, horizon_length=6)
-        sched.add(ScheduledFlexOffer(offer, 12, (1.0, 4.0)))
-        series = sched.flex_energy_series()
-        assert series.start == 10
-        assert list(series.values) == [0, 0, 1.0, 4.0, 0, 0]
-
-    def test_truncates_outside_horizon(self, offer):
-        sched = Schedule(horizon_start=10, horizon_length=4)
-        sched.add(ScheduledFlexOffer(offer, 13, (1.0, 4.0)))
-        assert list(sched.flex_energy_series().values) == [0, 0, 0, 1.0]
-
-    def test_total_flex_energy(self, offer):
-        sched = Schedule(horizon_start=0, horizon_length=20)
-        sched.add(ScheduledFlexOffer(offer, 10, (1.0, 0.0)))
-        sched.add(ScheduledFlexOffer(offer, 11, (2.0, 4.0)))
-        assert sched.total_flex_energy() == 7.0
-        assert len(sched) == 2
-
     def test_rejects_empty_horizon(self):
         with pytest.raises(InvalidScheduleError):
             Schedule(horizon_start=0, horizon_length=0)

@@ -69,15 +69,3 @@ class TestConversions:
         assert axis.day_index(95) == 0
         assert axis.day_index(96) == 1
 
-
-class TestDurations:
-    def test_duration_minutes(self):
-        assert TimeAxis(15).duration_minutes(4) == 60
-
-    def test_slices_for_hours(self):
-        assert TimeAxis(15).slices_for_hours(2) == 8
-        assert TimeAxis(30).slices_for_hours(1.5) == 3
-
-    def test_slices_for_hours_rejects_partial_slices(self):
-        with pytest.raises(ValueError):
-            TimeAxis(60).slices_for_hours(1.5)

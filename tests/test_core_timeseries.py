@@ -111,22 +111,6 @@ class TestTransforms:
         ts = TimeSeries(0, [1, -2]).map(np.abs)
         assert list(ts.values) == [1, 2]
 
-    def test_resampled_sums_blocks(self):
-        ts = TimeSeries(0, [1, 2, 3, 4]).resampled(2)
-        assert ts.start == 0
-        assert list(ts.values) == [3, 7]
-
-    def test_resampled_start_scaling(self):
-        ts = TimeSeries(4, [1, 2]).resampled(2)
-        assert ts.start == 2
-
-    def test_resampled_rejects_misaligned_start(self):
-        with pytest.raises(TimeSeriesError):
-            TimeSeries(1, [1, 2]).resampled(2)
-
-    def test_resampled_rejects_partial_blocks(self):
-        with pytest.raises(TimeSeriesError):
-            TimeSeries(0, [1, 2, 3]).resampled(2)
 
 
 class TestStatistics:

@@ -33,7 +33,6 @@ class TestCalendar:
 
     def test_epoch_monday_is_workday(self):
         assert self.cal.day_type(0) == DayType.WORKDAY
-        assert self.cal.is_working_day(0)
 
     def test_weekend_classification(self):
         per_day = self.axis.slices_per_day
@@ -44,7 +43,6 @@ class TestCalendar:
         # epoch 2010-01-04; New Year 2011 is a Saturday
         slice_ny = self.axis.to_slice(__import__("datetime").datetime(2011, 1, 1))
         assert self.cal.day_type(slice_ny) == DayType.HOLIDAY
-        assert self.cal.is_holiday(slice_ny)
 
 
 class TestWeather:

@@ -803,9 +803,16 @@ class TestHeldBackFacts:
         assert (_written(store), _held(store)) == (6, 1)
 
     def test_nothing_held_back_after_any_ingest_flush(self):
-        from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
+        from repro.runtime import (
+            BrpRuntimeService,
+            IngestConfig,
+            LoadGenerator,
+            ServiceConfig,
+        )
 
-        service = BrpRuntimeService(ServiceConfig.from_flat(batch_size=8))
+        service = BrpRuntimeService(
+            ServiceConfig(ingest=IngestConfig(batch_size=8))
+        )
         flush = service.ingest.flush
         held_after = []
 

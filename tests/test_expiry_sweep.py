@@ -18,19 +18,23 @@ from repro.runtime import (
     AnyTrigger,
     BrpRuntimeService,
     CountTrigger,
+    IngestConfig,
+    SchedulingConfig,
     ServiceConfig,
     SimulatedDriver,
 )
 
 pytestmark = pytest.mark.pinned
 
-CONFIG = ServiceConfig.from_flat(
-    batch_size=4,
-    horizon_slices=48,
-    scheduler_passes=1,
-    trigger=AnyTrigger([CountTrigger(10), AgeTrigger(5)]),
-    min_run_interval_slices=1.0,
-    seed=0,
+CONFIG = ServiceConfig(
+    ingest=IngestConfig(batch_size=4),
+    scheduling=SchedulingConfig(
+        horizon_slices=48,
+        scheduler_passes=1,
+        trigger=AnyTrigger([CountTrigger(10), AgeTrigger(5)]),
+        min_run_interval_slices=1.0,
+        seed=0,
+    ),
 )
 
 

@@ -43,8 +43,10 @@ from repro.runtime import (
     BusConfig,
     ClusterConfig,
     ClusterRuntime,
+    IngestConfig,
     LoadGenerator,
     MetricsRegistry,
+    SchedulingConfig,
     ServiceConfig,
 )
 from repro.runtime.metrics import instrument_key
@@ -84,7 +86,7 @@ def test_labeled_merge_is_label_aware():
 
 
 def test_gauge_merge_policies():
-    for policy, expected in (("sum", 12.0), ("last", 4.0), ("max", 8.0)):
+    for policy, expected in (("sum", 12.0), ("last", 4.0)):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.gauge("g", merge=policy).set(8.0)
         b.gauge("g", merge=policy).set(4.0)
@@ -108,7 +110,7 @@ def test_gauge_conflicting_merge_policy_raises():
     registry = MetricsRegistry()
     registry.gauge("g", merge="last")
     with pytest.raises(ServiceError):
-        registry.gauge("g", merge="max")
+        registry.gauge("g", merge="sum")
 
 
 def test_histogram_merge_is_order_independent_past_saturation():
@@ -545,8 +547,9 @@ def test_records_follow_the_schema(tmp_path, capsys):
     tracer = Tracer()
     LedmsClient.resume_from_ledger(
         str(ledger / "brp-0"),
-        ServiceConfig.from_flat(
-            batch_size=8, scheduler_passes=1, seed=1, max_duration_slices=16
+        ServiceConfig(
+            ingest=IngestConfig(batch_size=8, max_duration_slices=16),
+            scheduling=SchedulingConfig(scheduler_passes=1, seed=1),
         ),
         name="brp-0",
         tracer=tracer,

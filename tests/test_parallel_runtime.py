@@ -94,11 +94,15 @@ def _service_config(seed: int = 7) -> ServiceConfig:
     )
 
 
-def _cluster_config(brps: int = 4, **tso_flat) -> ClusterConfig:
+def _cluster_config(brps: int = 4, **tso_scheduling) -> ClusterConfig:
     return ClusterConfig.uniform(
         brps,
         _service_config(),
-        tso=TsoConfig.from_flat(scheduler_passes=1, **tso_flat),
+        tso=TsoConfig(
+            scheduling=dataclasses.replace(
+                TsoConfig().scheduling, scheduler_passes=1, **tso_scheduling
+            )
+        ),
     )
 
 
@@ -199,7 +203,7 @@ def _tso_returns(macros):
     """Send one snapshot to a fresh cluster's TSO; what it plans and sends back."""
     cluster = ClusterRuntime(
         ClusterConfig.uniform(
-            1, _service_config(), tso=TsoConfig.from_flat(scheduler_passes=1)
+            1, _service_config(), tso=_cluster_config(1).tso
         )
     )
     returned = []
@@ -347,9 +351,11 @@ PLACEMENTS = {
 }
 
 
-def _run(placement: str, duration: float = 24.0, brps: int = 4, **tso_flat):
+def _run(
+    placement: str, duration: float = 24.0, brps: int = 4, **tso_scheduling
+):
     """Run one placement on the fixed-seed streams; the runtime and its report."""
-    cluster = PLACEMENTS[placement](_cluster_config(brps, **tso_flat))
+    cluster = PLACEMENTS[placement](_cluster_config(brps, **tso_scheduling))
     report = cluster.run(_streams(cluster.config.brps, duration), duration)
     if cluster.workers:
         assert _shm_residue(cluster.run_id) == []

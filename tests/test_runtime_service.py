@@ -9,6 +9,7 @@ driving every stage (ingest → incremental aggregation → triggered scheduling
 import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,21 +37,27 @@ from repro.runtime.planning import PlanSession
 from repro.scheduling.engine import OfferConstants
 from repro.runtime import (
     AgeTrigger,
-    ServiceConfig,
     AnyTrigger,
     BrpRuntimeService,
     CountTrigger,
     ImbalanceTrigger,
+    IngestConfig,
     LoadGenerator,
+    SchedulingConfig,
+    ServiceConfig,
 )
 
-TINY = ServiceConfig.from_flat(
-    batch_size=8,
-    horizon_slices=96,
-    scheduler_passes=1,
-    trigger=AnyTrigger([CountTrigger(20), AgeTrigger(8), ImbalanceTrigger(400.0)]),
-    min_run_interval_slices=2.0,
-    seed=0,
+TINY = ServiceConfig(
+    ingest=IngestConfig(batch_size=8),
+    scheduling=SchedulingConfig(
+        horizon_slices=96,
+        scheduler_passes=1,
+        trigger=AnyTrigger(
+            [CountTrigger(20), AgeTrigger(8), ImbalanceTrigger(400.0)]
+        ),
+        min_run_interval_slices=2.0,
+        seed=0,
+    ),
 )
 
 
@@ -114,12 +121,14 @@ class TestServiceLoop:
         # With a horizon wide enough that every arriving offer's window fits
         # immediately, the age trigger (8 slices) plus the cooldown bounds
         # end-to-end latency; a narrow horizon instead defers far-out offers.
-        config = ServiceConfig.from_flat(
-            batch_size=8,
-            horizon_slices=240,
-            scheduler_passes=1,
-            trigger=AnyTrigger([CountTrigger(20), AgeTrigger(8)]),
-            min_run_interval_slices=2.0,
+        config = ServiceConfig(
+            ingest=IngestConfig(batch_size=8),
+            scheduling=SchedulingConfig(
+                horizon_slices=240,
+                scheduler_passes=1,
+                trigger=AnyTrigger([CountTrigger(20), AgeTrigger(8)]),
+                min_run_interval_slices=2.0,
+            ),
         )
         service, report = _run(duration=96, config=config)
         assert 0 < report.latency_slices_p95 <= 16
@@ -352,7 +361,7 @@ def _clipped_admissions_run(*, write_through=False, traced=False):
     """
     rebase_offer_ids(CLIPPED_ID_BASE)
     service = BrpRuntimeService(
-        TINY.merged(max_duration_slices=32),
+        replace(TINY, ingest=replace(TINY.ingest, max_duration_slices=32)),
         tracer=Tracer() if traced else None,
     )
     store = service.store
@@ -528,12 +537,14 @@ class TestUpdateRidesTheNextFlush:
     it forces no flush, and the next flush holds the revision in place of
     the member, with the bounds a from-scratch aggregation gives."""
 
-    CONFIG = ServiceConfig.from_flat(
-        batch_size=8,
-        horizon_slices=96,
-        scheduler_passes=1,
-        trigger=CountTrigger(10**9),
-        seed=0,
+    CONFIG = ServiceConfig(
+        ingest=IngestConfig(batch_size=8),
+        scheduling=SchedulingConfig(
+            horizon_slices=96,
+            scheduler_passes=1,
+            trigger=CountTrigger(10**9),
+            seed=0,
+        ),
     )
 
     @pytest.mark.parametrize("journaled", [False, True])
@@ -736,13 +747,15 @@ class TestStaleRemoteSchedule:
 
 class TestExpiry:
     def test_unscheduled_offers_expire(self):
-        config = ServiceConfig.from_flat(
-            batch_size=8,
-            horizon_slices=96,
-            scheduler_passes=1,
-            # Triggers that never fire: offers age out unscheduled.
-            trigger=CountTrigger(10_000),
-            min_run_interval_slices=2.0,
+        config = ServiceConfig(
+            ingest=IngestConfig(batch_size=8),
+            scheduling=SchedulingConfig(
+                horizon_slices=96,
+                scheduler_passes=1,
+                # Triggers that never fire: offers age out unscheduled.
+                trigger=CountTrigger(10_000),
+                min_run_interval_slices=2.0,
+            ),
         )
         service = BrpRuntimeService(config)
         service.submit(_offer(2, tf=2))
@@ -796,11 +809,13 @@ class TestExpiry:
         # batch must stay "expired" — the flush may not regress it to
         # "aggregated" (and the pipeline must not crash on the
         # insert+delete pair cancelling within one run).
-        config = ServiceConfig.from_flat(
-            batch_size=1000,  # never auto-flush
-            horizon_slices=96,
-            scheduler_passes=1,
-            trigger=CountTrigger(10_000),
+        config = ServiceConfig(
+            ingest=IngestConfig(batch_size=1000),  # never auto-flush
+            scheduling=SchedulingConfig(
+                horizon_slices=96,
+                scheduler_passes=1,
+                trigger=CountTrigger(10_000),
+            ),
         )
         service = BrpRuntimeService(config)
         service.submit(_offer(2, tf=2))
@@ -843,6 +858,46 @@ class TestAssignmentDeadline:
         counts = service.store.state_counts()
         assert counts["expired"] == 1
         assert service.live_offers == 0
+
+
+class TestStrandedMembers:
+    """``schedule.stranded_members`` counts the members a planning run
+    cannot place because their group, not they, stopped being plannable."""
+
+    def test_group_closing_between_two_runs_counts_its_open_member(self):
+        service = BrpRuntimeService(
+            ServiceConfig(
+                scheduling=SchedulingConfig(
+                    horizon_slices=2,
+                    scheduler_passes=1,
+                    trigger=CountTrigger(10_000),
+                )
+            )
+        )
+        # One start-aligned group: earliest 2, tightest flexibility 2, so
+        # its window is [2, 4], while b's own window runs to 5 and a's to 8
+        # (a's deadline is 5).
+        a = _offer(2, tf=6, assignment_before=5)
+        b = _offer(3, tf=2)
+        service.submit_many([a, b])
+        service.driver.advance_to(1.0)
+        # The run over [1, 3) drops the group for the horizon: nothing is
+        # stranded, the group is still plannable.
+        assert service.maybe_schedule(force=True) is None
+        assert len(service.pool) == 1
+        stranded = service.metrics.counter("schedule.stranded_members")
+        assert stranded.value == 0
+        service.driver.advance_to(4.5)  # the next run starts at slice 5
+        assert service.maybe_schedule(force=True) is None
+        # Both are live and unscheduled; only b is still plannable itself.
+        assert service.live_offers == 2
+        assert service.committed_starts() == {}
+        assert stranded.value == 1
+
+    def test_seeded_stream_strands_nothing(self):
+        service, report = _run()
+        assert report.scheduling_runs > 0
+        assert service.metrics.as_dict()["schedule.stranded_members"] == 0
 
 
 class TestRunStreamValidation:
@@ -896,11 +951,11 @@ class TestRunStreamValidation:
 class TestConfigValidation:
     def test_invalid_config_rejected(self):
         with pytest.raises(ServiceError):
-            ServiceConfig.from_flat(batch_size=0)
+            ServiceConfig.from_dict({"ingest": {"batch_size": 0}})
         with pytest.raises(ServiceError):
-            ServiceConfig.from_flat(horizon_slices=-1)
+            ServiceConfig.from_dict({"scheduling": {"horizon_slices": -1}})
         with pytest.raises(ServiceError):
-            ServiceConfig.from_flat(scheduler_passes=0)
+            ServiceConfig.from_dict({"scheduling": {"scheduler_passes": 0}})
 
 
 class TestNetForecastWindow:
@@ -988,11 +1043,15 @@ class TestPlanWindowAtBothTiers:
 
         forecast = TimeSeries(0, np.linspace(-6.0, 6.0, 80))
         brp = BrpRuntimeService(
-            ServiceConfig.from_flat(scheduler_passes=1, seed=3),
+            ServiceConfig.from_dict(
+                {"scheduling": {"scheduler_passes": 1, "seed": 3}}
+            ),
             net_forecast=forecast,
         )
         tso = BrpRuntimeService(
-            TsoConfig.from_flat(scheduler_passes=1, seed=3),
+            TsoConfig.from_dict(
+                {"scheduling": {"scheduler_passes": 1, "seed": 3}}
+            ),
             net_forecast=forecast,
             name="tso",
         )
@@ -1089,12 +1148,14 @@ class TestPlanWindowAtBothTiers:
 
 class TestKeptPlacementsService:
     def _config(self):
-        return ServiceConfig.from_flat(
-            batch_size=8,
-            scheduler_passes=1,
-            trigger=AnyTrigger([CountTrigger(20), AgeTrigger(8)]),
-            min_run_interval_slices=0.0,
-            seed=0,
+        return ServiceConfig(
+            ingest=IngestConfig(batch_size=8),
+            scheduling=SchedulingConfig(
+                scheduler_passes=1,
+                trigger=AnyTrigger([CountTrigger(20), AgeTrigger(8)]),
+                min_run_interval_slices=0.0,
+                seed=0,
+            ),
         )
 
     @staticmethod

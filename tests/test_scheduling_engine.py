@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 
 from pins import pin
 from repro.core import Profile, SchedulingError, TimeSeries, flex_offer
-from repro.runtime import BrpRuntimeService, LoadGenerator, ServiceConfig
+from repro.runtime import (
+    BrpRuntimeService,
+    IngestConfig,
+    LoadGenerator,
+    SchedulingConfig,
+    ServiceConfig,
+)
 from repro.aggregation.updates import AggregateUpdate, UpdateKind
 from repro.runtime.planning import PlanSession
 from repro.scheduling import (
@@ -737,7 +743,10 @@ class TestWarmStartedReplanning:
         """Two identical warm-started service runs commit identical plans."""
 
         def run():
-            config = ServiceConfig.from_flat(batch_size=16, scheduler_passes=2, seed=9)
+            config = ServiceConfig(
+                ingest=IngestConfig(batch_size=16),
+                scheduling=SchedulingConfig(scheduler_passes=2, seed=9),
+            )
             service = BrpRuntimeService(config)
             generator = LoadGenerator(rate_per_hour=60.0, seed=9)
             service.run_stream(generator.stream(0.0, 48.0), 48.0)
@@ -918,7 +927,9 @@ def _cold_greedy(problem, passes, rng):
     certificate's stop."""
     best = None
     for done in range(1, passes + 1):
-        state = IncrementalCostState.for_problem(problem)
+        state = IncrementalCostState(
+            problem.engine, problem.net_forecast.values.copy()
+        )
         starts = np.zeros(problem.offer_count, dtype=np.int64)
         energies = [None] * problem.offer_count
         for j in rng.permutation(problem.offer_count):
