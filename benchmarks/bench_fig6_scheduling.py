@@ -49,7 +49,11 @@ MAX_EXACT_OFFERS = 1000
 
 
 def runtime_shape_problem(
-    seed: int = 0, *, mixed_sign: bool = False, capped: bool = False
+    seed: int = 0,
+    *,
+    mixed_sign: bool = False,
+    capped: bool = False,
+    forecast: bool = True,
 ) -> SchedulingProblem:
     """48 aggregates at the shapes the streaming runtime schedules.
 
@@ -69,6 +73,11 @@ def runtime_shape_problem(
     six-row table — caps and penalties next to the two rates — where the
     flat market, like every market the runtime builds, needs the two rates
     only.  The pair is the cost of the rows an uncapped market leaves out.
+
+    ``forecast=False`` zeroes the ±40 kWh net forecast (it is still drawn,
+    so every later draw is the same): the flat-market pool the e2e
+    workloads plan, where a constant-λ certificate can stop a run after
+    one pass.
     """
     rng = np.random.default_rng(seed)
     horizon = 96
@@ -90,6 +99,8 @@ def runtime_shape_problem(
             )
         )
     net_forecast = TimeSeries(0, rng.uniform(-40.0, 40.0, horizon))
+    if not forecast:
+        net_forecast = TimeSeries(0, np.zeros(horizon))
     market = Market.flat(horizon)
     if capped:
         market = Market(
@@ -246,47 +257,96 @@ def test_greedy_kernel_speedup_vs_reference(once, bench_record):
             )
 
 
-def test_plan_window_passes_per_second(once, bench_record):
+PLAN_WINDOW_ROWS = {
+    # row name: (forecast, share of keys dirty on every pass)
+    "plan_window": (True, 0.0),
+    "plan_window.dirty_40": (True, 0.4),
+    "plan_window.all_dirty": (True, 1.0),
+    "plan_window.no_forecast": (False, 1.0),
+}
+
+
+@pytest.mark.parametrize("row", sorted(PLAN_WINDOW_ROWS))
+def test_plan_window_passes_per_second(row, once, bench_record):
     """Whole runtime planning passes, not just the kernel.
 
     ``PlanSession.plan_window`` over :func:`runtime_shape_problem`'s 48
-    aggregates and forecast, as a BRP runs it on every trigger: the
-    eligibility walk, the offer constants, the problem, the warm candidate
-    and its cost, and two greedy passes (the schedule objects are built
-    only on demand, so not here).  Every pass after the first plans the
-    same pool warm-started from the one before, so it finds each offer's
-    kernel template already cached on its profile.
+    aggregates, as a BRP runs it on every trigger: the eligibility walk,
+    the offer constants, the problem, the kept placements and the warm
+    residual, the greedy passes and the plan's cost (the schedule objects
+    are built only on demand, so not here).  Every timed pass plans the
+    same pool after a cold one; what it re-places is what the row marks
+    dirty before it:
+
+    * ``plan_window`` — nothing, so every placement is kept;
+    * ``plan_window.dirty_40`` — 40 % of the keys, a different 40 % each
+      pass (``cluster_k2``'s BRPs keep 59 % of their placements);
+    * ``plan_window.all_dirty`` — every key, so every pass is a full plan;
+    * ``plan_window.no_forecast`` — every key, over a zero forecast, where
+      the certificate can stop a run after its first pass.
+
+    ``evaluations_per_plan`` is the greedy passes a plan ran (2 at most),
+    and ``plan_cost`` the first timed plan's: how many plans a timebox
+    holds moves the rng, and with it every later plan of a dirty row.
     """
+    forecast, dirty_fraction = PLAN_WINDOW_ROWS[row]
     seconds = 0.1 if smoke_mode() else 1.5
-    problem = runtime_shape_problem()
+    problem = runtime_shape_problem(forecast=forecast)
     candidates = [(f"g{j}", offer) for j, offer in enumerate(problem.offers)]
+    keys = [key for key, _ in candidates]
     horizon = problem.horizon_length
 
-    def passes_per_second() -> tuple[float, float]:
+    def dirty_on(count: int) -> list[str]:
+        """The keys a pass marks dirty: 5 rotating fifths, ``fraction`` of them."""
+        fifths = round(5 * dirty_fraction)
+        return [key for j, key in enumerate(keys) if (j + count) % 5 < fifths]
+
+    def passes_per_second() -> tuple[float, float, float]:
         session = PlanSession(passes=2, net_forecast=problem.net_forecast)
         session.plan_window(candidates, 0, horizon)  # cold: fills the caches
+        marks = [dirty_on(count) for count in range(5)]
         t0 = time.perf_counter()
-        count = 0
+        count = evaluations = 0
         while time.perf_counter() - t0 < seconds:
+            session.dirty.update(marks[count % 5])
             plan = session.plan_window(candidates, 0, horizon)
+            evaluations += plan.result.evaluations
+            if not count:
+                cost = plan.result.cost  # later plans depend on the timebox
             count += 1
-        return count / (time.perf_counter() - t0), plan.result.cost
+        rate = count / (time.perf_counter() - t0)
+        return rate, evaluations / count, cost
 
-    rate, cost = once(passes_per_second)
+    rate, evaluations, cost = once(passes_per_second)
+    shape = RUNTIME_SHAPE if forecast else RUNTIME_SHAPE + ", no forecast"
     print_table(
-        "runtime planning pass: PlanSession.plan_window (passes/sec)",
-        ["shape", "offers", "passes/s", "plan cost"],
-        [[RUNTIME_SHAPE, problem.offer_count, f"{rate:.1f}", f"{cost:.4f}"]],
+        f"runtime planning pass: PlanSession.plan_window, {row} (passes/sec)",
+        ["shape", "offers", "dirty", "passes/s", "evaluations/plan", "plan cost"],
+        [
+            [
+                shape,
+                problem.offer_count,
+                f"{dirty_fraction:.0%}",
+                f"{rate:.1f}",
+                f"{evaluations:.2f}",
+                f"{cost:.4f}",
+            ]
+        ],
     )
     bench_record(
         "scheduling",
-        name="plan_window",
+        name=row,
         workload={
             "offers": problem.offer_count,
-            "shape": RUNTIME_SHAPE,
+            "shape": shape,
+            "dirty_fraction": dirty_fraction,
             "scheduler_passes": 2,
             "timebox_seconds": seconds,
             "cpu_count": os.cpu_count(),
         },
-        metrics={"passes_per_sec": rate, "plan_cost": cost},
+        metrics={
+            "passes_per_sec": rate,
+            "evaluations_per_plan": evaluations,
+            "plan_cost": cost,
+        },
     )

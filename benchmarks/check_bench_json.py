@@ -29,7 +29,15 @@ describe the code that journaled, so a row must say which tree that was
 ``scheduling.optimum`` selects the oracle's gap-table rows
 (``fig6_optimum``) and requires a ``status`` string and a numeric
 ``cpu_count``: an optimality gap is measured against a proven optimum only
-when the solver says ``optimal``.
+when the solver says ``optimal``.  ``scheduling.plan`` selects the whole
+planning-pass rows (``plan_window*``) and requires a numeric ``cpu_count``
+and ``dirty_fraction``: a pass that keeps every placement and one that
+re-places every offer differ by an order of magnitude.
+
+Every record's ``test`` must name a file that exists inside the repository
+(the part before ``::``, relative to the root; an absolute path or one that
+climbs out through ``..`` is refused), so a record taken from a scratch
+checkout cannot keep a path nobody can run.
 
 Checks structure only — never timing thresholds — so the CI smoke job can
 assert the harness works without becoming a flaky performance gate.  Exits
@@ -42,6 +50,16 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _under_repo(test: str) -> bool:
+    """Whether ``test``'s file part (before ``::``) is a file inside the
+    repository: an absolute path or one that leaves it through ``..`` is
+    not, even if the file exists."""
+    path = (REPO / test.split("::")[0]).resolve()
+    return path.is_relative_to(REPO) and path.is_file()
 
 REQUIRED_TOP_LEVEL = ("kind", "schema_version", "scale", "smoke", "records")
 REQUIRED_RECORD = ("test", "name", "workload", "metrics")
@@ -79,6 +97,11 @@ SPECIAL_FAMILIES: dict[tuple[str, str], dict] = {
         "required_workload": ("cpu_count",),
         "required_text": ("shape",),
     },
+    # Planning-pass rows must say how much of the pool they re-placed.
+    ("scheduling", "plan"): {
+        "name_prefix": "plan_window",
+        "required_workload": ("cpu_count", "dirty_fraction"),
+    },
     # Gap-table rows must say whether their optimum is proven.
     ("scheduling", "optimum"): {
         "name_prefix": "fig6_optimum",
@@ -112,6 +135,12 @@ def check_file(
         for key in REQUIRED_RECORD:
             if key not in record:
                 problems.append(f"{path}: records[{i}] missing key {key!r}")
+        test = record.get("test")
+        if isinstance(test, str) and not _under_repo(test):
+            problems.append(
+                f"{path}: records[{i}] test {test!r} names no file under "
+                f"{REPO}"
+            )
         metrics = record.get("metrics")
         if isinstance(metrics, dict):
             bad = [

@@ -30,7 +30,7 @@ from-scratch behaviour for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from ..core.errors import AggregationError, DisaggregationError
 from ..core.flexoffer import EnergyConstraint, FlexOffer, Profile, _next_id
 from ..core.schedule import ScheduledFlexOffer
 from .updates import AggregateUpdate, GroupUpdate, UpdateKind
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from .engine import PackedView
 
 __all__ = [
     "AggregatedFlexOffer",
@@ -352,28 +355,52 @@ def disaggregate(scheduled: ScheduledFlexOffer) -> list[ScheduledFlexOffer]:
         raise DisaggregationError(
             f"offer {aggregate.offer_id} is not an AggregatedFlexOffer"
         )
+    return [
+        ScheduledFlexOffer(member, start, energies)
+        for member, start, energies in member_schedules(
+            aggregate, scheduled.start, scheduled.energies
+        )
+    ]
 
-    fractions = _slice_fractions(aggregate, scheduled.energies)
+
+def member_schedules(
+    aggregate: AggregatedFlexOffer | PackedView,
+    start: int,
+    energies: Sequence[float],
+) -> list[tuple[FlexOffer, int, np.ndarray]]:
+    """:func:`disaggregate`'s ``(member, start, energies)`` triples, built
+    into no :class:`ScheduledFlexOffer` and checked against nothing.
+
+    For a caller that builds each member's schedule on an object of its
+    own — the TSO's downlink builds it on the macro its BRP sent — and so
+    builds and checks it once.  ``start`` and ``energies`` place
+    ``aggregate`` (or a clipped copy of it: same profile and offsets),
+    which may also be the packed engine's view of it: the view answers
+    the members, offsets and bound rows the object would.
+    """
+    fractions = _slice_fractions(aggregate, energies)
 
     # Per member ``lo + f * (hi - lo)`` over its bound arrays: the IEEE
     # operations of ``c.min_energy + f * c.energy_flexibility`` per
     # constraint, so the same bits, and no member builds its constraint
     # objects.
-    out: list[ScheduledFlexOffer] = []
+    out: list[tuple[FlexOffer, int, np.ndarray]] = []
     for member, offset in zip(aggregate.members, aggregate.offsets):
         profile = member.profile
         lo = profile.min_array
-        energies = lo + fractions[offset : offset + profile.duration] * (
-            profile.max_array - lo
-        )
         out.append(
-            ScheduledFlexOffer(member, scheduled.start + offset, energies)
+            (
+                member,
+                start + offset,
+                lo + fractions[offset : offset + profile.duration]
+                * (profile.max_array - lo),
+            )
         )
     return out
 
 
 def _slice_fractions(
-    aggregate: AggregatedFlexOffer, energies: Sequence[float]
+    aggregate: AggregatedFlexOffer | PackedView, energies: Sequence[float]
 ) -> np.ndarray:
     """Per-slice position of the scheduled energy within its [min, max] range.
 
@@ -382,8 +409,8 @@ def _slice_fractions(
     per-slice Python loop dominated the streaming runtime's wall clock.
     """
     values = np.asarray(energies, dtype=float)
-    lo = aggregate.profile.min_array
-    width = aggregate.profile.max_array - lo
+    lo = aggregate.min_array
+    width = aggregate.max_array - lo
     fixed = width <= _ENERGY_EPS
     if fixed.any():
         off = np.abs(values - lo) > 1e-6

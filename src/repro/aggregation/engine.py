@@ -323,9 +323,11 @@ class PackedView:
     ``earliest_start``, ``latest_start``, ``duration``,
     ``assignment_before`` (the tightest member deadline, capped at
     ``latest_start``), ``unit_price`` (the members' mean, bit for bit
-    ``np.mean``), ``profile`` (the bound rows) and
-    ``aggregate`` (the object with exactly these fields, built on first
-    use and kept, so one update version builds at most one object).
+    ``np.mean``), ``min_array`` and ``max_array`` (the bound rows, read-only,
+    as a flex-offer names its profile's), ``profile`` (a profile holding
+    those rows) and ``aggregate`` (the object with exactly these fields,
+    built on first use and kept, so one update version builds at most one
+    object).  The planner reads the rows and builds neither.
     ``joined`` is the members the emitting flush admitted to the group, in
     membership order: every member of a group the flush reset, a revision
     (another object under a live id) at the group's end, and a member
@@ -337,9 +339,10 @@ class PackedView:
     start, duration, and the time-flexibility and deadline minima its
     value counters keep, and its price column — so no walk over the
     member objects runs.  It also copies the group's bound rows off the
-    arena, which the group's next flush changes and compaction moves; a
-    copy deferred until then would be made all the same.  The rest waits:
-    the first reader takes the guarded profile and the mean price, and the
+    arena, which the group's next flush changes and compaction moves (a
+    copy deferred until then would be made all the same), raising ``hi``
+    to ``lo`` where residue inverted a slice.  The rest waits: the first
+    reader takes the profile and the mean price, and the
     :class:`~repro.aggregation.aggregator.AggregatedFlexOffer` itself is
     built only for a caller sending the aggregate off the node.
     """
@@ -352,10 +355,10 @@ class PackedView:
         "latest_start",
         "duration",
         "assignment_before",
+        "min_array",
+        "max_array",
         "_prices",
         "_price",
-        "_lo",
-        "_hi",
         "_profile",
         "_aggregate",
     )
@@ -382,8 +385,16 @@ class PackedView:
         self._price: float | None = None
         first = state.shift + est
         span = slice(first, first + self.duration)
-        self._lo = arena.lo[span].copy()
-        self._hi = arena.hi[span].copy()
+        # Guard against sub-ulp subtraction residue inverting a slice whose
+        # bounds coincide (mirrors the scalar state's snapshot guard): the
+        # rows are sums of admitted offers' finite bounds, ``hi`` raised to
+        # ``lo`` slice by slice, and they become the profile's own arrays.
+        lo = arena.lo[span].copy()
+        hi = np.maximum(arena.hi[span], lo)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        self.min_array = lo
+        self.max_array = hi
         self._profile: Profile | None = None
         self._aggregate: AggregatedFlexOffer | None = None
 
@@ -395,16 +406,18 @@ class PackedView:
         return price
 
     @property
+    def offsets(self) -> tuple[int, ...]:
+        """Each member's first slice within the bound rows, as
+        :attr:`aggregate`'s ``offsets``."""
+        est = self.earliest_start
+        return tuple(member.earliest_start - est for member in self.members)
+
+    @property
     def profile(self) -> Profile:
         profile = self._profile
         if profile is None:
-            lo = self._lo
-            # Guard against sub-ulp subtraction residue inverting a slice
-            # whose bounds coincide (mirrors the scalar state's snapshot
-            # guard).  The copies become the profile's own bound arrays:
-            # sums of admitted offers' finite bounds, ordered by the guard.
             profile = self._profile = Profile._from_checked_arrays(
-                lo, np.maximum(self._hi, lo)
+                self.min_array, self.max_array
             )
         return profile
 

@@ -66,7 +66,16 @@ class PlanAssignment:
 
 @dataclass(frozen=True)
 class PlanView:
-    """Snapshot of the most recently committed plan."""
+    """Snapshot of a committed plan.
+
+    The node's own views (:meth:`LedmsClient.current_plan`, the
+    ``on_plan_committed`` hooks) capture each aggregate's id and member
+    count and the plan's solution at commit, and build :attr:`assignments`
+    on first read: a hook that reads only the cost builds none, and a view
+    read after later plans still describes its own.  Until that read the
+    view keeps the solution's starts and energies alive, not the
+    aggregation views they were planned from.
+    """
 
     at: float
     """Driver time of the scheduling run."""
@@ -78,10 +87,51 @@ class PlanView:
     """Cumulative unique micro offers ever scheduled by this node."""
     assignments: tuple[PlanAssignment, ...]
 
+    @classmethod
+    def _committed(
+        cls, at: float, result: SchedulingResult, views: tuple, scheduled: int
+    ) -> "PlanView":
+        """The view of a plan just committed over ``views`` (plan order),
+        its assignments not built yet."""
+        ids = [view.offer_id for view in views]
+        sizes = [len(view.members) for view in views]
+        plan = object.__new__(cls)
+        fields = plan.__dict__
+        fields["at"] = at
+        fields["cost"] = float(result.cost)
+        fields["evaluations"] = int(result.evaluations)
+        fields["scheduled_offers"] = scheduled
+        fields["_plan"] = (ids, sizes, result.solution)
+        return plan
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: a committed
+        # view's assignments, until their first read.
+        plan = self.__dict__.get("_plan")
+        if name != "assignments" or plan is None:
+            raise AttributeError(name)
+        # ``sum`` over the Python floats adds in slice order, as it did
+        # over a scheduled offer's energy tuple.
+        ids, sizes, solution = plan
+        built = self.__dict__["assignments"] = tuple(
+            PlanAssignment(
+                aggregate_id=aggregate_id,
+                start=start,
+                total_energy=float(sum(energies.tolist())),
+                members=members,
+            )
+            for aggregate_id, members, start, energies in zip(
+                ids, sizes, solution.starts.tolist(), solution.energies
+            )
+        )
+        del self.__dict__["_plan"]
+        return built
+
     @property
     def aggregates(self) -> int:
         """Aggregates placed by this plan."""
-        return len(self.assignments)
+        plan = self.__dict__.get("_plan")
+        return len(self.assignments if plan is None else plan[0])
 
 
 @dataclass(frozen=True)
@@ -191,40 +241,16 @@ class LedmsClient:
         return callback
 
     def _record_plan(self, result: SchedulingResult) -> None:
-        self._last_plan = self._plan_view(result)
+        service = self.service
+        self._last_plan = PlanView._committed(
+            service.now, result, service.last_plan.views, service.scheduled_total
+        )
         for callback in self._plan_hooks:
             callback(self._last_plan)
 
     def _record_state(self, offer_id: int, state: str, now: int) -> None:
         for callback in self._state_hooks:
             callback(offer_id, state, now)
-
-    def _plan_view(self, result: SchedulingResult) -> PlanView:
-        # The plan's columns and its views: no aggregate object is built
-        # for a hook every committed plan fires.  ``sum`` over the Python
-        # floats adds in slice order, as it did over a scheduled offer's
-        # energy tuple.
-        solution = result.solution
-        assignments = tuple(
-            PlanAssignment(
-                aggregate_id=view.offer_id,
-                start=start,
-                total_energy=float(sum(energies.tolist())),
-                members=len(view.members),
-            )
-            for view, start, energies in zip(
-                self.service.last_plan.views,
-                solution.starts.tolist(),
-                solution.energies,
-            )
-        )
-        return PlanView(
-            at=self.service.now,
-            cost=float(result.cost),
-            evaluations=int(result.evaluations),
-            scheduled_offers=self.service.scheduled_total,
-            assignments=assignments,
-        )
 
     # -- operations ------------------------------------------------------
     def submit(

@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from ..aggregation.aggregator import disaggregate
+from ..aggregation.aggregator import member_schedules
 from ..core.errors import CommunicationError, ServiceError
 from ..core.flexoffer import FlexOffer
 from ..core.schedule import ScheduledFlexOffer
@@ -994,17 +994,26 @@ class ClusterRuntime:
     def _return_macros(self, result) -> None:
         """Downlink: send every macro of the TSO's committed plan home.
 
-        The plan's supers are disaggregated into scheduled macros, and each
-        goes back to its BRP built on the macro object that BRP sent (not
-        the TSO's admission-clipped copy), over the bus in best-effort
-        mode, so an unreachable BRP degrades to dropped messages.
+        Each planned super is disaggregated from the plan's own start and
+        energies against its unclipped view (no super object is built), and
+        each macro goes back to its BRP as one schedule built (and checked)
+        on the macro object that BRP sent — not the TSO's admission-clipped
+        copy — over the bus in best-effort mode, so an unreachable BRP
+        degrades to dropped messages.  A macro that has no home builds
+        nothing.
         """
         tso = self.tso
+        plan = tso.last_plan
+        solution = plan.result.solution
         trace = self.tracer.enabled
         returned = 0
-        for scheduled_super in tso.last_schedule:
-            for scheduled in disaggregate(scheduled_super):
-                macro_id = scheduled.offer.offer_id
+        for view, start, energies in zip(
+            plan.views, solution.starts.tolist(), solution.energies
+        ):
+            for member, macro_start, macro_energies in member_schedules(
+                view, start, energies
+            ):
+                macro_id = member.offer_id
                 home = next(
                     (b for b, held in self._macros.items() if macro_id in held),
                     None,
@@ -1018,19 +1027,14 @@ class ClusterRuntime:
                         node=tso.name,
                         offer_id=macro_id,
                         state="macro_scheduled",
-                        detail={
-                            "super": scheduled_super.offer.offer_id,
-                            "brp": home,
-                        },
+                        detail={"super": view.offer_id, "brp": home},
                     )
                 if self.adapter.send(
                     tso.name,
                     home,
                     MessageType.SCHEDULED_MACRO_FLEX_OFFER,
                     ScheduledFlexOffer(
-                        self._macros[home][macro_id],
-                        scheduled.start,
-                        scheduled.energies,
+                        self._macros[home][macro_id], macro_start, macro_energies
                     ),
                     tso.now_slice,
                     detail={"macro": macro_id} if trace else None,

@@ -13,8 +13,10 @@ rolling forecast window, the flat market, the
 :class:`SchedulingProblem`, the planner call and the ``delta.*`` counters
 live here and nowhere else.
 
-The pass reads each view's window, deadline, price and bound rows and
-builds the planner's constants from them; no aggregate object is built on
+The pass reads each view's window, deadline, price and bound rows in one
+walk over the pool, which decides eligibility, sets the closed views aside
+for the service's stranded count (:attr:`PlanSession.closed`) and gathers
+the planner's constants; no profile and no aggregate object is built on
 the way.  Clipping moves the first admissible start and nothing else.  The
 objects are built only where one leaves the node —
 :attr:`WindowPlan.originals` and :attr:`WindowPlan.schedule`, on demand.
@@ -24,7 +26,10 @@ the last plan's placements and the dirty key set fed by each flush's
 :class:`~repro.aggregation.updates.AggregateUpdate` stream, and hands the
 scheduler every clean placement that still fits as one to keep, so only
 the dirty offers are re-placed.  A first run is the case where everything
-is dirty.
+is dirty.  The session also carries each group's constants and whether its
+placement fits them (:class:`PlanSession`); every such cache is checked by
+identity against what it was built from, and the plans are those of a
+session that carries nothing (``tests/test_planning_state.py``).
 """
 
 from __future__ import annotations
@@ -58,15 +63,25 @@ __all__ = [
 
 
 @lru_cache(maxsize=8)
-def _flat_market(length: int, buy_price: float, sell_price: float) -> Market:
-    """Shared flat market per horizon length.
+def _flat_pricing(length: int, market: MarketConfig) -> SchedulingProblem:
+    """The offer-less problem over the flat market, per horizon length.
 
-    Every re-planning run prices the same rolling horizon; `Market` is
-    frozen and nothing mutates its arrays, so the instance (and the price
-    arrays the scheduling engine reads) can be reused across runs instead
-    of being rebuilt on each trigger fire.
+    Every re-planning run prices the same rolling horizon; a
+    :class:`Market`, the penalty arrays and a
+    :class:`~repro.scheduling.engine.CostEngine` are read-only, so this
+    problem's market, penalties and engine are shared by every run of that
+    length (on every node with the same market settings) instead of being
+    rebuilt on each trigger fire.
     """
-    return Market.flat(length, buy_price=buy_price, sell_price=sell_price)
+    return SchedulingProblem(
+        net_forecast=TimeSeries(0, np.zeros(length)),
+        offers=(),
+        market=Market.flat(
+            length, buy_price=market.buy_price, sell_price=market.sell_price
+        ),
+        shortage_penalty=np.array(market.shortage_penalty),
+        surplus_penalty=np.array(market.surplus_penalty),
+    )
 
 
 def plannable(offer: FlexOffer | PackedView, start: int) -> bool:
@@ -129,11 +144,32 @@ class WindowPlan:
         return self.problem.to_schedule(self.result.solution, offers)
 
 
+@dataclass(slots=True, eq=False)
+class _Group:
+    """What a session carries for one pool group from run to run."""
+
+    view: PackedView
+    """The view the constants were built from."""
+    consts: OfferConstants
+    """The view's constants in the last problem that planned it."""
+    kept: Placement | None = None
+    """The group's placement known to fit ``consts`` (start window and
+    bounds): one a plan made under them, or one :meth:`PlanSession._kept`
+    passed against them."""
+
+
 class PlanSession:
-    """One node's planner: scheduler, market, rng, kept placements, dirt.
+    """One node's planner: scheduler, market, rng, kept placements, dirt,
+    and each pool group's planning state.
 
     Keys are stable identities for pool entries across runs: the
-    aggregation pipeline's group ids.
+    aggregation pipeline's group ids.  A group's :class:`OfferConstants`
+    are built from its view's bound rows only when the view object changed
+    (a flush emitted a new one) or its clip moved; otherwise they are
+    re-anchored to the new horizon start and the group's kept-placement
+    verdict carries over, so a clean group costs no array work per run.
+    The market, penalty arrays and cost engine are shared by every run of
+    one horizon length.
     """
 
     def __init__(
@@ -155,19 +191,25 @@ class PlanSession:
         self.placements: dict[str, Placement] = {}
         #: Keys created/changed since the last successful :meth:`plan`.
         self.dirty: set[str] = set()
+        #: The views the last :meth:`plan_window` dropped as not
+        #: :func:`plannable`, in candidate order.
+        self.closed: list[PackedView] = []
+        self._groups: dict[str, _Group] = {}
 
     # ------------------------------------------------------------------
     def absorb(self, updates: Iterable[AggregateUpdate]) -> None:
         """Fold one flush's aggregate updates into the session.
 
         Every group id they touch is dirty until the next :meth:`plan`
-        consumes it; a deleted group also loses its placement at once
-        (its aggregate is gone from the pool).
+        consumes it; a deleted group also loses its placement and its
+        planning state at once (its aggregate is gone from the pool).
         """
         for update in updates:
-            self.dirty.add(update.group_id)
+            gid = update.group_id
+            self.dirty.add(gid)
             if update.kind is UpdateKind.DELETED:
-                self.placements.pop(update.group_id, None)
+                self.placements.pop(gid, None)
+                self._groups.pop(gid, None)
 
     # ------------------------------------------------------------------
     def plan_window(
@@ -193,30 +235,44 @@ class PlanSession:
         keys: list[str] = []
         views: list[PackedView] = []
         constants: list[OfferConstants] = []
+        closed: list[PackedView] = []
+        groups = self._groups
         for key, view in candidates:
-            latest = view.latest_start
-            if not plannable(view, start) or latest + view.duration > end:
+            if not plannable(view, start):
+                closed.append(view)
                 continue
-            keys.append(key)
-            views.append(view)
-            constants.append(
-                OfferConstants.of(
-                    view.profile,
+            latest = view.latest_start
+            if latest + view.duration > end:
+                continue
+            earliest = max(view.earliest_start, start)
+            group = groups.get(key)
+            if group is None or group.view is not view:
+                consts = OfferConstants.of(
+                    view.min_array,
+                    view.max_array,
                     view.unit_price,
-                    max(view.earliest_start, start),
+                    earliest,
                     latest,
                     start,
                 )
-            )
+                groups[key] = _Group(view, consts)
+            else:
+                consts = group.consts
+                if consts.earliest_start != earliest:  # the clip moved
+                    group.kept = None
+                    consts = group.consts = consts.reanchored(earliest, start)
+                elif consts.earliest_index != earliest - start:
+                    consts = group.consts = consts.reanchored(earliest, start)
+            keys.append(key)
+            views.append(view)
+            constants.append(consts)
+        self.closed = closed
         if not keys:
             return None
-        market = self.market
         problem = SchedulingProblem.from_constants(
             constants,
             net_forecast=net_forecast_window(self.net_forecast, start, end),
-            market=_flat_market(end - start, market.buy_price, market.sell_price),
-            shortage_penalty=np.array(market.shortage_penalty),
-            surplus_penalty=np.array(market.surplus_penalty),
+            pricing=_flat_pricing(end - start, self.market),
         )
         keys_tuple = tuple(keys)
         return WindowPlan(
@@ -262,10 +318,19 @@ class PlanSession:
         and ``delta.reused_placements`` / ``delta.replaced_placements`` have
         counted the run.
         """
-        retained = [
-            self._kept(key, consts)
-            for key, consts in zip(keys, problem.offer_constants)
-        ]
+        placements = self.placements
+        dirty = self.dirty
+        groups = self._groups
+        retained: list[Placement | None] = []
+        for key, consts in zip(keys, problem.offer_constants):
+            group = groups.get(key)
+            if group is None or group.consts is not consts:
+                retained.append(self._kept(key, consts))
+                continue
+            kept = group.kept
+            if kept is None or kept is not placements.get(key):
+                kept = group.kept = self._kept(key, consts)
+            retained.append(None if key in dirty else kept)
         result = self.scheduler.schedule(
             problem, max_passes=self.passes, rng=self.rng, retained=retained
         )
@@ -276,9 +341,19 @@ class PlanSession:
             self.metrics.counter("schedule.certified_runs").inc()
         self.metrics.counter("delta.reused_placements").inc(reused)
         self.metrics.counter("delta.replaced_placements").inc(len(keys) - reused)
-        for key, start, energies in zip(
-            keys, result.solution.starts, result.solution.energies
+        # A kept placement is the solution's as it stands: only the re-placed
+        # keys get a new one, and it fits the constants it was made under.
+        for key, consts, kept, start, energies in zip(
+            keys,
+            problem.offer_constants,
+            retained,
+            result.solution.starts.tolist(),
+            result.solution.energies,
         ):
-            self.placements[key] = (int(start), energies)
-        self.dirty.clear()
+            if kept is None:
+                placement = placements[key] = (start, energies)
+                group = groups.get(key)
+                if group is not None and group.consts is consts:
+                    group.kept = placement
+        dirty.clear()
         return result

@@ -887,11 +887,14 @@ class BrpRuntimeService:
         # Candidates in group-id order: the pool dict's insertion order
         # depends on how updates interleaved, but the plan for a given pool
         # must not.
-        candidates = [(gid, self.pool[gid].view) for gid in sorted(self.pool)]
-        self._count_stranded(candidates, start)
-        plan = self.session.plan_window(
-            candidates, start, start + self.config.scheduling.horizon_slices
+        pool = self.pool
+        session = self.session
+        plan = session.plan_window(
+            [(gid, pool[gid].view) for gid in sorted(pool)],
+            start,
+            start + self.config.scheduling.horizon_slices,
         )
+        self._count_stranded(session.closed, start)
         if plan is None:
             self.metrics.counter("schedule.empty_runs").inc()
             return None
@@ -906,21 +909,18 @@ class BrpRuntimeService:
             listener(result)
         return result
 
-    def _count_stranded(
-        self, candidates: list[tuple[str, PackedView]], start: int
-    ) -> None:
+    def _count_stranded(self, closed: list[PackedView], start: int) -> None:
         """Count the members a run starting at ``start`` strands.
 
-        ``schedule.stranded_members`` adds each live, never-committed member
-        of a group the run drops as not :func:`plannable` while the member
-        itself still is: its own window is open and its own deadline has
-        not passed, yet no plan can place it inside this group.
+        ``closed`` is the views the run dropped as not :func:`plannable`.
+        ``schedule.stranded_members`` adds each of their live,
+        never-committed members that itself still is: its own window is
+        open and its own deadline has not passed, yet no plan can place it
+        inside this group.
         """
         live = self._live.get
         stranded = 0
-        for _, view in candidates:
-            if plannable(view, start):
-                continue
+        for view in closed:
             for member in view.members:
                 entry = live(member.offer_id, _GONE)
                 if (
@@ -1020,15 +1020,17 @@ class BrpRuntimeService:
             # "aggregated_into" in the event log.
             self._commit_first(first)
             if trace:
+                sampled = self.tracer.sampled
                 for original in recommitted:
                     for member in original.members:
-                        self.tracer.record(
-                            "offer",
-                            node=self.name,
-                            offer_id=member.offer_id,
-                            state="aggregated_into",
-                            detail={"macro": original.offer_id},
-                        )
+                        if sampled(member.offer_id):
+                            self.tracer.record(
+                                "offer",
+                                node=self.name,
+                                offer_id=member.offer_id,
+                                state="aggregated_into",
+                                detail={"macro": original.offer_id},
+                            )
         self._observe_stage("disaggregate", time.perf_counter() - t0)
         self.metrics.counter("disaggregate.assignments").inc(members_out)
         self.metrics.counter("disaggregate.unchanged_skipped").inc(skipped)
@@ -1049,7 +1051,7 @@ class BrpRuntimeService:
         object*; a different one under the same id is a later version.
         """
         live = self._live.get
-        trace = self.tracer.enabled
+        sampled = self.tracer.sampled if self.tracer.enabled else None
         for member in members:
             entry = live(member.offer_id, _GONE)
             if entry.offer is not member:
@@ -1059,7 +1061,7 @@ class BrpRuntimeService:
                 # Every change to a committed plan start is a durable fact —
                 # what makes committed schedules survive a crash or outage.
                 journal.append((member.offer_id, start))
-                if trace:
+                if sampled is not None and sampled(member.offer_id):
                     self.tracer.record(
                         "ledger_append", node=self.name, fact="scheduled",
                         offer_id=member.offer_id, detail={"start": start},
@@ -1187,8 +1189,10 @@ class BrpRuntimeService:
                 self.ledger.record_scheduled(journal, at=self.now)
             self._commit_first(first)
             if trace:
+                sampled = self.tracer.sampled
                 for member in aggregate.members:
-                    if live(member.offer_id, _GONE).offer is member:
+                    oid = member.offer_id
+                    if sampled(oid) and live(oid, _GONE).offer is member:
                         self.tracer.record(
                             "offer",
                             node=self.name,

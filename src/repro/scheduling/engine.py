@@ -14,6 +14,8 @@ prices, penalties and volume limits:
 
 :class:`CostEngine` precomputes those four marginal-price arrays (plus the
 effective caps) once per :class:`~repro.scheduling.problem.SchedulingProblem`
+(a runtime node shares one across every run of a horizon length, since
+they depend on the market and penalties alone)
 — or, for a market where no volume limit can bind, the two effective prices
 alone, which is all that is left of the expression there — so evaluating a
 residual window needs no :meth:`settle_market` temporaries — and, crucially,
@@ -35,9 +37,11 @@ are the ufunc reductions themselves (``np.minimum.reduce``,
 ``np.add.reduce``, ``np.logical_or.reduce``): the same C loops
 ``ndarray.min``/``.sum``/``.any`` reach through a Python wrapper frame
 each, so the same bits.  The bounds, candidate template and slice index of
-an offer depend on its immutable profile alone and are cached on it
-(:func:`_kernel_template`), so a problem builds only the start fields of
-:class:`OfferConstants`.  :class:`PackedOffers` concatenates every offer's
+an offer depend on its bound rows alone: an offer object's are cached on
+its immutable profile (:func:`_kernel_template`), and a runtime node keeps
+the constants of each pool group from one planning run to the next
+(:meth:`OfferConstants.reanchored`), so a problem builds only the start
+fields of :class:`OfferConstants`.  :class:`PackedOffers` concatenates every offer's
 bounds once per problem; ``SchedulingProblem.to_schedule`` checks a whole
 plan against them in one pass and sums its flex series with one
 ``bincount``.
@@ -164,34 +168,39 @@ _KERNEL_TEMPLATE = "_kernel_template"
 """Key of a profile's cached ``(lo, hi, candidates, slice_index, duration)``."""
 
 
-def _kernel_template(profile) -> tuple:
-    """The profile-only half of :class:`OfferConstants`, built once per
-    profile and cached on it next to its bound arrays.
+def _template(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The bound-only half of :class:`OfferConstants`, from two bound rows.
 
-    A :class:`~repro.core.flexoffer.Profile` is immutable and shared by
-    every copy of its offer — ``with_times`` clips the start window and
-    keeps the profile — so a clipped copy, and a clean aggregate that is
-    planned again in a later run, reuse the arrays built here.
+    ``lo`` and ``hi`` obey the bounds rule (finite, ``lo <= hi`` slice by
+    slice) and are kept as they are, not copied.
     """
-    template = profile.__dict__.get(_KERNEL_TEMPLATE)
-    if template is not None:
-        return template
-    lo = profile.min_array
-    hi = profile.max_array
     duration = len(lo)
+    rows: tuple[np.ndarray, ...]
     if np.logical_or.reduce((lo < 0.0) & (hi > 0.0)):
-        candidates = np.empty((4, duration, 1))
-        candidates[3, :, 0] = np.clip(0.0, lo, hi)
+        rows = (lo, hi, lo, np.clip(0.0, lo, hi))
     else:
-        candidates = np.empty((3, duration, 1))
-    candidates[0, :, 0] = lo
-    candidates[1, :, 0] = hi
-    candidates[2, :, 0] = lo  # scratch: the kernel overwrites its copy
+        rows = (lo, hi, lo)  # row 2 is scratch: the kernel overwrites its copy
+    candidates = np.array(rows).reshape(len(rows), duration, 1)
     candidates.setflags(write=False)
     slice_index = np.arange(duration)
     slice_index.setflags(write=False)
-    template = (lo, hi, candidates, slice_index, duration)
-    profile.__dict__[_KERNEL_TEMPLATE] = template
+    return (lo, hi, candidates, slice_index, duration)
+
+
+def _kernel_template(profile) -> tuple:
+    """:func:`_template` of a profile's bound arrays, built once per
+    profile and cached on it.
+
+    A :class:`~repro.core.flexoffer.Profile` is immutable and shared by
+    every copy of its offer — ``with_times`` clips the start window and
+    keeps the profile — so a clipped copy, and an offer planned again in a
+    later problem, reuse the arrays built here.
+    """
+    template = profile.__dict__.get(_KERNEL_TEMPLATE)
+    if template is None:
+        template = profile.__dict__[_KERNEL_TEMPLATE] = _template(
+            profile.min_array, profile.max_array
+        )
     return template
 
 
@@ -206,9 +215,9 @@ class OfferConstants:
     ``SchedulingProblem.offer_constants``) — and with them the two arrays
     the placement kernel would otherwise rebuild on every call: the
     candidate template and the slice index.  Those and the bounds depend
-    on the profile alone and are built once per profile
-    (:func:`_kernel_template`); only the price and start fields are per
-    problem.
+    on the bound rows alone and are built once per profile
+    (:func:`_kernel_template`) or per aggregation view (:meth:`of`); only
+    the start fields are per problem (:meth:`reanchored`).
     """
 
     lo: np.ndarray
@@ -239,28 +248,32 @@ class OfferConstants:
 
     @classmethod
     def from_offer(cls, offer: "FlexOffer", horizon_start: int) -> "OfferConstants":
-        return cls.of(
-            offer.profile,
-            offer.unit_price,
-            offer.earliest_start,
-            offer.latest_start,
-            horizon_start,
+        earliest, latest = offer.earliest_start, offer.latest_start
+        return cls(
+            *_kernel_template(offer.profile),
+            float(offer.unit_price),
+            earliest,
+            latest,
+            earliest - horizon_start,
+            latest - earliest + 1,
         )
 
     @classmethod
     def of(
         cls,
-        profile: "Profile",
+        lo: np.ndarray,
+        hi: np.ndarray,
         unit_price: float,
         earliest_start: int,
         latest_start: int,
         horizon_start: int,
     ) -> "OfferConstants":
-        """The constants of an offer given by its profile, price and start
-        window — how a runtime plans an aggregation engine's view without
-        building the offer object."""
+        """The constants of an offer given by its bound rows, price and
+        start window — how a runtime plans an aggregation engine's view
+        without building a profile or an offer object.  The rows obey the
+        bounds rule and become the constants' own, uncopied."""
         return cls(
-            *_kernel_template(profile),
+            *_template(lo, hi),
             float(unit_price),
             earliest_start,
             latest_start,
@@ -268,9 +281,35 @@ class OfferConstants:
             latest_start - earliest_start + 1,
         )
 
+    def reanchored(self, earliest_start: int, horizon_start: int) -> "OfferConstants":
+        """The same offer in another problem: its window opening at
+        ``earliest_start`` (a clip that moved, or the same start) in a
+        horizon starting at ``horizon_start``.  Bound rows, candidate
+        template, slice index and price are shared, not rebuilt."""
+        latest = self.latest_start
+        return OfferConstants(
+            self.lo,
+            self.hi,
+            self.candidates,
+            self.slice_index,
+            self.duration,
+            self.unit_price,
+            earliest_start,
+            latest,
+            earliest_start - horizon_start,
+            latest - earliest_start + 1,
+        )
+
     def flex_cost(self, energies: np.ndarray) -> float:
-        """Compensation paid for one placement of this offer (EUR)."""
-        return self.unit_price * float(np.add.reduce(np.abs(energies)))
+        """Compensation paid for one placement of this offer (EUR).
+
+        Without a price it is ``0.0``, which ``0.0`` times the finite sum
+        of a placement's magnitudes would be, so the sum is not taken.
+        """
+        price = self.unit_price
+        if not price:
+            return 0.0
+        return price * float(np.add.reduce(np.abs(energies)))
 
 
 class PackedOffers:

@@ -142,23 +142,23 @@ class SchedulingProblem:
         constants: Sequence[OfferConstants],
         *,
         net_forecast: TimeSeries,
-        market: Market,
-        shortage_penalty: np.ndarray,
-        surplus_penalty: np.ndarray,
+        pricing: "SchedulingProblem",
     ) -> "SchedulingProblem":
         """A problem over offers given by their constants alone.
 
         How a runtime node plans straight from its aggregation engine's
         views, building no offer object: :attr:`offers` stays empty, every
         solver reads :attr:`offer_constants`, and :meth:`to_schedule` takes
-        the objects from its caller.
+        the objects from its caller.  ``pricing`` is a problem over the same
+        horizon length whose market, penalties and :class:`CostEngine` this
+        one shares instead of building them again.
         """
         problem = cls(
             net_forecast=net_forecast,
             offers=(),
-            market=market,
-            shortage_penalty=shortage_penalty,
-            surplus_penalty=surplus_penalty,
+            market=pricing.market,
+            shortage_penalty=pricing.shortage_penalty,
+            surplus_penalty=pricing.surplus_penalty,
         )
         constants = tuple(constants)
         for j, c in enumerate(constants):
@@ -166,9 +166,10 @@ class SchedulingProblem:
                 raise SchedulingError(f"offer {j} starts before the horizon")
             if c.earliest_index + c.n_starts - 1 + c.duration > problem.horizon_length:
                 raise SchedulingError(f"offer {j} may run past the horizon end")
-        # The cached property's slot: a non-data descriptor, so the
-        # instance dict entry is what every later read finds.
+        # The cached properties' slots: non-data descriptors, so the
+        # instance dict entries are what every later read finds.
         object.__setattr__(problem, "offer_constants", constants)
+        object.__setattr__(problem, "engine", pricing.engine)
         return problem
 
     # ------------------------------------------------------------------

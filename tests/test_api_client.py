@@ -15,11 +15,13 @@ from repro.api import (
     LedmsClient,
     OfferLedger,
     OfferView,
+    PlanAssignment,
     PlanView,
     SchedulingConfig,
     ServiceConfig,
     SubmitResult,
 )
+from repro.api import client as client_module
 from repro.core import flex_offer
 from repro.core.errors import ServiceError
 from repro.runtime import BrpRuntimeService, LoadGenerator, SimulatedDriver
@@ -279,6 +281,57 @@ class TestPlanViewFromColumns:
         generator = LoadGenerator(rate_per_hour=30, seed=11)
         client.run_stream(generator.stream(0, 48), 48)
         assert len(compared) > 1 and all(compared)
+
+
+    def test_a_plan_read_late_describes_its_own_plan(self):
+        """A plan view captured at commit and read only after the run — many
+        plans later — gives its own plan's assignments, as a view read at
+        commit gives them."""
+        client = LedmsClient(_config())
+        captured = []
+
+        def capture(view):
+            plan = client.service.last_plan
+            solution = plan.result.solution
+            eager = [
+                (v.offer_id, start, float(sum(energies.tolist())), len(v.members))
+                for v, start, energies in zip(
+                    plan.views, solution.starts.tolist(), solution.energies
+                )
+            ]
+            assert view.aggregates == len(eager)
+            captured.append((view, eager))
+
+        client.on_plan_committed(capture)
+        generator = LoadGenerator(rate_per_hour=30, seed=11)
+        client.run_stream(generator.stream(0, 48), 48)
+        assert len(captured) > 1
+        for view, eager in captured:
+            got = [
+                (a.aggregate_id, a.start, a.total_energy, a.members)
+                for a in view.assignments
+            ]
+            assert [
+                (i, s, struct.pack("<d", e), m) for i, s, e, m in got
+            ] == [(i, s, struct.pack("<d", e), m) for i, s, e, m in eager]
+            assert view.aggregates == len(got)
+
+    def test_a_plan_nobody_reads_builds_no_assignment(self, monkeypatch):
+        built = []
+
+        class Counting(PlanAssignment):
+            def __init__(self, *args, **kwargs):
+                built.append(args or kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(client_module, "PlanAssignment", Counting)
+        client = LedmsClient(_config())
+        costs = []
+        client.on_plan_committed(lambda view: costs.append(view.cost))
+        generator = LoadGenerator(rate_per_hour=30, seed=11)
+        client.run_stream(generator.stream(0, 48), 48)
+        assert len(costs) > 1 and built == []
+        assert client.current_plan().assignments and built
 
 
 class TestSession:

@@ -29,7 +29,7 @@ from repro.api import (
     TsoConfig,
 )
 from repro.aggregation import AggregatedFlexOffer, PackedView
-from repro.aggregation.aggregator import _finalize_aggregate
+from repro.aggregation.aggregator import _finalize_aggregate, disaggregate
 from repro.core import Profile, flex_offer
 from repro.core.errors import CommunicationError, ServiceError
 from repro.core.schedule import ScheduledFlexOffer
@@ -672,6 +672,82 @@ class TestWhereAggregatesAreBuilt:
         report = client.run_stream(stream, 48.0)
         assert len(plans) > 1 and report.offers_scheduled > 0
         assert built == []
+
+    def test_the_tso_builds_no_super_aggregate(self, monkeypatch):
+        """The TSO plans its supers from their views and disaggregates the
+        committed ones from those views too: every aggregate object a
+        cluster run builds is a BRP's macro (its members are micro offers),
+        never a super of macros."""
+        built = self._count_builds(monkeypatch)
+        cluster = _cluster(brps=2)
+        report = cluster.run(_streams(cluster, 48.0), 48.0)
+        assert report.remote_commits > 0 and built
+        assert not any(
+            isinstance(member, AggregatedFlexOffer)
+            for aggregate in built
+            for member in aggregate.members
+        )
+
+    def test_the_downlink_builds_one_schedule_per_returned_macro(
+        self, monkeypatch
+    ):
+        """Each macro the TSO sends home is built, and bounds-checked, once:
+        on the macro object its BRP sent."""
+        checked = []
+        post_init = ScheduledFlexOffer.__post_init__
+
+        def counting(scheduled):
+            checked.append(scheduled)
+            post_init(scheduled)
+
+        monkeypatch.setattr(ScheduledFlexOffer, "__post_init__", counting)
+        cluster = _cluster(brps=2)
+        sent = []
+        send = cluster.adapter.send
+
+        def recording_send(sender, recipient, type_, payload, *args, **kwargs):
+            if type_ is MessageType.SCHEDULED_MACRO_FLEX_OFFER:
+                sent.append(payload)
+            return send(sender, recipient, type_, payload, *args, **kwargs)
+
+        cluster.adapter.send = recording_send
+        cluster.run(_streams(cluster, 48.0), 48.0)
+        returned = cluster.tso.metrics.counter("cluster.macros_returned").value
+        assert returned > 0 and len(sent) == returned
+        assert [id(s) for s in checked] == [id(s) for s in sent]
+
+    def test_returned_macros_are_the_supers_disaggregated(self):
+        """Each plan's returns are, bit for bit, what disaggregating the
+        scheduled super objects gives for the same macros."""
+        cluster = _cluster(brps=2)
+        sent = []
+        send = cluster.adapter.send
+
+        def recording_send(sender, recipient, type_, payload, *args, **kwargs):
+            if type_ is MessageType.SCHEDULED_MACRO_FLEX_OFFER:
+                sent.append(payload)
+            return send(sender, recipient, type_, payload, *args, **kwargs)
+
+        cluster.adapter.send = recording_send
+        compared = []
+
+        def derive_from_objects(result):
+            want = {
+                scheduled.offer.offer_id: scheduled
+                for scheduled_super in cluster.tso.last_schedule
+                for scheduled in disaggregate(scheduled_super)
+            }
+            for got in sent[len(compared):]:
+                ref = want[got.offer.offer_id]
+                assert got.start == ref.start
+                assert struct.pack(f"<{len(got.energies)}d", *got.energies) == (
+                    struct.pack(f"<{len(ref.energies)}d", *ref.energies)
+                )
+                compared.append(got)
+
+        cluster.tso.plan_listeners.append(derive_from_objects)
+        cluster.run(_streams(cluster, 48.0), 48.0)
+        assert sent and len(compared) == len(sent)
 
     def test_uplink_payloads_are_the_eager_build(self):
         """What a BRP sends up is real aggregate objects, each equal — bit
