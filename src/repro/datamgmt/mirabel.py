@@ -23,7 +23,7 @@ plan commitment moves many offers into one state at once
 owner, so the seven fact columns are built straight from the offers — no
 tuple per fact and no method call per fact — and written with one
 ``extend_facts``.  Admission records ``submitted`` and
-``accepted``/``rejected`` one offer at a time
+``accepted``/``rejected`` one offer at a time, and so does a withdrawal
 (:meth:`LedmsStore.record_offer_event`), where a column-wise call would
 pay its fixed cost per fact (about ten times a one-row fact).  A one-row
 fact is held back as its three dimension keys and the offer itself, and

@@ -15,6 +15,9 @@ key hashes exactly the bytes the fact's ``offer`` field holds on disk.
 from __future__ import annotations
 
 import zlib
+from json.encoder import encode_basestring_ascii as escape
+
+import numpy as np
 
 from ..core.errors import DataManagementError, InvalidFlexOfferError
 from ..core.flexoffer import FlexOffer, Profile
@@ -77,12 +80,81 @@ def offer_from_dict(data: dict) -> FlexOffer:
         raise DataManagementError(f"malformed offer record: {exc}") from exc
 
 
+_INF = float("inf")
+_F64 = np.dtype(np.float64)
+
+#: ``offer_to_dict``'s keys in sorted order, as one template.
+_OFFER = (
+    '{"assignment_before": %s, "bounds": [%s], "creation_time": %d, '
+    '"earliest_start": %d, "latest_start": %d, "offer_id": %d, '
+    '"owner": %s, "unit_price": %r}'
+)
+
+#: ``"[lo, hi]"`` per finite bound pair seen, up to :data:`_MAX_PAIRS`.  A
+#: pair holding a zero is never kept: ``0.0 == -0.0`` would make the two
+#: one key, and their texts differ.
+_PAIR_TEXT: dict[tuple[float, float], str] = {}
+_MAX_PAIRS = 4096
+
+
+def _bounds_text(lows: list, highs: list) -> str | None:
+    """The inside of the ``bounds`` list, ``None`` if a bound is not finite."""
+    memo = _PAIR_TEXT
+    texts: list = list(map(memo.get, zip(lows, highs)))
+    if None in texts:
+        for index, pair in enumerate(zip(lows, highs)):
+            if texts[index] is None:
+                lo, hi = pair
+                if not (-_INF < lo < _INF and -_INF < hi < _INF):
+                    return None
+                texts[index] = text = "[%r, %r]" % pair
+                if lo and hi and len(memo) < _MAX_PAIRS:
+                    memo[pair] = text
+    return ", ".join(texts)
+
+
 def offer_json(offer: FlexOffer) -> str:
     """The canonical JSON text of ``offer``: ``encode(offer_to_dict(offer))``.
 
     Keys sorted by the log's own encoder, so this is byte for byte what a
-    fact's ``offer`` field reads on disk.
+    fact's ``offer`` field reads on disk.  The text is composed from the
+    offer's fields with the encoder's own renderings (``int`` and ``float``
+    ``repr``, the encoder's string escape, each distinct bound pair
+    rendered once) when an exact-type test passes: ``int`` ids and times,
+    a ``str`` owner, an ``int`` or ``None`` deadline, a finite ``float``
+    price and float64 bound arrays holding finite bounds.  Any other offer
+    — a ``bool`` or numpy field, a non-finite price — takes
+    ``encode(offer_to_dict(offer))``, which stays the oracle the tests hold
+    the composed text to.
     """
+    profile = offer.profile
+    lows, highs = profile.min_array, profile.max_array
+    deadline = offer.assignment_before
+    price = offer.unit_price
+    if (
+        type(offer.offer_id) is int
+        and type(offer.owner) is str
+        and type(offer.earliest_start) is int
+        and type(offer.latest_start) is int
+        and type(offer.creation_time) is int
+        and (deadline is None or type(deadline) is int)
+        and type(price) is float
+        and -_INF < price < _INF
+        and lows.dtype is _F64
+        and highs.dtype is _F64
+    ):
+        bounds = _bounds_text(lows.tolist(), highs.tolist())
+        if bounds is not None:
+            return _OFFER % (
+                "null" if deadline is None else deadline,
+                bounds,
+                offer.creation_time,
+                offer.earliest_start,
+                offer.latest_start,
+                offer.offer_id,
+                escape(offer.owner),
+                price,
+            )
     return encode(offer_to_dict(offer))
 
 

@@ -22,6 +22,7 @@ crash/restart boundary even before any replay runs.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as escape
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ..core.errors import DataManagementError
@@ -55,6 +56,24 @@ FACT_KINDS = (
 INPUT_KINDS = ("run_window", "run_drain", "submit", "replace", "withdraw")
 
 
+_INF = float("inf")
+
+
+def _json(value) -> str:
+    """``encode(value)`` for one field's value: ``None``, an exact ``str``
+    or ``int`` and a finite ``float`` are rendered here the way the
+    encoder renders them; anything else (a ``bool``, ``NaN``, a numpy
+    scalar, which raises) is left to :data:`~repro.ledger.log.encode`."""
+    kind = type(value)
+    if value is None:
+        return "null"
+    if kind is str:
+        return escape(value)
+    if kind is int or (kind is float and -_INF < value < _INF):
+        return repr(value)
+    return encode(value)
+
+
 class RecordedResult(NamedTuple):
     """The originally recorded outcome behind one ``source_event_id``."""
 
@@ -85,7 +104,7 @@ class OfferLedger:
         node: str = "brp",
     ) -> None:
         self.log = log if log is not None else MemoryEventLog()
-        self.node = node
+        self.node = node  # also empties the cache of composed heads
         #: True while a replay re-executes journaled inputs: suspends both
         #: the idempotency guard and fact recording (the log already holds
         #: the history being re-executed).
@@ -97,6 +116,17 @@ class OfferLedger:
         self.appends = 0
         self.duplicates = 0
         self._rebuild(self.log.replay())
+
+    @property
+    def node(self) -> str:
+        """The name every fact records as its ``node``."""
+        return self._node
+
+    @node.setter
+    def node(self, name: str) -> None:
+        self._node = name
+        #: ``, "kind": …, "node": …`` per fact kind, for :meth:`_shared`.
+        self._heads: dict[str, str] = {}
 
     @classmethod
     def recover(
@@ -235,9 +265,15 @@ class OfferLedger:
 
     def _shared(self, kind: str, at: float) -> str:
         """``"at": …, "kind": …, "node": …`` — the leading keys every fact
-        shares, rendered by the generic encoder (float ``repr`` and name
-        escaping stay its business)."""
-        return encode({"at": float(at), "kind": kind, "node": self.node})[1:-1]
+        shares.  ``at`` is rendered by ``float.__repr__`` (the encoder's
+        own rendering; a non-finite ``at`` goes through the encoder), the
+        rest is composed once per kind and node."""
+        at = float(at)
+        head = self._heads.get(kind)
+        if head is None:
+            head = ', "kind": %s, "node": %s' % (escape(kind), _json(self._node))
+            self._heads[kind] = head
+        return '"at": ' + (repr(at) if -_INF < at < _INF else encode(at)) + head
 
     def record_submit(
         self,
@@ -262,40 +298,36 @@ class OfferLedger:
         ``offer`` when the caller already rendered it — the front door
         does, to derive the content key, which therefore hashes exactly the
         bytes this fact's ``offer`` field carries; without it the text is
-        rendered here, once.  The line is composed the way
-        :meth:`record_scheduled` composes its lines: the text goes in
-        verbatim as ``offer``, and again as ``accepted_offer`` when the
-        admitted offer is the submitted object (a clipped admission renders
-        its own), with every other field rendered by the generic encoder in
-        sorted-key order.  The string is :data:`~repro.ledger.log.encode`
-        of the fact's dict (the tests hold it to that); a dead letter
-        reuses the same text.
+        rendered here, once.  The line is one f-string in sorted-key order
+        (``reverses`` included when given): the text goes in verbatim as
+        ``offer``, and again as ``accepted_offer`` when the admitted offer
+        is the submitted object (a clipped admission renders its own), the
+        shared keys come from :meth:`_shared` and every other field from
+        :func:`_json`.  The string is :data:`~repro.ledger.log.encode` of
+        the fact's dict — the encoder is the oracle the tests hold it to —
+        and a dead letter reuses the same text.
         """
         if kind not in ("submit", "replace"):
             raise DataManagementError(f"not a submission fact kind: {kind!r}")
         text = offer_json(offer) if offer_text is None else offer_text
         if accepted_offer is None:
-            admitted = ""
-        elif accepted_offer is offer:
-            admitted = ', "accepted_offer": ' + text
+            key = admitted = ""
         else:
-            admitted = ', "accepted_offer": ' + offer_json(accepted_offer)
-        own: dict = {
-            "offer_id": offer.offer_id,
-            "reason": reason,
-            "seq": self._seq,
-            "source_event_id": source_event_id,
-        }
-        if reverses is not None:
-            own["reverses"] = reverses
+            key = ', "accepted_offer": '
+            admitted = (
+                text if accepted_offer is offer else offer_json(accepted_offer)
+            )
+        flag = "true" if accepted else "false"
+        rev = "" if reverses is None else f', "reverses": {_json(reverses)}'
+        line = (
+            f'{{"accepted": {flag}{key}{admitted}, {self._shared(kind, at)}, '
+            f'"offer": {text}, "offer_id": {_json(offer.offer_id)}, '
+            f'"reason": {_json(reason)}{rev}, "seq": {self._seq}, '
+            f'"source_event_id": {_json(source_event_id)}}}'
+        )
         self._seq += 1
         self.appends += 1
-        self.log.append(
-            '{"accepted": ' + ("true" if accepted else "false") + admitted
-            + ", " + self._shared(kind, at)
-            + ', "offer": ' + text
-            + ", " + encode(own)[1:]
-        )
+        self.log.append(line)
         if source_event_id is not None:
             self._results[source_event_id] = RecordedResult(
                 bool(accepted), offer.offer_id, reason
@@ -315,26 +347,28 @@ class OfferLedger:
         return self._append("withdraw", at=at, offer_id=offer_id)
 
     def _append_batch(
-        self, kind: str, at: float, own: str, rows: Sequence[tuple]
+        self, kind: str, at: float, field: str, rows: Sequence[tuple]
     ) -> None:
         """One fact per ``(offer_id, value)`` row, in one ``append`` call.
 
         Each fact takes the next ``seq``, exactly the facts and the order
         that one call per row would journal, all stamped with the one
         ``at``; they reach the log as one write and one flush/fsync (group
-        commit).  The shared keys are rendered once by :meth:`_shared` and
-        ``own`` — a ``%`` template over ``(offer_id, seq, value)`` whose
-        keys sort after ``node`` — adds each fact's own fields.  Each
-        string is what :data:`~repro.ledger.log.encode` gives for the
-        fact's dict (the tests hold it to that), and the logs take it as
-        such: the durable one writes it, the in-memory one decodes it when
-        read.
+        commit).  ``field`` names the row's value, a key that sorts after
+        ``seq``; an ``int`` id and value, or a value already rendered as
+        JSON, go in as their ``str``.  The shared keys (:meth:`_shared`) are
+        composed once per batch, so each row is one f-string over its three
+        values.  Each string is what :data:`~repro.ledger.log.encode` gives
+        for the fact's dict (the tests hold it to that), and the logs take
+        it as such: the durable one writes it, the in-memory one decodes it
+        when read.
         """
         if not rows:
             return
-        head = "{" + self._shared(kind, at)
+        head = "{" + self._shared(kind, at) + ', "offer_id": '
+        tail = f', "{field}": '
         facts = [
-            head + own % (offer_id, seq, value)
+            f'{head}{offer_id}, "seq": {seq}{tail}{value}}}'
             for seq, (offer_id, value) in enumerate(rows, self._seq)
         ]
         self._seq += len(facts)
@@ -351,9 +385,7 @@ class OfferLedger:
         and they differ in three integers, so the fields they share are
         encoded once (:meth:`_append_batch`).
         """
-        self._append_batch(
-            "scheduled", at, ', "offer_id": %d, "seq": %d, "start": %d}', starts
-        )
+        self._append_batch("scheduled", at, "start", starts)
 
     def record_retire(
         self, retirements: Sequence[tuple[int, str]], *, at: float
@@ -368,8 +400,8 @@ class OfferLedger:
         self._append_batch(
             "retire",
             at,
-            ', "offer_id": %d, "seq": %d, "state": %s}',
-            [(offer_id, encode(state)) for offer_id, state in retirements],
+            "state",
+            [(offer_id, _json(state)) for offer_id, state in retirements],
         )
 
     def record_dead_letter(
@@ -399,14 +431,15 @@ class OfferLedger:
         else:
             oid, owner = offer.offer_id, offer.owner
         seq = self._seq
+        line = (
+            f'{{{self._shared("dead_letter", at)}, '
+            f'"offer": {"null" if text is None else text}, '
+            f'"offer_id": {_json(oid)}, "owner": {_json(owner)}, '
+            f'"reason": {_json(reason)}, "seq": {seq}}}'
+        )
         self._seq += 1
         self.appends += 1
-        own = {"offer_id": oid, "owner": owner, "reason": reason, "seq": seq}
-        self.log.append(
-            "{" + self._shared("dead_letter", at)
-            + ', "offer": ' + ("null" if text is None else text)
-            + ", " + encode(own)[1:]
-        )
+        self.log.append(line)
         self._dead.append(
             DeadLetter(
                 seq=seq,

@@ -24,10 +24,16 @@ The ledger journals an input fact as a call of one, and the derived
 ``scheduled`` facts of a whole planning pass, like the ``retire`` facts of
 one expiry sweep, as one call — group commit: under ``"commit"`` a pass or
 a sweep costs one fsync, not one per member.  Every line is
-``encode(fact) + "\n"`` whether the log encoded the fact or its caller did
-(the ledger composes most of its lines, splicing an offer's
-:func:`~repro.ledger.codec.offer_json` text into a submission's line — the
-same bytes its content key hashes); there is no batch record and no second
+``encode(fact) + "\n"`` whether the log encoded the fact or its caller
+composed it, and :data:`encode` is the oracle the tests hold each composer
+to.  The log encodes the rare kinds (``run_*``, ``reverse``, ``withdraw``,
+``duplicate``); the ledger composes the rest from templates:
+:func:`~repro.ledger.codec.offer_json` an offer's text (the bytes its
+content key hashes), ``OfferLedger.record_submit`` and its dead letter a
+submission's line around that text, and ``OfferLedger._append_batch`` a
+pass's ``scheduled`` and a sweep's ``retire`` rows.  Whatever a composer
+cannot render exactly (a ``bool``, a numpy scalar, a non-finite float)
+goes through :data:`encode`.  There is no batch record and no second
 on-disk format.
 """
 
@@ -177,25 +183,35 @@ class JsonlEventLog:
 
         A ``str`` stands for a fact its caller already encoded — it must be
         exactly ``encode(fact)`` — and is written as it is; the ledger
-        renders the fields a pass's ``scheduled`` facts share once that way.
+        composes most of its lines that way.  A call of one such line (an
+        input fact) writes it without building the list of records.
         """
-        if not events:
-            return
-        records = [
-            event if isinstance(event, str) else encode(event)
-            for event in events
-        ]
-        written = 0
-        while written < len(records):
+        line = events[0] if len(events) == 1 else None
+        if type(line) is str:
             if self._segment_events >= self.segment_max_events:
                 self._roll()
-            room = self.segment_max_events - self._segment_events
-            chunk = records[written : written + room]
             handle = self._open_for_append()
-            handle.write("\n".join(chunk) + "\n")
-            self._segment_events += len(chunk)
-            self._count += len(chunk)
-            written += len(chunk)
+            handle.write(line + "\n")
+            self._segment_events += 1
+            self._count += 1
+        elif not events:
+            return
+        else:
+            records = [
+                event if isinstance(event, str) else encode(event)
+                for event in events
+            ]
+            written = 0
+            while written < len(records):
+                if self._segment_events >= self.segment_max_events:
+                    self._roll()
+                room = self.segment_max_events - self._segment_events
+                chunk = records[written : written + room]
+                handle = self._open_for_append()
+                handle.write("\n".join(chunk) + "\n")
+                self._segment_events += len(chunk)
+                self._count += len(chunk)
+                written += len(chunk)
         if self.fsync != "never":
             handle.flush()
             if self.fsync == "commit":

@@ -55,7 +55,7 @@ from ..obs.tracing import NullTracer, Tracer
 from .config import SchedulingConfig, ServiceConfig
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .fields import check_fields
-from .metrics import MetricsRegistry, aggregate_registries
+from .metrics import Counter, MetricsRegistry, aggregate_registries
 from .service import BrpRuntimeService, RuntimeReport
 from .triggers import CountTrigger
 
@@ -151,6 +151,8 @@ class BusAdapter:
         # delivered, in send order.
         self._queue: deque[tuple[float, Message]] = deque()
         self._pump_armed = False
+        # message type -> its ``bus.sent`` counter, registered on first send.
+        self._sent: dict[str, Counter] = {}
         # recipient -> exhausted messages awaiting recovery replay.
         self._parked: dict[str, deque[Message]] = {}
         self.retries = 0
@@ -261,7 +263,12 @@ class BusAdapter:
             self._handle_failure(message, attempt=attempt, detail=detail)
             return False
         type_name = message.type.value
-        self.metrics.counter("bus.sent", labels={"type": type_name}).inc()
+        sent = self._sent.get(type_name)
+        if sent is None:
+            sent = self._sent[type_name] = self.metrics.counter(
+                "bus.sent", labels={"type": type_name}
+            )
+        sent.inc()
         self._queue.append((time.perf_counter(), message))
         if self.tracer.enabled:
             self.tracer.record(

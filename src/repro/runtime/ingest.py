@@ -19,14 +19,15 @@ batch_full` turns true once that many updates are pending, and the
 arrival that filled the batch flushes it.
 
 Store writes follow the same shape: a flush records its whole batch's
-``aggregated`` facts, and a retirement its ``executed``/``expired``/
-``withdrawn`` facts, in one column-wise store call each
+``aggregated`` facts, and a retirement of several offers its ``executed``/
+``expired``/``withdrawn`` facts, in one column-wise store call each
 (:meth:`~repro.datamgmt.mirabel.LedmsStore.record_offer_events`, the actor
 of each fact being its offer's owner).  Neither registers an owner: every
 offer in those batches entered through :meth:`FlexOfferIngest.submit`,
 which did, and a batch with an owner the store never saw raises before
 anything is recorded.  An arrival registers its owner and records its two
-admission facts as one-row store calls; the store checks each fact and
+admission facts as one-row store calls, and a retirement of one offer (a
+withdrawal, an update) its one fact; the store checks each fact and
 advances the offer's state at once, but holds the fact back (its keys and
 the offer) and writes the held facts as one column-wise batch ahead of its
 next fact write or fact-table read, and at the latest when this stage
@@ -147,14 +148,20 @@ class FlexOfferIngest:
 
         ``state`` is the terminal lifecycle state recorded in the store
         (``expired`` for never-scheduled offers, ``executed`` for offers
-        whose scheduled window has passed).
+        whose scheduled window has passed).  One offer (a withdrawal, an
+        update's retirement) is recorded as a held-back one-row fact, a
+        batch as one column-wise write.
         """
         retired = list(offers)
         count = len(retired)
         if count:
-            # The store checks the batch first: one it refuses (an owner
+            # The store checks the facts first: one it refuses (an owner
             # no admission registered, say) leaves the pipeline untouched.
-            self.store.record_offer_events(retired, state, now)
+            if count == 1:
+                offer = retired[0]
+                self.store.record_offer_event(offer.owner, offer, state, now)
+            else:
+                self.store.record_offer_events(retired, state, now)
             self.pipeline.submit_deletes(retired)
             self._pending += count
             retired_ids = {offer.offer_id for offer in retired}

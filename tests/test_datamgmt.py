@@ -825,13 +825,14 @@ class TestHeldBackFacts:
         generator = LoadGenerator(rate_per_hour=60.0, seed=4)
         service.run_stream(generator.stream(0.0, 24.0), 24.0)
         assert len(held_after) > 10 and not any(held_after)
-        # A flush with only deletes queued still drains a rejection.
+        # A flush with only deletes queued still drains the held-back
+        # withdrawal (a one-offer retirement) and the rejection.
         ingest = service.ingest
         live = service.live_offer(service.live_offer_ids()[0])
         ingest.retire([live], now=30, state="withdrawn")
         ingest.submit(flex_offer([(1.0, 2.0)], earliest_start=1,
                                  latest_start=2), now=30)
-        assert _held(service.store) == 2
+        assert _held(service.store) == 3
         ingest.flush(now=30)
         assert _held(service.store) == 0
 

@@ -10,11 +10,13 @@ on a bare service, without the facade).
 
 import json
 import os
+import re
 import tempfile
 import zlib
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,7 @@ from repro.ledger import (
     reexecute,
 )
 from repro.ledger.codec import offer_json
+from repro.ledger.log import encode
 from repro.runtime import (
     BrpRuntimeService,
     LoadGenerator,
@@ -595,6 +598,175 @@ class TestFactEncoding:
             lines = _segment_bytes(disk).decode("utf-8").splitlines(True)
             assert lines[1:] == [json.dumps(f, sort_keys=True) + "\n" for f in facts]
             assert list(disk.replay())[1:] == facts
+
+
+#: Text that a composed line must escape as the encoder does: quotes,
+#: backslashes, ``%`` (the batch rows were ``%`` templates), control
+#: characters, non-ASCII and a lone surrogate.
+_TRICKY = st.sampled_from(
+    ['o"w\\n%s', "100%d %s %%", "tab\there\x00\x1f\x7f", "prosumer-é✓", "\ud800", ""]
+) | st.text(max_size=10)
+#: ``float(at)`` of these: signed zeros, an int, and the non-finite values
+#: the encoder writes as ``NaN``/``Infinity``.
+_AT = st.sampled_from(
+    [0.0, -0.0, 1e-7, 0.1 + 0.2, 3, float("nan"), float("inf"), -float("inf")]
+) | st.floats(allow_nan=False, allow_infinity=False)
+_BIG = st.integers(2**63, 2**80)
+
+
+@st.composite
+def _edge_offers(draw):
+    """Offers whose text takes every branch of :func:`offer_json`: signed
+    zeros in the bounds, ints past 64 bits, ``bool`` fields and a price
+    that is an int, a ``bool`` or not finite (the encoder's fallback)."""
+    energy = st.sampled_from([0.0, -0.0, 1e-7, 0.1 + 0.2, 1e300]) | st.floats(
+        -1e6, 1e6, allow_nan=False
+    )
+    bounds = draw(
+        st.lists(st.tuples(energy, energy).map(sorted), min_size=1, max_size=4)
+    )
+    creation = draw(st.just(False) | st.integers(0, 50))
+    earliest = creation + draw(st.integers(0, 20) | _BIG)
+    latest = earliest + draw(st.integers(0, 10))
+    return flex_offer(
+        bounds,
+        earliest,
+        latest,
+        offer_id=draw(st.integers(0, 2**62) | _BIG | st.booleans()),
+        owner=draw(_TRICKY),
+        creation_time=creation,
+        assignment_before=draw(st.none() | st.integers(earliest, latest)),
+        unit_price=draw(
+            st.sampled_from([float("nan"), float("inf"), -float("inf"), True, 3])
+            | st.floats(-10, 10, allow_nan=False)
+        ),
+    )
+
+
+def _fact(seq, kind, at, node, **fields):
+    return {"seq": seq, "kind": kind, "at": float(at), "node": node, **fields}
+
+
+@pytest.mark.pinned
+class TestComposedLines:
+    """Every line the ledger composes instead of encoding a dict is
+    ``encode`` of that dict, byte for byte: the encoder is the oracle, and
+    what the composers cannot render exactly falls back to it."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(offer=_edge_offers())
+    @example(offer=flex_offer([(0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 1.5)],
+                              3, 5, offer_id=2**63, owner='%s"\\'))
+    @example(offer=flex_offer([(-0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, 1.5)],
+                              3, 5, offer_id=True, owner="é", unit_price=float("nan")))
+    def test_offer_text_is_the_encoders(self, offer):
+        expected = encode(offer_to_dict(offer))
+        assert offer_json(offer) == expected
+        assert offer_json(offer) == expected  # again, from the pair memo
+        assert expected == json.dumps(offer_to_dict(offer), sort_keys=True)
+
+    def test_numpy_offer_id_raises_as_the_encoder_does(self):
+        offer = flex_offer([(1.0, 2.0)], 3, 5, offer_id=np.int64(7), owner="p")
+        with pytest.raises(TypeError) as raised:
+            encode(offer_to_dict(offer))
+        message = re.escape(str(raised.value))
+        with pytest.raises(TypeError, match=message):
+            offer_json(offer)
+        ledger = OfferLedger(MemoryEventLog())
+        with pytest.raises(TypeError, match=message):
+            ledger.record_submit(offer, at=1.0, source_event_id=None, accepted=True)
+        assert (ledger.appends, len(ledger.log), ledger.dead_letters()) == (0, 0, ())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        node=_TRICKY,
+        at=_AT,
+        offer=_edge_offers(),
+        admitted=st.sampled_from(["none", "same", "clipped"]),
+        kind=st.sampled_from(["submit", "replace"]),
+        accepted=st.booleans(),
+        reason=st.none() | _TRICKY,
+        source_event_id=st.none() | _TRICKY,
+        reverses=st.none() | st.integers(-1, 2**62) | _BIG | st.booleans(),
+        rows=st.lists(
+            st.tuples(st.integers(-1, 2**40) | _BIG, st.integers(0, 99) | _BIG),
+            max_size=4,
+        ),
+        state=_TRICKY,
+    )
+    def test_every_fact_line_is_the_encoders(
+        self, node, at, offer, admitted, kind, accepted, reason,
+        source_event_id, reverses, rows, state,
+    ):
+        accepted_offer = {"none": None, "same": offer, "clipped": _clipped(offer)}[
+            admitted
+        ]
+        facts = [_fact(0, "withdraw", at, node, offer_id=5)]
+        submitted = _fact(
+            1, kind, at, node, accepted=accepted, offer=offer_to_dict(offer),
+            offer_id=offer.offer_id, reason=reason, source_event_id=source_event_id,
+        )
+        if accepted_offer is not None:
+            submitted["accepted_offer"] = offer_to_dict(accepted_offer)
+        if reverses is not None:
+            submitted["reverses"] = reverses
+        facts.append(submitted)
+        if not accepted:
+            facts.append(_fact(
+                2, "dead_letter", at, node, offer=offer_to_dict(offer),
+                offer_id=offer.offer_id, owner=offer.owner,
+                reason=reason or "rejected",
+            ))
+        facts += [
+            _fact(len(facts) + i, "scheduled", at, node, offer_id=offer_id,
+                  start=start)
+            for i, (offer_id, start) in enumerate(rows)
+        ]
+        facts += [
+            _fact(len(facts) + i, "retire", at, node, offer_id=offer_id,
+                  state=state)
+            for i, (offer_id, _) in enumerate(rows)
+        ]
+        tail = [
+            ("duplicate", {"source_event_id": state, "offer_id": offer.offer_id}),
+            ("reverse", {"offer_id": 9, "replaced_by": source_event_id}),
+            ("dead_letter", {"offer": None, "offer_id": 2**64, "owner": "",
+                             "reason": state}),
+            ("dead_letter", {"offer": offer_to_dict(offer),
+                             "offer_id": offer.offer_id, "owner": offer.owner,
+                             "reason": state}),
+        ]
+        facts += [
+            _fact(len(facts) + i, name, at, node, **fields)
+            for i, (name, fields) in enumerate(tail)
+        ]
+        lines = [json.dumps(fact, sort_keys=True) for fact in facts]
+        with tempfile.TemporaryDirectory() as tmp:
+            for log in (JsonlEventLog(tmp, fsync="never"), MemoryEventLog()):
+                ledger = OfferLedger(log, node=node)
+                handed = _capture_appends(log)
+                ledger.record_withdraw(5, at=at)
+                ledger.record_submit(
+                    offer, at=at, source_event_id=source_event_id,
+                    accepted=accepted, reason=reason,
+                    accepted_offer=accepted_offer, kind=kind, reverses=reverses,
+                )
+                ledger.record_scheduled(rows, at=at)
+                ledger.record_retire(
+                    [(offer_id, state) for offer_id, _ in rows], at=at
+                )
+                ledger.note_duplicate(state, offer_id=offer.offer_id, at=at)
+                ledger.record_reverse(9, at=at, replaced_by=source_event_id)
+                ledger.record_dead_letter(None, state, at=at, offer_id=2**64)
+                ledger.record_dead_letter(offer, state, at=at)
+                assert [
+                    event if isinstance(event, str) else encode(event)
+                    for event in handed
+                ] == lines
+                assert ledger.appends == len(lines)
+                ledger.close()
+            disk = _segment_bytes(JsonlEventLog(tmp)).decode("utf-8")
+            assert disk.splitlines() == lines
 
 
 # ----------------------------------------------------------------------
