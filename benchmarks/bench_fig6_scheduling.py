@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from conftest import smoke_mode
+from repro.aggregation.updates import AggregateUpdate, UpdateKind
 from repro.core import TimeSeries, flex_offer
 from repro.experiments import run_fig6, scale_factor
 from repro.experiments.fig6 import intraday_scenario
@@ -292,8 +293,11 @@ def test_plan_window_passes_per_second(row, once, bench_record):
     forecast, dirty_fraction = PLAN_WINDOW_ROWS[row]
     seconds = 0.1 if smoke_mode() else 1.5
     problem = runtime_shape_problem(forecast=forecast)
-    candidates = [(f"g{j}", offer) for j, offer in enumerate(problem.offers)]
-    keys = [key for key, _ in candidates]
+    created = [
+        AggregateUpdate(UpdateKind.CREATED, f"g{j:02d}", offer)
+        for j, offer in enumerate(problem.offers)
+    ]
+    keys = [update.group_id for update in created]
     horizon = problem.horizon_length
 
     def dirty_on(count: int) -> list[str]:
@@ -303,13 +307,15 @@ def test_plan_window_passes_per_second(row, once, bench_record):
 
     def passes_per_second() -> tuple[float, float, float]:
         session = PlanSession(passes=2, net_forecast=problem.net_forecast)
-        session.plan_window(candidates, 0, horizon)  # cold: fills the caches
+        for update in created:
+            session.absorb(update)
+        session.plan_window(0, horizon)  # cold: fills the caches
         marks = [dirty_on(count) for count in range(5)]
         t0 = time.perf_counter()
         count = evaluations = 0
         while time.perf_counter() - t0 < seconds:
             session.dirty.update(marks[count % 5])
-            plan = session.plan_window(candidates, 0, horizon)
+            plan = session.plan_window(0, horizon)
             evaluations += plan.result.evaluations
             if not count:
                 cost = plan.result.cost  # later plans depend on the timebox

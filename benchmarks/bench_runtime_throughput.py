@@ -462,20 +462,22 @@ def test_delta_scheduler_vs_full_replan(once, bench_record):
             surplus_penalty=np.array(0.2),
         )
 
-    def changed(session: PlanSession, dirty) -> None:
-        session.absorb(
-            AggregateUpdate(UpdateKind.MODIFIED, key, lambda: None)
-            for key in dirty
-        )
+    def changed(session: PlanSession, dirty, kind=UpdateKind.MODIFIED) -> None:
+        for key in dirty:
+            session.absorb(AggregateUpdate(kind, key, pool[key]))
 
     def run_rounds():
         kept = PlanSession(seed=SEED)
         full = PlanSession(seed=SEED)
+        for session in (kept, full):
+            changed(session, keys, UpdateKind.CREATED)
+        kept_groups = [kept.groups[key] for key in keys]
+        full_groups = [full.groups[key] for key in keys]
         # Both sessions' first run places every group (untimed, so the
         # steady state is what the records compare).
         seed_problem = problem_from_pool()
-        kept.plan(seed_problem, keys)
-        full.plan(seed_problem, keys)
+        kept.plan(seed_problem, kept_groups)
+        full.plan(seed_problem, full_groups)
 
         kept_seconds = 0.0
         full_seconds = 0.0
@@ -488,11 +490,11 @@ def test_delta_scheduler_vs_full_replan(once, bench_record):
             changed(full, keys)
 
             t0 = time.perf_counter()
-            kept.plan(problem, keys)
+            kept.plan(problem, kept_groups)
             kept_seconds += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            full.plan(problem, keys)
+            full.plan(problem, full_groups)
             full_seconds += time.perf_counter() - t0
         reused = kept.metrics.counter("delta.reused_placements").value
         assert full.metrics.counter("delta.reused_placements").value == 0

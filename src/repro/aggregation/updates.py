@@ -98,9 +98,9 @@ class AggregateUpdate:
 
     A ``DELETED`` update's view is the last aggregate that existed under
     :attr:`group_id`, under a freshly drawn ``offer_id`` like any other
-    update's; it names no joiners.  Consumers (the runtime pool and its
-    commitment books, the planner's kept placements) drop the group by
-    :attr:`group_id`.
+    update's; it names no joiners.  The runtime's book of pool groups
+    (:class:`~repro.runtime.planning.PlanSession`) drops the group's
+    record by :attr:`group_id`.
     """
 
     kind: UpdateKind

@@ -310,7 +310,9 @@ def run_balancing(
         offers_submitted=sum(map(len, scenario.offers.values())),
         offers_accepted=sum(map(len, scenario.agreed.values())),
         offers_scheduled=len(plan.schedules) - undelivered,
-        aggregate_count=sum(len(c.service.pool) for c in plan.clients.values()),
+        aggregate_count=sum(
+            len(c.service.session.groups) for c in plan.clients.values()
+        ),
         compensation_eur=scenario.compensation_eur,
         schedules_undelivered=undelivered,
         demand_before=before,

@@ -11,13 +11,18 @@ maintains the aggregate pool *incrementally* through the columnar
 runtime's one aggregation engine, whose views the planner reads — and
 re-plans when a
 :mod:`~repro.runtime.triggers` policy fires.  Planning is not written here:
-the service hands its pool, sorted by group id, to the one planning pass in
-:mod:`repro.runtime.planning` and commits the returned schedule to the
-members.  A cluster's TSO is this service too, its offers the BRPs' macros
+the service asks the one planning pass in :mod:`repro.runtime.planning`
+to plan its pool and commits the returned schedule to the members.  A
+cluster's TSO is this service too, its offers the BRPs' macros
 (:class:`~repro.runtime.cluster.ClusterRuntime`).  The pass keeps the
 previous plan's clean placements and re-places only the changed aggregates
 through the batched :class:`~repro.scheduling.engine.CostEngine` kernel, so
 sustained streams pay only for what changed.
+
+The service keeps no per-group book of its own: each flush feeds the
+planner's one record per pool group
+(:class:`~repro.runtime.planning.PoolGroup`), and a committed plan writes
+each group's start shift there, where every bound member reads its start.
 
 Lifecycle states flow through the :class:`~repro.datamgmt.mirabel.LedmsStore`
 (``submitted → accepted → aggregated → scheduled → executed/expired``), and a
@@ -36,11 +41,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-import numpy as np
-
 from ..aggregation.aggregator import AggregatedFlexOffer
 from ..aggregation.engine import PackedAggregationPipeline, PackedView
-from ..aggregation.updates import AggregateUpdate, UpdateKind
+from ..aggregation.updates import AggregateUpdate
 from ..core.errors import ServiceError
 from ..core.flexoffer import FlexOffer
 from ..core.schedule import Schedule
@@ -54,7 +57,7 @@ from .config import ServiceConfig
 from .drivers import SimulatedDriver, TimeDriver, sim_clock
 from .ingest import FlexOfferIngest
 from .metrics import Histogram, MetricsRegistry
-from .planning import PlanSession, WindowPlan, plannable
+from .planning import PlanSession, PoolGroup, WindowPlan, plannable
 from .triggers import AdaptiveTrigger, AnyTrigger, TriggerContext
 
 __all__ = [
@@ -86,34 +89,13 @@ class SubmitResult:
 
 
 @dataclass(slots=True, eq=False)
-class _Cell:
-    """One aggregation group's commitment: the start shift of its last plan.
-
-    A member bound to the cell starts at ``offer.earliest_start + delta``:
-    by the §4 disaggregation guarantee a placement of the aggregate maps to
-    every member by the same shift, so a re-plan of the group moves every
-    bound member by writing ``delta`` once.  ``view_id``, ``start`` and
-    ``energies`` are the group's last local placement and ``plan`` numbers
-    the local plan that carried it: a plan that reproduces that placement
-    on the same view, straight after, commits nothing.
-    """
-
-    key: str
-    """The group id (the planner's key)."""
-    delta: int = 0
-    view_id: int = -1
-    start: int = 0
-    energies: np.ndarray | None = None
-    plan: int = -1
-
-
-@dataclass(slots=True, eq=False)
 class _LiveOffer:
     """The service's one book entry for an admitted offer, until it retires.
 
     Its committed start is not stored per member: once a local plan first
-    commits the offer, the entry binds to its group's :class:`_Cell` and
-    :attr:`start` reads ``offer.earliest_start + cell.delta``.  A live
+    commits the offer, the entry binds to its group's record in the
+    planner's book (:class:`~repro.runtime.planning.PoolGroup`) and
+    :attr:`start` reads ``offer.earliest_start + group.delta``.  A live
     offer never changes groups (the group key depends only on the
     immutable offer, and every revision is a new entry), so it binds once.
     A remote schedule or a restored commitment detaches the entry to a
@@ -130,19 +112,19 @@ class _LiveOffer:
     energy: float
     """``max(|total_min_energy|, |total_max_energy|)``, computed once at
     admission: what the unscheduled-energy book adds and subtracts."""
-    cell: _Cell | None = None
-    """The group's commitment cell, from the first local commitment on."""
+    group: PoolGroup | None = None
+    """The group's record, from the first local commitment on."""
     own: int | None = None
-    """A private committed start that overrides the cell while set."""
+    """A private committed start that overrides the group's shift while set."""
 
     @property
     def start(self) -> int | None:
         """The committed plan start; ``None`` until first committed."""
         own = self.own
         if own is None:
-            cell = self.cell
-            if cell is not None:
-                return self.offer.earliest_start + cell.delta
+            group = self.group
+            if group is not None:
+                return self.offer.earliest_start + group.delta
         return own
 
 
@@ -273,9 +255,9 @@ class BrpRuntimeService:
             batch_size=self.config.ingest.batch_size,
             max_duration_slices=self.config.ingest.max_duration_slices,
         )
-        self.pool: dict[str, AggregateUpdate] = {}
         #: The last committed non-empty plan: its result, problem, the
-        #: planned views and their keys (:mod:`repro.runtime.planning`).
+        #: planned views and their groups' records
+        #: (:mod:`repro.runtime.planning`).
         self.last_plan: WindowPlan | None = None
         #: Callbacks invoked with each non-empty :class:`SchedulingResult`
         #: after its plan has been committed (the facade's
@@ -283,17 +265,13 @@ class BrpRuntimeService:
         self.plan_listeners: list[Callable[[SchedulingResult], None]] = []
         self._live: dict[int, _LiveOffer] = {}
         self._scheduled_total = 0
-        # The commitment books (see _disaggregate): group id -> its cell,
-        # and group id -> the live entries that (re)bind at the group's
-        # next local commit: each flush's joiners, plus members a remote
-        # schedule or a restored commitment detached.  Both go with the
-        # group's DELETED update; ``_plans`` numbers the local plans.
-        self._cells: dict[str, _Cell] = {}
-        self._joiners: dict[str, list[_LiveOffer]] = {}
+        # Numbers the local plans (see _disaggregate).
         self._plans = 0
         self._stream_overflow: tuple[Iterable, float, FlexOffer] | None = None
         #: This tier's planner (:mod:`repro.runtime.planning`): scheduler,
-        #: market, rng, kept placements and dirty key set live here.
+        #: market, rng, dirty key set and the book of pool groups
+        #: (``session.groups``), whose records also hold each group's
+        #: commitment.
         self.session = PlanSession(
             passes=self.config.scheduling.scheduler_passes,
             market=self.config.market,
@@ -745,28 +723,21 @@ class BrpRuntimeService:
         t0 = time.perf_counter()
         with self._stage("aggregate"):
             updates = self.ingest.flush(self.now_slice)
+            absorb = self.session.absorb
             live = self._live.get
+            # The book takes each update (a deleted group's record goes);
+            # the members the flush admitted wait in their group's record
+            # for its next local commit.
             for update in updates:
-                gid = update.group_id
-                if update.kind is UpdateKind.DELETED:
-                    self.pool.pop(gid, None)
-                    self._cells.pop(gid, None)
-                    self._joiners.pop(gid, None)
-                    continue
-                self.pool[gid] = update
-                joined = update.view.joined
-                if joined:
-                    waiting = self._joiners.setdefault(gid, [])
-                    for member in joined:
+                group = absorb(update)
+                if group is not None:
+                    for member in update.view.joined:
                         entry = live(member.offer_id, _GONE)
                         if entry.offer is member:
-                            waiting.append(entry)
-            # The session accumulates the touched groups for the next
-            # planning run (and drops deleted groups' placements).
-            self.session.absorb(updates)
+                            group.waiting.append(entry)
         elapsed = time.perf_counter() - t0
         self.metrics.counter("aggregate.runs").inc()
-        self.metrics.gauge("aggregate.pool_size").set(len(self.pool))
+        self.metrics.gauge("aggregate.pool_size").set(len(self.session.groups))
         self._observe_stage("aggregate", elapsed)
         return updates
 
@@ -884,15 +855,9 @@ class BrpRuntimeService:
     def _schedule_pool(self) -> SchedulingResult | None:
         """The planning body of :meth:`run_scheduling` (inside its span)."""
         start = self.now_slice
-        # Candidates in group-id order: the pool dict's insertion order
-        # depends on how updates interleaved, but the plan for a given pool
-        # must not.
-        pool = self.pool
         session = self.session
         plan = session.plan_window(
-            [(gid, pool[gid].view) for gid in sorted(pool)],
-            start,
-            start + self.config.scheduling.horizon_slices,
+            start, start + self.config.scheduling.horizon_slices
         )
         self._count_stranded(session.closed, start)
         if plan is None:
@@ -901,7 +866,7 @@ class BrpRuntimeService:
         result = plan.result
         self.metrics.gauge("schedule.last_cost", merge="last").set(result.cost)
         self.metrics.gauge("schedule.last_offers", merge="last").set(
-            len(plan.keys)
+            len(plan.groups)
         )
         self.last_plan = plan
         self._disaggregate(plan)
@@ -925,7 +890,7 @@ class BrpRuntimeService:
                 entry = live(member.offer_id, _GONE)
                 if (
                     entry.offer is member
-                    and entry.cell is None
+                    and entry.group is None
                     and entry.own is None
                     and plannable(member, start)
                 ):
@@ -936,21 +901,22 @@ class BrpRuntimeService:
         """Commit the plan to members; record latencies.
 
         Reads the plan's columns: the ``i``-th start and energies of the
-        solution belong to ``plan.views[i]``, planned under the group id
-        ``plan.keys[i]``.  Only member *start commitments* are derived
+        solution belong to ``plan.views[i]``, planned as the group
+        ``plan.groups[i]``.  Only member *start commitments* are derived
         here: the aggregate's admissible start shift, ``start`` minus the
         view's *unclipped* earliest start, maps to every member as-is (the
         §4 disaggregation guarantee), and that shift is what the group's
-        :class:`_Cell` holds.  So committing a view writes one number, and
-        every member bound to the cell moves with it; no loop walks the
-        members.  The members that wait in ``_joiners`` bind: a newcomer
-        takes its first commitment here (latency observed, backlog and
-        store updated, in plan and membership order), and a member a
-        remote schedule or a restored commitment detached drops its
+        record holds (:attr:`PoolGroup.delta
+        <repro.runtime.planning.PoolGroup.delta>`).  So committing a view
+        writes one number, and every member bound to the record moves with
+        it; no loop walks the members.  The members waiting in the record
+        bind: a newcomer takes its first commitment here (latency observed,
+        backlog and store updated, in plan and membership order), and a
+        member a remote schedule or a restored commitment detached drops its
         private start.  Full per-slice energy disaggregation
         (:func:`repro.aggregation.disaggregate`) happens at dispatch time,
-        not on every trigger.  A view whose placement the previous plan
-        already committed is skipped outright.
+        not on every trigger.  A group the previous plan committed, whose
+        view and placement have not moved since, is skipped outright.
 
         A plan runs straight after sweep and flush, so every member of a
         planned view is live and current, and every live member of the
@@ -963,8 +929,6 @@ class BrpRuntimeService:
         skipped = 0
         self._plans += 1
         number = self._plans
-        cells = self._cells
-        joiners = self._joiners
         live = self._live.get
         first: list[_LiveOffer] = []
         journal = self._pass_journal()
@@ -972,43 +936,29 @@ class BrpRuntimeService:
         solution = plan.result.solution
         t0 = time.perf_counter()
         with self._stage("disaggregate"):
-            for key, view, start, energies in zip(
-                plan.keys, plan.views, solution.starts.tolist(), solution.energies
+            for group, view, start in zip(
+                plan.groups, plan.views, solution.starts.tolist()
             ):
-                cell = cells.get(key)
-                if cell is None:
-                    cell = cells[key] = _Cell(key)
-                elif (
-                    cell.plan == number - 1
-                    and cell.view_id == view.offer_id
-                    and cell.start == start
-                    and (
-                        cell.energies is energies  # a kept placement's own array
-                        or cell.energies.tolist() == energies.tolist()
-                    )
-                ):
+                if group.plan == number - 1:
                     # Same aggregate version, same plan: every member's
                     # schedule is the one already committed and recorded.
-                    cell.plan = number
-                    cell.energies = energies
+                    group.plan = number
                     skipped += 1
                     continue
                 delta = start - view.earliest_start
                 if journal is not None:
                     self._journal_starts(view.members, delta, journal)
-                cell.delta = delta
-                cell.view_id = view.offer_id
-                cell.start = start
-                cell.energies = energies
-                cell.plan = number
-                waiting = joiners.pop(key, None)
+                group.delta = delta
+                group.plan = number
+                waiting = group.waiting
                 if waiting:
+                    group.waiting = []
                     for entry in waiting:
                         if live(entry.offer.offer_id) is not entry:
                             continue
-                        if entry.cell is None and entry.own is None:
+                        if entry.group is None and entry.own is None:
                             first.append(entry)
-                        entry.cell = cell
+                        entry.group = group
                         entry.own = None
                 members_out += len(view.members)
                 if trace:
@@ -1109,13 +1059,13 @@ class BrpRuntimeService:
     def _detach(self, entry: _LiveOffer, start: int) -> None:
         """Give a live entry the private start ``start``.
 
-        A bound entry leaves its cell's shift and waits to rebind at its
-        group's next local commit; an entry that never bound already waits
-        there as a joiner.
+        A bound entry leaves its group's shift and waits in the group's
+        record to rebind at the group's next local commit; an entry that
+        never bound already waits there as a newcomer.
         """
-        cell = entry.cell
-        if cell is not None and entry.own is None:
-            self._joiners.setdefault(cell.key, []).append(entry)
+        group = entry.group
+        if group is not None and entry.own is None:
+            group.waiting.append(entry)
         entry.own = start
 
     def restore_commitment(self, offer_id: int, start: int) -> bool:
@@ -1149,9 +1099,9 @@ class BrpRuntimeService:
         be older than the group's current view, so this pass walks the
         members: each live current one is detached to a private start
         (a first commitment if it had none) and rebinds to its group's
-        cell at the group's next local commit.  When the macro is the view
-        the group's cell last committed, that commit happens even if the
-        next plan reproduces the same placement.  Like the local
+        shift at the group's next local commit.  When the macro is the
+        group's current view, which its last local commit committed, that
+        commit happens even if the next plan reproduces the same placement.  Like the local
         :meth:`_disaggregate` path, only start commitments are derived
         here; per-slice energy disaggregation
         (:func:`repro.aggregation.disaggregate`) stays a dispatch-time
@@ -1181,9 +1131,9 @@ class BrpRuntimeService:
                 committed += 1
                 if entry.start is None:
                     first.append(entry)
-                cell = entry.cell
-                if cell is not None and cell.view_id == aggregate.offer_id:
-                    cell.view_id = -1
+                group = entry.group
+                if group is not None and group.view.offer_id == aggregate.offer_id:
+                    group.plan = -1
                 self._detach(entry, member.earliest_start + delta)
             if journal:
                 self.ledger.record_scheduled(journal, at=self.now)
@@ -1430,7 +1380,7 @@ class BrpRuntimeService:
             def report_tick() -> None:
                 report_sink(
                     f"[t={self.now:8.1f}] live={len(self._live)} "
-                    f"pool={len(self.pool)} scheduled={self._scheduled_total} "
+                    f"pool={len(self.session.groups)} scheduled={self._scheduled_total} "
                     f"sched_runs="
                     f"{int(self.metrics.counter('schedule.runs').value)}"
                 )
@@ -1475,7 +1425,7 @@ class BrpRuntimeService:
             scheduling_runs=counter("schedule.runs"),
             empty_scheduling_runs=counter("schedule.empty_runs"),
             trigger_fires=trigger_fires,
-            pool_aggregates=len(self.pool),
+            pool_aggregates=len(self.session.groups),
             pool_offers=self.ingest.input_count,
             latency_slices_p50=sim.p50,
             latency_slices_p95=sim.p95,

@@ -614,10 +614,9 @@ class TestAggregatesStayArrays:
         def watch(session):
             plan_window = session.plan_window
 
-            def recording_plan_window(candidates, *args, **kwargs):
-                candidates = list(candidates)
-                planned.extend(view for _, view in candidates)
-                return plan_window(candidates, *args, **kwargs)
+            def recording_plan_window(*args, **kwargs):
+                planned.extend(group.view for group in session.groups.values())
+                return plan_window(*args, **kwargs)
 
             session.plan_window = recording_plan_window
 
@@ -988,10 +987,10 @@ class TestKeptPlacementQuality:
         gaps = []
         kept_runs = 0
 
-        def judged(session, problem, keys):
+        def judged(session, problem, groups):
             nonlocal kept_runs
             before = session.metrics.counter("delta.reused_placements").value
-            result = plan(session, problem, keys)
+            result = plan(session, problem, groups)
             kept_runs += (
                 session.metrics.counter("delta.reused_placements").value
                 > before

@@ -1,9 +1,10 @@
-"""Commitment cells against the per-member walk they replaced.
+"""Per-group commitments against the per-member walk they replaced.
 
 A service commits a plan by writing one start shift per aggregation group
-(its commitment cell); a member's committed start is its earliest start
-plus its group's shift.  :class:`CommitOracle` keeps, beside a service, a
-copy of the per-member walk the cells replaced: every plan re-commits
+(in the group's record in the planner's book); a member's committed start
+is its earliest start plus its group's shift.  :class:`CommitOracle`
+keeps, beside a service, a copy of the per-member walk the shifts
+replaced: every plan re-commits
 every live member of every re-placed view, a view whose placement the
 previous plan already committed is skipped, and a remote schedule commits
 its members and forgets that skip.  After every plan listener call, every
@@ -165,9 +166,6 @@ class CommitOracle:
             service.metrics.counter("disaggregate.assignments").value
             == self.assignments
         ), where
-        # The books hold only groups the pool still has.
-        assert set(service._cells) <= set(service.pool), where
-        assert set(service._joiners) <= set(service.pool), where
         self.checks[where] += 1
 
     def check_journal(self, skip: int = 0) -> None:
@@ -332,58 +330,58 @@ class TestCommitOracle:
         for offer in first:
             service.submit(offer)
         service.maybe_schedule(force=True)
-        (gid,) = service.pool
-        assert gid in service._cells
-        # Every member leaves: the group's DELETED update drops its books.
+        ((gid, group),) = service.session.groups.items()
+        assert group.plan > 0
+        # Every member leaves: the group's DELETED update drops its record.
         service.withdraw_many(offer.offer_id for offer in first)
         service.run_aggregation()
-        assert gid not in service.pool
-        assert gid not in service._cells and gid not in service._joiners
+        assert gid not in service.session.groups
         # Same cell, fresh members: the group comes back under its id.
         second = [_offer(10, tf=8, lo=2.0, hi=4.0) for _ in range(2)]
         for offer in second:
             service.submit(offer)
         service.maybe_schedule(force=True)
-        assert list(service.pool) == [gid]
+        assert list(service.session.groups) == [gid]
+        assert service.session.groups[gid] is not group
         assert set(service.committed_starts()) == {o.offer_id for o in second}
         # Emptied and refilled inside one flush: the group resets in place.
         service.withdraw_many(offer.offer_id for offer in second)
         for offer in [_offer(10, tf=8) for _ in range(2)]:
             service.submit(offer)
         service.maybe_schedule(force=True)
-        assert list(service.pool) == [gid]
+        assert list(service.session.groups) == [gid]
         assert oracle.checks["plan"] == 3
         assert len(service.committed_starts()) == 2
 
 
-class _CountingJoiners(dict):
-    """A ``_joiners`` book that counts the live entries each commit binds."""
-
-    def __init__(self, service):
-        super().__init__()
-        self.service = service
-        self.bound = 0
-
-    def pop(self, key, *default):
-        waiting = super().pop(key, *default)
-        if waiting:
-            live = self.service._live
-            self.bound += sum(
-                live.get(entry.offer.offer_id) is entry for entry in waiting
-            )
-        return waiting
-
-
 def test_a_brp_run_binds_only_first_commitments():
     service = BrpRuntimeService(ServiceConfig())
-    service._joiners = joiners = _CountingJoiners(service)
+    bound = 0
+    commit = service._disaggregate
+
+    def waiting():
+        """Live entries waiting in the book's records to bind."""
+        live = service._live
+        return sum(
+            live.get(entry.offer.offer_id) is entry
+            for group in service.session.groups.values()
+            for entry in group.waiting
+        )
+
+    def counting(plan):
+        nonlocal bound
+        before = waiting()
+        commit(plan)
+        bound += before - waiting()
+
+    service._disaggregate = counting
     stream = LoadGenerator(rate_per_hour=400, seed=42).stream(0.0, 48.0)
     service.run_stream(stream, 48.0)
     assignments = service.metrics.counter("disaggregate.assignments").value
     # No remote schedule and no restore: every bind is a first commitment,
     # while the walk it replaced touched every member of every re-plan.
-    assert joiners.bound == service.scheduled_total > 0
-    assert assignments > 10 * joiners.bound
+    assert bound == service.scheduled_total > 0
+    assert assignments > 10 * bound
 
 
 def test_a_traced_run_commits_the_same_starts():

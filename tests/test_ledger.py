@@ -1009,7 +1009,7 @@ class TestUpdateRecovery:
         service.driver.run_until(16.0)
         service.drain(16.0)
         assert seen["before"] == seen["after"] > 0
-        (group,) = service.pool.values()
+        (group,) = service.session.groups.values()
         view = group.view
         assert view.members == (offers[0], offers[2], offers[3], revised, late)
         assert view.members[3] is revised

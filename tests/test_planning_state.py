@@ -7,8 +7,9 @@ property below drives one long-lived session through a pool history —
 groups added, revised (a new view, sometimes over the same profile and
 window) and deleted, keys dirtied without a new view, the horizon start
 advancing so that groups clip and close — and at every run compares its
-``plan_window`` with a fresh session's, handed the same ``placements``,
-``dirty`` set and rng state: a rebuild with nothing carried.
+``plan_window`` with a fresh session's, handed records holding the same
+views and placements, the same ``dirty`` set and rng state: a rebuild with
+nothing carried.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.aggregation.updates import AggregateUpdate, UpdateKind
 from repro.core import TimeSeries, flex_offer
-from repro.runtime.planning import PlanSession
+from repro.runtime.planning import PlanSession, PoolGroup
 
 HORIZON = 24
 
@@ -44,7 +45,7 @@ def _same_plan(got, want):
     if want is None:
         assert got is None
         return
-    assert got.keys == want.keys
+    assert [g.key for g in got.groups] == [g.key for g in want.groups]
     assert [id(view) for view in got.views] == [id(view) for view in want.views]
     a, b = got.result.solution, want.result.solution
     assert a.starts.tobytes() == b.starts.tobytes()
@@ -57,11 +58,13 @@ def _same_plan(got, want):
     assert got.result.evaluations == want.result.evaluations
 
 
-def _same_placements(got, want):
-    assert got.keys() == want.keys()
-    for key, (start, energies) in want.items():
-        assert got[key][0] == start
-        assert got[key][1].tobytes() == energies.tobytes()
+def _placements(groups):
+    return {
+        key: None
+        if group.placement is None
+        else (group.placement[0], group.placement[1].tobytes())
+        for key, group in groups.items()
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,7 +93,8 @@ def test_carried_state_plans_as_a_rebuild_at_every_run(
     )
     session = PlanSession(passes=passes, seed=seed % 97, net_forecast=net)
     pool = {f"g{j}": _offer(rng, 0) for j in range(4)}
-    session.absorb(AggregateUpdate(UpdateKind.CREATED, key, None) for key in pool)
+    for key, offer in pool.items():
+        session.absorb(AggregateUpdate(UpdateKind.CREATED, key, offer))
     start = 0
     for advance, actions in history:
         start += advance
@@ -115,21 +119,22 @@ def test_carried_state_plans_as_a_rebuild_at_every_run(
                 updates.append((UpdateKind.DELETED, key))
             else:  # "dirty": named by an update, the view unchanged
                 updates.append((UpdateKind.MODIFIED, key))
-        session.absorb(
-            AggregateUpdate(kind, key, pool.get(key)) for kind, key in updates
-        )
-        candidates = [(key, pool[key]) for key in sorted(pool)]
+        for kind, key in updates:
+            session.absorb(AggregateUpdate(kind, key, pool.get(key)))
 
         rebuild = PlanSession(passes=passes, net_forecast=net)
-        rebuild.placements = dict(session.placements)
+        rebuild.groups = {
+            key: PoolGroup(key, group.view, placement=group.placement)
+            for key, group in session.groups.items()
+        }
         rebuild.dirty = set(session.dirty)
         rebuild.rng.bit_generator.state = session.rng.bit_generator.state
 
-        got = session.plan_window(candidates, start, start + HORIZON)
-        want = rebuild.plan_window(candidates, start, start + HORIZON)
+        got = session.plan_window(start, start + HORIZON)
+        want = rebuild.plan_window(start, start + HORIZON)
         _same_plan(got, want)
         assert [id(v) for v in session.closed] == [id(v) for v in rebuild.closed]
-        _same_placements(session.placements, rebuild.placements)
+        assert _placements(session.groups) == _placements(rebuild.groups)
         assert session.dirty == rebuild.dirty
         assert session.rng.bit_generator.state == rebuild.rng.bit_generator.state
 
@@ -140,10 +145,11 @@ def test_a_moved_clip_rebuilds_the_constants():
     and the kept placement that now starts too early is re-placed."""
     offer = flex_offer([(1.0, 2.0)] * 2, earliest_start=0, latest_start=10)
     session = PlanSession(passes=1)
-    first = session.plan_window([("g", offer)], 2, 14)
+    session.absorb(AggregateUpdate(UpdateKind.CREATED, "g", offer))
+    first = session.plan_window(2, 14)
     assert first.problem.offer_constants[0].earliest_start == 2
-    assert session.placements["g"][0] == 2  # every start costs the same
-    second = session.plan_window([("g", offer)], 5, 17)
+    assert session.groups["g"].placement[0] == 2  # every start costs the same
+    second = session.plan_window(5, 17)
     consts = second.problem.offer_constants[0]
     assert (consts.earliest_start, consts.earliest_index) == (5, 0)
     assert consts.n_starts == 6

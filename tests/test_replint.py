@@ -617,34 +617,34 @@ class TestTriggerStateWrite:
         )
         assert rule_ids(findings) == ["REP009"] and len(findings) == 3
 
-    def test_flags_foreign_commitment_cell_writes(self, tmp_path):
-        # Rebinding members or dropping a group's cell from outside the
-        # service, instead of letting its flush and plans do it.
+    def test_flags_foreign_pool_group_book_writes(self, tmp_path):
+        # Adding or dropping a group's record from outside the session,
+        # instead of letting the flushes that feed the book do it.
         findings = lint_snippet(
             tmp_path,
             "src/repro/ledger/mod.py",
             """
-            def rebind(service, gid, entry):
-                service._joiners.setdefault(gid, []).append(entry)
-                service._joiners[gid] = [entry]
-                service._cells.pop(gid, None)
-                del service._cells[gid]
+            def rebind(service, gid, group):
+                service.session.groups.setdefault(gid, group)
+                service.session.groups[gid] = group
+                service.session.groups.pop(gid, None)
+                del service.session.groups[gid]
             """,
         )
         assert rule_ids(findings) == ["REP009"]
         assert sorted(f.line for f in findings) == [3, 4, 5, 6]
 
-    def test_own_commitment_cell_writes_pass(self, tmp_path):
+    def test_own_pool_group_book_writes_pass(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
             "src/repro/runtime/mod.py",
             """
-            class Node:
-                def flush(self, gid, entry, other):
-                    self._joiners.setdefault(gid, []).append(entry)
-                    self._cells.pop(gid, None)
-                    del self._joiners[gid]
-                    return other._cells.get(gid), len(other._joiners)
+            class Session:
+                def absorb(self, gid, group, other):
+                    self.groups.setdefault(gid, group)
+                    self.groups.pop(gid, None)
+                    del self.groups[gid]
+                    return other.groups.get(gid), len(other.groups)
             """,
         )
         assert findings == []

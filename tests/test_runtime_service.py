@@ -33,7 +33,7 @@ from repro.ledger import (
     offer_to_dict,
 )
 from repro.obs.tracing import Tracer
-from repro.runtime.planning import PlanSession
+from repro.runtime.planning import PlanSession, _fits
 from repro.scheduling.engine import OfferConstants
 from repro.runtime import (
     AgeTrigger,
@@ -92,7 +92,7 @@ class TestServiceLoop:
         service, report = _run()
         # The pool's micro-offer count matches the live, unretired set.
         assert report.pool_offers == service.live_offers
-        assert report.pool_aggregates == len(service.pool)
+        assert report.pool_aggregates == len(service.session.groups)
         assert report.pool_aggregates <= report.pool_offers
 
     def test_store_records_full_lifecycle(self):
@@ -165,8 +165,11 @@ def _replanning_digests(ledger=None):
     report = service.run_stream(arrivals(), 24.0)
     assert report.scheduling_runs >= 20 and len(costs) >= 20
     assert any(
-        np.any((update.aggregate.min_array < 0) & (update.aggregate.max_array > 0))
-        for update in service.pool.values()
+        np.any(
+            (group.view.aggregate.min_array < 0)
+            & (group.view.aggregate.max_array > 0)
+        )
+        for group in service.session.groups.values()
     )  # the four-candidate kernel path planned something
     latency = service.metrics.histogram("latency.e2e_slices")
     plans = hashlib.sha256(struct.pack(f"<{len(costs)}d", *costs))
@@ -558,7 +561,7 @@ class TestUpdateRidesTheNextFlush:
             for k in range(3)
         ]
         service.run_aggregation()
-        (gid,) = service.pool
+        (gid,) = service.session.groups
         flushes = service.metrics.counter("ingest.flushes")
         before = flushes.value
 
@@ -567,12 +570,12 @@ class TestUpdateRidesTheNextFlush:
         revised = target.with_times(target.earliest_start, target.latest_start - 1)
         assert service.update(revised).offer is revised
         assert flushes.value == before
-        assert service.pool[gid].view.members == tuple(offers)
+        assert service.session.groups[gid].view.members == tuple(offers)
 
         service.run_aggregation()
         assert flushes.value == before + 1
-        assert list(service.pool) == [gid]
-        view = service.pool[gid].view
+        assert list(service.session.groups) == [gid]
+        view = service.session.groups[gid].view
         live = [offers[0], offers[2], revised]
         assert view.members == tuple(live) and view.joined == (revised,)
         assert view.members[-1] is revised
@@ -884,7 +887,7 @@ class TestStrandedMembers:
         # The run over [1, 3) drops the group for the horizon: nothing is
         # stranded, the group is still plannable.
         assert service.maybe_schedule(force=True) is None
-        assert len(service.pool) == 1
+        assert len(service.session.groups) == 1
         stranded = service.metrics.counter("schedule.stranded_members")
         assert stranded.value == 0
         service.driver.advance_to(4.5)  # the next run starts at slice 5
@@ -978,7 +981,8 @@ class TestNetForecastWindow:
 class TestPlanSession:
     def test_nothing_kept_for_an_all_new_pool(self):
         session = PlanSession()
-        assert session.plan_window([("a", _offer(2))], 0, 96) is not None
+        session.absorb(AggregateUpdate(UpdateKind.CREATED, "a", _offer(2)))
+        assert session.plan_window(0, 96) is not None
         assert [
             session.metrics.counter(name).value
             for name in (
@@ -987,20 +991,26 @@ class TestPlanSession:
                 "delta.replaced_placements",
             )
         ] == [0, 0, 1]
-        assert set(session.placements) == {"a"} and not session.dirty
+        assert session.groups["a"].placement is not None and not session.dirty
+
+    def test_a_dirty_group_is_re_placed(self):
+        session = PlanSession()
+        session.absorb(AggregateUpdate(UpdateKind.CREATED, "a", _offer(2)))
+        reused = session.metrics.counter("delta.reused_placements")
+        session.plan_window(0, 96)
+        session.plan_window(0, 96)
+        assert reused.value == 1
+        session.dirty.add("a")
+        session.plan_window(0, 96)
+        assert reused.value == 1
 
     def test_kept_placement_needs_its_duration(self):
-        session = PlanSession()
-        session.placements["a"] = (3, np.array([1.5, 1.5, 1.5]))
         shrunk = OfferConstants.from_offer(_offer(2, duration=2), 0)
-        assert session._kept("a", shrunk) is None
-        session.placements["a"] = (3, np.array([1.5, 1.5]))
-        assert session._kept("a", shrunk) is session.placements["a"]
-        session.dirty.add("a")
-        assert session._kept("a", shrunk) is None
+        assert not _fits(None, shrunk)
+        assert not _fits((3, np.array([1.5, 1.5, 1.5])), shrunk)
+        assert _fits((3, np.array([1.5, 1.5])), shrunk)
 
     def test_kept_placement_must_fit_window_and_bounds(self):
-        session = PlanSession()
         consts = OfferConstants.from_offer(_offer(6, tf=4, lo=1.0, hi=2.0), 0)
         for start, energies in (
             (5, [1.0, 1.0]),  # before the window
@@ -1008,28 +1018,35 @@ class TestPlanSession:
             (6, [1.0, 2.5]),  # above the bounds
             (10, [0.5, 2.0]),  # below them
         ):
-            session.placements["a"] = (start, np.array(energies))
-            assert session._kept("a", consts) is None
+            assert not _fits((start, np.array(energies)), consts)
         for start in (6, 10):
-            session.placements["a"] = (start, np.array([1.0, 2.0]))
-            assert session._kept("a", consts) is session.placements["a"]
+            assert _fits((start, np.array([1.0, 2.0])), consts)
 
     def test_absorb_accumulates_dirt_and_evicts_deleted(self):
         session = PlanSession()
-        session.placements["gone"] = (0, np.array([1.0]))
-        session.placements["kept"] = (2, np.array([1.0]))
-        session.absorb(
-            [
-                AggregateUpdate(kind, gid, lambda: None)
-                for kind, gid in (
-                    (UpdateKind.CREATED, "new"),
-                    (UpdateKind.MODIFIED, "kept"),
-                    (UpdateKind.DELETED, "gone"),
-                )
-            ]
-        )
+        for gid in ("gone", "kept"):
+            session.absorb(AggregateUpdate(UpdateKind.CREATED, gid, _offer(2)))
+        session.plan_window(0, 96)
+        kept = session.groups["kept"]
+        view, consts = kept.view, kept.consts
+        for kind, gid in (
+            (UpdateKind.CREATED, "new"),
+            (UpdateKind.MODIFIED, "kept"),
+            (UpdateKind.DELETED, "gone"),
+        ):
+            assert (session.absorb(AggregateUpdate(kind, gid, view)) is None) == (
+                gid == "gone"
+            )
         assert session.dirty == {"new", "kept", "gone"}
-        assert "gone" not in session.placements and "kept" in session.placements
+        assert set(session.groups) == {"kept", "new"}
+        # Named again with the same view: the record keeps what it carried.
+        assert session.groups["kept"] is kept and kept.consts is consts
+        assert kept.placement is not None
+        # A new view: the constants go, and the commitment no longer stands.
+        kept.plan = 1
+        session.absorb(AggregateUpdate(UpdateKind.MODIFIED, "kept", _offer(3)))
+        assert (kept.consts, kept.plan) == (None, -1)
+        assert kept.placement is not None
 
 
 class TestPlanWindowAtBothTiers:
@@ -1071,7 +1088,7 @@ class TestPlanWindowAtBothTiers:
 
     def _candidates(self):
         """One single-offer group per window, as the packed engine's views:
-        what a runtime pool hands ``plan_window``."""
+        what a flush hands a session's book."""
         from repro.aggregation import (
             AggregationParameters,
             PackedAggregationPipeline,
@@ -1097,14 +1114,17 @@ class TestPlanWindowAtBothTiers:
         candidates = self._candidates()
         clipped = candidates[0][1].aggregate  # earliest_start 4 < START, open
         closed = candidates[3][1].aggregate  # latest_start 8 < START
+        for tier in (brp, tso):
+            for key, view in candidates:
+                tier.session.absorb(AggregateUpdate(UpdateKind.CREATED, key, view))
         # Cold run, then an unchanged re-run that keeps every placement.
         for _ in range(2):
             ours, theirs = (
-                tier.session.plan_window(candidates, self.START, self.END)
+                tier.session.plan_window(self.START, self.END)
                 for tier in (brp, tso)
             )
             for plan in (ours, theirs):
-                assert plan.keys == ("k0", "k1", "k2", "k4")
+                assert [g.key for g in plan.groups] == ["k0", "k1", "k2", "k4"]
                 assert closed not in plan.originals
                 # Scheduled on the clipped window, returned unclipped.
                 assert plan.originals[0] is clipped
@@ -1117,7 +1137,7 @@ class TestPlanWindowAtBothTiers:
             ]
         # Nothing eligible: no plan, and the planner is never reached.
         for tier in (brp, tso):
-            assert tier.session.plan_window(candidates, 500, 596) is None
+            assert tier.session.plan_window(500, 596) is None
         assert len(problems[brp.name]) == len(problems[tso.name]) == 2
         for ours, theirs in zip(problems[brp.name], problems[tso.name]):
             assert ours.net_forecast.start == theirs.net_forecast.start
@@ -1178,7 +1198,7 @@ class TestKeptPlacementsService:
         service.run_aggregation()
         first = service.maybe_schedule(force=True)
         assert first is not None
-        n_groups = len(service.session.placements)
+        n_groups = len(service.session.groups)
         assert n_groups > 1
         # A first run places everything and keeps nothing.
         assert self._counts(service) == [0, 0, n_groups]

@@ -28,7 +28,7 @@ from repro.runtime import (
     ServiceConfig,
 )
 from repro.aggregation.updates import AggregateUpdate, UpdateKind
-from repro.runtime.planning import PlanSession
+from repro.runtime.planning import PlanSession, PoolGroup
 from repro.scheduling import (
     CandidateSolution,
     IncrementalCostState,
@@ -1022,7 +1022,9 @@ class TestKeptPlacements:
             oracle = _KeptPlacementOracle(history, session.passes)
             for round_no in range(4):
                 updates = []
-                if round_no:
+                if not round_no:  # the first flush creates the pool
+                    updates = [(UpdateKind.CREATED, key) for key in pool]
+                else:
                     for key in list(pool):
                         roll = rng.random()
                         if roll < 0.15 and len(pool) > 1:
@@ -1035,13 +1037,13 @@ class TestKeptPlacements:
                         key = f"g{next(fresh):04d}"
                         pool[key] = _random_pool_offer(rng, horizon)
                         updates.append((UpdateKind.CREATED, key))
-                session.absorb(
-                    AggregateUpdate(kind, key, lambda: None)
-                    for kind, key in updates
-                )
+                for kind, key in updates:
+                    session.absorb(AggregateUpdate(kind, key, pool.get(key)))
                 keys, problem = self._pool_problem(pool, net_series, market)
                 reused_before = _session_counts(session)[1]
-                result = session.plan(problem, keys)
+                result = session.plan(
+                    problem, [session.groups[key] for key in keys]
+                )
                 starts, energies, cost, kept = oracle.run(
                     problem, keys, {key for _, key in updates}
                 )
@@ -1060,6 +1062,7 @@ class TestKeptPlacements:
         market = Market.flat(24)
         session = PlanSession(seed=5)
         oracle = _KeptPlacementOracle(5, session.passes)
+        groups = [PoolGroup(key, pool[key]) for key in sorted(pool)]
         for h0 in (0, 4):
             keys = tuple(sorted(pool))
             problem = SchedulingProblem(
@@ -1067,7 +1070,7 @@ class TestKeptPlacements:
                 tuple(pool[key] for key in keys),
                 market,
             )
-            result = session.plan(problem, keys)
+            result = session.plan(problem, groups)
             starts, energies, cost, kept = oracle.run(problem, keys, set())
             _assert_same_plan(result, starts, energies, cost)
         assert kept == len(pool)
@@ -1091,13 +1094,14 @@ class TestKeptPlacements:
         }
         session = PlanSession(seed=1)
         oracle = _KeptPlacementOracle(1, session.passes)
+        groups = {key: PoolGroup(key, offer) for key, offer in pool.items()}
 
         def run():
             keys = tuple(sorted(pool))
             problem = SchedulingProblem(
                 net_series, tuple(pool[k] for k in keys), market
             )
-            result = session.plan(problem, keys)
+            result = session.plan(problem, [groups[key] for key in keys])
             starts, energies, cost, _ = oracle.run(problem, keys, set())
             _assert_same_plan(result, starts, energies, cost)
 
@@ -1122,10 +1126,12 @@ class TestKeptPlacements:
                 problem, max_passes=1, retained=[None] * (n + 1)
             )
         session = PlanSession()
-        keys = tuple(f"k{j}" for j in range(n))
-        first = session.plan(problem, keys)
+        groups = [
+            PoolGroup(f"k{j}", offer) for j, offer in enumerate(problem.offers)
+        ]
+        first = session.plan(problem, groups)
         assert _session_counts(session) == (0, 0, n)
-        second = session.plan(problem, keys)
+        second = session.plan(problem, groups)
         assert _session_counts(session) == (1, n, n)
         # Everything kept: the plan does not move.
         _assert_same_plan(
@@ -1377,7 +1383,8 @@ class TestCertificate:
         offer = flex_offer([(1.0, 2.0)] * 2, earliest_start=0, latest_start=4)
         for passes, certified in ((2, 1), (1, 0)):
             session = PlanSession(passes=passes)
-            session.plan_window([("a", offer)], 0, 8)
+            session.absorb(AggregateUpdate(UpdateKind.CREATED, "a", offer))
+            session.plan_window(0, 8)
             names = {name for name, _ in session.metrics.items()}
             assert ("schedule.certified_runs" in names) == bool(certified)
             if certified:

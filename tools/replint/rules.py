@@ -559,11 +559,12 @@ class TriggerStateWriteRule(Rule):
       ``restore_commitment``; assignments, subscript stores, ``del`` and
       mutating calls (``.add``/``.pop``/…) on another object's books all
       count as writes;
-    * the cells themselves (``_cells``) and the entries waiting to bind
-      to them (``_joiners``: each flush's newcomers and the members a
-      remote schedule detached) change only with the pool and the plans
-      that fill them — outside callers go through ``run_aggregation``/
-      ``restore_commitment``/``apply_remote_schedule``;
+    * a node's book of pool groups (a plan session's ``groups``: one
+      record per group id, holding the group's view, planning state,
+      commitment shift and the entries waiting to bind to it) gains and
+      drops records only with the flushes that feed it — outside callers
+      go through ``PlanSession.absorb()`` (a service's
+      ``run_aggregation()``);
     * adaptive trigger thresholds — ``AdaptiveTrigger``'s
       ``count_threshold`` / ``max_age_slices``, as *attribute* targets —
       change only inside the controller's ``observe`` seam in
@@ -584,10 +585,7 @@ class TriggerStateWriteRule(Rule):
             ("_live", "_scheduled_total", "_unscheduled_energy"),
             "submit()/withdraw()/restore_commitment()",
         ),
-        **dict.fromkeys(
-            ("_cells", "_joiners"),
-            "run_aggregation()/restore_commitment()/apply_remote_schedule()",
-        ),
+        "groups": "PlanSession.absorb() (a service's run_aggregation())",
     }
     _MUTATORS = frozenset(
         {"add", "discard", "remove", "pop", "clear", "update", "setdefault"}
